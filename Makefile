@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet bench shardcheck vitalscheck scrubcheck scancheck flightcheck check
+.PHONY: all build test race vet bench shardcheck vitalscheck scrubcheck scancheck flightcheck benchsmoke check
 
 all: build
 
@@ -50,4 +50,10 @@ scancheck:
 flightcheck:
 	$(GO) test -race -count=1 -run 'Flight|Incident|Detector|Bundle|Doctor|Health|Recorder|Ring|Rotat' ./internal/flight ./internal/event ./internal/db ./internal/obs
 
-check: build vet test race shardcheck vitalscheck scrubcheck scancheck flightcheck
+# The repo's benchmark (bench/, its own module, outside `go test ./...`) is
+# the one external consumer of db.Open/db.Options/db.Metrics: vet it and run
+# its 1/50-scale smoke test so an API break shows up here, not in the ledger.
+benchsmoke:
+	$(GO) vet -C bench ./... && $(GO) test -C bench ./...
+
+check: build vet test race shardcheck vitalscheck scrubcheck scancheck flightcheck benchsmoke

@@ -67,13 +67,17 @@ func (c *Cache) Get(k Key) ([]byte, bool) {
 	s := c.shardFor(k)
 	s.mu.Lock()
 	e, ok := s.items[k]
+	var data []byte
 	if ok {
 		s.order.MoveToFront(e.elem)
+		// Read the slice header under the lock: a Put refreshing this key
+		// rewrites e.data.
+		data = e.data
 	}
 	s.mu.Unlock()
 	if ok {
 		c.hits.Add(1)
-		return e.data, true
+		return data, true
 	}
 	c.misses.Add(1)
 	return nil, false

@@ -132,6 +132,31 @@ func TestConcurrentAccess(t *testing.T) {
 	}
 }
 
+// TestConcurrentRefreshOneKey is a -race regression: Get used to return
+// e.data after dropping the shard lock while a Put refreshing the same key
+// rewrote it under the lock.
+func TestConcurrentRefreshOneKey(t *testing.T) {
+	c := New(1 << 20)
+	k := Key{FileNum: 1, Offset: 0}
+	c.Put(k, []byte("v"))
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				if g%2 == 0 {
+					c.Put(k, []byte{byte(i)})
+				} else if v, ok := c.Get(k); !ok || len(v) != 1 {
+					t.Errorf("Get = %q, %v; the key is always present with a 1-byte value", v, ok)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
 func TestSmallCapacityRoundsUp(t *testing.T) {
 	// A capacity below numShards bytes used to floor the per-shard budget
 	// to zero, silently disabling every shard. Rounding up must keep tiny

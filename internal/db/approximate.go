@@ -23,22 +23,12 @@ func (s SizeEstimate) Total() int64 { return s.LocalBytes + s.CloudBytes }
 // estimate: cheap, metadata-only, and accurate to within a file's internal
 // skew. The memtable is not included.
 func (d *DB) ApproximateSize(start, end []byte) SizeEstimate {
-	if d.shards != nil {
-		var est SizeEstimate
-		for _, sh := range d.shards {
-			e := sh.ApproximateSize(start, end)
-			est.LocalBytes += e.LocalBytes
-			est.CloudBytes += e.CloudBytes
-		}
-		return est
-	}
-	v := d.vs.Current()
 	var est SizeEstimate
 	var hiIncl []byte
 	if end != nil {
 		hiIncl = end // OverlapsRange treats bounds inclusively; close enough for an estimate
 	}
-	v.AllFiles(func(level int, f *manifest.FileMetadata) {
+	d.allFiles(func(_ *engine, _ int, f *manifest.FileMetadata) {
 		if !f.OverlapsRange(start, hiIncl) {
 			return
 		}
@@ -52,6 +42,13 @@ func (d *DB) ApproximateSize(start, end []byte) SizeEstimate {
 		}
 	})
 	return est
+}
+
+// allFiles visits every live table of every engine's current version.
+func (d *DB) allFiles(fn func(e *engine, level int, f *manifest.FileMetadata)) {
+	for _, e := range d.engines {
+		e.vs.Current().AllFiles(func(level int, f *manifest.FileMetadata) { fn(e, level, f) })
+	}
 }
 
 // overlapFraction estimates what fraction of [lo, hi] falls inside
@@ -99,9 +96,8 @@ func keyToFloat(k []byte) float64 {
 // smallestUserKey returns the store's smallest live user key ("" when
 // empty), useful for sizing whole-store ranges.
 func (d *DB) smallestUserKey() []byte {
-	v := d.vs.Current()
 	var lo []byte
-	v.AllFiles(func(level int, f *manifest.FileMetadata) {
+	d.allFiles(func(_ *engine, _ int, f *manifest.FileMetadata) {
 		uk := keys.UserKey(f.Smallest)
 		if lo == nil || bytes.Compare(uk, lo) < 0 {
 			lo = uk

@@ -29,30 +29,25 @@ func (d *DB) Backup(dir string) error {
 	if err != nil {
 		return err
 	}
-	if d.shards != nil {
-		// Reproduce the sharded layout: the marker at the destination root,
-		// each shard backed up into its prefix. Per-shard consistency
-		// points may differ slightly (each shard freezes independently);
-		// writes racing the backup land after some shard's point, the same
-		// guarantee the live store gives racing readers.
-		if err := storage.WriteObject(dstLocal, shardMarkerName,
-			[]byte(fmt.Sprintf("%d\n", len(d.shards)))); err != nil {
-			return err
-		}
-		return d.eachShard(func(sh *DB) error {
-			return sh.backupInto(
-				storage.NewPrefix(dstLocal, shardPrefix(sh.opts.shardID)),
-				storage.NewPrefix(dstCloud, shardPrefix(sh.opts.shardID)))
-		})
+	// Reproduce the source's layout (ensureShardLayout writes the marker of
+	// a sharded one), each engine backed up into its prefix. Per-engine
+	// consistency points may differ slightly (each engine freezes
+	// independently); writes racing the backup land after some engine's
+	// point, the same guarantee the live store gives racing readers.
+	if err := ensureShardLayout(dstLocal, d.opts.Shards); err != nil {
+		return err
 	}
-	return d.backupInto(dstLocal, dstCloud)
+	return d.eachEngine(func(e *engine) error {
+		prefix := d.opts.enginePrefix(e.id)
+		return e.backupInto(prefixed(dstLocal, prefix), prefixed(dstCloud, prefix))
+	})
 }
 
 // backupInto copies this engine's live tables and a manifest snapshot into
 // the destination backends.
-func (d *DB) backupInto(dstLocal, dstCloud storage.Backend) error {
+func (d *engine) backupInto(dstLocal, dstCloud storage.Backend) error {
 	// Make the memtable durable in tables so the backup is WAL-free.
-	if err := d.Flush(); err != nil {
+	if err := d.flush(); err != nil {
 		return err
 	}
 	// Freeze the file set: compactions delete inputs, so hold them off and

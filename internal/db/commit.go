@@ -18,10 +18,10 @@ import (
 // reallocating channels — commits become allocation-free in steady state.
 type commitEntry struct {
 	b *batch.Batch
-	// d is the DB (the keyspace shard, in a sharded store) this entry
-	// commits into; the shared seqSource publishes the entry's sequence to
-	// d's watermark and manifest when it becomes visible.
-	d *DB
+	// d is the engine this entry commits into; the shared seqSource
+	// publishes the entry's sequence to d's acked frontier and manifest
+	// when it becomes visible.
+	d *engine
 	// mem is the memtable the group leader captured for this entry; the
 	// owning writer applies its batch there after the group's WAL write.
 	mem    *memtable.MemTable
@@ -44,7 +44,7 @@ type commitEntry struct {
 	// never observe a sequence gap.
 	applied bool
 	// visible is signalled when the entry's maxSeq has been published as
-	// the DB's last visible sequence.
+	// its engine's acked frontier.
 	visible chan struct{}
 }
 
@@ -75,7 +75,7 @@ var entryPool = sync.Pool{
 // order, so a reader's snapshot never exposes sequence n+1 before n is in
 // the memtable.
 type commitPipeline struct {
-	d *DB
+	d *engine
 
 	// qmu guards the writer queue and the leading flag. qfree is a spare
 	// backing array recycled from claimed groups so steady-state enqueues
@@ -86,10 +86,10 @@ type commitPipeline struct {
 	leading bool
 
 	// Sequence allocation and the pending visibility ring live in the
-	// DB's seqSource (d.seqs): allocation runs ahead of visibility while
-	// appliers work, a failed group leaves a harmless hole, and in a
-	// sharded store every shard's pipeline feeds the same source so the
-	// watermark stays globally ordered.
+	// store's seqSource (d.seqs): allocation runs ahead of visibility while
+	// appliers work, a failed group leaves a harmless hole, and every
+	// engine's pipeline feeds the same source so the watermark stays
+	// globally ordered.
 
 	// inflight counts writers currently inside commit. Group formation
 	// reads it (advisorily) to decide whether yielding could possibly add
@@ -102,7 +102,7 @@ type commitPipeline struct {
 	walBuf []wal.Entry
 }
 
-func newCommitPipeline(d *DB) *commitPipeline {
+func newCommitPipeline(d *engine) *commitPipeline {
 	return &commitPipeline{d: d}
 }
 
@@ -195,7 +195,7 @@ func (p *commitPipeline) leadGroup(self *commitEntry) {
 	// flush wait out in-flight appliers after the seal. Allocation and the
 	// pending-ring append happen together under the seqSource lock (nested
 	// inside d.mu) so the ring stays in sequence order even when leaders
-	// of different shards race for the shared source.
+	// of different engines race for the shared source.
 	ss := d.seqs
 	d.mu.Lock()
 	mem := d.mem

@@ -59,8 +59,8 @@ func BenchmarkConcurrentFillRandom(b *testing.B) {
 					}
 					wg.Wait()
 					b.StopTimer()
-					if g := d.EngineStats().CommitGroups.Load(); g > 0 {
-						bat := d.EngineStats().CommitGroupBatches.Load()
+					if g := d.Metrics().CommitGroups; g > 0 {
+						bat := d.Metrics().CommitGroupBatches
 						b.ReportMetric(float64(bat)/float64(g), "batches/group")
 					}
 				})

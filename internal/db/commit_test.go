@@ -180,7 +180,7 @@ func TestCommitPipelineDisabledServesWrites(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		mustGet(t, d, fmt.Sprintf("k%04d", i), pipelineValue(i))
 	}
-	if n := d.EngineStats().CommitGroups.Load(); n != 0 {
+	if n := d.Metrics().CommitGroups; n != 0 {
 		t.Fatalf("serial path counted %d commit groups, want 0", n)
 	}
 }
@@ -217,9 +217,9 @@ func TestCommitGroupStatsAndEvents(t *testing.T) {
 	}
 	wg.Wait()
 
-	groups := d.EngineStats().CommitGroups.Load()
-	batches := d.EngineStats().CommitGroupBatches.Load()
-	amortized := d.EngineStats().WALSyncsAmortized.Load()
+	groups := d.Metrics().CommitGroups
+	batches := d.Metrics().CommitGroupBatches
+	amortized := d.Metrics().WALSyncsAmortized
 	if groups == 0 {
 		t.Fatal("no commit groups counted")
 	}

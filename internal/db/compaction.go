@@ -22,7 +22,7 @@ type compaction struct {
 
 // pickCompaction selects the most over-budget level, or nil when the tree
 // is within shape.
-func (d *DB) pickCompaction() *compaction {
+func (d *engine) pickCompaction() *compaction {
 	v := d.vs.Current()
 	bestScore := 1.0
 	bestLevel := -1
@@ -83,7 +83,7 @@ func keyRange(files []*manifest.FileMetadata) (lo, hi []byte) {
 // maybeCompact runs one compaction if any level is over threshold.
 // It reports whether work was done. Compactions are serialized: both the
 // background loop and CompactAll may call this concurrently.
-func (d *DB) maybeCompact() (bool, error) {
+func (d *engine) maybeCompact() (bool, error) {
 	d.compactionMu.Lock()
 	defer d.compactionMu.Unlock()
 	c := d.pickCompaction()
@@ -98,7 +98,7 @@ func (d *DB) maybeCompact() (bool, error) {
 
 // smallestSnapshot returns the oldest sequence number any live snapshot
 // might read, bounding which old versions compaction may drop.
-func (d *DB) smallestSnapshot() uint64 {
+func (d *engine) smallestSnapshot() uint64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	min := d.lastSeq.Load()
@@ -113,7 +113,7 @@ func (d *DB) smallestSnapshot() uint64 {
 // isBaseLevelForRange reports whether no level deeper than c.output holds
 // data overlapping [lo,hi] — if so, tombstones in that range can be
 // dropped entirely.
-func (d *DB) isBaseLevelForRange(c *compaction, lo, hi []byte) bool {
+func (d *engine) isBaseLevelForRange(c *compaction, lo, hi []byte) bool {
 	v := d.vs.Current()
 	for l := c.output + 1; l < manifest.NumLevels; l++ {
 		if len(v.Overlapping(l, lo, hi)) > 0 {
@@ -126,7 +126,7 @@ func (d *DB) isBaseLevelForRange(c *compaction, lo, hi []byte) bool {
 // doCompaction merges c's inputs into the output level, applying the
 // paper's placement rule for the output tier and the compaction-aware
 // persistent-cache transitions (heat inheritance, whole-file drops).
-func (d *DB) doCompaction(c *compaction) error {
+func (d *engine) doCompaction(c *compaction) error {
 	outTier := d.opts.tierForLevel(c.output)
 	smallestSnap := d.smallestSnapshot()
 	lo, hi := keyRange(append(append([]*manifest.FileMetadata{}, c.inputs...), c.overlap...))

@@ -12,13 +12,11 @@ import (
 	"rocksmash/internal/cache"
 	"rocksmash/internal/event"
 	"rocksmash/internal/manifest"
-	"rocksmash/internal/memtable"
 	"rocksmash/internal/pcache"
 	"rocksmash/internal/readprof"
 	"rocksmash/internal/retry"
 	"rocksmash/internal/storage"
 	"rocksmash/internal/vitals"
-	"rocksmash/internal/wal"
 )
 
 // ErrClosed is returned by operations on a closed DB.
@@ -38,124 +36,28 @@ var ErrCloudUnavailable = storage.ErrCloudUnavailable
 // or DisableLocalDegradedMode).
 var ErrLocalUnavailable = storage.ErrLocalUnavailable
 
-// DB is the LSM-tree store. It is safe for concurrent use.
+// DB is the LSM-tree store: a facade over Options.Shards engines that
+// routes by key or fans out, and owns everything the engines share. It is
+// safe for concurrent use.
 type DB struct {
-	opts  Options
+	shared
+	// local and cloud are the caller's backends, undecorated. Engine I/O goes
+	// through each engine's own wrappers; the facade uses these for the
+	// store-level objects (shard marker) and the per-device I/O counters.
 	local storage.Backend
 	cloud storage.Backend
-	// cloudSim is non-nil when the DB owns a simulated cloud backend and
-	// can produce cost reports.
-	cloudSim *storage.Cloud
-	// cloudRel is the retry/breaker decorator d.cloud points at (nil for
-	// PolicyLocalOnly); breaker is its circuit breaker.
-	cloudRel *storage.Reliable
-	breaker  *retry.Breaker
-	// localBreaker is the local tier's circuit breaker, the cloud breaker's
-	// symmetric twin: consecutive local write failures (ENOSPC, fsync EIO)
-	// open it, flushes and compactions land their outputs cloud-direct while
-	// it is open, and its close transition wakes the drainer to migrate
-	// misplaced tables back. Keyspace shards share one instance (one disk).
-	localBreaker *retry.Breaker
+	// engines has one entry per keyspace shard, in shard order. One engine
+	// sits directly on local/cloud; several each take a "shard-NNN/" prefix.
+	engines []*engine
 
-	vs         *manifest.Set
-	wal        *wal.Manager
-	blockCache *cache.Cache
-	pcache     pcache.BlockCache
-	tables     *tableCache
+	// Breaker histories, counted here because the breakers are the
+	// store's: every engine sees each transition, the store had one.
+	cloudTrips breakerHistory
+	localTrips breakerHistory
+	// pcacheIndexHealed records that Open found the persistent cache's
+	// index snapshot damaged and restarted it cold.
+	pcacheIndexHealed bool
 
-	// shards is non-nil on the facade of a sharded store (Options.Shards >
-	// 1): the keyspace is hash-partitioned across these child DBs and every
-	// public method routes by key or fans out. The facade runs no engine of
-	// its own — vs, wal, mem, and pipeline stay nil and its background
-	// loops never start.
-	shards []*DB
-	// seqs allocates sequence numbers and publishes the visibility
-	// watermark. A standalone DB owns its own; keyspace shards share the
-	// facade's, which keeps snapshots consistent across shards.
-	seqs *seqSource
-	// shardRing is this engine's slice of the seqSource's allocation
-	// order: its own commits, in sequence order, awaiting their memtable
-	// apply. Writers are acked when their entry reaches the front, so one
-	// shard's commits never wait out another shard's in-flight group.
-	// Guarded by seqs.mu.
-	shardRing []*commitEntry
-	shardHead int
-
-	// commitMu serializes the legacy write path (WAL append + memtable
-	// apply) when the commit pipeline is disabled.
-	commitMu sync.Mutex
-	// pipeline is the parallel group-commit path (see commit.go); nil when
-	// Options.DisableCommitPipeline reverts to the serial commitMu path.
-	pipeline *commitPipeline
-	// compactionMu serializes compaction pick+execute units.
-	compactionMu sync.Mutex
-
-	// mu guards memtable rotation and background state.
-	mu      sync.Mutex
-	mem     *memtable.MemTable
-	imm     *memtable.MemTable // sealed memtable being flushed
-	immWake *sync.Cond         // signalled when imm drains
-	// recovered holds read-only memtables rebuilt by WAL recovery (one
-	// per replayed segment, enabling parallel replay). They contain only
-	// sequence numbers older than mem/imm and drain into L0 at the next
-	// flush.
-	recovered []*memtable.MemTable
-	// rs caches the read-visible memtable set (mem/imm/recovered) behind an
-	// atomic pointer so point reads and iterator construction never contend
-	// on d.mu; every mutation site republishes via updateReadStateLocked.
-	rs         atomic.Pointer[readState]
-	lastSeq    atomic.Uint64
-	bgErr      error
-	snaps      map[uint64]int // active snapshot seq -> refcount
-	compactPtr map[int][]byte // per-level round-robin compaction cursor
-
-	bgWork chan struct{}
-	bgQuit chan struct{}
-	bgDone chan struct{}
-	closed atomic.Bool
-
-	// drainWake nudges the pending-upload drainer ahead of its ticker (the
-	// breaker closing sends here); drainDone closes when the drainer exits.
-	// deferredMu guards deferred, the queue of table/sidecar deletions that
-	// failed and will be retried by the drainer.
-	drainWake  chan struct{}
-	drainDone  chan struct{}
-	deferredMu sync.Mutex
-	deferred   []deferredDelete
-
-	// repairMu serializes cloud-backed repairs of corrupt local artifacts so
-	// concurrent readers hitting the same damage trigger one re-fetch;
-	// quarantined holds table numbers whose damage had no clean source and
-	// must not be recounted on every read.
-	repairMu    sync.Mutex
-	quarantined map[uint64]bool
-	// mirrorMu guards mirrored, the set of local-tier tables whose bytes are
-	// known to have a cloud copy (Options.MirrorLocalLevels lazy uploads,
-	// plus copies reconciled from a cloud listing at Open).
-	mirrorMu sync.Mutex
-	mirrored map[uint64]bool
-	// scrubDone closes when the background scrub loop exits; nil when
-	// Options.ScrubInterval is zero.
-	scrubDone chan struct{}
-
-	// views caches decoded sorted-view sidecars per level and dedupes their
-	// background builds; viewWG tracks in-flight builders so Close can drain
-	// them before tearing down the table cache.
-	views  viewRegistry
-	viewWG sync.WaitGroup
-
-	stats Stats
-	// lat holds the always-on per-operation latency histograms.
-	lat *latencies
-	// profTick drives 1-in-N selection of Timed (clock-reading) read
-	// profiles; readAgg accumulates every sampled profile; slow tracks the
-	// worst timed Gets per interval for slow-read trace emission.
-	profTick atomic.Uint64
-	readAgg  readAgg
-	slow     slowTracker
-	// listener receives lifecycle events; nil when observability is off
-	// (the fast path — every fire site is nil-guarded and allocation-free).
-	listener event.Listener
 	// trace is the DB-owned JSONL writer behind Options.TracePath.
 	trace    *event.TraceWriter
 	openedAt time.Time
@@ -165,63 +67,36 @@ type DB struct {
 	lastDump dumpWindow
 
 	// vit is the time-series telemetry sampler (Options.VitalsInterval);
-	// nil when vitals are off. In a sharded store only the facade runs one.
+	// nil when vitals are off.
 	vit *vitals.Sampler
 
 	// flight is the flight recorder (Options.FlightRecorder): the event
 	// ring, anomaly detector, and incident-bundle writer. Nil when off —
-	// the off path is byte-identical to a build without the recorder. In a
-	// sharded store only the facade carries one.
+	// the off path is byte-identical to a build without the recorder.
 	flight *flightState
-
-	recovery RecoveryReport
 }
 
 // Open creates or reopens a DB with explicit backends. local must also host
 // the WAL and manifest; cloud may be nil for PolicyLocalOnly.
 func Open(opts Options, local storage.Backend, cloud storage.Backend) (*DB, error) {
 	opts = opts.sanitize()
-	if opts.Shards > 1 && opts.sharedSeqs == nil {
-		return openSharded(opts, local, cloud)
-	}
 	if cloud == nil && opts.Policy != PolicyLocalOnly {
 		return nil, errors.New("db: policy requires a cloud backend")
 	}
-	if opts.sharedSeqs == nil {
-		// A standalone open must not claim a directory laid out by a
-		// sharded store: the root holds only per-shard prefixes there.
-		if err := checkNotSharded(local); err != nil {
-			return nil, err
-		}
+	if err := ensureShardLayout(local, opts.Shards); err != nil {
+		return nil, err
 	}
 	d := &DB{
-		opts:      opts,
-		local:     local,
-		cloud:     cloud,
-		mem:       memtable.New(),
-		bgWork:    make(chan struct{}, 1),
-		bgQuit:    make(chan struct{}),
-		bgDone:    make(chan struct{}),
-		drainWake: make(chan struct{}, 1),
-		drainDone: make(chan struct{}),
-		openedAt:  time.Now(),
-	}
-	// Facade-owned resources stay shared across keyspace shards: one block
-	// cache, one latency set, one sequence source, one table cache — the
-	// caches see the union of all shards' files (striped file numbering
-	// keeps file numbers globally unique), and the shared seqSource keeps
-	// one globally ordered visibility watermark.
-	if d.blockCache = opts.sharedCache; d.blockCache == nil {
-		d.blockCache = cache.New(opts.BlockCacheBytes)
-	}
-	if d.lat = opts.sharedLat; d.lat == nil {
-		d.lat = newLatencies()
-	}
-	if d.seqs = opts.sharedSeqs; d.seqs == nil {
-		d.seqs = newSeqSource()
-	}
-	if d.tables = opts.sharedTables; d.tables == nil {
-		d.tables = newTableCache(opts.MaxOpenTables)
+		shared: shared{
+			opts:       opts,
+			seqs:       newSeqSource(),
+			blockCache: cache.New(opts.BlockCacheBytes),
+			lat:        newLatencies(),
+			tables:     newTableCache(opts.MaxOpenTables),
+		},
+		local:    local,
+		cloud:    cloud,
+		openedAt: time.Now(),
 	}
 	// Unwrap decorators (Faulty, Instrumented, ...) to find the simulated
 	// cloud for cost reporting and object-loss injection.
@@ -230,142 +105,109 @@ func Open(opts Options, local storage.Backend, cloud storage.Backend) (*DB, erro
 	}
 	// Assemble the effective listener: user listener plus the JSONL trace
 	// writer when TracePath is set, plus the flight recorder's event ring.
-	listener := opts.EventListener
+	// Every engine fires into this one chain, so one trace interleaves all
+	// of them.
+	d.listener = opts.EventListener
 	if opts.TracePath != "" {
 		tw, err := event.CreateTraceRotating(opts.TracePath, opts.TraceRotateBytes, opts.TraceRotateKeep)
 		if err != nil {
 			return nil, fmt.Errorf("db: creating trace: %w", err)
 		}
 		d.trace = tw
-		listener = event.Multi(listener, tw)
+		d.listener = event.Multi(d.listener, tw)
 	}
-	if opts.FlightRecorder && opts.sharedSeqs == nil {
-		d.initFlight(local)
-		listener = event.Multi(listener, d.flight.rec)
+	if opts.FlightRecorder {
+		d.initFlight()
+		d.listener = event.Multi(d.listener, d.flight.rec)
 	}
-	d.listener = listener
-	// Route SSTable and sidecar I/O through recording wrappers so GET/PUT
-	// latency is measured per tier. The WAL and manifest keep the raw local
-	// backend: their I/O granularity (append, rotate) is not a per-object
-	// PUT and would pollute the distribution.
-	d.local = storage.Instrument(local, d.lat.localGet, d.lat.localPut)
 	if cloud != nil {
-		// Layering: Reliable(Instrumented(cloud)) — each retry attempt is a
-		// real request and lands in the latency histograms; the breaker and
-		// backoff sit above them. The breaker's OnStateChange feeds events,
-		// stats, and the drainer wake-up; backoff waits abort at bgQuit so
-		// Close never sleeps out an outage. Keyspace shards share one
-		// breaker (the cloud endpoint is one dependency: an outage seen by
-		// one shard should fail the others fast) whose state changes fan
-		// out to every shard's drainer.
-		if opts.sharedBreaker != nil {
-			d.breaker = opts.sharedBreaker
-			opts.breakerHooks.add(d.onBreakerChange)
-		} else {
-			userCB := opts.CloudBreaker.OnStateChange
-			d.breaker = retry.NewBreaker(retry.BreakerConfig{
-				FailureThreshold: opts.CloudBreaker.FailureThreshold,
-				Cooldown:         opts.CloudBreaker.Cooldown,
-				OnStateChange: func(from, to retry.State) {
-					d.onBreakerChange(from, to)
-					if userCB != nil {
-						userCB(from, to)
-					}
-				},
-			})
-		}
-		d.cloudRel = storage.NewReliable(
-			storage.Instrument(cloud, d.lat.cloudGet, d.lat.cloudPut),
-			opts.CloudRetry, d.breaker, d.onCloudRetry, d.bgQuit)
-		d.cloud = d.cloudRel
+		d.breaker = d.newBreaker(opts.CloudBreaker, "cloud", &d.cloudTrips)
 	}
 	// The local tier gets the symmetric breaker. It exists even for
 	// PolicyLocalOnly (there is always a local device): without a cloud
 	// fallback an open local breaker cannot redirect flushes, but its state
 	// still gates pcache admissions and feeds the metrics.
-	if opts.sharedLocalBreaker != nil {
-		d.localBreaker = opts.sharedLocalBreaker
-		opts.localBreakerHooks.add(d.onLocalBreakerChange)
-	} else {
-		userCB := opts.LocalBreaker.OnStateChange
-		d.localBreaker = retry.NewBreaker(retry.BreakerConfig{
-			FailureThreshold: opts.LocalBreaker.FailureThreshold,
-			Cooldown:         opts.LocalBreaker.Cooldown,
-			OnStateChange: func(from, to retry.State) {
-				d.onLocalBreakerChange(from, to)
-				if userCB != nil {
-					userCB(from, to)
-				}
-			},
-		})
-	}
-	d.quarantined = map[uint64]bool{}
-	d.mirrored = map[uint64]bool{}
-	d.immWake = sync.NewCond(&d.mu)
-	d.rs.Store(&readState{mem: d.mem})
-
-	var err error
-	if d.vs, err = manifest.Open(local); err != nil {
+	d.localBreaker = d.newBreaker(opts.LocalBreaker, "local", &d.localTrips)
+	if err := d.initPCache(); err != nil {
+		d.closeShared()
 		return nil, err
 	}
-	if opts.sharedSeqs != nil {
-		// Stripe file numbering so file numbers are globally unique across
-		// shards: the shared caches key on bare file numbers, and
-		// fileNum % Shards recovers the owning shard for attribution.
-		d.vs.SetStride(uint64(opts.Shards), uint64(opts.shardID))
-	}
-	d.lastSeq.Store(d.vs.LastSeq())
 
-	if d.pcache = opts.sharedPCache; d.pcache == nil {
-		if err := d.initPCache(); err != nil {
-			return nil, err
+	// Build every engine before opening any (see newEngine), then open them
+	// concurrently: each recovers its own WAL stream.
+	n := opts.Shards
+	if n > 1 {
+		d.pcache.Stats().SetKeyspaceShards(n)
+	}
+	d.engines = make([]*engine, n)
+	for i := range d.engines {
+		d.engines[i] = newEngine(&d.shared, i)
+	}
+	opened := make([]bool, n)
+	err := d.eachEngine(func(e *engine) error {
+		prefix := opts.enginePrefix(e.id)
+		err := e.open(prefixed(local, prefix), prefixed(cloud, prefix))
+		opened[e.id] = err == nil
+		return err
+	})
+	if err != nil {
+		d.closed.Store(true)
+		for i, e := range d.engines {
+			if opened[i] {
+				_ = e.close()
+			}
+		}
+		d.closeShared()
+		return nil, err
+	}
+	d.startVitals()
+	return d, nil
+}
+
+// breakerHistory counts one breaker's transitions into open and half-open.
+type breakerHistory struct {
+	trips     atomic.Int64
+	halfOpens atomic.Int64
+}
+
+// newBreaker builds one tier's circuit breaker. Its transitions are counted
+// and announced once, here, then the recovery edge is passed to every
+// engine and the user's own callback runs last.
+func (d *DB) newBreaker(cfg retry.BreakerConfig, tier string, hist *breakerHistory) *retry.Breaker {
+	userCB := cfg.OnStateChange
+	cfg.OnStateChange = func(from, to retry.State) {
+		switch to {
+		case retry.StateOpen:
+			hist.trips.Add(1)
+		case retry.StateHalfOpen:
+			hist.halfOpens.Add(1)
+		case retry.StateClosed:
+			for _, e := range d.engines {
+				e.tierRecovered()
+			}
+		}
+		d.evBreakerState(tier, from.String(), to.String())
+		if userCB != nil {
+			userCB(from, to)
 		}
 	}
+	return retry.NewBreaker(cfg)
+}
 
-	walOpts := wal.Options{
-		Dir:          "wal",
-		SegmentBytes: opts.WALSegmentBytes,
-		Sync:         opts.WALSync,
-		Extended:     opts.ExtendedWAL,
+// closeShared releases the facade-owned resources, after every engine is
+// down. The trace closes last: engine shutdown may still fire events.
+func (d *DB) closeShared() error {
+	var firstErr error
+	if d.pcache != nil {
+		firstErr = d.pcache.Close()
 	}
-	if opts.WALCloudBackup && cloud != nil {
-		// Through the instrumented wrapper: segment backups are whole-object
-		// PUTs and belong in the cloud PUT latency distribution.
-		walOpts.Backup = d.cloud
+	d.tables.close()
+	if d.trace != nil {
+		if err := d.trace.Close(); err != nil && firstErr == nil {
+			firstErr = err
+		}
 	}
-	if d.wal, err = wal.Open(local, walOpts, 1); err != nil {
-		return nil, err
-	}
-	if err := d.recover(); err != nil {
-		return nil, err
-	}
-	// Replayed writes are already applied, so they are visible by
-	// definition; lift the (possibly shared) sequence source over them.
-	d.seqs.raise(d.lastSeq.Load())
-	// Register every live file's level with the persistent cache so its
-	// hit/miss counters attribute correctly from the first read.
-	d.vs.Current().AllFiles(func(level int, f *manifest.FileMetadata) {
-		d.pcache.SetLevel(f.Num, level)
-	})
-	if !opts.DisableCommitPipeline {
-		d.pipeline = newCommitPipeline(d)
-	}
-	// A crash between an object write and its manifest edit (or during a
-	// degraded-mode drain) can strand table objects no version references.
-	// Background work has not started yet, so the sweep races nothing.
-	d.cleanOrphans()
-	go d.backgroundLoop()
-	go d.drainLoop()
-	if opts.ScrubInterval > 0 {
-		d.scrubDone = make(chan struct{})
-		go d.scrubLoop()
-	}
-	// Keyspace shards never sample on their own: the facade runs the one
-	// sampler over the aggregated cross-shard view.
-	if !d.isShard() {
-		d.startVitals()
-	}
-	return d, nil
+	return firstErr
 }
 
 // OpenAt opens a DB under dir, creating local storage at dir/local, the
@@ -467,10 +309,10 @@ func (d *DB) initPCache() error {
 		pc.SetListener(d.listener)
 		if pc.IndexWasCorrupt() {
 			// A damaged index snapshot is self-healing by design: the cache
-			// restarts cold and refills from the cloud. Count it as a detected
-			// and repaired corruption so scrub reconciliation stays honest.
-			d.stats.CorruptionsDetected.Add(1)
-			d.stats.CorruptionsRepaired.Add(1)
+			// restarts cold and refills from the cloud. Metrics counts it as
+			// a detected and repaired corruption so scrub reconciliation
+			// stays honest.
+			d.pcacheIndexHealed = true
 			d.evCorruptionDetected("pcache-index", "INDEX", 0, errors.New("pcache: index snapshot corrupt"))
 			d.evCorruptionRepaired("pcache-index", "INDEX", 0, "cold-start", 0)
 		}
@@ -486,19 +328,41 @@ func (d *DB) initPCache() error {
 		d.pcache = pcache.NewNull()
 	}
 	// Cache admissions are writes to the local device; gate them off while
-	// the local tier is degraded. The closure reads d.localBreaker at call
-	// time, so facade/shard wiring order does not matter.
+	// the local tier is degraded.
 	d.pcache.SetAdmit(func() bool {
-		return d.localBreaker == nil || d.localBreaker.State() != retry.StateOpen
+		return d.localBreaker.State() != retry.StateOpen
 	})
 	return nil
 }
 
-func (d *DB) backendFor(t storage.Tier) storage.Backend {
-	if t == storage.TierCloud {
-		return d.cloud
+// eachEngine runs fn on every engine concurrently (the caller's goroutine
+// takes engine 0) and joins the errors; a lone error is returned as is.
+func (d *DB) eachEngine(fn func(*engine) error) error {
+	errs := make([]error, len(d.engines))
+	var wg sync.WaitGroup
+	for _, e := range d.engines[1:] {
+		wg.Add(1)
+		go func(e *engine) {
+			defer wg.Done()
+			errs[e.id] = fn(e)
+		}(e)
 	}
-	return d.local
+	errs[0] = fn(d.engines[0])
+	wg.Wait()
+	var first error
+	failed := 0
+	for _, err := range errs {
+		if err != nil {
+			if first == nil {
+				first = err
+			}
+			failed++
+		}
+	}
+	if failed <= 1 {
+		return first
+	}
+	return errors.Join(errs...)
 }
 
 // Put stores a key/value pair.
@@ -515,10 +379,12 @@ func (d *DB) Delete(key []byte) error {
 	return d.Write(b)
 }
 
-// Write applies a batch atomically. In a sharded store the batch is split
-// by key hash and committed per shard: each sub-batch is atomic and the
-// caller observes all of them applied on return, but a reader racing the
-// write may see one shard's portion before another's.
+// Write applies a batch. A batch whose keys all hash to one engine — every
+// Put and Delete, and every batch of an unsharded store — commits
+// atomically. A batch spanning engines is split by key hash and committed
+// per engine: each sub-batch is atomic and the caller observes all of them
+// applied on return, but a reader racing the write may see one engine's
+// portion before another's.
 func (d *DB) Write(b *batch.Batch) error {
 	if d.closed.Load() {
 		return ErrClosed
@@ -526,326 +392,35 @@ func (d *DB) Write(b *batch.Batch) error {
 	if b.Empty() {
 		return nil
 	}
-	if d.shards != nil {
-		return d.shardWrite(b)
-	}
-	start := time.Now()
-	err := d.write(b)
-	// Commit latency includes any stall time: that is what a caller of Put
-	// observes, and stall tails are exactly what the histogram is for.
-	d.lat.put.Record(time.Since(start))
-	return err
-}
-
-func (d *DB) write(b *batch.Batch) error {
-	if err := d.makeRoomForWrite(int64(b.Size())); err != nil {
+	e, err := d.engineOf(b)
+	if err != nil {
 		return err
 	}
-	if p := d.pipeline; p != nil {
-		return p.commit(b)
+	if e != nil {
+		return e.write(b)
 	}
-
-	// Serial path: one writer at a time per shard (commitMu), but sequence
-	// allocation and visibility still route through the shared seqSource so
-	// sharded stores keep one globally ordered watermark regardless of
-	// which commit path is configured.
-	d.commitMu.Lock()
-	defer d.commitMu.Unlock()
-	ss := d.seqs
-	e := entryPool.Get().(*commitEntry)
-	e.b, e.d, e.mem = b, d, nil
-	e.err, e.promoted, e.applied = nil, false, false
-	ss.mu.Lock()
-	b.SetSeq(ss.nextSeq)
-	ss.nextSeq += uint64(b.Count())
-	e.maxSeq = b.MaxSeq()
-	ss.enqueueLocked(d, e)
-	ss.mu.Unlock()
-	if _, err := d.wal.Append(b.Payload(), b.Seq(), e.maxSeq); err != nil {
-		// The allocated range is a hole: recovery and visibility tolerate
-		// gaps, matching the pipeline's failed-group semantics.
-		e.err = err
-	} else {
-		mem := d.currentMem()
-		e.err = b.Iterate(func(op batch.Op) error {
-			mem.Add(op.Seq, op.Kind, op.Key, op.Value)
-			return nil
-		})
-		if e.err == nil {
-			d.stats.Writes.Add(int64(b.Count()))
-			d.stats.BytesWritten.Add(int64(b.Size()))
-		}
-	}
-	ss.markApplied(e)
-	<-e.visible
-	err := e.err
-	e.b, e.d, e.mem = nil, nil, nil
-	entryPool.Put(e)
-	return err
+	return d.splitWrite(b)
 }
 
-func (d *DB) currentMem() *memtable.MemTable {
-	d.mu.Lock()
-	m := d.mem
-	d.mu.Unlock()
-	return m
-}
-
-// readState is the immutable snapshot of the read-visible memtable set.
-// Readers load it with one atomic pointer read instead of taking d.mu.
-type readState struct {
-	mem       *memtable.MemTable
-	imm       *memtable.MemTable
-	recovered []*memtable.MemTable
-}
-
-// updateReadStateLocked republishes the read snapshot; the caller holds
-// d.mu and has just mutated mem, imm, or recovered.
-func (d *DB) updateReadStateLocked() {
-	d.rs.Store(&readState{mem: d.mem, imm: d.imm, recovered: d.recovered})
-}
-
-// makeRoomForWrite seals the memtable when full and applies backpressure
-// when flushing or L0 falls behind. Stall events fire with d.mu released
-// (the listener contract); the loop re-evaluates its conditions after every
-// re-acquisition, so the temporary unlock is safe.
-func (d *DB) makeRoomForWrite(incoming int64) (err error) {
-	var (
-		stallStart  time.Time
-		stallReason string
-	)
-	d.mu.Lock()
-	defer func() {
-		d.mu.Unlock()
-		if !stallStart.IsZero() {
-			if l := d.listener; l != nil {
-				l.OnWriteStallEnd(event.WriteStallEnd{
-					Reason:   stallReason,
-					Duration: time.Since(stallStart),
-				})
-			}
-		}
-	}()
-	// stallBegin marks the stall and fires WriteStallBegin outside d.mu.
-	// It returns with d.mu re-held; the caller must re-check conditions.
-	stallBegin := func(reason string) {
-		stallStart, stallReason = time.Now(), reason
-		if l := d.listener; l != nil {
-			d.mu.Unlock()
-			l.OnWriteStallBegin(event.WriteStallBegin{Reason: reason})
-			d.mu.Lock()
-		}
-	}
-	for {
-		if d.bgErr != nil {
-			return d.bgErr
-		}
-		switch {
-		case d.mem.ApproximateSize()+incoming < d.opts.MemtableBytes,
-			d.mem.Empty():
-			// A batch larger than the memtable budget must still be
-			// admitted once the memtable is empty, or it could never
-			// commit.
-			return nil
-		case d.imm != nil:
-			// A flush is already in flight; wait for it.
-			if stallStart.IsZero() {
-				stallBegin("memtable")
-				continue
-			}
-			d.immWake.Wait()
-		case len(d.vs.Current().Levels[0]) >= d.opts.L0StallFiles:
-			// Too many L0 files; wait for compaction to catch up.
-			if stallStart.IsZero() {
-				d.stats.WriteStalls.Add(1)
-				stallBegin("l0")
-				continue
-			}
-			d.immWake.Wait()
-		default:
-			// Seal the memtable. Roll the WAL so the sealed memtable's
-			// tail aligns with a segment boundary (eWAL design).
-			d.imm = d.mem
-			d.mem = memtable.New()
-			d.updateReadStateLocked()
-			if err := d.wal.Roll(); err != nil {
-				d.bgErr = err
-				return err
-			}
-			d.scheduleWork()
-			return nil
-		}
-	}
-}
-
-func (d *DB) scheduleWork() {
-	select {
-	case d.bgWork <- struct{}{}:
-	default:
-	}
-}
-
-// Get returns the value for key at the latest sequence number.
+// Get returns the value for key at the latest sequence number. A point
+// read depends only on writes to key's own engine, so it reads at that
+// engine's acked frontier — no need to touch the global watermark, which
+// may trail another engine's in-flight commits.
 func (d *DB) Get(key []byte) ([]byte, error) {
-	if d.shards != nil {
-		// A point read depends only on writes to key's own shard, so it
-		// reads at that shard's acked frontier — no need to touch the
-		// global watermark, which may trail another shard's in-flight
-		// commits.
-		sh := d.shardFor(key)
-		return sh.GetAt(key, sh.lastSeq.Load())
-	}
-	return d.GetAt(key, d.lastSeq.Load())
+	e := d.engineFor(key)
+	return e.get(key, e.lastSeq.Load())
 }
 
 // GetAt returns the value for key visible at snapshot seq.
 func (d *DB) GetAt(key []byte, seq uint64) ([]byte, error) {
-	if d.shards != nil {
-		return d.shardFor(key).GetAt(key, seq)
-	}
-	if d.closed.Load() {
-		return nil, ErrClosed
-	}
-	d.stats.Reads.Add(1)
-	// Read profiling: every Get carries a pooled profile (cheap counter
-	// core) unless disabled; 1-in-ReadProfileSampleRate of them are Timed
-	// and additionally pay per-stage clock reads.
-	var prof *readprof.Profile
-	if rate := d.opts.ReadProfileSampleRate; rate > 0 {
-		prof = getProfile()
-		prof.Timed = rate == 1 || d.profTick.Add(1)%uint64(rate) == 0
-	}
-	start := time.Now()
-	v, err := d.getAt(key, seq, prof)
-	elapsed := time.Since(start)
-	d.lat.get.Record(elapsed)
-	if prof != nil {
-		d.finishProfile(key, prof, elapsed)
-	}
-	return v, err
+	return d.engineFor(key).get(key, seq)
 }
 
 // GetProfiled is Get with full attribution: the returned Profile reports
 // where the read was served from and what it cost, regardless of the
 // sampling rate. The read still feeds the aggregate counters.
 func (d *DB) GetProfiled(key []byte) ([]byte, readprof.Profile, error) {
-	if d.shards != nil {
-		return d.shardFor(key).GetProfiled(key)
-	}
-	if d.closed.Load() {
-		return nil, readprof.Profile{}, ErrClosed
-	}
-	d.stats.Reads.Add(1)
-	prof := getProfile()
-	prof.Timed = true
-	start := time.Now()
-	v, err := d.getAt(key, d.lastSeq.Load(), prof)
-	elapsed := time.Since(start)
-	d.lat.get.Record(elapsed)
-	prof.TotalNanos = elapsed.Nanoseconds()
-	out := *prof
-	d.finishProfile(key, prof, elapsed)
-	return v, out, err
-}
-
-func (d *DB) getAt(key []byte, seq uint64, prof *readprof.Profile) ([]byte, error) {
-	// One atomic load instead of d.mu: reads stay off the rotation lock so
-	// a write-heavy workload cannot starve point lookups (and vice versa).
-	rs := d.rs.Load()
-	mem, imm := rs.mem, rs.imm
-	recovered := rs.recovered
-
-	if v, found, live := mem.Get(key, seq); found {
-		if prof != nil {
-			prof.LevelServed = readprof.LevelMemtable
-		}
-		if !live {
-			return nil, ErrNotFound
-		}
-		return append([]byte(nil), v...), nil
-	}
-	if imm != nil {
-		if v, found, live := imm.Get(key, seq); found {
-			if prof != nil {
-				prof.LevelServed = readprof.LevelMemtable
-			}
-			if !live {
-				return nil, ErrNotFound
-			}
-			return append([]byte(nil), v...), nil
-		}
-	}
-	if len(recovered) > 0 {
-		// Recovered memtables are unordered relative to each other; pick
-		// the newest visible entry across all of them.
-		if v, live, ok := getFromRecovered(recovered, key, seq); ok {
-			if prof != nil {
-				prof.LevelServed = readprof.LevelMemtable
-			}
-			if !live {
-				return nil, ErrNotFound
-			}
-			return v, nil
-		}
-	}
-
-	// The version walk does not pin the version: a concurrent compaction
-	// may install a successor and delete its input tables while we hold
-	// the old file list. Losing that race surfaces as a storage not-found
-	// from the table open; re-walking the fresh version (which no longer
-	// references the deleted table) is always correct at the same seq —
-	// data only moves down the tree, never out of it. Bounded so a
-	// genuinely missing object still fails loudly.
-	for attempt := 0; ; attempt++ {
-		v := d.vs.Current()
-		var (
-			value []byte
-			state int // 0 = not found, 1 = live, 2 = tombstone
-		)
-		err := v.FilesFor(key, func(level int, f *manifest.FileMetadata) (bool, error) {
-			if prof != nil {
-				prof.ProbeLevel(level)
-			}
-			if seq < f.MinSeq && level > 0 {
-				// Nothing in this file is visible at the snapshot.
-				return false, nil
-			}
-			h, err := d.tables.get(d, f)
-			if err != nil {
-				return false, err
-			}
-			defer h.release()
-			if prof != nil {
-				prof.Tables++
-			}
-			val, found, live, err := h.reader.GetProf(key, seq, prof)
-			if err != nil {
-				return false, err
-			}
-			if !found {
-				return false, nil
-			}
-			if prof != nil {
-				prof.LevelServed = int8(level)
-			}
-			if live {
-				value, state = val, 1
-			} else {
-				state = 2
-			}
-			return true, nil
-		})
-		if err != nil {
-			if errors.Is(err, storage.ErrNotFound) && attempt < 3 {
-				continue
-			}
-			return nil, err
-		}
-		if state == 1 {
-			return value, nil
-		}
-		return nil, ErrNotFound
-	}
+	return d.engineFor(key).getProfiled(key)
 }
 
 // Has reports whether key exists.
@@ -868,43 +443,19 @@ type Snapshot struct {
 	released bool
 }
 
-// GetSnapshot returns a consistent read view at the current sequence. In a
-// sharded store the snapshot sequence comes from the shared visibility
-// watermark and is pinned in every shard, so reads through it observe a
-// single cross-shard point in time. The watermark is first caught up to
-// the acked frontier, so every write that returned before this call is
-// inside the snapshot.
+// GetSnapshot returns a consistent read view at the current sequence. The
+// snapshot sequence comes from the shared visibility watermark and is
+// pinned in every engine, so reads through it observe a single point in
+// time across the keyspace. The watermark is first caught up to the acked
+// frontier, so every write that returned before this call is inside the
+// snapshot.
 func (d *DB) GetSnapshot() *Snapshot {
-	if d.shards != nil {
-		d.seqs.waitVisible(d.ackedSeq())
-		s := &Snapshot{db: d, seq: d.seqs.visible.Load()}
-		for _, sh := range d.shards {
-			sh.registerSnapshot(s.seq)
-		}
-		return s
+	d.seqs.waitVisible(d.ackedSeq())
+	s := &Snapshot{db: d, seq: d.seqs.visible.Load()}
+	for _, e := range d.engines {
+		e.registerSnapshot(s.seq)
 	}
-	s := &Snapshot{db: d, seq: d.lastSeq.Load()}
-	d.registerSnapshot(s.seq)
 	return s
-}
-
-func (d *DB) registerSnapshot(seq uint64) {
-	d.mu.Lock()
-	if d.snaps == nil {
-		d.snaps = map[uint64]int{}
-	}
-	d.snaps[seq]++
-	d.mu.Unlock()
-}
-
-func (d *DB) unregisterSnapshot(seq uint64) {
-	d.mu.Lock()
-	if n := d.snaps[seq]; n <= 1 {
-		delete(d.snaps, seq)
-	} else {
-		d.snaps[seq] = n - 1
-	}
-	d.mu.Unlock()
 }
 
 // Release unpins the snapshot. Reads through a released snapshot may
@@ -914,13 +465,9 @@ func (s *Snapshot) Release() {
 		return
 	}
 	s.released = true
-	if s.db.shards != nil {
-		for _, sh := range s.db.shards {
-			sh.unregisterSnapshot(s.seq)
-		}
-		return
+	for _, e := range s.db.engines {
+		e.unregisterSnapshot(s.seq)
 	}
-	s.db.unregisterSnapshot(s.seq)
 }
 
 // Get reads key at the snapshot.
@@ -929,214 +476,36 @@ func (s *Snapshot) Get(key []byte) ([]byte, error) { return s.db.GetAt(key, s.se
 // Seq returns the snapshot's sequence number.
 func (s *Snapshot) Seq() uint64 { return s.seq }
 
-// Flush forces the current memtable (and any recovery memtables) to an
-// SSTable and waits. A sharded store flushes every shard concurrently.
-func (d *DB) Flush() error {
-	if d.shards != nil {
-		return d.eachShard(func(sh *DB) error { return sh.Flush() })
-	}
-	d.mu.Lock()
-	if d.mem.Empty() && d.imm == nil && len(d.recovered) == 0 {
-		d.mu.Unlock()
-		return nil
-	}
-	for d.imm != nil {
-		if d.bgErr != nil {
-			err := d.bgErr
-			d.mu.Unlock()
-			return err
-		}
-		d.immWake.Wait()
-	}
-	if d.mem.Empty() && len(d.recovered) == 0 {
-		d.mu.Unlock()
-		return nil
-	}
-	d.imm = d.mem
-	d.mem = memtable.New()
-	d.updateReadStateLocked()
-	if err := d.wal.Roll(); err != nil {
-		d.mu.Unlock()
-		return err
-	}
-	d.scheduleWork()
-	for d.imm != nil && d.bgErr == nil {
-		d.immWake.Wait()
-	}
-	err := d.bgErr
-	d.mu.Unlock()
-	return err
-}
+// Flush forces every engine's current memtable (and any recovery
+// memtables) to an SSTable and waits.
+func (d *DB) Flush() error { return d.eachEngine((*engine).flush) }
 
-// CompactAll flushes and repeatedly compacts until the tree is quiescent.
-// Used by experiments to reach a steady state.
-func (d *DB) CompactAll() error {
-	if d.shards != nil {
-		return d.eachShard(func(sh *DB) error { return sh.CompactAll() })
-	}
-	if err := d.Flush(); err != nil {
-		return err
-	}
-	for {
-		did, err := d.maybeCompact()
-		if err != nil {
-			return err
-		}
-		if !did {
-			return nil
-		}
-	}
-}
-
-// backgroundLoop runs flushes and compactions.
-func (d *DB) backgroundLoop() {
-	defer close(d.bgDone)
-	for {
-		select {
-		case <-d.bgQuit:
-			return
-		case <-d.bgWork:
-		}
-		if d.closed.Load() {
-			return
-		}
-		d.mu.Lock()
-		imm := d.imm
-		d.mu.Unlock()
-		if imm != nil {
-			err := d.flushMemtable(imm)
-			d.mu.Lock()
-			if err != nil {
-				d.bgErr = err
-			} else {
-				d.imm = nil
-				d.updateReadStateLocked()
-			}
-			d.immWake.Broadcast()
-			d.mu.Unlock()
-			if err != nil {
-				continue
-			}
-		}
-		// Compact until no level is over threshold.
-		for {
-			did, err := d.maybeCompact()
-			if err != nil {
-				// A compaction stopped by a cloud outage is deferred, not
-				// fatal: the tree is unchanged, and the breaker's close
-				// transition reschedules background work. Anything else
-				// wedges the DB as before.
-				if errors.Is(err, storage.ErrCloudUnavailable) {
-					d.stats.CompactionsDeferred.Add(1)
-					break
-				}
-				d.mu.Lock()
-				d.bgErr = err
-				d.immWake.Broadcast()
-				d.mu.Unlock()
-				break
-			}
-			if !did {
-				break
-			}
-			d.mu.Lock()
-			d.immWake.Broadcast() // L0 may have drained below the stall limit
-			d.mu.Unlock()
-			// A flush may be pending while we compact.
-			d.mu.Lock()
-			pending := d.imm != nil
-			d.mu.Unlock()
-			if pending {
-				d.scheduleWork()
-				break
-			}
-		}
-	}
-}
-
-// isShard reports whether d is a keyspace shard inside a sharded store
-// (as opposed to a standalone DB or the facade itself). Shards borrow the
-// facade-owned shared resources and must not close them.
-func (d *DB) isShard() bool { return d.opts.sharedSeqs != nil }
+// CompactAll flushes and repeatedly compacts until every tree is
+// quiescent. Used by experiments to reach a steady state.
+func (d *DB) CompactAll() error { return d.eachEngine((*engine).compactAll) }
 
 // Close flushes state and releases resources.
 func (d *DB) Close() error {
-	if d.shards != nil {
-		return d.closeSharded()
-	}
 	if !d.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	// Stop background work (the vitals sampler, the flush/compaction loop,
-	// and the drainer).
 	d.stopVitals()
-	close(d.bgQuit)
-	<-d.bgDone
-	<-d.drainDone
-	if d.scrubDone != nil {
-		<-d.scrubDone
-	}
-	// Bar new sorted-view builds and drain in-flight ones while their table
-	// handles are still valid.
-	d.stopViewBuilders()
-
-	// Flush any sealed or recovered memtables synchronously so no WAL
-	// data is stranded longer than necessary (the WAL still covers the
-	// active memtable).
-	d.mu.Lock()
-	imm := d.imm
-	haveRecovered := len(d.recovered) > 0
-	d.mu.Unlock()
-	var firstErr error
-	if imm != nil || haveRecovered {
-		if err := d.flushMemtable(imm); err != nil {
-			firstErr = err
-		} else {
-			d.mu.Lock()
-			d.imm = nil
-			d.updateReadStateLocked()
-			d.mu.Unlock()
-		}
-	}
-	if err := d.wal.Close(); err != nil && firstErr == nil {
+	firstErr := d.eachEngine((*engine).close)
+	if err := d.closeShared(); err != nil && firstErr == nil {
 		firstErr = err
-	}
-	if !d.isShard() {
-		// Shared across keyspace shards and closed once by the facade.
-		if err := d.pcache.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		d.tables.close()
-	}
-	if err := d.vs.Close(); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	// Drain any slow reads buffered in the current tracking window so their
-	// trace records are not lost; then close the trace last — the flushes
-	// above may still fire events into it.
-	d.flushSlowReads()
-	if d.trace != nil {
-		if err := d.trace.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
 	}
 	return firstErr
 }
 
 // LastSequence returns the newest committed sequence number.
-func (d *DB) LastSequence() uint64 {
-	if d.shards != nil {
-		return d.ackedSeq()
-	}
-	return d.lastSeq.Load()
-}
+func (d *DB) LastSequence() uint64 { return d.ackedSeq() }
 
-// ackedSeq returns the facade's acknowledged frontier: the newest sequence
-// any shard has acked a writer for.
+// ackedSeq returns the store's acknowledged frontier: the newest sequence
+// any engine has acked a writer for.
 func (d *DB) ackedSeq() uint64 {
 	var max uint64
-	for _, sh := range d.shards {
-		if ls := sh.lastSeq.Load(); ls > max {
+	for _, e := range d.engines {
+		if ls := e.lastSeq.Load(); ls > max {
 			max = ls
 		}
 	}
@@ -1147,24 +516,15 @@ func (d *DB) ackedSeq() uint64 {
 // process crash. Used by recovery experiments and tests; the handle must
 // not be used afterwards. Data appended to the WAL remains recoverable.
 func (d *DB) Crash() {
-	if d.shards != nil {
-		d.crashSharded()
-		return
-	}
 	if !d.closed.CompareAndSwap(false, true) {
 		return
 	}
 	d.stopVitals()
-	close(d.bgQuit)
-	<-d.bgDone
-	<-d.drainDone
-	if d.scrubDone != nil {
-		<-d.scrubDone
-	}
-	d.stopViewBuilders()
-	if !d.isShard() {
-		d.tables.close()
-	}
+	_ = d.eachEngine(func(e *engine) error {
+		e.stop()
+		return nil
+	})
+	d.tables.close()
 }
 
 // LoseCloudObject simulates silent loss of a cloud object (reliability
@@ -1173,47 +533,32 @@ func (d *DB) LoseCloudObject(name string) bool {
 	if d.cloudSim == nil {
 		return false
 	}
-	if d.shards != nil {
-		// Objects live under per-shard prefixes; losing the name in every
-		// shard's namespace hits whichever shard actually holds it.
-		for i := range d.shards {
-			d.cloudSim.LoseObject(shardPrefix(i) + name)
-		}
-		return true
+	// Losing the name in every engine's namespace hits whichever engine
+	// actually holds it.
+	for i := range d.engines {
+		d.cloudSim.LoseObject(d.opts.enginePrefix(i) + name)
 	}
-	d.cloudSim.LoseObject(name)
 	return true
 }
 
-// debugCheckLevels is used by tests to inspect the file layout.
+// debugLevels is used by tests to inspect the file layout.
 func (d *DB) debugLevels() [manifest.NumLevels]int {
 	var out [manifest.NumLevels]int
-	if d.shards != nil {
-		for _, sh := range d.shards {
-			sub := sh.debugLevels()
-			for l := range sub {
-				out[l] += sub[l]
-			}
+	for _, e := range d.engines {
+		v := e.vs.Current()
+		for l := range v.Levels {
+			out[l] += len(v.Levels[l])
 		}
-		return out
-	}
-	v := d.vs.Current()
-	for l := range v.Levels {
-		out[l] = len(v.Levels[l])
 	}
 	return out
 }
 
 // String summarizes the DB for logs.
 func (d *DB) String() string {
-	if d.shards != nil {
-		var files int
-		for _, sh := range d.shards {
-			files += sh.vs.Current().NumFiles()
-		}
-		return fmt.Sprintf("db{policy=%s shards=%d files=%d lastSeq=%d}",
-			d.opts.Policy, len(d.shards), files, d.ackedSeq())
+	var files int
+	for _, e := range d.engines {
+		files += e.vs.Current().NumFiles()
 	}
-	v := d.vs.Current()
-	return fmt.Sprintf("db{policy=%s files=%d lastSeq=%d}", d.opts.Policy, v.NumFiles(), d.lastSeq.Load())
+	return fmt.Sprintf("db{policy=%s shards=%d files=%d lastSeq=%d}",
+		d.opts.Policy, len(d.engines), files, d.ackedSeq())
 }

@@ -121,7 +121,7 @@ func TestReadAfterFlush(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		mustGet(t, d, fmt.Sprintf("key%04d", i), fmt.Sprintf("val%d", i))
 	}
-	if d.EngineStats().Flushes.Load() == 0 {
+	if d.Metrics().Flushes == 0 {
 		t.Fatal("flush not recorded")
 	}
 }
@@ -164,7 +164,7 @@ func TestCompactionPreservesData(t *testing.T) {
 			if err := d.CompactAll(); err != nil {
 				t.Fatal(err)
 			}
-			if d.EngineStats().Compactions.Load() == 0 {
+			if d.Metrics().Compactions == 0 {
 				t.Fatal("no compactions ran under test geometry")
 			}
 			for k, v := range ref {
@@ -181,7 +181,7 @@ func TestCompactionPlacementMash(t *testing.T) {
 	if err := d.CompactAll(); err != nil {
 		t.Fatal(err)
 	}
-	v := d.vs.Current()
+	v := d.engines[0].vs.Current()
 	if v.MaxLevel() < 2 {
 		t.Skipf("tree too shallow (max level %d); increase data", v.MaxLevel())
 	}
@@ -235,7 +235,7 @@ func TestTombstonesSurviveCompaction(t *testing.T) {
 			mustGet(t, d, k, "v")
 		}
 	}
-	if d.EngineStats().CompactDroppedKeys.Load() == 0 {
+	if d.Metrics().CompactDroppedKeys == 0 {
 		t.Fatal("compaction dropped no shadowed keys")
 	}
 }

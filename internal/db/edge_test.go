@@ -240,7 +240,7 @@ func TestSnapshotReleaseAllowsReclaim(t *testing.T) {
 	if err := d.CompactAll(); err != nil {
 		t.Fatal(err)
 	}
-	dropped := d.EngineStats().CompactDroppedKeys.Load()
+	dropped := d.Metrics().CompactDroppedKeys
 	_ = dropped // old version may or may not have been reachable; just assert liveness
 	mustGet(t, d, "k", "new")
 }

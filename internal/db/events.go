@@ -43,31 +43,31 @@ func newLatencies() *latencies {
 // allocations. Listeners run outside d.mu and d.commitMu (see package event
 // for the listener contract).
 
-func (d *DB) evFlushBegin(reason string) {
+func (d *shared) evFlushBegin(reason string) {
 	if l := d.listener; l != nil {
 		l.OnFlushBegin(event.FlushBegin{Reason: reason})
 	}
 }
 
-func (d *DB) evFlushEnd(table uint64, bytes int64, tier storage.Tier, dur time.Duration) {
+func (d *shared) evFlushEnd(table uint64, bytes int64, tier storage.Tier, dur time.Duration) {
 	if l := d.listener; l != nil {
 		l.OnFlushEnd(event.FlushEnd{Table: table, Bytes: bytes, Tier: tier.String(), Duration: dur})
 	}
 }
 
-func (d *DB) evCompactionBegin(e event.CompactionBegin) {
+func (d *shared) evCompactionBegin(e event.CompactionBegin) {
 	if l := d.listener; l != nil {
 		l.OnCompactionBegin(e)
 	}
 }
 
-func (d *DB) evCompactionEnd(e event.CompactionEnd) {
+func (d *shared) evCompactionEnd(e event.CompactionEnd) {
 	if l := d.listener; l != nil {
 		l.OnCompactionEnd(e)
 	}
 }
 
-func (d *DB) evTableUploaded(table uint64, tier storage.Tier, bytes int64, attempts int, dur time.Duration, pending bool) {
+func (d *shared) evTableUploaded(table uint64, tier storage.Tier, bytes int64, attempts int, dur time.Duration, pending bool) {
 	if l := d.listener; l != nil {
 		l.OnTableUploaded(event.TableUploaded{
 			Table: table, Tier: tier.String(), Bytes: bytes, Attempts: attempts, Duration: dur,
@@ -76,31 +76,31 @@ func (d *DB) evTableUploaded(table uint64, tier storage.Tier, bytes int64, attem
 	}
 }
 
-func (d *DB) evTableDeleted(table uint64, tier storage.Tier) {
+func (d *shared) evTableDeleted(table uint64, tier storage.Tier) {
 	if l := d.listener; l != nil {
 		l.OnTableDeleted(event.TableDeleted{Table: table, Tier: tier.String()})
 	}
 }
 
-func (d *DB) evCommitGroup(e event.CommitGroup) {
+func (d *shared) evCommitGroup(e event.CommitGroup) {
 	if l := d.listener; l != nil {
 		l.OnCommitGroup(e)
 	}
 }
 
-func (d *DB) evCloudRetry(op, object string, attempt int, err error) {
+func (d *shared) evCloudRetry(op, object string, attempt int, err error) {
 	if l := d.listener; l != nil {
 		l.OnCloudRetry(event.CloudRetry{Op: op, Object: object, Attempt: attempt, Err: err.Error()})
 	}
 }
 
-func (d *DB) evBreakerState(tier, from, to string) {
+func (d *shared) evBreakerState(tier, from, to string) {
 	if l := d.listener; l != nil {
 		l.OnBreakerState(event.BreakerState{From: from, To: to, Tier: tier})
 	}
 }
 
-func (d *DB) evCorruptionDetected(artifact, object string, file uint64, err error) {
+func (d *shared) evCorruptionDetected(artifact, object string, file uint64, err error) {
 	if l := d.listener; l != nil {
 		msg := ""
 		if err != nil {
@@ -112,7 +112,7 @@ func (d *DB) evCorruptionDetected(artifact, object string, file uint64, err erro
 	}
 }
 
-func (d *DB) evCorruptionRepaired(artifact, object string, file uint64, source string, dur time.Duration) {
+func (d *shared) evCorruptionRepaired(artifact, object string, file uint64, source string, dur time.Duration) {
 	if l := d.listener; l != nil {
 		l.OnCorruptionRepaired(event.CorruptionRepaired{
 			Artifact: artifact, Object: object, File: file, Source: source, Duration: dur,
@@ -120,7 +120,7 @@ func (d *DB) evCorruptionRepaired(artifact, object string, file uint64, source s
 	}
 }
 
-func (d *DB) evViewBuilt(level, members, entries, bytes int, dur time.Duration) {
+func (d *shared) evViewBuilt(level, members, entries, bytes int, dur time.Duration) {
 	if l := d.listener; l != nil {
 		l.OnViewBuilt(event.ViewBuilt{
 			Level: level, Members: members, Entries: entries, Bytes: bytes, Duration: dur,

@@ -31,9 +31,9 @@ func waitForDeferredEmpty(t *testing.T, d *DB, timeout time.Duration) {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for {
-		d.deferredMu.Lock()
-		n := len(d.deferred)
-		d.deferredMu.Unlock()
+		d.engines[0].deferredMu.Lock()
+		n := len(d.engines[0].deferred)
+		d.engines[0].deferredMu.Unlock()
 		if n == 0 {
 			return
 		}
@@ -66,7 +66,7 @@ func TestTransientCloudFailureRetried(t *testing.T) {
 		t.Fatalf("flush should survive transient cloud failures: %v", err)
 	}
 	d.cloudSim.SetFailureHook(nil)
-	if d.EngineStats().UploadRetries.Load() == 0 {
+	if d.Metrics().UploadRetries == 0 {
 		t.Fatal("retry counter not incremented")
 	}
 	for i := 0; i < 100; i++ {
@@ -96,7 +96,7 @@ func TestPersistentCloudFailureDegrades(t *testing.T) {
 	if n, _ := d.PendingCloudTables(); n == 0 {
 		t.Fatal("degraded flush left no pending-upload backlog")
 	}
-	if d.EngineStats().DegradedTables.Load() == 0 {
+	if d.Metrics().DegradedTables == 0 {
 		t.Fatal("DegradedTables counter not incremented")
 	}
 	// Reads are served from the locally landed table throughout.
@@ -110,7 +110,7 @@ func TestPersistentCloudFailureDegrades(t *testing.T) {
 	if names, err := d.cloudSim.List("sst/"); err != nil || len(names) == 0 {
 		t.Fatalf("drained tables missing from cloud: names=%v err=%v", names, err)
 	}
-	if d.EngineStats().DrainedTables.Load() == 0 {
+	if d.Metrics().DrainedTables == 0 {
 		t.Fatal("DrainedTables counter not incremented")
 	}
 	mustGet(t, d, "k0000", "v")

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"rocksmash/internal/event"
@@ -30,6 +31,13 @@ type flightState struct {
 	det *flight.Detector
 	cfg flight.BundleConfig
 
+	// Detector fires, re-triggers absorbed by per-rule cooldowns, and
+	// postmortem bundle outcomes.
+	triggered    atomic.Int64
+	suppressed   atomic.Int64
+	bundles      atomic.Int64
+	bundleErrors atomic.Int64
+
 	// mu guards recent (the capped incident log) and lastBundle (the
 	// rate-limit clock).
 	mu         sync.Mutex
@@ -37,9 +45,9 @@ type flightState struct {
 	lastBundle time.Time
 }
 
-// initFlight builds the recorder/detector pair. local is the raw local
-// backend the bundle directory is derived from when FlightDir is unset.
-func (d *DB) initFlight(local storage.Backend) {
+// initFlight builds the recorder/detector pair. The bundle directory is
+// derived from the local backend when FlightDir is unset.
+func (d *DB) initFlight() {
 	o := d.opts
 	history := o.FlightHistory
 	if history <= 0 {
@@ -47,7 +55,7 @@ func (d *DB) initFlight(local storage.Backend) {
 	}
 	dir := o.FlightDir
 	if dir == "" {
-		if l, ok := storage.BaseBackend(local).(*storage.Local); ok {
+		if l, ok := storage.BaseBackend(d.local).(*storage.Local); ok {
 			dir = filepath.Join(l.Root(), "..", "flight")
 		}
 	}
@@ -80,10 +88,10 @@ func (d *DB) flightObserve(s vitals.Sample) {
 		return
 	}
 	incs := fs.det.Observe(s)
-	d.stats.IncidentsSuppressed.Store(fs.det.Suppressed())
+	fs.suppressed.Store(fs.det.Suppressed())
 	for i := range incs {
 		inc := &incs[i]
-		d.stats.IncidentsTriggered.Add(1)
+		fs.triggered.Add(1)
 		fs.maybeWriteBundle(d, inc)
 		fs.mu.Lock()
 		fs.recent = append(fs.recent, *inc)
@@ -135,11 +143,11 @@ func (fs *flightState) maybeWriteBundle(d *DB, inc *flight.Incident) {
 	}
 	path, werr := flight.WriteBundle(fs.cfg, in)
 	if werr != nil {
-		d.stats.BundleErrors.Add(1)
+		fs.bundleErrors.Add(1)
 		return
 	}
 	inc.Bundle = path
-	d.stats.BundlesWritten.Add(1)
+	fs.bundles.Add(1)
 }
 
 // levelSummary renders the manifest shape for the bundle's manifest.txt.
@@ -166,13 +174,15 @@ func levelSummary(m Metrics) string {
 // fillFlightMetrics copies the flight counters and active-rule set into a
 // Metrics snapshot; a no-op (all zero) when the recorder is off.
 func (d *DB) fillFlightMetrics(m *Metrics) {
-	m.IncidentsTriggered = d.stats.IncidentsTriggered.Load()
-	m.IncidentsSuppressed = d.stats.IncidentsSuppressed.Load()
-	m.BundlesWritten = d.stats.BundlesWritten.Load()
-	m.BundleErrors = d.stats.BundleErrors.Load()
-	if d.flight != nil {
-		m.ActiveIncidents = d.flight.det.Active()
+	fs := d.flight
+	if fs == nil {
+		return
 	}
+	m.IncidentsTriggered = fs.triggered.Load()
+	m.IncidentsSuppressed = fs.suppressed.Load()
+	m.BundlesWritten = fs.bundles.Load()
+	m.BundleErrors = fs.bundleErrors.Load()
+	m.ActiveIncidents = fs.det.Active()
 }
 
 func (d *DB) evIncidentTriggered(inc flight.Incident) {
@@ -208,19 +218,15 @@ type Health struct {
 	BundlesWritten     int64    `json:"bundles_written"`
 }
 
-// backgroundErr returns the first wedging background error, if any.
+// backgroundErr returns the first engine's wedging background error, if
+// any.
 func (d *DB) backgroundErr() error {
-	if d.shards != nil {
-		for _, sh := range d.shards {
-			if err := sh.backgroundErr(); err != nil {
-				return err
-			}
+	for _, e := range d.engines {
+		if err := e.backgroundErr(); err != nil {
+			return err
 		}
-		return nil
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.bgErr
+	return nil
 }
 
 // Health computes the store's health from the metrics snapshot and (when
@@ -302,8 +308,7 @@ func (d *DB) FlightBundles() ([]flight.BundleMeta, error) {
 	return flight.ListBundles(fs.cfg.Dir)
 }
 
-// FlightEnabled reports whether this store runs a flight recorder (in a
-// sharded store, true only on the facade).
+// FlightEnabled reports whether this store runs a flight recorder.
 func (d *DB) FlightEnabled() bool { return d.flight != nil }
 
 // FlightBundleDir returns where incident bundles are written ("" when

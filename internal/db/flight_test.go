@@ -40,9 +40,18 @@ func TestFlightOffPath(t *testing.T) {
 	}
 }
 
+// putAllocs is the allocations per Put (key formatting included) measured
+// before DB became a facade over engines.
+const putAllocs = 11.0
+
+// raceEnabled is set by race_test.go when the race detector is on.
+var raceEnabled bool
+
 // TestFlightOffPathAllocParity pins the off path to the no-feature
 // baseline: a store opened with FlightRecorder false must allocate exactly
 // as many objects per Put as one that never heard of the flight recorder.
+// The baseline itself is pinned to the count measured before DB became a
+// facade over engines: routing a Put to its engine allocates nothing.
 func TestFlightOffPathAllocParity(t *testing.T) {
 	open := func(mutate func(*Options)) *DB {
 		o := testOptions(PolicyLocalOnly)
@@ -71,6 +80,9 @@ func TestFlightOffPathAllocParity(t *testing.T) {
 	offPath := measure(open(func(o *Options) { o.FlightRecorder = false }))
 	if offPath != baseline {
 		t.Fatalf("FlightRecorder-off Put allocates %.1f objects/op, baseline %.1f", offPath, baseline)
+	}
+	if baseline != putAllocs && !raceEnabled {
+		t.Fatalf("Put allocates %.1f objects/op, want %.0f", baseline, putAllocs)
 	}
 }
 
@@ -181,8 +193,8 @@ func TestFlightCloudOutageIncident(t *testing.T) {
 	faulty.EndOutage()
 }
 
-// TestFlightShardedFacade verifies the sharded wiring: one recorder on the
-// facade, none on the shards, and the facade metrics carry the counters.
+// TestFlightShardedFacade verifies the sharded wiring: the facade's one
+// recorder sees every engine's events and its metrics carry the counters.
 func TestFlightShardedFacade(t *testing.T) {
 	o := testOptions(PolicyLocalOnly)
 	o.Shards = 4
@@ -196,11 +208,6 @@ func TestFlightShardedFacade(t *testing.T) {
 
 	if d.flight == nil {
 		t.Fatal("facade has no flight state")
-	}
-	for i, sh := range d.shards {
-		if sh.flight != nil {
-			t.Fatalf("shard %d grew its own flight state", i)
-		}
 	}
 	for i := 0; i < 100; i++ {
 		mustPut(t, d, fmt.Sprintf("sh-%04d", i), pipelineValue(i))

@@ -66,7 +66,7 @@ func metaSidecarName(num uint64) string { return fmt.Sprintf("meta/%06d.meta", n
 // succeeds, acked writes stay durable, and the background drainer migrates
 // the file to the cloud once the breaker closes. t.meta.Tier reflects
 // where the table actually landed when uploadTable returns.
-func (d *DB) uploadTable(t *builtTable) error {
+func (d *engine) uploadTable(t *builtTable) error {
 	name := manifest.TableName(t.meta.Num)
 	start := time.Now()
 	if t.meta.Tier != storage.TierCloud {
@@ -141,7 +141,7 @@ func (d *DB) uploadTable(t *builtTable) error {
 
 // cloudPut uploads one whole object to the cloud tier under the retry
 // policy, reporting how many attempts ran.
-func (d *DB) cloudPut(name string, data []byte) (attempts int, err error) {
+func (d *engine) cloudPut(name string, data []byte) (attempts int, err error) {
 	if d.cloudRel != nil {
 		return d.cloudRel.WriteObject(name, data)
 	}
@@ -150,7 +150,7 @@ func (d *DB) cloudPut(name string, data []byte) (attempts int, err error) {
 
 // writeMetaSidecar persists a table's metadata tail locally:
 // [tailOff uint64 LE][tail bytes].
-func (d *DB) writeMetaSidecar(num uint64, tailOff uint64, tail []byte) error {
+func (d *engine) writeMetaSidecar(num uint64, tailOff uint64, tail []byte) error {
 	buf := make([]byte, 8+len(tail))
 	binary.LittleEndian.PutUint64(buf, tailOff)
 	copy(buf[8:], tail)
@@ -158,7 +158,7 @@ func (d *DB) writeMetaSidecar(num uint64, tailOff uint64, tail []byte) error {
 }
 
 // readMetaSidecar loads a table's locally cached metadata tail.
-func (d *DB) readMetaSidecar(num uint64) (tailOff uint64, tail []byte, err error) {
+func (d *engine) readMetaSidecar(num uint64) (tailOff uint64, tail []byte, err error) {
 	buf, err := d.local.ReadAll(metaSidecarName(num))
 	if err != nil {
 		return 0, nil, err
@@ -171,7 +171,7 @@ func (d *DB) readMetaSidecar(num uint64) (tailOff uint64, tail []byte, err error
 
 // warmPCache admits every data block of a freshly built cloud table into
 // the persistent cache (compaction inheritance / flush write-through).
-func (d *DB) warmPCache(t *builtTable) error {
+func (d *engine) warmPCache(t *builtTable) error {
 	r, err := sstable.Open(bytesReader{t.data}, t.meta.Num)
 	if err != nil {
 		return err
@@ -195,7 +195,7 @@ func (d *DB) warmPCache(t *builtTable) error {
 
 // flushMemtable builds an L0 table from imm plus any memtables rebuilt by
 // WAL recovery, and installs it. imm may be nil (recovery-only flush).
-func (d *DB) flushMemtable(imm *memtable.MemTable) error {
+func (d *engine) flushMemtable(imm *memtable.MemTable) error {
 	d.mu.Lock()
 	rec := d.takeRecoveredLocked()
 	d.updateReadStateLocked()
@@ -307,7 +307,7 @@ func (d *DB) flushMemtable(imm *memtable.MemTable) error {
 	// segments covering them can go (eWAL GC). GC is deferred, not fatal —
 	// a segment whose delete fails (an open breaker retiring its cloud
 	// backup, say) stays indexed for the next flush to retry; wedging the
-	// shard over retired-log cleanup would turn a cloud blip into a
+	// engine over retired-log cleanup would turn a cloud blip into a
 	// permanent write stall.
 	if err := d.wal.DeleteObsolete(d.vs.FlushedSeq()); err != nil {
 		d.stats.DeferredDeletes.Add(1)

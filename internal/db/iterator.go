@@ -80,7 +80,7 @@ func (t *tableIter) Close() error {
 // levelIter concatenates the sorted, non-overlapping files of one level
 // (≥ 1), opening at most one table at a time.
 type levelIter struct {
-	db    *DB
+	db    *engine
 	files []*manifest.FileMetadata
 	idx   int
 	cur   *tableIter
@@ -88,7 +88,7 @@ type levelIter struct {
 	err   error
 }
 
-func newLevelIter(db *DB, files []*manifest.FileMetadata) *levelIter {
+func newLevelIter(db *engine, files []*manifest.FileMetadata) *levelIter {
 	return &levelIter{db: db, files: files, idx: -1}
 }
 
@@ -443,71 +443,32 @@ func (m *mergingIter) Close() error {
 	return firstErr
 }
 
-// Iterator is the user-facing bidirectional iterator over live keys at a
+// engineIter is the bidirectional iterator over one engine's live keys at a
 // snapshot. It collapses internal versions: for each user key the newest
 // visible entry wins, and tombstones hide older versions.
-type Iterator struct {
-	db     *DB
+type engineIter struct {
+	db     *engine
 	merged internalIterator
 	seq    uint64
 
-	// kids is the facade mode of a sharded store: one child Iterator per
-	// keyspace shard, all bound to the same snapshot sequence, N-way merged
-	// by user key. Shard keyspaces are disjoint, so no deduplication is
-	// needed — the smallest (or largest, in reverse) valid child wins and
-	// its entry is copied into key/value. When kids is nil the iterator is
-	// a plain single-LSM iterator over merged.
-	kids []*Iterator
-	kcur int  // index of the child at the merge frontier, -1 when exhausted
-	krev bool // facade merge direction
-
 	// prof accumulates the iterator's data-block reads by source tier over
 	// its whole lifetime (nil when profiling is disabled); seeks counts
-	// positioning operations. Both fold into the DB's scan-side aggregates
-	// at Close, kept separate from per-Get read-amp accounting. nkeys
-	// counts live keys yielded, the denominator of the store's
+	// positioning operations. Both fold into the engine's scan-side
+	// aggregates at Close, kept separate from per-Get read-amp accounting.
+	// nkeys counts live keys yielded, the denominator of the store's
 	// blocks-per-scanned-key rate.
 	prof  *readprof.Profile
 	seeks int64
 	nkeys int64
 
-	key    []byte
-	value  []byte
-	valid  bool
-	err    error
-	closed bool
+	key   []byte
+	value []byte
+	valid bool
+	err   error
 }
 
-// NewIterator returns an iterator over the DB at the current sequence.
-func (d *DB) NewIterator() (*Iterator, error) {
-	if d.shards != nil {
-		// Catch the global watermark up to the acked frontier so every
-		// write that returned before this call is inside the merged view.
-		d.seqs.waitVisible(d.ackedSeq())
-		return d.NewIteratorAt(d.seqs.visible.Load())
-	}
-	return d.NewIteratorAt(d.lastSeq.Load())
-}
-
-// NewIteratorAt returns an iterator at snapshot seq.
-func (d *DB) NewIteratorAt(seq uint64) (*Iterator, error) {
-	if d.shards != nil {
-		kids := make([]*Iterator, len(d.shards))
-		for i, sh := range d.shards {
-			k, err := sh.NewIteratorAt(seq)
-			if err != nil {
-				for _, kk := range kids[:i] {
-					_ = kk.Close()
-				}
-				return nil, err
-			}
-			kids[i] = k
-		}
-		return &Iterator{db: d, kids: kids, kcur: -1, seq: seq}, nil
-	}
-	if d.closed.Load() {
-		return nil, ErrClosed
-	}
+// newIter builds the engine's iterator at snapshot seq.
+func (d *engine) newIter(seq uint64) (engineIter, error) {
 	rs := d.rs.Load()
 	mem, imm := rs.mem, rs.imm
 	recovered := rs.recovered
@@ -536,7 +497,7 @@ func (d *DB) NewIteratorAt(seq uint64) (*Iterator, error) {
 			if prof != nil {
 				profilePool.Put(prof)
 			}
-			return nil, err
+			return engineIter{}, err
 		}
 		ti := newTableIter(h)
 		ti.it.SetProfile(prof)
@@ -571,63 +532,25 @@ func (d *DB) NewIteratorAt(seq uint64) (*Iterator, error) {
 		li.prof = prof
 		children = append(children, li)
 	}
-	return &Iterator{db: d, merged: newMergingIter(children...), seq: seq, prof: prof}, nil
+	return engineIter{db: d, merged: newMergingIter(children...), seq: seq, prof: prof}, nil
 }
 
-// NewIteratorSnapshot returns an iterator bound to a snapshot.
-func (s *Snapshot) NewIterator() (*Iterator, error) { return s.db.NewIteratorAt(s.seq) }
-
 // First positions at the smallest live key.
-func (it *Iterator) First() {
-	if it.kids != nil {
-		for _, k := range it.kids {
-			k.First()
-		}
-		it.krev = false
-		it.kidSettle()
-		return
-	}
+func (it *engineIter) First() {
 	it.seeks++
 	it.merged.First()
 	it.settle(nil)
 }
 
 // Seek positions at the first live key >= ukey.
-func (it *Iterator) Seek(ukey []byte) {
-	if it.kids != nil {
-		for _, k := range it.kids {
-			k.Seek(ukey)
-		}
-		it.krev = false
-		it.kidSettle()
-		return
-	}
+func (it *engineIter) Seek(ukey []byte) {
 	it.seeks++
 	it.merged.SeekGE(keys.MakeSeekKey(nil, ukey, it.seq))
 	it.settle(nil)
 }
 
-// Next advances to the following live key.
-func (it *Iterator) Next() {
-	if !it.valid {
-		return
-	}
-	if it.kids != nil {
-		if it.krev {
-			// Direction switch: reposition every other child to the first
-			// key after the current one. Shard keyspaces are disjoint, so
-			// Seek(current) on another shard lands strictly past it.
-			for i, k := range it.kids {
-				if i != it.kcur {
-					k.Seek(it.key)
-				}
-			}
-			it.krev = false
-		}
-		it.kids[it.kcur].Next()
-		it.kidSettle()
-		return
-	}
+// Next advances to the following live key; the caller checked valid.
+func (it *engineIter) Next() {
 	prev := append([]byte(nil), it.key...)
 	if it.merged.Valid() {
 		it.merged.Next()
@@ -640,30 +563,14 @@ func (it *Iterator) Next() {
 }
 
 // Last positions at the largest live key.
-func (it *Iterator) Last() {
-	if it.kids != nil {
-		for _, k := range it.kids {
-			k.Last()
-		}
-		it.krev = true
-		it.kidSettleReverse()
-		return
-	}
+func (it *engineIter) Last() {
 	it.seeks++
 	it.merged.Last()
 	it.settleReverse(nil)
 }
 
 // SeekForPrev positions at the last live key <= ukey.
-func (it *Iterator) SeekForPrev(ukey []byte) {
-	if it.kids != nil {
-		for _, k := range it.kids {
-			k.SeekForPrev(ukey)
-		}
-		it.krev = true
-		it.kidSettleReverse()
-		return
-	}
+func (it *engineIter) SeekForPrev(ukey []byte) {
 	it.seeks++
 	// ukey++"\x00" is the immediate successor user key: every entry of
 	// ukey itself sorts before it.
@@ -672,27 +579,8 @@ func (it *Iterator) SeekForPrev(ukey []byte) {
 	it.settleReverse(nil)
 }
 
-// Prev moves to the preceding live key.
-func (it *Iterator) Prev() {
-	if !it.valid {
-		return
-	}
-	if it.kids != nil {
-		if !it.krev {
-			// Direction switch: reposition every other child to the last
-			// key before the current one (disjoint keyspaces make
-			// SeekForPrev(current) land strictly before it on other shards).
-			for i, k := range it.kids {
-				if i != it.kcur {
-					k.SeekForPrev(it.key)
-				}
-			}
-			it.krev = true
-		}
-		it.kids[it.kcur].Prev()
-		it.kidSettleReverse()
-		return
-	}
+// Prev moves to the preceding live key; the caller checked valid.
+func (it *engineIter) Prev() {
 	bound := append([]byte(nil), it.key...)
 	switch {
 	case !it.merged.Valid():
@@ -711,61 +599,9 @@ func (it *Iterator) Prev() {
 	it.settleReverse(bound)
 }
 
-// kidSettle picks the smallest-keyed valid child as the facade's current
-// entry, copying its key/value so the accessors stay stable until the next
-// move regardless of which child moves underneath.
-func (it *Iterator) kidSettle() {
-	it.valid = false
-	it.kcur = -1
-	var best []byte
-	for i, k := range it.kids {
-		if err := k.Err(); err != nil && it.err == nil {
-			it.err = err
-		}
-		if !k.Valid() {
-			continue
-		}
-		if best == nil || bytes.Compare(k.Key(), best) < 0 {
-			best = k.Key()
-			it.kcur = i
-		}
-	}
-	if it.kcur >= 0 && it.err == nil {
-		k := it.kids[it.kcur]
-		it.key = append(it.key[:0], k.Key()...)
-		it.value = append(it.value[:0], k.Value()...)
-		it.valid = true
-	}
-}
-
-// kidSettleReverse is kidSettle for the reverse direction: largest key wins.
-func (it *Iterator) kidSettleReverse() {
-	it.valid = false
-	it.kcur = -1
-	var best []byte
-	for i, k := range it.kids {
-		if err := k.Err(); err != nil && it.err == nil {
-			it.err = err
-		}
-		if !k.Valid() {
-			continue
-		}
-		if best == nil || bytes.Compare(k.Key(), best) > 0 {
-			best = k.Key()
-			it.kcur = i
-		}
-	}
-	if it.kcur >= 0 && it.err == nil {
-		k := it.kids[it.kcur]
-		it.key = append(it.key[:0], k.Key()...)
-		it.value = append(it.value[:0], k.Value()...)
-		it.valid = true
-	}
-}
-
 // settle advances the merged iterator until it rests on the newest visible,
 // live entry of a user key different from skipKey.
-func (it *Iterator) settle(skipKey []byte) {
+func (it *engineIter) settle(skipKey []byte) {
 	it.valid = false
 	for it.merged.Valid() {
 		ik := it.merged.Key()
@@ -803,7 +639,7 @@ func (it *Iterator) settle(skipKey []byte) {
 // visits a key's versions oldest-first, so the candidate for a key is
 // refreshed until the key changes; the final candidate is the newest
 // visible version, and a tombstone candidate hides the key entirely.
-func (it *Iterator) settleReverse(boundKey []byte) {
+func (it *engineIter) settleReverse(boundKey []byte) {
 	it.valid = false
 	var (
 		curKey  []byte
@@ -859,6 +695,171 @@ func (it *Iterator) settleReverse(boundKey []byte) {
 	}
 }
 
+// close releases table references and folds the iterator's counters into
+// its engine's aggregates.
+func (it *engineIter) close() error {
+	err := it.merged.Close()
+	if it.nkeys > 0 {
+		it.db.stats.IterKeys.Add(it.nkeys)
+	}
+	if it.prof != nil {
+		it.db.readAgg.mergeIter(it.prof, it.seeks)
+		profilePool.Put(it.prof)
+		it.prof = nil
+	}
+	return err
+}
+
+// Iterator is the user-facing bidirectional iterator over live keys at a
+// snapshot: one engineIter per engine, all bound to the same snapshot
+// sequence, merged by user key. Engine keyspaces are disjoint, so no
+// deduplication is needed — the smallest (or largest, in reverse) valid
+// child is the current entry.
+type Iterator struct {
+	kids []engineIter
+	cur  int  // index of the child at the merge frontier, -1 when exhausted
+	rev  bool // merge direction
+
+	// key and value alias the frontier child's buffers, which only change
+	// when this iterator moves it.
+	key    []byte
+	value  []byte
+	valid  bool
+	err    error
+	closed bool
+}
+
+// NewIterator returns an iterator over the DB at the current sequence.
+func (d *DB) NewIterator() (*Iterator, error) {
+	// Catch the global watermark up to the acked frontier so every write
+	// that returned before this call is inside the merged view.
+	d.seqs.waitVisible(d.ackedSeq())
+	return d.NewIteratorAt(d.seqs.visible.Load())
+}
+
+// NewIteratorAt returns an iterator at snapshot seq.
+func (d *DB) NewIteratorAt(seq uint64) (*Iterator, error) {
+	if d.closed.Load() {
+		return nil, ErrClosed
+	}
+	it := &Iterator{kids: make([]engineIter, len(d.engines)), cur: -1}
+	for i, e := range d.engines {
+		k, err := e.newIter(seq)
+		if err != nil {
+			for j := range it.kids[:i] {
+				_ = it.kids[j].close()
+			}
+			return nil, err
+		}
+		it.kids[i] = k
+	}
+	return it, nil
+}
+
+// NewIteratorSnapshot returns an iterator bound to a snapshot.
+func (s *Snapshot) NewIterator() (*Iterator, error) { return s.db.NewIteratorAt(s.seq) }
+
+// First positions at the smallest live key.
+func (it *Iterator) First() {
+	for i := range it.kids {
+		it.kids[i].First()
+	}
+	it.settle(false)
+}
+
+// Seek positions at the first live key >= ukey.
+func (it *Iterator) Seek(ukey []byte) {
+	for i := range it.kids {
+		it.kids[i].Seek(ukey)
+	}
+	it.settle(false)
+}
+
+// Next advances to the following live key.
+func (it *Iterator) Next() {
+	if !it.valid {
+		return
+	}
+	if it.rev {
+		// Direction switch: reposition every other child to the first key
+		// after the current one. Engine keyspaces are disjoint, so
+		// Seek(current) on another engine lands strictly past it.
+		for i := range it.kids {
+			if i != it.cur {
+				it.kids[i].Seek(it.key)
+			}
+		}
+	}
+	it.kids[it.cur].Next()
+	it.settle(false)
+}
+
+// Last positions at the largest live key.
+func (it *Iterator) Last() {
+	for i := range it.kids {
+		it.kids[i].Last()
+	}
+	it.settle(true)
+}
+
+// SeekForPrev positions at the last live key <= ukey.
+func (it *Iterator) SeekForPrev(ukey []byte) {
+	for i := range it.kids {
+		it.kids[i].SeekForPrev(ukey)
+	}
+	it.settle(true)
+}
+
+// Prev moves to the preceding live key.
+func (it *Iterator) Prev() {
+	if !it.valid {
+		return
+	}
+	if !it.rev {
+		// Direction switch: reposition every other child to the last key
+		// before the current one (disjoint keyspaces make
+		// SeekForPrev(current) land strictly before it on other engines).
+		for i := range it.kids {
+			if i != it.cur {
+				it.kids[i].SeekForPrev(it.key)
+			}
+		}
+	}
+	it.kids[it.cur].Prev()
+	it.settle(true)
+}
+
+// settle makes the frontier child the current entry: the smallest-keyed
+// valid child going forward, the largest in reverse.
+func (it *Iterator) settle(rev bool) {
+	it.rev = rev
+	it.valid = false
+	it.cur = -1
+	for i := range it.kids {
+		k := &it.kids[i]
+		if k.err != nil && it.err == nil {
+			it.err = k.err
+		}
+		if !k.valid {
+			continue
+		}
+		if it.cur >= 0 {
+			c := bytes.Compare(k.key, it.kids[it.cur].key)
+			if rev {
+				c = -c
+			}
+			if c >= 0 {
+				continue
+			}
+		}
+		it.cur = i
+	}
+	if it.cur >= 0 && it.err == nil {
+		k := &it.kids[it.cur]
+		it.key, it.value, it.valid = k.key, k.value, true
+	}
+}
+
 // Valid reports whether the iterator is positioned on a live entry.
 func (it *Iterator) Valid() bool { return it.valid }
 
@@ -878,24 +879,10 @@ func (it *Iterator) Close() error {
 	}
 	it.closed = true
 	it.valid = false
-	if it.kids != nil {
-		for _, k := range it.kids {
-			if err := k.Close(); err != nil && it.err == nil {
-				it.err = err
-			}
+	for i := range it.kids {
+		if err := it.kids[i].close(); err != nil && it.err == nil {
+			it.err = err
 		}
-		return it.err
-	}
-	if err := it.merged.Close(); err != nil && it.err == nil {
-		it.err = err
-	}
-	if it.nkeys > 0 {
-		it.db.stats.IterKeys.Add(it.nkeys)
-	}
-	if it.prof != nil {
-		it.db.readAgg.mergeIter(it.prof, it.seeks)
-		profilePool.Put(it.prof)
-		it.prof = nil
 	}
 	return it.err
 }

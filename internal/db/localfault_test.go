@@ -31,7 +31,7 @@ func waitFor(t *testing.T, what string, timeout time.Duration, cond func() bool)
 // current version, smallest level first.
 func localTableNums(d *DB) []uint64 {
 	var nums []uint64
-	d.vs.Current().AllFiles(func(level int, f *manifest.FileMetadata) {
+	d.engines[0].vs.Current().AllFiles(func(level int, f *manifest.FileMetadata) {
 		if f.Tier == storage.TierLocal {
 			nums = append(nums, f.Num)
 		}
@@ -110,7 +110,7 @@ func TestCorruptLocalTableRepairedFromMirror(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.verifyTableBytes(data, num); err != nil {
+	if err := d.engines[0].verifyTableBytes(data, num); err != nil {
 		t.Fatalf("local file still damaged after repair: %v", err)
 	}
 }
@@ -183,7 +183,7 @@ func TestCorruptSidecarRepairedTransparently(t *testing.T) {
 	for _, name := range names {
 		corruptObject(t, d.local, name, 12)
 	}
-	d.vs.Current().AllFiles(func(level int, f *manifest.FileMetadata) { d.tables.evict(f.Num) })
+	d.engines[0].vs.Current().AllFiles(func(level int, f *manifest.FileMetadata) { d.tables.evict(f.Num) })
 
 	for i := 0; i < n; i++ {
 		mustGet(t, d, fmt.Sprintf("k%05d", i), pipelineValue(i))
@@ -194,11 +194,11 @@ func TestCorruptSidecarRepairedTransparently(t *testing.T) {
 			m.CorruptionsDetected, m.CorruptionsRepaired, m.CorruptionsUnrepaired)
 	}
 	// The rebuilt sidecars verify clean.
-	d.vs.Current().AllFiles(func(level int, f *manifest.FileMetadata) {
+	d.engines[0].vs.Current().AllFiles(func(level int, f *manifest.FileMetadata) {
 		if f.Tier != storage.TierCloud {
 			return
 		}
-		if ok, present := d.verifySidecar(f.Num); !present || !ok {
+		if ok, present := d.engines[0].verifySidecar(f.Num); !present || !ok {
 			t.Errorf("sidecar for table %d not rebuilt clean (present=%v ok=%v)", f.Num, present, ok)
 		}
 	})
@@ -303,7 +303,7 @@ func TestWALSegmentCorruptionScrubRestore(t *testing.T) {
 	}
 	// Seal the active segment (copying it to the backup tier) and keep
 	// writing into its successor so the sealed one stays referenced.
-	if err := d.wal.Roll(); err != nil {
+	if err := d.engines[0].wal.Roll(); err != nil {
 		t.Fatal(err)
 	}
 	mustPut(t, d, "after-roll", "v")
@@ -481,7 +481,10 @@ func TestBitFlipStormByteCorrect(t *testing.T) {
 	for i := 0; i < n; i++ {
 		mustPut(t, d, fmt.Sprintf("k%05d", i), pipelineValue(i))
 	}
-	if err := d.Flush(); err != nil {
+	// Quiesce the tree first: a compaction still running after a bare Flush
+	// retires tables under the mirror pass, so neither the table list nor
+	// the cumulative counter would say when the live tables are covered.
+	if err := d.CompactAll(); err != nil {
 		t.Fatal(err)
 	}
 	locals := localTableNums(d)
@@ -489,7 +492,12 @@ func TestBitFlipStormByteCorrect(t *testing.T) {
 		t.Fatal("no local tables to mirror")
 	}
 	waitFor(t, "lazy mirror", 10*time.Second, func() bool {
-		return d.Metrics().MirroredTables >= int64(len(locals))
+		for _, num := range locals {
+			if !d.engines[0].isMirrored(num) {
+				return false
+			}
+		}
+		return true
 	})
 
 	lf.SetCorruptRate(0.05)

@@ -6,10 +6,8 @@ package db
 import (
 	"time"
 
-	"rocksmash/internal/cache"
 	"rocksmash/internal/event"
 	"rocksmash/internal/flight"
-	"rocksmash/internal/pcache"
 	"rocksmash/internal/retry"
 	"rocksmash/internal/sstable"
 	"rocksmash/internal/storage"
@@ -182,17 +180,18 @@ type Options struct {
 	// silent wrong reads).
 	MirrorLocalLevels bool
 
-	// Shards splits the keyspace into this many independent sub-LSMs
-	// behind one DB facade. Each shard owns a full engine — memtable
-	// stack, eWAL segment stream, flush queue, compaction scheduler —
-	// rooted under its own storage prefix, so writers, flushes, and
-	// compactions on different shards never contend on the same mutexes
-	// or WAL writer. The block cache, persistent cache, table cache,
-	// cloud retry/breaker, and sequence-number source stay shared and
-	// global: snapshots and iterators remain consistent across shards.
-	// <= 1 (the default) keeps the single-LSM layout, byte-compatible
-	// with stores written before sharding existed. The shard count is
-	// part of the on-disk layout: reopen with the same value.
+	// Shards is the number of engines the DB facade runs, the keyspace
+	// hash-partitioned across them. Each engine is a full LSM — memtable
+	// stack, eWAL segment stream, flush queue, compaction scheduler — so
+	// writers, flushes, and compactions on different engines never
+	// contend on the same mutexes or WAL writer. The block cache,
+	// persistent cache, table cache, both circuit breakers, and the
+	// sequence-number source belong to the facade: snapshots and
+	// iterators stay consistent across engines. <= 1 (the default) is one
+	// engine directly on the given backends, the layout of stores written
+	// before sharding existed; N > 1 roots each engine under its own
+	// "shard-NNN/" prefix. The shard count is part of the on-disk layout:
+	// reopen with the same value.
 	Shards int
 
 	// DisableCommitPipeline reverts the write path to the serial
@@ -219,8 +218,8 @@ type Options struct {
 	// period and derives windowed rates (ops/s, bytes/s per tier, cache hit
 	// ratios, write-amp, $/hour — see internal/vitals and DB.Vitals). 0
 	// (the default) disables sampling entirely: no goroutine starts and the
-	// hot paths are untouched. In a sharded store one sampler runs on the
-	// facade, snapshotting the aggregated cross-shard view.
+	// hot paths are untouched. One sampler serves the whole store, whatever
+	// the shard count.
 	VitalsInterval time.Duration
 	// VitalsHistory is the sample ring capacity (how much history /vitals
 	// and `mashctl top` can see). 0 means vitals.DefaultHistory (720 — 12
@@ -235,8 +234,7 @@ type Options struct {
 	// atomic postmortem bundle dumps when a detector fires. Off (the
 	// default) the flight path does not exist: no ring, no detector, no
 	// per-event or per-write cost. Enabling it defaults VitalsInterval to
-	// 1s when unset (the detector rides the vitals tick). In a sharded
-	// store the recorder and detector live on the facade.
+	// 1s when unset (the detector rides the vitals tick).
 	FlightRecorder bool
 	// FlightHistory is the event-ring capacity (entries). 0 means 1024.
 	FlightHistory int
@@ -286,21 +284,6 @@ type Options struct {
 
 	// pcacheDir overrides where the persistent cache lives; set by OpenAt.
 	pcacheDir string
-
-	// Sharding internals, set by openSharded on the Options handed to each
-	// child Open. sharedSeqs doubles as the "this DB is a keyspace shard"
-	// marker (see DB.isShard); the rest plumb the facade-owned resources
-	// that sharding keeps global instead of per-shard.
-	shardID            int
-	sharedSeqs         *seqSource
-	sharedCache        *cache.Cache
-	sharedPCache       pcache.BlockCache
-	sharedTables       *tableCache
-	sharedLat          *latencies
-	sharedBreaker      *retry.Breaker
-	breakerHooks       *breakerFanout
-	sharedLocalBreaker *retry.Breaker
-	localBreakerHooks  *breakerFanout
 }
 
 // DefaultOptions returns the PolicyMash configuration used throughout the

@@ -63,7 +63,7 @@ func TestOutageDegradedFlushAndDrain(t *testing.T) {
 	if got := d.BreakerState(); got != "open" {
 		t.Fatalf("breaker state during outage = %q, want open", got)
 	}
-	if d.EngineStats().BreakerTrips.Load() == 0 {
+	if d.Metrics().BreakerTrips == 0 {
 		t.Fatal("breaker never tripped")
 	}
 	// Every key is readable from the locally landed tables mid-outage.
@@ -74,7 +74,7 @@ func TestOutageDegradedFlushAndDrain(t *testing.T) {
 
 	faulty.EndOutage()
 	waitForDrain(t, d, 10*time.Second)
-	if d.EngineStats().DrainedTables.Load() == 0 {
+	if d.Metrics().DrainedTables == 0 {
 		t.Fatal("DrainedTables counter not incremented")
 	}
 	if names, err := faulty.List("sst/"); err != nil || len(names) == 0 {

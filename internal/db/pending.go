@@ -39,7 +39,7 @@ type deferredDelete struct {
 }
 
 // deferDelete queues an object deletion for the drainer to retry.
-func (d *DB) deferDelete(tier storage.Tier, name string) {
+func (d *engine) deferDelete(tier storage.Tier, name string) {
 	d.deferredMu.Lock()
 	d.deferred = append(d.deferred, deferredDelete{tier: tier, name: name})
 	d.deferredMu.Unlock()
@@ -48,7 +48,7 @@ func (d *DB) deferDelete(tier storage.Tier, name string) {
 
 // onCloudRetry is the Reliable wrapper's retry observer: it keeps the
 // per-direction retry counters and fires the CloudRetry event.
-func (d *DB) onCloudRetry(op, name string, attempt int, err error, delay time.Duration) {
+func (d *engine) onCloudRetry(op, name string, attempt int, err error, delay time.Duration) {
 	if op == "put" {
 		d.stats.UploadRetries.Add(1)
 	} else {
@@ -57,50 +57,22 @@ func (d *DB) onCloudRetry(op, name string, attempt int, err error, delay time.Du
 	d.evCloudRetry(op, name, attempt, err)
 }
 
-// onBreakerChange observes circuit-breaker transitions: it mirrors them
-// into stats and events, and nudges the drainer when the cloud recovers so
-// the pending backlog starts migrating immediately.
-func (d *DB) onBreakerChange(from, to retry.State) {
-	switch to {
-	case retry.StateOpen:
-		d.stats.BreakerTrips.Add(1)
-	case retry.StateHalfOpen:
-		d.stats.BreakerHalfOpens.Add(1)
-	case retry.StateClosed:
-		select {
-		case d.drainWake <- struct{}{}:
-		default:
-		}
-		// Compactions deferred during the outage can run again.
-		d.scheduleWork()
+// tierRecovered is called when either tier's breaker closes: it nudges the
+// drainer so the pending (or misplaced) backlog starts migrating
+// immediately, and reschedules compactions deferred during the outage.
+func (d *engine) tierRecovered() {
+	select {
+	case d.drainWake <- struct{}{}:
+	default:
 	}
-	d.evBreakerState("cloud", from.String(), to.String())
-}
-
-// onLocalBreakerChange is the local tier's twin of onBreakerChange: trips
-// and half-opens mirror into stats, and the close transition wakes the
-// drainer so misplaced tables start migrating back immediately.
-func (d *DB) onLocalBreakerChange(from, to retry.State) {
-	switch to {
-	case retry.StateOpen:
-		d.stats.LocalBreakerTrips.Add(1)
-	case retry.StateHalfOpen:
-		d.stats.LocalBreakerHalfOpens.Add(1)
-	case retry.StateClosed:
-		select {
-		case d.drainWake <- struct{}{}:
-		default:
-		}
-		d.scheduleWork()
-	}
-	d.evBreakerState("local", from.String(), to.String())
+	d.scheduleWork()
 }
 
 // drainLoop runs until shutdown, retrying deferred deletes and migrating
 // pending-upload tables. Each round is also the outage probe: the first
 // cloud request either passes (half-open probe admitted) or fails fast
 // with ErrCloudUnavailable, so recovery needs no foreground traffic.
-func (d *DB) drainLoop() {
+func (d *engine) drainLoop() {
 	defer close(d.drainDone)
 	ticker := time.NewTicker(d.opts.PendingDrainInterval)
 	defer ticker.Stop()
@@ -127,7 +99,7 @@ func (d *DB) drainLoop() {
 }
 
 // drainDeferredDeletes retries queued deletions, re-queueing failures.
-func (d *DB) drainDeferredDeletes() {
+func (d *engine) drainDeferredDeletes() {
 	d.deferredMu.Lock()
 	q := d.deferred
 	d.deferred = nil
@@ -154,7 +126,7 @@ type pendingFile struct {
 	meta  manifest.FileMetadata
 }
 
-func (d *DB) nextPending() *pendingFile {
+func (d *engine) nextPending() *pendingFile {
 	var out *pendingFile
 	d.vs.Current().AllFiles(func(level int, f *manifest.FileMetadata) {
 		if out == nil && f.PendingCloud {
@@ -166,7 +138,7 @@ func (d *DB) nextPending() *pendingFile {
 
 // drainPending migrates pending tables one at a time until the backlog is
 // empty or the cloud stops cooperating.
-func (d *DB) drainPending() {
+func (d *engine) drainPending() {
 	for {
 		select {
 		case <-d.bgQuit:
@@ -187,7 +159,7 @@ func (d *DB) drainPending() {
 // change. It returns false when the round should stop (cloud still down,
 // shutdown, manifest failure) and true when the drainer may continue with
 // the next candidate.
-func (d *DB) drainOne(level int, meta manifest.FileMetadata) bool {
+func (d *engine) drainOne(level int, meta manifest.FileMetadata) bool {
 	name := manifest.TableName(meta.Num)
 	start := time.Now()
 	data, err := d.local.ReadAll(name)
@@ -248,6 +220,9 @@ func (d *DB) drainOne(level int, meta manifest.FileMetadata) bool {
 		d.mu.Unlock()
 		return false
 	}
+	// Counted with the edit, not after the cleanup below: a reader that sees
+	// the backlog gauge drop must already see the counter.
+	d.stats.DrainedTables.Add(1)
 
 	// The handle cached for the local file must be reopened against the
 	// cloud tier (with its sidecar overlay) on next use. Block-cache
@@ -261,7 +236,6 @@ func (d *DB) drainOne(level int, meta manifest.FileMetadata) bool {
 		// moment ago and must not fall off a latency cliff.
 		_ = d.warmPCache(&builtTable{meta: newMeta, metaOff: tailOff, data: data})
 	}
-	d.stats.DrainedTables.Add(1)
 	d.evTableUploaded(meta.Num, storage.TierCloud, int64(meta.Size), attempts, time.Since(start), false)
 	return true
 }
@@ -269,7 +243,7 @@ func (d *DB) drainOne(level int, meta manifest.FileMetadata) bool {
 // nextMisplaced locates one misplaced file: a table sitting on the cloud
 // tier whose level belongs to the local tier under the placement policy —
 // the footprint of a cloud-direct landing during local degradation.
-func (d *DB) nextMisplaced() *pendingFile {
+func (d *engine) nextMisplaced() *pendingFile {
 	var out *pendingFile
 	d.vs.Current().AllFiles(func(level int, f *manifest.FileMetadata) {
 		if out == nil && d.isMisplaced(level, f) {
@@ -279,14 +253,14 @@ func (d *DB) nextMisplaced() *pendingFile {
 	return out
 }
 
-func (d *DB) isMisplaced(level int, f *manifest.FileMetadata) bool {
+func (d *engine) isMisplaced(level int, f *manifest.FileMetadata) bool {
 	return f.Tier == storage.TierCloud && !f.PendingCloud &&
 		d.opts.tierForLevel(level) == storage.TierLocal
 }
 
 // drainMisplaced migrates misplaced tables back to local storage one at a
 // time until the backlog is empty or either tier stops cooperating.
-func (d *DB) drainMisplaced() {
+func (d *engine) drainMisplaced() {
 	for {
 		select {
 		case <-d.bgQuit:
@@ -307,7 +281,7 @@ func (d *DB) drainMisplaced() {
 // installs the tier change, mirroring drainOne's liveness discipline. The
 // local write doubles as the local breaker's recovery probe: it runs only
 // when Allow() admits it, and its outcome is reported back.
-func (d *DB) drainBackOne(level int, meta manifest.FileMetadata) bool {
+func (d *engine) drainBackOne(level int, meta manifest.FileMetadata) bool {
 	name := manifest.TableName(meta.Num)
 	data, err := d.cloud.ReadAll(name)
 	if err != nil {
@@ -354,6 +328,7 @@ func (d *DB) drainBackOne(level int, meta manifest.FileMetadata) bool {
 		d.mu.Unlock()
 		return false
 	}
+	d.stats.LocalDrainedBack.Add(1)
 
 	// Reopen against the local tier on next use; the sidecar is no longer
 	// referenced (local-tier tables carry their metadata in-file).
@@ -368,26 +343,25 @@ func (d *DB) drainBackOne(level int, meta manifest.FileMetadata) bool {
 	} else if err := d.cloud.Delete(name); err != nil {
 		d.deferDelete(storage.TierCloud, name)
 	}
-	d.stats.LocalDrainedBack.Add(1)
 	return true
 }
 
 // markMirrored / isMirrored / dropMirror track which local-tier tables have
 // a byte-identical cloud copy. dropMirror reports whether the table was
 // mirrored, so compaction retirement knows to delete the cloud object.
-func (d *DB) markMirrored(num uint64) {
+func (d *engine) markMirrored(num uint64) {
 	d.mirrorMu.Lock()
 	d.mirrored[num] = true
 	d.mirrorMu.Unlock()
 }
 
-func (d *DB) isMirrored(num uint64) bool {
+func (d *engine) isMirrored(num uint64) bool {
 	d.mirrorMu.Lock()
 	defer d.mirrorMu.Unlock()
 	return d.mirrored[num]
 }
 
-func (d *DB) dropMirror(num uint64) bool {
+func (d *engine) dropMirror(num uint64) bool {
 	d.mirrorMu.Lock()
 	defer d.mirrorMu.Unlock()
 	if !d.mirrored[num] {
@@ -401,7 +375,7 @@ func (d *DB) dropMirror(num uint64) bool {
 // has a repair source (Options.MirrorLocalLevels). It rides the drainer —
 // strictly off the write path — and verifies each table's checksums before
 // upload so a mirror is never seeded from already-damaged bytes.
-func (d *DB) mirrorLocals() {
+func (d *engine) mirrorLocals() {
 	if !d.opts.MirrorLocalLevels {
 		return
 	}
@@ -456,7 +430,7 @@ func (d *DB) mirrorLocals() {
 // manifest edit, or of a degraded-mode drain cut short. It runs during
 // Open, before background work starts. The cloud sweep is skipped wholesale
 // when the cloud is unreachable (the next Open retries it).
-func (d *DB) cleanOrphans() {
+func (d *engine) cleanOrphans() {
 	localRef := map[string]bool{}
 	cloudRef := map[string]bool{}
 	sidecarRef := map[string]bool{}
@@ -525,15 +499,7 @@ func (d *DB) cleanOrphans() {
 // PendingCloudTables reports the degraded-mode backlog: how many tables
 // (and bytes) are on local storage awaiting upload to the cloud tier.
 func (d *DB) PendingCloudTables() (tables int, bytes int64) {
-	if d.shards != nil {
-		for _, sh := range d.shards {
-			t, b := sh.PendingCloudTables()
-			tables += t
-			bytes += b
-		}
-		return tables, bytes
-	}
-	d.vs.Current().AllFiles(func(level int, f *manifest.FileMetadata) {
+	d.allFiles(func(_ *engine, _ int, f *manifest.FileMetadata) {
 		if f.PendingCloud {
 			tables++
 			bytes += int64(f.Size)
@@ -552,27 +518,15 @@ func (d *DB) BreakerState() string {
 }
 
 // LocalBreakerState returns the local tier's breaker position.
-func (d *DB) LocalBreakerState() string {
-	if d.localBreaker == nil {
-		return ""
-	}
-	return d.localBreaker.State().String()
-}
+func (d *DB) LocalBreakerState() string { return d.localBreaker.State().String() }
 
 // MisplacedTables reports how many tables are sitting on the cloud tier
 // while their level belongs to the local tier — the drain-back backlog
 // left by a local-degraded episode.
 func (d *DB) MisplacedTables() int {
-	if d.shards != nil {
-		n := 0
-		for _, sh := range d.shards {
-			n += sh.MisplacedTables()
-		}
-		return n
-	}
 	n := 0
-	d.vs.Current().AllFiles(func(level int, f *manifest.FileMetadata) {
-		if d.isMisplaced(level, f) {
+	d.allFiles(func(e *engine, level int, f *manifest.FileMetadata) {
+		if e.isMisplaced(level, f) {
 			n++
 		}
 	})

@@ -65,7 +65,7 @@ func reopenPipeline(t *testing.T, dir string, lat storage.LatencyModel, prefetch
 // compaction sequence diverged, so they are included too).
 func levelShape(d *DB) string {
 	var b strings.Builder
-	v := d.vs.Current()
+	v := d.engines[0].vs.Current()
 	for l := range v.Levels {
 		for _, f := range v.Levels[l] {
 			fmt.Fprintf(&b, "L%d n%d sz%d %s..%s\n", l, f.Num, f.Size, f.Smallest, f.Largest)
@@ -192,7 +192,7 @@ func TestCompactionOutageDegradesAndRecovers(t *testing.T) {
 	// Every surviving cloud object is referenced by the current version and
 	// every referenced object exists; nothing is still pending.
 	referenced := map[string]bool{}
-	d.vs.Current().AllFiles(func(level int, f *manifest.FileMetadata) {
+	d.engines[0].vs.Current().AllFiles(func(level int, f *manifest.FileMetadata) {
 		if f.PendingCloud {
 			t.Errorf("file %d still pending-upload after drain", f.Num)
 		}

@@ -34,7 +34,7 @@ type raState struct {
 // sequential, the span degenerated to one block, or the span read failed —
 // in every case the caller falls back to the normal single-block read, so
 // readahead is purely an optimization and never a new failure mode.
-func (h *tableHandle) tryReadahead(db *DB, fileNum uint64, hd sstable.Handle, n int) ([]byte, bool) {
+func (h *tableHandle) tryReadahead(db *engine, fileNum uint64, hd sstable.Handle, n int) ([]byte, bool) {
 	ra := &h.ra
 	ra.mu.Lock()
 	defer ra.mu.Unlock()

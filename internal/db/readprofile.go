@@ -138,7 +138,7 @@ func (a *readAgg) mergeIter(p *readprof.Profile, seeks int64) {
 // finishProfile completes one Get's profile: stamps the total latency,
 // folds it into the aggregates, offers it to the slow-read tracker, and
 // returns it to the pool.
-func (d *DB) finishProfile(key []byte, p *readprof.Profile, elapsed time.Duration) {
+func (d *engine) finishProfile(key []byte, p *readprof.Profile, elapsed time.Duration) {
 	if p.Timed {
 		p.TotalNanos = elapsed.Nanoseconds()
 	}
@@ -176,7 +176,7 @@ type slowTracker struct {
 
 // observe offers one timed profile. Called only when a listener is
 // attached; emission of an expired window happens outside the lock.
-func (t *slowTracker) observe(d *DB, key []byte, p *readprof.Profile) {
+func (t *slowTracker) observe(d *engine, key []byte, p *readprof.Profile) {
 	now := time.Now()
 	var emit []slowRead
 	t.mu.Lock()
@@ -222,7 +222,7 @@ func clipKey(key []byte) []byte {
 
 // flushSlowReads emits whatever the current window holds. Close calls it
 // before the trace writer shuts down so buffered slow reads are not lost.
-func (d *DB) flushSlowReads() {
+func (d *engine) flushSlowReads() {
 	d.slow.mu.Lock()
 	emit := d.slow.entries
 	d.slow.entries = nil
@@ -233,7 +233,7 @@ func (d *DB) flushSlowReads() {
 	}
 }
 
-func (d *DB) evSlowRead(s *slowRead) {
+func (d *engine) evSlowRead(s *slowRead) {
 	l := d.listener
 	if l == nil {
 		return

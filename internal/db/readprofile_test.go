@@ -156,10 +156,10 @@ func TestSlowReadTraceRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	loadTiered(t, d, 1000)
-	d.slow.mu.Lock()
-	d.slow.keep = 4
-	d.slow.window = time.Hour // flushed at Close, not mid-run
-	d.slow.mu.Unlock()
+	d.engines[0].slow.mu.Lock()
+	d.engines[0].slow.keep = 4
+	d.engines[0].slow.window = time.Hour // flushed at Close, not mid-run
+	d.engines[0].slow.mu.Unlock()
 	for i := 0; i < 200; i++ {
 		if _, err := d.Get(profKey(i)); err != nil {
 			t.Fatal(err)
@@ -316,10 +316,19 @@ func TestConcurrentProfiledReads(t *testing.T) {
 	}
 }
 
+// Allocations per Get as measured before DB became a facade over engines.
+const (
+	getAllocsMemtable   = 3.0
+	getAllocsBlockCache = 9.0
+)
+
 // TestGetAllocsProfilerParity: the pooled profiler must not add steady-state
-// allocations to Get relative to running with profiling disabled.
+// allocations to Get relative to running with profiling disabled — whether
+// the hit is in the memtable or in a flushed table's cached block. The
+// absolute counts are the ones measured before DB became a facade over
+// engines: routing a Get to its engine allocates nothing.
 func TestGetAllocsProfilerParity(t *testing.T) {
-	measure := func(rate int) float64 {
+	measure := func(rate int, flushed bool) float64 {
 		o := testOptions(PolicyLocalOnly)
 		o.MemtableBytes = 64 << 20 // no flushes during measurement
 		o.ReadProfileSampleRate = rate
@@ -330,18 +339,36 @@ func TestGetAllocsProfilerParity(t *testing.T) {
 		defer d.Close()
 		key := []byte("alloc-parity-key")
 		mustPut(t, d, string(key), "v")
+		if flushed {
+			if err := d.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			mustGet(t, d, string(key), "v") // admit the block
+		}
 		return testing.AllocsPerRun(2000, func() {
 			if _, err := d.Get(key); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
-	off := measure(-1)
-	on := measure(64)
-	// Allow sub-1 slack: a GC clearing the sync.Pool mid-run re-allocates
-	// one profile, but steady state must be identical.
-	if on > off+0.5 {
-		t.Errorf("profiler adds allocations: on=%.3f off=%.3f allocs/Get", on, off)
+	for _, c := range []struct {
+		name    string
+		flushed bool
+		want    float64
+	}{
+		{"memtable", false, getAllocsMemtable},
+		{"block-cache", true, getAllocsBlockCache},
+	} {
+		off := measure(-1, c.flushed)
+		on := measure(64, c.flushed)
+		// Allow sub-1 slack: a GC clearing the sync.Pool mid-run re-allocates
+		// one profile, but steady state must be identical.
+		if on > off+0.5 {
+			t.Errorf("%s: profiler adds allocations: on=%.3f off=%.3f allocs/Get", c.name, on, off)
+		}
+		if off != c.want && !raceEnabled {
+			t.Errorf("%s: Get allocates %.3f objects/op, want %.0f", c.name, off, c.want)
+		}
 	}
 }
 

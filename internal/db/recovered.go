@@ -41,14 +41,14 @@ func getFromRecovered(ms []*memtable.MemTable, key []byte, seq uint64) (value []
 }
 
 // takeRecoveredLocked detaches the recovery memtables (caller holds d.mu).
-func (d *DB) takeRecoveredLocked() []*memtable.MemTable {
+func (d *engine) takeRecoveredLocked() []*memtable.MemTable {
 	r := d.recovered
 	d.recovered = nil
 	return r
 }
 
 // recoveredBytes sums the recovery memtables' sizes (caller holds d.mu).
-func (d *DB) recoveredBytesLocked() int64 {
+func (d *engine) recoveredBytesLocked() int64 {
 	var n int64
 	for _, m := range d.recovered {
 		n += m.ApproximateSize()

@@ -17,7 +17,7 @@ import (
 // are installed as read-only side memtables and drain into L0 at the next
 // flush; sequence numbers in internal keys make cross-segment ordering a
 // non-issue.
-func (d *DB) recover() error {
+func (d *engine) recover() error {
 	start := time.Now()
 	flushed := d.vs.FlushedSeq()
 

@@ -52,7 +52,7 @@ func (r *ScrubReport) add(o ScrubReport) {
 // isQuarantined reports whether a table's damage was already found
 // unrepairable, so hot read paths fail fast with a typed error instead of
 // re-fetching from the cloud on every block.
-func (d *DB) isQuarantined(num uint64) bool {
+func (d *engine) isQuarantined(num uint64) bool {
 	d.repairMu.Lock()
 	defer d.repairMu.Unlock()
 	return d.quarantined[num]
@@ -60,13 +60,13 @@ func (d *DB) isQuarantined(num uint64) bool {
 
 // unquarantine clears a table's quarantine mark (compaction retired it, or
 // a forced scrub repaired it).
-func (d *DB) unquarantine(num uint64) {
+func (d *engine) unquarantine(num uint64) {
 	d.repairMu.Lock()
 	delete(d.quarantined, num)
 	d.repairMu.Unlock()
 }
 
-func (d *DB) quarantinedCount() int {
+func (d *engine) quarantinedCount() int {
 	d.repairMu.Lock()
 	defer d.repairMu.Unlock()
 	return len(d.quarantined)
@@ -74,7 +74,7 @@ func (d *DB) quarantinedCount() int {
 
 // verifyTableBytes checks a whole table image end to end: footer and
 // metadata blocks (sstable.Open), then the CRC of every data block.
-func (d *DB) verifyTableBytes(data []byte, num uint64) error {
+func (d *engine) verifyTableBytes(data []byte, num uint64) error {
 	r, err := sstable.Open(bytesReader{data}, num)
 	if err != nil {
 		return err
@@ -100,7 +100,7 @@ func (d *DB) verifyTableBytes(data []byte, num uint64) error {
 // inode never observe a truncated image). Damage with no clean cloud
 // source quarantines the table: later reads fail fast with a typed error
 // (wrapping storage.ErrCorruption) until force — a scrub pass — retries.
-func (d *DB) repairLocalTable(num uint64, cause error, force bool) ([]byte, error) {
+func (d *engine) repairLocalTable(num uint64, cause error, force bool) ([]byte, error) {
 	name := manifest.TableName(num)
 	d.repairMu.Lock()
 	defer d.repairMu.Unlock()
@@ -154,7 +154,7 @@ func (d *DB) repairLocalTable(num uint64, cause error, force bool) ([]byte, erro
 // a cloud-tier table: the sidecar is deleted so the next open rebuilds it
 // from the cloud object's own metadata tail (overlayMetadata). It reports
 // whether the open should be retried.
-func (d *DB) repairSidecar(num uint64, cause error) bool {
+func (d *engine) repairSidecar(num uint64, cause error) bool {
 	name := metaSidecarName(num)
 	d.repairMu.Lock()
 	defer d.repairMu.Unlock()
@@ -186,7 +186,7 @@ func (r sizeOnlyReader) Close() error                      { return nil }
 // verifySidecar structurally validates a cached metadata sidecar: the
 // footer and every metadata block it holds are parsed and CRC-checked
 // without touching the cloud object.
-func (d *DB) verifySidecar(num uint64) (ok, present bool) {
+func (d *engine) verifySidecar(num uint64) (ok, present bool) {
 	tailOff, tail, err := d.readMetaSidecar(num)
 	if err != nil {
 		return false, false
@@ -204,17 +204,18 @@ func (d *DB) verifySidecar(num uint64) (ok, present bool) {
 // Scrub walks every local artifact the store owns — local-tier SSTables,
 // cloud-tier metadata sidecars, sealed WAL segments — verifying checksums
 // end to end and repairing damage that has a cloud source of truth in
-// place. A sharded store fans the pass out over every shard. It is safe to
-// run concurrently with reads and writes.
+// place, one engine after another. It is safe to run concurrently with
+// reads and writes.
 func (d *DB) Scrub() ScrubReport {
-	if d.shards != nil {
-		var rep ScrubReport
-		for _, sh := range d.shards {
-			r := sh.Scrub()
-			rep.add(r)
-		}
-		return rep
+	var rep ScrubReport
+	for _, e := range d.engines {
+		rep.add(e.scrub())
 	}
+	return rep
+}
+
+// scrub is one pass over this engine's artifacts.
+func (d *engine) scrub() ScrubReport {
 	var rep ScrubReport
 
 	// Local-tier tables: full image verification, cloud-backed repair.
@@ -285,7 +286,7 @@ func (d *DB) Scrub() ScrubReport {
 }
 
 // scrubLoop drives periodic scrub passes (Options.ScrubInterval > 0).
-func (d *DB) scrubLoop() {
+func (d *engine) scrubLoop() {
 	defer close(d.scrubDone)
 	t := time.NewTicker(d.opts.ScrubInterval)
 	defer t.Stop()
@@ -295,6 +296,6 @@ func (d *DB) scrubLoop() {
 			return
 		case <-t.C:
 		}
-		d.Scrub()
+		d.scrub()
 	}
 }

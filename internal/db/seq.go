@@ -7,22 +7,22 @@ import (
 
 // seqSource is the sequence-number authority: it allocates contiguous
 // sequence ranges to commits and tracks two visibility frontiers over the
-// shared allocation order. A standalone DB owns one; keyspace shards share
-// their parent's, which is what keeps snapshots and iterators consistent
-// across shards — a snapshot at sequence S observes exactly the writes
-// with sequence ≤ S, no matter which shard's memtable they landed in.
+// shared allocation order. The DB facade owns one and every engine commits
+// through it, which is what keeps snapshots and iterators consistent
+// across engines — a snapshot at sequence S observes exactly the writes
+// with sequence ≤ S, no matter which engine's memtable they landed in.
 //
-// The two frontiers exist so shards do not serialize on each other's WAL
-// writes:
+// The two frontiers exist so engines do not serialize on each other's WAL
+// writes (with one engine they coincide):
 //
-//   - Each shard acknowledges its writers at the shard-local frontier:
-//     an entry's visible signal fires once every earlier entry of the
-//     same shard has been applied. A point Get on shard s depends only
-//     on writes to shard s, so acking there preserves read-your-writes
-//     without making a commit wait out another shard's in-flight group.
+//   - Each engine acknowledges its writers at its own frontier: an
+//     entry's visible signal fires once every earlier entry of the same
+//     engine has been applied. A point Get on engine e depends only on
+//     writes to engine e, so acking there preserves read-your-writes
+//     without making a commit wait out another engine's in-flight group.
 //
 //   - The global watermark (visible) advances only when every entry
-//     allocated before it — on any shard — has been applied. Snapshots
+//     allocated before it — on any engine — has been applied. Snapshots
 //     and merged iterators read at this watermark; waitVisible lets them
 //     first catch it up to the acked frontier, so a snapshot taken after
 //     a Put returned always includes that Put. The lag is bounded by
@@ -31,16 +31,16 @@ import (
 type seqSource struct {
 	// mu guards nextSeq and both pending rings together: allocation and
 	// ring append must be atomic with respect to each other across
-	// concurrent shard leaders, or the rings would not be in sequence
-	// order. Per-shard rings live on each DB (shardRing/shardHead) but are
-	// guarded by this same lock.
+	// concurrent engines' leaders, or the rings would not be in sequence
+	// order. Per-engine rings live on each engine (ackRing/ackHead) but
+	// are guarded by this same lock.
 	mu      sync.Mutex
 	nextSeq uint64
 	// pending is the global ring in allocation order. It holds plain
 	// (seq, done) slots rather than entry pointers: an entry is released
-	// to its pool as soon as its owner is acked at the shard frontier,
-	// which can happen while the global ring is still waiting on an
-	// earlier shard's group.
+	// to its pool as soon as its owner is acked at its engine's frontier,
+	// which can happen while the global ring is still waiting on another
+	// engine's earlier group.
 	pending []gslot
 	head    int
 	// base is the absolute allocation index of pending[0]; entries record
@@ -75,7 +75,7 @@ func newSeqSource() *seqSource {
 }
 
 // raise lifts the allocator and the watermark to cover sequences ≤ last.
-// Called after each shard's recovery: replayed writes are already applied,
+// Called after each engine's recovery: replayed writes are already applied,
 // so they are visible by definition.
 func (ss *seqSource) raise(last uint64) {
 	ss.mu.Lock()
@@ -88,14 +88,14 @@ func (ss *seqSource) raise(last uint64) {
 
 // enqueueLocked records a freshly allocated entry in both rings. Caller
 // holds ss.mu and has already assigned e's sequences and owner d.
-func (ss *seqSource) enqueueLocked(d *DB, e *commitEntry) {
+func (ss *seqSource) enqueueLocked(d *engine, e *commitEntry) {
 	e.gidx = ss.base + uint64(len(ss.pending))
 	ss.pending = append(ss.pending, gslot{seq: e.maxSeq})
-	d.shardRing = append(d.shardRing, e)
+	d.ackRing = append(d.ackRing, e)
 }
 
 // markApplied records that e's owner finished its memtable apply, acks
-// every leading applied entry of e's shard in allocation order, and
+// every leading applied entry of e's engine in allocation order, and
 // advances the global watermark past every leading applied slot.
 func (ss *seqSource) markApplied(e *commitEntry) {
 	var (
@@ -108,36 +108,36 @@ func (ss *seqSource) markApplied(e *commitEntry) {
 	e.applied = true
 	ss.pending[e.gidx-ss.base].done = true
 
-	// Shard-local frontier: ack this shard's contiguous applied prefix.
-	for d.shardHead < len(d.shardRing) {
-		front := d.shardRing[d.shardHead]
+	// Engine frontier: ack this engine's contiguous applied prefix.
+	for d.ackHead < len(d.ackRing) {
+		front := d.ackRing[d.ackHead]
 		if !front.applied {
 			break
 		}
-		d.shardRing[d.shardHead] = nil
-		d.shardHead++
+		d.ackRing[d.ackHead] = nil
+		d.ackHead++
 		if one == nil {
 			one = front
 		} else {
 			many = append(many, front)
 		}
 	}
-	if d.shardHead == len(d.shardRing) {
-		d.shardRing = d.shardRing[:0]
-		d.shardHead = 0
-	} else if d.shardHead >= ringCompactAt && d.shardHead*2 >= len(d.shardRing) {
+	if d.ackHead == len(d.ackRing) {
+		d.ackRing = d.ackRing[:0]
+		d.ackHead = 0
+	} else if d.ackHead >= ringCompactAt && d.ackHead*2 >= len(d.ackRing) {
 		// Under sustained load the ring may never fully drain; shift the
 		// live tail down so the acked prefix doesn't accumulate forever.
-		n := copy(d.shardRing, d.shardRing[d.shardHead:])
-		for i := n; i < len(d.shardRing); i++ {
-			d.shardRing[i] = nil
+		n := copy(d.ackRing, d.ackRing[d.ackHead:])
+		for i := n; i < len(d.ackRing); i++ {
+			d.ackRing[i] = nil
 		}
-		d.shardRing = d.shardRing[:n]
-		d.shardHead = 0
+		d.ackRing = d.ackRing[:n]
+		d.ackHead = 0
 	}
 
-	// Global frontier: pop applied slots regardless of owning shard. Slots
-	// are values, so popping an entry another shard's owner has already
+	// Global frontier: pop applied slots regardless of owning engine. Slots
+	// are values, so popping an entry another engine's owner has already
 	// recycled is safe.
 	for ss.head < len(ss.pending) {
 		front := ss.pending[ss.head]
@@ -161,7 +161,7 @@ func (ss *seqSource) markApplied(e *commitEntry) {
 
 	// Publish outside ss.mu: SetLastSeq contends with the manifest lock,
 	// which flushes hold across an fsync — publishing under ss.mu would
-	// stall every shard's commits behind one shard's manifest write. All
+	// stall every engine's commits behind one engine's manifest write. All
 	// stores are raise-only, so out-of-order publication between
 	// concurrent markApplied calls cannot regress a frontier, and each
 	// entry's visible signal still follows its own stores.
@@ -181,7 +181,7 @@ func (ss *seqSource) markApplied(e *commitEntry) {
 	}
 }
 
-// publishAcked publishes front at its shard's acked frontier and releases
+// publishAcked publishes front at its engine's acked frontier and releases
 // its writer. After the signal the owner may recycle the entry.
 func publishAcked(front *commitEntry) {
 	raiseMax(&front.d.lastSeq, front.maxSeq)

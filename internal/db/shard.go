@@ -6,53 +6,60 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"rocksmash/internal/batch"
-	"rocksmash/internal/cache"
-	"rocksmash/internal/event"
 	"rocksmash/internal/keys"
-	"rocksmash/internal/manifest"
-	"rocksmash/internal/pcache"
-	"rocksmash/internal/retry"
 	"rocksmash/internal/storage"
 )
 
-// Keyspace sharding: Options.Shards > 1 splits the store into N
-// independent sub-LSMs behind the one DB facade. Each shard is a complete
-// engine — its own memtable stack, eWAL segment stream, flush queue, and
-// compaction scheduler — rooted under a "shard-NNN/" prefix of the local
-// and cloud backends, so shards never contend on each other's commit,
-// rotation, or compaction locks and recover their WALs concurrently at
-// Open. What stays shared and global, owned by the facade:
+// Keyspace sharding: Options.Shards = N runs N engines behind the one DB
+// facade. Each engine is a complete LSM — its own memtable stack, eWAL
+// segment stream, flush queue, and compaction scheduler — so engines never
+// contend on each other's commit, rotation, or compaction locks and
+// recover their WALs concurrently at Open. With N > 1 each engine is rooted
+// under a "shard-NNN/" prefix of the local and cloud backends and allocates
+// file numbers in its own residue class mod N; with N == 1 the one engine
+// sits directly on the caller's backends with dense file numbers, the
+// layout of a store that predates sharding. DESIGN.md §5f tabulates what
+// the facade owns and what each engine owns.
 //
-//   - the in-memory block cache, persistent cache, and table cache
-//     (striped file numbering keeps file numbers globally unique, so the
-//     caches need no shard dimension in their keys; fileNum % Shards
-//     recovers the owning shard for attribution);
-//   - the cloud retry/breaker stack — the cloud endpoint is one
-//     dependency, so an outage observed by any shard fails the others
-//     fast, with state changes fanned out to every shard's drainer;
-//   - the sequence-number source, which keeps one globally ordered
-//     visibility watermark so snapshots and iterators are consistent
-//     across shards.
-//
-// Keys route to shards by a stable hash of the user key; iteration merges
-// the per-shard iterators (disjoint keyspaces, so no deduplication).
+// Keys route to engines by a stable hash of the user key; iteration merges
+// the per-engine iterators (disjoint keyspaces, so no deduplication).
 
 // shardMarkerName is the root-level object recording the shard count. It
 // is written on the first sharded open and verified on every reopen: the
 // shard count is part of the on-disk layout (it determines both the
 // directory shape and the key-to-shard mapping) and cannot change without
-// a rewrite.
+// a rewrite. An unsharded store has no marker.
 const shardMarkerName = "SHARDS"
 
 func shardPrefix(i int) string { return fmt.Sprintf("shard-%03d/", i) }
 
+// enginePrefix is where engine i's objects live under the store's
+// backends: the root itself for an unsharded store.
+func (o Options) enginePrefix(i int) string {
+	if o.Shards == 1 {
+		return ""
+	}
+	return shardPrefix(i)
+}
+
+// prefixed scopes b to prefix; the empty prefix (and a nil backend) pass
+// through unwrapped, so an unsharded store pays nothing per I/O.
+func prefixed(b storage.Backend, prefix string) storage.Backend {
+	if b == nil || prefix == "" {
+		return b
+	}
+	return storage.NewPrefix(b, prefix)
+}
+
 // shardIndex maps a user key to its shard with FNV-1a 64. The mapping
 // must be deterministic across processes and restarts — it decides which
-// shard's LSM holds the key.
+// engine's LSM holds the key.
 func shardIndex(key []byte, n int) int {
+	if n == 1 {
+		return 0
+	}
 	const offset64, prime64 = 14695981039346656037, 1099511628211
 	h := uint64(offset64)
 	for _, c := range key {
@@ -62,241 +69,53 @@ func shardIndex(key []byte, n int) int {
 	return int(h % uint64(n))
 }
 
-func (d *DB) shardFor(key []byte) *DB {
-	return d.shards[shardIndex(key, len(d.shards))]
+func (d *DB) engineFor(key []byte) *engine {
+	return d.engines[shardIndex(key, len(d.engines))]
 }
 
-// checkNotSharded rejects a standalone (Shards <= 1) open of a directory
-// laid out by a sharded store.
-func checkNotSharded(local storage.Backend) error {
+// ensureShardLayout checks that the directory's layout matches n shards,
+// persisting the shard count on the first sharded open. Both mismatches
+// are refused: an unsharded open of a sharded directory would see an empty
+// root, and a sharded open of an unsharded store would silently split the
+// keyspace across empty shards while the old data sat unreachable at the
+// root.
+func ensureShardLayout(local storage.Backend, n int) error {
 	data, err := local.ReadAll(shardMarkerName)
 	if err != nil {
-		return nil
-	}
-	return fmt.Errorf("db: store was created with Shards=%s; reopen with the same shard count",
-		strings.TrimSpace(string(data)))
-}
-
-// ensureShardMarker persists the shard count on first open and verifies
-// it on reopen. A sharded open of an existing unsharded store is refused:
-// the keyspace would silently split across empty shards while the old
-// data sat unreachable at the root.
-func ensureShardMarker(local storage.Backend, n int) error {
-	if data, err := local.ReadAll(shardMarkerName); err == nil {
-		have, perr := strconv.Atoi(strings.TrimSpace(string(data)))
-		if perr != nil {
-			return fmt.Errorf("db: unreadable shard marker %q", string(data))
+		if n == 1 {
+			return nil
 		}
-		if have != n {
-			return fmt.Errorf("db: store has %d shards, opened with Shards=%d", have, n)
+		if _, err := local.ReadAll("CURRENT"); err == nil {
+			return errors.New("db: cannot open an existing unsharded store with Shards > 1")
 		}
-		return nil
+		return storage.WriteObject(local, shardMarkerName, []byte(strconv.Itoa(n)+"\n"))
 	}
-	if _, err := local.ReadAll("CURRENT"); err == nil {
-		return errors.New("db: cannot open an existing unsharded store with Shards > 1")
+	mark := strings.TrimSpace(string(data))
+	if n == 1 {
+		return fmt.Errorf("db: store was created with Shards=%s; reopen with the same shard count", mark)
 	}
-	return storage.WriteObject(local, shardMarkerName, []byte(strconv.Itoa(n)+"\n"))
+	have, perr := strconv.Atoi(mark)
+	if perr != nil {
+		return fmt.Errorf("db: unreadable shard marker %q", string(data))
+	}
+	if have != n {
+		return fmt.Errorf("db: store has %d shards, opened with Shards=%d", have, n)
+	}
+	return nil
 }
 
-// breakerFanout distributes the shared breaker's state changes to every
-// shard's observer (stats mirror + drainer wake-up). Shards register
-// during their (concurrent) opens; fires copy the list under the lock.
-type breakerFanout struct {
-	mu  sync.Mutex
-	fns []func(from, to retry.State)
-}
-
-func (f *breakerFanout) add(fn func(from, to retry.State)) {
-	f.mu.Lock()
-	f.fns = append(f.fns, fn)
-	f.mu.Unlock()
-}
-
-func (f *breakerFanout) fire(from, to retry.State) {
-	f.mu.Lock()
-	fns := make([]func(from, to retry.State), len(f.fns))
-	copy(fns, f.fns)
-	f.mu.Unlock()
-	for _, fn := range fns {
-		fn(from, to)
-	}
-}
-
-// openSharded builds the facade: shared resources first, then every shard
-// opened concurrently against its prefixed slice of the backends.
-func openSharded(opts Options, local, cloud storage.Backend) (*DB, error) {
-	if cloud == nil && opts.Policy != PolicyLocalOnly {
-		return nil, errors.New("db: policy requires a cloud backend")
-	}
-	n := opts.Shards
-	start := time.Now()
-	if err := ensureShardMarker(local, n); err != nil {
-		return nil, err
-	}
-
-	d := &DB{
-		opts:     opts,
-		local:    local,
-		cloud:    cloud,
-		seqs:     newSeqSource(),
-		openedAt: time.Now(),
-	}
-	if cs, ok := storage.BaseBackend(cloud).(*storage.Cloud); ok {
-		d.cloudSim = cs
-	}
-
-	// The facade owns the trace writer; shards receive the merged listener
-	// and no TracePath, so one JSONL stream interleaves every shard's
-	// events.
-	listener := opts.EventListener
-	if opts.TracePath != "" {
-		tw, err := event.CreateTraceRotating(opts.TracePath, opts.TraceRotateBytes, opts.TraceRotateKeep)
-		if err != nil {
-			return nil, fmt.Errorf("db: creating trace: %w", err)
-		}
-		d.trace = tw
-		listener = event.Multi(listener, tw)
-	}
-	// The facade owns the one flight recorder: its ring taps the merged
-	// listener (so it sees every shard's events) and its detector rides the
-	// facade sampler. Shards get FlightRecorder forced off below.
-	if opts.FlightRecorder {
-		d.initFlight(local)
-		listener = event.Multi(listener, d.flight.rec)
-	}
-	d.listener = listener
-
-	d.blockCache = cache.New(opts.BlockCacheBytes)
-	d.lat = newLatencies()
-	d.tables = newTableCache(opts.MaxOpenTables)
-	if err := d.initPCache(); err != nil {
-		return nil, err
-	}
-	d.pcache.Stats().SetKeyspaceShards(n)
-
-	var fanout *breakerFanout
-	if cloud != nil {
-		fanout = &breakerFanout{}
-		userCB := opts.CloudBreaker.OnStateChange
-		d.breaker = retry.NewBreaker(retry.BreakerConfig{
-			FailureThreshold: opts.CloudBreaker.FailureThreshold,
-			Cooldown:         opts.CloudBreaker.Cooldown,
-			OnStateChange: func(from, to retry.State) {
-				fanout.fire(from, to)
-				if userCB != nil {
-					userCB(from, to)
-				}
-			},
-		})
-	}
-	// The local breaker is likewise shared: the shards sit on one disk, so a
-	// device failure observed by any shard should degrade the others fast.
-	localFanout := &breakerFanout{}
-	{
-		userCB := opts.LocalBreaker.OnStateChange
-		d.localBreaker = retry.NewBreaker(retry.BreakerConfig{
-			FailureThreshold: opts.LocalBreaker.FailureThreshold,
-			Cooldown:         opts.LocalBreaker.Cooldown,
-			OnStateChange: func(from, to retry.State) {
-				localFanout.fire(from, to)
-				if userCB != nil {
-					userCB(from, to)
-				}
-			},
-		})
-	}
-
-	child := opts
-	child.EventListener = listener
-	child.TracePath = ""
-	child.FlightRecorder = false
-	child.pcacheDir = ""
-	child.sharedSeqs = d.seqs
-	child.sharedCache = d.blockCache
-	child.sharedPCache = d.pcache
-	child.sharedTables = d.tables
-	child.sharedLat = d.lat
-	child.sharedBreaker = d.breaker
-	child.breakerHooks = fanout
-	child.sharedLocalBreaker = d.localBreaker
-	child.localBreakerHooks = localFanout
-
-	d.shards = make([]*DB, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			co := child
-			co.shardID = i
-			shardLocal := storage.NewPrefix(local, shardPrefix(i))
-			var shardCloud storage.Backend
-			if cloud != nil {
-				shardCloud = storage.NewPrefix(cloud, shardPrefix(i))
-			}
-			d.shards[i], errs[i] = Open(co, shardLocal, shardCloud)
-		}(i)
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		for _, sh := range d.shards {
-			if sh != nil {
-				_ = sh.Close()
-			}
-		}
-		_ = d.pcache.Close()
-		d.tables.close()
-		if d.trace != nil {
-			_ = d.trace.Close()
-		}
-		return nil, err
-	}
-
-	for _, sh := range d.shards {
-		r := sh.recovery
-		d.recovery.WALSegments += r.WALSegments
-		d.recovery.WALSkipped += r.WALSkipped
-		d.recovery.WALRecords += r.WALRecords
-		d.recovery.WALBytes += r.WALBytes
-		d.recovery.RecoveredKeys += r.RecoveredKeys
-	}
-	d.recovery.Parallelism = opts.RecoveryParallelism
-	d.recovery.Duration = time.Since(start)
-	// One sampler for the whole store, on the facade: its snapshot closure
-	// routes through shardMetrics, so every sample is the cross-shard view.
-	// (Shards skip startVitals themselves — see Open.)
-	d.startVitals()
-	return d, nil
-}
-
-// eachShard runs fn on every shard concurrently and joins the errors.
-func (d *DB) eachShard(fn func(*DB) error) error {
-	errs := make([]error, len(d.shards))
-	var wg sync.WaitGroup
-	for i, sh := range d.shards {
-		wg.Add(1)
-		go func(i int, sh *DB) {
-			defer wg.Done()
-			errs[i] = fn(sh)
-		}(i, sh)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
-}
-
-// errMultiShard is the internal sentinel that stops the single-shard scan
-// early once a batch is known to span shards.
+// errMultiShard is the internal sentinel that stops engineOf's scan early
+// once a batch is known to span engines.
 var errMultiShard = errors.New("multi-shard")
 
-// shardWrite routes a batch. The common case — every op hashes to one
-// shard, which covers all Puts and Deletes — passes the batch through
-// unmodified. A batch spanning shards is split into per-shard sub-batches
-// committed concurrently: each sub-batch is atomic and all are applied
-// when Write returns, but a reader racing the write can observe one
-// shard's portion before another's.
-func (d *DB) shardWrite(b *batch.Batch) error {
-	n := len(d.shards)
+// engineOf returns the engine every op of b hashes to, or nil when b spans
+// engines. One engine owns every key, so an unsharded store skips the
+// decoding pass over the batch.
+func (d *DB) engineOf(b *batch.Batch) (*engine, error) {
+	n := len(d.engines)
+	if n == 1 {
+		return d.engines[0], nil
+	}
 	target := -1
 	err := b.Iterate(func(op batch.Op) error {
 		s := shardIndex(op.Key, n)
@@ -309,13 +128,19 @@ func (d *DB) shardWrite(b *batch.Batch) error {
 		}
 		return nil
 	})
-	if err == nil {
-		return d.shards[target].Write(b)
+	if err == errMultiShard {
+		return nil, nil
 	}
-	if err != errMultiShard {
-		return err
+	if err != nil {
+		return nil, err
 	}
+	return d.engines[target], nil
+}
 
+// splitWrite commits a batch that spans engines as per-engine sub-batches,
+// concurrently.
+func (d *DB) splitWrite(b *batch.Batch) error {
+	n := len(d.engines)
 	subs := make([]*batch.Batch, n)
 	if err := b.Iterate(func(op batch.Op) error {
 		s := shardIndex(op.Key, n)
@@ -340,210 +165,9 @@ func (d *DB) shardWrite(b *batch.Batch) error {
 		wg.Add(1)
 		go func(i int, sb *batch.Batch) {
 			defer wg.Done()
-			errs[i] = d.shards[i].Write(sb)
+			errs[i] = d.engines[i].write(sb)
 		}(i, sb)
 	}
 	wg.Wait()
 	return errors.Join(errs...)
-}
-
-// closeSharded closes every shard, then the facade-owned shared state.
-func (d *DB) closeSharded() error {
-	if !d.closed.CompareAndSwap(false, true) {
-		return nil
-	}
-	d.stopVitals()
-	firstErr := d.eachShard(func(sh *DB) error { return sh.Close() })
-	if err := d.pcache.Close(); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	d.tables.close()
-	if d.trace != nil {
-		if err := d.trace.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
-// crashSharded abandons every shard without flushing (see Crash).
-func (d *DB) crashSharded() {
-	if !d.closed.CompareAndSwap(false, true) {
-		return
-	}
-	d.stopVitals()
-	var wg sync.WaitGroup
-	for _, sh := range d.shards {
-		wg.Add(1)
-		go func(sh *DB) {
-			defer wg.Done()
-			sh.Crash()
-		}(sh)
-	}
-	wg.Wait()
-	d.tables.close()
-}
-
-// shardMetrics aggregates the facade view: engine counters sum across
-// shards, shared-resource figures (caches, latencies, breaker, device
-// I/O) are reported once, and Metrics.Shards carries the per-shard
-// attribution.
-func (d *DB) shardMetrics() Metrics {
-	m := Metrics{
-		Policy:     d.opts.Policy.String(),
-		LastSeq:    d.ackedSeq(),
-		MetaBytes:  d.tables.metadataBytes(),
-		PCacheMeta: d.pcache.MetadataBytes(),
-		PCacheUsed: d.pcache.UsedBytes(),
-		PCacheHit:  d.pcache.Stats().HitRatio(),
-		BlockHit:   d.blockCache.HitRatio(),
-
-		GetLat:      summarize(d.lat.get),
-		PutLat:      summarize(d.lat.put),
-		FlushLat:    summarize(d.lat.flush),
-		CompactLat:  summarize(d.lat.compact),
-		LocalGetLat: summarize(d.lat.localGet),
-		LocalPutLat: summarize(d.lat.localPut),
-		CloudGetLat: summarize(d.lat.cloudGet),
-		CloudPutLat: summarize(d.lat.cloudPut),
-	}
-	m.LevelFiles = make([]int, manifest.NumLevels)
-	m.LevelBytes = make([]uint64, manifest.NumLevels)
-	m.LevelWriteAmp = make([]LevelWriteAmp, manifest.NumLevels)
-	for l := range m.LevelWriteAmp {
-		m.LevelWriteAmp[l] = LevelWriteAmp{Level: l, Target: l + 1}
-	}
-	m.Shards = make([]ShardSummary, len(d.shards))
-	pcs := d.pcache.Stats()
-
-	for i, sh := range d.shards {
-		s := ShardSummary{
-			Shard:       i,
-			LastSeq:     sh.lastSeq.Load(),
-			Writes:      sh.stats.Writes.Load(),
-			Reads:       sh.stats.Reads.Load(),
-			Flushes:     sh.stats.Flushes.Load(),
-			Compactions: sh.stats.Compactions.Load(),
-			WriteStalls: sh.stats.WriteStalls.Load(),
-		}
-		v := sh.vs.Current()
-		for l := range v.Levels {
-			m.LevelFiles[l] += len(v.Levels[l])
-			m.LevelBytes[l] += v.LevelSize(l)
-		}
-		v.AllFiles(func(level int, f *manifest.FileMetadata) {
-			s.Files++
-			s.Bytes += int64(f.Size)
-			if f.Tier == storage.TierCloud {
-				m.CloudBytes += int64(f.Size)
-			} else {
-				m.LocalBytes += int64(f.Size)
-			}
-			if f.PendingCloud {
-				s.PendingTables++
-				m.PendingTables++
-				m.PendingBytes += int64(f.Size)
-			}
-			if sh.isMisplaced(level, f) {
-				m.MisplacedTables++
-			}
-		})
-		if i < pcache.ShardBuckets-1 {
-			s.PCacheHits = pcs.ShardHits[i].Load()
-			s.PCacheMisses = pcs.ShardMisses[i].Load()
-		}
-
-		m.Flushes += s.Flushes
-		m.Compactions += s.Compactions
-		m.WriteStalls += s.WriteStalls
-		m.Reads += s.Reads
-		m.Writes += s.Writes
-		m.BytesWritten += sh.stats.BytesWritten.Load()
-		m.CommitGroups += sh.stats.CommitGroups.Load()
-		m.CommitGroupBatches += sh.stats.CommitGroupBatches.Load()
-		m.WALSyncsAmortized += sh.stats.WALSyncsAmortized.Load()
-		m.FlushBytes += sh.stats.FlushBytes.Load()
-		m.UploadRetries += sh.stats.UploadRetries.Load()
-		m.ReadRetries += sh.stats.ReadRetries.Load()
-		m.CompactBytesIn += sh.stats.CompactBytesIn.Load()
-		m.CompactBytesOut += sh.stats.CompactBytesOut.Load()
-		m.CompactDroppedKeys += sh.stats.CompactDroppedKeys.Load()
-		m.PrefetchSpans += sh.stats.PrefetchSpans.Load()
-		m.PrefetchBlocks += sh.stats.PrefetchBlocks.Load()
-		m.ReadaheadSpans += sh.stats.ReadaheadSpans.Load()
-		m.ReadaheadBlocks += sh.stats.ReadaheadBlocks.Load()
-		m.ScanViewHits += sh.stats.ScanViewHits.Load()
-		m.ScanViewMisses += sh.stats.ScanViewMisses.Load()
-		m.ViewBuilds += sh.stats.ViewBuilds.Load()
-		m.ViewBuildBytes += sh.stats.ViewBuildBytes.Load()
-		m.IterKeys += sh.stats.IterKeys.Load()
-		m.DegradedTables += sh.stats.DegradedTables.Load()
-		m.DrainedTables += sh.stats.DrainedTables.Load()
-		m.DeferredDeletes += sh.stats.DeferredDeletes.Load()
-		m.CompactionsDeferred += sh.stats.CompactionsDeferred.Load()
-		m.LocalDegradedTables += sh.stats.LocalDegradedTables.Load()
-		m.LocalDrainedBack += sh.stats.LocalDrainedBack.Load()
-		m.CorruptionsDetected += sh.stats.CorruptionsDetected.Load()
-		m.CorruptionsRepaired += sh.stats.CorruptionsRepaired.Load()
-		m.CorruptionsUnrepaired += sh.stats.CorruptionsUnrepaired.Load()
-		m.ScrubPasses += sh.stats.ScrubPasses.Load()
-		m.MirroredTables += sh.stats.MirroredTables.Load()
-		m.QuarantinedTables += sh.quarantinedCount()
-		if sh.wal != nil {
-			m.WALSpills += sh.wal.Spills()
-			m.WALRestored += sh.wal.Restored()
-		}
-
-		// Per-level compaction attribution and debt sum across shards: each
-		// sub-LSM compacts its own tree, so the store-wide level picture is
-		// the union.
-		for l := range sh.stats.LevelCompact {
-			lc := &sh.stats.LevelCompact[l]
-			m.LevelWriteAmp[l].Count += lc.Count.Load()
-			m.LevelWriteAmp[l].BytesInSource += lc.BytesInSource.Load()
-			m.LevelWriteAmp[l].BytesInTarget += lc.BytesInTarget.Load()
-			m.LevelWriteAmp[l].BytesOut += lc.BytesOut.Load()
-		}
-		m.CompactionDebt += sh.compactionDebt(v)
-
-		m.ReadAmp.add(sh.readAgg.snapshot())
-		m.Shards[i] = s
-	}
-	m.SpaceAmp = spaceAmpOf(m.LevelBytes)
-	m.BlockCacheHits, m.BlockCacheMisses = d.blockCache.Counters()
-	m.PCacheHits = pcs.Hits.Load()
-	m.PCacheMisses = pcs.Misses.Load()
-
-	// Every shard observes every transition of the shared breakers, so the
-	// trip histories are any one shard's counts, not sums.
-	m.BreakerTrips = d.shards[0].stats.BreakerTrips.Load()
-	m.BreakerHalfOpens = d.shards[0].stats.BreakerHalfOpens.Load()
-	if d.breaker != nil {
-		m.BreakerState = d.breaker.State().String()
-		m.DegradedDur = d.breaker.DegradedDur()
-	}
-	m.LocalBreakerTrips = d.shards[0].stats.LocalBreakerTrips.Load()
-	m.LocalBreakerHalfOpens = d.shards[0].stats.LocalBreakerHalfOpens.Load()
-	if d.localBreaker != nil {
-		m.LocalBreakerState = d.localBreaker.State().String()
-		m.LocalDegradedDur = d.localBreaker.DegradedDur()
-	}
-	m.PCacheCorruptReads = pcs.CorruptReads.Load()
-	// Flight counters are facade-owned: the one detector ticks on the
-	// facade's sampler, so these never sum across shards.
-	d.fillFlightMetrics(&m)
-	// The instrumented backends delegate Stats to the shared device, so
-	// any shard's snapshot is the global per-device I/O view.
-	m.LocalIO = d.shards[0].local.Stats().Snapshot()
-	if d.shards[0].cloud != nil {
-		m.CloudIO = d.shards[0].cloud.Stats().Snapshot()
-	}
-	if d.cloudSim != nil {
-		m.CloudCost = d.cloudSim.CostReport()
-	}
-	for b := 0; b < pcache.LevelBuckets; b++ {
-		m.ReadAmp.PCacheLevelHits[b] = pcs.LevelHits[b].Load()
-		m.ReadAmp.PCacheLevelMisses[b] = pcs.LevelMisses[b].Load()
-	}
-	return m
 }

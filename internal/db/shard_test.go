@@ -9,8 +9,11 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"rocksmash/internal/batch"
+	"rocksmash/internal/event"
+	"rocksmash/internal/retry"
 	"rocksmash/internal/storage"
 )
 
@@ -108,6 +111,9 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 	defer four.Close()
 
 	rng := rand.New(rand.NewSource(42))
+	// splits counts the sub-batches the 4-engine store commits beyond the
+	// batches the trace issues (one per extra engine a batch touches).
+	splits := 0
 	apply := func(d *DB) {
 		t.Helper()
 		r := rand.New(rand.NewSource(77))
@@ -120,8 +126,14 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 				}
 			case 1:
 				b := batch.New()
+				touched := map[int]bool{}
 				for j := 0; j < 1+r.Intn(5); j++ {
-					b.Set([]byte(fmt.Sprintf("key%05d", r.Intn(800))), []byte(fmt.Sprintf("b%d-%d", step, j)))
+					bk := []byte(fmt.Sprintf("key%05d", r.Intn(800)))
+					b.Set(bk, []byte(fmt.Sprintf("b%d-%d", step, j)))
+					touched[shardIndex(bk, 4)] = true
+				}
+				if d == four {
+					splits += len(touched) - 1
 				}
 				if err := d.Write(b); err != nil {
 					t.Fatal(err)
@@ -180,6 +192,99 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 		if (e1 == nil) != (e4 == nil) || !bytes.Equal(v1, v4) {
 			t.Fatalf("Get(%s): unsharded (%q,%v) vs sharded (%q,%v)", k, v1, e1, v4, e4)
 		}
+	}
+
+	// The same trace must add up to the same counters however many engines
+	// served it. A batch split across engines carries one more batch header
+	// per extra sub-batch; table bytes differ (four trees cut different
+	// tables), so for those each store must reconcile with itself.
+	m1, m4 := one.Metrics(), four.Metrics()
+	if m1.Writes != m4.Writes || m1.Reads != m4.Reads || m1.IterKeys != m4.IterKeys {
+		t.Errorf("counters differ: 1 engine writes=%d reads=%d iterKeys=%d, 4 engines writes=%d reads=%d iterKeys=%d",
+			m1.Writes, m1.Reads, m1.IterKeys, m4.Writes, m4.Reads, m4.IterKeys)
+	}
+	if want := m1.BytesWritten + int64(splits*batch.New().Size()); m4.BytesWritten != want {
+		t.Errorf("BytesWritten: 4 engines %d, want %d (1 engine %d + %d split headers)",
+			m4.BytesWritten, want, m1.BytesWritten, splits)
+	}
+	if len(m1.Shards) != 0 || len(m4.Shards) != 4 {
+		t.Errorf("Metrics().Shards has %d entries at 1 engine and %d at 4, want 0 and 4", len(m1.Shards), len(m4.Shards))
+	}
+	for _, m := range []Metrics{m1, m4} {
+		var in, out, tables int64
+		for _, lw := range m.LevelWriteAmp {
+			in += lw.BytesInSource + lw.BytesInTarget
+			out += lw.BytesOut
+		}
+		for _, b := range m.LevelBytes {
+			tables += int64(b)
+		}
+		if m.FlushBytes == 0 || in != m.CompactBytesIn || out != m.CompactBytesOut || tables != m.LocalBytes+m.CloudBytes {
+			t.Errorf("%d shards: flush=%d compact in=%d/%d out=%d/%d tables=%d/%d do not reconcile", len(m.Shards),
+				m.FlushBytes, in, m.CompactBytesIn, out, m.CompactBytesOut, tables, m.LocalBytes+m.CloudBytes)
+		}
+	}
+}
+
+// TestShardedBreakerTripsOnce scripts one cloud outage against four
+// engines: the store has one cloud breaker, so the outage is one trip in
+// Metrics, one BreakerState event, and one user callback — not one per
+// engine. The cooldown outlasts the test so no probe re-trips it.
+func TestShardedBreakerTripsOnce(t *testing.T) {
+	dir := t.TempDir()
+	o := shardTestOptions(PolicyCloudOnly, 4)
+	var userOpens atomic.Int64
+	o.CloudBreaker = retry.BreakerConfig{
+		Cooldown: time.Hour,
+		OnStateChange: func(_, to retry.State) {
+			if to == retry.StateOpen {
+				userOpens.Add(1)
+			}
+		},
+	}
+	rec := &event.Recorder{}
+	o.EventListener = rec
+	local, err := storage.NewLocal(filepath.Join(dir, "local"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cloud, err := storage.NewCloud(filepath.Join(dir, "cloud"), o.CloudLatency, o.CloudCost)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faulty := storage.NewFaulty(cloud, storage.FaultConfig{})
+	o.pcacheDir = filepath.Join(dir, "pcache")
+	d, err := Open(o, local, faulty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+
+	faulty.StartOutage(0)
+	for i := 0; i < 400; i++ {
+		mustPut(t, d, fmt.Sprintf("key%04d", i), pipelineValue(i))
+	}
+	if err := d.Flush(); err != nil {
+		t.Fatalf("flush during outage must degrade, not fail: %v", err)
+	}
+	m := d.Metrics()
+	if m.BreakerState != "open" || m.BreakerTrips != 1 {
+		t.Fatalf("breaker %s after %d trips, want open after exactly 1", m.BreakerState, m.BreakerTrips)
+	}
+	if m.DegradedTables < 4 {
+		t.Fatalf("%d degraded tables: the outage should have reached every engine's flush", m.DegradedTables)
+	}
+	if n := userOpens.Load(); n != 1 {
+		t.Errorf("user OnStateChange saw %d opens, want 1", n)
+	}
+	events := 0
+	for _, e := range rec.Events() {
+		if bs, ok := e.Payload.(event.BreakerState); ok && bs.Tier == "cloud" && bs.To == "open" {
+			events++
+		}
+	}
+	if events != 1 {
+		t.Errorf("listener saw %d cloud breaker-open events, want 1", events)
 	}
 }
 
@@ -403,15 +508,61 @@ func TestShardMarkerMismatch(t *testing.T) {
 	}
 }
 
+// TestShardingRejectsExistingUnshardedStore also pins what "unsharded"
+// means now that one engine is the Shards:1 case of the sharded path: the
+// layout and the stats surfaces of a store that predates sharding.
 func TestShardingRejectsExistingUnshardedStore(t *testing.T) {
 	dir := t.TempDir()
-	d, err := OpenAt(dir, testOptions(PolicyLocalOnly))
+	d, err := OpenAt(dir, testOptions(PolicyMash))
 	if err != nil {
 		t.Fatal(err)
 	}
 	mustPut(t, d, "a", "1")
+	if err := d.CompactAll(); err != nil {
+		t.Fatal(err)
+	}
+	mustGet(t, d, "a", "1")
+
+	if n := len(d.Metrics().Shards); n != 0 {
+		t.Errorf("Metrics().Shards has %d entries on a one-engine store, want none", n)
+	}
+	var sections []string
+	for _, line := range strings.Split(d.DumpStats(), "\n") {
+		if strings.HasPrefix(line, "** DB Stats (") {
+			line = "** DB Stats **" // the header carries uptime and interval
+		}
+		if strings.HasPrefix(line, "** ") {
+			sections = append(sections, strings.Trim(line, "* "))
+		}
+	}
+	if got, want := strings.Join(sections, "|"),
+		"DB Stats|Level Shape|Flush & Compaction|Robustness|Latency (cumulative)|Caches|Read Path|Storage I/O"; got != want {
+		t.Errorf("one-engine DumpStats sections:\n got %s\nwant %s", got, want)
+	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
+	}
+
+	// Root-level manifest, WAL and tables; no shard marker, no shard prefix.
+	for _, tier := range []string{"local", "cloud"} {
+		be, err := storage.NewLocal(filepath.Join(dir, tier))
+		if err != nil {
+			t.Fatal(err)
+		}
+		names, err := be.List("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := map[string]bool{}
+		for _, n := range names {
+			if n == shardMarkerName || strings.HasPrefix(n, "shard-") {
+				t.Errorf("%s tier of a one-engine store holds %s", tier, n)
+			}
+			seen[strings.SplitN(n, "/", 2)[0]] = true
+		}
+		if tier == "local" && !(seen["CURRENT"] && seen["wal"] && seen["sst"]) {
+			t.Errorf("local tier root lacks CURRENT, wal/ or sst/: %v", names)
+		}
 	}
 	if _, err := OpenAt(dir, shardTestOptions(PolicyLocalOnly, 4)); err == nil {
 		t.Fatal("opening an existing unsharded store with Shards=4 must fail")

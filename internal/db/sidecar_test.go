@@ -53,7 +53,7 @@ func TestSidecarRebuiltWhenMissing(t *testing.T) {
 		}
 	}
 	// Evict open tables so the next read re-opens them.
-	v := d.vs.Current()
+	v := d.engines[0].vs.Current()
 	v.AllFiles(func(level int, f *manifest.FileMetadata) { d.tables.evict(f.Num) })
 
 	mustGet(t, d, "k00000", "v")

@@ -12,7 +12,8 @@ import (
 	"rocksmash/internal/storage"
 )
 
-// Stats aggregates engine activity counters.
+// Stats aggregates one engine's activity counters. Breaker and flight-
+// recorder histories are the store's and live on the DB facade.
 type Stats struct {
 	Writes       atomic.Int64
 	Reads        atomic.Int64
@@ -31,19 +32,15 @@ type Stats struct {
 
 	UploadRetries       atomic.Int64
 	ReadRetries         atomic.Int64
-	BreakerTrips        atomic.Int64
-	BreakerHalfOpens    atomic.Int64
 	DegradedTables      atomic.Int64 // tables landed locally during outages
 	DrainedTables       atomic.Int64 // pending tables migrated to cloud
 	DeferredDeletes     atomic.Int64 // object deletions queued for retry
 	CompactionsDeferred atomic.Int64 // compactions postponed by an open breaker
 
-	// Local-tier fault-tolerance counters (the self-healing layer): the
-	// local breaker's history, tables landed cloud-direct while the local
-	// tier was degraded and later migrated back, corruption scrub/repair
-	// outcomes, and lazy mirror uploads of local-level tables.
-	LocalBreakerTrips     atomic.Int64
-	LocalBreakerHalfOpens atomic.Int64
+	// Local-tier fault-tolerance counters (the self-healing layer): tables
+	// landed cloud-direct while the local tier was degraded and later
+	// migrated back, corruption scrub/repair outcomes, and lazy mirror
+	// uploads of local-level tables.
 	LocalDegradedTables   atomic.Int64 // tables landed cloud-direct during local degradation
 	LocalDrainedBack      atomic.Int64 // misplaced tables migrated back to local
 	CorruptionsDetected   atomic.Int64 // checksum failures classified on local artifacts
@@ -72,13 +69,6 @@ type Stats struct {
 	ViewBuilds     atomic.Int64
 	ViewBuildBytes atomic.Int64
 	IterKeys       atomic.Int64
-
-	// Flight-recorder counters (facade-level in a sharded store: the
-	// detector runs once, on the facade's vitals tick).
-	IncidentsTriggered  atomic.Int64 // detector rules fired
-	IncidentsSuppressed atomic.Int64 // re-triggers absorbed by per-rule cooldowns
-	BundlesWritten      atomic.Int64 // postmortem bundles committed
-	BundleErrors        atomic.Int64 // bundle dumps that failed
 
 	// LevelCompact attributes compaction traffic to its source level: every
 	// compaction moves level → level+1, so indexing by the source level
@@ -255,25 +245,6 @@ func (l LevelWriteAmp) WriteAmp() float64 {
 		return 0
 	}
 	return float64(l.BytesOut) / float64(l.BytesInSource)
-}
-
-// levelWriteAmp snapshots the per-level compaction counters, always one
-// entry per level (zero-valued where nothing compacted) so consumers can
-// index by level.
-func levelWriteAmp(s *Stats) []LevelWriteAmp {
-	out := make([]LevelWriteAmp, manifest.NumLevels)
-	for l := range out {
-		lc := &s.LevelCompact[l]
-		out[l] = LevelWriteAmp{
-			Level:         l,
-			Target:        l + 1,
-			Count:         lc.Count.Load(),
-			BytesInSource: lc.BytesInSource.Load(),
-			BytesInTarget: lc.BytesInTarget.Load(),
-			BytesOut:      lc.BytesOut.Load(),
-		}
-	}
-	return out
 }
 
 // Metrics is a point-in-time summary for reporting.
@@ -466,7 +437,7 @@ func (m Metrics) WriteAmp() float64 {
 // tree back to its shape invariants: all of L0 once it reaches the
 // compaction trigger, plus each deeper level's overage past its size
 // target.
-func (d *DB) compactionDebt(v *manifest.Version) int64 {
+func (d *engine) compactionDebt(v *manifest.Version) int64 {
 	var debt int64
 	if len(v.Levels[0]) >= d.opts.L0CompactTrigger {
 		debt += int64(v.LevelSize(0))
@@ -498,65 +469,38 @@ func spaceAmpOf(levelBytes []uint64) float64 {
 	return float64(total) / float64(deepest)
 }
 
-// Metrics gathers a summary snapshot.
+// Metrics gathers a summary snapshot: engine counters sum across engines,
+// facade-owned figures (caches, latencies, breakers, device I/O, flight
+// recorder) are read once, and with more than one engine Metrics.Shards
+// carries the per-engine attribution.
 func (d *DB) Metrics() Metrics {
-	if d.shards != nil {
-		return d.shardMetrics()
-	}
-	v := d.vs.Current()
+	pcs := d.pcache.Stats()
 	m := Metrics{
-		Policy:      d.opts.Policy.String(),
-		LastSeq:     d.lastSeq.Load(),
-		MetaBytes:   d.tables.metadataBytes(),
-		PCacheMeta:  d.pcache.MetadataBytes(),
-		PCacheUsed:  d.pcache.UsedBytes(),
-		PCacheHit:   d.pcache.Stats().HitRatio(),
-		BlockHit:    d.blockCache.HitRatio(),
-		LocalIO:     d.local.Stats().Snapshot(),
-		Flushes:     d.stats.Flushes.Load(),
-		Compactions: d.stats.Compactions.Load(),
-		WriteStalls: d.stats.WriteStalls.Load(),
+		Policy:     d.opts.Policy.String(),
+		LastSeq:    d.ackedSeq(),
+		MetaBytes:  d.tables.metadataBytes(),
+		PCacheMeta: d.pcache.MetadataBytes(),
+		PCacheUsed: d.pcache.UsedBytes(),
+		PCacheHit:  pcs.HitRatio(),
+		BlockHit:   d.blockCache.HitRatio(),
+		// Every wrapper delegates Stats to the device underneath, so the
+		// facade's undecorated backends report all engines' I/O.
+		LocalIO: d.local.Stats().Snapshot(),
 
-		Reads:              d.stats.Reads.Load(),
-		Writes:             d.stats.Writes.Load(),
-		BytesWritten:       d.stats.BytesWritten.Load(),
-		CommitGroups:       d.stats.CommitGroups.Load(),
-		CommitGroupBatches: d.stats.CommitGroupBatches.Load(),
-		WALSyncsAmortized:  d.stats.WALSyncsAmortized.Load(),
-		FlushBytes:         d.stats.FlushBytes.Load(),
-		UploadRetries:      d.stats.UploadRetries.Load(),
-		ReadRetries:        d.stats.ReadRetries.Load(),
-		CompactBytesIn:     d.stats.CompactBytesIn.Load(),
-		CompactBytesOut:    d.stats.CompactBytesOut.Load(),
-		CompactDroppedKeys: d.stats.CompactDroppedKeys.Load(),
+		LevelFiles:    make([]int, manifest.NumLevels),
+		LevelBytes:    make([]uint64, manifest.NumLevels),
+		LevelWriteAmp: make([]LevelWriteAmp, manifest.NumLevels),
 
-		PrefetchSpans:   d.stats.PrefetchSpans.Load(),
-		PrefetchBlocks:  d.stats.PrefetchBlocks.Load(),
-		ReadaheadSpans:  d.stats.ReadaheadSpans.Load(),
-		ReadaheadBlocks: d.stats.ReadaheadBlocks.Load(),
+		PCacheHits:         pcs.Hits.Load(),
+		PCacheMisses:       pcs.Misses.Load(),
+		PCacheCorruptReads: pcs.CorruptReads.Load(),
 
-		ScanViewHits:   d.stats.ScanViewHits.Load(),
-		ScanViewMisses: d.stats.ScanViewMisses.Load(),
-		ViewBuilds:     d.stats.ViewBuilds.Load(),
-		ViewBuildBytes: d.stats.ViewBuildBytes.Load(),
-		IterKeys:       d.stats.IterKeys.Load(),
-
-		BreakerTrips:        d.stats.BreakerTrips.Load(),
-		BreakerHalfOpens:    d.stats.BreakerHalfOpens.Load(),
-		DegradedTables:      d.stats.DegradedTables.Load(),
-		DrainedTables:       d.stats.DrainedTables.Load(),
-		DeferredDeletes:     d.stats.DeferredDeletes.Load(),
-		CompactionsDeferred: d.stats.CompactionsDeferred.Load(),
-
-		LocalBreakerTrips:     d.stats.LocalBreakerTrips.Load(),
-		LocalBreakerHalfOpens: d.stats.LocalBreakerHalfOpens.Load(),
-		LocalDegradedTables:   d.stats.LocalDegradedTables.Load(),
-		LocalDrainedBack:      d.stats.LocalDrainedBack.Load(),
-		CorruptionsDetected:   d.stats.CorruptionsDetected.Load(),
-		CorruptionsRepaired:   d.stats.CorruptionsRepaired.Load(),
-		CorruptionsUnrepaired: d.stats.CorruptionsUnrepaired.Load(),
-		ScrubPasses:           d.stats.ScrubPasses.Load(),
-		MirroredTables:        d.stats.MirroredTables.Load(),
+		BreakerTrips:          d.cloudTrips.trips.Load(),
+		BreakerHalfOpens:      d.cloudTrips.halfOpens.Load(),
+		LocalBreakerTrips:     d.localTrips.trips.Load(),
+		LocalBreakerHalfOpens: d.localTrips.halfOpens.Load(),
+		LocalBreakerState:     d.localBreaker.State().String(),
+		LocalDegradedDur:      d.localBreaker.DegradedDur(),
 
 		GetLat:      summarize(d.lat.get),
 		PutLat:      summarize(d.lat.put),
@@ -567,41 +511,10 @@ func (d *DB) Metrics() Metrics {
 		CloudGetLat: summarize(d.lat.cloudGet),
 		CloudPutLat: summarize(d.lat.cloudPut),
 	}
-	for l := range v.Levels {
-		m.LevelFiles = append(m.LevelFiles, len(v.Levels[l]))
-		m.LevelBytes = append(m.LevelBytes, v.LevelSize(l))
-	}
-	m.LevelWriteAmp = levelWriteAmp(&d.stats)
-	m.CompactionDebt = d.compactionDebt(v)
-	m.SpaceAmp = spaceAmpOf(m.LevelBytes)
 	m.BlockCacheHits, m.BlockCacheMisses = d.blockCache.Counters()
-	v.AllFiles(func(level int, f *manifest.FileMetadata) {
-		if f.Tier == storage.TierCloud {
-			m.CloudBytes += int64(f.Size)
-		} else {
-			m.LocalBytes += int64(f.Size)
-		}
-		if f.PendingCloud {
-			m.PendingTables++
-			m.PendingBytes += int64(f.Size)
-		}
-		if d.isMisplaced(level, f) {
-			m.MisplacedTables++
-		}
-	})
 	if d.breaker != nil {
 		m.BreakerState = d.breaker.State().String()
 		m.DegradedDur = d.breaker.DegradedDur()
-	}
-	if d.localBreaker != nil {
-		m.LocalBreakerState = d.localBreaker.State().String()
-		m.LocalDegradedDur = d.localBreaker.DegradedDur()
-	}
-	m.QuarantinedTables = d.quarantinedCount()
-	d.fillFlightMetrics(&m)
-	if d.wal != nil {
-		m.WALSpills = d.wal.Spills()
-		m.WALRestored = d.wal.Restored()
 	}
 	if d.cloud != nil {
 		m.CloudIO = d.cloud.Stats().Snapshot()
@@ -609,11 +522,113 @@ func (d *DB) Metrics() Metrics {
 	if d.cloudSim != nil {
 		m.CloudCost = d.cloudSim.CostReport()
 	}
-	m.ReadAmp = d.readAgg.snapshot()
-	pcs := d.pcache.Stats()
-	m.PCacheHits = pcs.Hits.Load()
-	m.PCacheMisses = pcs.Misses.Load()
-	m.PCacheCorruptReads = pcs.CorruptReads.Load()
+	if d.pcacheIndexHealed {
+		m.CorruptionsDetected++
+		m.CorruptionsRepaired++
+	}
+	d.fillFlightMetrics(&m)
+	for l := range m.LevelWriteAmp {
+		m.LevelWriteAmp[l] = LevelWriteAmp{Level: l, Target: l + 1}
+	}
+	if len(d.engines) > 1 {
+		m.Shards = make([]ShardSummary, len(d.engines))
+	}
+
+	for i, e := range d.engines {
+		st := &e.stats
+		s := ShardSummary{
+			Shard:       i,
+			LastSeq:     e.lastSeq.Load(),
+			Writes:      st.Writes.Load(),
+			Reads:       st.Reads.Load(),
+			Flushes:     st.Flushes.Load(),
+			Compactions: st.Compactions.Load(),
+			WriteStalls: st.WriteStalls.Load(),
+		}
+		v := e.vs.Current()
+		for l := range v.Levels {
+			m.LevelFiles[l] += len(v.Levels[l])
+			m.LevelBytes[l] += v.LevelSize(l)
+		}
+		v.AllFiles(func(level int, f *manifest.FileMetadata) {
+			s.Files++
+			s.Bytes += int64(f.Size)
+			if f.Tier == storage.TierCloud {
+				m.CloudBytes += int64(f.Size)
+			} else {
+				m.LocalBytes += int64(f.Size)
+			}
+			if f.PendingCloud {
+				s.PendingTables++
+				m.PendingTables++
+				m.PendingBytes += int64(f.Size)
+			}
+			if e.isMisplaced(level, f) {
+				m.MisplacedTables++
+			}
+		})
+		if i < pcache.ShardBuckets-1 {
+			s.PCacheHits = pcs.ShardHits[i].Load()
+			s.PCacheMisses = pcs.ShardMisses[i].Load()
+		}
+
+		m.Flushes += s.Flushes
+		m.Compactions += s.Compactions
+		m.WriteStalls += s.WriteStalls
+		m.Reads += s.Reads
+		m.Writes += s.Writes
+		m.BytesWritten += st.BytesWritten.Load()
+		m.CommitGroups += st.CommitGroups.Load()
+		m.CommitGroupBatches += st.CommitGroupBatches.Load()
+		m.WALSyncsAmortized += st.WALSyncsAmortized.Load()
+		m.FlushBytes += st.FlushBytes.Load()
+		m.UploadRetries += st.UploadRetries.Load()
+		m.ReadRetries += st.ReadRetries.Load()
+		m.CompactBytesIn += st.CompactBytesIn.Load()
+		m.CompactBytesOut += st.CompactBytesOut.Load()
+		m.CompactDroppedKeys += st.CompactDroppedKeys.Load()
+		m.PrefetchSpans += st.PrefetchSpans.Load()
+		m.PrefetchBlocks += st.PrefetchBlocks.Load()
+		m.ReadaheadSpans += st.ReadaheadSpans.Load()
+		m.ReadaheadBlocks += st.ReadaheadBlocks.Load()
+		m.ScanViewHits += st.ScanViewHits.Load()
+		m.ScanViewMisses += st.ScanViewMisses.Load()
+		m.ViewBuilds += st.ViewBuilds.Load()
+		m.ViewBuildBytes += st.ViewBuildBytes.Load()
+		m.IterKeys += st.IterKeys.Load()
+		m.DegradedTables += st.DegradedTables.Load()
+		m.DrainedTables += st.DrainedTables.Load()
+		m.DeferredDeletes += st.DeferredDeletes.Load()
+		m.CompactionsDeferred += st.CompactionsDeferred.Load()
+		m.LocalDegradedTables += st.LocalDegradedTables.Load()
+		m.LocalDrainedBack += st.LocalDrainedBack.Load()
+		m.CorruptionsDetected += st.CorruptionsDetected.Load()
+		m.CorruptionsRepaired += st.CorruptionsRepaired.Load()
+		m.CorruptionsUnrepaired += st.CorruptionsUnrepaired.Load()
+		m.ScrubPasses += st.ScrubPasses.Load()
+		m.MirroredTables += st.MirroredTables.Load()
+		m.QuarantinedTables += e.quarantinedCount()
+		m.WALSpills += e.wal.Spills()
+		m.WALRestored += e.wal.Restored()
+
+		// Per-level compaction attribution and debt sum across engines:
+		// each compacts its own tree, so the store-wide level picture is
+		// the union.
+		for l := range st.LevelCompact {
+			lc := &st.LevelCompact[l]
+			m.LevelWriteAmp[l].Count += lc.Count.Load()
+			m.LevelWriteAmp[l].BytesInSource += lc.BytesInSource.Load()
+			m.LevelWriteAmp[l].BytesInTarget += lc.BytesInTarget.Load()
+			m.LevelWriteAmp[l].BytesOut += lc.BytesOut.Load()
+		}
+		m.CompactionDebt += e.compactionDebt(v)
+
+		m.ReadAmp.add(e.readAgg.snapshot())
+		if m.Shards != nil {
+			m.Shards[i] = s
+		}
+	}
+	m.SpaceAmp = spaceAmpOf(m.LevelBytes)
 	for b := 0; b < pcache.LevelBuckets; b++ {
 		m.ReadAmp.PCacheLevelHits[b] = pcs.LevelHits[b].Load()
 		m.ReadAmp.PCacheLevelMisses[b] = pcs.LevelMisses[b].Load()
@@ -621,11 +636,24 @@ func (d *DB) Metrics() Metrics {
 	return m
 }
 
-// EngineStats exposes the raw counters.
-func (d *DB) EngineStats() *Stats { return &d.stats }
-
-// RecoveryReport returns what the last Open recovered.
-func (d *DB) RecoveryReport() RecoveryReport { return d.recovery }
+// RecoveryReport returns what the last Open recovered: the engines' replay
+// counts summed, and the slowest engine's replay time (engines recover
+// concurrently).
+func (d *DB) RecoveryReport() RecoveryReport {
+	rep := RecoveryReport{Parallelism: d.opts.RecoveryParallelism}
+	for _, e := range d.engines {
+		r := e.recovery
+		rep.WALSegments += r.WALSegments
+		rep.WALSkipped += r.WALSkipped
+		rep.WALRecords += r.WALRecords
+		rep.WALBytes += r.WALBytes
+		rep.RecoveredKeys += r.RecoveredKeys
+		if r.Duration > rep.Duration {
+			rep.Duration = r.Duration
+		}
+	}
+	return rep
+}
 
 // PCacheStats exposes the persistent-cache counters (for experiments).
 func (d *DB) PCacheStats() (hitRatio float64, metaBytes, usedBytes int64) {

@@ -20,11 +20,10 @@ import (
 type tableHandle struct {
 	reader *sstable.Reader
 	tier   storage.Tier
-	// db is the DB that owns the file (the keyspace shard, in a sharded
-	// store): its backends serve block reads and its options shape the
-	// fetch path. The cache itself is shard-agnostic — striped file
-	// numbering keeps file numbers globally unique.
-	db *DB
+	// db is the engine that owns the file: its backends serve block reads.
+	// The cache itself is engine-agnostic — file numbers are unique across
+	// the store's engines.
+	db *engine
 	ra raState // sequential-scan readahead detection (cloud tables)
 
 	mu    sync.Mutex
@@ -106,9 +105,9 @@ func (tc *tableCache) enforceCapLocked() {
 }
 
 // get opens (or reuses) the table and returns a referenced handle. d is
-// the DB that owns the file; in a sharded store every shard shares one
-// cache, so the open-table budget is global.
-func (tc *tableCache) get(d *DB, meta *manifest.FileMetadata) (*tableHandle, error) {
+// the engine that owns the file; every engine shares the one cache, so the
+// open-table budget is global.
+func (tc *tableCache) get(d *engine, meta *manifest.FileMetadata) (*tableHandle, error) {
 	tc.mu.Lock()
 	if h, ok := tc.tables[meta.Num]; ok {
 		h.mu.Lock()
@@ -170,7 +169,7 @@ func (tc *tableCache) get(d *DB, meta *manifest.FileMetadata) (*tableHandle, err
 }
 
 // open performs one open attempt against the table's backend.
-func (tc *tableCache) open(d *DB, meta *manifest.FileMetadata) (*sstable.Reader, error) {
+func (tc *tableCache) open(d *engine, meta *manifest.FileMetadata) (*sstable.Reader, error) {
 	be := d.backendFor(meta.Tier)
 	f, err := be.Open(manifest.TableName(meta.Num))
 	if err != nil {
@@ -367,7 +366,7 @@ func (tc *tableCache) close() {
 // overlayMetadata wraps a cloud table's reader with its locally stored
 // metadata tail. A missing or unreadable sidecar is rebuilt from the cloud
 // copy (crash between upload and sidecar write) and re-persisted.
-func (d *DB) overlayMetadata(f storage.Reader, meta *manifest.FileMetadata) (storage.Reader, error) {
+func (d *engine) overlayMetadata(f storage.Reader, meta *manifest.FileMetadata) (storage.Reader, error) {
 	tailOff, tail, err := d.readMetaSidecar(meta.Num)
 	if err != nil {
 		tailOff, tail, err = sstable.MetaTail(f)

@@ -28,8 +28,8 @@ func TestTableCacheBoundsOpenFiles(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if d.vs.Current().NumFiles() < 20 {
-		t.Fatalf("fixture built only %d tables", d.vs.Current().NumFiles())
+	if d.engines[0].vs.Current().NumFiles() < 20 {
+		t.Fatalf("fixture built only %d tables", d.engines[0].vs.Current().NumFiles())
 	}
 	// Touch every table via reads.
 	for round := 0; round < 30; round++ {

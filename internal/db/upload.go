@@ -17,7 +17,7 @@ import (
 // wait must be called (and return nil) before the outputs are installed in
 // the manifest, so installation stays atomic.
 type uploader struct {
-	d    *DB
+	d    *engine
 	warm bool
 	sem  chan struct{}
 	wg   sync.WaitGroup
@@ -35,7 +35,7 @@ type uploader struct {
 // dur returns the summed upload wall time recorded so far.
 func (u *uploader) dur() time.Duration { return time.Duration(u.ns.Load()) }
 
-func (d *DB) newUploader(parallelism int, warm bool) *uploader {
+func (d *engine) newUploader(parallelism int, warm bool) *uploader {
 	if parallelism < 1 {
 		parallelism = 1
 	}

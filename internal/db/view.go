@@ -42,7 +42,7 @@ type viewRegistry struct {
 // viewFor returns the level's sorted view when one matching the exact
 // current member set is installed, else nil — scheduling a background
 // (re)build at most once per fingerprint.
-func (d *DB) viewFor(level int, files []*manifest.FileMetadata) *sstable.View {
+func (d *engine) viewFor(level int, files []*manifest.FileMetadata) *sstable.View {
 	if d.opts.DisableSortedViews || level == 0 || len(files) == 0 {
 		return nil
 	}
@@ -70,7 +70,7 @@ func (d *DB) viewFor(level int, files []*manifest.FileMetadata) *sstable.View {
 // matching one survives on disk, otherwise rebuild from the members' pinned
 // indexes and persist. Runs on its own goroutine; failures leave the level
 // on the plain merge path (a later scan retries).
-func (d *DB) buildView(level int, fp uint64, files []*manifest.FileMetadata) {
+func (d *engine) buildView(level int, fp uint64, files []*manifest.FileMetadata) {
 	defer d.viewWG.Done()
 	name := manifest.ViewName(level, fp)
 	start := time.Now()
@@ -115,7 +115,7 @@ func (d *DB) buildView(level int, fp uint64, files []*manifest.FileMetadata) {
 // finishView installs the build result, unless the level has been retaken
 // by a newer fingerprint in the meantime. A nil view (failed build) drops
 // the slot so a later scan can retry.
-func (d *DB) finishView(level int, fp uint64, v *sstable.View) {
+func (d *engine) finishView(level int, fp uint64, v *sstable.View) {
 	d.views.mu.Lock()
 	if lv := d.views.levels[level]; lv != nil && lv.fp == fp {
 		if v == nil {
@@ -131,7 +131,7 @@ func (d *DB) finishView(level int, fp uint64, v *sstable.View) {
 // loadViewObject decodes a persisted view sidecar, validating that it
 // still describes exactly this member set. Any mismatch or damage reads as
 // "absent" — views are rebuildable.
-func (d *DB) loadViewObject(name string, level int, files []*manifest.FileMetadata) *sstable.View {
+func (d *engine) loadViewObject(name string, level int, files []*manifest.FileMetadata) *sstable.View {
 	data, err := d.local.ReadAll(name)
 	if err != nil {
 		return nil
@@ -149,7 +149,7 @@ func (d *DB) loadViewObject(name string, level int, files []*manifest.FileMetada
 }
 
 // sweepStaleViews deletes this level's superseded view objects.
-func (d *DB) sweepStaleViews(level int, keep uint64) {
+func (d *engine) sweepStaleViews(level int, keep uint64) {
 	names, err := d.local.List(manifest.ViewPrefix)
 	if err != nil {
 		return
@@ -165,7 +165,7 @@ func (d *DB) sweepStaleViews(level int, keep uint64) {
 // the just-installed version and deletes their sidecars. The next scan of
 // an invalidated level falls back to the plain merge and schedules a
 // rebuild.
-func (d *DB) invalidateViews(v *manifest.Version, levels ...int) {
+func (d *engine) invalidateViews(v *manifest.Version, levels ...int) {
 	if d.opts.DisableSortedViews {
 		return
 	}
@@ -190,7 +190,7 @@ func (d *DB) invalidateViews(v *manifest.Version, levels ...int) {
 // stopViewBuilders bars new builds and drains in-flight ones. Called from
 // Close/Crash after the background loops stop and before the table cache
 // is torn down (builders hold table handles).
-func (d *DB) stopViewBuilders() {
+func (d *engine) stopViewBuilders() {
 	d.views.mu.Lock()
 	d.views.closing = true
 	d.views.mu.Unlock()
@@ -198,16 +198,21 @@ func (d *DB) stopViewBuilders() {
 }
 
 // BuildViews synchronously materializes the sorted view of every eligible
-// level (and every shard), so tests and harnesses can pin the fast path
+// level of every engine, so tests and harnesses can pin the fast path
 // instead of racing the lazy background rebuild. No-op when views are
 // disabled.
 func (d *DB) BuildViews() error {
-	if d.shards != nil {
-		return d.eachShard(func(sh *DB) error { return sh.BuildViews() })
-	}
 	if d.opts.DisableSortedViews || d.closed.Load() {
 		return nil
 	}
+	return d.eachEngine(func(e *engine) error {
+		e.buildViews()
+		return nil
+	})
+}
+
+// buildViews kicks the build of every stale level and waits them out.
+func (d *engine) buildViews() {
 	v := d.vs.Current()
 	for lvl := 1; lvl < manifest.NumLevels; lvl++ {
 		d.viewFor(lvl, v.Levels[lvl])
@@ -220,7 +225,7 @@ func (d *DB) BuildViews() error {
 		}
 		d.views.mu.Unlock()
 		if !building {
-			return nil
+			return
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -257,7 +262,7 @@ type viewPrefetch struct {
 // multi-block spans along the schedule and pipeline the next span while
 // the current one is consumed.
 type viewIter struct {
-	db        *DB
+	db        *engine
 	v         *sstable.View
 	files     []*manifest.FileMetadata // files[i].Num == v.Members[i]
 	handles   []*tableHandle           // lazily opened, held until Close
@@ -271,7 +276,7 @@ type viewIter struct {
 	err       error
 }
 
-func newViewIter(d *DB, v *sstable.View, files []*manifest.FileMetadata) *viewIter {
+func newViewIter(d *engine, v *sstable.View, files []*manifest.FileMetadata) *viewIter {
 	return &viewIter{
 		db:      d,
 		v:       v,

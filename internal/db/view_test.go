@@ -72,7 +72,7 @@ func TestViewBuildAndPersist(t *testing.T) {
 	if len(names) == 0 {
 		t.Fatal("no view sidecars persisted")
 	}
-	cur := d.vs.Current()
+	cur := d.engines[0].vs.Current()
 	for _, n := range names {
 		level, fp, ok := manifest.ParseViewName(n)
 		if !ok {
@@ -189,7 +189,7 @@ func TestViewInvalidationOnCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cur := d.vs.Current()
+	cur := d.engines[0].vs.Current()
 	for _, n := range listViews(t, d) {
 		level, fp, ok := manifest.ParseViewName(n)
 		if !ok {
@@ -355,7 +355,7 @@ func TestViewCrashSweep(t *testing.T) {
 			defer d2.Close()
 
 			// Surviving sidecars must match the recovered manifest.
-			cur := d2.vs.Current()
+			cur := d2.engines[0].vs.Current()
 			if names, lerr := d2.local.List(manifest.ViewPrefix); lerr == nil {
 				for _, n := range names {
 					level, fp, ok := manifest.ParseViewName(n)

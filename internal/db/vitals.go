@@ -7,12 +7,12 @@ import (
 	"rocksmash/internal/vitals"
 )
 
-// Vitals bridges the engine to the internal/vitals time-series sampler:
-// when Options.VitalsInterval > 0, the DB (or the facade, in a sharded
-// store) runs one background sampler whose snapshot closure condenses
-// Metrics() into a vitals.Sample. With the interval at 0 (the default)
-// nothing starts: d.vit stays nil, Vitals() returns nil, and the write
-// and read hot paths never see a vitals instruction.
+// Vitals bridges the store to the internal/vitals time-series sampler:
+// when Options.VitalsInterval > 0, the DB runs one background sampler
+// whose snapshot closure condenses Metrics() into a vitals.Sample. With
+// the interval at 0 (the default) nothing starts: d.vit stays nil,
+// Vitals() returns nil, and the write and read hot paths never see a
+// vitals instruction.
 
 // Vitals returns the time-series sampler, or nil when
 // Options.VitalsInterval is 0. The sampler remains readable (but frozen)
