@@ -446,7 +446,7 @@ func BenchmarkTab4Reliability(b *testing.B) {
 
 // loadColdDir builds a directory holding several uncompacted cloud-tier L0
 // tables, so a reopen can drive (and time) one large compaction or a cold
-// scan under chosen I/O pipeline knobs.
+// scan.
 func loadColdDir(b *testing.B, records int) string {
 	b.Helper()
 	dir := b.TempDir()
@@ -472,95 +472,75 @@ func loadColdDir(b *testing.B, records int) string {
 	return dir
 }
 
-// BenchmarkPipelinedCompaction times one cloud-tier compaction pass with
-// the I/O pipeline off (serial block GETs, serial uploads) and on
-// (prefetched span GETs, overlapped uploads).
+// BenchmarkPipelinedCompaction times one cloud-tier compaction pass: span
+// GETs over the inputs, uploads overlapped with the merge.
 func BenchmarkPipelinedCompaction(b *testing.B) {
 	const records = 8000
-	variants := []struct {
-		name               string
-		prefetch, parallel int
-	}{
-		{"serial", 0, 1},
-		{"pipelined", 16, 4},
-	}
-	for _, v := range variants {
-		b.Run(v.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				dir := loadColdDir(b, records)
-				o := benchOptions(rocksmash.PolicyCloudOnly)
-				o.CompactionPrefetchBlocks = v.prefetch
-				o.UploadParallelism = v.parallel
-				d, err := rocksmash.Open(dir, &o)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				if err := d.CompactAll(); err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-				if err := d.Close(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		dir := loadColdDir(b, records)
+		o := benchOptions(rocksmash.PolicyCloudOnly)
+		d, err := rocksmash.Open(dir, &o)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if err := d.CompactAll(); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if err := d.Close(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 // BenchmarkColdScan times a full scan of a cloud-resident tree through a
-// cold block cache, without and with iterator readahead.
+// cold block cache, along the levels' sorted views.
 func BenchmarkColdScan(b *testing.B) {
 	const records = 8000
-	for _, ra := range []int{0, 16} {
-		name := "serial"
-		if ra > 0 {
-			name = fmt.Sprintf("readahead%d", ra)
+	dir := loadColdDir(b, records)
+	o := benchOptions(rocksmash.PolicyCloudOnly)
+	{
+		d, err := rocksmash.Open(dir, &o)
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			dir := loadColdDir(b, records)
-			o := benchOptions(rocksmash.PolicyCloudOnly)
-			o.IteratorReadaheadBlocks = ra
-			{
-				d, err := rocksmash.Open(dir, &o)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := d.CompactAll(); err != nil {
-					b.Fatal(err)
-				}
-				if err := d.Close(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				d, err := rocksmash.Open(dir, &o) // reopen: caches start cold
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				it, err := d.NewIterator()
-				if err != nil {
-					b.Fatal(err)
-				}
-				n := 0
-				for it.First(); it.Valid(); it.Next() {
-					n++
-				}
-				if err := it.Close(); err != nil {
-					b.Fatal(err)
-				}
-				if n != records {
-					b.Fatalf("scanned %d records, want %d", n, records)
-				}
-				b.StopTimer()
-				if err := d.Close(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+		if err := d.CompactAll(); err != nil {
+			b.Fatal(err)
+		}
+		if err := d.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		d, err := rocksmash.Open(dir, &o) // reopen: caches start cold
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := d.BuildViews(); err != nil { // else the first scan takes the plain merge
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		it, err := d.NewIterator()
+		if err != nil {
+			b.Fatal(err)
+		}
+		n := 0
+		for it.First(); it.Valid(); it.Next() {
+			n++
+		}
+		if err := it.Close(); err != nil {
+			b.Fatal(err)
+		}
+		if n != records {
+			b.Fatalf("scanned %d records, want %d", n, records)
+		}
+		b.StopTimer()
+		if err := d.Close(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

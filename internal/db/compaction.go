@@ -2,12 +2,14 @@ package db
 
 import (
 	"bytes"
+	"sort"
 	"sync/atomic"
 	"time"
 
 	"rocksmash/internal/event"
 	"rocksmash/internal/keys"
 	"rocksmash/internal/manifest"
+	"rocksmash/internal/readprof"
 	"rocksmash/internal/sstable"
 	"rocksmash/internal/storage"
 )
@@ -123,6 +125,65 @@ func (d *engine) isBaseLevelForRange(c *compaction, lo, hi []byte) bool {
 	return true
 }
 
+// openInputs opens the merge's input tables, one iterator each. A
+// local-tier input reads block by block through the scan-resistant ladder.
+// A cloud-tier input reads its data blocks, in file order, through a
+// spanReader with a private buffer (see span.go); the readers of one
+// compaction share a budget of compactionGETs, and a block outside a
+// reader's schedule falls back to the ladder. drain waits out the span GETs
+// in flight. readNS, when non-nil, accumulates the time the merge spends
+// blocked on reads.
+func (d *engine) openInputs(files []*manifest.FileMetadata, readNS *atomic.Int64) (children []internalIterator, drain func(), err error) {
+	gets := make(chan struct{}, compactionGETs)
+	var readers []*spanReader
+	for _, f := range files {
+		h, err := d.tables.get(d, f)
+		if err != nil {
+			for _, ch := range children {
+				ch.Close()
+			}
+			return nil, nil, err
+		}
+		fetch := d.tables.compactionFetchFor(h)
+		if f.Tier == storage.TierCloud {
+			// An unreadable block index will fail the merge too; let the
+			// single-block path surface the error.
+			if hs, herr := h.reader.DataHandles(); herr == nil {
+				sr := &spanReader{
+					sched: make([]sstable.ViewEntry, len(hs)), tables: h, gets: gets,
+					spans: &d.stats.PrefetchSpans, blocks: &d.stats.PrefetchBlocks,
+				}
+				for i, bh := range hs {
+					sr.sched[i].H = bh
+				}
+				readers = append(readers, sr)
+				fetch = scheduledFetch(sr, fetch)
+			}
+		}
+		if readNS != nil {
+			fetch = timedFetch(fetch, readNS)
+		}
+		children = append(children, &tableIter{h: h, it: h.reader.NewIterWithFetch(fetch)})
+	}
+	return children, func() {
+		for _, sr := range readers {
+			sr.drain()
+		}
+	}, nil
+}
+
+// scheduledFetch serves the blocks on sr's single-table schedule from its
+// spans and any other block through fallback.
+func scheduledFetch(sr *spanReader, fallback sstable.FetchFunc) sstable.FetchFunc {
+	return func(fileNum uint64, hd sstable.Handle, prof *readprof.Profile) ([]byte, error) {
+		i := sort.Search(len(sr.sched), func(i int) bool { return sr.sched[i].H.Offset >= hd.Offset })
+		if i == len(sr.sched) || sr.sched[i].H != hd {
+			return fallback(fileNum, hd, prof)
+		}
+		return sr.get(i)
+	}
+}
+
 // doCompaction merges c's inputs into the output level, applying the
 // paper's placement rule for the output tier and the compaction-aware
 // persistent-cache transitions (heat inheritance, whole-file drops).
@@ -158,49 +219,15 @@ func (d *engine) doCompaction(c *compaction) error {
 		})
 	}
 
-	// Build the merged input iterator, pipelining cloud-tier block reads
-	// through span prefetchers when CompactionPrefetchBlocks is enabled.
-	var (
-		children []internalIterator
-		pool     *prefetchPool
-	)
-	for _, f := range all {
-		h, err := d.tables.get(d, f)
-		if err != nil {
-			if pool != nil {
-				pool.close()
-			}
-			for _, ch := range children {
-				ch.Close()
-			}
-			return err
-		}
-		var fetch sstable.FetchFunc
-		if d.opts.CompactionPrefetchBlocks > 1 && f.Tier == storage.TierCloud {
-			if pool == nil {
-				pool = newPrefetchPool()
-			}
-			if pf, perr := newTablePrefetcher(h.reader, pool, d.opts.CompactionPrefetchBlocks, &d.stats); perr == nil {
-				fetch = d.tables.prefetchFetchFor(h, pf)
-			}
-			// An unreadable block index will fail the merge too; let the
-			// unpipelined path surface the error.
-		}
-		if fetch == nil {
-			fetch = d.tables.compactionFetchFor(h)
-		}
-		if readNS != nil {
-			fetch = timedFetch(fetch, readNS)
-		}
-		children = append(children, &tableIter{h: h, it: h.reader.NewIterWithFetch(fetch)})
+	children, drain, err := d.openInputs(all, readNS)
+	if err != nil {
+		return err
 	}
 	merged := newMergingIter(children...)
 	defer merged.Close()
-	if pool != nil {
-		// Deferred after merged.Close so it runs first: in-flight span
-		// fetches must drain before table references are released.
-		defer pool.close()
-	}
+	// Deferred after merged.Close so it runs first: span GETs in flight must
+	// land before the table references are released.
+	defer drain()
 
 	// Finished outputs are handed to the upload pool as they complete, so
 	// uploads overlap the remaining merge work; wait gathers them before
@@ -208,7 +235,7 @@ func (d *engine) doCompaction(c *compaction) error {
 	// failure so an aborted compaction leaves no orphans behind.
 	warm := d.opts.Policy == PolicyMash && d.opts.CompactionInheritance &&
 		outTier == storage.TierCloud && inputHeat > 0
-	up := d.newUploader(d.opts.UploadParallelism, warm)
+	up := d.newUploader(warm)
 	fail := func(err error) error {
 		up.abort()
 		return err

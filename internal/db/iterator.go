@@ -53,12 +53,6 @@ func newTableIter(h *tableHandle) *tableIter {
 	return &tableIter{h: h, it: h.reader.NewIter()}
 }
 
-// newCompactionTableIter reads through the caches without admitting
-// blocks, so bulk merges do not evict the hot set.
-func newCompactionTableIter(h *tableHandle, tc *tableCache) *tableIter {
-	return &tableIter{h: h, it: h.reader.NewIterWithFetch(tc.compactionFetchFor(h))}
-}
-
 func (t *tableIter) First()             { t.it.First() }
 func (t *tableIter) Last()              { t.it.Last() }
 func (t *tableIter) SeekGE(ikey []byte) { t.it.SeekGE(ikey) }

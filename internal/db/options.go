@@ -85,25 +85,6 @@ type Options struct {
 	// the Fig. 10 ablation.
 	CompactionInheritance bool
 
-	// CompactionPrefetchBlocks coalesces data-block reads of cloud-tier
-	// compaction inputs: a prefetcher walks each input's block index ahead
-	// of the merge iterator and issues range GETs of up to this many blocks
-	// into a lookahead buffer, hiding per-request first-byte latency.
-	// <= 1 disables prefetch (each block is its own GET, today's behavior).
-	CompactionPrefetchBlocks int
-	// UploadParallelism is the number of compaction output tables uploaded
-	// concurrently, overlapped with the ongoing merge. <= 1 uploads
-	// serially on the compaction goroutine (today's behavior).
-	UploadParallelism int
-	// IteratorReadaheadBlocks escalates sequential scans over cloud-tier
-	// tables to multi-block range GETs of up to this many blocks; the extra
-	// blocks are bulk-admitted into the persistent cache and block cache.
-	// <= 1 disables the plain path's adjacency-heuristic readahead.
-	// Sorted-view scans always read ahead (their block schedule is exact,
-	// so there is no misprediction to guard against): they use this width
-	// when it is set and a 16-block default otherwise.
-	IteratorReadaheadBlocks int
-
 	// L0CompactTrigger is the L0 file count that triggers compaction.
 	L0CompactTrigger int
 	// L0StallFiles applies write backpressure when L0 reaches this count.
@@ -341,15 +322,6 @@ func (o Options) sanitize() Options {
 	}
 	if o.PCacheRegionBytes <= 0 {
 		o.PCacheRegionBytes = d.PCacheRegionBytes
-	}
-	if o.CompactionPrefetchBlocks < 0 {
-		o.CompactionPrefetchBlocks = 0
-	}
-	if o.UploadParallelism < 1 {
-		o.UploadParallelism = 1
-	}
-	if o.IteratorReadaheadBlocks < 0 {
-		o.IteratorReadaheadBlocks = 0
 	}
 	if o.L0CompactTrigger <= 0 {
 		o.L0CompactTrigger = d.L0CompactTrigger

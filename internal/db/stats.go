@@ -53,8 +53,8 @@ type Stats struct {
 	CompactBytesOut       atomic.Int64
 	CompactDroppedKeys    atomic.Int64
 
-	// I/O pipeline counters: coalesced range GETs issued by the compaction
-	// prefetcher and by iterator readahead, and the blocks they carried.
+	// Cloud span reads (span.go): range GETs that landed and the blocks they
+	// carried — Prefetch* for compaction inputs, Readahead* for view scans.
 	PrefetchSpans   atomic.Int64
 	PrefetchBlocks  atomic.Int64
 	ReadaheadSpans  atomic.Int64

@@ -24,7 +24,6 @@ type tableHandle struct {
 	// The cache itself is engine-agnostic — file numbers are unique across
 	// the store's engines.
 	db *engine
-	ra raState // sequential-scan readahead detection (cloud tables)
 
 	mu    sync.Mutex
 	refs  int
@@ -225,18 +224,6 @@ func (tc *tableCache) fetchFor(h *tableHandle) sstable.FetchFunc {
 					prof.Block(readprof.TierPCache, len(body), ns)
 				}
 				return body, nil
-			}
-			if n := db.opts.IteratorReadaheadBlocks; n > 1 {
-				if body, ok := h.tryReadahead(db, fileNum, hd, n); ok {
-					if prof != nil {
-						var ns int64
-						if timed {
-							ns = time.Since(start).Nanoseconds()
-						}
-						prof.Block(readprof.TierCloud, len(body), ns)
-					}
-					return body, nil
-				}
 			}
 		}
 		body, err := sstable.ReadRawBlock(h.reader.File(), hd)

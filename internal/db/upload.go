@@ -10,12 +10,15 @@ import (
 	"rocksmash/internal/storage"
 )
 
+// uploadParallelism is how many compaction output tables upload at once
+// while the merge keeps running.
+const uploadParallelism = 4
+
 // uploader ships finished compaction output tables to their tier while the
-// merge keeps running. With parallelism <= 1 uploads happen inline on the
-// caller (the historical serial behavior); above that, up to parallelism
-// uploads proceed concurrently, each with uploadTable's retry semantics.
-// wait must be called (and return nil) before the outputs are installed in
-// the manifest, so installation stays atomic.
+// merge keeps running: up to uploadParallelism uploads proceed concurrently,
+// each with uploadTable's retry semantics. wait must be called (and return
+// nil) before the outputs are installed in the manifest, so installation
+// stays atomic.
 type uploader struct {
 	d    *engine
 	warm bool
@@ -26,30 +29,23 @@ type uploader struct {
 	err      error
 	uploaded []*builtTable
 
-	// ns sums per-table upload wall time (including pcache warming). With
-	// parallel uploads this can exceed the compaction's elapsed time; the
-	// sum still measures how much work the upload stage absorbed.
+	// ns sums per-table upload wall time (including pcache warming). Uploads
+	// overlap, so this can exceed the compaction's elapsed time; the sum
+	// still measures how much work the upload stage absorbed.
 	ns atomic.Int64
 }
 
 // dur returns the summed upload wall time recorded so far.
 func (u *uploader) dur() time.Duration { return time.Duration(u.ns.Load()) }
 
-func (d *engine) newUploader(parallelism int, warm bool) *uploader {
-	if parallelism < 1 {
-		parallelism = 1
-	}
-	return &uploader{d: d, warm: warm, sem: make(chan struct{}, parallelism)}
+func (d *engine) newUploader(warm bool) *uploader {
+	return &uploader{d: d, warm: warm, sem: make(chan struct{}, uploadParallelism)}
 }
 
-// add hands a finished table to the pool. It blocks only when parallelism
-// uploads are already in flight (backpressure so the merge cannot build
-// output tables faster than they drain).
+// add hands a finished table to the pool. It blocks only when
+// uploadParallelism uploads are already in flight (backpressure so the merge
+// cannot build output tables faster than they drain).
 func (u *uploader) add(t *builtTable) {
-	if cap(u.sem) <= 1 {
-		u.record(t, u.uploadOne(t))
-		return
-	}
 	u.sem <- struct{}{}
 	u.wg.Add(1)
 	go func() {

@@ -8,7 +8,6 @@ import (
 	"rocksmash/internal/cache"
 	"rocksmash/internal/keys"
 	"rocksmash/internal/manifest"
-	"rocksmash/internal/pcache"
 	"rocksmash/internal/readprof"
 	"rocksmash/internal/sstable"
 	"rocksmash/internal/storage"
@@ -231,29 +230,6 @@ func (d *engine) buildViews() {
 	}
 }
 
-// Sorted views carry their own readahead policy: the sidecar spells out the
-// exact block sequence a forward scan will touch, so span reads never
-// mispredict and are safe to enable by default. IteratorReadaheadBlocks > 1
-// overrides the span width (it tunes the adjacency heuristic the plain path
-// uses, and the view path follows it for comparability); when unset, view
-// scans use defaultViewSpanBlocks. viewPipelineDepth spans are kept in
-// flight ahead of the cursor — the schedule is known, so the pipeline can
-// run deep without risk, and cold full-scan throughput scales with depth.
-const (
-	defaultViewSpanBlocks = 16
-	viewPipelineDepth     = 3
-)
-
-// viewPrefetch is one in-flight pipelined span GET over the view's block
-// schedule: the goroutine reads entries [start,end) and bulk-admits them
-// into the block and persistent caches, so the iterator consumes them
-// through the ordinary cache ladder when it catches up.
-type viewPrefetch struct {
-	start, end int
-	done       chan struct{}
-	err        error
-}
-
 // viewIter walks one level through its sorted view: a seek is one binary
 // search over the cursor run plus one in-block seek, and every advance is
 // a pure sequential step — no per-key heap or compare work, no index-block
@@ -262,22 +238,21 @@ type viewPrefetch struct {
 // multi-block spans along the schedule and pipeline the next span while
 // the current one is consumed.
 type viewIter struct {
-	db        *engine
-	v         *sstable.View
-	files     []*manifest.FileMetadata // files[i].Num == v.Members[i]
-	handles   []*tableHandle           // lazily opened, held until Close
-	fetch     []sstable.FetchFunc      // per-member single-block fallback path
-	pos       int                      // current entry ordinal
-	data      *block.Iter
-	forward   bool
-	pres      []*viewPrefetch // in-flight pipelined spans, ordered by start
-	spansDone int             // spans this scan has consumed (pipeline ramp)
-	prof      *readprof.Profile
-	err       error
+	db      *engine
+	v       *sstable.View
+	files   []*manifest.FileMetadata // files[i].Num == v.Members[i]
+	handles []*tableHandle           // lazily opened, held until Close
+	fetch   []sstable.FetchFunc      // per-member single-block fallback path
+	pos     int                      // current entry ordinal
+	data    *block.Iter
+	forward bool
+	spans   spanReader // cloud span reads along v.Entries
+	prof    *readprof.Profile
+	err     error
 }
 
 func newViewIter(d *engine, v *sstable.View, files []*manifest.FileMetadata) *viewIter {
-	return &viewIter{
+	vi := &viewIter{
 		db:      d,
 		v:       v,
 		files:   files,
@@ -285,6 +260,11 @@ func newViewIter(d *engine, v *sstable.View, files []*manifest.FileMetadata) *vi
 		fetch:   make([]sstable.FetchFunc, len(files)),
 		pos:     -1,
 	}
+	vi.spans = spanReader{
+		sched: v.Entries, tables: vi, admit: true,
+		spans: &d.stats.ReadaheadSpans, blocks: &d.stats.ReadaheadBlocks,
+	}
+	return vi
 }
 
 // handle returns member m's table handle, opening it on first use.
@@ -301,106 +281,13 @@ func (vi *viewIter) handle(m int32) (*tableHandle, error) {
 	return h, nil
 }
 
-// spanEnd returns the first ordinal past start that breaks the physical
-// span: a different member, a file-layout gap, or the n-block cap.
-func (vi *viewIter) spanEnd(start, n int) int {
-	es := vi.v.Entries
-	end := start + 1
-	for end < len(es) && end-start < n &&
-		es[end].Member == es[end-1].Member &&
-		es[end].H.Offset == es[end-1].H.End() {
-		end++
-	}
-	return end
-}
-
-// readSpan performs one range GET over entries [start,end) of a single
-// member and bulk-admits every block into the block and persistent caches.
-func (vi *viewIter) readSpan(h *tableHandle, start, end int) ([][]byte, error) {
-	es := vi.v.Entries
-	span := make([]sstable.Handle, end-start)
-	for i := range span {
-		span[i] = es[start+i].H
-	}
-	bodies, err := sstable.ReadRawSpan(h.reader.File(), span)
-	if err != nil {
-		return nil, err
-	}
-	fileNum := vi.files[es[start].Member].Num
-	bulk := make([]pcache.Block, len(span))
-	for i, bh := range span {
-		bulk[i] = pcache.Block{Off: bh.Offset, Body: bodies[i]}
-		vi.db.blockCache.Put(cache.Key{FileNum: fileNum, Offset: bh.Offset}, bodies[i])
-	}
-	vi.db.pcache.PutBulk(fileNum, bulk)
-	vi.db.stats.ReadaheadSpans.Add(1)
-	vi.db.stats.ReadaheadBlocks.Add(int64(len(span)))
-	return bodies, nil
-}
-
-// spanBlocks is the span width for view-scheduled readahead: the
-// IteratorReadaheadBlocks knob when set, else the view default. Sorted
-// views always read ahead — the schedule is exact, so there is no
-// mispredicted fetch for a conservative default to guard against.
-func (vi *viewIter) spanBlocks() int {
-	if n := vi.db.opts.IteratorReadaheadBlocks; n > 1 {
-		return n
-	}
-	return defaultViewSpanBlocks
-}
-
-// topUpPipeline keeps span GETs in flight along the schedule, chaining
-// each new span from the end of the last queued one (or from `from` when
-// the pipeline is empty). The depth ramps with the spans the scan has
-// already consumed — slow start — so a short scan over-fetches at most
-// about one span while a full scan reaches viewPipelineDepth within a few
-// spans. Only cloud-resident spans are launched; the pipeline stops at the
-// first local member.
-func (vi *viewIter) topUpPipeline(from, n int) {
-	depth := vi.spansDone
-	if depth > viewPipelineDepth {
-		depth = viewPipelineDepth
-	}
-	next := from
-	if len(vi.pres) > 0 {
-		next = vi.pres[len(vi.pres)-1].end
-	}
-	for len(vi.pres) < depth && next < len(vi.v.Entries) {
-		h, err := vi.handle(vi.v.Entries[next].Member)
-		if err != nil || h.tier != storage.TierCloud {
-			return
-		}
-		end := vi.spanEnd(next, n)
-		pre := &viewPrefetch{start: next, end: end, done: make(chan struct{})}
-		vi.pres = append(vi.pres, pre)
-		go func(h *tableHandle, pre *viewPrefetch) {
-			defer close(pre.done)
-			_, pre.err = vi.readSpan(h, pre.start, pre.end)
-		}(h, pre)
-		next = end
-	}
-}
-
-// drainPipeline waits out every in-flight span and forgets them; their
-// cache admissions still land. Used when the scan direction flips and on
-// Close — the span GETs borrow member handles, so they must finish before
-// the handles are released.
-func (vi *viewIter) drainPipeline() {
-	for _, pre := range vi.pres {
-		<-pre.done
-	}
-	vi.pres = vi.pres[:0]
-}
-
 // fetchEntry returns the verified body of the block at ordinal pos. The
 // ladder mirrors the table cache's fetch path — block cache, persistent
 // cache, then the backend — but a cloud miss during a forward scan reads
-// the exact span the view schedules next (no adjacency heuristic) and keeps
-// viewPipelineDepth further spans in flight. Pipelined spans bulk-admit
-// into the caches, so the iterator consumes them as cache hits: only the
-// block that actually stalls on an in-flight GET (or triggers a synchronous
-// one) is attributed to the cloud tier, exactly like the plain path's
-// adjacency readahead.
+// the span the view schedules from pos (see span.go) and pipelines the
+// spans after it. Spans admit their blocks to the caches, so the iterator
+// consumes them as cache hits: only the block that waits on a GET in flight
+// or triggers a synchronous one is attributed to the cloud tier.
 func (vi *viewIter) fetchEntry(pos int) ([]byte, error) {
 	e := &vi.v.Entries[pos]
 	h, err := vi.handle(e.Member)
@@ -408,81 +295,50 @@ func (vi *viewIter) fetchEntry(pos int) ([]byte, error) {
 		return nil, err
 	}
 	fileNum := vi.files[e.Member].Num
-	n := vi.spanBlocks()
 	if !vi.forward {
-		vi.drainPipeline()
+		// The schedule runs forward only.
+		vi.spans.drain()
 	}
 
-	// Retire pipelined spans the scan has moved past, and wait out the one
-	// covering this block: its GET bulk-admitted every block, so after the
-	// wait the cache ladder below serves the whole span locally. The wait
-	// is the real cloud fetch cost and is attributed as such — with the
-	// pipeline warm it is near zero.
+	// elapsed is the stage time a sampled profile records, 0 otherwise.
+	var start time.Time
 	timed := vi.prof != nil && vi.prof.Timed
-	var waitNs int64
-	waited := false
-	for len(vi.pres) > 0 && vi.pres[0].start <= pos {
-		pre := vi.pres[0]
-		var start time.Time
-		if timed {
-			start = time.Now()
+	if timed {
+		start = time.Now()
+	}
+	elapsed := func() int64 {
+		if !timed {
+			return 0
 		}
-		<-pre.done
-		vi.pres = vi.pres[1:]
-		if pos < pre.end {
-			if timed {
-				waitNs = time.Since(start).Nanoseconds()
-			}
-			waited = pre.err == nil
-			vi.spansDone++
-			vi.topUpPipeline(pre.end, n)
-			break
-		}
+		return time.Since(start).Nanoseconds()
 	}
 
+	sp := vi.spans.await(pos)
+	waited := sp != nil && sp.err == nil
 	ck := cache.Key{FileNum: fileNum, Offset: e.H.Offset}
 	if body, ok := vi.db.blockCache.Get(ck); ok {
 		if vi.prof != nil {
 			if waited {
-				vi.prof.Block(readprof.TierCloud, len(body), waitNs)
+				vi.prof.Block(readprof.TierCloud, len(body), elapsed())
 			} else {
 				vi.prof.Block(readprof.TierBlockCache, len(body), 0)
 			}
 		}
 		return body, nil
 	}
-	if h.tier == storage.TierCloud && vi.forward && n > 1 {
-		var start time.Time
-		if timed {
-			start = time.Now()
-		}
+	if h.tier == storage.TierCloud && vi.forward {
 		if body, ok := vi.db.pcache.Get(fileNum, e.H.Offset); ok {
 			vi.db.blockCache.Put(ck, body)
 			if vi.prof != nil {
-				var ns int64
-				if timed {
-					ns = time.Since(start).Nanoseconds()
-				}
-				vi.prof.Block(readprof.TierPCache, len(body), ns)
+				vi.prof.Block(readprof.TierPCache, len(body), elapsed())
 			}
 			return body, nil
 		}
-		// Exact-schedule span read: the view says precisely which blocks a
-		// forward scan touches next, so read them in one GET and start the
-		// pipeline behind it.
-		if end := vi.spanEnd(pos, n); end-pos > 1 {
-			if bodies, err := vi.readSpan(h, pos, end); err == nil {
-				vi.spansDone++
-				vi.topUpPipeline(end, n)
-				if vi.prof != nil {
-					var ns int64
-					if timed {
-						ns = time.Since(start).Nanoseconds()
-					}
-					vi.prof.Block(readprof.TierCloud, len(bodies[0]), ns)
-				}
-				return bodies[0], nil
+		if sp := vi.spans.read(pos, h); sp.err == nil {
+			if vi.prof != nil {
+				vi.prof.Block(readprof.TierCloud, len(sp.bodies[0]), elapsed())
 			}
+			return sp.bodies[0], nil
 		}
 	}
 	// Single-block fallback: the standard fetch path (persistent cache,
@@ -613,7 +469,7 @@ func (vi *viewIter) Err() error    { return vi.err }
 func (vi *viewIter) Close() error {
 	// In-flight span GETs borrow member handles; let them land before
 	// releasing.
-	vi.drainPipeline()
+	vi.spans.drain()
 	for i, h := range vi.handles {
 		if h != nil {
 			h.release()

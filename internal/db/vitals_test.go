@@ -35,12 +35,18 @@ func TestVitalsSamplerLifecycle(t *testing.T) {
 	}
 	mustPut(t, d, "k", "v")
 	mustGet(t, d, "k", "v")
+	// Wait for a sample taken after the Get: the sampler runs from Open, so
+	// the first few samples can all predate the workload.
+	sawGet := func() bool {
+		last, ok := v.Latest()
+		return ok && last.Reads > 0
+	}
 	deadline := time.Now().Add(2 * time.Second)
-	for len(v.Samples()) < 3 && time.Now().Before(deadline) {
+	for (len(v.Samples()) < 3 || !sawGet()) && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if got := len(v.Samples()); got < 3 {
-		t.Fatalf("sampler took only %d samples", got)
+	if got := len(v.Samples()); got < 3 || !sawGet() {
+		t.Fatalf("sampler took %d samples, none after the Get", got)
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)

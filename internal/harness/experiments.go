@@ -28,7 +28,6 @@ func init() {
 	register("tab3", "Cost analysis: monthly cost and performance per dollar", tab3Cost)
 	register("tab4", "Reliability: crash recovery and cloud-object-loss detection", tab4Reliability)
 	register("fig13", "Placement sweep (ours): how many levels to keep local", fig13LocalLevels)
-	register("fig14", "I/O pipeline (ours): scan throughput vs iterator readahead", fig14Readahead)
 }
 
 // fig1StorageGap measures the raw backends, motivating hybrid placement.
@@ -639,63 +638,6 @@ func max(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// fig14Readahead is an ablation this implementation adds: sweep the
-// iterator-readahead window over a cloud-resident tree and measure what
-// coalescing sequential GETs buys a range scan — entries/s up, request
-// count down, mean request size up — at unchanged result contents.
-func fig14Readahead(cfg Config) error {
-	w := cfg.out()
-	records := cfg.scale(20000)
-	scans := max(cfg.scale(40), 2)
-	const scanLen = 400
-	fmt.Fprintf(w, "%-10s %10s %12s %12s %12s\n", "readahead", "kops/s", "cloudGET", "avgGetKB", "raSpans")
-	for _, n := range []int{0, 4, 16, 32} {
-		opts := expOptions(db.PolicyCloudOnly)
-		opts.IteratorReadaheadBlocks = n
-		// This figure ablates the plain path's adjacency heuristic; sorted
-		// views bring their own exact readahead (fig-scan) and would mask
-		// the sweep, so keep them out of the way here.
-		opts.DisableSortedViews = true
-		d, _, err := openExp(cfg, fmt.Sprintf("fig14-%d", n), opts)
-		if err != nil {
-			return err
-		}
-		if err := loadRecords(d, records, 400); err != nil {
-			d.Close()
-			return err
-		}
-		base := d.Metrics().CloudIO
-		rng := rand.New(rand.NewSource(cfg.seed()))
-		visited := 0
-		start := time.Now()
-		for s := 0; s < scans; s++ {
-			it, ierr := d.NewIterator()
-			if ierr != nil {
-				d.Close()
-				return ierr
-			}
-			it.Seek(ycsb.Key(uint64(rng.Intn(records))))
-			for j := 0; j < scanLen && it.Valid(); j++ {
-				visited++
-				it.Next()
-			}
-			if cerr := it.Close(); cerr != nil {
-				d.Close()
-				return cerr
-			}
-		}
-		dur := time.Since(start)
-		m := d.Metrics()
-		scanIO := m.CloudIO.Sub(base)
-		fmt.Fprintf(w, "%-10d %10s %12d %12.1f %12d\n", n, kops(visited, dur),
-			scanIO.GetOps, scanIO.BytesPerGet()/1024, m.ReadaheadSpans)
-		if err := d.Close(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // fig13LocalLevels is an ablation this implementation adds: sweep the

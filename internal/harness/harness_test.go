@@ -40,7 +40,7 @@ func TestUnknownExperiment(t *testing.T) {
 
 func TestListOrderedAndComplete(t *testing.T) {
 	es := List()
-	want := []string{"fig1", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "tab2", "tab3", "tab4", "fig13", "fig14", "fig-incident", "fig-localfault", "outage", "fig-readamp", "fig-scan", "fig-shardscale", "fig-vitals", "fig-wscale"}
+	want := []string{"fig1", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "tab2", "tab3", "tab4", "fig13", "fig-incident", "fig-localfault", "outage", "fig-readamp", "fig-scan", "fig-shardscale", "fig-vitals", "fig-wscale"}
 	if len(es) != len(want) {
 		t.Fatalf("registered %d experiments, want %d", len(es), len(want))
 	}
