@@ -384,18 +384,10 @@ func (d *engine) doCompaction(c *compaction) error {
 		d.tables.evict(f.Num)
 		d.blockCache.InvalidateFile(f.Num)
 		d.pcache.DropFile(f.Num)
-		if err := d.backendFor(f.Tier).Delete(manifest.TableName(f.Num)); err != nil {
-			d.deferDelete(f.Tier, manifest.TableName(f.Num))
-		}
-		if f.Tier == storage.TierCloud {
-			if err := d.local.Delete(metaSidecarName(f.Num)); err != nil {
-				d.deferDelete(storage.TierLocal, metaSidecarName(f.Num))
-			}
-		} else if d.dropMirror(f.Num) {
+		d.removeTable(f.Tier, f.Num)
+		if f.Tier == storage.TierLocal && d.dropMirror(f.Num) {
 			// A retired local table's lazy cloud mirror goes with it.
-			if err := d.cloud.Delete(manifest.TableName(f.Num)); err != nil {
-				d.deferDelete(storage.TierCloud, manifest.TableName(f.Num))
-			}
+			d.removeObject(storage.TierCloud, manifest.TableName(f.Num))
 		}
 		d.unquarantine(f.Num)
 		d.evTableDeleted(f.Num, f.Tier)

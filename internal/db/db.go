@@ -32,8 +32,7 @@ var ErrNotFound = errors.New("db: key not found")
 var ErrCloudUnavailable = storage.ErrCloudUnavailable
 
 // ErrLocalUnavailable marks writes that genuinely need the local tier while
-// its circuit breaker is open and no cloud fallback exists (PolicyLocalOnly
-// or DisableLocalDegradedMode).
+// its circuit breaker is open and no cloud fallback exists (PolicyLocalOnly).
 var ErrLocalUnavailable = storage.ErrLocalUnavailable
 
 // DB is the LSM-tree store: a facade over Options.Shards engines that

@@ -116,32 +116,3 @@ func TestPersistentCloudFailureDegrades(t *testing.T) {
 	mustGet(t, d, "k0000", "v")
 	mustGet(t, d, "k0049", "v")
 }
-
-// TestPersistentCloudFailureStrictMode verifies DisableDegradedMode restores
-// the fail-hard contract: a persistent outage surfaces as a flush error and
-// the data stays readable from the memtable/WAL side.
-func TestPersistentCloudFailureStrictMode(t *testing.T) {
-	dir := t.TempDir()
-	o := testOptions(PolicyCloudOnly)
-	o.DisableDegradedMode = true
-	d, err := OpenAt(dir, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	d.cloudSim.SetFailureHook(func(op, name string) error {
-		if op == "PUT" {
-			return errors.New("injected outage")
-		}
-		return nil
-	})
-	for i := 0; i < 50; i++ {
-		mustPut(t, d, fmt.Sprintf("k%04d", i), "v")
-	}
-	if err := d.Flush(); err == nil {
-		t.Fatal("strict-mode flush during a persistent outage should fail")
-	}
-	// The data is still in the WAL + memtable; reads keep working.
-	d.cloudSim.SetFailureHook(nil)
-	mustGet(t, d, "k0000", "v")
-}

@@ -45,34 +45,34 @@ type flightState struct {
 	lastBundle time.Time
 }
 
+// The recorder's fixed sizing: event-ring capacity (entries) and how many
+// bundle directories are retained (oldest pruned). The detector runs
+// flight's default rules and thresholds.
+const (
+	flightHistory    = 1024
+	flightMaxBundles = 8
+)
+
 // initFlight builds the recorder/detector pair. The bundle directory is
 // derived from the local backend when FlightDir is unset.
 func (d *DB) initFlight() {
 	o := d.opts
-	history := o.FlightHistory
-	if history <= 0 {
-		history = 1024
-	}
 	dir := o.FlightDir
 	if dir == "" {
 		if l, ok := storage.BaseBackend(d.local).(*storage.Local); ok {
 			dir = filepath.Join(l.Root(), "..", "flight")
 		}
 	}
-	maxBundles := o.FlightMaxBundles
-	if maxBundles <= 0 {
-		maxBundles = 8
-	}
 	minInterval := o.FlightBundleInterval
 	if minInterval <= 0 {
 		minInterval = 30 * time.Second
 	}
 	d.flight = &flightState{
-		rec: flight.NewRecorder(history),
-		det: flight.NewDetector(flight.DefaultRules(o.FlightThresholds)),
+		rec: flight.NewRecorder(flightHistory),
+		det: flight.NewDetector(flight.DefaultRules(flight.Thresholds{})),
 		cfg: flight.BundleConfig{
 			Dir:           dir,
-			MaxBundles:    maxBundles,
+			MaxBundles:    flightMaxBundles,
 			MinInterval:   minInterval,
 			MaxEventBytes: 1 << 20,
 		},

@@ -54,98 +54,86 @@ type builtTable struct {
 // tail (filter + index + properties + footer).
 func metaSidecarName(num uint64) string { return fmt.Sprintf("meta/%06d.meta", num) }
 
-// uploadTable writes the table object to its tier's backend. Cloud uploads
-// go through the Reliable wrapper (retry policy + circuit breaker); the
-// backoff waits abort when the DB closes mid-outage. For cloud-tier tables
-// the metadata tail is additionally persisted on local storage so future
-// opens never fetch metadata from the cloud.
-//
-// When a cloud upload exhausts its retries (or the breaker is open) and
-// degraded mode is enabled, the table is landed on *local* storage instead
-// and marked PendingCloud in its metadata: the flush or compaction
-// succeeds, acked writes stay durable, and the background drainer migrates
-// the file to the cloud once the breaker closes. t.meta.Tier reflects
-// where the table actually landed when uploadTable returns.
+// uploadTable makes a finished table durable: on its home tier
+// (t.meta.Tier as built) or, when that put fails and the store has the other
+// tier, off home on that one — the flush or compaction succeeds, acked
+// writes stay durable, and the drainer relocates the table once its home
+// tier is healthy (pending.go). A table landed on local storage for a cloud
+// home is marked PendingCloud; one landed in the cloud for a local home is
+// recognised by its level (offHome). t.meta.Tier reflects where the table
+// actually landed when uploadTable returns. With no other tier
+// (PolicyLocalOnly) or both failing, the error surfaces to the caller.
 func (d *engine) uploadTable(t *builtTable) error {
 	name := manifest.TableName(t.meta.Num)
 	start := time.Now()
-	if t.meta.Tier != storage.TierCloud {
-		// Local landing, guarded by the local breaker. While it is open the
-		// local attempt is skipped entirely (fail fast, no doomed write);
-		// when half-open the write doubles as the recovery probe.
-		var lerr error
-		if d.localBreaker.Allow() {
-			lerr = storage.WriteObject(d.local, name, t.data)
-			if lerr == nil {
-				d.localBreaker.Success()
-				d.evTableUploaded(t.meta.Num, t.meta.Tier, int64(t.meta.Size), 1, time.Since(start), false)
-				return nil
-			}
-			d.localBreaker.Failure()
+	home := t.meta.Tier
+	attempts, err := d.putTable(home, name, t.data)
+	degraded := err != nil
+	if degraded {
+		if d.cloud == nil {
+			return err
 		}
-		if d.opts.DisableLocalDegradedMode || d.cloud == nil {
-			if lerr == nil {
-				lerr = storage.ErrLocalUnavailable
-			}
-			return lerr
+		other := storage.TierCloud
+		if home == storage.TierCloud {
+			other = storage.TierLocal
 		}
-		// Local-degraded landing: the table goes cloud-direct. It is marked
-		// neither PendingCloud (it is already durable at its final backend)
-		// nor local-tier — the drainer migrates it back by its misplaced
-		// level once the breaker closes.
-		attempts, cerr := d.cloudPut(name, t.data)
-		if cerr != nil {
-			if lerr == nil {
-				return fmt.Errorf("db: cloud-direct landing with local breaker open: %w", cerr)
-			}
-			return fmt.Errorf("db: cloud-direct landing after local failure (%v): %w", lerr, cerr)
+		n, oerr := d.putTable(other, name, t.data)
+		if oerr != nil {
+			return fmt.Errorf("db: landing on the %s tier after %s-tier failure (%v): %w", other, home, err, oerr)
 		}
-		// The sidecar write targets the failing local device; tolerate its
-		// loss — overlayMetadata rebuilds it from the cloud object's tail.
-		_ = d.writeMetaSidecar(t.meta.Num, t.metaOff, t.data[t.metaOff:])
-		t.meta.Tier = storage.TierCloud
-		d.stats.LocalDegradedTables.Add(1)
-		d.evTableUploaded(t.meta.Num, t.meta.Tier, int64(t.meta.Size), attempts, time.Since(start), true)
-		return nil
+		attempts += n
+		t.meta.Tier = other
+		if other == storage.TierLocal {
+			t.meta.PendingCloud = true
+			d.stats.DegradedTables.Add(1)
+		} else {
+			d.stats.LocalDegradedTables.Add(1)
+		}
 	}
-	attempts, err := d.cloudPut(name, t.data)
-	if err == nil {
-		// The sidecar is a rebuildable cache of the object's metadata tail
-		// (overlayMetadata recreates it at the next open): losing it must not
-		// fail a flush whose data is already durable in the cloud. Routing it
-		// through the local breaker lets a failing device trip degradation.
-		if d.localBreaker.Allow() {
-			if serr := d.writeMetaSidecar(t.meta.Num, t.metaOff, t.data[t.metaOff:]); serr != nil {
+	if t.meta.Tier == storage.TierCloud {
+		// A cloud table's metadata tail is also kept on local storage so
+		// opens never fetch metadata from the cloud. The sidecar is a
+		// rebuildable cache (overlayMetadata recreates it at the next open):
+		// losing it must not fail a table whose data is already durable.
+		tail := t.data[t.metaOff:]
+		switch {
+		case degraded:
+			// The local tier has just refused or failed this table; a small
+			// write squeezing through says nothing about its health.
+			_ = d.writeMetaSidecar(t.meta.Num, t.metaOff, tail)
+		case d.localBreaker.Allow():
+			// Reported to the local breaker so a failing device trips
+			// degradation even when every table's home is the cloud.
+			if d.writeMetaSidecar(t.meta.Num, t.metaOff, tail) != nil {
 				d.localBreaker.Failure()
 			} else {
 				d.localBreaker.Success()
 			}
 		}
-		d.evTableUploaded(t.meta.Num, t.meta.Tier, int64(t.meta.Size), attempts, time.Since(start), false)
-		return nil
 	}
-	if d.opts.DisableDegradedMode {
-		return err
-	}
-	if lerr := storage.WriteObject(d.local, name, t.data); lerr != nil {
-		// Both tiers failing is a real wedge; surface the local error with
-		// the cloud failure that forced the degraded landing.
-		return fmt.Errorf("db: degraded landing after cloud failure (%v): %w", err, lerr)
-	}
-	t.meta.Tier = storage.TierLocal
-	t.meta.PendingCloud = true
-	d.stats.DegradedTables.Add(1)
-	d.evTableUploaded(t.meta.Num, t.meta.Tier, int64(t.meta.Size), attempts, time.Since(start), true)
+	d.evTableUploaded(t.meta.Num, t.meta.Tier, int64(t.meta.Size), attempts, time.Since(start), degraded)
 	return nil
 }
 
-// cloudPut uploads one whole object to the cloud tier under the retry
-// policy, reporting how many attempts ran.
-func (d *engine) cloudPut(name string, data []byte) (attempts int, err error) {
-	if d.cloudRel != nil {
+// putTable is the only place a whole table object is written to a tier,
+// always through that tier's gate. Cloud puts run under the retry policy and
+// the cloud breaker (backoff waits abort when the DB closes mid-outage).
+// Local puts are admitted by the local breaker — refused without a doomed
+// write while it is open, the recovery probe when it is half-open — and
+// report their outcome to it.
+func (d *engine) putTable(tier storage.Tier, name string, data []byte) (attempts int, err error) {
+	if tier == storage.TierCloud {
 		return d.cloudRel.WriteObject(name, data)
 	}
-	return 1, storage.WriteObject(d.cloud, name, data)
+	if !d.localBreaker.Allow() {
+		return 0, storage.ErrLocalUnavailable
+	}
+	if err := storage.WriteObject(d.local, name, data); err != nil {
+		d.localBreaker.Failure()
+		return 1, err
+	}
+	d.localBreaker.Success()
+	return 1, nil
 }
 
 // writeMetaSidecar persists a table's metadata tail locally:

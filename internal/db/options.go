@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"rocksmash/internal/event"
-	"rocksmash/internal/flight"
 	"rocksmash/internal/retry"
 	"rocksmash/internal/sstable"
 	"rocksmash/internal/storage"
@@ -124,13 +123,9 @@ type Options struct {
 	// succeeds. Zero fields take the breaker defaults.
 	CloudBreaker retry.BreakerConfig
 	// PendingDrainInterval is how often the background drainer retries
-	// deferred deletes and migrates degraded-mode tables to the cloud.
+	// deferred deletes and relocates off-home tables to their home tier.
 	// Default 200ms.
 	PendingDrainInterval time.Duration
-	// DisableDegradedMode makes cloud upload failures surface as flush and
-	// compaction errors (wedging the DB, today's strict behavior) instead of
-	// landing outputs locally as pending-upload tables.
-	DisableDegradedMode bool
 
 	// LocalBreaker tunes the circuit breaker guarding the local tier — the
 	// symmetric twin of CloudBreaker. After FailureThreshold consecutive
@@ -142,9 +137,6 @@ type Options struct {
 	// drainer migrates misplaced tables back. Zero fields take the breaker
 	// defaults.
 	LocalBreaker retry.BreakerConfig
-	// DisableLocalDegradedMode makes local write failures surface as flush
-	// and compaction errors instead of landing outputs cloud-direct.
-	DisableLocalDegradedMode bool
 
 	// ScrubInterval enables the background corruption scrubber: every
 	// interval one pass walks the local tier's artifacts (SSTable blocks,
@@ -217,21 +209,13 @@ type Options struct {
 	// per-event or per-write cost. Enabling it defaults VitalsInterval to
 	// 1s when unset (the detector rides the vitals tick).
 	FlightRecorder bool
-	// FlightHistory is the event-ring capacity (entries). 0 means 1024.
-	FlightHistory int
 	// FlightDir overrides where incident bundles are written. Empty derives
 	// <local root>/../flight when the local backend is a real directory;
 	// otherwise bundling is disabled (detection still runs).
 	FlightDir string
-	// FlightMaxBundles caps retained bundle directories (oldest pruned).
-	// 0 means 8.
-	FlightMaxBundles int
 	// FlightBundleInterval rate-limits bundle dumps: at most one bundle per
 	// interval regardless of how many detectors fire. 0 means 30s.
 	FlightBundleInterval time.Duration
-	// FlightThresholds tunes the detector rules; zero fields take the
-	// documented defaults.
-	FlightThresholds flight.Thresholds
 
 	// ReadProfileSampleRate selects 1-in-N Gets for full (timed) read-path
 	// profiling; the cheap counter core (levels probed, tables touched,
@@ -361,9 +345,6 @@ func (o Options) sanitize() Options {
 		// The detector evaluates on vitals ticks; a recorder without a
 		// heartbeat would never detect anything.
 		o.VitalsInterval = time.Second
-	}
-	if o.FlightHistory < 0 {
-		o.FlightHistory = 0
 	}
 	if o.TraceRotateBytes < 0 {
 		o.TraceRotateBytes = 0

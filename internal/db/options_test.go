@@ -8,7 +8,7 @@ import (
 // TestOptionsFieldCount pins the size of the public configuration surface,
 // so that a new knob is a reviewed decision and not a side effect.
 func TestOptionsFieldCount(t *testing.T) {
-	const want = 47
+	const want = 42
 	got := 0
 	typ := reflect.TypeOf(Options{})
 	for i := 0; i < typ.NumField(); i++ {

@@ -4,7 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
+	"sort"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -174,5 +178,210 @@ func TestOutageSoak(t *testing.T) {
 		for i := 0; i < perWriter; i++ {
 			mustGet(t, d, fmt.Sprintf("w%02d-%05d", w, i), pipelineValue(i))
 		}
+	}
+}
+
+// TestDrainUnreadableSourceDoesNotSpin pins the drainer's behaviour when an
+// off-home table cannot be read from the tier it sits on: the round ends and
+// the next tick retries, instead of re-picking the same table in a hot loop.
+// Once the table is readable again the backlog drains and nothing is lost.
+func TestDrainUnreadableSourceDoesNotSpin(t *testing.T) {
+	o := testOptions(PolicyCloudOnly)
+	d, lf, cf, err := OpenAtChaosLocal(t.TempDir(), o, storage.FaultConfig{}, storage.FaultConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+
+	cf.StartOutage(0)
+	const nkeys = 100
+	for i := 0; i < nkeys; i++ {
+		mustPut(t, d, fmt.Sprintf("k%04d", i), pipelineValue(i))
+	}
+	if err := d.Flush(); err != nil {
+		t.Fatalf("flush during outage must degrade, not fail: %v", err)
+	}
+	if n, _ := d.PendingCloudTables(); n == 0 {
+		t.Fatal("outage flush left no pending-upload backlog")
+	}
+
+	var reads atomic.Int64
+	lf.SetHook(func(op, name string) error {
+		if op == "GET" && strings.HasPrefix(name, "sst/") {
+			reads.Add(1)
+			return errors.New("injected EIO")
+		}
+		return nil
+	})
+	cf.EndOutage()
+	const window = time.Second
+	time.Sleep(window)
+	// One read per round; rounds come from the ticker plus a wake-up per
+	// breaker close. Four per interval is generous; the spin made millions.
+	if got, max := reads.Load(), 4*int64(window/o.PendingDrainInterval); got == 0 || got > max {
+		t.Fatalf("drainer read the unreadable table %d times in %s, want 1..%d", got, window, max)
+	}
+	if n, _ := d.PendingCloudTables(); n == 0 {
+		t.Fatal("unreadable pending table left the backlog without being drained")
+	}
+
+	lf.SetHook(nil)
+	waitForDrain(t, d, 10*time.Second)
+	for i := 0; i < nkeys; i++ {
+		mustGet(t, d, fmt.Sprintf("k%04d", i), pipelineValue(i))
+	}
+}
+
+// TestRelocateRetiredMidCopy races a relocation, in each direction, against
+// a compaction that retires the table while its copy to the home tier is in
+// flight: the relocation must notice under the manifest lock, install
+// nothing, and remove the copy it made (and, in the cloud, its sidecar).
+func TestRelocateRetiredMidCopy(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		policy  Policy
+		toCloud bool
+	}{
+		{"to cloud", PolicyCloudOnly, true},
+		{"to local", PolicyMash, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			o := testOptions(tc.policy)
+			// One failed flush must not trip a breaker: the test wants the
+			// home tier healthy again the moment the hook stops failing.
+			o.CloudBreaker.FailureThreshold = 100
+			d, lf, cf, err := OpenAtChaosLocal(t.TempDir(), o, storage.FaultConfig{}, storage.FaultConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d.Close()
+			home, backlog := lf, d.MisplacedTables
+			if tc.toCloud {
+				home = cf
+				backlog = func() int { n, _ := d.PendingCloudTables(); return n }
+			}
+			relocated := func() int64 {
+				if tc.toCloud {
+					return d.Metrics().DrainedTables
+				}
+				return d.Metrics().LocalDrainedBack
+			}
+			model := map[string]string{}
+			load := func(batch int) {
+				for i := 0; i < 60; i++ {
+					k := fmt.Sprintf("k%02d-%04d", batch, i)
+					mustPut(t, d, k, pipelineValue(i))
+					model[k] = pipelineValue(i)
+				}
+			}
+
+			// The home tier refuses tables: the flush lands off home.
+			home.SetHook(func(op, name string) error {
+				if op == "PUT" && strings.HasPrefix(name, "sst/") {
+					return errors.New("injected home-tier failure")
+				}
+				return nil
+			})
+			load(0)
+			if err := d.Flush(); err != nil {
+				t.Fatalf("flush with the home tier failing must land off home: %v", err)
+			}
+			if backlog() != 1 {
+				t.Fatalf("off-home backlog = %d after one degraded flush, want 1", backlog())
+			}
+
+			// The home tier recovers, but the relocation's PUT — the first
+			// table PUT it sees — hangs until released.
+			var (
+				mu      sync.Mutex
+				victim  string
+				entered = make(chan struct{})
+				release = make(chan struct{})
+				removed = make(chan struct{})
+			)
+			home.SetHook(func(op, name string) error {
+				if !strings.HasPrefix(name, "sst/") {
+					return nil
+				}
+				mu.Lock()
+				first := victim == ""
+				if first && op == "PUT" {
+					victim = name
+				}
+				mine := name == victim
+				mu.Unlock()
+				switch {
+				case first && op == "PUT":
+					close(entered)
+					<-release
+				case mine && op == "DELETE":
+					select {
+					case <-removed:
+					default:
+						close(removed)
+					}
+				}
+				return nil
+			})
+			select {
+			case <-entered:
+			case <-time.After(10 * time.Second):
+				t.Fatal("drainer never started relocating the off-home table")
+			}
+
+			// A compaction retires the table while its copy is in flight.
+			load(1)
+			if err := d.CompactAll(); err != nil {
+				t.Fatal(err)
+			}
+			if backlog() != 0 {
+				t.Fatalf("CompactAll left %d off-home tables, want the one retired", backlog())
+			}
+			close(release)
+			select {
+			case <-removed:
+			case <-time.After(10 * time.Second):
+				t.Fatal("relocation of a retired table did not remove its home-tier copy")
+			}
+
+			// No orphan on either tier: the retired table's objects are gone,
+			// every object left belongs to a live table, and every cloud
+			// table has exactly its sidecar.
+			sidecar := "meta/" + strings.TrimSuffix(strings.TrimPrefix(victim, "sst/"), ".sst") + ".meta"
+			list := func(f *storage.Faulty, prefix string) []string {
+				names, err := f.List(prefix)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return names
+			}
+			waitFor(t, "the retired table's copies to be removed", 10*time.Second, func() bool {
+				all := append(append(list(lf, "sst/"), list(cf, "sst/")...), list(lf, "meta/")...)
+				return !slices.Contains(all, victim) && !slices.Contains(all, sidecar)
+			})
+			m := d.Metrics()
+			live := 0
+			for _, n := range m.LevelFiles {
+				live += n
+			}
+			localTables, cloudTables := list(lf, "sst/"), list(cf, "sst/")
+			if len(localTables)+len(cloudTables) != live {
+				t.Errorf("%d local + %d cloud table objects for %d live tables", len(localTables), len(cloudTables), live)
+			}
+			if sidecars := list(lf, "meta/"); len(sidecars) != len(cloudTables) {
+				t.Errorf("%d sidecars for %d cloud tables: %v", len(sidecars), len(cloudTables), sidecars)
+			}
+			if n := relocated(); n != 0 {
+				t.Errorf("relocation counter = %d for a table that was retired, want 0", n)
+			}
+			var want []string
+			for k, v := range model {
+				want = append(want, k+"="+v)
+			}
+			sort.Strings(want)
+			if got := scanAll(t, d); !slices.Equal(got, want) {
+				t.Errorf("scan returned %d keys, model has %d (or contents differ)", len(got), len(want))
+			}
+		})
 	}
 }

@@ -9,28 +9,36 @@ import (
 	"rocksmash/internal/storage"
 )
 
-// This file implements the degraded-mode machinery behind the cloud
-// fault-tolerance layer:
+// This file keeps every table on its home tier — the tier
+// Options.tierForLevel assigns its level — or moves it back there:
 //
-//   - the pending-upload drainer, which migrates tables landed on local
-//     storage during an outage (FileMetadata.PendingCloud) to the cloud
-//     tier once the circuit breaker closes;
-//   - the deferred-delete queue, which retries object deletions that
-//     failed during compaction retirement (the version no longer
-//     references them, so losing a delete must not fail the compaction);
-//   - the orphan sweep at Open, which removes table objects no version
-//     references (crash between an object write and its manifest edit).
+//   - A table is off home when uploadTable could not reach its home tier and
+//     landed it on the other one (flush.go): on local storage for a cloud
+//     home (FileMetadata.PendingCloud), or in the cloud for a local home
+//     (recognised by level; offHome). The drainer relocates off-home tables
+//     once the home tier cooperates. The direction is a parameter; the rules
+//     below hold for both.
+//   - The deferred-delete queue retries object deletions that failed (the
+//     version no longer references them, so losing a delete must not fail a
+//     compaction or a relocation).
+//   - The lazy mirror pass and the orphan sweep at Open (table objects no
+//     version references: a crash between an object write and its manifest
+//     edit) ride along.
 //
 // Invariants:
 //
-//   - A PendingCloud file is always on TierLocal and readable locally; the
-//     manifest never references a cloud object that is not durable.
-//   - Migration is atomic in the manifest: one edit deletes the local
-//     entry and re-adds it as TierCloud with the flag cleared, applied
-//     only after the cloud object and its metadata sidecar are durable.
+//   - The manifest never references an object that is not durable: an
+//     off-home table is readable where its metadata says it is, and a
+//     relocation's one manifest edit (delete the entry, re-add it on the
+//     home tier with PendingCloud cleared) is applied only after the home
+//     copy — and, in the cloud, its metadata sidecar — is durable.
 //   - The drainer is the only mutator of a file's tier, and it re-verifies
 //     the file is still live under compactionMu before the edit, so a
-//     concurrent compaction can never resurrect a retired table.
+//     concurrent compaction can never resurrect a retired table; a copy made
+//     for a table retired meanwhile is removed as the orphan it is.
+//   - Every whole-table write goes through putTable, so a relocation to the
+//     local tier is that tier's recovery probe, and none is attempted while
+//     the local breaker is open with no probe due.
 
 // deferredDelete is an object deletion that failed and awaits retry.
 type deferredDelete struct {
@@ -46,6 +54,23 @@ func (d *engine) deferDelete(tier storage.Tier, name string) {
 	d.stats.DeferredDeletes.Add(1)
 }
 
+// removeObject deletes an object no version references any more; a delete
+// that fails (breaker open, device error) is queued for the drainer.
+func (d *engine) removeObject(tier storage.Tier, name string) {
+	if err := d.backendFor(tier).Delete(name); err != nil {
+		d.deferDelete(tier, name)
+	}
+}
+
+// removeTable removes a table no version references any more from tier:
+// its object and, for a cloud table, the local metadata sidecar.
+func (d *engine) removeTable(tier storage.Tier, num uint64) {
+	d.removeObject(tier, manifest.TableName(num))
+	if tier == storage.TierCloud {
+		d.removeObject(storage.TierLocal, metaSidecarName(num))
+	}
+}
+
 // onCloudRetry is the Reliable wrapper's retry observer: it keeps the
 // per-direction retry counters and fires the CloudRetry event.
 func (d *engine) onCloudRetry(op, name string, attempt int, err error, delay time.Duration) {
@@ -58,8 +83,8 @@ func (d *engine) onCloudRetry(op, name string, attempt int, err error, delay tim
 }
 
 // tierRecovered is called when either tier's breaker closes: it nudges the
-// drainer so the pending (or misplaced) backlog starts migrating
-// immediately, and reschedules compactions deferred during the outage.
+// drainer so the off-home backlog starts relocating immediately, and
+// reschedules compactions deferred during the outage.
 func (d *engine) tierRecovered() {
 	select {
 	case d.drainWake <- struct{}{}:
@@ -68,10 +93,10 @@ func (d *engine) tierRecovered() {
 	d.scheduleWork()
 }
 
-// drainLoop runs until shutdown, retrying deferred deletes and migrating
-// pending-upload tables. Each round is also the outage probe: the first
-// cloud request either passes (half-open probe admitted) or fails fast
-// with ErrCloudUnavailable, so recovery needs no foreground traffic.
+// drainLoop runs until shutdown, retrying deferred deletes and relocating
+// off-home tables. Each round is also the recovery probe for both tiers: its
+// first request to a broken tier either passes (half-open probe admitted) or
+// fails fast, so recovery needs no foreground traffic.
 func (d *engine) drainLoop() {
 	defer close(d.drainDone)
 	ticker := time.NewTicker(d.opts.PendingDrainInterval)
@@ -84,15 +109,8 @@ func (d *engine) drainLoop() {
 		case <-d.drainWake:
 		}
 		d.drainDeferredDeletes()
-		if d.cloudRel != nil {
-			d.drainPending()
-			// While the local breaker is open the drain-back fails fast
-			// without touching the cloud; once the cooldown elapses the
-			// round itself carries the recovery probe (drainBackOne's local
-			// write), so recovery needs no foreground traffic.
-			if d.localBreaker.State() != retry.StateOpen || d.localBreaker.ProbeDue() {
-				d.drainMisplaced()
-			}
+		if d.cloud != nil {
+			d.drainOffHome()
 			d.mirrorLocals()
 		}
 	}
@@ -120,95 +138,102 @@ func (d *engine) drainDeferredDeletes() {
 	}
 }
 
-// pendingFile locates one PendingCloud file in a version snapshot.
-type pendingFile struct {
-	level int
-	meta  manifest.FileMetadata
+// offHome reports whether f sits off its home tier, and which tier that is:
+// the cloud for a table landed locally during a cloud outage (PendingCloud),
+// local storage for a table sitting in the cloud while its level belongs to
+// the local tier under the placement policy.
+func (d *engine) offHome(level int, f *manifest.FileMetadata) (home storage.Tier, ok bool) {
+	if f.PendingCloud {
+		return storage.TierCloud, true
+	}
+	if f.Tier == storage.TierCloud && d.opts.tierForLevel(level) == storage.TierLocal {
+		return storage.TierLocal, true
+	}
+	return f.Tier, false
 }
 
-func (d *engine) nextPending() *pendingFile {
-	var out *pendingFile
+// drainOffHome relocates the off-home tables of the current version one at a
+// time, until none is left or a tier stops cooperating. Tables that go off
+// home meanwhile wait for the next round.
+func (d *engine) drainOffHome() {
+	// While the local breaker is open a relocation to local storage would be
+	// refused without touching the device; once its cooldown elapses the
+	// relocation's write is the recovery probe.
+	localDown := d.localBreaker.State() == retry.StateOpen && !d.localBreaker.ProbeDue()
+	stop := false
 	d.vs.Current().AllFiles(func(level int, f *manifest.FileMetadata) {
-		if out == nil && f.PendingCloud {
-			out = &pendingFile{level: level, meta: *f}
+		home, ok := d.offHome(level, f)
+		if stop || !ok || (localDown && home == storage.TierLocal) {
+			return
 		}
+		stop = d.closed.Load() || !d.relocate(level, *f, home)
 	})
-	return out
 }
 
-// drainPending migrates pending tables one at a time until the backlog is
-// empty or the cloud stops cooperating.
-func (d *engine) drainPending() {
-	for {
-		select {
-		case <-d.bgQuit:
-			return
-		default:
-		}
-		p := d.nextPending()
-		if p == nil {
-			return
-		}
-		if !d.drainOne(p.level, p.meta) {
-			return
+// liveOffHome reports whether table num is still in the current version at
+// level and still off its home tier.
+func (d *engine) liveOffHome(level int, num uint64) bool {
+	for _, f := range d.vs.Current().Levels[level] {
+		if f.Num == num {
+			_, ok := d.offHome(level, f)
+			return ok
 		}
 	}
+	return false
 }
 
-// drainOne uploads one pending table to the cloud and installs the tier
-// change. It returns false when the round should stop (cloud still down,
-// shutdown, manifest failure) and true when the drainer may continue with
-// the next candidate.
-func (d *engine) drainOne(level int, meta manifest.FileMetadata) bool {
+// relocate copies one off-home table to its home tier and installs the tier
+// change. It returns false when the round should stop (a tier not
+// cooperating, manifest failure) and true when the drainer may go on to the
+// next table.
+func (d *engine) relocate(level int, meta manifest.FileMetadata, to storage.Tier) bool {
 	name := manifest.TableName(meta.Num)
+	from := meta.Tier
 	start := time.Now()
-	data, err := d.local.ReadAll(name)
+	data, err := d.backendFor(from).ReadAll(name)
 	if err != nil {
-		// The table vanished: a concurrent compaction retired it between the
-		// version snapshot and now. The next round sees the fresh version.
-		return true
+		// Gone because a compaction retired the table since the version
+		// snapshot: go on. A live table that cannot be read (tier down, EIO,
+		// quarantine) ends the round — the next tick retries it, not a spin.
+		return !d.liveOffHome(level, meta.Num)
 	}
-	attempts, err := d.cloudPut(name, data)
+	attempts, err := d.putTable(to, name, data)
 	if err != nil {
-		// Cloud still unreachable (breaker open fails fast); try next tick.
-		return false
+		return false // home tier still not cooperating; try next tick
 	}
-	tailOff, tail, err := sstable.MetaTail(bytesReader{data})
-	if err == nil {
-		err = d.writeMetaSidecar(meta.Num, tailOff, tail)
-	}
-	if err != nil {
-		_ = d.cloud.Delete(name)
-		return false
+	var tailOff uint64
+	if to == storage.TierCloud {
+		var tail []byte
+		if tailOff, tail, err = sstable.MetaTail(bytesReader{data}); err == nil {
+			err = d.writeMetaSidecar(meta.Num, tailOff, tail)
+		}
+		if err != nil {
+			d.removeTable(to, meta.Num)
+			return false
+		}
 	}
 
-	// Install the migration, re-verifying liveness under compactionMu so a
+	// Install the move, re-verifying liveness under compactionMu so a
 	// concurrent compaction cannot retire the file between our check and
 	// the manifest append (LogAndApply persists before applying, so a
 	// conflicting edit must be impossible, not merely detected).
+	newMeta := meta
+	newMeta.Tier = to
+	newMeta.PendingCloud = false
 	d.compactionMu.Lock()
-	live := false
-	for _, f := range d.vs.Current().Levels[level] {
-		if f.Num == meta.Num && f.PendingCloud {
-			live = true
-			break
-		}
+	live := d.liveOffHome(level, meta.Num)
+	if live {
+		err = d.vs.LogAndApply(&manifest.VersionEdit{
+			Deleted: []manifest.DeletedFile{{Level: level, Num: meta.Num}},
+			Added:   []manifest.AddedFile{{Level: level, Meta: newMeta}},
+		})
 	}
+	d.compactionMu.Unlock()
 	if !live {
-		d.compactionMu.Unlock()
-		// Compacted away mid-drain: the cloud copy and sidecar are orphans.
-		_ = d.cloud.Delete(name)
-		_ = d.local.Delete(metaSidecarName(meta.Num))
+		// Compacted away mid-copy: the home copy (and sidecar) are orphans.
+		d.removeTable(to, meta.Num)
 		return true
 	}
-	newMeta := meta
-	newMeta.Tier = storage.TierCloud
-	newMeta.PendingCloud = false
-	err = d.vs.LogAndApply(&manifest.VersionEdit{
-		Deleted: []manifest.DeletedFile{{Level: level, Num: meta.Num}},
-		Added:   []manifest.AddedFile{{Level: level, Meta: newMeta}},
-	})
-	d.compactionMu.Unlock()
 	if err != nil {
 		// Manifest I/O failure is a local-tier problem; wedge like any
 		// other background failure.
@@ -222,127 +247,31 @@ func (d *engine) drainOne(level int, meta manifest.FileMetadata) bool {
 	}
 	// Counted with the edit, not after the cleanup below: a reader that sees
 	// the backlog gauge drop must already see the counter.
-	d.stats.DrainedTables.Add(1)
-
-	// The handle cached for the local file must be reopened against the
-	// cloud tier (with its sidecar overlay) on next use. Block-cache
-	// entries are content-identical and stay valid.
-	d.tables.evict(meta.Num)
-	if err := d.local.Delete(name); err != nil {
-		d.deferDelete(storage.TierLocal, name)
+	if to == storage.TierCloud {
+		d.stats.DrainedTables.Add(1)
+	} else {
+		d.stats.LocalDrainedBack.Add(1)
 	}
-	if d.opts.Policy == PolicyMash {
-		// Keep the just-migrated data warm: it was serving reads locally a
+
+	// The cached handle must be reopened against the new tier (in the cloud,
+	// with its sidecar overlay) on next use. Block-cache entries are
+	// content-identical and stay valid.
+	d.tables.evict(meta.Num)
+	if to == storage.TierLocal && d.opts.MirrorLocalLevels {
+		// The cloud object we just copied from is a byte-identical mirror of
+		// the new local table; keep it as the repair source. Only its sidecar
+		// goes: local-tier tables carry their metadata in-file.
+		d.removeObject(storage.TierLocal, metaSidecarName(meta.Num))
+		d.markMirrored(meta.Num)
+	} else {
+		d.removeTable(from, meta.Num)
+	}
+	if to == storage.TierCloud && d.opts.Policy == PolicyMash {
+		// Keep the just-moved data warm: it was serving reads locally a
 		// moment ago and must not fall off a latency cliff.
 		_ = d.warmPCache(&builtTable{meta: newMeta, metaOff: tailOff, data: data})
 	}
-	d.evTableUploaded(meta.Num, storage.TierCloud, int64(meta.Size), attempts, time.Since(start), false)
-	return true
-}
-
-// nextMisplaced locates one misplaced file: a table sitting on the cloud
-// tier whose level belongs to the local tier under the placement policy —
-// the footprint of a cloud-direct landing during local degradation.
-func (d *engine) nextMisplaced() *pendingFile {
-	var out *pendingFile
-	d.vs.Current().AllFiles(func(level int, f *manifest.FileMetadata) {
-		if out == nil && d.isMisplaced(level, f) {
-			out = &pendingFile{level: level, meta: *f}
-		}
-	})
-	return out
-}
-
-func (d *engine) isMisplaced(level int, f *manifest.FileMetadata) bool {
-	return f.Tier == storage.TierCloud && !f.PendingCloud &&
-		d.opts.tierForLevel(level) == storage.TierLocal
-}
-
-// drainMisplaced migrates misplaced tables back to local storage one at a
-// time until the backlog is empty or either tier stops cooperating.
-func (d *engine) drainMisplaced() {
-	for {
-		select {
-		case <-d.bgQuit:
-			return
-		default:
-		}
-		p := d.nextMisplaced()
-		if p == nil {
-			return
-		}
-		if !d.drainBackOne(p.level, p.meta) {
-			return
-		}
-	}
-}
-
-// drainBackOne copies one misplaced table's bytes back to local storage and
-// installs the tier change, mirroring drainOne's liveness discipline. The
-// local write doubles as the local breaker's recovery probe: it runs only
-// when Allow() admits it, and its outcome is reported back.
-func (d *engine) drainBackOne(level int, meta manifest.FileMetadata) bool {
-	name := manifest.TableName(meta.Num)
-	data, err := d.cloud.ReadAll(name)
-	if err != nil {
-		// Cloud unreachable (or the object vanished with its table mid-race);
-		// stop the round and let the next tick re-evaluate the fresh version.
-		return false
-	}
-	if !d.localBreaker.Allow() {
-		return false
-	}
-	if err := storage.WriteObject(d.local, name, data); err != nil {
-		d.localBreaker.Failure()
-		return false
-	}
-	d.localBreaker.Success()
-
-	d.compactionMu.Lock()
-	live := false
-	for _, f := range d.vs.Current().Levels[level] {
-		if f.Num == meta.Num && f.Tier == storage.TierCloud {
-			live = true
-			break
-		}
-	}
-	if !live {
-		d.compactionMu.Unlock()
-		// Compacted away mid-drain: the fresh local copy is an orphan.
-		_ = d.local.Delete(name)
-		return true
-	}
-	newMeta := meta
-	newMeta.Tier = storage.TierLocal
-	err = d.vs.LogAndApply(&manifest.VersionEdit{
-		Deleted: []manifest.DeletedFile{{Level: level, Num: meta.Num}},
-		Added:   []manifest.AddedFile{{Level: level, Meta: newMeta}},
-	})
-	d.compactionMu.Unlock()
-	if err != nil {
-		d.mu.Lock()
-		if d.bgErr == nil {
-			d.bgErr = err
-		}
-		d.immWake.Broadcast()
-		d.mu.Unlock()
-		return false
-	}
-	d.stats.LocalDrainedBack.Add(1)
-
-	// Reopen against the local tier on next use; the sidecar is no longer
-	// referenced (local-tier tables carry their metadata in-file).
-	d.tables.evict(meta.Num)
-	if err := d.local.Delete(metaSidecarName(meta.Num)); err != nil {
-		d.deferDelete(storage.TierLocal, metaSidecarName(meta.Num))
-	}
-	if d.opts.MirrorLocalLevels {
-		// The cloud object we just copied from is a byte-identical mirror of
-		// the new local table; keep it as the repair source.
-		d.markMirrored(meta.Num)
-	} else if err := d.cloud.Delete(name); err != nil {
-		d.deferDelete(storage.TierCloud, name)
-	}
+	d.evTableUploaded(meta.Num, to, int64(meta.Size), attempts, time.Since(start), false)
 	return true
 }
 
@@ -387,10 +316,8 @@ func (d *engine) mirrorLocals() {
 		}
 	})
 	for _, num := range cands {
-		select {
-		case <-d.bgQuit:
+		if d.closed.Load() {
 			return
-		default:
 		}
 		name := manifest.TableName(num)
 		data, err := d.local.ReadAll(name)
@@ -402,7 +329,7 @@ func (d *engine) mirrorLocals() {
 			// the damage through their own channels.
 			continue
 		}
-		if _, err := d.cloudPut(name, data); err != nil {
+		if _, err := d.putTable(storage.TierCloud, name, data); err != nil {
 			return // cloud uncooperative; next tick
 		}
 		// A compaction may have retired the table mid-upload, in which case
@@ -415,9 +342,7 @@ func (d *engine) mirrorLocals() {
 			}
 		})
 		if !live {
-			if err := d.cloud.Delete(name); err != nil {
-				d.deferDelete(storage.TierCloud, name)
-			}
+			d.removeObject(storage.TierCloud, name)
 			continue
 		}
 		d.markMirrored(num)
@@ -526,7 +451,7 @@ func (d *DB) LocalBreakerState() string { return d.localBreaker.State().String()
 func (d *DB) MisplacedTables() int {
 	n := 0
 	d.allFiles(func(e *engine, level int, f *manifest.FileMetadata) {
-		if e.isMisplaced(level, f) {
+		if home, ok := e.offHome(level, f); ok && home == storage.TierLocal {
 			n++
 		}
 	})

@@ -563,7 +563,7 @@ func (d *DB) Metrics() Metrics {
 				m.PendingTables++
 				m.PendingBytes += int64(f.Size)
 			}
-			if e.isMisplaced(level, f) {
+			if home, ok := e.offHome(level, f); ok && home == storage.TierLocal {
 				m.MisplacedTables++
 			}
 		})

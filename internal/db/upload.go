@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"rocksmash/internal/manifest"
 	"rocksmash/internal/storage"
 )
 
@@ -110,14 +109,6 @@ func (u *uploader) abort() {
 	u.uploaded = nil
 	u.mu.Unlock()
 	for _, t := range uploaded {
-		name := manifest.TableName(t.meta.Num)
-		if err := u.d.backendFor(t.meta.Tier).Delete(name); err != nil {
-			u.d.deferDelete(t.meta.Tier, name)
-		}
-		if t.meta.Tier == storage.TierCloud {
-			if err := u.d.local.Delete(metaSidecarName(t.meta.Num)); err != nil {
-				u.d.deferDelete(storage.TierLocal, metaSidecarName(t.meta.Num))
-			}
-		}
+		u.d.removeTable(t.meta.Tier, t.meta.Num)
 	}
 }
