@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet bench benchsmoke check
+.PHONY: all build test race vet bench benchsmoke fuzzsmoke check
 
 all: build
 
@@ -31,4 +31,11 @@ bench:
 benchsmoke:
 	$(GO) vet -C bench ./... && $(GO) test -C bench ./...
 
-check: build vet test race benchsmoke
+# Ten seconds of native fuzzing on the block decoder (arbitrary bytes in, no
+# panic, point seek == iterator seek). The committed seed corpus under
+# internal/block/testdata/fuzz is replayed by plain `go test` already; this
+# looks for new inputs.
+fuzzsmoke:
+	$(GO) test -run '^$$' -fuzz FuzzBlockSeek -fuzztime 10s ./internal/block
+
+check: build vet test race benchsmoke fuzzsmoke

@@ -95,36 +95,137 @@ func (b *Builder) Reset() {
 	b.n = 0
 }
 
-// Reader provides random and sequential access to a finished block.
+// Reader provides random and sequential access to a finished block. It is two
+// slice headers over the block's own bytes — nothing is copied or decoded up
+// front — so it is cheap to hold by value (Parse) and safe to share: the
+// bytes belong to whoever fetched the block and are only ever read.
 type Reader struct {
 	data     []byte // entry region only
-	restarts []uint32
+	restarts []byte // the trailer's restart offsets (uint32 LE each), read in place
 }
 
-// NewReader parses an encoded block.
-func NewReader(data []byte) (*Reader, error) {
+// Parse validates an encoded block's trailer and returns its Reader.
+func Parse(data []byte) (Reader, error) {
 	if len(data) < 4 {
-		return nil, ErrCorrupt
+		return Reader{}, ErrCorrupt
 	}
 	n := binary.LittleEndian.Uint32(data[len(data)-4:])
 	trailer := 4 * (int(n) + 1)
 	if n == 0 || trailer > len(data) {
-		return nil, ErrCorrupt
+		return Reader{}, ErrCorrupt
 	}
 	restartStart := len(data) - trailer
-	restarts := make([]uint32, n)
-	for i := range restarts {
-		restarts[i] = binary.LittleEndian.Uint32(data[restartStart+4*i:])
-		if int(restarts[i]) > restartStart {
-			return nil, ErrCorrupt
+	r := Reader{data: data[:restartStart], restarts: data[restartStart : len(data)-4]}
+	// Every restart lies inside the entry region, and they strictly increase:
+	// Prev steps back one restart at a time and relies on that to make
+	// progress.
+	for i, prev := 0, -1; i < int(n); i++ {
+		off := r.restart(i)
+		if off > restartStart || off <= prev {
+			return Reader{}, ErrCorrupt
 		}
+		prev = off
 	}
-	return &Reader{data: data[:restartStart], restarts: restarts}, nil
+	return r, nil
 }
 
-// Iter iterates the entries of one block.
+// NewReader is Parse for callers that keep the Reader behind a pointer.
+func NewReader(data []byte) (*Reader, error) {
+	r, err := Parse(data)
+	if err != nil {
+		return nil, err
+	}
+	return &r, nil
+}
+
+func (r *Reader) numRestarts() int { return len(r.restarts) / 4 }
+
+// restart returns the entry offset of restart point i.
+func (r *Reader) restart(i int) int {
+	return int(binary.LittleEndian.Uint32(r.restarts[4*i:]))
+}
+
+// decodeEntry decodes the header of the entry at off: the count of key bytes
+// shared with the previous entry, the lengths of the key delta and the value,
+// and the offset p of the delta (the value follows it, the next entry follows
+// the value). ok is false when the header is malformed or the entry overruns
+// the block; the caller still has to check shared against the previous key.
+func decodeEntry(data []byte, off int) (shared, unshared, vlen, p int, ok bool) {
+	s, n1 := binary.Uvarint(data[off:])
+	if n1 <= 0 {
+		return 0, 0, 0, 0, false
+	}
+	u, n2 := binary.Uvarint(data[off+n1:])
+	if n2 <= 0 {
+		return 0, 0, 0, 0, false
+	}
+	v, n3 := binary.Uvarint(data[off+n1+n2:])
+	if n3 <= 0 {
+		return 0, 0, 0, 0, false
+	}
+	p = off + n1 + n2 + n3
+	// Compared as uint64, so a length too large for an int cannot wrap.
+	rest := uint64(len(data) - p)
+	if s > uint64(len(data)) || u > rest || v > rest-u {
+		return 0, 0, 0, 0, false
+	}
+	return int(s), int(u), int(v), p, true
+}
+
+// seekRestart binary-searches the restart points for the last one whose key
+// is < target (restart 0 when none is) and returns its index.
+func (r *Reader) seekRestart(target []byte) (int, bool) {
+	lo, hi := 0, r.numRestarts()-1
+	for lo < hi {
+		mid := (lo + hi + 1) / 2
+		k, ok := r.restartKey(mid)
+		if !ok {
+			return 0, false
+		}
+		if keys.Compare(k, target) < 0 {
+			lo = mid
+		} else {
+			hi = mid - 1
+		}
+	}
+	return lo, true
+}
+
+// SeekGE is the iterator-free point seek: it returns the first entry with
+// key >= target in internal-key order, or ok == false when every key is
+// smaller (err == nil) or the block is corrupt. The key is assembled in buf's
+// backing array (a key that outgrows it moves to the heap) and value aliases
+// the block. Everything lives in locals, so with a stack buffer a lookup
+// allocates nothing.
+func (r *Reader) SeekGE(target, buf []byte) (key, value []byte, ok bool, err error) {
+	ri, found := r.seekRestart(target)
+	if !found {
+		return nil, nil, false, ErrCorrupt
+	}
+	data := r.data
+	key = buf[:0]
+	for off := r.restart(ri); off < len(data); {
+		shared, unshared, vlen, p, sound := decodeEntry(data, off)
+		if !sound || shared > len(key) {
+			return nil, nil, false, ErrCorrupt
+		}
+		key = append(key[:shared], data[p:p+unshared]...)
+		if len(key) < keys.TrailerLen {
+			return nil, nil, false, ErrCorrupt
+		}
+		off = p + unshared + vlen
+		if keys.Compare(key, target) >= 0 {
+			return key, data[p+unshared : off], true, nil
+		}
+	}
+	return nil, nil, false, nil
+}
+
+// Iter iterates the entries of one block. It holds its Reader by value and
+// owns the buffer Key() is assembled in; Reset moves it to another block and
+// keeps that buffer, so a table scan allocates per iterator, not per block.
 type Iter struct {
-	r      *Reader
+	r      Reader
 	off    int // offset of current entry
 	next   int // offset just past current entry
 	key    []byte
@@ -135,40 +236,31 @@ type Iter struct {
 }
 
 // NewIter returns an unpositioned iterator over the block.
-func (r *Reader) NewIter() *Iter { return &Iter{r: r} }
+func (r *Reader) NewIter() *Iter { return &Iter{r: *r} }
+
+// Reset points the iterator at block r, unpositioned and with no error,
+// reusing its key buffer.
+func (it *Iter) Reset(r Reader) { *it = Iter{r: r, key: it.key[:0]} }
 
 // decodeAt decodes the entry at offset off, using it.key as the shared
-// prefix source, and advances the iterator state.
+// prefix source, and advances the iterator state. Every key it exposes is a
+// whole internal key: callers compare them with keys.Compare, which needs
+// the trailer.
 func (it *Iter) decodeAt(off int) bool {
 	data := it.r.data
 	if off >= len(data) {
 		it.valid = false
 		return false
 	}
-	shared, n1 := binary.Uvarint(data[off:])
-	if n1 <= 0 {
+	shared, unshared, vlen, p, ok := decodeEntry(data, off)
+	if !ok || shared > len(it.key) || shared+unshared < keys.TrailerLen {
 		it.fail()
 		return false
 	}
-	unshared, n2 := binary.Uvarint(data[off+n1:])
-	if n2 <= 0 {
-		it.fail()
-		return false
-	}
-	vlen, n3 := binary.Uvarint(data[off+n1+n2:])
-	if n3 <= 0 {
-		it.fail()
-		return false
-	}
-	p := off + n1 + n2 + n3
-	if int(shared) > len(it.key) || p+int(unshared)+int(vlen) > len(data) {
-		it.fail()
-		return false
-	}
-	it.key = append(it.key[:int(shared)], data[p:p+int(unshared)]...)
-	it.value = data[p+int(unshared) : p+int(unshared)+int(vlen)]
+	it.key = append(it.key[:shared], data[p:p+unshared]...)
+	it.next = p + unshared + vlen
+	it.value = data[p+unshared : it.next]
 	it.off = off
-	it.next = p + int(unshared) + int(vlen)
 	it.valid = true
 	return true
 }
@@ -202,33 +294,29 @@ func (it *Iter) Next() {
 	if !it.valid {
 		return
 	}
-	if it.restIx+1 < len(it.r.restarts) && it.next >= int(it.r.restarts[it.restIx+1]) {
+	if it.restIx+1 < it.r.numRestarts() && it.next >= it.r.restart(it.restIx+1) {
 		it.restIx++
 	}
 	it.decodeAt(it.next)
 }
 
+// seekRestart positions at the last restart point whose key is < target
+// (the first when none is).
+func (it *Iter) seekRestart(target []byte) bool {
+	ri, ok := it.r.seekRestart(target)
+	if !ok {
+		it.fail()
+		return false
+	}
+	it.restIx = ri
+	it.key = it.key[:0]
+	return it.decodeAt(it.r.restart(ri))
+}
+
 // SeekGE positions at the first entry with key >= target in internal-key
 // order.
 func (it *Iter) SeekGE(target []byte) {
-	// Binary search restart points for the last restart whose key < target.
-	lo, hi := 0, len(it.r.restarts)-1
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		k, ok := it.r.restartKey(mid)
-		if !ok {
-			it.fail()
-			return
-		}
-		if keys.Compare(k, target) < 0 {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	it.restIx = lo
-	it.key = it.key[:0]
-	if !it.decodeAt(int(it.r.restarts[lo])) {
+	if !it.seekRestart(target) {
 		return
 	}
 	for it.valid && keys.Compare(it.key, target) < 0 {
@@ -240,23 +328,7 @@ func (it *Iter) SeekGE(target []byte) {
 func (it *Iter) SeekLT(target []byte) {
 	// Scan forward remembering the last entry < target. Blocks are small,
 	// so the linear fallback after the restart search is acceptable.
-	lo, hi := 0, len(it.r.restarts)-1
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		k, ok := it.r.restartKey(mid)
-		if !ok {
-			it.fail()
-			return
-		}
-		if keys.Compare(k, target) < 0 {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	it.restIx = lo
-	it.key = it.key[:0]
-	if !it.decodeAt(int(it.r.restarts[lo])) {
+	if !it.seekRestart(target) {
 		return
 	}
 	if keys.Compare(it.key, target) >= 0 {
@@ -279,9 +351,9 @@ func (it *Iter) SeekLT(target []byte) {
 
 // Last positions at the final entry.
 func (it *Iter) Last() {
-	it.restIx = len(it.r.restarts) - 1
+	it.restIx = it.r.numRestarts() - 1
 	it.key = it.key[:0]
-	if !it.decodeAt(int(it.r.restarts[it.restIx])) {
+	if !it.decodeAt(it.r.restart(it.restIx)) {
 		return
 	}
 	for it.next < len(it.r.data) {
@@ -303,7 +375,7 @@ func (it *Iter) Prev() {
 	}
 	// Find restart strictly before the current entry.
 	ri := it.restIx
-	if int(it.r.restarts[ri]) >= target {
+	if it.r.restart(ri) >= target {
 		ri--
 		if ri < 0 {
 			it.valid = false
@@ -312,14 +384,14 @@ func (it *Iter) Prev() {
 	}
 	it.restIx = ri
 	it.key = it.key[:0]
-	if !it.decodeAt(int(it.r.restarts[ri])) {
+	if !it.decodeAt(it.r.restart(ri)) {
 		return
 	}
 	for it.next < target {
 		if !it.decodeAt(it.next) {
 			return
 		}
-		if it.restIx+1 < len(it.r.restarts) && it.off >= int(it.r.restarts[it.restIx+1]) {
+		if it.restIx+1 < it.r.numRestarts() && it.off >= it.r.restart(it.restIx+1) {
 			it.restIx++
 		}
 	}
@@ -328,7 +400,7 @@ func (it *Iter) Prev() {
 // replayTo re-decodes entries from the current restart point up to and
 // including the entry at offset target.
 func (it *Iter) replayTo(target int) {
-	if !it.decodeAt(int(it.r.restarts[it.restIx])) {
+	if !it.decodeAt(it.r.restart(it.restIx)) {
 		return
 	}
 	for it.off < target {
@@ -338,29 +410,16 @@ func (it *Iter) replayTo(target int) {
 	}
 }
 
-// restartKey decodes the full key stored at restart index i (restart entries
-// always have shared == 0).
+// restartKey returns the full key stored at restart index i, aliasing the
+// block (restart entries always have shared == 0).
 func (r *Reader) restartKey(i int) ([]byte, bool) {
-	off := int(r.restarts[i])
-	data := r.data
-	if off >= len(data) {
+	off := r.restart(i)
+	if off >= len(r.data) {
 		return nil, false
 	}
-	shared, n1 := binary.Uvarint(data[off:])
-	if n1 <= 0 || shared != 0 {
+	shared, unshared, _, p, ok := decodeEntry(r.data, off)
+	if !ok || shared != 0 || unshared < keys.TrailerLen {
 		return nil, false
 	}
-	unshared, n2 := binary.Uvarint(data[off+n1:])
-	if n2 <= 0 {
-		return nil, false
-	}
-	_, n3 := binary.Uvarint(data[off+n1+n2:])
-	if n3 <= 0 {
-		return nil, false
-	}
-	p := off + n1 + n2 + n3
-	if p+int(unshared) > len(data) {
-		return nil, false
-	}
-	return data[p : p+int(unshared)], true
+	return r.data[p : p+unshared], true
 }

@@ -9,6 +9,7 @@ import (
 	"rocksmash/internal/batch"
 	"rocksmash/internal/cache"
 	"rocksmash/internal/event"
+	"rocksmash/internal/keys"
 	"rocksmash/internal/manifest"
 	"rocksmash/internal/memtable"
 	"rocksmash/internal/pcache"
@@ -462,7 +463,12 @@ func (d *engine) getAt(key []byte, seq uint64, prof *readprof.Profile) ([]byte, 
 	mem, imm := rs.mem, rs.imm
 	recovered := rs.recovered
 
-	if v, found, live := mem.Get(key, seq); found {
+	// One seek key for every memtable and table this read probes, built on
+	// the stack; the value copy handed back is the read's only allocation.
+	var buf [keys.SeekBufLen]byte
+	seek := keys.MakeSeekKey(buf[:0], key, seq)
+
+	if v, found, live := mem.GetSeek(seek); found {
 		if prof != nil {
 			prof.LevelServed = readprof.LevelMemtable
 		}
@@ -472,7 +478,7 @@ func (d *engine) getAt(key []byte, seq uint64, prof *readprof.Profile) ([]byte, 
 		return append([]byte(nil), v...), nil
 	}
 	if imm != nil {
-		if v, found, live := imm.Get(key, seq); found {
+		if v, found, live := imm.GetSeek(seek); found {
 			if prof != nil {
 				prof.LevelServed = readprof.LevelMemtable
 			}
@@ -485,7 +491,7 @@ func (d *engine) getAt(key []byte, seq uint64, prof *readprof.Profile) ([]byte, 
 	if len(recovered) > 0 {
 		// Recovered memtables are unordered relative to each other; pick
 		// the newest visible entry across all of them.
-		if v, live, ok := getFromRecovered(recovered, key, seq); ok {
+		if v, live, ok := getFromRecovered(recovered, seek); ok {
 			if prof != nil {
 				prof.LevelServed = readprof.LevelMemtable
 			}
@@ -525,7 +531,7 @@ func (d *engine) getAt(key []byte, seq uint64, prof *readprof.Profile) ([]byte, 
 			if prof != nil {
 				prof.Tables++
 			}
-			val, found, live, err := h.reader.GetProf(key, seq, prof)
+			val, found, live, err := h.reader.GetSeek(seek, prof)
 			if err != nil {
 				return false, err
 			}

@@ -234,6 +234,7 @@ type mergingIter struct {
 	tree     []int // loser tree over child indices; tree[0] is the winner
 	cur      int   // index of child at the merge frontier, -1 if exhausted
 	reverse  bool
+	pivot    []byte // scratch: the current key while a direction switch re-seeks the other children
 	err      error
 }
 
@@ -373,10 +374,10 @@ func (m *mergingIter) Next() {
 		// Direction switch: every other child must be repositioned to the
 		// first key after the current one. Internal keys are unique, so
 		// SeekGE(current) cannot land on an equal key in other children.
-		cur := append([]byte(nil), m.children[m.cur].Key()...)
+		m.pivot = append(m.pivot[:0], m.children[m.cur].Key()...)
 		for i, c := range m.children {
 			if i != m.cur {
-				c.SeekGE(cur)
+				c.SeekGE(m.pivot)
 			}
 		}
 		m.reverse = false
@@ -400,10 +401,10 @@ func (m *mergingIter) Prev() {
 	if !m.reverse {
 		// Direction switch: reposition the other children to the last key
 		// before the current one.
-		cur := append([]byte(nil), m.children[m.cur].Key()...)
+		m.pivot = append(m.pivot[:0], m.children[m.cur].Key()...)
 		for i, c := range m.children {
 			if i != m.cur {
-				c.SeekLT(cur)
+				c.SeekLT(m.pivot)
 			}
 		}
 		m.reverse = true
@@ -459,6 +460,12 @@ type engineIter struct {
 	value []byte
 	valid bool
 	err   error
+
+	// Scratch the iterator owns, so a move allocates nothing once they have
+	// grown: seek holds the internal key handed to the merged iterator, skip
+	// the user key whose remaining versions the next settle must pass over.
+	seek []byte
+	skip []byte
 }
 
 // newIter builds the engine's iterator at snapshot seq.
@@ -539,21 +546,23 @@ func (it *engineIter) First() {
 // Seek positions at the first live key >= ukey.
 func (it *engineIter) Seek(ukey []byte) {
 	it.seeks++
-	it.merged.SeekGE(keys.MakeSeekKey(nil, ukey, it.seq))
+	it.seek = keys.MakeSeekKey(it.seek[:0], ukey, it.seq)
+	it.merged.SeekGE(it.seek)
 	it.settle(nil)
 }
 
 // Next advances to the following live key; the caller checked valid.
 func (it *engineIter) Next() {
-	prev := append([]byte(nil), it.key...)
+	it.skip = append(it.skip[:0], it.key...)
 	if it.merged.Valid() {
 		it.merged.Next()
 	} else {
 		// The merged iterator was exhausted in the other direction while
 		// we still hold a position; re-establish it.
-		it.merged.SeekGE(keys.MakeSeekKey(nil, prev, it.seq))
+		it.seek = keys.MakeSeekKey(it.seek[:0], it.skip, it.seq)
+		it.merged.SeekGE(it.seek)
 	}
-	it.settle(prev)
+	it.settle(it.skip)
 }
 
 // Last positions at the largest live key.
@@ -568,20 +577,23 @@ func (it *engineIter) SeekForPrev(ukey []byte) {
 	it.seeks++
 	// ukey++"\x00" is the immediate successor user key: every entry of
 	// ukey itself sorts before it.
-	succ := append(append([]byte(nil), ukey...), 0)
-	it.merged.SeekLT(keys.MakeSeekKey(nil, succ, keys.MaxSequence))
+	succ := append(append(it.seek[:0], ukey...), 0)
+	it.seek = keys.MakeSeekKey(succ, nil, keys.MaxSequence) // appends the trailer only
+	it.merged.SeekLT(it.seek)
 	it.settleReverse(nil)
 }
 
 // Prev moves to the preceding live key; the caller checked valid.
 func (it *engineIter) Prev() {
-	bound := append([]byte(nil), it.key...)
+	it.skip = append(it.skip[:0], it.key...)
+	bound := it.skip
 	switch {
 	case !it.merged.Valid():
 		// Exhausted forward while positioned: re-establish backward. The
 		// seek key for (bound, MaxSequence) sorts before every entry of
 		// bound, so SeekLT lands on the previous user key's entries.
-		it.merged.SeekLT(keys.MakeSeekKey(nil, bound, keys.MaxSequence))
+		it.seek = keys.MakeSeekKey(it.seek[:0], bound, keys.MaxSequence)
+		it.merged.SeekLT(it.seek)
 	case bytes.Equal(keys.UserKey(it.merged.Key()), bound):
 		// Forward positioning leaves the merged iterator ON the yielded
 		// entry; step off it (settleReverse skips its other versions).
@@ -594,7 +606,7 @@ func (it *engineIter) Prev() {
 }
 
 // settle advances the merged iterator until it rests on the newest visible,
-// live entry of a user key different from skipKey.
+// live entry of a user key different from skipKey (nil, or it.skip).
 func (it *engineIter) settle(skipKey []byte) {
 	it.valid = false
 	for it.merged.Valid() {
@@ -612,7 +624,8 @@ func (it *engineIter) settle(skipKey []byte) {
 			// Older version of a key already yielded (or skipped).
 		case kind == keys.KindDelete:
 			// Tombstone hides everything older for this key.
-			skipKey = append(skipKey[:0], uk...)
+			it.skip = append(it.skip[:0], uk...)
+			skipKey = it.skip
 		default:
 			it.key = append(it.key[:0], uk...)
 			it.value = append(it.value[:0], it.merged.Value()...)
@@ -629,24 +642,15 @@ func (it *engineIter) settle(skipKey []byte) {
 
 // settleReverse walks the merged iterator backward until it rests on the
 // newest visible live entry of the largest user key below the current
-// position (skipping boundKey, which was already yielded). Moving backward
-// visits a key's versions oldest-first, so the candidate for a key is
-// refreshed until the key changes; the final candidate is the newest
-// visible version, and a tombstone candidate hides the key entirely.
+// position (skipping boundKey, which was already yielded; nil, or it.skip).
+// Moving backward visits a key's versions oldest-first, so the candidate for
+// a key is refreshed until the key changes; the final candidate is the newest
+// visible version, and a tombstone candidate hides the key entirely. The
+// candidate is kept in it.key / it.value, which mean nothing until valid is
+// set.
 func (it *engineIter) settleReverse(boundKey []byte) {
 	it.valid = false
-	var (
-		curKey  []byte
-		curVal  []byte
-		curLive bool
-		have    bool
-	)
-	yield := func() {
-		it.key = append(it.key[:0], curKey...)
-		it.value = append(it.value[:0], curVal...)
-		it.valid = true
-		it.nkeys++
-	}
+	var curLive, have bool
 	for it.merged.Valid() {
 		ik := it.merged.Key()
 		if !keys.Valid(ik) {
@@ -660,21 +664,20 @@ func (it *engineIter) settleReverse(boundKey []byte) {
 			it.merged.Prev()
 			continue
 		}
-		if have && !bytes.Equal(uk, curKey) {
+		if have && !bytes.Equal(uk, it.key) {
 			// Finished the previous key's versions; its candidate is the
 			// newest visible one.
 			if curLive {
-				yield()
-				return
+				break
 			}
 			// Tombstone: the key is dead, keep scanning backward.
 			have = false
 		}
 		if seq <= it.seq {
-			curKey = append(curKey[:0], uk...)
+			it.key = append(it.key[:0], uk...)
 			curLive = kind == keys.KindSet
 			if curLive {
-				curVal = append(curVal[:0], it.merged.Value()...)
+				it.value = append(it.value[:0], it.merged.Value()...)
 			}
 			have = true
 		}
@@ -685,7 +688,8 @@ func (it *engineIter) settleReverse(boundKey []byte) {
 		return
 	}
 	if have && curLive {
-		yield()
+		it.valid = true
+		it.nkeys++
 	}
 }
 

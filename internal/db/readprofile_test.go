@@ -1,6 +1,8 @@
 package db
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"strings"
@@ -316,19 +318,23 @@ func TestConcurrentProfiledReads(t *testing.T) {
 	}
 }
 
-// Allocations per Get as measured before DB became a facade over engines.
+// Allocations per Get: the copy of the value handed to the caller and
+// nothing else — the seek key and every block key compared against it live
+// on the stack, and routing a Get to its engine allocates nothing. A Get that
+// finds no live value has nothing to copy.
 const (
-	getAllocsMemtable   = 3.0
-	getAllocsBlockCache = 9.0
+	getAllocsMemtable   = 1.0
+	getAllocsBlockCache = 1.0
+	getAllocsAbsent     = 0.0
 )
 
 // TestGetAllocsProfilerParity: the pooled profiler must not add steady-state
 // allocations to Get relative to running with profiling disabled — whether
-// the hit is in the memtable or in a flushed table's cached block. The
-// absolute counts are the ones measured before DB became a facade over
-// engines: routing a Get to its engine allocates nothing.
+// the hit is in the memtable or in a flushed table's cached block, or the
+// key is absent — and the absolute counts are the ones pinned above.
 func TestGetAllocsProfilerParity(t *testing.T) {
-	measure := func(rate int, flushed bool) float64 {
+	key := []byte("alloc-parity-key")
+	measure := func(rate int, flushed bool, probe []byte) float64 {
 		o := testOptions(PolicyLocalOnly)
 		o.MemtableBytes = 64 << 20 // no flushes during measurement
 		o.ReadProfileSampleRate = rate
@@ -337,30 +343,35 @@ func TestGetAllocsProfilerParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer d.Close()
-		key := []byte("alloc-parity-key")
 		mustPut(t, d, string(key), "v")
+		mustPut(t, d, "alloc-parity-zzz", "v") // probes sort inside the table's range
 		if flushed {
 			if err := d.Flush(); err != nil {
 				t.Fatal(err)
 			}
 			mustGet(t, d, string(key), "v") // admit the block
 		}
+		present := bytes.Equal(probe, key)
 		return testing.AllocsPerRun(2000, func() {
-			if _, err := d.Get(key); err != nil {
-				t.Fatal(err)
+			_, err := d.Get(probe)
+			if present && err != nil || !present && !errors.Is(err, ErrNotFound) {
+				t.Fatalf("Get(%s) = %v", probe, err)
 			}
 		})
 	}
 	for _, c := range []struct {
 		name    string
 		flushed bool
+		probe   []byte
 		want    float64
 	}{
-		{"memtable", false, getAllocsMemtable},
-		{"block-cache", true, getAllocsBlockCache},
+		{"memtable", false, key, getAllocsMemtable},
+		{"block-cache", true, key, getAllocsBlockCache},
+		{"absent-memtable", false, []byte("alloc-parity-none"), getAllocsAbsent},
+		{"absent-flushed", true, []byte("alloc-parity-none"), getAllocsAbsent},
 	} {
-		off := measure(-1, c.flushed)
-		on := measure(64, c.flushed)
+		off := measure(-1, c.flushed, c.probe)
+		on := measure(64, c.flushed, c.probe)
 		// Allow sub-1 slack: a GC clearing the sync.Pool mid-run re-allocates
 		// one profile, but steady state must be identical.
 		if on > off+0.5 {
@@ -372,21 +383,100 @@ func TestGetAllocsProfilerParity(t *testing.T) {
 	}
 }
 
+// Allocations of a forward scan over one flushed table whose blocks are in
+// the block cache. Moving allocates nothing, within a block or across blocks:
+// the block iterators are re-pointed in place and every key the merge
+// compares or yields is assembled in a buffer the iterator owns. Opening an
+// iterator, seeking it and stepping once costs a constant 17 objects: 10 for
+// the iterator tree (facade and its child array 2, the engine iterator's
+// child list 3, memtable iterator 1, table iterator 2, merge and its loser
+// tree 2) and 7 for the first growth of each owned buffer (seek key 2, index
+// and data block keys 2, yielded key and value 2, skip key 1).
+const (
+	scanAllocsPerNext = 0.0
+	scanAllocsPerSeek = 17.0
+)
+
+func TestScanAllocs(t *testing.T) {
+	o := testOptions(PolicyLocalOnly)
+	o.MemtableBytes = 64 << 20
+	o.ReadProfileSampleRate = -1
+	d, err := OpenAt(t.TempDir(), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	const n = 600 // ~20 blocks of 1 KiB
+	for i := 0; i < n; i++ {
+		mustPut(t, d, string(profKey(i)), fmt.Sprintf("val-%06d", i))
+	}
+	if err := d.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	scan := func(from, to []byte, steps int) {
+		it, err := d.NewIterator()
+		if err != nil {
+			t.Fatal(err)
+		}
+		it.Seek(from)
+		for i := 0; i < steps; i++ {
+			it.Next()
+		}
+		if !it.Valid() || !bytes.Equal(it.Key(), to) {
+			t.Fatalf("scan from %s is not on %s after %d steps", from, to, steps)
+		}
+		if err := it.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first, k100, k101, k500 := profKey(0), profKey(100), profKey(101), profKey(500)
+	scan(first, profKey(n-1), n-1) // admit every block
+	if raceEnabled {
+		return
+	}
+
+	it, err := d.NewIterator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	it.Seek(first)
+	if got := testing.AllocsPerRun(n/2, it.Next); got != scanAllocsPerNext || !it.Valid() {
+		t.Errorf("Next allocates %.3f objects/op (valid=%v), want %.0f", got, it.Valid(), scanAllocsPerNext)
+	}
+	if err := it.Close(); err != nil {
+		t.Fatal(err)
+	}
+	short := testing.AllocsPerRun(200, func() { scan(k100, k101, 1) })
+	long := testing.AllocsPerRun(200, func() { scan(k100, k500, 400) })
+	if short != scanAllocsPerSeek || long != short {
+		t.Errorf("NewIterator+Seek+Close allocates %.1f objects with 1 Next, %.1f with 400, want %.0f for both",
+			short, long, scanAllocsPerSeek)
+	}
+}
+
 func BenchmarkGetProfilerOff(b *testing.B) {
-	benchmarkGetRate(b, -1, false)
+	benchmarkGetRate(b, -1, false, false)
 }
 
 func BenchmarkGetProfilerSampled(b *testing.B) {
-	benchmarkGetRate(b, 64, false)
+	benchmarkGetRate(b, 64, false, false)
 }
 
 func BenchmarkGetProfiled(b *testing.B) {
-	benchmarkGetRate(b, 1, true)
+	benchmarkGetRate(b, 1, true, false)
 }
 
-func benchmarkGetRate(b *testing.B, rate int, full bool) {
+// BenchmarkGetBlockCache is BenchmarkGet's other route: every key is in a
+// flushed table whose blocks all fit the block cache (bloom, index seek,
+// cache hit, data-block seek, value copy).
+func BenchmarkGetBlockCache(b *testing.B) {
+	benchmarkGetRate(b, 64, false, true)
+}
+
+func benchmarkGetRate(b *testing.B, rate int, full, flushed bool) {
 	o := testOptions(PolicyLocalOnly)
 	o.MemtableBytes = 256 << 20
+	o.BlockCacheBytes = 8 << 20
 	o.ReadProfileSampleRate = rate
 	d, err := OpenAt(b.TempDir(), o)
 	if err != nil {
@@ -398,6 +488,16 @@ func benchmarkGetRate(b *testing.B, rate int, full bool) {
 	for _, k := range keys {
 		if err := d.Put(k, val); err != nil {
 			b.Fatal(err)
+		}
+	}
+	if flushed {
+		if err := d.Flush(); err != nil {
+			b.Fatal(err)
+		}
+		for _, k := range keys { // admit every block
+			if _, err := d.Get(k); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 	b.ReportAllocs()

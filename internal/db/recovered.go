@@ -8,12 +8,13 @@ import (
 )
 
 // getFromRecovered scans the recovery memtables for the newest entry of
-// key visible at snapshot seq. The memtables were rebuilt from distinct
-// WAL segments, so a key may appear in several of them with different
-// sequence numbers; the largest visible one wins.
-func getFromRecovered(ms []*memtable.MemTable, key []byte, seq uint64) (value []byte, live, found bool) {
+// seek's user key visible at its snapshot. The memtables were rebuilt from
+// distinct WAL segments, so a key may appear in several of them with
+// different sequence numbers; the largest visible one wins, and only the
+// winner's value is copied out.
+func getFromRecovered(ms []*memtable.MemTable, seek []byte) (value []byte, live, found bool) {
 	var bestSeq uint64
-	seek := keys.MakeSeekKey(nil, key, seq)
+	key := keys.UserKey(seek)
 	for _, m := range ms {
 		it := m.NewIterator()
 		it.SeekGE(seek)
@@ -28,16 +29,14 @@ func getFromRecovered(ms []*memtable.MemTable, key []byte, seq uint64) (value []
 		if !found || s > bestSeq {
 			found = true
 			bestSeq = s
-			if kind == keys.KindSet {
-				live = true
-				value = append([]byte(nil), it.Value()...)
-			} else {
-				live = false
-				value = nil
-			}
+			live = kind == keys.KindSet
+			value = it.Value() // arena bytes until the loop is done
 		}
 	}
-	return value, live, found
+	if !live {
+		return nil, false, found
+	}
+	return append([]byte(nil), value...), true, true
 }
 
 // takeRecoveredLocked detaches the recovery memtables (caller holds d.mu).

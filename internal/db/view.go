@@ -244,7 +244,8 @@ type viewIter struct {
 	handles []*tableHandle           // lazily opened, held until Close
 	fetch   []sstable.FetchFunc      // per-member single-block fallback path
 	pos     int                      // current entry ordinal
-	data    *block.Iter
+	data    block.Iter               // held by value; re-pointed (key buffer kept) per block
+	loaded  bool                     // data is on the block at pos
 	forward bool
 	spans   spanReader // cloud span reads along v.Entries
 	prof    *readprof.Profile
@@ -351,33 +352,32 @@ func (vi *viewIter) load(pos int) bool {
 	if vi.err != nil {
 		return false
 	}
+	vi.loaded = false
 	if pos < 0 || pos >= len(vi.v.Entries) {
 		vi.pos = pos
-		vi.data = nil
 		return false
 	}
 	body, err := vi.fetchEntry(pos)
 	if err != nil {
 		vi.err = err
-		vi.data = nil
 		return false
 	}
-	br, err := block.NewReader(body)
+	br, err := block.Parse(body)
 	if err != nil {
 		vi.err = err
-		vi.data = nil
 		return false
 	}
 	vi.pos = pos
-	vi.data = br.NewIter()
+	vi.data.Reset(br)
+	vi.loaded = true
 	return true
 }
 
 func (vi *viewIter) skipForward() {
-	for vi.data != nil && !vi.data.Valid() {
+	for vi.loaded && !vi.data.Valid() {
 		if err := vi.data.Err(); err != nil {
 			vi.err = err
-			vi.data = nil
+			vi.loaded = false
 			return
 		}
 		if !vi.load(vi.pos + 1) {
@@ -388,10 +388,10 @@ func (vi *viewIter) skipForward() {
 }
 
 func (vi *viewIter) skipBackward() {
-	for vi.data != nil && !vi.data.Valid() {
+	for vi.loaded && !vi.data.Valid() {
 		if err := vi.data.Err(); err != nil {
 			vi.err = err
-			vi.data = nil
+			vi.loaded = false
 			return
 		}
 		if !vi.load(vi.pos - 1) {
@@ -444,7 +444,7 @@ func (vi *viewIter) SeekLT(ikey []byte) {
 }
 
 func (vi *viewIter) Next() {
-	if vi.data == nil {
+	if !vi.loaded {
 		return
 	}
 	vi.forward = true
@@ -453,7 +453,7 @@ func (vi *viewIter) Next() {
 }
 
 func (vi *viewIter) Prev() {
-	if vi.data == nil {
+	if !vi.loaded {
 		return
 	}
 	vi.forward = false
@@ -461,7 +461,7 @@ func (vi *viewIter) Prev() {
 	vi.skipBackward()
 }
 
-func (vi *viewIter) Valid() bool   { return vi.data != nil && vi.data.Valid() }
+func (vi *viewIter) Valid() bool   { return vi.loaded && vi.data.Valid() }
 func (vi *viewIter) Key() []byte   { return vi.data.Key() }
 func (vi *viewIter) Value() []byte { return vi.data.Value() }
 func (vi *viewIter) Err() error    { return vi.err }
@@ -476,6 +476,6 @@ func (vi *viewIter) Close() error {
 			vi.handles[i] = nil
 		}
 	}
-	vi.data = nil
+	vi.loaded = false
 	return vi.err
 }

@@ -65,6 +65,13 @@ func MakeInternalKey(dst, ukey []byte, seq uint64, kind Kind) []byte {
 	return append(dst, tr[:]...)
 }
 
+// SeekBufLen sizes the stack buffer a point read builds its seek key in
+// (`var buf [keys.SeekBufLen]byte; seek := keys.MakeSeekKey(buf[:0], ...)`)
+// and the block layer assembles the keys it compares against it in: user keys
+// up to SeekBufLen-TrailerLen bytes cost no allocation, longer ones move to
+// the heap.
+const SeekBufLen = 128
+
 // MakeSeekKey builds an internal key that positions a seek at the first
 // entry for ukey visible at snapshot seq.
 func MakeSeekKey(dst, ukey []byte, seq uint64) []byte {

@@ -4,6 +4,7 @@
 package memtable
 
 import (
+	"bytes"
 	"sync"
 
 	"rocksmash/internal/arena"
@@ -59,13 +60,21 @@ func (m *MemTable) WaitWriters() { m.writers.Wait() }
 //	nil,   true,  false — a tombstone was found (key deleted)
 //	nil,   false, _     — no entry for the key in this memtable
 func (m *MemTable) Get(ukey []byte, seq uint64) (value []byte, found, live bool) {
+	var buf [keys.SeekBufLen]byte
+	return m.GetSeek(keys.MakeSeekKey(buf[:0], ukey, seq))
+}
+
+// GetSeek is Get for a caller that already holds the seek key
+// (keys.MakeSeekKey of the user key and snapshot): a read that probes several
+// memtables and tables builds it once. value aliases the memtable's arena.
+func (m *MemTable) GetSeek(seek []byte) (value []byte, found, live bool) {
 	it := m.list.NewIterator()
-	it.SeekGE(keys.MakeSeekKey(nil, ukey, seq))
+	it.SeekGE(seek)
 	if !it.Valid() {
 		return nil, false, false
 	}
 	ik := it.Key()
-	if string(keys.UserKey(ik)) != string(ukey) {
+	if !bytes.Equal(keys.UserKey(ik), keys.UserKey(seek)) {
 		return nil, false, false
 	}
 	_, kind := keys.DecodeTrailer(ik)

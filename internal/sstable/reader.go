@@ -218,6 +218,16 @@ func (r *Reader) Get(ukey []byte, seq uint64) (value []byte, found, live bool, e
 // and threads prof to the data-block fetch so the block's source tier is
 // attributed to this request.
 func (r *Reader) GetProf(ukey []byte, seq uint64, prof *readprof.Profile) (value []byte, found, live bool, err error) {
+	var buf [keys.SeekBufLen]byte
+	return r.GetSeek(keys.MakeSeekKey(buf[:0], ukey, seq), prof)
+}
+
+// GetSeek is GetProf for a caller that already holds the seek key
+// (keys.MakeSeekKey of the user key and snapshot): a read that probes several
+// tables builds it once. Both block lookups are point seeks over a stack
+// buffer, so the only allocation is the returned copy of a live value.
+func (r *Reader) GetSeek(seek []byte, prof *readprof.Profile) (value []byte, found, live bool, err error) {
+	ukey := keys.UserKey(seek)
 	if r.filter != nil {
 		if prof != nil {
 			prof.BloomChecked++
@@ -229,13 +239,12 @@ func (r *Reader) GetProf(ukey []byte, seq uint64, prof *readprof.Profile) (value
 			return nil, false, false, nil
 		}
 	}
-	seek := keys.MakeSeekKey(nil, ukey, seq)
-	idx := r.index.NewIter()
-	idx.SeekGE(seek)
-	if !idx.Valid() {
-		return nil, false, false, idx.Err()
+	var buf [keys.SeekBufLen]byte
+	_, hv, ok, err := r.index.SeekGE(seek, buf[:0])
+	if !ok {
+		return nil, false, false, err
 	}
-	h, err := DecodeHandle(idx.Value())
+	h, err := DecodeHandle(hv)
 	if err != nil {
 		return nil, false, false, err
 	}
@@ -243,23 +252,22 @@ func (r *Reader) GetProf(ukey []byte, seq uint64, prof *readprof.Profile) (value
 	if err != nil {
 		return nil, false, false, err
 	}
-	br, err := block.NewReader(body)
+	br, err := block.Parse(body)
 	if err != nil {
 		return nil, false, false, err
 	}
-	it := br.NewIter()
-	it.SeekGE(seek)
-	if !it.Valid() {
-		return nil, false, false, it.Err()
+	key, v, ok, err := br.SeekGE(seek, buf[:0])
+	if !ok {
+		return nil, false, false, err
 	}
-	if !bytes.Equal(keys.UserKey(it.Key()), ukey) {
+	if !bytes.Equal(keys.UserKey(key), ukey) {
 		return nil, false, false, nil
 	}
-	_, kind := keys.DecodeTrailer(it.Key())
+	_, kind := keys.DecodeTrailer(key)
 	if kind == keys.KindDelete {
 		return nil, true, false, nil
 	}
-	return append([]byte(nil), it.Value()...), true, true, nil
+	return append([]byte(nil), v...), true, true, nil
 }
 
 // Close releases the underlying file handle.
@@ -272,14 +280,18 @@ func (r *Reader) Close() error {
 	return err
 }
 
-// Iter is a forward iterator over the table's internal keys.
+// Iter is a bidirectional iterator over the table's internal keys. It holds
+// its index and data block iterators by value: moving to the next block
+// re-points the data iterator and reuses its key buffer, so a scan allocates
+// once per iterator, not per block.
 type Iter struct {
-	r     *Reader
-	idx   *block.Iter
-	data  *block.Iter
-	fetch FetchFunc
-	prof  *readprof.Profile
-	err   error
+	r      *Reader
+	idx    block.Iter
+	data   block.Iter
+	loaded bool // data is on the block idx points at
+	fetch  FetchFunc
+	prof   *readprof.Profile
+	err    error
 }
 
 // SetProfile attributes the iterator's data-block reads to prof (nil
@@ -287,41 +299,40 @@ type Iter struct {
 func (it *Iter) SetProfile(p *readprof.Profile) { it.prof = p }
 
 // NewIter returns an unpositioned iterator.
-func (r *Reader) NewIter() *Iter {
-	return &Iter{r: r, idx: r.index.NewIter(), fetch: r.fetch}
-}
+func (r *Reader) NewIter() *Iter { return r.NewIterWithFetch(r.fetch) }
 
 // NewIterWithFetch returns an iterator whose data-block reads use fetch
 // instead of the reader's default path. Compaction uses this to bypass
 // cache admission (scan resistance).
 func (r *Reader) NewIterWithFetch(fetch FetchFunc) *Iter {
-	return &Iter{r: r, idx: r.index.NewIter(), fetch: fetch}
+	it := &Iter{r: r, fetch: fetch}
+	it.idx.Reset(*r.index)
+	return it
 }
 
+// loadData points the data iterator at the block idx is on.
 func (it *Iter) loadData() bool {
+	it.loaded = false
 	if !it.idx.Valid() {
-		it.data = nil
 		return false
 	}
 	h, err := DecodeHandle(it.idx.Value())
 	if err != nil {
 		it.err = err
-		it.data = nil
 		return false
 	}
 	body, err := it.fetch(it.r.fileNum, h, it.prof)
 	if err != nil {
 		it.err = err
-		it.data = nil
 		return false
 	}
-	br, err := block.NewReader(body)
+	br, err := block.Parse(body)
 	if err != nil {
 		it.err = err
-		it.data = nil
 		return false
 	}
-	it.data = br.NewIter()
+	it.data.Reset(br)
+	it.loaded = true
 	return true
 }
 
@@ -345,7 +356,7 @@ func (it *Iter) SeekGE(target []byte) {
 
 // Next advances one entry.
 func (it *Iter) Next() {
-	if it.data == nil {
+	if !it.loaded {
 		return
 	}
 	it.data.Next()
@@ -383,7 +394,7 @@ func (it *Iter) SeekLT(target []byte) {
 
 // Prev moves one entry backward.
 func (it *Iter) Prev() {
-	if it.data == nil {
+	if !it.loaded {
 		return
 	}
 	it.prevEntry()
@@ -395,10 +406,10 @@ func (it *Iter) prevEntry() {
 }
 
 func (it *Iter) skipEmptyForward() {
-	for it.data != nil && !it.data.Valid() {
+	for it.loaded && !it.data.Valid() {
 		if it.data.Err() != nil {
 			it.err = it.data.Err()
-			it.data = nil
+			it.loaded = false
 			return
 		}
 		it.idx.Next()
@@ -410,10 +421,10 @@ func (it *Iter) skipEmptyForward() {
 }
 
 func (it *Iter) skipEmptyBackward() {
-	for it.data != nil && !it.data.Valid() {
+	for it.loaded && !it.data.Valid() {
 		if it.data.Err() != nil {
 			it.err = it.data.Err()
-			it.data = nil
+			it.loaded = false
 			return
 		}
 		it.idx.Prev()
@@ -425,7 +436,7 @@ func (it *Iter) skipEmptyBackward() {
 }
 
 // Valid reports whether the iterator is positioned on an entry.
-func (it *Iter) Valid() bool { return it.data != nil && it.data.Valid() }
+func (it *Iter) Valid() bool { return it.loaded && it.data.Valid() }
 
 // Key returns the current internal key.
 func (it *Iter) Key() []byte { return it.data.Key() }
@@ -438,8 +449,5 @@ func (it *Iter) Err() error {
 	if it.err != nil {
 		return it.err
 	}
-	if it.idx.Err() != nil {
-		return it.idx.Err()
-	}
-	return nil
+	return it.idx.Err()
 }
