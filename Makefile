@@ -38,4 +38,4 @@ benchsmoke:
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz FuzzBlockSeek -fuzztime 10s ./internal/block
 
-check: build vet test race benchsmoke fuzzsmoke
+check: build vet test race benchsmoke

@@ -17,13 +17,10 @@ import (
 
 // openFaultyTest opens a DB whose cloud backend is wrapped in a Faulty
 // decorator, so tests can script outages and random fault injection.
-func openFaultyTest(t *testing.T, p Policy, cfg storage.FaultConfig, mutate ...func(*Options)) (*DB, *storage.Faulty) {
+func openFaultyTest(t *testing.T, p Policy, cfg storage.FaultConfig) (*DB, *storage.Faulty) {
 	t.Helper()
 	dir := t.TempDir()
 	o := testOptions(p)
-	for _, m := range mutate {
-		m(&o)
-	}
 	local, err := storage.NewLocal(filepath.Join(dir, "local"))
 	if err != nil {
 		t.Fatal(err)
@@ -47,13 +44,7 @@ func openFaultyTest(t *testing.T, p Policy, cfg storage.FaultConfig, mutate ...f
 // once the outage ends the drainer must migrate the whole backlog to the
 // cloud without losing a key.
 func TestOutageDegradedFlushAndDrain(t *testing.T) {
-	// No compactions: the four flushed tables are the whole backlog and the
-	// drainer is the only thing that can clear it. With the default trigger
-	// an L0 compaction whose upload is the probe that closes the breaker can
-	// retire every pending table first, and DrainedTables legitimately stays
-	// 0 (TestOutageSoak covers compactions across an outage).
-	d, faulty := openFaultyTest(t, PolicyCloudOnly, storage.FaultConfig{},
-		func(o *Options) { o.L0CompactTrigger = 100 })
+	d, faulty := openFaultyTest(t, PolicyCloudOnly, storage.FaultConfig{})
 	defer d.Close()
 
 	faulty.StartOutage(0) // until EndOutage

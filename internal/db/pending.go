@@ -220,13 +220,24 @@ func (d *engine) relocate(level int, meta manifest.FileMetadata, to storage.Tier
 	newMeta := meta
 	newMeta.Tier = to
 	newMeta.PendingCloud = false
+	moved := &d.stats.DrainedTables
+	if to == storage.TierLocal {
+		moved = &d.stats.LocalDrainedBack
+	}
 	d.compactionMu.Lock()
 	live := d.liveOffHome(level, meta.Num)
 	if live {
+		// Counted before the edit becomes visible, and taken back if it
+		// fails: a reader that sees the backlog gauge drop must already see
+		// the counter.
+		moved.Add(1)
 		err = d.vs.LogAndApply(&manifest.VersionEdit{
 			Deleted: []manifest.DeletedFile{{Level: level, Num: meta.Num}},
 			Added:   []manifest.AddedFile{{Level: level, Meta: newMeta}},
 		})
+		if err != nil {
+			moved.Add(-1)
+		}
 	}
 	d.compactionMu.Unlock()
 	if !live {
@@ -244,13 +255,6 @@ func (d *engine) relocate(level int, meta manifest.FileMetadata, to storage.Tier
 		d.immWake.Broadcast()
 		d.mu.Unlock()
 		return false
-	}
-	// Counted with the edit, not after the cleanup below: a reader that sees
-	// the backlog gauge drop must already see the counter.
-	if to == storage.TierCloud {
-		d.stats.DrainedTables.Add(1)
-	} else {
-		d.stats.LocalDrainedBack.Add(1)
 	}
 
 	// The cached handle must be reopened against the new tier (in the cloud,

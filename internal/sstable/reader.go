@@ -210,22 +210,17 @@ func (r *Reader) MayContain(ukey []byte) bool {
 // Get finds the newest entry for ukey visible at snapshot seq.
 // Return contract matches memtable.Get: (value, found, live).
 func (r *Reader) Get(ukey []byte, seq uint64) (value []byte, found, live bool, err error) {
-	return r.GetProf(ukey, seq, nil)
-}
-
-// GetProf is Get with read-path attribution: when prof is non-nil it
-// records the bloom-filter consultation (and a true-negative rejection)
-// and threads prof to the data-block fetch so the block's source tier is
-// attributed to this request.
-func (r *Reader) GetProf(ukey []byte, seq uint64, prof *readprof.Profile) (value []byte, found, live bool, err error) {
 	var buf [keys.SeekBufLen]byte
-	return r.GetSeek(keys.MakeSeekKey(buf[:0], ukey, seq), prof)
+	return r.GetSeek(keys.MakeSeekKey(buf[:0], ukey, seq), nil)
 }
 
-// GetSeek is GetProf for a caller that already holds the seek key
+// GetSeek is Get for a caller that already holds the seek key
 // (keys.MakeSeekKey of the user key and snapshot): a read that probes several
 // tables builds it once. Both block lookups are point seeks over a stack
-// buffer, so the only allocation is the returned copy of a live value.
+// buffer, so the only allocation is the returned copy of a live value. With
+// read-path attribution: when prof is non-nil it records the bloom-filter
+// consultation (and a true-negative rejection) and threads prof to the
+// data-block fetch so the block's source tier is attributed to this request.
 func (r *Reader) GetSeek(seek []byte, prof *readprof.Profile) (value []byte, found, live bool, err error) {
 	ukey := keys.UserKey(seek)
 	if r.filter != nil {
