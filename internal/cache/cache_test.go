@@ -179,3 +179,127 @@ func TestSmallCapacityRoundsUp(t *testing.T) {
 		t.Fatal("zero-capacity cache admitted a block")
 	}
 }
+
+// sinkLog records what a cache demotes.
+type sinkLog struct {
+	mu   sync.Mutex
+	seen map[Key]string
+}
+
+func (l *sinkLog) sink(k Key, body []byte) {
+	l.mu.Lock()
+	l.seen[k] = string(body)
+	l.mu.Unlock()
+}
+
+func newSinkCache(capacity int64) (*Cache, *sinkLog) {
+	l := &sinkLog{seen: map[Key]string{}}
+	return NewWithSink(capacity, l.sink), l
+}
+
+func TestDemoteOnEviction(t *testing.T) {
+	// Each shard holds two 100-byte blocks. Cloud blocks go in first and
+	// local ones push them out: everything evicted was a cloud block and
+	// reaches the sink with its own bytes, and nothing still resident does.
+	c, l := newSinkCache(numShards * 2 * 100)
+	body := func(k Key) []byte { return []byte(fmt.Sprintf("%03d/%093d", k.FileNum, k.Offset)) }
+	var cloud []Key
+	for i := 0; i < 64; i++ {
+		k := Key{FileNum: 1, Offset: uint64(i)}
+		cloud = append(cloud, k)
+		c.PutCloud(k, body(k))
+	}
+	for i := 0; i < 256; i++ {
+		k := Key{FileNum: 2, Offset: uint64(i)}
+		c.Put(k, body(k))
+	}
+	for k, got := range l.seen {
+		if k.FileNum != 1 {
+			t.Fatalf("sink called for local-tier block %v", k)
+		}
+		if got != string(body(k)) {
+			t.Fatalf("sink got %q for %v", got, k)
+		}
+	}
+	for _, k := range cloud {
+		_, resident := c.Get(k)
+		if _, demoted := l.seen[k]; demoted == resident {
+			t.Fatalf("cloud block %v: resident=%v demoted=%v, want exactly one", k, resident, demoted)
+		}
+	}
+}
+
+func TestDemoteDeclinedAtOnce(t *testing.T) {
+	// A cache that cannot hold a cloud block hands it straight down, or a
+	// store without a block cache would never fill its persistent cache.
+	k := Key{FileNum: 1, Offset: 0}
+	for _, capacity := range []int64{0, 1024} { // disabled; 64 B per shard
+		c, l := newSinkCache(capacity)
+		c.Put(Key{FileNum: 2, Offset: 0}, make([]byte, 4096))
+		if len(l.seen) != 0 {
+			t.Fatalf("capacity %d: declined local block reached the sink", capacity)
+		}
+		c.PutCloud(k, make([]byte, 4096))
+		if _, ok := l.seen[k]; !ok || c.Len() != 0 {
+			t.Fatalf("capacity %d: declined cloud block not demoted (cached %d)", capacity, c.Len())
+		}
+	}
+}
+
+func TestInvalidateFileDoesNotDemote(t *testing.T) {
+	c, l := newSinkCache(1 << 20)
+	for i := 0; i < 50; i++ {
+		c.PutCloud(Key{FileNum: 7, Offset: uint64(i)}, []byte("dead"))
+		c.PutCloud(Key{FileNum: 8, Offset: uint64(i)}, []byte("live"))
+	}
+	c.InvalidateFile(7)
+	if len(l.seen) != 0 {
+		t.Fatalf("InvalidateFile demoted %d blocks of a deleted table", len(l.seen))
+	}
+	// What a clean shutdown hands down is what is still resident.
+	c.DemoteAll()
+	if len(l.seen) != 50 {
+		t.Fatalf("DemoteAll handed down %d blocks, want the 50 of the live table", len(l.seen))
+	}
+	for k := range l.seen {
+		if k.FileNum != 8 {
+			t.Fatalf("DemoteAll handed down %v", k)
+		}
+	}
+}
+
+func TestSinkRunsUnlocked(t *testing.T) {
+	// The sink takes the persistent cache's lock in the store; here it
+	// re-enters the cache, which deadlocks if a shard lock is still held.
+	var c *Cache
+	c = NewWithSink(numShards*2*100, func(k Key, _ []byte) { c.Get(k) })
+	for i := 0; i < 256; i++ {
+		c.PutCloud(Key{FileNum: 1, Offset: uint64(i)}, make([]byte, 100))
+	}
+	c.DemoteAll()
+}
+
+func TestEvictingPutAllocatesNoMore(t *testing.T) {
+	// Victims travel to the sink in a buffer on Put's frame: an evicting
+	// Put costs what a Put into free space costs (the entry and its list
+	// element).
+	blk := make([]byte, 100)
+	discard := func(Key, []byte) {}
+	roomy := NewWithSink(1<<30, discard)
+	full := NewWithSink(numShards*2*100, discard)
+	var i uint64
+	put := func(c *Cache) func() {
+		return func() {
+			i++
+			c.PutCloud(Key{FileNum: 1, Offset: i}, blk)
+		}
+	}
+	for n := 0; n < 256; n++ {
+		put(full)()
+	}
+	free := testing.AllocsPerRun(1000, put(roomy))
+	evicting := testing.AllocsPerRun(1000, put(full))
+	if evicting > free {
+		t.Fatalf("an evicting Put allocates %.2f objects, one into free space %.2f", evicting, free)
+	}
+}

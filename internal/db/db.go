@@ -87,11 +87,10 @@ func Open(opts Options, local storage.Backend, cloud storage.Backend) (*DB, erro
 	}
 	d := &DB{
 		shared: shared{
-			opts:       opts,
-			seqs:       newSeqSource(),
-			blockCache: cache.New(opts.BlockCacheBytes),
-			lat:        newLatencies(),
-			tables:     newTableCache(opts.MaxOpenTables),
+			opts:   opts,
+			seqs:   newSeqSource(),
+			lat:    newLatencies(),
+			tables: newTableCache(opts.MaxOpenTables),
 		},
 		local:    local,
 		cloud:    cloud,
@@ -131,6 +130,13 @@ func Open(opts Options, local storage.Backend, cloud storage.Backend) (*DB, erro
 		d.closeShared()
 		return nil, err
 	}
+	// The caches are one ladder: a cloud block is admitted to the block cache
+	// when it is fetched and to the persistent cache when the block cache
+	// lets go of it. This sink is the persistent cache's only admission from
+	// the read path, so its gate, events and counters see every block once.
+	d.blockCache = cache.NewWithSink(opts.BlockCacheBytes, func(k cache.Key, body []byte) {
+		d.pcache.Put(k.FileNum, k.Offset, body)
+	})
 
 	// Build every engine before opening any (see newEngine), then open them
 	// concurrently: each recovers its own WAL stream.
@@ -198,6 +204,11 @@ func (d *DB) newBreaker(cfg retry.BreakerConfig, tier string, hist *breakerHisto
 func (d *DB) closeShared() error {
 	var firstErr error
 	if d.pcache != nil {
+		if d.blockCache != nil {
+			// The persistent cache outlives the process and the block cache
+			// does not: hand down what is resident before the index snapshot.
+			d.blockCache.DemoteAll()
+		}
 		firstErr = d.pcache.Close()
 	}
 	d.tables.close()

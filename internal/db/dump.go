@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"rocksmash/internal/pcache"
 	"rocksmash/internal/readprof"
 	"rocksmash/internal/storage"
 )
@@ -230,8 +231,14 @@ func (d *DB) DumpStats() string {
 
 	b.WriteString("\n** Caches **\n")
 	fmt.Fprintf(&b, "Block cache: hit %.3f\n", m.BlockHit)
-	fmt.Fprintf(&b, "PCache:      hit %.3f, used %s, metadata %s\n",
-		m.PCacheHit, humanBytes(m.PCacheUsed), humanBytes(m.PCacheMeta))
+	fmt.Fprintf(&b, "PCache:      hit %.3f, used %s of %s (%.2f), metadata %s",
+		m.PCacheHit, humanBytes(m.PCacheUsed), humanBytes(d.opts.PCacheBytes),
+		float64(m.PCacheUsed)/float64(d.opts.PCacheBytes), humanBytes(m.PCacheMeta))
+	if pc, ok := d.pcache.(*pcache.PCache); ok {
+		// The size in effect: PCacheRegionBytes is only its ceiling.
+		fmt.Fprintf(&b, ", regions of %s", humanBytes(pc.RegionBytes()))
+	}
+	b.WriteString("\n")
 
 	if ra := m.ReadAmp; ra.ProfiledGets > 0 {
 		b.WriteString("\n** Read Path **\n")

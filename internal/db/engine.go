@@ -28,6 +28,9 @@ type shared struct {
 	// One block cache, persistent cache, and table cache for the whole
 	// store: file numbers are unique across engines (striped when there is
 	// more than one), so the caches need no engine dimension in their keys.
+	// The two block caches are one ladder: a cloud block enters blockCache
+	// when it is fetched (PutCloud) and pcache when blockCache lets go of it
+	// (the sink DB.Open wires). Nothing on a read path calls pcache.Put.
 	blockCache *cache.Cache
 	pcache     pcache.BlockCache
 	tables     *tableCache

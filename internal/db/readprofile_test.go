@@ -387,14 +387,14 @@ func TestGetAllocsProfilerParity(t *testing.T) {
 // the block cache. Moving allocates nothing, within a block or across blocks:
 // the block iterators are re-pointed in place and every key the merge
 // compares or yields is assembled in a buffer the iterator owns. Opening an
-// iterator, seeking it and stepping once costs a constant 17 objects: 10 for
+// iterator, seeking it and stepping once costs a constant 16 objects: 10 for
 // the iterator tree (facade and its child array 2, the engine iterator's
 // child list 3, memtable iterator 1, table iterator 2, merge and its loser
-// tree 2) and 7 for the first growth of each owned buffer (seek key 2, index
+// tree 2) and 6 for the first growth of each owned buffer (seek key 1, index
 // and data block keys 2, yielded key and value 2, skip key 1).
 const (
 	scanAllocsPerNext = 0.0
-	scanAllocsPerSeek = 17.0
+	scanAllocsPerSeek = 16.0
 )
 
 func TestScanAllocs(t *testing.T) {

@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"rocksmash/internal/cache"
-	"rocksmash/internal/pcache"
 	"rocksmash/internal/sstable"
 	"rocksmash/internal/storage"
 )
@@ -59,12 +58,11 @@ type span struct {
 type spanReader struct {
 	sched  []sstable.ViewEntry // Member indexes tables; Sep is not read
 	tables tableSource
-	// admit selects the sink. True (scans): a landed span is bulk-admitted
-	// to the block cache and the persistent cache, and the consumer reads
-	// its blocks through the ordinary cache ladder. False (compaction
-	// inputs): the bodies stay in the span, private to the consumer, and go
-	// when its cursor leaves the span — a bulk merge must not evict the
-	// workload's hot set.
+	// admit selects the sink. True (scans): a landed span is admitted to the
+	// block cache, and the consumer reads its blocks through the ordinary
+	// cache ladder. False (compaction inputs): the bodies stay in the span,
+	// private to the consumer, and go when its cursor leaves the span — a
+	// bulk merge must not evict the workload's hot set.
 	admit bool
 	// spans and blocks are the counters a landed GET bumps.
 	spans, blocks *atomic.Int64
@@ -102,12 +100,9 @@ func (s *spanReader) fetch(sp *span, h *tableHandle, hs []sstable.Handle) {
 		return
 	}
 	fileNum := h.reader.FileNum()
-	bulk := make([]pcache.Block, len(hs))
 	for i, bh := range hs {
-		bulk[i] = pcache.Block{Off: bh.Offset, Body: sp.bodies[i]}
-		h.db.blockCache.Put(cache.Key{FileNum: fileNum, Offset: bh.Offset}, sp.bodies[i])
+		h.db.blockCache.PutCloud(cache.Key{FileNum: fileNum, Offset: bh.Offset}, sp.bodies[i])
 	}
-	h.db.pcache.PutBulk(fileNum, bulk)
 }
 
 // topUp launches spans along the schedule, each from the end of the last

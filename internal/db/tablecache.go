@@ -196,6 +196,7 @@ func (tc *tableCache) open(d *engine, meta *manifest.FileMetadata) (*sstable.Rea
 //
 //	block cache → [cloud only: persistent cache →] backend read
 //
+// What comes from either lower rung is admitted to the block cache only.
 // Each block served is attributed to its source tier on prof; per-stage
 // clock reads happen only for Timed (sampled) profiles.
 func (tc *tableCache) fetchFor(h *tableHandle) sstable.FetchFunc {
@@ -215,7 +216,7 @@ func (tc *tableCache) fetchFor(h *tableHandle) sstable.FetchFunc {
 		}
 		if h.tier == storage.TierCloud {
 			if body, ok := db.pcache.Get(fileNum, hd.Offset); ok {
-				db.blockCache.Put(ck, body)
+				db.blockCache.PutCloud(ck, body)
 				if prof != nil {
 					var ns int64
 					if timed {
@@ -241,10 +242,13 @@ func (tc *tableCache) fetchFor(h *tableHandle) sstable.FetchFunc {
 		if err != nil {
 			return nil, err
 		}
+		// A cloud block enters the persistent cache when the block cache
+		// lets go of it (see shared.blockCache), not here.
 		if h.tier == storage.TierCloud {
-			db.pcache.Put(fileNum, hd.Offset, body)
+			db.blockCache.PutCloud(ck, body)
+		} else {
+			db.blockCache.Put(ck, body)
 		}
-		db.blockCache.Put(ck, body)
 		if prof != nil {
 			t := readprof.TierLocal
 			if h.tier == storage.TierCloud {

@@ -1,6 +1,7 @@
 package db
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 )
@@ -91,5 +92,58 @@ func TestTableCacheSkipsReferencedHandles(t *testing.T) {
 	}
 	if n != 20*30 {
 		t.Fatalf("scan saw %d keys, want %d", n, 20*30)
+	}
+}
+
+// TestCacheLadder follows cloud blocks down the store's cache ladder: a
+// fetched block is admitted to the block cache only, reaches the persistent
+// cache when the block cache lets go of it — at the latest on a clean Close —
+// and is served from there, without a cloud GET, by the next process.
+func TestCacheLadder(t *testing.T) {
+	o := testOptions(PolicyMash)
+	o.CompactionInheritance = false // nothing but the ladder fills the pcache
+	dir := t.TempDir()
+	d, err := OpenAt(dir, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillKeys(t, d, 3000, 200)
+	if err := d.CompactAll(); err != nil {
+		t.Fatal(err)
+	}
+	if d.Metrics().CloudBytes == 0 {
+		t.Fatal("data set did not reach the cloud levels")
+	}
+	readSome := func(d *DB) (cloudGETs int64) {
+		before := d.cloud.Stats().Snapshot().GetOps
+		for i := 0; i < 3000; i += 40 { // 75 keys: their blocks fit the block cache
+			// fillKeys draws keys at random: an absent one reads a block too.
+			if _, err := d.Get([]byte(fmt.Sprintf("key%06d", i))); err != nil && !errors.Is(err, ErrNotFound) {
+				t.Fatal(err)
+			}
+		}
+		return d.cloud.Stats().Snapshot().GetOps - before
+	}
+	admitted := d.pcache.Stats().Inserted.Load()
+	if gets := readSome(d); gets == 0 {
+		t.Fatal("cold reads of cloud tables cost no cloud GET: the test reads nothing cold")
+	}
+	if now := d.pcache.Stats().Inserted.Load(); now != admitted {
+		t.Fatalf("%d blocks admitted to the persistent cache at fetch time; admission is the block cache's eviction", now-admitted)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	d, err = OpenAt(dir, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if gets := readSome(d); gets != 0 {
+		t.Fatalf("%d cloud GETs for blocks that were resident at a clean Close", gets)
+	}
+	if m := d.Metrics(); m.PCacheHits == 0 {
+		t.Fatal("no persistent-cache hit after a clean restart")
 	}
 }

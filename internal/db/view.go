@@ -329,7 +329,7 @@ func (vi *viewIter) fetchEntry(pos int) ([]byte, error) {
 	}
 	if h.tier == storage.TierCloud && vi.forward {
 		if body, ok := vi.db.pcache.Get(fileNum, e.H.Offset); ok {
-			vi.db.blockCache.Put(ck, body)
+			vi.db.blockCache.PutCloud(ck, body)
 			if vi.prof != nil {
 				vi.prof.Block(readprof.TierPCache, len(body), elapsed())
 			}

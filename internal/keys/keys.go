@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // Kind distinguishes the type of entry an internal key refers to.
@@ -57,12 +58,11 @@ func UnpackTrailer(t uint64) (seq uint64, kind Kind) {
 }
 
 // MakeInternalKey appends the encoded internal key for (ukey, seq, kind) to
-// dst and returns the extended buffer.
+// dst and returns the extended buffer, growing dst at most once.
 func MakeInternalKey(dst, ukey []byte, seq uint64, kind Kind) []byte {
+	dst = slices.Grow(dst, len(ukey)+TrailerLen)
 	dst = append(dst, ukey...)
-	var tr [TrailerLen]byte
-	binary.LittleEndian.PutUint64(tr[:], PackTrailer(seq, kind))
-	return append(dst, tr[:]...)
+	return binary.LittleEndian.AppendUint64(dst, PackTrailer(seq, kind))
 }
 
 // SeekBufLen sizes the stack buffer a point read builds its seek key in

@@ -31,6 +31,8 @@ type GenericLRU struct {
 	order *list.List
 	used  int64
 	pend  []event.PCacheEvict // evictions queued under mu, fired after unlock
+	// dropped declines Puts that lost the race with DropFile (see dropRing).
+	dropped dropRing
 }
 
 // SetListener attaches an event listener. Must be called before the cache
@@ -150,7 +152,7 @@ func (g *GenericLRU) Put(fileNum, blockOff uint64, body []byte) {
 	}
 	k := blockKey{fileNum, blockOff}
 	g.mu.Lock()
-	if _, ok := g.items[k]; ok {
+	if _, ok := g.items[k]; ok || g.dropped.has(fileNum) {
 		g.mu.Unlock()
 		return
 	}
@@ -228,6 +230,7 @@ func (g *GenericLRU) DropFile(fileNum uint64) {
 	for _, e := range victims {
 		g.removeLocked(e, "drop-file")
 	}
+	g.dropped.add(fileNum)
 	evs := g.takePendLocked()
 	g.mu.Unlock()
 	g.heat.drop(fileNum)

@@ -21,10 +21,24 @@ type Options struct {
 	Dir string
 	// CapacityBytes bounds the cache data file size.
 	CapacityBytes int64
-	// RegionBytes is the allocation unit; one region belongs to one
-	// SSTable. Blocks larger than RegionBytes are never cached.
+	// RegionBytes is a ceiling on the allocation unit; one region belongs
+	// to one SSTable. Every table with cached blocks owns one open region
+	// that is on average half empty, so the unit New settles on also keeps
+	// the cache at minRegions regions or more (see New); RegionBytes reports
+	// it. Blocks larger than the unit are never cached.
 	RegionBytes int64
 }
+
+const (
+	// minRegions is how many regions New wants a cache divided into: with
+	// one open region per cached table, 512 keeps the open-region slack of
+	// a hundred tables near a tenth of the capacity (it was a third at 128).
+	minRegions = 512
+	// minRegionBytes stops the division where a region would no longer hold
+	// several blocks: eight of the store's default ones.
+	minRegionBytes    = 8 * defaultBlockBytes
+	defaultBlockBytes = 4 << 10
+)
 
 // DefaultOptions returns moderate defaults for tests and examples.
 func DefaultOptions(dir string) Options {
@@ -46,7 +60,11 @@ const packedEntrySize = 20
 type region struct {
 	fileNum uint64 // owning SSTable; 0 = free
 	used    uint32 // bytes consumed
-	ref     bool   // CLOCK reference bit
+	// epoch counts the times the region was freed. Bytes written under one
+	// epoch never change, so a reader that located an entry, unlocked and
+	// read can tell a recycled region from rot by comparing epochs.
+	epoch   uint32
+	ref     bool // CLOCK reference bit
 	entries []packedEntry
 }
 
@@ -69,11 +87,7 @@ type PCache struct {
 	openReg  map[uint64]int32   // fileNum -> region currently accepting blocks
 	freeList []int32
 	hand     int32 // CLOCK hand
-
-	// pend accumulates eviction events generated while mu is held; they are
-	// drained and fired after unlock so listeners never run under the cache
-	// lock. Only populated when ev is non-nil.
-	pend []event.PCacheEvict
+	dropped  dropRing
 }
 
 // SetListener attaches an event listener. Must be called before the cache
@@ -87,17 +101,9 @@ func (c *PCache) SetAdmit(f func() bool) { c.admit = f }
 // failed verification (the cache cold-started as the repair).
 func (c *PCache) IndexWasCorrupt() bool { return c.indexCorrupt }
 
-// takePendLocked drains the events collected under mu.
-func (c *PCache) takePendLocked() []event.PCacheEvict {
-	evs := c.pend
-	c.pend = nil
-	return evs
-}
-
+// fireEvicts fires the eviction events a locked section collected, after
+// its unlock: listeners never run under the cache lock.
 func (c *PCache) fireEvicts(evs []event.PCacheEvict) {
-	if c.ev == nil {
-		return
-	}
 	for _, e := range evs {
 		c.ev.OnPCacheEvict(e)
 	}
@@ -115,6 +121,7 @@ func New(opts Options) (*PCache, error) {
 	if opts.RegionBytes <= 0 {
 		opts.RegionBytes = 256 << 10
 	}
+	opts.RegionBytes = min(opts.RegionBytes, max(minRegionBytes, opts.CapacityBytes/minRegions))
 	if opts.CapacityBytes < opts.RegionBytes {
 		opts.CapacityBytes = opts.RegionBytes
 	}
@@ -202,6 +209,7 @@ func (c *PCache) get(fileNum, blockOff uint64) ([]byte, bool) {
 		return nil, false
 	}
 	c.regions[regID].ref = true
+	epoch := c.regions[regID].epoch
 	base := int64(regID) * c.opts.RegionBytes
 	off := base + int64(loc.regOff)
 	length := int(loc.length)
@@ -213,12 +221,16 @@ func (c *PCache) get(fileNum, blockOff uint64) ([]byte, bool) {
 		return nil, false
 	}
 	if crc32.Checksum(buf, castagnoli) != wantCRC {
-		// Torn write or bit rot in the cache file: treat as a miss; the
-		// authoritative copy lives in cloud storage. Drop the damaged entry
-		// so the next read re-fetches and re-admits clean bytes instead of
-		// re-verifying the same rot forever.
+		// The read ran unlocked. If the region was recycled meanwhile the
+		// bytes belong to another table: a plain miss. Otherwise it is a
+		// torn write or bit rot in the cache file: also a miss — the
+		// authoritative copy lives in cloud storage — and the damaged entry
+		// is dropped so the next read re-fetches and re-admits clean bytes
+		// instead of re-verifying the same rot forever.
+		if !c.dropEntry(blockOff, regID, epoch) {
+			return nil, false
+		}
 		c.stats.CorruptReads.Add(1)
-		c.dropEntry(fileNum, blockOff)
 		if c.ev != nil {
 			c.ev.OnCorruptionDetected(event.CorruptionDetected{
 				Artifact: "pcache", Object: "DATA", File: fileNum,
@@ -230,20 +242,23 @@ func (c *PCache) get(fileNum, blockOff uint64) ([]byte, bool) {
 	return buf, true
 }
 
-// dropEntry removes one block's index entry (its bytes stay dead in the
-// region until the region is reused).
-func (c *PCache) dropEntry(fileNum, blockOff uint64) {
+// dropEntry removes one block's index entry from region id (its bytes stay
+// dead in the region until the region is reused). It reports false, and
+// drops nothing, when the region has been freed since the caller saw it at
+// epoch: whatever holds the key now is not what the caller read.
+func (c *PCache) dropEntry(blockOff uint64, id int32, epoch uint32) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, id := range c.byFile[fileNum] {
-		r := &c.regions[id]
-		es := r.entries
-		i := sort.Search(len(es), func(i int) bool { return es[i].blockOff >= blockOff })
-		if i < len(es) && es[i].blockOff == blockOff {
-			r.entries = append(es[:i], es[i+1:]...)
-			return
-		}
+	r := &c.regions[id]
+	if r.epoch != epoch {
+		return false
 	}
+	es := r.entries
+	i := sort.Search(len(es), func(i int) bool { return es[i].blockOff >= blockOff })
+	if i < len(es) && es[i].blockOff == blockOff {
+		r.entries = append(es[:i], es[i+1:]...)
+	}
+	return true
 }
 
 // Put implements BlockCache: append the block into the file's open region,
@@ -253,9 +268,9 @@ func (c *PCache) Put(fileNum, blockOff uint64, body []byte) {
 		c.stats.AdmitDeclined.Add(1)
 		return
 	}
+	var buf [1]event.PCacheEvict // one block recycles at most one region
 	c.mu.Lock()
-	n := c.putLocked(fileNum, blockOff, body)
-	evs := c.takePendLocked()
+	n, evs := c.putLocked(fileNum, blockOff, body, buf[:0])
 	c.mu.Unlock()
 	c.fireEvicts(evs)
 	if c.ev != nil && n > 0 {
@@ -273,14 +288,15 @@ func (c *PCache) PutBulk(fileNum uint64, blocks []Block) {
 	}
 	var n int64
 	var cnt int
+	var evs []event.PCacheEvict
 	c.mu.Lock()
 	for _, b := range blocks {
-		if m := c.putLocked(fileNum, b.Off, b.Body); m > 0 {
+		var m int64
+		if m, evs = c.putLocked(fileNum, b.Off, b.Body, evs); m > 0 {
 			n += m
 			cnt++
 		}
 	}
-	evs := c.takePendLocked()
 	c.mu.Unlock()
 	c.fireEvicts(evs)
 	if c.ev != nil && cnt > 0 {
@@ -288,18 +304,19 @@ func (c *PCache) PutBulk(fileNum uint64, blocks []Block) {
 	}
 }
 
-// putLocked admits one block, returning the bytes cached (0 if declined).
-func (c *PCache) putLocked(fileNum, blockOff uint64, body []byte) int64 {
-	if int64(len(body)) > c.opts.RegionBytes {
-		return 0
+// putLocked admits one block, returning the bytes cached (0 if declined)
+// and evs with the eviction it caused, if any, appended.
+func (c *PCache) putLocked(fileNum, blockOff uint64, body []byte, evs []event.PCacheEvict) (int64, []event.PCacheEvict) {
+	if int64(len(body)) > c.opts.RegionBytes || c.dropped.has(fileNum) {
+		return 0, evs
 	}
 
-	// Already cached? (Possible under racing readers.)
+	// Already cached? (A block promoted from here and demoted again.)
 	for _, id := range c.byFile[fileNum] {
 		es := c.regions[id].entries
 		i := sort.Search(len(es), func(i int) bool { return es[i].blockOff >= blockOff })
 		if i < len(es) && es[i].blockOff == blockOff {
-			return 0
+			return 0, evs
 		}
 	}
 
@@ -311,9 +328,10 @@ func (c *PCache) putLocked(fileNum, blockOff uint64, body []byte) int64 {
 		}
 	}
 	if !ok {
-		nid, allocated := c.allocRegionLocked(fileNum)
-		if !allocated {
-			return 0
+		var nid int32
+		var allocated bool
+		if nid, allocated, evs = c.allocRegionLocked(fileNum, evs); !allocated {
+			return 0, evs
 		}
 		id = nid
 		c.openReg[fileNum] = id
@@ -321,7 +339,7 @@ func (c *PCache) putLocked(fileNum, blockOff uint64, body []byte) int64 {
 	r := &c.regions[id]
 	base := int64(id) * c.opts.RegionBytes
 	if _, err := c.f.WriteAt(body, base+int64(r.used)); err != nil {
-		return 0
+		return 0, evs
 	}
 	e := packedEntry{
 		blockOff: blockOff,
@@ -337,12 +355,13 @@ func (c *PCache) putLocked(fileNum, blockOff uint64, body []byte) int64 {
 	r.ref = true
 	c.stats.Inserted.Add(1)
 	c.stats.BytesInserted.Add(int64(len(body)))
-	return int64(len(body))
+	return int64(len(body)), evs
 }
 
 // allocRegionLocked returns a free region for fileNum, evicting via CLOCK
-// when none is free. It never evicts a region of fileNum itself.
-func (c *PCache) allocRegionLocked(fileNum uint64) (int32, bool) {
+// when none is free (the eviction's event is appended to evs). It never
+// evicts a region of fileNum itself.
+func (c *PCache) allocRegionLocked(fileNum uint64, evs []event.PCacheEvict) (int32, bool, []event.PCacheEvict) {
 	var id int32
 	if n := len(c.freeList); n > 0 {
 		id = c.freeList[n-1]
@@ -350,9 +369,9 @@ func (c *PCache) allocRegionLocked(fileNum uint64) (int32, bool) {
 	} else {
 		vid, ok := c.clockVictimLocked(fileNum)
 		if !ok {
-			return 0, false
+			return 0, false, evs
 		}
-		c.evictRegionLocked(vid, "clock")
+		evs = c.evictRegionLocked(vid, "clock", evs)
 		id = c.freeList[len(c.freeList)-1]
 		c.freeList = c.freeList[:len(c.freeList)-1]
 	}
@@ -360,9 +379,14 @@ func (c *PCache) allocRegionLocked(fileNum uint64) (int32, bool) {
 	r.fileNum = fileNum
 	r.used = 0
 	r.ref = false
+	if r.entries == nil {
+		// Sized for the store's default blocks once, instead of grown to
+		// it by doubling in every one of several hundred regions.
+		r.entries = make([]packedEntry, 0, c.opts.RegionBytes/defaultBlockBytes)
+	}
 	r.entries = r.entries[:0]
 	c.byFile[fileNum] = append(c.byFile[fileNum], id)
-	return id, true
+	return id, true, evs
 }
 
 func (c *PCache) clockVictimLocked(skipFile uint64) (int32, bool) {
@@ -383,13 +407,14 @@ func (c *PCache) clockVictimLocked(skipFile uint64) (int32, bool) {
 	return 0, false
 }
 
-// evictRegionLocked frees one region and unlinks it from its file. The
-// eviction event is queued (not fired) because the caller holds c.mu.
-func (c *PCache) evictRegionLocked(id int32, reason string) {
+// evictRegionLocked frees one region and unlinks it from its file. With a
+// listener attached the eviction event is appended to evs, for the caller
+// to fire once it has released c.mu.
+func (c *PCache) evictRegionLocked(id int32, reason string, evs []event.PCacheEvict) []event.PCacheEvict {
 	r := &c.regions[id]
 	fn := r.fileNum
 	if c.ev != nil {
-		c.pend = append(c.pend, event.PCacheEvict{
+		evs = append(evs, event.PCacheEvict{
 			File: fn, Blocks: len(r.entries), Bytes: int64(r.used), Reason: reason,
 		})
 	}
@@ -408,10 +433,12 @@ func (c *PCache) evictRegionLocked(id int32, reason string) {
 	}
 	r.fileNum = 0
 	r.used = 0
+	r.epoch++
 	r.ref = false
 	r.entries = r.entries[:0]
 	c.freeList = append(c.freeList, id)
 	c.stats.RegionsEvicted.Add(1)
+	return evs
 }
 
 // DropFile implements BlockCache: constant-time per region, the
@@ -419,10 +446,11 @@ func (c *PCache) evictRegionLocked(id int32, reason string) {
 func (c *PCache) DropFile(fileNum uint64) {
 	c.mu.Lock()
 	ids := append([]int32(nil), c.byFile[fileNum]...)
+	var evs []event.PCacheEvict
 	for _, id := range ids {
-		c.evictRegionLocked(id, "drop-file")
+		evs = c.evictRegionLocked(id, "drop-file", evs)
 	}
-	evs := c.takePendLocked()
+	c.dropped.add(fileNum)
 	c.mu.Unlock()
 	c.heat.drop(fileNum)
 	c.levels.drop(fileNum)
@@ -435,6 +463,9 @@ func (c *PCache) FileHeat(fileNum uint64) int64 { return c.heat.get(fileNum) }
 
 // Stats implements BlockCache.
 func (c *PCache) Stats() *Stats { return &c.stats }
+
+// RegionBytes returns the allocation unit in effect (see Options).
+func (c *PCache) RegionBytes() int64 { return c.opts.RegionBytes }
 
 // UsedBytes implements BlockCache.
 func (c *PCache) UsedBytes() int64 {
@@ -453,8 +484,8 @@ func (c *PCache) MetadataBytes() int64 {
 	defer c.mu.Unlock()
 	var n int64
 	for i := range c.regions {
-		// Per-region fixed header (fileNum, used, ref, slice header).
-		n += 8 + 4 + 1 + 24
+		// Per-region fixed header (fileNum, used, epoch, ref, slice header).
+		n += 8 + 4 + 4 + 1 + 24
 		n += int64(len(c.regions[i].entries)) * packedEntrySize
 	}
 	// byFile / openReg maps are per *file*, not per block; charge them too.
@@ -594,6 +625,8 @@ func (c *PCache) String() string {
 	free := len(c.freeList)
 	total := len(c.regions)
 	c.mu.Unlock()
-	return fmt.Sprintf("pcache{regions=%d free=%d blocks=%d used=%dB meta=%dB hit=%.3f}",
-		total, free, c.CachedBlocks(), c.UsedBytes(), c.MetadataBytes(), c.stats.HitRatio())
+	used := c.UsedBytes()
+	return fmt.Sprintf("pcache{regions=%d x %dB free=%d blocks=%d used=%dB (%.2f of capacity) meta=%dB hit=%.3f}",
+		total, c.opts.RegionBytes, free, c.CachedBlocks(), used,
+		float64(used)/float64(int64(total)*c.opts.RegionBytes), c.MetadataBytes(), c.stats.HitRatio())
 }

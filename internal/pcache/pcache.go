@@ -18,6 +18,12 @@
 //     per-file heat so compaction can warm output files whose inputs were
 //     hot (admission inheritance).
 //
+// On the read path the cache is the in-memory block cache's victim tier: the
+// DB admits a block here when that cache lets go of it (internal/cache's
+// demote sink), not when the block is fetched, so the two caches' retention
+// windows add up instead of overlapping. Freshly built tables are warmed in
+// directly (PutBulk).
+//
 // The cache is strictly read-through: losing its state (crash without index
 // snapshot) affects only performance, never correctness.
 package pcache
@@ -242,6 +248,32 @@ func (h *heatMap) drop(fileNum uint64) {
 	h.mu.Lock()
 	delete(h.m, fileNum)
 	h.mu.Unlock()
+}
+
+// dropRing remembers the file numbers most recently passed to DropFile, so
+// that a Put which lost the race with it — a block the block cache evicted
+// just before the table was retired, or one a reader of an older version
+// fetched just after — is declined instead of parking a dead table's blocks
+// until eviction finds them. File numbers are never reused, so a number in
+// the ring is dead for good; one that has aged out of it merely costs that
+// wasted space again. Guarded by the owning cache's mutex.
+type dropRing struct {
+	nums [64]uint64
+	next int
+}
+
+func (d *dropRing) add(fileNum uint64) {
+	d.nums[d.next%len(d.nums)] = fileNum
+	d.next++
+}
+
+func (d *dropRing) has(fileNum uint64) bool {
+	for _, n := range d.nums[:min(d.next, len(d.nums))] {
+		if n == fileNum {
+			return true
+		}
+	}
+	return false
 }
 
 // levelMap tracks each file's registered LSM level, shared by both

@@ -186,11 +186,13 @@ func TestMashCorruptIndexColdStarts(t *testing.T) {
 
 func TestMashGeometryChangeColdStarts(t *testing.T) {
 	dir := t.TempDir()
-	c1, _ := New(Options{Dir: dir, CapacityBytes: 1 << 20, RegionBytes: 64 << 10})
+	// Both sizes are under New's ceiling for this capacity (32 KiB), so
+	// they are the geometry in effect.
+	c1, _ := New(Options{Dir: dir, CapacityBytes: 1 << 20, RegionBytes: 16 << 10})
 	c1.Put(9, 0, []byte("x"))
 	c1.Close()
 
-	c2, err := New(Options{Dir: dir, CapacityBytes: 1 << 20, RegionBytes: 128 << 10})
+	c2, err := New(Options{Dir: dir, CapacityBytes: 1 << 20, RegionBytes: 32 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,8 +268,8 @@ func TestMashRegionAffinity(t *testing.T) {
 func TestMashEvictionPrefersCold(t *testing.T) {
 	// Fill cache with two files, keep file 1 hot, then insert file 3;
 	// file 1's blocks should survive more often than file 2's.
-	c := newMash(t, 512<<10, 64<<10) // 8 regions
-	blk := make([]byte, 60<<10)      // ~1 block per region
+	c := newMash(t, 256<<10, 32<<10) // 8 regions
+	blk := make([]byte, 28<<10)      // 1 block per region
 	for i := 0; i < 4; i++ {
 		c.Put(1, uint64(i)*100000, blk)
 		c.Put(2, uint64(i)*100000, blk)
