@@ -15,8 +15,9 @@ import (
 // memtable is flushed first, so the backup needs no WAL. The result opens
 // with OpenAt(dir, sameOptions).
 //
-// Compactions are held off for the duration, writes remain possible (they
-// land after the backup's consistency point).
+// Writes and compactions go on during the backup: each engine's file set is
+// frozen by pinning one version, and writes land after that consistency
+// point.
 func (d *DB) Backup(dir string) error {
 	if d.closed.Load() {
 		return ErrClosed
@@ -50,11 +51,12 @@ func (d *engine) backupInto(dstLocal, dstCloud storage.Backend) error {
 	if err := d.flush(); err != nil {
 		return err
 	}
-	// Freeze the file set: compactions delete inputs, so hold them off and
-	// pin the current version.
-	d.compactionMu.Lock()
-	defer d.compactionMu.Unlock()
-	v := d.vs.Current()
+	// Freeze the file set by pinning the current version: compactions go on,
+	// and the inputs they retire stay in place until the copy is done. The
+	// allocation cursor is read after the pin, so it is past every table of v.
+	v := d.vs.Acquire()
+	defer d.unpin(v)
+	nextFileNum, lastSeq, flushedSeq := d.vs.PeekFileNum(), d.lastSeq.Load(), d.vs.FlushedSeq()
 
 	copyObject := func(src storage.Backend, dst storage.Backend, name string) error {
 		data, err := src.ReadAll(name)
@@ -92,6 +94,5 @@ func (d *engine) backupInto(dstLocal, dstCloud storage.Backend) error {
 		return firstErr
 	}
 
-	return manifest.WriteSnapshot(dstLocal, v,
-		d.vs.PeekFileNum(), d.lastSeq.Load(), d.vs.FlushedSeq())
+	return manifest.WriteSnapshot(dstLocal, v, nextFileNum, lastSeq, flushedSeq)
 }

@@ -376,22 +376,10 @@ func (d *engine) doCompaction(c *compaction) error {
 			keys.UserKey(c.inputs[len(c.inputs)-1].Largest)...)
 	}
 
-	// Retire the inputs: caches first (constant-time region frees for the
-	// LSM-aware cache), then the objects themselves. The version no longer
-	// references these objects, so a failed delete (cloud outage) is not an
-	// error: it goes on the deferred queue and the drainer retries it.
-	for _, f := range all {
-		d.tables.evict(f.Num)
-		d.blockCache.InvalidateFile(f.Num)
-		d.pcache.DropFile(f.Num)
-		d.removeTable(f.Tier, f.Num)
-		if f.Tier == storage.TierLocal && d.dropMirror(f.Num) {
-			// A retired local table's lazy cloud mirror goes with it.
-			d.removeObject(storage.TierCloud, manifest.TableName(f.Num))
-		}
-		d.unquarantine(f.Num)
-		d.evTableDeleted(f.Num, f.Tier)
-	}
+	// The edit dropped the inputs from the current version; the ones no
+	// reader still has pinned are obsolete by now and go here, on this
+	// goroutine, before the compaction reports done.
+	d.retireObsolete()
 
 	d.stats.Compactions.Add(1)
 	d.stats.CompactBytesIn.Add(int64(sumSizes(all)))

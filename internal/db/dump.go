@@ -129,6 +129,10 @@ func (d *DB) DumpStats() string {
 	}
 	fmt.Fprintf(&b, "Placement: local %s, cloud %s, pinned metadata %s\n",
 		humanBytes(m.LocalBytes), humanBytes(m.CloudBytes), humanBytes(m.MetaBytes))
+	if m.ObsoleteTables > 0 {
+		fmt.Fprintf(&b, "Obsolete, held by open readers: %d tables (%s)\n",
+			m.ObsoleteTables, humanBytes(m.ObsoleteBytes))
+	}
 
 	b.WriteString("\n** Flush & Compaction **\n")
 	fmt.Fprintf(&b, "Flushes:     %d cum (%d interval), %s written\n",

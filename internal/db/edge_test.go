@@ -111,7 +111,8 @@ func TestIteratorDuringBackgroundChurn(t *testing.T) {
 	}
 
 	// Heavy churn while the iterator walks: compactions must not yank the
-	// tables out from under it (refcounted handles).
+	// tables out from under it (it pins the version it walks; TestPinMatrix
+	// is the full check — here the one L0 table is open from the start).
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {

@@ -123,6 +123,12 @@ type engine struct {
 	drainDone  chan struct{}
 	deferredMu sync.Mutex
 	deferred   []deferredDelete
+	// obsolete queues the tables the manifest set has reported obsolete until
+	// a background goroutine retires them (retire.go); retireMu serializes
+	// those drains.
+	obsoleteMu sync.Mutex
+	obsolete   []manifest.Obsolete
+	retireMu   sync.Mutex
 
 	// repairMu serializes cloud-backed repairs of corrupt local artifacts so
 	// concurrent readers hitting the same damage trigger one re-fetch;
@@ -187,8 +193,8 @@ func (d *engine) open(local, cloud storage.Backend) error {
 	// PUT and would pollute the distribution.
 	d.local = storage.Instrument(local, d.lat.localGet, d.lat.localPut)
 	if cloud != nil {
-		// Layering: Reliable(Instrumented(cloud)) — each retry attempt is a
-		// real request and lands in the latency histograms; the breaker and
+		// Layering: Reliable(Instrumented(cloud)) — each retry is a real
+		// request and lands in the latency histograms; the breaker and
 		// backoff sit above them. Backoff waits abort at bgQuit so close
 		// never sleeps out an outage.
 		d.cloudRel = storage.NewReliable(
@@ -201,6 +207,7 @@ func (d *engine) open(local, cloud storage.Backend) error {
 	if d.vs, err = manifest.Open(local); err != nil {
 		return err
 	}
+	d.vs.OnObsolete(d.tablesObsolete)
 	if n := d.opts.Shards; n > 1 {
 		// Stripe file numbering so file numbers are unique across engines:
 		// the shared caches key on bare file numbers, and fileNum % n
@@ -505,63 +512,55 @@ func (d *engine) getAt(key []byte, seq uint64, prof *readprof.Profile) ([]byte, 
 		}
 	}
 
-	// The version walk does not pin the version: a concurrent compaction
-	// may install a successor and delete its input tables while we hold
-	// the old file list. Losing that race surfaces as a storage not-found
-	// from the table open; re-walking the fresh version (which no longer
-	// references the deleted table) is always correct at the same seq —
-	// data only moves down the tree, never out of it. Bounded so a
-	// genuinely missing object still fails loudly.
-	for attempt := 0; ; attempt++ {
-		v := d.vs.Current()
-		var (
-			value []byte
-			state int // 0 = not found, 1 = live, 2 = tombstone
-		)
-		err := v.FilesFor(key, func(level int, f *manifest.FileMetadata) (bool, error) {
-			if prof != nil {
-				prof.ProbeLevel(level)
-			}
-			if seq < f.MinSeq && level > 0 {
-				// Nothing in this file is visible at the snapshot.
-				return false, nil
-			}
-			h, err := d.tables.get(d, f)
-			if err != nil {
-				return false, err
-			}
-			defer h.release()
-			if prof != nil {
-				prof.Tables++
-			}
-			val, found, live, err := h.reader.GetSeek(seek, prof)
-			if err != nil {
-				return false, err
-			}
-			if !found {
-				return false, nil
-			}
-			if prof != nil {
-				prof.LevelServed = int8(level)
-			}
-			if live {
-				value, state = val, 1
-			} else {
-				state = 2
-			}
-			return true, nil
-		})
+	// Pinned for the walk, so every table it names stays openable. A snapshot
+	// read pins the current version too: a snapshot is a sequence number, and
+	// compaction keeps what it can see in whatever tables are current.
+	v := d.vs.Acquire()
+	var (
+		value []byte
+		state int // 0 = not found, 1 = live, 2 = tombstone
+	)
+	err := v.FilesFor(key, func(level int, f *manifest.FileMetadata) (bool, error) {
+		if prof != nil {
+			prof.ProbeLevel(level)
+		}
+		if seq < f.MinSeq && level > 0 {
+			// Nothing in this file is visible at the snapshot.
+			return false, nil
+		}
+		h, err := d.tables.get(d, f)
 		if err != nil {
-			if errors.Is(err, storage.ErrNotFound) && attempt < 3 {
-				continue
-			}
-			return nil, err
+			return false, err
 		}
-		if state == 1 {
-			return value, nil
+		defer h.release()
+		if prof != nil {
+			prof.Tables++
 		}
-		return nil, ErrNotFound
+		val, found, live, err := h.reader.GetSeek(seek, prof)
+		if err != nil {
+			return false, err
+		}
+		if !found {
+			return false, nil
+		}
+		if prof != nil {
+			prof.LevelServed = int8(level)
+		}
+		if live {
+			value, state = val, 1
+		} else {
+			state = 2
+		}
+		return true, nil
+	})
+	d.unpin(v)
+	if err != nil {
+		return nil, err
 	}
+	if state == 1 {
+		return value, nil
+	}
+	return nil, ErrNotFound
 }
 
 func (d *engine) registerSnapshot(seq uint64) {
@@ -725,6 +724,9 @@ func (d *engine) stop() {
 // stay open for the facade to close once every engine is down.
 func (d *engine) close() error {
 	d.stop()
+	// What readers left obsolete since the drainer's last round goes now;
+	// tables an open iterator still pins wait for the next Open's sweep.
+	d.retireObsolete()
 
 	// Flush any sealed or recovered memtables synchronously so no WAL
 	// data is stranded longer than necessary (the WAL still covers the

@@ -445,6 +445,9 @@ type engineIter struct {
 	db     *engine
 	merged internalIterator
 	seq    uint64
+	// v is the version the iterator walks, pinned until close: its level and
+	// view children open their tables lazily, as the walk reaches them.
+	v *manifest.Version
 
 	// prof accumulates the iterator's data-block reads by source tier over
 	// its whole lifetime (nil when profiling is disabled); seeks counts
@@ -473,7 +476,7 @@ func (d *engine) newIter(seq uint64) (engineIter, error) {
 	rs := d.rs.Load()
 	mem, imm := rs.mem, rs.imm
 	recovered := rs.recovered
-	v := d.vs.Current()
+	v := d.vs.Acquire()
 
 	var prof *readprof.Profile
 	if rate := d.opts.ReadProfileSampleRate; rate > 0 {
@@ -498,6 +501,7 @@ func (d *engine) newIter(seq uint64) (engineIter, error) {
 			if prof != nil {
 				profilePool.Put(prof)
 			}
+			d.unpin(v)
 			return engineIter{}, err
 		}
 		ti := newTableIter(h)
@@ -533,7 +537,7 @@ func (d *engine) newIter(seq uint64) (engineIter, error) {
 		li.prof = prof
 		children = append(children, li)
 	}
-	return engineIter{db: d, merged: newMergingIter(children...), seq: seq, prof: prof}, nil
+	return engineIter{db: d, merged: newMergingIter(children...), seq: seq, v: v, prof: prof}, nil
 }
 
 // First positions at the smallest live key.
@@ -693,10 +697,11 @@ func (it *engineIter) settleReverse(boundKey []byte) {
 	}
 }
 
-// close releases table references and folds the iterator's counters into
-// its engine's aggregates.
+// close releases table references and the version pin, and folds the
+// iterator's counters into its engine's aggregates.
 func (it *engineIter) close() error {
 	err := it.merged.Close()
+	it.db.unpin(it.v)
 	if it.nkeys > 0 {
 		it.db.stats.IterKeys.Add(it.nkeys)
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -204,49 +205,110 @@ func TestCorruptSidecarRepairedTransparently(t *testing.T) {
 	})
 }
 
-// TestScrubRepairsOfflineDamage corrupts a mirrored local table while no
-// reads are running and lets an on-demand Scrub find and repair it.
+// TestScrubRepairsOfflineDamage damages a mirrored local table while no
+// reads are running — a flipped bit, or a file the device will not read —
+// and lets an on-demand Scrub find, report and repair it.
 func TestScrubRepairsOfflineDamage(t *testing.T) {
-	o := testOptions(PolicyMash)
-	o.MirrorLocalLevels = true
-	dir := t.TempDir()
-	d, err := OpenAt(dir, o)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name   string
+		damage func(t *testing.T, d *DB, lf *storage.Faulty, table string)
+	}{
+		{"bit flip", func(t *testing.T, d *DB, _ *storage.Faulty, table string) {
+			corruptObject(t, d.local, table, 64)
+		}},
+		{"unreadable", func(_ *testing.T, _ *DB, lf *storage.Faulty, table string) {
+			lf.SetHook(func(op, name string) error {
+				if op == "GET" && name == table {
+					return errors.New("injected EIO")
+				}
+				return nil
+			})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			o := testOptions(PolicyMash)
+			o.MirrorLocalLevels = true
+			d, lf, _, err := OpenAtChaosLocal(t.TempDir(), o, storage.FaultConfig{}, storage.FaultConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d.Close()
+
+			for i := 0; i < 300; i++ {
+				mustPut(t, d, fmt.Sprintf("k%05d", i), pipelineValue(i))
+			}
+			if err := d.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			locals := localTableNums(d)
+			if len(locals) == 0 {
+				t.Fatal("no local tables after flush")
+			}
+			waitFor(t, "lazy mirror", 10*time.Second, func() bool {
+				return d.Metrics().MirroredTables >= int64(len(locals))
+			})
+			tc.damage(t, d, lf, manifest.TableName(locals[0]))
+
+			rep := d.Scrub()
+			if rep.Tables == 0 || rep.Corrupt != 1 || rep.Repaired != 1 || rep.Unrepaired != 0 {
+				t.Fatalf("scrub report = %+v, want 1 corrupt table repaired", rep)
+			}
+			if rep.Checked != rep.Tables+rep.Sidecars+rep.WALSegments {
+				t.Fatalf("report breakdown does not sum: %+v", rep)
+			}
+			lf.SetHook(nil)
+			// A second pass over the healed store finds nothing.
+			if rep2 := d.Scrub(); rep2.Corrupt != 0 {
+				t.Fatalf("second scrub still found %d corrupt artifacts", rep2.Corrupt)
+			}
+			if got := d.Metrics().ScrubPasses; got != 2 {
+				t.Fatalf("ScrubPasses = %d, want 2", got)
+			}
+			for i := 0; i < 300; i++ {
+				mustGet(t, d, fmt.Sprintf("k%05d", i), pipelineValue(i))
+			}
+		})
 	}
+}
+
+// TestScrubRacingCompaction scrubs in a loop while the data set is
+// overwritten and compacted away under it: every table a pass looks at is
+// pinned in place, so no pass may report damage.
+func TestScrubRacingCompaction(t *testing.T) {
+	d, _ := openTest(t, PolicyMash)
 	defer d.Close()
-
-	for i := 0; i < 300; i++ {
-		mustPut(t, d, fmt.Sprintf("k%05d", i), pipelineValue(i))
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if rep := d.Scrub(); rep.Corrupt != 0 {
+				t.Errorf("scrub racing compactions reported damage: %+v", rep)
+				return
+			}
+		}
+	}()
+	var ref map[string]string
+	for round := 0; round < 4; round++ {
+		ref = fillKeys(t, d, 1500, 100)
+		if err := d.CompactAll(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := d.Flush(); err != nil {
-		t.Fatal(err)
+	close(stop)
+	wg.Wait()
+	if m := d.Metrics(); m.CorruptionsDetected != 0 || m.ScrubPasses == 0 {
+		t.Fatalf("CorruptionsDetected = %d over %d scrub passes with nothing injected",
+			m.CorruptionsDetected, m.ScrubPasses)
 	}
-	locals := localTableNums(d)
-	if len(locals) == 0 {
-		t.Fatal("no local tables after flush")
-	}
-	waitFor(t, "lazy mirror", 10*time.Second, func() bool {
-		return d.Metrics().MirroredTables >= int64(len(locals))
-	})
-	corruptObject(t, d.local, manifest.TableName(locals[0]), 64)
-
-	rep := d.Scrub()
-	if rep.Tables == 0 || rep.Corrupt != 1 || rep.Repaired != 1 || rep.Unrepaired != 0 {
-		t.Fatalf("scrub report = %+v, want 1 corrupt table repaired", rep)
-	}
-	if rep.Checked != rep.Tables+rep.Sidecars+rep.WALSegments {
-		t.Fatalf("report breakdown does not sum: %+v", rep)
-	}
-	// A second pass over the healed store finds nothing.
-	if rep2 := d.Scrub(); rep2.Corrupt != 0 {
-		t.Fatalf("second scrub still found %d corrupt artifacts", rep2.Corrupt)
-	}
-	if got := d.Metrics().ScrubPasses; got != 2 {
-		t.Fatalf("ScrubPasses = %d, want 2", got)
-	}
-	for i := 0; i < 300; i++ {
-		mustGet(t, d, fmt.Sprintf("k%05d", i), pipelineValue(i))
+	for k, v := range ref {
+		mustGet(t, d, k, v)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"rocksmash/internal/manifest"
 	"rocksmash/internal/storage"
 )
 
@@ -235,10 +236,14 @@ func TestDrainUnreadableSourceDoesNotSpin(t *testing.T) {
 	}
 }
 
-// TestRelocateRetiredMidCopy races a relocation, in each direction, against
-// a compaction that retires the table while its copy to the home tier is in
-// flight: the relocation must notice under the manifest lock, install
-// nothing, and remove the copy it made (and, in the cloud, its sidecar).
+// TestRelocateRetiredMidCopy runs a relocation, in each direction, against
+// the two things that can hold or take its table meanwhile. A reader that
+// pinned the table before the move keeps reading the copy on the old tier —
+// which stays there, with its own handle, until the reader closes, and goes
+// then. And a compaction that retires the table while its copy to the home
+// tier is in flight: the relocation must notice under the manifest lock,
+// install nothing, and remove the copy it made (and, in the cloud, its
+// sidecar).
 func TestRelocateRetiredMidCopy(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -253,14 +258,17 @@ func TestRelocateRetiredMidCopy(t *testing.T) {
 			// One failed flush must not trip a breaker: the test wants the
 			// home tier healthy again the moment the hook stops failing.
 			o.CloudBreaker.FailureThreshold = 100
+			// The second off-home table must wait for the test's own
+			// CompactAll, a third flush, before anything compacts it away.
+			o.L0CompactTrigger = 3
 			d, lf, cf, err := OpenAtChaosLocal(t.TempDir(), o, storage.FaultConfig{}, storage.FaultConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer d.Close()
-			home, backlog := lf, d.MisplacedTables
+			home, away, backlog := lf, cf, d.MisplacedTables
 			if tc.toCloud {
-				home = cf
+				home, away = cf, lf
 				backlog = func() int { n, _ := d.PendingCloudTables(); return n }
 			}
 			relocated := func() int64 {
@@ -277,21 +285,88 @@ func TestRelocateRetiredMidCopy(t *testing.T) {
 					model[k] = pipelineValue(i)
 				}
 			}
-
-			// The home tier refuses tables: the flush lands off home.
-			home.SetHook(func(op, name string) error {
-				if op == "PUT" && strings.HasPrefix(name, "sst/") {
-					return errors.New("injected home-tier failure")
+			list := func(f *storage.Faulty, prefix string) []string {
+				names, err := f.List(prefix)
+				if err != nil {
+					t.Fatal(err)
 				}
-				return nil
+				return names
+			}
+			// landOffHome flushes one batch while the home tier refuses
+			// tables, so the table lands on the other tier.
+			landOffHome := func(batch int) {
+				home.SetHook(func(op, name string) error {
+					if op == "PUT" && strings.HasPrefix(name, "sst/") {
+						return errors.New("injected home-tier failure")
+					}
+					return nil
+				})
+				load(batch)
+				if err := d.Flush(); err != nil {
+					t.Fatalf("flush with the home tier failing must land off home: %v", err)
+				}
+				if backlog() != 1 {
+					t.Fatalf("off-home backlog = %d after one degraded flush, want 1", backlog())
+				}
+			}
+
+			// A reader across the move. It pins the version that names the
+			// table off home; the home tier recovers and the table moves.
+			landOffHome(0)
+			it, err := d.NewIterator()
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := d.engines[0]
+			oldMeta := it.kids[0].v.Levels[0][0]
+			table := manifest.TableName(oldMeta.Num)
+			home.SetHook(nil)
+			waitFor(t, "the off-home table to be relocated", 10*time.Second, func() bool { return backlog() == 0 })
+			newMeta := e.vs.Current().Levels[0][0]
+			if newMeta.Num != oldMeta.Num || newMeta.Tier == oldMeta.Tier {
+				t.Fatalf("relocation turned %s into %s", oldMeta, newMeta)
+			}
+			if !slices.Contains(list(away, "sst/"), table) || !slices.Contains(list(home, "sst/"), table) {
+				t.Fatalf("with a reader on the old copy, %s must be on both tiers", table)
+			}
+			// Each copy has its own handle: one opened for the old metadata
+			// must not serve readers of the new, or they lose their object
+			// when the old reader closes.
+			hOld, err := d.tables.get(e, oldMeta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hNew, err := d.tables.get(e, newMeta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hOld.tier != oldMeta.Tier || hNew.tier != newMeta.Tier {
+				t.Errorf("handles read the %s and %s tiers for metadata on %s and %s",
+					hOld.tier, hNew.tier, oldMeta.Tier, newMeta.Tier)
+			}
+			hOld.release()
+			hNew.release()
+			walkBothWays(t, "reader across the move", it, model)
+			if err := it.Close(); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, "the old-tier copy to go with its last reader", 10*time.Second, func() bool {
+				return !slices.Contains(list(away, "sst/"), table)
 			})
-			load(0)
-			if err := d.Flush(); err != nil {
-				t.Fatalf("flush with the home tier failing must land off home: %v", err)
+			var want []string
+			for k, v := range model {
+				want = append(want, k+"="+v)
 			}
-			if backlog() != 1 {
-				t.Fatalf("off-home backlog = %d after one degraded flush, want 1", backlog())
+			sort.Strings(want)
+			if got := scanAll(t, d); !slices.Equal(got, want) {
+				t.Fatalf("scan after the move: %d keys, want %d", len(got), len(want))
 			}
+			if n := relocated(); n != 1 {
+				t.Fatalf("relocation counter = %d after one move, want 1", n)
+			}
+
+			// Retired mid-copy. Another table lands off home.
+			landOffHome(1)
 
 			// The home tier recovers, but the relocation's PUT — the first
 			// table PUT it sees — hangs until released.
@@ -333,7 +408,7 @@ func TestRelocateRetiredMidCopy(t *testing.T) {
 			}
 
 			// A compaction retires the table while its copy is in flight.
-			load(1)
+			load(2)
 			if err := d.CompactAll(); err != nil {
 				t.Fatal(err)
 			}
@@ -348,36 +423,19 @@ func TestRelocateRetiredMidCopy(t *testing.T) {
 			}
 
 			// No orphan on either tier: the retired table's objects are gone,
-			// every object left belongs to a live table, and every cloud
-			// table has exactly its sidecar.
+			// and what is left is exactly the live tables — each cloud table
+			// with its sidecar. The drainer's round had the compaction's
+			// inputs pinned while its copy hung, so they go as it ends.
 			sidecar := "meta/" + strings.TrimSuffix(strings.TrimPrefix(victim, "sst/"), ".sst") + ".meta"
-			list := func(f *storage.Faulty, prefix string) []string {
-				names, err := f.List(prefix)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return names
-			}
 			waitFor(t, "the retired table's copies to be removed", 10*time.Second, func() bool {
 				all := append(append(list(lf, "sst/"), list(cf, "sst/")...), list(lf, "meta/")...)
 				return !slices.Contains(all, victim) && !slices.Contains(all, sidecar)
 			})
-			m := d.Metrics()
-			live := 0
-			for _, n := range m.LevelFiles {
-				live += n
+			checkTableObjects(t, d, "after the retired relocation")
+			if n := relocated(); n != 1 {
+				t.Errorf("relocation counter = %d after a table that was retired, want the 1 from before", n)
 			}
-			localTables, cloudTables := list(lf, "sst/"), list(cf, "sst/")
-			if len(localTables)+len(cloudTables) != live {
-				t.Errorf("%d local + %d cloud table objects for %d live tables", len(localTables), len(cloudTables), live)
-			}
-			if sidecars := list(lf, "meta/"); len(sidecars) != len(cloudTables) {
-				t.Errorf("%d sidecars for %d cloud tables: %v", len(sidecars), len(cloudTables), sidecars)
-			}
-			if n := relocated(); n != 0 {
-				t.Errorf("relocation counter = %d for a table that was retired, want 0", n)
-			}
-			var want []string
+			want = want[:0]
 			for k, v := range model {
 				want = append(want, k+"="+v)
 			}

@@ -18,8 +18,8 @@ import (
 //     (recognised by level; offHome). The drainer relocates off-home tables
 //     once the home tier cooperates. The direction is a parameter; the rules
 //     below hold for both.
-//   - The deferred-delete queue retries object deletions that failed (the
-//     version no longer references them, so losing a delete must not fail a
+//   - The deferred-delete queue retries object deletions that failed (no
+//     version references them any more, so losing a delete must not fail a
 //     compaction or a relocation).
 //   - The lazy mirror pass and the orphan sweep at Open (table objects no
 //     version references: a crash between an object write and its manifest
@@ -32,10 +32,12 @@ import (
 //     relocation's one manifest edit (delete the entry, re-add it on the
 //     home tier with PendingCloud cleared) is applied only after the home
 //     copy — and, in the cloud, its metadata sidecar — is durable.
-//   - The drainer is the only mutator of a file's tier, and it re-verifies
-//     the file is still live under compactionMu before the edit, so a
-//     concurrent compaction can never resurrect a retired table; a copy made
-//     for a table retired meanwhile is removed as the orphan it is.
+//   - The drainer is the only mutator of a file's tier. It pins the version
+//     whose tables it copies, so a source it cannot read is a tier failing,
+//     never a table retired under it; a pin stops deletion, not retirement,
+//     so it still re-verifies the file is live under compactionMu before the
+//     edit — a concurrent compaction can never resurrect a retired table — and
+//     removes a copy made for a table retired meanwhile as the orphan it is.
 //   - Every whole-table write goes through putTable, so a relocation to the
 //     local tier is that tier's recovery probe, and none is attempted while
 //     the local breaker is open with no probe due.
@@ -86,17 +88,23 @@ func (d *engine) onCloudRetry(op, name string, attempt int, err error, delay tim
 // drainer so the off-home backlog starts relocating immediately, and
 // reschedules compactions deferred during the outage.
 func (d *engine) tierRecovered() {
+	d.wakeDrainer()
+	d.scheduleWork()
+}
+
+// wakeDrainer nudges the drainer ahead of its ticker.
+func (d *engine) wakeDrainer() {
 	select {
 	case d.drainWake <- struct{}{}:
 	default:
 	}
-	d.scheduleWork()
 }
 
-// drainLoop runs until shutdown, retrying deferred deletes and relocating
-// off-home tables. Each round is also the recovery probe for both tiers: its
-// first request to a broken tier either passes (half-open probe admitted) or
-// fails fast, so recovery needs no foreground traffic.
+// drainLoop runs until shutdown, retiring the tables readers left obsolete,
+// retrying deferred deletes and relocating off-home tables. Each round is also
+// the recovery probe for both tiers: its first request to a broken tier either
+// passes (half-open probe admitted) or fails fast, so recovery needs no
+// foreground traffic.
 func (d *engine) drainLoop() {
 	defer close(d.drainDone)
 	ticker := time.NewTicker(d.opts.PendingDrainInterval)
@@ -108,6 +116,7 @@ func (d *engine) drainLoop() {
 		case <-ticker.C:
 		case <-d.drainWake:
 		}
+		d.retireObsolete()
 		d.drainDeferredDeletes()
 		if d.cloud != nil {
 			d.drainOffHome()
@@ -154,20 +163,23 @@ func (d *engine) offHome(level int, f *manifest.FileMetadata) (home storage.Tier
 
 // drainOffHome relocates the off-home tables of the current version one at a
 // time, until none is left or a tier stops cooperating. Tables that go off
-// home meanwhile wait for the next round.
+// home meanwhile wait for the next round. The version is pinned for the round
+// and the old-tier copies go when it ends.
 func (d *engine) drainOffHome() {
 	// While the local breaker is open a relocation to local storage would be
 	// refused without touching the device; once its cooldown elapses the
 	// relocation's write is the recovery probe.
 	localDown := d.localBreaker.State() == retry.StateOpen && !d.localBreaker.ProbeDue()
 	stop := false
-	d.vs.Current().AllFiles(func(level int, f *manifest.FileMetadata) {
+	v := d.vs.Acquire()
+	v.AllFiles(func(level int, f *manifest.FileMetadata) {
 		home, ok := d.offHome(level, f)
 		if stop || !ok || (localDown && home == storage.TierLocal) {
 			return
 		}
 		stop = d.closed.Load() || !d.relocate(level, *f, home)
 	})
+	d.unpinAndRetire(v)
 }
 
 // liveOffHome reports whether table num is still in the current version at
@@ -182,20 +194,19 @@ func (d *engine) liveOffHome(level int, num uint64) bool {
 	return false
 }
 
-// relocate copies one off-home table to its home tier and installs the tier
-// change. It returns false when the round should stop (a tier not
-// cooperating, manifest failure) and true when the drainer may go on to the
-// next table.
+// relocate copies one off-home table of a version the caller has pinned to
+// its home tier and installs the tier change. It returns false when the round
+// should stop (a tier not cooperating, manifest failure) and true when the
+// drainer may go on to the next table.
 func (d *engine) relocate(level int, meta manifest.FileMetadata, to storage.Tier) bool {
 	name := manifest.TableName(meta.Num)
 	from := meta.Tier
 	start := time.Now()
 	data, err := d.backendFor(from).ReadAll(name)
 	if err != nil {
-		// Gone because a compaction retired the table since the version
-		// snapshot: go on. A live table that cannot be read (tier down, EIO,
-		// quarantine) ends the round — the next tick retries it, not a spin.
-		return !d.liveOffHome(level, meta.Num)
+		// The pin keeps the object in place, so this is the tier failing
+		// (down, EIO): the round ends and the next tick retries, not a spin.
+		return false
 	}
 	attempts, err := d.putTable(to, name, data)
 	if err != nil {
@@ -257,19 +268,8 @@ func (d *engine) relocate(level int, meta manifest.FileMetadata, to storage.Tier
 		return false
 	}
 
-	// The cached handle must be reopened against the new tier (in the cloud,
-	// with its sidecar overlay) on next use. Block-cache entries are
-	// content-identical and stay valid.
-	d.tables.evict(meta.Num)
-	if to == storage.TierLocal && d.opts.MirrorLocalLevels {
-		// The cloud object we just copied from is a byte-identical mirror of
-		// the new local table; keep it as the repair source. Only its sidecar
-		// goes: local-tier tables carry their metadata in-file.
-		d.removeObject(storage.TierLocal, metaSidecarName(meta.Num))
-		d.markMirrored(meta.Num)
-	} else {
-		d.removeTable(from, meta.Num)
-	}
+	// The copy on the old tier goes when the last version naming it does
+	// (retire): at the end of this round, or when the last reader lets go.
 	if to == storage.TierCloud && d.opts.Policy == PolicyMash {
 		// Keep the just-moved data warm: it was serving reads locally a
 		// moment ago and must not fall off a latency cliff.
@@ -281,7 +281,7 @@ func (d *engine) relocate(level int, meta manifest.FileMetadata, to storage.Tier
 
 // markMirrored / isMirrored / dropMirror track which local-tier tables have
 // a byte-identical cloud copy. dropMirror reports whether the table was
-// mirrored, so compaction retirement knows to delete the cloud object.
+// mirrored, so retire knows to delete the cloud object.
 func (d *engine) markMirrored(num uint64) {
 	d.mirrorMu.Lock()
 	d.mirrored[num] = true
@@ -312,8 +312,13 @@ func (d *engine) mirrorLocals() {
 	if !d.opts.MirrorLocalLevels {
 		return
 	}
+	// Pinned for the round: a candidate that cannot be read is the device
+	// failing, and one retired meanwhile keeps its object until the pin goes —
+	// its retirement then finds the mirror mark and removes the mirror too.
+	v := d.vs.Acquire()
+	defer d.unpinAndRetire(v)
 	var cands []uint64
-	d.vs.Current().AllFiles(func(level int, f *manifest.FileMetadata) {
+	v.AllFiles(func(level int, f *manifest.FileMetadata) {
 		if f.Tier == storage.TierLocal && !f.PendingCloud &&
 			!d.isMirrored(f.Num) && !d.isQuarantined(f.Num) {
 			cands = append(cands, f.Num)
@@ -326,7 +331,7 @@ func (d *engine) mirrorLocals() {
 		name := manifest.TableName(num)
 		data, err := d.local.ReadAll(name)
 		if err != nil {
-			continue // retired mid-round; the next round sees the fresh version
+			return // local device uncooperative; next tick
 		}
 		if err := d.verifyTableBytes(data, num); err != nil {
 			// Never poison the mirror: the read path and scrubber classify
@@ -335,19 +340,6 @@ func (d *engine) mirrorLocals() {
 		}
 		if _, err := d.putTable(storage.TierCloud, name, data); err != nil {
 			return // cloud uncooperative; next tick
-		}
-		// A compaction may have retired the table mid-upload, in which case
-		// its retirement already passed dropMirror (a no-op then) and the
-		// fresh cloud object is an orphan until the next Open's sweep.
-		live := false
-		d.vs.Current().AllFiles(func(level int, f *manifest.FileMetadata) {
-			if f.Num == num && f.Tier == storage.TierLocal {
-				live = true
-			}
-		})
-		if !live {
-			d.removeObject(storage.TierCloud, name)
-			continue
 		}
 		d.markMirrored(num)
 		d.stats.MirroredTables.Add(1)

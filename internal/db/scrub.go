@@ -29,7 +29,7 @@ import (
 // ScrubReport summarizes one scrub pass.
 type ScrubReport struct {
 	Checked    int // artifacts verified end to end
-	Corrupt    int // artifacts whose checksums failed
+	Corrupt    int // artifacts that failed verification: bad checksum, or unreadable
 	Repaired   int // artifacts re-materialized from a cloud source
 	Unrepaired int // damaged artifacts with no clean source
 
@@ -58,8 +58,8 @@ func (d *engine) isQuarantined(num uint64) bool {
 	return d.quarantined[num]
 }
 
-// unquarantine clears a table's quarantine mark (compaction retired it, or
-// a forced scrub repaired it).
+// unquarantine clears a table's quarantine mark (it was retired, or a scrub
+// pass found it clean).
 func (d *engine) unquarantine(num uint64) {
 	d.repairMu.Lock()
 	delete(d.quarantined, num)
@@ -220,13 +220,16 @@ func (d *engine) scrub() ScrubReport {
 
 	// Local-tier tables: full image verification, cloud-backed repair.
 	// force=true retries quarantined tables — a mirror may have appeared
-	// since the damage was first found.
+	// since the damage was first found. The version is pinned for the pass,
+	// so every table it names is in place: one that cannot be read is damage
+	// like a failed checksum, not a table a compaction took away meanwhile.
 	type tbl struct {
 		num  uint64
 		tier storage.Tier
 	}
 	var tables []tbl
-	d.vs.Current().AllFiles(func(level int, f *manifest.FileMetadata) {
+	v := d.vs.Acquire()
+	v.AllFiles(func(level int, f *manifest.FileMetadata) {
 		tables = append(tables, tbl{f.Num, f.Tier})
 	})
 	for _, t := range tables {
@@ -250,14 +253,16 @@ func (d *engine) scrub() ScrubReport {
 			}
 			continue
 		}
-		data, err := d.local.ReadAll(manifest.TableName(t.num))
-		if err != nil {
-			continue // retired mid-scrub, or unreadable (the read path will classify)
-		}
 		rep.Checked++
 		rep.Tables++
-		verr := d.verifyTableBytes(data, t.num)
+		data, verr := d.local.ReadAll(manifest.TableName(t.num))
 		if verr == nil {
+			verr = d.verifyTableBytes(data, t.num)
+		}
+		if verr == nil {
+			// Whatever an earlier pass could not read or repair is readable
+			// and clean now.
+			d.unquarantine(t.num)
 			continue
 		}
 		rep.Corrupt++
@@ -267,6 +272,7 @@ func (d *engine) scrub() ScrubReport {
 			rep.Unrepaired++
 		}
 	}
+	d.unpin(v)
 
 	// Sealed WAL segments: record checksums, backup-tier restore.
 	if d.wal != nil {

@@ -321,6 +321,13 @@ type Metrics struct {
 	CompactionsDeferred int64
 	PendingTables       int
 	PendingBytes        int64
+	// ObsoleteTables / ObsoleteBytes are the tables a version edit has
+	// retired that a reader's pin on an older version still holds in place
+	// (they are in no level and in neither tier's bytes above): space a
+	// finished reader gives back, and a leaked iterator keeps growing.
+	// DeferredDeletes counts deletions that failed and await retry, not these.
+	ObsoleteTables int
+	ObsoleteBytes  int64
 
 	// Local-tier robustness state (the self-healing layer): the local
 	// breaker's position and history, cloud-direct landings and drain-backs,
@@ -550,6 +557,9 @@ func (d *DB) Metrics() Metrics {
 			m.LevelFiles[l] += len(v.Levels[l])
 			m.LevelBytes[l] += v.LevelSize(l)
 		}
+		obsTables, obsBytes := e.vs.Pinned()
+		m.ObsoleteTables += obsTables
+		m.ObsoleteBytes += int64(obsBytes)
 		v.AllFiles(func(level int, f *manifest.FileMetadata) {
 			s.Files++
 			s.Bytes += int64(f.Size)

@@ -52,9 +52,18 @@ type tableCache struct {
 	maxOpen int
 
 	mu     sync.Mutex
-	tables map[uint64]*tableHandle
-	lru    *list.List // front = most recently used; values are file numbers
-	lruPos map[uint64]*list.Element
+	tables map[tableKey]*tableHandle
+	lru    *list.List // front = most recently used; values are tableKeys
+	lruPos map[tableKey]*list.Element
+}
+
+// tableKey names one copy of a table. While a relocated table's old-tier copy
+// is still pinned by a reader, both copies can be open at once, and a handle
+// on one must never be served for metadata naming the other: the old copy's
+// object goes when its last reader does.
+type tableKey struct {
+	num  uint64
+	tier storage.Tier
 }
 
 func newTableCache(maxOpen int) *tableCache {
@@ -63,19 +72,19 @@ func newTableCache(maxOpen int) *tableCache {
 	}
 	return &tableCache{
 		maxOpen: maxOpen,
-		tables:  map[uint64]*tableHandle{},
+		tables:  map[tableKey]*tableHandle{},
 		lru:     list.New(),
-		lruPos:  map[uint64]*list.Element{},
+		lruPos:  map[tableKey]*list.Element{},
 	}
 }
 
-// touchLocked marks fileNum as most recently used (caller holds tc.mu).
-func (tc *tableCache) touchLocked(fileNum uint64) {
-	if e, ok := tc.lruPos[fileNum]; ok {
+// touchLocked marks k as most recently used (caller holds tc.mu).
+func (tc *tableCache) touchLocked(k tableKey) {
+	if e, ok := tc.lruPos[k]; ok {
 		tc.lru.MoveToFront(e)
 		return
 	}
-	tc.lruPos[fileNum] = tc.lru.PushFront(fileNum)
+	tc.lruPos[k] = tc.lru.PushFront(k)
 }
 
 // enforceCapLocked closes least-recently-used idle tables while over
@@ -84,8 +93,8 @@ func (tc *tableCache) touchLocked(fileNum uint64) {
 func (tc *tableCache) enforceCapLocked() {
 	for e := tc.lru.Back(); e != nil && len(tc.tables) > tc.maxOpen; {
 		prev := e.Prev()
-		num := e.Value.(uint64)
-		h := tc.tables[num]
+		k := e.Value.(tableKey)
+		h := tc.tables[k]
 		h.mu.Lock()
 		idle := h.refs == 1 // only the cache's own reference
 		if idle {
@@ -94,9 +103,9 @@ func (tc *tableCache) enforceCapLocked() {
 		}
 		h.mu.Unlock()
 		if idle {
-			delete(tc.tables, num)
+			delete(tc.tables, k)
 			tc.lru.Remove(e)
-			delete(tc.lruPos, num)
+			delete(tc.lruPos, k)
 			_ = h.reader.Close()
 		}
 		e = prev
@@ -107,12 +116,13 @@ func (tc *tableCache) enforceCapLocked() {
 // the engine that owns the file; every engine shares the one cache, so the
 // open-table budget is global.
 func (tc *tableCache) get(d *engine, meta *manifest.FileMetadata) (*tableHandle, error) {
+	k := tableKey{meta.Num, meta.Tier}
 	tc.mu.Lock()
-	if h, ok := tc.tables[meta.Num]; ok {
+	if h, ok := tc.tables[k]; ok {
 		h.mu.Lock()
 		h.refs++
 		h.mu.Unlock()
-		tc.touchLocked(meta.Num)
+		tc.touchLocked(k)
 		tc.mu.Unlock()
 		return h, nil
 	}
@@ -148,7 +158,7 @@ func (tc *tableCache) get(d *engine, meta *manifest.FileMetadata) (*tableHandle,
 	r.SetFetch(tc.fetchFor(h))
 
 	tc.mu.Lock()
-	if existing, ok := tc.tables[meta.Num]; ok {
+	if existing, ok := tc.tables[k]; ok {
 		// Raced with another opener; keep theirs.
 		existing.mu.Lock()
 		existing.refs++
@@ -157,11 +167,11 @@ func (tc *tableCache) get(d *engine, meta *manifest.FileMetadata) (*tableHandle,
 		_ = r.Close()
 		return existing, nil
 	}
-	tc.tables[meta.Num] = h
+	tc.tables[k] = h
 	h.mu.Lock()
 	h.refs++ // the cache's own reference
 	h.mu.Unlock()
-	tc.touchLocked(meta.Num)
+	tc.touchLocked(k)
 	tc.enforceCapLocked()
 	tc.mu.Unlock()
 	return h, nil
@@ -294,21 +304,29 @@ func (tc *tableCache) compactionFetchFor(h *tableHandle) sstable.FetchFunc {
 	}
 }
 
-// evict drops the cache's reference; the table closes once readers finish.
+// evict drops the cache's reference on table fileNum, on whichever tier it
+// is open; the table closes once readers finish.
 func (tc *tableCache) evict(fileNum uint64) {
-	tc.mu.Lock()
-	h, ok := tc.tables[fileNum]
-	if ok {
-		delete(tc.tables, fileNum)
-		if e, lok := tc.lruPos[fileNum]; lok {
-			tc.lru.Remove(e)
-			delete(tc.lruPos, fileNum)
+	for _, tier := range [...]storage.Tier{storage.TierLocal, storage.TierCloud} {
+		k := tableKey{fileNum, tier}
+		tc.mu.Lock()
+		h, ok := tc.tables[k]
+		if ok {
+			delete(tc.tables, k)
+			if e, lok := tc.lruPos[k]; lok {
+				tc.lru.Remove(e)
+				delete(tc.lruPos, k)
+			}
+		}
+		tc.mu.Unlock()
+		if ok {
+			h.drop()
 		}
 	}
-	tc.mu.Unlock()
-	if !ok {
-		return
-	}
+}
+
+// drop gives up the cache's own reference on an evicted handle.
+func (h *tableHandle) drop() {
 	h.mu.Lock()
 	h.dead = true
 	h.refs--
@@ -338,19 +356,12 @@ func (tc *tableCache) metadataBytes() int64 {
 func (tc *tableCache) close() {
 	tc.mu.Lock()
 	hs := tc.tables
-	tc.tables = map[uint64]*tableHandle{}
+	tc.tables = map[tableKey]*tableHandle{}
 	tc.lru.Init()
-	tc.lruPos = map[uint64]*list.Element{}
+	tc.lruPos = map[tableKey]*list.Element{}
 	tc.mu.Unlock()
 	for _, h := range hs {
-		h.mu.Lock()
-		h.dead = true
-		h.refs--
-		shouldClose := h.refs == 0
-		h.mu.Unlock()
-		if shouldClose {
-			_ = h.reader.Close()
-		}
+		h.drop()
 	}
 }
 
@@ -361,6 +372,15 @@ func (d *engine) overlayMetadata(f storage.Reader, meta *manifest.FileMetadata) 
 	tailOff, tail, err := d.readMetaSidecar(meta.Num)
 	if err != nil {
 		tailOff, tail, err = sstable.MetaTail(f)
+		if errors.Is(err, sstable.ErrCorrupt) {
+			// A reader has no way to say why it knows no size, and one of
+			// size zero reads as a truncated table. Ask through the call that
+			// can fail: an object that is missing or out of reach answers
+			// with that, and only one that is really there stays corrupt.
+			if _, serr := d.cloud.Size(manifest.TableName(meta.Num)); serr != nil {
+				err = serr
+			}
+		}
 		if err != nil {
 			return f, fmt.Errorf("db: rebuilding metadata for %s: %w", meta, err)
 		}

@@ -19,8 +19,9 @@ func manifestName(num uint64) string { return fmt.Sprintf("MANIFEST-%06d", num) 
 type Set struct {
 	be storage.Backend
 
+	// mu guards the manifest log and the allocation and sequence cursors. It
+	// is held across the log append and fsync of an edit.
 	mu          sync.Mutex
-	current     *Version
 	nextFileNum uint64
 	lastSeq     uint64
 	flushedSeq  uint64
@@ -36,11 +37,25 @@ type Set struct {
 	// per-shard key salting. stride 0 or 1 means dense allocation.
 	stride    uint64
 	strideOff uint64
+
+	// refMu guards current and the reference count and list links of every
+	// live version (see lifetime.go). It is never held across I/O, so taking
+	// a version does not wait behind an edit's fsync. current is replaced
+	// under mu and refMu both, so holding either is enough to read it.
+	refMu      sync.Mutex
+	current    *Version
+	onObsolete func([]Obsolete)
+}
+
+func newSet(be storage.Backend) *Set {
+	v := NewVersion()
+	v.refs = 1 // the set's own reference on the current version
+	return &Set{be: be, current: v, nextFileNum: 1}
 }
 
 // Open recovers the version state from be, or initializes a fresh store.
 func Open(be storage.Backend) (*Set, error) {
-	s := &Set{be: be, current: NewVersion(), nextFileNum: 1}
+	s := newSet(be)
 	cur, err := be.ReadAll(currentName)
 	switch {
 	case errors.Is(err, storage.ErrNotFound):
@@ -69,7 +84,7 @@ func Open(be storage.Backend) (*Set, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := s.applyLocked(edit); err != nil {
+		if _, err := s.applyLocked(edit); err != nil {
 			return nil, err
 		}
 	}
@@ -113,7 +128,7 @@ func WriteSnapshot(be storage.Backend, v *Version, nextFileNum, lastSeq, flushed
 // Peek reads the current version state without rotating the manifest or
 // opening it for append — a read-only inspection used by tooling.
 func Peek(be storage.Backend) (v *Version, nextFileNum, lastSeq, flushedSeq uint64, err error) {
-	s := &Set{be: be, current: NewVersion(), nextFileNum: 1}
+	s := newSet(be)
 	cur, err := be.ReadAll(currentName)
 	if errors.Is(err, storage.ErrNotFound) {
 		return s.current, 1, 0, 0, nil
@@ -138,7 +153,7 @@ func Peek(be storage.Backend) (v *Version, nextFileNum, lastSeq, flushedSeq uint
 		if derr != nil {
 			return nil, 0, 0, 0, derr
 		}
-		if aerr := s.applyLocked(edit); aerr != nil {
+		if _, aerr := s.applyLocked(edit); aerr != nil {
 			return nil, 0, 0, 0, aerr
 		}
 	}
@@ -197,13 +212,14 @@ func (s *Set) createNewManifest() error {
 	return nil
 }
 
-// applyLocked folds an edit into the in-memory state.
-func (s *Set) applyLocked(e *VersionEdit) error {
+// applyLocked folds an edit into the in-memory state and returns the death
+// of the version it replaced, if any, for the caller to report.
+func (s *Set) applyLocked(e *VersionEdit) (death, error) {
 	nv, err := s.current.Apply(e)
 	if err != nil {
-		return err
+		return death{}, err
 	}
-	s.current = nv
+	d := s.install(nv)
 	if e.HasNextFileNum && e.NextFileNum > s.nextFileNum {
 		s.nextFileNum = e.NextFileNum
 		s.alignLocked()
@@ -214,13 +230,23 @@ func (s *Set) applyLocked(e *VersionEdit) error {
 	if e.HasFlushedSeq && e.FlushedSeq > s.flushedSeq {
 		s.flushedSeq = e.FlushedSeq
 	}
-	return nil
+	return d, nil
 }
 
 // LogAndApply persists the edit and installs the resulting version.
 func (s *Set) LogAndApply(e *VersionEdit) error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	d, err := s.logAndApplyLocked(e)
+	rotate := err == nil && s.editsInLog >= 1000
+	s.mu.Unlock()
+	s.reportObsolete(d)
+	if rotate {
+		return s.createNewManifest()
+	}
+	return err
+}
+
+func (s *Set) logAndApplyLocked(e *VersionEdit) (death, error) {
 	// Stamp bookkeeping fields so recovery reproduces them.
 	if !e.HasNextFileNum {
 		e.HasNextFileNum, e.NextFileNum = true, s.nextFileNum
@@ -229,29 +255,16 @@ func (s *Set) LogAndApply(e *VersionEdit) error {
 		e.HasLastSeq, e.LastSeq = true, s.lastSeq
 	}
 	if err := s.rw.Append(e.Encode()); err != nil {
-		return err
+		return death{}, err
 	}
 	if err := s.w.Sync(); err != nil {
-		return err
+		return death{}, err
 	}
-	if err := s.applyLocked(e); err != nil {
-		return err
+	d, err := s.applyLocked(e)
+	if err == nil {
+		s.editsInLog++
 	}
-	s.editsInLog++
-	if s.editsInLog >= 1000 {
-		s.mu.Unlock()
-		err := s.createNewManifest()
-		s.mu.Lock()
-		return err
-	}
-	return nil
-}
-
-// Current returns the live version. Callers must treat it as immutable.
-func (s *Set) Current() *Version {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.current
+	return d, err
 }
 
 // NewFileNum allocates the next file number (on this set's stride when

@@ -13,6 +13,12 @@ import (
 // are sorted by smallest key and non-overlapping.
 type Version struct {
 	Levels [NumLevels][]*FileMetadata
+
+	// Lifetime state of a version a Set installed, guarded by Set.refMu: how
+	// many holders it has (the set itself holds one on the current version),
+	// and its neighbours in the set's list of live versions, oldest first.
+	refs       int
+	prev, next *Version
 }
 
 // NewVersion returns an empty version.

@@ -114,9 +114,9 @@ const (
 	indexVersion = 1
 )
 
-// New opens (or creates) a persistent cache under opts.Dir, loading a
-// previously snapshotted index when present and intact. A missing or
-// corrupt index yields an empty (cold) cache, never an error.
+// New opens (or creates) a persistent cache under opts.Dir, loading — and
+// consuming — a previously snapshotted index when present and intact. A
+// missing or corrupt index yields an empty (cold) cache, never an error.
 func New(opts Options) (*PCache, error) {
 	if opts.RegionBytes <= 0 {
 		opts.RegionBytes = 256 << 10
@@ -151,6 +151,14 @@ func New(opts Options) (*PCache, error) {
 		if errors.Is(err, errBadIndex) {
 			c.indexCorrupt = true
 		}
+	}
+	// The snapshot describes DATA as the last clean Close left it, and DATA
+	// moves on from here. Consumed once: after a crash the next New finds no
+	// snapshot and starts cold, instead of loading this one over regions that
+	// have been recycled since and counting their entries as corrupt reads.
+	if err := os.Remove(filepath.Join(opts.Dir, "INDEX")); err != nil && !os.IsNotExist(err) {
+		f.Close()
+		return nil, err
 	}
 	return c, nil
 }

@@ -148,10 +148,34 @@ func TestMashIndexPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c2.Close()
 	got, ok := c2.Get(9, 12345)
 	if !ok || !bytes.Equal(got, body) {
 		t.Fatal("warm restart lost cached block")
+	}
+
+	// The snapshot is consumed by the load. Churn until file 9's region has
+	// been recycled, then crash (no Close, so no new snapshot): the next open
+	// must start cold, not read the old index over a DATA file that has moved
+	// on and count the recycled entries as corrupt reads.
+	for i := 0; i < 64; i++ {
+		c2.Put(uint64(100+i), 0, bytes.Repeat([]byte{byte(i)}, 32<<10))
+	}
+	if _, ok := c2.Get(9, 12345); ok {
+		t.Fatal("churn did not recycle the first block's region")
+	}
+	c2.f.Close()
+
+	c3, err := New(Options{Dir: dir, CapacityBytes: 1 << 20, RegionBytes: 64 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c3.Close()
+	if _, ok := c3.Get(9, 12345); ok {
+		t.Fatal("a crash must be a cold start")
+	}
+	if n := c3.Stats().CorruptReads.Load(); n != 0 || c3.IndexWasCorrupt() {
+		t.Fatalf("CorruptReads = %d, IndexWasCorrupt = %v after a crash with nothing injected",
+			n, c3.IndexWasCorrupt())
 	}
 }
 
