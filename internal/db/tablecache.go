@@ -60,10 +60,13 @@ type tableCache struct {
 // tableKey names one copy of a table. While a relocated table's old-tier copy
 // is still pinned by a reader, both copies can be open at once, and a handle
 // on one must never be served for metadata naming the other: the old copy's
-// object goes when its last reader does.
-type tableKey struct {
-	num  uint64
-	tier storage.Tier
+// object goes when its last reader does. It is one word — the file number
+// above the tier bit — so the maps, which every point read goes through, are
+// looked up by integer and not by hashing a struct.
+type tableKey uint64
+
+func keyOf(num uint64, tier storage.Tier) tableKey {
+	return tableKey(num<<1 | uint64(tier))
 }
 
 func newTableCache(maxOpen int) *tableCache {
@@ -116,7 +119,7 @@ func (tc *tableCache) enforceCapLocked() {
 // the engine that owns the file; every engine shares the one cache, so the
 // open-table budget is global.
 func (tc *tableCache) get(d *engine, meta *manifest.FileMetadata) (*tableHandle, error) {
-	k := tableKey{meta.Num, meta.Tier}
+	k := keyOf(meta.Num, meta.Tier)
 	tc.mu.Lock()
 	if h, ok := tc.tables[k]; ok {
 		h.mu.Lock()
@@ -308,7 +311,7 @@ func (tc *tableCache) compactionFetchFor(h *tableHandle) sstable.FetchFunc {
 // is open; the table closes once readers finish.
 func (tc *tableCache) evict(fileNum uint64) {
 	for _, tier := range [...]storage.Tier{storage.TierLocal, storage.TierCloud} {
-		k := tableKey{fileNum, tier}
+		k := keyOf(fileNum, tier)
 		tc.mu.Lock()
 		h, ok := tc.tables[k]
 		if ok {

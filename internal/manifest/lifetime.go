@@ -34,23 +34,26 @@ type Obsolete struct {
 func (s *Set) OnObsolete(fn func([]Obsolete)) { s.onObsolete = fn }
 
 // Acquire returns the current version with a reference on it. The version's
-// tables stay in place until the matching Release.
+// tables stay in place until the matching Release. It takes no lock: every
+// Get comes through here, and the cost is one compare-and-swap on the
+// version's count.
 func (s *Set) Acquire() *Version {
-	s.refMu.Lock()
-	v := s.current
-	v.refs++
-	s.refMu.Unlock()
-	return v
+	for {
+		v := s.current.Load()
+		// A count that has reached zero never rises again: such a version was
+		// current when loaded and has been replaced and released since, so
+		// the next load finds its successor.
+		if n := v.refs.Load(); n > 0 && v.refs.CompareAndSwap(n, n+1) {
+			return v
+		}
+	}
 }
 
 // Release drops a reference taken with Acquire. It reports whether that made
 // tables obsolete (the callback has them by then), so a caller that must not
 // delete anything itself knows to wake whoever does.
 func (s *Set) Release(v *Version) bool {
-	s.refMu.Lock()
-	d := s.unrefLocked(v)
-	s.refMu.Unlock()
-	return s.reportObsolete(d)
+	return s.reportObsolete(s.unref(v))
 }
 
 // Current returns the live version without a reference: for reading metadata
@@ -58,48 +61,50 @@ func (s *Set) Release(v *Version) bool {
 // it — its tables may be deleted at any moment; Acquire a version for that.
 // (A compaction opens the inputs it picked from Current under the lock that
 // every retirement of a current table takes, which is as good as a pin.)
-func (s *Set) Current() *Version {
-	s.refMu.Lock()
-	v := s.current
-	s.refMu.Unlock()
-	return v
-}
+func (s *Set) Current() *Version { return s.current.Load() }
 
 // install makes nv the current version, moving the set's own reference to it
 // from its predecessor, and returns the predecessor's death if that was its
 // last. The caller holds mu and reports the death once it has let go of it.
 func (s *Set) install(nv *Version) death {
+	old := s.current.Load()
+	nv.refs.Store(1)
 	s.refMu.Lock()
-	old := s.current
-	nv.refs, nv.prev = 1, old
-	old.next = nv
-	s.current = nv
-	d := s.unrefLocked(old)
+	nv.prev, old.next = old, nv
 	s.refMu.Unlock()
-	return d
+	// Linked before it can be acquired, so every referenced version is on the
+	// list; and old has its successor before it can lose the set's reference.
+	s.current.Store(nv)
+	return s.unref(old)
 }
 
 // death is a version that lost its last reference, with the neighbours it
 // had in the list of live versions when it left. The zero death is none.
 type death struct{ v, prev, next *Version }
 
-// unrefLocked drops one reference on v; when it was the last, v leaves the
-// list of live versions. The current version never dies here (the set's own
-// reference moves off it only after a successor is linked), so a death's
-// next is never nil.
-func (s *Set) unrefLocked(v *Version) death {
-	if v.refs <= 0 {
-		panic("manifest: version released more often than acquired")
-	}
-	if v.refs--; v.refs > 0 {
+// unref drops one reference on v; when it was the last, v leaves the list of
+// live versions. The current version never dies here (the set's own reference
+// moves off it only after a successor is linked), so a death's next is never
+// nil. A neighbour may itself be at zero and waiting for refMu to leave: it
+// still counts as naming its files here, and reports them when its turn
+// comes — departures are serialized, so of the versions naming a file exactly
+// one, the last to leave, finds neither neighbour naming it.
+func (s *Set) unref(v *Version) death {
+	n := v.refs.Add(-1)
+	if n > 0 {
 		return death{}
 	}
+	if n < 0 {
+		panic("manifest: version released more often than acquired")
+	}
+	s.refMu.Lock()
 	d := death{v: v, prev: v.prev, next: v.next}
 	if d.prev != nil {
 		d.prev.next = d.next
 	}
 	d.next.prev = d.prev
 	v.prev, v.next = nil, nil
+	s.refMu.Unlock()
 	return d
 }
 
@@ -151,7 +156,7 @@ func (v *Version) hasNum(level int, num uint64) bool {
 // waiting for a reader to finish.
 func (s *Set) Pinned() (tables int, bytes uint64) {
 	s.refMu.Lock()
-	cur := s.current
+	cur := s.current.Load()
 	var older []*Version
 	for v := cur.prev; v != nil; v = v.prev {
 		older = append(older, v)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 
 	"rocksmash/internal/storage"
 	"rocksmash/internal/wal"
@@ -38,19 +39,22 @@ type Set struct {
 	stride    uint64
 	strideOff uint64
 
-	// refMu guards current and the reference count and list links of every
-	// live version (see lifetime.go). It is never held across I/O, so taking
-	// a version does not wait behind an edit's fsync. current is replaced
-	// under mu and refMu both, so holding either is enough to read it.
+	// current is replaced under mu and read by anyone; taking a reference on
+	// it (lifetime.go) is a compare-and-swap on the version's count, so a
+	// reader waits behind no lock, least of all mu and an edit's fsync. refMu
+	// guards the links of the list of live versions, which only a version's
+	// installation and its death touch; it is never held across I/O.
+	current    atomic.Pointer[Version]
 	refMu      sync.Mutex
-	current    *Version
 	onObsolete func([]Obsolete)
 }
 
 func newSet(be storage.Backend) *Set {
 	v := NewVersion()
-	v.refs = 1 // the set's own reference on the current version
-	return &Set{be: be, current: v, nextFileNum: 1}
+	v.refs.Store(1) // the set's own reference on the current version
+	s := &Set{be: be, nextFileNum: 1}
+	s.current.Store(v)
+	return s
 }
 
 // Open recovers the version state from be, or initializes a fresh store.
@@ -131,7 +135,7 @@ func Peek(be storage.Backend) (v *Version, nextFileNum, lastSeq, flushedSeq uint
 	s := newSet(be)
 	cur, err := be.ReadAll(currentName)
 	if errors.Is(err, storage.ErrNotFound) {
-		return s.current, 1, 0, 0, nil
+		return s.current.Load(), 1, 0, 0, nil
 	}
 	if err != nil {
 		return nil, 0, 0, 0, err
@@ -157,7 +161,7 @@ func Peek(be storage.Backend) (v *Version, nextFileNum, lastSeq, flushedSeq uint
 			return nil, 0, 0, 0, aerr
 		}
 	}
-	return s.current, s.nextFileNum, s.lastSeq, s.flushedSeq, nil
+	return s.current.Load(), s.nextFileNum, s.lastSeq, s.flushedSeq, nil
 }
 
 // createNewManifest writes a full snapshot of current state into a new
@@ -181,7 +185,7 @@ func (s *Set) createNewManifest() error {
 		HasLastSeq: true, LastSeq: s.lastSeq,
 		HasFlushedSeq: true, FlushedSeq: s.flushedSeq,
 	}
-	s.current.AllFiles(func(level int, f *FileMetadata) {
+	s.current.Load().AllFiles(func(level int, f *FileMetadata) {
 		snap.Added = append(snap.Added, AddedFile{Level: level, Meta: *f})
 	})
 	if err := rw.Append(snap.Encode()); err != nil {
@@ -215,7 +219,7 @@ func (s *Set) createNewManifest() error {
 // applyLocked folds an edit into the in-memory state and returns the death
 // of the version it replaced, if any, for the caller to report.
 func (s *Set) applyLocked(e *VersionEdit) (death, error) {
-	nv, err := s.current.Apply(e)
+	nv, err := s.current.Load().Apply(e)
 	if err != nil {
 		return death{}, err
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"rocksmash/internal/keys"
 )
@@ -14,10 +15,11 @@ import (
 type Version struct {
 	Levels [NumLevels][]*FileMetadata
 
-	// Lifetime state of a version a Set installed, guarded by Set.refMu: how
-	// many holders it has (the set itself holds one on the current version),
-	// and its neighbours in the set's list of live versions, oldest first.
-	refs       int
+	// Lifetime state of a version a Set installed: how many holders it has
+	// (the set itself holds one on the current version), and, guarded by
+	// Set.refMu, its neighbours in the set's list of live versions, oldest
+	// first.
+	refs       atomic.Int32
 	prev, next *Version
 }
 
