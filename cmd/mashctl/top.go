@@ -147,9 +147,9 @@ func renderTop(addr string, rep vitals.Report) string {
 	fmt.Fprintf(&b, "sampled every %.1fs, %d samples retained\n\n", rep.IntervalSeconds, len(rep.Samples))
 
 	// Breaker / degraded-mode banner: the one line an operator must see.
-	if st := strings.ToLower(s.Breaker); st != "" && st != "closed" {
+	if st := strings.ToLower(s.BreakerState); st != "" && st != "closed" {
 		fmt.Fprintf(&b, "  !! CLOUD BREAKER %s — degraded mode, %d tables (%s) pending upload\n\n",
-			strings.ToUpper(s.Breaker), s.PendingTables, humanSize(s.PendingBytes))
+			strings.ToUpper(s.BreakerState), s.PendingTables, humanSize(s.PendingBytes))
 	}
 
 	// Sparkline history from the derived windows.
@@ -180,7 +180,7 @@ func renderTop(addr string, rep vitals.Report) string {
 	}
 	fmt.Fprintf(&b, "  health  debt %s   space amp %.2fx   stalls %.1f/s",
 		humanSize(w.CompactionDebt), w.SpaceAmp, w.StallsPerSec)
-	if n := len(s.ShardOps); n > 1 {
+	if n := len(s.Shards); n > 1 {
 		fmt.Fprintf(&b, "   shards %d (skew %.2f)", n, w.ShardSkew)
 	}
 	b.WriteString("\n\n")
@@ -189,18 +189,19 @@ func renderTop(addr string, rep vitals.Report) string {
 	// the read-serve distribution — cumulative figures from the latest
 	// sample.
 	var servesTotal int64
-	for _, n := range s.LevelServes {
+	for _, n := range s.ReadAmp.LevelServes {
 		servesTotal += n
 	}
 	fmt.Fprintf(&b, "  %-6s %6s %10s %10s %10s %7s %8s\n",
 		"level", "files", "bytes", "cmp-in", "cmp-out", "wamp", "serves")
 	for l := range s.LevelFiles {
 		var in, out, serves int64
-		if l < len(s.LevelBytesIn) {
-			in, out = s.LevelBytesIn[l], s.LevelBytesOut[l]
+		if l < len(s.LevelWriteAmp) {
+			lw := s.LevelWriteAmp[l]
+			in, out = lw.BytesInSource+lw.BytesInTarget, lw.BytesOut
 		}
-		if l < len(s.LevelServes) {
-			serves = s.LevelServes[l]
+		if l < len(s.ReadAmp.LevelServes) {
+			serves = s.ReadAmp.LevelServes[l]
 		}
 		if s.LevelFiles[l] == 0 && in == 0 && serves == 0 {
 			continue
@@ -214,7 +215,7 @@ func renderTop(addr string, rep vitals.Report) string {
 			srv = fmt.Sprintf("%4.1f%%", float64(serves)/float64(servesTotal)*100)
 		}
 		fmt.Fprintf(&b, "  L%-5d %6d %10s %10s %10s %7s %8s\n",
-			l, s.LevelFiles[l], humanSize(s.LevelBytes[l]),
+			l, s.LevelFiles[l], humanSize(int64(s.LevelBytes[l])),
 			humanSize(in), humanSize(out), wamp, srv)
 	}
 	fmt.Fprintf(&b, "\n  placement: local %s, cloud %s, pending %s (%d tables)\n",

@@ -61,9 +61,11 @@ type DB struct {
 	trace    *event.TraceWriter
 	openedAt time.Time
 
-	// dumpMu guards lastDump, the windowed-delta baseline for DumpStats.
-	dumpMu   sync.Mutex
-	lastDump dumpWindow
+	// dumpMu guards the previous DumpStats call's snapshot and time, the
+	// baseline of the next call's interval deltas.
+	dumpMu     sync.Mutex
+	lastDump   Metrics
+	lastDumpAt time.Time
 
 	// vit is the time-series telemetry sampler (Options.VitalsInterval);
 	// nil when vitals are off.

@@ -7,47 +7,7 @@ import (
 
 	"rocksmash/internal/pcache"
 	"rocksmash/internal/readprof"
-	"rocksmash/internal/storage"
 )
-
-// dumpWindow is the counter baseline captured by the previous DumpStats
-// call, so each report can show interval (since-last-dump) deltas next to
-// the cumulative totals — RocksDB's "cumulative / interval" convention.
-type dumpWindow struct {
-	at              time.Time
-	reads           int64
-	writes          int64
-	bytesWritten    int64
-	stalls          int64
-	flushes         int64
-	flushBytes      int64
-	compactions     int64
-	compactBytesIn  int64
-	compactBytesOut int64
-	uploadRetries   int64
-	readRetries     int64
-	localIO         storage.Snapshot
-	cloudIO         storage.Snapshot
-}
-
-func windowOf(m Metrics, at time.Time) dumpWindow {
-	return dumpWindow{
-		at:              at,
-		reads:           m.Reads,
-		writes:          m.Writes,
-		bytesWritten:    m.BytesWritten,
-		stalls:          m.WriteStalls,
-		flushes:         m.Flushes,
-		flushBytes:      m.FlushBytes,
-		compactions:     m.Compactions,
-		compactBytesIn:  m.CompactBytesIn,
-		compactBytesOut: m.CompactBytesOut,
-		uploadRetries:   m.UploadRetries,
-		readRetries:     m.ReadRetries,
-		localIO:         m.LocalIO,
-		cloudIO:         m.CloudIO,
-	}
-}
 
 // hasLevelCompactions reports whether any level has compacted yet.
 func hasLevelCompactions(lws []LevelWriteAmp) bool {
@@ -81,15 +41,18 @@ func (d *DB) DumpStats() string {
 	m := d.Metrics()
 	now := time.Now()
 
+	// The previous call's snapshot is the baseline of the interval
+	// (since-last-dump) deltas shown next to the cumulative totals, RocksDB's
+	// "cumulative / interval" convention; before any call it is zero, taken
+	// at Open, so the first interval spans the DB's whole lifetime.
 	d.dumpMu.Lock()
-	prev := d.lastDump
-	d.lastDump = windowOf(m, now)
+	prev, prevAt := d.lastDump, d.lastDumpAt
+	d.lastDump, d.lastDumpAt = m, now
 	d.dumpMu.Unlock()
-	if prev.at.IsZero() {
-		// First dump: the interval spans the DB's whole lifetime.
-		prev.at = d.openedAt
+	if prevAt.IsZero() {
+		prevAt = d.openedAt
 	}
-	interval := now.Sub(prev.at)
+	interval := now.Sub(prevAt)
 	uptime := now.Sub(d.openedAt)
 
 	var b strings.Builder
@@ -99,8 +62,8 @@ func (d *DB) DumpStats() string {
 		m.Writes, humanBytes(m.BytesWritten), m.WriteStalls)
 	fmt.Fprintf(&b, "Cumulative reads:  %d ops\n", m.Reads)
 	fmt.Fprintf(&b, "Interval writes:   %d ops, %s user data, stalls: %d\n",
-		m.Writes-prev.writes, humanBytes(m.BytesWritten-prev.bytesWritten), m.WriteStalls-prev.stalls)
-	fmt.Fprintf(&b, "Interval reads:    %d ops\n", m.Reads-prev.reads)
+		m.Writes-prev.Writes, humanBytes(m.BytesWritten-prev.BytesWritten), m.WriteStalls-prev.WriteStalls)
+	fmt.Fprintf(&b, "Interval reads:    %d ops\n", m.Reads-prev.Reads)
 	if m.CommitGroups > 0 {
 		fmt.Fprintf(&b, "Commit groups: %d, %.2f batches/group, %d WAL syncs amortized\n",
 			m.CommitGroups, float64(m.CommitGroupBatches)/float64(m.CommitGroups),
@@ -136,12 +99,12 @@ func (d *DB) DumpStats() string {
 
 	b.WriteString("\n** Flush & Compaction **\n")
 	fmt.Fprintf(&b, "Flushes:     %d cum (%d interval), %s written\n",
-		m.Flushes, m.Flushes-prev.flushes, humanBytes(m.FlushBytes))
+		m.Flushes, m.Flushes-prev.Flushes, humanBytes(m.FlushBytes))
 	fmt.Fprintf(&b, "Compactions: %d cum (%d interval), in %s, out %s, dropped keys %d\n",
-		m.Compactions, m.Compactions-prev.compactions,
+		m.Compactions, m.Compactions-prev.Compactions,
 		humanBytes(m.CompactBytesIn), humanBytes(m.CompactBytesOut), m.CompactDroppedKeys)
 	fmt.Fprintf(&b, "Upload retries: %d cum (%d interval)\n",
-		m.UploadRetries, m.UploadRetries-prev.uploadRetries)
+		m.UploadRetries, m.UploadRetries-prev.UploadRetries)
 	fmt.Fprintf(&b, "Pipeline: prefetch %d spans/%d blocks, readahead %d spans/%d blocks\n",
 		m.PrefetchSpans, m.PrefetchBlocks, m.ReadaheadSpans, m.ReadaheadBlocks)
 	fmt.Fprintf(&b, "Write amp: %.2fx cumulative (flush %s + compact-out %s / user %s)\n",
@@ -168,7 +131,7 @@ func (d *DB) DumpStats() string {
 		fmt.Fprintf(&b, "Cloud breaker: %s, trips %d, half-opens %d, degraded %s\n",
 			m.BreakerState, m.BreakerTrips, m.BreakerHalfOpens, m.DegradedDur.Round(time.Millisecond))
 		fmt.Fprintf(&b, "Read retries: %d cum (%d interval)\n",
-			m.ReadRetries, m.ReadRetries-prev.readRetries)
+			m.ReadRetries, m.ReadRetries-prev.ReadRetries)
 		fmt.Fprintf(&b, "Degraded landings: %d tables, drained %d, pending %d (%s)\n",
 			m.DegradedTables, m.DrainedTables, m.PendingTables, humanBytes(m.PendingBytes))
 		if m.CompactionsDeferred > 0 {
@@ -216,21 +179,9 @@ func (d *DB) DumpStats() string {
 	b.WriteString("\n** Latency (cumulative) **\n")
 	fmt.Fprintf(&b, "%-10s %10s %10s %10s %10s %10s %10s\n",
 		"op", "count", "mean", "p50", "p90", "p99", "max")
-	for _, row := range []struct {
-		name string
-		s    LatencySummary
-	}{
-		{"get", m.GetLat},
-		{"put", m.PutLat},
-		{"flush", m.FlushLat},
-		{"compact", m.CompactLat},
-		{"local.get", m.LocalGetLat},
-		{"local.put", m.LocalPutLat},
-		{"cloud.get", m.CloudGetLat},
-		{"cloud.put", m.CloudPutLat},
-	} {
-		fmt.Fprintf(&b, "%-10s %10d %10s %10s %10s %10s %10s\n",
-			row.name, row.s.Count, row.s.Mean, row.s.P50, row.s.P90, row.s.P99, row.s.Max)
+	for _, l := range m.Latencies() {
+		s := l.Summary
+		fmt.Fprintf(&b, "%-10s %10d %10s %10s %10s %10s %10s\n", l.Op, s.Count, s.Mean, s.P50, s.P90, s.P99, s.Max)
 	}
 
 	b.WriteString("\n** Caches **\n")
@@ -292,18 +243,14 @@ func (d *DB) DumpStats() string {
 		fmt.Fprintf(&b, "Sorted views: %d level hits, %d misses, %d builds (%s encoded)\n",
 			m.ScanViewHits, m.ScanViewMisses, m.ViewBuilds, humanBytes(m.ViewBuildBytes))
 		if m.IterKeys > 0 {
-			var iterBlocks int64
-			for t := 0; t < readprof.NumTiers; t++ {
-				iterBlocks += m.ReadAmp.IterBlocks[t]
-			}
 			fmt.Fprintf(&b, "Scanned keys: %d, %.4f blocks/scanned-key\n",
-				m.IterKeys, float64(iterBlocks)/float64(m.IterKeys))
+				m.IterKeys, float64(m.ReadAmp.IterBlocksTotal())/float64(m.IterKeys))
 		}
 	}
 
 	b.WriteString("\n** Storage I/O **\n")
-	li := m.LocalIO.Sub(prev.localIO)
-	ci := m.CloudIO.Sub(prev.cloudIO)
+	li := m.LocalIO.Sub(prev.LocalIO)
+	ci := m.CloudIO.Sub(prev.CloudIO)
 	fmt.Fprintf(&b, "Local cum:      %d GET (%s), %d PUT (%s)\n",
 		m.LocalIO.GetOps, humanBytes(m.LocalIO.BytesRead), m.LocalIO.PutOps, humanBytes(m.LocalIO.BytesWrite))
 	fmt.Fprintf(&b, "Local interval: %d GET (%s), %d PUT (%s)\n",

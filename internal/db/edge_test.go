@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"rocksmash/internal/event"
 )
 
 func TestBinaryKeysAndValues(t *testing.T) {
@@ -141,20 +143,62 @@ func TestIteratorDuringBackgroundChurn(t *testing.T) {
 	}
 }
 
+// stallCounter counts WriteStallBegin events by reason, and holds the first
+// flush back until a writer has stalled behind it, so the memtable stall the
+// test is about happens whatever the machine's speed.
+type stallCounter struct {
+	event.NopListener
+	mu      sync.Mutex
+	begins  map[string]int64
+	stalled chan struct{}
+	once    sync.Once
+}
+
+func (l *stallCounter) OnWriteStallBegin(e event.WriteStallBegin) {
+	l.mu.Lock()
+	l.begins[e.Reason]++
+	l.mu.Unlock()
+	l.once.Do(func() { close(l.stalled) })
+}
+
+func (l *stallCounter) OnFlushBegin(event.FlushBegin) { <-l.stalled }
+
+// TestWriteStallAccounting: every stall the write path announces is counted,
+// whichever its cause. A writer that outruns the flusher stalls on the
+// memtable; those used to be announced and timed but counted nowhere.
 func TestWriteStallAccounting(t *testing.T) {
-	d, _ := openTest(t, PolicyMash)
+	l := &stallCounter{begins: map[string]int64{}, stalled: make(chan struct{})}
+	o := testOptions(PolicyMash)
+	o.EventListener = l
+	d, err := OpenAt(t.TempDir(), o)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer d.Close()
-	// Hammer writes; under the tiny test geometry L0 will periodically
-	// exceed the stall limit. We only assert the DB survives and counts.
+	defer l.once.Do(func() { close(l.stalled) }) // never leave Close waiting on a held flush
+	// Hammer writes: the first memtable's flush waits in OnFlushBegin, the
+	// writer fills the second and stalls on it, and that releases the flush.
+	val := string(bytes.Repeat([]byte("v"), 200))
 	for i := 0; i < 5000; i++ {
-		mustPut(t, d, fmt.Sprintf("k%06d", i), string(bytes.Repeat([]byte("v"), 200)))
+		mustPut(t, d, fmt.Sprintf("k%06d", i), val)
+	}
+	m := d.Metrics()
+	l.mu.Lock()
+	mem, l0 := l.begins["memtable"], l.begins["l0"]
+	l.mu.Unlock()
+	if mem == 0 {
+		t.Fatal("the fill never stalled on the memtable")
+	}
+	if m.WriteStalls != mem+l0 || m.WriteStallsL0 != l0 {
+		t.Fatalf("WriteStalls = %d (L0 %d), want %d announced stalls (memtable %d, l0 %d)",
+			m.WriteStalls, m.WriteStallsL0, mem+l0, mem, l0)
 	}
 	if err := d.CompactAll(); err != nil {
 		t.Fatal(err)
 	}
 	// Sanity: everything is still readable.
-	mustGet(t, d, "k000000", string(bytes.Repeat([]byte("v"), 200)))
-	mustGet(t, d, "k004999", string(bytes.Repeat([]byte("v"), 200)))
+	mustGet(t, d, "k000000", val)
+	mustGet(t, d, "k004999", val)
 }
 
 func TestKeysArePrefixSafe(t *testing.T) {

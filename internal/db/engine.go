@@ -364,10 +364,12 @@ func (d *engine) makeRoomForWrite(incoming int64) (err error) {
 			}
 		}
 	}()
-	// stallBegin marks the stall and fires WriteStallBegin outside d.mu.
-	// It returns with d.mu re-held; the caller must re-check conditions.
+	// stallBegin marks and counts the stall, whichever its cause, and fires
+	// WriteStallBegin outside d.mu. It returns with d.mu re-held; the caller
+	// must re-check conditions.
 	stallBegin := func(reason string) {
 		stallStart, stallReason = time.Now(), reason
+		d.stats.WriteStalls.Add(1)
 		if l := d.listener; l != nil {
 			d.mu.Unlock()
 			l.OnWriteStallBegin(event.WriteStallBegin{Reason: reason})
@@ -395,7 +397,7 @@ func (d *engine) makeRoomForWrite(incoming int64) (err error) {
 		case len(d.vs.Current().Levels[0]) >= d.opts.L0StallFiles:
 			// Too many L0 files; wait for compaction to catch up.
 			if stallStart.IsZero() {
-				d.stats.WriteStalls.Add(1)
+				d.stats.WriteStallsL0.Add(1)
 				stallBegin("l0")
 				continue
 			}

@@ -438,9 +438,6 @@ func (d *DB) BreakerState() string {
 	return d.breaker.State().String()
 }
 
-// LocalBreakerState returns the local tier's breaker position.
-func (d *DB) LocalBreakerState() string { return d.localBreaker.State().String() }
-
 // MisplacedTables reports how many tables are sitting on the cloud tier
 // while their level belongs to the local tier — the drain-back backlog
 // left by a local-degraded episode.

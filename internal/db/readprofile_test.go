@@ -513,3 +513,18 @@ func benchmarkGetRate(b *testing.B, rate int, full, flushed bool) {
 		}
 	}
 }
+
+// TestPooledProfileComesBackZeroed: whatever the pool hands the next request
+// — the profile a finished one returned, or a new one — reads as unused.
+func TestPooledProfileComesBackZeroed(t *testing.T) {
+	p := getProfile()
+	p.Timed, p.LevelServed, p.Tables = true, 3, 2
+	p.ProbeLevel(3)
+	p.Block(readprof.TierCloud, 4096, 5)
+	profilePool.Put(p)
+	for i := 0; i < 4; i++ {
+		if q := getProfile(); *q != *readprof.New() {
+			t.Fatalf("getProfile returned a used profile: %+v", *q)
+		}
+	}
+}

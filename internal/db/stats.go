@@ -2,13 +2,15 @@ package db
 
 import (
 	"fmt"
+	"reflect"
+	"strings"
 	"sync/atomic"
 	"time"
 
 	"rocksmash/internal/histogram"
 	"rocksmash/internal/manifest"
+	"rocksmash/internal/metrics"
 	"rocksmash/internal/pcache"
-	"rocksmash/internal/readprof"
 	"rocksmash/internal/storage"
 )
 
@@ -18,7 +20,12 @@ type Stats struct {
 	Writes       atomic.Int64
 	Reads        atomic.Int64
 	BytesWritten atomic.Int64
-	WriteStalls  atomic.Int64
+	// WriteStalls counts every writer held back, whatever the cause: a full
+	// memtable waiting on the flush ahead of it (routine backpressure at
+	// full ingest speed) or L0 at its file limit. WriteStallsL0 is the second
+	// cause alone, the one that says compaction is behind.
+	WriteStalls   atomic.Int64
+	WriteStallsL0 atomic.Int64
 
 	// Commit-pipeline counters: groups led, batches carried by those groups
 	// (batches/groups = mean group size), and fsyncs amortized away by group
@@ -103,17 +110,6 @@ func (r RecoveryReport) String() string {
 		r.WALSegments, r.WALSkipped, r.WALRecords, r.WALBytes, r.RecoveredKeys, r.Parallelism, r.Duration)
 }
 
-// LatencySummary condenses one latency histogram into the percentiles
-// reporting cares about. Durations are zero when Count is zero.
-type LatencySummary struct {
-	Count int64
-	Mean  time.Duration
-	P50   time.Duration
-	P90   time.Duration
-	P99   time.Duration
-	Max   time.Duration
-}
-
 // summarize extracts a LatencySummary from a histogram.
 func summarize(h *histogram.H) LatencySummary {
 	return LatencySummary{
@@ -126,319 +122,173 @@ func summarize(h *histogram.H) LatencySummary {
 	}
 }
 
-// String renders the summary on one line.
-func (s LatencySummary) String() string {
-	if s.Count == 0 {
-		return "n=0"
+// The snapshot types live in internal/metrics, a leaf package the vitals
+// sampler and the flight detector can import; these aliases keep the names
+// every caller of this package already uses.
+type (
+	Metrics        = metrics.Metrics
+	ReadAmp        = metrics.ReadAmp
+	LatencySummary = metrics.LatencySummary
+	LevelWriteAmp  = metrics.LevelWriteAmp
+	ShardSummary   = metrics.ShardSummary
+)
+
+// Signal declares one scalar signal, once: the /metrics family that exposes
+// it, the Metrics field that carries it (a path, "ReadAmp.Tables"), and where
+// DB.Metrics gets it. A field with a same-named atomic counter in Stats is
+// that counter summed over the engines; a row with a read function is a
+// store-wide figure (a cache, a breaker) taken once per snapshot; the rest
+// DB.Metrics computes in its body, while it walks the engines' versions or
+// from a part of the store that may be absent (flight recorder, cloud
+// breaker). DB.Metrics and obs.WriteProm walk Signals and nothing else lists
+// the scalars, so a signal added here is summed and exposed by construction.
+// Labeled families (per level, tier, shard, quantile) are not rows: they
+// render the slices and nested structs of Metrics in loops of their own.
+type Signal struct {
+	row
+	index []int // Field, located in Metrics
+	stat  int   // the same-named Stats counter's field index, or -1
+}
+
+// row is a Signal as the table below writes it.
+type row struct {
+	Name, Type, Help string
+	Field            string
+	read             func(*DB) any // returns a value of the field's type
+}
+
+// Value is the signal's sample in m; a duration is exposed in seconds.
+func (s Signal) Value(m *Metrics) float64 {
+	v := reflect.ValueOf(m).Elem().FieldByIndex(s.index)
+	switch v.Kind() {
+	case reflect.Int64:
+		if v.Type() == reflect.TypeOf(time.Duration(0)) {
+			return time.Duration(v.Int()).Seconds()
+		}
+	case reflect.Uint64:
+		return float64(v.Uint())
+	case reflect.Float64:
+		return v.Float()
 	}
-	return fmt.Sprintf("n=%d mean=%s p50=%s p90=%s p99=%s max=%s",
-		s.Count, s.Mean, s.P50, s.P90, s.P99, s.Max)
+	return float64(v.Int())
 }
 
-// ReadAmp summarizes read-path attribution across every profiled request
-// (see internal/readprof): where Gets were served, how many tables and
-// blocks each one touched, which tier produced the blocks, and how
-// effective the bloom filters were. Per-tier arrays are indexed in
-// readprof.Tier order (block cache, pcache, local, cloud); iterator reads
-// aggregate separately so scans don't skew per-Get amplification.
-type ReadAmp struct {
-	ProfiledGets int64 // Gets that carried a profile
-	TimedGets    int64 // subset with per-stage timings
-
-	MemServes   int64 // resolved by a memtable
-	NotFound    int64 // resolved nowhere
-	LevelProbes [manifest.NumLevels]int64
-	LevelServes [manifest.NumLevels]int64
-
-	Tables        int64
-	BloomChecked  int64
-	BloomNegative int64
-
-	Blocks     [readprof.NumTiers]int64
-	Bytes      [readprof.NumTiers]int64
-	FetchNanos [readprof.NumTiers]int64
-	TotalNanos int64
-
-	IterSeeks  int64
-	IterBlocks [readprof.NumTiers]int64
-	IterBytes  [readprof.NumTiers]int64
-	IterNanos  [readprof.NumTiers]int64
-	// Per-level sorted-view outcomes during iterator construction: levels
-	// served by a view cursor run vs levels that fell back to the
-	// per-table merge (view missing or still building).
-	IterViewHits   int64
-	IterViewMisses int64
-
-	// Persistent-cache outcomes by LSM level (see pcache.LevelBucket; the
-	// last bucket holds files with no registered level).
-	PCacheLevelHits   [pcache.LevelBuckets]int64
-	PCacheLevelMisses [pcache.LevelBuckets]int64
-}
-
-// TablesPerGet is mean table readers consulted per profiled Get.
-func (r ReadAmp) TablesPerGet() float64 {
-	if r.ProfiledGets == 0 {
-		return 0
+// resolve looks every row's Field up in Metrics and in Stats. A row naming
+// no field, or a field that is not a number, stops the program at start.
+func resolve(rows []row) []Signal {
+	stats := reflect.TypeOf((*Stats)(nil)).Elem()
+	out := make([]Signal, len(rows))
+	for i := range rows {
+		out[i].row = rows[i]
+		r, t := &out[i], reflect.TypeOf((*Metrics)(nil)).Elem()
+		for _, name := range strings.Split(r.Field, ".") {
+			f, ok := t.FieldByName(name)
+			if !ok {
+				panic("db: signal " + r.Name + ": Metrics has no field " + r.Field)
+			}
+			r.index, t = append(r.index, f.Index...), f.Type
+		}
+		switch t.Kind() {
+		case reflect.Int, reflect.Int64, reflect.Uint64, reflect.Float64:
+		default:
+			panic("db: signal " + r.Name + ": Metrics." + r.Field + " is not a scalar")
+		}
+		r.stat = -1
+		if f, ok := stats.FieldByName(r.Field); ok && f.Type == reflect.TypeOf(atomic.Int64{}) && r.read == nil {
+			r.stat = f.Index[0]
+		}
 	}
-	return float64(r.Tables) / float64(r.ProfiledGets)
+	return out
 }
 
-// BlocksPerGet is mean data blocks read per profiled Get.
-func (r ReadAmp) BlocksPerGet() float64 {
-	if r.ProfiledGets == 0 {
-		return 0
-	}
-	return float64(r.BlocksTotal()) / float64(r.ProfiledGets)
-}
+const (
+	counter = "counter"
+	gauge   = "gauge"
+)
 
-// BytesPerGet is mean data-block bytes read per profiled Get.
-func (r ReadAmp) BytesPerGet() float64 {
-	if r.ProfiledGets == 0 {
-		return 0
-	}
-	return float64(r.BytesTotal()) / float64(r.ProfiledGets)
-}
+// Signals is every scalar signal of the store. The first 22 rows are in the
+// order /metrics has always printed them, between its labeled families (see
+// obs.WriteProm); a new row goes at the end.
+var Signals = resolve([]row{
+	{"rocksmash_reads_total", counter, "Point lookups served.", "Reads", nil},
+	{"rocksmash_writes_total", counter, "Write operations committed.", "Writes", nil},
+	{"rocksmash_write_stalls_total", counter, "Writes stalled on background work.", "WriteStalls", nil},
+	{"rocksmash_flushes_total", counter, "Memtable flushes completed.", "Flushes", nil},
+	{"rocksmash_compactions_total", counter, "Compactions completed.", "Compactions", nil},
+	{"rocksmash_read_profiled_total", counter, "Gets that carried a read profile.", "ReadAmp.ProfiledGets", nil},
+	{"rocksmash_read_timed_total", counter, "Profiled Gets with per-stage timings.", "ReadAmp.TimedGets", nil},
+	{"rocksmash_read_tables_total", counter, "Table readers consulted by profiled Gets.", "ReadAmp.Tables", nil},
+	{"rocksmash_read_bloom_checked_total", counter, "Bloom filters consulted by profiled Gets.", "ReadAmp.BloomChecked", nil},
+	{"rocksmash_read_bloom_negative_total", counter, "Bloom filters that rejected the probe.", "ReadAmp.BloomNegative", nil},
+	{"rocksmash_iter_seeks_total", counter, "Iterator positioning operations profiled.", "ReadAmp.IterSeeks", nil},
+	{"rocksmash_block_cache_hit_ratio", gauge, "In-memory block cache hit ratio.", "BlockHit", func(d *DB) any { return d.blockCache.HitRatio() }},
+	{"rocksmash_pcache_hit_ratio", gauge, "Persistent cache hit ratio.", "PCacheHit", func(d *DB) any { return d.pcache.Stats().HitRatio() }},
+	{"rocksmash_pcache_used_bytes", gauge, "Persistent cache data bytes.", "PCacheUsed", func(d *DB) any { return d.pcache.UsedBytes() }},
+	{"rocksmash_local_bytes", gauge, "Table bytes on the local tier.", "LocalBytes", nil},
+	{"rocksmash_cloud_bytes", gauge, "Table bytes on the cloud tier.", "CloudBytes", nil},
+	{"rocksmash_compaction_debt_bytes", gauge, "Estimated bytes compaction must move to restore level targets.", "CompactionDebt", nil},
+	{"rocksmash_space_amp", gauge, "Space amplification estimate: total table bytes over deepest level bytes.", "SpaceAmp", nil},
+	{"rocksmash_incidents_triggered_total", counter, "Anomaly-detector incidents fired by the flight recorder.", "IncidentsTriggered", nil},
+	{"rocksmash_incidents_suppressed_total", counter, "Detector firings swallowed by per-rule cooldowns.", "IncidentsSuppressed", nil},
+	{"rocksmash_flight_bundles_written_total", counter, "Incident postmortem bundles committed to disk.", "BundlesWritten", nil},
+	{"rocksmash_flight_bundle_errors_total", counter, "Incident bundle dumps that failed to commit.", "BundleErrors", nil},
 
-// BloomTrueNegativeRate is the fraction of bloom consultations that
-// rejected the probe (saving a block read).
-func (r ReadAmp) BloomTrueNegativeRate() float64 {
-	if r.BloomChecked == 0 {
-		return 0
-	}
-	return float64(r.BloomNegative) / float64(r.BloomChecked)
-}
+	{"rocksmash_last_sequence", gauge, "Last acknowledged sequence number.", "LastSeq", func(d *DB) any { return d.ackedSeq() }},
+	{"rocksmash_user_bytes_written_total", counter, "User key and value bytes committed.", "BytesWritten", nil},
+	{"rocksmash_commit_groups_total", counter, "Commit groups led.", "CommitGroups", nil},
+	{"rocksmash_commit_group_batches_total", counter, "Batches carried by commit groups.", "CommitGroupBatches", nil},
+	{"rocksmash_wal_syncs_amortized_total", counter, "WAL fsyncs saved by group commit.", "WALSyncsAmortized", nil},
+	{"rocksmash_flush_bytes_total", counter, "Table bytes written by flushes.", "FlushBytes", nil},
+	{"rocksmash_compact_bytes_in_total", counter, "Table bytes read by compactions.", "CompactBytesIn", nil},
+	{"rocksmash_compact_bytes_out_total", counter, "Table bytes written by compactions.", "CompactBytesOut", nil},
+	{"rocksmash_compact_dropped_keys_total", counter, "Shadowed and deleted entries dropped by compactions.", "CompactDroppedKeys", nil},
+	{"rocksmash_prefetch_spans_total", counter, "Cloud range GETs that fetched compaction inputs.", "PrefetchSpans", nil},
+	{"rocksmash_prefetch_blocks_total", counter, "Blocks carried by compaction-input spans.", "PrefetchBlocks", nil},
+	{"rocksmash_readahead_spans_total", counter, "Cloud range GETs that read ahead of view scans.", "ReadaheadSpans", nil},
+	{"rocksmash_readahead_blocks_total", counter, "Blocks carried by scan readahead spans.", "ReadaheadBlocks", nil},
+	{"rocksmash_scan_view_hits_total", counter, "Per-level iterators built on a sorted view.", "ScanViewHits", nil},
+	{"rocksmash_scan_view_misses_total", counter, "Per-level iterators that fell back to the per-table merge.", "ScanViewMisses", nil},
+	{"rocksmash_view_builds_total", counter, "Sorted views built in the background.", "ViewBuilds", nil},
+	{"rocksmash_view_build_bytes_total", counter, "Encoded bytes of the sorted views built.", "ViewBuildBytes", nil},
+	{"rocksmash_iter_keys_total", counter, "Live keys yielded by iterators.", "IterKeys", nil},
+	{"rocksmash_block_cache_hits_total", counter, "Block cache lookups that hit.", "BlockCacheHits", func(d *DB) any { h, _ := d.blockCache.Counters(); return h }},
+	{"rocksmash_block_cache_misses_total", counter, "Block cache lookups that missed.", "BlockCacheMisses", func(d *DB) any { _, n := d.blockCache.Counters(); return n }},
+	{"rocksmash_pcache_hits_total", counter, "Persistent cache lookups that hit.", "PCacheHits", func(d *DB) any { return d.pcache.Stats().Hits.Load() }},
+	{"rocksmash_pcache_misses_total", counter, "Persistent cache lookups that missed.", "PCacheMisses", func(d *DB) any { return d.pcache.Stats().Misses.Load() }},
+	{"rocksmash_pcache_corrupt_reads_total", counter, "Persistent cache reads that failed their checksum and were served as misses.", "PCacheCorruptReads", func(d *DB) any { return d.pcache.Stats().CorruptReads.Load() }},
+	{"rocksmash_pcache_metadata_bytes", gauge, "Memory held by the persistent cache's index.", "PCacheMeta", func(d *DB) any { return d.pcache.MetadataBytes() }},
+	{"rocksmash_table_metadata_bytes", gauge, "Pinned table metadata (index and filter blocks), all local.", "MetaBytes", func(d *DB) any { return d.tables.metadataBytes() }},
 
-// BlocksTotal sums Get block reads across tiers.
-func (r ReadAmp) BlocksTotal() int64 {
-	var n int64
-	for _, b := range r.Blocks {
-		n += b
-	}
-	return n
-}
+	{"rocksmash_upload_retries_total", counter, "Cloud uploads retried.", "UploadRetries", nil},
+	{"rocksmash_read_retries_total", counter, "Cloud reads retried.", "ReadRetries", nil},
+	{"rocksmash_cloud_breaker_trips_total", counter, "Times the cloud circuit breaker opened.", "BreakerTrips", func(d *DB) any { return d.cloudTrips.trips.Load() }},
+	{"rocksmash_cloud_breaker_half_opens_total", counter, "Recovery probes the cloud circuit breaker admitted.", "BreakerHalfOpens", func(d *DB) any { return d.cloudTrips.halfOpens.Load() }},
+	{"rocksmash_cloud_degraded_seconds_total", counter, "Time the cloud circuit breaker has spent open or half-open.", "DegradedDur", nil},
+	{"rocksmash_degraded_tables_total", counter, "Tables landed on the local tier during cloud outages.", "DegradedTables", nil},
+	{"rocksmash_drained_tables_total", counter, "Pending tables since uploaded to the cloud tier.", "DrainedTables", nil},
+	{"rocksmash_deferred_deletes_total", counter, "Object deletions that failed and were queued for retry.", "DeferredDeletes", nil},
+	{"rocksmash_compactions_deferred_total", counter, "Compactions postponed by an open breaker.", "CompactionsDeferred", nil},
+	{"rocksmash_pending_tables", gauge, "Tables on the local tier awaiting upload to the cloud tier.", "PendingTables", nil},
+	{"rocksmash_pending_bytes", gauge, "Bytes of the tables awaiting upload to the cloud tier.", "PendingBytes", nil},
+	{"rocksmash_obsolete_tables", gauge, "Retired tables that an open reader's pin still holds in place.", "ObsoleteTables", nil},
+	{"rocksmash_obsolete_bytes", gauge, "Bytes of the retired tables open readers hold in place.", "ObsoleteBytes", nil},
 
-// BytesTotal sums Get block bytes across tiers.
-func (r ReadAmp) BytesTotal() int64 {
-	var n int64
-	for _, b := range r.Bytes {
-		n += b
-	}
-	return n
-}
-
-// LevelWriteAmp attributes compaction traffic to one source→target level
-// pair (Target is always Level+1). WriteAmp is the level's classic
-// amplification ratio: bytes written to the target per source byte moved.
-type LevelWriteAmp struct {
-	Level         int   `json:"level"`
-	Target        int   `json:"target"`
-	Count         int64 `json:"count"`
-	BytesInSource int64 `json:"bytes_in_source"`
-	BytesInTarget int64 `json:"bytes_in_target"`
-	BytesOut      int64 `json:"bytes_out"`
-}
-
-// WriteAmp is the level's write amplification: bytes written per source
-// byte compacted away (0 before any compaction at this level).
-func (l LevelWriteAmp) WriteAmp() float64 {
-	if l.BytesInSource == 0 {
-		return 0
-	}
-	return float64(l.BytesOut) / float64(l.BytesInSource)
-}
-
-// Metrics is a point-in-time summary for reporting.
-type Metrics struct {
-	Policy      string
-	LastSeq     uint64
-	LevelFiles  []int
-	LevelBytes  []uint64
-	LocalBytes  int64
-	CloudBytes  int64
-	MetaBytes   int64 // pinned table metadata (index+filter), all local
-	PCacheMeta  int64
-	PCacheUsed  int64
-	PCacheHit   float64
-	BlockHit    float64
-	LocalIO     storage.Snapshot
-	CloudIO     storage.Snapshot
-	CloudCost   storage.CostReport
-	Flushes     int64
-	Compactions int64
-	WriteStalls int64
-
-	// Engine activity counters.
-	Reads              int64
-	Writes             int64
-	BytesWritten       int64
-	CommitGroups       int64
-	CommitGroupBatches int64
-	WALSyncsAmortized  int64
-	FlushBytes         int64
-	UploadRetries      int64
-	ReadRetries        int64
-	CompactBytesIn     int64
-	CompactBytesOut    int64
-	CompactDroppedKeys int64
-
-	PrefetchSpans   int64
-	PrefetchBlocks  int64
-	ReadaheadSpans  int64
-	ReadaheadBlocks int64
-
-	// Sorted-view accounting (see Stats for the counter semantics).
-	ScanViewHits   int64
-	ScanViewMisses int64
-	ViewBuilds     int64
-	ViewBuildBytes int64
-	IterKeys       int64
-
-	// Per-source-level compaction attribution (always manifest.NumLevels
-	// entries; see LevelWriteAmp), plus the derived health gauges:
-	// CompactionDebt estimates the bytes the compactor must move to bring
-	// every level back under its target; SpaceAmp is total table bytes
-	// over the deepest non-empty level's bytes (1.0 = no duplication).
-	LevelWriteAmp  []LevelWriteAmp
-	CompactionDebt int64
-	SpaceAmp       float64
-
-	// Raw cache outcome counts (the ratios above are cumulative; counts
-	// let consumers window them over time).
-	BlockCacheHits   int64
-	BlockCacheMisses int64
-	PCacheHits       int64
-	PCacheMisses     int64
-
-	// Robustness state: the cloud circuit breaker's position and history,
-	// and the degraded-mode backlog of tables awaiting upload.
-	BreakerState        string
-	BreakerTrips        int64
-	BreakerHalfOpens    int64
-	DegradedDur         time.Duration
-	DegradedTables      int64
-	DrainedTables       int64
-	DeferredDeletes     int64
-	CompactionsDeferred int64
-	PendingTables       int
-	PendingBytes        int64
-	// ObsoleteTables / ObsoleteBytes are the tables a version edit has
-	// retired that a reader's pin on an older version still holds in place
-	// (they are in no level and in neither tier's bytes above): space a
-	// finished reader gives back, and a leaked iterator keeps growing.
-	// DeferredDeletes counts deletions that failed and await retry, not these.
-	ObsoleteTables int
-	ObsoleteBytes  int64
-
-	// Local-tier robustness state (the self-healing layer): the local
-	// breaker's position and history, cloud-direct landings and drain-backs,
-	// corruption scrub/repair reconciliation, quarantined tables, mirror
-	// uploads, pcache CRC misses, and WAL segment spill/restore counts.
-	LocalBreakerState     string
-	LocalBreakerTrips     int64
-	LocalBreakerHalfOpens int64
-	LocalDegradedDur      time.Duration
-	LocalDegradedTables   int64
-	LocalDrainedBack      int64
-	MisplacedTables       int // cloud-landed tables awaiting drain-back to local
-	CorruptionsDetected   int64
-	CorruptionsRepaired   int64
-	CorruptionsUnrepaired int64
-	QuarantinedTables     int
-	ScrubPasses           int64
-	MirroredTables        int64
-	PCacheCorruptReads    int64
-	WALSpills             int64
-	WALRestored           int64
-
-	// Flight-recorder state (zero when Options.FlightRecorder is off):
-	// detector fires, cooldown-suppressed re-triggers, postmortem bundle
-	// outcomes, and the rule IDs active at snapshot time.
-	IncidentsTriggered  int64
-	IncidentsSuppressed int64
-	BundlesWritten      int64
-	BundleErrors        int64
-	ActiveIncidents     []string
-
-	// Read-path attribution (per-level serves, per-tier blocks, bloom
-	// effectiveness); zero-valued when ReadProfileSampleRate is negative.
-	ReadAmp ReadAmp
-
-	// Per-operation latency distributions (engine-side).
-	GetLat     LatencySummary
-	PutLat     LatencySummary
-	FlushLat   LatencySummary
-	CompactLat LatencySummary
-	// Per-tier storage request latency (GET = read request, PUT = whole
-	// object creation), recorded by the instrumented backends.
-	LocalGetLat LatencySummary
-	LocalPutLat LatencySummary
-	CloudGetLat LatencySummary
-	CloudPutLat LatencySummary
-
-	// Shards carries per-shard attribution in a sharded store (one entry
-	// per keyspace shard, in shard order); empty when Shards <= 1.
-	Shards []ShardSummary
-}
-
-// ShardSummary attributes engine activity to one keyspace shard.
-type ShardSummary struct {
-	Shard       int
-	LastSeq     uint64
-	Writes      int64
-	Reads       int64
-	Flushes     int64
-	Compactions int64
-	WriteStalls int64
-	// Files/Bytes describe the shard's live table footprint across levels;
-	// PendingTables is its degraded-mode upload backlog.
-	Files         int
-	Bytes         int64
-	PendingTables int
-	// Persistent-cache outcomes for blocks of this shard's files (from the
-	// shared cache's per-shard buckets; zero for shard indexes past the
-	// bucket range).
-	PCacheHits   int64
-	PCacheMisses int64
-}
-
-// add accumulates o into r. Per-level persistent-cache outcomes are not
-// summed: they come from the shared cache and are filled in once by the
-// caller.
-func (r *ReadAmp) add(o ReadAmp) {
-	r.ProfiledGets += o.ProfiledGets
-	r.TimedGets += o.TimedGets
-	r.MemServes += o.MemServes
-	r.NotFound += o.NotFound
-	for i := range r.LevelProbes {
-		r.LevelProbes[i] += o.LevelProbes[i]
-		r.LevelServes[i] += o.LevelServes[i]
-	}
-	r.Tables += o.Tables
-	r.BloomChecked += o.BloomChecked
-	r.BloomNegative += o.BloomNegative
-	for i := range r.Blocks {
-		r.Blocks[i] += o.Blocks[i]
-		r.Bytes[i] += o.Bytes[i]
-		r.FetchNanos[i] += o.FetchNanos[i]
-		r.IterBlocks[i] += o.IterBlocks[i]
-		r.IterBytes[i] += o.IterBytes[i]
-		r.IterNanos[i] += o.IterNanos[i]
-	}
-	r.TotalNanos += o.TotalNanos
-	r.IterSeeks += o.IterSeeks
-	r.IterViewHits += o.IterViewHits
-	r.IterViewMisses += o.IterViewMisses
-}
-
-// WriteAmp is the store's exact cumulative write amplification: physical
-// table bytes written (flush outputs plus compaction outputs) per user
-// byte committed. Returns 0 before any user write.
-func (m Metrics) WriteAmp() float64 {
-	if m.BytesWritten == 0 {
-		return 0
-	}
-	return float64(m.FlushBytes+m.CompactBytesOut) / float64(m.BytesWritten)
-}
+	{"rocksmash_local_breaker_trips_total", counter, "Times the local circuit breaker opened.", "LocalBreakerTrips", func(d *DB) any { return d.localTrips.trips.Load() }},
+	{"rocksmash_local_breaker_half_opens_total", counter, "Recovery probes the local circuit breaker admitted.", "LocalBreakerHalfOpens", func(d *DB) any { return d.localTrips.halfOpens.Load() }},
+	{"rocksmash_local_degraded_seconds_total", counter, "Time the local circuit breaker has spent open or half-open.", "LocalDegradedDur", func(d *DB) any { return d.localBreaker.DegradedDur() }},
+	{"rocksmash_local_degraded_tables_total", counter, "Tables landed cloud-direct while the local tier was degraded.", "LocalDegradedTables", nil},
+	{"rocksmash_local_drained_back_total", counter, "Misplaced tables migrated back to the local tier.", "LocalDrainedBack", nil},
+	{"rocksmash_misplaced_tables", gauge, "Local-level tables on the cloud tier awaiting drain-back.", "MisplacedTables", nil},
+	{"rocksmash_corruptions_detected_total", counter, "Checksum failures found on local artifacts.", "CorruptionsDetected", nil},
+	{"rocksmash_corruptions_repaired_total", counter, "Corrupt artifacts rebuilt from a cloud copy.", "CorruptionsRepaired", nil},
+	{"rocksmash_corruptions_unrepaired_total", counter, "Corrupt artifacts with no clean copy, quarantined.", "CorruptionsUnrepaired", nil},
+	{"rocksmash_quarantined_tables", gauge, "Tables quarantined for unrepairable corruption.", "QuarantinedTables", nil},
+	{"rocksmash_scrub_passes_total", counter, "Scrub walks completed.", "ScrubPasses", nil},
+	{"rocksmash_mirrored_tables_total", counter, "Local-level tables copied to the cloud tier as a repair source.", "MirroredTables", nil},
+	{"rocksmash_wal_spills_total", counter, "WAL segments spilled to the cloud backup.", "WALSpills", nil},
+	{"rocksmash_wal_restored_total", counter, "WAL segments restored from the cloud backup.", "WALRestored", nil},
+	{"rocksmash_write_stalls_l0_total", counter, "Writes stalled on the L0 file limit: compaction is behind.", "WriteStallsL0", nil},
+})
 
 // compactionDebt estimates the bytes compaction must move to bring the
 // tree back to its shape invariants: all of L0 once it reaches the
@@ -476,38 +326,22 @@ func spaceAmpOf(levelBytes []uint64) float64 {
 	return float64(total) / float64(deepest)
 }
 
-// Metrics gathers a summary snapshot: engine counters sum across engines,
-// facade-owned figures (caches, latencies, breakers, device I/O, flight
-// recorder) are read once, and with more than one engine Metrics.Shards
-// carries the per-engine attribution.
+// Metrics gathers a summary snapshot. Every scalar comes through Signals:
+// engine counters sum across engines, store-wide figures (caches, breakers)
+// are read once; what the table cannot hold — level shape, latencies, device
+// I/O, the read profile, per-shard attribution with more than one engine —
+// is filled here.
 func (d *DB) Metrics() Metrics {
-	pcs := d.pcache.Stats()
 	m := Metrics{
-		Policy:     d.opts.Policy.String(),
-		LastSeq:    d.ackedSeq(),
-		MetaBytes:  d.tables.metadataBytes(),
-		PCacheMeta: d.pcache.MetadataBytes(),
-		PCacheUsed: d.pcache.UsedBytes(),
-		PCacheHit:  pcs.HitRatio(),
-		BlockHit:   d.blockCache.HitRatio(),
+		Policy: d.opts.Policy.String(),
 		// Every wrapper delegates Stats to the device underneath, so the
 		// facade's undecorated backends report all engines' I/O.
-		LocalIO: d.local.Stats().Snapshot(),
+		LocalIO:           d.local.Stats().Snapshot(),
+		LocalBreakerState: d.localBreaker.State().String(),
 
 		LevelFiles:    make([]int, manifest.NumLevels),
 		LevelBytes:    make([]uint64, manifest.NumLevels),
 		LevelWriteAmp: make([]LevelWriteAmp, manifest.NumLevels),
-
-		PCacheHits:         pcs.Hits.Load(),
-		PCacheMisses:       pcs.Misses.Load(),
-		PCacheCorruptReads: pcs.CorruptReads.Load(),
-
-		BreakerTrips:          d.cloudTrips.trips.Load(),
-		BreakerHalfOpens:      d.cloudTrips.halfOpens.Load(),
-		LocalBreakerTrips:     d.localTrips.trips.Load(),
-		LocalBreakerHalfOpens: d.localTrips.halfOpens.Load(),
-		LocalBreakerState:     d.localBreaker.State().String(),
-		LocalDegradedDur:      d.localBreaker.DegradedDur(),
 
 		GetLat:      summarize(d.lat.get),
 		PutLat:      summarize(d.lat.put),
@@ -518,7 +352,12 @@ func (d *DB) Metrics() Metrics {
 		CloudGetLat: summarize(d.lat.cloudGet),
 		CloudPutLat: summarize(d.lat.cloudPut),
 	}
-	m.BlockCacheHits, m.BlockCacheMisses = d.blockCache.Counters()
+	mv := reflect.ValueOf(&m).Elem()
+	for _, s := range Signals {
+		if s.read != nil {
+			mv.FieldByIndex(s.index).Set(reflect.ValueOf(s.read(d)))
+		}
+	}
 	if d.breaker != nil {
 		m.BreakerState = d.breaker.State().String()
 		m.DegradedDur = d.breaker.DegradedDur()
@@ -541,8 +380,16 @@ func (d *DB) Metrics() Metrics {
 		m.Shards = make([]ShardSummary, len(d.engines))
 	}
 
+	pcs := d.pcache.Stats()
 	for i, e := range d.engines {
 		st := &e.stats
+		sv := reflect.ValueOf(st).Elem()
+		for _, s := range Signals {
+			if s.stat >= 0 {
+				f := mv.FieldByIndex(s.index)
+				f.SetInt(f.Int() + sv.Field(s.stat).Addr().Interface().(*atomic.Int64).Load())
+			}
+		}
 		s := ShardSummary{
 			Shard:       i,
 			LastSeq:     e.lastSeq.Load(),
@@ -581,42 +428,6 @@ func (d *DB) Metrics() Metrics {
 			s.PCacheHits = pcs.ShardHits[i].Load()
 			s.PCacheMisses = pcs.ShardMisses[i].Load()
 		}
-
-		m.Flushes += s.Flushes
-		m.Compactions += s.Compactions
-		m.WriteStalls += s.WriteStalls
-		m.Reads += s.Reads
-		m.Writes += s.Writes
-		m.BytesWritten += st.BytesWritten.Load()
-		m.CommitGroups += st.CommitGroups.Load()
-		m.CommitGroupBatches += st.CommitGroupBatches.Load()
-		m.WALSyncsAmortized += st.WALSyncsAmortized.Load()
-		m.FlushBytes += st.FlushBytes.Load()
-		m.UploadRetries += st.UploadRetries.Load()
-		m.ReadRetries += st.ReadRetries.Load()
-		m.CompactBytesIn += st.CompactBytesIn.Load()
-		m.CompactBytesOut += st.CompactBytesOut.Load()
-		m.CompactDroppedKeys += st.CompactDroppedKeys.Load()
-		m.PrefetchSpans += st.PrefetchSpans.Load()
-		m.PrefetchBlocks += st.PrefetchBlocks.Load()
-		m.ReadaheadSpans += st.ReadaheadSpans.Load()
-		m.ReadaheadBlocks += st.ReadaheadBlocks.Load()
-		m.ScanViewHits += st.ScanViewHits.Load()
-		m.ScanViewMisses += st.ScanViewMisses.Load()
-		m.ViewBuilds += st.ViewBuilds.Load()
-		m.ViewBuildBytes += st.ViewBuildBytes.Load()
-		m.IterKeys += st.IterKeys.Load()
-		m.DegradedTables += st.DegradedTables.Load()
-		m.DrainedTables += st.DrainedTables.Load()
-		m.DeferredDeletes += st.DeferredDeletes.Load()
-		m.CompactionsDeferred += st.CompactionsDeferred.Load()
-		m.LocalDegradedTables += st.LocalDegradedTables.Load()
-		m.LocalDrainedBack += st.LocalDrainedBack.Load()
-		m.CorruptionsDetected += st.CorruptionsDetected.Load()
-		m.CorruptionsRepaired += st.CorruptionsRepaired.Load()
-		m.CorruptionsUnrepaired += st.CorruptionsUnrepaired.Load()
-		m.ScrubPasses += st.ScrubPasses.Load()
-		m.MirroredTables += st.MirroredTables.Load()
 		m.QuarantinedTables += e.quarantinedCount()
 		m.WALSpills += e.wal.Spills()
 		m.WALRestored += e.wal.Restored()
@@ -633,7 +444,7 @@ func (d *DB) Metrics() Metrics {
 		}
 		m.CompactionDebt += e.compactionDebt(v)
 
-		m.ReadAmp.add(e.readAgg.snapshot())
+		m.ReadAmp.Add(e.readAgg.snapshot())
 		if m.Shards != nil {
 			m.Shards[i] = s
 		}

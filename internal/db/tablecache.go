@@ -240,18 +240,7 @@ func (tc *tableCache) fetchFor(h *tableHandle) sstable.FetchFunc {
 				return body, nil
 			}
 		}
-		body, err := sstable.ReadRawBlock(h.reader.File(), hd)
-		if err != nil && h.tier != storage.TierCloud && errors.Is(err, sstable.ErrCorrupt) {
-			// A local-tier block failed its CRC: repair from the cloud copy
-			// and serve this read from the freshly verified bytes — never a
-			// silently wrong value, never a raw checksum error if a clean
-			// source exists.
-			data, rerr := db.repairLocalTable(fileNum, err, false)
-			if rerr != nil {
-				return nil, rerr
-			}
-			body, err = sstable.ReadRawBlock(bytesReader{data}, hd)
-		}
+		body, err := h.readRepaired(hd)
 		if err != nil {
 			return nil, err
 		}
@@ -293,18 +282,25 @@ func (tc *tableCache) compactionFetchFor(h *tableHandle) sstable.FetchFunc {
 				return body, nil
 			}
 		}
-		body, err := sstable.ReadRawBlock(h.reader.File(), hd)
-		if err != nil && h.tier != storage.TierCloud && errors.Is(err, sstable.ErrCorrupt) {
-			// Compaction inputs get the same cloud-backed repair as the read
-			// path, so one damaged block doesn't wedge the tree.
-			data, rerr := db.repairLocalTable(fileNum, err, false)
-			if rerr != nil {
-				return nil, rerr
-			}
-			return sstable.ReadRawBlock(bytesReader{data}, hd)
-		}
-		return body, err
+		return h.readRepaired(hd)
 	}
+}
+
+// readRepaired reads one block from the table's backend. A local-tier block
+// that fails its CRC is repaired from the cloud copy and this read served
+// from the freshly verified bytes: never a silently wrong value, never a raw
+// checksum error if a clean source exists. Reads and compaction inputs share
+// it, so one damaged block doesn't wedge the tree either.
+func (h *tableHandle) readRepaired(hd sstable.Handle) ([]byte, error) {
+	body, err := sstable.ReadRawBlock(h.reader.File(), hd)
+	if err != nil && h.tier != storage.TierCloud && errors.Is(err, sstable.ErrCorrupt) {
+		data, rerr := h.db.repairLocalTable(h.reader.FileNum(), err, false)
+		if rerr != nil {
+			return nil, rerr
+		}
+		return sstable.ReadRawBlock(bytesReader{data}, hd)
+	}
+	return body, err
 }
 
 // evict drops the cache's reference on table fileNum, on whichever tier it

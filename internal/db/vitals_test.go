@@ -38,8 +38,8 @@ func TestVitalsSamplerLifecycle(t *testing.T) {
 	// Wait for a sample taken after the Get: the sampler runs from Open, so
 	// the first few samples can all predate the workload.
 	sawGet := func() bool {
-		last, ok := v.Latest()
-		return ok && last.Reads > 0
+		all := v.Samples()
+		return len(all) > 0 && all[len(all)-1].Reads > 0
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for (len(v.Samples()) < 3 || !sawGet()) && time.Now().Before(deadline) {
@@ -53,11 +53,11 @@ func TestVitalsSamplerLifecycle(t *testing.T) {
 	}
 	// The ring stays readable (frozen) after Close, and the latest sample
 	// reflects the workload.
-	last, ok := v.Latest()
-	if !ok {
+	all := v.Samples()
+	if len(all) == 0 {
 		t.Fatal("ring unreadable after Close")
 	}
-	if last.Writes == 0 || last.Reads == 0 {
+	if last := all[len(all)-1]; last.Writes == 0 || last.Reads == 0 {
 		t.Fatalf("final sample missed the workload: %+v", last)
 	}
 	// All background goroutines (sampler included) must be gone.
@@ -70,9 +70,9 @@ func TestVitalsSamplerLifecycle(t *testing.T) {
 	}
 }
 
-// TestVitalsSampleSnapshot exercises the Metrics -> Sample adapter against
-// a store with real traffic: the cumulative counters and level arrays must
-// be populated coherently.
+// TestVitalsSampleSnapshot takes a sample of a store with real traffic: it
+// is timestamped, and the cumulative counters and level arrays it carries
+// are populated coherently.
 func TestVitalsSampleSnapshot(t *testing.T) {
 	d, _ := openTest(t, PolicyLocalOnly)
 	defer d.Close()
@@ -93,20 +93,20 @@ func TestVitalsSampleSnapshot(t *testing.T) {
 	if s.Compactions == 0 || s.CompactBytesOut == 0 {
 		t.Errorf("compaction counters empty: %+v", s)
 	}
-	if len(s.LevelFiles) == 0 || len(s.LevelBytesIn) != len(s.LevelFiles) {
-		t.Errorf("level arrays inconsistent: files=%d in=%d", len(s.LevelFiles), len(s.LevelBytesIn))
+	if len(s.LevelFiles) == 0 || len(s.LevelWriteAmp) != len(s.LevelFiles) {
+		t.Errorf("level arrays inconsistent: files=%d in=%d", len(s.LevelFiles), len(s.LevelWriteAmp))
 	}
 	var in, out int64
-	for i := range s.LevelBytesIn {
-		in += s.LevelBytesIn[i]
-		out += s.LevelBytesOut[i]
+	for _, lw := range s.LevelWriteAmp {
+		in += lw.BytesInSource + lw.BytesInTarget
+		out += lw.BytesOut
 	}
 	if in != s.CompactBytesIn || out != s.CompactBytesOut {
 		t.Errorf("per-level compaction bytes (in=%d out=%d) != totals (in=%d out=%d)",
 			in, out, s.CompactBytesIn, s.CompactBytesOut)
 	}
-	if len(s.ShardOps) != 0 {
-		t.Errorf("unsharded store reported ShardOps: %v", s.ShardOps)
+	if len(s.Shards) != 0 {
+		t.Errorf("unsharded store reported Shards: %v", s.Shards)
 	}
 }
 

@@ -152,40 +152,46 @@ func DefaultRules(t Thresholds) []Rule {
 			ID: RuleCloudOutage, Severity: SevCritical,
 			TriggerTicks: 1, ClearTicks: 2, Cooldown: time.Second,
 			Check: func(ob *Obs) (bool, Reading) {
-				if !breakerOpen(ob.Sample.Breaker) {
+				if !breakerOpen(ob.Sample.BreakerState) {
 					return false, Reading{}
 				}
 				return true, Reading{Value: 1, Threshold: 0.5,
-					Reason: fmt.Sprintf("cloud breaker %s: cloud tier unreachable, flushes landing degraded", ob.Sample.Breaker)}
+					Reason: fmt.Sprintf("cloud breaker %s: cloud tier unreachable, flushes landing degraded", ob.Sample.BreakerState)}
 			},
 		},
 		{
 			ID: RuleLocalDegraded, Severity: SevCritical,
 			TriggerTicks: 1, ClearTicks: 2, Cooldown: time.Second,
 			Check: func(ob *Obs) (bool, Reading) {
-				if !breakerOpen(ob.Sample.LocalBreaker) {
+				if !breakerOpen(ob.Sample.LocalBreakerState) {
 					return false, Reading{}
 				}
 				return true, Reading{Value: 1, Threshold: 0.5,
-					Reason: fmt.Sprintf("local breaker %s: local media failing (ENOSPC/EIO), tables landing cloud-direct", ob.Sample.LocalBreaker)}
+					Reason: fmt.Sprintf("local breaker %s: local media failing (ENOSPC/EIO), tables landing cloud-direct", ob.Sample.LocalBreakerState)}
 			},
 		},
 		{
 			ID: RuleWriteStall, Severity: SevWarn,
 			TriggerTicks: 1, ClearTicks: 3, Cooldown: 30 * time.Second,
+			// Keyed on L0 stalls alone. A memtable stall is a writer waiting
+			// for the one flush ahead of it, which any store ingesting at full
+			// speed does; a writer held at the L0 file limit means compaction
+			// has fallen behind.
 			Check: func(ob *Obs) (bool, Reading) {
-				if !ob.HasWindow || ob.Window.StallsPerSec <= 0 {
+				stalls := ob.Sample.WriteStallsL0 - ob.Prev.WriteStallsL0
+				if !ob.HasWindow || stalls <= 0 {
 					return false, Reading{}
 				}
-				return true, Reading{Value: ob.Window.StallsPerSec, Threshold: 0,
-					Reason: fmt.Sprintf("writes stalling at %.1f/s: background flush/compaction cannot keep up", ob.Window.StallsPerSec)}
+				rate := float64(stalls) / ob.Window.Seconds
+				return true, Reading{Value: rate, Threshold: 0,
+					Reason: fmt.Sprintf("writes stalling on L0 at %.1f/s: compaction cannot keep up", rate)}
 			},
 		},
 		{
 			ID: RuleLatencySpike, Severity: SevWarn,
 			TriggerTicks: 2, ClearTicks: 4, Cooldown: 30 * time.Second,
 			Check: func(ob *Obs) (bool, Reading) {
-				p99 := float64(ob.Sample.GetP99Nanos)
+				p99 := float64(ob.Sample.GetLat.P99)
 				if !ob.P99.Warm(t.BaselineWarmup) || p99 <= 0 {
 					return false, Reading{}
 				}
@@ -220,8 +226,8 @@ func DefaultRules(t Thresholds) []Rule {
 				if !ob.HasWindow || !ob.BlockHit.Warm(t.BaselineWarmup) {
 					return false, Reading{}
 				}
-				lookups := ob.Sample.BlockHits + ob.Sample.BlockMisses -
-					ob.Prev.BlockHits - ob.Prev.BlockMisses
+				lookups := ob.Sample.BlockCacheHits + ob.Sample.BlockCacheMisses -
+					ob.Prev.BlockCacheHits - ob.Prev.BlockCacheMisses
 				base := ob.BlockHit.Value()
 				if lookups < t.CacheMinLookups || base < t.CacheMinBase {
 					return false, Reading{}
@@ -243,10 +249,10 @@ func DefaultRules(t Thresholds) []Rule {
 					return false, Reading{}
 				}
 				var ops int64
-				for i := range ob.Sample.ShardOps {
-					ops += ob.Sample.ShardOps[i]
-					if i < len(ob.Prev.ShardOps) {
-						ops -= ob.Prev.ShardOps[i]
+				for i, sh := range ob.Sample.Shards {
+					ops += sh.Ops()
+					if i < len(ob.Prev.Shards) {
+						ops -= ob.Prev.Shards[i].Ops()
 					}
 				}
 				if ops < t.SkewMinOps {
@@ -401,11 +407,11 @@ func (d *Detector) updateBaselines(ob *Obs) {
 			hot[d.rules[i].ID] = true
 		}
 	}
-	if !hot[RuleLatencySpike] && ob.Sample.GetP99Nanos > 0 {
-		d.p99Base.update(float64(ob.Sample.GetP99Nanos))
+	if !hot[RuleLatencySpike] && ob.Sample.GetLat.P99 > 0 {
+		d.p99Base.update(float64(ob.Sample.GetLat.P99))
 	}
 	if ob.HasWindow && !hot[RuleCacheCollapse] {
-		if ob.Sample.BlockHits+ob.Sample.BlockMisses > ob.Prev.BlockHits+ob.Prev.BlockMisses {
+		if ob.Sample.BlockCacheHits+ob.Sample.BlockCacheMisses > ob.Prev.BlockCacheHits+ob.Prev.BlockCacheMisses {
 			d.blockBase.update(ob.Window.BlockHitRatio)
 		}
 		if ob.Sample.PCacheHits+ob.Sample.PCacheMisses > ob.Prev.PCacheHits+ob.Prev.PCacheMisses {

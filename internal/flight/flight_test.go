@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"rocksmash/internal/event"
+	"rocksmash/internal/metrics"
 	"rocksmash/internal/vitals"
 )
 
@@ -133,7 +134,7 @@ func TestDetectorBreakerEpisodeFiresOnce(t *testing.T) {
 	}
 	var fired []Incident
 	for i, st := range states {
-		fired = append(fired, d.Observe(tick(i, func(s *vitals.Sample) { s.Breaker = st }))...)
+		fired = append(fired, d.Observe(tick(i, func(s *vitals.Sample) { s.BreakerState = st }))...)
 	}
 	count := 0
 	for _, inc := range fired {
@@ -158,7 +159,7 @@ func TestDetectorCooldownSuppresses(t *testing.T) {
 	seq := []string{"closed", "open", "open", "closed", "closed", "closed", "open", "open"}
 	var fired, suppressedAt int
 	for i, st := range seq {
-		incs := d.Observe(tick(i, func(s *vitals.Sample) { s.Breaker = st }))
+		incs := d.Observe(tick(i, func(s *vitals.Sample) { s.BreakerState = st }))
 		for _, inc := range incs {
 			if inc.Rule == RuleCloudOutage {
 				fired++
@@ -183,7 +184,7 @@ func TestDetectorLatencySpike(t *testing.T) {
 	n := 0
 	obs := func(p99 time.Duration) []Incident {
 		n++
-		return d.Observe(tick(n, func(s *vitals.Sample) { s.GetP99Nanos = p99.Nanoseconds() }))
+		return d.Observe(tick(n, func(s *vitals.Sample) { s.GetLat.P99 = p99 }))
 	}
 	// Warmup at a calm 1ms baseline: no fire even though 1ms > 0 baseline.
 	for i := 0; i < 6; i++ {
@@ -216,8 +217,11 @@ func TestDetectorShardSkew(t *testing.T) {
 		for i, v := range perShard {
 			cum[i] += v
 		}
-		ops := append([]int64(nil), cum[:]...)
-		return d.Observe(tick(n, func(s *vitals.Sample) { s.ShardOps = ops }))
+		shards := make([]metrics.ShardSummary, len(cum))
+		for i, ops := range cum {
+			shards[i] = metrics.ShardSummary{Shard: i, Writes: ops}
+		}
+		return d.Observe(tick(n, func(s *vitals.Sample) { s.Shards = shards }))
 	}
 	// Balanced warmup.
 	for i := 0; i < 3; i++ {

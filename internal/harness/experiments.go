@@ -633,13 +633,6 @@ func tab4Reliability(cfg Config) error {
 	return nil
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // fig13LocalLevels is an ablation this implementation adds: sweep the
 // local/cloud split point and measure the performance/footprint tradeoff
 // the placement rule buys.

@@ -16,6 +16,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"strings"
 	"time"
 
 	"rocksmash/internal/db"
@@ -163,207 +164,139 @@ func (p promWriter) sample(name, labels string, v float64) {
 	fmt.Fprintf(p.w, "%s %g\n", name, v)
 }
 
-// WriteProm renders a Metrics snapshot as Prometheus text exposition.
+// labeled prints one family of n samples; at gives sample i's label set and
+// value.
+func (p promWriter) labeled(name, typ, help string, n int, at func(i int) (labels string, v float64)) {
+	p.family(name, typ, help)
+	for i := 0; i < n; i++ {
+		labels, v := at(i)
+		p.sample(name, labels, v)
+	}
+}
+
+// shardFamilies are the per-shard families of a sharded store: shard
+// imbalance must be scrapeable, not just visible in DumpStats.
+var shardFamilies = []struct {
+	name, typ, help string
+	value           func(db.ShardSummary) float64
+}{
+	{"rocksmash_shard_writes_total", "counter", "Write operations committed per keyspace shard.", func(s db.ShardSummary) float64 { return float64(s.Writes) }},
+	{"rocksmash_shard_reads_total", "counter", "Point lookups served per keyspace shard.", func(s db.ShardSummary) float64 { return float64(s.Reads) }},
+	{"rocksmash_shard_flushes_total", "counter", "Memtable flushes per keyspace shard.", func(s db.ShardSummary) float64 { return float64(s.Flushes) }},
+	{"rocksmash_shard_compactions_total", "counter", "Compactions per keyspace shard.", func(s db.ShardSummary) float64 { return float64(s.Compactions) }},
+	{"rocksmash_shard_write_stalls_total", "counter", "Write stalls per keyspace shard.", func(s db.ShardSummary) float64 { return float64(s.WriteStalls) }},
+	{"rocksmash_shard_bytes", "gauge", "Live table bytes per keyspace shard.", func(s db.ShardSummary) float64 { return float64(s.Bytes) }},
+	{"rocksmash_shard_files", "gauge", "Live table files per keyspace shard.", func(s db.ShardSummary) float64 { return float64(s.Files) }},
+	{"rocksmash_shard_pending_tables", "gauge", "Degraded-mode tables awaiting cloud upload per keyspace shard.", func(s db.ShardSummary) float64 { return float64(s.PendingTables) }},
+}
+
+// WriteProm renders a Metrics snapshot as Prometheus text exposition. The
+// scalar families are the rows of db.Signals, printed in table order; the
+// labeled families (per level, tier, shard, quantile) are written out here,
+// at the places between the scalars where /metrics has always had them.
 func WriteProm(w io.Writer, m db.Metrics) {
 	p := promWriter{w: w}
-
-	p.family("rocksmash_reads_total", "counter", "Point lookups served.")
-	p.sample("rocksmash_reads_total", "", float64(m.Reads))
-	p.family("rocksmash_writes_total", "counter", "Write operations committed.")
-	p.sample("rocksmash_writes_total", "", float64(m.Writes))
-	p.family("rocksmash_write_stalls_total", "counter", "Writes stalled on background work.")
-	p.sample("rocksmash_write_stalls_total", "", float64(m.WriteStalls))
-	p.family("rocksmash_flushes_total", "counter", "Memtable flushes completed.")
-	p.sample("rocksmash_flushes_total", "", float64(m.Flushes))
-	p.family("rocksmash_compactions_total", "counter", "Compactions completed.")
-	p.sample("rocksmash_compactions_total", "", float64(m.Compactions))
-
+	// scalars prints the rows of db.Signals not printed yet, through the one
+	// named last; with "", all that remain.
+	rows := db.Signals
+	scalars := func(last string) {
+		for len(rows) > 0 {
+			s := rows[0]
+			rows = rows[1:]
+			p.family(s.Name, s.Type, s.Help)
+			p.sample(s.Name, "", s.Value(&m))
+			if s.Name == last {
+				return
+			}
+		}
+	}
+	perLevel := func(name, typ, help string, n int, v func(l int) float64) {
+		p.labeled(name, typ, help, n, func(l int) (string, float64) { return promLevel(l), v(l) })
+	}
+	perTier := func(name, help string, v func(t readprof.Tier) float64) {
+		p.labeled(name, "counter", help, readprof.NumTiers, func(t int) (string, float64) {
+			return fmt.Sprintf("tier=%q", readprof.Tier(t)), v(readprof.Tier(t))
+		})
+	}
 	ra := m.ReadAmp
-	p.family("rocksmash_read_profiled_total", "counter", "Gets that carried a read profile.")
-	p.sample("rocksmash_read_profiled_total", "", float64(ra.ProfiledGets))
-	p.family("rocksmash_read_timed_total", "counter", "Profiled Gets with per-stage timings.")
-	p.sample("rocksmash_read_timed_total", "", float64(ra.TimedGets))
 
+	scalars("rocksmash_read_timed_total")
 	p.family("rocksmash_read_level_serves_total", "counter",
 		"Profiled Gets resolved at each level (mem = memtable, none = not found).")
 	p.sample("rocksmash_read_level_serves_total", `level="mem"`, float64(ra.MemServes))
 	for l, n := range ra.LevelServes {
-		p.sample("rocksmash_read_level_serves_total", fmt.Sprintf("level=%q", fmt.Sprint(l)), float64(n))
+		p.sample("rocksmash_read_level_serves_total", promLevel(l), float64(n))
 	}
 	p.sample("rocksmash_read_level_serves_total", `level="none"`, float64(ra.NotFound))
-	p.family("rocksmash_read_level_probes_total", "counter",
-		"Profiled Gets that consulted tables at each level.")
-	for l, n := range ra.LevelProbes {
-		p.sample("rocksmash_read_level_probes_total", fmt.Sprintf("level=%q", fmt.Sprint(l)), float64(n))
-	}
+	perLevel("rocksmash_read_level_probes_total", "counter", "Profiled Gets that consulted tables at each level.",
+		len(ra.LevelProbes), func(l int) float64 { return float64(ra.LevelProbes[l]) })
 
-	p.family("rocksmash_read_tables_total", "counter", "Table readers consulted by profiled Gets.")
-	p.sample("rocksmash_read_tables_total", "", float64(ra.Tables))
-	p.family("rocksmash_read_bloom_checked_total", "counter", "Bloom filters consulted by profiled Gets.")
-	p.sample("rocksmash_read_bloom_checked_total", "", float64(ra.BloomChecked))
-	p.family("rocksmash_read_bloom_negative_total", "counter", "Bloom filters that rejected the probe.")
-	p.sample("rocksmash_read_bloom_negative_total", "", float64(ra.BloomNegative))
+	scalars("rocksmash_read_bloom_negative_total")
+	perTier("rocksmash_read_blocks_total", "Data blocks read by profiled Gets, by source tier.",
+		func(t readprof.Tier) float64 { return float64(ra.Blocks[t]) })
+	perTier("rocksmash_read_bytes_total", "Data-block bytes read by profiled Gets, by source tier.",
+		func(t readprof.Tier) float64 { return float64(ra.Bytes[t]) })
+	perTier("rocksmash_read_fetch_seconds_total", "Block-fetch time of timed Gets, by source tier.",
+		func(t readprof.Tier) float64 { return time.Duration(ra.FetchNanos[t]).Seconds() })
 
-	p.family("rocksmash_read_blocks_total", "counter", "Data blocks read by profiled Gets, by source tier.")
-	for t := readprof.Tier(0); t < readprof.NumTiers; t++ {
-		p.sample("rocksmash_read_blocks_total", fmt.Sprintf("tier=%q", t), float64(ra.Blocks[t]))
-	}
-	p.family("rocksmash_read_bytes_total", "counter", "Data-block bytes read by profiled Gets, by source tier.")
-	for t := readprof.Tier(0); t < readprof.NumTiers; t++ {
-		p.sample("rocksmash_read_bytes_total", fmt.Sprintf("tier=%q", t), float64(ra.Bytes[t]))
-	}
-	p.family("rocksmash_read_fetch_seconds_total", "counter",
-		"Block-fetch time of timed Gets, by source tier.")
-	for t := readprof.Tier(0); t < readprof.NumTiers; t++ {
-		p.sample("rocksmash_read_fetch_seconds_total", fmt.Sprintf("tier=%q", t),
-			time.Duration(ra.FetchNanos[t]).Seconds())
-	}
+	scalars("rocksmash_iter_seeks_total")
+	perTier("rocksmash_iter_blocks_total", "Data blocks read by profiled iterators, by source tier.",
+		func(t readprof.Tier) float64 { return float64(ra.IterBlocks[t]) })
+	perTier("rocksmash_iter_bytes_total", "Data-block bytes read by profiled iterators, by source tier.",
+		func(t readprof.Tier) float64 { return float64(ra.IterBytes[t]) })
+	p.labeled("rocksmash_pcache_level_hits_total", "counter",
+		"Persistent-cache hits by LSM level (unknown = level not registered).", pcache.LevelBuckets,
+		func(b int) (string, float64) { return promLevelBucket(b), float64(ra.PCacheLevelHits[b]) })
+	p.labeled("rocksmash_pcache_level_misses_total", "counter",
+		"Persistent-cache misses by LSM level (unknown = level not registered).", pcache.LevelBuckets,
+		func(b int) (string, float64) { return promLevelBucket(b), float64(ra.PCacheLevelMisses[b]) })
 
-	p.family("rocksmash_iter_seeks_total", "counter", "Iterator positioning operations profiled.")
-	p.sample("rocksmash_iter_seeks_total", "", float64(ra.IterSeeks))
-	p.family("rocksmash_iter_blocks_total", "counter", "Data blocks read by profiled iterators, by source tier.")
-	for t := readprof.Tier(0); t < readprof.NumTiers; t++ {
-		p.sample("rocksmash_iter_blocks_total", fmt.Sprintf("tier=%q", t), float64(ra.IterBlocks[t]))
-	}
-	p.family("rocksmash_iter_bytes_total", "counter", "Data-block bytes read by profiled iterators, by source tier.")
-	for t := readprof.Tier(0); t < readprof.NumTiers; t++ {
-		p.sample("rocksmash_iter_bytes_total", fmt.Sprintf("tier=%q", t), float64(ra.IterBytes[t]))
-	}
+	scalars("rocksmash_pcache_used_bytes")
+	perLevel("rocksmash_level_files", "gauge", "Live files per LSM level.",
+		len(m.LevelFiles), func(l int) float64 { return float64(m.LevelFiles[l]) })
+	perLevel("rocksmash_level_bytes", "gauge", "Live bytes per LSM level.",
+		len(m.LevelBytes), func(l int) float64 { return float64(m.LevelBytes[l]) })
 
-	p.family("rocksmash_pcache_level_hits_total", "counter",
-		"Persistent-cache hits by LSM level (unknown = level not registered).")
-	for b := 0; b < pcache.LevelBuckets; b++ {
-		p.sample("rocksmash_pcache_level_hits_total", promLevelBucket(b), float64(ra.PCacheLevelHits[b]))
-	}
-	p.family("rocksmash_pcache_level_misses_total", "counter",
-		"Persistent-cache misses by LSM level (unknown = level not registered).")
-	for b := 0; b < pcache.LevelBuckets; b++ {
-		p.sample("rocksmash_pcache_level_misses_total", promLevelBucket(b), float64(ra.PCacheLevelMisses[b]))
-	}
-
-	p.family("rocksmash_block_cache_hit_ratio", "gauge", "In-memory block cache hit ratio.")
-	p.sample("rocksmash_block_cache_hit_ratio", "", m.BlockHit)
-	p.family("rocksmash_pcache_hit_ratio", "gauge", "Persistent cache hit ratio.")
-	p.sample("rocksmash_pcache_hit_ratio", "", m.PCacheHit)
-	p.family("rocksmash_pcache_used_bytes", "gauge", "Persistent cache data bytes.")
-	p.sample("rocksmash_pcache_used_bytes", "", float64(m.PCacheUsed))
-
-	p.family("rocksmash_level_files", "gauge", "Live files per LSM level.")
-	for l, n := range m.LevelFiles {
-		p.sample("rocksmash_level_files", fmt.Sprintf("level=%q", fmt.Sprint(l)), float64(n))
-	}
-	p.family("rocksmash_level_bytes", "gauge", "Live bytes per LSM level.")
-	for l, n := range m.LevelBytes {
-		p.sample("rocksmash_level_bytes", fmt.Sprintf("level=%q", fmt.Sprint(l)), float64(n))
-	}
-	p.family("rocksmash_local_bytes", "gauge", "Table bytes on the local tier.")
-	p.sample("rocksmash_local_bytes", "", float64(m.LocalBytes))
-	p.family("rocksmash_cloud_bytes", "gauge", "Table bytes on the cloud tier.")
-	p.sample("rocksmash_cloud_bytes", "", float64(m.CloudBytes))
-
+	scalars("rocksmash_cloud_bytes")
 	// Per-level compaction attribution and the derived health gauges.
-	if len(m.LevelWriteAmp) > 0 {
-		p.family("rocksmash_level_compactions_total", "counter",
-			"Compactions picked at each source level.")
-		for _, lw := range m.LevelWriteAmp {
-			p.sample("rocksmash_level_compactions_total", promLevel(lw.Level), float64(lw.Count))
-		}
-		p.family("rocksmash_level_compact_bytes_in_total", "counter",
-			"Bytes read by compactions at each source level (source inputs + target overlap).")
-		for _, lw := range m.LevelWriteAmp {
-			p.sample("rocksmash_level_compact_bytes_in_total", promLevel(lw.Level),
-				float64(lw.BytesInSource+lw.BytesInTarget))
-		}
-		p.family("rocksmash_level_compact_bytes_out_total", "counter",
-			"Bytes written by compactions at each source level.")
-		for _, lw := range m.LevelWriteAmp {
-			p.sample("rocksmash_level_compact_bytes_out_total", promLevel(lw.Level), float64(lw.BytesOut))
-		}
-		p.family("rocksmash_level_write_amp", "gauge",
-			"Per-source-level write amplification (bytes out per source byte).")
-		for _, lw := range m.LevelWriteAmp {
-			p.sample("rocksmash_level_write_amp", promLevel(lw.Level), lw.WriteAmp())
-		}
+	if lw := m.LevelWriteAmp; len(lw) > 0 {
+		perLevel("rocksmash_level_compactions_total", "counter", "Compactions picked at each source level.",
+			len(lw), func(l int) float64 { return float64(lw[l].Count) })
+		perLevel("rocksmash_level_compact_bytes_in_total", "counter",
+			"Bytes read by compactions at each source level (source inputs + target overlap).",
+			len(lw), func(l int) float64 { return float64(lw[l].BytesInSource + lw[l].BytesInTarget) })
+		perLevel("rocksmash_level_compact_bytes_out_total", "counter", "Bytes written by compactions at each source level.",
+			len(lw), func(l int) float64 { return float64(lw[l].BytesOut) })
+		perLevel("rocksmash_level_write_amp", "gauge", "Per-source-level write amplification (bytes out per source byte).",
+			len(lw), func(l int) float64 { return lw[l].WriteAmp() })
 	}
 	p.family("rocksmash_write_amp", "gauge",
 		"Cumulative write amplification: physical table bytes per user byte.")
 	p.sample("rocksmash_write_amp", "", m.WriteAmp())
-	p.family("rocksmash_compaction_debt_bytes", "gauge",
-		"Estimated bytes compaction must move to restore level targets.")
-	p.sample("rocksmash_compaction_debt_bytes", "", float64(m.CompactionDebt))
-	p.family("rocksmash_space_amp", "gauge",
-		"Space amplification estimate: total table bytes over deepest level bytes.")
-	p.sample("rocksmash_space_amp", "", m.SpaceAmp)
 
-	// Per-shard attribution (sharded stores only): shard imbalance must be
-	// scrapeable, not just visible in DumpStats.
+	scalars("rocksmash_space_amp")
 	if len(m.Shards) > 0 {
-		shard := func(i int) string { return fmt.Sprintf("shard=%q", fmt.Sprint(i)) }
-		p.family("rocksmash_shard_writes_total", "counter", "Write operations committed per keyspace shard.")
-		for _, s := range m.Shards {
-			p.sample("rocksmash_shard_writes_total", shard(s.Shard), float64(s.Writes))
-		}
-		p.family("rocksmash_shard_reads_total", "counter", "Point lookups served per keyspace shard.")
-		for _, s := range m.Shards {
-			p.sample("rocksmash_shard_reads_total", shard(s.Shard), float64(s.Reads))
-		}
-		p.family("rocksmash_shard_flushes_total", "counter", "Memtable flushes per keyspace shard.")
-		for _, s := range m.Shards {
-			p.sample("rocksmash_shard_flushes_total", shard(s.Shard), float64(s.Flushes))
-		}
-		p.family("rocksmash_shard_compactions_total", "counter", "Compactions per keyspace shard.")
-		for _, s := range m.Shards {
-			p.sample("rocksmash_shard_compactions_total", shard(s.Shard), float64(s.Compactions))
-		}
-		p.family("rocksmash_shard_write_stalls_total", "counter", "Write stalls per keyspace shard.")
-		for _, s := range m.Shards {
-			p.sample("rocksmash_shard_write_stalls_total", shard(s.Shard), float64(s.WriteStalls))
-		}
-		p.family("rocksmash_shard_bytes", "gauge", "Live table bytes per keyspace shard.")
-		for _, s := range m.Shards {
-			p.sample("rocksmash_shard_bytes", shard(s.Shard), float64(s.Bytes))
-		}
-		p.family("rocksmash_shard_files", "gauge", "Live table files per keyspace shard.")
-		for _, s := range m.Shards {
-			p.sample("rocksmash_shard_files", shard(s.Shard), float64(s.Files))
-		}
-		p.family("rocksmash_shard_pending_tables", "gauge",
-			"Degraded-mode tables awaiting cloud upload per keyspace shard.")
-		for _, s := range m.Shards {
-			p.sample("rocksmash_shard_pending_tables", shard(s.Shard), float64(s.PendingTables))
+		for _, f := range shardFamilies {
+			p.labeled(f.name, f.typ, f.help, len(m.Shards), func(i int) (string, float64) {
+				return fmt.Sprintf("shard=%q", fmt.Sprint(m.Shards[i].Shard)), f.value(m.Shards[i])
+			})
 		}
 	}
 
-	// Flight-recorder incident counters (all zero when the recorder is off).
-	p.family("rocksmash_incidents_triggered_total", "counter",
-		"Anomaly-detector incidents fired by the flight recorder.")
-	p.sample("rocksmash_incidents_triggered_total", "", float64(m.IncidentsTriggered))
-	p.family("rocksmash_incidents_suppressed_total", "counter",
-		"Detector firings swallowed by per-rule cooldowns.")
-	p.sample("rocksmash_incidents_suppressed_total", "", float64(m.IncidentsSuppressed))
-	p.family("rocksmash_flight_bundles_written_total", "counter",
-		"Incident postmortem bundles committed to disk.")
-	p.sample("rocksmash_flight_bundles_written_total", "", float64(m.BundlesWritten))
-	p.family("rocksmash_flight_bundle_errors_total", "counter",
-		"Incident bundle dumps that failed to commit.")
-	p.sample("rocksmash_flight_bundle_errors_total", "", float64(m.BundleErrors))
+	scalars("rocksmash_flight_bundle_errors_total")
+	for _, l := range m.Latencies() {
+		name := "rocksmash_" + strings.ReplaceAll(l.Op, ".", "_") + "_latency_seconds"
+		p.family(name, "summary", l.Help)
+		s := l.Summary
+		p.sample(name, `quantile="0.5"`, s.P50.Seconds())
+		p.sample(name, `quantile="0.9"`, s.P90.Seconds())
+		p.sample(name, `quantile="0.99"`, s.P99.Seconds())
+		p.sample(name+"_count", "", float64(s.Count))
+		p.sample(name+"_sum", "", s.Mean.Seconds()*float64(s.Count))
+	}
 
-	p.family("rocksmash_get_latency_seconds", "summary", "Point-lookup latency quantiles.")
-	writePromSummary(p, "rocksmash_get_latency_seconds", m.GetLat)
-	p.family("rocksmash_put_latency_seconds", "summary", "Commit latency quantiles (includes stall time).")
-	writePromSummary(p, "rocksmash_put_latency_seconds", m.PutLat)
-	p.family("rocksmash_flush_latency_seconds", "summary", "Memtable flush latency quantiles.")
-	writePromSummary(p, "rocksmash_flush_latency_seconds", m.FlushLat)
-	p.family("rocksmash_compact_latency_seconds", "summary", "Compaction latency quantiles.")
-	writePromSummary(p, "rocksmash_compact_latency_seconds", m.CompactLat)
-	p.family("rocksmash_local_get_latency_seconds", "summary", "Local-tier GET latency quantiles.")
-	writePromSummary(p, "rocksmash_local_get_latency_seconds", m.LocalGetLat)
-	p.family("rocksmash_local_put_latency_seconds", "summary", "Local-tier PUT latency quantiles.")
-	writePromSummary(p, "rocksmash_local_put_latency_seconds", m.LocalPutLat)
-	p.family("rocksmash_cloud_get_latency_seconds", "summary", "Cloud GET latency quantiles.")
-	writePromSummary(p, "rocksmash_cloud_get_latency_seconds", m.CloudGetLat)
-	p.family("rocksmash_cloud_put_latency_seconds", "summary", "Cloud PUT latency quantiles.")
-	writePromSummary(p, "rocksmash_cloud_put_latency_seconds", m.CloudPutLat)
+	// Every signal the table has gained since that order was fixed.
+	scalars("")
 }
 
 // WritePromVitals renders the latest vitals window as Prometheus gauges —
@@ -371,44 +304,29 @@ func WriteProm(w io.Writer, m db.Metrics) {
 // running their own rate() over raw counters.
 func WritePromVitals(w io.Writer, win vitals.Window) {
 	p := promWriter{w: w}
-	p.family("rocksmash_vitals_window_seconds", "gauge", "Width of the vitals rate window.")
-	p.sample("rocksmash_vitals_window_seconds", "", win.Seconds)
-	p.family("rocksmash_vitals_write_ops_per_second", "gauge", "Windowed write throughput.")
-	p.sample("rocksmash_vitals_write_ops_per_second", "", win.WriteOpsPerSec)
-	p.family("rocksmash_vitals_read_ops_per_second", "gauge", "Windowed read throughput.")
-	p.sample("rocksmash_vitals_read_ops_per_second", "", win.ReadOpsPerSec)
-	p.family("rocksmash_vitals_write_amp", "gauge", "Windowed write amplification.")
-	p.sample("rocksmash_vitals_write_amp", "", win.WriteAmp)
-	p.family("rocksmash_vitals_read_amp_blocks_per_get", "gauge", "Windowed blocks per profiled Get.")
-	p.sample("rocksmash_vitals_read_amp_blocks_per_get", "", win.ReadAmpBlocksPerGet)
-	p.family("rocksmash_vitals_block_cache_hit_ratio", "gauge", "Block cache hit ratio over the window.")
-	p.sample("rocksmash_vitals_block_cache_hit_ratio", "", win.BlockHitRatio)
-	p.family("rocksmash_vitals_pcache_hit_ratio", "gauge", "Persistent cache hit ratio over the window.")
-	p.sample("rocksmash_vitals_pcache_hit_ratio", "", win.PCacheHitRatio)
-	p.family("rocksmash_vitals_commit_group_size", "gauge", "Windowed mean batches per commit group.")
-	p.sample("rocksmash_vitals_commit_group_size", "", win.CommitGroupSize)
-	p.family("rocksmash_vitals_shard_skew", "gauge",
-		"Windowed shard balance skew: (max-min)/mean of per-shard op deltas.")
-	p.sample("rocksmash_vitals_shard_skew", "", win.ShardSkew)
-	p.family("rocksmash_vitals_cloud_read_bytes_per_second", "gauge", "Windowed cloud read bandwidth.")
-	p.sample("rocksmash_vitals_cloud_read_bytes_per_second", "", win.CloudReadBytesPerSec)
-	p.family("rocksmash_vitals_cloud_write_bytes_per_second", "gauge", "Windowed cloud write bandwidth.")
-	p.sample("rocksmash_vitals_cloud_write_bytes_per_second", "", win.CloudWriteBytesPerSec)
-	p.family("rocksmash_vitals_dollars_per_hour", "gauge",
-		"Windowed cloud cost rate by component.")
+	gauge := func(name, help string, v float64) {
+		p.family(name, "gauge", help)
+		p.sample(name, "", v)
+	}
+	gauge("rocksmash_vitals_window_seconds", "Width of the vitals rate window.", win.Seconds)
+	gauge("rocksmash_vitals_write_ops_per_second", "Windowed write throughput.", win.WriteOpsPerSec)
+	gauge("rocksmash_vitals_read_ops_per_second", "Windowed read throughput.", win.ReadOpsPerSec)
+	gauge("rocksmash_vitals_write_amp", "Windowed write amplification.", win.WriteAmp)
+	gauge("rocksmash_vitals_read_amp_blocks_per_get", "Windowed blocks per profiled Get.", win.ReadAmpBlocksPerGet)
+	gauge("rocksmash_vitals_block_cache_hit_ratio", "Block cache hit ratio over the window.", win.BlockHitRatio)
+	gauge("rocksmash_vitals_pcache_hit_ratio", "Persistent cache hit ratio over the window.", win.PCacheHitRatio)
+	gauge("rocksmash_vitals_commit_group_size", "Windowed mean batches per commit group.", win.CommitGroupSize)
+	gauge("rocksmash_vitals_shard_skew", "Windowed shard balance skew: (max-min)/mean of per-shard op deltas.", win.ShardSkew)
+	gauge("rocksmash_vitals_cloud_read_bytes_per_second", "Windowed cloud read bandwidth.", win.CloudReadBytesPerSec)
+	gauge("rocksmash_vitals_cloud_write_bytes_per_second", "Windowed cloud write bandwidth.", win.CloudWriteBytesPerSec)
+	p.family("rocksmash_vitals_dollars_per_hour", "gauge", "Windowed cloud cost rate by component.")
 	p.sample("rocksmash_vitals_dollars_per_hour", `component="storage"`, win.DollarsPerHour.Storage)
 	p.sample("rocksmash_vitals_dollars_per_hour", `component="request"`, win.DollarsPerHour.Request)
 	p.sample("rocksmash_vitals_dollars_per_hour", `component="egress"`, win.DollarsPerHour.Egress)
 	p.sample("rocksmash_vitals_dollars_per_hour", `component="total"`, win.DollarsPerHour.Total)
-	p.family("rocksmash_vitals_ops_per_dollar", "gauge",
-		"Windowed throughput per dollar: ops/s over $/hour.")
-	p.sample("rocksmash_vitals_ops_per_dollar", "", win.OpsPerDollar)
-	p.family("rocksmash_vitals_get_p99_seconds", "gauge",
-		"Get-latency p99 gauge at the window's end sample.")
-	p.sample("rocksmash_vitals_get_p99_seconds", "", time.Duration(win.GetP99Nanos).Seconds())
-	p.family("rocksmash_vitals_incidents_per_second", "gauge",
-		"Windowed flight-recorder incident rate.")
-	p.sample("rocksmash_vitals_incidents_per_second", "", win.IncidentsPerSec)
+	gauge("rocksmash_vitals_ops_per_dollar", "Windowed throughput per dollar: ops/s over $/hour.", win.OpsPerDollar)
+	gauge("rocksmash_vitals_get_p99_seconds", "Get-latency p99 gauge at the window's end sample.", time.Duration(win.GetP99Nanos).Seconds())
+	gauge("rocksmash_vitals_incidents_per_second", "Windowed flight-recorder incident rate.", win.IncidentsPerSec)
 }
 
 // WritePromHealth renders the health surface as Prometheus gauges: a
@@ -437,14 +355,6 @@ func WritePromHealth(w io.Writer, h db.Health) {
 
 // promLevel renders a level="N" label.
 func promLevel(l int) string { return fmt.Sprintf("level=%q", fmt.Sprint(l)) }
-
-func writePromSummary(p promWriter, name string, s db.LatencySummary) {
-	p.sample(name, `quantile="0.5"`, s.P50.Seconds())
-	p.sample(name, `quantile="0.9"`, s.P90.Seconds())
-	p.sample(name, `quantile="0.99"`, s.P99.Seconds())
-	p.sample(name+"_count", "", float64(s.Count))
-	p.sample(name+"_sum", "", s.Mean.Seconds()*float64(s.Count))
-}
 
 func promLevelBucket(b int) string {
 	if b == pcache.LevelUnknown {

@@ -235,44 +235,3 @@ func TestVitalsEndpoint(t *testing.T) {
 		}
 	}
 }
-
-// TestPromNewFamilies greps the exposition for the families this PR adds:
-// per-level compaction attribution, cumulative write/space amp, debt, the
-// new latency summaries, and (for a sharded store) per-shard families.
-func TestPromNewFamilies(t *testing.T) {
-	o := db.DefaultOptions()
-	o.Shards = 2
-	d, err := db.OpenAt(t.TempDir(), o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	if err := d.Put([]byte("a"), []byte("b")); err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	WriteProm(&sb, d.Metrics())
-	text := sb.String()
-	for _, want := range []string{
-		"rocksmash_level_compactions_total",
-		"rocksmash_level_compact_bytes_in_total",
-		"rocksmash_level_compact_bytes_out_total",
-		"rocksmash_level_write_amp",
-		"rocksmash_write_amp",
-		"rocksmash_compaction_debt_bytes",
-		"rocksmash_space_amp",
-		"rocksmash_flush_latency_seconds",
-		"rocksmash_compact_latency_seconds",
-		"rocksmash_local_get_latency_seconds",
-		"rocksmash_local_put_latency_seconds",
-		"rocksmash_cloud_put_latency_seconds",
-		`rocksmash_shard_writes_total{shard="0"}`,
-		`rocksmash_shard_writes_total{shard="1"}`,
-		"rocksmash_shard_bytes",
-		"rocksmash_shard_pending_tables",
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("exposition missing %q", want)
-		}
-	}
-}

@@ -8,119 +8,33 @@
 // dashboards (`mashctl top`), the /vitals endpoint, and the cost/perf
 // autotuner consume.
 //
-// The package is engine-agnostic: the DB hands NewSampler a closure that
-// produces a Sample, so vitals has no dependency on internal/db and the
-// hot write/read paths never touch it (a disabled sampler is a nil
-// pointer — zero goroutines, zero allocations).
+// The package is engine-agnostic: a Sample is a metrics.Metrics snapshot (a
+// leaf type) with its time, and the DB hands NewSampler a closure that
+// produces one, so vitals has no dependency on internal/db and the hot
+// write/read paths never touch it (a disabled sampler is a nil pointer —
+// zero goroutines, zero allocations).
 package vitals
 
 import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"rocksmash/internal/metrics"
+	"rocksmash/internal/readprof"
 )
 
 // HoursPerMonth converts a $/GB-month storage price into the $/hour rate
 // the windowed cost split reports (365.25/12 days).
 const HoursPerMonth = 730.5
 
-// Sample is one point-in-time snapshot of the engine's cumulative
-// counters and gauges. Counters only ever grow; Window differentiates
-// consecutive samples into rates. Fields mirror a condensed db.Metrics.
+// Sample is one point of the time series: a whole Metrics snapshot and the
+// time it was taken. Counters only ever grow; Window differentiates
+// consecutive samples into rates.
 type Sample struct {
-	UnixNano int64 `json:"unix_nano"`
-
-	// Cumulative engine counters.
-	Reads              int64 `json:"reads"`
-	Writes             int64 `json:"writes"`
-	BytesWritten       int64 `json:"bytes_written"`
-	WriteStalls        int64 `json:"write_stalls"`
-	Flushes            int64 `json:"flushes"`
-	FlushBytes         int64 `json:"flush_bytes"`
-	Compactions        int64 `json:"compactions"`
-	CompactBytesIn     int64 `json:"compact_bytes_in"`
-	CompactBytesOut    int64 `json:"compact_bytes_out"`
-	CommitGroups       int64 `json:"commit_groups"`
-	CommitGroupBatches int64 `json:"commit_group_batches"`
-
-	// Cumulative cache outcomes (counts, so ratios can be windowed).
-	BlockHits    int64 `json:"block_hits"`
-	BlockMisses  int64 `json:"block_misses"`
-	PCacheHits   int64 `json:"pcache_hits"`
-	PCacheMisses int64 `json:"pcache_misses"`
-
-	// Cumulative storage-device traffic per tier.
-	LocalGetOps     int64 `json:"local_get_ops"`
-	LocalPutOps     int64 `json:"local_put_ops"`
-	LocalReadBytes  int64 `json:"local_read_bytes"`
-	LocalWriteBytes int64 `json:"local_write_bytes"`
-	CloudGetOps     int64 `json:"cloud_get_ops"`
-	CloudPutOps     int64 `json:"cloud_put_ops"`
-	CloudReadBytes  int64 `json:"cloud_read_bytes"`
-	CloudWriteBytes int64 `json:"cloud_write_bytes"`
-
-	// Cumulative read-path attribution (profiled Gets).
-	ProfiledGets    int64 `json:"profiled_gets"`
-	ReadBlocks      int64 `json:"read_blocks"`
-	ReadBlocksCloud int64 `json:"read_blocks_cloud"`
-
-	// Cumulative range-scan attribution: sorted-view outcomes at iterator
-	// construction, background view builds, live keys yielded by
-	// iterators, and the blocks those iterators fetched.
-	ScanViewHits   int64 `json:"scan_view_hits"`
-	ScanViewMisses int64 `json:"scan_view_misses"`
-	ViewBuilds     int64 `json:"view_builds"`
-	IterKeys       int64 `json:"iter_keys"`
-	IterBlocks     int64 `json:"iter_blocks"`
-
-	// Per-level shape and compaction attribution, indexed by level. The
-	// In/Out arrays are indexed by *source* level (outputs land one level
-	// deeper); LevelServes/LevelProbes are the read-path per-level totals.
-	LevelFiles    []int   `json:"level_files"`
-	LevelBytes    []int64 `json:"level_bytes"`
-	LevelBytesIn  []int64 `json:"level_bytes_in"`
-	LevelBytesOut []int64 `json:"level_bytes_out"`
-	LevelServes   []int64 `json:"level_serves"`
-	LevelProbes   []int64 `json:"level_probes"`
-
-	// Gauges.
-	LocalBytes     int64   `json:"local_bytes"`
-	CloudBytes     int64   `json:"cloud_bytes"`
-	CompactionDebt int64   `json:"compaction_debt"`
-	SpaceAmp       float64 `json:"space_amp"`
-	PendingTables  int     `json:"pending_tables"`
-	PendingBytes   int64   `json:"pending_bytes"`
-	Breaker        string  `json:"breaker,omitempty"`
-
-	// GetP99Nanos is the cumulative Get latency p99 gauge (0 before any
-	// reads); the flight recorder's latency-spike detector baselines it.
-	// IncidentsTriggered counts detector incidents fired so far.
-	GetP99Nanos        int64 `json:"get_p99_nanos,omitempty"`
-	IncidentsTriggered int64 `json:"incidents_triggered,omitempty"`
-
-	// Local-tier robustness: the local breaker gauge, tables misplaced in
-	// the cloud tier by local-degraded landings, and cumulative corruption
-	// scrub/repair outcomes.
-	LocalBreaker        string `json:"local_breaker,omitempty"`
-	MisplacedTables     int    `json:"misplaced_tables"`
-	LocalDegradedTables int64  `json:"local_degraded_tables"`
-	LocalDrainedBack    int64  `json:"local_drained_back"`
-	CorruptionsDetected int64  `json:"corruptions_detected"`
-	CorruptionsRepaired int64  `json:"corruptions_repaired"`
-
-	// Simulated cloud bill: storage is a $/month gauge at current
-	// capacity; request and egress are cumulative dollars.
-	CostStorageMonthly float64 `json:"cost_storage_monthly"`
-	CostRequest        float64 `json:"cost_request"`
-	CostEgress         float64 `json:"cost_egress"`
-
-	// Per-shard cumulative ops (writes+reads), for balance skew. Empty
-	// in an unsharded store.
-	ShardOps []int64 `json:"shard_ops,omitempty"`
+	UnixNano        int64 `json:"unix_nano"`
+	metrics.Metrics `json:"metrics"`
 }
-
-// Time returns the sample's wall-clock time.
-func (s Sample) Time() time.Time { return time.Unix(0, s.UnixNano) }
 
 // CostSplit is the windowed cloud bill rate, in dollars per hour.
 type CostSplit struct {
@@ -221,14 +135,14 @@ func Derive(prev, cur Sample) Window {
 	w := Window{
 		StartUnixNano:  prev.UnixNano,
 		EndUnixNano:    cur.UnixNano,
-		Breaker:        cur.Breaker,
-		LocalBreaker:   cur.LocalBreaker,
+		Breaker:        cur.BreakerState,
+		LocalBreaker:   cur.LocalBreakerState,
 		CompactionDebt: cur.CompactionDebt,
 		SpaceAmp:       cur.SpaceAmp,
 		PendingTables:  cur.PendingTables,
 
 		MisplacedTables: cur.MisplacedTables,
-		GetP99Nanos:     cur.GetP99Nanos,
+		GetP99Nanos:     cur.GetLat.P99.Nanoseconds(),
 	}
 	dt := float64(cur.UnixNano-prev.UnixNano) / float64(time.Second)
 	if dt <= 0 {
@@ -236,6 +150,10 @@ func Derive(prev, cur Sample) Window {
 	}
 	w.Seconds = dt
 	per := func(a, b int64) float64 { return float64(b-a) / dt }
+	// of is a ratio of two deltas: hits over hits plus misses, blocks per key.
+	of := func(numPrev, numCur, denPrev, denCur int64) float64 {
+		return ratio(float64(numCur-numPrev), float64(denCur-denPrev))
+	}
 
 	w.WriteOpsPerSec = per(prev.Writes, cur.Writes)
 	w.ReadOpsPerSec = per(prev.Reads, cur.Reads)
@@ -244,57 +162,42 @@ func Derive(prev, cur Sample) Window {
 	w.FlushBytesPerSec = per(prev.FlushBytes, cur.FlushBytes)
 	w.CompactInBytesPerSec = per(prev.CompactBytesIn, cur.CompactBytesIn)
 	w.CompactOutBytesPerSec = per(prev.CompactBytesOut, cur.CompactBytesOut)
-	w.WriteAmp = ratio(
-		float64(cur.FlushBytes-prev.FlushBytes+cur.CompactBytesOut-prev.CompactBytesOut),
-		float64(cur.BytesWritten-prev.BytesWritten))
-	w.ReadAmpBlocksPerGet = ratio(
-		float64(cur.ReadBlocks-prev.ReadBlocks),
-		float64(cur.ProfiledGets-prev.ProfiledGets))
-	w.CloudBlocksPerSec = per(prev.ReadBlocksCloud, cur.ReadBlocksCloud)
-	w.ViewHitRatio = ratio(
-		float64(cur.ScanViewHits-prev.ScanViewHits),
-		float64(cur.ScanViewHits-prev.ScanViewHits+cur.ScanViewMisses-prev.ScanViewMisses))
-	w.ScanBlocksPerKey = ratio(
-		float64(cur.IterBlocks-prev.IterBlocks),
-		float64(cur.IterKeys-prev.IterKeys))
+	w.WriteAmp = of(prev.FlushBytes+prev.CompactBytesOut, cur.FlushBytes+cur.CompactBytesOut,
+		prev.BytesWritten, cur.BytesWritten)
+	pr, cr := prev.ReadAmp, cur.ReadAmp
+	w.ReadAmpBlocksPerGet = of(pr.BlocksTotal(), cr.BlocksTotal(), pr.ProfiledGets, cr.ProfiledGets)
+	w.CloudBlocksPerSec = per(pr.Blocks[readprof.TierCloud], cr.Blocks[readprof.TierCloud])
+	w.ViewHitRatio = of(prev.ScanViewHits, cur.ScanViewHits,
+		prev.ScanViewHits+prev.ScanViewMisses, cur.ScanViewHits+cur.ScanViewMisses)
+	w.ScanBlocksPerKey = of(pr.IterBlocksTotal(), cr.IterBlocksTotal(), prev.IterKeys, cur.IterKeys)
 
-	w.BlockHitRatio = ratio(
-		float64(cur.BlockHits-prev.BlockHits),
-		float64(cur.BlockHits-prev.BlockHits+cur.BlockMisses-prev.BlockMisses))
-	w.PCacheHitRatio = ratio(
-		float64(cur.PCacheHits-prev.PCacheHits),
-		float64(cur.PCacheHits-prev.PCacheHits+cur.PCacheMisses-prev.PCacheMisses))
+	w.BlockHitRatio = of(prev.BlockCacheHits, cur.BlockCacheHits,
+		prev.BlockCacheHits+prev.BlockCacheMisses, cur.BlockCacheHits+cur.BlockCacheMisses)
+	w.PCacheHitRatio = of(prev.PCacheHits, cur.PCacheHits,
+		prev.PCacheHits+prev.PCacheMisses, cur.PCacheHits+cur.PCacheMisses)
 
-	w.LocalReadBytesPerSec = per(prev.LocalReadBytes, cur.LocalReadBytes)
-	w.LocalWriteBytesPerSec = per(prev.LocalWriteBytes, cur.LocalWriteBytes)
-	w.CloudReadBytesPerSec = per(prev.CloudReadBytes, cur.CloudReadBytes)
-	w.CloudWriteBytesPerSec = per(prev.CloudWriteBytes, cur.CloudWriteBytes)
-	w.CloudGetsPerSec = per(prev.CloudGetOps, cur.CloudGetOps)
-	w.CloudPutsPerSec = per(prev.CloudPutOps, cur.CloudPutOps)
+	w.LocalReadBytesPerSec = per(prev.LocalIO.BytesRead, cur.LocalIO.BytesRead)
+	w.LocalWriteBytesPerSec = per(prev.LocalIO.BytesWrite, cur.LocalIO.BytesWrite)
+	w.CloudReadBytesPerSec = per(prev.CloudIO.BytesRead, cur.CloudIO.BytesRead)
+	w.CloudWriteBytesPerSec = per(prev.CloudIO.BytesWrite, cur.CloudIO.BytesWrite)
+	w.CloudGetsPerSec = per(prev.CloudIO.GetOps, cur.CloudIO.GetOps)
+	w.CloudPutsPerSec = per(prev.CloudIO.PutOps, cur.CloudIO.PutOps)
 
 	w.CorruptionsPerSec = per(prev.CorruptionsDetected, cur.CorruptionsDetected)
 	w.RepairsPerSec = per(prev.CorruptionsRepaired, cur.CorruptionsRepaired)
 	w.IncidentsPerSec = per(prev.IncidentsTriggered, cur.IncidentsTriggered)
 
-	w.CommitGroupSize = ratio(
-		float64(cur.CommitGroupBatches-prev.CommitGroupBatches),
-		float64(cur.CommitGroups-prev.CommitGroups))
+	w.CommitGroupSize = of(prev.CommitGroupBatches, cur.CommitGroupBatches, prev.CommitGroups, cur.CommitGroups)
 
-	if n := len(cur.ShardOps); n > 1 && len(prev.ShardOps) == n {
-		min, max, sum := int64(1<<62), int64(-1), int64(0)
-		for i := range cur.ShardOps {
-			d := cur.ShardOps[i] - prev.ShardOps[i]
-			if d < min {
-				min = d
-			}
-			if d > max {
-				max = d
-			}
-			sum += d
+	if n := len(cur.Shards); n > 1 && len(prev.Shards) == n {
+		lo, hi, sum := int64(1<<62), int64(-1), int64(0)
+		for i := range cur.Shards {
+			d := cur.Shards[i].Ops() - prev.Shards[i].Ops()
+			lo, hi, sum = min(lo, d), max(hi, d), sum+d
 		}
 		if sum > 0 {
 			mean := float64(sum) / float64(n)
-			w.ShardSkew = float64(max-min) / mean
+			w.ShardSkew = float64(hi-lo) / mean
 		}
 	}
 
@@ -302,9 +205,9 @@ func Derive(prev, cur Sample) Window {
 	// request/egress components are the window's incremental spend
 	// extrapolated to an hour.
 	w.DollarsPerHour = CostSplit{
-		Storage: cur.CostStorageMonthly / HoursPerMonth,
-		Request: (cur.CostRequest - prev.CostRequest) / dt * 3600,
-		Egress:  (cur.CostEgress - prev.CostEgress) / dt * 3600,
+		Storage: cur.CloudCost.StorageCost / HoursPerMonth,
+		Request: (cur.CloudCost.RequestCost - prev.CloudCost.RequestCost) / dt * 3600,
+		Egress:  (cur.CloudCost.EgressCost - prev.CloudCost.EgressCost) / dt * 3600,
 	}
 	w.DollarsPerHour.Total = w.DollarsPerHour.Storage +
 		w.DollarsPerHour.Request + w.DollarsPerHour.Egress
@@ -337,12 +240,17 @@ func (r *ring) push(s *Sample) {
 // snapshot returns the retained samples, oldest first. Racing pushes may
 // tear at most the boundary: a slot observed both before and after an
 // overwrite is dropped rather than misordered.
-func (r *ring) snapshot() []Sample {
+func (r *ring) snapshot() []Sample { return r.newest(len(r.slots)) }
+
+// newest is snapshot limited to the max newest samples: a sample is a whole
+// Metrics, and a /metrics scrape that wants one window should not copy the
+// ring.
+func (r *ring) newest(max int) []Sample {
 	h := r.head.Load()
 	n := uint64(len(r.slots))
 	lo := uint64(0)
-	if h > n {
-		lo = h - n
+	if h > uint64(max) {
+		lo = h - uint64(max)
 	}
 	out := make([]Sample, 0, h-lo)
 	var lastNano int64
@@ -376,7 +284,7 @@ type Sampler struct {
 
 // NewSampler starts sampling snap every interval into a ring of history
 // samples (DefaultHistory when history <= 0). One sample is taken
-// synchronously so Latest never comes up empty on a just-opened store.
+// synchronously so the ring never comes up empty on a just-opened store.
 func NewSampler(interval time.Duration, history int, snap func() Sample) *Sampler {
 	if history <= 0 {
 		history = DefaultHistory
@@ -423,26 +331,8 @@ func (s *Sampler) Stop() {
 	<-s.done
 }
 
-// Interval returns the sampling period.
-func (s *Sampler) Interval() time.Duration { return s.interval }
-
 // Samples returns the retained history, oldest first.
 func (s *Sampler) Samples() []Sample { return s.ring.snapshot() }
-
-// Latest returns the newest sample, if any has been taken.
-func (s *Sampler) Latest() (Sample, bool) {
-	all := s.ring.snapshot()
-	if len(all) == 0 {
-		return Sample{}, false
-	}
-	return all[len(all)-1], true
-}
-
-// Windows differentiates the retained history into len(samples)-1
-// consecutive windows, oldest first.
-func (s *Sampler) Windows() []Window {
-	return WindowsOf(s.ring.snapshot())
-}
 
 // WindowsOf differentiates an already-captured sample series.
 func WindowsOf(samples []Sample) []Window {
@@ -458,7 +348,7 @@ func WindowsOf(samples []Sample) []Window {
 
 // LatestWindow derives the rate window over the two newest samples.
 func (s *Sampler) LatestWindow() (Window, bool) {
-	all := s.ring.snapshot()
+	all := s.ring.newest(2)
 	if len(all) < 2 {
 		return Window{}, false
 	}

@@ -5,44 +5,43 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"rocksmash/internal/metrics"
+	"rocksmash/internal/readprof"
+	"rocksmash/internal/storage"
 )
 
 // TestDeriveRates checks the windowed differentiation arithmetic on a
 // hand-built pair of samples spanning exactly two seconds.
 func TestDeriveRates(t *testing.T) {
 	base := time.Now().UnixNano()
-	prev := Sample{
-		UnixNano:        base,
+	prev := Sample{UnixNano: base, Metrics: metrics.Metrics{
 		Writes:          100,
 		Reads:           50,
 		BytesWritten:    1000,
 		FlushBytes:      500,
 		CompactBytesOut: 300,
-		BlockHits:       10,
-		BlockMisses:     10,
-		ProfiledGets:    10,
-		ReadBlocks:      20,
-		CommitGroups:    4, CommitGroupBatches: 8,
-		CostRequest: 1.0,
-	}
-	cur := Sample{
-		UnixNano:        base + 2*int64(time.Second),
-		Writes:          300,                       // +200 over 2s -> 100/s
-		Reads:           150,                       // +100 -> 50/s
-		BytesWritten:    3000,                      // +2000
-		FlushBytes:      1500,                      // +1000
-		CompactBytesOut: 1300,                      // +1000
-		BlockHits:       40,                        // +30 hits
-		BlockMisses:     20,                        // +10 misses -> 0.75
-		ProfiledGets:    60,                        // +50 gets
-		ReadBlocks:      120,                       // +100 blocks -> 2 blk/get
-		CommitGroups:    8, CommitGroupBatches: 24, // +4 groups, +16 batches -> 4
-		CostStorageMonthly: 7.305, // -> $0.01/hr
-		CostRequest:        1.5,   // +$0.5 over 2s -> $900/hr
-		Breaker:            "open",
-		CompactionDebt:     42,
-		PendingTables:      3,
-	}
+		BlockCacheHits:  10, BlockCacheMisses: 10,
+		ReadAmp:      metrics.ReadAmp{ProfiledGets: 10, Blocks: [readprof.NumTiers]int64{15, 5}},
+		CommitGroups: 4, CommitGroupBatches: 8,
+		CloudCost: storage.CostReport{RequestCost: 1.0},
+	}}
+	cur := Sample{UnixNano: base + 2*int64(time.Second), Metrics: metrics.Metrics{
+		Writes:          300,                      // +200 over 2s -> 100/s
+		Reads:           150,                      // +100 -> 50/s
+		BytesWritten:    3000,                     // +2000
+		FlushBytes:      1500,                     // +1000
+		CompactBytesOut: 1300,                     // +1000
+		BlockCacheHits:  40, BlockCacheMisses: 20, // +30 hits, +10 misses -> 0.75
+		// +50 gets, +100 blocks across two tiers -> 2 blk/get
+		ReadAmp:      metrics.ReadAmp{ProfiledGets: 60, Blocks: [readprof.NumTiers]int64{75, 45}},
+		CommitGroups: 8, CommitGroupBatches: 24, // +4 groups, +16 batches -> 4
+		// storage -> $0.01/hr; request +$0.5 over 2s -> $900/hr
+		CloudCost:      storage.CostReport{StorageCost: 7.305, RequestCost: 1.5},
+		BreakerState:   "open",
+		CompactionDebt: 42,
+		PendingTables:  3,
+	}}
 	w := Derive(prev, cur)
 
 	approx := func(name string, got, want float64) {
@@ -97,7 +96,7 @@ func TestDeriveEmptyDenominators(t *testing.T) {
 // TestDeriveZeroDuration: a non-positive dt yields a zero-rate window that
 // still carries the end gauges.
 func TestDeriveZeroDuration(t *testing.T) {
-	s := Sample{UnixNano: 1000, Writes: 50, Breaker: "half-open", PendingTables: 2}
+	s := Sample{UnixNano: 1000, Metrics: metrics.Metrics{Writes: 50, BreakerState: "half-open", PendingTables: 2}}
 	w := Derive(s, s)
 	if w.Seconds != 0 || w.WriteOpsPerSec != 0 {
 		t.Errorf("zero-dt window has rates: %+v", w)
@@ -111,12 +110,19 @@ func TestDeriveZeroDuration(t *testing.T) {
 // (30-10)/20 = 1.0. Perfectly balanced deltas give 0.
 func TestDeriveShardSkew(t *testing.T) {
 	base := time.Now().UnixNano()
-	prev := Sample{UnixNano: base, ShardOps: []int64{100, 100, 100}}
-	cur := Sample{UnixNano: base + int64(time.Second), ShardOps: []int64{110, 120, 130}}
+	shards := func(ops ...int64) []metrics.ShardSummary {
+		out := make([]metrics.ShardSummary, len(ops))
+		for i, n := range ops {
+			out[i] = metrics.ShardSummary{Shard: i, Writes: n / 2, Reads: n - n/2}
+		}
+		return out
+	}
+	prev := Sample{UnixNano: base, Metrics: metrics.Metrics{Shards: shards(100, 100, 100)}}
+	cur := Sample{UnixNano: base + int64(time.Second), Metrics: metrics.Metrics{Shards: shards(110, 120, 130)}}
 	if w := Derive(prev, cur); math.Abs(w.ShardSkew-1.0) > 1e-9 {
 		t.Errorf("ShardSkew = %v, want 1.0", w.ShardSkew)
 	}
-	cur.ShardOps = []int64{120, 120, 120}
+	cur.Shards = shards(120, 120, 120)
 	if w := Derive(prev, cur); w.ShardSkew != 0 {
 		t.Errorf("balanced ShardSkew = %v, want 0", w.ShardSkew)
 	}
@@ -163,7 +169,7 @@ func TestWindowsOf(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		samples = append(samples, Sample{
 			UnixNano: base + int64(i)*int64(time.Second),
-			Writes:   int64(i) * 10,
+			Metrics:  metrics.Metrics{Writes: int64(i) * 10},
 		})
 	}
 	wins := WindowsOf(samples)
@@ -188,9 +194,9 @@ func TestSamplerLifecycle(t *testing.T) {
 	var n int64
 	s := NewSampler(time.Millisecond, 64, func() Sample {
 		n++
-		return Sample{UnixNano: time.Now().UnixNano(), Writes: n}
+		return Sample{UnixNano: time.Now().UnixNano(), Metrics: metrics.Metrics{Writes: n}}
 	})
-	if _, ok := s.Latest(); !ok {
+	if len(s.Samples()) == 0 {
 		t.Fatal("no synchronous first sample")
 	}
 	deadline := time.Now().Add(2 * time.Second)
@@ -242,8 +248,7 @@ func TestSamplerConcurrentReaders(t *testing.T) {
 						return
 					}
 				}
-				s.Windows()
-				s.Latest()
+				s.LatestWindow()
 				s.Report()
 			}
 		}()
