@@ -38,7 +38,8 @@ func NewBuilder(restartInterval int) *Builder {
 	return &Builder{restartInterval: restartInterval, restarts: []uint32{0}}
 }
 
-// Add appends an entry. key must sort after every previously added key.
+// Add appends an entry. key must sort after every previously added key. The
+// builder copies key and value, so the caller may reuse both at once.
 func (b *Builder) Add(key, value []byte) {
 	shared := 0
 	if b.counter < b.restartInterval {

@@ -14,58 +14,136 @@ import (
 	"rocksmash/internal/storage"
 )
 
-// compaction describes one unit of compaction work.
+// compactionSlots is how many compaction jobs run at once in the whole store,
+// whichever engines they belong to (lanes.go). It matches compactionGETs and
+// uploadParallelism: past four, the simulated cloud's missing request queue
+// (ROADMAP item 4) is most of what more slots would buy.
+const compactionSlots = 4
+
+// compaction is one job: it merges inputs from level with the overlapping
+// files of output.
 type compaction struct {
 	level   int // inputs come from this level...
 	output  int // ...and merge into this one
 	inputs  []*manifest.FileMetadata
 	overlap []*manifest.FileMetadata // files at output level
+	// lo and hi bound the user keys of inputs and overlap: the range the job
+	// holds on both of its levels while it runs.
+	lo, hi []byte
+	// v is the version the job was picked from, pinned until its install.
+	v   *manifest.Version
+	job uint64 // store-wide job number, for its events
 }
 
-// pickCompaction selects the most over-budget level, or nil when the tree
-// is within shape.
-func (d *engine) pickCompaction() *compaction {
-	v := d.vs.Current()
-	bestScore := 1.0
-	bestLevel := -1
-
-	if s := float64(len(v.Levels[0])) / float64(d.opts.L0CompactTrigger); s >= bestScore {
-		bestScore, bestLevel = s, 0
+// pickCompaction picks the job to start next from v, or nil: the job of the
+// most over-budget level that overlaps no running job on a level they share.
+// A level's score leaves out the source files of its running jobs, so a level
+// that work is already draining does not start more of it. A level that is
+// over budget but blocked by running jobs holds both of its levels against
+// every lower-scored level: otherwise back-to-back L1→L2 jobs keep the L0→L1
+// job that writers stall on from ever starting. The caller holds
+// compactionMu.
+func (d *engine) pickCompaction(v *manifest.Version) *compaction {
+	busy := map[uint64]bool{}
+	for _, r := range d.running {
+		for _, f := range r.inputs {
+			busy[f.Num] = true
+		}
 	}
-	for l := 1; l < manifest.NumLevels-1; l++ {
-		size := v.LevelSize(l)
-		if size == 0 {
+	var scores [manifest.NumLevels - 1]float64
+	var cands []int
+	for l := range scores {
+		var n, size uint64
+		for _, f := range v.Levels[l] {
+			if !busy[f.Num] {
+				n++
+				size += f.Size
+			}
+		}
+		if l == 0 {
+			scores[l] = float64(n) / float64(d.opts.L0CompactTrigger)
+		} else {
+			scores[l] = float64(size) / float64(d.opts.levelTargetBytes(l))
+		}
+		if scores[l] > 1 || l == 0 && scores[l] == 1 {
+			cands = append(cands, l)
+		}
+	}
+	// Ties go to the shallower level.
+	sort.SliceStable(cands, func(i, j int) bool { return scores[cands[i]] > scores[cands[j]] })
+	var held [manifest.NumLevels]bool
+	for _, l := range cands {
+		if held[l] || held[l+1] {
 			continue
 		}
-		if s := float64(size) / float64(d.opts.levelTargetBytes(l)); s > bestScore {
-			bestScore, bestLevel = s, l
+		if c := d.jobAt(v, l); c != nil {
+			return c
 		}
+		held[l], held[l+1] = true, true
 	}
-	if bestLevel < 0 {
-		return nil
-	}
+	return nil
+}
 
-	c := &compaction{level: bestLevel, output: bestLevel + 1}
-	if bestLevel == 0 {
-		// Take every L0 file: they may overlap each other arbitrarily.
-		c.inputs = append(c.inputs, v.Levels[0]...)
-	} else {
-		// Round-robin through the level so every key range gets its turn.
-		files := v.Levels[bestLevel]
-		ptr := d.compactPtr[bestLevel]
-		pick := files[0]
-		for _, f := range files {
-			if ptr != nil && bytes.Compare(keys.UserKey(f.Largest), ptr) > 0 {
-				pick = f
+// jobAt returns the job that compacts level in v, or nil when every choice
+// overlaps a running job. An L0 job takes every L0 file — they may overlap
+// each other arbitrarily — and never runs beside another. A deeper level's
+// job takes one file, round-robin from the level's cursor so every key range
+// gets its turn, passing over files whose job a running one blocks.
+func (d *engine) jobAt(v *manifest.Version, level int) *compaction {
+	if level == 0 {
+		c := newCompaction(v, 0, append([]*manifest.FileMetadata(nil), v.Levels[0]...))
+		if d.conflicts(c) {
+			return nil
+		}
+		return c
+	}
+	files := v.Levels[level]
+	start := 0
+	if ptr := d.compactPtr[level]; ptr != nil {
+		for i, f := range files {
+			if bytes.Compare(keys.UserKey(f.Largest), ptr) > 0 {
+				start = i
 				break
 			}
 		}
-		c.inputs = []*manifest.FileMetadata{pick}
 	}
+	for i := range files {
+		c := newCompaction(v, level, []*manifest.FileMetadata{files[(start+i)%len(files)]})
+		if !d.conflicts(c) {
+			return c
+		}
+	}
+	return nil
+}
 
-	lo, hi := keyRange(c.inputs)
+// newCompaction builds the job that merges inputs from level of v into the
+// next level.
+func newCompaction(v *manifest.Version, level int, inputs []*manifest.FileMetadata) *compaction {
+	c := &compaction{level: level, output: level + 1, inputs: inputs, v: v}
+	lo, hi := keyRange(inputs)
 	c.overlap = v.Overlapping(c.output, lo, hi)
+	c.lo, c.hi = keyRange(c.files())
 	return c
+}
+
+// files returns the job's inputs from both levels.
+func (c *compaction) files() []*manifest.FileMetadata {
+	return append(append([]*manifest.FileMetadata(nil), c.inputs...), c.overlap...)
+}
+
+// conflicts reports whether c would overlap a running job on a level they
+// share, or is a second L0 job. The caller holds compactionMu.
+func (d *engine) conflicts(c *compaction) bool {
+	for _, r := range d.running {
+		if c.level == 0 && r.level == 0 {
+			return true
+		}
+		shared := c.level == r.level || c.level == r.output || c.output == r.level || c.output == r.output
+		if shared && bytes.Compare(c.lo, r.hi) <= 0 && bytes.Compare(r.lo, c.hi) <= 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // keyRange returns the user-key bounds covered by files.
@@ -82,22 +160,6 @@ func keyRange(files []*manifest.FileMetadata) (lo, hi []byte) {
 	return lo, hi
 }
 
-// maybeCompact runs one compaction if any level is over threshold.
-// It reports whether work was done. Compactions are serialized: both the
-// background loop and CompactAll may call this concurrently.
-func (d *engine) maybeCompact() (bool, error) {
-	d.compactionMu.Lock()
-	defer d.compactionMu.Unlock()
-	c := d.pickCompaction()
-	if c == nil {
-		return false, nil
-	}
-	if err := d.doCompaction(c); err != nil {
-		return false, err
-	}
-	return true, nil
-}
-
 // smallestSnapshot returns the oldest sequence number any live snapshot
 // might read, bounding which old versions compaction may drop.
 func (d *engine) smallestSnapshot() uint64 {
@@ -112,13 +174,14 @@ func (d *engine) smallestSnapshot() uint64 {
 	return min
 }
 
-// isBaseLevelForRange reports whether no level deeper than c.output holds
-// data overlapping [lo,hi] — if so, tombstones in that range can be
-// dropped entirely.
-func (d *engine) isBaseLevelForRange(c *compaction, lo, hi []byte) bool {
-	v := d.vs.Current()
+// isBaseLevel reports whether no level deeper than c.output holds data
+// overlapping c's range in the version c was picked from — if so, tombstones
+// in that range can be dropped entirely. A running job cannot move data into
+// that range below c.output meanwhile: it would have to take it from c.output
+// inside the range c holds there.
+func (c *compaction) isBaseLevel() bool {
 	for l := c.output + 1; l < manifest.NumLevels; l++ {
-		if len(v.Overlapping(l, lo, hi)) > 0 {
+		if len(c.v.Overlapping(l, c.lo, c.hi)) > 0 {
 			return false
 		}
 	}
@@ -132,8 +195,8 @@ func (d *engine) isBaseLevelForRange(c *compaction, lo, hi []byte) bool {
 // compaction share a budget of compactionGETs, and a block outside a
 // reader's schedule falls back to the ladder. drain waits out the span GETs
 // in flight. readNS, when non-nil, accumulates the time the merge spends
-// blocked on reads.
-func (d *engine) openInputs(files []*manifest.FileMetadata, readNS *atomic.Int64) (children []internalIterator, drain func(), err error) {
+// blocked on reads; spans and blocks count the span GETs that landed.
+func (d *engine) openInputs(files []*manifest.FileMetadata, readNS, spans, blocks *atomic.Int64) (children []internalIterator, drain func(), err error) {
 	gets := make(chan struct{}, compactionGETs)
 	var readers []*spanReader
 	for _, f := range files {
@@ -151,7 +214,7 @@ func (d *engine) openInputs(files []*manifest.FileMetadata, readNS *atomic.Int64
 			if hs, herr := h.reader.DataHandles(); herr == nil {
 				sr := &spanReader{
 					sched: make([]sstable.ViewEntry, len(hs)), tables: h, gets: gets,
-					spans: &d.stats.PrefetchSpans, blocks: &d.stats.PrefetchBlocks,
+					spans: spans, blocks: blocks,
 				}
 				for i, bh := range hs {
 					sr.sched[i].H = bh
@@ -184,50 +247,59 @@ func scheduledFetch(sr *spanReader, fallback sstable.FetchFunc) sstable.FetchFun
 	}
 }
 
-// doCompaction merges c's inputs into the output level, applying the
-// paper's placement rule for the output tier and the compaction-aware
-// persistent-cache transitions (heat inheritance, whole-file drops).
-func (d *engine) doCompaction(c *compaction) error {
+// doCompaction runs the reserved job c: it merges c's inputs into the output
+// level, applying the paper's placement rule for the output tier and the
+// compaction-aware persistent-cache transitions (heat inheritance, whole-file
+// drops), installs the result, and releases the version c was picked from.
+func (d *engine) doCompaction(c *compaction) (err error) {
+	defer func() {
+		if err != nil {
+			d.unpin(c.v)
+		}
+	}()
 	outTier := d.opts.tierForLevel(c.output)
 	smallestSnap := d.smallestSnapshot()
-	lo, hi := keyRange(append(append([]*manifest.FileMetadata{}, c.inputs...), c.overlap...))
-	dropDeletes := d.isBaseLevelForRange(c, lo, hi)
+	dropDeletes := c.isBaseLevel()
+	all := c.files()
 
 	// Measure input heat before anything is dropped: hot inputs mean the
 	// output's key range is being read, so its blocks deserve admission.
 	var inputHeat int64
-	for _, f := range append(append([]*manifest.FileMetadata{}, c.inputs...), c.overlap...) {
+	for _, f := range all {
 		inputHeat += d.pcache.FileHeat(f.Num)
 	}
 
 	// Stage-timing state for CompactionEnd. The fetch-wait accumulator is
 	// only wired when a listener is attached, keeping the unobserved path
 	// free of per-block clock reads.
-	all := append(append([]*manifest.FileMetadata{}, c.inputs...), c.overlap...)
 	inputBytes := int64(sumSizes(all))
 	observed := d.listener != nil
 	var readNS *atomic.Int64
-	var droppedBefore, spansBefore int64
 	compactStart := time.Now()
 	if observed {
 		readNS = new(atomic.Int64)
-		droppedBefore = d.stats.CompactDroppedKeys.Load()
-		spansBefore = d.stats.PrefetchSpans.Load()
 		d.evCompactionBegin(event.CompactionBegin{
-			Level: c.level, OutputLevel: c.output,
-			Inputs: len(all), InputBytes: inputBytes,
+			Job: c.job, Shard: d.id, Level: c.level, OutputLevel: c.output,
+			Inputs: len(all), InputBytes: inputBytes, Smallest: c.lo, Largest: c.hi,
 		})
 	}
 
-	children, drain, err := d.openInputs(all, readNS)
+	// The job counts its own drops and spans and hands them to Stats when it
+	// ends, so jobs running side by side never report each other's.
+	var dropped int64
+	var spans, blocks atomic.Int64
+	children, drain, err := d.openInputs(all, readNS, &spans, &blocks)
 	if err != nil {
 		return err
 	}
 	merged := newMergingIter(children...)
-	defer merged.Close()
-	// Deferred after merged.Close so it runs first: span GETs in flight must
-	// land before the table references are released.
-	defer drain()
+	defer func() {
+		drain() // span GETs in flight land before the table references go
+		merged.Close()
+		d.stats.CompactDroppedKeys.Add(dropped)
+		d.stats.PrefetchSpans.Add(spans.Load())
+		d.stats.PrefetchBlocks.Add(blocks.Load())
+	}()
 
 	// Finished outputs are handed to the upload pool as they complete, so
 	// uploads overlap the remaining merge work; wait gathers them before
@@ -306,7 +378,7 @@ func (d *engine) doCompaction(c *compaction) error {
 			lastKept = seq
 		}
 		if drop {
-			d.stats.CompactDroppedKeys.Add(1)
+			dropped++
 			continue
 		}
 		lastKept = seq
@@ -346,7 +418,9 @@ func (d *engine) doCompaction(c *compaction) error {
 		return fail(err)
 	}
 
-	// Install the edit.
+	// Install the edit, and move the level's cursor past the inputs, under
+	// compactionMu: a relocation checks its table is live and installs its
+	// own edit under it too, so it never resurrects a table this one drops.
 	installStart := time.Now()
 	edit := &manifest.VersionEdit{}
 	for _, f := range c.inputs {
@@ -358,7 +432,17 @@ func (d *engine) doCompaction(c *compaction) error {
 	for _, t := range outputs {
 		edit.Added = append(edit.Added, manifest.AddedFile{Level: c.output, Meta: t.meta})
 	}
-	if err := d.vs.LogAndApply(edit); err != nil {
+	d.compactionMu.Lock()
+	err = d.vs.LogAndApply(edit)
+	if err == nil && c.level > 0 {
+		if d.compactPtr == nil {
+			d.compactPtr = map[int][]byte{}
+		}
+		d.compactPtr[c.level] = append([]byte(nil),
+			keys.UserKey(c.inputs[len(c.inputs)-1].Largest)...)
+	}
+	d.compactionMu.Unlock()
+	if err != nil {
 		return err
 	}
 	for _, t := range outputs {
@@ -368,21 +452,16 @@ func (d *engine) doCompaction(c *compaction) error {
 	// stale by fingerprint; drop the cached copies and sidecar objects now
 	// rather than waiting for the next scan to notice.
 	d.invalidateViews(d.vs.Current(), c.level, c.output)
-	if c.level > 0 && len(c.inputs) > 0 {
-		if d.compactPtr == nil {
-			d.compactPtr = map[int][]byte{}
-		}
-		d.compactPtr[c.level] = append([]byte(nil),
-			keys.UserKey(c.inputs[len(c.inputs)-1].Largest)...)
-	}
 
-	// The edit dropped the inputs from the current version; the ones no
-	// reader still has pinned are obsolete by now and go here, on this
-	// goroutine, before the compaction reports done.
+	// The edit dropped the inputs from the current version. With the pin on
+	// the version the job picked them from gone, the ones no other reader
+	// holds are obsolete and go here, on this goroutine, before the
+	// compaction reports done.
+	d.vs.Release(c.v)
 	d.retireObsolete()
 
 	d.stats.Compactions.Add(1)
-	d.stats.CompactBytesIn.Add(int64(sumSizes(all)))
+	d.stats.CompactBytesIn.Add(inputBytes)
 	d.stats.CompactBytesOut.Add(int64(sumBuilt(outputs)))
 	// Per-level attribution, indexed by source level (the target is always
 	// c.level+1): source inputs and target-overlap inputs are recorded
@@ -396,14 +475,16 @@ func (d *engine) doCompaction(c *compaction) error {
 	d.lat.compact.Record(dur)
 	if observed {
 		d.evCompactionEnd(event.CompactionEnd{
+			Job:           c.job,
+			Shard:         d.id,
 			Level:         c.level,
 			OutputLevel:   c.output,
 			Inputs:        len(all),
 			Outputs:       len(outputs),
 			InputBytes:    inputBytes,
 			OutputBytes:   int64(sumBuilt(outputs)),
-			DroppedKeys:   d.stats.CompactDroppedKeys.Load() - droppedBefore,
-			PrefetchSpans: d.stats.PrefetchSpans.Load() - spansBefore,
+			DroppedKeys:   dropped,
+			PrefetchSpans: spans.Load(),
 			ReadDur:       time.Duration(readNS.Load()),
 			MergeDur:      mergeDur,
 			UploadDur:     up.dur(),

@@ -93,6 +93,7 @@ func Open(opts Options, local storage.Backend, cloud storage.Backend) (*DB, erro
 			seqs:   newSeqSource(),
 			lat:    newLatencies(),
 			tables: newTableCache(opts.MaxOpenTables),
+			slots:  make(chan struct{}, compactionSlots),
 		},
 		local:    local,
 		cloud:    cloud,
@@ -492,8 +493,10 @@ func (s *Snapshot) Seq() uint64 { return s.seq }
 // memtables) to an SSTable and waits.
 func (d *DB) Flush() error { return d.eachEngine((*engine).flush) }
 
-// CompactAll flushes and repeatedly compacts until every tree is
-// quiescent. Used by experiments to reach a steady state.
+// CompactAll flushes and then compacts, one job at a time per engine, until
+// every tree is quiescent. Background compactions pause meanwhile, so the
+// same tree and the same writes always give the same result. Used by
+// experiments to reach a steady state.
 func (d *DB) CompactAll() error { return d.eachEngine((*engine).compactAll) }
 
 // Close flushes state and releases resources.

@@ -103,6 +103,7 @@ func (d *DB) DumpStats() string {
 	fmt.Fprintf(&b, "Compactions: %d cum (%d interval), in %s, out %s, dropped keys %d\n",
 		m.Compactions, m.Compactions-prev.Compactions,
 		humanBytes(m.CompactBytesIn), humanBytes(m.CompactBytesOut), m.CompactDroppedKeys)
+	fmt.Fprintf(&b, "Compactions running: %d of %d slots\n", m.CompactionsRunning, compactionSlots)
 	fmt.Fprintf(&b, "Upload retries: %d cum (%d interval)\n",
 		m.UploadRetries, m.UploadRetries-prev.UploadRetries)
 	fmt.Fprintf(&b, "Pipeline: prefetch %d spans/%d blocks, readahead %d spans/%d blocks\n",

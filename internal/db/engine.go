@@ -1,7 +1,6 @@
 package db
 
 import (
-	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,11 +50,20 @@ type shared struct {
 	// and can produce cost reports.
 	cloudSim *storage.Cloud
 
+	// slots holds one token per compaction job running anywhere in the
+	// store, at most compactionSlots: with Shards:4 the engines share four,
+	// they do not get four each. compactionsRunning counts the jobs holding
+	// a reservation, and compactionJobs numbers them for their events.
+	slots              chan struct{}
+	compactionsRunning atomic.Int64
+	compactionJobs     atomic.Uint64
+
 	closed atomic.Bool
 }
 
 // engine is one LSM-tree over one pair of backends: memtables, WAL,
-// manifest, commit pipeline, and the flush/compaction/drain/scrub loops.
+// manifest, commit pipeline, the flush and compaction lanes, and the
+// drain/scrub loops.
 // A store runs Options.Shards of them behind the DB facade.
 type engine struct {
 	*shared
@@ -87,8 +95,18 @@ type engine struct {
 	// pipeline is the parallel group-commit path (see commit.go); nil when
 	// Options.DisableCommitPipeline reverts to the serial commitMu path.
 	pipeline *commitPipeline
-	// compactionMu serializes compaction pick+execute units.
+
+	// compactionMu guards what the compaction lane decides: the running jobs
+	// (each reserves a key range on its two levels), the pause CompactAll
+	// holds, and the per-level round-robin cursors. It is held to pick and
+	// reserve a job and to install one, never across a merge, a read or an
+	// upload (lanes.go). jobDone, on compactionMu, is broadcast when a job
+	// lets go of its reservation.
 	compactionMu sync.Mutex
+	running      []*compaction
+	paused       int
+	jobDone      *sync.Cond
+	compactPtr   map[int][]byte
 
 	// mu guards memtable rotation and background state.
 	mu      sync.Mutex
@@ -106,14 +124,21 @@ type engine struct {
 	rs atomic.Pointer[readState]
 	// lastSeq is this engine's acked frontier: the newest sequence it has
 	// released a writer for.
-	lastSeq    atomic.Uint64
-	bgErr      error
-	snaps      map[uint64]int // active snapshot seq -> refcount
-	compactPtr map[int][]byte // per-level round-robin compaction cursor
+	lastSeq atomic.Uint64
+	bgErr   error
+	snaps   map[uint64]int // active snapshot seq -> refcount
 
-	bgWork chan struct{}
-	bgQuit chan struct{}
-	bgDone chan struct{}
+	// flushWake nudges the flush lane (a memtable was sealed), compactWake
+	// the compaction lane (the tree or the running set changed); bgQuit
+	// stops every background goroutine. flushDone and compactDone close
+	// when the lanes exit; jobs counts the compaction jobs the lane started
+	// that have not finished.
+	flushWake   chan struct{}
+	compactWake chan struct{}
+	bgQuit      chan struct{}
+	flushDone   chan struct{}
+	compactDone chan struct{}
+	jobs        sync.WaitGroup
 
 	// drainWake nudges the pending-upload drainer ahead of its ticker (a
 	// breaker closing sends here); drainDone closes when the drainer exits.
@@ -170,15 +195,18 @@ func newEngine(s *shared, id int) *engine {
 		shared:      s,
 		id:          id,
 		mem:         memtable.New(),
-		bgWork:      make(chan struct{}, 1),
+		flushWake:   make(chan struct{}, 1),
+		compactWake: make(chan struct{}, 1),
 		bgQuit:      make(chan struct{}),
-		bgDone:      make(chan struct{}),
+		flushDone:   make(chan struct{}),
+		compactDone: make(chan struct{}),
 		drainWake:   make(chan struct{}, 1),
 		drainDone:   make(chan struct{}),
 		quarantined: map[uint64]bool{},
 		mirrored:    map[uint64]bool{},
 	}
 	d.immWake = sync.NewCond(&d.mu)
+	d.jobDone = sync.NewCond(&d.compactionMu)
 	d.rs.Store(&readState{mem: d.mem})
 	return d
 }
@@ -248,7 +276,8 @@ func (d *engine) open(local, cloud storage.Backend) error {
 	// degraded-mode drain) can strand table objects no version references.
 	// Background work has not started yet, so the sweep races nothing.
 	d.cleanOrphans()
-	go d.backgroundLoop()
+	go d.flushLane()
+	go d.compactionLane()
 	go d.drainLoop()
 	if d.opts.ScrubInterval > 0 {
 		d.scrubDone = make(chan struct{})
@@ -355,23 +384,30 @@ func (d *engine) makeRoomForWrite(incoming int64) (err error) {
 	d.mu.Lock()
 	defer func() {
 		d.mu.Unlock()
-		if !stallStart.IsZero() {
-			if l := d.listener; l != nil {
-				l.OnWriteStallEnd(event.WriteStallEnd{
-					Reason:   stallReason,
-					Duration: time.Since(stallStart),
-				})
-			}
+		if l := d.listener; l != nil && stallReason != "" {
+			l.OnWriteStallEnd(event.WriteStallEnd{
+				Reason:   stallReason,
+				Duration: time.Since(stallStart),
+			})
 		}
 	}()
-	// stallBegin marks and counts the stall, whichever its cause, and fires
-	// WriteStallBegin outside d.mu. It returns with d.mu re-held; the caller
-	// must re-check conditions.
-	stallBegin := func(reason string) {
+	// stall marks and counts a stall for reason. A writer already stalled for
+	// the other reason ends that stall here: each stall is timed against the
+	// cause it waited on, so a wait for a flush that turns into a wait for L0
+	// is two stalls, not one long memtable stall. Events fire outside d.mu; it
+	// returns with d.mu re-held, and the caller must re-check conditions.
+	stall := func(reason string) {
+		prevReason, prevStart := stallReason, stallStart
 		stallStart, stallReason = time.Now(), reason
 		d.stats.WriteStalls.Add(1)
+		if reason == "l0" {
+			d.stats.WriteStallsL0.Add(1)
+		}
 		if l := d.listener; l != nil {
 			d.mu.Unlock()
+			if prevReason != "" {
+				l.OnWriteStallEnd(event.WriteStallEnd{Reason: prevReason, Duration: stallStart.Sub(prevStart)})
+			}
 			l.OnWriteStallBegin(event.WriteStallBegin{Reason: reason})
 			d.mu.Lock()
 		}
@@ -389,16 +425,15 @@ func (d *engine) makeRoomForWrite(incoming int64) (err error) {
 			return nil
 		case d.imm != nil:
 			// A flush is already in flight; wait for it.
-			if stallStart.IsZero() {
-				stallBegin("memtable")
+			if stallReason != "memtable" {
+				stall("memtable")
 				continue
 			}
 			d.immWake.Wait()
 		case len(d.vs.Current().Levels[0]) >= d.opts.L0StallFiles:
 			// Too many L0 files; wait for compaction to catch up.
-			if stallStart.IsZero() {
-				d.stats.WriteStallsL0.Add(1)
-				stallBegin("l0")
+			if stallReason != "l0" {
+				stall("l0")
 				continue
 			}
 			d.immWake.Wait()
@@ -412,16 +447,9 @@ func (d *engine) makeRoomForWrite(incoming int64) (err error) {
 				d.bgErr = err
 				return err
 			}
-			d.scheduleWork()
+			wake(d.flushWake)
 			return nil
 		}
-	}
-}
-
-func (d *engine) scheduleWork() {
-	select {
-	case d.bgWork <- struct{}{}:
-	default:
 	}
 }
 
@@ -611,95 +639,13 @@ func (d *engine) flush() error {
 		d.mu.Unlock()
 		return err
 	}
-	d.scheduleWork()
+	wake(d.flushWake)
 	for d.imm != nil && d.bgErr == nil {
 		d.immWake.Wait()
 	}
 	err := d.bgErr
 	d.mu.Unlock()
 	return err
-}
-
-// compactAll flushes and repeatedly compacts until the tree is quiescent.
-func (d *engine) compactAll() error {
-	if err := d.flush(); err != nil {
-		return err
-	}
-	for {
-		did, err := d.maybeCompact()
-		if err != nil {
-			return err
-		}
-		if !did {
-			return nil
-		}
-	}
-}
-
-// backgroundLoop runs flushes and compactions.
-func (d *engine) backgroundLoop() {
-	defer close(d.bgDone)
-	for {
-		select {
-		case <-d.bgQuit:
-			return
-		case <-d.bgWork:
-		}
-		if d.closed.Load() {
-			return
-		}
-		d.mu.Lock()
-		imm := d.imm
-		d.mu.Unlock()
-		if imm != nil {
-			err := d.flushMemtable(imm)
-			d.mu.Lock()
-			if err != nil {
-				d.bgErr = err
-			} else {
-				d.imm = nil
-				d.updateReadStateLocked()
-			}
-			d.immWake.Broadcast()
-			d.mu.Unlock()
-			if err != nil {
-				continue
-			}
-		}
-		// Compact until no level is over threshold.
-		for {
-			did, err := d.maybeCompact()
-			if err != nil {
-				// A compaction stopped by a cloud outage is deferred, not
-				// fatal: the tree is unchanged, and the breaker's close
-				// transition reschedules background work. Anything else
-				// wedges the engine as before.
-				if errors.Is(err, storage.ErrCloudUnavailable) {
-					d.stats.CompactionsDeferred.Add(1)
-					break
-				}
-				d.mu.Lock()
-				d.bgErr = err
-				d.immWake.Broadcast()
-				d.mu.Unlock()
-				break
-			}
-			if !did {
-				break
-			}
-			d.mu.Lock()
-			d.immWake.Broadcast() // L0 may have drained below the stall limit
-			d.mu.Unlock()
-			// A flush may be pending while we compact.
-			d.mu.Lock()
-			pending := d.imm != nil
-			d.mu.Unlock()
-			if pending {
-				d.scheduleWork()
-				break
-			}
-		}
-	}
 }
 
 // backgroundErr returns the wedging background error, if any.
@@ -714,7 +660,9 @@ func (d *engine) backgroundErr() error {
 // closed.
 func (d *engine) stop() {
 	close(d.bgQuit)
-	<-d.bgDone
+	<-d.flushDone
+	<-d.compactDone
+	d.jobs.Wait()
 	<-d.drainDone
 	if d.scrubDone != nil {
 		<-d.scrubDone

@@ -36,8 +36,13 @@ import (
 //     whose tables it copies, so a source it cannot read is a tier failing,
 //     never a table retired under it; a pin stops deletion, not retirement,
 //     so it still re-verifies the file is live under compactionMu before the
-//     edit — a concurrent compaction can never resurrect a retired table — and
-//     removes a copy made for a table retired meanwhile as the orphan it is.
+//     edit — compactions install under that lock too, so a relocation never
+//     resurrects a table one has dropped — and removes a copy made for a
+//     table retired meanwhile as the orphan it is. Compactions no longer hold
+//     compactionMu while they merge, so a relocation can also land while a
+//     job that picked the table is mid-merge: the job reads the old-tier copy
+//     its own pin keeps, its edit deletes the table by number, and both
+//     copies are retired once the versions naming them are released.
 //   - Every whole-table write goes through putTable, so a relocation to the
 //     local tier is that tier's recovery probe, and none is attempted while
 //     the local breaker is open with no probe due.
@@ -88,16 +93,8 @@ func (d *engine) onCloudRetry(op, name string, attempt int, err error, delay tim
 // drainer so the off-home backlog starts relocating immediately, and
 // reschedules compactions deferred during the outage.
 func (d *engine) tierRecovered() {
-	d.wakeDrainer()
-	d.scheduleWork()
-}
-
-// wakeDrainer nudges the drainer ahead of its ticker.
-func (d *engine) wakeDrainer() {
-	select {
-	case d.drainWake <- struct{}{}:
-	default:
-	}
+	wake(d.drainWake)
+	wake(d.compactWake)
 }
 
 // drainLoop runs until shutdown, retiring the tables readers left obsolete,

@@ -28,7 +28,7 @@ func (d *engine) tablesObsolete(files []manifest.Obsolete) {
 // not delete anything itself.
 func (d *engine) unpin(v *manifest.Version) {
 	if d.vs.Release(v) {
-		d.wakeDrainer()
+		wake(d.drainWake)
 	}
 }
 

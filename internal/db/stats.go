@@ -20,10 +20,11 @@ type Stats struct {
 	Writes       atomic.Int64
 	Reads        atomic.Int64
 	BytesWritten atomic.Int64
-	// WriteStalls counts every writer held back, whatever the cause: a full
-	// memtable waiting on the flush ahead of it (routine backpressure at
-	// full ingest speed) or L0 at its file limit. WriteStallsL0 is the second
-	// cause alone, the one that says compaction is behind.
+	// WriteStalls counts every stall, whatever the cause: a full memtable
+	// waiting on the flush ahead of it (routine backpressure at full ingest
+	// speed) or L0 at its file limit. A writer whose wait changes cause
+	// counts a stall for each. WriteStallsL0 is the second cause alone, the
+	// one that says compaction is behind.
 	WriteStalls   atomic.Int64
 	WriteStallsL0 atomic.Int64
 
@@ -288,6 +289,7 @@ var Signals = resolve([]row{
 	{"rocksmash_wal_spills_total", counter, "WAL segments spilled to the cloud backup.", "WALSpills", nil},
 	{"rocksmash_wal_restored_total", counter, "WAL segments restored from the cloud backup.", "WALRestored", nil},
 	{"rocksmash_write_stalls_l0_total", counter, "Writes stalled on the L0 file limit: compaction is behind.", "WriteStallsL0", nil},
+	{"rocksmash_compactions_running", gauge, "Compaction jobs running, store-wide.", "CompactionsRunning", func(d *DB) any { return d.compactionsRunning.Load() }},
 })
 
 // compactionDebt estimates the bytes compaction must move to bring the

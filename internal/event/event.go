@@ -7,8 +7,8 @@
 // Contract for implementations:
 //
 //   - Listeners must be safe for concurrent use: events fire from the write
-//     path, the background flush/compaction goroutine, and upload workers
-//     simultaneously.
+//     path, the flush lane, every running compaction job, and upload
+//     workers simultaneously.
 //   - Listeners are invoked outside the engine's internal locks, so they may
 //     read engine state (Get, Metrics, DumpStats) safely. They must not call
 //     back into the write path (Put, Write, Flush, CompactAll): a listener
@@ -63,12 +63,19 @@ type FlushEnd struct {
 	Duration time.Duration `json:"dur"`
 }
 
-// CompactionBegin fires when a compaction unit starts merging.
+// CompactionBegin fires when a compaction job starts merging. Jobs of one
+// store run concurrently: Job pairs the event with its CompactionEnd, and
+// Shard with Smallest..Largest is the user-key range the job holds on both of
+// its levels until then.
 type CompactionBegin struct {
-	Level       int   `json:"level"`
-	OutputLevel int   `json:"output_level"`
-	Inputs      int   `json:"inputs"` // input files, both levels
-	InputBytes  int64 `json:"input_bytes"`
+	Job         uint64 `json:"job"`
+	Shard       int    `json:"shard"`
+	Level       int    `json:"level"`
+	OutputLevel int    `json:"output_level"`
+	Inputs      int    `json:"inputs"` // input files, both levels
+	InputBytes  int64  `json:"input_bytes"`
+	Smallest    []byte `json:"smallest"`
+	Largest     []byte `json:"largest"`
 }
 
 // CompactionEnd fires after the outputs are installed and the inputs
@@ -78,6 +85,8 @@ type CompactionBegin struct {
 // (it can exceed Duration when uploads overlap the merge), and InstallDur
 // covers the manifest edit plus input retirement.
 type CompactionEnd struct {
+	Job           uint64        `json:"job"`
+	Shard         int           `json:"shard"`
 	Level         int           `json:"level"`
 	OutputLevel   int           `json:"output_level"`
 	Inputs        int           `json:"inputs"`

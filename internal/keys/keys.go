@@ -114,18 +114,25 @@ func Compare(a, b []byte) int {
 	}
 }
 
-// Separator returns a key k such that a <= k < b in internal-key order,
-// chosen to be short. It is used for index-block boundary keys. a and b are
-// internal keys; the result is a valid internal key.
-func Separator(a, b []byte) []byte {
+// AppendSeparator appends to dst a short key k with a <= k < b in
+// internal-key order and returns the extended buffer. It is used for
+// index-block boundary keys. a and b are internal keys; so is the result.
+func AppendSeparator(dst, a, b []byte) []byte {
 	ua, ub := UserKey(a), UserKey(b)
-	sep := shortestSeparator(ua, ub)
-	if len(sep) < len(ua) && bytes.Compare(ua, sep) < 0 {
-		// A strictly shorter user key was found. Tag it with the maximal
-		// trailer so it sorts before every real entry with that user key.
-		return MakeInternalKey(nil, sep, MaxSequence, KindMax)
+	n := min(len(ua), len(ub))
+	i := 0
+	for i < n && ua[i] == ub[i] {
+		i++
 	}
-	return append([]byte(nil), a...)
+	if i < n && i+1 < len(ua) && ua[i] < 0xff && ua[i]+1 < ub[i] {
+		// ua[:i+1] with its last byte raised is a strictly shorter user key
+		// between the two. Tag it with the maximal trailer so it sorts
+		// before every real entry with that user key.
+		dst = append(dst, ua[:i+1]...)
+		dst[len(dst)-1]++
+		return binary.LittleEndian.AppendUint64(dst, PackTrailer(MaxSequence, KindMax))
+	}
+	return append(dst, a...)
 }
 
 // Successor returns a short key >= a (internal-key order), used for the last
@@ -140,27 +147,4 @@ func Successor(a []byte) []byte {
 		}
 	}
 	return append([]byte(nil), a...)
-}
-
-// shortestSeparator returns the shortest byte string s with a <= s < b,
-// falling back to a when no shorter string exists.
-func shortestSeparator(a, b []byte) []byte {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	i := 0
-	for i < n && a[i] == b[i] {
-		i++
-	}
-	if i >= n {
-		// One is a prefix of the other; cannot shorten.
-		return a
-	}
-	if a[i] < 0xff && a[i]+1 < b[i] {
-		s := append([]byte(nil), a[:i+1]...)
-		s[i]++
-		return s
-	}
-	return a
 }

@@ -88,12 +88,12 @@ func TestSeparatorProperties(t *testing.T) {
 		if bytes.Compare([]byte(au), []byte(bu)) >= 0 {
 			return
 		}
-		sep := Separator(a, b)
+		sep := AppendSeparator(nil, a, b)
 		if Compare(a, sep) > 0 {
-			t.Errorf("Separator(%q,%q): a > sep", au, bu)
+			t.Errorf("AppendSeparator(%q,%q): a > sep", au, bu)
 		}
 		if Compare(sep, b) >= 0 {
-			t.Errorf("Separator(%q,%q): sep >= b", au, bu)
+			t.Errorf("AppendSeparator(%q,%q): sep >= b", au, bu)
 		}
 	}
 	check("abc", "abf", 5, 9)
@@ -101,6 +101,14 @@ func TestSeparatorProperties(t *testing.T) {
 	check("a", "z", 1, 1)
 	check("axyz", "b", 3, 3)
 	check("ab\xff", "ac", 1, 2)
+
+	// Appending keeps what dst held and builds the same, shorter key behind it.
+	a := MakeInternalKey(nil, []byte("axyz"), 3, KindSet)
+	b := MakeInternalKey(nil, []byte("c"), 3, KindSet)
+	want := AppendSeparator(nil, a, b)
+	if got := AppendSeparator([]byte("pre"), a, b); string(got) != "pre"+string(want) || len(want) >= len(a) {
+		t.Errorf("AppendSeparator onto %q = %q, want the prefix then %q, shorter than %q", "pre", got, want, a)
+	}
 }
 
 func TestSuccessorProperties(t *testing.T) {
@@ -122,7 +130,7 @@ func TestSeparatorQuick(t *testing.T) {
 		}
 		a := MakeInternalKey(nil, au, aseq, KindSet)
 		b := MakeInternalKey(nil, bu, bseq, KindSet)
-		sep := Separator(a, b)
+		sep := AppendSeparator(nil, a, b)
 		return Compare(a, sep) <= 0 && Compare(sep, b) < 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {

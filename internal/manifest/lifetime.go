@@ -57,10 +57,9 @@ func (s *Set) Release(v *Version) bool {
 }
 
 // Current returns the live version without a reference: for reading metadata
-// (sizes, counts, placement, compaction picking). Never open a table from
-// it — its tables may be deleted at any moment; Acquire a version for that.
-// (A compaction opens the inputs it picked from Current under the lock that
-// every retirement of a current table takes, which is as good as a pin.)
+// (sizes, counts, placement). Never open a table from it — its tables may be
+// deleted at any moment; Acquire a version for that. A compaction picks from,
+// and opens its inputs from, a version it acquired.
 func (s *Set) Current() *Version { return s.current.Load() }
 
 // install makes nv the current version, moving the set's own reference to it

@@ -164,6 +164,9 @@ type Metrics struct {
 	CloudCost   storage.CostReport
 	Flushes     int64
 	Compactions int64
+	// CompactionsRunning is how many compaction jobs are running, store-wide
+	// (at most the store's compaction slots).
+	CompactionsRunning int64
 	// WriteStalls counts writers held back for either cause (memtable full
 	// behind a flush, or L0 at its file limit); WriteStallsL0 the second
 	// cause alone.

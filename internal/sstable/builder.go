@@ -27,7 +27,9 @@ func DefaultBuilderOptions() BuilderOptions {
 }
 
 // Builder writes a table to a storage object. Keys must be added in strictly
-// increasing internal-key order.
+// increasing internal-key order. It allocates per table, not per block: the
+// index entry and the sealed block are built in scratch it owns and reuses
+// (the block builder copies what it is given, the writer what it writes).
 type Builder struct {
 	w    storage.Writer
 	opts BuilderOptions
@@ -44,6 +46,8 @@ type Builder struct {
 	numBlocks int
 	metaOff   uint64 // file offset where the metadata tail begins
 	err       error
+
+	sep, handle, sealed []byte // scratch: index key, index value, on-disk block
 }
 
 // NewBuilder starts a table written to w.
@@ -70,8 +74,9 @@ func (b *Builder) Add(ikey, value []byte) error {
 	if b.havePend {
 		// Use a short separator between the last key of the previous block
 		// and the first key of this one.
-		sep := keys.Separator(b.pending, ikey)
-		b.index.Add(sep, b.pendingH.EncodeVarint(nil))
+		b.sep = keys.AppendSeparator(b.sep[:0], b.pending, ikey)
+		b.handle = b.pendingH.EncodeVarint(b.handle[:0])
+		b.index.Add(b.sep, b.handle)
 		b.havePend = false
 	}
 	b.data.Add(ikey, value)
@@ -121,12 +126,12 @@ func (b *Builder) flushDataBlock() {
 }
 
 func (b *Builder) writeBlock(body []byte, codec Compression) (Handle, error) {
-	sealed := sealBlock(body, codec)
-	h := Handle{Offset: b.offset, Length: uint64(len(sealed) - blockTrailerLen)}
-	if _, err := b.w.Write(sealed); err != nil {
+	b.sealed = sealBlock(b.sealed[:0], body, codec)
+	h := Handle{Offset: b.offset, Length: uint64(len(b.sealed) - blockTrailerLen)}
+	if _, err := b.w.Write(b.sealed); err != nil {
 		return Handle{}, err
 	}
-	b.offset += uint64(len(sealed))
+	b.offset += uint64(len(b.sealed))
 	return h, nil
 }
 
@@ -150,8 +155,7 @@ func (b *Builder) Finish() (Properties, error) {
 	}
 	b.flushDataBlock()
 	if b.havePend {
-		suc := keys.Successor(b.pending)
-		b.index.Add(suc, b.pendingH.EncodeVarint(nil))
+		b.index.Add(keys.Successor(b.pending), b.pendingH.EncodeVarint(b.handle[:0]))
 		b.havePend = false
 	}
 	b.props.Largest = append([]byte(nil), b.lastKey...)

@@ -152,11 +152,11 @@ func decodeProperties(p []byte) (Properties, error) {
 	return props, nil
 }
 
-// sealBlock appends the trailer (compression type + crc) to a finished
-// block body and returns the full on-disk bytes. With CompressionFlate the
-// body is compressed first, falling back to raw storage when compression
-// does not shrink it.
-func sealBlock(body []byte, codec Compression) []byte {
+// sealBlock appends a finished block body and its trailer (compression type
+// + crc) to dst and returns the extended buffer: the block's on-disk bytes.
+// With CompressionFlate the body is compressed first, falling back to raw
+// storage when compression does not shrink it.
+func sealBlock(dst, body []byte, codec Compression) []byte {
 	typ := byte(CompressionNone)
 	out := body
 	if codec == CompressionFlate {
@@ -169,9 +169,10 @@ func sealBlock(body []byte, codec Compression) []byte {
 			}
 		}
 	}
-	sealed := append(append([]byte(nil), out...), typ)
-	crc := crc32.Checksum(sealed, castagnoli)
-	return binary.LittleEndian.AppendUint32(sealed, crc)
+	start := len(dst)
+	dst = append(append(dst, out...), typ)
+	crc := crc32.Checksum(dst[start:], castagnoli)
+	return binary.LittleEndian.AppendUint32(dst, crc)
 }
 
 // VerifyBlock checks a raw on-disk block (body + trailer), decompresses it

@@ -345,3 +345,45 @@ func TestMetadataBytesPositive(t *testing.T) {
 		t.Fatal("metadata accounting should be positive")
 	}
 }
+
+// discardWriter is a storage.Writer that keeps nothing.
+type discardWriter struct{}
+
+func (discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (discardWriter) Sync() error                 { return nil }
+func (discardWriter) Close() error                { return nil }
+
+// TestBuilderAllocatesPerTableNotPerBlock: once a table is under way, adding
+// entries across many uncompressed blocks costs no allocation per block. The
+// index key, the encoded handle and the sealed block are built in scratch the
+// builder reuses; what grows with the table (bloom hashes, the index block)
+// grows by doubling, far less than once per block.
+func TestBuilderAllocatesPerTableNotPerBlock(t *testing.T) {
+	const (
+		runs     = 1000
+		perBlock = 6 // entries per Add round: enough to seal one 512-byte block
+	)
+	ikeys := make([][]byte, (runs+1)*perBlock)
+	for i := range ikeys {
+		ikeys[i] = keys.MakeInternalKey(nil, []byte(fmt.Sprintf("key%08d", i)), uint64(i+1), keys.KindSet)
+	}
+	value := bytes.Repeat([]byte("v"), 100)
+	opts := DefaultBuilderOptions()
+	opts.BlockBytes = 512
+	b := NewBuilder(discardWriter{}, opts)
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		for i := 0; i < perBlock; i++ {
+			if err := b.Add(ikeys[next], value); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}
+	})
+	if b.numBlocks < runs {
+		t.Fatalf("%d blocks sealed over %d rounds; the test wants at least one a round", b.numBlocks, runs)
+	}
+	if allocs != 0 {
+		t.Errorf("Add allocates %.0f objects per block, want 0", allocs)
+	}
+}
