@@ -384,30 +384,23 @@ func (d *engine) makeRoomForWrite(incoming int64) (err error) {
 	d.mu.Lock()
 	defer func() {
 		d.mu.Unlock()
-		if l := d.listener; l != nil && stallReason != "" {
-			l.OnWriteStallEnd(event.WriteStallEnd{
-				Reason:   stallReason,
-				Duration: time.Since(stallStart),
-			})
+		if !stallStart.IsZero() {
+			if l := d.listener; l != nil {
+				l.OnWriteStallEnd(event.WriteStallEnd{
+					Reason:   stallReason,
+					Duration: time.Since(stallStart),
+				})
+			}
 		}
 	}()
-	// stall marks and counts a stall for reason. A writer already stalled for
-	// the other reason ends that stall here: each stall is timed against the
-	// cause it waited on, so a wait for a flush that turns into a wait for L0
-	// is two stalls, not one long memtable stall. Events fire outside d.mu; it
-	// returns with d.mu re-held, and the caller must re-check conditions.
-	stall := func(reason string) {
-		prevReason, prevStart := stallReason, stallStart
+	// stallBegin marks and counts the stall, whichever its cause, and fires
+	// WriteStallBegin outside d.mu. It returns with d.mu re-held; the caller
+	// must re-check conditions.
+	stallBegin := func(reason string) {
 		stallStart, stallReason = time.Now(), reason
 		d.stats.WriteStalls.Add(1)
-		if reason == "l0" {
-			d.stats.WriteStallsL0.Add(1)
-		}
 		if l := d.listener; l != nil {
 			d.mu.Unlock()
-			if prevReason != "" {
-				l.OnWriteStallEnd(event.WriteStallEnd{Reason: prevReason, Duration: stallStart.Sub(prevStart)})
-			}
 			l.OnWriteStallBegin(event.WriteStallBegin{Reason: reason})
 			d.mu.Lock()
 		}
@@ -425,15 +418,16 @@ func (d *engine) makeRoomForWrite(incoming int64) (err error) {
 			return nil
 		case d.imm != nil:
 			// A flush is already in flight; wait for it.
-			if stallReason != "memtable" {
-				stall("memtable")
+			if stallStart.IsZero() {
+				stallBegin("memtable")
 				continue
 			}
 			d.immWake.Wait()
 		case len(d.vs.Current().Levels[0]) >= d.opts.L0StallFiles:
 			// Too many L0 files; wait for compaction to catch up.
-			if stallReason != "l0" {
-				stall("l0")
+			if stallStart.IsZero() {
+				d.stats.WriteStallsL0.Add(1)
+				stallBegin("l0")
 				continue
 			}
 			d.immWake.Wait()

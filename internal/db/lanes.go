@@ -99,9 +99,6 @@ func (d *engine) backgroundCompaction(c *compaction) {
 	d.returnSlot()
 	switch {
 	case err == nil:
-		d.mu.Lock()
-		d.immWake.Broadcast() // L0 may have drained below the stall limit
-		d.mu.Unlock()
 		wake(d.compactWake)
 	case errors.Is(err, storage.ErrCloudUnavailable):
 		// Deferred, not fatal: the tree is unchanged, and the breaker's close
@@ -155,7 +152,9 @@ func (d *engine) reserve(compactAll bool) *compaction {
 	}
 }
 
-// runCompaction runs a reserved job and then lets go of its reservation.
+// runCompaction runs a reserved job and then lets go of its reservation. It
+// wakes writers stalled on L0 whichever lane ran the job: CompactAll's jobs
+// drain L0 too, and no background job may follow them to do it.
 func (d *engine) runCompaction(c *compaction) error {
 	err := d.doCompaction(c)
 	d.compactionMu.Lock()
@@ -163,6 +162,9 @@ func (d *engine) runCompaction(c *compaction) error {
 	d.jobDone.Broadcast()
 	d.compactionMu.Unlock()
 	d.compactionsRunning.Add(-1)
+	d.mu.Lock()
+	d.immWake.Broadcast() // L0 may have drained below the stall limit
+	d.mu.Unlock()
 	return err
 }
 

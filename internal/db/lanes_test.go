@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -98,7 +99,7 @@ func within(t *testing.T, what string, fn func() error) {
 			t.Fatalf("%s: %v", what, err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatalf("%s did not finish while a compaction was held", what)
+		t.Fatalf("%s did not finish within 10 s", what)
 	}
 }
 
@@ -472,25 +473,91 @@ func TestRelocateLandsMidCompaction(t *testing.T) {
 	}
 }
 
+// heldChecker runs the job checker over every job and then the lane
+// listener's hold.
+type heldChecker struct {
+	*jobChecker
+	lane *laneListener
+}
+
+func (h heldChecker) OnCompactionBegin(b event.CompactionBegin) {
+	h.jobChecker.OnCompactionBegin(b)
+	h.lane.OnCompactionBegin(b)
+}
+
 // TestCompactAllDeterministic: two identical loads that call CompactAll every
-// few hundred records, as the benchmark's set-up does, end in the same tree —
-// same files, same numbers, same bounds.
+// 300 records, as the benchmark's set-up does, end in the same tree — same
+// files, same numbers, same bounds. Halfway through, CompactAll starts while a
+// background job is held: it must wait that job out before it flushes, and
+// keep the lane paused after, so no two jobs ever run at once.
 func TestCompactAllDeterministic(t *testing.T) {
 	build := func() string {
-		d, err := OpenAt(t.TempDir(), testOptions(PolicyMash))
+		var armed atomic.Bool
+		lane := newLaneListener(func(event.CompactionBegin) bool { return armed.Load() })
+		c := &jobChecker{running: map[uint64]event.CompactionBegin{}}
+		o := testOptions(PolicyMash)
+		o.EventListener = heldChecker{c, lane}
+		d, err := OpenAt(t.TempDir(), o)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer d.Close()
-		for i := 0; i < 6000; i++ {
+		defer lane.releaseOnce()
+		e := d.engines[0]
+		put := func(from, to int) {
+			for i := from; i < to; i++ {
+				mustPut(t, d, fmt.Sprintf("k%06d", i*7919%6000), pipelineValue(i))
+			}
+		}
+		for lo := 0; lo < 6000; lo += 300 {
 			// A chunk of 300 records stays short of a full memtable, so only
-			// CompactAll flushes and compacts.
-			mustPut(t, d, fmt.Sprintf("k%06d", i*7919%6000), pipelineValue(i))
-			if (i+1)%300 == 0 {
+			// Flush and CompactAll seal one.
+			if lo != 3000 {
+				put(lo, lo+300)
 				if err := d.CompactAll(); err != nil {
 					t.Fatal(err)
 				}
+				continue
 			}
+			// CompactAll leaves L0 at least one table short of its trigger of
+			// two, so one of two flushes starts a background L0 job, held
+			// before it opens its inputs. The rest of the chunk stays in the
+			// memtable.
+			armed.Store(true)
+			for _, hi := range []int{lo + 100, lo + 200} {
+				put(hi-100, hi)
+				if err := d.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			lane.awaitHeld(t)
+			put(lo+200, lo+300)
+			mem := e.rs.Load().mem
+			done := make(chan error, 1)
+			go func() { done <- d.CompactAll() }()
+			waitFor(t, "CompactAll to pause background picks", 10*time.Second, func() bool {
+				e.compactionMu.Lock()
+				defer e.compactionMu.Unlock()
+				return e.paused > 0
+			})
+			select {
+			case err := <-done:
+				t.Fatalf("CompactAll returned (%v) while a background job was held", err)
+			default:
+			}
+			if e.rs.Load().mem != mem {
+				t.Fatal("CompactAll flushed while a background job was held")
+			}
+			lane.releaseOnce()
+			within(t, "CompactAll after the held job", func() error { return <-done })
+		}
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		for _, e := range c.errs {
+			t.Error(e)
+		}
+		if c.most != 1 {
+			t.Errorf("%d jobs ran at once, want CompactAll's and the held job one at a time", c.most)
 		}
 		return levelShape(d)
 	}
@@ -501,4 +568,86 @@ func TestCompactAllDeterministic(t *testing.T) {
 	if strings.Count(a, "\n") < 3 {
 		t.Errorf("the load built only %q; the test wants several levels", a)
 	}
+}
+
+// stallListener is a laneListener that also reports each writer stall on L0.
+type stallListener struct {
+	*laneListener
+	l0 chan struct{}
+}
+
+func (s stallListener) OnWriteStallBegin(e event.WriteStallBegin) {
+	if e.Reason == "l0" {
+		wake(s.l0)
+	}
+}
+
+// TestCompactAllWakesL0StalledWriter: a writer stalls on L0 while CompactAll's
+// job that drains L0 is held, with background picks paused so no background
+// job can follow it. Once the job installs, the writer must go on.
+func TestCompactAllWakesL0StalledWriter(t *testing.T) {
+	l := stallListener{newLaneListener(func(e event.CompactionBegin) bool { return e.Level == 0 }), make(chan struct{}, 1)}
+	o := testOptions(PolicyMash)
+	o.L0StallFiles = 3
+	o.EventListener = l
+	d, err := OpenAt(t.TempDir(), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	defer l.releaseOnce()
+	e := d.engines[0]
+	// Pause background picks the way a CompactAll already running does; only
+	// the CompactAll below compacts.
+	e.compactionMu.Lock()
+	e.paused++
+	e.compactionMu.Unlock()
+
+	next := 0
+	put := func() error {
+		next++
+		return d.Put([]byte(fmt.Sprintf("k%06d", next)), []byte(pipelineValue(next)))
+	}
+	// Two flushed tables reach the L0 trigger; a third is in the memtable.
+	for b := 0; b < 3; b++ {
+		for i := 0; i < 100; i++ {
+			if err := put(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if b < 2 {
+			if err := d.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// CompactAll flushes the third, which puts L0 at its stall limit, and its
+	// L0→L1 job is held.
+	compacted := make(chan error, 1)
+	go func() { compacted <- d.CompactAll() }()
+	l.awaitHeld(t)
+
+	// A writer fills the memtable and stalls on L0; it is done once it has
+	// sealed that memtable.
+	wrote := make(chan error, 1)
+	go func() {
+		for mem := e.rs.Load().mem; e.rs.Load().mem == mem; {
+			if err := put(); err != nil {
+				wrote <- err
+				return
+			}
+		}
+		wrote <- nil
+	}()
+	select {
+	case <-l.l0:
+	case err := <-wrote:
+		t.Fatalf("the writer sealed a memtable (%v) with L0 at its stall limit", err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("the writer never stalled on L0")
+	}
+
+	l.releaseOnce()
+	within(t, "CompactAll", func() error { return <-compacted })
+	within(t, "the writer stalled on L0", func() error { return <-wrote })
 }

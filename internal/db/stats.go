@@ -20,11 +20,10 @@ type Stats struct {
 	Writes       atomic.Int64
 	Reads        atomic.Int64
 	BytesWritten atomic.Int64
-	// WriteStalls counts every stall, whatever the cause: a full memtable
-	// waiting on the flush ahead of it (routine backpressure at full ingest
-	// speed) or L0 at its file limit. A writer whose wait changes cause
-	// counts a stall for each. WriteStallsL0 is the second cause alone, the
-	// one that says compaction is behind.
+	// WriteStalls counts every writer held back, whatever the cause: a full
+	// memtable waiting on the flush ahead of it (routine backpressure at
+	// full ingest speed) or L0 at its file limit. WriteStallsL0 is the second
+	// cause alone, the one that says compaction is behind.
 	WriteStalls   atomic.Int64
 	WriteStallsL0 atomic.Int64
 
