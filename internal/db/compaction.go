@@ -313,6 +313,9 @@ func (d *engine) doCompaction(c *compaction) (err error) {
 		return err
 	}
 
+	// An output holds at most a target's worth of the inputs, plus the tail
+	// of its last block and its metadata.
+	outSize := min(d.opts.TargetFileBytes, inputBytes)
 	var (
 		outputs  []*builtTable
 		builder  *sstable.Builder
@@ -394,7 +397,7 @@ func (d *engine) doCompaction(c *compaction) (err error) {
 		}
 		if builder == nil {
 			curNum = d.vs.NewFileNum()
-			out = &memWriter{}
+			out = newTableWriter(outSize + outSize/8)
 			builder = sstable.NewBuilder(out, sstable.BuilderOptions{
 				BlockBytes:      d.opts.BlockBytes,
 				BloomBitsPerKey: d.opts.BloomBitsPerKey,

@@ -21,6 +21,16 @@ type memWriter struct {
 	buf bytes.Buffer
 }
 
+// newTableWriter returns a memWriter with room for a table of about size
+// bytes. Left to grow by doubling, a 1 MiB table allocates and zeroes some
+// 4 MiB on the way up; at fill's write rate that regrowth was most of the
+// bytes the process allocated and so set how often the collector ran.
+func newTableWriter(size int64) *memWriter {
+	w := &memWriter{}
+	w.buf.Grow(int(size))
+	return w
+}
+
 func (w *memWriter) Write(p []byte) (int, error) { return w.buf.Write(p) }
 func (w *memWriter) Sync() error                 { return nil }
 func (w *memWriter) Close() error                { return nil }
@@ -197,12 +207,15 @@ func (d *engine) flushMemtable(imm *memtable.MemTable) error {
 	}
 
 	var children []internalIterator
+	var size int64
 	if imm != nil && !imm.Empty() {
 		children = append(children, &memIter{imm.NewIterator()})
+		size += imm.ApproximateSize()
 	}
 	for _, m := range rec {
 		if !m.Empty() {
 			children = append(children, &memIter{m.NewIterator()})
+			size += m.ApproximateSize()
 		}
 	}
 	if len(children) == 0 {
@@ -227,7 +240,7 @@ func (d *engine) flushMemtable(imm *memtable.MemTable) error {
 	num := d.vs.NewFileNum()
 	tier := d.opts.tierForLevel(0)
 
-	w := &memWriter{}
+	w := newTableWriter(size + size/8)
 	b := sstable.NewBuilder(w, sstable.BuilderOptions{
 		BlockBytes:      d.opts.BlockBytes,
 		BloomBitsPerKey: d.opts.BloomBitsPerKey,
