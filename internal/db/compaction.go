@@ -30,7 +30,8 @@ type compaction struct {
 	// lo and hi bound the user keys of inputs and overlap: the range the job
 	// holds on both of its levels while it runs.
 	lo, hi []byte
-	// v is the version the job was picked from, pinned until its install.
+	// v is the version the job was picked from, pinned until its
+	// CompactionEnd.
 	v   *manifest.Version
 	job uint64 // store-wide job number, for its events
 }
@@ -191,13 +192,15 @@ func (c *compaction) isBaseLevel() bool {
 // openInputs opens the merge's input tables, one iterator each. A
 // local-tier input reads block by block through the scan-resistant ladder.
 // A cloud-tier input reads its data blocks, in file order, through a
-// spanReader with a private buffer (see span.go); the readers of one
-// compaction share a budget of compactionGETs, and a block outside a
-// reader's schedule falls back to the ladder. drain waits out the span GETs
-// in flight. readNS, when non-nil, accumulates the time the merge spends
-// blocked on reads; spans and blocks count the span GETs that landed.
+// spanReader with a private buffer and compactionSpanBytes-wide spans (see
+// span.go); the readers of one compaction share a budget of compactionGETs,
+// and a block outside a reader's schedule falls back to the ladder. drain
+// waits out the span GETs in flight. readNS, when non-nil, accumulates the
+// time the merge spends blocked on reads; spans and blocks count the span
+// GETs that landed.
 func (d *engine) openInputs(files []*manifest.FileMetadata, readNS, spans, blocks *atomic.Int64) (children []internalIterator, drain func(), err error) {
 	gets := make(chan struct{}, compactionGETs)
+	width := compactionSpanBlocks(d.opts.BlockBytes)
 	var readers []*spanReader
 	for _, f := range files {
 		h, err := d.tables.get(d, f)
@@ -213,8 +216,8 @@ func (d *engine) openInputs(files []*manifest.FileMetadata, readNS, spans, block
 			// single-block path surface the error.
 			if hs, herr := h.reader.DataHandles(); herr == nil {
 				sr := &spanReader{
-					sched: make([]sstable.ViewEntry, len(hs)), tables: h, gets: gets,
-					spans: spans, blocks: blocks,
+					sched: make([]sstable.ViewEntry, len(hs)), tables: h, width: width,
+					gets: gets, spans: spans, blocks: blocks,
 				}
 				for i, bh := range hs {
 					sr.sched[i].H = bh
@@ -250,7 +253,10 @@ func scheduledFetch(sr *spanReader, fallback sstable.FetchFunc) sstable.FetchFun
 // doCompaction runs the reserved job c: it merges c's inputs into the output
 // level, applying the paper's placement rule for the output tier and the
 // compaction-aware persistent-cache transitions (heat inheritance, whole-file
-// drops), installs the result, and releases the version c was picked from.
+// drops), installs the result, fires CompactionEnd, and only then releases
+// the version c was picked from, so no input is retired before its job's
+// CompactionEnd. Retiring what that release leaves obsolete is the caller's
+// (lanes.go), once it has given back the job's range and slot.
 func (d *engine) doCompaction(c *compaction) (err error) {
 	defer func() {
 		if err != nil {
@@ -456,13 +462,6 @@ func (d *engine) doCompaction(c *compaction) (err error) {
 	// rather than waiting for the next scan to notice.
 	d.invalidateViews(d.vs.Current(), c.level, c.output)
 
-	// The edit dropped the inputs from the current version. With the pin on
-	// the version the job picked them from gone, the ones no other reader
-	// holds are obsolete and go here, on this goroutine, before the
-	// compaction reports done.
-	d.vs.Release(c.v)
-	d.retireObsolete()
-
 	d.stats.Compactions.Add(1)
 	d.stats.CompactBytesIn.Add(inputBytes)
 	d.stats.CompactBytesOut.Add(int64(sumBuilt(outputs)))
@@ -495,6 +494,9 @@ func (d *engine) doCompaction(c *compaction) (err error) {
 			Duration:      dur,
 		})
 	}
+	// The edit dropped the inputs from the current version; with this pin
+	// gone, the ones no other reader holds are obsolete.
+	d.vs.Release(c.v)
 	return nil
 }
 

@@ -28,12 +28,38 @@ func eventWorkload(t *testing.T, d *DB) {
 	}
 }
 
+// inputRecorder is a Recorder that also notes, at each CompactionBegin, the
+// tables the job reserved as its inputs.
+type inputRecorder struct {
+	*event.Recorder
+	d      atomic.Pointer[DB]
+	mu     sync.Mutex
+	inputs map[uint64]uint64 // table → the job that took it as an input
+}
+
+func (r *inputRecorder) OnCompactionBegin(b event.CompactionBegin) {
+	e := r.d.Load().engines[b.Shard]
+	e.compactionMu.Lock()
+	r.mu.Lock()
+	for _, c := range e.running {
+		if c.job == b.Job {
+			for _, f := range c.files() {
+				r.inputs[f.Num] = b.Job
+			}
+		}
+	}
+	r.mu.Unlock()
+	e.compactionMu.Unlock()
+	r.Recorder.OnCompactionBegin(b)
+}
+
 // TestEventSequence runs a flush→compaction→upload cycle under an all-cloud
 // Mash configuration and asserts the recorded event stream: pairing and
-// ordering of begin/end events, uploads inside their owning operation, and
-// compaction stage timings that are nonzero and mutually consistent.
+// ordering of begin/end events, uploads inside their owning operation, every
+// compaction input deleted only after its job's CompactionEnd, and compaction
+// stage timings that are nonzero and mutually consistent.
 func TestEventSequence(t *testing.T) {
-	rec := &event.Recorder{}
+	rec := &inputRecorder{Recorder: &event.Recorder{}, inputs: map[uint64]uint64{}}
 	o := testOptions(PolicyMash)
 	o.LocalLevels = -1 // every level cloud: flushes upload and warm the pcache
 	o.EventListener = rec
@@ -41,6 +67,7 @@ func TestEventSequence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec.d.Store(d) // before the first write, so before any compaction
 	eventWorkload(t, d)
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
@@ -89,9 +116,28 @@ func TestEventSequence(t *testing.T) {
 	if !(fe < cb && cb < ce) {
 		t.Errorf("compaction not after first flush: flushEnd=%d begin=%d end=%d", fe, cb, ce)
 	}
-	del := idx(event.TTableDeleted)
-	if !(cb < del && del < ce) {
-		t.Errorf("first table_deleted not inside compaction: begin=%d deleted=%d end=%d", cb, del, ce)
+	// A compaction input is deleted only after the CompactionEnd of the job
+	// that made it obsolete: the job retires its inputs last, once it has
+	// given back its range and its slot.
+	ended := map[uint64]bool{} // jobs whose CompactionEnd has been seen
+	deleted := 0
+	for i, ev := range events {
+		switch p := ev.Payload.(type) {
+		case event.CompactionEnd:
+			ended[p.Job] = true
+		case event.TableDeleted:
+			job, ok := rec.inputs[p.Table]
+			if !ok {
+				continue
+			}
+			deleted++
+			if !ended[job] {
+				t.Errorf("table %d deleted at event %d, before the CompactionEnd of job %d, which took it as an input", p.Table, i, job)
+			}
+		}
+	}
+	if deleted == 0 {
+		t.Error("no compaction input was deleted")
 	}
 
 	// Stage timings: nonzero and monotonic where containment holds.

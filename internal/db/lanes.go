@@ -16,13 +16,17 @@ import (
 //   - The compaction lane starts jobs while there are jobs to start and slots
 //     to run them in. A job holds one of the store's compactionSlots from
 //     before its pick until after its CompactionEnd, so that constant is the
-//     one limit on how many run, whatever the number of engines.
+//     one limit on how many merge at once, whatever the number of engines.
 //
 // A job is picked and reserved under compactionMu: it holds the user-key
 // range of its inputs plus their overlap on both levels it touches, and a
 // pick that would overlap a running job on a level they share is refused
 // (pickCompaction). It pins the version it was picked from and releases the
-// pin right after its install. compactionMu is taken again only to install.
+// pin right after its CompactionEnd. compactionMu is taken again only to
+// install. The job's goroutine retires the inputs last, after it has given
+// back its range and its slot: the DELETEs of a cloud job's inputs keep no
+// other job — above all the L0 job that stalled writers wait on — from
+// starting.
 //
 // CompactAll is the deterministic path. It pauses background picks, waits out
 // the running jobs, flushes, and then runs one job at a time on the caller's
@@ -92,7 +96,8 @@ func (d *engine) compactionLane() {
 }
 
 // backgroundCompaction runs one job the lane started and settles what its
-// outcome means for the engine.
+// outcome means for the engine. A job that installed retires its inputs only
+// after it has returned its slot and woken the lane.
 func (d *engine) backgroundCompaction(c *compaction) {
 	defer d.jobs.Done()
 	err := d.runCompaction(c)
@@ -100,6 +105,7 @@ func (d *engine) backgroundCompaction(c *compaction) {
 	switch {
 	case err == nil:
 		wake(d.compactWake)
+		d.retireObsolete()
 	case errors.Is(err, storage.ErrCloudUnavailable):
 		// Deferred, not fatal: the tree is unchanged, and the breaker's close
 		// transition wakes the lane again.
@@ -169,7 +175,8 @@ func (d *engine) runCompaction(c *compaction) error {
 }
 
 // compactAll flushes and then compacts, one job at a time, until the tree is
-// quiescent.
+// quiescent. Each job's inputs are retired before the next pick, so with no
+// reader pinned they are gone when it returns.
 func (d *engine) compactAll() error {
 	d.compactionMu.Lock()
 	d.paused++
@@ -200,5 +207,6 @@ func (d *engine) compactAll() error {
 		if err != nil {
 			return err
 		}
+		d.retireObsolete()
 	}
 }

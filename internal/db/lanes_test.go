@@ -651,3 +651,92 @@ func TestCompactAllWakesL0StalledWriter(t *testing.T) {
 	within(t, "CompactAll", func() error { return <-compacted })
 	within(t, "the writer stalled on L0", func() error { return <-wrote })
 }
+
+// TestRetireAfterSlot: a job retires its inputs only after it has given back
+// its range and its slot. Job A's cloud DELETEs hang, and so, behind them,
+// does the retirement of every job after it. Meanwhile a writer keeps L0 at
+// its stall limit, and more L0→L1 jobs than there are slots must begin and
+// end: each overlaps A's range on both levels, and the last could not start
+// if the jobs stuck retiring still held their slots. Were A to retire before
+// letting go of its range, none would, and the writer would stay stalled on
+// L0.
+func TestRetireAfterSlot(t *testing.T) {
+	l := newLaneListener(func(event.CompactionBegin) bool { return false })
+	o := testOptions(PolicyCloudOnly)
+	o.L0StallFiles = 3
+	o.EventListener = l
+	d, err := OpenAt(t.TempDir(), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	e := d.engines[0]
+	deleting, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	d.cloudSim.SetFailureHook(func(op, name string) error {
+		if op == "DELETE" {
+			once.Do(func() { close(deleting) })
+			<-release
+		}
+		return nil
+	})
+	defer close(release)
+
+	next := 0
+	put := func() error {
+		next++
+		return d.Put([]byte(fmt.Sprintf("k%06d", next%200)), []byte(pipelineValue(next)))
+	}
+	// Two flushes reach the L0 trigger. Job A takes both, installs, and hangs
+	// in the first DELETE of its inputs.
+	for b := 0; b < 2; b++ {
+		for i := 0; i < 100; i++ {
+			if err := put(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := d.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	select {
+	case <-deleting:
+	case <-time.After(10 * time.Second):
+		t.Fatal("job A never began deleting its inputs")
+	}
+
+	// A writer seals memtables over the same keys until stopped. Past three
+	// flushes it stalls on L0 until an L0→L1 job drains it.
+	stop, wrote := make(chan struct{}), make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				wrote <- nil
+				return
+			default:
+			}
+			for mem := e.rs.Load().mem; e.rs.Load().mem == mem; {
+				if err := put(); err != nil {
+					wrote <- err
+					return
+				}
+			}
+		}
+	}()
+	deadline := time.After(10 * time.Second)
+	for l0Jobs := 0; l0Jobs <= compactionSlots; {
+		select {
+		case ev := <-l.ends:
+			if ev.Level == 0 {
+				l0Jobs++
+			}
+		case err := <-wrote:
+			t.Fatalf("writer: %v", err)
+		case <-deadline:
+			t.Fatalf("with job A's DELETEs held, %d L0→L1 jobs ended (A's included), want %d", l0Jobs, compactionSlots+1)
+		}
+	}
+	close(stop)
+	within(t, "the writer stalled on L0", func() error { return <-wrote })
+}

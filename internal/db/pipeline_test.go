@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"rocksmash/internal/event"
 	"rocksmash/internal/manifest"
 	"rocksmash/internal/storage"
 )
@@ -141,6 +142,79 @@ func TestPipelineEquivalence(t *testing.T) {
 	if localM.CompactBytesIn != cloudM.CompactBytesIn || localM.CompactBytesOut != cloudM.CompactBytesOut {
 		t.Errorf("compacted bytes diverged: local in=%d out=%d, cloud in=%d out=%d",
 			localM.CompactBytesIn, localM.CompactBytesOut, cloudM.CompactBytesIn, cloudM.CompactBytesOut)
+	}
+}
+
+// TestCompactionReadsWideSpans compacts two cloud-tier L0 tables of a few MiB
+// at the default block size in one job: its CompactionEnd.PrefetchSpans, and
+// the cloud GETs it issued, must both be Σ⌈blocks / compactionSpanBlocks⌉ over
+// its inputs — one GET per compactionSpanBytes of input, where a scan's
+// 16-block spans would take sixteen.
+func TestCompactionReadsWideSpans(t *testing.T) {
+	o := testOptions(PolicyCloudOnly)
+	o.BlockBytes = DefaultOptions().BlockBytes
+	o.MemtableBytes = 3 << 20
+	o.TargetFileBytes = 16 << 20
+	o.LevelBaseBytes = 64 << 20
+	o.L0CompactTrigger = 100 // no compactions during the load
+	dir := t.TempDir()
+	d, err := OpenAt(dir, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 40000; i++ {
+		mustPut(t, d, fmt.Sprintf("k%06d", i*7919%40000), pipelineValue(i))
+	}
+	if err := d.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	rec := &event.Recorder{}
+	o.L0CompactTrigger = 2
+	o.EventListener = rec
+	if d, err = OpenAt(dir, o); err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	e := d.engines[0]
+	width := compactionSpanBlocks(o.BlockBytes)
+	var blocks, want int64
+	for _, f := range e.vs.Current().Levels[0] {
+		h, err := e.tables.get(e, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs, err := h.reader.DataHandles()
+		h.release()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Tier != storage.TierCloud || len(hs) <= width {
+			t.Fatalf("input %d: tier %v, %d blocks; want cloud tables wider than one %d-block span", f.Num, f.Tier, len(hs), width)
+		}
+		blocks += int64(len(hs))
+		want += int64((len(hs) + width - 1) / width)
+	}
+	before := d.cloudSim.Stats().Snapshot()
+	if err := d.CompactAll(); err != nil {
+		t.Fatal(err)
+	}
+	gets := d.cloudSim.Stats().Snapshot().GetOps - before.GetOps
+
+	if n := rec.Count(event.TCompactionEnd); n != 1 {
+		t.Fatalf("%d compaction jobs, want the one L0→L1 job", n)
+	}
+	first, _ := rec.First(event.TCompactionEnd)
+	end := first.Payload.(event.CompactionEnd)
+	if end.PrefetchSpans != want || gets != want {
+		t.Errorf("job read %d blocks in %d spans with %d cloud GETs, want %d of each (%d-block spans)",
+			blocks, end.PrefetchSpans, gets, want, width)
+	}
+	if got := d.Metrics().PrefetchBlocks; got != blocks {
+		t.Errorf("%d blocks read through spans, want all %d input blocks", got, blocks)
 	}
 }
 

@@ -11,11 +11,14 @@ import (
 // retire — below, the only place a table that was in a version is deleted —
 // removes it.
 //
-// Deletion never runs on a client goroutine. The compaction and relocation
-// goroutines retire what their edit made obsolete right after installing it;
-// a reader that drops the last pin on an old version (a Get, an iterator's
-// Close) only queues the tables and wakes the drainer. Tables still pinned
-// when the store closes or crashes are left for the next Open's orphan sweep.
+// Deletion never runs on a client goroutine. A relocation goroutine retires
+// what its edit made obsolete right after installing it; a compaction job's
+// goroutine does so once the job has installed, fired its CompactionEnd and
+// given back its range and slot (lanes.go), so the DELETEs hold up no other
+// job. A reader that drops the last pin on an old version (a Get, an
+// iterator's Close) only queues the tables and wakes the drainer. Tables
+// still pinned when the store closes or crashes are left for the next Open's
+// orphan sweep.
 
 // tablesObsolete is the manifest set's callback: it queues, nothing more.
 func (d *engine) tablesObsolete(files []manifest.Obsolete) {

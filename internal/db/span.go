@@ -16,15 +16,21 @@ import (
 // keeps a few of them in flight ahead of its cursor. spanReader is the one
 // type that does so. Its two users differ only in where the block schedule
 // comes from (a compaction input's block index in file order; a sorted
-// view's cursor run across a level's tables) and in where the bytes land
-// (the admit field).
+// view's cursor run across a level's tables), in where the bytes land (the
+// admit field) and in how wide a span they cut (the width field).
 
 const (
-	// spanBlocks is the width of one range GET. At the default 4 KiB block
-	// a span is 64 KiB: 0.16 ms of transfer behind 2 ms of first-byte
-	// latency under storage.DefaultLatency, so wider spans buy little and
-	// over-fetch more on short scans.
+	// spanBlocks is the width of a scan's range GET. At the default 4 KiB
+	// block a span is 64 KiB: 0.16 ms of transfer behind 2 ms of first-byte
+	// latency under storage.DefaultLatency. A scan may stop after a few
+	// keys, so a wider span would mostly over-fetch.
 	spanBlocks = 16
+	// compactionSpanBytes is the width of a compaction input's range GET. A
+	// merge reads every block of its inputs, so a wide span fetches nothing
+	// in vain, and each first byte it saves is time the job holds its slot
+	// and its key range: one GET per 1 MiB table at the benchmark's
+	// geometry, four per table at the default 4 MiB target.
+	compactionSpanBytes = 1 << 20
 	// spanDepth is how many spans one reader keeps in flight beyond the one
 	// being consumed.
 	spanDepth = 3
@@ -64,6 +70,9 @@ type spanReader struct {
 	// private to the consumer, and go when its cursor leaves the span — a
 	// bulk merge must not evict the workload's hot set.
 	admit bool
+	// width is the most blocks one span covers: spanBlocks for scans,
+	// compactionSpanBlocks for compaction inputs.
+	width int
 	// spans and blocks are the counters a landed GET bumps.
 	spans, blocks *atomic.Int64
 	// gets, when non-nil, is a GET budget shared with sibling readers.
@@ -74,15 +83,22 @@ type spanReader struct {
 	ramp  int     // spans consumed so far
 }
 
+// compactionSpanBlocks is the width, in blocks, of a compaction input's span
+// for tables of blockBytes blocks: compactionSpanBytes, and never narrower
+// than a scan's.
+func compactionSpanBlocks(blockBytes int) int {
+	return max(spanBlocks, compactionSpanBytes/blockBytes)
+}
+
 // cut returns the handles of the span that starts at ordinal start: up to
-// spanBlocks blocks of one table, which PlanSpans clamps at a layout gap.
+// width blocks of one table, which PlanSpans clamps at a layout gap.
 func (s *spanReader) cut(start int) []sstable.Handle {
 	m := s.sched[start].Member
-	hs := make([]sstable.Handle, 0, spanBlocks)
-	for i := start; i < len(s.sched) && len(hs) < spanBlocks && s.sched[i].Member == m; i++ {
+	hs := make([]sstable.Handle, 0, min(s.width, len(s.sched)-start))
+	for i := start; i < len(s.sched) && len(hs) < s.width && s.sched[i].Member == m; i++ {
 		hs = append(hs, s.sched[i].H)
 	}
-	return sstable.PlanSpans(hs, spanBlocks)[0]
+	return sstable.PlanSpans(hs, s.width)[0]
 }
 
 // fetch performs sp's GET and hands the blocks to the sink.

@@ -140,12 +140,12 @@ func spanFixture(t *testing.T) (e *engine, p *spanProbe, tabs tableList, sched [
 }
 
 // wantSpans is the test's own statement of how a schedule is cut: a span
-// ends at a member change, at a layout gap and after spanBlocks blocks. It
+// ends at a member change, at a layout gap and after width blocks. It
 // returns each span's block count.
-func wantSpans(sched []sstable.ViewEntry) (lens []int) {
+func wantSpans(sched []sstable.ViewEntry, width int) (lens []int) {
 	for i, en := range sched {
 		if prev := i - 1; i == 0 || sched[prev].Member != en.Member ||
-			sched[prev].H.End() != en.H.Offset || lens[len(lens)-1] == spanBlocks {
+			sched[prev].H.End() != en.H.Offset || lens[len(lens)-1] == width {
 			lens = append(lens, 0)
 		}
 		lens[len(lens)-1]++
@@ -164,38 +164,44 @@ func (l tableList) reference(t *testing.T, en sstable.ViewEntry) []byte {
 }
 
 // TestSpanReaderPrivateSink walks the fixture schedule the way a compaction
-// input is read: every block byte-identical to the single-block reference,
-// spans cut at the gap, the member change and the tails, never more than
-// spanDepth GETs in flight, nothing admitted to the caches.
+// input is read, at a scan's width and at a wider one (narrow enough that the
+// fixture still has the spans to fill the pipeline): every block
+// byte-identical to the single-block reference, spans cut at the width, the
+// gap, the member change and the tails, never more than spanDepth GETs in
+// flight, nothing admitted to the caches.
 func TestSpanReaderPrivateSink(t *testing.T) {
-	e, p, tabs, sched := spanFixture(t)
-	p.delay = 200 * time.Microsecond
-	var spans, blocks = &e.stats.PrefetchSpans, &e.stats.PrefetchBlocks
-	sr := &spanReader{sched: sched, tables: tabs, spans: spans, blocks: blocks}
-	deepest := 0
-	for i, en := range sched {
-		body, err := sr.get(i)
-		if err != nil {
-			t.Fatalf("ordinal %d: %v", i, err)
-		}
-		if !bytes.Equal(body, tabs.reference(t, en)) {
-			t.Fatalf("ordinal %d differs from the single-block read", i)
-		}
-		if len(sr.ahead) > spanDepth {
-			t.Fatalf("ordinal %d: %d spans in flight, cap %d", i, len(sr.ahead), spanDepth)
-		}
-		deepest = max(deepest, len(sr.ahead))
-	}
-	sr.drain()
-	want := len(wantSpans(sched))
-	if got := spans.Load(); got != int64(want) || blocks.Load() != int64(len(sched)) || p.reads != want {
-		t.Errorf("spans=%d blocks=%d reads=%d, want %d spans over %d blocks", got, blocks.Load(), p.reads, want, len(sched))
-	}
-	if deepest != spanDepth || p.peak > spanDepth {
-		t.Errorf("pipeline depth reached %d with %d GETs in flight, want %d and at most %d", deepest, p.peak, spanDepth, spanDepth)
-	}
-	if e.blockCache.Len() != 0 {
-		t.Errorf("private sink admitted %d blocks to the block cache", e.blockCache.Len())
+	for _, width := range []int{spanBlocks, spanBlocks + spanBlocks/2} {
+		t.Run(fmt.Sprintf("width=%d", width), func(t *testing.T) {
+			e, p, tabs, sched := spanFixture(t)
+			p.delay = 200 * time.Microsecond
+			var spans, blocks = &e.stats.PrefetchSpans, &e.stats.PrefetchBlocks
+			sr := &spanReader{sched: sched, tables: tabs, width: width, spans: spans, blocks: blocks}
+			deepest := 0
+			for i, en := range sched {
+				body, err := sr.get(i)
+				if err != nil {
+					t.Fatalf("ordinal %d: %v", i, err)
+				}
+				if !bytes.Equal(body, tabs.reference(t, en)) {
+					t.Fatalf("ordinal %d differs from the single-block read", i)
+				}
+				if len(sr.ahead) > spanDepth {
+					t.Fatalf("ordinal %d: %d spans in flight, cap %d", i, len(sr.ahead), spanDepth)
+				}
+				deepest = max(deepest, len(sr.ahead))
+			}
+			sr.drain()
+			want := len(wantSpans(sched, width))
+			if got := spans.Load(); got != int64(want) || blocks.Load() != int64(len(sched)) || p.reads != want {
+				t.Errorf("spans=%d blocks=%d reads=%d, want %d spans over %d blocks", got, blocks.Load(), p.reads, want, len(sched))
+			}
+			if deepest != spanDepth || p.peak > spanDepth {
+				t.Errorf("pipeline depth reached %d with %d GETs in flight, want %d and at most %d", deepest, p.peak, spanDepth, spanDepth)
+			}
+			if e.blockCache.Len() != 0 {
+				t.Errorf("private sink admitted %d blocks to the block cache", e.blockCache.Len())
+			}
+		})
 	}
 }
 
@@ -209,7 +215,7 @@ func TestSpanReaderGetBudget(t *testing.T) {
 	var readers []*spanReader
 	for _, tab := range tabs {
 		sr := &spanReader{
-			sched: make([]sstable.ViewEntry, len(tab.hs)), tables: tab.h, gets: gets,
+			sched: make([]sstable.ViewEntry, len(tab.hs)), tables: tab.h, width: spanBlocks, gets: gets,
 			spans: &e.stats.PrefetchSpans, blocks: &e.stats.PrefetchBlocks,
 		}
 		for i, h := range tab.hs {
@@ -248,7 +254,7 @@ func TestSpanReaderGetBudget(t *testing.T) {
 // return before it lands.
 func TestSpanReaderDrainWaits(t *testing.T) {
 	e, p, tabs, sched := spanFixture(t)
-	sr := &spanReader{sched: sched, tables: tabs, spans: &e.stats.PrefetchSpans, blocks: &e.stats.PrefetchBlocks}
+	sr := &spanReader{sched: sched, tables: tabs, width: spanBlocks, spans: &e.stats.PrefetchSpans, blocks: &e.stats.PrefetchBlocks}
 	hold := make(chan struct{})
 	p.hold, p.holdFrom = hold, int64(sched[spanBlocks].H.Offset)
 	if _, err := sr.get(0); err != nil { // one synchronous span, the next launched behind it and held
@@ -293,7 +299,7 @@ func TestSpanReaderFailureSurfacesAtBlock(t *testing.T) {
 		}
 		return nil
 	}
-	sr := &spanReader{sched: sched, tables: tabs, spans: &e.stats.PrefetchSpans, blocks: &e.stats.PrefetchBlocks}
+	sr := &spanReader{sched: sched, tables: tabs, width: spanBlocks, spans: &e.stats.PrefetchSpans, blocks: &e.stats.PrefetchBlocks}
 	defer sr.drain()
 	for i := 0; i < bad; i++ {
 		if _, err := sr.get(i); err != nil {
@@ -349,7 +355,7 @@ func TestSpanReaderAdmitSink(t *testing.T) {
 	}
 
 	walk()
-	lens := wantSpans(sched)
+	lens := wantSpans(sched, spanBlocks)
 	spans := e.stats.ReadaheadSpans.Load()
 	if int(spans) != len(lens) || p.reads != len(lens) || e.stats.ReadaheadBlocks.Load() != int64(len(sched)) || p.peak > spanDepth {
 		t.Errorf("spans=%d reads=%d blocks=%d peak=%d, want %d spans, one GET each, over %d blocks and at most %d in flight",
@@ -366,7 +372,7 @@ func TestSpanReaderAdmitSink(t *testing.T) {
 	single := 0
 	for i, en := range sched {
 		blockLen[int64(en.H.Offset)] = int(en.H.End() - en.H.Offset)
-		if wantSpans(sched[i:])[0] == 1 {
+		if wantSpans(sched[i:], spanBlocks)[0] == 1 {
 			single++
 		}
 	}

@@ -262,7 +262,7 @@ func newViewIter(d *engine, v *sstable.View, files []*manifest.FileMetadata) *vi
 		pos:     -1,
 	}
 	vi.spans = spanReader{
-		sched: v.Entries, tables: vi, admit: true,
+		sched: v.Entries, tables: vi, admit: true, width: spanBlocks,
 		spans: &d.stats.ReadaheadSpans, blocks: &d.stats.ReadaheadBlocks,
 	}
 	return vi

@@ -78,12 +78,14 @@ type CompactionBegin struct {
 	Largest     []byte `json:"largest"`
 }
 
-// CompactionEnd fires after the outputs are installed and the inputs
-// retired. The stage durations decompose where the compaction spent time:
-// ReadDur is time blocked fetching input blocks (a subset of MergeDur, the
-// merge loop's wall time), UploadDur is the summed per-table upload time
-// (it can exceed Duration when uploads overlap the merge), and InstallDur
-// covers the manifest edit plus input retirement.
+// CompactionEnd fires after the outputs are installed and before any input
+// is retired: an input's TableDeleted always comes after the CompactionEnd of
+// the job that made it obsolete. The stage durations decompose where the
+// compaction spent time: ReadDur is time blocked fetching input blocks (a
+// subset of MergeDur, the merge loop's wall time), UploadDur is the summed
+// per-table upload time (it can exceed Duration when uploads overlap the
+// merge), and InstallDur covers the manifest edit. Retiring the inputs is
+// in none of them.
 type CompactionEnd struct {
 	Job           uint64        `json:"job"`
 	Shard         int           `json:"shard"`
@@ -116,7 +118,8 @@ type TableUploaded struct {
 	Pending bool `json:"pending,omitempty"`
 }
 
-// TableDeleted fires when a compaction input object is removed.
+// TableDeleted fires when a compaction input object is removed, after its
+// job's CompactionEnd.
 type TableDeleted struct {
 	Table uint64 `json:"table"`
 	Tier  string `json:"tier"`
