@@ -75,8 +75,6 @@ var entryPool = sync.Pool{
 // order, so a reader's snapshot never exposes sequence n+1 before n is in
 // the memtable.
 type commitPipeline struct {
-	d *engine
-
 	// qmu guards the writer queue and the leading flag. qfree is a spare
 	// backing array recycled from claimed groups so steady-state enqueues
 	// don't grow a fresh slice per group.
@@ -102,13 +100,14 @@ type commitPipeline struct {
 	walBuf []wal.Entry
 }
 
-func newCommitPipeline(d *engine) *commitPipeline {
-	return &commitPipeline{d: d}
-}
-
 // commit runs one batch through the pipeline, returning once the batch is
-// in the WAL, applied to the memtable, and visible to readers.
-func (p *commitPipeline) commit(b *batch.Batch) error {
+// in the WAL, applied to the memtable, and visible to readers. A lone writer
+// is a group of one.
+func (d *engine) commit(b *batch.Batch) error {
+	if err := d.makeRoomForWrite(int64(b.Size())); err != nil {
+		return err
+	}
+	p := &d.pipeline
 	e := entryPool.Get().(*commitEntry)
 	e.b = b
 	e.d = nil
@@ -134,7 +133,7 @@ func (p *commitPipeline) commit(b *batch.Batch) error {
 		lead = e.promoted
 	}
 	if lead {
-		p.leadGroup(e)
+		d.leadGroup(e)
 	}
 
 	// Sequences are assigned and the group's WAL write is done (or failed).
@@ -147,7 +146,7 @@ func (p *commitPipeline) commit(b *batch.Batch) error {
 		})
 	}
 	e.mem.WriterDone()
-	p.d.seqs.markApplied(e)
+	d.seqs.markApplied(e)
 	<-e.visible
 	p.inflight.Add(-1)
 	err := e.err
@@ -158,8 +157,8 @@ func (p *commitPipeline) commit(b *batch.Batch) error {
 
 // leadGroup claims the queued batches (self included), assigns sequences,
 // writes the coalesced group to the WAL, and hands off leadership.
-func (p *commitPipeline) leadGroup(self *commitEntry) {
-	d := p.d
+func (d *engine) leadGroup(self *commitEntry) {
+	p := &d.pipeline
 
 	p.qmu.Lock()
 	group := p.queue

@@ -3,6 +3,7 @@ package db
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -107,81 +108,98 @@ func TestCommitPipelineVisibilitySoak(t *testing.T) {
 	}
 }
 
-// TestCommitPipelineCrashEquivalence drives the same deterministic workload
-// through the pipelined and serial write paths, crashes both mid-stream
-// without a clean close, reopens, and requires identical recovered state —
-// the ISSUE's serial-vs-pipeline recovery acceptance check.
-func TestCommitPipelineCrashEquivalence(t *testing.T) {
-	run := func(disable bool) []string {
-		dir := t.TempDir()
-		o := testOptions(PolicyLocalOnly)
-		o.DisableCommitPipeline = disable
-		d, err := OpenAt(dir, o)
-		if err != nil {
-			t.Fatal(err)
+// crashTrace drives writer w's deterministic op stream into d and records
+// every acked op in model: n ops over 500 keys of w's own, every 11th a
+// delete, and a Flush after every 151st.
+func crashTrace(d *DB, w, n int, model map[string]string) error {
+	rng := rand.New(rand.NewSource(99 + int64(w)))
+	for i := 0; i < n; i++ {
+		k := fmt.Sprintf("w%d-k%05d", w, rng.Intn(500))
+		if i%11 == 10 {
+			if err := d.Delete([]byte(k)); err != nil {
+				return err
+			}
+			delete(model, k)
+			continue
 		}
-		rng := rand.New(rand.NewSource(99))
-		for i := 0; i < 800; i++ {
-			k := fmt.Sprintf("k%05d", rng.Intn(500))
-			if i%11 == 10 {
-				if err := d.Delete([]byte(k)); err != nil {
-					t.Fatal(err)
-				}
-				continue
-			}
-			if err := d.Put([]byte(k), []byte(pipelineValue(i))); err != nil {
-				t.Fatal(err)
-			}
-			if i%151 == 150 {
-				if err := d.Flush(); err != nil {
-					t.Fatal(err)
-				}
+		v := pipelineValue(i)
+		if err := d.Put([]byte(k), []byte(v)); err != nil {
+			return err
+		}
+		model[k] = v
+		if i%151 == 150 {
+			if err := d.Flush(); err != nil {
+				return err
 			}
 		}
-		d.Crash()
-
-		d2, err := OpenAt(dir, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer d2.Close()
-		return scanAll(t, d2)
 	}
-
-	pipelined := run(false)
-	serial := run(true)
-	if len(pipelined) != len(serial) {
-		t.Fatalf("recovered key counts differ: pipeline %d, serial %d", len(pipelined), len(serial))
-	}
-	for i := range pipelined {
-		if pipelined[i] != serial[i] {
-			t.Fatalf("recovered state diverges at %d: pipeline %q, serial %q", i, pipelined[i], serial[i])
-		}
-	}
+	return nil
 }
 
-// TestCommitPipelineDisabledServesWrites exercises the serial fallback path
-// end to end: batched writes, flush, reads.
-func TestCommitPipelineDisabledServesWrites(t *testing.T) {
-	dir := t.TempDir()
-	o := testOptions(PolicyLocalOnly)
-	o.DisableCommitPipeline = true
-	d, err := OpenAt(dir, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	for i := 0; i < 300; i++ {
-		mustPut(t, d, fmt.Sprintf("k%04d", i), pipelineValue(i))
-	}
-	if err := d.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 300; i++ {
-		mustGet(t, d, fmt.Sprintf("k%04d", i), pipelineValue(i))
-	}
-	if n := d.Metrics().CommitGroups; n != 0 {
-		t.Fatalf("serial path counted %d commit groups, want 0", n)
+// TestCommitPipelineCrashEquivalence crashes the store mid-stream without a
+// clean close, reopens it, and requires the recovered state to equal a model
+// of the acked ops. Crash keeps what reached the WAL, so every acked write
+// must come back and every acked delete must stay deleted — across memtable
+// seals racing concurrent commit groups, and with the writes spread over
+// several engines.
+func TestCommitPipelineCrashEquivalence(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		writers, ops int
+	}{
+		{"one-writer", 1, 800},
+		{"four-writers", 4, 400},
+	} {
+		for _, shards := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/shards=%d", tc.name, shards), func(t *testing.T) {
+				dir := t.TempDir()
+				o := testOptions(PolicyLocalOnly)
+				o.Shards = shards
+				d, err := OpenAt(dir, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				models := make([]map[string]string, tc.writers)
+				var wg sync.WaitGroup
+				for w := range models {
+					models[w] = map[string]string{}
+					wg.Add(1)
+					go func(w int) {
+						defer wg.Done()
+						if err := crashTrace(d, w, tc.ops, models[w]); err != nil {
+							t.Errorf("writer %d: %v", w, err)
+						}
+					}(w)
+				}
+				wg.Wait()
+				d.Crash()
+				if t.Failed() {
+					return
+				}
+
+				d2, err := OpenAt(dir, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer d2.Close()
+				var want []string
+				for _, m := range models {
+					for k, v := range m {
+						want = append(want, k+"="+v)
+					}
+				}
+				sort.Strings(want)
+				got := scanAll(t, d2)
+				if len(got) != len(want) {
+					t.Fatalf("recovered %d keys, model has %d", len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("recovered state diverges from the model at %d: got %q, want %q", i, got[i], want[i])
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -89,12 +89,8 @@ type engine struct {
 	ackRing []*commitEntry
 	ackHead int
 
-	// commitMu serializes the legacy write path (WAL append + memtable
-	// apply) when the commit pipeline is disabled.
-	commitMu sync.Mutex
-	// pipeline is the parallel group-commit path (see commit.go); nil when
-	// Options.DisableCommitPipeline reverts to the serial commitMu path.
-	pipeline *commitPipeline
+	// pipeline is the group-commit write path (see commit.go).
+	pipeline commitPipeline
 
 	// compactionMu guards what the compaction lane decides: the running jobs
 	// (each reserves a key range on its two levels), the pause CompactAll
@@ -269,9 +265,6 @@ func (d *engine) open(local, cloud storage.Backend) error {
 	d.vs.Current().AllFiles(func(level int, f *manifest.FileMetadata) {
 		d.pcache.SetLevel(f.Num, level)
 	})
-	if !d.opts.DisableCommitPipeline {
-		d.pipeline = newCommitPipeline(d)
-	}
 	// A crash between an object write and its manifest edit (or during a
 	// degraded-mode drain) can strand table objects no version references.
 	// Background work has not started yet, so the sweep races nothing.
@@ -302,60 +295,6 @@ func (d *engine) write(b *batch.Batch) error {
 	// observes, and stall tails are exactly what the histogram is for.
 	d.lat.put.Record(time.Since(start))
 	return err
-}
-
-func (d *engine) commit(b *batch.Batch) error {
-	if err := d.makeRoomForWrite(int64(b.Size())); err != nil {
-		return err
-	}
-	if p := d.pipeline; p != nil {
-		return p.commit(b)
-	}
-
-	// Serial path: one writer at a time per engine (commitMu), but sequence
-	// allocation and visibility still route through the shared seqSource so
-	// the store keeps one globally ordered watermark regardless of which
-	// commit path is configured.
-	d.commitMu.Lock()
-	defer d.commitMu.Unlock()
-	ss := d.seqs
-	e := entryPool.Get().(*commitEntry)
-	e.b, e.d, e.mem = b, d, nil
-	e.err, e.promoted, e.applied = nil, false, false
-	ss.mu.Lock()
-	b.SetSeq(ss.nextSeq)
-	ss.nextSeq += uint64(b.Count())
-	e.maxSeq = b.MaxSeq()
-	ss.enqueueLocked(d, e)
-	ss.mu.Unlock()
-	if _, err := d.wal.Append(b.Payload(), b.Seq(), e.maxSeq); err != nil {
-		// The allocated range is a hole: recovery and visibility tolerate
-		// gaps, matching the pipeline's failed-group semantics.
-		e.err = err
-	} else {
-		mem := d.currentMem()
-		e.err = b.Iterate(func(op batch.Op) error {
-			mem.Add(op.Seq, op.Kind, op.Key, op.Value)
-			return nil
-		})
-		if e.err == nil {
-			d.stats.Writes.Add(int64(b.Count()))
-			d.stats.BytesWritten.Add(int64(b.Size()))
-		}
-	}
-	ss.markApplied(e)
-	<-e.visible
-	err := e.err
-	e.b, e.d, e.mem = nil, nil, nil
-	entryPool.Put(e)
-	return err
-}
-
-func (d *engine) currentMem() *memtable.MemTable {
-	d.mu.Lock()
-	m := d.mem
-	d.mu.Unlock()
-	return m
 }
 
 // readState is the immutable snapshot of the read-visible memtable set.
@@ -432,19 +371,27 @@ func (d *engine) makeRoomForWrite(incoming int64) (err error) {
 			}
 			d.immWake.Wait()
 		default:
-			// Seal the memtable. Roll the WAL so the sealed memtable's
-			// tail aligns with a segment boundary (eWAL design).
-			d.imm = d.mem
-			d.mem = memtable.New()
-			d.updateReadStateLocked()
-			if err := d.wal.Roll(); err != nil {
-				d.bgErr = err
-				return err
-			}
-			wake(d.flushWake)
-			return nil
+			d.sealLocked()
+			return d.bgErr
 		}
 	}
+}
+
+// sealLocked hands the active memtable to the flush lane: it becomes imm,
+// readers see the new set, and the WAL rolls so the sealed memtable's tail
+// aligns with a segment boundary (eWAL design). A failed roll wedges the
+// engine: bgErr is set and everyone waiting on immWake wakes to return it.
+// The caller holds d.mu and checks d.bgErr.
+func (d *engine) sealLocked() {
+	d.imm = d.mem
+	d.mem = memtable.New()
+	d.updateReadStateLocked()
+	if err := d.wal.Roll(); err != nil {
+		d.bgErr = err
+		d.immWake.Broadcast()
+		return
+	}
+	wake(d.flushWake)
 }
 
 // get returns the value for key visible at snapshot seq.
@@ -626,14 +573,7 @@ func (d *engine) flush() error {
 		d.mu.Unlock()
 		return nil
 	}
-	d.imm = d.mem
-	d.mem = memtable.New()
-	d.updateReadStateLocked()
-	if err := d.wal.Roll(); err != nil {
-		d.mu.Unlock()
-		return err
-	}
-	wake(d.flushWake)
+	d.sealLocked()
 	for d.imm != nil && d.bgErr == nil {
 		d.immWake.Wait()
 	}

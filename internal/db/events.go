@@ -40,8 +40,8 @@ func newLatencies() *latencies {
 
 // Event fire helpers. Each checks the nil-listener fast path inline so call
 // sites stay one line and unset listeners cost a predicted branch and zero
-// allocations. Listeners run outside d.mu and d.commitMu (see package event
-// for the listener contract).
+// allocations. Listeners run outside d.mu and the commit pipeline's queue
+// lock (see package event for the listener contract).
 
 func (d *shared) evFlushBegin(reason string) {
 	if l := d.listener; l != nil {

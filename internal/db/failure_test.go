@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"rocksmash/internal/storage"
 )
 
 // waitForDrain blocks until the pending-upload backlog is empty, failing the
@@ -115,4 +117,41 @@ func TestPersistentCloudFailureDegrades(t *testing.T) {
 	}
 	mustGet(t, d, "k0000", "v")
 	mustGet(t, d, "k0049", "v")
+}
+
+// TestRollFailureFailsFast fails the fsync that seals the WAL segment under a
+// Flush. The Flush that hit the failure returns it, and the engine wedges
+// cleanly: every later Flush or Put returns an error promptly instead of
+// waiting on a sealed memtable the flush lane was never told about.
+func TestRollFailureFailsFast(t *testing.T) {
+	d, lf, _, err := OpenAtChaosLocal(t.TempDir(), testOptions(PolicyLocalOnly), storage.FaultConfig{}, storage.FaultConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	mustPut(t, d, "k", "v")
+	lf.SetSyncFailures(1)
+	if err := d.Flush(); err == nil {
+		t.Fatal("Flush over a failing WAL fsync returned nil")
+	}
+
+	fails := func(what string, op func() error) {
+		t.Helper()
+		done := make(chan error, 1)
+		go func() { done <- op() }()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Fatalf("%s after the failed roll returned nil", what)
+			}
+		case <-time.After(3 * time.Second):
+			t.Fatalf("%s after the failed roll still blocked after 3s", what)
+		}
+	}
+	big := make([]byte, 64<<10) // a memtable's worth: admitting it takes a seal
+	for i := 0; i < 3; i++ {
+		fails("Flush", d.Flush)
+		fails("Put", func() error { return d.Put([]byte(fmt.Sprintf("k%d", i)), []byte("v")) })
+		fails("memtable-filling Put", func() error { return d.Put([]byte("big"), big) })
+	}
 }

@@ -167,16 +167,6 @@ type Options struct {
 	// reopen with the same value.
 	Shards int
 
-	// DisableCommitPipeline reverts the write path to the serial
-	// commit-mutex design: one writer at a time appends to the WAL and
-	// applies to the memtable. The default (pipelined) path group-commits
-	// concurrent writers — a leader batches the queue into one vectored WAL
-	// append with a single amortized fsync while members apply to the
-	// memtable in parallel. Disable only for bisection or as a comparison
-	// baseline; results are identical either way, including post-crash
-	// recovered state.
-	DisableCommitPipeline bool
-
 	// DisableSortedViews turns off the per-level sorted-view sidecars
 	// (REMIX-style cursor runs) that accelerate range scans over levels
 	// >= 1. With views disabled every scan merges the level's tables

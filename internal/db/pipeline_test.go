@@ -277,15 +277,20 @@ func TestCompactionOutageDegradesAndRecovers(t *testing.T) {
 			referenced[manifest.TableName(f.Num)] = true
 		}
 	})
-	names, lerr := d.cloudSim.List("sst/")
-	if lerr != nil {
-		t.Fatal(lerr)
-	}
-	for _, n := range names {
-		if !referenced[n] {
-			t.Errorf("orphaned cloud object left behind: %s", n)
+	// Replaced inputs are retired in the background after their job ends,
+	// so an object the version no longer names may linger for a moment.
+	waitFor(t, "no orphaned cloud objects", 10*time.Second, func() bool {
+		names, lerr := d.cloudSim.List("sst/")
+		if lerr != nil {
+			t.Fatal(lerr)
 		}
-	}
+		for _, n := range names {
+			if !referenced[n] {
+				return false
+			}
+		}
+		return true
+	})
 	for n := range referenced {
 		if _, serr := d.cloudSim.Size(n); serr != nil {
 			t.Errorf("referenced object %s missing from cloud: %v", n, serr)

@@ -2,6 +2,8 @@ package harness
 
 import (
 	"bytes"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -51,5 +53,40 @@ func TestListOrderedAndComplete(t *testing.T) {
 		if e.Title == "" || e.Run == nil {
 			t.Fatalf("experiment %s incomplete", e.Name)
 		}
+	}
+}
+
+// TestWScaleShape checks fig-wscale's quick report: one row per writer count,
+// and at 8 writers the pipeline shares each WAL append among several batches.
+func TestWScaleShape(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Run("fig-wscale", Config{BaseDir: t.TempDir(), Quick: true, Out: &buf}); err != nil {
+		t.Fatal(err)
+	}
+	var writers []int
+	var group8 float64
+	for _, line := range strings.Split(buf.String(), "\n") {
+		f := strings.Fields(line)
+		if len(f) != 5 {
+			continue
+		}
+		n, err := strconv.Atoi(f[0])
+		if err != nil {
+			continue // the column header
+		}
+		g, err := strconv.ParseFloat(f[2], 64)
+		if err != nil {
+			t.Fatalf("row %q: batches/group: %v", line, err)
+		}
+		writers = append(writers, n)
+		if n == 8 {
+			group8 = g
+		}
+	}
+	if !reflect.DeepEqual(writers, []int{1, 2, 4, 8}) {
+		t.Fatalf("rows for writers %v, want [1 2 4 8]\n%s", writers, buf.String())
+	}
+	if group8 <= 1 {
+		t.Fatalf("batches/group at 8 writers = %.2f, want > 1\n%s", group8, buf.String())
 	}
 }

@@ -11,53 +11,41 @@ import (
 )
 
 func init() {
-	register("fig-wscale", "Writer scaling (ours): group commit vs serial path, synced fillrandom", figWScale)
+	register("fig-wscale", "Writer scaling with group commit (ours): synced fillrandom", figWScale)
 }
 
-// figWScale is an ablation this implementation adds: scale concurrent
-// writers over the synced fillrandom workload with the commit pipeline on
-// and off. The serial path pays one fsync per batch no matter how many
-// writers queue behind the commit mutex; the pipeline coalesces queued
-// writers into groups that share a single vectored WAL append and fsync,
-// so its throughput grows with the writer count while the group-size and
-// amortized-sync columns show the mechanism.
+// figWScale is an experiment this implementation adds: scale concurrent
+// writers over the synced fillrandom workload. The commit pipeline
+// coalesces queued writers into groups that share a single vectored WAL
+// append and fsync, so throughput grows with the writer count while the
+// group-size and amortized-sync columns show the mechanism; one writer is
+// a group of one and pays one fsync per batch.
 func figWScale(cfg Config) error {
 	w := cfg.out()
 	total := cfg.scale(3000)
 	const valLen = 100
-	fmt.Fprintf(w, "%-9s %-9s %10s %14s %12s %12s\n",
-		"writers", "pipeline", "kops/s", "batches/group", "syncsSaved", "p99")
-	for _, pipeline := range []bool{false, true} {
-		for _, writers := range []int{1, 2, 4, 8} {
-			opts := expOptions(db.PolicyLocalOnly)
-			opts.WALSync = true
-			opts.MemtableBytes = 64 << 20 // commit path only: never seal mid-run
-			opts.DisableCommitPipeline = !pipeline
-			d, _, err := openExp(cfg, fmt.Sprintf("wscale-%v-%d", pipeline, writers), opts)
-			if err != nil {
-				return err
-			}
-			lat, err := parallelFill(d, writers, total, valLen, cfg.seed())
-			if err != nil {
-				d.Close()
-				return err
-			}
-			m := d.Metrics()
-			groupSize, saved := 1.0, int64(0)
-			if m.CommitGroups > 0 {
-				groupSize = float64(m.CommitGroupBatches) / float64(m.CommitGroups)
-				saved = m.WALSyncsAmortized
-			}
-			mode := "off"
-			if pipeline {
-				mode = "on"
-			}
-			fmt.Fprintf(w, "%-9d %-9s %10s %14.2f %12d %12s\n",
-				writers, mode, kops(total, lat.dur), groupSize, saved,
-				lat.p99.Round(time.Microsecond))
-			if err := d.Close(); err != nil {
-				return err
-			}
+	fmt.Fprintf(w, "%-9s %10s %14s %12s %12s\n",
+		"writers", "kops/s", "batches/group", "syncsSaved", "p99")
+	for _, writers := range []int{1, 2, 4, 8} {
+		opts := expOptions(db.PolicyLocalOnly)
+		opts.WALSync = true
+		opts.MemtableBytes = 64 << 20 // commit path only: never seal mid-run
+		d, _, err := openExp(cfg, fmt.Sprintf("wscale-%d", writers), opts)
+		if err != nil {
+			return err
+		}
+		lat, err := parallelFill(d, writers, total, valLen, cfg.seed())
+		if err != nil {
+			d.Close()
+			return err
+		}
+		m := d.Metrics()
+		groupSize := float64(m.CommitGroupBatches) / float64(m.CommitGroups)
+		fmt.Fprintf(w, "%-9d %10s %14.2f %12d %12s\n",
+			writers, kops(total, lat.dur), groupSize, m.WALSyncsAmortized,
+			lat.p99.Round(time.Microsecond))
+		if err := d.Close(); err != nil {
+			return err
 		}
 	}
 	return nil
