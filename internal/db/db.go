@@ -92,7 +92,7 @@ func Open(opts Options, local storage.Backend, cloud storage.Backend) (*DB, erro
 			opts:   opts,
 			seqs:   newSeqSource(),
 			lat:    newLatencies(),
-			tables: newTableCache(opts.MaxOpenTables),
+			tables: newTableCache(maxOpenTables),
 			slots:  make(chan struct{}, compactionSlots),
 		},
 		local:    local,
@@ -110,7 +110,7 @@ func Open(opts Options, local storage.Backend, cloud storage.Backend) (*DB, erro
 	// of them.
 	d.listener = opts.EventListener
 	if opts.TracePath != "" {
-		tw, err := event.CreateTraceRotating(opts.TracePath, opts.TraceRotateBytes, opts.TraceRotateKeep)
+		tw, err := event.CreateTrace(opts.TracePath)
 		if err != nil {
 			return nil, fmt.Errorf("db: creating trace: %w", err)
 		}

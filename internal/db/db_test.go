@@ -40,7 +40,6 @@ func testOptions(p Policy) Options {
 	}
 	o.CloudBreaker = retry.BreakerConfig{Cooldown: 5 * time.Millisecond}
 	o.LocalBreaker = retry.BreakerConfig{Cooldown: 5 * time.Millisecond}
-	o.PendingDrainInterval = 10 * time.Millisecond
 	return o
 }
 

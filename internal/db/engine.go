@@ -162,9 +162,6 @@ type engine struct {
 	// plus copies reconciled from a cloud listing at Open).
 	mirrorMu sync.Mutex
 	mirrored map[uint64]bool
-	// scrubDone closes when the background scrub loop exits; nil when
-	// Options.ScrubInterval is zero.
-	scrubDone chan struct{}
 
 	// views caches decoded sorted-view sidecars per level and dedupes their
 	// background builds; viewWG tracks in-flight builders so close can drain
@@ -272,10 +269,6 @@ func (d *engine) open(local, cloud storage.Backend) error {
 	go d.flushLane()
 	go d.compactionLane()
 	go d.drainLoop()
-	if d.opts.ScrubInterval > 0 {
-		d.scrubDone = make(chan struct{})
-		go d.scrubLoop()
-	}
 	return nil
 }
 
@@ -598,9 +591,6 @@ func (d *engine) stop() {
 	<-d.compactDone
 	d.jobs.Wait()
 	<-d.drainDone
-	if d.scrubDone != nil {
-		<-d.scrubDone
-	}
 	d.stopViewBuilders()
 }
 

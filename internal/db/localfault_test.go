@@ -312,41 +312,6 @@ func TestScrubRacingCompaction(t *testing.T) {
 	}
 }
 
-// TestScrubIntervalBackgroundHeals verifies the background scrubber
-// (Options.ScrubInterval) finds and repairs damage with no read traffic.
-func TestScrubIntervalBackgroundHeals(t *testing.T) {
-	o := testOptions(PolicyMash)
-	o.MirrorLocalLevels = true
-	o.ScrubInterval = 20 * time.Millisecond
-	dir := t.TempDir()
-	d, err := OpenAt(dir, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-
-	for i := 0; i < 300; i++ {
-		mustPut(t, d, fmt.Sprintf("k%05d", i), pipelineValue(i))
-	}
-	if err := d.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	locals := localTableNums(d)
-	if len(locals) == 0 {
-		t.Fatal("no local tables after flush")
-	}
-	waitFor(t, "lazy mirror", 10*time.Second, func() bool {
-		return d.Metrics().MirroredTables >= int64(len(locals))
-	})
-	corruptObject(t, d.local, manifest.TableName(locals[0]), 64)
-
-	waitFor(t, "background scrub repair", 10*time.Second, func() bool {
-		m := d.Metrics()
-		return m.CorruptionsRepaired > 0 && m.ScrubPasses > 0
-	})
-	mustGet(t, d, "k00000", pipelineValue(0))
-}
-
 // TestWALSegmentCorruptionScrubRestore damages a sealed WAL segment whose
 // clean copy lives on the cloud backup and asserts the store's scrub pass
 // restores it and counts the detection.
@@ -589,8 +554,8 @@ func TestBitFlipStormByteCorrect(t *testing.T) {
 
 // TestCrashPointLocalDegraded sweeps randomized crash points through the
 // self-healing machinery: the local device fills mid-run (forcing degraded
-// landings and WAL spills) while the background scrubber runs, then all
-// storage dies at a random operation index. Reopening against clean
+// landings and WAL spills) while scrub passes run beside the writes, then
+// all storage dies at a random operation index. Reopening against clean
 // backends must recover every acknowledged write.
 func TestCrashPointLocalDegraded(t *testing.T) {
 	seeds := 50
@@ -610,7 +575,6 @@ func TestCrashPointLocalDegraded(t *testing.T) {
 				o.WALSync = true
 				o.WALCloudBackup = true
 				o.MirrorLocalLevels = true
-				o.ScrubInterval = 5 * time.Millisecond
 				o.pcacheDir = filepath.Join(dir, "pcache")
 				return o
 			}
@@ -640,7 +604,17 @@ func TestCrashPointLocalDegraded(t *testing.T) {
 			acked := map[string]string{}
 			d, err := Open(o, fl, fc)
 			if err == nil {
+				var scrubs sync.WaitGroup
+				var scrubbing atomic.Bool
 				for i := 0; i < 400; i++ {
+					if i%10 == 0 && scrubbing.CompareAndSwap(false, true) {
+						scrubs.Add(1)
+						go func() {
+							defer scrubs.Done()
+							d.Scrub()
+							scrubbing.Store(false)
+						}()
+					}
 					if i == 100 {
 						// The disk fills a quarter of the way in, pushing the
 						// rest of the run through local-degraded transitions.
@@ -658,6 +632,7 @@ func TestCrashPointLocalDegraded(t *testing.T) {
 						}
 					}
 				}
+				scrubs.Wait()
 				d.Crash()
 			}
 

@@ -71,9 +71,6 @@ type Options struct {
 	Compression sstable.Compression
 	// BlockCacheBytes bounds the in-memory block cache.
 	BlockCacheBytes int64
-	// MaxOpenTables bounds concurrently open table readers (and thus file
-	// descriptors); least-recently-used idle tables are closed past it.
-	MaxOpenTables int
 
 	// PCacheBytes bounds the persistent cache (PolicyMash / PolicyCloudLRU).
 	PCacheBytes int64
@@ -120,12 +117,10 @@ type Options struct {
 	// FailureThreshold consecutive failed requests the breaker opens, cloud
 	// requests fail fast with ErrCloudUnavailable, and flushes/compactions
 	// land their outputs locally (degraded mode) until a half-open probe
-	// succeeds. Zero fields take the breaker defaults.
+	// succeeds. Zero fields take the breaker defaults. The shorter of the
+	// two breakers' cooldowns also sets the background drainer's period: a
+	// tenth of it, never under 1ms (200ms at the defaults).
 	CloudBreaker retry.BreakerConfig
-	// PendingDrainInterval is how often the background drainer retries
-	// deferred deletes and relocates off-home tables to their home tier.
-	// Default 200ms.
-	PendingDrainInterval time.Duration
 
 	// LocalBreaker tunes the circuit breaker guarding the local tier — the
 	// symmetric twin of CloudBreaker. After FailureThreshold consecutive
@@ -135,16 +130,10 @@ type Options struct {
 	// admitting, and WAL segments spill to the cloud backup. A half-open
 	// probe (the next local write attempt) closes it again, after which the
 	// drainer migrates misplaced tables back. Zero fields take the breaker
-	// defaults.
+	// defaults. Its cooldown, like CloudBreaker's, also sets how often the
+	// drainer runs.
 	LocalBreaker retry.BreakerConfig
 
-	// ScrubInterval enables the background corruption scrubber: every
-	// interval one pass walks the local tier's artifacts (SSTable blocks,
-	// metadata sidecars, WAL segments, pcache index snapshot) verifying
-	// checksums, and repairs damaged artifacts that have a cloud source of
-	// truth in place. 0 (the default) disables the background loop;
-	// DB.Scrub() remains available for on-demand passes either way.
-	ScrubInterval time.Duration
 	// MirrorLocalLevels lazily uploads local-level SSTables to the cloud tier
 	// off the write path (riding the pending drainer), so every table has a
 	// cloud source of truth and any local corruption is repairable. Mirror
@@ -223,14 +212,6 @@ type Options struct {
 	// (machine-readable run trace, decodable with event.ReadTraceFile and
 	// summarized by `mashctl trace`). Combines with EventListener.
 	TracePath string
-	// TraceRotateBytes rotates the trace file when it reaches this size:
-	// the live file shifts to TracePath.1 (older files to .2, .3, ...) and
-	// a fresh file opens, always between complete JSON lines. 0 (the
-	// default) never rotates.
-	TraceRotateBytes int64
-	// TraceRotateKeep is how many rotated trace files are retained beyond
-	// the live one. 0 means 1.
-	TraceRotateKeep int
 
 	// Cloud configures the simulated object store when the DB creates its
 	// own backends (OpenAt). Ignored when backends are supplied directly.
@@ -251,7 +232,6 @@ func DefaultOptions() Options {
 		BlockBytes:            4 << 10,
 		BloomBitsPerKey:       10,
 		BlockCacheBytes:       8 << 20,
-		MaxOpenTables:         512,
 		PCacheBytes:           64 << 20,
 		PCacheRegionBytes:     256 << 10,
 		CompactionInheritance: true,
@@ -288,9 +268,6 @@ func (o Options) sanitize() Options {
 	if o.BlockCacheBytes < 0 {
 		o.BlockCacheBytes = 0
 	}
-	if o.MaxOpenTables <= 0 {
-		o.MaxOpenTables = d.MaxOpenTables
-	}
 	if o.PCacheBytes <= 0 {
 		o.PCacheBytes = d.PCacheBytes
 	}
@@ -325,9 +302,6 @@ func (o Options) sanitize() Options {
 		o.ReadProfileSampleRate = -1 // disabled (idempotent sentinel)
 	}
 	o.CloudRetry = o.CloudRetry.Sanitize()
-	if o.PendingDrainInterval <= 0 {
-		o.PendingDrainInterval = 200 * time.Millisecond
-	}
 	if o.VitalsInterval < 0 {
 		o.VitalsInterval = 0
 	}
@@ -335,15 +309,6 @@ func (o Options) sanitize() Options {
 		// The detector evaluates on vitals ticks; a recorder without a
 		// heartbeat would never detect anything.
 		o.VitalsInterval = time.Second
-	}
-	if o.TraceRotateBytes < 0 {
-		o.TraceRotateBytes = 0
-	}
-	if o.TraceRotateKeep < 0 {
-		o.TraceRotateKeep = 0
-	}
-	if o.ScrubInterval < 0 {
-		o.ScrubInterval = 0
 	}
 	if o.VitalsHistory < 0 {
 		o.VitalsHistory = 0 // NewSampler substitutes vitals.DefaultHistory

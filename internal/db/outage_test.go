@@ -222,7 +222,7 @@ func TestDrainUnreadableSourceDoesNotSpin(t *testing.T) {
 	time.Sleep(window)
 	// One read per round; rounds come from the ticker plus a wake-up per
 	// breaker close. Four per interval is generous; the spin made millions.
-	if got, max := reads.Load(), 4*int64(window/o.PendingDrainInterval); got == 0 || got > max {
+	if got, max := reads.Load(), 4*int64(window/drainEvery(o)); got == 0 || got > max {
 		t.Fatalf("drainer read the unreadable table %d times in %s, want 1..%d", got, window, max)
 	}
 	if n, _ := d.PendingCloudTables(); n == 0 {

@@ -97,6 +97,14 @@ func (d *engine) tierRecovered() {
 	wake(d.compactWake)
 }
 
+// drainEvery is the drainer's period: a tenth of the shorter breaker
+// cooldown, so an open breaker gets its recovery probe within a tenth of a
+// cooldown of it falling due, and never less than a millisecond.
+func drainEvery(o Options) time.Duration {
+	c := min(o.CloudBreaker.Sanitize().Cooldown, o.LocalBreaker.Sanitize().Cooldown)
+	return max(c/10, time.Millisecond)
+}
+
 // drainLoop runs until shutdown, retiring the tables readers left obsolete,
 // retrying deferred deletes and relocating off-home tables. Each round is also
 // the recovery probe for both tiers: its first request to a broken tier either
@@ -104,7 +112,7 @@ func (d *engine) tierRecovered() {
 // foreground traffic.
 func (d *engine) drainLoop() {
 	defer close(d.drainDone)
-	ticker := time.NewTicker(d.opts.PendingDrainInterval)
+	ticker := time.NewTicker(drainEvery(d.opts))
 	defer ticker.Stop()
 	for {
 		select {

@@ -19,8 +19,7 @@ import (
 //   - repairSidecar, the recovery of a corrupt metadata sidecar (delete it;
 //     the next open rebuilds it from the cloud object's own tail);
 //   - Scrub, the on-demand full-checksum walk over every local artifact
-//     class (SSTable blocks, metadata sidecars, WAL segments), and
-//     scrubLoop, its background driver (Options.ScrubInterval).
+//     class (SSTable blocks, metadata sidecars, WAL segments).
 //
 // Counting invariant: every counted detection resolves to exactly one of
 // CorruptionsRepaired or CorruptionsUnrepaired, so the three counters
@@ -289,19 +288,4 @@ func (d *engine) scrub() ScrubReport {
 
 	d.stats.ScrubPasses.Add(1)
 	return rep
-}
-
-// scrubLoop drives periodic scrub passes (Options.ScrubInterval > 0).
-func (d *engine) scrubLoop() {
-	defer close(d.scrubDone)
-	t := time.NewTicker(d.opts.ScrubInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-d.bgQuit:
-			return
-		case <-t.C:
-		}
-		d.scrub()
-	}
 }

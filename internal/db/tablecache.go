@@ -69,10 +69,10 @@ func keyOf(num uint64, tier storage.Tier) tableKey {
 	return tableKey(num<<1 | uint64(tier))
 }
 
+// maxOpenTables is the store's cap on open table readers.
+const maxOpenTables = 512
+
 func newTableCache(maxOpen int) *tableCache {
-	if maxOpen < 8 {
-		maxOpen = 8
-	}
 	return &tableCache{
 		maxOpen: maxOpen,
 		tables:  map[tableKey]*tableHandle{},

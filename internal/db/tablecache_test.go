@@ -6,19 +6,28 @@ import (
 	"testing"
 )
 
-// TestTableCacheBoundsOpenFiles fills the tree with many small tables and
-// verifies the open-table count stays at or below the configured cap while
-// reads keep working.
-func TestTableCacheBoundsOpenFiles(t *testing.T) {
+// openSmallTableCache opens a store that keeps many L0 tables (compaction
+// consolidation off) behind a table cache capped at 8 open tables.
+func openSmallTableCache(t *testing.T) *DB {
+	t.Helper()
 	opts := testOptions(PolicyLocalOnly)
-	opts.MaxOpenTables = 8
-	// Disable compaction consolidation so many tables accumulate.
 	opts.L0CompactTrigger = 100
 	opts.L0StallFiles = 400
 	d, err := OpenAt(t.TempDir(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	d.tables.mu.Lock()
+	d.tables.maxOpen = 8
+	d.tables.mu.Unlock()
+	return d
+}
+
+// TestTableCacheBoundsOpenFiles fills the tree with many small tables and
+// verifies the open-table count stays at or below the cap while reads keep
+// working.
+func TestTableCacheBoundsOpenFiles(t *testing.T) {
+	d := openSmallTableCache(t)
 	defer d.Close()
 
 	for round := 0; round < 30; round++ {
@@ -39,10 +48,10 @@ func TestTableCacheBoundsOpenFiles(t *testing.T) {
 	d.tables.mu.Lock()
 	open := len(d.tables.tables)
 	d.tables.mu.Unlock()
-	// The cap is 8 (with the min clamp); transiently referenced tables may
-	// push slightly over, but after the reads completed everything is idle.
-	if open > opts.MaxOpenTables {
-		t.Fatalf("open tables = %d, cap %d", open, opts.MaxOpenTables)
+	// Transiently referenced tables may push slightly over the cap, but after
+	// the reads completed everything is idle.
+	if open > d.tables.maxOpen {
+		t.Fatalf("open tables = %d, cap %d", open, d.tables.maxOpen)
 	}
 	// Reads still work for evicted tables (they reopen transparently).
 	for round := 0; round < 30; round++ {
@@ -53,14 +62,7 @@ func TestTableCacheBoundsOpenFiles(t *testing.T) {
 // TestTableCacheSkipsReferencedHandles ensures an iterator's pinned tables
 // survive cap enforcement.
 func TestTableCacheSkipsReferencedHandles(t *testing.T) {
-	opts := testOptions(PolicyLocalOnly)
-	opts.MaxOpenTables = 8
-	opts.L0CompactTrigger = 100
-	opts.L0StallFiles = 400
-	d, err := OpenAt(t.TempDir(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := openSmallTableCache(t)
 	defer d.Close()
 	for round := 0; round < 20; round++ {
 		for i := 0; i < 30; i++ {

@@ -2,7 +2,10 @@ package event
 
 import (
 	"bytes"
+	"fmt"
+	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 )
@@ -85,6 +88,49 @@ func TestTraceRoundTrip(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, want[i]) {
 			t.Errorf("record %d (%s):\n got %#v\nwant %#v", i, rec.Type, got, want[i])
+		}
+	}
+}
+
+// TestCreateTraceWritesWholeLines hammers a file-backed TraceWriter from
+// many goroutines, then re-parses the file: every record must come back as
+// a complete, decodable JSON line.
+func TestCreateTraceWritesWholeLines(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.jsonl")
+	tw, err := CreateTrace(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writers, perWriter = 8, 200
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				tw.OnCloudRetry(CloudRetry{
+					Op:      "put",
+					Object:  fmt.Sprintf("tables/%06d-%06d.sst", w, i),
+					Attempt: i,
+					Err:     "transient failure injected by the trace hammer",
+				})
+			}
+		}(w)
+	}
+	wg.Wait()
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := ReadTraceFile(path)
+	if err != nil {
+		t.Fatalf("torn or malformed trace: %v", err)
+	}
+	if len(recs) != writers*perWriter {
+		t.Fatalf("got %d records, want %d", len(recs), writers*perWriter)
+	}
+	for _, rec := range recs {
+		if _, err := rec.Decode(); err != nil {
+			t.Fatalf("undecodable record: %v", err)
 		}
 	}
 }

@@ -119,16 +119,6 @@ type TraceWriter struct {
 	bw  *bufio.Writer
 	c   io.Closer // underlying file, when owned
 	err error     // first write failure; subsequent events are dropped
-
-	// Size-based rotation (only when the writer owns a file it created via
-	// CreateTraceRotating): once the live file reaches rotateBytes, it is
-	// renamed to path.1 (older generations shift to path.2..path.keep, the
-	// oldest deleted) and a fresh file opened. Rotation happens between
-	// records, under mu, so no JSON line is ever split across files.
-	path        string
-	rotateBytes int64
-	keep        int
-	written     int64
 }
 
 // NewTraceWriter traces onto w. The caller owns w's lifetime; Close only
@@ -137,61 +127,16 @@ func NewTraceWriter(w io.Writer) *TraceWriter {
 	return &TraceWriter{bw: bufio.NewWriter(w)}
 }
 
-// CreateTrace creates (truncating) a JSONL trace file at path, without
-// rotation: the file grows unboundedly.
+// CreateTrace creates (truncating) a JSONL trace file at path. The file
+// grows unboundedly.
 func CreateTrace(path string) (*TraceWriter, error) {
-	return CreateTraceRotating(path, 0, 0)
-}
-
-// CreateTraceRotating creates a JSONL trace file at path that rotates once
-// it reaches rotateBytes: the live file becomes path.1, path.1 becomes
-// path.2, and so on up to keep retained generations (the oldest is
-// deleted). rotateBytes <= 0 disables rotation; keep < 1 retains one
-// rotated file. Rotation is atomic with respect to records — a line is
-// never torn across files.
-func CreateTraceRotating(path string, rotateBytes int64, keep int) (*TraceWriter, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, err
 	}
 	t := NewTraceWriter(f)
 	t.c = f
-	if rotateBytes > 0 {
-		t.path = path
-		t.rotateBytes = rotateBytes
-		t.keep = max(keep, 1)
-	}
 	return t, nil
-}
-
-// rotate shifts the retained generations and reopens a fresh live file.
-// Called with mu held, between complete records.
-func (t *TraceWriter) rotate() {
-	if err := t.bw.Flush(); err != nil {
-		t.err = err
-		return
-	}
-	if err := t.c.Close(); err != nil {
-		t.err = err
-		return
-	}
-	t.c = nil
-	os.Remove(fmt.Sprintf("%s.%d", t.path, t.keep))
-	for i := t.keep - 1; i >= 1; i-- {
-		os.Rename(fmt.Sprintf("%s.%d", t.path, i), fmt.Sprintf("%s.%d", t.path, i+1))
-	}
-	if err := os.Rename(t.path, t.path+".1"); err != nil {
-		t.err = err
-		return
-	}
-	f, err := os.Create(t.path)
-	if err != nil {
-		t.err = err
-		return
-	}
-	t.c = f
-	t.bw = bufio.NewWriter(f)
-	t.written = 0
 }
 
 // Close flushes buffered records and closes the file when owned. It returns
@@ -238,13 +183,6 @@ func (t *TraceWriter) emit(typ Type, payload any) {
 	}
 	if err := t.bw.WriteByte('\n'); err != nil {
 		t.err = err
-		return
-	}
-	if t.rotateBytes > 0 {
-		t.written += int64(len(line)) + 1
-		if t.written >= t.rotateBytes {
-			t.rotate()
-		}
 	}
 }
 

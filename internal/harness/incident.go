@@ -43,7 +43,6 @@ func incidentExperiment(cfg Config) error {
 	opts.WALCloudBackup = true
 	opts.LocalBreaker.Cooldown = 250 * time.Millisecond
 	opts.CloudBreaker.Cooldown = 250 * time.Millisecond
-	opts.PendingDrainInterval = 50 * time.Millisecond
 	// The flight recorder under test: 20ms detection ticks, a bundle per
 	// incident (the rate limit dropped below the tick interval).
 	opts.FlightRecorder = true

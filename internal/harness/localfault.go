@@ -73,7 +73,6 @@ func localFaultExperiment(cfg Config) error {
 	opts.WALCloudBackup = true
 	opts.LocalBreaker.Cooldown = 250 * time.Millisecond
 	opts.CloudBreaker.Cooldown = 250 * time.Millisecond
-	opts.PendingDrainInterval = 50 * time.Millisecond
 
 	dir := filepath.Join(cfg.BaseDir, "localfault")
 	if err := os.RemoveAll(dir); err != nil {
@@ -105,7 +104,7 @@ func localFaultExperiment(cfg Config) error {
 		return err
 	}
 	mirrored := waitStable(func() int64 { return d.Metrics().MirroredTables },
-		opts.PendingDrainInterval, time.Now().Add(30*time.Second))
+		50*time.Millisecond, time.Now().Add(30*time.Second))
 	if mirrored == 0 {
 		return fmt.Errorf("localfault: no tables mirrored after fill")
 	}

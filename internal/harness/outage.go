@@ -72,7 +72,6 @@ func outageExperiment(cfg Config) error {
 		// small enough that the outage window spans several flushes.
 		opts.MemtableBytes = 128 << 10
 		opts.CloudBreaker.Cooldown = 250 * time.Millisecond
-		opts.PendingDrainInterval = 50 * time.Millisecond
 
 		dir := filepath.Join(cfg.BaseDir, "outage", p.String())
 		if err := os.RemoveAll(dir); err != nil {

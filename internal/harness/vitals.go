@@ -63,7 +63,6 @@ func vitalsExperiment(cfg Config) error {
 	opts.PCacheBytes = 1 << 20
 	opts.MemtableBytes = 128 << 10 // several flushes per write phase
 	opts.CloudBreaker.Cooldown = 250 * time.Millisecond
-	opts.PendingDrainInterval = 50 * time.Millisecond
 	// With every level cloud-resident, L0->L1 compactions need cloud reads
 	// and defer during the outage — writers must not stall against a
 	// compaction that cannot run until the outage ends, so give L0 enough

@@ -45,7 +45,9 @@ type BreakerConfig struct {
 	OnStateChange func(from, to State)
 }
 
-func (c BreakerConfig) sanitize() BreakerConfig {
+// Sanitize fills zero fields with defaults: the configuration a Breaker
+// built from c runs with.
+func (c BreakerConfig) Sanitize() BreakerConfig {
 	if c.FailureThreshold < 1 {
 		c.FailureThreshold = 3
 	}
@@ -78,7 +80,7 @@ type Breaker struct {
 
 // NewBreaker returns a closed breaker.
 func NewBreaker(cfg BreakerConfig) *Breaker {
-	return &Breaker{cfg: cfg.sanitize()}
+	return &Breaker{cfg: cfg.Sanitize()}
 }
 
 // transitionLocked moves to next and returns the callback to run after the

@@ -27,11 +27,11 @@ func TestBackupCopiesSealedSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Append([]byte("one"), 1, 1)
+	appendOne(m, []byte("one"), 1, 1)
 	if err := m.Roll(); err != nil {
 		t.Fatal(err)
 	}
-	m.Append([]byte("two"), 2, 2)
+	appendOne(m, []byte("two"), 2, 2)
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -53,9 +53,9 @@ func TestRecoveryFallsBackToBackup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Append([]byte("precious"), 1, 1)
+	appendOne(m, []byte("precious"), 1, 1)
 	m.Roll()
-	m.Append([]byte("more"), 2, 2)
+	appendOne(m, []byte("more"), 2, 2)
 	m.Close()
 
 	// Local device "loses" the first segment.
@@ -97,7 +97,7 @@ func TestRecoveryAfterTotalLocalLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		m.Append([]byte(fmt.Sprintf("seg%d", i)), uint64(i+1), uint64(i+1))
+		appendOne(m, []byte(fmt.Sprintf("seg%d", i)), uint64(i+1), uint64(i+1))
 		m.Roll()
 	}
 	m.Close()
@@ -135,9 +135,9 @@ func TestBackupGCRemovesCloudCopies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Append([]byte("a"), 1, 3)
+	appendOne(m, []byte("a"), 1, 3)
 	m.Roll()
-	m.Append([]byte("b"), 4, 6)
+	appendOne(m, []byte("b"), 4, 6)
 	if err := m.DeleteObsolete(3); err != nil {
 		t.Fatal(err)
 	}

@@ -203,12 +203,6 @@ type Entry struct {
 	MaxSeq  uint64
 }
 
-// Append writes one batch payload covering sequence numbers
-// [minSeq, maxSeq] and returns the segment number it landed in.
-func (m *Manager) Append(payload []byte, minSeq, maxSeq uint64) (uint64, error) {
-	return m.AppendBatch([]Entry{{Payload: payload, MinSeq: minSeq, MaxSeq: maxSeq}})
-}
-
 // AppendBatch writes a group of batch payloads under one lock acquisition
 // and — when Sync is configured — one durability barrier for the whole
 // group, amortizing the fsync the commit pipeline would otherwise pay per

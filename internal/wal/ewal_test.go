@@ -18,6 +18,11 @@ func newBackend(t *testing.T) storage.Backend {
 	return l
 }
 
+// appendOne appends a single batch payload covering [minSeq, maxSeq].
+func appendOne(m *Manager, payload []byte, minSeq, maxSeq uint64) (uint64, error) {
+	return m.AppendBatch([]Entry{{Payload: payload, MinSeq: minSeq, MaxSeq: maxSeq}})
+}
+
 func openMgr(t *testing.T, be storage.Backend, opts Options) *Manager {
 	t.Helper()
 	m, err := Open(be, opts, 1)
@@ -32,7 +37,7 @@ func TestAppendAndReplay(t *testing.T) {
 	m := openMgr(t, be, DefaultOptions())
 	for i := 0; i < 10; i++ {
 		seq := uint64(i + 1)
-		if _, err := m.Append([]byte(fmt.Sprintf("rec%02d", i)), seq, seq); err != nil {
+		if _, err := appendOne(m, []byte(fmt.Sprintf("rec%02d", i)), seq, seq); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -63,11 +68,11 @@ func TestAppendAndReplay(t *testing.T) {
 func TestRollCreatesSegments(t *testing.T) {
 	be := newBackend(t)
 	m := openMgr(t, be, DefaultOptions())
-	m.Append([]byte("a"), 1, 1)
+	appendOne(m, []byte("a"), 1, 1)
 	if err := m.Roll(); err != nil {
 		t.Fatal(err)
 	}
-	m.Append([]byte("b"), 2, 2)
+	appendOne(m, []byte("b"), 2, 2)
 	segs := m.Segments()
 	if len(segs) != 2 {
 		t.Fatalf("segments = %d", len(segs))
@@ -86,8 +91,8 @@ func TestSizeBasedRoll(t *testing.T) {
 	opts.SegmentBytes = 1024
 	m := openMgr(t, be, opts)
 	payload := make([]byte, 600)
-	m.Append(payload, 1, 1)
-	m.Append(payload, 2, 2) // crosses 1024 → rolls
+	appendOne(m, payload, 1, 1)
+	appendOne(m, payload, 2, 2) // crosses 1024 → rolls
 	if len(m.Segments()) < 2 {
 		t.Fatalf("expected size-based roll, segments = %d", len(m.Segments()))
 	}
@@ -96,9 +101,9 @@ func TestSizeBasedRoll(t *testing.T) {
 func TestSkipFlushedSegments(t *testing.T) {
 	be := newBackend(t)
 	m := openMgr(t, be, DefaultOptions())
-	m.Append([]byte("old1"), 1, 5)
+	appendOne(m, []byte("old1"), 1, 5)
 	m.Roll()
-	m.Append([]byte("new1"), 6, 10)
+	appendOne(m, []byte("new1"), 6, 10)
 	m.Close()
 
 	m2 := openMgr(t, be, DefaultOptions())
@@ -123,9 +128,9 @@ func TestNonExtendedNeverSkips(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Extended = false
 	m := openMgr(t, be, opts)
-	m.Append([]byte("old"), 1, 5)
+	appendOne(m, []byte("old"), 1, 5)
 	m.Roll()
-	m.Append([]byte("new"), 6, 6)
+	appendOne(m, []byte("new"), 6, 6)
 	m.Close()
 
 	m2 := openMgr(t, be, opts)
@@ -148,7 +153,7 @@ func TestParallelReplayDeliversAll(t *testing.T) {
 	for s := 0; s < segs; s++ {
 		for i := 0; i < perSeg; i++ {
 			seq++
-			m.Append([]byte(fmt.Sprintf("s%d-r%03d", s, i)), seq, seq)
+			appendOne(m, []byte(fmt.Sprintf("s%d-r%03d", s, i)), seq, seq)
 		}
 		m.Roll()
 	}
@@ -182,11 +187,11 @@ func TestParallelReplayDeliversAll(t *testing.T) {
 func TestDeleteObsolete(t *testing.T) {
 	be := newBackend(t)
 	m := openMgr(t, be, DefaultOptions())
-	m.Append([]byte("a"), 1, 3)
+	appendOne(m, []byte("a"), 1, 3)
 	m.Roll()
-	m.Append([]byte("b"), 4, 6)
+	appendOne(m, []byte("b"), 4, 6)
 	m.Roll()
-	m.Append([]byte("c"), 7, 9)
+	appendOne(m, []byte("c"), 7, 9)
 
 	if err := m.DeleteObsolete(6); err != nil {
 		t.Fatal(err)
@@ -208,7 +213,7 @@ func TestDeleteObsolete(t *testing.T) {
 func TestCrashBeforeIndexWriteStillRecovers(t *testing.T) {
 	be := newBackend(t)
 	m := openMgr(t, be, DefaultOptions())
-	m.Append([]byte("x"), 1, 1)
+	appendOne(m, []byte("x"), 1, 1)
 	// Simulate crash: no Close, no index for the active segment's range.
 	// Delete INDEX entirely to model the worst case.
 	be.Delete("wal/INDEX")
@@ -230,12 +235,12 @@ func TestCrashBeforeIndexWriteStillRecovers(t *testing.T) {
 func TestReopenContinuesNumbering(t *testing.T) {
 	be := newBackend(t)
 	m := openMgr(t, be, DefaultOptions())
-	m.Append([]byte("a"), 1, 1)
+	appendOne(m, []byte("a"), 1, 1)
 	first := m.ActiveSegment()
 	m.Close()
 
 	m2 := openMgr(t, be, DefaultOptions())
-	m2.Append([]byte("b"), 2, 2)
+	appendOne(m2, []byte("b"), 2, 2)
 	if m2.ActiveSegment() <= first {
 		t.Fatalf("segment numbering regressed: %d <= %d", m2.ActiveSegment(), first)
 	}
@@ -244,7 +249,7 @@ func TestReopenContinuesNumbering(t *testing.T) {
 func TestTornActiveSegmentReplays(t *testing.T) {
 	be := newBackend(t)
 	m := openMgr(t, be, DefaultOptions())
-	m.Append([]byte("good"), 1, 1)
+	appendOne(m, []byte("good"), 1, 1)
 	m.Close()
 
 	// Append garbage to simulate a torn write at crash.

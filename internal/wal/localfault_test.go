@@ -18,14 +18,14 @@ func TestAppendSpillsOnDiskFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Append([]byte("before"), 1, 1); err != nil {
+	if _, err := appendOne(m, []byte("before"), 1, 1); err != nil {
 		t.Fatal(err)
 	}
 
 	// The disk fills mid-stream: every further local write gets ENOSPC.
 	faulty.SetWriteBudget(1)
 	for i := uint64(2); i <= 5; i++ {
-		if _, err := m.Append([]byte("during"), i, i); err != nil {
+		if _, err := appendOne(m, []byte("during"), i, i); err != nil {
 			t.Fatalf("append %d during disk-full must spill, got %v", i, err)
 		}
 	}
@@ -38,7 +38,7 @@ func TestAppendSpillsOnDiskFull(t *testing.T) {
 	if err := m.Roll(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Append([]byte("after"), 6, 6); err != nil {
+	if _, err := appendOne(m, []byte("after"), 6, 6); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Close(); err != nil {
@@ -85,14 +85,14 @@ func TestSyncedSpillDurableWithoutClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Append([]byte("local"), 1, 1); err != nil {
+	if _, err := appendOne(m, []byte("local"), 1, 1); err != nil {
 		t.Fatal(err)
 	}
 
 	// Disk full: synced appends must keep succeeding via the backup tier.
 	faulty.SetWriteBudget(1)
 	for i := uint64(2); i <= 4; i++ {
-		if _, err := m.Append([]byte("spilled"), i, i); err != nil {
+		if _, err := appendOne(m, []byte("spilled"), i, i); err != nil {
 			t.Fatalf("synced append %d during disk-full: %v", i, err)
 		}
 		// The ack means durable: the spilled segment must already be a
@@ -143,10 +143,10 @@ func TestScrubRestoresCorruptSegmentFromBackup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Append([]byte("precious"), 1, 1); err != nil {
+	if _, err := appendOne(m, []byte("precious"), 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Append([]byte("sentinel"), 2, 2); err != nil {
+	if _, err := appendOne(m, []byte("sentinel"), 2, 2); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Roll(); err != nil { // seals segment 1, copies it to backup

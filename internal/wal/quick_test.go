@@ -38,7 +38,7 @@ func TestQuickReplayEqualsHistory(t *testing.T) {
 			}
 			seq++
 			p := fmt.Sprintf("rec-%06d-%d", seq, rng.Int31())
-			if _, err := m.Append([]byte(p), seq, seq); err != nil {
+			if _, err := appendOne(m, []byte(p), seq, seq); err != nil {
 				return false
 			}
 			history = append(history, p)
@@ -99,7 +99,7 @@ func TestQuickSkipWatermark(t *testing.T) {
 		}
 		n := int(nRecs%100) + 1
 		for i := 1; i <= n; i++ {
-			if _, err := m.Append([]byte(fmt.Sprintf("r%04d", i)), uint64(i), uint64(i)); err != nil {
+			if _, err := appendOne(m, []byte(fmt.Sprintf("r%04d", i)), uint64(i), uint64(i)); err != nil {
 				return false
 			}
 		}
