@@ -67,10 +67,10 @@ var entryPool = sync.Pool{
 // the first writer to find the queue unled becomes the leader, claims every
 // queued batch, assigns the group a contiguous sequence range under d.mu
 // (atomically with memtable rotation), persists all payloads with a single
-// vectored WAL append — one fsync for the whole group when WALSync is on —
-// then hands leadership to the next queue head before applying its own
-// batch, so the next group's WAL write overlaps this group's memtable
-// inserts. Each member applies its own batch to the (concurrency-safe)
+// WAL append — one write(2), and one fsync for the whole group when
+// WALSync is on — then hands leadership to the next queue head before
+// applying its own batch, so the next group's WAL write overlaps this
+// group's memtable inserts. Each member applies its own batch to the (concurrency-safe)
 // memtable in parallel; a pending ring publishes lastSeq strictly in commit
 // order, so a reader's snapshot never exposes sequence n+1 before n is in
 // the memtable.
@@ -94,7 +94,7 @@ type commitPipeline struct {
 	// a member: a lone writer must not defer its own fsync.
 	inflight atomic.Int64
 
-	// walBuf is the reusable vectored-append scratch. Leaders are mutually
+	// walBuf is the reusable group-append scratch. Leaders are mutually
 	// exclusive from queue claim through AppendBatch return (handoff only
 	// happens after the append), so a single buffer suffices.
 	walBuf []wal.Entry
@@ -213,10 +213,10 @@ func (d *engine) leadGroup(self *commitEntry) {
 	mem.RegisterWriters(len(group))
 	d.mu.Unlock()
 
-	// One vectored WAL append for the whole group: a single segment-writer
-	// critical section and, when WALSync is on, a single fsync amortized
-	// over len(group) commits. The scratch slice is pipeline-owned: leaders
-	// are exclusive until after AppendBatch returns.
+	// One WAL append for the whole group: a single segment-writer critical
+	// section, one write(2) and, when WALSync is on, a single fsync
+	// amortized over len(group) commits. The scratch slice is
+	// pipeline-owned: leaders are exclusive until after AppendBatch returns.
 	entries := p.walBuf
 	if cap(entries) < len(group) {
 		entries = make([]wal.Entry, len(group))
@@ -234,6 +234,7 @@ func (d *engine) leadGroup(self *commitEntry) {
 	start := time.Now()
 	_, err := d.wal.AppendBatch(entries)
 	dur := time.Since(start)
+	clear(entries) // the WAL copied the payloads; hold no batch past its Write
 	if err != nil {
 		// The group's writes never reached the WAL; fail every member and
 		// leave the allocated sequences as a hole (harmless: recovery and

@@ -378,18 +378,40 @@ func (d *DB) eachEngine(fn func(*engine) error) error {
 	return errors.Join(errs...)
 }
 
+// putBatches recycles the one-record batches of Put and Delete. A batch
+// goes back only after Write returns, when nothing holds its bytes: the WAL
+// copied the payload into its own encode buffer and the memtable copied key
+// and value into its arena.
+var putBatches = sync.Pool{New: func() any { return batch.New() }}
+
+// maxPooledBatch keeps a Put of a huge value from pinning its buffer in
+// the pool.
+const maxPooledBatch = 64 << 10
+
+func releasePutBatch(b *batch.Batch) {
+	if b.Size() > maxPooledBatch {
+		return
+	}
+	b.Reset()
+	putBatches.Put(b)
+}
+
 // Put stores a key/value pair.
 func (d *DB) Put(key, value []byte) error {
-	b := batch.New()
+	b := putBatches.Get().(*batch.Batch)
 	b.Set(key, value)
-	return d.Write(b)
+	err := d.Write(b)
+	releasePutBatch(b)
+	return err
 }
 
 // Delete removes a key.
 func (d *DB) Delete(key []byte) error {
-	b := batch.New()
+	b := putBatches.Get().(*batch.Batch)
 	b.Delete(key)
-	return d.Write(b)
+	err := d.Write(b)
+	releasePutBatch(b)
+	return err
 }
 
 // Write applies a batch. A batch whose keys all hash to one engine — every

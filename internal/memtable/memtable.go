@@ -32,9 +32,12 @@ func New() *MemTable {
 	return &MemTable{arena: a, list: skiplist.New(a)}
 }
 
-// Add inserts an entry. For kind == keys.KindDelete, value is ignored.
+// Add inserts an entry. For kind == keys.KindDelete, value is ignored. The
+// internal key is built on the stack (as Get builds its seek key) and
+// copied into the arena by the insert.
 func (m *MemTable) Add(seq uint64, kind keys.Kind, ukey, value []byte) {
-	ikey := keys.MakeInternalKey(nil, ukey, seq, kind)
+	var buf [keys.SeekBufLen]byte
+	ikey := keys.MakeInternalKey(buf[:0], ukey, seq, kind)
 	if kind == keys.KindDelete {
 		value = nil
 	}

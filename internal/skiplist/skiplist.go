@@ -26,6 +26,42 @@ type node struct {
 	next []atomic.Pointer[node]
 }
 
+// A node of height 1–3 (98.4 % of nodes at branching 4) is allocated
+// together with its tower as one of these; next aliases the tower.
+type (
+	node1 struct {
+		node
+		tower [1]atomic.Pointer[node]
+	}
+	node2 struct {
+		node
+		tower [2]atomic.Pointer[node]
+	}
+	node3 struct {
+		node
+		tower [3]atomic.Pointer[node]
+	}
+)
+
+// newNode returns a node with a tower of height h.
+func newNode(h int) *node {
+	switch h {
+	case 1:
+		x := &node1{}
+		x.next = x.tower[:]
+		return &x.node
+	case 2:
+		x := &node2{}
+		x.next = x.tower[:]
+		return &x.node
+	case 3:
+		x := &node3{}
+		x.next = x.tower[:]
+		return &x.node
+	}
+	return &node{next: make([]atomic.Pointer[node], h)}
+}
+
 // List is a skiplist ordered by keys.Compare. All methods, including
 // Insert, are safe for concurrent use.
 type List struct {
@@ -154,11 +190,9 @@ func (l *List) Insert(key, value []byte) {
 	var prev [maxHeight]*node
 	l.findGreaterOrEqual(key, &prev)
 
-	n := &node{
-		key:   l.arena.Append(key),
-		value: l.arena.Append(value),
-		next:  make([]atomic.Pointer[node], h),
-	}
+	n := newNode(h)
+	n.key = l.arena.Append(key)
+	n.value = l.arena.Append(value)
 	for i := 0; i < h; i++ {
 		p := prev[i]
 		if p == nil {

@@ -271,15 +271,14 @@ func (m *Manager) rollBackupLocked() error {
 	return m.writeIndexLocked()
 }
 
-// appendGroupLocked writes one entry group into the active segment,
-// applying the group fsync and the size-based roll.
+// appendGroupLocked writes one entry group into the active segment with a
+// single Write — the whole group reaches the OS before any member is acked —
+// then applies the group fsync and the size-based roll.
 func (m *Manager) appendGroupLocked(entries []Entry) (uint64, error) {
 	cur := &m.segments[len(m.segments)-1]
+	var emitted int
 	for _, e := range entries {
-		if err := m.activeRW.Append(e.Payload); err != nil {
-			return 0, err
-		}
-		cur.Bytes += int64(len(e.Payload) + headerLen)
+		emitted += m.activeRW.encode(e.Payload)
 		if cur.MinSeq == 0 || e.MinSeq < cur.MinSeq {
 			cur.MinSeq = e.MinSeq
 		}
@@ -287,6 +286,12 @@ func (m *Manager) appendGroupLocked(entries []Entry) (uint64, error) {
 			cur.MaxSeq = e.MaxSeq
 		}
 	}
+	if err := m.activeRW.flush(); err != nil {
+		return 0, err
+	}
+	// Count what the encoder emitted — fragment headers and block padding
+	// included — so Bytes matches the file size Open reads back.
+	cur.Bytes += int64(emitted)
 	num := cur.Num
 	if m.opts.Sync {
 		if cur.Spilled {

@@ -1,7 +1,10 @@
 package wal
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"math/rand"
 	"sort"
 	"sync"
 	"testing"
@@ -243,6 +246,109 @@ func TestReopenContinuesNumbering(t *testing.T) {
 	appendOne(m2, []byte("b"), 2, 2)
 	if m2.ActiveSegment() <= first {
 		t.Fatalf("segment numbering regressed: %d <= %d", m2.ActiveSegment(), first)
+	}
+}
+
+// countingBackend counts the Writes that reach the objects it creates.
+type countingBackend struct {
+	storage.Backend
+	writes *int
+}
+
+type countingSegment struct {
+	storage.Writer
+	writes *int
+}
+
+func (b countingBackend) Create(name string) (storage.Writer, error) {
+	w, err := b.Backend.Create(name)
+	if err != nil {
+		return nil, err
+	}
+	return countingSegment{Writer: w, writes: b.writes}, nil
+}
+
+func (w countingSegment) Write(p []byte) (int, error) {
+	*w.writes++
+	return w.Writer.Write(p)
+}
+
+// TestOneWritePerAppendBatch: a group reaches the segment in one Write,
+// whether it holds one record, eight, or enough to cross a block boundary.
+func TestOneWritePerAppendBatch(t *testing.T) {
+	var writes int
+	opts := DefaultOptions()
+	opts.Extended = false // no index objects: count segment writes only
+	m := openMgr(t, countingBackend{Backend: newBackend(t), writes: &writes}, opts)
+	defer m.Close()
+	group := func(n, size int) []Entry {
+		es := make([]Entry, n)
+		for i := range es {
+			es[i] = Entry{Payload: bytes.Repeat([]byte{byte(i)}, size), MinSeq: 1, MaxSeq: 1}
+		}
+		return es
+	}
+	for _, c := range []struct {
+		name    string
+		entries []Entry
+	}{
+		{"one record", group(1, 100)},
+		{"eight records", group(8, 100)},
+		{"across a block boundary", group(8, BlockSize/5)},
+	} {
+		writes = 0
+		if _, err := m.AppendBatch(c.entries); err != nil {
+			t.Fatal(err)
+		}
+		if writes != 1 {
+			t.Fatalf("%s: %d Writes, want 1", c.name, writes)
+		}
+	}
+}
+
+// TestSegmentBytesMatchFile: Bytes counts fragment headers and block
+// padding, so after appends across several blocks it equals the segment's
+// size on disk, both live and after reopen.
+func TestSegmentBytesMatchFile(t *testing.T) {
+	be := newBackend(t)
+	m := openMgr(t, be, DefaultOptions())
+	rng := rand.New(rand.NewSource(3))
+	for seq := uint64(1); seq <= 40; seq++ {
+		p := make([]byte, rng.Intn(BlockSize/2))
+		rng.Read(p)
+		if _, err := appendOne(m, p, seq, seq); err != nil {
+			t.Fatal(err)
+		}
+	}
+	name := SegmentName("wal", m.ActiveSegment())
+	size, err := be.Size(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if size < 4*BlockSize {
+		t.Fatalf("segment holds %d bytes; the test wants several blocks", size)
+	}
+	segs := m.Segments()
+	if got := segs[len(segs)-1].Bytes; got != size {
+		t.Fatalf("live segment Bytes = %d, file holds %d", got, size)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := be.ReadAll(indexName("wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var idx indexFile
+	if err := json.Unmarshal(data, &idx); err != nil {
+		t.Fatal(err)
+	}
+	if got := idx.Segments[len(idx.Segments)-1].Bytes; got != size {
+		t.Fatalf("index Bytes = %d, file holds %d", got, size)
+	}
+	segs = openMgr(t, be, DefaultOptions()).Segments()
+	if got := segs[len(segs)-1].Bytes; got != size {
+		t.Fatalf("reopened segment Bytes = %d, file holds %d", got, size)
 	}
 }
 

@@ -44,11 +44,22 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // and tolerated by recovery).
 var ErrCorrupt = errors.New("wal: corrupt record")
 
-// RecordWriter appends logical records in the block format.
+// maxKeptBuf bounds the encode buffer a RecordWriter keeps between
+// flushes: one that grew past it (a huge batch) is dropped after its flush
+// rather than pinned for the segment's lifetime.
+const maxKeptBuf = 1 << 20
+
+// blockPad is the zero padding of a block tail too short for a header.
+var blockPad [headerLen - 1]byte
+
+// RecordWriter appends logical records in the block format. Records are
+// encoded into a buffer the writer owns and reach the underlying writer in
+// one Write per flush: the eWAL encodes a whole commit group and then
+// flushes once.
 type RecordWriter struct {
 	w      io.Writer
-	block  [BlockSize]byte
-	off    int // bytes used in the current block
+	buf    []byte // encoded records not yet written
+	off    int    // bytes used in the current block
 	outErr error
 }
 
@@ -57,30 +68,25 @@ func NewRecordWriter(w io.Writer) *RecordWriter {
 	return &RecordWriter{w: w}
 }
 
-// Append writes one logical record.
+// Append writes one logical record with a single Write.
 func (rw *RecordWriter) Append(payload []byte) error {
-	if rw.outErr != nil {
-		return rw.outErr
-	}
+	rw.encode(payload)
+	return rw.flush()
+}
+
+// encode appends the physical records of one logical record, and the block
+// padding in front of them, to the buffer. It returns the bytes it added.
+func (rw *RecordWriter) encode(payload []byte) int {
+	before := len(rw.buf)
 	first := true
 	for {
 		avail := BlockSize - rw.off
 		if avail < headerLen {
-			// Pad the block tail with zeros.
-			if avail > 0 {
-				zeros := make([]byte, avail)
-				if _, err := rw.w.Write(zeros); err != nil {
-					rw.outErr = err
-					return err
-				}
-			}
+			rw.buf = append(rw.buf, blockPad[:avail]...)
 			rw.off = 0
 			avail = BlockSize
 		}
-		n := len(payload)
-		if n > avail-headerLen {
-			n = avail - headerLen
-		}
+		n := min(len(payload), avail-headerLen)
 		var typ byte
 		last := n == len(payload)
 		switch {
@@ -93,30 +99,43 @@ func (rw *RecordWriter) Append(payload []byte) error {
 		default:
 			typ = typeMiddle
 		}
-		var hdr [headerLen]byte
-		crc := crc32.Checksum(append([]byte{typ}, payload[:n]...), castagnoli)
-		binary.LittleEndian.PutUint32(hdr[0:4], crc)
-		binary.LittleEndian.PutUint16(hdr[4:6], uint16(n))
-		hdr[6] = typ
-		if _, err := rw.w.Write(hdr[:]); err != nil {
-			rw.outErr = err
-			return err
-		}
-		if _, err := rw.w.Write(payload[:n]); err != nil {
-			rw.outErr = err
-			return err
-		}
+		// The type byte and the payload are contiguous in the encoded
+		// record, so the checksum covers them in place.
+		start := len(rw.buf)
+		rw.buf = append(rw.buf, 0, 0, 0, 0, byte(n), byte(n>>8), typ)
+		rw.buf = append(rw.buf, payload[:n]...)
+		binary.LittleEndian.PutUint32(rw.buf[start:], crc32.Checksum(rw.buf[start+6:], castagnoli))
 		rw.off += headerLen + n
 		payload = payload[n:]
 		first = false
 		if last {
-			return nil
+			return len(rw.buf) - before
 		}
 	}
 }
 
-// Size returns the number of bytes that Append has emitted so far for the
-// current block cycle; used only in tests.
+// flush hands everything encoded since the last flush to the underlying
+// writer in one Write. A failed Write is sticky: the writer stays failed.
+func (rw *RecordWriter) flush() error {
+	if rw.outErr != nil {
+		rw.buf = rw.buf[:0]
+		return rw.outErr
+	}
+	if len(rw.buf) == 0 {
+		return nil
+	}
+	_, err := rw.w.Write(rw.buf)
+	if cap(rw.buf) > maxKeptBuf {
+		rw.buf = nil
+	} else {
+		rw.buf = rw.buf[:0]
+	}
+	rw.outErr = err
+	return err
+}
+
+// blockOffset returns the writer's offset within the current block; used
+// only in tests.
 func (rw *RecordWriter) blockOffset() int { return rw.off }
 
 // RecordReader iterates logical records from an in-memory log image.
@@ -166,8 +185,7 @@ func (rr *RecordReader) Next() ([]byte, error) {
 			return nil, io.ErrUnexpectedEOF
 		}
 		payload := rr.data[rr.off+headerLen : rr.off+headerLen+n]
-		want := crc32.Checksum(append([]byte{typ}, payload...), castagnoli)
-		if want != crc {
+		if crc32.Checksum(rr.data[rr.off+6:rr.off+headerLen+n], castagnoli) != crc {
 			// A bad checksum in the final partial record is a torn tail;
 			// anywhere else it is corruption.
 			if rr.off+headerLen+n >= len(rr.data) {
