@@ -495,6 +495,57 @@ func BenchmarkPipelinedCompaction(b *testing.B) {
 	}
 }
 
+// BenchmarkColdSeek times YCSB-E's scan — a seek to a zipfian key, then 1–100
+// keys — over a reopened cloud-resident tree with two levels behind sorted
+// views and a block cache a twelfth of the data. A cold seek positions in
+// both levels, so its cost is the cloud round trips it waits on.
+func BenchmarkColdSeek(b *testing.B) {
+	const records = 8000
+	dir := loadColdDir(b, records)
+	o := benchOptions(rocksmash.PolicyCloudOnly)
+	o.L0CompactTrigger = 1     // compacting leaves L0 empty
+	o.LevelBaseBytes = 1 << 20 // and two levels below it
+	o.BlockCacheBytes = 256 << 10
+	d, err := rocksmash.Open(dir, &o)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := d.CompactAll(); err != nil {
+		b.Fatal(err)
+	}
+	if lf := d.Metrics().LevelFiles; lf[0] != 0 || lf[1] == 0 || lf[2] == 0 {
+		b.Fatalf("level files %v, want L0 empty and L1, L2 populated", lf)
+	}
+	if err := d.Close(); err != nil {
+		b.Fatal(err)
+	}
+	if d, err = rocksmash.Open(dir, &o); err != nil { // reopen: caches start cold
+		b.Fatal(err)
+	}
+	defer d.Close()
+	if err := d.BuildViews(); err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	z := ycsb.NewZipfian(rng, records, 0.99)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		it, err := d.NewIterator()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if it.Seek(ycsb.Key(z.Next())); !it.Valid() {
+			b.Fatal("seek to a loaded key found nothing")
+		}
+		for n := 1 + rng.Intn(100); n > 1 && it.Valid(); n-- {
+			it.Next()
+		}
+		if err := it.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkColdScan times a full scan of a cloud-resident tree through a
 // cold block cache, along the levels' sorted views.
 func BenchmarkColdScan(b *testing.B) {

@@ -168,6 +168,10 @@ type engine struct {
 	// them before the facade tears down the table cache.
 	views  viewRegistry
 	viewWG sync.WaitGroup
+	// scanTails counts the span GETs of scans in flight, which outlive their
+	// iterator's Close: stop waits them out, since a landing span writes to
+	// the caches and may drop the last pin on a version.
+	scanTails sync.WaitGroup
 
 	stats Stats
 	// profTick drives 1-in-N selection of Timed (clock-reading) read
@@ -583,8 +587,9 @@ func (d *engine) backgroundErr() error {
 }
 
 // stop halts the background loops and drains in-flight sorted-view builds
-// while their table handles are still valid. The facade has already set
-// closed.
+// and scan readahead while their table handles are still valid, before the
+// facade tears down the table cache and the persistent cache. The facade
+// has already set closed.
 func (d *engine) stop() {
 	close(d.bgQuit)
 	<-d.flushDone
@@ -592,6 +597,7 @@ func (d *engine) stop() {
 	d.jobs.Wait()
 	<-d.drainDone
 	d.stopViewBuilders()
+	d.scanTails.Wait()
 }
 
 // close stops the engine and releases what it owns; the shared caches

@@ -330,7 +330,20 @@ func (m *mergingIter) captureErrs() {
 	}
 }
 
+// prefetch fans a forward positioning to ikey (First when nil) out before
+// any child waits: every view child but skip starts the cloud GET its
+// positioning needs, so the merge pays one round trip however many cloud
+// levels it seeks.
+func (m *mergingIter) prefetch(ikey []byte, skip int) {
+	for i, c := range m.children {
+		if vi, ok := c.(*viewIter); ok && i != skip {
+			vi.prefetch(ikey)
+		}
+	}
+}
+
 func (m *mergingIter) First() {
+	m.prefetch(nil, -1)
 	for _, c := range m.children {
 		c.First()
 	}
@@ -349,6 +362,7 @@ func (m *mergingIter) Last() {
 }
 
 func (m *mergingIter) SeekGE(ikey []byte) {
+	m.prefetch(ikey, -1)
 	for _, c := range m.children {
 		c.SeekGE(ikey)
 	}
@@ -375,6 +389,7 @@ func (m *mergingIter) Next() {
 		// first key after the current one. Internal keys are unique, so
 		// SeekGE(current) cannot land on an equal key in other children.
 		m.pivot = append(m.pivot[:0], m.children[m.cur].Key()...)
+		m.prefetch(m.pivot, m.cur)
 		for i, c := range m.children {
 			if i != m.cur {
 				c.SeekGE(m.pivot)
@@ -443,11 +458,12 @@ func (m *mergingIter) Close() error {
 // visible entry wins, and tombstones hide older versions.
 type engineIter struct {
 	db     *engine
-	merged internalIterator
+	merged *mergingIter
 	seq    uint64
-	// v is the version the iterator walks, pinned until close: its level and
-	// view children open their tables lazily, as the walk reaches them.
-	v *manifest.Version
+	// hold pins the version the iterator walks, whose level and view children
+	// open their tables lazily, as the walk reaches them. The pin and the
+	// views' tables outlive close while a view's span GETs are in flight.
+	hold scanHold
 
 	// prof accumulates the iterator's data-block reads by source tier over
 	// its whole lifetime (nil when profiling is disabled); seeks counts
@@ -471,8 +487,9 @@ type engineIter struct {
 	skip []byte
 }
 
-// newIter builds the engine's iterator at snapshot seq.
-func (d *engine) newIter(seq uint64) (engineIter, error) {
+// newIter builds the engine's iterator at snapshot seq in it, where it stays:
+// its views point at its hold.
+func (d *engine) newIter(it *engineIter, seq uint64) error {
 	rs := d.rs.Load()
 	mem, imm := rs.mem, rs.imm
 	recovered := rs.recovered
@@ -484,7 +501,8 @@ func (d *engine) newIter(seq uint64) (engineIter, error) {
 		prof.Timed = rate == 1 || d.profTick.Add(1)%uint64(rate) == 0
 	}
 
-	var children []internalIterator
+	// Sized once: memtables, L0 tables, one child per deeper level.
+	children := make([]internalIterator, 0, 2+len(recovered)+len(v.Levels[0])+manifest.NumLevels-1)
 	children = append(children, &memIter{mem.NewIterator()})
 	if imm != nil {
 		children = append(children, &memIter{imm.NewIterator()})
@@ -502,12 +520,13 @@ func (d *engine) newIter(seq uint64) (engineIter, error) {
 				profilePool.Put(prof)
 			}
 			d.unpin(v)
-			return engineIter{}, err
+			return err
 		}
 		ti := newTableIter(h)
 		ti.it.SetProfile(prof)
 		children = append(children, ti)
 	}
+	it.hold.init(d, v)
 	for lvl := 1; lvl < manifest.NumLevels; lvl++ {
 		files := v.Levels[lvl]
 		if len(files) == 0 {
@@ -518,7 +537,7 @@ func (d *engine) newIter(seq uint64) (engineIter, error) {
 		// plain levelIter (and records the miss so the rebuild lag is
 		// observable).
 		if vw := d.viewFor(lvl, files); vw != nil {
-			vi := newViewIter(d, vw, files)
+			vi := newViewIter(d, &it.hold, vw, files)
 			vi.prof = prof
 			children = append(children, vi)
 			d.stats.ScanViewHits.Add(1)
@@ -537,7 +556,8 @@ func (d *engine) newIter(seq uint64) (engineIter, error) {
 		li.prof = prof
 		children = append(children, li)
 	}
-	return engineIter{db: d, merged: newMergingIter(children...), seq: seq, v: v, prof: prof}, nil
+	it.db, it.merged, it.seq, it.prof = d, newMergingIter(children...), seq, prof
+	return nil
 }
 
 // First positions at the smallest live key.
@@ -545,6 +565,13 @@ func (it *engineIter) First() {
 	it.seeks++
 	it.merged.First()
 	it.settle(nil)
+}
+
+// prefetch starts the cloud GETs Seek(ukey) will wait on, without waiting
+// for them. First lands where Seek of the empty key does.
+func (it *engineIter) prefetch(ukey []byte) {
+	it.seek = keys.MakeSeekKey(it.seek[:0], ukey, it.seq)
+	it.merged.prefetch(it.seek, -1)
 }
 
 // Seek positions at the first live key >= ukey.
@@ -697,11 +724,12 @@ func (it *engineIter) settleReverse(boundKey []byte) {
 	}
 }
 
-// close releases table references and the version pin, and folds the
-// iterator's counters into its engine's aggregates.
+// close releases table references and lets go of the iterator's hold (the
+// version pin and its views' tables go with the last span GET in flight),
+// and folds the iterator's counters into its engine's aggregates.
 func (it *engineIter) close() error {
 	err := it.merged.Close()
-	it.db.unpin(it.v)
+	it.hold.release()
 	if it.nkeys > 0 {
 		it.db.stats.IterKeys.Add(it.nkeys)
 	}
@@ -747,14 +775,12 @@ func (d *DB) NewIteratorAt(seq uint64) (*Iterator, error) {
 	}
 	it := &Iterator{kids: make([]engineIter, len(d.engines)), cur: -1}
 	for i, e := range d.engines {
-		k, err := e.newIter(seq)
-		if err != nil {
+		if err := e.newIter(&it.kids[i], seq); err != nil {
 			for j := range it.kids[:i] {
 				_ = it.kids[j].close()
 			}
 			return nil, err
 		}
-		it.kids[i] = k
 	}
 	return it, nil
 }
@@ -762,8 +788,20 @@ func (d *DB) NewIteratorAt(seq uint64) (*Iterator, error) {
 // NewIteratorSnapshot returns an iterator bound to a snapshot.
 func (s *Snapshot) NewIterator() (*Iterator, error) { return s.db.NewIteratorAt(s.seq) }
 
+// prefetch has every engine start the cloud GETs Seek(ukey) will wait on
+// before any engine waits, so a sharded store's round trips overlap too.
+// One engine's merge fans out on its own.
+func (it *Iterator) prefetch(ukey []byte) {
+	if len(it.kids) > 1 {
+		for i := range it.kids {
+			it.kids[i].prefetch(ukey)
+		}
+	}
+}
+
 // First positions at the smallest live key.
 func (it *Iterator) First() {
+	it.prefetch(nil)
 	for i := range it.kids {
 		it.kids[i].First()
 	}
@@ -772,6 +810,7 @@ func (it *Iterator) First() {
 
 // Seek positions at the first live key >= ukey.
 func (it *Iterator) Seek(ukey []byte) {
+	it.prefetch(ukey)
 	for i := range it.kids {
 		it.kids[i].Seek(ukey)
 	}
@@ -875,7 +914,8 @@ func (it *Iterator) Value() []byte { return it.value }
 // Err returns the first error encountered.
 func (it *Iterator) Err() error { return it.err }
 
-// Close releases table references. Iterators must be closed.
+// Close releases table references. Iterators must be closed. It does not
+// wait for readahead in flight: what those GETs borrow goes when they land.
 func (it *Iterator) Close() error {
 	if it.closed {
 		return it.err

@@ -318,7 +318,7 @@ func TestRelocateRetiredMidCopy(t *testing.T) {
 				t.Fatal(err)
 			}
 			e := d.engines[0]
-			oldMeta := it.kids[0].v.Levels[0][0]
+			oldMeta := it.kids[0].hold.v.Levels[0][0]
 			table := manifest.TableName(oldMeta.Num)
 			home.SetHook(nil)
 			waitFor(t, "the off-home table to be relocated", 10*time.Second, func() bool { return backlog() == 0 })

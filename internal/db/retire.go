@@ -16,9 +16,10 @@ import (
 // goroutine does so once the job has installed, fired its CompactionEnd and
 // given back its range and slot (lanes.go), so the DELETEs hold up no other
 // job. A reader that drops the last pin on an old version (a Get, an
-// iterator's Close) only queues the tables and wakes the drainer. Tables
-// still pinned when the store closes or crashes are left for the next Open's
-// orphan sweep.
+// iterator's Close, or — when a scan closed with readahead in flight — the
+// last of its span GETs to land, on that GET's goroutine; see scanHold) only
+// queues the tables and wakes the drainer. Tables still pinned when the store
+// closes or crashes are left for the next Open's orphan sweep.
 
 // tablesObsolete is the manifest set's callback: it queues, nothing more.
 func (d *engine) tablesObsolete(files []manifest.Obsolete) {

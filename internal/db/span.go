@@ -2,6 +2,7 @@ package db
 
 import (
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"rocksmash/internal/cache"
@@ -52,7 +53,7 @@ func (h *tableHandle) handle(int32) (*tableHandle, error) { return h, nil }
 // span is one range GET over the schedule ordinals [start,end).
 type span struct {
 	start, end int
-	done       chan struct{} // closed once bodies and err are set; nil for a synchronous read
+	landed     sync.WaitGroup // done once bodies and err are set; never added for a synchronous read
 	bodies     [][]byte
 	err        error
 }
@@ -60,7 +61,8 @@ type span struct {
 // spanReader walks one block schedule on behalf of one consumer goroutine.
 // The consumer moves the cursor with await, read or get; only the GETs
 // themselves run on other goroutines. They borrow the schedule's table
-// handles, so the consumer calls drain before it releases them.
+// handles: a compaction input's consumer calls drain before it releases
+// them, a scan's GETs hold them through the iterator's scanHold.
 type spanReader struct {
 	sched  []sstable.ViewEntry // Member indexes tables; Sep is not read
 	tables tableSource
@@ -77,6 +79,10 @@ type spanReader struct {
 	spans, blocks *atomic.Int64
 	// gets, when non-nil, is a GET budget shared with sibling readers.
 	gets chan struct{}
+	// hold, for a scan, is its iterator's hold on what a GET borrows: every
+	// GET in flight is one of its holders, so the iterator closes without
+	// waiting for them. Nil for a compaction input.
+	hold *scanHold
 
 	cur   *span   // the span the cursor is in (get only)
 	ahead []*span // in flight beyond it, in schedule order
@@ -137,15 +143,29 @@ func (s *spanReader) topUp(from int) {
 		if err != nil || h.tier != storage.TierCloud {
 			return
 		}
-		hs := s.cut(next)
-		sp := &span{start: next, end: next + len(hs), done: make(chan struct{})}
-		s.ahead = append(s.ahead, sp)
-		go func() {
-			defer close(sp.done)
-			s.fetch(sp, h, hs)
-		}()
-		next = sp.end
+		next = s.start(next, h).end
 	}
+}
+
+// start launches the GET of the span that begins at ordinal pos, a block of
+// cloud table h, and queues it behind the spans already in flight: the
+// asynchronous twin of read. await collects it.
+func (s *spanReader) start(pos int, h *tableHandle) *span {
+	hs := s.cut(pos)
+	sp := &span{start: pos, end: pos + len(hs)}
+	sp.landed.Add(1)
+	s.ahead = append(s.ahead, sp)
+	if s.hold != nil {
+		s.hold.lend()
+	}
+	go func() {
+		s.fetch(sp, h, hs)
+		sp.landed.Done()
+		if s.hold != nil {
+			s.hold.landed()
+		}
+	}()
+	return sp
 }
 
 // await moves the cursor to ordinal pos. Spans in flight that it has passed
@@ -156,7 +176,7 @@ func (s *spanReader) topUp(from int) {
 func (s *spanReader) await(pos int) *span {
 	for len(s.ahead) > 0 && s.ahead[0].start <= pos {
 		sp := s.ahead[0]
-		<-sp.done
+		sp.landed.Wait()
 		s.ahead = slices.Delete(s.ahead, 0, 1)
 		if pos < sp.end {
 			s.ramp++
@@ -202,7 +222,7 @@ func (s *spanReader) get(pos int) ([]byte, error) {
 // spans admitted to the caches stays there.
 func (s *spanReader) drain() {
 	for _, sp := range s.ahead {
-		<-sp.done
+		sp.landed.Wait()
 	}
 	s.ahead = s.ahead[:0]
 }

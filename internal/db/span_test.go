@@ -250,8 +250,9 @@ func TestSpanReaderGetBudget(t *testing.T) {
 	}
 }
 
-// TestSpanReaderDrainWaits holds a pipelined GET in flight: drain must not
-// return before it lands.
+// TestSpanReaderDrainWaits holds a pipelined GET in flight: drain, which a
+// scan's reverse move and a compaction input's release still rely on, must
+// not return before it lands.
 func TestSpanReaderDrainWaits(t *testing.T) {
 	e, p, tabs, sched := spanFixture(t)
 	sr := &spanReader{sched: sched, tables: tabs, width: spanBlocks, spans: &e.stats.PrefetchSpans, blocks: &e.stats.PrefetchBlocks}
@@ -312,7 +313,8 @@ func TestSpanReaderFailureSurfacesAtBlock(t *testing.T) {
 }
 
 // spanViewIter is a viewIter over the fixture: the schedule is the view's
-// cursor run, the tables are pre-opened members.
+// cursor run, the tables are pre-opened members with the table cache's fetch
+// path. The test keeps the hold's first holder, so nothing is released.
 func spanViewIter(e *engine, tabs tableList, sched []sstable.ViewEntry) *viewIter {
 	files := make([]*manifest.FileMetadata, len(tabs))
 	v := &sstable.View{Level: 1, Entries: sched}
@@ -320,9 +322,12 @@ func spanViewIter(e *engine, tabs tableList, sched []sstable.ViewEntry) *viewIte
 		files[m] = tab.meta
 		v.Members = append(v.Members, tab.meta.Num)
 	}
-	vi := newViewIter(e, v, files)
+	hold := &scanHold{}
+	hold.init(e, nil)
+	vi := newViewIter(e, hold, v, files)
 	for m, tab := range tabs {
-		vi.handles[m], vi.fetch[m] = tab.h, e.tables.fetchFor(tab.h)
+		tab.h.reader.SetFetch(e.tables.fetchFor(tab.h))
+		vi.handles[m] = tab.h
 	}
 	vi.forward = true
 	return vi

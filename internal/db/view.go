@@ -2,6 +2,7 @@ package db
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"rocksmash/internal/block"
@@ -241,8 +242,7 @@ type viewIter struct {
 	db      *engine
 	v       *sstable.View
 	files   []*manifest.FileMetadata // files[i].Num == v.Members[i]
-	handles []*tableHandle           // lazily opened, held until Close
-	fetch   []sstable.FetchFunc      // per-member single-block fallback path
+	handles []*tableHandle           // lazily opened, held until the scanHold lets go
 	pos     int                      // current entry ordinal
 	data    block.Iter               // held by value; re-pointed (key buffer kept) per block
 	loaded  bool                     // data is on the block at pos
@@ -250,22 +250,79 @@ type viewIter struct {
 	spans   spanReader // cloud span reads along v.Entries
 	prof    *readprof.Profile
 	err     error
+	// found is the ordinal prefetch resolved, -1 when none is pending, and
+	// foundBody that block when a cache held it (nil: its span is in flight).
+	// The load that follows takes them instead of looking the block up again.
+	found     int
+	foundBody []byte
+	// nextView links the views of one scanHold.
+	nextView *viewIter
 }
 
-func newViewIter(d *engine, v *sstable.View, files []*manifest.FileMetadata) *viewIter {
+func newViewIter(d *engine, hold *scanHold, v *sstable.View, files []*manifest.FileMetadata) *viewIter {
 	vi := &viewIter{
-		db:      d,
-		v:       v,
-		files:   files,
-		handles: make([]*tableHandle, len(files)),
-		fetch:   make([]sstable.FetchFunc, len(files)),
-		pos:     -1,
+		db:       d,
+		v:        v,
+		files:    files,
+		handles:  make([]*tableHandle, len(files)),
+		pos:      -1,
+		found:    -1,
+		nextView: hold.views,
 	}
+	hold.views = vi
 	vi.spans = spanReader{
-		sched: v.Entries, tables: vi, admit: true, width: spanBlocks,
+		sched: v.Entries, tables: vi, admit: true, width: spanBlocks, hold: hold,
 		spans: &d.stats.ReadaheadSpans, blocks: &d.stats.ReadaheadBlocks,
 	}
 	return vi
+}
+
+// scanHold is an engine iterator's hold on what its views' span GETs borrow:
+// the version it walks and the member tables its views opened. The iterator
+// is one holder and every span GET in flight is another; whoever lets go
+// last releases the handles and unpins the version. So Iterator.Close
+// returns with readahead still in flight, and no table a GET reads can be
+// retired — its blocks dropped from the caches — before the GET has landed
+// and admitted them.
+type scanHold struct {
+	d       *engine
+	v       *manifest.Version
+	views   *viewIter // linked through nextView
+	holders atomic.Int32
+}
+
+// init takes the iterator's own hold on v.
+func (s *scanHold) init(d *engine, v *manifest.Version) {
+	s.d, s.v = d, v
+	s.holders.Store(1)
+}
+
+// lend adds a span GET as a holder, and as a tail engine.stop waits for.
+func (s *scanHold) lend() {
+	s.holders.Add(1)
+	s.d.scanTails.Add(1)
+}
+
+// landed lets go of a span GET's hold once it has landed.
+func (s *scanHold) landed() {
+	s.release()
+	s.d.scanTails.Done()
+}
+
+// release drops one holder; the last one out releases everything.
+func (s *scanHold) release() {
+	if s.holders.Add(-1) > 0 {
+		return
+	}
+	for vi := s.views; vi != nil; vi = vi.nextView {
+		for i, h := range vi.handles {
+			if h != nil {
+				h.release()
+				vi.handles[i] = nil
+			}
+		}
+	}
+	s.d.unpin(s.v)
 }
 
 // handle returns member m's table handle, opening it on first use.
@@ -278,8 +335,80 @@ func (vi *viewIter) handle(m int32) (*tableHandle, error) {
 		return nil, err
 	}
 	vi.handles[m] = h
-	vi.fetch[m] = vi.db.tables.fetchFor(h)
 	return h, nil
+}
+
+// clock starts a stage clock when the profile is timed: the zero time
+// otherwise, which attribute reads as no stage time.
+func (vi *viewIter) clock() time.Time {
+	if vi.prof != nil && vi.prof.Timed {
+		return time.Now()
+	}
+	return time.Time{}
+}
+
+// attribute records a block served from tier on the iterator's profile.
+func (vi *viewIter) attribute(tier readprof.Tier, body []byte, start time.Time) {
+	if vi.prof == nil {
+		return
+	}
+	var ns int64
+	if !start.IsZero() {
+		ns = time.Since(start).Nanoseconds()
+	}
+	vi.prof.Block(tier, len(body), ns)
+}
+
+// cached returns entry e's block when the block cache holds it or, for a
+// cloud table on a forward walk, the persistent cache does (the hit is
+// promoted to the block cache), and nil otherwise: one lookup per rung.
+// waited says a span GET was awaited for the block, which makes it the
+// cloud's.
+func (vi *viewIter) cached(e *sstable.ViewEntry, h *tableHandle, start time.Time, waited bool) []byte {
+	fileNum := h.reader.FileNum()
+	ck := cache.Key{FileNum: fileNum, Offset: e.H.Offset}
+	if body, ok := vi.db.blockCache.Get(ck); ok {
+		if waited {
+			vi.attribute(readprof.TierCloud, body, start)
+		} else {
+			vi.attribute(readprof.TierBlockCache, body, time.Time{})
+		}
+		return body
+	}
+	if h.tier == storage.TierCloud && vi.forward {
+		if body, ok := vi.db.pcache.Get(fileNum, e.H.Offset); ok {
+			vi.db.blockCache.PutCloud(ck, body)
+			vi.attribute(readprof.TierPCache, body, start)
+			return body
+		}
+	}
+	return nil
+}
+
+// prefetch resolves the block SeekGE(ikey) — First when ikey is nil — will
+// land on and, when it is a cloud block in neither cache, starts its span's
+// GET without waiting for it. What it found goes to the load that follows.
+// It does nothing while spans are already in flight: load's await covers
+// those.
+func (vi *viewIter) prefetch(ikey []byte) {
+	pos := 0
+	if ikey != nil {
+		pos = vi.v.Seek(ikey)
+	}
+	if vi.err != nil || pos == vi.found || pos >= len(vi.v.Entries) || len(vi.spans.ahead) > 0 {
+		return
+	}
+	e := &vi.v.Entries[pos]
+	h, err := vi.handle(e.Member)
+	if err != nil || h.tier != storage.TierCloud {
+		return // load surfaces the error; a local block is no round trip
+	}
+	vi.forward = true
+	body := vi.cached(e, h, vi.clock(), false)
+	if body == nil {
+		vi.spans.start(pos, h)
+	}
+	vi.found, vi.foundBody = pos, body
 }
 
 // fetchEntry returns the verified body of the block at ordinal pos. The
@@ -295,56 +424,39 @@ func (vi *viewIter) fetchEntry(pos int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	fileNum := vi.files[e.Member].Num
 	if !vi.forward {
 		// The schedule runs forward only.
 		vi.spans.drain()
 	}
-
-	// elapsed is the stage time a sampled profile records, 0 otherwise.
-	var start time.Time
-	timed := vi.prof != nil && vi.prof.Timed
-	if timed {
-		start = time.Now()
-	}
-	elapsed := func() int64 {
-		if !timed {
-			return 0
+	start := vi.clock()
+	prefetched := pos == vi.found
+	if prefetched {
+		body := vi.foundBody
+		vi.found, vi.foundBody = -1, nil
+		if body != nil {
+			return body, nil // attributed by prefetch
 		}
-		return time.Since(start).Nanoseconds()
 	}
-
 	sp := vi.spans.await(pos)
 	waited := sp != nil && sp.err == nil
-	ck := cache.Key{FileNum: fileNum, Offset: e.H.Offset}
-	if body, ok := vi.db.blockCache.Get(ck); ok {
-		if vi.prof != nil {
-			if waited {
-				vi.prof.Block(readprof.TierCloud, len(body), elapsed())
-			} else {
-				vi.prof.Block(readprof.TierBlockCache, len(body), 0)
-			}
-		}
+	if waited && prefetched {
+		// prefetch looked the block up and started this span for it.
+		body := sp.bodies[pos-sp.start]
+		vi.attribute(readprof.TierCloud, body, start)
+		return body, nil
+	}
+	if body := vi.cached(e, h, start, waited); body != nil {
 		return body, nil
 	}
 	if h.tier == storage.TierCloud && vi.forward {
-		if body, ok := vi.db.pcache.Get(fileNum, e.H.Offset); ok {
-			vi.db.blockCache.PutCloud(ck, body)
-			if vi.prof != nil {
-				vi.prof.Block(readprof.TierPCache, len(body), elapsed())
-			}
-			return body, nil
-		}
 		if sp := vi.spans.read(pos, h); sp.err == nil {
-			if vi.prof != nil {
-				vi.prof.Block(readprof.TierCloud, len(sp.bodies[0]), elapsed())
-			}
+			vi.attribute(readprof.TierCloud, sp.bodies[0], start)
 			return sp.bodies[0], nil
 		}
 	}
 	// Single-block fallback: the standard fetch path (persistent cache,
 	// CRC repair for local damage, cache admission, attribution).
-	return vi.fetch[e.Member](fileNum, e.H, vi.prof)
+	return h.reader.Fetch(e.H, vi.prof)
 }
 
 // load positions the iterator on the block at ordinal pos.
@@ -466,16 +578,9 @@ func (vi *viewIter) Key() []byte   { return vi.data.Key() }
 func (vi *viewIter) Value() []byte { return vi.data.Value() }
 func (vi *viewIter) Err() error    { return vi.err }
 
+// Close leaves the span GETs in flight and the member handles they borrow
+// to the iterator's scanHold.
 func (vi *viewIter) Close() error {
-	// In-flight span GETs borrow member handles; let them land before
-	// releasing.
-	vi.spans.drain()
-	for i, h := range vi.handles {
-		if h != nil {
-			h.release()
-			vi.handles[i] = nil
-		}
-	}
 	vi.loaded = false
 	return vi.err
 }
