@@ -17,8 +17,9 @@ vet:
 	$(GO) vet ./...
 
 # Every package under the race detector: the sharded facade, the vitals
-# sampler, the scrubber and drainer, view builds and the flight recorder all
-# run concurrently with the engine, and this one run covers them all.
+# sampler, the scrubber and drainer, scan-time view builds and the flight
+# recorder all run concurrently with the engine, and this one run covers
+# them all.
 race:
 	$(GO) test -race ./...
 

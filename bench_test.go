@@ -523,9 +523,6 @@ func BenchmarkColdSeek(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer d.Close()
-	if err := d.BuildViews(); err != nil {
-		b.Fatal(err)
-	}
 	rng := rand.New(rand.NewSource(7))
 	z := ycsb.NewZipfian(rng, records, 0.99)
 	b.ResetTimer()
@@ -547,7 +544,7 @@ func BenchmarkColdSeek(b *testing.B) {
 }
 
 // BenchmarkColdScan times a full scan of a cloud-resident tree through a
-// cold block cache, along the levels' sorted views.
+// cold block cache, along the levels' sorted views, which the scan builds.
 func BenchmarkColdScan(b *testing.B) {
 	const records = 8000
 	dir := loadColdDir(b, records)
@@ -569,9 +566,6 @@ func BenchmarkColdScan(b *testing.B) {
 		b.StopTimer()
 		d, err := rocksmash.Open(dir, &o) // reopen: caches start cold
 		if err != nil {
-			b.Fatal(err)
-		}
-		if err := d.BuildViews(); err != nil { // else the first scan takes the plain merge
 			b.Fatal(err)
 		}
 		b.StartTimer()

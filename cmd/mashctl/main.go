@@ -21,7 +21,6 @@
 package main
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"flag"
@@ -130,11 +129,11 @@ func main() {
 		eachShard(local, shards, func(sh storage.Backend, prefix string) {
 			rep.merge(verifyStore(*dbDir, sh, prefix))
 		})
-		fmt.Printf("verified %d tables (%d blocks), %d sidecars, %d wal segments, %d sorted views\n",
-			rep.tables, rep.blocks, rep.sidecars, rep.walSegments, rep.views)
-		unrepaired := rep.badTables + rep.badSidecars + rep.badWAL + rep.badViews
-		fmt.Printf("unrepaired damage: tables=%d sidecars=%d wal=%d views=%d (wal restored from backup: %d)\n",
-			rep.badTables, rep.badSidecars, rep.badWAL, rep.badViews, rep.walRepaired)
+		fmt.Printf("verified %d tables (%d blocks), %d sidecars, %d wal segments\n",
+			rep.tables, rep.blocks, rep.sidecars, rep.walSegments)
+		unrepaired := rep.badTables + rep.badSidecars + rep.badWAL
+		fmt.Printf("unrepaired damage: tables=%d sidecars=%d wal=%d (wal restored from backup: %d)\n",
+			rep.badTables, rep.badSidecars, rep.badWAL, rep.walRepaired)
 		if unrepaired > 0 {
 			os.Exit(1)
 		}
@@ -234,38 +233,6 @@ func cmdSST(dbDir string, local storage.Backend, num uint64, prefix string) {
 		fatal(err)
 	}
 	fmt.Printf("  dataBlocks=%d pinnedMetadata=%dB\n", len(hs), r.MetadataBytes())
-
-	// When a sorted-view sidecar covers this table's level, dump the slice
-	// of the global cursor run owned by this member.
-	names, err := local.List(manifest.ViewPrefix)
-	if err != nil {
-		return
-	}
-	for _, vname := range names {
-		data, err := local.ReadAll(vname)
-		if err != nil {
-			continue
-		}
-		vw, err := sstable.DecodeView(data)
-		if err != nil {
-			fmt.Printf("  %s: CORRUPT: %v\n", vname, err)
-			continue
-		}
-		for mi, m := range vw.Members {
-			if m != num {
-				continue
-			}
-			fmt.Printf("  sorted view %s: member %d of %d, %d cursors total\n",
-				vname, mi+1, len(vw.Members), len(vw.Entries))
-			for ord, e := range vw.Entries {
-				if int(e.Member) != mi {
-					continue
-				}
-				fmt.Printf("    cursor %6d: block@%d+%d sep=%q\n",
-					ord, e.H.Offset, e.H.Length, keys.UserKey(e.Sep))
-			}
-		}
-	}
 }
 
 func cmdWAL(local storage.Backend) {
@@ -307,9 +274,9 @@ func cmdCost(dbDir string) {
 // pass: how many artifacts of each class were checked and how many carry
 // damage no backup could fix.
 type verifyReport struct {
-	tables, blocks, sidecars, walSegments, views int
-	badTables, badSidecars, badWAL, badViews     int
-	walRepaired                                  int
+	tables, blocks, sidecars, walSegments int
+	badTables, badSidecars, badWAL        int
+	walRepaired                           int
 }
 
 func (r *verifyReport) merge(o verifyReport) {
@@ -317,11 +284,9 @@ func (r *verifyReport) merge(o verifyReport) {
 	r.blocks += o.blocks
 	r.sidecars += o.sidecars
 	r.walSegments += o.walSegments
-	r.views += o.views
 	r.badTables += o.badTables
 	r.badSidecars += o.badSidecars
 	r.badWAL += o.badWAL
-	r.badViews += o.badViews
 	r.walRepaired += o.walRepaired
 }
 
@@ -403,108 +368,7 @@ func verifyStore(dbDir string, local storage.Backend, prefix string) verifyRepor
 		rep.badWAL += corrupt - repaired
 		rep.walRepaired += repaired
 	}
-
-	verifyViews(v, local, cloud, &rep)
 	return rep
-}
-
-// verifyViews audits every sorted-view sidecar under view/: structural
-// decode (checksum), fingerprint match against the live manifest, and a
-// full cross-check of every cursor against the member tables' own block
-// indexes. Stale sidecars (membership moved on) are reported but not
-// damage — the engine ignores and sweeps them at the next open.
-func verifyViews(v *manifest.Version, local, cloud storage.Backend, rep *verifyReport) {
-	names, err := local.List(manifest.ViewPrefix)
-	if err != nil {
-		return
-	}
-	for _, name := range names {
-		level, fp, ok := manifest.ParseViewName(name)
-		if !ok {
-			continue
-		}
-		rep.views++
-		data, err := local.ReadAll(name)
-		if err != nil {
-			fmt.Printf("  %s: READ FAILED: %v\n", name, err)
-			rep.badViews++
-			continue
-		}
-		vw, err := sstable.DecodeView(data)
-		if err != nil {
-			fmt.Printf("  %s: VIEW CORRUPT: %v\n", name, err)
-			rep.badViews++
-			continue
-		}
-		if vw.Level != level {
-			fmt.Printf("  %s: VIEW CORRUPT: encodes level %d\n", name, vw.Level)
-			rep.badViews++
-			continue
-		}
-		files := v.Levels[level]
-		if manifest.ViewFingerprint(files) != fp {
-			fmt.Printf("  %s: stale (level membership changed); would be swept at open\n", name)
-			continue
-		}
-		if msg := crossCheckView(vw, files, local, cloud); msg != "" {
-			fmt.Printf("  %s: MISMATCH: %s\n", name, msg)
-			rep.badViews++
-		}
-	}
-}
-
-// crossCheckView re-derives the sorted cursor run from the member tables
-// and compares it cursor by cursor, plus an explicit global separator
-// ordering check. Returns a description of the first mismatch, or "".
-func crossCheckView(vw *sstable.View, files []*manifest.FileMetadata, local, cloud storage.Backend) string {
-	if len(vw.Members) != len(files) {
-		return fmt.Sprintf("member count %d != level files %d", len(vw.Members), len(files))
-	}
-	nums := make([]uint64, len(files))
-	indexes := make([][]sstable.IndexEntry, len(files))
-	uppers := make([][]byte, len(files))
-	for i, fm := range files {
-		if vw.Members[i] != fm.Num {
-			return fmt.Sprintf("member[%d]=%06d != level file %06d", i, vw.Members[i], fm.Num)
-		}
-		nums[i] = fm.Num
-		uppers[i] = fm.Largest
-		var be storage.Backend = local
-		if fm.Tier == storage.TierCloud {
-			be = cloud
-		}
-		f, err := be.Open(manifest.TableName(fm.Num))
-		if err != nil {
-			return fmt.Sprintf("member %06d open: %v", fm.Num, err)
-		}
-		r, err := sstable.Open(f, fm.Num)
-		if err != nil {
-			f.Close()
-			return fmt.Sprintf("member %06d: %v", fm.Num, err)
-		}
-		es, err := r.IndexEntries()
-		r.Close()
-		if err != nil {
-			return fmt.Sprintf("member %06d index: %v", fm.Num, err)
-		}
-		indexes[i] = es
-	}
-	ref := sstable.BuildView(vw.Level, nums, indexes, uppers)
-	if len(ref.Entries) != len(vw.Entries) {
-		return fmt.Sprintf("cursor count %d != derived %d", len(vw.Entries), len(ref.Entries))
-	}
-	for i := range ref.Entries {
-		a, b := vw.Entries[i], ref.Entries[i]
-		if a.Member != b.Member || a.H != b.H || !bytes.Equal(a.Sep, b.Sep) {
-			return fmt.Sprintf("cursor %d: member=%d block@%d+%d sep=%q, derived member=%d block@%d+%d sep=%q",
-				i, a.Member, a.H.Offset, a.H.Length, keys.UserKey(a.Sep),
-				b.Member, b.H.Offset, b.H.Length, keys.UserKey(b.Sep))
-		}
-		if i > 0 && keys.Compare(vw.Entries[i-1].Sep, a.Sep) > 0 {
-			return fmt.Sprintf("cursor %d: separator order violation", i)
-		}
-	}
-	return ""
 }
 
 // verifySidecarFile structurally validates a cloud-tier table's local

@@ -427,9 +427,11 @@ func (d *engine) doCompaction(c *compaction) (err error) {
 		return fail(err)
 	}
 
-	// Install the edit, and move the level's cursor past the inputs, under
-	// compactionMu: a relocation checks its table is live and installs its
-	// own edit under it too, so it never resurrects a table this one drops.
+	// Install the edit with both levels' spliced views, and move the level's
+	// cursor past the inputs, under compactionMu: a relocation checks its
+	// table is live and installs its own edit under it too, so it never
+	// resurrects a table this one drops, and the version the views are
+	// spliced from is the one the edit applies to.
 	installStart := time.Now()
 	edit := &manifest.VersionEdit{}
 	for _, f := range c.inputs {
@@ -442,6 +444,7 @@ func (d *engine) doCompaction(c *compaction) (err error) {
 		edit.Added = append(edit.Added, manifest.AddedFile{Level: c.output, Meta: t.meta})
 	}
 	d.compactionMu.Lock()
+	edit.Views = spliceViews(d.vs.Current(), c, outputs)
 	err = d.vs.LogAndApply(edit)
 	if err == nil && c.level > 0 {
 		if d.compactPtr == nil {
@@ -457,10 +460,6 @@ func (d *engine) doCompaction(c *compaction) (err error) {
 	for _, t := range outputs {
 		d.pcache.SetLevel(t.meta.Num, c.output)
 	}
-	// Both levels' memberships just changed, so their sorted views are
-	// stale by fingerprint; drop the cached copies and sidecar objects now
-	// rather than waiting for the next scan to notice.
-	d.invalidateViews(d.vs.Current(), c.level, c.output)
 
 	d.stats.Compactions.Add(1)
 	d.stats.CompactBytesIn.Add(inputBytes)

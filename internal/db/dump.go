@@ -239,10 +239,10 @@ func (d *DB) DumpStats() string {
 		}
 	}
 
-	if m.ScanViewHits+m.ScanViewMisses+m.ViewBuilds > 0 {
+	if m.ScanViewHits+m.ScanViewMisses > 0 {
 		b.WriteString("\n** Range Scans **\n")
-		fmt.Fprintf(&b, "Sorted views: %d level hits, %d misses, %d builds (%s encoded)\n",
-			m.ScanViewHits, m.ScanViewMisses, m.ViewBuilds, humanBytes(m.ViewBuildBytes))
+		fmt.Fprintf(&b, "Sorted views: %d level hits, %d built on first scan\n",
+			m.ScanViewHits, m.ScanViewMisses)
 		if m.IterKeys > 0 {
 			fmt.Fprintf(&b, "Scanned keys: %d, %.4f blocks/scanned-key\n",
 				m.IterKeys, float64(m.ReadAmp.IterBlocksTotal())/float64(m.IterKeys))

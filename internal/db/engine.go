@@ -163,11 +163,6 @@ type engine struct {
 	mirrorMu sync.Mutex
 	mirrored map[uint64]bool
 
-	// views caches decoded sorted-view sidecars per level and dedupes their
-	// background builds; viewWG tracks in-flight builders so close can drain
-	// them before the facade tears down the table cache.
-	views  viewRegistry
-	viewWG sync.WaitGroup
 	// scanTails counts the span GETs of scans in flight, which outlive their
 	// iterator's Close: stop waits them out, since a landing span writes to
 	// the caches and may drop the last pin on a version.
@@ -586,17 +581,15 @@ func (d *engine) backgroundErr() error {
 	return d.bgErr
 }
 
-// stop halts the background loops and drains in-flight sorted-view builds
-// and scan readahead while their table handles are still valid, before the
-// facade tears down the table cache and the persistent cache. The facade
-// has already set closed.
+// stop halts the background loops and drains scan readahead while its table
+// handles are still valid, before the facade tears down the table cache and
+// the persistent cache. The facade has already set closed.
 func (d *engine) stop() {
 	close(d.bgQuit)
 	<-d.flushDone
 	<-d.compactDone
 	d.jobs.Wait()
 	<-d.drainDone
-	d.stopViewBuilders()
 	d.scanTails.Wait()
 }
 

@@ -120,11 +120,9 @@ func (d *shared) evCorruptionRepaired(artifact, object string, file uint64, sour
 	}
 }
 
-func (d *shared) evViewBuilt(level, members, entries, bytes int, dur time.Duration) {
+func (d *shared) evViewBuilt(level, members, entries int, dur time.Duration) {
 	if l := d.listener; l != nil {
-		l.OnViewBuilt(event.ViewBuilt{
-			Level: level, Members: members, Entries: entries, Bytes: bytes, Duration: dur,
-		})
+		l.OnViewBuilt(event.ViewBuilt{Level: level, Members: members, Entries: entries, Duration: dur})
 	}
 }
 

@@ -71,153 +71,6 @@ func (t *tableIter) Close() error {
 	return nil
 }
 
-// levelIter concatenates the sorted, non-overlapping files of one level
-// (≥ 1), opening at most one table at a time.
-type levelIter struct {
-	db    *engine
-	files []*manifest.FileMetadata
-	idx   int
-	cur   *tableIter
-	prof  *readprof.Profile // attached to each lazily opened table iter
-	err   error
-}
-
-func newLevelIter(db *engine, files []*manifest.FileMetadata) *levelIter {
-	return &levelIter{db: db, files: files, idx: -1}
-}
-
-func (l *levelIter) openFile(i int) bool {
-	if l.cur != nil {
-		l.cur.Close()
-		l.cur = nil
-	}
-	if i < 0 || i >= len(l.files) {
-		l.idx = len(l.files)
-		return false
-	}
-	h, err := l.db.tables.get(l.db, l.files[i])
-	if err != nil {
-		l.err = err
-		l.idx = len(l.files)
-		return false
-	}
-	l.cur = newTableIter(h)
-	l.cur.it.SetProfile(l.prof)
-	l.idx = i
-	return true
-}
-
-func (l *levelIter) First() {
-	if l.openFile(0) {
-		l.cur.First()
-		l.skipExhausted()
-	}
-}
-
-func (l *levelIter) SeekGE(ikey []byte) {
-	// Find the first file whose largest >= ikey.
-	lo, hi := 0, len(l.files)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if keys.Compare(l.files[mid].Largest, ikey) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if l.openFile(lo) {
-		l.cur.SeekGE(ikey)
-		l.skipExhausted()
-	}
-}
-
-func (l *levelIter) Next() {
-	if l.cur == nil {
-		return
-	}
-	l.cur.Next()
-	l.skipExhausted()
-}
-
-// Last positions at the final entry of the level.
-func (l *levelIter) Last() {
-	if l.openFile(len(l.files) - 1) {
-		l.cur.Last()
-		l.skipExhaustedBackward()
-	}
-}
-
-// SeekLT positions at the last entry with key < ikey.
-func (l *levelIter) SeekLT(ikey []byte) {
-	// Find the last file whose smallest < ikey.
-	lo, hi := 0, len(l.files)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if keys.Compare(l.files[mid].Smallest, ikey) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if l.openFile(lo - 1) {
-		l.cur.SeekLT(ikey)
-		l.skipExhaustedBackward()
-	}
-}
-
-// Prev moves one entry backward, crossing file boundaries as needed.
-func (l *levelIter) Prev() {
-	if l.cur == nil {
-		return
-	}
-	l.cur.Prev()
-	l.skipExhaustedBackward()
-}
-
-func (l *levelIter) skipExhausted() {
-	for l.cur != nil && !l.cur.Valid() {
-		if err := l.cur.Err(); err != nil {
-			l.err = err
-			l.cur.Close()
-			l.cur = nil
-			return
-		}
-		if !l.openFile(l.idx + 1) {
-			return
-		}
-		l.cur.First()
-	}
-}
-
-func (l *levelIter) skipExhaustedBackward() {
-	for l.cur != nil && !l.cur.Valid() {
-		if err := l.cur.Err(); err != nil {
-			l.err = err
-			l.cur.Close()
-			l.cur = nil
-			return
-		}
-		if !l.openFile(l.idx - 1) {
-			return
-		}
-		l.cur.Last()
-	}
-}
-
-func (l *levelIter) Valid() bool { return l.cur != nil && l.cur.Valid() }
-func (l *levelIter) Key() []byte {
-	return l.cur.Key()
-}
-func (l *levelIter) Value() []byte { return l.cur.Value() }
-func (l *levelIter) Err() error    { return l.err }
-func (l *levelIter) Close() error {
-	if l.cur != nil {
-		l.cur.Close()
-		l.cur = nil
-	}
-	return l.err
-}
-
 // mergingIter N-way merges child iterators in either direction. Ties on
 // identical internal keys cannot occur (sequence numbers are unique); ties
 // on user keys resolve by internal-key order, which puts newer entries
@@ -460,8 +313,8 @@ type engineIter struct {
 	db     *engine
 	merged *mergingIter
 	seq    uint64
-	// hold pins the version the iterator walks, whose level and view children
-	// open their tables lazily, as the walk reaches them. The pin and the
+	// hold pins the version the iterator walks, whose view children open
+	// their tables lazily, as the walk reaches them. The pin and the
 	// views' tables outlive close while a view's span GETs are in flight.
 	hold scanHold
 
@@ -494,6 +347,7 @@ func (d *engine) newIter(it *engineIter, seq uint64) error {
 	mem, imm := rs.mem, rs.imm
 	recovered := rs.recovered
 	v := d.vs.Acquire()
+	it.hold.init(d, v)
 
 	var prof *readprof.Profile
 	if rate := d.opts.ReadProfileSampleRate; rate > 0 {
@@ -501,8 +355,30 @@ func (d *engine) newIter(it *engineIter, seq uint64) error {
 		prof.Timed = rate == 1 || d.profTick.Add(1)%uint64(rate) == 0
 	}
 
-	// Sized once: memtables, L0 tables, one child per deeper level.
+	// Sized once: one child per deeper level, memtables, L0 tables.
 	children := make([]internalIterator, 0, 2+len(recovered)+len(v.Levels[0])+manifest.NumLevels-1)
+	fail := func(err error) error {
+		for _, c := range children {
+			c.Close()
+		}
+		if prof != nil {
+			profilePool.Put(prof)
+		}
+		it.hold.release()
+		return err
+	}
+	// Every level below L0 is one cursor run along its sorted view.
+	for lvl := 1; lvl < manifest.NumLevels; lvl++ {
+		vw, err := d.levelView(v, lvl, prof)
+		if err != nil {
+			return fail(err)
+		}
+		if len(v.Levels[lvl]) > 0 {
+			vi := newViewIter(d, &it.hold, vw, v.Levels[lvl])
+			vi.prof = prof
+			children = append(children, vi)
+		}
+	}
 	children = append(children, &memIter{mem.NewIterator()})
 	if imm != nil {
 		children = append(children, &memIter{imm.NewIterator()})
@@ -513,48 +389,11 @@ func (d *engine) newIter(it *engineIter, seq uint64) error {
 	for _, f := range v.Levels[0] {
 		h, err := d.tables.get(d, f)
 		if err != nil {
-			for _, c := range children {
-				c.Close()
-			}
-			if prof != nil {
-				profilePool.Put(prof)
-			}
-			d.unpin(v)
-			return err
+			return fail(err)
 		}
 		ti := newTableIter(h)
 		ti.it.SetProfile(prof)
 		children = append(children, ti)
-	}
-	it.hold.init(d, v)
-	for lvl := 1; lvl < manifest.NumLevels; lvl++ {
-		files := v.Levels[lvl]
-		if len(files) == 0 {
-			continue
-		}
-		// A fresh sorted view replaces the level's lazy per-table merge with
-		// one cursor run; a stale or still-building view falls back to the
-		// plain levelIter (and records the miss so the rebuild lag is
-		// observable).
-		if vw := d.viewFor(lvl, files); vw != nil {
-			vi := newViewIter(d, &it.hold, vw, files)
-			vi.prof = prof
-			children = append(children, vi)
-			d.stats.ScanViewHits.Add(1)
-			if prof != nil {
-				prof.ViewHits++
-			}
-			continue
-		}
-		if !d.opts.DisableSortedViews {
-			d.stats.ScanViewMisses.Add(1)
-			if prof != nil {
-				prof.ViewMisses++
-			}
-		}
-		li := newLevelIter(d, files)
-		li.prof = prof
-		children = append(children, li)
 	}
 	it.db, it.merged, it.seq, it.prof = d, newMergingIter(children...), seq, prof
 	return nil

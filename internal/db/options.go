@@ -156,15 +156,6 @@ type Options struct {
 	// reopen with the same value.
 	Shards int
 
-	// DisableSortedViews turns off the per-level sorted-view sidecars
-	// (REMIX-style cursor runs) that accelerate range scans over levels
-	// >= 1. With views disabled every scan merges the level's tables
-	// through per-table iterators; with them enabled (the default) a scan
-	// seeks once in the view's globally sorted block schedule and streams
-	// blocks with exact cloud readahead. Correctness is identical either
-	// way — views are derived data rebuilt from table indexes.
-	DisableSortedViews bool
-
 	// VitalsInterval enables continuous time-series telemetry: a background
 	// sampler snapshots Metrics() into a fixed-size lock-free ring at this
 	// period and derives windowed rates (ops/s, bytes/s per tier, cache hit

@@ -388,21 +388,11 @@ func (d *engine) cleanOrphans() {
 			}
 		}
 	}
-	// Sorted-view sidecars are valid only when named for the exact current
-	// membership of their level; anything else is leftover from a previous
-	// run's compactions.
-	viewRef := map[string]bool{}
-	cur := d.vs.Current()
-	for l := 1; l < manifest.NumLevels; l++ {
-		if len(cur.Levels[l]) > 0 {
-			viewRef[manifest.ViewName(l, manifest.ViewFingerprint(cur.Levels[l]))] = true
-		}
-	}
-	if names, err := d.local.List(manifest.ViewPrefix); err == nil {
+	// Sorted views live in memory only; view/ holds the sidecars an older
+	// store persisted them to.
+	if names, err := d.local.List("view/"); err == nil {
 		for _, n := range names {
-			if !viewRef[n] {
-				_ = d.local.Delete(n)
-			}
+			_ = d.local.Delete(n)
 		}
 	}
 	if d.cloud == nil {

@@ -130,7 +130,9 @@ func walkBothWays(t *testing.T, what string, it *Iterator, model map[string]stri
 }
 
 // TestPinMatrix is the table-lifetime rule end to end, for every policy,
-// shard count and view setting: readers opened before the data set is
+// shard count and way a reader gets its views — spliced at install after a
+// scan built them (views=true), or built by the reader on the version it
+// pins (views=false): readers opened before the data set is
 // overwritten and compacted away still read exactly what they were opened
 // on, and at every step the tiers hold exactly the tables of the current
 // versions and of the versions those readers pin — through release, a crash
@@ -145,19 +147,9 @@ func TestPinMatrix(t *testing.T) {
 					dir := t.TempDir()
 					o := testOptions(p)
 					o.Shards = shards
-					o.DisableSortedViews = !views
 					d, err := OpenAt(dir, o)
 					if err != nil {
 						t.Fatal(err)
-					}
-					compact := func(d *DB) {
-						t.Helper()
-						if err := d.CompactAll(); err != nil {
-							t.Fatal(err)
-						}
-						if err := d.BuildViews(); err != nil {
-							t.Fatal(err)
-						}
 					}
 					open := func(d *DB) *Iterator {
 						t.Helper()
@@ -166,6 +158,19 @@ func TestPinMatrix(t *testing.T) {
 							t.Fatal(err)
 						}
 						return it
+					}
+					compact := func(d *DB) {
+						t.Helper()
+						if err := d.CompactAll(); err != nil {
+							t.Fatal(err)
+						}
+						if views {
+							// Building every level's view now makes the next
+							// compaction's install splice them.
+							if err := open(d).Close(); err != nil {
+								t.Fatal(err)
+							}
+						}
 					}
 
 					scanFresh := func(d *DB, what string, model map[string]string) {

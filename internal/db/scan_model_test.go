@@ -1,179 +1,180 @@
 package db
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"rocksmash/internal/keys"
 )
 
-// TestScanViewMatchesPlainMerge drives two stores loaded with an identical
-// randomized history — one scanning through sorted views, one with
-// DisableSortedViews — through the same randomized trace of seeks, nexts,
-// prevs and direction switches, asserting byte-identical position, key and
-// value after every step. Runs unsharded and sharded.
-func TestScanViewMatchesPlainMerge(t *testing.T) {
+// sortedModel is the reference a scan is checked against: the live keys in
+// order, with a cursor that moves the way Iterator does.
+type sortedModel struct {
+	keys []string
+	kv   map[string]string
+	pos  int // -1 or len(keys): not positioned
+}
+
+func newSortedModel(kv map[string]string) *sortedModel {
+	m := &sortedModel{kv: kv, pos: -1}
+	for k := range kv {
+		m.keys = append(m.keys, k)
+	}
+	sort.Strings(m.keys)
+	return m
+}
+
+func (m *sortedModel) valid() bool { return m.pos >= 0 && m.pos < len(m.keys) }
+func (m *sortedModel) first()      { m.pos = 0 }
+func (m *sortedModel) last()       { m.pos = len(m.keys) - 1 }
+func (m *sortedModel) next()       { m.pos++ }
+func (m *sortedModel) prev()       { m.pos-- }
+func (m *sortedModel) seek(k string) {
+	m.pos = sort.SearchStrings(m.keys, k)
+}
+func (m *sortedModel) seekForPrev(k string) {
+	m.pos = sort.Search(len(m.keys), func(i int) bool { return m.keys[i] > k }) - 1
+}
+
+// TestScanViewMatchesModel loads a store with a randomized history of puts,
+// deletes, flushes and compactions — a scan builds the views halfway, so
+// the final CompactAll's installs splice them — and drives one iterator
+// through a randomized trace of seeks, nexts, prevs and direction switches,
+// checking position, key and value against a sorted in-memory model after
+// every step. Runs unsharded and sharded.
+func TestScanViewMatchesModel(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		shards := shards
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			t.Parallel()
-			oa := viewTestOptions()
-			oa.Shards = shards
-			ob := viewTestOptions()
-			ob.Shards = shards
-			ob.DisableSortedViews = true
-			da, err := OpenAt(t.TempDir(), oa)
+			o := viewTestOptions()
+			o.Shards = shards
+			d, err := OpenAt(t.TempDir(), o)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer da.Close()
-			dbPlain, err := OpenAt(t.TempDir(), ob)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer dbPlain.Close()
+			defer d.Close()
 
 			rng := rand.New(rand.NewSource(int64(shards)*31 + 7))
 			pad := fmt.Sprintf("%0100d", 3)
+			live := map[string]string{}
 			for i := 0; i < 4000; i++ {
-				k := []byte(fmt.Sprintf("key%06d", rng.Intn(1500)))
+				k := fmt.Sprintf("key%06d", rng.Intn(1500))
 				if rng.Intn(12) == 0 {
-					if err := da.Delete(k); err != nil {
+					if err := d.Delete([]byte(k)); err != nil {
 						t.Fatal(err)
 					}
-					if err := dbPlain.Delete(k); err != nil {
-						t.Fatal(err)
-					}
-					continue
+					delete(live, k)
+				} else {
+					v := fmt.Sprintf("v%06d-%s", i, pad)
+					mustPut(t, d, k, v)
+					live[k] = v
 				}
-				v := []byte(fmt.Sprintf("v%06d-%s", i, pad))
-				if err := da.Put(k, v); err != nil {
-					t.Fatal(err)
-				}
-				if err := dbPlain.Put(k, v); err != nil {
-					t.Fatal(err)
-				}
-				if i%977 == 976 {
-					if err := da.Flush(); err != nil {
+				switch {
+				case i%977 == 976:
+					if err := d.Flush(); err != nil {
 						t.Fatal(err)
 					}
-					if err := dbPlain.Flush(); err != nil {
+				case i == 2000:
+					if err := d.CompactAll(); err != nil {
 						t.Fatal(err)
 					}
+					mustScan(t, d, live)
 				}
 			}
-			if err := da.CompactAll(); err != nil {
-				t.Fatal(err)
-			}
-			if err := dbPlain.CompactAll(); err != nil {
-				t.Fatal(err)
-			}
-			if err := da.BuildViews(); err != nil {
+			if err := d.CompactAll(); err != nil {
 				t.Fatal(err)
 			}
 
-			ita, err := da.NewIterator()
+			it, err := d.NewIterator()
 			if err != nil {
 				t.Fatal(err)
 			}
-			itb, err := dbPlain.NewIterator()
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			compare := func(step int, op string) {
-				t.Helper()
-				if ita.Err() != nil || itb.Err() != nil {
-					t.Fatalf("step %d %s: errs view=%v plain=%v", step, op, ita.Err(), itb.Err())
-				}
-				if ita.Valid() != itb.Valid() {
-					t.Fatalf("step %d %s: valid view=%t plain=%t", step, op, ita.Valid(), itb.Valid())
-				}
-				if !ita.Valid() {
-					return
-				}
-				if !bytes.Equal(ita.Key(), itb.Key()) {
-					t.Fatalf("step %d %s: key view=%q plain=%q", step, op, ita.Key(), itb.Key())
-				}
-				if !bytes.Equal(ita.Value(), itb.Value()) {
-					t.Fatalf("step %d %s: value mismatch at %q", step, op, ita.Key())
-				}
-			}
-
+			m := newSortedModel(live)
 			for step := 0; step < 3000; step++ {
 				var op string
 				switch rng.Intn(10) {
 				case 0:
-					k := []byte(fmt.Sprintf("key%06d", rng.Intn(1600)))
-					op = fmt.Sprintf("Seek(%s)", k)
-					ita.Seek(k)
-					itb.Seek(k)
+					k := fmt.Sprintf("key%06d", rng.Intn(1600))
+					op = "Seek(" + k + ")"
+					it.Seek([]byte(k))
+					m.seek(k)
 				case 1:
-					k := []byte(fmt.Sprintf("key%06d", rng.Intn(1600)))
-					op = fmt.Sprintf("SeekForPrev(%s)", k)
-					ita.SeekForPrev(k)
-					itb.SeekForPrev(k)
+					k := fmt.Sprintf("key%06d", rng.Intn(1600))
+					op = "SeekForPrev(" + k + ")"
+					it.SeekForPrev([]byte(k))
+					m.seekForPrev(k)
 				case 2:
 					op = "First"
-					ita.First()
-					itb.First()
+					it.First()
+					m.first()
 				case 3:
 					op = "Last"
-					ita.Last()
-					itb.Last()
+					it.Last()
+					m.last()
 				case 4, 5, 6:
-					if !ita.Valid() {
+					if !m.valid() {
 						op = "First"
-						ita.First()
-						itb.First()
+						it.First()
+						m.first()
 					} else {
 						op = "Next"
-						ita.Next()
-						itb.Next()
+						it.Next()
+						m.next()
 					}
 				default:
-					if !ita.Valid() {
+					if !m.valid() {
 						op = "Last"
-						ita.Last()
-						itb.Last()
+						it.Last()
+						m.last()
 					} else {
 						op = "Prev"
-						ita.Prev()
-						itb.Prev()
+						it.Prev()
+						m.prev()
 					}
 				}
-				compare(step, op)
+				if it.Err() != nil {
+					t.Fatalf("step %d %s: %v", step, op, it.Err())
+				}
+				if it.Valid() != m.valid() {
+					t.Fatalf("step %d %s: valid %t, model %t", step, op, it.Valid(), m.valid())
+				}
+				if !m.valid() {
+					continue
+				}
+				if k := m.keys[m.pos]; string(it.Key()) != k || string(it.Value()) != m.kv[k] {
+					t.Fatalf("step %d %s: at %q, model at %q (or the values differ)", step, op, it.Key(), k)
+				}
 			}
-			if err := ita.Close(); err != nil {
+			if err := it.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if err := itb.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if da.Metrics().ScanViewHits == 0 {
-				t.Fatal("trace never rode a sorted view; test is vacuous")
+			if d.Metrics().ScanViewHits == 0 {
+				t.Fatal("the trace rode no spliced view; the final CompactAll's installs spliced none")
 			}
 		})
 	}
 }
 
-// TestScanViewUnderConcurrentCompaction walks full scans while a writer
-// overwrites the same keyspace and keeps forcing compactions and view
-// rebuilds: each snapshot scan must still see exactly the loaded key set,
-// in order, with no duplicates — views being invalidated and reinstalled
-// mid-scan must never surface. Run with -race this also proves the
-// registry's locking.
+// TestScanViewUnderConcurrentCompaction runs one scan on a quiet store, which
+// builds every level's view, and then walks full scans while a writer
+// overwrites the keyspace and keeps compacting it. Each scan must see exactly
+// the loaded key set, in order; no scan may build a view, because every
+// compaction's install splices the views of the levels it changes; and at
+// the end every installed view must equal the one its members' indexes
+// derive. Run with -race this also covers the views' publication on the
+// versions the scans pin.
 func TestScanViewUnderConcurrentCompaction(t *testing.T) {
 	d, _ := openTest(t, PolicyMash)
 	defer d.Close()
 	model := loadAndSettle(t, d, 2500)
-	if err := d.BuildViews(); err != nil {
-		t.Fatal(err)
-	}
+	mustScan(t, d, model)
+	built := d.Metrics().ScanViewMisses
+	compactions := d.Metrics().Compactions
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -196,12 +197,15 @@ func TestScanViewUnderConcurrentCompaction(t *testing.T) {
 				if err := d.CompactAll(); err != nil {
 					return
 				}
-				_ = d.BuildViews()
 			}
 		}
 	}()
 
-	for round := 0; round < 6; round++ {
+	deadline := time.Now().Add(20 * time.Second)
+	for round := 0; round < 6 || d.Metrics().Compactions < compactions+5; round++ {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d compactions in %d rounds; the writer is not compacting", d.Metrics().Compactions-compactions, round)
+		}
 		it, err := d.NewIterator()
 		if err != nil {
 			t.Fatal(err)
@@ -227,9 +231,13 @@ func TestScanViewUnderConcurrentCompaction(t *testing.T) {
 				t.Fatalf("round %d: unexpected key %q", round, k)
 			}
 		}
+		if got := d.Metrics().ScanViewMisses; got != built {
+			t.Fatalf("round %d: scans built %d views under compaction; installs should have spliced them", round, got-built)
+		}
 	}
 	close(stop)
 	wg.Wait()
+	checkInstalledViews(t, d)
 }
 
 // sliceIter is a synthetic internalIterator over pre-sorted internal keys,

@@ -118,9 +118,6 @@ func TestSeekFansOutCloudLevels(t *testing.T) {
 			}
 			d = openGated(t, dir, o, g) // cold caches
 			defer d.Close()
-			if err := d.BuildViews(); err != nil {
-				t.Fatal(err)
-			}
 
 			var mu sync.Mutex
 			landed, early := 0, 0 // early: reads started before the first landed
@@ -194,9 +191,6 @@ func holdReadahead(t *testing.T) *heldScan {
 		t.Fatal(err)
 	}
 	d = openGated(t, dir, o, g) // cold caches
-	if err := d.BuildViews(); err != nil {
-		t.Fatal(err)
-	}
 	e := d.engines[0]
 	it, err := d.NewIterator()
 	if err != nil {

@@ -67,14 +67,11 @@ type Stats struct {
 	ReadaheadSpans  atomic.Int64
 	ReadaheadBlocks atomic.Int64
 
-	// Sorted-view counters: per-level iterators constructed on a valid view
-	// vs falling back to the per-table merge, background view builds and
-	// their encoded bytes, and live keys yielded by iterators (the
-	// denominator of blocks-per-scanned-key).
+	// Sorted-view counters: per-level iterators that found their level's view
+	// on the version they pinned vs built it on first use, and live keys
+	// yielded by iterators (the denominator of blocks-per-scanned-key).
 	ScanViewHits   atomic.Int64
 	ScanViewMisses atomic.Int64
-	ViewBuilds     atomic.Int64
-	ViewBuildBytes atomic.Int64
 	IterKeys       atomic.Int64
 
 	// LevelCompact attributes compaction traffic to its source level: every
@@ -246,10 +243,8 @@ var Signals = resolve([]row{
 	{"rocksmash_prefetch_blocks_total", counter, "Blocks carried by compaction-input spans.", "PrefetchBlocks", nil},
 	{"rocksmash_readahead_spans_total", counter, "Cloud range GETs that read ahead of view scans.", "ReadaheadSpans", nil},
 	{"rocksmash_readahead_blocks_total", counter, "Blocks carried by scan readahead spans.", "ReadaheadBlocks", nil},
-	{"rocksmash_scan_view_hits_total", counter, "Per-level iterators built on a sorted view.", "ScanViewHits", nil},
-	{"rocksmash_scan_view_misses_total", counter, "Per-level iterators that fell back to the per-table merge.", "ScanViewMisses", nil},
-	{"rocksmash_view_builds_total", counter, "Sorted views built in the background.", "ViewBuilds", nil},
-	{"rocksmash_view_build_bytes_total", counter, "Encoded bytes of the sorted views built.", "ViewBuildBytes", nil},
+	{"rocksmash_scan_view_hits_total", counter, "Per-level iterators that found their level's sorted view on the version.", "ScanViewHits", nil},
+	{"rocksmash_scan_view_misses_total", counter, "Per-level iterators that built their level's sorted view on first use.", "ScanViewMisses", nil},
 	{"rocksmash_iter_keys_total", counter, "Live keys yielded by iterators.", "IterKeys", nil},
 	{"rocksmash_block_cache_hits_total", counter, "Block cache lookups that hit.", "BlockCacheHits", func(d *DB) any { h, _ := d.blockCache.Counters(); return h }},
 	{"rocksmash_block_cache_misses_total", counter, "Block cache lookups that missed.", "BlockCacheMisses", func(d *DB) any { _, n := d.blockCache.Counters(); return n }},

@@ -1,7 +1,6 @@
 package db
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -14,221 +13,97 @@ import (
 	"rocksmash/internal/storage"
 )
 
-// Sorted-view plumbing (REMIX-style). Each level >= 1 can carry a sorted
-// view: a local-tier sidecar ("view/L<level>-<fingerprint>.view") holding
-// the level's global block-cursor run, built from the members' pinned
-// index blocks — zero data or cloud I/O. The registry below caches the
-// decoded view per level, keyed by the fingerprint of the level's exact
-// member set; a compaction install changes membership, the fingerprint
-// diverges, and the cached view goes stale implicitly. Stale or missing
-// views are rebuilt lazily in the background — the first scan after a
-// compaction takes the plain merge path and schedules the rebuild.
+// Sorted views (REMIX-style) ride the version: every level >= 1 of a
+// version a reader pins is one cursor run over its member tables'
+// blocks. A compaction splices the views of the two levels it changes at
+// install (spliceViews), flushes and relocations carry them over
+// (manifest.Version.Apply), and a level with none — after Open, or a
+// compaction that found none to splice — gets it from the first scan that
+// needs it (levelView), built from the members' pinned index blocks with no
+// data or cloud I/O and kept on that version for every later reader.
 
-// levelView is one level's registry slot.
-type levelView struct {
-	fp       uint64
-	view     *sstable.View // nil while building
-	building bool
-}
-
-// viewRegistry caches decoded sorted views per level. closing gates new
-// builder goroutines against Close's WaitGroup drain.
-type viewRegistry struct {
-	mu      sync.Mutex
-	levels  map[int]*levelView
-	closing bool
-}
-
-// viewFor returns the level's sorted view when one matching the exact
-// current member set is installed, else nil — scheduling a background
-// (re)build at most once per fingerprint.
-func (d *engine) viewFor(level int, files []*manifest.FileMetadata) *sstable.View {
-	if d.opts.DisableSortedViews || level == 0 || len(files) == 0 {
-		return nil
+// levelView returns level's sorted view in v, building it on first use and
+// caching it on v. A build that cannot open a member fails the scan. An
+// empty level gets an empty view, so the compaction that fills it splices
+// its view like any other level's; hits and builds count the levels a scan
+// walks.
+func (d *engine) levelView(v *manifest.Version, level int, prof *readprof.Profile) (*sstable.View, error) {
+	files := v.Levels[level]
+	walked := len(files) > 0
+	if vw := v.View(level); vw != nil {
+		if walked {
+			d.stats.ScanViewHits.Add(1)
+			if prof != nil {
+				prof.ViewHits++
+			}
+		}
+		return vw, nil
 	}
-	fp := manifest.ViewFingerprint(files)
-	d.views.mu.Lock()
-	defer d.views.mu.Unlock()
-	if lv := d.views.levels[level]; lv != nil && lv.fp == fp {
-		return lv.view // nil while the build is still in flight
-	}
-	if d.views.closing || d.closed.Load() {
-		return nil
-	}
-	if d.views.levels == nil {
-		d.views.levels = map[int]*levelView{}
-	}
-	d.views.levels[level] = &levelView{fp: fp, building: true}
-	snap := make([]*manifest.FileMetadata, len(files))
-	copy(snap, files)
-	d.viewWG.Add(1)
-	go d.buildView(level, fp, snap)
-	return nil
-}
-
-// buildView materializes one level's view: load the persisted sidecar if a
-// matching one survives on disk, otherwise rebuild from the members' pinned
-// indexes and persist. Runs on its own goroutine; failures leave the level
-// on the plain merge path (a later scan retries).
-func (d *engine) buildView(level int, fp uint64, files []*manifest.FileMetadata) {
-	defer d.viewWG.Done()
-	name := manifest.ViewName(level, fp)
 	start := time.Now()
-	v := d.loadViewObject(name, level, files)
-	if v == nil {
-		members := make([]uint64, len(files))
-		indexes := make([][]sstable.IndexEntry, len(files))
-		uppers := make([][]byte, len(files))
-		for i, f := range files {
-			if d.closed.Load() {
-				d.finishView(level, fp, nil)
-				return
-			}
-			h, err := d.tables.get(d, f)
-			if err != nil {
-				d.finishView(level, fp, nil)
-				return
-			}
-			es, err := h.reader.IndexEntries()
-			h.release()
-			if err != nil {
-				d.finishView(level, fp, nil)
-				return
-			}
-			members[i] = f.Num
-			indexes[i] = es
-			uppers[i] = f.Largest
-		}
-		v = sstable.BuildView(level, members, indexes, uppers)
-		data := sstable.EncodeView(v)
-		// Persisting is best-effort: the view is derived data, and a full
-		// disk must not take the fast path away from the in-memory copy.
-		_ = storage.WriteObject(d.local, name, data)
-		d.stats.ViewBuilds.Add(1)
-		d.stats.ViewBuildBytes.Add(int64(len(data)))
-		d.evViewBuilt(level, len(members), len(v.Entries), len(data), time.Since(start))
-	}
-	d.finishView(level, fp, v)
-	d.sweepStaleViews(level, fp)
-}
-
-// finishView installs the build result, unless the level has been retaken
-// by a newer fingerprint in the meantime. A nil view (failed build) drops
-// the slot so a later scan can retry.
-func (d *engine) finishView(level int, fp uint64, v *sstable.View) {
-	d.views.mu.Lock()
-	if lv := d.views.levels[level]; lv != nil && lv.fp == fp {
-		if v == nil {
-			delete(d.views.levels, level)
-		} else {
-			lv.view = v
-			lv.building = false
-		}
-	}
-	d.views.mu.Unlock()
-}
-
-// loadViewObject decodes a persisted view sidecar, validating that it
-// still describes exactly this member set. Any mismatch or damage reads as
-// "absent" — views are rebuildable.
-func (d *engine) loadViewObject(name string, level int, files []*manifest.FileMetadata) *sstable.View {
-	data, err := d.local.ReadAll(name)
-	if err != nil {
-		return nil
-	}
-	v, err := sstable.DecodeView(data)
-	if err != nil || v.Level != level || len(v.Members) != len(files) {
-		return nil
-	}
+	members := make([]uint64, len(files))
+	indexes := make([][]sstable.IndexEntry, len(files))
+	uppers := make([][]byte, len(files))
 	for i, f := range files {
-		if v.Members[i] != f.Num {
-			return nil
+		h, err := d.tables.get(d, f)
+		if err != nil {
+			return nil, err
 		}
+		es, err := h.reader.IndexEntries()
+		h.release()
+		if err != nil {
+			return nil, err
+		}
+		members[i], indexes[i], uppers[i] = f.Num, es, f.Largest
 	}
-	return v
+	vw := v.SetView(level, sstable.BuildView(level, members, indexes, uppers))
+	if walked {
+		d.stats.ScanViewMisses.Add(1)
+		if prof != nil {
+			prof.ViewMisses++
+		}
+		d.evViewBuilt(level, len(members), len(vw.Entries), time.Since(start))
+	}
+	return vw, nil
 }
 
-// sweepStaleViews deletes this level's superseded view objects.
-func (d *engine) sweepStaleViews(level int, keep uint64) {
-	names, err := d.local.List(manifest.ViewPrefix)
-	if err != nil {
-		return
+// spliceViews derives the views of c's levels after its edit from their
+// views in cur, the version the edit applies to: the inputs' cursor runs go
+// and the outputs' come in, their index entries read from the in-memory
+// tables. A level with no view in cur gets none (its next scan builds it),
+// and so does the output level if an output's index does not parse. The
+// caller holds compactionMu.
+func spliceViews(cur *manifest.Version, c *compaction, outputs []*builtTable) (views [manifest.NumLevels]*sstable.View) {
+	if old := cur.View(c.level); old != nil {
+		views[c.level] = old.Splice(fileNums(c.inputs), nil)
 	}
-	for _, name := range names {
-		if l, fp, ok := manifest.ParseViewName(name); ok && l == level && fp != keep {
-			_ = d.local.Delete(name)
+	old := cur.View(c.output)
+	if old == nil {
+		return views
+	}
+	members := make([]uint64, len(outputs))
+	indexes := make([][]sstable.IndexEntry, len(outputs))
+	uppers := make([][]byte, len(outputs))
+	for i, t := range outputs {
+		r, err := sstable.Open(bytesReader{t.data}, t.meta.Num)
+		if err != nil {
+			return views
 		}
+		es, err := r.IndexEntries()
+		if err != nil {
+			return views
+		}
+		members[i], indexes[i], uppers[i] = t.meta.Num, es, t.meta.Largest
 	}
+	views[c.output] = old.Splice(fileNums(c.overlap), sstable.BuildView(c.output, members, indexes, uppers))
+	return views
 }
 
-// invalidateViews drops registry slots whose membership no longer matches
-// the just-installed version and deletes their sidecars. The next scan of
-// an invalidated level falls back to the plain merge and schedules a
-// rebuild.
-func (d *engine) invalidateViews(v *manifest.Version, levels ...int) {
-	if d.opts.DisableSortedViews {
-		return
+func fileNums(files []*manifest.FileMetadata) []uint64 {
+	nums := make([]uint64, len(files))
+	for i, f := range files {
+		nums[i] = f.Num
 	}
-	var stale []string
-	d.views.mu.Lock()
-	for _, l := range levels {
-		lv := d.views.levels[l]
-		if lv == nil || lv.building {
-			continue
-		}
-		if manifest.ViewFingerprint(v.Levels[l]) != lv.fp {
-			delete(d.views.levels, l)
-			stale = append(stale, manifest.ViewName(l, lv.fp))
-		}
-	}
-	d.views.mu.Unlock()
-	for _, name := range stale {
-		_ = d.local.Delete(name)
-	}
-}
-
-// stopViewBuilders bars new builds and drains in-flight ones. Called from
-// Close/Crash after the background loops stop and before the table cache
-// is torn down (builders hold table handles).
-func (d *engine) stopViewBuilders() {
-	d.views.mu.Lock()
-	d.views.closing = true
-	d.views.mu.Unlock()
-	d.viewWG.Wait()
-}
-
-// BuildViews synchronously materializes the sorted view of every eligible
-// level of every engine, so tests and harnesses can pin the fast path
-// instead of racing the lazy background rebuild. No-op when views are
-// disabled.
-func (d *DB) BuildViews() error {
-	if d.opts.DisableSortedViews || d.closed.Load() {
-		return nil
-	}
-	return d.eachEngine(func(e *engine) error {
-		e.buildViews()
-		return nil
-	})
-}
-
-// buildViews kicks the build of every stale level and waits them out.
-func (d *engine) buildViews() {
-	v := d.vs.Current()
-	for lvl := 1; lvl < manifest.NumLevels; lvl++ {
-		d.viewFor(lvl, v.Levels[lvl])
-	}
-	for {
-		building := false
-		d.views.mu.Lock()
-		for _, lv := range d.views.levels {
-			building = building || lv.building
-		}
-		d.views.mu.Unlock()
-		if !building {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
+	return nums
 }
 
 // viewIter walks one level through its sorted view: a seek is one binary

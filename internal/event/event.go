@@ -214,15 +214,13 @@ type CorruptionRepaired struct {
 	Duration time.Duration `json:"dur"`
 }
 
-// ViewBuilt fires when a background builder finishes a level's sorted-view
-// sidecar (the globally sorted block-cursor run that accelerates range
-// scans). Members is the level's table count, Entries the cursor count,
-// Bytes the encoded sidecar size.
+// ViewBuilt fires when a scan builds a level's sorted view (the globally
+// sorted block-cursor run it walks) because the version it pinned had none.
+// Members is the level's table count, Entries the cursor count.
 type ViewBuilt struct {
 	Level    int           `json:"level"`
 	Members  int           `json:"members"`
 	Entries  int           `json:"entries"`
-	Bytes    int           `json:"bytes"`
 	Duration time.Duration `json:"dur"`
 }
 

@@ -13,12 +13,11 @@ import (
 )
 
 func init() {
-	register("fig-scan", "Range scans (ours): sorted-view sidecars + pipelined cloud readahead vs plain merge", figScan)
+	register("fig-scan", "Range scans (ours): sorted views + pipelined cloud readahead", figScan)
 }
 
-// scanRow is the JSON artifact schema, one row per (views on/off) mode.
+// scanRow is the JSON artifact schema.
 type scanRow struct {
-	Views           bool    `json:"views"`
 	FullScanKeys    int64   `json:"full_scan_keys"`
 	FullScanMkeys   float64 `json:"full_scan_mkeys_per_sec"`
 	ShortScanOps    float64 `json:"short_scan_ops_per_sec"`
@@ -30,125 +29,94 @@ type scanRow struct {
 	ReadaheadBlocks int64   `json:"readahead_blocks"`
 	ViewHits        int64   `json:"scan_view_hits"`
 	ViewMisses      int64   `json:"scan_view_misses"`
-	ViewBuilds      int64   `json:"view_builds"`
 }
 
-// figScan measures the sorted-view tentpole directly: on a cloud-resident
-// tree (only L0 local), run one full-table scan and a YCSB-E short-scan
-// mix, with sorted views enabled vs DisableSortedViews. The baseline row
-// is the engine at stock options — serial per-block cloud GETs, the
-// pre-view scan path. With views, the per-level merge collapses to one
-// cursor run and cloud fetches become exact pipelined span reads that
-// bulk-admit into the caches, so the read profiler sees most blocks served
-// from the block cache: the cloud blocks-per-scanned-key column is the
-// per-key read amplification against cloud storage, and the full-scan
-// throughput column is the latency win. Rows land in scan.json for plots.
+// figScan measures the scan path on a cloud-resident tree (only L0 local):
+// one full-table scan and a YCSB-E short-scan mix. Every level below L0 is
+// one cursor run along its sorted view, and cloud fetches are exact
+// pipelined span reads that bulk-admit into the caches, so the read
+// profiler sees most blocks served from the block cache: the cloud
+// blocks-per-scanned-key column is the per-key read amplification against
+// cloud storage. The full scan builds each level's view (the misses column);
+// the short scans ride them. The row lands in scan.json for plots.
 func figScan(cfg Config) error {
 	w := cfg.out()
 	records := cfg.scale(30000)
 	shortScans := cfg.scale(2000)
 	const valLen = 400
 
-	fmt.Fprintf(w, "%-10s %12s %14s %15s %12s %9s %10s %10s\n",
-		"views", "fullMkeys/s", "shortScans/s", "cloudBlks/key", "cloudBlks", "raSpans", "viewHits", "viewMiss")
-	var rows []scanRow
-	for _, views := range []bool{false, true} {
-		opts := expOptions(db.PolicyMash)
-		opts.LocalLevels = 1
-		opts.DisableSortedViews = !views
-		// Keep the caches much smaller than the dataset (even at -quick
-		// scale) so the scans actually exercise the cloud tier instead of
-		// replaying the load phase's cache admissions, and keep files small
-		// enough that the load settles into a multi-table cloud level —
-		// the shape the per-level merge (and the view that replaces it)
-		// exists for.
-		opts.BlockCacheBytes = 512 << 10
-		opts.PCacheBytes = 2 << 20
-		opts.MemtableBytes = 256 << 10
-		opts.TargetFileBytes = 256 << 10
-		tag := "scan-noviews"
-		if views {
-			tag = "scan-views"
-		}
-		d, _, err := openExp(cfg, tag, opts)
-		if err != nil {
-			return err
-		}
-		if err := loadRecords(d, records, valLen); err != nil {
-			d.Close()
-			return err
-		}
-		if views {
-			if err := d.BuildViews(); err != nil {
-				d.Close()
-				return err
-			}
-		}
-
-		// Full-table scan: First → Next until exhausted.
-		var keys int64
-		start := time.Now()
-		it, err := d.NewIterator()
-		if err != nil {
-			d.Close()
-			return err
-		}
-		for it.First(); it.Valid(); it.Next() {
-			keys++
-		}
-		if err := it.Close(); err != nil {
-			d.Close()
-			return err
-		}
-		fullDur := time.Since(start)
-
-		// YCSB E: 95% short scans (zipfian start key, uniform length),
-		// 5% inserts.
-		gen := ycsb.NewGenerator(ycsb.WorkloadE, uint64(records), valLen, cfg.seed())
-		start = time.Now()
-		if _, _, err := runOps(d, gen, shortScans); err != nil {
-			d.Close()
-			return err
-		}
-		shortDur := time.Since(start)
-
-		m := d.Metrics()
-		var iterBlocks int64
-		for _, b := range m.ReadAmp.IterBlocks {
-			iterBlocks += b
-		}
-		row := scanRow{
-			Views:           views,
-			FullScanKeys:    keys,
-			FullScanMkeys:   float64(keys) / fullDur.Seconds() / 1e6,
-			ShortScanOps:    float64(shortScans) / shortDur.Seconds(),
-			IterKeys:        m.IterKeys,
-			IterBlocks:      iterBlocks,
-			CloudBlocks:     m.ReadAmp.IterBlocks[readprof.TierCloud],
-			ReadaheadSpans:  m.ReadaheadSpans,
-			ReadaheadBlocks: m.ReadaheadBlocks,
-			ViewHits:        m.ScanViewHits,
-			ViewMisses:      m.ScanViewMisses,
-			ViewBuilds:      m.ViewBuilds,
-		}
-		if m.IterKeys > 0 {
-			row.CloudPerKey = float64(row.CloudBlocks) / float64(m.IterKeys)
-		}
-		rows = append(rows, row)
-		fmt.Fprintf(w, "%-10t %12.3f %14.1f %15.4f %12d %9d %10d %10d\n",
-			views, row.FullScanMkeys, row.ShortScanOps, row.CloudPerKey,
-			row.CloudBlocks, row.ReadaheadSpans, row.ViewHits, row.ViewMisses)
-		if err := d.Close(); err != nil {
-			return err
-		}
+	opts := expOptions(db.PolicyMash)
+	opts.LocalLevels = 1
+	// Keep the caches much smaller than the dataset (even at -quick scale)
+	// so the scans actually exercise the cloud tier instead of replaying the
+	// load phase's cache admissions, and keep files small enough that the
+	// load settles into a multi-table cloud level — the shape the view
+	// exists for.
+	opts.BlockCacheBytes = 512 << 10
+	opts.PCacheBytes = 2 << 20
+	opts.MemtableBytes = 256 << 10
+	opts.TargetFileBytes = 256 << 10
+	d, _, err := openExp(cfg, "scan", opts)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	if err := loadRecords(d, records, valLen); err != nil {
+		return err
 	}
 
-	if len(rows) == 2 && rows[0].FullScanMkeys > 0 {
-		fmt.Fprintf(w, "full-scan speedup with views: %.2fx\n",
-			rows[1].FullScanMkeys/rows[0].FullScanMkeys)
+	// Full-table scan: First → Next until exhausted.
+	var keys int64
+	start := time.Now()
+	it, err := d.NewIterator()
+	if err != nil {
+		return err
 	}
+	for it.First(); it.Valid(); it.Next() {
+		keys++
+	}
+	if err := it.Close(); err != nil {
+		return err
+	}
+	fullDur := time.Since(start)
+
+	// YCSB E: 95% short scans (zipfian start key, uniform length),
+	// 5% inserts.
+	gen := ycsb.NewGenerator(ycsb.WorkloadE, uint64(records), valLen, cfg.seed())
+	start = time.Now()
+	if _, _, err := runOps(d, gen, shortScans); err != nil {
+		return err
+	}
+	shortDur := time.Since(start)
+
+	m := d.Metrics()
+	var iterBlocks int64
+	for _, b := range m.ReadAmp.IterBlocks {
+		iterBlocks += b
+	}
+	row := scanRow{
+		FullScanKeys:    keys,
+		FullScanMkeys:   float64(keys) / fullDur.Seconds() / 1e6,
+		ShortScanOps:    float64(shortScans) / shortDur.Seconds(),
+		IterKeys:        m.IterKeys,
+		IterBlocks:      iterBlocks,
+		CloudBlocks:     m.ReadAmp.IterBlocks[readprof.TierCloud],
+		ReadaheadSpans:  m.ReadaheadSpans,
+		ReadaheadBlocks: m.ReadaheadBlocks,
+		ViewHits:        m.ScanViewHits,
+		ViewMisses:      m.ScanViewMisses,
+	}
+	if m.IterKeys > 0 {
+		row.CloudPerKey = float64(row.CloudBlocks) / float64(m.IterKeys)
+	}
+	fmt.Fprintf(w, "%12s %14s %15s %12s %9s %10s %10s\n",
+		"fullMkeys/s", "shortScans/s", "cloudBlks/key", "cloudBlks", "raSpans", "viewHits", "viewMiss")
+	fmt.Fprintf(w, "%12.3f %14.1f %15.4f %12d %9d %10d %10d\n",
+		row.FullScanMkeys, row.ShortScanOps, row.CloudPerKey,
+		row.CloudBlocks, row.ReadaheadSpans, row.ViewHits, row.ViewMisses)
+
 	path := filepath.Join(cfg.BaseDir, "scan.json")
-	data, err := json.MarshalIndent(rows, "", "  ")
+	data, err := json.MarshalIndent([]scanRow{row}, "", "  ")
 	if err != nil {
 		return err
 	}
@@ -156,5 +124,5 @@ func figScan(cfg Config) error {
 		return err
 	}
 	fmt.Fprintf(w, "artifact: %s\n", path)
-	return nil
+	return d.Close()
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"rocksmash/internal/sstable"
 	"rocksmash/internal/storage"
 )
 
@@ -21,6 +22,10 @@ type VersionEdit struct {
 
 	Added   []AddedFile
 	Deleted []DeletedFile
+
+	// Views are the sorted views a compaction spliced for the levels it
+	// changes, in memory only: Encode leaves them out (see Version.Apply).
+	Views [NumLevels]*sstable.View
 }
 
 // AddedFile places a new table at a level.

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"rocksmash/internal/keys"
+	"rocksmash/internal/sstable"
 )
 
 // Version is an immutable snapshot of the tree's file layout. Level 0 files
@@ -14,6 +15,12 @@ import (
 // are sorted by smallest key and non-overlapping.
 type Version struct {
 	Levels [NumLevels][]*FileMetadata
+
+	// views[l] is the sorted view of level l ≥ 1: its members are exactly
+	// Levels[l], in order. It is derived data and never logged: Apply carries
+	// it over from the edit or the parent version, and a level without one
+	// gets it from the first scan that needs it (SetView).
+	views [NumLevels]atomic.Pointer[sstable.View]
 
 	// Lifetime state of a version a Set installed: how many holders it has
 	// (the set itself holds one on the current version), and, guarded by
@@ -60,7 +67,44 @@ func (v *Version) Apply(e *VersionEdit) (*Version, error) {
 	if err := nv.checkInvariants(); err != nil {
 		return nil, err
 	}
+	// A view goes only where its members are the level's files: flushes and
+	// relocations keep every view, and a view spliced against some other
+	// version is dropped, however the edits interleaved.
+	for l := 1; l < NumLevels; l++ {
+		vw := e.Views[l]
+		if vw == nil {
+			vw = v.views[l].Load()
+		}
+		if vw != nil && describes(vw, nv.Levels[l]) {
+			nv.views[l].Store(vw)
+		}
+	}
 	return nv, nil
+}
+
+// describes reports whether vw's members are files, in order.
+func describes(vw *sstable.View, files []*FileMetadata) bool {
+	if len(vw.Members) != len(files) {
+		return false
+	}
+	for i, f := range files {
+		if vw.Members[i] != f.Num {
+			return false
+		}
+	}
+	return true
+}
+
+// View returns level's sorted view, or nil when none is installed yet.
+func (v *Version) View(level int) *sstable.View { return v.views[level].Load() }
+
+// SetView installs vw, built from v.Levels[level], as level's view unless
+// another is already there, and returns the one installed.
+func (v *Version) SetView(level int, vw *sstable.View) *sstable.View {
+	if v.views[level].CompareAndSwap(nil, vw) {
+		return vw
+	}
+	return v.views[level].Load()
 }
 
 func (v *Version) sortLevels() {

@@ -3,48 +3,77 @@ package manifest
 import (
 	"testing"
 
+	"rocksmash/internal/sstable"
 	"rocksmash/internal/storage"
 )
 
-func TestViewNameRoundtrip(t *testing.T) {
-	for _, tc := range []struct {
-		level int
-		fp    uint64
-	}{{1, 0}, {2, 0xdeadbeef}, {6, ^uint64(0)}} {
-		name := ViewName(tc.level, tc.fp)
-		level, fp, ok := ParseViewName(name)
-		if !ok || level != tc.level || fp != tc.fp {
-			t.Fatalf("roundtrip %q -> (%d, %x, %t), want (%d, %x)", name, level, fp, ok, tc.level, tc.fp)
+// TestApplyViewMembership pins where a level's sorted view may go: Apply
+// installs the edit's view, or else the parent's, only on a level whose files
+// are exactly the view's members in order. A tier move keeps the view, an L0
+// flush leaves it alone, a membership change drops the parent's, and an
+// edit's view that does not describe the new level is never installed.
+func TestApplyViewMembership(t *testing.T) {
+	members := func(v *Version, level int) []uint64 {
+		var nums []uint64
+		for _, f := range v.Levels[level] {
+			nums = append(nums, f.Num)
 		}
+		return nums
 	}
-	for _, bad := range []string{"sst/000001.sst", "view/L2-zzzz.view", "view/L2-1234", "L2-1234.view", ""} {
-		if _, _, ok := ParseViewName(bad); ok {
-			t.Fatalf("ParseViewName(%q) accepted a foreign name", bad)
+	apply := func(v *Version, e *VersionEdit) *Version {
+		t.Helper()
+		nv, err := v.Apply(e)
+		if err != nil {
+			t.Fatal(err)
 		}
+		return nv
 	}
-}
+	v := apply(NewVersion(), &VersionEdit{Added: []AddedFile{
+		{Level: 1, Meta: fm(3, "a", "c", 1, 10, storage.TierLocal)},
+		{Level: 1, Meta: fm(7, "d", "f", 1, 10, storage.TierLocal)},
+	}})
+	if v.View(1) != nil {
+		t.Fatal("a level has a view before anything spliced or built one")
+	}
+	vw := &sstable.View{Level: 1, Members: members(v, 1)}
+	if got := v.SetView(1, vw); got != vw {
+		t.Fatal("SetView on an empty slot did not install the view")
+	}
+	if got := v.SetView(1, &sstable.View{Level: 1, Members: members(v, 1)}); got != vw {
+		t.Fatal("SetView replaced an installed view")
+	}
 
-// TestViewFingerprintMembership pins the invalidation rule: the
-// fingerprint tracks member file numbers and their order — nothing else —
-// so tier drains keep views valid and compactions invalidate them.
-func TestViewFingerprintMembership(t *testing.T) {
-	fm := func(num uint64, tier storage.Tier) *FileMetadata {
-		return &FileMetadata{Num: num, Tier: tier}
+	moved := fm(7, "d", "f", 1, 10, storage.TierCloud)
+	v = apply(v, &VersionEdit{
+		Deleted: []DeletedFile{{Level: 1, Num: 7}},
+		Added:   []AddedFile{{Level: 1, Meta: moved}},
+	})
+	if v.View(1) != vw {
+		t.Fatal("a tier move dropped the view; the members did not change")
 	}
-	a := []*FileMetadata{fm(3, storage.TierLocal), fm(7, storage.TierLocal)}
-	moved := []*FileMetadata{fm(3, storage.TierCloud), fm(7, storage.TierCloud)}
-	if ViewFingerprint(a) != ViewFingerprint(moved) {
-		t.Fatal("tier change altered the fingerprint; drains must keep views valid")
+	v = apply(v, &VersionEdit{Added: []AddedFile{{Level: 0, Meta: fm(11, "a", "z", 20, 30, storage.TierLocal)}}})
+	if v.View(1) != vw {
+		t.Fatal("a flush to L0 dropped L1's view")
 	}
-	swapped := []*FileMetadata{fm(7, storage.TierLocal), fm(3, storage.TierLocal)}
-	if ViewFingerprint(a) == ViewFingerprint(swapped) {
-		t.Fatal("member order must be part of the fingerprint")
+
+	grown := apply(v, &VersionEdit{Added: []AddedFile{{Level: 1, Meta: fm(9, "g", "h", 1, 10, storage.TierLocal)}}})
+	if grown.View(1) != nil {
+		t.Fatal("a membership change kept the parent's view")
 	}
-	grown := []*FileMetadata{fm(3, storage.TierLocal), fm(7, storage.TierLocal), fm(9, storage.TierLocal)}
-	if ViewFingerprint(a) == ViewFingerprint(grown) {
-		t.Fatal("membership change must move the fingerprint")
+	swapped := &sstable.View{Level: 1, Members: []uint64{7, 3}}
+	grown = apply(v, &VersionEdit{
+		Added: []AddedFile{{Level: 1, Meta: fm(9, "g", "h", 1, 10, storage.TierLocal)}},
+		Views: [NumLevels]*sstable.View{1: swapped},
+	})
+	if grown.View(1) != nil {
+		t.Fatal("an edit's view that does not describe the new level was installed")
 	}
-	if ViewFingerprint(nil) != ViewFingerprint([]*FileMetadata{}) {
-		t.Fatal("empty fingerprints disagree")
+	spliced := &sstable.View{Level: 1, Members: []uint64{3, 7, 9}}
+	grown = apply(v, &VersionEdit{
+		Added: []AddedFile{{Level: 1, Meta: fm(9, "g", "h", 1, 10, storage.TierLocal)}},
+		Views: [NumLevels]*sstable.View{1: spliced},
+	})
+	if grown.View(1) != spliced {
+		t.Fatal("the edit's view of the new membership was not installed")
 	}
 }

@@ -65,8 +65,8 @@ type ReadAmp struct {
 	IterBytes  [readprof.NumTiers]int64
 	IterNanos  [readprof.NumTiers]int64
 	// Per-level sorted-view outcomes during iterator construction: levels
-	// served by a view cursor run vs levels that fell back to the
-	// per-table merge (view missing or still building).
+	// whose view was on the pinned version vs levels whose view the
+	// iterator built on first use.
 	IterViewHits   int64
 	IterViewMisses int64
 
@@ -195,8 +195,6 @@ type Metrics struct {
 	// Sorted-view accounting (see Stats for the counter semantics).
 	ScanViewHits   int64
 	ScanViewMisses int64
-	ViewBuilds     int64
-	ViewBuildBytes int64
 	IterKeys       int64
 
 	// Per-source-level compaction attribution (always manifest.NumLevels

@@ -92,8 +92,8 @@ type Profile struct {
 	// TotalNanos is the whole request's wall time (populated when Timed).
 	TotalNanos int64
 	// ViewHits / ViewMisses count, per iterator construction, the LSM
-	// levels served by a sorted-view cursor run vs levels that fell back
-	// to the per-table merge. Unused on point Gets.
+	// levels whose sorted view was on the pinned version vs levels whose
+	// view the iterator built on first use. Unused on point Gets.
 	ViewHits   int32
 	ViewMisses int32
 }

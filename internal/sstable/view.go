@@ -1,29 +1,26 @@
 package sstable
 
 import (
-	"encoding/binary"
-	"fmt"
-	"hash/crc32"
+	"slices"
 	"sort"
 
 	"rocksmash/internal/keys"
 )
 
-// Sorted-view sidecars (REMIX-style). A view is a persisted, globally
-// sorted run of block cursors over every table of one LSM level: for each
-// data block, the owning member table, the block's handle within that
-// table's file, and the index separator bounding the block's keys. Because
-// levels >= 1 hold non-overlapping tables sorted by key, concatenating the
-// members' index entries in member order yields the level's global key
-// order — a scan that rides the view needs one binary search to seek and
-// then advances block-to-block with no per-key merge compares, and it
-// knows the exact upcoming block schedule across tables, so cloud
-// readahead becomes exact rather than heuristic.
+// Sorted views (REMIX-style). A view is a globally sorted run of block
+// cursors over every table of one LSM level: for each data block, the owning
+// member table, the block's handle within that table's file, and the index
+// separator bounding the block's keys. Because levels >= 1 hold
+// non-overlapping tables sorted by key, concatenating the members' index
+// entries in member order yields the level's global key order — a scan that
+// rides the view needs one binary search to seek and then advances
+// block-to-block with no per-key merge compares, and it knows the exact
+// upcoming block schedule across tables, so cloud readahead becomes exact
+// rather than heuristic.
 //
-// Views are derived data: they are rebuilt from the members' pinned index
-// blocks alone (no data-block or cloud I/O), so a missing or corrupt view
-// object is never an error — the reader falls back to the plain per-table
-// merge and the builder re-emits the sidecar in the background.
+// Views are derived data held in memory only: built from the members'
+// pinned index blocks (no data-block or cloud I/O), or spliced from the
+// level's previous view when a compaction changes its members.
 
 // ViewEntry is one cursor of a sorted view: the data block at H inside
 // member table Members[Member], holding keys bounded above by Sep (the
@@ -34,15 +31,12 @@ type ViewEntry struct {
 	Sep    []byte
 }
 
-// View is the decoded sorted-view sidecar for one level.
+// View is the sorted view of one level.
 type View struct {
 	Level   int
 	Members []uint64 // member table file numbers, in key order
 	Entries []ViewEntry
 }
-
-// viewMagic brands the sidecar encoding; bump the suffix on format change.
-const viewMagic = "rmviewv1"
 
 // Seek returns the ordinal of the first entry whose separator is >= target
 // (an internal key), i.e. the first block that may contain target.
@@ -51,137 +45,6 @@ func (v *View) Seek(target []byte) int {
 	return sort.Search(len(v.Entries), func(i int) bool {
 		return keys.Compare(v.Entries[i].Sep, target) >= 0
 	})
-}
-
-// EncodeView serializes the view: magic, level, member table numbers, then
-// the cursor run with delta-encoded offsets (consecutive blocks of one
-// member are physically adjacent, so the common delta is zero) and
-// prefix-compressed separators, sealed by a crc32c of everything prior.
-func EncodeView(v *View) []byte {
-	buf := append([]byte(nil), viewMagic...)
-	buf = binary.AppendUvarint(buf, uint64(v.Level))
-	buf = binary.AppendUvarint(buf, uint64(len(v.Members)))
-	for _, num := range v.Members {
-		buf = binary.AppendUvarint(buf, num)
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(v.Entries)))
-	var prevSep []byte
-	prevMember := int32(-1)
-	var prevEnd uint64
-	for i := range v.Entries {
-		e := &v.Entries[i]
-		buf = binary.AppendUvarint(buf, uint64(e.Member-prevMember))
-		if e.Member != prevMember {
-			// First block of a member: absolute offset.
-			buf = binary.AppendUvarint(buf, e.H.Offset)
-		} else {
-			buf = binary.AppendUvarint(buf, e.H.Offset-prevEnd)
-		}
-		buf = binary.AppendUvarint(buf, e.H.Length)
-		shared := sharedPrefix(prevSep, e.Sep)
-		buf = binary.AppendUvarint(buf, uint64(shared))
-		buf = binary.AppendUvarint(buf, uint64(len(e.Sep)-shared))
-		buf = append(buf, e.Sep[shared:]...)
-		prevSep = e.Sep
-		prevMember = e.Member
-		prevEnd = e.H.End()
-	}
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], checksum(buf))
-	return append(buf, crc[:]...)
-}
-
-// DecodeView parses an encoded view, validating the magic and checksum.
-// Any damage yields an error wrapping ErrCorrupt; callers treat that as
-// "no view" and rebuild.
-func DecodeView(data []byte) (*View, error) {
-	if len(data) < len(viewMagic)+4 || string(data[:len(viewMagic)]) != viewMagic {
-		return nil, fmt.Errorf("%w: bad view magic", ErrCorrupt)
-	}
-	body, crc := data[:len(data)-4], data[len(data)-4:]
-	if binary.LittleEndian.Uint32(crc) != checksum(body) {
-		return nil, fmt.Errorf("%w: view checksum mismatch", ErrCorrupt)
-	}
-	p := body[len(viewMagic):]
-	next := func() (uint64, error) {
-		x, n := binary.Uvarint(p)
-		if n <= 0 {
-			return 0, fmt.Errorf("%w: truncated view varint", ErrCorrupt)
-		}
-		p = p[n:]
-		return x, nil
-	}
-	level, err := next()
-	if err != nil {
-		return nil, err
-	}
-	nMembers, err := next()
-	if err != nil {
-		return nil, err
-	}
-	if nMembers > uint64(len(p)) {
-		return nil, fmt.Errorf("%w: view member count %d", ErrCorrupt, nMembers)
-	}
-	v := &View{Level: int(level), Members: make([]uint64, nMembers)}
-	for i := range v.Members {
-		if v.Members[i], err = next(); err != nil {
-			return nil, err
-		}
-	}
-	nEntries, err := next()
-	if err != nil {
-		return nil, err
-	}
-	if nEntries > uint64(len(p)) {
-		return nil, fmt.Errorf("%w: view entry count %d", ErrCorrupt, nEntries)
-	}
-	v.Entries = make([]ViewEntry, nEntries)
-	var prevSep []byte
-	prevMember := int32(-1)
-	var prevEnd uint64
-	for i := range v.Entries {
-		e := &v.Entries[i]
-		md, err := next()
-		if err != nil {
-			return nil, err
-		}
-		e.Member = prevMember + int32(md)
-		if int(e.Member) >= len(v.Members) || e.Member < 0 {
-			return nil, fmt.Errorf("%w: view member index %d", ErrCorrupt, e.Member)
-		}
-		off, err := next()
-		if err != nil {
-			return nil, err
-		}
-		if e.Member == prevMember {
-			off += prevEnd
-		}
-		length, err := next()
-		if err != nil {
-			return nil, err
-		}
-		e.H = Handle{Offset: off, Length: length}
-		shared, err := next()
-		if err != nil {
-			return nil, err
-		}
-		unshared, err := next()
-		if err != nil {
-			return nil, err
-		}
-		if shared > uint64(len(prevSep)) || unshared > uint64(len(p)) {
-			return nil, fmt.Errorf("%w: view separator lengths", ErrCorrupt)
-		}
-		sep := make([]byte, 0, shared+unshared)
-		sep = append(sep, prevSep[:shared]...)
-		sep = append(sep, p[:unshared]...)
-		p = p[unshared:]
-		e.Sep = sep
-		prevSep = sep
-		prevMember = e.Member
-		prevEnd = e.H.End()
-	}
-	return v, nil
 }
 
 // BuildView assembles a level's view from its members' index entries, in
@@ -211,18 +74,46 @@ func BuildView(level int, members []uint64, indexes [][]IndexEntry, uppers [][]b
 	return v
 }
 
-func sharedPrefix(a, b []byte) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
+// Splice returns the view of v's level once the members in gone have left it
+// and the members of add (nil: none) have joined, with no I/O: v's cursor
+// runs for the members that stay and add's runs, ordered by their final
+// separators. Both views were built with their members' largest keys as
+// uppers, so a run's final separator is its member's largest key, and that
+// order is the key order of a level's non-overlapping members.
+func (v *View) Splice(gone []uint64, add *View) *View {
+	type run struct {
+		num  uint64
+		ents []ViewEntry
 	}
-	i := 0
-	for i < n && a[i] == b[i] {
-		i++
+	var runs []run
+	n := 0
+	collect := func(from *View, gone []uint64) {
+		for lo := 0; lo < len(from.Entries); {
+			m := from.Entries[lo].Member
+			hi := lo + 1
+			for hi < len(from.Entries) && from.Entries[hi].Member == m {
+				hi++
+			}
+			if num := from.Members[m]; !slices.Contains(gone, num) {
+				runs = append(runs, run{num, from.Entries[lo:hi]})
+				n += hi - lo
+			}
+			lo = hi
+		}
 	}
-	return i
-}
-
-func checksum(p []byte) uint32 {
-	return crc32.Checksum(p, castagnoli)
+	collect(v, gone)
+	if add != nil {
+		collect(add, nil)
+	}
+	last := func(r run) []byte { return r.ents[len(r.ents)-1].Sep }
+	sort.Slice(runs, func(i, j int) bool { return keys.Compare(last(runs[i]), last(runs[j])) < 0 })
+	out := &View{Level: v.Level, Members: make([]uint64, len(runs)), Entries: make([]ViewEntry, 0, n)}
+	for i, r := range runs {
+		out.Members[i] = r.num
+		for _, e := range r.ents {
+			e.Member = int32(i)
+			out.Entries = append(out.Entries, e)
+		}
+	}
+	return out
 }

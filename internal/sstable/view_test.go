@@ -2,17 +2,14 @@ package sstable
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"testing"
 
 	"rocksmash/internal/keys"
 )
 
-// testView builds a deterministic multi-member view whose entries exercise
-// the encoder's delta paths: adjacent blocks within a member (zero offset
-// delta), member transitions (absolute offsets), and shared separator
-// prefixes.
+// testView builds a deterministic view of three members, four blocks each,
+// with adjacent blocks within a member and a gap at each member change.
 func testView() *View {
 	v := &View{Level: 2, Members: []uint64{11, 42, 107}}
 	var off uint64
@@ -48,47 +45,6 @@ func viewsEqual(a, b *View) bool {
 		}
 	}
 	return true
-}
-
-func TestViewEncodeDecodeRoundtrip(t *testing.T) {
-	v := testView()
-	got, err := DecodeView(EncodeView(v))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !viewsEqual(v, got) {
-		t.Fatalf("roundtrip mismatch:\n got %+v\nwant %+v", got, v)
-	}
-}
-
-func TestViewEncodeDecodeEmpty(t *testing.T) {
-	v := &View{Level: 1}
-	got, err := DecodeView(EncodeView(v))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Level != 1 || len(got.Members) != 0 || len(got.Entries) != 0 {
-		t.Fatalf("empty view roundtrip: %+v", got)
-	}
-}
-
-// TestViewDecodeCorruption flips every byte of the encoding in turn and
-// truncates it at every length; each damaged copy must fail with
-// ErrCorrupt — never panic, never decode silently.
-func TestViewDecodeCorruption(t *testing.T) {
-	enc := EncodeView(testView())
-	for i := range enc {
-		bad := append([]byte(nil), enc...)
-		bad[i] ^= 0x5a
-		if _, err := DecodeView(bad); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("flip at %d: err = %v, want ErrCorrupt", i, err)
-		}
-	}
-	for n := 0; n < len(enc); n++ {
-		if _, err := DecodeView(enc[:n]); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("truncate to %d: err = %v, want ErrCorrupt", n, err)
-		}
-	}
 }
 
 func TestViewSeek(t *testing.T) {
@@ -181,5 +137,39 @@ func TestBuildViewClampsFinalSeparator(t *testing.T) {
 	}
 	if got := keys.UserKey(v.Entries[3].Sep); string(got) != "key250" {
 		t.Fatalf("member 1 final separator = %q, want clamped key250", got)
+	}
+}
+
+// indexesOf splits v back into its members' index entries.
+func indexesOf(v *View) [][]IndexEntry {
+	indexes := make([][]IndexEntry, len(v.Members))
+	for _, e := range v.Entries {
+		indexes[e.Member] = append(indexes[e.Member], IndexEntry{Sep: e.Sep, H: e.H})
+	}
+	return indexes
+}
+
+// TestViewSplice drops a member from the middle of a view and splices in two
+// new ones, one inside the gap it left and one past the end: the result must
+// be the view BuildView derives from the new membership in key order.
+func TestViewSplice(t *testing.T) {
+	v := testView() // members 11, 42, 107 hold m00-*, m01-*, m02-*
+	sep := func(uk string) []byte { return keys.MakeSeekKey(nil, []byte(uk), keys.MaxSequence) }
+	added := BuildView(v.Level, []uint64{200, 300}, [][]IndexEntry{
+		{{Sep: sep("m01-a"), H: Handle{Offset: 0, Length: 50}}, {Sep: sep("m01-b"), H: Handle{Offset: 55, Length: 50}}},
+		{{Sep: sep("m03"), H: Handle{Offset: 0, Length: 70}}},
+	}, nil)
+	got := v.Splice([]uint64{42}, added)
+
+	old, add := indexesOf(v), indexesOf(added)
+	want := BuildView(v.Level, []uint64{11, 200, 107, 300}, [][]IndexEntry{old[0], add[0], old[2], add[1]}, nil)
+	if !viewsEqual(got, want) {
+		t.Fatalf("splice:\n got %+v\nwant %+v", got, want)
+	}
+	if same := v.Splice(nil, nil); !viewsEqual(same, v) {
+		t.Fatal("an empty splice changed the view")
+	}
+	if empty := v.Splice(v.Members, nil); len(empty.Members) != 0 || len(empty.Entries) != 0 {
+		t.Fatalf("dropping every member left %+v", empty)
 	}
 }

@@ -69,7 +69,8 @@ type Window struct {
 	CloudBlocksPerSec   float64 `json:"cloud_blocks_per_sec"`
 
 	// ViewHitRatio is the windowed fraction of per-level iterator
-	// constructions served by a sorted view; ScanBlocksPerKey the windowed
+	// constructions that found their sorted view already built;
+	// ScanBlocksPerKey the windowed
 	// blocks fetched per live key yielded by iterators (scan read-amp).
 	ViewHitRatio     float64 `json:"view_hit_ratio"`
 	ScanBlocksPerKey float64 `json:"scan_blocks_per_key"`
