@@ -226,21 +226,8 @@ func (d *DB) closeShared() error {
 // OpenAt opens a DB under dir, creating local storage at dir/local, the
 // simulated cloud at dir/cloud, and the persistent cache at dir/pcache.
 func OpenAt(dir string, opts Options) (*DB, error) {
-	opts = opts.sanitize()
-	local, err := storage.NewLocal(filepath.Join(dir, "local"))
-	if err != nil {
-		return nil, err
-	}
-	var cloud storage.Backend
-	if opts.Policy != PolicyLocalOnly {
-		c, err := storage.NewCloud(filepath.Join(dir, "cloud"), opts.CloudLatency, opts.CloudCost)
-		if err != nil {
-			return nil, err
-		}
-		cloud = c
-	}
-	opts.pcacheDir = filepath.Join(dir, "pcache")
-	return Open(opts, local, cloud)
+	d, _, _, err := openAt(dir, opts, nil, nil)
+	return d, err
 }
 
 // OpenAtChaos opens like OpenAt but wraps the cloud backend in a Faulty
@@ -248,27 +235,8 @@ func OpenAt(dir string, opts Options) (*DB, error) {
 // experiments. The returned Faulty handle scripts outages and reports
 // injected-fault counts; it is nil for PolicyLocalOnly.
 func OpenAtChaos(dir string, opts Options, cfg storage.FaultConfig) (*DB, *storage.Faulty, error) {
-	opts = opts.sanitize()
-	local, err := storage.NewLocal(filepath.Join(dir, "local"))
-	if err != nil {
-		return nil, nil, err
-	}
-	var cloud storage.Backend
-	var faulty *storage.Faulty
-	if opts.Policy != PolicyLocalOnly {
-		c, err := storage.NewCloud(filepath.Join(dir, "cloud"), opts.CloudLatency, opts.CloudCost)
-		if err != nil {
-			return nil, nil, err
-		}
-		faulty = storage.NewFaulty(c, cfg)
-		cloud = faulty
-	}
-	opts.pcacheDir = filepath.Join(dir, "pcache")
-	d, err := Open(opts, local, cloud)
-	if err != nil {
-		return nil, nil, err
-	}
-	return d, faulty, nil
+	d, _, cloudFaulty, err := openAt(dir, opts, nil, &cfg)
+	return d, cloudFaulty, err
 }
 
 // OpenAtChaosLocal opens like OpenAtChaos but wraps *both* tiers in Faulty
@@ -276,24 +244,36 @@ func OpenAtChaos(dir string, opts Options, cfg storage.FaultConfig) (*DB, *stora
 // ENOSPC, fsync EIO) alongside cloud outages. The returned handles are
 // (localFaulty, cloudFaulty); cloudFaulty is nil for PolicyLocalOnly.
 func OpenAtChaosLocal(dir string, opts Options, localCfg, cloudCfg storage.FaultConfig) (*DB, *storage.Faulty, *storage.Faulty, error) {
+	return openAt(dir, opts, &localCfg, &cloudCfg)
+}
+
+// openAt is the body of the OpenAt family: a tier whose config is non-nil
+// is wrapped in a Faulty decorator, returned with the DB.
+func openAt(dir string, opts Options, localCfg, cloudCfg *storage.FaultConfig) (*DB, *storage.Faulty, *storage.Faulty, error) {
 	opts = opts.sanitize()
 	l, err := storage.NewLocal(filepath.Join(dir, "local"))
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	localFaulty := storage.NewFaulty(l, localCfg)
-	var cloud storage.Backend
-	var cloudFaulty *storage.Faulty
+	var local, cloud storage.Backend = l, nil
+	var localFaulty, cloudFaulty *storage.Faulty
+	if localCfg != nil {
+		localFaulty = storage.NewFaulty(l, *localCfg)
+		local = localFaulty
+	}
 	if opts.Policy != PolicyLocalOnly {
 		c, err := storage.NewCloud(filepath.Join(dir, "cloud"), opts.CloudLatency, opts.CloudCost)
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		cloudFaulty = storage.NewFaulty(c, cloudCfg)
-		cloud = cloudFaulty
+		cloud = c
+		if cloudCfg != nil {
+			cloudFaulty = storage.NewFaulty(c, *cloudCfg)
+			cloud = cloudFaulty
+		}
 	}
 	opts.pcacheDir = filepath.Join(dir, "pcache")
-	d, err := Open(opts, localFaulty, cloud)
+	d, err := Open(opts, local, cloud)
 	if err != nil {
 		return nil, nil, nil, err
 	}

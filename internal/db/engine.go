@@ -395,11 +395,7 @@ func (d *engine) get(key []byte, seq uint64) ([]byte, error) {
 	// Read profiling: every Get carries a pooled profile (cheap counter
 	// core) unless disabled; 1-in-ReadProfileSampleRate of them are Timed
 	// and additionally pay per-stage clock reads.
-	var prof *readprof.Profile
-	if rate := d.opts.ReadProfileSampleRate; rate > 0 {
-		prof = getProfile()
-		prof.Timed = rate == 1 || d.profTick.Add(1)%uint64(rate) == 0
-	}
+	prof := d.newProfile()
 	start := time.Now()
 	v, err := d.getAt(key, seq, prof)
 	elapsed := time.Since(start)

@@ -306,21 +306,24 @@ func (m *mergingIter) Close() error {
 	return firstErr
 }
 
-// engineIter is the bidirectional iterator over one engine's live keys at a
-// snapshot. It collapses internal versions: for each user key the newest
-// visible entry wins, and tombstones hide older versions.
-type engineIter struct {
-	db     *engine
+// Iterator is the user-facing bidirectional iterator over live keys at a
+// snapshot. One merge walks every engine's children — level views,
+// memtables, L0 tables — together: sequence numbers come from the one shared
+// seqSource and engine keyspaces are disjoint, so internal keys are unique
+// across engines. The iterator collapses internal versions: for each user
+// key the newest visible entry wins, and tombstones hide older versions.
+type Iterator struct {
 	merged *mergingIter
 	seq    uint64
-	// hold pins the version the iterator walks, whose view children open
-	// their tables lazily, as the walk reaches them. The pin and the
-	// views' tables outlive close while a view's span GETs are in flight.
-	hold scanHold
+	// holds[i] pins engine i's version, whose view children open their
+	// tables lazily, as the walk reaches them. Sized once, before any view
+	// points into it. A pin and its views' tables outlive Close while a
+	// view's span GETs are in flight.
+	holds []scanHold
 
 	// prof accumulates the iterator's data-block reads by source tier over
 	// its whole lifetime (nil when profiling is disabled); seeks counts
-	// positioning operations. Both fold into the engine's scan-side
+	// positioning operations. Both fold into the first engine's scan-side
 	// aggregates at Close, kept separate from per-Get read-amp accounting.
 	// nkeys counts live keys yielded, the denominator of the store's
 	// blocks-per-scanned-key rate.
@@ -328,10 +331,11 @@ type engineIter struct {
 	seeks int64
 	nkeys int64
 
-	key   []byte
-	value []byte
-	valid bool
-	err   error
+	key    []byte
+	value  []byte
+	valid  bool
+	err    error
+	closed bool
 
 	// Scratch the iterator owns, so a move allocates nothing once they have
 	// grown: seek holds the internal key handed to the merged iterator, skip
@@ -340,89 +344,99 @@ type engineIter struct {
 	skip []byte
 }
 
-// newIter builds the engine's iterator at snapshot seq in it, where it stays:
-// its views point at its hold.
-func (d *engine) newIter(it *engineIter, seq uint64) error {
+// NewIterator returns an iterator over the DB at the current sequence.
+func (d *DB) NewIterator() (*Iterator, error) {
+	// Catch the global watermark up to the acked frontier so every write
+	// that returned before this call is inside the merged view.
+	d.seqs.waitVisible(d.ackedSeq())
+	return d.NewIteratorAt(d.seqs.visible.Load())
+}
+
+// NewIteratorAt returns an iterator at snapshot seq.
+func (d *DB) NewIteratorAt(seq uint64) (*Iterator, error) {
+	if d.closed.Load() {
+		return nil, ErrClosed
+	}
+	it := &Iterator{seq: seq, holds: make([]scanHold, len(d.engines)), prof: d.engines[0].newProfile()}
+	// Sized for every engine's deeper levels, two memtables and an L0
+	// table; more grow it.
+	children := make([]internalIterator, 0, len(d.engines)*(manifest.NumLevels+2))
+	var err error
+	for i, e := range d.engines {
+		if children, err = e.iterChildren(children, &it.holds[i], it.prof); err != nil {
+			it.holds = it.holds[:i+1]
+			break
+		}
+	}
+	it.merged = newMergingIter(children...)
+	if err != nil {
+		_ = it.Close()
+		return nil, err
+	}
+	return it, nil
+}
+
+// iterChildren pins the engine's current version in hold and appends the
+// engine's iterators at it to children: one view per populated level below
+// L0, then the memtables, then the L0 tables.
+func (d *engine) iterChildren(children []internalIterator, hold *scanHold, prof *readprof.Profile) ([]internalIterator, error) {
 	rs := d.rs.Load()
-	mem, imm := rs.mem, rs.imm
-	recovered := rs.recovered
 	v := d.vs.Acquire()
-	it.hold.init(d, v)
-
-	var prof *readprof.Profile
-	if rate := d.opts.ReadProfileSampleRate; rate > 0 {
-		prof = getProfile()
-		prof.Timed = rate == 1 || d.profTick.Add(1)%uint64(rate) == 0
-	}
-
-	// Sized once: one child per deeper level, memtables, L0 tables.
-	children := make([]internalIterator, 0, 2+len(recovered)+len(v.Levels[0])+manifest.NumLevels-1)
-	fail := func(err error) error {
-		for _, c := range children {
-			c.Close()
-		}
-		if prof != nil {
-			profilePool.Put(prof)
-		}
-		it.hold.release()
-		return err
-	}
+	hold.init(d, v)
 	// Every level below L0 is one cursor run along its sorted view.
 	for lvl := 1; lvl < manifest.NumLevels; lvl++ {
 		vw, err := d.levelView(v, lvl, prof)
 		if err != nil {
-			return fail(err)
+			return children, err
 		}
 		if len(v.Levels[lvl]) > 0 {
-			vi := newViewIter(d, &it.hold, vw, v.Levels[lvl])
+			vi := newViewIter(d, hold, vw, v.Levels[lvl])
 			vi.prof = prof
 			children = append(children, vi)
 		}
 	}
-	children = append(children, &memIter{mem.NewIterator()})
-	if imm != nil {
-		children = append(children, &memIter{imm.NewIterator()})
+	children = append(children, &memIter{rs.mem.NewIterator()})
+	if rs.imm != nil {
+		children = append(children, &memIter{rs.imm.NewIterator()})
 	}
-	for _, m := range recovered {
+	for _, m := range rs.recovered {
 		children = append(children, &memIter{m.NewIterator()})
 	}
 	for _, f := range v.Levels[0] {
 		h, err := d.tables.get(d, f)
 		if err != nil {
-			return fail(err)
+			return children, err
 		}
 		ti := newTableIter(h)
 		ti.it.SetProfile(prof)
 		children = append(children, ti)
 	}
-	it.db, it.merged, it.seq, it.prof = d, newMergingIter(children...), seq, prof
-	return nil
+	return children, nil
 }
 
+// NewIteratorSnapshot returns an iterator bound to a snapshot.
+func (s *Snapshot) NewIterator() (*Iterator, error) { return s.db.NewIteratorAt(s.seq) }
+
 // First positions at the smallest live key.
-func (it *engineIter) First() {
+func (it *Iterator) First() {
 	it.seeks++
 	it.merged.First()
 	it.settle(nil)
 }
 
-// prefetch starts the cloud GETs Seek(ukey) will wait on, without waiting
-// for them. First lands where Seek of the empty key does.
-func (it *engineIter) prefetch(ukey []byte) {
-	it.seek = keys.MakeSeekKey(it.seek[:0], ukey, it.seq)
-	it.merged.prefetch(it.seek, -1)
-}
-
 // Seek positions at the first live key >= ukey.
-func (it *engineIter) Seek(ukey []byte) {
+func (it *Iterator) Seek(ukey []byte) {
 	it.seeks++
 	it.seek = keys.MakeSeekKey(it.seek[:0], ukey, it.seq)
 	it.merged.SeekGE(it.seek)
 	it.settle(nil)
 }
 
-// Next advances to the following live key; the caller checked valid.
-func (it *engineIter) Next() {
+// Next advances to the following live key.
+func (it *Iterator) Next() {
+	if !it.Valid() {
+		return
+	}
 	it.skip = append(it.skip[:0], it.key...)
 	if it.merged.Valid() {
 		it.merged.Next()
@@ -436,14 +450,14 @@ func (it *engineIter) Next() {
 }
 
 // Last positions at the largest live key.
-func (it *engineIter) Last() {
+func (it *Iterator) Last() {
 	it.seeks++
 	it.merged.Last()
 	it.settleReverse(nil)
 }
 
 // SeekForPrev positions at the last live key <= ukey.
-func (it *engineIter) SeekForPrev(ukey []byte) {
+func (it *Iterator) SeekForPrev(ukey []byte) {
 	it.seeks++
 	// ukey++"\x00" is the immediate successor user key: every entry of
 	// ukey itself sorts before it.
@@ -453,8 +467,11 @@ func (it *engineIter) SeekForPrev(ukey []byte) {
 	it.settleReverse(nil)
 }
 
-// Prev moves to the preceding live key; the caller checked valid.
-func (it *engineIter) Prev() {
+// Prev moves to the preceding live key.
+func (it *Iterator) Prev() {
+	if !it.Valid() {
+		return
+	}
 	it.skip = append(it.skip[:0], it.key...)
 	bound := it.skip
 	switch {
@@ -477,7 +494,7 @@ func (it *engineIter) Prev() {
 
 // settle advances the merged iterator until it rests on the newest visible,
 // live entry of a user key different from skipKey (nil, or it.skip).
-func (it *engineIter) settle(skipKey []byte) {
+func (it *Iterator) settle(skipKey []byte) {
 	it.valid = false
 	for it.merged.Valid() {
 		ik := it.merged.Key()
@@ -518,7 +535,7 @@ func (it *engineIter) settle(skipKey []byte) {
 // visible version, and a tombstone candidate hides the key entirely. The
 // candidate is kept in it.key / it.value, which mean nothing until valid is
 // set.
-func (it *engineIter) settleReverse(boundKey []byte) {
+func (it *Iterator) settleReverse(boundKey []byte) {
 	it.valid = false
 	var curLive, have bool
 	for it.merged.Valid() {
@@ -563,186 +580,8 @@ func (it *engineIter) settleReverse(boundKey []byte) {
 	}
 }
 
-// close releases table references and lets go of the iterator's hold (the
-// version pin and its views' tables go with the last span GET in flight),
-// and folds the iterator's counters into its engine's aggregates.
-func (it *engineIter) close() error {
-	err := it.merged.Close()
-	it.hold.release()
-	if it.nkeys > 0 {
-		it.db.stats.IterKeys.Add(it.nkeys)
-	}
-	if it.prof != nil {
-		it.db.readAgg.mergeIter(it.prof, it.seeks)
-		profilePool.Put(it.prof)
-		it.prof = nil
-	}
-	return err
-}
-
-// Iterator is the user-facing bidirectional iterator over live keys at a
-// snapshot: one engineIter per engine, all bound to the same snapshot
-// sequence, merged by user key. Engine keyspaces are disjoint, so no
-// deduplication is needed — the smallest (or largest, in reverse) valid
-// child is the current entry.
-type Iterator struct {
-	kids []engineIter
-	cur  int  // index of the child at the merge frontier, -1 when exhausted
-	rev  bool // merge direction
-
-	// key and value alias the frontier child's buffers, which only change
-	// when this iterator moves it.
-	key    []byte
-	value  []byte
-	valid  bool
-	err    error
-	closed bool
-}
-
-// NewIterator returns an iterator over the DB at the current sequence.
-func (d *DB) NewIterator() (*Iterator, error) {
-	// Catch the global watermark up to the acked frontier so every write
-	// that returned before this call is inside the merged view.
-	d.seqs.waitVisible(d.ackedSeq())
-	return d.NewIteratorAt(d.seqs.visible.Load())
-}
-
-// NewIteratorAt returns an iterator at snapshot seq.
-func (d *DB) NewIteratorAt(seq uint64) (*Iterator, error) {
-	if d.closed.Load() {
-		return nil, ErrClosed
-	}
-	it := &Iterator{kids: make([]engineIter, len(d.engines)), cur: -1}
-	for i, e := range d.engines {
-		if err := e.newIter(&it.kids[i], seq); err != nil {
-			for j := range it.kids[:i] {
-				_ = it.kids[j].close()
-			}
-			return nil, err
-		}
-	}
-	return it, nil
-}
-
-// NewIteratorSnapshot returns an iterator bound to a snapshot.
-func (s *Snapshot) NewIterator() (*Iterator, error) { return s.db.NewIteratorAt(s.seq) }
-
-// prefetch has every engine start the cloud GETs Seek(ukey) will wait on
-// before any engine waits, so a sharded store's round trips overlap too.
-// One engine's merge fans out on its own.
-func (it *Iterator) prefetch(ukey []byte) {
-	if len(it.kids) > 1 {
-		for i := range it.kids {
-			it.kids[i].prefetch(ukey)
-		}
-	}
-}
-
-// First positions at the smallest live key.
-func (it *Iterator) First() {
-	it.prefetch(nil)
-	for i := range it.kids {
-		it.kids[i].First()
-	}
-	it.settle(false)
-}
-
-// Seek positions at the first live key >= ukey.
-func (it *Iterator) Seek(ukey []byte) {
-	it.prefetch(ukey)
-	for i := range it.kids {
-		it.kids[i].Seek(ukey)
-	}
-	it.settle(false)
-}
-
-// Next advances to the following live key.
-func (it *Iterator) Next() {
-	if !it.valid {
-		return
-	}
-	if it.rev {
-		// Direction switch: reposition every other child to the first key
-		// after the current one. Engine keyspaces are disjoint, so
-		// Seek(current) on another engine lands strictly past it.
-		for i := range it.kids {
-			if i != it.cur {
-				it.kids[i].Seek(it.key)
-			}
-		}
-	}
-	it.kids[it.cur].Next()
-	it.settle(false)
-}
-
-// Last positions at the largest live key.
-func (it *Iterator) Last() {
-	for i := range it.kids {
-		it.kids[i].Last()
-	}
-	it.settle(true)
-}
-
-// SeekForPrev positions at the last live key <= ukey.
-func (it *Iterator) SeekForPrev(ukey []byte) {
-	for i := range it.kids {
-		it.kids[i].SeekForPrev(ukey)
-	}
-	it.settle(true)
-}
-
-// Prev moves to the preceding live key.
-func (it *Iterator) Prev() {
-	if !it.valid {
-		return
-	}
-	if !it.rev {
-		// Direction switch: reposition every other child to the last key
-		// before the current one (disjoint keyspaces make
-		// SeekForPrev(current) land strictly before it on other engines).
-		for i := range it.kids {
-			if i != it.cur {
-				it.kids[i].SeekForPrev(it.key)
-			}
-		}
-	}
-	it.kids[it.cur].Prev()
-	it.settle(true)
-}
-
-// settle makes the frontier child the current entry: the smallest-keyed
-// valid child going forward, the largest in reverse.
-func (it *Iterator) settle(rev bool) {
-	it.rev = rev
-	it.valid = false
-	it.cur = -1
-	for i := range it.kids {
-		k := &it.kids[i]
-		if k.err != nil && it.err == nil {
-			it.err = k.err
-		}
-		if !k.valid {
-			continue
-		}
-		if it.cur >= 0 {
-			c := bytes.Compare(k.key, it.kids[it.cur].key)
-			if rev {
-				c = -c
-			}
-			if c >= 0 {
-				continue
-			}
-		}
-		it.cur = i
-	}
-	if it.cur >= 0 && it.err == nil {
-		k := &it.kids[it.cur]
-		it.key, it.value, it.valid = k.key, k.value, true
-	}
-}
-
 // Valid reports whether the iterator is positioned on a live entry.
-func (it *Iterator) Valid() bool { return it.valid }
+func (it *Iterator) Valid() bool { return it.valid && it.err == nil }
 
 // Key returns the current user key (stable until the next move).
 func (it *Iterator) Key() []byte { return it.key }
@@ -753,18 +592,30 @@ func (it *Iterator) Value() []byte { return it.value }
 // Err returns the first error encountered.
 func (it *Iterator) Err() error { return it.err }
 
-// Close releases table references. Iterators must be closed. It does not
-// wait for readahead in flight: what those GETs borrow goes when they land.
+// Close releases table references, lets go of the iterator's holds and
+// folds its counters into the first engine's aggregates. Iterators must be
+// closed. It does not wait for readahead in flight: a hold's version pin
+// and its views' tables go with the last of its span GETs to land.
 func (it *Iterator) Close() error {
 	if it.closed {
 		return it.err
 	}
 	it.closed = true
 	it.valid = false
-	for i := range it.kids {
-		if err := it.kids[i].close(); err != nil && it.err == nil {
-			it.err = err
-		}
+	if err := it.merged.Close(); err != nil && it.err == nil {
+		it.err = err
+	}
+	for i := range it.holds {
+		it.holds[i].release()
+	}
+	d := it.holds[0].d
+	if it.nkeys > 0 {
+		d.stats.IterKeys.Add(it.nkeys)
+	}
+	if it.prof != nil {
+		d.readAgg.mergeIter(it.prof, it.seeks)
+		profilePool.Put(it.prof)
+		it.prof = nil
 	}
 	return it.err
 }

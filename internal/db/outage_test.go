@@ -105,7 +105,15 @@ func TestOutageDegradedFlushAndDrain(t *testing.T) {
 // cold read that genuinely needs a cloud block surfaces ErrCloudUnavailable
 // — a typed error, not a hang or a generic failure.
 func TestOutageReadsErrCloudUnavailable(t *testing.T) {
-	d, faulty := openFaultyTest(t, PolicyCloudOnly, storage.FaultConfig{})
+	o := testOptions(PolicyCloudOnly)
+	// The read's last retry must find the breaker still open: a cooldown
+	// shorter than a scheduling hiccup lets it through as a probe, which
+	// fails with the raw fault.
+	o.CloudBreaker.Cooldown = 100 * time.Millisecond
+	d, faulty, err := OpenAtChaos(t.TempDir(), o, storage.FaultConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer d.Close()
 
 	for i := 0; i < 100; i++ {
@@ -258,6 +266,7 @@ func TestRelocateRetiredMidCopy(t *testing.T) {
 			// One failed flush must not trip a breaker: the test wants the
 			// home tier healthy again the moment the hook stops failing.
 			o.CloudBreaker.FailureThreshold = 100
+			o.LocalBreaker.FailureThreshold = 100
 			// The second off-home table must wait for the test's own
 			// CompactAll, a third flush, before anything compacts it away.
 			o.L0CompactTrigger = 3
@@ -318,7 +327,7 @@ func TestRelocateRetiredMidCopy(t *testing.T) {
 				t.Fatal(err)
 			}
 			e := d.engines[0]
-			oldMeta := it.kids[0].hold.v.Levels[0][0]
+			oldMeta := it.holds[0].v.Levels[0][0]
 			table := manifest.TableName(oldMeta.Num)
 			home.SetHook(nil)
 			waitFor(t, "the off-home table to be relocated", 10*time.Second, func() bool { return backlog() == 0 })

@@ -25,6 +25,18 @@ func getProfile() *readprof.Profile {
 	return p
 }
 
+// newProfile returns a read's pooled profile, 1-in-ReadProfileSampleRate of
+// them Timed, or nil when profiling is disabled.
+func (d *engine) newProfile() *readprof.Profile {
+	rate := d.opts.ReadProfileSampleRate
+	if rate <= 0 {
+		return nil
+	}
+	p := getProfile()
+	p.Timed = rate == 1 || d.profTick.Add(1)%uint64(rate) == 0
+	return p
+}
+
 // readAgg accumulates every sampled profile into lock-free totals. Point
 // lookups and iterators aggregate separately so per-get read-amp math is
 // not skewed by scans.

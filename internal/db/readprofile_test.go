@@ -383,25 +383,36 @@ func TestGetAllocsProfilerParity(t *testing.T) {
 	}
 }
 
-// Allocations of a forward scan over one flushed table whose blocks are in
-// the block cache. Moving allocates nothing, within a block or across blocks:
-// the block iterators are re-pointed in place and every key the merge
-// compares or yields is assembled in a buffer the iterator owns. Opening an
-// iterator, seeking it and stepping once costs a constant 15 objects: 9 for
-// the iterator tree (facade and its child array 2, the engine iterator's
-// child list 1, sized once, memtable iterator and its skiplist iterator 2,
-// table iterator 2, merge and its loser tree 2) and 6 for the first growth
-// of each owned buffer (seek key 1, index and data block keys 2, yielded key
-// and value 2, skip key 1).
+// Allocations of a forward scan over one flushed table per engine whose
+// blocks are in the block cache. Moving allocates nothing, within a block or
+// across blocks: the block iterators are re-pointed in place and every key the
+// merge compares or yields is assembled in a buffer the iterator owns. Opening
+// an iterator, seeking it and stepping once costs a constant number of
+// objects. One engine costs 15: 9 for the iterator tree (iterator and its hold
+// array 2, child list 1, memtable iterator and its skiplist iterator 2, table
+// iterator 2, merge and its loser tree 2) and 6 for the first growth of each
+// owned buffer (seek key 1, index and data block keys 2, yielded key and value
+// 2, skip key 1). Each further engine adds 6 — its memtable iterator 2, its
+// table iterator 2 and that table's index and data block keys 2 — so four
+// engines cost 33.
 const (
 	scanAllocsPerNext = 0.0
 	scanAllocsPerSeek = 15.0
 )
 
 func TestScanAllocs(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			testScanAllocs(t, shards, scanAllocsPerSeek+6*float64(shards-1))
+		})
+	}
+}
+
+func testScanAllocs(t *testing.T, shards int, perSeek float64) {
 	o := testOptions(PolicyLocalOnly)
 	o.MemtableBytes = 64 << 20
 	o.ReadProfileSampleRate = -1
+	o.Shards = shards
 	d, err := OpenAt(t.TempDir(), o)
 	if err != nil {
 		t.Fatal(err)
@@ -449,9 +460,9 @@ func TestScanAllocs(t *testing.T) {
 	}
 	short := testing.AllocsPerRun(200, func() { scan(k100, k101, 1) })
 	long := testing.AllocsPerRun(200, func() { scan(k100, k500, 400) })
-	if short != scanAllocsPerSeek || long != short {
+	if short != perSeek || long != short {
 		t.Errorf("NewIterator+Seek+Close allocates %.1f objects with 1 Next, %.1f with 400, want %.0f for both",
-			short, long, scanAllocsPerSeek)
+			short, long, perSeek)
 	}
 }
 

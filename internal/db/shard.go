@@ -23,8 +23,9 @@ import (
 // layout of a store that predates sharding. DESIGN.md §5f tabulates what
 // the facade owns and what each engine owns.
 //
-// Keys route to engines by a stable hash of the user key; iteration merges
-// the per-engine iterators (disjoint keyspaces, so no deduplication).
+// Keys route to engines by a stable hash of the user key; an iterator runs
+// one merge over every engine's children (disjoint keyspaces and one shared
+// sequence, so internal keys are unique across engines).
 
 // shardMarkerName is the root-level object recording the shard count. It
 // is written on the first sharded open and verified on every reopen: the

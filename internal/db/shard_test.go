@@ -288,8 +288,8 @@ func TestShardedBreakerTripsOnce(t *testing.T) {
 	}
 }
 
-// TestShardedIteratorDirectionSwitch exercises the facade merge's
-// direction-switch repositioning against a sorted model.
+// TestShardedIteratorDirectionSwitch exercises direction switches of the
+// one merge over every engine's children against a sorted model.
 func TestShardedIteratorDirectionSwitch(t *testing.T) {
 	d, _ := openShardTest(t, PolicyLocalOnly, 4)
 	defer d.Close()

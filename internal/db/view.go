@@ -152,13 +152,13 @@ func newViewIter(d *engine, hold *scanHold, v *sstable.View, files []*manifest.F
 	return vi
 }
 
-// scanHold is an engine iterator's hold on what its views' span GETs borrow:
-// the version it walks and the member tables its views opened. The iterator
-// is one holder and every span GET in flight is another; whoever lets go
-// last releases the handles and unpins the version. So Iterator.Close
-// returns with readahead still in flight, and no table a GET reads can be
-// retired — its blocks dropped from the caches — before the GET has landed
-// and admitted them.
+// scanHold is an iterator's hold, per engine, on what that engine's views'
+// span GETs borrow: the version it walks and the member tables its views
+// opened. The iterator is one holder and every span GET in flight is
+// another; whoever lets go last releases the handles and unpins the
+// version. So Iterator.Close returns with readahead still in flight, and no
+// table a GET reads can be retired — its blocks dropped from the caches —
+// before the GET has landed and admitted them.
 type scanHold struct {
 	d       *engine
 	v       *manifest.Version
@@ -234,11 +234,10 @@ func (vi *viewIter) attribute(tier readprof.Tier, body []byte, start time.Time) 
 	vi.prof.Block(tier, len(body), ns)
 }
 
-// cached returns entry e's block when the block cache holds it or, for a
-// cloud table on a forward walk, the persistent cache does (the hit is
-// promoted to the block cache), and nil otherwise: one lookup per rung.
-// waited says a span GET was awaited for the block, which makes it the
-// cloud's.
+// cached returns cloud entry e's block on a forward walk when the block
+// cache or the persistent cache holds it (a persistent-cache hit is promoted
+// to the block cache), and nil otherwise: one lookup per rung. waited says a
+// span GET was awaited for the block, which makes it the cloud's.
 func (vi *viewIter) cached(e *sstable.ViewEntry, h *tableHandle, start time.Time, waited bool) []byte {
 	fileNum := h.reader.FileNum()
 	ck := cache.Key{FileNum: fileNum, Offset: e.H.Offset}
@@ -250,12 +249,10 @@ func (vi *viewIter) cached(e *sstable.ViewEntry, h *tableHandle, start time.Time
 		}
 		return body
 	}
-	if h.tier == storage.TierCloud && vi.forward {
-		if body, ok := vi.db.pcache.Get(fileNum, e.H.Offset); ok {
-			vi.db.blockCache.PutCloud(ck, body)
-			vi.attribute(readprof.TierPCache, body, start)
-			return body
-		}
+	if body, ok := vi.db.pcache.Get(fileNum, e.H.Offset); ok {
+		vi.db.blockCache.PutCloud(ck, body)
+		vi.attribute(readprof.TierPCache, body, start)
+		return body
 	}
 	return nil
 }
@@ -320,17 +317,18 @@ func (vi *viewIter) fetchEntry(pos int) ([]byte, error) {
 		vi.attribute(readprof.TierCloud, body, start)
 		return body, nil
 	}
-	if body := vi.cached(e, h, start, waited); body != nil {
-		return body, nil
-	}
 	if h.tier == storage.TierCloud && vi.forward {
+		if body := vi.cached(e, h, start, waited); body != nil {
+			return body, nil
+		}
 		if sp := vi.spans.read(pos, h); sp.err == nil {
 			vi.attribute(readprof.TierCloud, sp.bodies[0], start)
 			return sp.bodies[0], nil
 		}
 	}
-	// Single-block fallback: the standard fetch path (persistent cache,
-	// CRC repair for local damage, cache admission, attribution).
+	// No span serves the block (a local table, a reverse walk, a failed
+	// span): the standard fetch path looks the caches up itself, repairs
+	// local damage from its CRC, admits and attributes.
 	return h.reader.Fetch(e.H, vi.prof)
 }
 

@@ -12,6 +12,7 @@ import (
 
 	"rocksmash/internal/keys"
 	"rocksmash/internal/manifest"
+	"rocksmash/internal/readprof"
 	"rocksmash/internal/sstable"
 	"rocksmash/internal/storage"
 )
@@ -417,5 +418,55 @@ func TestViewCrashSweep(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestViewScanCountsEachMissOnce scans a cold local-only store forward, then
+// reopens it and scans it in reverse: each block a scan reads misses the
+// block cache once, so the misses a scan adds equal the local blocks it read.
+func TestViewScanCountsEachMissOnce(t *testing.T) {
+	dir := t.TempDir()
+	o := testOptions(PolicyLocalOnly)
+	d, err := OpenAt(dir, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := loadAndSettle(t, d, 2000)
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, reverse := range []bool{false, true} {
+		d, err := OpenAt(dir, o) // cold caches
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := d.Metrics()
+		it, err := d.NewIterator()
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		if reverse {
+			for it.Last(); it.Valid(); it.Prev() {
+				n++
+			}
+		} else {
+			for it.First(); it.Valid(); it.Next() {
+				n++
+			}
+		}
+		if err := it.Close(); err != nil {
+			t.Fatal(err)
+		}
+		after := d.Metrics()
+		misses := after.BlockCacheMisses - before.BlockCacheMisses
+		blocks := after.ReadAmp.IterBlocks[readprof.TierLocal] - before.ReadAmp.IterBlocks[readprof.TierLocal]
+		if n != len(model) || blocks == 0 || misses != blocks {
+			t.Errorf("reverse=%v: scanned %d keys of %d, read %d local blocks, counted %d block cache misses",
+				reverse, n, len(model), blocks, misses)
+		}
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
