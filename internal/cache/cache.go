@@ -7,7 +7,10 @@
 // table enters with PutCloud, and when the cache lets go of it — evicted, or
 // declined at the door — the block is handed to the demote sink given to
 // NewWithSink (the persistent cache's Put), so the tier below starts a
-// block's clock when this one stops it instead of duplicating it.
+// block's clock when this one stops it instead of duplicating it. Sketch
+// counts the reads of the blocks that pass this rung, and the tier below
+// admits a demoted block only if it was read more often than what it would
+// displace.
 package cache
 
 import (

@@ -136,7 +136,10 @@ func Open(opts Options, local storage.Backend, cloud storage.Backend) (*DB, erro
 	// The caches are one ladder: a cloud block is admitted to the block cache
 	// when it is fetched and to the persistent cache when the block cache
 	// lets go of it. This sink is the persistent cache's only admission from
-	// the read path, so its gate, events and counters see every block once.
+	// the read path, so its gate, door, events and counters see every block
+	// once. The door's sketch is sized by the blocks both caches hold.
+	d.sketch = cache.NewSketch(int((opts.BlockCacheBytes + opts.PCacheBytes) / int64(opts.BlockBytes)))
+	d.pcache.SetSketch(d.sketch)
 	d.blockCache = cache.NewWithSink(opts.BlockCacheBytes, func(k cache.Key, body []byte) {
 		d.pcache.Put(k.FileNum, k.Offset, body)
 	})

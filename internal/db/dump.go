@@ -187,9 +187,9 @@ func (d *DB) DumpStats() string {
 
 	b.WriteString("\n** Caches **\n")
 	fmt.Fprintf(&b, "Block cache: hit %.3f\n", m.BlockHit)
-	fmt.Fprintf(&b, "PCache:      hit %.3f, used %s of %s (%.2f), metadata %s",
+	fmt.Fprintf(&b, "PCache:      hit %.3f, used %s of %s (%.2f), metadata %s, door declined %d",
 		m.PCacheHit, humanBytes(m.PCacheUsed), humanBytes(d.opts.PCacheBytes),
-		float64(m.PCacheUsed)/float64(d.opts.PCacheBytes), humanBytes(m.PCacheMeta))
+		float64(m.PCacheUsed)/float64(d.opts.PCacheBytes), humanBytes(m.PCacheMeta), m.PCacheDoorDeclined)
 	if pc, ok := d.pcache.(*pcache.PCache); ok {
 		// The size in effect: PCacheRegionBytes is only its ceiling.
 		fmt.Fprintf(&b, ", regions of %s", humanBytes(pc.RegionBytes()))

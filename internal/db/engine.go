@@ -30,8 +30,12 @@ type shared struct {
 	// The two block caches are one ladder: a cloud block enters blockCache
 	// when it is fetched (PutCloud) and pcache when blockCache lets go of it
 	// (the sink DB.Open wires). Nothing on a read path calls pcache.Put.
+	// sketch counts the cloud blocks client reads consume, whichever rung
+	// serves them; the persistent cache's door admits a demoted block only
+	// if it was read more often than what it would displace.
 	blockCache *cache.Cache
 	pcache     pcache.BlockCache
+	sketch     *cache.Sketch
 	tables     *tableCache
 	// lat holds the always-on per-operation latency histograms.
 	lat *latencies

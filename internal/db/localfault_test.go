@@ -426,6 +426,10 @@ func TestCurrentCorruptionFailsReopen(t *testing.T) {
 func TestLocalDegradedFlushAndDrainBack(t *testing.T) {
 	o := testOptions(PolicyMash)
 	o.WALCloudBackup = true
+	// The check after the disk-full phase must find the local breaker still
+	// open: a cooldown shorter than that phase lets the drainer's probe turn
+	// it half-open first.
+	o.LocalBreaker.Cooldown = time.Second
 	d, lf, _, err := OpenAtChaosLocal(t.TempDir(), o,
 		storage.FaultConfig{BudgetExemptPrefixes: []string{"MANIFEST", "CURRENT"}},
 		storage.FaultConfig{})

@@ -284,6 +284,7 @@ var Signals = resolve([]row{
 	{"rocksmash_wal_restored_total", counter, "WAL segments restored from the cloud backup.", "WALRestored", nil},
 	{"rocksmash_write_stalls_l0_total", counter, "Writes stalled on the L0 file limit: compaction is behind.", "WriteStallsL0", nil},
 	{"rocksmash_compactions_running", gauge, "Compaction jobs running, store-wide.", "CompactionsRunning", func(d *DB) any { return d.compactionsRunning.Load() }},
+	{"rocksmash_pcache_door_declined_total", counter, "Demoted blocks the persistent cache's frequency door turned away.", "PCacheDoorDeclined", func(d *DB) any { return d.pcache.Stats().DoorDeclined.Load() }},
 })
 
 // compactionDebt estimates the bytes compaction must move to bring the

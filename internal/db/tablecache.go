@@ -210,12 +210,16 @@ func (tc *tableCache) open(d *engine, meta *manifest.FileMetadata) (*sstable.Rea
 //	block cache → [cloud only: persistent cache →] backend read
 //
 // What comes from either lower rung is admitted to the block cache only.
+// A cloud block counts one read in the sketch, whichever rung serves it.
 // Each block served is attributed to its source tier on prof; per-stage
 // clock reads happen only for Timed (sampled) profiles.
 func (tc *tableCache) fetchFor(h *tableHandle) sstable.FetchFunc {
 	db := h.db
 	return func(fileNum uint64, hd sstable.Handle, prof *readprof.Profile) ([]byte, error) {
 		ck := cache.Key{FileNum: fileNum, Offset: hd.Offset}
+		if h.tier == storage.TierCloud {
+			db.sketch.Add(ck)
+		}
 		if body, ok := db.blockCache.Get(ck); ok {
 			if prof != nil {
 				prof.Block(readprof.TierBlockCache, len(body), 0)

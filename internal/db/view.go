@@ -300,6 +300,12 @@ func (vi *viewIter) fetchEntry(pos int) ([]byte, error) {
 		// The schedule runs forward only.
 		vi.spans.drain()
 	}
+	if h.tier == storage.TierCloud && vi.forward {
+		// A block the forward walk consumes counts one read in the sketch.
+		// fetchFor counts the fallback's blocks below, so a cloud block whose
+		// span failed counts twice.
+		vi.db.sketch.Add(cache.Key{FileNum: h.reader.FileNum(), Offset: e.H.Offset})
+	}
 	start := vi.clock()
 	prefetched := pos == vi.found
 	if prefetched {

@@ -212,6 +212,9 @@ type Metrics struct {
 	BlockCacheMisses int64
 	PCacheHits       int64
 	PCacheMisses     int64
+	// PCacheDoorDeclined counts blocks the block cache demoted that the
+	// persistent cache's frequency door turned away.
+	PCacheDoorDeclined int64
 
 	// Robustness state: the cloud circuit breaker's position and history,
 	// and the degraded-mode backlog of tables awaiting upload.

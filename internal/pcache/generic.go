@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sync"
 
+	"rocksmash/internal/cache"
 	"rocksmash/internal/event"
 )
 
@@ -25,6 +26,7 @@ type GenericLRU struct {
 	levels   *levelMap
 	ev       event.Listener // set once before concurrent use; nil disables events
 	admit    func() bool    // set once before concurrent use; nil always admits
+	sketch   *cache.Sketch  // set once before concurrent use; nil opens the door to every Put
 
 	mu    sync.Mutex
 	items map[blockKey]*genericEntry
@@ -41,6 +43,9 @@ func (g *GenericLRU) SetListener(l event.Listener) { g.ev = l }
 
 // SetAdmit implements BlockCache.
 func (g *GenericLRU) SetAdmit(f func() bool) { g.admit = f }
+
+// SetSketch implements BlockCache.
+func (g *GenericLRU) SetSketch(s *cache.Sketch) { g.sketch = s }
 
 func (g *GenericLRU) takePendLocked() []event.PCacheEvict {
 	evs := g.pend
@@ -142,7 +147,10 @@ func (g *GenericLRU) get(fileNum, blockOff uint64) ([]byte, bool) {
 }
 
 // Put implements BlockCache.
-func (g *GenericLRU) Put(fileNum, blockOff uint64, body []byte) {
+func (g *GenericLRU) Put(fileNum, blockOff uint64, body []byte) { g.put(fileNum, blockOff, body, true) }
+
+// put admits one block; door puts it through the frequency door first.
+func (g *GenericLRU) put(fileNum, blockOff uint64, body []byte, door bool) {
 	if g.admit != nil && !g.admit() {
 		g.stats.AdmitDeclined.Add(1)
 		return
@@ -154,6 +162,11 @@ func (g *GenericLRU) Put(fileNum, blockOff uint64, body []byte) {
 	g.mu.Lock()
 	if _, ok := g.items[k]; ok || g.dropped.has(fileNum) {
 		g.mu.Unlock()
+		return
+	}
+	if door && !g.doorAdmitsLocked(k, int64(len(body))) {
+		g.mu.Unlock()
+		g.stats.DoorDeclined.Add(1)
 		return
 	}
 	// Evict per block until the new entry fits.
@@ -200,8 +213,24 @@ func (g *GenericLRU) Put(fileNum, blockOff uint64, body []byte) {
 // packed region layout.
 func (g *GenericLRU) PutBulk(fileNum uint64, blocks []Block) {
 	for _, b := range blocks {
-		g.Put(fileNum, b.Off, b.Body)
+		g.put(fileNum, b.Off, b.Body, false)
 	}
+}
+
+// doorAdmitsLocked is the frequency door: once a block of size bytes no
+// longer fits, it is admitted only if the sketch estimates it above the LRU
+// tail block it would displace first.
+func (g *GenericLRU) doorAdmitsLocked(k blockKey, size int64) bool {
+	if g.sketch == nil || g.used+size <= g.capacity {
+		return true
+	}
+	back := g.order.Back()
+	if back == nil {
+		return true
+	}
+	tail := back.Value.(*genericEntry).key
+	return g.sketch.Estimate(cache.Key{FileNum: k.fileNum, Offset: k.blockOff}) >
+		g.sketch.Estimate(cache.Key{FileNum: tail.fileNum, Offset: tail.blockOff})
 }
 
 func (g *GenericLRU) removeLocked(e *genericEntry, reason string) {

@@ -10,6 +10,7 @@ import (
 	"sort"
 	"sync"
 
+	"rocksmash/internal/cache"
 	"rocksmash/internal/event"
 )
 
@@ -77,6 +78,7 @@ type PCache struct {
 	levels *levelMap
 	ev     event.Listener // set once before concurrent use; nil disables events
 	admit  func() bool    // set once before concurrent use; nil always admits
+	sketch *cache.Sketch  // set once before concurrent use; nil opens the door to every Put
 	// indexCorrupt records that New found an INDEX snapshot that failed its
 	// checksum (as opposed to a clean cold start with no snapshot at all).
 	indexCorrupt bool
@@ -96,6 +98,9 @@ func (c *PCache) SetListener(l event.Listener) { c.ev = l }
 
 // SetAdmit implements BlockCache.
 func (c *PCache) SetAdmit(f func() bool) { c.admit = f }
+
+// SetSketch implements BlockCache.
+func (c *PCache) SetSketch(s *cache.Sketch) { c.sketch = s }
 
 // IndexWasCorrupt reports whether the startup index snapshot existed but
 // failed verification (the cache cold-started as the repair).
@@ -278,7 +283,7 @@ func (c *PCache) Put(fileNum, blockOff uint64, body []byte) {
 	}
 	var buf [1]event.PCacheEvict // one block recycles at most one region
 	c.mu.Lock()
-	n, evs := c.putLocked(fileNum, blockOff, body, buf[:0])
+	n, evs := c.putLocked(fileNum, blockOff, body, true, buf[:0])
 	c.mu.Unlock()
 	c.fireEvicts(evs)
 	if c.ev != nil && n > 0 {
@@ -300,7 +305,7 @@ func (c *PCache) PutBulk(fileNum uint64, blocks []Block) {
 	c.mu.Lock()
 	for _, b := range blocks {
 		var m int64
-		if m, evs = c.putLocked(fileNum, b.Off, b.Body, evs); m > 0 {
+		if m, evs = c.putLocked(fileNum, b.Off, b.Body, false, evs); m > 0 {
 			n += m
 			cnt++
 		}
@@ -313,8 +318,9 @@ func (c *PCache) PutBulk(fileNum uint64, blocks []Block) {
 }
 
 // putLocked admits one block, returning the bytes cached (0 if declined)
-// and evs with the eviction it caused, if any, appended.
-func (c *PCache) putLocked(fileNum, blockOff uint64, body []byte, evs []event.PCacheEvict) (int64, []event.PCacheEvict) {
+// and evs with the eviction it caused, if any, appended. door puts the
+// block through the frequency door first.
+func (c *PCache) putLocked(fileNum, blockOff uint64, body []byte, door bool, evs []event.PCacheEvict) (int64, []event.PCacheEvict) {
 	if int64(len(body)) > c.opts.RegionBytes || c.dropped.has(fileNum) {
 		return 0, evs
 	}
@@ -326,6 +332,10 @@ func (c *PCache) putLocked(fileNum, blockOff uint64, body []byte, evs []event.PC
 		if i < len(es) && es[i].blockOff == blockOff {
 			return 0, evs
 		}
+	}
+	if door && !c.doorAdmitsLocked(fileNum, blockOff) {
+		c.stats.DoorDeclined.Add(1)
+		return 0, evs
 	}
 
 	id, ok := c.openReg[fileNum]
@@ -395,6 +405,49 @@ func (c *PCache) allocRegionLocked(fileNum uint64, evs []event.PCacheEvict) (int
 	r.entries = r.entries[:0]
 	c.byFile[fileNum] = append(c.byFile[fileNum], id)
 	return id, true, evs
+}
+
+// doorAdmitsLocked is the frequency door: with no free region left, a block
+// is admitted only if the sketch estimates it above the mean of the region
+// CLOCK would recycle next. Space left in the file's open region is capacity
+// too, so the door stands in front of it as well.
+func (c *PCache) doorAdmitsLocked(fileNum, blockOff uint64) bool {
+	if c.sketch == nil || len(c.freeList) > 0 {
+		return true
+	}
+	id, ok := c.peekVictimLocked(fileNum)
+	if !ok {
+		return true
+	}
+	r := &c.regions[id]
+	var sum int
+	for _, e := range r.entries {
+		sum += c.sketch.Estimate(cache.Key{FileNum: r.fileNum, Offset: e.blockOff})
+	}
+	return c.sketch.Estimate(cache.Key{FileNum: fileNum, Offset: blockOff})*len(r.entries) > sum
+}
+
+// peekVictimLocked returns the region clockVictimLocked would pick, without
+// moving the hand or clearing a reference bit: the first region from the
+// hand whose bit is clear, else — after the pass that would clear them all —
+// the first region from the hand.
+func (c *PCache) peekVictimLocked(skipFile uint64) (int32, bool) {
+	n := int32(len(c.regions))
+	first := int32(-1)
+	for i := int32(0); i < n; i++ {
+		id := (c.hand + i) % n
+		r := &c.regions[id]
+		if r.fileNum == 0 || r.fileNum == skipFile {
+			continue
+		}
+		if !r.ref {
+			return id, true
+		}
+		if first < 0 {
+			first = id
+		}
+	}
+	return first, first >= 0
 }
 
 func (c *PCache) clockVictimLocked(skipFile uint64) (int32, bool) {

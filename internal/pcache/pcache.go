@@ -21,8 +21,14 @@
 // On the read path the cache is the in-memory block cache's victim tier: the
 // DB admits a block here when that cache lets go of it (internal/cache's
 // demote sink), not when the block is fetched, so the two caches' retention
-// windows add up instead of overlapping. Freshly built tables are warmed in
-// directly (PutBulk).
+// windows add up instead of overlapping. That demotion passes a frequency
+// door (TinyLFU's admission rule): once no free space is left, the block is
+// admitted only if the read-frequency sketch the DB attaches (SetSketch)
+// estimates it above what its bytes would displace — the mean of the region
+// CLOCK would recycle next, or GenericLRU's tail block. Blocks read once, and
+// scan readahead nobody read, thus stop displacing blocks read again and
+// again. Freshly built tables are warmed in directly (PutBulk), past the
+// door.
 //
 // The cache is strictly read-through: losing its state (crash without index
 // snapshot) affects only performance, never correctness.
@@ -31,6 +37,8 @@ package pcache
 import (
 	"sync"
 	"sync/atomic"
+
+	"rocksmash/internal/cache"
 )
 
 // LevelBuckets sizes the per-LSM-level hit/miss counters. Buckets 0..6
@@ -69,6 +77,9 @@ type Stats struct {
 	// AdmitDeclined counts Puts refused by the admission gate (local-degraded
 	// mode: the cache must not write to a failing local device).
 	AdmitDeclined atomic.Int64
+	// DoorDeclined counts Puts refused by the frequency door: the block had
+	// been read no more often than what its bytes would displace.
+	DoorDeclined atomic.Int64
 	// LevelHits/LevelMisses break Get outcomes down by the requested
 	// file's LSM level (see LevelBucket); they sum to Hits/Misses.
 	LevelHits   [LevelBuckets]atomic.Int64
@@ -139,13 +150,16 @@ type BlockCache interface {
 	// Probe is Get without statistics or heat accounting; compaction
 	// reads use it so bulk merges don't masquerade as workload heat.
 	Probe(fileNum, blockOff uint64) ([]byte, bool)
-	// Put admits a block body. Implementations may decline silently.
+	// Put admits a block body. Implementations may decline silently; with a
+	// sketch attached, a full cache admits the block only through the
+	// frequency door (see SetSketch).
 	Put(fileNum, blockOff uint64, body []byte)
 	// PutBulk admits a run of blocks from one file in a single call — the
-	// admission path for coalesced range reads (iterator readahead,
-	// compaction warming), where many adjacent blocks arrive at once.
-	// Implementations may batch index updates; admission of individual
-	// blocks may still be declined silently.
+	// admission path of freshly built tables (flush write-through,
+	// compaction inheritance, relocation re-warm), where many adjacent
+	// blocks arrive at once. It bypasses the frequency door. Implementations
+	// may batch index updates; admission of individual blocks may still be
+	// declined silently.
 	PutBulk(fileNum uint64, blocks []Block)
 	// DropFile evicts every block of fileNum (the file was deleted by
 	// compaction).
@@ -160,6 +174,12 @@ type BlockCache interface {
 	// tier is degraded — cache writes land on the failing device. Must be
 	// set before the cache is shared between goroutines; nil always admits.
 	SetAdmit(func() bool)
+	// SetSketch attaches the read-frequency sketch that Put's door consults
+	// once the cache has no free space left: a block is admitted only if
+	// its estimate is higher than that of what its bytes displace (counted
+	// in Stats.DoorDeclined otherwise). Must be set before the cache is
+	// shared between goroutines; without one every Put is admitted.
+	SetSketch(*cache.Sketch)
 	// FileHeat returns the number of reads issued against fileNum since
 	// it was first seen; compaction uses it for admission inheritance.
 	FileHeat(fileNum uint64) int64
@@ -208,6 +228,9 @@ func (n *Null) SetLevel(uint64, int) {}
 
 // SetAdmit is a no-op (nothing is ever admitted).
 func (n *Null) SetAdmit(func() bool) {}
+
+// SetSketch is a no-op.
+func (n *Null) SetSketch(*cache.Sketch) {}
 
 // FileHeat is always zero.
 func (n *Null) FileHeat(uint64) int64 { return 0 }

@@ -716,8 +716,10 @@ func (m *Manager) replaySegment(s SegmentMeta, fn func(uint64, []byte) error) (i
 	}
 	// Mid-log corruption (a failed record CRC that is not a tolerated torn
 	// tail): when the backup tier holds a clean copy, replay that instead
-	// and heal the local file — before delivering a single record.
-	if cerr := scanRecords(data); errors.Is(cerr, ErrCorrupt) && m.opts.Backup != nil {
+	// and heal the local file — before delivering a single record. Without a
+	// backup nothing can heal the segment, so no pre-scan runs: the replay
+	// pass below is the only one and meets the damage itself.
+	if m.opts.Backup != nil && errors.Is(scanRecords(data), ErrCorrupt) {
 		if bdata, berr := m.opts.Backup.ReadAll(name); berr == nil && scanRecords(bdata) == nil {
 			data = bdata
 			m.mu.Lock()
