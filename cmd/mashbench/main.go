@@ -1,11 +1,13 @@
-// Command mashbench is the db_bench-style driver: micro-benchmarks
-// (fillseq, fillrandom, readrandom, readseq, readwhilewriting) over any
-// placement policy, plus `-exp figN|tabN|all` to regenerate the paper's
-// tables and figures via the experiment harness.
+// Command mashbench drives the store: db_bench-style micro-benchmarks
+// (fillseq, fillrandom, readrandom, readseq, readwhilewriting) or a YCSB
+// core workload (`-ycsb A-F`) over any placement policy, plus
+// `-exp figN|tabN|all` to regenerate the paper's tables and figures via the
+// experiment harness.
 //
 // Usage:
 //
 //	mashbench -benchmarks fillrandom,readrandom -num 100000 -policy mash
+//	mashbench -ycsb A -num 100000 -reads 50000 -threads 4 -policy mash
 //	mashbench -exp fig8
 //	mashbench -exp all -quick
 package main
@@ -17,11 +19,10 @@ import (
 	"math/rand"
 	"os"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"rocksmash/internal/db"
+	"rocksmash/internal/event"
 	"rocksmash/internal/harness"
 	"rocksmash/internal/histogram"
 	"rocksmash/internal/obs"
@@ -31,23 +32,10 @@ import (
 	"rocksmash/internal/ycsb"
 )
 
-// unavailableReads counts Gets answered with ErrCloudUnavailable during a
-// chaos run: an expected degraded-mode outcome, not a benchmark failure.
-var unavailableReads atomic.Int64
-
-// readErr filters benchmark read errors: not-found is a normal outcome, and
-// under fault injection a typed cloud-unavailable error is counted instead
-// of aborting the run.
-func readErr(err error) error {
-	if err == nil || err == db.ErrNotFound {
-		return nil
-	}
-	if errors.Is(err, db.ErrCloudUnavailable) {
-		unavailableReads.Add(1)
-		return nil
-	}
-	return err
-}
+// unavailableReads counts reads the cloud could not serve during a chaos
+// run (see harness.Phase.TolerateUnavailable): an expected degraded-mode
+// outcome, not a benchmark failure.
+var unavailableReads int64
 
 // scheduleOutage parses "start,duration" and arms a one-shot full outage on
 // the faulty cloud backend.
@@ -79,9 +67,10 @@ func main() {
 		dbDir      = flag.String("db", "", "database directory (default: temp)")
 		policy     = flag.String("policy", "mash", "placement policy: mash|local-only|cloud-only|cloud-lru")
 		benchmarks = flag.String("benchmarks", "fillrandom,readrandom", "comma-separated benchmark list")
-		num        = flag.Int("num", 50000, "number of keys")
-		reads      = flag.Int("reads", 20000, "number of reads for read benchmarks")
-		threads    = flag.Int("threads", 1, "concurrent worker goroutines per benchmark (readseq and compact stay single-threaded)")
+		workload   = flag.String("ycsb", "", "run YCSB core workload A-F instead of -benchmarks: load -num records, then run -reads operations")
+		num        = flag.Int("num", 50000, "number of keys (YCSB: records to load)")
+		reads      = flag.Int("reads", 20000, "number of reads for read benchmarks (YCSB: operations to run)")
+		threads    = flag.Int("threads", 1, "concurrent client goroutines per benchmark or YCSB phase (readseq and compact stay single-threaded)")
 		shards     = flag.Int("shards", 1, "hash-partition the keyspace into this many independent sub-LSMs")
 		walSync    = flag.Bool("wal-sync", false, "fsync the WAL on every commit (group commit amortizes the fsync across threads)")
 		valueSize  = flag.Int("valuesize", 400, "value size in bytes")
@@ -97,7 +86,7 @@ func main() {
 		dumpStats  = flag.Bool("stats", false, "print the DumpStats report after the benchmarks")
 		faultGet   = flag.Float64("fault-get-rate", 0, "inject cloud GET failures with this probability [0,1]")
 		faultPut   = flag.Float64("fault-put-rate", 0, "inject cloud PUT failures with this probability [0,1]")
-		outage     = flag.String("outage", "", "script a full cloud outage as start,duration (e.g. 10s,30s)")
+		outage     = flag.String("outage", "", "script a full cloud outage as start,duration (e.g. 10s,30s); with -ycsb the clock starts at the run phase")
 
 		faultLocalCorrupt = flag.Float64("fault-local-corrupt-rate", 0, "flip a bit in local reads with this probability [0,1]")
 		faultLocalBudget  = flag.Int64("fault-local-write-budget", 0, "fail local writes with ENOSPC after this many bytes (0 = unlimited)")
@@ -114,23 +103,25 @@ func main() {
 	if *exp != "" {
 		cfg := harness.Config{BaseDir: *dbDir, Quick: *quick, Out: os.Stdout, Seed: *seed}
 		if err := harness.Run(*exp, cfg); err != nil {
-			fmt.Fprintln(os.Stderr, "mashbench:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		return
 	}
 
 	p, err := parsePolicy(*policy)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "mashbench:", err)
-		os.Exit(1)
+		fatal(err)
+	}
+	var wl ycsb.Workload
+	if *workload != "" {
+		if wl, err = ycsb.ByName(*workload); err != nil {
+			fatal(err)
+		}
 	}
 	dir := *dbDir
 	if dir == "" {
-		dir, err = os.MkdirTemp("", "mashbench-*")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mashbench:", err)
-			os.Exit(1)
+		if dir, err = os.MkdirTemp("", "mashbench-*"); err != nil {
+			fatal(err)
 		}
 		defer os.RemoveAll(dir)
 	}
@@ -139,47 +130,45 @@ func main() {
 	if *compress {
 		opts.Compression = sstable.CompressionFlate
 	}
-	opts.TracePath = *tracePath
 	opts.WALSync = *walSync
 	opts.ReadProfileSampleRate = *profSample
 	opts.Shards = *shards
 	opts.VitalsInterval = *vitalsEach
 	opts.FlightRecorder = *flightRec
+	if *tracePath != "" {
+		tw, err := event.CreateTrace(*tracePath)
+		if err != nil {
+			fatal(err)
+		}
+		// Deferred before the store's Close, so it runs after it: engine
+		// shutdown still fires events.
+		defer func() {
+			if err := tw.Close(); err != nil {
+				fmt.Fprintln(os.Stderr, "mashbench: trace:", err)
+			}
+		}()
+		opts.EventListener = tw
+	}
 	var d *db.DB
 	var faulty, localFaulty *storage.Faulty
-	localChaos := *faultLocalCorrupt > 0 || *faultLocalBudget > 0 || *faultLocalSync > 0
+	cloudFaults := storage.FaultConfig{Seed: *seed, GetErrorRate: *faultGet, PutErrorRate: *faultPut}
 	switch {
-	case localChaos:
+	case *faultLocalCorrupt > 0 || *faultLocalBudget > 0 || *faultLocalSync > 0:
+		cloudFaults.Seed++
 		d, localFaulty, faulty, err = db.OpenAtChaosLocal(dir, opts,
 			storage.FaultConfig{
 				Seed:             *seed,
 				CorruptRate:      *faultLocalCorrupt,
 				WriteBudgetBytes: *faultLocalBudget,
 				SyncFailures:     *faultLocalSync,
-			},
-			storage.FaultConfig{
-				Seed:         *seed + 1,
-				GetErrorRate: *faultGet,
-				PutErrorRate: *faultPut,
-			})
-		if err == nil && *outage != "" && faulty != nil {
-			err = scheduleOutage(faulty, *outage)
-		}
+			}, cloudFaults)
 	case *faultGet > 0 || *faultPut > 0 || *outage != "":
-		d, faulty, err = db.OpenAtChaos(dir, opts, storage.FaultConfig{
-			Seed:         *seed,
-			GetErrorRate: *faultGet,
-			PutErrorRate: *faultPut,
-		})
-		if err == nil && *outage != "" {
-			err = scheduleOutage(faulty, *outage)
-		}
+		d, faulty, err = db.OpenAtChaos(dir, opts, cloudFaults)
 	default:
 		d, err = db.OpenAt(dir, opts)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "mashbench: open:", err)
-		os.Exit(1)
+		fatal(fmt.Errorf("open: %w", err))
 	}
 	defer d.Close()
 	if *metrics != "" {
@@ -189,28 +178,43 @@ func main() {
 			fmt.Printf("mashbench: metrics on http://%s/metrics\n", srv.Addr)
 		}
 	}
-
-	fmt.Printf("mashbench: policy=%s num=%d valuesize=%d threads=%d dir=%s\n", p, *num, *valueSize, *threads, dir)
-	for _, b := range strings.Split(*benchmarks, ",") {
-		b = strings.TrimSpace(b)
-		if b == "" {
-			continue
+	armOutage := func() error {
+		if *outage == "" {
+			return nil
 		}
-		if err := runBench(d, b, *num, *reads, *valueSize, *threads, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "mashbench: %s: %v\n", b, err)
-			os.Exit(1)
+		return scheduleOutage(faulty, *outage)
+	}
+
+	if *workload != "" {
+		ph := harness.Phase{Workload: wl, Records: *num, Ops: *reads, Threads: *threads,
+			ValueLen: *valueSize, Seed: *seed, TolerateUnavailable: true}
+		if err := runYCSB(d, p, ph, armOutage); err != nil {
+			fatal(err)
+		}
+	} else {
+		if err := armOutage(); err != nil {
+			fatal(err)
+		}
+		fmt.Printf("mashbench: policy=%s num=%d valuesize=%d threads=%d dir=%s\n", p, *num, *valueSize, *threads, dir)
+		for _, b := range strings.Split(*benchmarks, ",") {
+			if b = strings.TrimSpace(b); b == "" {
+				continue
+			}
+			if err := runBench(d, b, *num, *reads, *valueSize, *threads, *seed); err != nil {
+				fatal(fmt.Errorf("%s: %w", b, err))
+			}
 		}
 	}
 	m := d.Metrics()
-	fmt.Printf("\nlevels: files=%v\nlocal=%0.2fMB cloud=%0.2fMB pcacheHit=%.3f blockHit=%.3f\n",
-		m.LevelFiles, float64(m.LocalBytes)/(1<<20), float64(m.CloudBytes)/(1<<20), m.PCacheHit, m.BlockHit)
+	fmt.Printf("\nlevels: files=%v\nlocal=%0.2fMB cloud=%0.2fMB pcacheHit=%.3f blockHit=%.3f stalls=%d\n",
+		m.LevelFiles, float64(m.LocalBytes)/(1<<20), float64(m.CloudBytes)/(1<<20), m.PCacheHit, m.BlockHit, m.WriteStalls)
 	if rep, ok := d.CloudCost(); ok {
 		fmt.Println("cloud bill:", rep)
 	}
 	printReadAmp(m.ReadAmp)
 	if faulty != nil {
 		fmt.Printf("chaos: injected=%d unavailable-reads=%d breaker=%s trips=%d degraded=%s pending=%d drained=%d\n",
-			faulty.InjectedFaults(), unavailableReads.Load(), m.BreakerState, m.BreakerTrips,
+			faulty.InjectedFaults(), unavailableReads, m.BreakerState, m.BreakerTrips,
 			m.DegradedDur.Round(time.Millisecond), m.PendingTables, m.DrainedTables)
 	}
 	if localFaulty != nil {
@@ -223,6 +227,11 @@ func main() {
 		fmt.Println()
 		fmt.Print(d.DumpStats())
 	}
+}
+
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "mashbench:", err)
+	os.Exit(1)
 }
 
 // printReadAmp renders the read-path profiler's per-tier attribution table
@@ -258,141 +267,115 @@ func parsePolicy(s string) (db.Policy, error) {
 	return 0, fmt.Errorf("unknown policy %q", s)
 }
 
-// runParallel splits total ops across threads goroutines. worker(tid) builds
-// the per-thread op closure (own RNG/generator state); latencies land in the
-// shared concurrency-safe histogram, and merged throughput is total wall
-// time over all ops, matching db_bench's merged-stats reporting.
-func runParallel(threads, total int, h *histogram.H, worker func(tid int) func(i int) error) (int, error) {
-	if threads <= 1 {
-		op := worker(0)
-		for i := 0; i < total; i++ {
-			s := time.Now()
-			if err := op(i); err != nil {
-				return i, err
-			}
-			h.Record(time.Since(s))
+// runYCSB loads ph.Records records on ph.Threads clients, settles the tree,
+// then runs ph. arm runs between the two phases, so a scripted outage
+// leaves the load healthy.
+func runYCSB(d *db.DB, p db.Policy, ph harness.Phase, arm func() error) error {
+	fmt.Printf("loading %d records (%dB values) under policy %s, %d threads...\n",
+		ph.Records, ph.ValueLen, p, max(ph.Threads, 1))
+	val := make([]byte, ph.ValueLen)
+	start := time.Now()
+	if err := harness.Clients(ph.Threads, ph.Records, nil, func(int) func(int) error {
+		return func(i int) error { return d.Put(ycsb.Key(uint64(i)), val) }
+	}); err != nil {
+		return err
+	}
+	if err := d.CompactAll(); err != nil {
+		if !errors.Is(err, db.ErrCloudUnavailable) {
+			return err
 		}
-		return total, nil
+		fmt.Println("load compaction deferred: cloud unavailable")
 	}
-	var (
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-		done     atomic.Int64
-	)
-	per := total / threads
-	for t := 0; t < threads; t++ {
-		lo, hi := t*per, (t+1)*per
-		if t == threads-1 {
-			hi = total
-		}
-		op := worker(t)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				s := time.Now()
-				if err := op(i); err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					errMu.Unlock()
-					return
-				}
-				h.Record(time.Since(s))
-				done.Add(1)
-			}
-		}()
+	fmt.Printf("load done in %s\n", time.Since(start).Round(time.Millisecond))
+	if err := arm(); err != nil {
+		return err
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return int(done.Load()), firstErr
+	r, err := ph.Run(d)
+	if err != nil {
+		return err
 	}
-	return total, nil
+	unavailableReads += r.Unavailable
+	fmt.Printf("\nYCSB-%s on %s: %.0f ops/s (%d ops in %s, %d threads)\n",
+		ph.Workload.Name, p, float64(ph.Ops)/r.Dur.Seconds(), ph.Ops, r.Dur.Round(time.Millisecond), max(ph.Threads, 1))
+	if r.Reads.Count() > 0 {
+		fmt.Println("  reads :", r.Reads)
+	}
+	if r.Writes.Count() > 0 {
+		fmt.Println("  writes:", r.Writes)
+	}
+	return nil
 }
 
+// runBench runs one db_bench-style benchmark. Latencies land in one
+// histogram; merged throughput is total wall time over all ops, matching
+// db_bench's merged-stats reporting.
 func runBench(d *db.DB, name string, num, reads, valueSize, threads int, seed int64) error {
 	val := make([]byte, valueSize)
 	h := histogram.New()
 	start := time.Now()
-	ops := 0
-	var err error
-
+	ops := num
+	// worker builds client tid's op closure, run on the harness's clients.
+	var worker func(tid int) func(i int) error
+	randomKeys := func(op func(key []byte) error) func(int) func(int) error {
+		return func(tid int) func(int) error {
+			rng := rand.New(rand.NewSource(seed + int64(tid)))
+			return func(int) error { return op(ycsb.Key(uint64(rng.Intn(num)))) }
+		}
+	}
 	switch name {
 	case "fillseq":
-		ops, err = runParallel(threads, num, h, func(tid int) func(i int) error {
-			return func(i int) error {
-				return d.Put([]byte(fmt.Sprintf("key%012d", i)), val)
-			}
-		})
-	case "fillrandom":
-		ops, err = runParallel(threads, num, h, func(tid int) func(i int) error {
-			rng := rand.New(rand.NewSource(seed + int64(tid)))
-			return func(i int) error {
-				return d.Put(ycsb.Key(uint64(rng.Intn(num))), val)
-			}
-		})
-	case "readrandom":
-		ops, err = runParallel(threads, reads, h, func(tid int) func(i int) error {
-			gen := ycsb.NewGenerator(ycsb.WorkloadC, uint64(num), valueSize, seed+int64(tid))
-			return func(i int) error {
-				_, err := d.Get(gen.Next().Key)
-				return readErr(err)
-			}
-		})
-	case "readseq":
-		it, ierr := d.NewIterator()
-		if ierr != nil {
-			return ierr
+		worker = func(int) func(int) error {
+			return func(i int) error { return d.Put([]byte(fmt.Sprintf("key%012d", i)), val) }
 		}
+	case "fillrandom":
+		worker = randomKeys(func(key []byte) error { return d.Put(key, val) })
+	case "overwrite":
+		// Rewrite existing keys repeatedly, stressing compaction debt.
+		worker = func(int) func(int) error {
+			return func(i int) error { return d.Put(ycsb.Key(uint64(i%max(num/4, 1))), val) }
+		}
+	case "deleterandom":
+		worker = randomKeys(d.Delete)
+	case "seekrandom":
+		ops = reads
+		worker = randomKeys(func(key []byte) error {
+			it, err := d.NewIterator()
+			if err != nil {
+				return err
+			}
+			it.Seek(key)
+			for j := 0; j < 10 && it.Valid(); j++ {
+				it.Next()
+			}
+			return it.Close()
+		})
+	case "readrandom", "readwhilewriting":
+		// Zipfian point reads, alone or beside 50% updates: YCSB C and A.
+		wl := ycsb.WorkloadC
+		if name == "readwhilewriting" {
+			wl = ycsb.WorkloadA
+		}
+		r, err := harness.Phase{Workload: wl, Records: num, Ops: reads, Threads: threads,
+			ValueLen: valueSize, Seed: seed, TolerateUnavailable: true}.Run(d)
+		if err != nil {
+			return err
+		}
+		unavailableReads += r.Unavailable
+		h.Merge(r.Reads)
+		h.Merge(r.Writes)
+		ops = reads
+	case "readseq":
+		it, err := d.NewIterator()
+		if err != nil {
+			return err
+		}
+		ops = 0
 		for it.First(); it.Valid() && ops < reads; it.Next() {
 			ops++
 		}
 		if err := it.Close(); err != nil {
 			return err
 		}
-	case "readwhilewriting":
-		ops, err = runParallel(threads, reads, h, func(tid int) func(i int) error {
-			gen := ycsb.NewGenerator(ycsb.WorkloadA, uint64(num), valueSize, seed+int64(tid))
-			return func(i int) error {
-				op := gen.Next()
-				if op.Kind == ycsb.OpRead {
-					_, err := d.Get(op.Key)
-					return readErr(err)
-				}
-				return d.Put(op.Key, val)
-			}
-		})
-	case "overwrite":
-		// Rewrite existing keys repeatedly, stressing compaction debt.
-		ops, err = runParallel(threads, num, h, func(tid int) func(i int) error {
-			return func(i int) error {
-				return d.Put(ycsb.Key(uint64(i%max(num/4, 1))), val)
-			}
-		})
-	case "deleterandom":
-		ops, err = runParallel(threads, num, h, func(tid int) func(i int) error {
-			rng := rand.New(rand.NewSource(seed + int64(tid)))
-			return func(i int) error {
-				return d.Delete(ycsb.Key(uint64(rng.Intn(num))))
-			}
-		})
-	case "seekrandom":
-		ops, err = runParallel(threads, reads, h, func(tid int) func(i int) error {
-			rng := rand.New(rand.NewSource(seed + int64(tid)))
-			return func(i int) error {
-				it, err := d.NewIterator()
-				if err != nil {
-					return err
-				}
-				it.Seek(ycsb.Key(uint64(rng.Intn(num))))
-				for j := 0; j < 10 && it.Valid(); j++ {
-					it.Next()
-				}
-				return it.Close()
-			}
-		})
 	case "compact":
 		if err := d.CompactAll(); err != nil {
 			return err
@@ -401,12 +384,13 @@ func runBench(d *db.DB, name string, num, reads, valueSize, threads int, seed in
 	default:
 		return fmt.Errorf("unknown benchmark (have fillseq fillrandom overwrite deleterandom readrandom readseq seekrandom readwhilewriting compact)")
 	}
-	if err != nil {
-		return err
+	if worker != nil {
+		if err := harness.Clients(threads, ops, h, worker); err != nil {
+			return err
+		}
 	}
 	dur := time.Since(start)
-	rate := float64(ops) / dur.Seconds()
 	fmt.Printf("%-18s : %10.0f ops/s  (%d ops in %s, %d threads)  %s\n",
-		name, rate, ops, dur.Round(time.Millisecond), max(threads, 1), h)
+		name, float64(ops)/dur.Seconds(), ops, dur.Round(time.Millisecond), max(threads, 1), h)
 	return nil
 }

@@ -136,7 +136,7 @@ func renderTop(addr string, rep vitals.Report) string {
 	fmt.Fprintf(&b, "rocksmash top — %s — %s\n", addr, time.Now().Format("15:04:05"))
 	if !rep.Enabled || rep.Latest == nil {
 		b.WriteString("\n  vitals sampling is off: start the store with Options.VitalsInterval > 0\n")
-		b.WriteString("  (mashbench/mashycsb: pass -vitals 1s)\n")
+		b.WriteString("  (mashbench: pass -vitals 1s)\n")
 		return b.String()
 	}
 	s := *rep.Latest

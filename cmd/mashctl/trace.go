@@ -8,8 +8,8 @@ import (
 	"rocksmash/internal/event"
 )
 
-// cmdTrace summarizes a JSONL engine trace (Options.TracePath): event
-// counts, flush and per-level compaction activity with stage timings,
+// cmdTrace summarizes a JSONL engine trace (an event.CreateTrace listener,
+// as mashbench -trace attaches): event counts, flush and per-level compaction activity with stage timings,
 // upload and stall totals, cache churn, and the slowest individual events.
 func cmdTrace(path string, top int) {
 	recs, err := event.ReadTraceFile(path)

@@ -57,8 +57,6 @@ type DB struct {
 	// index snapshot damaged and restarted it cold.
 	pcacheIndexHealed bool
 
-	// trace is the DB-owned JSONL writer behind Options.TracePath.
-	trace    *event.TraceWriter
 	openedAt time.Time
 
 	// dumpMu guards the previous DumpStats call's snapshot and time, the
@@ -104,19 +102,10 @@ func Open(opts Options, local storage.Backend, cloud storage.Backend) (*DB, erro
 	if cs, ok := storage.BaseBackend(cloud).(*storage.Cloud); ok {
 		d.cloudSim = cs
 	}
-	// Assemble the effective listener: user listener plus the JSONL trace
-	// writer when TracePath is set, plus the flight recorder's event ring.
-	// Every engine fires into this one chain, so one trace interleaves all
-	// of them.
+	// Assemble the effective listener: the user's plus the flight
+	// recorder's event ring. Every engine fires into this one chain, so one
+	// trace interleaves all of them.
 	d.listener = opts.EventListener
-	if opts.TracePath != "" {
-		tw, err := event.CreateTrace(opts.TracePath)
-		if err != nil {
-			return nil, fmt.Errorf("db: creating trace: %w", err)
-		}
-		d.trace = tw
-		d.listener = event.Multi(d.listener, tw)
-	}
 	if opts.FlightRecorder {
 		d.initFlight()
 		d.listener = event.Multi(d.listener, d.flight.rec)
@@ -206,7 +195,7 @@ func (d *DB) newBreaker(cfg retry.BreakerConfig, tier string, hist *breakerHisto
 }
 
 // closeShared releases the facade-owned resources, after every engine is
-// down. The trace closes last: engine shutdown may still fire events.
+// down.
 func (d *DB) closeShared() error {
 	var firstErr error
 	if d.pcache != nil {
@@ -218,11 +207,6 @@ func (d *DB) closeShared() error {
 		firstErr = d.pcache.Close()
 	}
 	d.tables.close()
-	if d.trace != nil {
-		if err := d.trace.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
 	return firstErr
 }
 

@@ -13,6 +13,30 @@ import (
 	"rocksmash/internal/storage"
 )
 
+// openTraced opens a store under dir whose event listener appends every
+// event to a JSONL trace at path; closeTraced closes the store, then the
+// trace, failing the test on either error.
+func openTraced(t *testing.T, dir string, o Options, path string) (d *DB, closeTraced func()) {
+	t.Helper()
+	tw, err := event.CreateTrace(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.EventListener = tw
+	if d, err = OpenAt(dir, o); err != nil {
+		t.Fatal(err)
+	}
+	return d, func() {
+		t.Helper()
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := tw.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // eventWorkload drives enough writes through d to force several flushes,
 // then compacts the whole tree.
 func eventWorkload(t *testing.T, d *DB) {
@@ -161,24 +185,19 @@ func TestEventSequence(t *testing.T) {
 	}
 }
 
-// TestTracePathAcceptance runs a PolicyMash workload with TracePath set and
-// verifies the JSONL trace decodes and covers flush, compaction (with stage
-// timings), upload, and pcache activity.
+// TestTracePathAcceptance runs a PolicyMash workload with a JSONL trace
+// file as its event listener and verifies the trace decodes and covers
+// flush, compaction (with stage timings), upload, and pcache activity.
 func TestTracePathAcceptance(t *testing.T) {
 	dir := t.TempDir()
+	path := filepath.Join(dir, "trace.jsonl")
 	o := testOptions(PolicyMash)
 	o.LocalLevels = -1
-	o.TracePath = filepath.Join(dir, "trace.jsonl")
-	d, err := OpenAt(dir, o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d, closeTraced := openTraced(t, dir, o, path)
 	eventWorkload(t, d)
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
+	closeTraced()
 
-	recs, err := event.ReadTraceFile(o.TracePath)
+	recs, err := event.ReadTraceFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}

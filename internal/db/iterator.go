@@ -385,7 +385,7 @@ func (d *engine) iterChildren(children []internalIterator, hold *scanHold, prof 
 	hold.init(d, v)
 	// Every level below L0 is one cursor run along its sorted view.
 	for lvl := 1; lvl < manifest.NumLevels; lvl++ {
-		vw, err := d.levelView(v, lvl, prof)
+		vw, err := d.levelView(v, lvl)
 		if err != nil {
 			return children, err
 		}

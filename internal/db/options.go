@@ -199,10 +199,6 @@ type Options struct {
 	// upload, stall, cache transitions). Nil disables event dispatch at zero
 	// cost; see package event for the listener contract.
 	EventListener event.Listener
-	// TracePath, when set, appends every event as a JSON line to this file
-	// (machine-readable run trace, decodable with event.ReadTraceFile and
-	// summarized by `mashctl trace`). Combines with EventListener.
-	TracePath string
 
 	// Cloud configures the simulated object store when the DB creates its
 	// own backends (OpenAt). Ignored when backends are supplied directly.

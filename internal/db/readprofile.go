@@ -58,12 +58,10 @@ type readAgg struct {
 	fetchNanos [readprof.NumTiers]atomic.Int64 // Timed profiles only
 	totalNanos atomic.Int64                    // Timed profiles only
 
-	iterSeeks      atomic.Int64
-	iterBlocks     [readprof.NumTiers]atomic.Int64
-	iterBytes      [readprof.NumTiers]atomic.Int64
-	iterNanos      [readprof.NumTiers]atomic.Int64
-	iterViewHits   atomic.Int64
-	iterViewMisses atomic.Int64
+	iterSeeks  atomic.Int64
+	iterBlocks [readprof.NumTiers]atomic.Int64
+	iterBytes  [readprof.NumTiers]atomic.Int64
+	iterNanos  [readprof.NumTiers]atomic.Int64
 }
 
 func (a *readAgg) merge(p *readprof.Profile) {
@@ -105,17 +103,15 @@ func (a *readAgg) merge(p *readprof.Profile) {
 // counters are filled in by Metrics).
 func (a *readAgg) snapshot() ReadAmp {
 	r := ReadAmp{
-		ProfiledGets:   a.profiled.Load(),
-		TimedGets:      a.timed.Load(),
-		MemServes:      a.memServes.Load(),
-		NotFound:       a.notFound.Load(),
-		Tables:         a.tables.Load(),
-		BloomChecked:   a.bloomChecked.Load(),
-		BloomNegative:  a.bloomNegative.Load(),
-		TotalNanos:     a.totalNanos.Load(),
-		IterSeeks:      a.iterSeeks.Load(),
-		IterViewHits:   a.iterViewHits.Load(),
-		IterViewMisses: a.iterViewMisses.Load(),
+		ProfiledGets:  a.profiled.Load(),
+		TimedGets:     a.timed.Load(),
+		MemServes:     a.memServes.Load(),
+		NotFound:      a.notFound.Load(),
+		Tables:        a.tables.Load(),
+		BloomChecked:  a.bloomChecked.Load(),
+		BloomNegative: a.bloomNegative.Load(),
+		TotalNanos:    a.totalNanos.Load(),
+		IterSeeks:     a.iterSeeks.Load(),
 	}
 	for l := 0; l < manifest.NumLevels; l++ {
 		r.LevelProbes[l] = a.levelProbes[l].Load()
@@ -143,8 +139,6 @@ func (a *readAgg) mergeIter(p *readprof.Profile, seeks int64) {
 			a.iterNanos[t].Add(p.FetchNanos[t])
 		}
 	}
-	a.iterViewHits.Add(int64(p.ViewHits))
-	a.iterViewMisses.Add(int64(p.ViewMisses))
 }
 
 // finishProfile completes one Get's profile: stamps the total latency,

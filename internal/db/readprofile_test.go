@@ -150,13 +150,10 @@ func TestProfilerOnOffIdenticalResults(t *testing.T) {
 // round trip with their attribution intact.
 func TestSlowReadTraceRoundTrip(t *testing.T) {
 	dir := t.TempDir()
+	path := filepath.Join(dir, "trace.jsonl")
 	o := testOptions(PolicyMash)
 	o.ReadProfileSampleRate = 1
-	o.TracePath = filepath.Join(dir, "trace.jsonl")
-	d, err := OpenAt(dir, o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d, closeTraced := openTraced(t, dir, o, path)
 	loadTiered(t, d, 1000)
 	d.engines[0].slow.mu.Lock()
 	d.engines[0].slow.keep = 4
@@ -167,11 +164,9 @@ func TestSlowReadTraceRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
+	closeTraced()
 
-	recs, err := event.ReadTraceFile(o.TracePath)
+	recs, err := event.ReadTraceFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"rocksmash/internal/cache"
 	"rocksmash/internal/keys"
 	"rocksmash/internal/manifest"
 	"rocksmash/internal/sstable"
@@ -397,5 +398,40 @@ func TestSpanReaderAdmitSink(t *testing.T) {
 	}
 	if p.reads < len(sched) {
 		t.Errorf("%d reads for %d blocks: the fallback did not read each block singly", p.reads, len(sched))
+	}
+}
+
+// TestScanSketchCountsEachReadOnce walks the fixture schedule twice with
+// every multi-block GET failing: the first walk falls back to the
+// single-block fetch for most blocks, the second finds them all in the
+// block cache. Each walk is one read of every block, so the frequency
+// sketch must estimate exactly two for each, whichever rung served it.
+func TestScanSketchCountsEachReadOnce(t *testing.T) {
+	e, p, tabs, sched := spanFixture(t)
+	e.sketch = cache.NewSketch(1 << 16) // wide enough that no two blocks collide
+	blockLen := map[int64]int{}
+	for _, en := range sched {
+		blockLen[int64(en.H.Offset)] = int(en.H.End() - en.H.Offset)
+	}
+	p.fail = func(off int64, n int) error {
+		if n > blockLen[off] {
+			return errors.New("injected span failure")
+		}
+		return nil
+	}
+	for walk := 0; walk < 2; walk++ {
+		vi := spanViewIter(e, tabs, sched)
+		for i := range sched {
+			if _, err := vi.fetchEntry(i); err != nil {
+				t.Fatalf("walk %d, ordinal %d: %v", walk, i, err)
+			}
+		}
+		vi.spans.drain()
+	}
+	for i, en := range sched {
+		k := cache.Key{FileNum: tabs[en.Member].meta.Num, Offset: en.H.Offset}
+		if got := e.sketch.Estimate(k); got != 2 {
+			t.Fatalf("ordinal %d: sketch estimates %d reads, want 2", i, got)
+		}
 	}
 }

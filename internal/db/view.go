@@ -27,15 +27,12 @@ import (
 // empty level gets an empty view, so the compaction that fills it splices
 // its view like any other level's; hits and builds count the levels a scan
 // walks.
-func (d *engine) levelView(v *manifest.Version, level int, prof *readprof.Profile) (*sstable.View, error) {
+func (d *engine) levelView(v *manifest.Version, level int) (*sstable.View, error) {
 	files := v.Levels[level]
 	walked := len(files) > 0
 	if vw := v.View(level); vw != nil {
 		if walked {
 			d.stats.ScanViewHits.Add(1)
-			if prof != nil {
-				prof.ViewHits++
-			}
 		}
 		return vw, nil
 	}
@@ -58,9 +55,6 @@ func (d *engine) levelView(v *manifest.Version, level int, prof *readprof.Profil
 	vw := v.SetView(level, sstable.BuildView(level, members, indexes, uppers))
 	if walked {
 		d.stats.ScanViewMisses.Add(1)
-		if prof != nil {
-			prof.ViewMisses++
-		}
 		d.evViewBuilt(level, len(members), len(vw.Entries), time.Since(start))
 	}
 	return vw, nil
@@ -300,19 +294,31 @@ func (vi *viewIter) fetchEntry(pos int) ([]byte, error) {
 		// The schedule runs forward only.
 		vi.spans.drain()
 	}
-	if h.tier == storage.TierCloud && vi.forward {
-		// A block the forward walk consumes counts one read in the sketch.
-		// fetchFor counts the fallback's blocks below, so a cloud block whose
-		// span failed counts twice.
-		vi.db.sketch.Add(cache.Key{FileNum: h.reader.FileNum(), Offset: e.H.Offset})
+	if body := vi.spanned(pos, e, h); body != nil {
+		if h.tier == storage.TierCloud && vi.forward {
+			// A block the forward walk consumes counts one read in the
+			// sketch; fetchFor counts the blocks the fallback below serves.
+			vi.db.sketch.Add(cache.Key{FileNum: h.reader.FileNum(), Offset: e.H.Offset})
+		}
+		return body, nil
 	}
+	// No span serves the block (a local table, a reverse walk, a failed
+	// span): the standard fetch path looks the caches up itself, repairs
+	// local damage from its CRC, admits and attributes.
+	return h.reader.Fetch(e.H, vi.prof)
+}
+
+// spanned returns the block at ordinal pos when the prefetch, a span or —
+// on a forward walk of a cloud table — a cache serves it, and nil when only
+// the standard fetch path can.
+func (vi *viewIter) spanned(pos int, e *sstable.ViewEntry, h *tableHandle) []byte {
 	start := vi.clock()
 	prefetched := pos == vi.found
 	if prefetched {
 		body := vi.foundBody
 		vi.found, vi.foundBody = -1, nil
 		if body != nil {
-			return body, nil // attributed by prefetch
+			return body // attributed by prefetch
 		}
 	}
 	sp := vi.spans.await(pos)
@@ -321,21 +327,18 @@ func (vi *viewIter) fetchEntry(pos int) ([]byte, error) {
 		// prefetch looked the block up and started this span for it.
 		body := sp.bodies[pos-sp.start]
 		vi.attribute(readprof.TierCloud, body, start)
-		return body, nil
+		return body
 	}
 	if h.tier == storage.TierCloud && vi.forward {
 		if body := vi.cached(e, h, start, waited); body != nil {
-			return body, nil
+			return body
 		}
 		if sp := vi.spans.read(pos, h); sp.err == nil {
 			vi.attribute(readprof.TierCloud, sp.bodies[0], start)
-			return sp.bodies[0], nil
+			return sp.bodies[0]
 		}
 	}
-	// No span serves the block (a local table, a reverse walk, a failed
-	// span): the standard fetch path looks the caches up itself, repairs
-	// local damage from its CRC, admits and attributes.
-	return h.reader.Fetch(e.H, vi.prof)
+	return nil
 }
 
 // load positions the iterator on the block at ordinal pos.

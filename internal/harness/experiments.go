@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"time"
@@ -78,19 +77,14 @@ func fig5FillRandom(cfg Config) error {
 	const valLen = 400
 	fmt.Fprintf(w, "%-12s %10s %10s %10s\n", "scheme", "kops/s", "MB/s", "stalls")
 	for _, p := range allPolicies {
-		d, _, err := openExp(cfg, "fig5", expOptions(p))
+		d, err := openExp(cfg, "fig5", expOptions(p))
 		if err != nil {
 			return err
 		}
-		rng := rand.New(rand.NewSource(cfg.seed()))
-		val := make([]byte, valLen)
 		start := time.Now()
-		for i := 0; i < n; i++ {
-			rng.Read(val[:16])
-			if err := d.Put(ycsb.Key(uint64(rng.Intn(n))), val); err != nil {
-				d.Close()
-				return err
-			}
+		if _, err := parallelFill(d, 1, n, valLen, cfg.seed()); err != nil {
+			d.Close()
+			return err
 		}
 		if err := d.Flush(); err != nil {
 			d.Close()
@@ -107,24 +101,13 @@ func fig5FillRandom(cfg Config) error {
 	return nil
 }
 
-// readPhase loads a dataset once per policy and runs zipfian point reads,
-// returning the throughput and latency histogram.
-func readPhase(cfg Config, tag string, p db.Policy, records, reads int) (time.Duration, *histogram.H, *db.DB, error) {
-	d, _, err := openExp(cfg, tag, expOptions(p))
-	if err != nil {
-		return 0, nil, nil, err
+// readPhase loads a dataset once per policy and runs zipfian point reads.
+func readPhase(cfg Config, tag string, p db.Policy, records, reads int) (*db.DB, PhaseResult, error) {
+	d, r, err := loadAndRun(cfg, tag, expOptions(p), cfg.phase(ycsb.WorkloadC, records, reads))
+	if err == nil {
+		phaseReport(cfg, tag+"/"+p.String(), r)
 	}
-	if err := loadRecords(d, records, 400); err != nil {
-		d.Close()
-		return 0, nil, nil, err
-	}
-	gen := ycsb.NewGenerator(ycsb.WorkloadC, uint64(records), 400, cfg.seed())
-	dur, h, _, err := runPhase(cfg, tag+"/"+p.String(), d, gen, reads)
-	if err != nil {
-		d.Close()
-		return 0, nil, nil, err
-	}
-	return dur, h, d, nil
+	return d, r, err
 }
 
 // fig6ReadRandom measures zipfian point-read throughput.
@@ -134,12 +117,12 @@ func fig6ReadRandom(cfg Config) error {
 	reads := cfg.scale(8000)
 	fmt.Fprintf(w, "%-12s %10s %12s %12s %10s\n", "scheme", "kops/s", "pcache-hit", "blkcache-hit", "cloudGET")
 	for _, p := range allPolicies {
-		dur, _, d, err := readPhase(cfg, "fig6", p, records, reads)
+		d, r, err := readPhase(cfg, "fig6", p, records, reads)
 		if err != nil {
 			return err
 		}
 		m := d.Metrics()
-		fmt.Fprintf(w, "%-12s %10s %12.3f %12.3f %10d\n", p, kops(reads, dur),
+		fmt.Fprintf(w, "%-12s %10s %12.3f %12.3f %10d\n", p, kops(reads, r.Dur),
 			m.PCacheHit, m.BlockHit, m.CloudIO.GetOps)
 		if err := d.Close(); err != nil {
 			return err
@@ -155,10 +138,11 @@ func fig7ReadLatency(cfg Config) error {
 	reads := cfg.scale(8000)
 	fmt.Fprintf(w, "%-12s %12s %12s %12s %12s\n", "scheme", "mean", "p50", "p95", "p99")
 	for _, p := range allPolicies {
-		_, h, d, err := readPhase(cfg, "fig7", p, records, reads)
+		d, r, err := readPhase(cfg, "fig7", p, records, reads)
 		if err != nil {
 			return err
 		}
+		h := r.Reads
 		fmt.Fprintf(w, "%-12s %12s %12s %12s %12s\n", p,
 			h.Mean().Round(time.Microsecond), h.Percentile(50).Round(time.Microsecond),
 			h.Percentile(95).Round(time.Microsecond), h.Percentile(99).Round(time.Microsecond))
@@ -186,25 +170,15 @@ func fig8YCSB(cfg Config) error {
 	for _, p := range allPolicies {
 		fmt.Fprintf(w, "%-12s", p)
 		for _, wl := range workloads {
-			d, _, err := openExp(cfg, "fig8-"+wl.Name, expOptions(p))
-			if err != nil {
-				return err
-			}
-			if err := loadRecords(d, records, 400); err != nil {
-				d.Close()
-				return err
-			}
 			opCount := ops
 			if wl.Name == "E" {
 				opCount = ops / 5 // scans touch ~50 records each
 			}
-			gen := ycsb.NewGenerator(wl, uint64(records), 400, cfg.seed())
-			start := time.Now()
-			if _, _, err := runOps(d, gen, opCount); err != nil {
-				d.Close()
+			d, r, err := loadAndRun(cfg, "fig8-"+wl.Name, expOptions(p), cfg.phase(wl, records, opCount))
+			if err != nil {
 				return err
 			}
-			fmt.Fprintf(w, " %9s", kops(opCount, time.Since(start)))
+			fmt.Fprintf(w, " %9s", kops(opCount, r.Dur))
 			if err := d.Close(); err != nil {
 				return err
 			}
@@ -229,26 +203,17 @@ func fig9HitRatio(cfg Config) error {
 			// Keep everything except the cache in cloud for a pure cache
 			// comparison: give Mash no local levels.
 			opts.LocalLevels = -1
-			d, _, err := openExp(cfg, fmt.Sprintf("fig9-%d", capBytes), opts)
+			d, r, err := loadAndRun(cfg, fmt.Sprintf("fig9-%d", capBytes), opts, cfg.phase(ycsb.WorkloadC, records, reads))
 			if err != nil {
 				return err
 			}
-			if err := loadRecords(d, records, 400); err != nil {
-				d.Close()
-				return err
-			}
-			gen := ycsb.NewGenerator(ycsb.WorkloadC, uint64(records), 400, cfg.seed())
-			dur, _, _, err := runPhase(cfg, fmt.Sprintf("fig9-%dMB", capBytes>>20), d, gen, reads)
-			if err != nil {
-				d.Close()
-				return err
-			}
+			phaseReport(cfg, fmt.Sprintf("fig9-%dMB", capBytes>>20), r)
 			hit, _, _ := d.PCacheStats()
 			name := "lsm-aware"
 			if p == db.PolicyCloudLRU {
 				name = "generic-lru"
 			}
-			fmt.Fprintf(w, "%-12s %12d %12.3f %10s\n", name, capBytes, hit, kops(reads, dur))
+			fmt.Fprintf(w, "%-12s %12d %12.3f %10s\n", name, capBytes, hit, kops(reads, r.Dur))
 			if err := d.Close(); err != nil {
 				return err
 			}
@@ -273,28 +238,19 @@ func fig10CompactionAware(cfg Config) error {
 		opts.MemtableBytes = 256 << 10
 		opts.L0CompactTrigger = 2
 		opts.LevelBaseBytes = 1 << 20
-		d, _, err := openExp(cfg, fmt.Sprintf("fig10-%v", inherit), opts)
-		if err != nil {
-			return err
-		}
-		if err := loadRecords(d, records, 400); err != nil {
-			d.Close()
-			return err
-		}
 		// Mixed read/write stream keeps compactions churning while the
 		// zipfian read set stays hot.
-		gen := ycsb.NewGenerator(ycsb.WorkloadA, uint64(records), 400, cfg.seed())
-		dur, _, _, err := runPhase(cfg, fmt.Sprintf("fig10-inherit=%v", inherit), d, gen, ops)
+		d, r, err := loadAndRun(cfg, fmt.Sprintf("fig10-%v", inherit), opts, cfg.phase(ycsb.WorkloadA, records, ops))
 		if err != nil {
-			d.Close()
 			return err
 		}
+		phaseReport(cfg, fmt.Sprintf("fig10-inherit=%v", inherit), r)
 		m := d.Metrics()
 		label := "invalidate-only"
 		if inherit {
 			label = "inherit+warm"
 		}
-		fmt.Fprintf(w, "%-16s %10s %12.3f %10d %12d\n", label, kops(ops, dur), m.PCacheHit, m.CloudIO.GetOps, m.Compactions)
+		fmt.Fprintf(w, "%-16s %10s %12.3f %10d %12d\n", label, kops(ops, r.Dur), m.PCacheHit, m.CloudIO.GetOps, m.Compactions)
 		if err := d.Close(); err != nil {
 			return err
 		}
@@ -372,21 +328,13 @@ func fig12Skew(cfg Config) error {
 	for _, theta := range thetas {
 		fmt.Fprintf(w, "%-8.2f", theta)
 		for _, p := range schemes {
-			d, _, err := openExp(cfg, fmt.Sprintf("fig12-%.2f", theta), expOptions(p))
+			ph := cfg.phase(ycsb.WorkloadC, records, reads)
+			ph.Theta = theta
+			d, r, err := loadAndRun(cfg, fmt.Sprintf("fig12-%.2f", theta), expOptions(p), ph)
 			if err != nil {
 				return err
 			}
-			if err := loadRecords(d, records, 400); err != nil {
-				d.Close()
-				return err
-			}
-			gen := ycsb.NewGeneratorWithTheta(ycsb.WorkloadC, uint64(records), 400, cfg.seed(), theta)
-			start := time.Now()
-			if _, _, err := runOps(d, gen, reads); err != nil {
-				d.Close()
-				return err
-			}
-			fmt.Fprintf(w, " %12s", kops(reads, time.Since(start)))
+			fmt.Fprintf(w, " %12s", kops(reads, r.Dur))
 			if err := d.Close(); err != nil {
 				return err
 			}
@@ -406,19 +354,11 @@ func tab2Metadata(cfg Config) error {
 	for _, p := range []db.Policy{db.PolicyMash, db.PolicyCloudLRU} {
 		opts := expOptions(p)
 		opts.LocalLevels = -1
-		d, _, err := openExp(cfg, "tab2", opts)
+		d, r, err := loadAndRun(cfg, "tab2", opts, cfg.phase(ycsb.WorkloadC, records, reads))
 		if err != nil {
 			return err
 		}
-		if err := loadRecords(d, records, 400); err != nil {
-			d.Close()
-			return err
-		}
-		gen := ycsb.NewGenerator(ycsb.WorkloadC, uint64(records), 400, cfg.seed())
-		if _, _, _, err := runPhase(cfg, "tab2/"+p.String(), d, gen, reads); err != nil {
-			d.Close()
-			return err
-		}
+		phaseReport(cfg, "tab2/"+p.String(), r)
 		m := d.Metrics()
 		// blocks ≈ used / blockBytes; report meta per cached block.
 		blocks := m.PCacheUsed / int64(opts.BlockBytes)
@@ -459,20 +399,11 @@ func tab3Cost(cfg Config) error {
 	zopts.Compression = sstable.CompressionFlate
 	schemes = append(schemes, scheme{"mash+flate", zopts})
 	for _, sc := range schemes {
-		d, _, err := openExp(cfg, "tab3-"+sc.name, sc.opts)
+		d, r, err := loadAndRun(cfg, "tab3-"+sc.name, sc.opts, cfg.phase(ycsb.WorkloadB, records, ops))
 		if err != nil {
 			return err
 		}
-		if err := loadRecords(d, records, 400); err != nil {
-			d.Close()
-			return err
-		}
-		gen := ycsb.NewGenerator(ycsb.WorkloadB, uint64(records), 400, cfg.seed())
-		dur, _, _, err := runPhase(cfg, "tab3/"+sc.name, d, gen, ops)
-		if err != nil {
-			d.Close()
-			return err
-		}
+		phaseReport(cfg, "tab3/"+sc.name, r)
 		m := d.Metrics()
 		localGB := float64(m.LocalBytes) / (1 << 30)
 		cloudGB := float64(m.CloudBytes) / (1 << 30)
@@ -481,7 +412,7 @@ func tab3Cost(cfg Config) error {
 		if rep, ok := d.CloudCost(); ok {
 			cloudCost = rep.TotalMonthly
 		}
-		throughput := float64(ops) / dur.Seconds() / 1000
+		throughput := float64(ops) / r.Dur.Seconds() / 1000
 		total := localCost + cloudCost
 		perDollar := 0.0
 		if total > 0 {
@@ -644,26 +575,17 @@ func fig13LocalLevels(cfg Config) error {
 	for _, ll := range []int{-1, 1, 2, 3} {
 		opts := expOptions(db.PolicyMash)
 		opts.LocalLevels = ll
-		d, _, err := openExp(cfg, fmt.Sprintf("fig13-%d", ll), opts)
+		d, r, err := loadAndRun(cfg, fmt.Sprintf("fig13-%d", ll), opts, cfg.phase(ycsb.WorkloadB, records, ops))
 		if err != nil {
 			return err
 		}
-		if err := loadRecords(d, records, 400); err != nil {
-			d.Close()
-			return err
-		}
-		gen := ycsb.NewGenerator(ycsb.WorkloadB, uint64(records), 400, cfg.seed())
-		dur, _, _, err := runPhase(cfg, fmt.Sprintf("fig13-L%d", ll), d, gen, ops)
-		if err != nil {
-			d.Close()
-			return err
-		}
+		phaseReport(cfg, fmt.Sprintf("fig13-L%d", ll), r)
 		m := d.Metrics()
 		label := fmt.Sprint(ll)
 		if ll == -1 {
 			label = "0 (all cloud)"
 		}
-		fmt.Fprintf(w, "%-12s %10s %12.2f %12.2f %12d\n", label, kops(ops, dur),
+		fmt.Fprintf(w, "%-12s %10s %12.2f %12.2f %12d\n", label, kops(ops, r.Dur),
 			float64(m.LocalBytes)/(1<<20), float64(m.CloudBytes)/(1<<20), m.CloudIO.GetOps)
 		if err := d.Close(); err != nil {
 			return err

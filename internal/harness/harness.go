@@ -142,102 +142,89 @@ func expOptions(p db.Policy) db.Options {
 }
 
 // openExp opens a DB for an experiment under cfg.BaseDir/<tag>/<policy>.
-func openExp(cfg Config, tag string, opts db.Options) (*db.DB, string, error) {
+func openExp(cfg Config, tag string, opts db.Options) (*db.DB, error) {
 	dir := filepath.Join(cfg.BaseDir, tag, opts.Policy.String())
 	if err := os.RemoveAll(dir); err != nil {
-		return nil, "", err
+		return nil, err
 	}
-	d, err := db.OpenAt(dir, opts)
-	return d, dir, err
+	return db.OpenAt(dir, opts)
 }
 
-// loadRecords inserts n YCSB records of valueLen bytes and settles the tree.
-func loadRecords(d *db.DB, n int, valueLen int) error {
-	val := make([]byte, valueLen)
+// loadAndRun opens a DB for an experiment under tag, loads p.Records
+// records and runs p against it. The caller closes the DB.
+func loadAndRun(cfg Config, tag string, opts db.Options, p Phase) (*db.DB, PhaseResult, error) {
+	d, err := openExp(cfg, tag, opts)
+	if err != nil {
+		return nil, PhaseResult{}, err
+	}
+	if err := loadRecords(d, p.Records); err != nil {
+		d.Close()
+		return nil, PhaseResult{}, err
+	}
+	r, err := p.Run(d)
+	if err != nil {
+		d.Close()
+		return nil, PhaseResult{}, err
+	}
+	return d, r, nil
+}
+
+// recordLen is the value size of the experiments' YCSB records.
+const recordLen = 400
+
+// loadRecords inserts n YCSB records and settles the tree.
+func loadRecords(d *db.DB, n int) error {
 	for i := 0; i < n; i++ {
-		for j := range val {
-			val[j] = byte(i + j)
-		}
-		if err := d.Put(ycsb.Key(uint64(i)), val); err != nil {
+		if err := d.Put(ycsb.Key(uint64(i)), recordValue(i)); err != nil {
 			return err
 		}
 	}
 	return d.CompactAll()
 }
 
-// runOps executes count ops from gen against d, recording latencies into
-// separate read/write histograms. Scans read up to ScanLen records.
-func runOps(d *db.DB, gen *ycsb.Generator, count int) (reads, writes *histogram.H, err error) {
-	reads, writes = histogram.New(), histogram.New()
-	for i := 0; i < count; i++ {
-		op := gen.Next()
-		start := time.Now()
-		switch op.Kind {
-		case ycsb.OpRead:
-			_, gerr := d.Get(op.Key)
-			if gerr != nil && gerr != db.ErrNotFound {
-				return nil, nil, gerr
-			}
-			reads.Record(time.Since(start))
-		case ycsb.OpUpdate, ycsb.OpInsert:
-			if err := d.Put(op.Key, op.Value); err != nil {
-				return nil, nil, err
-			}
-			writes.Record(time.Since(start))
-		case ycsb.OpScan:
-			it, ierr := d.NewIterator()
-			if ierr != nil {
-				return nil, nil, ierr
-			}
-			it.Seek(op.Key)
-			for j := 0; j < op.ScanLen && it.Valid(); j++ {
-				it.Next()
-			}
-			cerr := it.Close()
-			if cerr != nil {
-				return nil, nil, cerr
-			}
-			reads.Record(time.Since(start))
-		case ycsb.OpReadModifyWrite:
-			_, gerr := d.Get(op.Key)
-			if gerr != nil && gerr != db.ErrNotFound {
-				return nil, nil, gerr
-			}
-			if err := d.Put(op.Key, op.Value); err != nil {
-				return nil, nil, err
-			}
-			writes.Record(time.Since(start))
-		}
+// recordValue is record i's payload, regenerated so readback phases can
+// assert byte-correctness rather than mere availability.
+func recordValue(i int) []byte {
+	val := make([]byte, recordLen)
+	for j := range val {
+		val[j] = byte(i + j)
 	}
-	return reads, writes, nil
+	return val
+}
+
+// phase is the experiments' standard YCSB phase: one client, the
+// experiment seed.
+func (c Config) phase(wl ycsb.Workload, records, ops int) Phase {
+	return Phase{Workload: wl, Records: records, Ops: ops, ValueLen: recordLen, Seed: c.seed()}
+}
+
+// runPhase runs p against d and prints its report.
+func runPhase(cfg Config, name string, d *db.DB, p Phase) (PhaseResult, error) {
+	r, err := p.Run(d)
+	if err != nil {
+		return r, fmt.Errorf("%s phase: %w", name, err)
+	}
+	phaseReport(cfg, name, r)
+	return r, nil
 }
 
 // phaseReport prints per-phase latency percentile lines, so every
-// experiment shows the distribution shape behind its throughput number.
-func phaseReport(cfg Config, phase string, reads, writes *histogram.H, dur time.Duration) {
+// experiment shows the distribution shape behind its throughput number, and
+// the reads a tolerant phase counted unavailable.
+func phaseReport(cfg Config, name string, r PhaseResult) {
 	w := cfg.out()
 	line := func(kind string, h *histogram.H) {
-		if h == nil || h.Count() == 0 {
-			return
+		if h.Count() > 0 {
+			fmt.Fprintf(w, "    [%s %s] %s ops/s  p50=%s p90=%s p99=%s max=%s\n",
+				name, kind, kops(int(h.Count()), r.Dur),
+				h.Percentile(50), h.Percentile(90), h.Percentile(99), h.Max())
 		}
-		fmt.Fprintf(w, "    [%s %s] %s ops/s  p50=%s p90=%s p99=%s max=%s\n",
-			phase, kind, kops(int(h.Count()), dur),
-			h.Percentile(50), h.Percentile(90), h.Percentile(99), h.Max())
 	}
-	line("read", reads)
-	line("write", writes)
-}
-
-// runPhase times a runOps phase and prints its percentile report.
-func runPhase(cfg Config, phase string, d *db.DB, gen *ycsb.Generator, count int) (time.Duration, *histogram.H, *histogram.H, error) {
-	start := time.Now()
-	reads, writes, err := runOps(d, gen, count)
-	if err != nil {
-		return 0, nil, nil, err
+	line("read", r.Reads)
+	line("write", r.Writes)
+	if r.Unavailable > 0 {
+		fmt.Fprintf(w, "    [%s] reads the cloud could not serve: %d\n", name, r.Unavailable)
 	}
-	dur := time.Since(start)
-	phaseReport(cfg, phase, reads, writes, dur)
-	return dur, reads, writes, nil
 }
 
 // kops formats an ops/sec figure.

@@ -34,7 +34,6 @@ func incidentExperiment(cfg Config) error {
 	w := cfg.out()
 	records := cfg.scale(12000)
 	phaseOps := cfg.scale(6000)
-	const valueLen = 400
 
 	opts := expOptions(db.PolicyMash)
 	opts.Shards = 4
@@ -122,14 +121,9 @@ func incidentExperiment(cfg Config) error {
 	// detector's rolling baselines warm up, and assert the detectors stay
 	// quiet — a recorder that cries wolf during a plain fill is useless.
 	fmt.Fprintf(w, "  shards=4 records=%d ops/phase=%d value=%dB vitals=%s\n",
-		records, phaseOps, valueLen, opts.VitalsInterval)
+		records, phaseOps, recordLen, opts.VitalsInterval)
 	start := time.Now()
-	for i := 0; i < records; i++ {
-		if err := d.Put(ycsb.Key(uint64(i)), localFaultValue(i, valueLen)); err != nil {
-			return err
-		}
-	}
-	if err := d.CompactAll(); err != nil {
+	if err := loadRecords(d, records); err != nil {
 		return err
 	}
 	// A few quiet ticks warm the spike baselines before any fault lands.
@@ -151,7 +145,7 @@ func incidentExperiment(cfg Config) error {
 			return fmt.Errorf("incident: hot-key storm fired no shard-skew incident after %d ops", storm)
 		}
 		for i := 0; i < 200; i++ {
-			if err := d.Put(hot, localFaultValue(i, valueLen)); err != nil {
+			if err := d.Put(hot, recordValue(i)); err != nil {
 				return err
 			}
 			if _, gerr := d.Get(hot); gerr != nil {
@@ -171,8 +165,9 @@ func incidentExperiment(cfg Config) error {
 	// Phase 3 — cloud outage: writes keep succeeding (degraded mode), the
 	// breaker flaps open<->half-open, and the whole episode is one incident.
 	cloudFaulty.StartOutage(0)
-	gen := ycsb.NewGenerator(ycsb.WorkloadA, uint64(records), valueLen, cfg.seed())
-	if _, err := runOutagePhase(cfg, "cloud-outage", d, gen, phaseOps); err != nil {
+	ph := cfg.phase(ycsb.WorkloadA, records, phaseOps)
+	ph.TolerateUnavailable = true
+	if _, err := runPhase(cfg, "cloud-outage", d, ph); err != nil {
 		return err
 	}
 	// The flush seals a WAL segment whose cloud backup fails against the
@@ -204,8 +199,9 @@ func incidentExperiment(cfg Config) error {
 	// Phase 4 — disk full: local writes fail with ENOSPC (metadata still
 	// fits), the local breaker opens, flushes land cloud-direct.
 	localFaulty.SetWriteBudget(localFaulty.WrittenBytes() + 32<<10)
-	if _, err := runOutagePhase(cfg, "disk-full", d, gen, phaseOps); err != nil {
-		return fmt.Errorf("incident: write failed during disk-full phase: %w", err)
+	ph.Seed++ // a fresh stream, not a replay of the cloud-outage phase
+	if _, err := runPhase(cfg, "disk-full", d, ph); err != nil {
+		return fmt.Errorf("incident: %w", err)
 	}
 	if err := d.Flush(); err != nil {
 		return fmt.Errorf("incident: flush during disk-full phase: %w", err)

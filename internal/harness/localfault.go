@@ -16,16 +16,6 @@ func init() {
 	register("fig-localfault", "Self-healing (ours): bit-flip scrub/repair and disk-full degradation", localFaultExperiment)
 }
 
-// localFaultValue regenerates record i's expected payload, so readback
-// phases can assert byte-correctness rather than mere availability.
-func localFaultValue(i, valueLen int) []byte {
-	val := make([]byte, valueLen)
-	for j := range val {
-		val[j] = byte(i + j)
-	}
-	return val
-}
-
 // waitStable polls fn until its value is nonzero and unchanged for several
 // consecutive samples (the lazy mirrorer works in background-drain ticks),
 // or the deadline passes.
@@ -65,7 +55,6 @@ func localFaultExperiment(cfg Config) error {
 	w := cfg.out()
 	records := cfg.scale(20000)
 	phaseOps := cfg.scale(8000)
-	const valueLen = 400
 
 	opts := expOptions(db.PolicyMash)
 	opts.MemtableBytes = 128 << 10
@@ -93,14 +82,9 @@ func localFaultExperiment(cfg Config) error {
 
 	// Phase 1: fill, then wait until the lazy mirrorer has stabilized —
 	// every local-level table repairable from its cloud copy.
-	fmt.Fprintf(w, "  records=%d ops/phase=%d value=%dB\n", records, phaseOps, valueLen)
+	fmt.Fprintf(w, "  records=%d ops/phase=%d value=%dB\n", records, phaseOps, recordLen)
 	start := time.Now()
-	for i := 0; i < records; i++ {
-		if err := d.Put(ycsb.Key(uint64(i)), localFaultValue(i, valueLen)); err != nil {
-			return err
-		}
-	}
-	if err := d.CompactAll(); err != nil {
+	if err := loadRecords(d, records); err != nil {
 		return err
 	}
 	mirrored := waitStable(func() int64 { return d.Metrics().MirroredTables },
@@ -121,7 +105,7 @@ func localFaultExperiment(cfg Config) error {
 		if gerr != nil {
 			return fmt.Errorf("localfault: Get(%d) surfaced %w during bit-flip storm", i, gerr)
 		}
-		if !bytes.Equal(got, localFaultValue(i, valueLen)) {
+		if !bytes.Equal(got, recordValue(i)) {
 			return fmt.Errorf("localfault: Get(%d) returned wrong bytes during bit-flip storm", i)
 		}
 	}
@@ -144,9 +128,9 @@ func localFaultExperiment(cfg Config) error {
 	// flushes land cloud-direct behind the open local breaker, the WAL
 	// spills its segments to the cloud backup.
 	localFaulty.SetWriteBudget(localFaulty.WrittenBytes() + 32<<10)
-	gen := ycsb.NewGenerator(ycsb.WorkloadA, uint64(records), valueLen, cfg.seed())
-	if _, _, _, err := runPhase(cfg, "disk-full", d, gen, phaseOps); err != nil {
-		return fmt.Errorf("localfault: write failed during disk-full phase: %w", err)
+	ph := cfg.phase(ycsb.WorkloadA, records, phaseOps)
+	if _, err := runPhase(cfg, "disk-full", d, ph); err != nil {
+		return fmt.Errorf("localfault: %w", err)
 	}
 	if err := d.Flush(); err != nil {
 		return fmt.Errorf("localfault: flush during disk-full phase: %w", err)
@@ -161,7 +145,8 @@ func localFaultExperiment(cfg Config) error {
 	// Phase 4: space returns; the breaker's next probe closes it and the
 	// drainer migrates the misplaced tables back to the local tier.
 	localFaulty.SetWriteBudget(0)
-	if _, _, _, err := runPhase(cfg, "recovery", d, gen, phaseOps); err != nil {
+	ph.Seed++ // a fresh stream, not a replay of the disk-full phase
+	if _, err := runPhase(cfg, "recovery", d, ph); err != nil {
 		return err
 	}
 	drainStart := time.Now()

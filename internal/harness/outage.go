@@ -1,58 +1,18 @@
 package harness
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"time"
 
 	"rocksmash/internal/db"
-	"rocksmash/internal/histogram"
 	"rocksmash/internal/storage"
 	"rocksmash/internal/ycsb"
 )
 
 func init() {
 	register("outage", "Robustness (ours): availability across a scripted cloud outage", outageExperiment)
-}
-
-// runOutagePhase drives count YCSB ops tolerating the typed degraded-mode
-// read error: a Get answered with ErrCloudUnavailable is counted, not
-// fatal, because that is the documented contract for cold cloud reads
-// while the breaker is open. Any write error fails the experiment — the
-// whole point of degraded mode is that writes never see the outage.
-func runOutagePhase(cfg Config, phase string, d *db.DB, gen *ycsb.Generator, count int) (int, error) {
-	reads, writes := histogram.New(), histogram.New()
-	unavailable := 0
-	start := time.Now()
-	for i := 0; i < count; i++ {
-		op := gen.Next()
-		s := time.Now()
-		switch op.Kind {
-		case ycsb.OpRead, ycsb.OpScan:
-			_, gerr := d.Get(op.Key)
-			switch {
-			case gerr == nil || gerr == db.ErrNotFound:
-				reads.Record(time.Since(s))
-			case errors.Is(gerr, db.ErrCloudUnavailable):
-				unavailable++
-			default:
-				return 0, gerr
-			}
-		default:
-			if err := d.Put(op.Key, op.Value); err != nil {
-				return 0, fmt.Errorf("write failed during %s phase: %w", phase, err)
-			}
-			writes.Record(time.Since(s))
-		}
-	}
-	dur := time.Since(start)
-	phaseReport(cfg, phase, reads, writes, dur)
-	if unavailable > 0 {
-		fmt.Fprintf(cfg.out(), "    [%s] reads answered ErrCloudUnavailable: %d\n", phase, unavailable)
-	}
-	return unavailable, nil
 }
 
 // outageExperiment measures write availability and read degradation across
@@ -82,19 +42,23 @@ func outageExperiment(cfg Config) error {
 			return err
 		}
 		fmt.Fprintf(w, "  policy=%s records=%d ops/phase=%d\n", p, records, phaseOps)
-		if err := loadRecords(d, records, 400); err != nil {
+		if err := loadRecords(d, records); err != nil {
 			d.Close()
 			return err
 		}
 
-		gen := ycsb.NewGenerator(ycsb.WorkloadA, uint64(records), 400, cfg.seed())
-		if _, err := runOutagePhase(cfg, "healthy", d, gen, phaseOps); err != nil {
+		// Cold cloud reads answer ErrCloudUnavailable while the breaker is
+		// open: counted, not fatal. Each phase draws a fresh stream.
+		ph := cfg.phase(ycsb.WorkloadA, records, phaseOps)
+		ph.TolerateUnavailable = true
+		if _, err := runPhase(cfg, "healthy", d, ph); err != nil {
 			d.Close()
 			return err
 		}
 
 		faulty.StartOutage(0)
-		if _, err := runOutagePhase(cfg, "outage", d, gen, phaseOps); err != nil {
+		ph.Seed++
+		if _, err := runPhase(cfg, "outage", d, ph); err != nil {
 			d.Close()
 			return err
 		}
@@ -108,7 +72,8 @@ func outageExperiment(cfg Config) error {
 			d.BreakerState(), pending, float64(pendingBytes)/(1<<20))
 
 		faulty.EndOutage()
-		if _, err := runOutagePhase(cfg, "recovery", d, gen, phaseOps); err != nil {
+		ph.Seed++
+		if _, err := runPhase(cfg, "recovery", d, ph); err != nil {
 			d.Close()
 			return err
 		}

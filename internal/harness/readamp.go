@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"time"
 
 	"rocksmash/internal/db"
 	"rocksmash/internal/readprof"
@@ -44,7 +43,6 @@ func figReadAmp(cfg Config) error {
 	w := cfg.out()
 	records := cfg.scale(30000)
 	reads := cfg.scale(10000)
-	const valLen = 400
 
 	fmt.Fprintf(w, "%-9s %8s %10s %10s %8s %11s %9s %9s %9s\n",
 		"pcache", "kops/s", "tables/get", "blocks/get", "bloomTN",
@@ -55,27 +53,14 @@ func figReadAmp(cfg Config) error {
 		opts.LocalLevels = 1
 		opts.PCacheBytes = int64(mb) << 20
 		opts.ReadProfileSampleRate = 1
-		d, _, err := openExp(cfg, fmt.Sprintf("readamp-%dmb", mb), opts)
+		d, r, err := loadAndRun(cfg, fmt.Sprintf("readamp-%dmb", mb), opts, cfg.phase(ycsb.WorkloadC, records, reads))
 		if err != nil {
 			return err
 		}
-		if err := loadRecords(d, records, valLen); err != nil {
-			d.Close()
-			return err
-		}
-		gen := ycsb.NewGenerator(ycsb.WorkloadC, uint64(records), valLen, cfg.seed())
-		start := time.Now()
-		for i := 0; i < reads; i++ {
-			if _, err := d.Get(gen.Next().Key); err != nil && err != db.ErrNotFound {
-				d.Close()
-				return err
-			}
-		}
-		dur := time.Since(start)
 		ra := d.Metrics().ReadAmp
 		row := readAmpRow{
 			PCacheMB:         mb,
-			Kops:             float64(reads) / dur.Seconds() / 1000,
+			Kops:             float64(reads) / r.Dur.Seconds() / 1000,
 			ProfiledGets:     ra.ProfiledGets,
 			TablesPerGet:     ra.TablesPerGet(),
 			BlocksPerGet:     ra.BlocksPerGet(),

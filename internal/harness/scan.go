@@ -43,7 +43,6 @@ func figScan(cfg Config) error {
 	w := cfg.out()
 	records := cfg.scale(30000)
 	shortScans := cfg.scale(2000)
-	const valLen = 400
 
 	opts := expOptions(db.PolicyMash)
 	opts.LocalLevels = 1
@@ -56,12 +55,12 @@ func figScan(cfg Config) error {
 	opts.PCacheBytes = 2 << 20
 	opts.MemtableBytes = 256 << 10
 	opts.TargetFileBytes = 256 << 10
-	d, _, err := openExp(cfg, "scan", opts)
+	d, err := openExp(cfg, "scan", opts)
 	if err != nil {
 		return err
 	}
 	defer d.Close()
-	if err := loadRecords(d, records, valLen); err != nil {
+	if err := loadRecords(d, records); err != nil {
 		return err
 	}
 
@@ -82,12 +81,10 @@ func figScan(cfg Config) error {
 
 	// YCSB E: 95% short scans (zipfian start key, uniform length),
 	// 5% inserts.
-	gen := ycsb.NewGenerator(ycsb.WorkloadE, uint64(records), valLen, cfg.seed())
-	start = time.Now()
-	if _, _, err := runOps(d, gen, shortScans); err != nil {
+	short, err := cfg.phase(ycsb.WorkloadE, records, shortScans).Run(d)
+	if err != nil {
 		return err
 	}
-	shortDur := time.Since(start)
 
 	m := d.Metrics()
 	var iterBlocks int64
@@ -97,7 +94,7 @@ func figScan(cfg Config) error {
 	row := scanRow{
 		FullScanKeys:    keys,
 		FullScanMkeys:   float64(keys) / fullDur.Seconds() / 1e6,
-		ShortScanOps:    float64(shortScans) / shortDur.Seconds(),
+		ShortScanOps:    float64(shortScans) / short.Dur.Seconds(),
 		IterKeys:        m.IterKeys,
 		IterBlocks:      iterBlocks,
 		CloudBlocks:     m.ReadAmp.IterBlocks[readprof.TierCloud],

@@ -36,7 +36,7 @@ func figShardScale(cfg Config) error {
 		for _, threads := range []int{1, 4, 8} {
 			opts := expOptions(db.PolicyCloudOnly)
 			opts.Shards = shards
-			d, _, err := openExp(cfg, fmt.Sprintf("shardscale-%d-%d", shards, threads), opts)
+			d, err := openExp(cfg, fmt.Sprintf("shardscale-%d-%d", shards, threads), opts)
 			if err != nil {
 				return err
 			}

@@ -100,45 +100,34 @@ func vitalsExperiment(cfg Config) error {
 	}
 
 	// Phase 1: fill — sequential load then settle the tree into the cloud.
-	if err := loadRecords(d, records, 400); err != nil {
+	if err := loadRecords(d, records); err != nil {
 		return err
 	}
 	fill := endPhase("fill")
 
 	// Phase 2: zipfian point reads (YCSB C, read-only).
-	gen := ycsb.NewGenerator(ycsb.WorkloadC, uint64(records), 400, cfg.seed())
-	if _, _, _, err := runPhase(cfg, "zipf-read", d, gen, readOps); err != nil {
+	if _, err := runPhase(cfg, "zipf-read", d, cfg.phase(ycsb.WorkloadC, records, readOps)); err != nil {
 		return err
 	}
 	read := endPhase("zipf-read")
 
 	// Phase 3: range scans (YCSB E's scan shape, scans only).
-	sgen := ycsb.NewGenerator(ycsb.WorkloadE, uint64(records), 400, cfg.seed())
-	scanned := 0
-	for i := 0; i < scanOps; i++ {
-		op := sgen.Next()
-		it, ierr := d.NewIterator()
-		if ierr != nil {
-			return ierr
-		}
-		it.Seek(op.Key)
-		for j := 0; j < op.ScanLen && it.Valid(); j++ {
-			scanned++
-			it.Next()
-		}
-		if err := it.Close(); err != nil {
-			return err
-		}
+	scans := ycsb.WorkloadE
+	scans.ScanProp, scans.InsertProp = 1, 0
+	sr, err := cfg.phase(scans, records, scanOps).Run(d)
+	if err != nil {
+		return err
 	}
-	fmt.Fprintf(w, "    [scan] %d scans, %d keys\n", scanOps, scanned)
+	fmt.Fprintf(w, "    [scan] %d scans, %d keys\n", scanOps, sr.Scanned)
 	scan := endPhase("scan")
 
 	// Phase 4: full cloud outage under an update-heavy workload. Flushes
 	// land locally as pending-upload tables; the boundary sample must
 	// catch the breaker open.
 	faulty.StartOutage(0)
-	ogen := ycsb.NewGenerator(ycsb.WorkloadA, uint64(records), 400, cfg.seed())
-	if _, err := runOutagePhase(cfg, "outage", d, ogen, outageOps); err != nil {
+	ph := cfg.phase(ycsb.WorkloadA, records, outageOps)
+	ph.TolerateUnavailable = true
+	if _, err := runPhase(cfg, "outage", d, ph); err != nil {
 		return err
 	}
 	if err := d.Flush(); err != nil {

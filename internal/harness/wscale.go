@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	"rocksmash/internal/db"
@@ -30,7 +29,7 @@ func figWScale(cfg Config) error {
 		opts := expOptions(db.PolicyLocalOnly)
 		opts.WALSync = true
 		opts.MemtableBytes = 64 << 20 // commit path only: never seal mid-run
-		d, _, err := openExp(cfg, fmt.Sprintf("wscale-%d", writers), opts)
+		d, err := openExp(cfg, fmt.Sprintf("wscale-%d", writers), opts)
 		if err != nil {
 			return err
 		}
@@ -56,42 +55,20 @@ type fillResult struct {
 	p99 time.Duration
 }
 
-// parallelFill splits total random-key puts across writers goroutines and
+// parallelFill splits total random-key puts across writers clients and
 // reports wall time plus the p99 commit latency across all writers.
 func parallelFill(d *db.DB, writers, total, valLen int, seed int64) (fillResult, error) {
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	per := total / writers
 	start := time.Now()
-	for t := 0; t < writers; t++ {
-		n := per
-		if t == writers-1 {
-			n = total - per*(writers-1)
+	err := Clients(writers, total, nil, func(tid int) func(int) error {
+		rng := rand.New(rand.NewSource(seed + int64(tid)))
+		val := make([]byte, valLen)
+		return func(int) error {
+			rng.Read(val[:8])
+			return d.Put(ycsb.Key(uint64(rng.Intn(total))), val)
 		}
-		wg.Add(1)
-		go func(t, n int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed + int64(t)))
-			val := make([]byte, valLen)
-			for i := 0; i < n; i++ {
-				rng.Read(val[:8])
-				if err := d.Put(ycsb.Key(uint64(rng.Intn(total))), val); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					return
-				}
-			}
-		}(t, n)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return fillResult{}, firstErr
+	})
+	if err != nil {
+		return fillResult{}, err
 	}
 	return fillResult{dur: time.Since(start), p99: d.Metrics().PutLat.P99}, nil
 }

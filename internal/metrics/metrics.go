@@ -64,11 +64,6 @@ type ReadAmp struct {
 	IterBlocks [readprof.NumTiers]int64
 	IterBytes  [readprof.NumTiers]int64
 	IterNanos  [readprof.NumTiers]int64
-	// Per-level sorted-view outcomes during iterator construction: levels
-	// whose view was on the pinned version vs levels whose view the
-	// iterator built on first use.
-	IterViewHits   int64
-	IterViewMisses int64
 
 	// Persistent-cache outcomes by LSM level (see pcache.LevelBucket; the
 	// last bucket holds files with no registered level).
@@ -358,8 +353,6 @@ func (r *ReadAmp) Add(o ReadAmp) {
 	}
 	r.TotalNanos += o.TotalNanos
 	r.IterSeeks += o.IterSeeks
-	r.IterViewHits += o.IterViewHits
-	r.IterViewMisses += o.IterViewMisses
 }
 
 // WriteAmp is the store's exact cumulative write amplification: physical

@@ -91,11 +91,6 @@ type Profile struct {
 	FetchNanos [NumTiers]int64
 	// TotalNanos is the whole request's wall time (populated when Timed).
 	TotalNanos int64
-	// ViewHits / ViewMisses count, per iterator construction, the LSM
-	// levels whose sorted view was on the pinned version vs levels whose
-	// view the iterator built on first use. Unused on point Gets.
-	ViewHits   int32
-	ViewMisses int32
 }
 
 // New returns a reset Profile.

@@ -2,6 +2,7 @@ package retry
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -59,13 +60,18 @@ func (c BreakerConfig) Sanitize() BreakerConfig {
 
 // Breaker is a consecutive-failure circuit breaker. It is safe for
 // concurrent use. Callers gate each request on Allow, then report the
-// outcome with Success or Failure.
+// outcome with Success or Failure — or, when requests overlap, read Epoch
+// before the request and report its success with SuccessSince.
 type Breaker struct {
 	cfg BreakerConfig
+
+	// failures counts every Failure report: a request's Epoch.
+	failures atomic.Uint64
 
 	mu       sync.Mutex
 	state    State
 	consec   int       // consecutive failures while closed
+	runFrom  uint64    // the Epoch right after the first of the consec failures
 	openedAt time.Time // when the breaker last tripped
 	probing  bool      // a half-open probe is in flight
 
@@ -141,10 +147,34 @@ func (b *Breaker) Allow() bool {
 	return allowed
 }
 
+// Epoch returns how many failures have been reported so far. A request
+// reads it before it starts and passes it to SuccessSince.
+func (b *Breaker) Epoch() uint64 { return b.failures.Load() }
+
 // Success reports a request that reached the backend and got a response.
 // It closes the breaker from any state.
 func (b *Breaker) Success() {
 	b.mu.Lock()
+	b.succeedLocked()
+}
+
+// SuccessSince reports the success of a request that read epoch from Epoch
+// before it started. A request already in flight when the current run of
+// failures began says the backend was up before the run, not that it is up
+// now — a GET issued just before an outage that lands between a reader's
+// retries — so its success is ignored and the run keeps counting toward
+// the trip. Any later request's success counts as Success does.
+func (b *Breaker) SuccessSince(epoch uint64) {
+	b.mu.Lock()
+	if b.consec > 0 && epoch < b.runFrom {
+		b.mu.Unlock()
+		return
+	}
+	b.succeedLocked()
+}
+
+// succeedLocked closes the breaker and releases b.mu.
+func (b *Breaker) succeedLocked() {
 	b.consec = 0
 	b.probing = false
 	cb := b.transitionLocked(StateClosed)
@@ -159,12 +189,16 @@ func (b *Breaker) Success() {
 // re-opens immediately.
 func (b *Breaker) Failure() {
 	b.mu.Lock()
+	epoch := b.failures.Add(1)
 	var cb func()
 	switch b.state {
 	case StateHalfOpen:
 		b.probing = false
 		cb = b.transitionLocked(StateOpen)
 	case StateClosed:
+		if b.consec == 0 {
+			b.runFrom = epoch
+		}
 		b.consec++
 		if b.consec >= b.cfg.FailureThreshold {
 			cb = b.transitionLocked(StateOpen)

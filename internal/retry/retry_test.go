@@ -190,3 +190,34 @@ func TestBreakerSuccessResetsConsecutiveCount(t *testing.T) {
 		t.Fatal("breaker should trip after two consecutive failures")
 	}
 }
+
+func TestBreakerIgnoresSuccessOfRequestOlderThanFailureRun(t *testing.T) {
+	b := NewBreaker(BreakerConfig{FailureThreshold: 3, Cooldown: time.Hour})
+	stale := b.Epoch() // a request starts before the outage
+	b.Failure()
+	fresh := b.Epoch() // a request starts after the first failure
+	b.SuccessSince(stale)
+	b.Failure()
+	if b.State() != StateClosed {
+		t.Fatal("breaker tripped before threshold")
+	}
+	b.Failure()
+	if b.State() != StateOpen {
+		t.Fatal("a success from before the failure run reset the consecutive count")
+	}
+	b.SuccessSince(stale)
+	if b.State() != StateOpen {
+		t.Fatal("a success from before the failure run closed an open breaker")
+	}
+	b.SuccessSince(fresh)
+	if b.State() != StateClosed {
+		t.Fatal("a success from a request started during the run must close the breaker")
+	}
+	b.Failure()
+	b.SuccessSince(b.Epoch())
+	b.Failure()
+	b.Failure()
+	if b.State() != StateClosed {
+		t.Fatal("a fresh success must reset the consecutive count")
+	}
+}

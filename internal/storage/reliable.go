@@ -70,8 +70,11 @@ func isFault(err error) bool {
 // attempt.
 func (r *Reliable) do(op, name string, fn func() error) error {
 	attempt := func() error {
-		if r.br != nil && !r.br.Allow() {
-			return fmt.Errorf("%w: %s %s", ErrCloudUnavailable, op, name)
+		var epoch uint64
+		if r.br != nil {
+			if epoch = r.br.Epoch(); !r.br.Allow() {
+				return fmt.Errorf("%w: %s %s", ErrCloudUnavailable, op, name)
+			}
 		}
 		err := fn()
 		if r.br != nil {
@@ -81,7 +84,7 @@ func (r *Reliable) do(op, name string, fn func() error) error {
 			if isFault(err) && !errors.Is(err, ErrCorruption) {
 				r.br.Failure()
 			} else {
-				r.br.Success()
+				r.br.SuccessSince(epoch)
 			}
 		}
 		return err

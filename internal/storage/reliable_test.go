@@ -99,6 +99,49 @@ func TestReliableBreakerFailsFast(t *testing.T) {
 	}
 }
 
+// TestReliableOutageOnsetIgnoresInFlightSuccess: a GET that started before
+// an outage and lands between a reader's retries must not reset the
+// breaker's failure count, so the reader still gets ErrCloudUnavailable
+// once its retries have tripped the breaker, not the raw fault.
+func TestReliableOutageOnsetIgnoresInFlightSuccess(t *testing.T) {
+	inner := NewFaulty(newTestCloud(t), FaultConfig{Seed: 1})
+	for _, name := range []string{"obj", "slow"} {
+		if err := WriteObject(inner, name, []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	started, release := make(chan struct{}), make(chan struct{})
+	inner.SetHook(func(op, name string) error {
+		switch name {
+		case "slow": // issued before the outage, answered after it began
+			close(started)
+			<-release
+		case "obj":
+			return errors.New("outage")
+		}
+		return nil
+	})
+	br := retry.NewBreaker(retry.BreakerConfig{FailureThreshold: 3, Cooldown: time.Hour})
+	slowDone := make(chan error, 1)
+	onRetry := func(op, name string, attempt int, err error, delay time.Duration) {
+		if name == "obj" && attempt == 1 {
+			close(release)
+			if err := <-slowDone; err != nil {
+				t.Errorf("in-flight read: %v", err)
+			}
+		}
+	}
+	r := NewReliable(inner, fastPolicy(), br, onRetry, nil)
+	go func() {
+		_, err := r.ReadAll("slow")
+		slowDone <- err
+	}()
+	<-started
+	if _, err := r.ReadAll("obj"); !errors.Is(err, ErrCloudUnavailable) {
+		t.Fatalf("read at outage onset = %v, want ErrCloudUnavailable", err)
+	}
+}
+
 func TestReliableBreakerRecoversViaProbe(t *testing.T) {
 	inner := NewFaulty(newTestCloud(t), FaultConfig{Seed: 1})
 	if err := WriteObject(inner, "obj", []byte("x")); err != nil {

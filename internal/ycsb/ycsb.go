@@ -1,7 +1,7 @@
 // Package ycsb implements the YCSB core workload generators (A–F) used by
-// the paper's evaluation: key-choosers (zipfian, latest, uniform), the
-// standard operation mixes, and a load/run driver over any key-value
-// interface.
+// the paper's evaluation: key-choosers (zipfian, latest, uniform) and the
+// standard operation mixes. The closed-loop runner that drives a store with
+// them is harness.Phase.
 package ycsb
 
 import (
@@ -183,10 +183,13 @@ type Generator struct {
 	valueLen int
 }
 
+// DefaultTheta is YCSB's default zipfian constant.
+const DefaultTheta = 0.99
+
 // NewGenerator builds a generator over an initial keyspace of recordCount
-// items with the given value size. Theta 0.99 matches YCSB defaults.
+// items with the given value size and the zipfian constant DefaultTheta.
 func NewGenerator(w Workload, recordCount uint64, valueLen int, seed int64) *Generator {
-	return NewGeneratorWithTheta(w, recordCount, valueLen, seed, 0.99)
+	return NewGeneratorWithTheta(w, recordCount, valueLen, seed, DefaultTheta)
 }
 
 // NewGeneratorWithTheta is NewGenerator with an explicit zipfian skew

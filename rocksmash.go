@@ -93,6 +93,14 @@ type EventListener = event.Listener
 // NopListener implements EventListener with no-ops, for embedding.
 type NopListener = event.NopListener
 
+// TraceWriter is an EventListener that appends every event as a JSON line,
+// summarized by `mashctl trace`.
+type TraceWriter = event.TraceWriter
+
+// CreateTrace creates the trace file at path. Close the writer after
+// DB.Close: engine shutdown still fires events.
+func CreateTrace(path string) (*TraceWriter, error) { return event.CreateTrace(path) }
+
 // Event payload types, as delivered to an EventListener.
 type (
 	FlushBeginEvent      = event.FlushBegin
