@@ -33,14 +33,17 @@ benchsmoke:
 	$(GO) vet -C bench ./... && $(GO) test -C bench ./...
 
 # Ten seconds of native fuzzing on each decoder target: the block decoder
-# (arbitrary bytes in, no panic, point seek == iterator seek) and the WAL
+# (arbitrary bytes in, no panic, point seek == iterator seek), the WAL
 # record decoder (no panic, no record whose checksum fails, writer output
-# round-trips). The committed seed corpora under each package's
-# testdata/fuzz are replayed by plain `go test` already; this looks for new
-# inputs. The WAL seeds are block-sized, so minimizing a new input is capped
-# to keep the budget on fuzzing.
+# round-trips) and the batch decoder recovery runs over every WAL byte (no
+# panic, no op outside the payload, Set/Delete output round-trips). The
+# committed seed corpora under each package's testdata/fuzz are replayed by
+# plain `go test` already; this looks for new inputs. The WAL seeds are
+# block-sized, so minimizing a new input is capped to keep the budget on
+# fuzzing.
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz FuzzBlockSeek -fuzztime 10s ./internal/block
 	$(GO) test -run '^$$' -fuzz FuzzRecordReader -fuzztime 10s -fuzzminimizetime 1s ./internal/wal
+	$(GO) test -run '^$$' -fuzz FuzzBatchIterate -fuzztime 10s ./internal/batch
 
 check: build vet test race benchsmoke

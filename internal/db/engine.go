@@ -113,11 +113,11 @@ type engine struct {
 	mem     *memtable.MemTable
 	imm     *memtable.MemTable // sealed memtable being flushed
 	immWake *sync.Cond         // signalled when imm drains
-	// recovered holds read-only memtables rebuilt by WAL recovery (one
-	// per replayed segment, enabling parallel replay). They contain only
-	// sequence numbers older than mem/imm and drain into L0 at the next
-	// flush.
-	recovered []*memtable.MemTable
+	// recovered holds the read-only sorted runs rebuilt by WAL recovery
+	// (one per replayed segment, enabling parallel replay). They contain
+	// only sequence numbers older than mem/imm and drain into L0 at the
+	// next flush.
+	recovered []*memtable.Run
 	// rs caches the read-visible memtable set (mem/imm/recovered) behind an
 	// atomic pointer so point reads and iterator construction never contend
 	// on d.mu; every mutation site republishes via updateReadStateLocked.
@@ -298,7 +298,7 @@ func (d *engine) write(b *batch.Batch) error {
 type readState struct {
 	mem       *memtable.MemTable
 	imm       *memtable.MemTable
-	recovered []*memtable.MemTable
+	recovered []*memtable.Run
 }
 
 // updateReadStateLocked republishes the read snapshot; the caller holds
@@ -462,8 +462,8 @@ func (d *engine) getAt(key []byte, seq uint64, prof *readprof.Profile) ([]byte, 
 		}
 	}
 	if len(recovered) > 0 {
-		// Recovered memtables are unordered relative to each other; pick
-		// the newest visible entry across all of them.
+		// Recovered runs are unordered relative to each other; pick the
+		// newest visible entry across all of them.
 		if v, live, ok := getFromRecovered(recovered, seek); ok {
 			if prof != nil {
 				prof.LevelServed = readprof.LevelMemtable

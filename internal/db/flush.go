@@ -191,8 +191,8 @@ func (d *engine) warmPCache(t *builtTable) error {
 	return nil
 }
 
-// flushMemtable builds an L0 table from imm plus any memtables rebuilt by
-// WAL recovery, and installs it. imm may be nil (recovery-only flush).
+// flushMemtable builds an L0 table from imm plus any runs rebuilt by WAL
+// recovery, and installs it. imm may be nil (recovery-only flush).
 func (d *engine) flushMemtable(imm *memtable.MemTable) error {
 	d.mu.Lock()
 	rec := d.takeRecoveredLocked()
@@ -212,11 +212,9 @@ func (d *engine) flushMemtable(imm *memtable.MemTable) error {
 		children = append(children, &memIter{imm.NewIterator()})
 		size += imm.ApproximateSize()
 	}
-	for _, m := range rec {
-		if !m.Empty() {
-			children = append(children, &memIter{m.NewIterator()})
-			size += m.ApproximateSize()
-		}
+	for _, r := range rec {
+		children = append(children, runIter{r.NewIterator()})
+		size += r.ApproximateSize()
 	}
 	if len(children) == 0 {
 		return nil

@@ -6,6 +6,7 @@ import (
 
 	"rocksmash/internal/keys"
 	"rocksmash/internal/manifest"
+	"rocksmash/internal/memtable"
 	"rocksmash/internal/readprof"
 	"rocksmash/internal/skiplist"
 	"rocksmash/internal/sstable"
@@ -42,6 +43,12 @@ func (m *memIter) Key() []byte        { return m.it.Key() }
 func (m *memIter) Value() []byte      { return m.it.Value() }
 func (m *memIter) Err() error         { return nil }
 func (m *memIter) Close() error       { return nil }
+
+// runIter adapts the iterator of a sorted run rebuilt by WAL recovery.
+type runIter struct{ *memtable.RunIterator }
+
+func (runIter) Err() error   { return nil }
+func (runIter) Close() error { return nil }
 
 // tableIter adapts one table's iterator, holding its handle reference.
 type tableIter struct {
@@ -399,8 +406,8 @@ func (d *engine) iterChildren(children []internalIterator, hold *scanHold, prof 
 	if rs.imm != nil {
 		children = append(children, &memIter{rs.imm.NewIterator()})
 	}
-	for _, m := range rs.recovered {
-		children = append(children, &memIter{m.NewIterator()})
+	for _, r := range rs.recovered {
+		children = append(children, runIter{r.NewIterator()})
 	}
 	for _, f := range v.Levels[0] {
 		h, err := d.tables.get(d, f)

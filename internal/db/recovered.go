@@ -1,36 +1,19 @@
 package db
 
-import (
-	"bytes"
+import "rocksmash/internal/memtable"
 
-	"rocksmash/internal/keys"
-	"rocksmash/internal/memtable"
-)
-
-// getFromRecovered scans the recovery memtables for the newest entry of
-// seek's user key visible at its snapshot. The memtables were rebuilt from
-// distinct WAL segments, so a key may appear in several of them with
-// different sequence numbers; the largest visible one wins, and only the
-// winner's value is copied out.
-func getFromRecovered(ms []*memtable.MemTable, seek []byte) (value []byte, live, found bool) {
+// getFromRecovered probes the recovery runs for the newest entry of seek's
+// user key visible at its snapshot. The runs were rebuilt from distinct WAL
+// segments, so a key may appear in several of them with different sequence
+// numbers; the largest visible one wins, and only the winner's value is
+// copied out.
+func getFromRecovered(runs []*memtable.Run, seek []byte) (value []byte, live, found bool) {
 	var bestSeq uint64
-	key := keys.UserKey(seek)
-	for _, m := range ms {
-		it := m.NewIterator()
-		it.SeekGE(seek)
-		if !it.Valid() {
-			continue
-		}
-		ik := it.Key()
-		if !bytes.Equal(keys.UserKey(ik), key) {
-			continue
-		}
-		s, kind := keys.DecodeTrailer(ik)
-		if !found || s > bestSeq {
-			found = true
-			bestSeq = s
-			live = kind == keys.KindSet
-			value = it.Value() // arena bytes until the loop is done
+	for _, r := range runs {
+		v, seq, ok, isLive := r.GetSeek(seek)
+		if ok && (!found || seq > bestSeq) {
+			found, bestSeq, live = true, seq, isLive
+			value = v // run bytes until the loop is done
 		}
 	}
 	if !live {
@@ -39,18 +22,18 @@ func getFromRecovered(ms []*memtable.MemTable, seek []byte) (value []byte, live,
 	return append([]byte(nil), value...), true, true
 }
 
-// takeRecoveredLocked detaches the recovery memtables (caller holds d.mu).
-func (d *engine) takeRecoveredLocked() []*memtable.MemTable {
+// takeRecoveredLocked detaches the recovery runs (caller holds d.mu).
+func (d *engine) takeRecoveredLocked() []*memtable.Run {
 	r := d.recovered
 	d.recovered = nil
 	return r
 }
 
-// recoveredBytes sums the recovery memtables' sizes (caller holds d.mu).
+// recoveredBytesLocked sums the recovery runs' sizes (caller holds d.mu).
 func (d *engine) recoveredBytesLocked() int64 {
 	var n int64
-	for _, m := range d.recovered {
-		n += m.ApproximateSize()
+	for _, r := range d.recovered {
+		n += r.ApproximateSize()
 	}
 	return n
 }

@@ -6,74 +6,67 @@ import (
 
 	"rocksmash/internal/batch"
 	"rocksmash/internal/memtable"
+	"rocksmash/internal/wal"
 )
 
 // recover replays WAL segments not covered by flushed tables. With the
 // extended WAL, segments whose sequence range is wholly below the flushed
 // watermark are skipped without being read, and the remainder are replayed
 // by RecoveryParallelism goroutines, each rebuilding its segment into its
-// own memtable (the paper's fast parallel recovery — the same structure
-// RocksDB uses, one memtable per recovered log). The per-segment memtables
-// are installed as read-only side memtables and drain into L0 at the next
-// flush; sequence numbers in internal keys make cross-segment ordering a
-// non-issue.
+// own sorted run (the paper's fast parallel recovery — one memtable per
+// recovered log, as RocksDB does). A recovered memtable is never written
+// after replay, so a segment's records are appended to its run and the run
+// is sorted once at the segment's end, on the goroutine that replayed it:
+// no skiplist insert per record. The runs are installed as read-only side
+// memtables and drain into L0 at the next flush; sequence numbers in
+// internal keys make cross-segment ordering a non-issue.
 func (d *engine) recover() error {
 	start := time.Now()
 	flushed := d.vs.FlushedSeq()
 
+	// A segment's run and counters belong to its replay goroutine; mu is
+	// taken once per segment, to publish them.
 	var (
 		mu      sync.Mutex
 		maxSeq  = d.lastSeq.Load()
 		applied int64
-		tables  sync.Map // segment number -> *memtable.MemTable
+		rec     []*memtable.Run
 	)
-	stats, err := d.wal.Replay(flushed, d.opts.RecoveryParallelism, func(segNum uint64, payload []byte) error {
-		b, err := batch.FromPayload(payload)
-		if err != nil {
-			return err
-		}
-		mti, ok := tables.Load(segNum)
-		if !ok {
-			mti, _ = tables.LoadOrStore(segNum, memtable.New())
-		}
-		mt := mti.(*memtable.MemTable) // one goroutine per segment: single writer
-		var localMax uint64
-		var localApplied int64
-		err = b.Iterate(func(op batch.Op) error {
-			if op.Seq > localMax {
-				localMax = op.Seq
+	stats, err := d.wal.Replay(flushed, d.opts.RecoveryParallelism, func(seg *wal.ReplaySegment) error {
+		run := memtable.NewRun(seg.Size)
+		var segMax uint64
+		err := seg.Records(func(payload []byte) error {
+			b, err := batch.FromPayload(payload)
+			if err != nil {
+				return err
 			}
-			if op.Seq <= flushed {
-				// Already durable in an SSTable (segment straddling the
-				// watermark); skip the entry.
-				return nil
-			}
-			mt.Add(op.Seq, op.Kind, op.Key, op.Value)
-			localApplied++
-			return nil
+			return b.Iterate(func(op batch.Op) error {
+				segMax = max(segMax, op.Seq)
+				if op.Seq <= flushed {
+					// Already durable in an SSTable (segment straddling
+					// the watermark); skip the entry.
+					return nil
+				}
+				return run.Add(op.Seq, op.Kind, op.Key, op.Value)
+			})
 		})
 		if err != nil {
 			return err
 		}
+		run.Finish()
 		mu.Lock()
-		if localMax > maxSeq {
-			maxSeq = localMax
+		defer mu.Unlock()
+		maxSeq = max(maxSeq, segMax)
+		applied += int64(run.Len())
+		if !run.Empty() {
+			rec = append(rec, run)
 		}
-		applied += localApplied
-		mu.Unlock()
 		return nil
 	})
 	if err != nil {
 		return err
 	}
 
-	var rec []*memtable.MemTable
-	tables.Range(func(_, v any) bool {
-		if m := v.(*memtable.MemTable); !m.Empty() {
-			rec = append(rec, m)
-		}
-		return true
-	})
 	d.mu.Lock()
 	d.recovered = rec
 	d.updateReadStateLocked()

@@ -69,12 +69,12 @@ func TestRecoveryFallsBackToBackup(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var got []string
-	if _, err := m2.Replay(0, 2, func(_ uint64, p []byte) error {
+	if _, err := m2.Replay(0, 2, eachRecord(func(_ uint64, p []byte) error {
 		mu.Lock()
 		got = append(got, string(p))
 		mu.Unlock()
 		return nil
-	}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 	sort.Strings(got)
@@ -113,12 +113,12 @@ func TestRecoveryAfterTotalLocalLoss(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var got []string
-	if _, err := m2.Replay(0, 4, func(_ uint64, p []byte) error {
+	if _, err := m2.Replay(0, 4, eachRecord(func(_ uint64, p []byte) error {
 		mu.Lock()
 		got = append(got, string(p))
 		mu.Unlock()
 		return nil
-	}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 5 {

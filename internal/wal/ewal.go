@@ -642,13 +642,14 @@ type ReplayStats struct {
 	Bytes           int64
 }
 
-// Replay streams every logical record with sequence data above flushedSeq
-// to fn. With parallelism > 1 and the extended index available, segments
-// are read and decoded concurrently; fn must then be safe for concurrent
-// calls (records within one segment are always delivered in order, by one
-// goroutine). Torn tails are tolerated on the newest segment and on any
-// segment that was active at crash time.
-func (m *Manager) Replay(flushedSeq uint64, parallelism int, fn func(segNum uint64, payload []byte) error) (ReplayStats, error) {
+// Replay hands every segment that may hold sequence data above flushedSeq
+// to fn, once per segment, on the goroutine replaying it: fn reads the
+// segment's records in order through ReplaySegment.Records, and the segment ends
+// when fn returns. With parallelism > 1 and the extended index available,
+// segments are read and decoded concurrently, so fn must then be safe for
+// concurrent calls. Torn tails are tolerated on the newest segment and on
+// any segment that was active at crash time.
+func (m *Manager) Replay(flushedSeq uint64, parallelism int, fn func(*ReplaySegment) error) (ReplayStats, error) {
 	segs := m.Segments()
 	var stats ReplayStats
 	stats.SegmentsTotal = len(segs)
@@ -701,7 +702,7 @@ func (m *Manager) Replay(flushedSeq uint64, parallelism int, fn func(segNum uint
 	return stats, firstErr
 }
 
-func (m *Manager) replaySegment(s SegmentMeta, fn func(uint64, []byte) error) (int64, int64, error) {
+func (m *Manager) replaySegment(s SegmentMeta, fn func(*ReplaySegment) error) (int64, int64, error) {
 	name := SegmentName(m.opts.Dir, s.Num)
 	data, err := m.be.ReadAll(name)
 	if errors.Is(err, storage.ErrNotFound) && m.opts.Backup != nil {
@@ -728,24 +729,38 @@ func (m *Manager) replaySegment(s SegmentMeta, fn func(uint64, []byte) error) (i
 			_ = storage.WriteObject(m.be, name, bdata) // best-effort heal
 		}
 	}
-	rr := NewRecordReader(data)
-	var records, bytes int64
+	seg := ReplaySegment{Num: s.Num, Size: len(data), rr: RecordReader{data: data}}
+	err = fn(&seg)
+	return seg.records, seg.bytes, err
+}
+
+// ReplaySegment is one WAL segment as Replay delivers it.
+type ReplaySegment struct {
+	Num  uint64 // segment number
+	Size int    // bytes in the segment image, record headers included
+
+	rr             RecordReader
+	records, bytes int64
+}
+
+// Records calls fn with the payload of each of the segment's records, in
+// log order, stopping at the first error fn returns. A torn tail ends the
+// segment cleanly: everything before it was intact and is kept. Payloads
+// alias the segment image, or a reassembly buffer for a record spanning
+// blocks; fn must not retain them.
+func (s *ReplaySegment) Records(fn func(payload []byte) error) error {
 	for {
-		payload, err := rr.Next()
-		if err == io.EOF {
-			return records, bytes, nil
-		}
-		if err == io.ErrUnexpectedEOF {
-			// Torn tail: everything before it was intact; recovery keeps it.
-			return records, bytes, nil
+		payload, err := s.rr.Next()
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			return nil
 		}
 		if err != nil {
-			return records, bytes, err
+			return err
 		}
-		records++
-		bytes += int64(len(payload))
-		if err := fn(s.Num, payload); err != nil {
-			return records, bytes, err
+		s.records++
+		s.bytes += int64(len(payload))
+		if err := fn(payload); err != nil {
+			return err
 		}
 	}
 }

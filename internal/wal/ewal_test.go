@@ -50,10 +50,10 @@ func TestAppendAndReplay(t *testing.T) {
 
 	m2 := openMgr(t, be, DefaultOptions())
 	var got []string
-	stats, err := m2.Replay(0, 1, func(seg uint64, p []byte) error {
+	stats, err := m2.Replay(0, 1, eachRecord(func(seg uint64, p []byte) error {
 		got = append(got, string(p))
 		return nil
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,10 +111,10 @@ func TestSkipFlushedSegments(t *testing.T) {
 
 	m2 := openMgr(t, be, DefaultOptions())
 	var got []string
-	stats, err := m2.Replay(5, 4, func(seg uint64, p []byte) error {
+	stats, err := m2.Replay(5, 4, eachRecord(func(seg uint64, p []byte) error {
 		got = append(got, string(p))
 		return nil
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestNonExtendedNeverSkips(t *testing.T) {
 
 	m2 := openMgr(t, be, opts)
 	var n int
-	stats, err := m2.Replay(5, 4, func(uint64, []byte) error { n++; return nil })
+	stats, err := m2.Replay(5, 4, eachRecord(func(uint64, []byte) error { n++; return nil }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,12 +165,12 @@ func TestParallelReplayDeliversAll(t *testing.T) {
 	m2 := openMgr(t, be, DefaultOptions())
 	var mu sync.Mutex
 	perSegRecs := map[uint64][]string{}
-	_, err := m2.Replay(0, 4, func(seg uint64, p []byte) error {
+	_, err := m2.Replay(0, 4, eachRecord(func(seg uint64, p []byte) error {
 		mu.Lock()
 		perSegRecs[seg] = append(perSegRecs[seg], string(p))
 		mu.Unlock()
 		return nil
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,10 +223,10 @@ func TestCrashBeforeIndexWriteStillRecovers(t *testing.T) {
 
 	m2 := openMgr(t, be, DefaultOptions())
 	var got []string
-	if _, err := m2.Replay(100, 2, func(_ uint64, p []byte) error {
+	if _, err := m2.Replay(100, 2, eachRecord(func(_ uint64, p []byte) error {
 		got = append(got, string(p))
 		return nil
-	}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 	// Even with flushedSeq=100 the unknown-range segment must be replayed.
@@ -371,13 +371,20 @@ func TestTornActiveSegmentReplays(t *testing.T) {
 
 	m2 := openMgr(t, be, DefaultOptions())
 	var got []string
-	if _, err := m2.Replay(0, 1, func(_ uint64, p []byte) error {
+	if _, err := m2.Replay(0, 1, eachRecord(func(_ uint64, p []byte) error {
 		got = append(got, string(p))
 		return nil
-	}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 1 || got[0] != "good" {
 		t.Fatalf("replayed %v", got)
+	}
+}
+
+// eachRecord adapts a per-record callback to Replay's per-segment one.
+func eachRecord(fn func(seg uint64, payload []byte) error) func(*ReplaySegment) error {
+	return func(s *ReplaySegment) error {
+		return s.Records(func(p []byte) error { return fn(s.Num, p) })
 	}
 }

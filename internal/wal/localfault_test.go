@@ -51,9 +51,9 @@ func TestAppendSpillsOnDiskFull(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m2.Close()
-	if _, err := m2.Replay(0, 1, func(seg uint64, payload []byte) error {
+	if _, err := m2.Replay(0, 1, eachRecord(func(seg uint64, payload []byte) error {
 		return nil
-	}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 	var minSeq, maxSeq uint64 = 1 << 62, 0
@@ -123,7 +123,7 @@ func TestSyncedSpillDurableWithoutClose(t *testing.T) {
 	}
 	defer m2.Close()
 	var records int
-	if _, err := m2.Replay(0, 1, func(uint64, []byte) error { records++; return nil }); err != nil {
+	if _, err := m2.Replay(0, 1, eachRecord(func(uint64, []byte) error { records++; return nil })); err != nil {
 		t.Fatal(err)
 	}
 	if records < 4 {

@@ -55,12 +55,12 @@ func TestQuickReplayEqualsHistory(t *testing.T) {
 		var got []string
 		var mu = make(chan struct{}, 1)
 		mu <- struct{}{}
-		_, err = m2.Replay(0, par, func(_ uint64, p []byte) error {
+		_, err = m2.Replay(0, par, eachRecord(func(_ uint64, p []byte) error {
 			<-mu
 			got = append(got, string(p))
 			mu <- struct{}{}
 			return nil
-		})
+		}))
 		if err != nil {
 			return false
 		}
@@ -115,12 +115,12 @@ func TestQuickSkipWatermark(t *testing.T) {
 		seen := map[string]bool{}
 		done := make(chan struct{}, 1)
 		done <- struct{}{}
-		if _, err := m2.Replay(wm, 3, func(_ uint64, p []byte) error {
+		if _, err := m2.Replay(wm, 3, eachRecord(func(_ uint64, p []byte) error {
 			<-done
 			seen[string(p)] = true
 			done <- struct{}{}
 			return nil
-		}); err != nil {
+		})); err != nil {
 			return false
 		}
 		// Every record above the watermark must be present (the engine

@@ -51,10 +51,10 @@ func TestReplayMidLogDamage(t *testing.T) {
 			}
 			defer m2.Close()
 			var got []string
-			_, err = m2.Replay(0, 1, func(_ uint64, p []byte) error {
+			_, err = m2.Replay(0, 1, eachRecord(func(_ uint64, p []byte) error {
 				got = append(got, string(p))
 				return nil
-			})
+			}))
 			if !withBackup {
 				if !errors.Is(err, ErrCorrupt) {
 					t.Fatalf("Replay = %v, want ErrCorrupt", err)
