@@ -175,6 +175,24 @@ func TestRunOneEntry(t *testing.T) {
 	}
 }
 
+// TestRunBufferSizing checks that a run nothing is added to allocates no
+// buffer, and that Finish gives back most of a size hint a run did not use.
+func TestRunBufferSizing(t *testing.T) {
+	r := NewRun(1 << 20)
+	r.Finish()
+	if cap(r.buf) != 0 {
+		t.Fatalf("empty run holds a %d-byte buffer", cap(r.buf))
+	}
+	r, m := NewRun(1<<20), &runModel{}
+	addBoth(t, r, m, 7, keys.KindSet, []byte("k"), []byte("v"))
+	r.Finish()
+	m.sort()
+	if cap(r.buf) > 2*len(r.buf) {
+		t.Fatalf("run of %d bytes holds a %d-byte buffer", len(r.buf), cap(r.buf))
+	}
+	checkRun(t, r, m, [][]byte{[]byte("k")}, []uint64{7})
+}
+
 // TestRunVersionsOfOneKey adds many sequence numbers of one user key, sets
 // and deletes, out of order, beside neighbours sharing its 8-byte prefix:
 // the order among them is the trailer's alone.
