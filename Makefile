@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet bench benchsmoke fuzzsmoke check
+.PHONY: all build test race vet bench benchsmoke fuzzsmoke check ab
 
 all: build
 
@@ -31,6 +31,14 @@ bench:
 # its 1/50-scale smoke test so an API break shows up here, not in the ledger.
 benchsmoke:
 	$(GO) vet -C bench ./... && $(GO) test -C bench ./...
+
+# Interleaved pairs of the repository's benchmark, parent commit against the
+# working tree, alternating which side runs first (ab.sh says how to read
+# the table it prints): make ab W="fill get_hot recover" N=5. No W means all
+# six workloads.
+N ?= 5
+ab:
+	bash ab.sh -n $(N) $(W)
 
 # Ten seconds of native fuzzing on each decoder target: the block decoder
 # (arbitrary bytes in, no panic, point seek == iterator seek), the WAL

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"strings"
 	"time"
 
@@ -26,7 +27,6 @@ import (
 	"rocksmash/internal/harness"
 	"rocksmash/internal/histogram"
 	"rocksmash/internal/obs"
-	"rocksmash/internal/readprof"
 	"rocksmash/internal/sstable"
 	"rocksmash/internal/storage"
 	"rocksmash/internal/ycsb"
@@ -79,9 +79,8 @@ func main() {
 		seed       = flag.Int64("seed", 42, "workload RNG seed")
 		compress   = flag.Bool("compress", false, "flate-compress SSTable data blocks")
 		metrics    = flag.String("metrics-addr", "", "serve live metrics over HTTP on this address (/metrics, /debug/vars, /stats, /vitals, /debug/pprof)")
-		vitalsEach = flag.Duration("vitals", 0, "sample time-series vitals at this interval (0 = off; view with `mashctl top` via -metrics-addr)")
-		flightRec  = flag.Bool("flight", false, "run the flight recorder: anomaly detection on vitals ticks plus postmortem incident bundles (see /health and /incidents with -metrics-addr)")
-		profSample = flag.Int("profile-sample", 0, "time 1-in-N reads for the read-path profiler (0 = engine default, 1 = every read, -1 = off)")
+		vitalsEach = flag.Duration("vitals", 0, "time-series vitals and anomaly-detection interval (0 = 1s; view with `mashctl top` via -metrics-addr)")
+		flightRec  = flag.Bool("flight", false, "keep an event ring and write postmortem incident bundles under <db>/flight (see /health and /incidents with -metrics-addr)")
 		tracePath  = flag.String("trace", "", "append engine events as JSON lines to this file (see `mashctl trace`)")
 		dumpStats  = flag.Bool("stats", false, "print the DumpStats report after the benchmarks")
 		faultGet   = flag.Float64("fault-get-rate", 0, "inject cloud GET failures with this probability [0,1]")
@@ -131,10 +130,11 @@ func main() {
 		opts.Compression = sstable.CompressionFlate
 	}
 	opts.WALSync = *walSync
-	opts.ReadProfileSampleRate = *profSample
 	opts.Shards = *shards
 	opts.VitalsInterval = *vitalsEach
-	opts.FlightRecorder = *flightRec
+	if *flightRec {
+		opts.FlightDir = filepath.Join(dir, "flight")
+	}
 	if *tracePath != "" {
 		tw, err := event.CreateTrace(*tracePath)
 		if err != nil {
@@ -234,22 +234,12 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-// printReadAmp renders the read-path profiler's per-tier attribution table
-// when any reads were profiled (see `mashctl profile` for the live view).
+// printReadAmp renders the read-path profiler's report when any reads were
+// profiled (see `mashctl profile` for the live view).
 func printReadAmp(ra db.ReadAmp) {
-	if ra.ProfiledGets == 0 {
-		return
-	}
-	fmt.Printf("\nread profile: %d gets (%d timed), %.2f tables/get, %.2f blocks/get, bloom TN %.3f\n",
-		ra.ProfiledGets, ra.TimedGets, ra.TablesPerGet(), ra.BlocksPerGet(), ra.BloomTrueNegativeRate())
-	fmt.Printf("  %-12s %10s %12s %12s\n", "tier", "blocks", "KB", "time")
-	for t := readprof.Tier(0); t < readprof.NumTiers; t++ {
-		if ra.Blocks[t] == 0 {
-			continue
-		}
-		fmt.Printf("  %-12s %10d %12.1f %12s\n",
-			t, ra.Blocks[t], float64(ra.Bytes[t])/1024,
-			time.Duration(ra.FetchNanos[t]).Round(time.Microsecond))
+	if ra.ProfiledGets > 0 {
+		fmt.Println("\nread profile:")
+		ra.Render(os.Stdout)
 	}
 }
 

@@ -3,6 +3,7 @@ package main
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -13,22 +14,23 @@ import (
 // incident bundle and prints the ranked findings. path may be a single
 // committed bundle directory (holding incident.json) or a flight directory
 // of bundles, in which case the newest bundle is diagnosed.
-func cmdDoctor(path string) {
+func cmdDoctor(w io.Writer, path string) error {
 	if path == "" {
-		fatal(errors.New("doctor: a bundle directory is required (mashctl doctor <bundle-dir>)"))
+		return errors.New("doctor: a bundle directory is required (mashctl doctor <bundle-dir>)")
 	}
 	if _, err := os.Stat(filepath.Join(path, "incident.json")); err != nil {
 		// Not a bundle itself — maybe the flight dir holding them.
 		metas, lerr := flight.ListBundles(path)
 		if lerr != nil || len(metas) == 0 {
-			fatal(fmt.Errorf("doctor: %s is neither an incident bundle nor a directory of bundles", path))
+			return fmt.Errorf("doctor: %s is neither an incident bundle nor a directory of bundles", path)
 		}
 		path = metas[len(metas)-1].Dir
-		fmt.Printf("diagnosing newest of %d bundles: %s\n\n", len(metas), path)
+		fmt.Fprintf(w, "diagnosing newest of %d bundles: %s\n\n", len(metas), path)
 	}
 	diag, err := flight.Analyze(path)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Print(diag.Render())
+	_, err = io.WriteString(w, diag.Render())
+	return err
 }

@@ -13,7 +13,7 @@
 //	mashctl verify   -db /path/to/db   # checksum-audit tables, sidecars, WAL
 //	mashctl scrub    -db /path/to/db   # open the store and run a repairing scrub
 //	mashctl trace    -f trace.jsonl    # summarize an engine event trace
-//	mashctl profile  -addr host:port   # read-path attribution from a live /metrics
+//	mashctl profile  -addr host:port   # read-path attribution from a live /debug/vars
 //	mashctl profile  -f trace.jsonl    # slow-read records captured in a trace
 //	mashctl top      -addr host:port   # live refreshing dashboard from /vitals
 //	mashctl top      -addr host:port -json  # one /vitals report as JSON and exit
@@ -58,23 +58,20 @@ func main() {
 	jsonOut := fs.Bool("json", false, "emit one machine-readable /vitals report and exit; implies -once (top command)")
 	fs.Parse(os.Args[2:])
 
-	if cmd == "doctor" {
+	switch cmd {
+	case "doctor":
 		// The bundle is self-contained: no -db, no live endpoint.
-		cmdDoctor(fs.Arg(0))
+		check(cmdDoctor(os.Stdout, fs.Arg(0)))
 		return
-	}
-
-	if cmd == "top" {
-		cmdTop(*addr, *interval, *iters, *once, *jsonOut)
+	case "top":
+		check(cmdTop(*addr, *interval, *iters, *once, *jsonOut))
 		return
-	}
-
-	if cmd == "profile" {
+	case "profile":
 		path := *traceFile
 		if path == "" && *addr == "" && *dbDir != "" {
 			path = filepath.Join(*dbDir, "trace.jsonl")
 		}
-		cmdProfile(*addr, path, *top)
+		check(cmdProfile(os.Stdout, *addr, path, *top))
 		return
 	}
 
@@ -182,6 +179,13 @@ func usage() {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "mashctl:", err)
 	os.Exit(1)
+}
+
+// check exits through fatal on a non-nil err.
+func check(err error) {
+	if err != nil {
+		fatal(err)
+	}
 }
 
 func cmdManifest(local storage.Backend) {

@@ -1,105 +1,68 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
 	"rocksmash/internal/event"
+	"rocksmash/internal/metrics"
 	"rocksmash/internal/readprof"
 )
 
 // cmdProfile renders the read-path profiler two ways:
 //
-//	mashctl profile -addr HOST:PORT   scrape a live /metrics endpoint and
-//	                                  show per-level / per-tier attribution
+//	mashctl profile -addr HOST:PORT   read a live store's Metrics from
+//	                                  /debug/vars and show per-level /
+//	                                  per-tier attribution
 //	mashctl profile -f trace.jsonl    summarize the SlowRead records an
 //	                                  engine trace captured, worst first
-func cmdProfile(addr, tracePath string, top int) {
+func cmdProfile(w io.Writer, addr, tracePath string, top int) error {
 	switch {
 	case addr != "":
-		if err := profileLive(addr); err != nil {
-			fatal(err)
-		}
+		return profileLive(w, addr)
 	case tracePath != "":
-		if err := profileTrace(tracePath, top); err != nil {
-			fatal(err)
-		}
+		return profileTrace(w, tracePath, top)
 	default:
-		fatal(errors.New("profile: -addr (live endpoint) or -f (trace file) is required"))
+		return errors.New("profile: -addr (live endpoint) or -f (trace file) is required")
 	}
 }
 
-// promSample is one parsed exposition line: family name plus its label set
-// in the exact text form it appeared ("" for unlabelled samples).
-type promSample struct {
-	name   string
-	labels string
-	value  float64
-}
-
-// parseProm parses Prometheus text exposition into samples, ignoring HELP,
-// TYPE and anything it cannot parse — this is a display tool, not a
-// validator.
-func parseProm(text string) []promSample {
-	var out []promSample
-	for _, line := range strings.Split(text, "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		sp := strings.LastIndexByte(line, ' ')
-		if sp < 0 {
-			continue
-		}
-		v, err := strconv.ParseFloat(line[sp+1:], 64)
-		if err != nil {
-			continue
-		}
-		s := promSample{name: line[:sp], value: v}
-		if i := strings.IndexByte(s.name, '{'); i >= 0 {
-			if !strings.HasSuffix(s.name, "}") {
-				continue
-			}
-			s.labels = s.name[i+1 : len(s.name)-1]
-			s.name = s.name[:i]
-		}
-		out = append(out, s)
+// profileLive prints the read-path report of the Metrics snapshot a live
+// store serves under /debug/vars.
+func profileLive(w io.Writer, addr string) error {
+	var vars struct {
+		Metrics metrics.Metrics `json:"rocksmash"`
 	}
-	return out
-}
-
-// promTable indexes samples by family and label.
-type promTable map[string]map[string]float64
-
-func indexProm(samples []promSample) promTable {
-	t := promTable{}
-	for _, s := range samples {
-		m := t[s.name]
-		if m == nil {
-			m = map[string]float64{}
-			t[s.name] = m
-		}
-		m[s.labels] = s.value
+	if err := getJSON(endpoint(addr, "/debug/vars"), &vars); err != nil {
+		return err
 	}
-	return t
+	m := vars.Metrics
+	fmt.Fprintf(w, "reads: %d total\n", m.Reads)
+	if m.ReadAmp.ProfiledGets == 0 {
+		fmt.Fprintln(w, "no profiled reads yet (is the store serving Gets?)")
+		return nil
+	}
+	m.ReadAmp.Render(w)
+	return nil
 }
 
-func (t promTable) get(name, labels string) float64 { return t[name][labels] }
-
-// label builds the `key="value"` form the endpoint emits.
-func label(key, value string) string { return fmt.Sprintf("%s=%q", key, value) }
-
-func profileLive(addr string) error {
+// endpoint is the URL of path on a live obs endpoint given as HOST:PORT or
+// as a URL.
+func endpoint(addr, path string) string {
 	if !strings.Contains(addr, "://") {
 		addr = "http://" + addr
 	}
-	url := strings.TrimSuffix(addr, "/") + "/metrics"
+	return strings.TrimSuffix(addr, "/") + path
+}
+
+// getJSON decodes the JSON body url serves into v.
+func getJSON(url string, v any) error {
 	c := &http.Client{Timeout: 10 * time.Second}
 	resp, err := c.Get(url)
 	if err != nil {
@@ -109,88 +72,14 @@ func profileLive(addr string) error {
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("GET %s: %s", url, resp.Status)
 	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	t := indexProm(parseProm(string(body)))
-
-	profiled := t.get("rocksmash_read_profiled_total", "")
-	fmt.Printf("reads: %.0f total, %.0f profiled, %.0f timed\n",
-		t.get("rocksmash_reads_total", ""),
-		profiled,
-		t.get("rocksmash_read_timed_total", ""))
-	if profiled == 0 {
-		fmt.Println("no profiled reads yet (is the store serving Gets? is -profile-sample >= 0?)")
-		return nil
-	}
-
-	tables := t.get("rocksmash_read_tables_total", "")
-	var blocks, bytes float64
-	for tr := readprof.Tier(0); tr < readprof.NumTiers; tr++ {
-		blocks += t.get("rocksmash_read_blocks_total", label("tier", tr.String()))
-		bytes += t.get("rocksmash_read_bytes_total", label("tier", tr.String()))
-	}
-	fmt.Printf("read amp: %.2f tables/get, %.2f blocks/get, %.0f B/get\n",
-		tables/profiled, blocks/profiled, bytes/profiled)
-	if checked := t.get("rocksmash_read_bloom_checked_total", ""); checked > 0 {
-		neg := t.get("rocksmash_read_bloom_negative_total", "")
-		fmt.Printf("bloom: %.0f checked, %.0f negative (%.3f true-negative rate)\n",
-			checked, neg, neg/checked)
-	}
-
-	fmt.Printf("\n%-8s %10s %10s %12s %12s\n", "level", "serves", "probes", "pcache-hit", "pcache-miss")
-	fmt.Printf("%-8s %10.0f %10s %12s %12s\n", "mem",
-		t.get("rocksmash_read_level_serves_total", `level="mem"`), "-", "-", "-")
-	for l := 0; ; l++ {
-		lv := label("level", strconv.Itoa(l))
-		serves, okS := t["rocksmash_read_level_serves_total"][lv]
-		probes, okP := t["rocksmash_read_level_probes_total"][lv]
-		if !okS && !okP {
-			break
-		}
-		hits := t.get("rocksmash_pcache_level_hits_total", lv)
-		misses := t.get("rocksmash_pcache_level_misses_total", lv)
-		if serves == 0 && probes == 0 && hits == 0 && misses == 0 {
-			continue
-		}
-		fmt.Printf("L%-7d %10.0f %10.0f %12.0f %12.0f\n", l, serves, probes, hits, misses)
-	}
-	if nf := t.get("rocksmash_read_level_serves_total", `level="none"`); nf > 0 {
-		fmt.Printf("%-8s %10.0f %10s %12s %12s\n", "none", nf, "-", "-", "-")
-	}
-	unk := label("level", "unknown")
-	if uh, um := t.get("rocksmash_pcache_level_hits_total", unk),
-		t.get("rocksmash_pcache_level_misses_total", unk); uh+um > 0 {
-		fmt.Printf("%-8s %10s %10s %12.0f %12.0f\n", "L?", "-", "-", uh, um)
-	}
-
-	fmt.Printf("\n%-12s %10s %12s %12s\n", "tier", "blocks", "KB", "time")
-	for tr := readprof.Tier(0); tr < readprof.NumTiers; tr++ {
-		lv := label("tier", tr.String())
-		b := t.get("rocksmash_read_blocks_total", lv)
-		if b == 0 {
-			continue
-		}
-		fmt.Printf("%-12s %10.0f %12.1f %12s\n", tr, b,
-			t.get("rocksmash_read_bytes_total", lv)/1024,
-			time.Duration(t.get("rocksmash_read_fetch_seconds_total", lv)*float64(time.Second)).Round(time.Microsecond))
-	}
-	if seeks := t.get("rocksmash_iter_seeks_total", ""); seeks > 0 {
-		fmt.Printf("\niterators: %.0f seeks", seeks)
-		for tr := readprof.Tier(0); tr < readprof.NumTiers; tr++ {
-			lv := label("tier", tr.String())
-			if b := t.get("rocksmash_iter_blocks_total", lv); b > 0 {
-				fmt.Printf(", %s %.0f blocks (%.1f KB)", tr, b, t.get("rocksmash_iter_bytes_total", lv)/1024)
-			}
-		}
-		fmt.Println()
+	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+		return fmt.Errorf("decoding %s: %w", url, err)
 	}
 	return nil
 }
 
 // profileTrace summarizes the SlowRead records in a JSONL engine trace.
-func profileTrace(path string, top int) error {
+func profileTrace(w io.Writer, path string, top int) error {
 	recs, err := event.ReadTraceFile(path)
 	if err != nil {
 		return err
@@ -211,7 +100,7 @@ func profileTrace(path string, top int) error {
 		}
 		e, err := rec.Decode()
 		if err != nil {
-			fmt.Printf("warning: %v\n", err)
+			fmt.Fprintf(w, "warning: %v\n", err)
 			continue
 		}
 		sr := e.(event.SlowRead)
@@ -221,12 +110,12 @@ func profileTrace(path string, top int) error {
 		total += sr.Duration
 	}
 	if len(slows) == 0 {
-		fmt.Println("no slow-read records in trace (profiler needs a listener: set -trace on the run)")
+		fmt.Fprintln(w, "no slow-read records in trace (profiler needs a listener: set -trace on the run)")
 		return nil
 	}
 
-	fmt.Printf("slow reads: %d records, %s total\n", len(slows), total.Round(time.Microsecond))
-	fmt.Println("\nby serve path:")
+	fmt.Fprintf(w, "slow reads: %d records, %s total\n", len(slows), total.Round(time.Microsecond))
+	fmt.Fprintln(w, "\nby serve path:")
 	paths := make([]string, 0, len(byPath))
 	for p := range byPath {
 		paths = append(paths, p)
@@ -234,7 +123,7 @@ func profileTrace(path string, top int) error {
 	sort.Slice(paths, func(i, j int) bool { return pathDur[paths[i]] > pathDur[paths[j]] })
 	for _, p := range paths {
 		n := byPath[p]
-		fmt.Printf("  %-24s %5d reads, %10s total (%s mean)\n",
+		fmt.Fprintf(w, "  %-24s %5d reads, %10s total (%s mean)\n",
 			p, n, pathDur[p].Round(time.Microsecond),
 			(pathDur[p] / time.Duration(n)).Round(time.Microsecond))
 	}
@@ -243,18 +132,18 @@ func profileTrace(path string, top int) error {
 	if top > 0 && len(slows) > top {
 		slows = slows[:top]
 	}
-	fmt.Printf("\nslowest %d reads:\n", len(slows))
+	fmt.Fprintf(w, "\nslowest %d reads:\n", len(slows))
 	for _, s := range slows {
 		e := s.e
-		fmt.Printf("  %10s  %s  key=%q via %s (%d levels, %d tables",
+		fmt.Fprintf(w, "  %10s  %s  key=%q via %s (%d levels, %d tables",
 			e.Duration.Round(time.Microsecond), s.rec.Time().Format(time.TimeOnly),
 			e.Key, e.Path, e.LevelsProbed, e.Tables)
 		for t := readprof.Tier(0); t < readprof.NumTiers; t++ {
 			if e.Blocks[t] > 0 {
-				fmt.Printf(", %s %d blk/%s", t, e.Blocks[t], e.FetchDur[t].Round(time.Microsecond))
+				fmt.Fprintf(w, ", %s %d blk/%s", t, e.Blocks[t], e.FetchDur[t].Round(time.Microsecond))
 			}
 		}
-		fmt.Println(")")
+		fmt.Fprintln(w, ")")
 	}
 	return nil
 }

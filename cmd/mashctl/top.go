@@ -4,11 +4,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net/http"
 	"os"
 	"strings"
 	"time"
 
+	"rocksmash/internal/metrics"
 	"rocksmash/internal/vitals"
 )
 
@@ -19,59 +19,37 @@ import (
 // the screen (for scripts and tests); iters > 0 bounds the refresh count.
 // jsonOut emits one raw vitals.Report as indented JSON and exits —
 // machine-readable for scripts that would otherwise scrape the frame.
-func cmdTop(addr string, interval time.Duration, iters int, once, jsonOut bool) {
+func cmdTop(addr string, interval time.Duration, iters int, once, jsonOut bool) error {
 	if addr == "" {
-		fatal(errors.New("top: -addr is required (a live obs endpoint, e.g. 127.0.0.1:8080)"))
+		return errors.New("top: -addr is required (a live obs endpoint, e.g. 127.0.0.1:8080)")
 	}
 	if interval <= 0 {
 		interval = time.Second
 	}
-	url := "http://" + addr + "/vitals"
-	if jsonOut {
-		rep, err := fetchVitals(url)
-		if err != nil {
-			fatal(err)
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			fatal(err)
-		}
-		return
-	}
+	url := endpoint(addr, "/vitals")
 	for i := 0; ; i++ {
-		rep, err := fetchVitals(url)
-		if err != nil {
-			fatal(err)
+		var rep vitals.Report
+		if err := getJSON(url, &rep); err != nil {
+			return fmt.Errorf("top: %w", err)
 		}
-		frame := renderTop(addr, rep)
-		if once {
-			fmt.Print(frame)
-			return
+		switch {
+		case jsonOut:
+			enc := json.NewEncoder(os.Stdout)
+			enc.SetIndent("", "  ")
+			return enc.Encode(rep)
+		case rep.Latest == nil:
+			return fmt.Errorf("top: %s holds no sample", url)
+		case once:
+			fmt.Print(renderTop(addr, rep))
+			return nil
 		}
 		// Home + clear-to-end redraws in place without scrollback spam.
-		fmt.Print("\x1b[H\x1b[2J" + frame)
+		fmt.Print("\x1b[H\x1b[2J" + renderTop(addr, rep))
 		if iters > 0 && i+1 >= iters {
-			return
+			return nil
 		}
 		time.Sleep(interval)
 	}
-}
-
-func fetchVitals(url string) (vitals.Report, error) {
-	var rep vitals.Report
-	resp, err := http.Get(url)
-	if err != nil {
-		return rep, fmt.Errorf("top: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return rep, fmt.Errorf("top: %s returned %s", url, resp.Status)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
-		return rep, fmt.Errorf("top: decoding %s: %w", url, err)
-	}
-	return rep, nil
 }
 
 // sparkRunes map a normalized series onto eight bar heights.
@@ -117,39 +95,22 @@ func humanRate(v float64, unit string) string {
 	}
 }
 
-func humanSize(n int64) string {
-	switch {
-	case n >= 1<<30:
-		return fmt.Sprintf("%.2fGB", float64(n)/(1<<30))
-	case n >= 1<<20:
-		return fmt.Sprintf("%.2fMB", float64(n)/(1<<20))
-	case n >= 1<<10:
-		return fmt.Sprintf("%.1fKB", float64(n)/(1<<10))
-	default:
-		return fmt.Sprintf("%dB", n)
-	}
-}
-
-// renderTop builds one dashboard frame.
+// renderTop builds one dashboard frame from a report holding a sample.
 func renderTop(addr string, rep vitals.Report) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "rocksmash top — %s — %s\n", addr, time.Now().Format("15:04:05"))
-	if !rep.Enabled || rep.Latest == nil {
-		b.WriteString("\n  vitals sampling is off: start the store with Options.VitalsInterval > 0\n")
-		b.WriteString("  (mashbench: pass -vitals 1s)\n")
-		return b.String()
-	}
 	s := *rep.Latest
 	var w vitals.Window
 	if rep.Window != nil {
 		w = *rep.Window
 	}
-	fmt.Fprintf(&b, "sampled every %.1fs, %d samples retained\n\n", rep.IntervalSeconds, len(rep.Samples))
+	fmt.Fprintf(&b, "sampled every %s, %d samples retained\n\n",
+		time.Duration(rep.IntervalSeconds*float64(time.Second)), len(rep.Samples))
 
 	// Breaker / degraded-mode banner: the one line an operator must see.
 	if st := strings.ToLower(s.BreakerState); st != "" && st != "closed" {
 		fmt.Fprintf(&b, "  !! CLOUD BREAKER %s — degraded mode, %d tables (%s) pending upload\n\n",
-			strings.ToUpper(s.BreakerState), s.PendingTables, humanSize(s.PendingBytes))
+			strings.ToUpper(s.BreakerState), s.PendingTables, metrics.HumanBytes(s.PendingBytes))
 	}
 
 	// Sparkline history from the derived windows.
@@ -179,7 +140,7 @@ func renderTop(addr string, rep vitals.Report) string {
 		fmt.Fprintf(&b, "  value   %s per dollar-hour\n", humanRate(w.OpsPerDollar, "ops"))
 	}
 	fmt.Fprintf(&b, "  health  debt %s   space amp %.2fx   stalls %.1f/s",
-		humanSize(w.CompactionDebt), w.SpaceAmp, w.StallsPerSec)
+		metrics.HumanBytes(w.CompactionDebt), w.SpaceAmp, w.StallsPerSec)
 	if n := len(s.Shards); n > 1 {
 		fmt.Fprintf(&b, "   shards %d (skew %.2f)", n, w.ShardSkew)
 	}
@@ -215,11 +176,11 @@ func renderTop(addr string, rep vitals.Report) string {
 			srv = fmt.Sprintf("%4.1f%%", float64(serves)/float64(servesTotal)*100)
 		}
 		fmt.Fprintf(&b, "  L%-5d %6d %10s %10s %10s %7s %8s\n",
-			l, s.LevelFiles[l], humanSize(int64(s.LevelBytes[l])),
-			humanSize(in), humanSize(out), wamp, srv)
+			l, s.LevelFiles[l], metrics.HumanBytes(int64(s.LevelBytes[l])),
+			metrics.HumanBytes(in), metrics.HumanBytes(out), wamp, srv)
 	}
 	fmt.Fprintf(&b, "\n  placement: local %s, cloud %s, pending %s (%d tables)\n",
-		humanSize(s.LocalBytes), humanSize(s.CloudBytes),
-		humanSize(s.PendingBytes), s.PendingTables)
+		metrics.HumanBytes(s.LocalBytes), metrics.HumanBytes(s.CloudBytes),
+		metrics.HumanBytes(s.PendingBytes), s.PendingTables)
 	return b.String()
 }

@@ -65,14 +65,12 @@ type DB struct {
 	lastDump   Metrics
 	lastDumpAt time.Time
 
-	// vit is the time-series telemetry sampler (Options.VitalsInterval);
-	// nil when vitals are off.
+	// vit is the time-series telemetry sampler (Options.VitalsInterval).
 	vit *vitals.Sampler
 
-	// flight is the flight recorder (Options.FlightRecorder): the event
-	// ring, anomaly detector, and incident-bundle writer. Nil when off —
-	// the off path is byte-identical to a build without the recorder.
-	flight *flightState
+	// flight is the anomaly detector and its incident log, plus the event
+	// ring and bundle writer when Options.FlightDir is set.
+	flight flightState
 }
 
 // Open creates or reopens a DB with explicit backends. local must also host
@@ -102,12 +100,12 @@ func Open(opts Options, local storage.Backend, cloud storage.Backend) (*DB, erro
 	if cs, ok := storage.BaseBackend(cloud).(*storage.Cloud); ok {
 		d.cloudSim = cs
 	}
-	// Assemble the effective listener: the user's plus the flight
-	// recorder's event ring. Every engine fires into this one chain, so one
-	// trace interleaves all of them.
+	// Assemble the effective listener: the user's plus, with a FlightDir,
+	// the flight recorder's event ring. Every engine fires into this one
+	// chain, so one trace interleaves all of them.
 	d.listener = opts.EventListener
-	if opts.FlightRecorder {
-		d.initFlight()
+	d.initFlight()
+	if d.flight.rec != nil {
 		d.listener = event.Multi(d.listener, d.flight.rec)
 	}
 	if cloud != nil {
@@ -493,7 +491,7 @@ func (d *DB) Close() error {
 	if !d.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	d.stopVitals()
+	d.vit.Stop()
 	firstErr := d.eachEngine((*engine).close)
 	if err := d.closeShared(); err != nil && firstErr == nil {
 		firstErr = err
@@ -523,7 +521,7 @@ func (d *DB) Crash() {
 	if !d.closed.CompareAndSwap(false, true) {
 		return
 	}
-	d.stopVitals()
+	d.vit.Stop()
 	_ = d.eachEngine(func(e *engine) error {
 		e.stop()
 		return nil

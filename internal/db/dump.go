@@ -5,8 +5,8 @@ import (
 	"strings"
 	"time"
 
+	"rocksmash/internal/metrics"
 	"rocksmash/internal/pcache"
-	"rocksmash/internal/readprof"
 )
 
 // hasLevelCompactions reports whether any level has compacted yet.
@@ -17,20 +17,6 @@ func hasLevelCompactions(lws []LevelWriteAmp) bool {
 		}
 	}
 	return false
-}
-
-// humanBytes renders a byte count with a binary-unit suffix.
-func humanBytes(n int64) string {
-	switch {
-	case n >= 1<<30:
-		return fmt.Sprintf("%.2f GB", float64(n)/(1<<30))
-	case n >= 1<<20:
-		return fmt.Sprintf("%.2f MB", float64(n)/(1<<20))
-	case n >= 1<<10:
-		return fmt.Sprintf("%.2f KB", float64(n)/(1<<10))
-	default:
-		return fmt.Sprintf("%d B", n)
-	}
 }
 
 // DumpStats renders a multi-line, human-readable statistics report in the
@@ -52,6 +38,12 @@ func (d *DB) DumpStats() string {
 	if prevAt.IsZero() {
 		prevAt = d.openedAt
 	}
+	return d.renderStats(m, prev, prevAt, now)
+}
+
+// renderStats is DumpStats' report of m, taken at now, with its interval
+// deltas against prev, taken at prevAt. It stores nothing.
+func (d *DB) renderStats(m, prev Metrics, prevAt, now time.Time) string {
 	interval := now.Sub(prevAt)
 	uptime := now.Sub(d.openedAt)
 
@@ -59,10 +51,10 @@ func (d *DB) DumpStats() string {
 	fmt.Fprintf(&b, "** DB Stats (policy=%s, uptime=%s, interval=%s) **\n",
 		m.Policy, uptime.Round(time.Millisecond), interval.Round(time.Millisecond))
 	fmt.Fprintf(&b, "Cumulative writes: %d ops, %s user data, stalls: %d\n",
-		m.Writes, humanBytes(m.BytesWritten), m.WriteStalls)
+		m.Writes, metrics.HumanBytes(m.BytesWritten), m.WriteStalls)
 	fmt.Fprintf(&b, "Cumulative reads:  %d ops\n", m.Reads)
 	fmt.Fprintf(&b, "Interval writes:   %d ops, %s user data, stalls: %d\n",
-		m.Writes-prev.Writes, humanBytes(m.BytesWritten-prev.BytesWritten), m.WriteStalls-prev.WriteStalls)
+		m.Writes-prev.Writes, metrics.HumanBytes(m.BytesWritten-prev.BytesWritten), m.WriteStalls-prev.WriteStalls)
 	fmt.Fprintf(&b, "Interval reads:    %d ops\n", m.Reads-prev.Reads)
 	if m.CommitGroups > 0 {
 		fmt.Fprintf(&b, "Commit groups: %d, %.2f batches/group, %d WAL syncs amortized\n",
@@ -77,7 +69,7 @@ func (d *DB) DumpStats() string {
 		for _, s := range m.Shards {
 			fmt.Fprintf(&b, "%-6d %10d %10d %8d %8d %8d %8d %12s %10d %10d\n",
 				s.Shard, s.Writes, s.Reads, s.Flushes, s.Compactions, s.WriteStalls,
-				s.Files, humanBytes(s.Bytes), s.PCacheHits, s.PCacheMisses)
+				s.Files, metrics.HumanBytes(s.Bytes), s.PCacheHits, s.PCacheMisses)
 		}
 	}
 
@@ -88,31 +80,31 @@ func (d *DB) DumpStats() string {
 			continue
 		}
 		fmt.Fprintf(&b, "L%-5d %8d %12s %8s\n",
-			l, m.LevelFiles[l], humanBytes(int64(m.LevelBytes[l])), d.opts.tierForLevel(l))
+			l, m.LevelFiles[l], metrics.HumanBytes(int64(m.LevelBytes[l])), d.opts.tierForLevel(l))
 	}
 	fmt.Fprintf(&b, "Placement: local %s, cloud %s, pinned metadata %s\n",
-		humanBytes(m.LocalBytes), humanBytes(m.CloudBytes), humanBytes(m.MetaBytes))
+		metrics.HumanBytes(m.LocalBytes), metrics.HumanBytes(m.CloudBytes), metrics.HumanBytes(m.MetaBytes))
 	if m.ObsoleteTables > 0 {
 		fmt.Fprintf(&b, "Obsolete, held by open readers: %d tables (%s)\n",
-			m.ObsoleteTables, humanBytes(m.ObsoleteBytes))
+			m.ObsoleteTables, metrics.HumanBytes(m.ObsoleteBytes))
 	}
 
 	b.WriteString("\n** Flush & Compaction **\n")
 	fmt.Fprintf(&b, "Flushes:     %d cum (%d interval), %s written\n",
-		m.Flushes, m.Flushes-prev.Flushes, humanBytes(m.FlushBytes))
+		m.Flushes, m.Flushes-prev.Flushes, metrics.HumanBytes(m.FlushBytes))
 	fmt.Fprintf(&b, "Compactions: %d cum (%d interval), in %s, out %s, dropped keys %d\n",
 		m.Compactions, m.Compactions-prev.Compactions,
-		humanBytes(m.CompactBytesIn), humanBytes(m.CompactBytesOut), m.CompactDroppedKeys)
+		metrics.HumanBytes(m.CompactBytesIn), metrics.HumanBytes(m.CompactBytesOut), m.CompactDroppedKeys)
 	fmt.Fprintf(&b, "Compactions running: %d of %d slots\n", m.CompactionsRunning, compactionSlots)
 	fmt.Fprintf(&b, "Upload retries: %d cum (%d interval)\n",
 		m.UploadRetries, m.UploadRetries-prev.UploadRetries)
 	fmt.Fprintf(&b, "Pipeline: prefetch %d spans/%d blocks, readahead %d spans/%d blocks\n",
 		m.PrefetchSpans, m.PrefetchBlocks, m.ReadaheadSpans, m.ReadaheadBlocks)
 	fmt.Fprintf(&b, "Write amp: %.2fx cumulative (flush %s + compact-out %s / user %s)\n",
-		m.WriteAmp(), humanBytes(m.FlushBytes), humanBytes(m.CompactBytesOut),
-		humanBytes(m.BytesWritten))
+		m.WriteAmp(), metrics.HumanBytes(m.FlushBytes), metrics.HumanBytes(m.CompactBytesOut),
+		metrics.HumanBytes(m.BytesWritten))
 	fmt.Fprintf(&b, "Compaction debt: %s, space amp %.2fx\n",
-		humanBytes(m.CompactionDebt), m.SpaceAmp)
+		metrics.HumanBytes(m.CompactionDebt), m.SpaceAmp)
 	if hasLevelCompactions(m.LevelWriteAmp) {
 		fmt.Fprintf(&b, "%-8s %8s %12s %12s %12s %8s\n",
 			"move", "count", "in-src", "in-tgt", "out", "w-amp")
@@ -122,8 +114,8 @@ func (d *DB) DumpStats() string {
 			}
 			fmt.Fprintf(&b, "L%d->L%-3d %8d %12s %12s %12s %7.2fx\n",
 				lw.Level, lw.Target, lw.Count,
-				humanBytes(lw.BytesInSource), humanBytes(lw.BytesInTarget),
-				humanBytes(lw.BytesOut), lw.WriteAmp())
+				metrics.HumanBytes(lw.BytesInSource), metrics.HumanBytes(lw.BytesInTarget),
+				metrics.HumanBytes(lw.BytesOut), lw.WriteAmp())
 		}
 	}
 
@@ -134,7 +126,7 @@ func (d *DB) DumpStats() string {
 		fmt.Fprintf(&b, "Read retries: %d cum (%d interval)\n",
 			m.ReadRetries, m.ReadRetries-prev.ReadRetries)
 		fmt.Fprintf(&b, "Degraded landings: %d tables, drained %d, pending %d (%s)\n",
-			m.DegradedTables, m.DrainedTables, m.PendingTables, humanBytes(m.PendingBytes))
+			m.DegradedTables, m.DrainedTables, m.PendingTables, metrics.HumanBytes(m.PendingBytes))
 		if m.CompactionsDeferred > 0 {
 			fmt.Fprintf(&b, "Compactions deferred by outages: %d\n", m.CompactionsDeferred)
 		}
@@ -165,16 +157,20 @@ func (d *DB) DumpStats() string {
 		}
 	}
 
-	if fs := d.flight; fs != nil {
+	// Detection runs in every store; the section shows once it has fired
+	// or when the store keeps an event ring.
+	if rec := d.flight.rec; rec != nil || m.IncidentsTriggered > 0 {
 		b.WriteString("\n** Flight Recorder **\n")
 		fmt.Fprintf(&b, "Incidents: %d triggered, %d suppressed; bundles: %d written, %d errors\n",
 			m.IncidentsTriggered, m.IncidentsSuppressed, m.BundlesWritten, m.BundleErrors)
 		if len(m.ActiveIncidents) > 0 {
 			fmt.Fprintf(&b, "Active rules: %s\n", strings.Join(m.ActiveIncidents, ", "))
 		}
-		ring := fs.rec.Ring()
-		fmt.Fprintf(&b, "Event ring: %d recorded, %d overwritten (cap %d)\n",
-			ring.Recorded(), ring.Dropped(), ring.Cap())
+		if rec != nil {
+			ring := rec.Ring()
+			fmt.Fprintf(&b, "Event ring: %d recorded, %d overwritten (cap %d)\n",
+				ring.Recorded(), ring.Dropped(), ring.Cap())
+		}
 	}
 
 	b.WriteString("\n** Latency (cumulative) **\n")
@@ -188,55 +184,17 @@ func (d *DB) DumpStats() string {
 	b.WriteString("\n** Caches **\n")
 	fmt.Fprintf(&b, "Block cache: hit %.3f\n", m.BlockHit)
 	fmt.Fprintf(&b, "PCache:      hit %.3f, used %s of %s (%.2f), metadata %s, door declined %d",
-		m.PCacheHit, humanBytes(m.PCacheUsed), humanBytes(d.opts.PCacheBytes),
-		float64(m.PCacheUsed)/float64(d.opts.PCacheBytes), humanBytes(m.PCacheMeta), m.PCacheDoorDeclined)
+		m.PCacheHit, metrics.HumanBytes(m.PCacheUsed), metrics.HumanBytes(d.opts.PCacheBytes),
+		float64(m.PCacheUsed)/float64(d.opts.PCacheBytes), metrics.HumanBytes(m.PCacheMeta), m.PCacheDoorDeclined)
 	if pc, ok := d.pcache.(*pcache.PCache); ok {
 		// The size in effect: PCacheRegionBytes is only its ceiling.
-		fmt.Fprintf(&b, ", regions of %s", humanBytes(pc.RegionBytes()))
+		fmt.Fprintf(&b, ", regions of %s", metrics.HumanBytes(pc.RegionBytes()))
 	}
 	b.WriteString("\n")
 
-	if ra := m.ReadAmp; ra.ProfiledGets > 0 {
+	if m.ReadAmp.ProfiledGets > 0 {
 		b.WriteString("\n** Read Path **\n")
-		fmt.Fprintf(&b, "Profiled gets: %d (%d timed), served mem %d, not found %d\n",
-			ra.ProfiledGets, ra.TimedGets, ra.MemServes, ra.NotFound)
-		fmt.Fprintf(&b, "Read amp: %.2f tables/get, %.2f blocks/get, %s/get\n",
-			ra.TablesPerGet(), ra.BlocksPerGet(), humanBytes(int64(ra.BytesPerGet())))
-		if ra.BloomChecked > 0 {
-			fmt.Fprintf(&b, "Bloom: %d checked, %d negative (%.3f true-negative rate)\n",
-				ra.BloomChecked, ra.BloomNegative, ra.BloomTrueNegativeRate())
-		}
-		fmt.Fprintf(&b, "%-6s %10s %10s %14s %14s\n", "level", "serves", "probes", "pcache-hit", "pcache-miss")
-		for l := 0; l < len(ra.LevelServes); l++ {
-			if ra.LevelServes[l] == 0 && ra.LevelProbes[l] == 0 &&
-				ra.PCacheLevelHits[l] == 0 && ra.PCacheLevelMisses[l] == 0 {
-				continue
-			}
-			fmt.Fprintf(&b, "L%-5d %10d %10d %14d %14d\n",
-				l, ra.LevelServes[l], ra.LevelProbes[l], ra.PCacheLevelHits[l], ra.PCacheLevelMisses[l])
-		}
-		if uh, um := ra.PCacheLevelHits[len(ra.PCacheLevelHits)-1],
-			ra.PCacheLevelMisses[len(ra.PCacheLevelMisses)-1]; uh+um > 0 {
-			fmt.Fprintf(&b, "%-6s %10s %10s %14d %14d\n", "L?", "-", "-", uh, um)
-		}
-		fmt.Fprintf(&b, "%-12s %10s %12s %12s\n", "tier", "blocks", "bytes", "time")
-		for t := readprof.Tier(0); t < readprof.NumTiers; t++ {
-			if ra.Blocks[t] == 0 {
-				continue
-			}
-			fmt.Fprintf(&b, "%-12s %10d %12s %12s\n",
-				t, ra.Blocks[t], humanBytes(ra.Bytes[t]),
-				time.Duration(ra.FetchNanos[t]).Round(time.Microsecond))
-		}
-		if ra.IterSeeks > 0 {
-			fmt.Fprintf(&b, "Iterators: %d seeks", ra.IterSeeks)
-			for t := readprof.Tier(0); t < readprof.NumTiers; t++ {
-				if ra.IterBlocks[t] > 0 {
-					fmt.Fprintf(&b, ", %s %d blocks (%s)", t, ra.IterBlocks[t], humanBytes(ra.IterBytes[t]))
-				}
-			}
-			b.WriteString("\n")
-		}
+		m.ReadAmp.Render(&b)
 	}
 
 	if m.ScanViewHits+m.ScanViewMisses > 0 {
@@ -253,14 +211,14 @@ func (d *DB) DumpStats() string {
 	li := m.LocalIO.Sub(prev.LocalIO)
 	ci := m.CloudIO.Sub(prev.CloudIO)
 	fmt.Fprintf(&b, "Local cum:      %d GET (%s), %d PUT (%s)\n",
-		m.LocalIO.GetOps, humanBytes(m.LocalIO.BytesRead), m.LocalIO.PutOps, humanBytes(m.LocalIO.BytesWrite))
+		m.LocalIO.GetOps, metrics.HumanBytes(m.LocalIO.BytesRead), m.LocalIO.PutOps, metrics.HumanBytes(m.LocalIO.BytesWrite))
 	fmt.Fprintf(&b, "Local interval: %d GET (%s), %d PUT (%s)\n",
-		li.GetOps, humanBytes(li.BytesRead), li.PutOps, humanBytes(li.BytesWrite))
+		li.GetOps, metrics.HumanBytes(li.BytesRead), li.PutOps, metrics.HumanBytes(li.BytesWrite))
 	fmt.Fprintf(&b, "Cloud cum:      %d GET (%s, %.1f B/GET), %d PUT (%s)\n",
-		m.CloudIO.GetOps, humanBytes(m.CloudIO.BytesRead), m.CloudIO.BytesPerGet(),
-		m.CloudIO.PutOps, humanBytes(m.CloudIO.BytesWrite))
+		m.CloudIO.GetOps, metrics.HumanBytes(m.CloudIO.BytesRead), m.CloudIO.BytesPerGet(),
+		m.CloudIO.PutOps, metrics.HumanBytes(m.CloudIO.BytesWrite))
 	fmt.Fprintf(&b, "Cloud interval: %d GET (%s), %d PUT (%s)\n",
-		ci.GetOps, humanBytes(ci.BytesRead), ci.PutOps, humanBytes(ci.BytesWrite))
+		ci.GetOps, metrics.HumanBytes(ci.BytesRead), ci.PutOps, metrics.HumanBytes(ci.BytesWrite))
 	if m.CloudCost.TotalMonthly > 0 {
 		fmt.Fprintf(&b, "Cloud bill: storage $%.4f/mo + requests $%.4f + egress $%.4f = $%.4f\n",
 			m.CloudCost.StorageCost, m.CloudCost.RequestCost, m.CloudCost.EgressCost,

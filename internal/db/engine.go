@@ -397,16 +397,14 @@ func (d *engine) get(key []byte, seq uint64) ([]byte, error) {
 	}
 	d.stats.Reads.Add(1)
 	// Read profiling: every Get carries a pooled profile (cheap counter
-	// core) unless disabled; 1-in-ReadProfileSampleRate of them are Timed
-	// and additionally pay per-stage clock reads.
+	// core); 1 in profileSampleRate of them are Timed and additionally pay
+	// per-stage clock reads.
 	prof := d.newProfile()
 	start := time.Now()
 	v, err := d.getAt(key, seq, prof)
 	elapsed := time.Since(start)
 	d.lat.get.Record(elapsed)
-	if prof != nil {
-		d.finishProfile(key, prof, elapsed)
-	}
+	d.finishProfile(key, prof, elapsed)
 	return v, err
 }
 

@@ -3,7 +3,6 @@ package db
 import (
 	"encoding/json"
 	"fmt"
-	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -11,24 +10,35 @@ import (
 
 	"rocksmash/internal/event"
 	"rocksmash/internal/flight"
-	"rocksmash/internal/storage"
+	"rocksmash/internal/metrics"
 	"rocksmash/internal/vitals"
 )
 
 // Flight recorder wiring: the engine-agnostic pieces live in
 // internal/flight (event ring, detector rules, bundle format, offline
-// doctor); this file connects them to the DB. The recorder taps the
-// listener chain (so the ring sees exactly the event stream a trace
-// would), the detector rides the vitals sampler's tick, and bundle dumps
-// run on the sampler goroutine — so a firing rule serializes its own
-// postmortem and never blocks a foreground operation.
+// doctor); this file connects them to the DB. The detector rides the vitals
+// sampler's tick in every store. With Options.FlightDir set, the recorder
+// also taps the listener chain (so the ring sees exactly the event stream a
+// trace would) and bundle dumps run on the sampler goroutine — so a firing
+// rule serializes its own postmortem and never blocks a foreground
+// operation.
 
-// flightRecentCap bounds the in-memory incident log behind DB.Incidents.
-const flightRecentCap = 64
+// The recorder's fixed sizing: the in-memory incident log behind
+// DB.Incidents, the event-ring capacity (entries), how many bundle
+// directories are retained (oldest pruned), and the least time between two
+// bundles of one rule. The detector runs flight's default rules and
+// thresholds.
+const (
+	flightRecentCap  = 64
+	flightHistory    = 1024
+	flightMaxBundles = 8
+	flightBundleGap  = 30 * time.Second
+)
 
 type flightState struct {
-	rec *flight.Recorder
 	det *flight.Detector
+	// rec is the event ring; nil, like cfg.Dir, without a FlightDir.
+	rec *flight.Recorder
 	cfg flight.BundleConfig
 
 	// Detector fires, re-triggers absorbed by per-rule cooldowns, and
@@ -38,44 +48,22 @@ type flightState struct {
 	bundles      atomic.Int64
 	bundleErrors atomic.Int64
 
-	// mu guards recent (the capped incident log) and lastBundle (the
-	// rate-limit clock).
+	// mu guards recent (the capped incident log) and lastBundle (each
+	// rule's rate-limit clock).
 	mu         sync.Mutex
 	recent     []flight.Incident
-	lastBundle time.Time
+	lastBundle map[string]time.Time
 }
 
-// The recorder's fixed sizing: event-ring capacity (entries) and how many
-// bundle directories are retained (oldest pruned). The detector runs
-// flight's default rules and thresholds.
-const (
-	flightHistory    = 1024
-	flightMaxBundles = 8
-)
-
-// initFlight builds the recorder/detector pair. The bundle directory is
-// derived from the local backend when FlightDir is unset.
+// initFlight builds the detector, and the event ring when bundles have a
+// directory to go to.
 func (d *DB) initFlight() {
-	o := d.opts
-	dir := o.FlightDir
-	if dir == "" {
-		if l, ok := storage.BaseBackend(d.local).(*storage.Local); ok {
-			dir = filepath.Join(l.Root(), "..", "flight")
-		}
-	}
-	minInterval := o.FlightBundleInterval
-	if minInterval <= 0 {
-		minInterval = 30 * time.Second
-	}
-	d.flight = &flightState{
-		rec: flight.NewRecorder(flightHistory),
-		det: flight.NewDetector(flight.DefaultRules(flight.Thresholds{})),
-		cfg: flight.BundleConfig{
-			Dir:           dir,
-			MaxBundles:    flightMaxBundles,
-			MinInterval:   minInterval,
-			MaxEventBytes: 1 << 20,
-		},
+	fs := &d.flight
+	fs.det = flight.NewDetector(flight.DefaultRules(flight.Thresholds{}))
+	if dir := d.opts.FlightDir; dir != "" {
+		fs.rec = flight.NewRecorder(flightHistory)
+		fs.cfg = flight.BundleConfig{Dir: dir, MaxBundles: flightMaxBundles, MaxEventBytes: 1 << 20}
+		fs.lastBundle = map[string]time.Time{}
 	}
 }
 
@@ -83,10 +71,7 @@ func (d *DB) initFlight() {
 // incidents it fires: counters, bundle dump, the incident log, and the
 // IncidentTriggered event. Runs on the vitals sampler goroutine.
 func (d *DB) flightObserve(s vitals.Sample) {
-	fs := d.flight
-	if fs == nil {
-		return
-	}
+	fs := &d.flight
 	incs := fs.det.Observe(s)
 	fs.suppressed.Store(fs.det.Suppressed())
 	for i := range incs {
@@ -103,22 +88,24 @@ func (d *DB) flightObserve(s vitals.Sample) {
 	}
 }
 
-// maybeWriteBundle dumps a postmortem for inc unless rate-limited or
-// bundling is unconfigured. On success inc.Bundle is filled with the
-// committed directory. Note the DumpStats call resets the interval-delta
-// baseline a concurrent stats consumer sees — an accepted cost of a
-// self-contained postmortem.
+// maybeWriteBundle dumps a postmortem for inc unless there is no FlightDir
+// or inc's rule wrote one less than flightBundleGap ago: one rule's storm
+// cannot starve another rule's bundle. On success inc.Bundle is filled with
+// the committed directory. The stats report is rendered against the
+// Open-time baseline, so a bundle never moves the interval an operator's
+// DumpStats calls measure.
 func (fs *flightState) maybeWriteBundle(d *DB, inc *flight.Incident) {
-	if fs.cfg.Dir == "" {
+	if fs.rec == nil {
 		return
 	}
 	now := time.Unix(0, inc.UnixNano)
 	fs.mu.Lock()
-	if !fs.lastBundle.IsZero() && now.Sub(fs.lastBundle) < fs.cfg.MinInterval {
+	last, seen := fs.lastBundle[inc.Rule]
+	if seen && now.Sub(last) < flightBundleGap {
 		fs.mu.Unlock()
 		return
 	}
-	fs.lastBundle = now
+	fs.lastBundle[inc.Rule] = now
 	fs.mu.Unlock()
 
 	m := d.Metrics()
@@ -126,22 +113,16 @@ func (fs *flightState) maybeWriteBundle(d *DB, inc *flight.Incident) {
 	if err != nil {
 		metricsJSON = []byte("{}")
 	}
-	in := flight.BundleInputs{
+	path, werr := flight.WriteBundle(fs.cfg, flight.BundleInputs{
 		Incident:     *inc,
 		Active:       fs.det.Active(),
 		Counts:       fs.det.Counts(),
 		Events:       fs.rec.Snapshot(),
+		Vitals:       d.vit.Samples(),
 		MetricsJSON:  metricsJSON,
-		StatsText:    d.DumpStats(),
+		StatsText:    d.renderStats(m, Metrics{}, d.openedAt, time.Now()),
 		ManifestText: levelSummary(m),
-	}
-	// Nil during the sampler's synchronous first sample (d.vit is assigned
-	// only after NewSampler returns); the events ring still captures that
-	// window.
-	if vit := d.vit; vit != nil {
-		in.Vitals = vit.Samples()
-	}
-	path, werr := flight.WriteBundle(fs.cfg, in)
+	})
 	if werr != nil {
 		fs.bundleErrors.Add(1)
 		return
@@ -154,16 +135,16 @@ func (fs *flightState) maybeWriteBundle(d *DB, inc *flight.Incident) {
 func levelSummary(m Metrics) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "policy=%s lastSeq=%d local=%s cloud=%s debt=%s spaceAmp=%.2f\n",
-		m.Policy, m.LastSeq, humanBytes(m.LocalBytes), humanBytes(m.CloudBytes),
-		humanBytes(m.CompactionDebt), m.SpaceAmp)
+		m.Policy, m.LastSeq, metrics.HumanBytes(m.LocalBytes), metrics.HumanBytes(m.CloudBytes),
+		metrics.HumanBytes(m.CompactionDebt), m.SpaceAmp)
 	for l := range m.LevelFiles {
 		if m.LevelFiles[l] == 0 {
 			continue
 		}
-		fmt.Fprintf(&b, "L%d: %d files, %s\n", l, m.LevelFiles[l], humanBytes(int64(m.LevelBytes[l])))
+		fmt.Fprintf(&b, "L%d: %d files, %s\n", l, m.LevelFiles[l], metrics.HumanBytes(int64(m.LevelBytes[l])))
 	}
 	if m.PendingTables > 0 {
-		fmt.Fprintf(&b, "pending-cloud: %d tables, %s\n", m.PendingTables, humanBytes(m.PendingBytes))
+		fmt.Fprintf(&b, "pending-cloud: %d tables, %s\n", m.PendingTables, metrics.HumanBytes(m.PendingBytes))
 	}
 	if m.MisplacedTables > 0 {
 		fmt.Fprintf(&b, "misplaced: %d tables\n", m.MisplacedTables)
@@ -172,12 +153,9 @@ func levelSummary(m Metrics) string {
 }
 
 // fillFlightMetrics copies the flight counters and active-rule set into a
-// Metrics snapshot; a no-op (all zero) when the recorder is off.
+// Metrics snapshot.
 func (d *DB) fillFlightMetrics(m *Metrics) {
-	fs := d.flight
-	if fs == nil {
-		return
-	}
+	fs := &d.flight
 	m.IncidentsTriggered = fs.triggered.Load()
 	m.IncidentsSuppressed = fs.suppressed.Load()
 	m.BundlesWritten = fs.bundles.Load()
@@ -211,8 +189,7 @@ const (
 type Health struct {
 	Status  string   `json:"status"`
 	Reasons []string `json:"reasons,omitempty"`
-	// ActiveRules lists the detector rules currently active (empty when the
-	// flight recorder is off).
+	// ActiveRules lists the detector rules currently active.
 	ActiveRules        []string `json:"active_rules,omitempty"`
 	IncidentsTriggered int64    `json:"incidents_triggered"`
 	BundlesWritten     int64    `json:"bundles_written"`
@@ -229,9 +206,8 @@ func (d *DB) backgroundErr() error {
 	return nil
 }
 
-// Health computes the store's health from the metrics snapshot and (when
-// the flight recorder is on) the detector's active-rule set. It works with
-// the recorder off — breaker and backlog degradation is visible either way.
+// Health computes the store's health from the metrics snapshot and the
+// detector's active-rule set.
 func (d *DB) Health() Health {
 	m := d.Metrics()
 	h := Health{
@@ -267,7 +243,7 @@ func (d *DB) Health() Health {
 		}
 	}
 	if m.PendingTables > 0 {
-		degraded(fmt.Sprintf("%d tables pending cloud upload (%s)", m.PendingTables, humanBytes(m.PendingBytes)))
+		degraded(fmt.Sprintf("%d tables pending cloud upload (%s)", m.PendingTables, metrics.HumanBytes(m.PendingBytes)))
 	}
 	if m.MisplacedTables > 0 {
 		degraded(fmt.Sprintf("%d misplaced tables awaiting drain-back", m.MisplacedTables))
@@ -287,35 +263,23 @@ func (d *DB) Health() Health {
 }
 
 // Incidents returns the most recent fired incidents, oldest first (capped
-// at flightRecentCap; nil when the flight recorder is off).
+// at flightRecentCap).
 func (d *DB) Incidents() []flight.Incident {
-	fs := d.flight
-	if fs == nil {
-		return nil
-	}
+	fs := &d.flight
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	return append([]flight.Incident(nil), fs.recent...)
 }
 
 // FlightBundles lists the committed postmortem bundles on disk, oldest
-// first (nil when the recorder is off or bundling is unconfigured).
+// first (nil without a FlightDir).
 func (d *DB) FlightBundles() ([]flight.BundleMeta, error) {
-	fs := d.flight
-	if fs == nil || fs.cfg.Dir == "" {
+	if d.flight.cfg.Dir == "" {
 		return nil, nil
 	}
-	return flight.ListBundles(fs.cfg.Dir)
+	return flight.ListBundles(d.flight.cfg.Dir)
 }
 
-// FlightEnabled reports whether this store runs a flight recorder.
-func (d *DB) FlightEnabled() bool { return d.flight != nil }
-
-// FlightBundleDir returns where incident bundles are written ("" when
-// disabled).
-func (d *DB) FlightBundleDir() string {
-	if d.flight == nil {
-		return ""
-	}
-	return d.flight.cfg.Dir
-}
+// FlightBundleDir returns where incident bundles are written ("" without a
+// FlightDir).
+func (d *DB) FlightBundleDir() string { return d.flight.cfg.Dir }

@@ -3,20 +3,16 @@ package db
 import (
 	"path/filepath"
 	"testing"
-	"time"
 )
 
-// benchDBFlight opens the no-flush benchmark store with the flight
-// recorder on or off. The on/off pair bounds the recorder tax on the fill
-// path — the observability contract is a throughput delta within a couple
-// of percent, and byte-identical behavior when off.
+// benchDBFlight opens the no-flush benchmark store with or without a
+// FlightDir, that is with or without the event ring on the listener chain.
+// The pair bounds the ring's tax on the fill path.
 func benchDBFlight(b *testing.B, on bool) *DB {
 	b.Helper()
 	o := testOptions(PolicyLocalOnly)
 	o.MemtableBytes = 256 << 20
-	o.FlightRecorder = on
 	if on {
-		o.VitalsInterval = time.Second
 		o.FlightDir = filepath.Join(b.TempDir(), "flight")
 	}
 	d, err := OpenAt(b.TempDir(), o)

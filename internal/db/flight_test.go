@@ -3,6 +3,7 @@ package db
 import (
 	"fmt"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -11,32 +12,87 @@ import (
 	"rocksmash/internal/storage"
 )
 
-// TestFlightOffPath verifies the FlightRecorder-off contract: no flight
-// state exists, the health surface still works off the plain metrics, and
-// the Put path allocates exactly what a store without the feature does.
-func TestFlightOffPath(t *testing.T) {
-	d, _ := openTest(t, PolicyLocalOnly)
-	defer d.Close()
+// openOutageStore opens a cloud-only store over a fault-injectable cloud,
+// sampling every 5ms, with bundles under flightDir ("" for none), and gives
+// its event ring (if any) a healthy window of traffic to capture.
+func openOutageStore(t *testing.T, flightDir string) (*DB, *storage.Faulty) {
+	t.Helper()
+	o := testOptions(PolicyCloudOnly)
+	o.VitalsInterval = 5 * time.Millisecond
+	o.FlightDir = flightDir
+	d, faulty, err := OpenAtChaos(t.TempDir(), o, storage.FaultConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d.Close() })
+	for i := 0; i < 50; i++ {
+		mustPut(t, d, fmt.Sprintf("pre-%04d", i), pipelineValue(i))
+	}
+	if err := d.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return d, faulty
+}
 
-	if d.flight != nil {
-		t.Fatal("flight state allocated with FlightRecorder off")
+// startOutage takes the cloud down under 50 writes and a flush, which trips
+// the breaker, and returns the cloud-outage incident the detector fires on
+// its next tick.
+func startOutage(t *testing.T, d *DB, faulty *storage.Faulty) flight.Incident {
+	t.Helper()
+	faulty.StartOutage(0)
+	for i := 0; i < 50; i++ {
+		mustPut(t, d, fmt.Sprintf("out-%04d", i), pipelineValue(i))
 	}
-	if incs := d.Incidents(); incs != nil {
-		t.Fatalf("Incidents() = %v with recorder off, want nil", incs)
+	if err := d.Flush(); err != nil {
+		t.Fatalf("flush during outage must degrade, not fail: %v", err)
 	}
-	if bundles, err := d.FlightBundles(); err != nil || bundles != nil {
-		t.Fatalf("FlightBundles() = %v, %v with recorder off, want nil, nil", bundles, err)
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		for _, inc := range d.Incidents() {
+			if inc.Rule == flight.RuleCloudOutage {
+				return inc
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no cloud-outage incident within deadline; incidents: %+v", d.Incidents())
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
-	h := d.Health()
-	if h.Status != HealthHealthy {
+}
+
+// TestFlightOffPath verifies a store without a FlightDir: it keeps no event
+// ring and writes no bundle, yet its detector runs — a cloud outage fires
+// cloud-outage into Incidents, Metrics, Health and DumpStats.
+func TestFlightOffPath(t *testing.T) {
+	d, faulty := openOutageStore(t, "")
+	if d.flight.rec != nil {
+		t.Fatal("event ring allocated without a FlightDir")
+	}
+	if h := d.Health(); h.Status != HealthHealthy {
 		t.Fatalf("fresh store Health = %+v, want healthy", h)
 	}
-	m := d.Metrics()
-	if m.IncidentsTriggered != 0 || m.BundlesWritten != 0 || len(m.ActiveIncidents) != 0 {
-		t.Fatalf("flight metrics nonzero with recorder off: %+v", m)
+	if incs := d.Incidents(); len(incs) != 0 {
+		t.Fatalf("healthy store fired incidents: %+v", incs)
 	}
-	if !strings.Contains(d.DumpStats(), "DB Stats") || strings.Contains(d.DumpStats(), "Flight Recorder") {
-		t.Fatal("DumpStats printed a Flight Recorder section with the recorder off")
+
+	inc := startOutage(t, d, faulty)
+	defer faulty.EndOutage()
+	if inc.Bundle != "" {
+		t.Fatalf("incident carried a bundle without a FlightDir: %+v", inc)
+	}
+	if bundles, err := d.FlightBundles(); err != nil || bundles != nil || d.FlightBundleDir() != "" {
+		t.Fatalf("FlightBundles() = %v, %v (dir %q) without a FlightDir, want nil, nil", bundles, err, d.FlightBundleDir())
+	}
+	m := d.Metrics()
+	if m.IncidentsTriggered < 1 || m.BundlesWritten != 0 || m.BundleErrors != 0 {
+		t.Fatalf("flight metrics: triggered %d, bundles %d, errors %d; want >= 1, 0, 0",
+			m.IncidentsTriggered, m.BundlesWritten, m.BundleErrors)
+	}
+	if h := d.Health(); h.Status == HealthHealthy || !slices.Contains(h.ActiveRules, flight.RuleCloudOutage) {
+		t.Fatalf("Health mid-outage = %+v, want degraded with cloud-outage active", h)
+	}
+	if dump := d.DumpStats(); !strings.Contains(dump, "Incidents: ") || strings.Contains(dump, "Event ring") {
+		t.Fatalf("DumpStats flight section: want incidents and no event ring:\n%s", dump)
 	}
 }
 
@@ -50,18 +106,16 @@ const putAllocs = 1.0
 // raceEnabled is set by race_test.go when the race detector is on.
 var raceEnabled bool
 
-// TestFlightOffPathAllocParity pins the off path to the no-feature
-// baseline: a store opened with FlightRecorder false must allocate exactly
-// as many objects per Put as one that never heard of the flight recorder.
-// The baseline itself is pinned to putAllocs; keys are formatted before the
+// TestFlightOffPathAllocParity pins Put on a store without a FlightDir —
+// the sampler and detector running, no event ring — to putAllocs, and shows
+// what the ring a FlightDir installs costs on top: a Put fires a commit-group
+// event, which the ring records in new objects. Keys are formatted before the
 // measured closure so only the Put is counted.
 func TestFlightOffPathAllocParity(t *testing.T) {
-	open := func(mutate func(*Options)) *DB {
+	open := func(flightDir string) *DB {
 		o := testOptions(PolicyLocalOnly)
 		o.MemtableBytes = 256 << 20 // never flush: isolate the commit path
-		if mutate != nil {
-			mutate(&o)
-		}
+		o.FlightDir = flightDir
 		d, err := OpenAt(t.TempDir(), o)
 		if err != nil {
 			t.Fatal(err)
@@ -84,76 +138,23 @@ func TestFlightOffPathAllocParity(t *testing.T) {
 			i++
 		})
 	}
-	baseline := measure(open(nil))
-	offPath := measure(open(func(o *Options) { o.FlightRecorder = false }))
-	if offPath != baseline {
-		t.Fatalf("FlightRecorder-off Put allocates %.1f objects/op, baseline %.1f", offPath, baseline)
+	offPath := measure(open(""))
+	if offPath != putAllocs && !raceEnabled {
+		t.Fatalf("Put without a FlightDir allocates %.1f objects/op, want %.0f", offPath, putAllocs)
 	}
-	if baseline != putAllocs && !raceEnabled {
-		t.Fatalf("Put allocates %.1f objects/op, want %.0f", baseline, putAllocs)
+	if ring := measure(open(filepath.Join(t.TempDir(), "flight"))); ring <= offPath {
+		t.Fatalf("Put with the event ring allocates %.1f objects/op, no more than %.1f without it", ring, offPath)
 	}
 }
 
-// TestFlightCloudOutageIncident drives a real outage through a recorder-on
-// store: the detector must fire cloud-outage exactly once for the episode,
-// dump a bundle whose ring demonstrably holds pre-trigger events, and flip
-// Health to degraded.
+// TestFlightCloudOutageIncident drives a real outage through a store with a
+// FlightDir: the detector must fire cloud-outage exactly once for the
+// episode, dump a bundle whose ring demonstrably holds pre-trigger events,
+// and flip Health to degraded.
 func TestFlightCloudOutageIncident(t *testing.T) {
-	dir := t.TempDir()
-	o := testOptions(PolicyCloudOnly)
-	o.FlightRecorder = true
-	o.VitalsInterval = 5 * time.Millisecond
-	o.FlightDir = filepath.Join(dir, "flight")
-	local, err := storage.NewLocal(filepath.Join(dir, "local"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cloud, err := storage.NewCloud(filepath.Join(dir, "cloud"), o.CloudLatency, o.CloudCost)
-	if err != nil {
-		t.Fatal(err)
-	}
-	faulty := storage.NewFaulty(cloud, storage.FaultConfig{})
-	o.pcacheDir = filepath.Join(dir, "pcache")
-	d, err := Open(o, local, faulty)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-
-	// Pre-outage traffic gives the ring a healthy window to capture.
-	for i := 0; i < 50; i++ {
-		mustPut(t, d, fmt.Sprintf("pre-%04d", i), pipelineValue(i))
-	}
-	if err := d.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	faulty.StartOutage(0)
-	for i := 0; i < 50; i++ {
-		mustPut(t, d, fmt.Sprintf("out-%04d", i), pipelineValue(i))
-	}
-	if err := d.Flush(); err != nil {
-		t.Fatalf("flush during outage must degrade, not fail: %v", err)
-	}
-
-	// The detector fires on the next vitals tick after the breaker opens.
-	var inc flight.Incident
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		found := false
-		for _, i := range d.Incidents() {
-			if i.Rule == flight.RuleCloudOutage {
-				inc, found = i, true
-			}
-		}
-		if found {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no cloud-outage incident within deadline; incidents: %+v", d.Incidents())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	d, faulty := openOutageStore(t, filepath.Join(t.TempDir(), "flight"))
+	inc := startOutage(t, d, faulty)
+	defer faulty.EndOutage()
 	// The whole flapping episode (open <-> half-open probes under the 5ms
 	// cooldown) must stay one incident.
 	time.Sleep(100 * time.Millisecond)
@@ -175,8 +176,8 @@ func TestFlightCloudOutageIncident(t *testing.T) {
 	if m.IncidentsTriggered < 1 {
 		t.Fatalf("Metrics.IncidentsTriggered = %d, want >= 1", m.IncidentsTriggered)
 	}
-	if !strings.Contains(d.DumpStats(), "Flight Recorder") {
-		t.Fatal("DumpStats missing the Flight Recorder section")
+	if !strings.Contains(d.DumpStats(), "Event ring") {
+		t.Fatal("DumpStats missing the event ring line")
 	}
 
 	if inc.Bundle == "" {
@@ -197,25 +198,44 @@ func TestFlightCloudOutageIncident(t *testing.T) {
 	if diag, err := flight.Analyze(bundles[0].Dir); err != nil || len(diag.Findings) == 0 {
 		t.Fatalf("doctor failed on a live bundle: %v (%+v)", err, diag)
 	}
+}
 
-	faulty.EndOutage()
+// TestFlightBundleKeepsDumpStatsInterval: a bundle renders its stats.txt
+// against the Open-time baseline and leaves the operator's DumpStats
+// interval alone — the interval after a bundle still counts from the
+// previous DumpStats call.
+func TestFlightBundleKeepsDumpStatsInterval(t *testing.T) {
+	d, faulty := openOutageStore(t, filepath.Join(t.TempDir(), "flight"))
+	before := d.Metrics().Writes
+	d.DumpStats()
+	if inc := startOutage(t, d, faulty); inc.Bundle == "" {
+		t.Fatalf("incident carried no bundle path: %+v", inc)
+	}
+	defer faulty.EndOutage()
+	after := d.Metrics().Writes
+	if after-before != 50 {
+		t.Fatalf("outage wrote %d batches, want 50", after-before)
+	}
+	if want := fmt.Sprintf("Interval writes:   %d ops", after-before); !strings.Contains(d.DumpStats(), want) {
+		t.Fatalf("DumpStats after a bundle lacks %q:\n%s", want, d.DumpStats())
+	}
 }
 
 // TestFlightShardedFacade verifies the sharded wiring: the facade's one
-// recorder sees every engine's events and its metrics carry the counters.
+// event ring sees every engine's events and its metrics carry the counters.
 func TestFlightShardedFacade(t *testing.T) {
 	o := testOptions(PolicyLocalOnly)
 	o.Shards = 4
-	o.FlightRecorder = true
 	o.VitalsInterval = 10 * time.Millisecond
+	o.FlightDir = filepath.Join(t.TempDir(), "flight")
 	d, err := OpenAt(t.TempDir(), o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
 
-	if d.flight == nil {
-		t.Fatal("facade has no flight state")
+	if d.flight.rec == nil {
+		t.Fatal("facade has no event ring")
 	}
 	for i := 0; i < 100; i++ {
 		mustPut(t, d, fmt.Sprintf("sh-%04d", i), pipelineValue(i))

@@ -329,7 +329,7 @@ type Iterator struct {
 	holds []scanHold
 
 	// prof accumulates the iterator's data-block reads by source tier over
-	// its whole lifetime (nil when profiling is disabled); seeks counts
+	// its whole lifetime (nil once Close has folded it in); seeks counts
 	// positioning operations. Both fold into the first engine's scan-side
 	// aggregates at Close, kept separate from per-Get read-amp accounting.
 	// nkeys counts live keys yielded, the denominator of the store's
@@ -619,10 +619,8 @@ func (it *Iterator) Close() error {
 	if it.nkeys > 0 {
 		d.stats.IterKeys.Add(it.nkeys)
 	}
-	if it.prof != nil {
-		d.readAgg.mergeIter(it.prof, it.seeks)
-		profilePool.Put(it.prof)
-		it.prof = nil
-	}
+	d.readAgg.mergeIter(it.prof, it.seeks)
+	profilePool.Put(it.prof)
+	it.prof = nil
 	return it.err
 }

@@ -156,44 +156,29 @@ type Options struct {
 	// reopen with the same value.
 	Shards int
 
-	// VitalsInterval enables continuous time-series telemetry: a background
-	// sampler snapshots Metrics() into a fixed-size lock-free ring at this
-	// period and derives windowed rates (ops/s, bytes/s per tier, cache hit
-	// ratios, write-amp, $/hour — see internal/vitals and DB.Vitals). 0
-	// (the default) disables sampling entirely: no goroutine starts and the
-	// hot paths are untouched. One sampler serves the whole store, whatever
-	// the shard count.
+	// VitalsInterval is the telemetry resolution. Every store runs one
+	// sampler that snapshots Metrics() into a fixed ring of
+	// vitals.DefaultHistory samples at this period, derives windowed rates
+	// from it (ops/s, bytes/s per tier, cache hit ratios, write-amp, $/hour
+	// — see internal/vitals and DB.Vitals) and evaluates the anomaly
+	// detector on every sample (see internal/flight). The operator trades
+	// resolution against cost: a shorter period sees a spike sooner and
+	// rates over shorter windows but keeps less history in the ring, and
+	// each sample is one Metrics() call (about 15 µs and 10 allocations on
+	// one shard, 26 µs on four). 0 or a negative value means 1s, which
+	// keeps 12 minutes of history for under 0.003 % of one core.
 	VitalsInterval time.Duration
-	// VitalsHistory is the sample ring capacity (how much history /vitals
-	// and `mashctl top` can see). 0 means vitals.DefaultHistory (720 — 12
-	// minutes at a 1s interval).
-	VitalsHistory int
 
-	// FlightRecorder enables the flight recorder: a bounded lock-free ring
-	// of recent engine events tapped off the listener chain, an anomaly
-	// detector evaluated on every vitals tick (latency spikes, write-stall
-	// onset, breaker trips, compaction-debt growth, cache collapse, shard
-	// skew, cost spikes — see internal/flight and DESIGN.md §5j), and
-	// atomic postmortem bundle dumps when a detector fires. Off (the
-	// default) the flight path does not exist: no ring, no detector, no
-	// per-event or per-write cost. Enabling it defaults VitalsInterval to
-	// 1s when unset (the detector rides the vitals tick).
-	FlightRecorder bool
-	// FlightDir overrides where incident bundles are written. Empty derives
-	// <local root>/../flight when the local backend is a real directory;
-	// otherwise bundling is disabled (detection still runs).
+	// FlightDir is where incident postmortem bundles are written. The
+	// operator decides whether incidents keep evidence: set, the store taps
+	// its listener chain into a bounded ring of recent events (two
+	// allocations per event, and every commit group is one) and a firing
+	// detector rule dumps
+	// that ring, the vitals history, Metrics, DumpStats and goroutine/heap
+	// profiles there (at most one bundle per rule per 30s, newest 8 kept).
+	// Empty (the default) keeps neither ring nor bundles; detection,
+	// DB.Incidents and Health run either way.
 	FlightDir string
-	// FlightBundleInterval rate-limits bundle dumps: at most one bundle per
-	// interval regardless of how many detectors fire. 0 means 30s.
-	FlightBundleInterval time.Duration
-
-	// ReadProfileSampleRate selects 1-in-N Gets for full (timed) read-path
-	// profiling; the cheap counter core (levels probed, tables touched,
-	// bloom outcomes, blocks by tier) is recorded for every Get regardless.
-	// 0 means the default (64), 1 times every Get, and a negative value
-	// disables profiling entirely — Gets then take the nil-profile fast
-	// path and record nothing.
-	ReadProfileSampleRate int
 
 	// EventListener receives engine lifecycle events (flush, compaction,
 	// upload, stall, cache transitions). Nil disables event dispatch at zero
@@ -231,7 +216,6 @@ func DefaultOptions() Options {
 		WALSegmentBytes:       4 << 20,
 		ExtendedWAL:           true,
 		RecoveryParallelism:   4,
-		ReadProfileSampleRate: 64,
 		CloudLatency:          storage.DefaultLatency(),
 		CloudCost:             storage.DefaultCost(),
 	}
@@ -282,23 +266,9 @@ func (o Options) sanitize() Options {
 	if o.RecoveryParallelism <= 0 {
 		o.RecoveryParallelism = 1
 	}
-	switch {
-	case o.ReadProfileSampleRate == 0:
-		o.ReadProfileSampleRate = d.ReadProfileSampleRate
-	case o.ReadProfileSampleRate < 0:
-		o.ReadProfileSampleRate = -1 // disabled (idempotent sentinel)
-	}
 	o.CloudRetry = o.CloudRetry.Sanitize()
-	if o.VitalsInterval < 0 {
-		o.VitalsInterval = 0
-	}
-	if o.FlightRecorder && o.VitalsInterval == 0 {
-		// The detector evaluates on vitals ticks; a recorder without a
-		// heartbeat would never detect anything.
+	if o.VitalsInterval <= 0 {
 		o.VitalsInterval = time.Second
-	}
-	if o.VitalsHistory < 0 {
-		o.VitalsHistory = 0 // NewSampler substitutes vitals.DefaultHistory
 	}
 	if o.Shards < 1 {
 		o.Shards = 1

@@ -11,11 +11,15 @@ import (
 )
 
 // Read-path profiling (see internal/readprof and DESIGN.md §5e). Every Get
-// carries a pooled profile unless ReadProfileSampleRate is negative; the
-// counter core (levels probed, tables, bloom, blocks by tier) is always
-// recorded, and 1-in-N profiles are additionally Timed — they pay per-stage
-// clock reads and feed the slow-read tracker. Profiles are recycled through
-// a sync.Pool so the sampled path stays allocation-free in steady state.
+// carries a pooled profile whose counter core (levels probed, tables, bloom,
+// blocks by tier) is always recorded; 1 in profileSampleRate of them are
+// also Timed — they pay per-stage clock reads and feed the slow-read
+// tracker — and DB.GetProfiled times the one read it makes. Profiles are
+// recycled through a sync.Pool so the path stays allocation-free in steady
+// state.
+
+// profileSampleRate is how many Gets share one Timed profile.
+const profileSampleRate = 64
 
 var profilePool = sync.Pool{New: func() any { return readprof.New() }}
 
@@ -25,15 +29,11 @@ func getProfile() *readprof.Profile {
 	return p
 }
 
-// newProfile returns a read's pooled profile, 1-in-ReadProfileSampleRate of
-// them Timed, or nil when profiling is disabled.
+// newProfile returns a read's pooled profile, 1 in profileSampleRate of
+// them Timed.
 func (d *engine) newProfile() *readprof.Profile {
-	rate := d.opts.ReadProfileSampleRate
-	if rate <= 0 {
-		return nil
-	}
 	p := getProfile()
-	p.Timed = rate == 1 || d.profTick.Add(1)%uint64(rate) == 0
+	p.Timed = d.profTick.Add(1)%profileSampleRate == 0
 	return p
 }
 

@@ -33,9 +33,7 @@ func loadTiered(t *testing.T, d *DB, n int) {
 }
 
 func TestGetProfiledInvariants(t *testing.T) {
-	o := testOptions(PolicyMash)
-	o.ReadProfileSampleRate = 1
-	d, err := OpenAt(t.TempDir(), o)
+	d, err := OpenAt(t.TempDir(), testOptions(PolicyMash))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,55 +110,49 @@ func TestGetProfiledInvariants(t *testing.T) {
 	}
 }
 
-// TestProfilerOnOffIdenticalResults runs the same workload against two
-// stores that differ only in sampling rate and requires identical answers:
-// the profiler must be an observer, never a participant.
-func TestProfilerOnOffIdenticalResults(t *testing.T) {
+// TestGetProfiledIdenticalResults reads every key with Get, whose profile
+// is timed 1 in 64, and with GetProfiled, which always times it, and
+// requires identical answers: the profiler must be an observer, never a
+// participant. Both feed the aggregates.
+func TestGetProfiledIdenticalResults(t *testing.T) {
 	const n = 1500
-	open := func(rate int) *DB {
-		o := testOptions(PolicyMash)
-		o.ReadProfileSampleRate = rate
-		d, err := OpenAt(t.TempDir(), o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { d.Close() })
-		loadTiered(t, d, n)
-		return d
+	d, err := OpenAt(t.TempDir(), testOptions(PolicyMash))
+	if err != nil {
+		t.Fatal(err)
 	}
-	on, off := open(1), open(-1)
+	defer d.Close()
+	loadTiered(t, d, n)
 	for i := 0; i < n+20; i++ {
 		k := profKey(i)
-		v1, err1 := on.Get(k)
-		v2, err2 := off.Get(k)
+		v1, err1 := d.Get(k)
+		v2, _, err2 := d.GetProfiled(k)
 		if err1 != err2 || string(v1) != string(v2) {
-			t.Fatalf("key %s: profiler-on (%q, %v) != profiler-off (%q, %v)", k, v1, err1, v2, err2)
+			t.Fatalf("key %s: Get (%q, %v) != GetProfiled (%q, %v)", k, v1, err1, v2, err2)
 		}
 	}
-	if ra := off.Metrics().ReadAmp; ra.ProfiledGets != 0 {
-		t.Errorf("disabled profiler still aggregated %d gets", ra.ProfiledGets)
+	ra := d.Metrics().ReadAmp
+	if ra.ProfiledGets != 2*(n+20) {
+		t.Errorf("aggregated %d profiled gets, want %d", ra.ProfiledGets, 2*(n+20))
 	}
-	if ra := on.Metrics().ReadAmp; ra.ProfiledGets == 0 {
-		t.Errorf("rate-1 profiler aggregated nothing")
+	if ra.TimedGets < n+20 || ra.TimedGets >= 2*(n+20) {
+		t.Errorf("aggregated %d timed gets, want every GetProfiled (%d) and a sample of the Gets", ra.TimedGets, n+20)
 	}
 }
 
-// TestSlowReadTraceRoundTrip drives timed reads with a trace listener
+// TestSlowReadTraceRoundTrip drives timed reads (GetProfiled) with a trace listener
 // attached and checks the reservoir's SlowRead records survive the JSONL
 // round trip with their attribution intact.
 func TestSlowReadTraceRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "trace.jsonl")
-	o := testOptions(PolicyMash)
-	o.ReadProfileSampleRate = 1
-	d, closeTraced := openTraced(t, dir, o, path)
+	d, closeTraced := openTraced(t, dir, testOptions(PolicyMash), path)
 	loadTiered(t, d, 1000)
 	d.engines[0].slow.mu.Lock()
 	d.engines[0].slow.keep = 4
 	d.engines[0].slow.window = time.Hour // flushed at Close, not mid-run
 	d.engines[0].slow.mu.Unlock()
 	for i := 0; i < 200; i++ {
-		if _, err := d.Get(profKey(i)); err != nil {
+		if _, _, err := d.GetProfiled(profKey(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -197,9 +189,7 @@ func TestSlowReadTraceRoundTrip(t *testing.T) {
 // TestReadAmpDumpStatsConsistent checks the text report renders the same
 // numbers Metrics exposes.
 func TestReadAmpDumpStatsConsistent(t *testing.T) {
-	o := testOptions(PolicyMash)
-	o.ReadProfileSampleRate = 1
-	d, err := OpenAt(t.TempDir(), o)
+	d, err := OpenAt(t.TempDir(), testOptions(PolicyMash))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,9 +217,7 @@ func TestReadAmpDumpStatsConsistent(t *testing.T) {
 // TestIteratorProfileAggregates verifies scans land in the iterator-side
 // aggregates, separate from per-Get read amp.
 func TestIteratorProfileAggregates(t *testing.T) {
-	o := testOptions(PolicyMash)
-	o.ReadProfileSampleRate = 1
-	d, err := OpenAt(t.TempDir(), o)
+	d, err := OpenAt(t.TempDir(), testOptions(PolicyMash))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,9 +257,7 @@ func TestIteratorProfileAggregates(t *testing.T) {
 // writers with the commit pipeline active; run under -race this proves the
 // profile threading adds no shared-state races.
 func TestConcurrentProfiledReads(t *testing.T) {
-	o := testOptions(PolicyMash)
-	o.ReadProfileSampleRate = 1
-	d, err := OpenAt(t.TempDir(), o)
+	d, err := OpenAt(t.TempDir(), testOptions(PolicyMash))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,37 +309,50 @@ const (
 	getAllocsAbsent     = 0.0
 )
 
-// TestGetAllocsProfilerParity: the pooled profiler must not add steady-state
-// allocations to Get relative to running with profiling disabled — whether
-// the hit is in the memtable or in a flushed table's cached block, or the
-// key is absent — and the absolute counts are the ones pinned above.
-func TestGetAllocsProfilerParity(t *testing.T) {
-	key := []byte("alloc-parity-key")
-	measure := func(rate int, flushed bool, probe []byte) float64 {
-		o := testOptions(PolicyLocalOnly)
-		o.MemtableBytes = 64 << 20 // no flushes during measurement
-		o.ReadProfileSampleRate = rate
-		d, err := OpenAt(t.TempDir(), o)
-		if err != nil {
+// allocParityKey is the key the Get allocation pins read.
+const allocParityKey = "alloc-parity-key"
+
+// getAllocs measures the allocations of one Get route on a store whose
+// sampler runs every millisecond: with the key in the memtable or, flushed,
+// in a cached block, and probe present or absent. profiled reads through
+// GetProfiled instead of Get.
+func getAllocs(t *testing.T, flushed, profiled bool, probe []byte) float64 {
+	key := []byte(allocParityKey)
+	o := testOptions(PolicyLocalOnly)
+	o.MemtableBytes = 64 << 20 // no flushes during measurement
+	o.VitalsInterval = time.Millisecond
+	d, err := OpenAt(t.TempDir(), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	mustPut(t, d, string(key), "v")
+	mustPut(t, d, "alloc-parity-zzz", "v") // probes sort inside the table's range
+	if flushed {
+		if err := d.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		defer d.Close()
-		mustPut(t, d, string(key), "v")
-		mustPut(t, d, "alloc-parity-zzz", "v") // probes sort inside the table's range
-		if flushed {
-			if err := d.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			mustGet(t, d, string(key), "v") // admit the block
-		}
-		present := bytes.Equal(probe, key)
-		return testing.AllocsPerRun(2000, func() {
-			_, err := d.Get(probe)
-			if present && err != nil || !present && !errors.Is(err, ErrNotFound) {
-				t.Fatalf("Get(%s) = %v", probe, err)
-			}
-		})
+		mustGet(t, d, string(key), "v") // admit the block
 	}
+	present := bytes.Equal(probe, key)
+	return testing.AllocsPerRun(2000, func() {
+		var err error
+		if profiled {
+			_, _, err = d.GetProfiled(probe)
+		} else {
+			_, err = d.Get(probe)
+		}
+		if present && err != nil || !present && !errors.Is(err, ErrNotFound) {
+			t.Fatalf("Get(%s) = %v", probe, err)
+		}
+	})
+}
+
+// TestGetAllocsProfilerParity pins every Get route to the counts above, and
+// requires GetProfiled, whose profile is always timed and copied out, to
+// allocate exactly as much: profiling adds no steady-state allocation.
+func TestGetAllocsProfilerParity(t *testing.T) {
+	key := []byte(allocParityKey)
 	for _, c := range []struct {
 		name    string
 		flushed bool
@@ -365,15 +364,15 @@ func TestGetAllocsProfilerParity(t *testing.T) {
 		{"absent-memtable", false, []byte("alloc-parity-none"), getAllocsAbsent},
 		{"absent-flushed", true, []byte("alloc-parity-none"), getAllocsAbsent},
 	} {
-		off := measure(-1, c.flushed, c.probe)
-		on := measure(64, c.flushed, c.probe)
-		// Allow sub-1 slack: a GC clearing the sync.Pool mid-run re-allocates
-		// one profile, but steady state must be identical.
-		if on > off+0.5 {
-			t.Errorf("%s: profiler adds allocations: on=%.3f off=%.3f allocs/Get", c.name, on, off)
+		get, profiled := getAllocs(t, c.flushed, false, c.probe), getAllocs(t, c.flushed, true, c.probe)
+		if raceEnabled {
+			continue
 		}
-		if off != c.want && !raceEnabled {
-			t.Errorf("%s: Get allocates %.3f objects/op, want %.0f", c.name, off, c.want)
+		if get != c.want {
+			t.Errorf("%s: Get allocates %.3f objects/op, want %.0f", c.name, get, c.want)
+		}
+		if profiled != c.want {
+			t.Errorf("%s: GetProfiled allocates %.3f objects/op, want %.0f", c.name, profiled, c.want)
 		}
 	}
 }
@@ -406,7 +405,6 @@ func TestScanAllocs(t *testing.T) {
 func testScanAllocs(t *testing.T, shards int, perSeek float64) {
 	o := testOptions(PolicyLocalOnly)
 	o.MemtableBytes = 64 << 20
-	o.ReadProfileSampleRate = -1
 	o.Shards = shards
 	d, err := OpenAt(t.TempDir(), o)
 	if err != nil {
@@ -461,30 +459,22 @@ func testScanAllocs(t *testing.T, shards int, perSeek float64) {
 	}
 }
 
-func BenchmarkGetProfilerOff(b *testing.B) {
-	benchmarkGetRate(b, -1, false, false)
-}
-
-func BenchmarkGetProfilerSampled(b *testing.B) {
-	benchmarkGetRate(b, 64, false, false)
-}
-
+// BenchmarkGetProfiled is BenchmarkGet with every read timed.
 func BenchmarkGetProfiled(b *testing.B) {
-	benchmarkGetRate(b, 1, true, false)
+	benchmarkGetRoute(b, true, false)
 }
 
 // BenchmarkGetBlockCache is BenchmarkGet's other route: every key is in a
 // flushed table whose blocks all fit the block cache (bloom, index seek,
 // cache hit, data-block seek, value copy).
 func BenchmarkGetBlockCache(b *testing.B) {
-	benchmarkGetRate(b, 64, false, true)
+	benchmarkGetRoute(b, false, true)
 }
 
-func benchmarkGetRate(b *testing.B, rate int, full, flushed bool) {
+func benchmarkGetRoute(b *testing.B, full, flushed bool) {
 	o := testOptions(PolicyLocalOnly)
 	o.MemtableBytes = 256 << 20
 	o.BlockCacheBytes = 8 << 20
-	o.ReadProfileSampleRate = rate
 	d, err := OpenAt(b.TempDir(), o)
 	if err != nil {
 		b.Fatal(err)

@@ -25,9 +25,6 @@ type BundleConfig struct {
 	Dir string
 	// MaxBundles caps retained bundle directories; the oldest are pruned.
 	MaxBundles int
-	// MinInterval rate-limits dumps: a bundle is skipped when one was
-	// written more recently than this.
-	MinInterval time.Duration
 	// MaxEventBytes soft-caps the events.jsonl file; the oldest entries
 	// are dropped first.
 	MaxEventBytes int64

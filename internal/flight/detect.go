@@ -294,7 +294,7 @@ type Incident struct {
 	Threshold float64 `json:"threshold"`
 	UnixNano  int64   `json:"unix_nano"`
 	// Bundle is the postmortem directory, filled in by the bundle writer
-	// ("" when bundling was rate-limited or disabled).
+	// ("" when the bundle was rate-limited or the store has no FlightDir).
 	Bundle string `json:"bundle,omitempty"`
 }
 

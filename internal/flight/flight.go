@@ -7,10 +7,11 @@
 //
 // Like internal/vitals, the package is engine-agnostic: it depends only on
 // the event and vitals vocabularies plus byte slices the DB hands it, so
-// internal/db can import it without a cycle. The recorder implements
-// event.Listener and is merged into the DB's listener chain exactly like
-// the trace writer; when Options.FlightRecorder is off, nothing here is
-// ever allocated and the engine's hot paths are byte-identical.
+// internal/db can import it without a cycle. Every store runs the detector;
+// the recorder implements event.Listener and is merged into the DB's
+// listener chain exactly like the trace writer, but only in a store with a
+// bundle directory (Options.FlightDir), so a store without one pays nothing
+// per event.
 package flight
 
 import (

@@ -215,7 +215,7 @@ func phaseReport(cfg Config, name string, r PhaseResult) {
 	w := cfg.out()
 	line := func(kind string, h *histogram.H) {
 		if h.Count() > 0 {
-			fmt.Fprintf(w, "    [%s %s] %s ops/s  p50=%s p90=%s p99=%s max=%s\n",
+			fmt.Fprintf(w, "    [%s %s] %s kops/s  p50=%s p90=%s p99=%s max=%s\n",
 				name, kind, kops(int(h.Count()), r.Dur),
 				h.Percentile(50), h.Percentile(90), h.Percentile(99), h.Max())
 		}

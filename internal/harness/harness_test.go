@@ -29,6 +29,9 @@ func TestAllExperimentsQuick(t *testing.T) {
 			if len(strings.Split(out, "\n")) < 4 {
 				t.Fatalf("report suspiciously short:\n%s", out)
 			}
+			if strings.Contains(out, " ops/s  p50=") {
+				t.Fatalf("a phase line labels its k-ops/s figure ops/s:\n%s", out)
+			}
 		})
 	}
 }

@@ -17,7 +17,7 @@ func init() {
 	register("fig-incident", "Flight recorder (ours): anomaly detection and postmortem bundles across three injected-fault episodes", incidentExperiment)
 }
 
-// incidentExperiment drives one recorder-enabled sharded store through a
+// incidentExperiment drives one sharded store with a bundle directory through a
 // healthy fill followed by three injected-fault episodes, each of which must
 // fire its matching detector rule exactly once and leave behind a postmortem
 // bundle whose event ring demonstrably predates the trigger:
@@ -42,11 +42,9 @@ func incidentExperiment(cfg Config) error {
 	opts.WALCloudBackup = true
 	opts.LocalBreaker.Cooldown = 250 * time.Millisecond
 	opts.CloudBreaker.Cooldown = 250 * time.Millisecond
-	// The flight recorder under test: 20ms detection ticks, a bundle per
-	// incident (the rate limit dropped below the tick interval).
-	opts.FlightRecorder = true
+	// The flight recorder under test: 20ms detection ticks, and a bundle
+	// directory, so each rule's first incident leaves a bundle.
 	opts.VitalsInterval = 20 * time.Millisecond
-	opts.FlightBundleInterval = 10 * time.Millisecond
 	opts.FlightDir = filepath.Join(cfg.BaseDir, "incident", "flight")
 
 	dir := filepath.Join(cfg.BaseDir, "incident", "db")

@@ -28,11 +28,12 @@ type readAmpRow struct {
 	PCacheBlocks     int64 `json:"pcache_blocks"`
 	LocalBlocks      int64 `json:"local_blocks"`
 	CloudBlocks      int64 `json:"cloud_blocks"`
+	// CloudFetchMicros is the cloud fetch time of the timed Gets (1 in 64).
 	CloudFetchMicros int64 `json:"cloud_fetch_micros"`
 }
 
 // figReadAmp is an ablation this implementation adds on top of the paper's
-// evaluation: with every Get profiled (sample rate 1), sweep the persistent
+// evaluation: with every Get profiled (as every Get is), sweep the persistent
 // cache size under PolicyMash with only L0 kept local, and show where each
 // read's blocks actually came from. As the pcache grows it absorbs block
 // reads that would otherwise hit cloud objects, which the per-tier columns
@@ -52,7 +53,6 @@ func figReadAmp(cfg Config) error {
 		opts := expOptions(db.PolicyMash)
 		opts.LocalLevels = 1
 		opts.PCacheBytes = int64(mb) << 20
-		opts.ReadProfileSampleRate = 1
 		d, r, err := loadAndRun(cfg, fmt.Sprintf("readamp-%dmb", mb), opts, cfg.phase(ycsb.WorkloadC, records, reads))
 		if err != nil {
 			return err

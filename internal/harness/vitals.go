@@ -68,9 +68,9 @@ func vitalsExperiment(cfg Config) error {
 	// compaction that cannot run until the outage ends, so give L0 enough
 	// headroom for the whole outage phase's degraded flush backlog.
 	opts.L0StallFiles = 64
-	// Fine sampler cadence with enough history to retain the whole run.
+	// Fine sampler cadence: the ring keeps the run's newest
+	// vitals.DefaultHistory samples.
 	opts.VitalsInterval = 20 * time.Millisecond
-	opts.VitalsHistory = 8192
 
 	dir := filepath.Join(cfg.BaseDir, "fig-vitals", "mash")
 	if err := os.RemoveAll(dir); err != nil {
@@ -81,9 +81,6 @@ func vitalsExperiment(cfg Config) error {
 		return err
 	}
 	defer d.Close()
-	if d.Vitals() == nil {
-		return errors.New("fig-vitals: sampler did not start")
-	}
 	fmt.Fprintf(w, "  records=%d sampler=%s\n", records, opts.VitalsInterval)
 
 	var phases []vitalsPhase

@@ -8,6 +8,7 @@ package metrics
 
 import (
 	"fmt"
+	"io"
 	"time"
 
 	"rocksmash/internal/manifest"
@@ -118,6 +119,65 @@ func sumTiers(perTier [readprof.NumTiers]int64) (n int64) {
 		n += v
 	}
 	return n
+}
+
+// HumanBytes renders a byte count with a binary-unit suffix.
+func HumanBytes(n int64) string {
+	switch {
+	case n >= 1<<30:
+		return fmt.Sprintf("%.2f GB", float64(n)/(1<<30))
+	case n >= 1<<20:
+		return fmt.Sprintf("%.2f MB", float64(n)/(1<<20))
+	case n >= 1<<10:
+		return fmt.Sprintf("%.2f KB", float64(n)/(1<<10))
+	default:
+		return fmt.Sprintf("%d B", n)
+	}
+}
+
+// Render writes the read-path report: the profiled Gets and where they
+// were served, read amplification, bloom effectiveness, serves, probes and
+// persistent-cache outcomes per level, blocks and fetch time per tier
+// (fetch time from the timed Gets only), and the iterators' block reads.
+// DumpStats' "Read Path" section and `mashctl profile -addr` both print it.
+func (r ReadAmp) Render(w io.Writer) {
+	fmt.Fprintf(w, "Profiled gets: %d (%d timed), served mem %d, not found %d\n",
+		r.ProfiledGets, r.TimedGets, r.MemServes, r.NotFound)
+	fmt.Fprintf(w, "Read amp: %.2f tables/get, %.2f blocks/get, %s/get\n",
+		r.TablesPerGet(), r.BlocksPerGet(), HumanBytes(int64(r.BytesPerGet())))
+	if r.BloomChecked > 0 {
+		fmt.Fprintf(w, "Bloom: %d checked, %d negative (%.3f true-negative rate)\n",
+			r.BloomChecked, r.BloomNegative, r.BloomTrueNegativeRate())
+	}
+	fmt.Fprintf(w, "%-6s %10s %10s %14s %14s\n", "level", "serves", "probes", "pcache-hit", "pcache-miss")
+	for l := range r.LevelServes {
+		if r.LevelServes[l] == 0 && r.LevelProbes[l] == 0 &&
+			r.PCacheLevelHits[l] == 0 && r.PCacheLevelMisses[l] == 0 {
+			continue
+		}
+		fmt.Fprintf(w, "L%-5d %10d %10d %14d %14d\n",
+			l, r.LevelServes[l], r.LevelProbes[l], r.PCacheLevelHits[l], r.PCacheLevelMisses[l])
+	}
+	if uh, um := r.PCacheLevelHits[pcache.LevelUnknown], r.PCacheLevelMisses[pcache.LevelUnknown]; uh+um > 0 {
+		fmt.Fprintf(w, "%-6s %10s %10s %14d %14d\n", "L?", "-", "-", uh, um)
+	}
+	fmt.Fprintf(w, "%-12s %10s %12s %12s\n", "tier", "blocks", "bytes", "time")
+	for t := readprof.Tier(0); t < readprof.NumTiers; t++ {
+		if r.Blocks[t] == 0 {
+			continue
+		}
+		fmt.Fprintf(w, "%-12s %10d %12s %12s\n", t, r.Blocks[t], HumanBytes(r.Bytes[t]),
+			time.Duration(r.FetchNanos[t]).Round(time.Microsecond))
+	}
+	if r.IterSeeks > 0 {
+		fmt.Fprintf(w, "Iterators: %d seeks", r.IterSeeks)
+		for t := readprof.Tier(0); t < readprof.NumTiers; t++ {
+			if r.IterBlocks[t] > 0 {
+				fmt.Fprintf(w, ", %s %d blocks (%s)", t, r.IterBlocks[t], HumanBytes(r.IterBytes[t]))
+			}
+		}
+		fmt.Fprintln(w)
+	}
 }
 
 // LevelWriteAmp attributes compaction traffic to one source→target level
@@ -252,8 +312,7 @@ type Metrics struct {
 	WALSpills             int64
 	WALRestored           int64
 
-	// Flight-recorder state (zero when Options.FlightRecorder is off):
-	// detector fires, cooldown-suppressed re-triggers, postmortem bundle
+	// Flight-recorder state: detector fires, cooldown-suppressed re-triggers, postmortem bundle
 	// outcomes, and the rule IDs active at snapshot time.
 	IncidentsTriggered  int64
 	IncidentsSuppressed int64
@@ -262,7 +321,7 @@ type Metrics struct {
 	ActiveIncidents     []string
 
 	// Read-path attribution (per-level serves, per-tier blocks, bloom
-	// effectiveness); zero-valued when ReadProfileSampleRate is negative.
+	// effectiveness).
 	ReadAmp ReadAmp
 
 	// Per-operation latency distributions (engine-side).

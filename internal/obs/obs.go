@@ -32,12 +32,11 @@ import (
 //	/debug/vars   expvar-format JSON with a "rocksmash" Metrics() snapshot
 //	/stats        the DumpStats() multi-line text report
 //	/metrics      Prometheus text exposition
-//	/vitals       vitals time-series JSON (ring dump + latest window);
-//	              {"enabled": false} when Options.VitalsInterval is 0
+//	/vitals       vitals time-series JSON (ring dump + latest window)
 //	/health       DB.Health() as JSON; HTTP 503 only when unhealthy, so
 //	              load-balancer probes eject a dead store but keep a
 //	              degraded one serving
-//	/incidents    flight-recorder incident log and on-disk bundle list
+//	/incidents    detector incident log and on-disk bundle list
 //	/debug/pprof  runtime profiling (net/http/pprof)
 //
 // The returned server's Addr field holds the bound address (useful with
@@ -80,27 +79,21 @@ func NewMux(d *db.DB) *http.ServeMux {
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		WriteProm(w, d.Metrics())
-		if s := d.Vitals(); s != nil {
-			if win, ok := s.LatestWindow(); ok {
-				WritePromVitals(w, win)
-			}
+		if win, ok := d.Vitals().LatestWindow(); ok {
+			WritePromVitals(w, win)
 		}
 		WritePromHealth(w, d.Health())
 	})
 	mux.HandleFunc("/health", func(w http.ResponseWriter, r *http.Request) {
 		h := d.Health()
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
 		// 503 only for unhealthy: a degraded store is still serving reads
 		// and writes, and a probe that ejects it would turn an impaired
 		// tier into an outage.
+		status := http.StatusOK
 		if h.Status == db.HealthUnhealthy {
-			w.WriteHeader(http.StatusServiceUnavailable)
+			status = http.StatusServiceUnavailable
 		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(h); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
+		writeJSON(w, status, h)
 	})
 	mux.HandleFunc("/incidents", func(w http.ResponseWriter, r *http.Request) {
 		bundles, err := d.FlightBundles()
@@ -108,35 +101,14 @@ func NewMux(d *db.DB) *http.ServeMux {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		resp := struct {
-			Enabled   bool                `json:"enabled"`
+		writeJSON(w, http.StatusOK, struct {
 			BundleDir string              `json:"bundle_dir,omitempty"`
 			Incidents []flight.Incident   `json:"incidents"`
 			Bundles   []flight.BundleMeta `json:"bundles"`
-		}{
-			Enabled:   d.FlightEnabled(),
-			BundleDir: d.FlightBundleDir(),
-			Incidents: d.Incidents(),
-			Bundles:   bundles,
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(resp); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
+		}{d.FlightBundleDir(), d.Incidents(), bundles})
 	})
 	mux.HandleFunc("/vitals", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		var rep vitals.Report
-		if s := d.Vitals(); s != nil {
-			rep = s.Report()
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
+		writeJSON(w, http.StatusOK, d.Vitals().Report())
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -144,6 +116,19 @@ func NewMux(d *db.DB) *http.ServeMux {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
+}
+
+// writeJSON answers with v as indented JSON and status, or with a 500 when
+// v does not encode.
+func writeJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	w.WriteHeader(status)
+	w.Write(append(body, '\n'))
 }
 
 // promWriter emits Prometheus text exposition: one HELP/TYPE header per

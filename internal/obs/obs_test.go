@@ -176,26 +176,23 @@ func firstLines(s string, n int) string {
 	return strings.Join(lines, "\n")
 }
 
-// TestVitalsEndpoint covers both sampler states: disabled reports
-// {"enabled": false}; enabled returns the ring with a latest sample and at
-// least one derived window, plus rocksmash_vitals_* gauges on /metrics.
+// TestVitalsEndpoint: a default store's /vitals holds the sample taken at
+// Open; with a fast interval and some traffic it returns the ring with a
+// latest sample and at least one derived window, plus rocksmash_vitals_*
+// gauges on /metrics.
 func TestVitalsEndpoint(t *testing.T) {
-	// Disabled: default options.
 	d := openDB(t)
 	s := httptest.NewServer(NewMux(d))
 	defer s.Close()
-	var off vitals.Report
-	if err := json.Unmarshal([]byte(get(t, s.URL+"/vitals")), &off); err != nil {
+	var def vitals.Report
+	if err := json.Unmarshal([]byte(get(t, s.URL+"/vitals")), &def); err != nil {
 		t.Fatal(err)
 	}
-	if off.Enabled || off.Latest != nil {
-		t.Fatalf("disabled /vitals = %+v, want enabled=false", off)
-	}
-	if strings.Contains(get(t, s.URL+"/metrics"), "rocksmash_vitals_") {
-		t.Error("disabled sampler leaked rocksmash_vitals_* families")
+	if def.IntervalSeconds != 1 || def.Latest == nil {
+		t.Fatalf("default /vitals = interval %vs, latest %v; want 1s and the Open-time sample", def.IntervalSeconds, def.Latest)
 	}
 
-	// Enabled: fast interval, some traffic, wait for >= 2 samples.
+	// Fast interval, some traffic, wait for >= 2 samples.
 	o := db.DefaultOptions()
 	o.VitalsInterval = time.Millisecond
 	dv, err := db.OpenAt(t.TempDir(), o)
@@ -216,9 +213,9 @@ func TestVitalsEndpoint(t *testing.T) {
 	if err := json.Unmarshal([]byte(get(t, sv.URL+"/vitals")), &on); err != nil {
 		t.Fatal(err)
 	}
-	if !on.Enabled || on.Latest == nil || on.Window == nil || len(on.Samples) < 2 {
-		t.Fatalf("enabled /vitals incomplete: enabled=%v latest=%v window=%v samples=%d",
-			on.Enabled, on.Latest != nil, on.Window != nil, len(on.Samples))
+	if on.Latest == nil || on.Window == nil || len(on.Samples) < 2 {
+		t.Fatalf("/vitals incomplete: latest=%v window=%v samples=%d",
+			on.Latest != nil, on.Window != nil, len(on.Samples))
 	}
 	if on.Latest.Writes == 0 {
 		t.Errorf("latest sample missed the write: %+v", on.Latest)
@@ -231,7 +228,7 @@ func TestVitalsEndpoint(t *testing.T) {
 		"rocksmash_vitals_ops_per_dollar",
 	} {
 		if !strings.Contains(metrics, fam) {
-			t.Errorf("/metrics missing %s with vitals enabled", fam)
+			t.Errorf("/metrics missing %s with two samples", fam)
 		}
 	}
 }

@@ -148,7 +148,6 @@ func TestPromConformanceFull(t *testing.T) {
 	o := db.DefaultOptions()
 	o.Shards = 2
 	o.VitalsInterval = time.Millisecond
-	o.FlightRecorder = true
 	o.FlightDir = filepath.Join(dir, "flight")
 	d, err := db.OpenAt(filepath.Join(dir, "db"), o)
 	if err != nil {
@@ -218,15 +217,14 @@ func TestHealthEndpoint(t *testing.T) {
 	}
 }
 
-// TestIncidentsEndpoint checks both recorder states: off reports
-// enabled=false with empty lists; on reports the bundle dir and (after an
-// incident) the recent-incident log.
+// TestIncidentsEndpoint checks both bundle states: without a FlightDir the
+// log and bundle list are empty and no directory is named; with one it is
+// reported.
 func TestIncidentsEndpoint(t *testing.T) {
 	d := openDB(t)
 	srv := httptest.NewServer(NewMux(d))
 	defer srv.Close()
 	var off struct {
-		Enabled   bool                `json:"enabled"`
 		BundleDir string              `json:"bundle_dir"`
 		Incidents []flight.Incident   `json:"incidents"`
 		Bundles   []flight.BundleMeta `json:"bundles"`
@@ -234,13 +232,12 @@ func TestIncidentsEndpoint(t *testing.T) {
 	if err := json.Unmarshal([]byte(get(t, srv.URL+"/incidents")), &off); err != nil {
 		t.Fatal(err)
 	}
-	if off.Enabled || off.BundleDir != "" || len(off.Incidents) != 0 || len(off.Bundles) != 0 {
-		t.Fatalf("recorder-off /incidents = %+v, want disabled and empty", off)
+	if off.BundleDir != "" || len(off.Incidents) != 0 || len(off.Bundles) != 0 {
+		t.Fatalf("/incidents without a FlightDir = %+v, want empty", off)
 	}
 
 	dir := t.TempDir()
 	o := db.DefaultOptions()
-	o.FlightRecorder = true
 	o.FlightDir = filepath.Join(dir, "flight")
 	o.VitalsInterval = 5 * time.Millisecond
 	dv, err := db.OpenAt(filepath.Join(dir, "db"), o)
@@ -251,13 +248,12 @@ func TestIncidentsEndpoint(t *testing.T) {
 	srv2 := httptest.NewServer(NewMux(dv))
 	defer srv2.Close()
 	var on struct {
-		Enabled   bool   `json:"enabled"`
 		BundleDir string `json:"bundle_dir"`
 	}
 	if err := json.Unmarshal([]byte(get(t, srv2.URL+"/incidents")), &on); err != nil {
 		t.Fatal(err)
 	}
-	if !on.Enabled || on.BundleDir != o.FlightDir {
-		t.Fatalf("recorder-on /incidents = %+v, want enabled with dir %s", on, o.FlightDir)
+	if on.BundleDir != o.FlightDir {
+		t.Fatalf("/incidents = %+v, want bundle dir %s", on, o.FlightDir)
 	}
 }

@@ -11,8 +11,7 @@
 // The package is engine-agnostic: a Sample is a metrics.Metrics snapshot (a
 // leaf type) with its time, and the DB hands NewSampler a closure that
 // produces one, so vitals has no dependency on internal/db and the hot
-// write/read paths never touch it (a disabled sampler is a nil pointer —
-// zero goroutines, zero allocations).
+// write/read paths never touch it: the sampler is one background goroutine.
 package vitals
 
 import (
@@ -267,13 +266,13 @@ func (r *ring) newest(max int) []Sample {
 	return out
 }
 
-// DefaultHistory is the ring capacity when the caller does not choose one:
-// at a 1s interval it retains 12 minutes of history.
+// DefaultHistory is the ring capacity a store runs with: at the default 1s
+// interval it retains 12 minutes of history.
 const DefaultHistory = 720
 
-// Sampler drives the ring: one background goroutine calls snap every
-// interval and publishes the result. Stop (idempotent) halts the goroutine
-// and waits for it to exit, so Close-time teardown leaks nothing.
+// Sampler drives the ring: once started, one background goroutine calls
+// snap every interval and publishes the result. Stop (idempotent) halts the
+// goroutine and waits for it to exit, so Close-time teardown leaks nothing.
 type Sampler struct {
 	interval time.Duration
 	snap     func() Sample
@@ -283,23 +282,24 @@ type Sampler struct {
 	stop     sync.Once
 }
 
-// NewSampler starts sampling snap every interval into a ring of history
-// samples (DefaultHistory when history <= 0). One sample is taken
-// synchronously so the ring never comes up empty on a just-opened store.
+// NewSampler returns a sampler of snap every interval into a ring of
+// history samples. It samples nothing until Start, so snap may refer to the
+// returned sampler.
 func NewSampler(interval time.Duration, history int, snap func() Sample) *Sampler {
-	if history <= 0 {
-		history = DefaultHistory
-	}
-	s := &Sampler{
+	return &Sampler{
 		interval: interval,
 		snap:     snap,
 		ring:     newRing(history),
 		quit:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
+}
+
+// Start takes one sample synchronously, so the ring never comes up empty on
+// a just-opened store, and then launches the sampling goroutine.
+func (s *Sampler) Start() {
 	s.observe()
 	go s.loop()
-	return s
 }
 
 func (s *Sampler) loop() {
@@ -325,8 +325,9 @@ func (s *Sampler) observe() {
 	s.ring.push(&smp)
 }
 
-// Stop halts the sampling goroutine and waits for it to exit. Safe to call
-// more than once; the ring remains readable after Stop.
+// Stop halts the sampling goroutine and waits for it to exit. Call it after
+// Start; it is safe to call more than once, and the ring remains readable
+// after Stop.
 func (s *Sampler) Stop() {
 	s.stop.Do(func() { close(s.quit) })
 	<-s.done
@@ -359,7 +360,6 @@ func (s *Sampler) LatestWindow() (Window, bool) {
 // Report is the /vitals endpoint (and vitals.json artifact) payload: the
 // full retained ring plus the latest derived window.
 type Report struct {
-	Enabled         bool     `json:"enabled"`
 	IntervalSeconds float64  `json:"interval_seconds"`
 	Latest          *Sample  `json:"latest,omitempty"`
 	Window          *Window  `json:"window,omitempty"`
@@ -369,7 +369,7 @@ type Report struct {
 
 // Report assembles the endpoint payload from the current ring contents.
 func (s *Sampler) Report() Report {
-	r := Report{Enabled: true, IntervalSeconds: s.interval.Seconds()}
+	r := Report{IntervalSeconds: s.interval.Seconds()}
 	r.Samples = s.ring.snapshot()
 	if len(r.Samples) > 0 {
 		last := r.Samples[len(r.Samples)-1]

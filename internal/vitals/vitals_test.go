@@ -196,6 +196,10 @@ func TestSamplerLifecycle(t *testing.T) {
 		n++
 		return Sample{UnixNano: time.Now().UnixNano(), Metrics: metrics.Metrics{Writes: n}}
 	})
+	if len(s.Samples()) != 0 {
+		t.Fatal("sampled before Start")
+	}
+	s.Start()
 	if len(s.Samples()) == 0 {
 		t.Fatal("no synchronous first sample")
 	}
@@ -210,9 +214,9 @@ func TestSamplerLifecycle(t *testing.T) {
 		t.Fatal("no latest window with >=2 samples")
 	}
 	rep := s.Report()
-	if !rep.Enabled || rep.Latest == nil || rep.Window == nil || len(rep.Windows) != len(rep.Samples)-1 {
-		t.Fatalf("bad report: enabled=%v latest=%v window=%v samples=%d windows=%d",
-			rep.Enabled, rep.Latest != nil, rep.Window != nil, len(rep.Samples), len(rep.Windows))
+	if rep.Latest == nil || rep.Window == nil || len(rep.Windows) != len(rep.Samples)-1 {
+		t.Fatalf("bad report: latest=%v window=%v samples=%d windows=%d",
+			rep.Latest != nil, rep.Window != nil, len(rep.Samples), len(rep.Windows))
 	}
 	s.Stop()
 	s.Stop() // idempotent
@@ -235,6 +239,7 @@ func TestSamplerConcurrentReaders(t *testing.T) {
 	s := NewSampler(100*time.Microsecond, 8, func() Sample {
 		return Sample{UnixNano: time.Now().UnixNano()}
 	})
+	s.Start()
 	defer s.Stop()
 	done := make(chan struct{})
 	for i := 0; i < 4; i++ {
