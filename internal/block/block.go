@@ -173,6 +173,48 @@ func decodeEntry(data []byte, off int) (shared, unshared, vlen, p int, ok bool) 
 	return int(s), int(u), int(v), p, true
 }
 
+// Restarts returns the number of restart points: the entry count of a block
+// built at restart interval 1.
+func (r *Reader) Restarts() int { return r.numRestarts() }
+
+// Walk calls fn on every entry in block order with shared, the number of
+// leading key bytes the entry takes from the previous key, and the offsets
+// within the block of its key delta, [keyOff, valOff), and of its value,
+// [valOff, end). It stops at the first error fn returns and returns it, and
+// returns ErrCorrupt at a malformed entry, one sharing more bytes than the
+// previous key has, or one whose key is shorter than a trailer, and when a
+// restart point is not the start of an entry that shares nothing (the first
+// entry is one): a block Walk accepts reads the same through restart-point
+// seeks as front to back. A decoder that keeps the entries uses Walk to
+// read a block once.
+func (r *Reader) Walk(fn func(shared, keyOff, valOff, end int) error) error {
+	data := r.data
+	prevLen, ri := 0, 0
+	for off := 0; off < len(data); {
+		shared, unshared, vlen, p, ok := decodeEntry(data, off)
+		if !ok || shared > prevLen || shared+unshared < keys.TrailerLen {
+			return ErrCorrupt
+		}
+		if ri < r.numRestarts() && r.restart(ri) <= off {
+			if r.restart(ri) < off || shared != 0 {
+				return ErrCorrupt
+			}
+			ri++
+		} else if off == 0 {
+			return ErrCorrupt
+		}
+		next := p + unshared + vlen
+		if err := fn(shared, p, p+unshared, next); err != nil {
+			return err
+		}
+		prevLen, off = shared+unshared, next
+	}
+	if len(data) > 0 && ri < r.numRestarts() {
+		return ErrCorrupt
+	}
+	return nil
+}
+
 // seekRestart binary-searches the restart points for the last one whose key
 // is < target (restart 0 when none is) and returns its index.
 func (r *Reader) seekRestart(target []byte) (int, bool) {

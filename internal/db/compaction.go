@@ -212,19 +212,16 @@ func (d *engine) openInputs(files []*manifest.FileMetadata, readNS, spans, block
 		}
 		fetch := d.tables.compactionFetchFor(h)
 		if f.Tier == storage.TierCloud {
-			// An unreadable block index will fail the merge too; let the
-			// single-block path surface the error.
-			if hs, herr := h.reader.DataHandles(); herr == nil {
-				sr := &spanReader{
-					sched: make([]sstable.ViewEntry, len(hs)), tables: h, width: width,
-					gets: gets, spans: spans, blocks: blocks,
-				}
-				for i, bh := range hs {
-					sr.sched[i].H = bh
-				}
-				readers = append(readers, sr)
-				fetch = scheduledFetch(sr, fetch)
+			hs := h.reader.DataHandles()
+			sr := &spanReader{
+				sched: make([]sstable.ViewEntry, len(hs)), tables: h, width: width,
+				gets: gets, spans: spans, blocks: blocks,
 			}
+			for i, bh := range hs {
+				sr.sched[i].H = bh
+			}
+			readers = append(readers, sr)
+			fetch = scheduledFetch(sr, fetch)
 		}
 		if readNS != nil {
 			fetch = timedFetch(fetch, readNS)

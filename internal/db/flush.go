@@ -175,10 +175,7 @@ func (d *engine) warmPCache(t *builtTable) error {
 		return err
 	}
 	defer r.Close()
-	handles, err := r.DataHandles()
-	if err != nil {
-		return err
-	}
+	handles := r.DataHandles()
 	blocks := make([]pcache.Block, 0, len(handles))
 	for _, h := range handles {
 		body, err := sstable.ReadRawBlock(bytesReader{t.data}, h)

@@ -187,11 +187,8 @@ func TestCompactionReadsWideSpans(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hs, err := h.reader.DataHandles()
+		hs := h.reader.DataHandles()
 		h.release()
-		if err != nil {
-			t.Fatal(err)
-		}
 		if f.Tier != storage.TierCloud || len(hs) <= width {
 			t.Fatalf("input %d: tier %v, %d blocks; want cloud tables wider than one %d-block span", f.Num, f.Tier, len(hs), width)
 		}

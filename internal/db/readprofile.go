@@ -37,12 +37,12 @@ func (d *engine) newProfile() *readprof.Profile {
 	return p
 }
 
-// readAgg accumulates every sampled profile into lock-free totals. Point
+// readAgg accumulates every Get's profile into lock-free totals. Point
 // lookups and iterators aggregate separately so per-get read-amp math is
-// not skewed by scans.
+// not skewed by scans. The count of profiled Gets is the engine's Reads
+// counter: every Get carries a profile.
 type readAgg struct {
-	profiled atomic.Int64 // Gets that carried a profile
-	timed    atomic.Int64 // subset that paid per-stage clock reads
+	timed atomic.Int64 // Gets that paid per-stage clock reads
 
 	memServes   atomic.Int64 // Gets resolved by a memtable
 	notFound    atomic.Int64 // Gets resolved nowhere
@@ -65,10 +65,12 @@ type readAgg struct {
 }
 
 func (a *readAgg) merge(p *readprof.Profile) {
-	a.profiled.Add(1)
 	if p.Timed {
 		a.timed.Add(1)
 		a.totalNanos.Add(p.TotalNanos)
+		for t, ns := range p.FetchNanos {
+			a.fetchNanos[t].Add(ns)
+		}
 	}
 	switch p.LevelServed {
 	case readprof.LevelMemtable:
@@ -94,16 +96,15 @@ func (a *readAgg) merge(p *readprof.Profile) {
 		if p.Blocks[t] != 0 {
 			a.blocks[t].Add(int64(p.Blocks[t]))
 			a.bytes[t].Add(p.Bytes[t])
-			a.fetchNanos[t].Add(p.FetchNanos[t])
 		}
 	}
 }
 
-// snapshot copies the aggregates into a ReadAmp (pcache per-level
-// counters are filled in by Metrics).
-func (a *readAgg) snapshot() ReadAmp {
+// snapshot copies the aggregates into a ReadAmp, gets being the engine's
+// Get count (pcache per-level counters are filled in by Metrics).
+func (a *readAgg) snapshot(gets int64) ReadAmp {
 	r := ReadAmp{
-		ProfiledGets:  a.profiled.Load(),
+		ProfiledGets:  gets,
 		TimedGets:     a.timed.Load(),
 		MemServes:     a.memServes.Load(),
 		NotFound:      a.notFound.Load(),

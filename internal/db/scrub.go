@@ -79,11 +79,7 @@ func (d *engine) verifyTableBytes(data []byte, num uint64) error {
 		return err
 	}
 	defer r.Close()
-	handles, err := r.DataHandles()
-	if err != nil {
-		return err
-	}
-	for _, h := range handles {
+	for _, h := range r.DataHandles() {
 		if _, err := sstable.ReadRawBlock(bytesReader{data}, h); err != nil {
 			return err
 		}
@@ -195,9 +191,7 @@ func (d *engine) verifySidecar(num uint64) (ok, present bool) {
 	if err != nil {
 		return false, true
 	}
-	_, err = r.DataHandles()
-	_ = r.Close()
-	return err == nil, true
+	return r.Close() == nil, true
 }
 
 // Scrub walks every local artifact the store owns — local-tier SSTables,

@@ -98,12 +98,8 @@ func newSpanTable(t *testing.T, e *engine, p *spanProbe, num uint64, prefix stri
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs, err := r.DataHandles()
-	if err != nil {
-		t.Fatal(err)
-	}
 	return &spanTable{
-		h: &tableHandle{reader: r, tier: storage.TierCloud, db: e, refs: 1}, rd: rd, hs: hs,
+		h: &tableHandle{reader: r, tier: storage.TierCloud, db: e, refs: 1}, rd: rd, hs: r.DataHandles(),
 		meta: &manifest.FileMetadata{Num: num, Tier: storage.TierCloud, Largest: props.Largest},
 	}
 }

@@ -441,7 +441,7 @@ func (d *DB) Metrics() Metrics {
 		}
 		m.CompactionDebt += e.compactionDebt(v)
 
-		m.ReadAmp.Add(e.readAgg.snapshot())
+		m.ReadAmp.Add(e.readAgg.snapshot(s.Reads))
 		if m.Shards != nil {
 			m.Shards[i] = s
 		}

@@ -45,12 +45,8 @@ func (d *engine) levelView(v *manifest.Version, level int) (*sstable.View, error
 		if err != nil {
 			return nil, err
 		}
-		es, err := h.reader.IndexEntries()
+		members[i], indexes[i], uppers[i] = f.Num, h.reader.IndexEntries(), f.Largest
 		h.release()
-		if err != nil {
-			return nil, err
-		}
-		members[i], indexes[i], uppers[i] = f.Num, es, f.Largest
 	}
 	vw := v.SetView(level, sstable.BuildView(level, members, indexes, uppers))
 	if walked {
@@ -82,11 +78,7 @@ func spliceViews(cur *manifest.Version, c *compaction, outputs []*builtTable) (v
 		if err != nil {
 			return views
 		}
-		es, err := r.IndexEntries()
-		if err != nil {
-			return views
-		}
-		members[i], indexes[i], uppers[i] = t.meta.Num, es, t.meta.Largest
+		members[i], indexes[i], uppers[i] = t.meta.Num, r.IndexEntries(), t.meta.Largest
 	}
 	views[c.output] = old.Splice(fileNums(c.overlap), sstable.BuildView(c.output, members, indexes, uppers))
 	return views

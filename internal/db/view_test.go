@@ -104,12 +104,8 @@ func checkInstalledViews(t *testing.T, d *DB) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				es, err := h.reader.IndexEntries()
+				nums[i], indexes[i], uppers[i] = f.Num, h.reader.IndexEntries(), f.Largest
 				h.release()
-				if err != nil {
-					t.Fatal(err)
-				}
-				nums[i], indexes[i], uppers[i] = f.Num, es, f.Largest
 			}
 			ref := sstable.BuildView(l, nums, indexes, uppers)
 			if len(vw.Members) != len(ref.Members) || len(vw.Entries) != len(ref.Entries) {

@@ -6,6 +6,7 @@ package histogram
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync/atomic"
 	"time"
 )
@@ -37,7 +38,7 @@ func bucketFor(ns int64) int {
 	if ns < 1 {
 		ns = 1
 	}
-	exp := 63 - leadingZeros(uint64(ns))
+	exp := 63 - bits.LeadingZeros64(uint64(ns))
 	if exp >= maxExp {
 		return numBuckets - 1
 	}
@@ -50,15 +51,6 @@ func bucketFor(ns int64) int {
 		idx = numBuckets - 1
 	}
 	return idx
-}
-
-func leadingZeros(x uint64) int {
-	n := 0
-	for x&(1<<63) == 0 && n < 64 {
-		x <<= 1
-		n++
-	}
-	return n
 }
 
 // bucketUpper returns the representative (upper-bound) latency of bucket i.

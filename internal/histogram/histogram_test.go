@@ -1,6 +1,7 @@
 package histogram
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"sync"
@@ -113,5 +114,45 @@ func TestTinyAndHugeDurations(t *testing.T) {
 	}
 	if h.Percentile(100) == 0 {
 		t.Fatal("top percentile zero")
+	}
+}
+
+// bucketForShifting is bucketFor as first written, finding the exponent by
+// shifting one bit at a time: the reference the bits.LeadingZeros64 form
+// must match bucket for bucket.
+func bucketForShifting(ns int64) int {
+	if ns < 1 {
+		ns = 1
+	}
+	x, lz := uint64(ns), 0
+	for x&(1<<63) == 0 && lz < 64 {
+		x <<= 1
+		lz++
+	}
+	exp := 63 - lz
+	if exp >= maxExp {
+		return numBuckets - 1
+	}
+	var sub int64
+	if exp > 0 {
+		sub = (ns - (1 << exp)) * subBuckets >> exp
+	}
+	return min(exp*subBuckets+int(sub), numBuckets-1)
+}
+
+func TestBucketForMatchesShifting(t *testing.T) {
+	vals := []int64{math.MinInt64, -1, 0, 1, math.MaxInt64}
+	for k := 1; k < 63; k++ {
+		vals = append(vals, 1<<k-1, 1<<k, 1<<k+1)
+	}
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 10000; i++ {
+		// Spread over every magnitude, not just the top few exponents.
+		vals = append(vals, rng.Int63()>>rng.Intn(63))
+	}
+	for _, v := range vals {
+		if got, want := bucketFor(v), bucketForShifting(v); got != want {
+			t.Fatalf("bucketFor(%d) = %d, want %d", v, got, want)
+		}
 	}
 }

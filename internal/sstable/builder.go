@@ -59,9 +59,11 @@ func NewBuilder(w storage.Writer, opts BuilderOptions) *Builder {
 		opts.RestartInterval = 16
 	}
 	return &Builder{
-		w:     w,
-		opts:  opts,
-		data:  block.NewBuilder(opts.RestartInterval),
+		w:    w,
+		opts: opts,
+		data: block.NewBuilder(opts.RestartInterval),
+		// Interval 1: no separator shares bytes with the one before, so
+		// a reader's decoded index aliases the block (decodeIndex).
 		index: block.NewBuilder(1),
 	}
 }

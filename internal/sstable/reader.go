@@ -22,14 +22,16 @@ type FetchFunc func(fileNum uint64, h Handle, prof *readprof.Profile) ([]byte, e
 // Reader provides lookups and scans over one table. Per the paper's design
 // all table *metadata* — footer, index block, bloom filter, properties — is
 // loaded eagerly at open time and pinned in memory, so only data-block
-// reads ever touch the (possibly cloud-resident) file body.
+// reads ever touch the (possibly cloud-resident) file body. The index is
+// decoded once, at open, into the array every lookup and scan searches.
 type Reader struct {
-	fileNum uint64
-	f       storage.Reader
-	props   Properties
-	index   *block.Reader
-	filter  bloom.Filter
-	fetch   FetchFunc
+	fileNum   uint64
+	f         storage.Reader
+	props     Properties
+	index     index
+	filter    bloom.Filter
+	fetch     FetchFunc
+	metaBytes int
 }
 
 // TailReader overlays an in-memory copy of a table's metadata tail on top
@@ -102,7 +104,7 @@ func Open(f storage.Reader, fileNum uint64) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	if r.index, err = block.NewReader(idxBody); err != nil {
+	if r.index, err = decodeIndex(idxBody); err != nil {
 		return nil, err
 	}
 	if ftr.filter.Length > 0 {
@@ -119,6 +121,7 @@ func Open(f storage.Reader, fileNum uint64) (*Reader, error) {
 	if r.props, err = decodeProperties(pb); err != nil {
 		return nil, err
 	}
+	r.metaBytes = len(r.filter) + r.index.pinned()
 	return r, nil
 }
 
@@ -145,37 +148,19 @@ func (r *Reader) FileNum() uint64 { return r.fileNum }
 // Properties returns the table statistics.
 func (r *Reader) Properties() Properties { return r.props }
 
-// MetadataBytes reports the in-memory footprint of the pinned metadata
-// (index + filter), used for the paper's metadata-overhead accounting.
-func (r *Reader) MetadataBytes() int {
-	n := len(r.filter)
-	// The index reader retains its body slice.
-	it := r.index.NewIter()
-	it.First()
-	// Approximate: count the raw index entries length via iteration once.
-	for it.Valid() {
-		n += len(it.Key()) + len(it.Value())
-		it.Next()
-	}
-	return n
-}
+// MetadataBytes reports the memory the table's pinned metadata holds (bloom
+// filter, index block and its decoded entries), used for the paper's
+// metadata-overhead accounting.
+func (r *Reader) MetadataBytes() int { return r.metaBytes }
 
 // DataHandles returns the handles of all data blocks in file order; the
 // persistent cache uses this for compaction-aware region layout.
-func (r *Reader) DataHandles() ([]Handle, error) {
-	var hs []Handle
-	it := r.index.NewIter()
-	for it.First(); it.Valid(); it.Next() {
-		h, err := DecodeHandle(it.Value())
-		if err != nil {
-			return nil, err
-		}
-		hs = append(hs, h)
+func (r *Reader) DataHandles() []Handle {
+	hs := make([]Handle, len(r.index.ents))
+	for i := range r.index.ents {
+		hs[i] = r.index.ents[i].h
 	}
-	if it.Err() != nil {
-		return nil, it.Err()
-	}
-	return hs, nil
+	return hs
 }
 
 // IndexEntry pairs one data block's handle with its index separator (an
@@ -186,22 +171,14 @@ type IndexEntry struct {
 }
 
 // IndexEntries returns every data block's separator and handle in file
-// order, decoded from the pinned index block — no data I/O. The sorted-view
+// order, copied from the decoded index — no data I/O. The sorted-view
 // builder concatenates these across a level's members.
-func (r *Reader) IndexEntries() ([]IndexEntry, error) {
-	var es []IndexEntry
-	it := r.index.NewIter()
-	for it.First(); it.Valid(); it.Next() {
-		h, err := DecodeHandle(it.Value())
-		if err != nil {
-			return nil, err
-		}
-		es = append(es, IndexEntry{Sep: append([]byte(nil), it.Key()...), H: h})
+func (r *Reader) IndexEntries() []IndexEntry {
+	es := make([]IndexEntry, len(r.index.ents))
+	for i := range es {
+		es[i] = IndexEntry{Sep: bytes.Clone(r.index.sep(i)), H: r.index.ents[i].h}
 	}
-	if it.Err() != nil {
-		return nil, it.Err()
-	}
-	return es, nil
+	return es
 }
 
 // MayContain consults the bloom filter for ukey. Tables without filters
@@ -222,8 +199,9 @@ func (r *Reader) Get(ukey []byte, seq uint64) (value []byte, found, live bool, e
 
 // GetSeek is Get for a caller that already holds the seek key
 // (keys.MakeSeekKey of the user key and snapshot): a read that probes several
-// tables builds it once. Both block lookups are point seeks over a stack
-// buffer, so the only allocation is the returned copy of a live value. With
+// tables builds it once. The index search reads the decoded index and the
+// data-block lookup is a point seek over a stack buffer, so the only
+// allocation is the returned copy of a live value. With
 // read-path attribution: when prof is non-nil it records the bloom-filter
 // consultation (and a true-negative rejection) and threads prof to the
 // data-block fetch so the block's source tier is attributed to this request.
@@ -240,16 +218,11 @@ func (r *Reader) GetSeek(seek []byte, prof *readprof.Profile) (value []byte, fou
 			return nil, false, false, nil
 		}
 	}
-	var buf [keys.SeekBufLen]byte
-	_, hv, ok, err := r.index.SeekGE(seek, buf[:0])
-	if !ok {
-		return nil, false, false, err
+	i := r.index.search(seek)
+	if i == len(r.index.ents) {
+		return nil, false, false, nil
 	}
-	h, err := DecodeHandle(hv)
-	if err != nil {
-		return nil, false, false, err
-	}
-	body, err := r.fetch(r.fileNum, h, prof)
+	body, err := r.fetch(r.fileNum, r.index.ents[i].h, prof)
 	if err != nil {
 		return nil, false, false, err
 	}
@@ -257,6 +230,7 @@ func (r *Reader) GetSeek(seek []byte, prof *readprof.Profile) (value []byte, fou
 	if err != nil {
 		return nil, false, false, err
 	}
+	var buf [keys.SeekBufLen]byte
 	key, v, ok, err := br.SeekGE(seek, buf[:0])
 	if !ok {
 		return nil, false, false, err
@@ -281,15 +255,15 @@ func (r *Reader) Close() error {
 	return err
 }
 
-// Iter is a bidirectional iterator over the table's internal keys. It holds
-// its index and data block iterators by value: moving to the next block
-// re-points the data iterator and reuses its key buffer, so a scan allocates
-// once per iterator, not per block.
+// Iter is a bidirectional iterator over the table's internal keys. It
+// moves an ordinal over the decoded index and holds its data block iterator
+// by value: moving to the next block re-points the data iterator and reuses
+// its key buffer, so a scan allocates once per iterator, not per block.
 type Iter struct {
 	r      *Reader
-	idx    block.Iter
+	pos    int // the index entry of the block data is on, or was last loaded from
 	data   block.Iter
-	loaded bool // data is on the block idx points at
+	loaded bool // data is on block pos
 	fetch  FetchFunc
 	prof   *readprof.Profile
 	err    error
@@ -306,23 +280,17 @@ func (r *Reader) NewIter() *Iter { return r.NewIterWithFetch(r.fetch) }
 // instead of the reader's default path. Compaction uses this to bypass
 // cache admission (scan resistance).
 func (r *Reader) NewIterWithFetch(fetch FetchFunc) *Iter {
-	it := &Iter{r: r, fetch: fetch}
-	it.idx.Reset(*r.index)
-	return it
+	return &Iter{r: r, fetch: fetch}
 }
 
-// loadData points the data iterator at the block idx is on.
-func (it *Iter) loadData() bool {
-	it.loaded = false
-	if !it.idx.Valid() {
+// loadData points the data iterator at block pos, leaving it unloaded
+// when pos is off either end of the index.
+func (it *Iter) loadData(pos int) bool {
+	it.pos, it.loaded = pos, false
+	if pos < 0 || pos >= len(it.r.index.ents) {
 		return false
 	}
-	h, err := DecodeHandle(it.idx.Value())
-	if err != nil {
-		it.err = err
-		return false
-	}
-	body, err := it.fetch(it.r.fileNum, h, it.prof)
+	body, err := it.fetch(it.r.fileNum, it.r.index.ents[pos].h, it.prof)
 	if err != nil {
 		it.err = err
 		return false
@@ -339,8 +307,7 @@ func (it *Iter) loadData() bool {
 
 // First positions at the first entry.
 func (it *Iter) First() {
-	it.idx.First()
-	if it.loadData() {
+	if it.loadData(0) {
 		it.data.First()
 		it.skipEmptyForward()
 	}
@@ -348,8 +315,7 @@ func (it *Iter) First() {
 
 // SeekGE positions at the first entry with internal key >= target.
 func (it *Iter) SeekGE(target []byte) {
-	it.idx.SeekGE(target)
-	if it.loadData() {
+	if it.loadData(it.r.index.search(target)) {
 		it.data.SeekGE(target)
 		it.skipEmptyForward()
 	}
@@ -366,8 +332,7 @@ func (it *Iter) Next() {
 
 // Last positions at the final entry.
 func (it *Iter) Last() {
-	it.idx.Last()
-	if it.loadData() {
+	if it.loadData(len(it.r.index.ents) - 1) {
 		it.data.Last()
 		it.skipEmptyBackward()
 	}
@@ -377,8 +342,8 @@ func (it *Iter) Last() {
 func (it *Iter) SeekLT(target []byte) {
 	// The block whose separator is >= target may still hold entries
 	// < target; start there and walk backward as needed.
-	it.idx.SeekGE(target)
-	if !it.idx.Valid() {
+	i := it.r.index.search(target)
+	if i == len(it.r.index.ents) {
 		// target is beyond every separator: start from the last block.
 		it.Last()
 		if it.Valid() && keys.Compare(it.Key(), target) >= 0 {
@@ -386,7 +351,7 @@ func (it *Iter) SeekLT(target []byte) {
 		}
 		return
 	}
-	if !it.loadData() {
+	if !it.loadData(i) {
 		return
 	}
 	it.data.SeekLT(target)
@@ -413,8 +378,7 @@ func (it *Iter) skipEmptyForward() {
 			it.loaded = false
 			return
 		}
-		it.idx.Next()
-		if !it.loadData() {
+		if !it.loadData(it.pos + 1) {
 			return
 		}
 		it.data.First()
@@ -428,8 +392,7 @@ func (it *Iter) skipEmptyBackward() {
 			it.loaded = false
 			return
 		}
-		it.idx.Prev()
-		if !it.loadData() {
+		if !it.loadData(it.pos - 1) {
 			return
 		}
 		it.data.Last()
@@ -446,9 +409,4 @@ func (it *Iter) Key() []byte { return it.data.Key() }
 func (it *Iter) Value() []byte { return it.data.Value() }
 
 // Err returns the first error encountered.
-func (it *Iter) Err() error {
-	if it.err != nil {
-		return it.err
-	}
-	return it.idx.Err()
-}
+func (it *Iter) Err() error { return it.err }

@@ -199,10 +199,7 @@ func TestDataHandlesCoverFile(t *testing.T) {
 	be := newLocal(t)
 	es := seqEntries(300, 64)
 	r, _ := buildTable(t, be, "t.sst", BuilderOptions{BlockBytes: 512}, es)
-	hs, err := r.DataHandles()
-	if err != nil {
-		t.Fatal(err)
-	}
+	hs := r.DataHandles()
 	if len(hs) < 10 {
 		t.Fatalf("expected many blocks, got %d", len(hs))
 	}
@@ -337,12 +334,16 @@ func TestQuickTableRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMetadataBytesPositive checks the figure fixed at open counts what the
+// reader pins: the bloom filter, the index body the separators alias and
+// the decoded index entries.
 func TestMetadataBytesPositive(t *testing.T) {
 	be := newLocal(t)
 	es := seqEntries(500, 16)
 	r, _ := buildTable(t, be, "t.sst", DefaultBuilderOptions(), es)
-	if r.MetadataBytes() <= 0 {
-		t.Fatal("metadata accounting should be positive")
+	want := len(r.filter) + cap(r.index.seps) + len(r.index.ents)*indexEntryBytes
+	if got := r.MetadataBytes(); got != want || len(r.filter) == 0 || len(r.index.ents) == 0 {
+		t.Fatalf("MetadataBytes = %d, want %d (filter %d B, %d index entries)", got, want, len(r.filter), len(r.index.ents))
 	}
 }
 
