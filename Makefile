@@ -44,9 +44,10 @@ ab:
 # (arbitrary bytes in, no panic, point seek == iterator seek), the table
 # index decoder (no panic, prefix search == linear scan == block iterator
 # seek), the WAL record decoder (no panic, no record whose checksum fails,
-# writer output round-trips) and the batch decoder recovery runs over every
+# writer output round-trips), the batch decoder recovery runs over every
 # WAL byte (no panic, no op outside the payload, Set/Delete output
-# round-trips). The committed seed corpora under each package's
+# round-trips) and the recovered run's sort (arbitrary key, seq and kind
+# tuples come out of Finish in keys.Compare order). The committed seed corpora under each package's
 # testdata/fuzz are replayed by plain `go test` already; this looks for new
 # inputs. The index and WAL seeds are whole blocks, so minimizing a new
 # input is capped to keep the budget on fuzzing.
@@ -55,5 +56,6 @@ fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz FuzzIndexDecode -fuzztime 10s -fuzzminimizetime 1s ./internal/sstable
 	$(GO) test -run '^$$' -fuzz FuzzRecordReader -fuzztime 10s -fuzzminimizetime 1s ./internal/wal
 	$(GO) test -run '^$$' -fuzz FuzzBatchIterate -fuzztime 10s ./internal/batch
+	$(GO) test -run '^$$' -fuzz FuzzRunOrder -fuzztime 10s -fuzzminimizetime 1s ./internal/memtable
 
 check: build vet test race benchsmoke

@@ -7,12 +7,17 @@
 package rocksmash_test
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"rocksmash"
+	"rocksmash/internal/db"
 	"rocksmash/internal/pcache"
 	"rocksmash/internal/storage"
 	"rocksmash/internal/ycsb"
@@ -281,12 +286,38 @@ func BenchmarkFig10CompactionAware(b *testing.B) {
 }
 
 // BenchmarkFig11Recovery measures crash-recovery over a fixed WAL volume,
-// serial vs parallel, reporting recovered records per second and (with the
-// allocations of an Open) allocations per record beside the time per Open.
-// Nothing is flushed before the crash and every batch holds one Put, so the
-// recovered entries are the replayed WAL records.
+// reporting recovered records per second and (with the allocations of an
+// Open) allocations per record beside the time per Open. serial and
+// parallel-x2/x4 replay the whole WAL: nothing is flushed before the crash
+// and every batch holds one Put, so the recovered entries are the replayed
+// WAL records. partial crashes after half of the memtables were flushed but
+// before their WAL segments were deleted, and requires replay to skip those
+// segments by their sequence ranges. cloud loses every local WAL segment
+// before each Open and rebuilds the store from the WALCloudBackup copies,
+// so the segment images come from the backup tier (the active segment at
+// the crash had no copy yet, and its records are lost). large writes 48 KiB
+// values, each record longer than a 32 KiB WAL block: every record is
+// reassembled from fragments, and none can be read in place in its
+// segment's image.
 func BenchmarkFig11Recovery(b *testing.B) {
 	const walBytes = 8 << 20
+	const records = walBytes / (1024 + 32)
+	val := make([]byte, 1024)
+	options := func(extended bool, par int) rocksmash.Options {
+		o := benchOptions(rocksmash.PolicyMash)
+		o.MemtableBytes = 1 << 30
+		o.WALSegmentBytes = 1 << 20
+		o.ExtendedWAL = extended
+		o.RecoveryParallelism = par
+		return o
+	}
+	put := func(d *rocksmash.DB, from, to int) {
+		for i := from; i < to; i++ {
+			if err := d.Put(ycsb.Key(uint64(i)), val); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 	for _, mode := range []struct {
 		name     string
 		extended bool
@@ -294,43 +325,122 @@ func BenchmarkFig11Recovery(b *testing.B) {
 	}{{"serial", false, 1}, {"parallel-x2", true, 2}, {"parallel-x4", true, 4}} {
 		b.Run(mode.name, func(b *testing.B) {
 			dir := b.TempDir()
-			o := benchOptions(rocksmash.PolicyMash)
-			o.MemtableBytes = 1 << 30
-			o.WALSegmentBytes = 1 << 20
-			o.ExtendedWAL = mode.extended
-			o.RecoveryParallelism = mode.par
+			o := options(mode.extended, mode.par)
 			d, err := rocksmash.Open(dir, &o)
 			if err != nil {
 				b.Fatal(err)
 			}
-			val := make([]byte, 1024)
-			for i := 0; i < walBytes/(1024+32); i++ {
-				if err := d.Put(ycsb.Key(uint64(i)), val); err != nil {
-					b.Fatal(err)
-				}
-			}
+			put(d, 0, records)
 			d.Crash()
-			b.SetBytes(walBytes)
-			b.ReportAllocs()
-			b.ResetTimer()
-			var records int64
-			for i := 0; i < b.N; i++ {
-				d2, err := rocksmash.Open(dir, &o)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-				n := d2.RecoveryReport().RecoveredKeys
-				if n == 0 {
-					b.Fatal("nothing recovered")
-				}
-				records += n
-				d2.Crash() // leave the WAL in place for the next iteration
-				b.StartTimer()
-			}
-			b.ReportMetric(float64(records)/b.Elapsed().Seconds(), "records/s")
+			benchRecovery(b, dir, o, walBytes, nil, nil)
 		})
 	}
+	b.Run("partial", func(b *testing.B) {
+		dir := b.TempDir()
+		o := options(true, 2)
+		// The crash lands between the last flush's install and its WAL
+		// garbage collection: no flushed segment is deleted.
+		noGC := errors.New("crashed before WAL garbage collection")
+		d, local, _, err := db.OpenAtChaosLocal(dir, o, storage.FaultConfig{}, storage.FaultConfig{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		local.SetHook(func(op, name string) error {
+			if op == "DELETE" && strings.HasPrefix(name, "wal/") && strings.HasSuffix(name, ".log") {
+				return noGC
+			}
+			return nil
+		})
+		const memtables, flushed = 8, 4
+		for m := 0; m < memtables; m++ {
+			put(d, m*records/memtables, (m+1)*records/memtables)
+			if m < flushed {
+				if err := d.Flush(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		d.Crash()
+		benchRecovery(b, dir, o, walBytes/2, nil, func(rep rocksmash.RecoveryReport) {
+			if rep.WALSkipped == 0 {
+				b.Fatalf("no flushed segment skipped: %+v", rep)
+			}
+		})
+	})
+	b.Run("cloud", func(b *testing.B) {
+		dir := b.TempDir()
+		o := options(true, 2)
+		o.WALCloudBackup = true
+		d, err := rocksmash.Open(dir, &o)
+		if err != nil {
+			b.Fatal(err)
+		}
+		put(d, 0, records)
+		d.Crash()
+		walDir := filepath.Join(dir, "local", "wal")
+		benchRecovery(b, dir, o, walBytes, func() {
+			segs, err := filepath.Glob(filepath.Join(walDir, "*.log"))
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, s := range segs {
+				if err := os.Remove(s); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}, nil)
+	})
+	b.Run("large", func(b *testing.B) {
+		dir := b.TempDir()
+		o := options(true, 2)
+		d, err := rocksmash.Open(dir, &o)
+		if err != nil {
+			b.Fatal(err)
+		}
+		big := make([]byte, 48<<10)
+		for i := 0; i < walBytes/len(big); i++ {
+			if err := d.Put(ycsb.Key(uint64(i)), big); err != nil {
+				b.Fatal(err)
+			}
+		}
+		d.Crash()
+		benchRecovery(b, dir, o, walBytes, nil, nil)
+	})
+}
+
+// benchRecovery times b.N Opens of the crashed store in dir, crashing each
+// again so the next finds the same WAL. Outside the timer, prepare (when
+// non-nil) runs before every Open and check (when non-nil) inspects every
+// Open's report.
+func benchRecovery(b *testing.B, dir string, o rocksmash.Options, walBytes int64, prepare func(), check func(rocksmash.RecoveryReport)) {
+	b.Helper()
+	b.SetBytes(walBytes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var records int64
+	for i := 0; i < b.N; i++ {
+		if prepare != nil {
+			b.StopTimer()
+			prepare()
+			b.StartTimer()
+		}
+		d, err := rocksmash.Open(dir, &o)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		rep := d.RecoveryReport()
+		if rep.RecoveredKeys == 0 {
+			b.Fatal("nothing recovered")
+		}
+		if check != nil {
+			check(rep)
+		}
+		records += rep.RecoveredKeys
+		d.Crash() // leave the WAL in place for the next iteration
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(records)/b.Elapsed().Seconds(), "records/s")
 }
 
 // BenchmarkFig12Skew reads at different zipfian skews under PolicyMash.

@@ -104,33 +104,61 @@ type Op struct {
 // It stops early and returns fn's error if non-nil, or ErrCorrupt on a
 // malformed payload.
 func (b *Batch) Iterate(fn func(op Op) error) error {
-	p := b.data[headerLen:]
-	seq := b.Seq()
-	want := b.Count()
+	p := b.data
+	return IterateAt(p, func(o OpAt) error {
+		op := Op{Kind: o.Kind, Seq: o.Seq, Key: p[o.KeyOff : o.KeyOff+o.KeyLen]}
+		if o.Kind == keys.KindSet {
+			op.Value = p[o.ValOff : o.ValOff+o.ValLen]
+		}
+		return fn(op)
+	})
+}
+
+// OpAt is one decoded operation located by its key's and value's offsets in
+// the payload, so that a caller holding the payload inside a larger image
+// (WAL recovery, which keeps the segment image) can address both there. A
+// delete has no value: ValOff and ValLen are 0.
+type OpAt struct {
+	Kind           keys.Kind
+	Seq            uint64
+	KeyOff, KeyLen int
+	ValOff, ValLen int
+}
+
+// IterateAt decodes an encoded payload, calling fn for every operation with
+// its assigned sequence number and offsets. It stops early and returns fn's
+// error if non-nil, or ErrCorrupt on a malformed payload. Every offset it
+// reports lies within payload.
+func IterateAt(payload []byte, fn func(op OpAt) error) error {
+	if len(payload) < headerLen {
+		return ErrCorrupt
+	}
+	seq := binary.LittleEndian.Uint64(payload[:8])
+	want := binary.LittleEndian.Uint32(payload[8:12])
+	off := headerLen
 	var n uint32
-	for len(p) > 0 {
-		kind := keys.Kind(p[0])
-		p = p[1:]
-		klen, sz := binary.Uvarint(p)
-		if sz <= 0 || uint64(len(p)-sz) < klen {
+	for off < len(payload) {
+		op := OpAt{Kind: keys.Kind(payload[off]), Seq: seq + uint64(n)}
+		off++
+		klen, sz := binary.Uvarint(payload[off:])
+		if sz <= 0 || uint64(len(payload)-off-sz) < klen {
 			return ErrCorrupt
 		}
-		key := p[sz : sz+int(klen)]
-		p = p[sz+int(klen):]
-		var val []byte
-		switch kind {
+		op.KeyOff, op.KeyLen = off+sz, int(klen)
+		off = op.KeyOff + op.KeyLen
+		switch op.Kind {
 		case keys.KindSet:
-			vlen, sz := binary.Uvarint(p)
-			if sz <= 0 || uint64(len(p)-sz) < vlen {
+			vlen, sz := binary.Uvarint(payload[off:])
+			if sz <= 0 || uint64(len(payload)-off-sz) < vlen {
 				return ErrCorrupt
 			}
-			val = p[sz : sz+int(vlen)]
-			p = p[sz+int(vlen):]
+			op.ValOff, op.ValLen = off+sz, int(vlen)
+			off = op.ValOff + op.ValLen
 		case keys.KindDelete:
 		default:
-			return fmt.Errorf("%w: unknown kind %d", ErrCorrupt, kind)
+			return fmt.Errorf("%w: unknown kind %d", ErrCorrupt, op.Kind)
 		}
-		if err := fn(Op{Kind: kind, Seq: seq + uint64(n), Key: key, Value: val}); err != nil {
+		if err := fn(op); err != nil {
 			return err
 		}
 		n++

@@ -12,8 +12,10 @@ import (
 // FuzzBatchIterate feeds arbitrary bytes to the batch decoder, which WAL
 // recovery runs over every byte it replays: nothing may panic, every op's
 // key and value must lie inside the payload, sequence numbers must count up
-// from the header's, and a payload that decodes without error must hold as
-// many ops as its header says. A batch built with Set and Delete from
+// from the header's, a payload that decodes without error must hold as
+// many ops as its header says, and IterateAt (the decoder recovery calls)
+// must report the same ops at offsets that slice out Iterate's keys and
+// values. A batch built with Set and Delete from
 // script (three bytes an op: kind bit, key length, value length) and
 // stamped with seq must iterate back the same ops and sequence numbers.
 // The seed corpus in testdata/fuzz/FuzzBatchIterate (valid batches, a
@@ -68,8 +70,20 @@ func checkDecode(t *testing.T, payload []byte) {
 		}
 		return
 	}
+	var ops []OpAt
+	atErr := IterateAt(payload, func(op OpAt) error {
+		ops = append(ops, op)
+		return nil
+	})
 	var n uint32
 	err = b.Iterate(func(op Op) error {
+		if int(n) >= len(ops) {
+			t.Fatalf("Iterate reports op %d, IterateAt %d ops", n, len(ops))
+		}
+		at := ops[n]
+		if at.Kind != op.Kind || at.Seq != op.Seq || !bytes.Equal(payload[at.KeyOff:at.KeyOff+at.KeyLen], op.Key) || !bytes.Equal(payload[at.ValOff:at.ValOff+at.ValLen], op.Value) {
+			t.Fatalf("op %d: IterateAt %+v, Iterate {%d %d %q %q}", n, at, op.Kind, op.Seq, op.Key, op.Value)
+		}
 		if op.Kind != keys.KindSet && op.Kind != keys.KindDelete {
 			t.Fatalf("op %d has kind %d", n, op.Kind)
 		}
@@ -84,6 +98,9 @@ func checkDecode(t *testing.T, payload []byte) {
 		n++
 		return nil
 	})
+	if (err == nil) != (atErr == nil) || int(n) != len(ops) {
+		t.Fatalf("Iterate: %d ops, %v; IterateAt: %d ops, %v", n, err, len(ops), atErr)
+	}
 	switch {
 	case err != nil && !errors.Is(err, ErrCorrupt):
 		t.Fatalf("Iterate: %v, want nil or ErrCorrupt", err)

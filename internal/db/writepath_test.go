@@ -69,9 +69,12 @@ func TestPutReusedBuffersDoNotAlias(t *testing.T) {
 
 // TestReplayAllocsPerRecord pins what recovery allocates per WAL record:
 // nothing. The segment is read in one piece, each record is checksummed in
-// place and its batch decoded on the stack, and its entries are appended to
-// the segment's sorted run, whose buffer is sized once from the segment;
-// what remains are per-segment and per-Open objects.
+// place and its batch decoded on the stack, and its entries are recorded in
+// the segment's sorted run by their offsets in the segment image; a record
+// spanning blocks is joined in the reader's one buffer and copied into the
+// run's one overflow buffer. What remains are per-segment and per-Open
+// objects: 0.023 a record here, from 0.031 when the run copied every
+// record and each reassembly allocated.
 func TestReplayAllocsPerRecord(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -104,8 +107,8 @@ func TestReplayAllocsPerRecord(t *testing.T) {
 		t.Fatalf("replayed %d records, want %d", got, records)
 	}
 	perRecord := float64(after.Mallocs-before.Mallocs) / records
-	t.Logf("recovery allocated %.2f objects per record", perRecord)
-	if perRecord > 0.1 {
-		t.Fatalf("recovery allocates %.2f objects per record, want <= 0.1", perRecord)
+	t.Logf("recovery allocated %.4f objects per record", perRecord)
+	if perRecord > 0.025 {
+		t.Fatalf("recovery allocates %.4f objects per record, want <= 0.025", perRecord)
 	}
 }

@@ -80,7 +80,11 @@ type Backend interface {
 	Create(name string) (Writer, error)
 	// Open returns a random-access reader; ErrNotFound if absent.
 	Open(name string) (Reader, error)
-	// ReadAll fetches a whole object.
+	// ReadAll fetches a whole object. The returned buffer belongs to the
+	// caller: the backend never reuses, mutates or retains it, so a later
+	// ReadAll, or a write or delete of the same object, leaves it as it
+	// was. WAL recovery relies on this to keep the runs it rebuilds
+	// pointing into the segment images it read.
 	ReadAll(name string) ([]byte, error)
 	// Delete removes an object. Deleting a missing object is not an error.
 	Delete(name string) error

@@ -457,7 +457,7 @@ func (m *Manager) Restored() int64 {
 func scanRecords(data []byte) error {
 	rr := NewRecordReader(data)
 	for {
-		_, err := rr.Next()
+		_, _, err := rr.next()
 		switch {
 		case err == io.EOF || err == io.ErrUnexpectedEOF:
 			return nil
@@ -643,12 +643,15 @@ type ReplayStats struct {
 }
 
 // Replay hands every segment that may hold sequence data above flushedSeq
-// to fn, once per segment, on the goroutine replaying it: fn reads the
-// segment's records in order through ReplaySegment.Records, and the segment ends
-// when fn returns. With parallelism > 1 and the extended index available,
-// segments are read and decoded concurrently, so fn must then be safe for
-// concurrent calls. Torn tails are tolerated on the newest segment and on
-// any segment that was active at crash time.
+// to fn on the goroutine replaying it: fn reads the segment's records in
+// order through ReplaySegment.Records, and the segment ends when fn
+// returns. With parallelism > 1 and the extended index available, segments
+// are read and decoded concurrently, so fn must then be safe for concurrent
+// calls. Torn tails are tolerated on the newest segment and on any segment
+// that was active at crash time. fn sees each segment once, except that a
+// local copy failing mid-log with ErrCorrupt is handed to fn a second time,
+// read from the backup tier, when one is configured: fn must keep nothing
+// of a call that returned an error.
 func (m *Manager) Replay(flushedSeq uint64, parallelism int, fn func(*ReplaySegment) error) (ReplayStats, error) {
 	segs := m.Segments()
 	var stats ReplayStats
@@ -705,9 +708,11 @@ func (m *Manager) Replay(flushedSeq uint64, parallelism int, fn func(*ReplaySegm
 func (m *Manager) replaySegment(s SegmentMeta, fn func(*ReplaySegment) error) (int64, int64, error) {
 	name := SegmentName(m.opts.Dir, s.Num)
 	data, err := m.be.ReadAll(name)
+	fromBackup := false
 	if errors.Is(err, storage.ErrNotFound) && m.opts.Backup != nil {
 		// Local copy gone (e.g. device loss): restore from the backup tier.
 		data, err = m.opts.Backup.ReadAll(name)
+		fromBackup = true
 	}
 	if errors.Is(err, storage.ErrNotFound) {
 		return 0, 0, nil
@@ -715,42 +720,62 @@ func (m *Manager) replaySegment(s SegmentMeta, fn func(*ReplaySegment) error) (i
 	if err != nil {
 		return 0, 0, err
 	}
+	seg := newReplaySegment(s, data)
+	err = fn(seg)
 	// Mid-log corruption (a failed record CRC that is not a tolerated torn
-	// tail): when the backup tier holds a clean copy, replay that instead
-	// and heal the local file — before delivering a single record. Without a
-	// backup nothing can heal the segment, so no pre-scan runs: the replay
-	// pass below is the only one and meets the damage itself.
-	if m.opts.Backup != nil && errors.Is(scanRecords(data), ErrCorrupt) {
-		if bdata, berr := m.opts.Backup.ReadAll(name); berr == nil && scanRecords(bdata) == nil {
-			data = bdata
-			m.mu.Lock()
-			m.restored++
-			m.mu.Unlock()
-			_ = storage.WriteObject(m.be, name, bdata) // best-effort heal
+	// tail) fails the pass, and fn publishes nothing from a failed pass.
+	// When the backup tier holds a copy, replay that instead, and if it is
+	// clean heal the local file from it. The one replay pass is the check:
+	// no segment is scanned before it is replayed.
+	if errors.Is(err, ErrCorrupt) && m.opts.Backup != nil && !fromBackup {
+		bdata, berr := m.opts.Backup.ReadAll(name)
+		if berr != nil {
+			return 0, 0, err
 		}
+		bseg := newReplaySegment(s, bdata)
+		if berr := fn(bseg); berr != nil {
+			return 0, 0, err
+		}
+		m.mu.Lock()
+		m.restored++
+		m.mu.Unlock()
+		_ = storage.WriteObject(m.be, name, bdata) // best-effort heal
+		seg = bseg
+		err = nil
 	}
-	seg := ReplaySegment{Num: s.Num, Size: len(data), rr: RecordReader{data: data}}
-	err = fn(&seg)
 	return seg.records, seg.bytes, err
 }
 
 // ReplaySegment is one WAL segment as Replay delivers it.
 type ReplaySegment struct {
-	Num  uint64 // segment number
-	Size int    // bytes in the segment image, record headers included
+	SegmentMeta // the segment's index entry: its number and sequence range
+	// Image is the whole segment as read from its tier, record headers
+	// included. It belongs to the caller (storage.Backend.ReadAll's
+	// contract): a payload Records reports at an offset may be kept by
+	// reference for as long as the caller keeps Image.
+	Image []byte
 
 	rr             RecordReader
 	records, bytes int64
 }
 
+func newReplaySegment(s SegmentMeta, data []byte) *ReplaySegment {
+	return &ReplaySegment{SegmentMeta: s, Image: data, rr: RecordReader{data: data}}
+}
+
 // Records calls fn with the payload of each of the segment's records, in
 // log order, stopping at the first error fn returns. A torn tail ends the
-// segment cleanly: everything before it was intact and is kept. Payloads
-// alias the segment image, or a reassembly buffer for a record spanning
-// blocks; fn must not retain them.
-func (s *ReplaySegment) Records(fn func(payload []byte) error) error {
+// segment cleanly: everything before it was intact and is kept.
+//
+// A record written in one block is reported with off, its payload's offset
+// in Image: payload is Image[off:off+len(payload)], and fn may retain it
+// (or offsets into Image) for as long as Image lives. A record spanning
+// blocks is reported with off == Reassembled: its payload is joined in a
+// buffer the next record overwrites, so fn must copy whatever it keeps of
+// it.
+func (s *ReplaySegment) Records(fn func(payload []byte, off int) error) error {
 	for {
-		payload, err := s.rr.Next()
+		payload, off, err := s.rr.next()
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			return nil
 		}
@@ -759,7 +784,7 @@ func (s *ReplaySegment) Records(fn func(payload []byte) error) error {
 		}
 		s.records++
 		s.bytes += int64(len(payload))
-		if err := fn(payload); err != nil {
+		if err := fn(payload, off); err != nil {
 			return err
 		}
 	}

@@ -385,6 +385,6 @@ func TestTornActiveSegmentReplays(t *testing.T) {
 // eachRecord adapts a per-record callback to Replay's per-segment one.
 func eachRecord(fn func(seg uint64, payload []byte) error) func(*ReplaySegment) error {
 	return func(s *ReplaySegment) error {
-		return s.Records(func(p []byte) error { return fn(s.Num, p) })
+		return s.Records(func(p []byte, _ int) error { return fn(s.Num, bytes.Clone(p)) })
 	}
 }

@@ -59,12 +59,13 @@ func FuzzRecordReader(f *testing.F) {
 }
 
 // checkDecode walks image with the decoder and re-verifies every record it
-// returns against the physical records it consumed.
+// returns against the physical records it consumed, and the offset it
+// reports for a record in one block against the image.
 func checkDecode(t *testing.T, image []byte) {
 	rr := NewRecordReader(image)
 	for {
 		from := rr.off
-		rec, err := rr.Next()
+		rec, off, err := rr.next()
 		if err != nil {
 			if err != io.EOF && err != io.ErrUnexpectedEOF && !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("Next returned %v", err)
@@ -91,6 +92,9 @@ func checkDecode(t *testing.T, image []byte) {
 		}
 		if !bytes.Equal(joined, rec) {
 			t.Fatalf("record ending at %d is not the payloads it consumed", rr.off)
+		}
+		if off != Reassembled && (off < from || off+len(rec) > rr.off || !bytes.Equal(image[off:off+len(rec)], rec)) {
+			t.Fatalf("record ending at %d reported at offset %d, which does not hold it", rr.off, off)
 		}
 	}
 }

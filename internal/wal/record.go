@@ -16,6 +16,7 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -140,8 +141,9 @@ func (rw *RecordWriter) blockOffset() int { return rw.off }
 
 // RecordReader iterates logical records from an in-memory log image.
 type RecordReader struct {
-	data []byte
-	off  int
+	data   []byte
+	off    int
+	joined []byte // the last reassembled record, reused by the next one
 }
 
 // NewRecordReader reads records from data (a whole log segment).
@@ -149,11 +151,27 @@ func NewRecordReader(data []byte) *RecordReader {
 	return &RecordReader{data: data}
 }
 
+// Reassembled is the offset next reports for a record joined from the
+// fragments of several blocks: its payload is not contiguous in the image.
+const Reassembled = -1
+
 // Next returns the next logical record. It returns io.EOF at a clean end,
 // io.ErrUnexpectedEOF for a torn tail (crash mid-write), and ErrCorrupt for
-// a checksum failure before the tail.
+// a checksum failure before the tail. A record in one block aliases the
+// image; a reassembled one is a fresh copy.
 func (rr *RecordReader) Next() ([]byte, error) {
-	var logical []byte
+	payload, off, err := rr.next()
+	if off == Reassembled {
+		payload = bytes.Clone(payload)
+	}
+	return payload, err
+}
+
+// next is Next, also returning the payload's offset in the image, or
+// Reassembled for a record spanning blocks, whose payload lives in a buffer
+// the following call reuses.
+func (rr *RecordReader) next() (payload []byte, off int, err error) {
+	rr.joined = rr.joined[:0]
 	expectContinuation := false
 	for {
 		blockOff := rr.off % BlockSize
@@ -163,12 +181,12 @@ func (rr *RecordReader) Next() ([]byte, error) {
 		}
 		if rr.off >= len(rr.data) {
 			if expectContinuation {
-				return nil, io.ErrUnexpectedEOF
+				return nil, 0, io.ErrUnexpectedEOF
 			}
-			return nil, io.EOF
+			return nil, 0, io.EOF
 		}
 		if rr.off+headerLen > len(rr.data) {
-			return nil, io.ErrUnexpectedEOF
+			return nil, 0, io.ErrUnexpectedEOF
 		}
 		hdr := rr.data[rr.off : rr.off+headerLen]
 		crc := binary.LittleEndian.Uint32(hdr[0:4])
@@ -177,47 +195,49 @@ func (rr *RecordReader) Next() ([]byte, error) {
 		if typ == 0 && crc == 0 && n == 0 {
 			// Zero-filled region: preallocated/padded tail.
 			if expectContinuation {
-				return nil, io.ErrUnexpectedEOF
+				return nil, 0, io.ErrUnexpectedEOF
 			}
-			return nil, io.EOF
+			return nil, 0, io.EOF
 		}
 		if rr.off+headerLen+n > len(rr.data) {
-			return nil, io.ErrUnexpectedEOF
+			return nil, 0, io.ErrUnexpectedEOF
 		}
-		payload := rr.data[rr.off+headerLen : rr.off+headerLen+n]
-		if crc32.Checksum(rr.data[rr.off+6:rr.off+headerLen+n], castagnoli) != crc {
+		start := rr.off + headerLen
+		frag := rr.data[start : start+n]
+		if crc32.Checksum(rr.data[rr.off+6:start+n], castagnoli) != crc {
 			// A bad checksum in the final partial record is a torn tail;
 			// anywhere else it is corruption.
-			if rr.off+headerLen+n >= len(rr.data) {
-				return nil, io.ErrUnexpectedEOF
+			if start+n >= len(rr.data) {
+				return nil, 0, io.ErrUnexpectedEOF
 			}
-			return nil, fmt.Errorf("%w: crc mismatch at offset %d", ErrCorrupt, rr.off)
+			return nil, 0, fmt.Errorf("%w: crc mismatch at offset %d", ErrCorrupt, rr.off)
 		}
-		rr.off += headerLen + n
+		rr.off = start + n
 		switch typ {
 		case typeFull:
 			if expectContinuation {
-				return nil, fmt.Errorf("%w: FULL inside fragmented record", ErrCorrupt)
+				return nil, 0, fmt.Errorf("%w: FULL inside fragmented record", ErrCorrupt)
 			}
-			return payload, nil
+			return frag, start, nil
 		case typeFirst:
 			if expectContinuation {
-				return nil, fmt.Errorf("%w: FIRST inside fragmented record", ErrCorrupt)
+				return nil, 0, fmt.Errorf("%w: FIRST inside fragmented record", ErrCorrupt)
 			}
-			logical = append(logical, payload...)
+			rr.joined = append(rr.joined, frag...)
 			expectContinuation = true
 		case typeMiddle:
 			if !expectContinuation {
-				return nil, fmt.Errorf("%w: orphan MIDDLE", ErrCorrupt)
+				return nil, 0, fmt.Errorf("%w: orphan MIDDLE", ErrCorrupt)
 			}
-			logical = append(logical, payload...)
+			rr.joined = append(rr.joined, frag...)
 		case typeLast:
 			if !expectContinuation {
-				return nil, fmt.Errorf("%w: orphan LAST", ErrCorrupt)
+				return nil, 0, fmt.Errorf("%w: orphan LAST", ErrCorrupt)
 			}
-			return append(logical, payload...), nil
+			rr.joined = append(rr.joined, frag...)
+			return rr.joined, Reassembled, nil
 		default:
-			return nil, fmt.Errorf("%w: unknown type %d", ErrCorrupt, typ)
+			return nil, 0, fmt.Errorf("%w: unknown type %d", ErrCorrupt, typ)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
@@ -78,5 +79,61 @@ func TestReplayMidLogDamage(t *testing.T) {
 				t.Fatalf("local segment not healed from the backup copy: %v", err)
 			}
 		})
+	}
+}
+
+// TestRecordsReportOffsets replays a segment of records from a few bytes to
+// three blocks long: a record written in one block must be reported at its
+// payload's offset in the segment image, one spanning blocks as
+// Reassembled with its whole payload, and each payload must be the bytes
+// appended.
+func TestRecordsReportOffsets(t *testing.T) {
+	local := newBackend(t)
+	opts := DefaultOptions()
+	opts.SegmentBytes = 1 << 30
+	m, err := Open(local, opts, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want [][]byte
+	for i, n := range []int{5, 100, BlockSize - 2*headerLen, 40 << 10, 1, 3 * BlockSize, 700, 0, 9000, 9000, 9000, 9000} {
+		p := bytes.Repeat([]byte{byte('a' + i)}, n)
+		if _, err := appendOne(m, p, uint64(i+1), uint64(i+1)); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, p)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	m2, err := Open(local, opts, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Close()
+	var aliased, joined int
+	_, err = m2.Replay(0, 1, func(seg *ReplaySegment) error {
+		i := 0
+		return seg.Records(func(p []byte, off int) error {
+			if i >= len(want) || !bytes.Equal(p, want[i]) {
+				t.Fatalf("record %d: %d bytes, not the %d appended", i, len(p), len(want[i]))
+			}
+			switch {
+			case off == Reassembled:
+				joined++
+			case off < 0 || off+len(p) > len(seg.Image) || !bytes.Equal(seg.Image[off:off+len(p)], p):
+				t.Fatalf("record %d reported at offset %d of a %d-byte image, which does not hold it", i, off, len(seg.Image))
+			default:
+				aliased++
+			}
+			i++
+			return nil
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if aliased+joined != len(want) || aliased == 0 || joined < 3 {
+		t.Fatalf("%d records at an offset and %d reassembled, want all %d with both kinds", aliased, joined, len(want))
 	}
 }
