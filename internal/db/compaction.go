@@ -247,24 +247,22 @@ func scheduledFetch(sr *spanReader, fallback sstable.FetchFunc) sstable.FetchFun
 	}
 }
 
-// doCompaction runs the reserved job c: it merges c's inputs into the output
-// level, applying the paper's placement rule for the output tier and the
-// compaction-aware persistent-cache transitions (heat inheritance, whole-file
-// drops), installs the result, fires CompactionEnd, and only then releases
-// the version c was picked from, so no input is retired before its job's
-// CompactionEnd. Retiring what that release leaves obsolete is the caller's
-// (lanes.go), once it has given back the job's range and slot.
+// doCompaction runs the reserved job c in three steps: merge its inputs
+// into a table sink, whose tables go to the output level's tier under the
+// paper's placement rule and are warmed when hot inputs pass their heat on
+// (compaction-aware persistent cache); wait for the outputs to land
+// (upload); install the result. It fires
+// CompactionEnd, and only then releases the version c was picked from, so
+// no input is retired before its job's CompactionEnd. Retiring what that
+// release leaves obsolete is the caller's (lanes.go), once it has given back
+// the job's range and slot.
 func (d *engine) doCompaction(c *compaction) (err error) {
 	defer func() {
 		if err != nil {
 			d.unpin(c.v)
 		}
 	}()
-	outTier := d.opts.tierForLevel(c.output)
-	smallestSnap := d.smallestSnapshot()
-	dropDeletes := c.isBaseLevel()
 	all := c.files()
-
 	// Measure input heat before anything is dropped: hot inputs mean the
 	// output's key range is being read, so its blocks deserve admission.
 	var inputHeat int64
@@ -287,149 +285,119 @@ func (d *engine) doCompaction(c *compaction) (err error) {
 		})
 	}
 
-	// The job counts its own drops and spans and hands them to Stats when it
-	// ends, so jobs running side by side never report each other's.
-	var dropped int64
-	var spans, blocks atomic.Int64
-	children, drain, err := d.openInputs(all, readNS, &spans, &blocks)
+	sink := d.newTableSink(d.opts.tierForLevel(c.output), d.opts.TargetFileBytes, inputBytes,
+		d.opts.CompactionInheritance && inputHeat > 0)
+	mergeStart := time.Now()
+	dropped, spans, err := d.merge(c, all, sink, readNS)
+	mergeDur := time.Since(mergeStart)
+	var outputs []*builtTable
+	if err == nil {
+		// Outputs are durable on their tier before any version names them.
+		outputs, err = sink.finish()
+	}
 	if err != nil {
+		sink.abort()
 		return err
+	}
+	installStart := time.Now()
+	if err := d.install(c, outputs); err != nil {
+		return err // the edit may be durable: its outputs are not orphans
+	}
+
+	outBytes := int64(sink.outBytes)
+	d.stats.Compactions.Add(1)
+	d.stats.CompactBytesIn.Add(inputBytes)
+	d.stats.CompactBytesOut.Add(outBytes)
+	// Per-level attribution, indexed by source level (the target is always
+	// c.level+1): source inputs and target-overlap inputs are recorded
+	// separately so the two partitions sum exactly to the store totals.
+	lc := &d.stats.LevelCompact[c.level]
+	lc.Count.Add(1)
+	lc.BytesInSource.Add(int64(sumSizes(c.inputs)))
+	lc.BytesInTarget.Add(int64(sumSizes(c.overlap)))
+	lc.BytesOut.Add(outBytes)
+	dur := time.Since(compactStart)
+	d.lat.compact.Record(dur)
+	if observed {
+		d.evCompactionEnd(event.CompactionEnd{
+			Job: c.job, Shard: d.id, Level: c.level, OutputLevel: c.output,
+			Inputs: len(all), Outputs: len(outputs), InputBytes: inputBytes, OutputBytes: outBytes,
+			DroppedKeys: dropped, PrefetchSpans: spans,
+			ReadDur: time.Duration(readNS.Load()), MergeDur: mergeDur, UploadDur: time.Duration(sink.ns.Load()),
+			InstallDur: time.Since(installStart), Duration: dur,
+		})
+	}
+	// The edit dropped the inputs from the current version; with this pin
+	// gone, the ones no other reader holds are obsolete.
+	d.vs.Release(c.v)
+	return nil
+}
+
+// merge streams c's inputs into sink, dropping the entries no snapshot can
+// read, and seals the last output. It returns how many entries it dropped
+// and how many span GETs landed; the job hands both to Stats itself, so jobs
+// running side by side never report each other's.
+func (d *engine) merge(c *compaction, all []*manifest.FileMetadata, sink *tableSink, readNS *atomic.Int64) (dropped, spans int64, err error) {
+	var spanGets, blocks atomic.Int64
+	children, drain, err := d.openInputs(all, readNS, &spanGets, &blocks)
+	if err != nil {
+		return 0, 0, err
 	}
 	merged := newMergingIter(children...)
 	defer func() {
 		drain() // span GETs in flight land before the table references go
 		merged.Close()
+		spans = spanGets.Load()
 		d.stats.CompactDroppedKeys.Add(dropped)
-		d.stats.PrefetchSpans.Add(spans.Load())
+		d.stats.PrefetchSpans.Add(spans)
 		d.stats.PrefetchBlocks.Add(blocks.Load())
 	}()
 
-	// Finished outputs are handed to the upload pool as they complete, so
-	// uploads overlap the remaining merge work; wait gathers them before
-	// the manifest edit, and abort removes any already-uploaded objects on
-	// failure so an aborted compaction leaves no orphans behind.
-	warm := d.opts.Policy == PolicyMash && d.opts.CompactionInheritance &&
-		outTier == storage.TierCloud && inputHeat > 0
-	up := d.newUploader(warm)
-	fail := func(err error) error {
-		up.abort()
-		return err
-	}
-
-	// An output holds at most a target's worth of the inputs, plus the tail
-	// of its last block and its metadata.
-	outSize := min(d.opts.TargetFileBytes, inputBytes)
-	var (
-		outputs  []*builtTable
-		builder  *sstable.Builder
-		out      *memWriter
-		curNum   uint64
-		lastUkey []byte
-		haveUkey bool
-		lastKept uint64 = keys.MaxSequence // seq of the last kept entry for lastUkey
-	)
-	finishOutput := func() error {
-		if builder == nil {
-			return nil
-		}
-		props, err := builder.Finish()
-		if err != nil {
-			return err
-		}
-		if props.NumEntries > 0 {
-			t := &builtTable{
-				meta: manifest.FileMetadata{
-					Num: curNum, Size: uint64(out.buf.Len()),
-					Smallest: props.Smallest, Largest: props.Largest,
-					MinSeq: props.MinSeq, MaxSeq: props.MaxSeq,
-					Tier: outTier,
-				},
-				metaOff: builder.MetaOffset(),
-				data:    out.buf.Bytes(),
-			}
-			outputs = append(outputs, t)
-			up.add(t)
-			// Stop merging early if an upload already failed; the work
-			// could only produce more outputs to clean up.
-			if err := up.peekErr(); err != nil {
-				return err
-			}
-		}
-		builder, out = nil, nil
-		return nil
-	}
-
-	mergeStart := time.Now()
+	smallestSnap := d.smallestSnapshot()
+	dropDeletes := c.isBaseLevel()
+	var lastUkey []byte
+	haveUkey := false
+	lastKept := keys.MaxSequence // seq of the last kept entry for lastUkey
 	for merged.First(); merged.Valid(); merged.Next() {
 		ik := merged.Key()
 		uk := keys.UserKey(ik)
 		seq, kind := keys.DecodeTrailer(ik)
-
-		newUserKey := !haveUkey || !bytes.Equal(uk, lastUkey)
-		if newUserKey {
+		if !haveUkey || !bytes.Equal(uk, lastUkey) {
 			lastUkey = append(lastUkey[:0], uk...)
 			haveUkey = true
 			lastKept = keys.MaxSequence
 		}
-
-		drop := false
-		if lastKept <= smallestSnap {
+		switch {
+		case lastKept <= smallestSnap:
 			// A newer entry for this key is already visible at every
 			// snapshot; this one can never be read.
-			drop = true
-		} else if kind == keys.KindDelete && seq <= smallestSnap && dropDeletes {
+			dropped++
+			continue
+		case kind == keys.KindDelete && seq <= smallestSnap && dropDeletes:
 			// The tombstone itself is no longer needed once nothing below
 			// the output level can resurrect the key.
-			drop = true
-			lastKept = seq
-		}
-		if drop {
 			dropped++
+			lastKept = seq
 			continue
 		}
 		lastKept = seq
-
-		// Split outputs only between user keys: all versions of one key
-		// must land in one file or the level's non-overlap invariant (and
-		// the read path's one-file-per-level assumption) breaks.
-		if builder != nil && newUserKey &&
-			int64(builder.EstimatedSize()) >= d.opts.TargetFileBytes {
-			if err := finishOutput(); err != nil {
-				return fail(err)
-			}
-		}
-		if builder == nil {
-			curNum = d.vs.NewFileNum()
-			out = newTableWriter(outSize + outSize/8)
-			builder = sstable.NewBuilder(out, sstable.BuilderOptions{
-				BlockBytes:      d.opts.BlockBytes,
-				BloomBitsPerKey: d.opts.BloomBitsPerKey,
-				Compression:     d.opts.Compression,
-			})
-		}
-		if err := builder.Add(ik, merged.Value()); err != nil {
-			return fail(err)
+		if err := sink.add(ik, merged.Value()); err != nil {
+			return dropped, 0, err
 		}
 	}
 	if err := merged.Err(); err != nil {
-		return fail(err)
+		return dropped, 0, err
 	}
-	if err := finishOutput(); err != nil {
-		return fail(err)
-	}
-	mergeDur := time.Since(mergeStart)
-	// Gather in-flight uploads before the manifest edit: outputs must be
-	// durable in their tier before any version references them.
-	if err := up.wait(); err != nil {
-		return fail(err)
-	}
+	return dropped, 0, sink.cut()
+}
 
-	// Install the edit with both levels' spliced views, and move the level's
-	// cursor past the inputs, under compactionMu: a relocation checks its
-	// table is live and installs its own edit under it too, so it never
-	// resurrects a table this one drops, and the version the views are
-	// spliced from is the one the edit applies to.
-	installStart := time.Now()
+// install applies c's edit — inputs out, outputs in, both levels' views
+// spliced — and moves the level's cursor past the inputs, under
+// compactionMu: a relocation checks its table is live and installs its own
+// edit under it too, so it never resurrects a table this one drops, and the
+// version the views are spliced from is the one the edit applies to. The
+// outputs' persistent-cache regions then learn their level.
+func (d *engine) install(c *compaction, outputs []*builtTable) error {
 	edit := &manifest.VersionEdit{}
 	for _, f := range c.inputs {
 		edit.Deleted = append(edit.Deleted, manifest.DeletedFile{Level: c.level, Num: f.Num})
@@ -442,7 +410,7 @@ func (d *engine) doCompaction(c *compaction) (err error) {
 	}
 	d.compactionMu.Lock()
 	edit.Views = spliceViews(d.vs.Current(), c, outputs)
-	err = d.vs.LogAndApply(edit)
+	err := d.vs.LogAndApply(edit)
 	if err == nil && c.level > 0 {
 		if d.compactPtr == nil {
 			d.compactPtr = map[int][]byte{}
@@ -457,42 +425,6 @@ func (d *engine) doCompaction(c *compaction) (err error) {
 	for _, t := range outputs {
 		d.pcache.SetLevel(t.meta.Num, c.output)
 	}
-
-	d.stats.Compactions.Add(1)
-	d.stats.CompactBytesIn.Add(inputBytes)
-	d.stats.CompactBytesOut.Add(int64(sumBuilt(outputs)))
-	// Per-level attribution, indexed by source level (the target is always
-	// c.level+1): source inputs and target-overlap inputs are recorded
-	// separately so the two partitions sum exactly to the store totals.
-	lc := &d.stats.LevelCompact[c.level]
-	lc.Count.Add(1)
-	lc.BytesInSource.Add(int64(sumSizes(c.inputs)))
-	lc.BytesInTarget.Add(int64(sumSizes(c.overlap)))
-	lc.BytesOut.Add(int64(sumBuilt(outputs)))
-	dur := time.Since(compactStart)
-	d.lat.compact.Record(dur)
-	if observed {
-		d.evCompactionEnd(event.CompactionEnd{
-			Job:           c.job,
-			Shard:         d.id,
-			Level:         c.level,
-			OutputLevel:   c.output,
-			Inputs:        len(all),
-			Outputs:       len(outputs),
-			InputBytes:    inputBytes,
-			OutputBytes:   int64(sumBuilt(outputs)),
-			DroppedKeys:   dropped,
-			PrefetchSpans: spans.Load(),
-			ReadDur:       time.Duration(readNS.Load()),
-			MergeDur:      mergeDur,
-			UploadDur:     up.dur(),
-			InstallDur:    time.Since(installStart),
-			Duration:      dur,
-		})
-	}
-	// The edit dropped the inputs from the current version; with this pin
-	// gone, the ones no other reader holds are obsolete.
-	d.vs.Release(c.v)
 	return nil
 }
 
@@ -500,14 +432,6 @@ func sumSizes(files []*manifest.FileMetadata) uint64 {
 	var n uint64
 	for _, f := range files {
 		n += f.Size
-	}
-	return n
-}
-
-func sumBuilt(ts []*builtTable) uint64 {
-	var n uint64
-	for _, t := range ts {
-		n += t.meta.Size
 	}
 	return n
 }

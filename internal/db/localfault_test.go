@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -111,7 +112,7 @@ func TestCorruptLocalTableRepairedFromMirror(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.engines[0].verifyTableBytes(data, num); err != nil {
+	if _, err := d.engines[0].verifyTableBytes(data, num); err != nil {
 		t.Fatalf("local file still damaged after repair: %v", err)
 	}
 }
@@ -386,6 +387,59 @@ func TestManifestCorruptionTypedErrorOnReopen(t *testing.T) {
 
 	if _, err := OpenAt(dir, testOptions(PolicyCloudOnly)); !errors.Is(err, wal.ErrCorrupt) {
 		t.Fatalf("reopen with corrupt MANIFEST err = %v, want wal.ErrCorrupt", err)
+	}
+}
+
+// TestManifestRotationFailureKeepsStore fails every attempt to create a new
+// manifest once the store is open and writes past the point where the log
+// rotates: the flushes whose edits trigger the rotation must succeed, Close
+// must return cleanly, with no install panicking on a manifest log the
+// failed rotation closed, and a reopen must read every key.
+func TestManifestRotationFailureKeepsStore(t *testing.T) {
+	dir := t.TempDir()
+	o := testOptions(PolicyLocalOnly)
+	d, lf, _, err := OpenAtChaosLocal(dir, o, storage.FaultConfig{}, storage.FaultConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, err := lf.ReadAll("CURRENT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Appends to the open log are PUTs of its name too; only a new one fails.
+	var creates atomic.Int64
+	lf.SetHook(func(op, name string) error {
+		if op == "PUT" && strings.HasPrefix(name, "MANIFEST-") && name != string(cur) {
+			creates.Add(1)
+			return errors.New("injected ENOSPC")
+		}
+		return nil
+	})
+	// One edit per flush plus the compactions they trigger: the log reaches
+	// its 1000th edit after some 700 flushes.
+	n := 0
+	for creates.Load() < 3 {
+		if n == 2000 {
+			t.Fatal("no manifest rotation after 2000 flushes")
+		}
+		mustPut(t, d, fmt.Sprintf("k%05d", n), pipelineValue(n))
+		n++
+		if err := d.Flush(); err != nil {
+			t.Errorf("flush %d with rotation failing: %v", n-1, err)
+			break
+		}
+	}
+	if err := d.Close(); err != nil {
+		t.Fatalf("close after failed rotations: %v", err)
+	}
+
+	d, err = OpenAt(dir, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	for i := 0; i < n; i++ {
+		mustGet(t, d, fmt.Sprintf("k%05d", i), pipelineValue(i))
 	}
 }
 

@@ -455,3 +455,55 @@ func TestRelocateRetiredMidCopy(t *testing.T) {
 		})
 	}
 }
+
+// TestRelocateNeverCarriesDamage damages a table that landed off home during
+// a cloud outage, then ends the outage. The drainer must verify the table
+// before moving it: it has no clean copy anywhere, so it stays pending on
+// the local tier, quarantined and counted once, and nothing reaches the
+// cloud. Reads of the damaged block fail with ErrCorruption, the rest of the
+// table still reads, and a scrub finds the damage.
+func TestRelocateNeverCarriesDamage(t *testing.T) {
+	d, faulty := openFaultyTest(t, PolicyCloudOnly, storage.FaultConfig{})
+	defer d.Close()
+
+	faulty.StartOutage(0)
+	const n = 300
+	for i := 0; i < n; i++ {
+		mustPut(t, d, fmt.Sprintf("k%05d", i), pipelineValue(i))
+	}
+	if err := d.Flush(); err != nil {
+		t.Fatalf("flush during outage must degrade, not fail: %v", err)
+	}
+	locals := localTableNums(d)
+	if pending, _ := d.PendingCloudTables(); pending != 1 || len(locals) != 1 {
+		t.Fatalf("outage flush: %d pending tables, %d local, want 1 and 1", pending, len(locals))
+	}
+	// Offset 64 lies in the first data block.
+	corruptObject(t, d.local, manifest.TableName(locals[0]), 64)
+	d.tables.evict(locals[0])
+	faulty.EndOutage()
+
+	waitFor(t, "the drainer to find the damage", 5*time.Second, func() bool {
+		return d.Metrics().CorruptionsDetected > 0
+	})
+	// Some more rounds: none may count it again or move it.
+	time.Sleep(20 * drainEvery(d.opts))
+	m := d.Metrics()
+	if m.CorruptionsDetected != 1 || m.CorruptionsUnrepaired != 1 || m.QuarantinedTables != 1 {
+		t.Fatalf("detected=%d unrepaired=%d quarantined=%d, want 1, 1 and 1",
+			m.CorruptionsDetected, m.CorruptionsUnrepaired, m.QuarantinedTables)
+	}
+	if pending, _ := d.PendingCloudTables(); pending != 1 || m.DrainedTables != 0 {
+		t.Fatalf("%d pending, %d drained: the damaged table moved", pending, m.DrainedTables)
+	}
+	if names, err := faulty.List("sst/"); err != nil || len(names) != 0 {
+		t.Fatalf("cloud tables %v (err %v), want none", names, err)
+	}
+	if _, err := d.Get([]byte("k00000")); !errors.Is(err, storage.ErrCorruption) {
+		t.Fatalf("Get on the damaged block: err %v, want ErrCorruption", err)
+	}
+	mustGet(t, d, fmt.Sprintf("k%05d", n-1), pipelineValue(n-1))
+	if rep := d.Scrub(); rep.Corrupt != 1 {
+		t.Fatalf("scrub found %d corrupt artifacts, want 1", rep.Corrupt)
+	}
+}

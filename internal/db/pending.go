@@ -5,7 +5,6 @@ import (
 
 	"rocksmash/internal/manifest"
 	"rocksmash/internal/retry"
-	"rocksmash/internal/sstable"
 	"rocksmash/internal/storage"
 )
 
@@ -13,7 +12,7 @@ import (
 // Options.tierForLevel assigns its level — or moves it back there:
 //
 //   - A table is off home when uploadTable could not reach its home tier and
-//     landed it on the other one (flush.go): on local storage for a cloud
+//     landed it on the other one (output.go): on local storage for a cloud
 //     home (FileMetadata.PendingCloud), or in the cloud for a local home
 //     (recognised by level; offHome). The drainer relocates off-home tables
 //     once the home tier cooperates. The direction is a parameter; the rules
@@ -27,25 +26,25 @@ import (
 //
 // Invariants:
 //
-//   - The manifest never references an object that is not durable: an
-//     off-home table is readable where its metadata says it is, and a
+//   - The manifest never references an object that is not durable: a
 //     relocation's one manifest edit (delete the entry, re-add it on the
 //     home tier with PendingCloud cleared) is applied only after the home
-//     copy — and, in the cloud, its metadata sidecar — is durable.
+//     copy is durable. Nor does a copy carry damage: the source is verified
+//     first, and a damaged one is repaired from a clean cloud copy or stays
+//     where it is, quarantined.
 //   - The drainer is the only mutator of a file's tier. It pins the version
 //     whose tables it copies, so a source it cannot read is a tier failing,
 //     never a table retired under it; a pin stops deletion, not retirement,
 //     so it still re-verifies the file is live under compactionMu before the
 //     edit — compactions install under that lock too, so a relocation never
 //     resurrects a table one has dropped — and removes a copy made for a
-//     table retired meanwhile as the orphan it is. Compactions no longer hold
-//     compactionMu while they merge, so a relocation can also land while a
-//     job that picked the table is mid-merge: the job reads the old-tier copy
-//     its own pin keeps, its edit deletes the table by number, and both
+//     table retired meanwhile as the orphan it is. A relocation may land
+//     while a job that picked the table merges: the job reads the old-tier
+//     copy its own pin keeps, its edit deletes the table by number, and both
 //     copies are retired once the versions naming them are released.
-//   - Every whole-table write goes through putTable, so a relocation to the
-//     local tier is that tier's recovery probe, and none is attempted while
-//     the local breaker is open with no probe due.
+//   - A relocation lands like any table (land), so one to the local tier is
+//     that tier's recovery probe, and none is attempted while the local
+//     breaker is open with no probe due.
 
 // deferredDelete is an object deletion that failed and awaits retry.
 type deferredDelete struct {
@@ -179,7 +178,7 @@ func (d *engine) drainOffHome() {
 	v := d.vs.Acquire()
 	v.AllFiles(func(level int, f *manifest.FileMetadata) {
 		home, ok := d.offHome(level, f)
-		if stop || !ok || (localDown && home == storage.TierLocal) {
+		if stop || !ok || (localDown && home == storage.TierLocal) || d.isQuarantined(f.Num) {
 			return
 		}
 		stop = d.closed.Load() || !d.relocate(level, *f, home)
@@ -204,38 +203,39 @@ func (d *engine) liveOffHome(level int, num uint64) bool {
 // should stop (a tier not cooperating, manifest failure) and true when the
 // drainer may go on to the next table.
 func (d *engine) relocate(level int, meta manifest.FileMetadata, to storage.Tier) bool {
-	name := manifest.TableName(meta.Num)
-	from := meta.Tier
 	start := time.Now()
-	data, err := d.backendFor(from).ReadAll(name)
+	data, err := d.backendFor(meta.Tier).ReadAll(manifest.TableName(meta.Num))
 	if err != nil {
 		// The pin keeps the object in place, so this is the tier failing
 		// (down, EIO): the round ends and the next tick retries, not a spin.
 		return false
 	}
-	attempts, err := d.putTable(to, name, data)
+	t := &builtTable{meta: meta, data: data}
+	t.meta.Tier, t.meta.PendingCloud = to, false
+	t.metaOff, err = d.verifyTableBytes(data, meta.Num)
+	if err != nil && meta.Tier == storage.TierLocal {
+		// A clean cloud copy (a mirror, or one left by an earlier relocation
+		// cut short) repairs the source, and its bytes move.
+		if t.data, err = d.repairLocalTable(meta.Num, err, false); err == nil {
+			t.metaOff, err = d.verifyTableBytes(t.data, meta.Num)
+		}
+	} else if err != nil {
+		d.quarantine(meta.Num, err)
+	}
+	if err != nil {
+		// Never carry damage home: the table stays quarantined where it is,
+		// counted once, and later rounds pass it over.
+		return true
+	}
+	attempts, err := d.land(t, to, false)
 	if err != nil {
 		return false // home tier still not cooperating; try next tick
-	}
-	var tailOff uint64
-	if to == storage.TierCloud {
-		var tail []byte
-		if tailOff, tail, err = sstable.MetaTail(bytesReader{data}); err == nil {
-			err = d.writeMetaSidecar(meta.Num, tailOff, tail)
-		}
-		if err != nil {
-			d.removeTable(to, meta.Num)
-			return false
-		}
 	}
 
 	// Install the move, re-verifying liveness under compactionMu so a
 	// concurrent compaction cannot retire the file between our check and
 	// the manifest append (LogAndApply persists before applying, so a
 	// conflicting edit must be impossible, not merely detected).
-	newMeta := meta
-	newMeta.Tier = to
-	newMeta.PendingCloud = false
 	moved := &d.stats.DrainedTables
 	if to == storage.TierLocal {
 		moved = &d.stats.LocalDrainedBack
@@ -249,7 +249,7 @@ func (d *engine) relocate(level int, meta manifest.FileMetadata, to storage.Tier
 		moved.Add(1)
 		err = d.vs.LogAndApply(&manifest.VersionEdit{
 			Deleted: []manifest.DeletedFile{{Level: level, Num: meta.Num}},
-			Added:   []manifest.AddedFile{{Level: level, Meta: newMeta}},
+			Added:   []manifest.AddedFile{{Level: level, Meta: t.meta}},
 		})
 		if err != nil {
 			moved.Add(-1)
@@ -275,11 +275,7 @@ func (d *engine) relocate(level int, meta manifest.FileMetadata, to storage.Tier
 
 	// The copy on the old tier goes when the last version naming it does
 	// (retire): at the end of this round, or when the last reader lets go.
-	if to == storage.TierCloud && d.opts.Policy == PolicyMash {
-		// Keep the just-moved data warm: it was serving reads locally a
-		// moment ago and must not fall off a latency cliff.
-		_ = d.warmPCache(&builtTable{meta: newMeta, metaOff: tailOff, data: data})
-	}
+	_ = d.warm(t, true)
 	d.evTableUploaded(meta.Num, to, int64(meta.Size), attempts, time.Since(start), false)
 	return true
 }
@@ -338,7 +334,7 @@ func (d *engine) mirrorLocals() {
 		if err != nil {
 			return // local device uncooperative; next tick
 		}
-		if err := d.verifyTableBytes(data, num); err != nil {
+		if _, err := d.verifyTableBytes(data, num); err != nil {
 			// Never poison the mirror: the read path and scrubber classify
 			// the damage through their own channels.
 			continue

@@ -72,19 +72,32 @@ func (d *engine) quarantinedCount() int {
 }
 
 // verifyTableBytes checks a whole table image end to end: footer and
-// metadata blocks (sstable.Open), then the CRC of every data block.
-func (d *engine) verifyTableBytes(data []byte, num uint64) error {
+// metadata blocks (sstable.Open), then the CRC of every data block. It
+// returns where the image's metadata tail begins.
+func (d *engine) verifyTableBytes(data []byte, num uint64) (tailOff uint64, err error) {
 	r, err := sstable.Open(bytesReader{data}, num)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	defer r.Close()
 	for _, h := range r.DataHandles() {
 		if _, err := sstable.ReadRawBlock(bytesReader{data}, h); err != nil {
-			return err
+			return 0, err
 		}
 	}
-	return nil
+	return r.MetaOffset(), nil
+}
+
+// quarantine counts damage in table num that no other copy can repair.
+func (d *engine) quarantine(num uint64, cause error) {
+	d.repairMu.Lock()
+	defer d.repairMu.Unlock()
+	if !d.quarantined[num] {
+		d.stats.CorruptionsDetected.Add(1)
+		d.evCorruptionDetected("sstable-block", manifest.TableName(num), num, cause)
+		d.quarantined[num] = true
+		d.stats.CorruptionsUnrepaired.Add(1)
+	}
 }
 
 // repairLocalTable re-materializes a corrupt local-tier table from its
@@ -118,7 +131,7 @@ func (d *engine) repairLocalTable(num uint64, cause error, force bool) ([]byte, 
 	if err != nil {
 		return fail(err)
 	}
-	if verr := d.verifyTableBytes(data, num); verr != nil {
+	if _, verr := d.verifyTableBytes(data, num); verr != nil {
 		return fail(verr)
 	}
 	// The cloud source is clean: whatever happens to the rewrite below, the
@@ -250,7 +263,7 @@ func (d *engine) scrub() ScrubReport {
 		rep.Tables++
 		data, verr := d.local.ReadAll(manifest.TableName(t.num))
 		if verr == nil {
-			verr = d.verifyTableBytes(data, t.num)
+			_, verr = d.verifyTableBytes(data, t.num)
 		}
 		if verr == nil {
 			// Whatever an earlier pass could not read or repair is readable

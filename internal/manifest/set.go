@@ -165,18 +165,22 @@ func Peek(be storage.Backend) (v *Version, nextFileNum, lastSeq, flushedSeq uint
 }
 
 // createNewManifest writes a full snapshot of current state into a new
-// manifest log and atomically repoints CURRENT.
+// manifest log, makes it durable and points CURRENT at it, and only then
+// swaps it in for the old log. A failure at any step keeps the old log
+// appending: the partial new file is removed best-effort, and the rotation
+// is retried at a later edit.
 func (s *Set) createNewManifest() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.w != nil {
-		s.w.Close()
-		s.w, s.rw = nil, nil
-	}
 	num := s.manifestNum + 1
 	name := manifestName(num)
 	w, err := s.be.Create(name)
 	if err != nil {
+		return err
+	}
+	fail := func(err error) error {
+		w.Close()
+		_ = s.be.Delete(name)
 		return err
 	}
 	rw := wal.NewRecordWriter(w)
@@ -189,22 +193,24 @@ func (s *Set) createNewManifest() error {
 		snap.Added = append(snap.Added, AddedFile{Level: level, Meta: *f})
 	})
 	if err := rw.Append(snap.Encode()); err != nil {
-		w.Close()
-		return err
+		return fail(err)
 	}
 	if err := w.Sync(); err != nil {
-		w.Close()
-		return err
+		return fail(err)
 	}
 	// Point CURRENT at the new manifest via atomic rename.
 	tmp := currentName + ".tmp"
 	if err := storage.WriteObject(s.be, tmp, []byte(name)); err != nil {
+		return fail(err)
+	}
+	if err := s.be.Rename(tmp, currentName); err != nil {
+		// Whether CURRENT moved is unknown: keep the new file, which the
+		// next attempt overwrites.
 		w.Close()
 		return err
 	}
-	if err := s.be.Rename(tmp, currentName); err != nil {
-		w.Close()
-		return err
+	if s.w != nil {
+		s.w.Close()
 	}
 	old := s.manifestNum
 	s.manifestNum = num
@@ -237,7 +243,10 @@ func (s *Set) applyLocked(e *VersionEdit) (death, error) {
 	return d, nil
 }
 
-// LogAndApply persists the edit and installs the resulting version.
+// LogAndApply persists the edit and installs the resulting version. Every
+// 1000 edits the log is rewritten as a snapshot. The edit is durable and
+// applied before that starts, so a failed rotation is not the edit's
+// failure: the old log keeps appending and the next edit retries it.
 func (s *Set) LogAndApply(e *VersionEdit) error {
 	s.mu.Lock()
 	d, err := s.logAndApplyLocked(e)
@@ -245,7 +254,7 @@ func (s *Set) LogAndApply(e *VersionEdit) error {
 	s.mu.Unlock()
 	s.reportObsolete(d)
 	if rotate {
-		return s.createNewManifest()
+		_ = s.createNewManifest()
 	}
 	return err
 }

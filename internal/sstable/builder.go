@@ -145,6 +145,10 @@ func (b *Builder) EstimatedSize() uint64 {
 // NumEntries returns how many entries have been added.
 func (b *Builder) NumEntries() uint64 { return b.props.NumEntries }
 
+// LastKey returns the last internal key added. It aliases the builder's
+// buffer, which the next Add overwrites.
+func (b *Builder) LastKey() []byte { return b.lastKey }
+
 // MetaOffset returns the file offset where the metadata tail (filter,
 // index, properties, footer) begins. Valid after Finish.
 func (b *Builder) MetaOffset() uint64 { return b.metaOff }

@@ -88,6 +88,16 @@ func (f footer) encode() []byte {
 	return buf
 }
 
+// tailOffset returns where the metadata tail — the first of the filter,
+// index and properties blocks — begins.
+func (f footer) tailOffset() uint64 {
+	off := min(f.index.Offset, f.props.Offset)
+	if f.filter.Length > 0 {
+		off = min(off, f.filter.Offset)
+	}
+	return off
+}
+
 func decodeFooter(buf []byte) (footer, error) {
 	if len(buf) != footerLen || binary.LittleEndian.Uint64(buf[48:]) != tableMagic {
 		return footer{}, fmt.Errorf("%w: bad footer", ErrCorrupt)
@@ -220,13 +230,7 @@ func MetaTail(f storage.Reader) (tailOff uint64, tail []byte, err error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	tailOff = ftr.index.Offset
-	if ftr.filter.Length > 0 && ftr.filter.Offset < tailOff {
-		tailOff = ftr.filter.Offset
-	}
-	if ftr.props.Offset < tailOff {
-		tailOff = ftr.props.Offset
-	}
+	tailOff = ftr.tailOffset()
 	tail = make([]byte, uint64(size)-tailOff)
 	if _, err := f.ReadAt(tail, int64(tailOff)); err != nil && err != io.EOF {
 		return 0, nil, err

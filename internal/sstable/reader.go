@@ -32,6 +32,7 @@ type Reader struct {
 	filter    bloom.Filter
 	fetch     FetchFunc
 	metaBytes int
+	metaOff   uint64
 }
 
 // TailReader overlays an in-memory copy of a table's metadata tail on top
@@ -97,7 +98,7 @@ func Open(f storage.Reader, fileNum uint64) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Reader{fileNum: fileNum, f: f}
+	r := &Reader{fileNum: fileNum, f: f, metaOff: ftr.tailOffset()}
 	r.fetch = r.readDirect
 
 	idxBody, err := ReadRawBlock(f, ftr.index)
@@ -152,6 +153,10 @@ func (r *Reader) Properties() Properties { return r.props }
 // filter, index block and its decoded entries), used for the paper's
 // metadata-overhead accounting.
 func (r *Reader) MetadataBytes() int { return r.metaBytes }
+
+// MetaOffset returns the file offset where the metadata tail (filter,
+// index, properties, footer) begins.
+func (r *Reader) MetaOffset() uint64 { return r.metaOff }
 
 // DataHandles returns the handles of all data blocks in file order; the
 // persistent cache uses this for compaction-aware region layout.
