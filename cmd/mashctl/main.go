@@ -84,7 +84,7 @@ func main() {
 			}
 			path = filepath.Join(*dbDir, "trace.jsonl")
 		}
-		cmdTrace(path, *top)
+		check(cmdTrace(os.Stdout, path, *top))
 		return
 	}
 	if *dbDir == "" {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"rocksmash/internal/db"
+	"rocksmash/internal/event"
 	"rocksmash/internal/flight"
 	"rocksmash/internal/obs"
 	"rocksmash/internal/retry"
@@ -149,5 +150,55 @@ func TestDoctor(t *testing.T) {
 	wantLines(t, out.String(), "diagnosing newest of 1 bundles: ", "trigger: "+flight.RuleCloudOutage)
 	if err := cmdDoctor(&out, dir); err == nil {
 		t.Error("doctor over a directory holding no bundle did not fail")
+	}
+}
+
+// TestTrace summarizes the trace a store writes through a flush-and-compact
+// cycle whose small persistent cache evicts under two reasons: two renders
+// are byte-identical, and the per-level compaction table is there.
+func TestTrace(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "trace.jsonl")
+	tw, err := event.CreateTrace(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := smallOptions()
+	o.LocalLevels = -1 // every level cloud: tables warm the pcache and compactions drop them
+	o.PCacheBytes = 256 << 10
+	o.PCacheRegionBytes = 16 << 10
+	o.EventListener = tw
+	d, err := db.OpenAt(filepath.Join(dir, "db"), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4000; i++ {
+		if err := d.Put([]byte(fmt.Sprintf("key-%05d", i)), bytes.Repeat([]byte("v"), 100)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.CompactAll(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var first, second bytes.Buffer
+	if err := cmdTrace(&first, path, 5); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmdTrace(&second, path, 5); err != nil {
+		t.Fatal(err)
+	}
+	if first.String() != second.String() {
+		t.Errorf("two renders of one trace differ:\n%s\n---\n%s", first.String(), second.String())
+	}
+	wantLines(t, first.String(), "compactions by input level:\n", "\n  L0 ", "\nflushes: ", "\nslowest 5 events:\n")
+	if err := cmdTrace(&first, filepath.Join(dir, "missing.jsonl"), 5); err == nil {
+		t.Error("trace over a missing file did not fail")
 	}
 }

@@ -1,24 +1,30 @@
 package main
 
 import (
+	"cmp"
 	"fmt"
+	"io"
+	"slices"
 	"sort"
 	"time"
 
 	"rocksmash/internal/event"
+	"rocksmash/internal/metrics"
 )
 
 // cmdTrace summarizes a JSONL engine trace (an event.CreateTrace listener,
-// as mashbench -trace attaches): event counts, flush and per-level compaction activity with stage timings,
-// upload and stall totals, cache churn, and the slowest individual events.
-func cmdTrace(path string, top int) {
+// as mashbench -trace attaches) onto w: event counts, flush and per-level
+// compaction activity with stage timings, upload and stall totals, cache
+// churn, and the slowest individual events. One trace always renders the
+// same text: every keyed breakdown prints in key order.
+func cmdTrace(w io.Writer, path string, top int) error {
 	recs, err := event.ReadTraceFile(path)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if len(recs) == 0 {
-		fmt.Println("empty trace")
-		return
+		fmt.Fprintln(w, "empty trace")
+		return nil
 	}
 
 	type levelAgg struct {
@@ -72,7 +78,7 @@ func cmdTrace(path string, top int) {
 		byType[rec.Type]++
 		e, err := rec.Decode()
 		if err != nil {
-			fmt.Printf("warning: %v\n", err)
+			fmt.Fprintf(w, "warning: %v\n", err)
 			continue
 		}
 		switch e := e.(type) {
@@ -80,7 +86,7 @@ func cmdTrace(path string, top int) {
 			flushes++
 			flushBytes += e.Bytes
 			flushDur += e.Duration
-			slow = append(slow, slowEvent{rec, fmt.Sprintf("flush #%d (%s)", e.Table, sizeStr(e.Bytes)), e.Duration})
+			slow = append(slow, slowEvent{rec, fmt.Sprintf("flush #%d (%s)", e.Table, metrics.HumanBytes(e.Bytes)), e.Duration})
 		case event.CompactionEnd:
 			a := levels[e.Level]
 			if a == nil {
@@ -97,7 +103,7 @@ func cmdTrace(path string, top int) {
 			a.install += e.InstallDur
 			a.total += e.Duration
 			slow = append(slow, slowEvent{rec,
-				fmt.Sprintf("compaction L%d->L%d (%s in)", e.Level, e.OutputLevel, sizeStr(e.InputBytes)), e.Duration})
+				fmt.Sprintf("compaction L%d->L%d (%s in)", e.Level, e.OutputLevel, metrics.HumanBytes(e.InputBytes)), e.Duration})
 		case event.TableUploaded:
 			uploads++
 			uploadBytes += e.Bytes
@@ -109,7 +115,7 @@ func cmdTrace(path string, top int) {
 				pendingUps++
 			}
 			slow = append(slow, slowEvent{rec,
-				fmt.Sprintf("upload #%d to %s (%s)", e.Table, e.Tier, sizeStr(e.Bytes)), e.Duration})
+				fmt.Sprintf("upload #%d to %s (%s)", e.Table, e.Tier, metrics.HumanBytes(e.Bytes)), e.Duration})
 		case event.CommitGroup:
 			groups++
 			groupBatch += int64(e.Batches)
@@ -144,120 +150,96 @@ func cmdTrace(path string, top int) {
 	}
 
 	first, last := recs[0].Time(), recs[len(recs)-1].Time()
-	fmt.Printf("trace: %d events over %s (%s .. %s)\n",
+	fmt.Fprintf(w, "trace: %d events over %s (%s .. %s)\n",
 		len(recs), last.Sub(first).Round(time.Millisecond),
 		first.Format(time.TimeOnly), last.Format(time.TimeOnly))
-	fmt.Println("\nevents by type:")
-	types := make([]string, 0, len(byType))
-	for t := range byType {
-		types = append(types, string(t))
-	}
-	sort.Strings(types)
-	for _, t := range types {
-		fmt.Printf("  %-18s %6d\n", t, byType[event.Type(t)])
+	fmt.Fprintln(w, "\nevents by type:")
+	for _, t := range sortedKeys(byType) {
+		fmt.Fprintf(w, "  %-18s %6d\n", t, byType[t])
 	}
 
 	if flushes > 0 {
-		fmt.Printf("\nflushes: %d, %s written, %s total (%s mean)\n",
-			flushes, sizeStr(flushBytes), flushDur.Round(time.Millisecond),
+		fmt.Fprintf(w, "\nflushes: %d, %s written, %s total (%s mean)\n",
+			flushes, metrics.HumanBytes(flushBytes), flushDur.Round(time.Millisecond),
 			(flushDur / time.Duration(flushes)).Round(time.Microsecond))
 	}
 	if len(levels) > 0 {
-		fmt.Println("\ncompactions by input level:")
-		fmt.Printf("  %-6s %5s %10s %10s %9s %9s %9s %9s %9s %9s\n",
+		fmt.Fprintln(w, "\ncompactions by input level:")
+		fmt.Fprintf(w, "  %-6s %5s %10s %10s %9s %9s %9s %9s %9s %9s\n",
 			"level", "n", "in", "out", "dropped", "read", "merge", "upload", "install", "total")
-		lvls := make([]int, 0, len(levels))
-		for l := range levels {
-			lvls = append(lvls, l)
-		}
-		sort.Ints(lvls)
-		for _, l := range lvls {
+		for _, l := range sortedKeys(levels) {
 			a := levels[l]
-			fmt.Printf("  L%-5d %5d %10s %10s %9d %9s %9s %9s %9s %9s\n",
-				l, a.count, sizeStr(a.inBytes), sizeStr(a.outBytes), a.dropped,
+			fmt.Fprintf(w, "  L%-5d %5d %10s %10s %9d %9s %9s %9s %9s %9s\n",
+				l, a.count, metrics.HumanBytes(a.inBytes), metrics.HumanBytes(a.outBytes), a.dropped,
 				durStr(a.read), durStr(a.merge), durStr(a.upload), durStr(a.install), durStr(a.total))
 		}
 	}
 	if groups > 0 {
-		fmt.Printf("\ncommit groups: %d (%.2f batches/group, %d ops, %s), wal time %s (%s mean)\n",
-			groups, float64(groupBatch)/float64(groups), groupOps, sizeStr(groupBytes),
+		fmt.Fprintf(w, "\ncommit groups: %d (%.2f batches/group, %d ops, %s), wal time %s (%s mean)\n",
+			groups, float64(groupBatch)/float64(groups), groupOps, metrics.HumanBytes(groupBytes),
 			groupDur.Round(time.Millisecond), (groupDur / time.Duration(groups)).Round(time.Microsecond))
 		if groupSynced > 0 {
-			fmt.Printf("  synced groups: %d (%d fsyncs amortized by grouping)\n",
+			fmt.Fprintf(w, "  synced groups: %d (%d fsyncs amortized by grouping)\n",
 				groupSynced, groupAmort)
 		}
 	}
 	if uploads > 0 {
-		fmt.Printf("\nuploads: %d tables, %s, %s total; %d needed retries (%d retry events)\n",
-			uploads, sizeStr(uploadBytes), uploadDur.Round(time.Millisecond), retried, retries)
+		fmt.Fprintf(w, "\nuploads: %d tables, %s, %s total; %d needed retries (%d retry events)\n",
+			uploads, metrics.HumanBytes(uploadBytes), uploadDur.Round(time.Millisecond), retried, retries)
 	}
 	if retries > 0 || pendingUps > 0 || len(transitions) > 0 {
-		fmt.Println("\nrobustness:")
-		if retries > 0 {
-			ops := make([]string, 0, len(retryByOp))
-			for op := range retryByOp {
-				ops = append(ops, op)
-			}
-			sort.Strings(ops)
-			for _, op := range ops {
-				fmt.Printf("  cloud retries (%s): %d\n", op, retryByOp[op])
-			}
+		fmt.Fprintln(w, "\nrobustness:")
+		for _, op := range sortedKeys(retryByOp) {
+			fmt.Fprintf(w, "  cloud retries (%s): %d\n", op, retryByOp[op])
 		}
 		if pendingUps > 0 {
-			fmt.Printf("  degraded landings (pending-upload): %d\n", pendingUps)
+			fmt.Fprintf(w, "  degraded landings (pending-upload): %d\n", pendingUps)
 		}
-		if len(transitions) > 0 {
-			ts := make([]string, 0, len(transitions))
-			for tr := range transitions {
-				ts = append(ts, tr)
-			}
-			sort.Strings(ts)
-			for _, tr := range ts {
-				fmt.Printf("  breaker %-20s %d\n", tr, transitions[tr])
-			}
+		for _, tr := range sortedKeys(transitions) {
+			fmt.Fprintf(w, "  breaker %-20s %d\n", tr, transitions[tr])
 		}
 	}
 	if slowReads > 0 {
-		fmt.Printf("\nslow reads: %d sampled, %s total (see `mashctl profile -f`)\n",
+		fmt.Fprintf(w, "\nslow reads: %d sampled, %s total (see `mashctl profile -f`)\n",
 			slowReads, slowReadDur.Round(time.Microsecond))
 	}
 	if len(stallCount) > 0 {
-		fmt.Println("\nwrite stalls:")
-		for reason, n := range stallCount {
-			fmt.Printf("  %-10s %4d stalls, %s blocked\n", reason, n, stallDur[reason].Round(time.Millisecond))
+		fmt.Fprintln(w, "\nwrite stalls:")
+		for _, reason := range sortedKeys(stallCount) {
+			fmt.Fprintf(w, "  %-10s %4d stalls, %s blocked\n",
+				reason, stallCount[reason], stallDur[reason].Round(time.Millisecond))
 		}
 	}
 	if admitBlocks > 0 || len(evictBlocks) > 0 {
-		fmt.Printf("\npcache: admitted %d blocks (%s)\n", admitBlocks, sizeStr(admitBytes))
-		for reason, n := range evictBlocks {
-			fmt.Printf("  evicted %d blocks (%s) via %s\n", n, sizeStr(evictBytes[reason]), reason)
+		fmt.Fprintf(w, "\npcache: admitted %d blocks (%s)\n", admitBlocks, metrics.HumanBytes(admitBytes))
+		for _, reason := range sortedKeys(evictBlocks) {
+			fmt.Fprintf(w, "  evicted %d blocks (%s) via %s\n",
+				evictBlocks[reason], metrics.HumanBytes(evictBytes[reason]), reason)
 		}
 	}
 
 	if top > 0 && len(slow) > 0 {
-		sort.Slice(slow, func(i, j int) bool { return slow[i].dur > slow[j].dur })
+		sort.SliceStable(slow, func(i, j int) bool { return slow[i].dur > slow[j].dur })
 		if len(slow) > top {
 			slow = slow[:top]
 		}
-		fmt.Printf("\nslowest %d events:\n", len(slow))
+		fmt.Fprintf(w, "\nslowest %d events:\n", len(slow))
 		for _, s := range slow {
-			fmt.Printf("  %10s  %s  %s\n",
+			fmt.Fprintf(w, "  %10s  %s  %s\n",
 				s.dur.Round(time.Microsecond), s.rec.Time().Format(time.TimeOnly), s.what)
 		}
 	}
+	return nil
 }
 
-func sizeStr(n int64) string {
-	switch {
-	case n >= 1<<30:
-		return fmt.Sprintf("%.2fGB", float64(n)/(1<<30))
-	case n >= 1<<20:
-		return fmt.Sprintf("%.2fMB", float64(n)/(1<<20))
-	case n >= 1<<10:
-		return fmt.Sprintf("%.1fKB", float64(n)/(1<<10))
-	default:
-		return fmt.Sprintf("%dB", n)
+// sortedKeys returns m's keys in order.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	ks := make([]K, 0, len(m))
+	for k := range m {
+		ks = append(ks, k)
 	}
+	slices.Sort(ks)
+	return ks
 }
 
 func durStr(d time.Duration) string {

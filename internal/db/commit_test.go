@@ -209,7 +209,7 @@ func TestCommitPipelineCrashEquivalence(t *testing.T) {
 // counter equals batches minus groups.
 func TestCommitGroupStatsAndEvents(t *testing.T) {
 	dir := t.TempDir()
-	rec := &event.Recorder{}
+	rec := event.NewRecorder()
 	o := testOptions(PolicyLocalOnly)
 	o.WALSync = true
 	o.EventListener = rec

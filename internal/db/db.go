@@ -105,8 +105,8 @@ func Open(opts Options, local storage.Backend, cloud storage.Backend) (*DB, erro
 	// chain, so one trace interleaves all of them.
 	d.listener = opts.EventListener
 	d.initFlight()
-	if d.flight.rec != nil {
-		d.listener = event.Multi(d.listener, d.flight.rec)
+	if ring := d.flight.ring; ring != nil {
+		d.listener = event.Multi(d.listener, event.Func(ring.Add))
 	}
 	if cloud != nil {
 		d.breaker = d.newBreaker(opts.CloudBreaker, "cloud", &d.cloudTrips)

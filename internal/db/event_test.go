@@ -83,7 +83,7 @@ func (r *inputRecorder) OnCompactionBegin(b event.CompactionBegin) {
 // compaction input deleted only after its job's CompactionEnd, and compaction
 // stage timings that are nonzero and mutually consistent.
 func TestEventSequence(t *testing.T) {
-	rec := &inputRecorder{Recorder: &event.Recorder{}, inputs: map[uint64]uint64{}}
+	rec := &inputRecorder{Recorder: event.NewRecorder(), inputs: map[uint64]uint64{}}
 	o := testOptions(PolicyMash)
 	o.LocalLevels = -1 // every level cloud: flushes upload and warm the pcache
 	o.EventListener = rec

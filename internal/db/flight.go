@@ -3,7 +3,6 @@ package db
 import (
 	"encoding/json"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,7 +16,7 @@ import (
 // Flight recorder wiring: the engine-agnostic pieces live in
 // internal/flight (event ring, detector rules, bundle format, offline
 // doctor); this file connects them to the DB. The detector rides the vitals
-// sampler's tick in every store. With Options.FlightDir set, the recorder
+// sampler's tick in every store. With Options.FlightDir set, the event ring
 // also taps the listener chain (so the ring sees exactly the event stream a
 // trace would) and bundle dumps run on the sampler goroutine — so a firing
 // rule serializes its own postmortem and never blocks a foreground
@@ -37,14 +36,13 @@ const (
 
 type flightState struct {
 	det *flight.Detector
-	// rec is the event ring; nil, like cfg.Dir, without a FlightDir.
-	rec *flight.Recorder
-	cfg flight.BundleConfig
+	// ring is the event ring; nil, like cfg.Dir, without a FlightDir.
+	ring *flight.Ring
+	cfg  flight.BundleConfig
 
-	// Detector fires, re-triggers absorbed by per-rule cooldowns, and
-	// postmortem bundle outcomes.
+	// Detector fires and postmortem bundle outcomes (the detector counts
+	// the re-triggers its per-rule cooldowns absorb).
 	triggered    atomic.Int64
-	suppressed   atomic.Int64
 	bundles      atomic.Int64
 	bundleErrors atomic.Int64
 
@@ -61,7 +59,7 @@ func (d *DB) initFlight() {
 	fs := &d.flight
 	fs.det = flight.NewDetector(flight.DefaultRules(flight.Thresholds{}))
 	if dir := d.opts.FlightDir; dir != "" {
-		fs.rec = flight.NewRecorder(flightHistory)
+		fs.ring = flight.NewRing(flightHistory)
 		fs.cfg = flight.BundleConfig{Dir: dir, MaxBundles: flightMaxBundles, MaxEventBytes: 1 << 20}
 		fs.lastBundle = map[string]time.Time{}
 	}
@@ -73,7 +71,6 @@ func (d *DB) initFlight() {
 func (d *DB) flightObserve(s vitals.Sample) {
 	fs := &d.flight
 	incs := fs.det.Observe(s)
-	fs.suppressed.Store(fs.det.Suppressed())
 	for i := range incs {
 		inc := &incs[i]
 		fs.triggered.Add(1)
@@ -95,7 +92,7 @@ func (d *DB) flightObserve(s vitals.Sample) {
 // Open-time baseline, so a bundle never moves the interval an operator's
 // DumpStats calls measure.
 func (fs *flightState) maybeWriteBundle(d *DB, inc *flight.Incident) {
-	if fs.rec == nil {
+	if fs.ring == nil {
 		return
 	}
 	now := time.Unix(0, inc.UnixNano)
@@ -117,11 +114,11 @@ func (fs *flightState) maybeWriteBundle(d *DB, inc *flight.Incident) {
 		Incident:     *inc,
 		Active:       fs.det.Active(),
 		Counts:       fs.det.Counts(),
-		Events:       fs.rec.Snapshot(),
+		Events:       fs.ring.Snapshot(),
 		Vitals:       d.vit.Samples(),
 		MetricsJSON:  metricsJSON,
 		StatsText:    d.renderStats(m, Metrics{}, d.openedAt, time.Now()),
-		ManifestText: levelSummary(m),
+		ManifestText: d.levelShape(&m, &Metrics{}),
 	})
 	if werr != nil {
 		fs.bundleErrors.Add(1)
@@ -129,38 +126,6 @@ func (fs *flightState) maybeWriteBundle(d *DB, inc *flight.Incident) {
 	}
 	inc.Bundle = path
 	fs.bundles.Add(1)
-}
-
-// levelSummary renders the manifest shape for the bundle's manifest.txt.
-func levelSummary(m Metrics) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "policy=%s lastSeq=%d local=%s cloud=%s debt=%s spaceAmp=%.2f\n",
-		m.Policy, m.LastSeq, metrics.HumanBytes(m.LocalBytes), metrics.HumanBytes(m.CloudBytes),
-		metrics.HumanBytes(m.CompactionDebt), m.SpaceAmp)
-	for l := range m.LevelFiles {
-		if m.LevelFiles[l] == 0 {
-			continue
-		}
-		fmt.Fprintf(&b, "L%d: %d files, %s\n", l, m.LevelFiles[l], metrics.HumanBytes(int64(m.LevelBytes[l])))
-	}
-	if m.PendingTables > 0 {
-		fmt.Fprintf(&b, "pending-cloud: %d tables, %s\n", m.PendingTables, metrics.HumanBytes(m.PendingBytes))
-	}
-	if m.MisplacedTables > 0 {
-		fmt.Fprintf(&b, "misplaced: %d tables\n", m.MisplacedTables)
-	}
-	return b.String()
-}
-
-// fillFlightMetrics copies the flight counters and active-rule set into a
-// Metrics snapshot.
-func (d *DB) fillFlightMetrics(m *Metrics) {
-	fs := &d.flight
-	m.IncidentsTriggered = fs.triggered.Load()
-	m.IncidentsSuppressed = fs.suppressed.Load()
-	m.BundlesWritten = fs.bundles.Load()
-	m.BundleErrors = fs.bundleErrors.Load()
-	m.ActiveIncidents = fs.det.Active()
 }
 
 func (d *DB) evIncidentTriggered(inc flight.Incident) {

@@ -65,7 +65,7 @@ func startOutage(t *testing.T, d *DB, faulty *storage.Faulty) flight.Incident {
 // cloud-outage into Incidents, Metrics, Health and DumpStats.
 func TestFlightOffPath(t *testing.T) {
 	d, faulty := openOutageStore(t, "")
-	if d.flight.rec != nil {
+	if d.flight.ring != nil {
 		t.Fatal("event ring allocated without a FlightDir")
 	}
 	if h := d.Health(); h.Status != HealthHealthy {
@@ -216,7 +216,7 @@ func TestFlightBundleKeepsDumpStatsInterval(t *testing.T) {
 	if after-before != 50 {
 		t.Fatalf("outage wrote %d batches, want 50", after-before)
 	}
-	if want := fmt.Sprintf("Interval writes:   %d ops", after-before); !strings.Contains(d.DumpStats(), want) {
+	if want := fmt.Sprintf("Writes: ops %d (+%d)", after, after-before); !strings.Contains(d.DumpStats(), want) {
 		t.Fatalf("DumpStats after a bundle lacks %q:\n%s", want, d.DumpStats())
 	}
 }
@@ -234,7 +234,7 @@ func TestFlightShardedFacade(t *testing.T) {
 	}
 	defer d.Close()
 
-	if d.flight.rec == nil {
+	if d.flight.ring == nil {
 		t.Fatal("facade has no event ring")
 	}
 	for i := 0; i < 100; i++ {
@@ -244,7 +244,7 @@ func TestFlightShardedFacade(t *testing.T) {
 	if err := d.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if rec := d.flight.rec.Ring().Recorded(); rec == 0 {
+	if rec := d.flight.ring.Recorded(); rec == 0 {
 		t.Fatal("facade ring captured no shard events")
 	}
 	if h := d.Health(); h.Status != HealthHealthy {

@@ -172,7 +172,7 @@ func TestCompactionReadsWideSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rec := &event.Recorder{}
+	rec := event.NewRecorder()
 	o.L0CompactTrigger = 2
 	o.EventListener = rec
 	if d, err = OpenAt(dir, o); err != nil {

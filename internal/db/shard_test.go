@@ -242,7 +242,7 @@ func TestShardedBreakerTripsOnce(t *testing.T) {
 			}
 		},
 	}
-	rec := &event.Recorder{}
+	rec := event.NewRecorder()
 	o.EventListener = rec
 	local, err := storage.NewLocal(filepath.Join(dir, "local"))
 	if err != nil {

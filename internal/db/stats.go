@@ -134,23 +134,28 @@ type (
 // it, the Metrics field that carries it (a path, "ReadAmp.Tables"), and where
 // DB.Metrics gets it. A field with a same-named atomic counter in Stats is
 // that counter summed over the engines; a row with a read function is a
-// store-wide figure (a cache, a breaker) taken once per snapshot; the rest
-// DB.Metrics computes in its body, while it walks the engines' versions or
-// from a part of the store that may be absent (flight recorder, cloud
-// breaker). DB.Metrics and obs.WriteProm walk Signals and nothing else lists
-// the scalars, so a signal added here is summed and exposed by construction.
+// store-wide figure (a cache, a breaker, the flight recorder) taken once per
+// snapshot; the rest DB.Metrics computes in its body, while it walks the
+// engines' versions or from a part of the store that may be absent (the
+// cloud breaker). DB.Metrics, obs.WriteProm and DumpStats walk Signals and
+// nothing else lists the scalars, so a signal added here is summed, exposed
+// and reported by construction.
 // Labeled families (per level, tier, shard, quantile) are not rows: they
 // render the slices and nested structs of Metrics in loops of their own.
 type Signal struct {
 	row
 	index []int // Field, located in Metrics
 	stat  int   // the same-named Stats counter's field index, or -1
+
+	section, line, label string // Dump, split
 }
 
-// row is a Signal as the table below writes it.
+// row is a Signal as the table below writes it. Dump places the signal in
+// DumpStats: "Section/Line/label", or a bare "Section" whose own renderer
+// prints it (ReadAmp.Render for the ReadAmp rows).
 type row struct {
 	Name, Type, Help string
-	Field            string
+	Field, Dump      string
 	read             func(*DB) any // returns a value of the field's type
 }
 
@@ -190,6 +195,10 @@ func resolve(rows []row) []Signal {
 		default:
 			panic("db: signal " + r.Name + ": Metrics." + r.Field + " is not a scalar")
 		}
+		r.section = r.Dump
+		if p := strings.SplitN(r.Dump, "/", 3); len(p) == 3 {
+			r.section, r.line, r.label = p[0], p[1], p[2]
+		}
 		r.stat = -1
 		if f, ok := stats.FieldByName(r.Field); ok && f.Type == reflect.TypeOf(atomic.Int64{}) && r.read == nil {
 			r.stat = f.Index[0]
@@ -207,84 +216,84 @@ const (
 // order /metrics has always printed them, between its labeled families (see
 // obs.WriteProm); a new row goes at the end.
 var Signals = resolve([]row{
-	{"rocksmash_reads_total", counter, "Point lookups served.", "Reads", nil},
-	{"rocksmash_writes_total", counter, "Write operations committed.", "Writes", nil},
-	{"rocksmash_write_stalls_total", counter, "Writes stalled on background work.", "WriteStalls", nil},
-	{"rocksmash_flushes_total", counter, "Memtable flushes completed.", "Flushes", nil},
-	{"rocksmash_compactions_total", counter, "Compactions completed.", "Compactions", nil},
-	{"rocksmash_read_profiled_total", counter, "Gets that carried a read profile.", "ReadAmp.ProfiledGets", nil},
-	{"rocksmash_read_timed_total", counter, "Profiled Gets with per-stage timings.", "ReadAmp.TimedGets", nil},
-	{"rocksmash_read_tables_total", counter, "Table readers consulted by profiled Gets.", "ReadAmp.Tables", nil},
-	{"rocksmash_read_bloom_checked_total", counter, "Bloom filters consulted by profiled Gets.", "ReadAmp.BloomChecked", nil},
-	{"rocksmash_read_bloom_negative_total", counter, "Bloom filters that rejected the probe.", "ReadAmp.BloomNegative", nil},
-	{"rocksmash_iter_seeks_total", counter, "Iterator positioning operations profiled.", "ReadAmp.IterSeeks", nil},
-	{"rocksmash_block_cache_hit_ratio", gauge, "In-memory block cache hit ratio.", "BlockHit", func(d *DB) any { return d.blockCache.HitRatio() }},
-	{"rocksmash_pcache_hit_ratio", gauge, "Persistent cache hit ratio.", "PCacheHit", func(d *DB) any { return d.pcache.Stats().HitRatio() }},
-	{"rocksmash_pcache_used_bytes", gauge, "Persistent cache data bytes.", "PCacheUsed", func(d *DB) any { return d.pcache.UsedBytes() }},
-	{"rocksmash_local_bytes", gauge, "Table bytes on the local tier.", "LocalBytes", nil},
-	{"rocksmash_cloud_bytes", gauge, "Table bytes on the cloud tier.", "CloudBytes", nil},
-	{"rocksmash_compaction_debt_bytes", gauge, "Estimated bytes compaction must move to restore level targets.", "CompactionDebt", nil},
-	{"rocksmash_space_amp", gauge, "Space amplification estimate: total table bytes over deepest level bytes.", "SpaceAmp", nil},
-	{"rocksmash_incidents_triggered_total", counter, "Anomaly-detector incidents fired by the flight recorder.", "IncidentsTriggered", nil},
-	{"rocksmash_incidents_suppressed_total", counter, "Detector firings swallowed by per-rule cooldowns.", "IncidentsSuppressed", nil},
-	{"rocksmash_flight_bundles_written_total", counter, "Incident postmortem bundles committed to disk.", "BundlesWritten", nil},
-	{"rocksmash_flight_bundle_errors_total", counter, "Incident bundle dumps that failed to commit.", "BundleErrors", nil},
+	{"rocksmash_reads_total", counter, "Point lookups served.", "Reads", "DB Stats/Reads/ops", nil},
+	{"rocksmash_writes_total", counter, "Write operations committed.", "Writes", "DB Stats/Writes/ops", nil},
+	{"rocksmash_write_stalls_total", counter, "Writes stalled on background work.", "WriteStalls", "DB Stats/Writes/stalls", nil},
+	{"rocksmash_flushes_total", counter, "Memtable flushes completed.", "Flushes", "Flush & Compaction/Flushes/completed", nil},
+	{"rocksmash_compactions_total", counter, "Compactions completed.", "Compactions", "Flush & Compaction/Compactions/completed", nil},
+	{"rocksmash_read_profiled_total", counter, "Gets that carried a read profile.", "ReadAmp.ProfiledGets", "Read Path", nil},
+	{"rocksmash_read_timed_total", counter, "Profiled Gets with per-stage timings.", "ReadAmp.TimedGets", "Read Path", nil},
+	{"rocksmash_read_tables_total", counter, "Table readers consulted by profiled Gets.", "ReadAmp.Tables", "Read Path", nil},
+	{"rocksmash_read_bloom_checked_total", counter, "Bloom filters consulted by profiled Gets.", "ReadAmp.BloomChecked", "Read Path", nil},
+	{"rocksmash_read_bloom_negative_total", counter, "Bloom filters that rejected the probe.", "ReadAmp.BloomNegative", "Read Path", nil},
+	{"rocksmash_iter_seeks_total", counter, "Iterator positioning operations profiled.", "ReadAmp.IterSeeks", "Read Path", nil},
+	{"rocksmash_block_cache_hit_ratio", gauge, "In-memory block cache hit ratio.", "BlockHit", "Caches/Block cache/hit ratio", func(d *DB) any { return d.blockCache.HitRatio() }},
+	{"rocksmash_pcache_hit_ratio", gauge, "Persistent cache hit ratio.", "PCacheHit", "Caches/PCache/hit ratio", func(d *DB) any { return d.pcache.Stats().HitRatio() }},
+	{"rocksmash_pcache_used_bytes", gauge, "Persistent cache data bytes.", "PCacheUsed", "Caches/PCache/used", func(d *DB) any { return d.pcache.UsedBytes() }},
+	{"rocksmash_local_bytes", gauge, "Table bytes on the local tier.", "LocalBytes", "Level Shape/Placement/local", nil},
+	{"rocksmash_cloud_bytes", gauge, "Table bytes on the cloud tier.", "CloudBytes", "Level Shape/Placement/cloud", nil},
+	{"rocksmash_compaction_debt_bytes", gauge, "Estimated bytes compaction must move to restore level targets.", "CompactionDebt", "Level Shape/Shape/compaction debt", nil},
+	{"rocksmash_space_amp", gauge, "Space amplification estimate: total table bytes over deepest level bytes.", "SpaceAmp", "Level Shape/Shape/space amp", nil},
+	{"rocksmash_incidents_triggered_total", counter, "Anomaly-detector incidents fired by the flight recorder.", "IncidentsTriggered", "Flight Recorder/Incidents/triggered", func(d *DB) any { return d.flight.triggered.Load() }},
+	{"rocksmash_incidents_suppressed_total", counter, "Detector firings swallowed by per-rule cooldowns.", "IncidentsSuppressed", "Flight Recorder/Incidents/suppressed", func(d *DB) any { return d.flight.det.Suppressed() }},
+	{"rocksmash_flight_bundles_written_total", counter, "Incident postmortem bundles committed to disk.", "BundlesWritten", "Flight Recorder/Bundles/written", func(d *DB) any { return d.flight.bundles.Load() }},
+	{"rocksmash_flight_bundle_errors_total", counter, "Incident bundle dumps that failed to commit.", "BundleErrors", "Flight Recorder/Bundles/errors", func(d *DB) any { return d.flight.bundleErrors.Load() }},
 
-	{"rocksmash_last_sequence", gauge, "Last acknowledged sequence number.", "LastSeq", func(d *DB) any { return d.ackedSeq() }},
-	{"rocksmash_user_bytes_written_total", counter, "User key and value bytes committed.", "BytesWritten", nil},
-	{"rocksmash_commit_groups_total", counter, "Commit groups led.", "CommitGroups", nil},
-	{"rocksmash_commit_group_batches_total", counter, "Batches carried by commit groups.", "CommitGroupBatches", nil},
-	{"rocksmash_wal_syncs_amortized_total", counter, "WAL fsyncs saved by group commit.", "WALSyncsAmortized", nil},
-	{"rocksmash_flush_bytes_total", counter, "Table bytes written by flushes.", "FlushBytes", nil},
-	{"rocksmash_compact_bytes_in_total", counter, "Table bytes read by compactions.", "CompactBytesIn", nil},
-	{"rocksmash_compact_bytes_out_total", counter, "Table bytes written by compactions.", "CompactBytesOut", nil},
-	{"rocksmash_compact_dropped_keys_total", counter, "Shadowed and deleted entries dropped by compactions.", "CompactDroppedKeys", nil},
-	{"rocksmash_prefetch_spans_total", counter, "Cloud range GETs that fetched compaction inputs.", "PrefetchSpans", nil},
-	{"rocksmash_prefetch_blocks_total", counter, "Blocks carried by compaction-input spans.", "PrefetchBlocks", nil},
-	{"rocksmash_readahead_spans_total", counter, "Cloud range GETs that read ahead of view scans.", "ReadaheadSpans", nil},
-	{"rocksmash_readahead_blocks_total", counter, "Blocks carried by scan readahead spans.", "ReadaheadBlocks", nil},
-	{"rocksmash_scan_view_hits_total", counter, "Per-level iterators that found their level's sorted view on the version.", "ScanViewHits", nil},
-	{"rocksmash_scan_view_misses_total", counter, "Per-level iterators that built their level's sorted view on first use.", "ScanViewMisses", nil},
-	{"rocksmash_iter_keys_total", counter, "Live keys yielded by iterators.", "IterKeys", nil},
-	{"rocksmash_block_cache_hits_total", counter, "Block cache lookups that hit.", "BlockCacheHits", func(d *DB) any { h, _ := d.blockCache.Counters(); return h }},
-	{"rocksmash_block_cache_misses_total", counter, "Block cache lookups that missed.", "BlockCacheMisses", func(d *DB) any { _, n := d.blockCache.Counters(); return n }},
-	{"rocksmash_pcache_hits_total", counter, "Persistent cache lookups that hit.", "PCacheHits", func(d *DB) any { return d.pcache.Stats().Hits.Load() }},
-	{"rocksmash_pcache_misses_total", counter, "Persistent cache lookups that missed.", "PCacheMisses", func(d *DB) any { return d.pcache.Stats().Misses.Load() }},
-	{"rocksmash_pcache_corrupt_reads_total", counter, "Persistent cache reads that failed their checksum and were served as misses.", "PCacheCorruptReads", func(d *DB) any { return d.pcache.Stats().CorruptReads.Load() }},
-	{"rocksmash_pcache_metadata_bytes", gauge, "Memory held by the persistent cache's index.", "PCacheMeta", func(d *DB) any { return d.pcache.MetadataBytes() }},
-	{"rocksmash_table_metadata_bytes", gauge, "Pinned table metadata (index and filter blocks), all local.", "MetaBytes", func(d *DB) any { return d.tables.metadataBytes() }},
+	{"rocksmash_last_sequence", gauge, "Last acknowledged sequence number.", "LastSeq", "DB Stats/Writes/last seq", func(d *DB) any { return d.ackedSeq() }},
+	{"rocksmash_user_bytes_written_total", counter, "User key and value bytes committed.", "BytesWritten", "DB Stats/Writes/user data", nil},
+	{"rocksmash_commit_groups_total", counter, "Commit groups led.", "CommitGroups", "DB Stats/Commit groups/led", nil},
+	{"rocksmash_commit_group_batches_total", counter, "Batches carried by commit groups.", "CommitGroupBatches", "DB Stats/Commit groups/batches", nil},
+	{"rocksmash_wal_syncs_amortized_total", counter, "WAL fsyncs saved by group commit.", "WALSyncsAmortized", "DB Stats/Commit groups/WAL syncs amortized", nil},
+	{"rocksmash_flush_bytes_total", counter, "Table bytes written by flushes.", "FlushBytes", "Flush & Compaction/Flushes/written", nil},
+	{"rocksmash_compact_bytes_in_total", counter, "Table bytes read by compactions.", "CompactBytesIn", "Flush & Compaction/Compactions/in", nil},
+	{"rocksmash_compact_bytes_out_total", counter, "Table bytes written by compactions.", "CompactBytesOut", "Flush & Compaction/Compactions/out", nil},
+	{"rocksmash_compact_dropped_keys_total", counter, "Shadowed and deleted entries dropped by compactions.", "CompactDroppedKeys", "Flush & Compaction/Compactions/dropped keys", nil},
+	{"rocksmash_prefetch_spans_total", counter, "Cloud range GETs that fetched compaction inputs.", "PrefetchSpans", "Flush & Compaction/Prefetch/spans", nil},
+	{"rocksmash_prefetch_blocks_total", counter, "Blocks carried by compaction-input spans.", "PrefetchBlocks", "Flush & Compaction/Prefetch/blocks", nil},
+	{"rocksmash_readahead_spans_total", counter, "Cloud range GETs that read ahead of view scans.", "ReadaheadSpans", "Range Scans/Readahead/spans", nil},
+	{"rocksmash_readahead_blocks_total", counter, "Blocks carried by scan readahead spans.", "ReadaheadBlocks", "Range Scans/Readahead/blocks", nil},
+	{"rocksmash_scan_view_hits_total", counter, "Per-level iterators that found their level's sorted view on the version.", "ScanViewHits", "Range Scans/Sorted views/level hits", nil},
+	{"rocksmash_scan_view_misses_total", counter, "Per-level iterators that built their level's sorted view on first use.", "ScanViewMisses", "Range Scans/Sorted views/built on first scan", nil},
+	{"rocksmash_iter_keys_total", counter, "Live keys yielded by iterators.", "IterKeys", "Range Scans/Scans/keys yielded", nil},
+	{"rocksmash_block_cache_hits_total", counter, "Block cache lookups that hit.", "BlockCacheHits", "Caches/Block cache/hits", func(d *DB) any { h, _ := d.blockCache.Counters(); return h }},
+	{"rocksmash_block_cache_misses_total", counter, "Block cache lookups that missed.", "BlockCacheMisses", "Caches/Block cache/misses", func(d *DB) any { _, n := d.blockCache.Counters(); return n }},
+	{"rocksmash_pcache_hits_total", counter, "Persistent cache lookups that hit.", "PCacheHits", "Caches/PCache/hits", func(d *DB) any { return d.pcache.Stats().Hits.Load() }},
+	{"rocksmash_pcache_misses_total", counter, "Persistent cache lookups that missed.", "PCacheMisses", "Caches/PCache/misses", func(d *DB) any { return d.pcache.Stats().Misses.Load() }},
+	{"rocksmash_pcache_corrupt_reads_total", counter, "Persistent cache reads that failed their checksum and were served as misses.", "PCacheCorruptReads", "Caches/PCache/corrupt reads", func(d *DB) any { return d.pcache.Stats().CorruptReads.Load() }},
+	{"rocksmash_pcache_metadata_bytes", gauge, "Memory held by the persistent cache's index.", "PCacheMeta", "Caches/PCache/metadata", func(d *DB) any { return d.pcache.MetadataBytes() }},
+	{"rocksmash_table_metadata_bytes", gauge, "Pinned table metadata (index and filter blocks), all local.", "MetaBytes", "Level Shape/Placement/pinned metadata", func(d *DB) any { return d.tables.metadataBytes() }},
 
-	{"rocksmash_upload_retries_total", counter, "Cloud uploads retried.", "UploadRetries", nil},
-	{"rocksmash_read_retries_total", counter, "Cloud reads retried.", "ReadRetries", nil},
-	{"rocksmash_cloud_breaker_trips_total", counter, "Times the cloud circuit breaker opened.", "BreakerTrips", func(d *DB) any { return d.cloudTrips.trips.Load() }},
-	{"rocksmash_cloud_breaker_half_opens_total", counter, "Recovery probes the cloud circuit breaker admitted.", "BreakerHalfOpens", func(d *DB) any { return d.cloudTrips.halfOpens.Load() }},
-	{"rocksmash_cloud_degraded_seconds_total", counter, "Time the cloud circuit breaker has spent open or half-open.", "DegradedDur", nil},
-	{"rocksmash_degraded_tables_total", counter, "Tables landed on the local tier during cloud outages.", "DegradedTables", nil},
-	{"rocksmash_drained_tables_total", counter, "Pending tables since uploaded to the cloud tier.", "DrainedTables", nil},
-	{"rocksmash_deferred_deletes_total", counter, "Object deletions that failed and were queued for retry.", "DeferredDeletes", nil},
-	{"rocksmash_compactions_deferred_total", counter, "Compactions postponed by an open breaker.", "CompactionsDeferred", nil},
-	{"rocksmash_pending_tables", gauge, "Tables on the local tier awaiting upload to the cloud tier.", "PendingTables", nil},
-	{"rocksmash_pending_bytes", gauge, "Bytes of the tables awaiting upload to the cloud tier.", "PendingBytes", nil},
-	{"rocksmash_obsolete_tables", gauge, "Retired tables that an open reader's pin still holds in place.", "ObsoleteTables", nil},
-	{"rocksmash_obsolete_bytes", gauge, "Bytes of the retired tables open readers hold in place.", "ObsoleteBytes", nil},
+	{"rocksmash_upload_retries_total", counter, "Cloud uploads retried.", "UploadRetries", "Robustness/Retries/upload", nil},
+	{"rocksmash_read_retries_total", counter, "Cloud reads retried.", "ReadRetries", "Robustness/Retries/read", nil},
+	{"rocksmash_cloud_breaker_trips_total", counter, "Times the cloud circuit breaker opened.", "BreakerTrips", "Robustness/Cloud breaker/trips", func(d *DB) any { return d.cloudTrips.trips.Load() }},
+	{"rocksmash_cloud_breaker_half_opens_total", counter, "Recovery probes the cloud circuit breaker admitted.", "BreakerHalfOpens", "Robustness/Cloud breaker/half-opens", func(d *DB) any { return d.cloudTrips.halfOpens.Load() }},
+	{"rocksmash_cloud_degraded_seconds_total", counter, "Time the cloud circuit breaker has spent open or half-open.", "DegradedDur", "Robustness/Cloud breaker/degraded", nil},
+	{"rocksmash_degraded_tables_total", counter, "Tables landed on the local tier during cloud outages.", "DegradedTables", "Robustness/Degraded landings/tables", nil},
+	{"rocksmash_drained_tables_total", counter, "Pending tables since uploaded to the cloud tier.", "DrainedTables", "Robustness/Degraded landings/drained", nil},
+	{"rocksmash_deferred_deletes_total", counter, "Object deletions that failed and were queued for retry.", "DeferredDeletes", "Robustness/Deferred/deletes", nil},
+	{"rocksmash_compactions_deferred_total", counter, "Compactions postponed by an open breaker.", "CompactionsDeferred", "Robustness/Deferred/compactions", nil},
+	{"rocksmash_pending_tables", gauge, "Tables on the local tier awaiting upload to the cloud tier.", "PendingTables", "Robustness/Degraded landings/pending tables", nil},
+	{"rocksmash_pending_bytes", gauge, "Bytes of the tables awaiting upload to the cloud tier.", "PendingBytes", "Robustness/Degraded landings/pending bytes", nil},
+	{"rocksmash_obsolete_tables", gauge, "Retired tables that an open reader's pin still holds in place.", "ObsoleteTables", "Level Shape/Obsolete, held by open readers/tables", nil},
+	{"rocksmash_obsolete_bytes", gauge, "Bytes of the retired tables open readers hold in place.", "ObsoleteBytes", "Level Shape/Obsolete, held by open readers/bytes", nil},
 
-	{"rocksmash_local_breaker_trips_total", counter, "Times the local circuit breaker opened.", "LocalBreakerTrips", func(d *DB) any { return d.localTrips.trips.Load() }},
-	{"rocksmash_local_breaker_half_opens_total", counter, "Recovery probes the local circuit breaker admitted.", "LocalBreakerHalfOpens", func(d *DB) any { return d.localTrips.halfOpens.Load() }},
-	{"rocksmash_local_degraded_seconds_total", counter, "Time the local circuit breaker has spent open or half-open.", "LocalDegradedDur", func(d *DB) any { return d.localBreaker.DegradedDur() }},
-	{"rocksmash_local_degraded_tables_total", counter, "Tables landed cloud-direct while the local tier was degraded.", "LocalDegradedTables", nil},
-	{"rocksmash_local_drained_back_total", counter, "Misplaced tables migrated back to the local tier.", "LocalDrainedBack", nil},
-	{"rocksmash_misplaced_tables", gauge, "Local-level tables on the cloud tier awaiting drain-back.", "MisplacedTables", nil},
-	{"rocksmash_corruptions_detected_total", counter, "Checksum failures found on local artifacts.", "CorruptionsDetected", nil},
-	{"rocksmash_corruptions_repaired_total", counter, "Corrupt artifacts rebuilt from a cloud copy.", "CorruptionsRepaired", nil},
-	{"rocksmash_corruptions_unrepaired_total", counter, "Corrupt artifacts with no clean copy, quarantined.", "CorruptionsUnrepaired", nil},
-	{"rocksmash_quarantined_tables", gauge, "Tables quarantined for unrepairable corruption.", "QuarantinedTables", nil},
-	{"rocksmash_scrub_passes_total", counter, "Scrub walks completed.", "ScrubPasses", nil},
-	{"rocksmash_mirrored_tables_total", counter, "Local-level tables copied to the cloud tier as a repair source.", "MirroredTables", nil},
-	{"rocksmash_wal_spills_total", counter, "WAL segments spilled to the cloud backup.", "WALSpills", nil},
-	{"rocksmash_wal_restored_total", counter, "WAL segments restored from the cloud backup.", "WALRestored", nil},
-	{"rocksmash_write_stalls_l0_total", counter, "Writes stalled on the L0 file limit: compaction is behind.", "WriteStallsL0", nil},
-	{"rocksmash_compactions_running", gauge, "Compaction jobs running, store-wide.", "CompactionsRunning", func(d *DB) any { return d.compactionsRunning.Load() }},
-	{"rocksmash_pcache_door_declined_total", counter, "Demoted blocks the persistent cache's frequency door turned away.", "PCacheDoorDeclined", func(d *DB) any { return d.pcache.Stats().DoorDeclined.Load() }},
+	{"rocksmash_local_breaker_trips_total", counter, "Times the local circuit breaker opened.", "LocalBreakerTrips", "Robustness/Local breaker/trips", func(d *DB) any { return d.localTrips.trips.Load() }},
+	{"rocksmash_local_breaker_half_opens_total", counter, "Recovery probes the local circuit breaker admitted.", "LocalBreakerHalfOpens", "Robustness/Local breaker/half-opens", func(d *DB) any { return d.localTrips.halfOpens.Load() }},
+	{"rocksmash_local_degraded_seconds_total", counter, "Time the local circuit breaker has spent open or half-open.", "LocalDegradedDur", "Robustness/Local breaker/degraded", func(d *DB) any { return d.localBreaker.DegradedDur() }},
+	{"rocksmash_local_degraded_tables_total", counter, "Tables landed cloud-direct while the local tier was degraded.", "LocalDegradedTables", "Robustness/Local-degraded landings/tables", nil},
+	{"rocksmash_local_drained_back_total", counter, "Misplaced tables migrated back to the local tier.", "LocalDrainedBack", "Robustness/Local-degraded landings/drained back", nil},
+	{"rocksmash_misplaced_tables", gauge, "Local-level tables on the cloud tier awaiting drain-back.", "MisplacedTables", "Robustness/Local-degraded landings/misplaced", nil},
+	{"rocksmash_corruptions_detected_total", counter, "Checksum failures found on local artifacts.", "CorruptionsDetected", "Robustness/Corruption/detected", nil},
+	{"rocksmash_corruptions_repaired_total", counter, "Corrupt artifacts rebuilt from a cloud copy.", "CorruptionsRepaired", "Robustness/Corruption/repaired", nil},
+	{"rocksmash_corruptions_unrepaired_total", counter, "Corrupt artifacts with no clean copy, quarantined.", "CorruptionsUnrepaired", "Robustness/Corruption/unrepaired", nil},
+	{"rocksmash_quarantined_tables", gauge, "Tables quarantined for unrepairable corruption.", "QuarantinedTables", "Robustness/Corruption/quarantined", nil},
+	{"rocksmash_scrub_passes_total", counter, "Scrub walks completed.", "ScrubPasses", "Robustness/Corruption/scrub passes", nil},
+	{"rocksmash_mirrored_tables_total", counter, "Local-level tables copied to the cloud tier as a repair source.", "MirroredTables", "Robustness/Backups/mirrored tables", nil},
+	{"rocksmash_wal_spills_total", counter, "WAL segments spilled to the cloud backup.", "WALSpills", "Robustness/Backups/WAL spills", nil},
+	{"rocksmash_wal_restored_total", counter, "WAL segments restored from the cloud backup.", "WALRestored", "Robustness/Backups/WAL restores", nil},
+	{"rocksmash_write_stalls_l0_total", counter, "Writes stalled on the L0 file limit: compaction is behind.", "WriteStallsL0", "DB Stats/Writes/L0 stalls", nil},
+	{"rocksmash_compactions_running", gauge, "Compaction jobs running, store-wide.", "CompactionsRunning", "Flush & Compaction/Compactions/running", func(d *DB) any { return d.compactionsRunning.Load() }},
+	{"rocksmash_pcache_door_declined_total", counter, "Demoted blocks the persistent cache's frequency door turned away.", "PCacheDoorDeclined", "Caches/PCache/door declined", func(d *DB) any { return d.pcache.Stats().DoorDeclined.Load() }},
 })
 
 // compactionDebt estimates the bytes compaction must move to bring the
@@ -369,7 +378,7 @@ func (d *DB) Metrics() Metrics {
 		m.CorruptionsDetected++
 		m.CorruptionsRepaired++
 	}
-	d.fillFlightMetrics(&m)
+	m.ActiveIncidents = d.flight.det.Active()
 	for l := range m.LevelWriteAmp {
 		m.LevelWriteAmp[l] = LevelWriteAmp{Level: l, Target: l + 1}
 	}

@@ -17,7 +17,10 @@
 //     slows the operation that fired it. Offload heavy work.
 package event
 
-import "time"
+import (
+	"reflect"
+	"time"
+)
 
 // Type names an event kind; it is the "type" field of trace records.
 type Type string
@@ -308,115 +311,130 @@ func (NopListener) OnCorruptionRepaired(CorruptionRepaired) {}
 func (NopListener) OnViewBuilt(ViewBuilt)                   {}
 func (NopListener) OnIncidentTriggered(IncidentTriggered)   {}
 
-// multi fans every event out to each listener in order.
-type multi []Listener
+// Kind pairs an event type with its payload struct.
+type Kind struct {
+	Type    Type
+	Payload reflect.Type
+}
+
+// Kinds is every event kind, in the order of the Type constants. Decoding a
+// trace record reads it; a new kind is a payload struct, a Type, a row here,
+// a Listener method, and a line each in NopListener, Func and Deliver.
+var Kinds = []Kind{
+	{TFlushBegin, reflect.TypeOf(FlushBegin{})},
+	{TFlushEnd, reflect.TypeOf(FlushEnd{})},
+	{TCompactionBegin, reflect.TypeOf(CompactionBegin{})},
+	{TCompactionEnd, reflect.TypeOf(CompactionEnd{})},
+	{TTableUploaded, reflect.TypeOf(TableUploaded{})},
+	{TTableDeleted, reflect.TypeOf(TableDeleted{})},
+	{TWriteStallBegin, reflect.TypeOf(WriteStallBegin{})},
+	{TWriteStallEnd, reflect.TypeOf(WriteStallEnd{})},
+	{TCommitGroup, reflect.TypeOf(CommitGroup{})},
+	{TPCacheAdmit, reflect.TypeOf(PCacheAdmit{})},
+	{TPCacheEvict, reflect.TypeOf(PCacheEvict{})},
+	{TCloudRetry, reflect.TypeOf(CloudRetry{})},
+	{TBreakerState, reflect.TypeOf(BreakerState{})},
+	{TSlowRead, reflect.TypeOf(SlowRead{})},
+	{TCorruptionDetected, reflect.TypeOf(CorruptionDetected{})},
+	{TCorruptionRepaired, reflect.TypeOf(CorruptionRepaired{})},
+	{TViewBuilt, reflect.TypeOf(ViewBuilt{})},
+	{TIncidentTriggered, reflect.TypeOf(IncidentTriggered{})},
+}
+
+// Func adapts one function to Listener: every event reaches it as its Type
+// and its payload, by value (FlushEnd, not *FlushEnd). A consumer that
+// treats all kinds alike — a trace, a ring, a log — is a Func.
+type Func func(Type, any)
+
+func (f Func) OnFlushBegin(e FlushBegin)           { f(TFlushBegin, e) }
+func (f Func) OnFlushEnd(e FlushEnd)               { f(TFlushEnd, e) }
+func (f Func) OnCompactionBegin(e CompactionBegin) { f(TCompactionBegin, e) }
+func (f Func) OnCompactionEnd(e CompactionEnd)     { f(TCompactionEnd, e) }
+func (f Func) OnTableUploaded(e TableUploaded)     { f(TTableUploaded, e) }
+func (f Func) OnTableDeleted(e TableDeleted)       { f(TTableDeleted, e) }
+func (f Func) OnWriteStallBegin(e WriteStallBegin) { f(TWriteStallBegin, e) }
+func (f Func) OnWriteStallEnd(e WriteStallEnd)     { f(TWriteStallEnd, e) }
+func (f Func) OnCommitGroup(e CommitGroup)         { f(TCommitGroup, e) }
+func (f Func) OnPCacheAdmit(e PCacheAdmit)         { f(TPCacheAdmit, e) }
+func (f Func) OnPCacheEvict(e PCacheEvict)         { f(TPCacheEvict, e) }
+func (f Func) OnCloudRetry(e CloudRetry)           { f(TCloudRetry, e) }
+func (f Func) OnBreakerState(e BreakerState)       { f(TBreakerState, e) }
+func (f Func) OnSlowRead(e SlowRead)               { f(TSlowRead, e) }
+
+func (f Func) OnCorruptionDetected(e CorruptionDetected) { f(TCorruptionDetected, e) }
+func (f Func) OnCorruptionRepaired(e CorruptionRepaired) { f(TCorruptionRepaired, e) }
+func (f Func) OnViewBuilt(e ViewBuilt)                   { f(TViewBuilt, e) }
+func (f Func) OnIncidentTriggered(e IncidentTriggered)   { f(TIncidentTriggered, e) }
+
+// Deliver hands payload e to l's method for its kind; a value of no kind is
+// dropped. It is Func run backwards: Deliver(Func(fn), e) calls fn with e's
+// Type.
+func Deliver(l Listener, e any) {
+	switch e := e.(type) {
+	case FlushBegin:
+		l.OnFlushBegin(e)
+	case FlushEnd:
+		l.OnFlushEnd(e)
+	case CompactionBegin:
+		l.OnCompactionBegin(e)
+	case CompactionEnd:
+		l.OnCompactionEnd(e)
+	case TableUploaded:
+		l.OnTableUploaded(e)
+	case TableDeleted:
+		l.OnTableDeleted(e)
+	case WriteStallBegin:
+		l.OnWriteStallBegin(e)
+	case WriteStallEnd:
+		l.OnWriteStallEnd(e)
+	case CommitGroup:
+		l.OnCommitGroup(e)
+	case PCacheAdmit:
+		l.OnPCacheAdmit(e)
+	case PCacheEvict:
+		l.OnPCacheEvict(e)
+	case CloudRetry:
+		l.OnCloudRetry(e)
+	case BreakerState:
+		l.OnBreakerState(e)
+	case SlowRead:
+		l.OnSlowRead(e)
+	case CorruptionDetected:
+		l.OnCorruptionDetected(e)
+	case CorruptionRepaired:
+		l.OnCorruptionRepaired(e)
+	case ViewBuilt:
+		l.OnViewBuilt(e)
+	case IncidentTriggered:
+		l.OnIncidentTriggered(e)
+	}
+}
 
 // Multi combines listeners into one that dispatches to all of them, in
 // argument order. Nil entries are skipped; a single survivor is returned
-// unwrapped, and an empty set yields nil (no listener).
+// unwrapped, and an empty set yields nil (no listener). The combination is a
+// Func: each event is boxed once, handed as is to members that are Funcs,
+// and delivered to the rest through their methods.
 func Multi(ls ...Listener) Listener {
-	var out multi
+	var fs []Func
+	var last Listener
 	for _, l := range ls {
-		if l != nil {
-			out = append(out, l)
+		if l == nil {
+			continue
 		}
+		last = l
+		f, ok := l.(Func)
+		if !ok {
+			f = func(_ Type, e any) { Deliver(l, e) }
+		}
+		fs = append(fs, f)
 	}
-	switch len(out) {
-	case 0:
-		return nil
-	case 1:
-		return out[0]
+	if len(fs) < 2 {
+		return last
 	}
-	return out
-}
-
-func (m multi) OnFlushBegin(e FlushBegin) {
-	for _, l := range m {
-		l.OnFlushBegin(e)
-	}
-}
-func (m multi) OnFlushEnd(e FlushEnd) {
-	for _, l := range m {
-		l.OnFlushEnd(e)
-	}
-}
-func (m multi) OnCompactionBegin(e CompactionBegin) {
-	for _, l := range m {
-		l.OnCompactionBegin(e)
-	}
-}
-func (m multi) OnCompactionEnd(e CompactionEnd) {
-	for _, l := range m {
-		l.OnCompactionEnd(e)
-	}
-}
-func (m multi) OnTableUploaded(e TableUploaded) {
-	for _, l := range m {
-		l.OnTableUploaded(e)
-	}
-}
-func (m multi) OnTableDeleted(e TableDeleted) {
-	for _, l := range m {
-		l.OnTableDeleted(e)
-	}
-}
-func (m multi) OnWriteStallBegin(e WriteStallBegin) {
-	for _, l := range m {
-		l.OnWriteStallBegin(e)
-	}
-}
-func (m multi) OnWriteStallEnd(e WriteStallEnd) {
-	for _, l := range m {
-		l.OnWriteStallEnd(e)
-	}
-}
-func (m multi) OnCommitGroup(e CommitGroup) {
-	for _, l := range m {
-		l.OnCommitGroup(e)
-	}
-}
-func (m multi) OnPCacheAdmit(e PCacheAdmit) {
-	for _, l := range m {
-		l.OnPCacheAdmit(e)
-	}
-}
-func (m multi) OnPCacheEvict(e PCacheEvict) {
-	for _, l := range m {
-		l.OnPCacheEvict(e)
-	}
-}
-func (m multi) OnCloudRetry(e CloudRetry) {
-	for _, l := range m {
-		l.OnCloudRetry(e)
-	}
-}
-func (m multi) OnBreakerState(e BreakerState) {
-	for _, l := range m {
-		l.OnBreakerState(e)
-	}
-}
-func (m multi) OnSlowRead(e SlowRead) {
-	for _, l := range m {
-		l.OnSlowRead(e)
-	}
-}
-func (m multi) OnCorruptionDetected(e CorruptionDetected) {
-	for _, l := range m {
-		l.OnCorruptionDetected(e)
-	}
-}
-func (m multi) OnCorruptionRepaired(e CorruptionRepaired) {
-	for _, l := range m {
-		l.OnCorruptionRepaired(e)
-	}
-}
-func (m multi) OnViewBuilt(e ViewBuilt) {
-	for _, l := range m {
-		l.OnViewBuilt(e)
-	}
-}
-func (m multi) OnIncidentTriggered(e IncidentTriggered) {
-	for _, l := range m {
-		l.OnIncidentTriggered(e)
-	}
+	return Func(func(t Type, e any) {
+		for _, f := range fs {
+			f(t, e)
+		}
+	})
 }

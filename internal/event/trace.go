@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"reflect"
 	"sync"
 	"time"
 )
@@ -27,104 +28,45 @@ func (r Record) Time() time.Time { return time.Unix(0, r.TS) }
 // record, not the stream, so traces stay partially decodable as payloads
 // evolve.
 func (r Record) Decode() (any, error) {
-	var p any
-	switch r.Type {
-	case TFlushBegin:
-		p = &FlushBegin{}
-	case TFlushEnd:
-		p = &FlushEnd{}
-	case TCompactionBegin:
-		p = &CompactionBegin{}
-	case TCompactionEnd:
-		p = &CompactionEnd{}
-	case TTableUploaded:
-		p = &TableUploaded{}
-	case TTableDeleted:
-		p = &TableDeleted{}
-	case TWriteStallBegin:
-		p = &WriteStallBegin{}
-	case TWriteStallEnd:
-		p = &WriteStallEnd{}
-	case TCommitGroup:
-		p = &CommitGroup{}
-	case TPCacheAdmit:
-		p = &PCacheAdmit{}
-	case TPCacheEvict:
-		p = &PCacheEvict{}
-	case TCloudRetry:
-		p = &CloudRetry{}
-	case TBreakerState:
-		p = &BreakerState{}
-	case TSlowRead:
-		p = &SlowRead{}
-	case TCorruptionDetected:
-		p = &CorruptionDetected{}
-	case TCorruptionRepaired:
-		p = &CorruptionRepaired{}
-	case TViewBuilt:
-		p = &ViewBuilt{}
-	case TIncidentTriggered:
-		p = &IncidentTriggered{}
-	default:
-		return nil, fmt.Errorf("event: unknown trace record type %q", r.Type)
+	for _, k := range Kinds {
+		if k.Type == r.Type {
+			p := reflect.New(k.Payload)
+			if err := json.Unmarshal(r.Data, p.Interface()); err != nil {
+				return nil, err
+			}
+			return p.Elem().Interface(), nil
+		}
 	}
-	if err := json.Unmarshal(r.Data, p); err != nil {
+	return nil, fmt.Errorf("event: unknown trace record type %q", r.Type)
+}
+
+// Encode renders one event as a trace line, without the newline: the Record
+// that ReadTrace and Decode read back. Live traces and flight bundles both
+// write it.
+func Encode(ts int64, typ Type, payload any) ([]byte, error) {
+	data, err := json.Marshal(payload)
+	if err != nil {
 		return nil, err
 	}
-	// Return the struct by value so consumers type-switch without pointers.
-	switch e := p.(type) {
-	case *FlushBegin:
-		return *e, nil
-	case *FlushEnd:
-		return *e, nil
-	case *CompactionBegin:
-		return *e, nil
-	case *CompactionEnd:
-		return *e, nil
-	case *TableUploaded:
-		return *e, nil
-	case *TableDeleted:
-		return *e, nil
-	case *WriteStallBegin:
-		return *e, nil
-	case *WriteStallEnd:
-		return *e, nil
-	case *CommitGroup:
-		return *e, nil
-	case *PCacheAdmit:
-		return *e, nil
-	case *PCacheEvict:
-		return *e, nil
-	case *CloudRetry:
-		return *e, nil
-	case *BreakerState:
-		return *e, nil
-	case *CorruptionDetected:
-		return *e, nil
-	case *CorruptionRepaired:
-		return *e, nil
-	case *ViewBuilt:
-		return *e, nil
-	case *IncidentTriggered:
-		return *e, nil
-	default:
-		return *p.(*SlowRead), nil
-	}
+	return json.Marshal(Record{TS: ts, Type: typ, Data: data})
 }
 
 // TraceWriter is a Listener that appends every event as one JSON line.
 // It is safe for concurrent use. Close flushes buffered records.
 type TraceWriter struct {
-	mu  sync.Mutex
-	bw  *bufio.Writer
-	c   io.Closer // underlying file, when owned
-	err error     // first write failure; subsequent events are dropped
+	Func // t.emit: the Listener methods
+	mu   sync.Mutex
+	bw   *bufio.Writer
+	c    io.Closer // underlying file, when owned
+	err  error     // first write failure; subsequent events are dropped
 }
 
 // NewTraceWriter traces onto w. The caller owns w's lifetime; Close only
 // flushes.
 func NewTraceWriter(w io.Writer) *TraceWriter {
-	return &TraceWriter{bw: bufio.NewWriter(w)}
+	t := &TraceWriter{bw: bufio.NewWriter(w)}
+	t.Func = t.emit
+	return t
 }
 
 // CreateTrace creates (truncating) a JSONL trace file at path. The file
@@ -164,11 +106,7 @@ func (t *TraceWriter) Err() error {
 }
 
 func (t *TraceWriter) emit(typ Type, payload any) {
-	data, err := json.Marshal(payload)
-	if err != nil {
-		return
-	}
-	line, err := json.Marshal(Record{TS: time.Now().UnixNano(), Type: typ, Data: data})
+	line, err := Encode(time.Now().UnixNano(), typ, payload)
 	if err != nil {
 		return
 	}
@@ -185,26 +123,6 @@ func (t *TraceWriter) emit(typ Type, payload any) {
 		t.err = err
 	}
 }
-
-func (t *TraceWriter) OnFlushBegin(e FlushBegin)           { t.emit(TFlushBegin, e) }
-func (t *TraceWriter) OnFlushEnd(e FlushEnd)               { t.emit(TFlushEnd, e) }
-func (t *TraceWriter) OnCompactionBegin(e CompactionBegin) { t.emit(TCompactionBegin, e) }
-func (t *TraceWriter) OnCompactionEnd(e CompactionEnd)     { t.emit(TCompactionEnd, e) }
-func (t *TraceWriter) OnTableUploaded(e TableUploaded)     { t.emit(TTableUploaded, e) }
-func (t *TraceWriter) OnTableDeleted(e TableDeleted)       { t.emit(TTableDeleted, e) }
-func (t *TraceWriter) OnWriteStallBegin(e WriteStallBegin) { t.emit(TWriteStallBegin, e) }
-func (t *TraceWriter) OnWriteStallEnd(e WriteStallEnd)     { t.emit(TWriteStallEnd, e) }
-func (t *TraceWriter) OnCommitGroup(e CommitGroup)         { t.emit(TCommitGroup, e) }
-func (t *TraceWriter) OnPCacheAdmit(e PCacheAdmit)         { t.emit(TPCacheAdmit, e) }
-func (t *TraceWriter) OnPCacheEvict(e PCacheEvict)         { t.emit(TPCacheEvict, e) }
-func (t *TraceWriter) OnCloudRetry(e CloudRetry)           { t.emit(TCloudRetry, e) }
-func (t *TraceWriter) OnBreakerState(e BreakerState)       { t.emit(TBreakerState, e) }
-func (t *TraceWriter) OnSlowRead(e SlowRead)               { t.emit(TSlowRead, e) }
-
-func (t *TraceWriter) OnCorruptionDetected(e CorruptionDetected) { t.emit(TCorruptionDetected, e) }
-func (t *TraceWriter) OnCorruptionRepaired(e CorruptionRepaired) { t.emit(TCorruptionRepaired, e) }
-func (t *TraceWriter) OnViewBuilt(e ViewBuilt)                   { t.emit(TViewBuilt, e) }
-func (t *TraceWriter) OnIncidentTriggered(e IncidentTriggered)   { t.emit(TIncidentTriggered, e) }
 
 // ReadTrace decodes a JSONL trace stream. Blank lines are skipped; a
 // malformed line aborts with its line number.
@@ -242,10 +160,18 @@ func ReadTraceFile(path string) ([]Record, error) {
 }
 
 // Recorder is a Listener that appends every event to an in-memory log, for
-// tests and tools. Safe for concurrent use.
+// tests and tools. Safe for concurrent use; make one with NewRecorder.
 type Recorder struct {
+	Func   // r.add: the Listener methods
 	mu     sync.Mutex
 	events []Recorded
+}
+
+// NewRecorder returns an empty Recorder.
+func NewRecorder() *Recorder {
+	r := &Recorder{}
+	r.Func = r.add
+	return r
 }
 
 // Recorded is one captured event.
@@ -291,23 +217,3 @@ func (r *Recorder) add(t Type, payload any) {
 	r.events = append(r.events, Recorded{Type: t, Payload: payload})
 	r.mu.Unlock()
 }
-
-func (r *Recorder) OnFlushBegin(e FlushBegin)           { r.add(TFlushBegin, e) }
-func (r *Recorder) OnFlushEnd(e FlushEnd)               { r.add(TFlushEnd, e) }
-func (r *Recorder) OnCompactionBegin(e CompactionBegin) { r.add(TCompactionBegin, e) }
-func (r *Recorder) OnCompactionEnd(e CompactionEnd)     { r.add(TCompactionEnd, e) }
-func (r *Recorder) OnTableUploaded(e TableUploaded)     { r.add(TTableUploaded, e) }
-func (r *Recorder) OnTableDeleted(e TableDeleted)       { r.add(TTableDeleted, e) }
-func (r *Recorder) OnWriteStallBegin(e WriteStallBegin) { r.add(TWriteStallBegin, e) }
-func (r *Recorder) OnWriteStallEnd(e WriteStallEnd)     { r.add(TWriteStallEnd, e) }
-func (r *Recorder) OnCommitGroup(e CommitGroup)         { r.add(TCommitGroup, e) }
-func (r *Recorder) OnPCacheAdmit(e PCacheAdmit)         { r.add(TPCacheAdmit, e) }
-func (r *Recorder) OnPCacheEvict(e PCacheEvict)         { r.add(TPCacheEvict, e) }
-func (r *Recorder) OnCloudRetry(e CloudRetry)           { r.add(TCloudRetry, e) }
-func (r *Recorder) OnBreakerState(e BreakerState)       { r.add(TBreakerState, e) }
-func (r *Recorder) OnSlowRead(e SlowRead)               { r.add(TSlowRead, e) }
-
-func (r *Recorder) OnCorruptionDetected(e CorruptionDetected) { r.add(TCorruptionDetected, e) }
-func (r *Recorder) OnCorruptionRepaired(e CorruptionRepaired) { r.add(TCorruptionRepaired, e) }
-func (r *Recorder) OnViewBuilt(e ViewBuilt)                   { r.add(TViewBuilt, e) }
-func (r *Recorder) OnIncidentTriggered(e IncidentTriggered)   { r.add(TIncidentTriggered, e) }

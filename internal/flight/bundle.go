@@ -1,6 +1,7 @@
 package flight
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -45,7 +46,7 @@ type BundleInputs struct {
 	MetricsJSON []byte
 	// StatsText is the DumpStats() report.
 	StatsText string
-	// ManifestText summarizes the level/manifest shape.
+	// ManifestText is the level shape: files, bytes and tier per level.
 	ManifestText string
 }
 
@@ -97,31 +98,17 @@ func WriteBundle(cfg BundleConfig, in BundleInputs) (string, error) {
 		return "", err
 	}
 
-	written := 0
-	writeFile := func(base string, data []byte) error {
-		if crashAfterFiles > 0 && written+1 >= crashAfterFiles {
-			return errCrashPoint
-		}
-		if err := os.WriteFile(filepath.Join(tmp, base), data, 0o644); err != nil {
-			return err
-		}
-		written++
-		return nil
-	}
-
-	events, droppedByCap := capEvents(in.Events, cfg.MaxEventBytes)
+	eventsFile, droppedByCap, from, to := encodeEvents(in.Events, cfg.MaxEventBytes)
 	man := BundleManifest{
 		Incident:           in.Incident,
 		Active:             in.Active,
 		Counts:             in.Counts,
-		EventCount:         len(events),
+		EventsFrom:         from,
+		EventsTo:           to,
+		EventCount:         len(in.Events) - droppedByCap,
 		EventsDroppedByCap: droppedByCap,
 		VitalsCount:        len(in.Vitals),
 		WrittenUnixNano:    time.Now().UnixNano(),
-	}
-	if len(events) > 0 {
-		man.EventsFrom = events[0].UnixNano
-		man.EventsTo = events[len(events)-1].UnixNano
 	}
 	if len(in.Vitals) > 0 {
 		man.VitalsFrom = in.Vitals[0].UnixNano
@@ -131,32 +118,37 @@ func WriteBundle(cfg BundleConfig, in BundleInputs) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if err := writeFile("incident.json", manJSON); err != nil {
-		return "", err
-	}
-	if err := writeFile("events.jsonl", encodeEvents(events)); err != nil {
-		return "", err
-	}
 	vitJSON, err := json.Marshal(struct {
 		Samples []vitals.Sample `json:"samples"`
 	}{in.Vitals})
 	if err != nil {
 		return "", err
 	}
-	if err := writeFile("vitals.json", vitJSON); err != nil {
-		return "", err
+	var goroutines, heap bytes.Buffer
+	if p := pprof.Lookup("goroutine"); p != nil {
+		p.WriteTo(&goroutines, 1)
 	}
-	if err := writeFile("metrics.json", in.MetricsJSON); err != nil {
-		return "", err
-	}
-	if err := writeFile("stats.txt", []byte(in.StatsText)); err != nil {
-		return "", err
-	}
-	if err := writeFile("manifest.txt", []byte(in.ManifestText)); err != nil {
-		return "", err
-	}
-	if err := writeProfiles(tmp, &written); err != nil {
-		return "", err
+	pprof.WriteHeapProfile(&heap)
+
+	for i, f := range []struct {
+		name string
+		data []byte
+	}{
+		{"incident.json", manJSON},
+		{"events.jsonl", eventsFile},
+		{"vitals.json", vitJSON},
+		{"metrics.json", in.MetricsJSON},
+		{"stats.txt", []byte(in.StatsText)},
+		{"manifest.txt", []byte(in.ManifestText)},
+		{"goroutines.txt", goroutines.Bytes()},
+		{"heap.pprof", heap.Bytes()},
+	} {
+		if i+1 == crashAfterFiles {
+			return "", errCrashPoint
+		}
+		if err := os.WriteFile(filepath.Join(tmp, f.name), f.data, 0o644); err != nil {
+			return "", err
+		}
 	}
 
 	// The commit point: everything above is invisible until this rename.
@@ -167,82 +159,38 @@ func WriteBundle(cfg BundleConfig, in BundleInputs) (string, error) {
 	return final, nil
 }
 
-// writeProfiles dumps goroutine and heap profiles into dir.
-func writeProfiles(dir string, written *int) error {
-	if crashAfterFiles > 0 && *written+1 >= crashAfterFiles {
-		return errCrashPoint
-	}
-	gf, err := os.Create(filepath.Join(dir, "goroutines.txt"))
-	if err != nil {
-		return err
-	}
-	if p := pprof.Lookup("goroutine"); p != nil {
-		p.WriteTo(gf, 1)
-	}
-	if err := gf.Close(); err != nil {
-		return err
-	}
-	*written++
-
-	if crashAfterFiles > 0 && *written+1 >= crashAfterFiles {
-		return errCrashPoint
-	}
-	hf, err := os.Create(filepath.Join(dir, "heap.pprof"))
-	if err != nil {
-		return err
-	}
-	pprof.WriteHeapProfile(hf)
-	if err := hf.Close(); err != nil {
-		return err
-	}
-	*written++
-	return nil
-}
-
-// capEvents enforces the events.jsonl size cap by dropping the oldest
-// entries first, returning the kept tail and the drop count. maxBytes <= 0
-// means uncapped.
-func capEvents(events []Entry, maxBytes int64) ([]Entry, int) {
-	if maxBytes <= 0 {
-		return events, 0
-	}
+// encodeEvents renders the ring as events.jsonl — one event.Record line per
+// entry, so bundle traces decode with the same tooling as live traces —
+// dropping the oldest lines first to stay within maxBytes (<= 0 means
+// uncapped). It returns the file, the first kept entry's index (how many
+// were dropped) and the kept entries' time span.
+func encodeEvents(events []Entry, maxBytes int64) (file []byte, dropped int, from, to int64) {
+	lines := make([][]byte, len(events))
 	total := int64(0)
-	keepFrom := len(events)
+	dropped = len(events)
 	for i := len(events) - 1; i >= 0; i-- {
-		line, err := encodeEvent(events[i])
-		if err != nil {
-			continue
+		// An entry that fails to encode keeps its place and writes nothing.
+		line, _ := event.Encode(events[i].UnixNano, events[i].Type, events[i].Data)
+		if line != nil {
+			total += int64(len(line)) + 1
 		}
-		total += int64(len(line)) + 1
-		if total > maxBytes {
+		if maxBytes > 0 && total > maxBytes {
 			break
 		}
-		keepFrom = i
+		lines[i], dropped = line, i
 	}
-	return events[keepFrom:], keepFrom
-}
-
-// encodeEvent renders one ring entry as an event.Record JSONL line, so
-// bundle traces decode with the same tooling as live traces.
-func encodeEvent(e Entry) ([]byte, error) {
-	data, err := json.Marshal(e.Data)
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(event.Record{TS: e.UnixNano, Type: e.Type, Data: data})
-}
-
-func encodeEvents(events []Entry) []byte {
-	var b strings.Builder
-	for _, e := range events {
-		line, err := encodeEvent(e)
-		if err != nil {
-			continue
+	var b bytes.Buffer
+	b.Grow(int(total))
+	for _, line := range lines[dropped:] {
+		if line != nil {
+			b.Write(line)
+			b.WriteByte('\n')
 		}
-		b.Write(line)
-		b.WriteByte('\n')
 	}
-	return []byte(b.String())
+	if kept := events[dropped:]; len(kept) > 0 {
+		from, to = kept[0].UnixNano, kept[len(kept)-1].UnixNano
+	}
+	return b.Bytes(), dropped, from, to
 }
 
 // BundleMeta is one committed bundle, as listed.
