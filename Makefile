@@ -43,17 +43,20 @@ ab:
 # Ten seconds of native fuzzing on each decoder target: the block decoder
 # (arbitrary bytes in, no panic, point seek == iterator seek), the table
 # index decoder (no panic, prefix search == linear scan == block iterator
-# seek), the WAL record decoder (no panic, no record whose checksum fails,
-# writer output round-trips), the batch decoder recovery runs over every
-# WAL byte (no panic, no op outside the payload, Set/Delete output
-# round-trips) and the recovered run's sort (arbitrary key, seq and kind
-# tuples come out of Finish in keys.Compare order). The committed seed corpora under each package's
-# testdata/fuzz are replayed by plain `go test` already; this looks for new
-# inputs. The index and WAL seeds are whole blocks, so minimizing a new
-# input is capped to keep the budget on fuzzing.
+# seek), the table footer decoder (no panic, every error ErrCorrupt, no
+# accepted handle outside the table), the WAL record decoder (no panic, no
+# record whose checksum fails, writer output round-trips), the batch decoder
+# recovery runs over every WAL byte (no panic, no op outside the payload,
+# Set/Delete output round-trips) and the recovered run's sort (arbitrary
+# key, seq and kind tuples come out of Finish in keys.Compare order). The
+# seed corpora (committed under each package's testdata/fuzz, and the
+# footer target's f.Add seeds) are replayed by plain `go test` already; this
+# looks for new inputs. The index and WAL seeds are whole blocks, so
+# minimizing a new input is capped to keep the budget on fuzzing.
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz FuzzBlockSeek -fuzztime 10s ./internal/block
 	$(GO) test -run '^$$' -fuzz FuzzIndexDecode -fuzztime 10s -fuzzminimizetime 1s ./internal/sstable
+	$(GO) test -run '^$$' -fuzz FuzzFooterDecode -fuzztime 10s ./internal/sstable
 	$(GO) test -run '^$$' -fuzz FuzzRecordReader -fuzztime 10s -fuzzminimizetime 1s ./internal/wal
 	$(GO) test -run '^$$' -fuzz FuzzBatchIterate -fuzztime 10s ./internal/batch
 	$(GO) test -run '^$$' -fuzz FuzzRunOrder -fuzztime 10s -fuzzminimizetime 1s ./internal/memtable

@@ -162,7 +162,10 @@ func keyRange(files []*manifest.FileMetadata) (lo, hi []byte) {
 }
 
 // smallestSnapshot returns the oldest sequence number any live snapshot
-// might read, bounding which old versions compaction may drop.
+// might read, bounding which old versions compaction may drop, and raises
+// the engine's horizon to it. A snapshot registered after this call, or a
+// read that took its sequence before it, learns from the horizon that its
+// sequence may be too old.
 func (d *engine) smallestSnapshot() uint64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -171,6 +174,9 @@ func (d *engine) smallestSnapshot() uint64 {
 		if seq < min {
 			min = seq
 		}
+	}
+	if min > d.horizon.Load() {
+		d.horizon.Store(min)
 	}
 	return min
 }

@@ -407,20 +407,22 @@ func (d *DB) Write(b *batch.Batch) error {
 // engine's acked frontier — no need to touch the global watermark, which
 // may trail another engine's in-flight commits.
 func (d *DB) Get(key []byte) ([]byte, error) {
-	e := d.engineFor(key)
-	return e.get(key, e.lastSeq.Load())
+	return d.engineFor(key).get(key, atFrontier, nil)
 }
 
-// GetAt returns the value for key visible at snapshot seq.
+// GetAt returns the value for key visible at snapshot seq; keys.MaxSequence
+// reads at the acked frontier, as Get does.
 func (d *DB) GetAt(key []byte, seq uint64) ([]byte, error) {
-	return d.engineFor(key).get(key, seq)
+	return d.engineFor(key).get(key, seq, nil)
 }
 
 // GetProfiled is Get with full attribution: the returned Profile reports
 // where the read was served from and what it cost, regardless of the
 // sampling rate. The read still feeds the aggregate counters.
 func (d *DB) GetProfiled(key []byte) ([]byte, readprof.Profile, error) {
-	return d.engineFor(key).getProfiled(key)
+	var prof readprof.Profile
+	v, err := d.engineFor(key).get(key, atFrontier, &prof)
+	return v, prof, err
 }
 
 // Has reports whether key exists.
@@ -450,12 +452,31 @@ type Snapshot struct {
 // frontier, so every write that returned before this call is inside the
 // snapshot.
 func (d *DB) GetSnapshot() *Snapshot {
-	d.seqs.waitVisible(d.ackedSeq())
-	s := &Snapshot{db: d, seq: d.seqs.visible.Load()}
-	for _, e := range d.engines {
-		e.registerSnapshot(s.seq)
+	for {
+		d.seqs.waitVisible(d.ackedSeq())
+		s := &Snapshot{db: d, seq: d.seqs.visible.Load()}
+		for _, e := range d.engines {
+			e.registerSnapshot(s.seq)
+		}
+		if !d.droppedAbove(s.seq) {
+			return s
+		}
+		// A compaction that began before the registration may drop what
+		// the snapshot should see: take a newer sequence.
+		s.Release()
 	}
-	return s
+}
+
+// droppedAbove reports whether a compaction in any engine may have dropped
+// versions visible at seq: a snapshot or iterator that took seq before it
+// and registered or pinned after it began must take a newer one.
+func (d *DB) droppedAbove(seq uint64) bool {
+	for _, e := range d.engines {
+		if e.horizon.Load() > seq {
+			return true
+		}
+	}
+	return false
 }
 
 // Release unpins the snapshot. Reads through a released snapshot may

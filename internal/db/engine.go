@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"rocksmash/internal/batch"
+	"rocksmash/internal/bloom"
 	"rocksmash/internal/cache"
 	"rocksmash/internal/event"
 	"rocksmash/internal/keys"
@@ -172,11 +173,19 @@ type engine struct {
 	// the caches and may drop the last pin on a version.
 	scanTails sync.WaitGroup
 
+	// horizon is the newest sequence below which a compaction has dropped
+	// versions: a read at an older sequence whose version was pinned after
+	// such a compaction installed may miss what it should see, so a read
+	// pins first and then checks its sequence against this. Raised under mu
+	// by smallestSnapshot, before the compaction's edit is installed.
+	horizon atomic.Uint64
+
 	stats Stats
-	// profTick drives 1-in-N selection of Timed (clock-reading) read
-	// profiles; readAgg accumulates every sampled profile; slow tracks the
-	// worst timed Gets per interval for slow-read trace emission.
-	profTick atomic.Uint64
+	// profTick counts iterators for the 1-in-N selection of Timed
+	// (clock-reading) profiles, as stats.Reads counts Gets; readAgg
+	// accumulates every profile; slow tracks the worst timed Gets per
+	// interval for slow-read trace emission.
+	profTick atomic.Int64
 	readAgg  readAgg
 	slow     slowTracker
 
@@ -390,42 +399,38 @@ func (d *engine) sealLocked() {
 	wake(d.flushWake)
 }
 
-// get returns the value for key visible at snapshot seq.
-func (d *engine) get(key []byte, seq uint64) ([]byte, error) {
+// get returns the value for key visible at snapshot seq. Every Get carries a
+// pooled profile whose counter core is always recorded; only a Timed one
+// reads the clock — 1 in profileSampleRate of them, and every Get that asks
+// for its profile back through out (DB.GetProfiled). The latency histogram
+// therefore holds the timed sample; Metrics counts Gets from stats.Reads.
+func (d *engine) get(key []byte, seq uint64, out *readprof.Profile) ([]byte, error) {
 	if d.closed.Load() {
 		return nil, ErrClosed
 	}
-	d.stats.Reads.Add(1)
-	// Read profiling: every Get carries a pooled profile (cheap counter
-	// core); 1 in profileSampleRate of them are Timed and additionally pay
-	// per-stage clock reads.
-	prof := d.newProfile()
-	start := time.Now()
+	n := d.stats.Reads.Add(1)
+	prof := getProfile()
+	prof.Timed = out != nil || sampled(n)
+	var start time.Time
+	if prof.Timed {
+		start = time.Now()
+	}
 	v, err := d.getAt(key, seq, prof)
-	elapsed := time.Since(start)
-	d.lat.get.Record(elapsed)
-	d.finishProfile(key, prof, elapsed)
+	if prof.Timed {
+		elapsed := time.Since(start)
+		d.lat.get.Record(elapsed)
+		prof.TotalNanos = elapsed.Nanoseconds()
+		if out != nil {
+			*out = *prof
+		}
+	}
+	d.finishProfile(key, prof)
 	return v, err
 }
 
-// getProfiled is get at the acked frontier with full attribution,
-// regardless of the sampling rate.
-func (d *engine) getProfiled(key []byte) ([]byte, readprof.Profile, error) {
-	if d.closed.Load() {
-		return nil, readprof.Profile{}, ErrClosed
-	}
-	d.stats.Reads.Add(1)
-	prof := getProfile()
-	prof.Timed = true
-	start := time.Now()
-	v, err := d.getAt(key, d.lastSeq.Load(), prof)
-	elapsed := time.Since(start)
-	d.lat.get.Record(elapsed)
-	prof.TotalNanos = elapsed.Nanoseconds()
-	out := *prof
-	d.finishProfile(key, prof, elapsed)
-	return v, out, err
-}
+// atFrontier, as a read's sequence, reads at the engine's acked frontier,
+// taken once the read holds its memtables.
+const atFrontier = keys.MaxSequence
 
 func (d *engine) getAt(key []byte, seq uint64, prof *readprof.Profile) ([]byte, error) {
 	// One atomic load instead of d.mu: reads stay off the rotation lock so
@@ -433,6 +438,10 @@ func (d *engine) getAt(key []byte, seq uint64, prof *readprof.Profile) ([]byte, 
 	rs := d.rs.Load()
 	mem, imm := rs.mem, rs.imm
 	recovered := rs.recovered
+	frontier := seq == atFrontier
+	if frontier {
+		seq = d.lastSeq.Load()
+	}
 
 	// One seek key for every memtable and table this read probes, built on
 	// the stack; the value copy handed back is the read's only allocation.
@@ -477,9 +486,18 @@ func (d *engine) getAt(key []byte, seq uint64, prof *readprof.Profile) ([]byte, 
 	// read pins the current version too: a snapshot is a sequence number, and
 	// compaction keeps what it can see in whatever tables are current.
 	v := d.vs.Acquire()
+	if frontier && seq < d.horizon.Load() {
+		// A compaction that started after seq was taken may have dropped,
+		// from v's tables, versions visible at seq. Whatever it kept is at or
+		// below the frontier now, and a version the memtables hold above
+		// seq was written during this read: read the tables there.
+		seq = d.lastSeq.Load()
+		seek = keys.MakeSeekKey(buf[:0], key, seq)
+	}
 	var (
 		value []byte
 		state int // 0 = not found, 1 = live, 2 = tombstone
+		hash  = bloom.Hash(key)
 	)
 	err := v.FilesFor(key, func(level int, f *manifest.FileMetadata) (bool, error) {
 		if prof != nil {
@@ -497,7 +515,7 @@ func (d *engine) getAt(key []byte, seq uint64, prof *readprof.Profile) ([]byte, 
 		if prof != nil {
 			prof.Tables++
 		}
-		val, found, live, err := h.reader.GetSeek(seek, prof)
+		val, found, live, err := h.reader.GetHashed(seek, hash, prof)
 		if err != nil {
 			return false, err
 		}

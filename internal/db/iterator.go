@@ -353,10 +353,18 @@ type Iterator struct {
 
 // NewIterator returns an iterator over the DB at the current sequence.
 func (d *DB) NewIterator() (*Iterator, error) {
-	// Catch the global watermark up to the acked frontier so every write
-	// that returned before this call is inside the merged view.
-	d.seqs.waitVisible(d.ackedSeq())
-	return d.NewIteratorAt(d.seqs.visible.Load())
+	for {
+		// Catch the global watermark up to the acked frontier so every write
+		// that returned before this call is inside the merged view.
+		d.seqs.waitVisible(d.ackedSeq())
+		it, err := d.NewIteratorAt(d.seqs.visible.Load())
+		if err != nil || !d.droppedAbove(it.seq) {
+			return it, err
+		}
+		// A compaction that began after the sequence was taken may have
+		// dropped, from the versions just pinned, what it should see.
+		_ = it.Close()
+	}
 }
 
 // NewIteratorAt returns an iterator at snapshot seq.

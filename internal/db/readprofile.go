@@ -13,10 +13,10 @@ import (
 // Read-path profiling (see internal/readprof and DESIGN.md §5e). Every Get
 // carries a pooled profile whose counter core (levels probed, tables, bloom,
 // blocks by tier) is always recorded; 1 in profileSampleRate of them are
-// also Timed — they pay per-stage clock reads and feed the slow-read
-// tracker — and DB.GetProfiled times the one read it makes. Profiles are
-// recycled through a sync.Pool so the path stays allocation-free in steady
-// state.
+// also Timed — they alone read the clock, feed the Get latency histogram and
+// the slow-read tracker — and DB.GetProfiled times the one read it makes.
+// Profiles are recycled through a sync.Pool so the path stays
+// allocation-free in steady state.
 
 // profileSampleRate is how many Gets share one Timed profile.
 const profileSampleRate = 64
@@ -29,11 +29,16 @@ func getProfile() *readprof.Profile {
 	return p
 }
 
-// newProfile returns a read's pooled profile, 1 in profileSampleRate of
-// them Timed.
+// sampled reports whether the n-th read (counting from 1) is one of the 1
+// in profileSampleRate that are Timed. The first is, so the latency
+// histogram has a sample from a store's first Get on. A Get counts itself
+// with the engine's Reads counter, an iterator with profTick.
+func sampled(n int64) bool { return n%profileSampleRate == 1 }
+
+// newProfile returns an iterator's pooled profile, Timed when sampled.
 func (d *engine) newProfile() *readprof.Profile {
 	p := getProfile()
-	p.Timed = d.profTick.Add(1)%profileSampleRate == 0
+	p.Timed = sampled(d.profTick.Add(1))
 	return p
 }
 
@@ -64,6 +69,9 @@ type readAgg struct {
 	iterNanos  [readprof.NumTiers]atomic.Int64
 }
 
+// merge folds one Get's profile in. An untimed Get pays one add for each
+// counter its profile holds — where it was served, the levels it probed, its
+// tables, bloom checks and blocks — and none for a zero.
 func (a *readAgg) merge(p *readprof.Profile) {
 	if p.Timed {
 		a.timed.Add(1)
@@ -89,9 +97,15 @@ func (a *readAgg) merge(p *readprof.Profile) {
 			}
 		}
 	}
-	a.tables.Add(int64(p.Tables))
-	a.bloomChecked.Add(int64(p.BloomChecked))
-	a.bloomNegative.Add(int64(p.BloomNegative))
+	if p.Tables != 0 {
+		a.tables.Add(int64(p.Tables))
+	}
+	if p.BloomChecked != 0 {
+		a.bloomChecked.Add(int64(p.BloomChecked))
+		if p.BloomNegative != 0 {
+			a.bloomNegative.Add(int64(p.BloomNegative))
+		}
+	}
 	for t := 0; t < readprof.NumTiers; t++ {
 		if p.Blocks[t] != 0 {
 			a.blocks[t].Add(int64(p.Blocks[t]))
@@ -142,13 +156,9 @@ func (a *readAgg) mergeIter(p *readprof.Profile, seeks int64) {
 	}
 }
 
-// finishProfile completes one Get's profile: stamps the total latency,
-// folds it into the aggregates, offers it to the slow-read tracker, and
-// returns it to the pool.
-func (d *engine) finishProfile(key []byte, p *readprof.Profile, elapsed time.Duration) {
-	if p.Timed {
-		p.TotalNanos = elapsed.Nanoseconds()
-	}
+// finishProfile completes one Get's profile: folds it into the aggregates,
+// offers a timed one to the slow-read tracker, and returns it to the pool.
+func (d *engine) finishProfile(key []byte, p *readprof.Profile) {
 	d.readAgg.merge(p)
 	if p.Timed && d.listener != nil {
 		d.slow.observe(d, key, p)

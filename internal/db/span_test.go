@@ -98,8 +98,10 @@ func newSpanTable(t *testing.T, e *engine, p *spanProbe, num uint64, prefix stri
 	if err != nil {
 		t.Fatal(err)
 	}
+	h := &tableHandle{reader: r, tier: storage.TierCloud, db: e}
+	h.refs.Store(1)
 	return &spanTable{
-		h: &tableHandle{reader: r, tier: storage.TierCloud, db: e, refs: 1}, rd: rd, hs: r.DataHandles(),
+		h: h, rd: rd, hs: r.DataHandles(),
 		meta: &manifest.FileMetadata{Num: num, Tier: storage.TierCloud, Largest: props.Largest},
 	}
 }

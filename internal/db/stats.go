@@ -455,6 +455,9 @@ func (d *DB) Metrics() Metrics {
 			m.Shards[i] = s
 		}
 	}
+	// The Get histogram holds the timed sample (engine.get); its count is
+	// every Get, from the engines' counters.
+	m.GetLat.Count = m.Reads
 	m.SpaceAmp = spaceAmpOf(m.LevelBytes)
 	for b := 0; b < pcache.LevelBuckets; b++ {
 		m.ReadAmp.PCacheLevelHits[b] = pcs.LevelHits[b].Load()

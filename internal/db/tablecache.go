@@ -1,10 +1,10 @@
 package db
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"rocksmash/internal/cache"
@@ -15,28 +15,47 @@ import (
 )
 
 // tableHandle is a refcounted open table. Readers (Get, iterators,
-// compactions) acquire a handle and release it when done; eviction closes
-// the underlying file once the last reference drops.
+// compactions) acquire a handle and release it when done; the reader closes
+// when the last reference drops.
 type tableHandle struct {
 	reader *sstable.Reader
 	tier   storage.Tier
+	key    tableKey
 	// db is the engine that owns the file: its backends serve block reads.
 	// The cache itself is engine-agnostic — file numbers are unique across
 	// the store's engines.
 	db *engine
 
-	mu    sync.Mutex
-	refs  int
-	dead  bool // evicted: close when refs drop to zero
-	cache *tableCache
+	// refs counts the cache's own reference, held while the handle is
+	// cached, and one per reader. A count that has reached zero never rises
+	// again: whoever took it there closes the reader.
+	refs atomic.Int32
+	// used is the handle's CLOCK reference bit: a probe sets it, and the
+	// cache's eviction hand clears it.
+	used atomic.Bool
+
+	// Guarded by the cache's mu: the handle's place in the clock ring, and
+	// the FileMetadata slot it is published in (nil if none).
+	pos  int
+	slot *atomic.Value
+}
+
+// acquire takes a reference unless the count has reached zero — the handle
+// is closed or closing — with the idiom of manifest.Set.Acquire.
+func (h *tableHandle) acquire() bool {
+	for {
+		n := h.refs.Load()
+		if n <= 0 {
+			return false
+		}
+		if h.refs.CompareAndSwap(n, n+1) {
+			return true
+		}
+	}
 }
 
 func (h *tableHandle) release() {
-	h.mu.Lock()
-	h.refs--
-	shouldClose := h.dead && h.refs == 0
-	h.mu.Unlock()
-	if shouldClose {
+	if h.refs.Add(-1) == 0 {
 		_ = h.reader.Close()
 	}
 }
@@ -45,24 +64,30 @@ func (h *tableHandle) release() {
 // pinned in local memory, and routes data-block reads through the cache
 // hierarchy: in-memory block cache, then (for cloud files) the persistent
 // cache, then the owning backend. The number of open tables is bounded:
-// past maxOpen, the least-recently-used idle table is closed (RocksDB's
-// max_open_files analogue) — file descriptors must not scale with the
-// tree size.
+// past maxOpen, an idle table the CLOCK hand finds unused since its last
+// turn is closed (RocksDB's max_open_files analogue) — file descriptors
+// must not scale with the tree size.
+//
+// A cached handle is published in the slot of the FileMetadata it was
+// opened for, so a probe of a cached table is one atomic load, one CAS on
+// the handle's count and a reference-bit store: no lock, no map. mu, the
+// map and the ring are touched only when a table opens, is evicted or is
+// retired.
 type tableCache struct {
 	maxOpen int
 
 	mu     sync.Mutex
 	tables map[tableKey]*tableHandle
-	lru    *list.List // front = most recently used; values are tableKeys
-	lruPos map[tableKey]*list.Element
+	ring   []*tableHandle // the clock: every cached handle, in no order
+	hand   int            // the ring position the eviction hand looks at next
 }
 
 // tableKey names one copy of a table. While a relocated table's old-tier copy
 // is still pinned by a reader, both copies can be open at once, and a handle
 // on one must never be served for metadata naming the other: the old copy's
 // object goes when its last reader does. It is one word — the file number
-// above the tier bit — so the maps, which every point read goes through, are
-// looked up by integer and not by hashing a struct.
+// above the tier bit — so the map is looked up by integer and not by hashing
+// a struct.
 type tableKey uint64
 
 func keyOf(num uint64, tier storage.Tier) tableKey {
@@ -76,56 +101,39 @@ func newTableCache(maxOpen int) *tableCache {
 	return &tableCache{
 		maxOpen: maxOpen,
 		tables:  map[tableKey]*tableHandle{},
-		lru:     list.New(),
-		lruPos:  map[tableKey]*list.Element{},
 	}
 }
 
-// touchLocked marks k as most recently used (caller holds tc.mu).
-func (tc *tableCache) touchLocked(k tableKey) {
-	if e, ok := tc.lruPos[k]; ok {
-		tc.lru.MoveToFront(e)
-		return
-	}
-	tc.lruPos[k] = tc.lru.PushFront(k)
-}
-
-// enforceCapLocked closes least-recently-used idle tables while over
-// budget. Tables with outstanding references are skipped; they re-enter
-// the budget when released.
-func (tc *tableCache) enforceCapLocked() {
-	for e := tc.lru.Back(); e != nil && len(tc.tables) > tc.maxOpen; {
-		prev := e.Prev()
-		k := e.Value.(tableKey)
-		h := tc.tables[k]
-		h.mu.Lock()
-		idle := h.refs == 1 // only the cache's own reference
-		if idle {
-			h.dead = true
-			h.refs = 0
-		}
-		h.mu.Unlock()
-		if idle {
-			delete(tc.tables, k)
-			tc.lru.Remove(e)
-			delete(tc.lruPos, k)
-			_ = h.reader.Close()
-		}
-		e = prev
-	}
-}
-
-// get opens (or reuses) the table and returns a referenced handle. d is
-// the engine that owns the file; every engine shares the one cache, so the
-// open-table budget is global.
+// get returns a referenced handle on the table meta names. d is the engine
+// that owns the file; every engine shares the one cache, so the open-table
+// budget is global. Gets, iterators and compaction inputs all come through
+// here. A handle in meta's slot is taken without a lock; only a table that
+// is not open, or open for another FileMetadata, goes through mu.
 func (tc *tableCache) get(d *engine, meta *manifest.FileMetadata) (*tableHandle, error) {
+	if meta.Slot != nil {
+		// The key check covers a copy of a FileMetadata, which shares its
+		// original's slot but may name the table's other tier.
+		if h, _ := meta.Slot.Load().(*tableHandle); h != nil && h.key == keyOf(meta.Num, meta.Tier) && h.acquire() {
+			if !h.used.Load() {
+				h.used.Store(true)
+			}
+			return h, nil
+		}
+	}
+	return tc.load(d, meta)
+}
+
+// load is get's locked path: it finds the table in the map or opens it, and
+// publishes the handle in meta's slot.
+func (tc *tableCache) load(d *engine, meta *manifest.FileMetadata) (*tableHandle, error) {
 	k := keyOf(meta.Num, meta.Tier)
 	tc.mu.Lock()
 	if h, ok := tc.tables[k]; ok {
-		h.mu.Lock()
-		h.refs++
-		h.mu.Unlock()
-		tc.touchLocked(k)
+		// A mapped handle holds the cache's reference, which is only dropped
+		// under mu once it is unmapped: its count cannot be zero here.
+		h.refs.Add(1)
+		h.used.Store(true)
+		h.publishLocked(meta)
 		tc.mu.Unlock()
 		return h, nil
 	}
@@ -157,27 +165,89 @@ func (tc *tableCache) get(d *engine, meta *manifest.FileMetadata) (*tableHandle,
 	if err != nil {
 		return nil, err
 	}
-	h := &tableHandle{reader: r, tier: meta.Tier, db: d, refs: 1, cache: tc}
+	h := &tableHandle{reader: r, tier: meta.Tier, key: k, db: d}
+	h.refs.Store(2) // the caller's and the cache's own
+	h.used.Store(true)
 	r.SetFetch(tc.fetchFor(h))
 
 	tc.mu.Lock()
 	if existing, ok := tc.tables[k]; ok {
 		// Raced with another opener; keep theirs.
-		existing.mu.Lock()
-		existing.refs++
-		existing.mu.Unlock()
+		existing.refs.Add(1)
+		existing.publishLocked(meta)
 		tc.mu.Unlock()
 		_ = r.Close()
 		return existing, nil
 	}
 	tc.tables[k] = h
-	h.mu.Lock()
-	h.refs++ // the cache's own reference
-	h.mu.Unlock()
-	tc.touchLocked(k)
+	h.pos = len(tc.ring)
+	tc.ring = append(tc.ring, h)
+	h.publishLocked(meta)
 	tc.enforceCapLocked()
 	tc.mu.Unlock()
 	return h, nil
+}
+
+// publishLocked hangs h in meta's slot, so meta's next probe takes no lock
+// (the cache's mu is held). A handle sits in one slot at most, and a slot
+// holds one handle: should two live FileMetadata name the same copy, the
+// second keeps coming through mu.
+func (h *tableHandle) publishLocked(meta *manifest.FileMetadata) {
+	if meta.Slot == nil || h.slot != nil {
+		return
+	}
+	if cur, _ := meta.Slot.Load().(*tableHandle); cur != nil {
+		return
+	}
+	meta.Slot.Store(h)
+	h.slot = meta.Slot
+}
+
+// unlinkLocked takes h out of the cache: out of the map and the ring, and
+// out of its slot, so no new probe finds it. The caller then drops the
+// cache's reference.
+func (tc *tableCache) unlinkLocked(h *tableHandle) {
+	delete(tc.tables, h.key)
+	last := len(tc.ring) - 1
+	tc.ring[h.pos] = tc.ring[last]
+	tc.ring[h.pos].pos = h.pos
+	tc.ring[last] = nil
+	tc.ring = tc.ring[:last]
+	h.unpublishLocked()
+}
+
+// unpublishLocked empties the slot h is published in, if any (the cache's
+// mu is held).
+func (h *tableHandle) unpublishLocked() {
+	if h.slot != nil {
+		h.slot.Store((*tableHandle)(nil))
+		h.slot = nil
+	}
+}
+
+// enforceCapLocked closes idle tables while over budget, chosen by CLOCK:
+// the hand clears a set reference bit and moves on, and closes an idle
+// handle it finds with the bit clear. Two turns are enough to find every
+// idle handle; one a reader holds is skipped, and re-enters the budget at
+// the next open.
+func (tc *tableCache) enforceCapLocked() {
+	for steps := 2 * len(tc.ring); len(tc.tables) > tc.maxOpen && steps > 0; steps-- {
+		if tc.hand >= len(tc.ring) {
+			tc.hand = 0
+		}
+		h := tc.ring[tc.hand]
+		if h.used.Load() {
+			h.used.Store(false)
+		} else if h.refs.CompareAndSwap(1, 0) {
+			// Only the cache's reference was left, and no probe can take
+			// one now. The ring's last handle moves to the hand's place, so
+			// the hand stays.
+			tc.unlinkLocked(h)
+			_ = h.reader.Close()
+			continue
+		}
+		tc.hand++
+	}
 }
 
 // open performs one open attempt against the table's backend.
@@ -311,45 +381,24 @@ func (h *tableHandle) readRepaired(hd sstable.Handle) ([]byte, error) {
 // is open; the table closes once readers finish.
 func (tc *tableCache) evict(fileNum uint64) {
 	for _, tier := range [...]storage.Tier{storage.TierLocal, storage.TierCloud} {
-		k := keyOf(fileNum, tier)
 		tc.mu.Lock()
-		h, ok := tc.tables[k]
+		h, ok := tc.tables[keyOf(fileNum, tier)]
 		if ok {
-			delete(tc.tables, k)
-			if e, lok := tc.lruPos[k]; lok {
-				tc.lru.Remove(e)
-				delete(tc.lruPos, k)
-			}
+			tc.unlinkLocked(h)
 		}
 		tc.mu.Unlock()
 		if ok {
-			h.drop()
+			h.release()
 		}
-	}
-}
-
-// drop gives up the cache's own reference on an evicted handle.
-func (h *tableHandle) drop() {
-	h.mu.Lock()
-	h.dead = true
-	h.refs--
-	shouldClose := h.refs == 0
-	h.mu.Unlock()
-	if shouldClose {
-		_ = h.reader.Close()
 	}
 }
 
 // metadataBytes sums the pinned metadata of every open table.
 func (tc *tableCache) metadataBytes() int64 {
 	tc.mu.Lock()
-	hs := make([]*tableHandle, 0, len(tc.tables))
-	for _, h := range tc.tables {
-		hs = append(hs, h)
-	}
-	tc.mu.Unlock()
+	defer tc.mu.Unlock()
 	var n int64
-	for _, h := range hs {
+	for _, h := range tc.ring {
 		n += int64(h.reader.MetadataBytes())
 	}
 	return n
@@ -358,13 +407,15 @@ func (tc *tableCache) metadataBytes() int64 {
 // close releases every table.
 func (tc *tableCache) close() {
 	tc.mu.Lock()
-	hs := tc.tables
+	hs := tc.ring
+	for _, h := range hs {
+		h.unpublishLocked()
+	}
 	tc.tables = map[tableKey]*tableHandle{}
-	tc.lru.Init()
-	tc.lruPos = map[tableKey]*list.Element{}
+	tc.ring, tc.hand = nil, 0
 	tc.mu.Unlock()
 	for _, h := range hs {
-		h.drop()
+		h.release()
 	}
 }
 

@@ -3,7 +3,15 @@ package db
 import (
 	"errors"
 	"fmt"
+	"math/rand"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
+
+	"rocksmash/internal/manifest"
+	"rocksmash/internal/storage"
 )
 
 // openSmallTableCache opens a store that keeps many L0 tables (compaction
@@ -148,4 +156,176 @@ func TestCacheLadder(t *testing.T) {
 	if m := d.Metrics(); m.PCacheHits == 0 {
 		t.Fatal("no persistent-cache hit after a clean restart")
 	}
+}
+
+// TestTableCacheHandleLifetime races the table cache's lock-free probe
+// against everything that takes a handle away. Four readers — two Getting,
+// two scanning — read a fixed model while the cache holds at most two open
+// tables, so nearly every probe evicts or reopens one; meanwhile a writer
+// rewrites the model's keys with the values they already have, so flushes
+// and compactions retire the tables under the readers without changing an
+// answer, and one flush lands off home and is relocated. Every value read
+// must be the model's. Afterwards the cache is within its cap, every cached
+// handle is idle and published only in the slot of a live FileMetadata
+// naming its copy, and the tiers hold exactly the current version's tables.
+func TestTableCacheHandleLifetime(t *testing.T) {
+	o := testOptions(PolicyCloudOnly)
+	o.CloudBreaker.FailureThreshold = 100 // the failed upload must not trip it
+	// L0 reaches the trigger every third round, where the test compacts, so
+	// the off-home table landed in between is still there for the drainer.
+	o.L0CompactTrigger = 4
+	d, _, cf, err := OpenAtChaosLocal(t.TempDir(), o, storage.FaultConfig{}, storage.FaultConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	d.tables.mu.Lock()
+	d.tables.maxOpen = 2
+	d.tables.mu.Unlock()
+
+	const n = 400
+	key := func(i int) string { return fmt.Sprintf("life-%04d", i) }
+	valOf := func(i int) string { return fmt.Sprintf("%d-%s", i, strings.Repeat("v", 90)) }
+	write := func(from, to int) {
+		for i := from; i < to; i++ {
+			mustPut(t, d, key(i), valOf(i))
+		}
+		if err := d.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(0, n)
+
+	var (
+		wg    sync.WaitGroup
+		reads atomic.Int64
+		stop  = make(chan struct{})
+		fail  = make(chan error, 4)
+	)
+	reader := func(id int, read func(rng *rand.Rand) error) {
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(int64(id)))
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := read(rng); err != nil {
+				fail <- fmt.Errorf("reader %d: %w", id, err)
+				return
+			}
+			reads.Add(1)
+		}
+	}
+	get := func(rng *rand.Rand) error {
+		i := rng.Intn(n)
+		v, err := d.Get([]byte(key(i)))
+		if err != nil || string(v) != valOf(i) {
+			return fmt.Errorf("Get(%s) = %.12q, %v; want %.12q", key(i), v, err, valOf(i))
+		}
+		return nil
+	}
+	scan := func(rng *rand.Rand) error {
+		it, err := d.NewIterator()
+		if err != nil {
+			return err
+		}
+		defer it.Close()
+		i := rng.Intn(n)
+		it.Seek([]byte(key(i)))
+		for end := min(i+20, n); i < end; i++ {
+			if !it.Valid() || string(it.Key()) != key(i) || string(it.Value()) != valOf(i) {
+				return fmt.Errorf("scan at %s: valid=%v %s=%.12q (err %v)", key(i), it.Valid(), it.Key(), it.Value(), it.Err())
+			}
+			it.Next()
+		}
+		return nil
+	}
+	for id, read := range []func(*rand.Rand) error{get, get, scan, scan} {
+		wg.Add(1)
+		go reader(id, read)
+	}
+
+	for round := 0; round < 12; round++ {
+		// Each round's retirements land among reads.
+		from := reads.Load()
+		waitFor(t, "the readers to make progress", 10*time.Second, func() bool {
+			return reads.Load() >= from+100 || len(fail) > 0
+		})
+		lo := round * 97 % n
+		if round == 4 {
+			// This round's table lands locally and the drainer moves it home.
+			cf.SetHook(func(op, name string) error {
+				if op == "PUT" && strings.HasPrefix(name, "sst/") {
+					return errors.New("injected cloud PUT failure")
+				}
+				return nil
+			})
+			write(lo, min(lo+60, n))
+			cf.SetHook(nil)
+			waitFor(t, "the off-home table to be relocated", 10*time.Second, func() bool {
+				pending, _ := d.PendingCloudTables()
+				return pending == 0
+			})
+			continue
+		}
+		write(lo, min(lo+120, n))
+		if round%3 == 2 {
+			if err := d.CompactAll(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if m := d.Metrics(); m.DrainedTables == 0 || m.Compactions == 0 {
+		t.Fatalf("%d tables relocated, %d compactions: the race lacks a mover", m.DrainedTables, m.Compactions)
+	}
+	close(stop)
+	wg.Wait()
+	close(fail)
+	for err := range fail {
+		t.Error(err)
+	}
+
+	// Readers holding handles can keep the cache over its cap until the
+	// next open enforces it: make the reads below reopen one table with
+	// every other handle idle.
+	tc := d.tables
+	live := map[*atomic.Value]*manifest.FileMetadata{}
+	d.engines[0].vs.Current().AllFiles(func(_ int, f *manifest.FileMetadata) { live[f.Slot] = f })
+	for _, f := range live {
+		tc.evict(f.Num)
+		break
+	}
+	for i := 0; i < n; i++ {
+		mustGet(t, d, key(i), valOf(i))
+	}
+	tc.mu.Lock()
+	if len(tc.tables) > tc.maxOpen || len(tc.ring) != len(tc.tables) {
+		t.Errorf("%d tables mapped, %d in the ring, cap %d", len(tc.tables), len(tc.ring), tc.maxOpen)
+	}
+	for i, h := range tc.ring {
+		if tc.tables[h.key] != h || h.pos != i {
+			t.Errorf("ring slot %d holds table %d, mapped %v at position %d", i, h.key>>1, tc.tables[h.key] == h, h.pos)
+		}
+		if refs := h.refs.Load(); refs != 1 {
+			t.Errorf("idle cached table %d has %d references, want the cache's one", h.key>>1, refs)
+		}
+		if h.slot == nil {
+			continue
+		}
+		if got, _ := h.slot.Load().(*tableHandle); got != h {
+			t.Errorf("table %d is published in a slot holding %p", h.key>>1, got)
+		}
+		if f := live[h.slot]; f == nil || keyOf(f.Num, f.Tier) != h.key {
+			t.Errorf("table %d is published in the slot of no live FileMetadata naming it", h.key>>1)
+		}
+	}
+	tc.mu.Unlock()
+	for _, f := range live {
+		if h, _ := f.Slot.Load().(*tableHandle); h != nil && h.refs.Load() == 0 {
+			t.Errorf("%s's slot holds a closed handle", f)
+		}
+	}
+	checkTableObjects(t, d, "after the race")
 }

@@ -8,6 +8,7 @@ package manifest
 import (
 	"bytes"
 	"fmt"
+	"sync/atomic"
 
 	"rocksmash/internal/keys"
 	"rocksmash/internal/storage"
@@ -31,6 +32,14 @@ type FileMetadata struct {
 	// mode). Tier is TierLocal while the flag is set; the background drainer
 	// uploads the file and clears the flag via a manifest edit.
 	PendingCloud bool
+
+	// Slot is the store's cell for what it keeps on this table while a
+	// version names it — the table cache's open reader — so that a read
+	// reaches it with one atomic load and no lock. Version.Apply gives every
+	// file it adds a cell of its own; the manifest never reads one. A copy of
+	// a FileMetadata shares its original's cell, so what is kept there must
+	// say which copy of the table it is for. Nil outside a version.
+	Slot *atomic.Value
 }
 
 // String implements fmt.Stringer for debugging and mashctl dumps.

@@ -61,6 +61,7 @@ func (v *Version) Apply(e *VersionEdit) (*Version, error) {
 	}
 	for _, a := range e.Added {
 		m := a.Meta // copy
+		m.Slot = new(atomic.Value)
 		nv.Levels[a.Level] = append(nv.Levels[a.Level], &m)
 	}
 	nv.sortLevels()

@@ -109,6 +109,36 @@ func decodeFooter(buf []byte) (footer, error) {
 	}, nil
 }
 
+// readFooter reads and decodes the footer of table f. The footer carries no
+// checksum of its own, so every block it names must lie, trailer included,
+// between the start of the table and the footer: a flipped bit then reads as
+// ErrCorrupt, never as a read or an allocation sized by the garbage. The
+// metadata tail it implies lies inside the table too.
+func readFooter(f storage.Reader) (footer, error) {
+	size := f.Size()
+	if size < footerLen {
+		return footer{}, fmt.Errorf("%w: file too small (%d bytes)", ErrCorrupt, size)
+	}
+	buf := make([]byte, footerLen)
+	if _, err := f.ReadAt(buf, size-footerLen); err != nil && err != io.EOF {
+		return footer{}, err
+	}
+	ftr, err := decodeFooter(buf)
+	if err != nil {
+		return footer{}, err
+	}
+	end := uint64(size) - footerLen
+	for _, h := range [...]Handle{ftr.index, ftr.props, ftr.filter} {
+		if h == ftr.filter && h.Length == 0 {
+			continue // no filter
+		}
+		if n := h.Length + blockTrailerLen; n < h.Length || h.Offset > end || n > end-h.Offset {
+			return footer{}, fmt.Errorf("%w: footer names block [%d, +%d) outside a %d-byte table", ErrCorrupt, h.Offset, h.Length, size)
+		}
+	}
+	return ftr, nil
+}
+
 // Properties summarizes a table's contents; stored in the properties block
 // and kept in memory (on the local tier) for every open table.
 type Properties struct {
@@ -218,20 +248,12 @@ func VerifyBlock(raw []byte) ([]byte, error) {
 // starting offset and contents. Used to rebuild the local metadata sidecar
 // for a cloud-resident table.
 func MetaTail(f storage.Reader) (tailOff uint64, tail []byte, err error) {
-	size := f.Size()
-	if size < footerLen {
-		return 0, nil, fmt.Errorf("%w: file too small", ErrCorrupt)
-	}
-	fbuf := make([]byte, footerLen)
-	if _, err := f.ReadAt(fbuf, size-footerLen); err != nil && err != io.EOF {
-		return 0, nil, err
-	}
-	ftr, err := decodeFooter(fbuf)
+	ftr, err := readFooter(f)
 	if err != nil {
 		return 0, nil, err
 	}
 	tailOff = ftr.tailOffset()
-	tail = make([]byte, uint64(size)-tailOff)
+	tail = make([]byte, uint64(f.Size())-tailOff)
 	if _, err := f.ReadAt(tail, int64(tailOff)); err != nil && err != io.EOF {
 		return 0, nil, err
 	}

@@ -2,7 +2,6 @@ package sstable
 
 import (
 	"bytes"
-	"fmt"
 	"io"
 
 	"rocksmash/internal/block"
@@ -86,15 +85,7 @@ func (t *TailReader) Close() error { return t.f.Close() }
 // Open reads the table metadata from f. The Reader takes ownership of f and
 // closes it via Close.
 func Open(f storage.Reader, fileNum uint64) (*Reader, error) {
-	size := f.Size()
-	if size < footerLen {
-		return nil, fmt.Errorf("%w: file too small (%d bytes)", ErrCorrupt, size)
-	}
-	fbuf := make([]byte, footerLen)
-	if _, err := f.ReadAt(fbuf, size-footerLen); err != nil && err != io.EOF {
-		return nil, err
-	}
-	ftr, err := decodeFooter(fbuf)
+	ftr, err := readFooter(f)
 	if err != nil {
 		return nil, err
 	}
@@ -211,12 +202,18 @@ func (r *Reader) Get(ukey []byte, seq uint64) (value []byte, found, live bool, e
 // consultation (and a true-negative rejection) and threads prof to the
 // data-block fetch so the block's source tier is attributed to this request.
 func (r *Reader) GetSeek(seek []byte, prof *readprof.Profile) (value []byte, found, live bool, err error) {
+	return r.GetHashed(seek, bloom.Hash(keys.UserKey(seek)), prof)
+}
+
+// GetHashed is GetSeek for a caller that also holds the user key's filter
+// hash (bloom.Hash): a read that probes several tables hashes the key once.
+func (r *Reader) GetHashed(seek []byte, hash uint32, prof *readprof.Profile) (value []byte, found, live bool, err error) {
 	ukey := keys.UserKey(seek)
 	if r.filter != nil {
 		if prof != nil {
 			prof.BloomChecked++
 		}
-		if !r.filter.MayContainKey(ukey) {
+		if !r.filter.MayContain(hash) {
 			if prof != nil {
 				prof.BloomNegative++
 			}
@@ -247,7 +244,9 @@ func (r *Reader) GetSeek(seek []byte, prof *readprof.Profile) (value []byte, fou
 	if kind == keys.KindDelete {
 		return nil, true, false, nil
 	}
-	return append([]byte(nil), v...), true, true, nil
+	value = make([]byte, len(v))
+	copy(value, v)
+	return value, true, true, nil
 }
 
 // Close releases the underlying file handle.
