@@ -211,7 +211,7 @@ func BenchmarkFig8YCSB(b *testing.B) {
 func BenchmarkFig9HitRatio(b *testing.B) {
 	const files = 16
 	const blocksPerFile = 256
-	mk := func(b *testing.B, c pcache.BlockCache) {
+	mk := func(b *testing.B, c *pcache.PCache) {
 		block := make([]byte, 4096)
 		z := ycsb.NewZipfian(rand.New(rand.NewSource(5)), files*blocksPerFile, 0.99)
 		b.ResetTimer()
@@ -238,7 +238,7 @@ func BenchmarkFig9HitRatio(b *testing.B) {
 		mk(b, c)
 	})
 	b.Run("generic-lru", func(b *testing.B) {
-		c, err := pcache.NewGenericLRU(b.TempDir(), 2<<20)
+		c, err := pcache.New(pcache.Options{Dir: b.TempDir(), CapacityBytes: 2 << 20, Generic: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -481,7 +481,7 @@ func BenchmarkTab2Metadata(b *testing.B) {
 		}
 	})
 	b.Run("generic-lru-put", func(b *testing.B) {
-		c, err := pcache.NewGenericLRU(b.TempDir(), 64<<20)
+		c, err := pcache.New(pcache.Options{Dir: b.TempDir(), CapacityBytes: 64 << 20, Generic: true})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -26,6 +26,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -118,7 +119,7 @@ func main() {
 			cmdWAL(sh)
 		})
 	case "pcache":
-		cmdPCache(*dbDir)
+		check(cmdPCache(os.Stdout, *dbDir))
 	case "cost":
 		cmdCost(*dbDir)
 	case "verify":
@@ -252,13 +253,18 @@ func cmdWAL(local storage.Backend) {
 	}
 }
 
-func cmdPCache(dbDir string) {
-	pc, err := pcache.New(pcache.DefaultOptions(filepath.Join(dbDir, "pcache")))
-	if err != nil {
-		fatal(err)
+// cmdPCache summarizes the persistent cache's INDEX snapshot in the geometry
+// it records. It only reads: the store's next Open finds the cache as warm
+// as it was.
+func cmdPCache(w io.Writer, dbDir string) error {
+	s, err := pcache.Inspect(filepath.Join(dbDir, "pcache"))
+	if errors.Is(err, fs.ErrNotExist) {
+		s, err = "pcache: no index snapshot (store open, not closed cleanly, or no packed cache): the next open starts cold", nil
 	}
-	fmt.Println(pc)
-	_ = pc.Close()
+	if err == nil {
+		_, err = fmt.Fprintln(w, s)
+	}
+	return err
 }
 
 func cmdCost(dbDir string) {

@@ -202,3 +202,47 @@ func TestTrace(t *testing.T) {
 		t.Error("trace over a missing file did not fail")
 	}
 }
+
+// TestPCacheKeepsTheCacheWarm prints the persistent cache of a closed store
+// whose sizes settle on other than the default geometry (16 MiB of 32 KiB
+// regions): mashctl reports the cached blocks, and the store reopens with
+// every byte of them still cached.
+func TestPCacheKeepsTheCacheWarm(t *testing.T) {
+	dir := t.TempDir()
+	o := smallOptions()
+	o.LocalLevels = -1 // every flush lands in the cloud and warms the cache
+	o.PCacheBytes, o.PCacheRegionBytes = 16<<20, 128<<10
+	d, err := db.OpenAt(dir, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2000; i++ {
+		if err := d.Put([]byte(fmt.Sprintf("key-%05d", i)), bytes.Repeat([]byte("v"), 100)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := cmdPCache(&out, dir); err != nil {
+		t.Fatal(err)
+	}
+	var regions, free, blocks, used int64
+	var rb int
+	if _, err := fmt.Sscanf(out.String(), "pcache{regions=%d x %dB free=%d blocks=%d used=%dB", &regions, &rb, &free, &blocks, &used); err != nil {
+		t.Fatalf("%v in %q", err, out.String())
+	}
+	t.Log(strings.TrimSpace(out.String()))
+	if rb != 32<<10 || blocks == 0 {
+		t.Fatal("the cache holds no blocks, or not in the geometry the store settled on")
+	}
+	d, err = db.OpenAt(dir, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if got := d.Metrics().PCacheUsed; got != used {
+		t.Fatalf("reopened store caches %d bytes, mashctl reported %d", got, used)
+	}
+}

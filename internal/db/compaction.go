@@ -216,7 +216,7 @@ func (d *engine) openInputs(files []*manifest.FileMetadata, readNS, spans, block
 			}
 			return nil, nil, err
 		}
-		fetch := d.tables.compactionFetchFor(h)
+		fetch := sstable.FetchFunc(h.merge)
 		if f.Tier == storage.TierCloud {
 			hs := h.reader.DataHandles()
 			sr := &spanReader{

@@ -116,17 +116,16 @@ func Open(opts Options, local storage.Backend, cloud storage.Backend) (*DB, erro
 	// fallback an open local breaker cannot redirect flushes, but its state
 	// still gates pcache admissions and feeds the metrics.
 	d.localBreaker = d.newBreaker(opts.LocalBreaker, "local", &d.localTrips)
-	if err := d.initPCache(); err != nil {
-		d.closeShared()
-		return nil, err
-	}
 	// The caches are one ladder: a cloud block is admitted to the block cache
 	// when it is fetched and to the persistent cache when the block cache
 	// lets go of it. This sink is the persistent cache's only admission from
 	// the read path, so its gate, door, events and counters see every block
 	// once. The door's sketch is sized by the blocks both caches hold.
 	d.sketch = cache.NewSketch(int((opts.BlockCacheBytes + opts.PCacheBytes) / int64(opts.BlockBytes)))
-	d.pcache.SetSketch(d.sketch)
+	if err := d.initPCache(); err != nil {
+		d.closeShared()
+		return nil, err
+	}
 	d.blockCache = cache.NewWithSink(opts.BlockCacheBytes, func(k cache.Key, body []byte) {
 		d.pcache.Put(k.FileNum, k.Offset, body)
 	})
@@ -274,42 +273,33 @@ func (d *DB) initPCache() error {
 			dir = "pcache"
 		}
 	}
-	switch {
-	case d.opts.Policy == PolicyMash && d.opts.PCacheBytes > 0:
-		pc, err := pcache.New(pcache.Options{
-			Dir:           dir,
-			CapacityBytes: d.opts.PCacheBytes,
-			RegionBytes:   d.opts.PCacheRegionBytes,
-		})
-		if err != nil {
-			return err
-		}
-		pc.SetListener(d.listener)
-		if pc.IndexWasCorrupt() {
-			// A damaged index snapshot is self-healing by design: the cache
-			// restarts cold and refills from the cloud. Metrics counts it as
-			// a detected and repaired corruption so scrub reconciliation
-			// stays honest.
-			d.pcacheIndexHealed = true
-			d.evCorruptionDetected("pcache-index", "INDEX", 0, errors.New("pcache: index snapshot corrupt"))
-			d.evCorruptionRepaired("pcache-index", "INDEX", 0, "cold-start", 0)
-		}
-		d.pcache = pc
-	case d.opts.Policy == PolicyCloudLRU && d.opts.PCacheBytes > 0:
-		pc, err := pcache.NewGenericLRU(dir, d.opts.PCacheBytes)
-		if err != nil {
-			return err
-		}
-		pc.SetListener(d.listener)
-		d.pcache = pc
-	default:
-		d.pcache = pcache.NewNull()
+	o := pcache.Options{
+		Dir:         dir,
+		RegionBytes: d.opts.PCacheRegionBytes,
+		Generic:     d.opts.Policy == PolicyCloudLRU,
+		Listener:    d.listener,
+		// Cache admissions are writes to the local device; gate them off
+		// while the local tier is degraded.
+		Admit:  func() bool { return d.localBreaker.State() != retry.StateOpen },
+		Sketch: d.sketch,
 	}
-	// Cache admissions are writes to the local device; gate them off while
-	// the local tier is degraded.
-	d.pcache.SetAdmit(func() bool {
-		return d.localBreaker.State() != retry.StateOpen
-	})
+	if d.opts.Policy == PolicyMash || d.opts.Policy == PolicyCloudLRU {
+		o.CapacityBytes = d.opts.PCacheBytes // else no index: nothing is cached
+	}
+	pc, err := pcache.New(o)
+	if err != nil {
+		return err
+	}
+	if pc.IndexWasCorrupt() {
+		// A damaged index snapshot is self-healing by design: the cache
+		// restarts cold and refills from the cloud. Metrics counts it as a
+		// detected and repaired corruption so scrub reconciliation stays
+		// honest.
+		d.pcacheIndexHealed = true
+		d.evCorruptionDetected("pcache-index", "INDEX", 0, errors.New("pcache: index snapshot corrupt"))
+		d.evCorruptionRepaired("pcache-index", "INDEX", 0, "cold-start", 0)
+	}
+	d.pcache = pc
 	return nil
 }
 

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"rocksmash/internal/metrics"
-	"rocksmash/internal/pcache"
 	"rocksmash/internal/storage"
 )
 
@@ -118,9 +117,9 @@ func (d *DB) renderStats(m, prev Metrics, prevAt, now time.Time) string {
 	text, _ = rows("Caches")
 	b.WriteString(text)
 	fmt.Fprintf(&b, "PCache capacity: %s", metrics.HumanBytes(d.opts.PCacheBytes))
-	if pc, ok := d.pcache.(*pcache.PCache); ok {
+	if rb := d.pcache.RegionBytes(); rb > 0 {
 		// The size in effect: PCacheRegionBytes is only its ceiling.
-		fmt.Fprintf(&b, ", regions of %s", metrics.HumanBytes(pc.RegionBytes()))
+		fmt.Fprintf(&b, ", regions of %s", metrics.HumanBytes(rb))
 	}
 	b.WriteString("\n")
 

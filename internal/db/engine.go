@@ -35,7 +35,7 @@ type shared struct {
 	// serves them; the persistent cache's door admits a demoted block only
 	// if it was read more often than what it would displace.
 	blockCache *cache.Cache
-	pcache     pcache.BlockCache
+	pcache     *pcache.PCache
 	sketch     *cache.Sketch
 	tables     *tableCache
 	// lat holds the always-on per-operation latency histograms.

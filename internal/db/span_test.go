@@ -325,7 +325,7 @@ func spanViewIter(e *engine, tabs tableList, sched []sstable.ViewEntry) *viewIte
 	hold.init(e, nil)
 	vi := newViewIter(e, hold, v, files)
 	for m, tab := range tabs {
-		tab.h.reader.SetFetch(e.tables.fetchFor(tab.h))
+		tab.h.reader.SetFetch(tab.h.read)
 		vi.handles[m] = tab.h
 	}
 	vi.forward = true

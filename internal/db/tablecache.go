@@ -168,7 +168,7 @@ func (tc *tableCache) load(d *engine, meta *manifest.FileMetadata) (*tableHandle
 	h := &tableHandle{reader: r, tier: meta.Tier, key: k, db: d}
 	h.refs.Store(2) // the caller's and the cache's own
 	h.used.Store(true)
-	r.SetFetch(tc.fetchFor(h))
+	r.SetFetch(h.read)
 
 	tc.mu.Lock()
 	if existing, ok := tc.tables[k]; ok {
@@ -275,89 +275,103 @@ func (tc *tableCache) open(d *engine, meta *manifest.FileMetadata) (*sstable.Rea
 	return r, nil
 }
 
-// fetchFor builds the data-block fetch path for one table:
-//
-//	block cache → [cloud only: persistent cache →] backend read
-//
-// What comes from either lower rung is admitted to the block cache only.
-// A cloud block counts one read in the sketch, whichever rung serves it.
-// Each block served is attributed to its source tier on prof; per-stage
-// clock reads happen only for Timed (sampled) profiles.
-func (tc *tableCache) fetchFor(h *tableHandle) sstable.FetchFunc {
-	db := h.db
-	return func(fileNum uint64, hd sstable.Handle, prof *readprof.Profile) ([]byte, error) {
-		ck := cache.Key{FileNum: fileNum, Offset: hd.Offset}
-		if h.tier == storage.TierCloud {
-			db.sketch.Add(ck)
-		}
-		if body, ok := db.blockCache.Get(ck); ok {
-			if prof != nil {
-				prof.Block(readprof.TierBlockCache, len(body), 0)
-			}
-			return body, nil
-		}
-		timed := prof != nil && prof.Timed
-		var start time.Time
-		if timed {
-			start = time.Now()
-		}
-		if h.tier == storage.TierCloud {
-			if body, ok := db.pcache.Get(fileNum, hd.Offset); ok {
-				db.blockCache.PutCloud(ck, body)
-				if prof != nil {
-					var ns int64
-					if timed {
-						ns = time.Since(start).Nanoseconds()
-					}
-					prof.Block(readprof.TierPCache, len(body), ns)
-				}
-				return body, nil
-			}
-		}
-		body, err := h.readRepaired(hd)
-		if err != nil {
-			return nil, err
-		}
-		// A cloud block enters the persistent cache when the block cache
-		// lets go of it (see shared.blockCache), not here.
-		if h.tier == storage.TierCloud {
-			db.blockCache.PutCloud(ck, body)
-		} else {
-			db.blockCache.Put(ck, body)
-		}
-		if prof != nil {
-			t := readprof.TierLocal
-			if h.tier == storage.TierCloud {
-				t = readprof.TierCloud
-			}
-			var ns int64
-			if timed {
-				ns = time.Since(start).Nanoseconds()
-			}
-			prof.Block(t, len(body), ns)
-		}
-		return body, nil
-	}
+// rungs names how far down the cache ladder a walk goes and what it
+// leaves behind: the in-memory block cache, for a cloud table the
+// persistent cache, then the table's backend.
+type rungs uint8
+
+const (
+	// readRungs is a client read. It counts a cloud block in the sketch,
+	// whichever rung serves it. A persistent-cache lookup counts the file's
+	// heat, and a hit is promoted to the block cache; a block the backend
+	// serves is admitted to the block cache only (it reaches the persistent
+	// cache when the block cache lets go of it).
+	readRungs rungs = iota
+	// cacheRungs is readRungs without the backend and the sketch: a forward
+	// scan's lookup, whose span reads what no cache holds and which counts
+	// a block in the sketch when it consumes it.
+	cacheRungs
+	// mergeRungs is a compaction input: both caches are looked up without
+	// heat, and nothing is admitted — a bulk merge must not evict the
+	// workload's hot set.
+	mergeRungs
+)
+
+// read is the table's fetch path for client reads (sstable.FetchFunc).
+func (h *tableHandle) read(_ uint64, hd sstable.Handle, prof *readprof.Profile) ([]byte, error) {
+	return h.walk(hd, readRungs, prof)
 }
 
-// compactionFetchFor builds the scan-resistant fetch path used by
-// compaction input iterators: cached blocks are used when present, but
-// misses go straight to the backend without admitting anything — a bulk
-// merge must not evict the workload's hot set.
-func (tc *tableCache) compactionFetchFor(h *tableHandle) sstable.FetchFunc {
+// merge is the table's fetch path for compaction inputs.
+func (h *tableHandle) merge(_ uint64, hd sstable.Handle, _ *readprof.Profile) ([]byte, error) {
+	return h.walk(hd, mergeRungs, nil)
+}
+
+// walk returns block hd from the first rung that holds it; under cacheRungs
+// a block neither cache holds comes back nil. The block is attributed to
+// the tier that served it on prof, with the time on a Timed profile.
+func (h *tableHandle) walk(hd sstable.Handle, r rungs, prof *readprof.Profile) ([]byte, error) {
 	db := h.db
-	return func(fileNum uint64, hd sstable.Handle, _ *readprof.Profile) ([]byte, error) {
-		ck := cache.Key{FileNum: fileNum, Offset: hd.Offset}
-		if body, ok := db.blockCache.Get(ck); ok {
+	cloud := h.tier == storage.TierCloud
+	ck := cache.Key{FileNum: h.reader.FileNum(), Offset: hd.Offset}
+	if cloud && r == readRungs {
+		db.sketch.Add(ck)
+	}
+	if body, ok := db.blockCache.Get(ck); ok {
+		attribute(prof, readprof.TierBlockCache, body, time.Time{})
+		return body, nil
+	}
+	start := stageClock(prof)
+	if cloud {
+		var body []byte
+		var ok bool
+		if r == mergeRungs {
+			body, ok = db.pcache.Probe(ck.FileNum, ck.Offset)
+		} else if body, ok = db.pcache.Get(ck.FileNum, ck.Offset); ok {
+			db.blockCache.PutCloud(ck, body)
+			attribute(prof, readprof.TierPCache, body, start)
+		}
+		if ok {
 			return body, nil
 		}
-		if h.tier == storage.TierCloud {
-			if body, ok := db.pcache.Probe(fileNum, hd.Offset); ok {
-				return body, nil
-			}
-		}
-		return h.readRepaired(hd)
 	}
+	if r == cacheRungs {
+		return nil, nil
+	}
+	body, err := h.readRepaired(hd)
+	if err != nil || r == mergeRungs {
+		return body, err
+	}
+	tier := readprof.TierLocal
+	if cloud {
+		tier = readprof.TierCloud
+		db.blockCache.PutCloud(ck, body)
+	} else {
+		db.blockCache.Put(ck, body)
+	}
+	attribute(prof, tier, body, start)
+	return body, nil
+}
+
+// stageClock starts a stage clock when prof is timed (sampled): the zero
+// time otherwise, which attribute reads as no stage time.
+func stageClock(prof *readprof.Profile) time.Time {
+	if prof != nil && prof.Timed {
+		return time.Now()
+	}
+	return time.Time{}
+}
+
+// attribute records a block served from tier on prof, if any.
+func attribute(prof *readprof.Profile, tier readprof.Tier, body []byte, start time.Time) {
+	if prof == nil {
+		return
+	}
+	var ns int64
+	if !start.IsZero() {
+		ns = time.Since(start).Nanoseconds()
+	}
+	prof.Block(tier, len(body), ns)
 }
 
 // readRepaired reads one block from the table's backend. A local-tier block

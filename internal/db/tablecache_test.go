@@ -4,12 +4,16 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"rocksmash/internal/cache"
 	"rocksmash/internal/manifest"
 	"rocksmash/internal/storage"
 )
@@ -328,4 +332,140 @@ func TestTableCacheHandleLifetime(t *testing.T) {
 		}
 	}
 	checkTableObjects(t, d, "after the race")
+}
+
+// TestCompactionReadsLeaveCachesAlone pins the merge rung. Reads warm both
+// caches, the inputs' heat and the sketch; then a CompactAll whose inputs
+// all live in the cloud must move none of them: no block-cache or
+// persistent-cache counter, no input's heat (an open iterator keeps the
+// inputs from being retired, which would drop their heat) and no block's
+// sketch estimate.
+func TestCompactionReadsLeaveCachesAlone(t *testing.T) {
+	for _, p := range []Policy{PolicyMash, PolicyCloudLRU} {
+		t.Run(p.String(), func(t *testing.T) {
+			o := testOptions(p)
+			o.LocalLevels = -1 // every table is a cloud table
+			o.CompactionInheritance = false
+			o.L0StallFiles = 400
+			d, err := OpenAt(t.TempDir(), o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d.Close()
+			e := d.engines[0]
+			e.compactionMu.Lock()
+			e.paused++ // no background job: the flushes wait in L0 for CompactAll
+			e.compactionMu.Unlock()
+			for round := 0; round < 4; round++ {
+				for i := 0; i < 600; i++ {
+					mustPut(t, d, fmt.Sprintf("key%05d", i), fmt.Sprintf("v%d-%s", round, strings.Repeat("x", 60)))
+				}
+				if err := d.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 600; i += 7 {
+				if _, err := d.Get([]byte(fmt.Sprintf("key%05d", i))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			it, err := d.NewIterator()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer it.Close()
+
+			type state struct {
+				bcHits, bcMisses      int64
+				bcBlocks              int
+				hits, misses, inserts int64
+				heat, sketch          []int64
+			}
+			var inputs []*manifest.FileMetadata
+			e.vs.Current().AllFiles(func(_ int, f *manifest.FileMetadata) {
+				if f.Tier != storage.TierCloud {
+					t.Fatalf("input %d is not a cloud table", f.Num)
+				}
+				inputs = append(inputs, f)
+			})
+			snap := func() (s state) {
+				s.bcHits, s.bcMisses = d.blockCache.Counters()
+				s.bcBlocks = d.blockCache.Len()
+				ps := d.pcache.Stats()
+				s.hits, s.misses, s.inserts = ps.Hits.Load(), ps.Misses.Load(), ps.Inserted.Load()
+				for _, f := range inputs {
+					s.heat = append(s.heat, d.pcache.FileHeat(f.Num))
+					h, err := d.tables.get(e, f)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, bh := range h.reader.DataHandles() {
+						s.sketch = append(s.sketch, int64(d.sketch.Estimate(cache.Key{FileNum: f.Num, Offset: bh.Offset})))
+					}
+					h.release()
+				}
+				return s
+			}
+			before := snap()
+			if before.hits+before.misses == 0 || before.bcBlocks == 0 {
+				t.Fatal("the reads warmed no cache")
+			}
+			compactions := d.Metrics().Compactions
+			if err := d.CompactAll(); err != nil {
+				t.Fatal(err)
+			}
+			if d.Metrics().Compactions == compactions {
+				t.Fatal("CompactAll compacted nothing")
+			}
+			if after := snap(); !reflect.DeepEqual(after, before) {
+				t.Fatalf("compaction moved the caches:\nbefore %+v\nafter  %+v", before, after)
+			}
+		})
+	}
+}
+
+// TestCloudLRUServesNoRottedBlock flips a byte in one block file of the
+// generic persistent cache: the Gets that reach it must still return the
+// model's values, the damage counted once.
+func TestCloudLRUServesNoRottedBlock(t *testing.T) {
+	dir := t.TempDir()
+	d, err := OpenAt(dir, testOptions(PolicyCloudLRU))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	model := fillKeys(t, d, 3000, 200)
+	if err := d.CompactAll(); err != nil {
+		t.Fatal(err)
+	}
+	for k, v := range model { // demotes most blocks out of the 256 KiB block cache
+		mustGet(t, d, k, v)
+	}
+	names, err := filepath.Glob(filepath.Join(dir, "pcache", "*.blk"))
+	if err != nil || len(names) == 0 {
+		t.Fatalf("no demoted block files (%v)", err)
+	}
+	var fileNum, off uint64
+	if _, err := fmt.Sscanf(filepath.Base(names[0]), "f%d-%d.blk", &fileNum, &off); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(names[0], os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := make([]byte, 1)
+	if _, err := f.ReadAt(b, 10); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte{b[0] ^ 0x01}, 10); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	d.blockCache.InvalidateFile(fileNum) // the next read of the block reaches the persistent cache
+	for k, v := range model {
+		mustGet(t, d, k, v)
+	}
+	if n := d.Metrics().PCacheCorruptReads; n != 1 {
+		t.Fatalf("PCacheCorruptReads = %d, want 1", n)
+	}
 }

@@ -199,50 +199,6 @@ func (vi *viewIter) handle(m int32) (*tableHandle, error) {
 	return h, nil
 }
 
-// clock starts a stage clock when the profile is timed: the zero time
-// otherwise, which attribute reads as no stage time.
-func (vi *viewIter) clock() time.Time {
-	if vi.prof != nil && vi.prof.Timed {
-		return time.Now()
-	}
-	return time.Time{}
-}
-
-// attribute records a block served from tier on the iterator's profile.
-func (vi *viewIter) attribute(tier readprof.Tier, body []byte, start time.Time) {
-	if vi.prof == nil {
-		return
-	}
-	var ns int64
-	if !start.IsZero() {
-		ns = time.Since(start).Nanoseconds()
-	}
-	vi.prof.Block(tier, len(body), ns)
-}
-
-// cached returns cloud entry e's block on a forward walk when the block
-// cache or the persistent cache holds it (a persistent-cache hit is promoted
-// to the block cache), and nil otherwise: one lookup per rung. waited says a
-// span GET was awaited for the block, which makes it the cloud's.
-func (vi *viewIter) cached(e *sstable.ViewEntry, h *tableHandle, start time.Time, waited bool) []byte {
-	fileNum := h.reader.FileNum()
-	ck := cache.Key{FileNum: fileNum, Offset: e.H.Offset}
-	if body, ok := vi.db.blockCache.Get(ck); ok {
-		if waited {
-			vi.attribute(readprof.TierCloud, body, start)
-		} else {
-			vi.attribute(readprof.TierBlockCache, body, time.Time{})
-		}
-		return body
-	}
-	if body, ok := vi.db.pcache.Get(fileNum, e.H.Offset); ok {
-		vi.db.blockCache.PutCloud(ck, body)
-		vi.attribute(readprof.TierPCache, body, start)
-		return body
-	}
-	return nil
-}
-
 // prefetch resolves the block SeekGE(ikey) — First when ikey is nil — will
 // land on and, when it is a cloud block in neither cache, starts its span's
 // GET without waiting for it. What it found goes to the load that follows.
@@ -262,16 +218,15 @@ func (vi *viewIter) prefetch(ikey []byte) {
 		return // load surfaces the error; a local block is no round trip
 	}
 	vi.forward = true
-	body := vi.cached(e, h, vi.clock(), false)
+	body, _ := h.walk(e.H, cacheRungs, vi.prof)
 	if body == nil {
 		vi.spans.start(pos, h)
 	}
 	vi.found, vi.foundBody = pos, body
 }
 
-// fetchEntry returns the verified body of the block at ordinal pos. The
-// ladder mirrors the table cache's fetch path — block cache, persistent
-// cache, then the backend — but a cloud miss during a forward scan reads
+// fetchEntry returns the verified body of the block at ordinal pos. It walks
+// the table's cache ladder, but a cloud miss during a forward scan reads
 // the span the view schedules from pos (see span.go) and pipelines the
 // spans after it. Spans admit their blocks to the caches, so the iterator
 // consumes them as cache hits: only the block that waits on a GET in flight
@@ -289,44 +244,41 @@ func (vi *viewIter) fetchEntry(pos int) ([]byte, error) {
 	if body := vi.spanned(pos, e, h); body != nil {
 		if h.tier == storage.TierCloud && vi.forward {
 			// A block the forward walk consumes counts one read in the
-			// sketch; fetchFor counts the blocks the fallback below serves.
+			// sketch; the read walk counts the blocks the fallback serves.
 			vi.db.sketch.Add(cache.Key{FileNum: h.reader.FileNum(), Offset: e.H.Offset})
 		}
 		return body, nil
 	}
 	// No span serves the block (a local table, a reverse walk, a failed
-	// span): the standard fetch path looks the caches up itself, repairs
-	// local damage from its CRC, admits and attributes.
-	return h.reader.Fetch(e.H, vi.prof)
+	// span): the read walk looks the caches up, repairs local damage from
+	// its CRC, admits and attributes.
+	return h.walk(e.H, readRungs, vi.prof)
 }
 
 // spanned returns the block at ordinal pos when the prefetch, a span or —
 // on a forward walk of a cloud table — a cache serves it, and nil when only
-// the standard fetch path can.
+// the read walk can. A block that waited on a span GET, or whose span was
+// read for it, is the cloud's.
 func (vi *viewIter) spanned(pos int, e *sstable.ViewEntry, h *tableHandle) []byte {
-	start := vi.clock()
-	prefetched := pos == vi.found
-	if prefetched {
+	start := stageClock(vi.prof)
+	if pos == vi.found {
 		body := vi.foundBody
 		vi.found, vi.foundBody = -1, nil
 		if body != nil {
 			return body // attributed by prefetch
 		}
 	}
-	sp := vi.spans.await(pos)
-	waited := sp != nil && sp.err == nil
-	if waited && prefetched {
-		// prefetch looked the block up and started this span for it.
+	if sp := vi.spans.await(pos); sp != nil && sp.err == nil {
 		body := sp.bodies[pos-sp.start]
-		vi.attribute(readprof.TierCloud, body, start)
+		attribute(vi.prof, readprof.TierCloud, body, start)
 		return body
 	}
 	if h.tier == storage.TierCloud && vi.forward {
-		if body := vi.cached(e, h, start, waited); body != nil {
+		if body, _ := h.walk(e.H, cacheRungs, vi.prof); body != nil {
 			return body
 		}
 		if sp := vi.spans.read(pos, h); sp.err == nil {
-			vi.attribute(readprof.TierCloud, sp.bodies[0], start)
+			attribute(vi.prof, readprof.TierCloud, sp.bodies[0], start)
 			return sp.bodies[0]
 		}
 	}

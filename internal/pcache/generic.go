@@ -3,63 +3,28 @@ package pcache
 import (
 	"container/list"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sync"
 
 	"rocksmash/internal/cache"
 	"rocksmash/internal/event"
 )
 
-// GenericLRU is the baseline persistent cache the paper compares against: a
-// conventional block cache that knows nothing about the LSM tree. Every
-// block is an independent entry — stored as its own file on local storage,
-// indexed by a hash map with an LRU list, evicted one block at a time. Its
-// per-block metadata cost (map node + list element + key copies) is what
-// the PCache's packed index eliminates, and its per-block eviction is what
-// the region layout batches.
-type GenericLRU struct {
+// generic is the baseline index the paper compares against: a conventional
+// block cache that knows nothing about the LSM tree. Every block is an
+// independent entry — stored as its own file on local storage, indexed by a
+// hash map with an LRU list, evicted one block at a time. Its per-block
+// metadata cost (map node + list element + key copies) is what the packed
+// index eliminates, and its per-block eviction is what the region layout
+// batches.
+type generic struct {
 	dir      string
 	capacity int64
-	stats    Stats
-	heat     *heatMap
-	levels   *levelMap
-	ev       event.Listener // set once before concurrent use; nil disables events
-	admit    func() bool    // set once before concurrent use; nil always admits
-	sketch   *cache.Sketch  // set once before concurrent use; nil opens the door to every Put
-
-	mu    sync.Mutex
-	items map[blockKey]*genericEntry
-	order *list.List
-	used  int64
-	pend  []event.PCacheEvict // evictions queued under mu, fired after unlock
-	// dropped declines Puts that lost the race with DropFile (see dropRing).
-	dropped dropRing
-}
-
-// SetListener attaches an event listener. Must be called before the cache
-// is shared between goroutines; a nil listener keeps every path event-free.
-func (g *GenericLRU) SetListener(l event.Listener) { g.ev = l }
-
-// SetAdmit implements BlockCache.
-func (g *GenericLRU) SetAdmit(f func() bool) { g.admit = f }
-
-// SetSketch implements BlockCache.
-func (g *GenericLRU) SetSketch(s *cache.Sketch) { g.sketch = s }
-
-func (g *GenericLRU) takePendLocked() []event.PCacheEvict {
-	evs := g.pend
-	g.pend = nil
-	return evs
-}
-
-func (g *GenericLRU) fireEvicts(evs []event.PCacheEvict) {
-	if g.ev == nil {
-		return
-	}
-	for _, e := range evs {
-		g.ev.OnPCacheEvict(e)
-	}
+	used     int64
+	items    map[blockKey]*genericEntry
+	order    *list.List
+	gen      uint32 // the last entry generation handed out
 }
 
 type blockKey struct {
@@ -67,9 +32,13 @@ type blockKey struct {
 	blockOff uint64
 }
 
+// genericEntry is 40 B: the key, the length, the block's CRC, the entry's
+// generation (a slot names it by that) and the list element.
 type genericEntry struct {
 	key    blockKey
-	length int64
+	length uint32
+	crc    uint32
+	gen    uint32
 	elem   *list.Element
 }
 
@@ -79,13 +48,9 @@ type genericEntry struct {
 // measured Go map+list footprints.
 const genericEntryOverhead = 152
 
-// NewGenericLRU opens the baseline cache under dir.
-func NewGenericLRU(dir string, capacity int64) (*GenericLRU, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	// The generic cache has no recoverable index: a restart is cold.
-	// Remove stale block files from any previous run.
+// openGeneric opens the baseline index under dir. It has no recoverable
+// index, so a restart is cold: block files of a previous run are removed.
+func openGeneric(dir string, capacity int64) (*generic, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -93,207 +58,96 @@ func NewGenericLRU(dir string, capacity int64) (*GenericLRU, error) {
 	for _, e := range entries {
 		_ = os.Remove(filepath.Join(dir, e.Name()))
 	}
-	return &GenericLRU{
-		dir:      dir,
-		capacity: capacity,
-		heat:     newHeatMap(),
-		levels:   newLevelMap(),
-		items:    map[blockKey]*genericEntry{},
-		order:    list.New(),
-	}, nil
+	return &generic{dir: dir, capacity: capacity, items: map[blockKey]*genericEntry{}, order: list.New()}, nil
 }
 
-func (g *GenericLRU) blockPath(k blockKey) string {
+func (g *generic) path(k blockKey) string {
 	return filepath.Join(g.dir, fmt.Sprintf("f%06d-%012d.blk", k.fileNum, k.blockOff))
 }
 
-// Get implements BlockCache.
-func (g *GenericLRU) Get(fileNum, blockOff uint64) ([]byte, bool) {
-	g.heat.add(fileNum, 1)
-	data, ok := g.get(fileNum, blockOff)
-	b := g.levels.bucket(fileNum)
-	if ok {
-		g.stats.hit(b, fileNum)
-	} else {
-		g.stats.miss(b, fileNum)
+func (g *generic) find(fileNum, blockOff uint64, touch bool) (slot, bool) {
+	e, ok := g.items[blockKey{fileNum, blockOff}]
+	if !ok {
+		return slot{}, false
 	}
-	return data, ok
-}
-
-// SetLevel implements BlockCache.
-func (g *GenericLRU) SetLevel(fileNum uint64, level int) { g.levels.set(fileNum, level) }
-
-// Probe implements BlockCache: Get without heat or statistics.
-func (g *GenericLRU) Probe(fileNum, blockOff uint64) ([]byte, bool) {
-	return g.get(fileNum, blockOff)
-}
-
-func (g *GenericLRU) get(fileNum, blockOff uint64) ([]byte, bool) {
-	k := blockKey{fileNum, blockOff}
-	g.mu.Lock()
-	e, ok := g.items[k]
-	if ok {
+	if touch {
 		g.order.MoveToFront(e.elem)
 	}
-	g.mu.Unlock()
-	if !ok {
-		return nil, false
-	}
-	data, err := os.ReadFile(g.blockPath(k))
-	if err != nil {
-		return nil, false
-	}
-	return data, true
+	return slot{fileNum: fileNum, blockOff: blockOff, epoch: e.gen, length: e.length, crc: e.crc}, true
 }
 
-// Put implements BlockCache.
-func (g *GenericLRU) Put(fileNum, blockOff uint64, body []byte) { g.put(fileNum, blockOff, body, true) }
-
-// put admits one block; door puts it through the frequency door first.
-func (g *GenericLRU) put(fileNum, blockOff uint64, body []byte, door bool) {
-	if g.admit != nil && !g.admit() {
-		g.stats.AdmitDeclined.Add(1)
-		return
-	}
-	if int64(len(body)) > g.capacity {
-		return
-	}
-	k := blockKey{fileNum, blockOff}
-	g.mu.Lock()
-	if _, ok := g.items[k]; ok || g.dropped.has(fileNum) {
-		g.mu.Unlock()
-		return
-	}
-	if door && !g.doorAdmitsLocked(k, int64(len(body))) {
-		g.mu.Unlock()
-		g.stats.DoorDeclined.Add(1)
-		return
-	}
-	// Evict per block until the new entry fits.
-	for g.used+int64(len(body)) > g.capacity {
-		back := g.order.Back()
-		if back == nil {
-			break
-		}
-		victim := back.Value.(*genericEntry)
-		g.removeLocked(victim, "lru")
-	}
-	e := &genericEntry{key: k, length: int64(len(body))}
-	e.elem = g.order.PushFront(e)
-	g.items[k] = e
-	g.used += e.length
-	evs := g.takePendLocked()
-	g.mu.Unlock()
-	g.fireEvicts(evs)
-
-	// Write-then-rename so concurrent readers never observe a torn block.
-	tmp := g.blockPath(k) + ".tmp"
-	err := os.WriteFile(tmp, body, 0o644)
-	if err == nil {
-		err = os.Rename(tmp, g.blockPath(k))
-	}
-	if err != nil {
-		g.mu.Lock()
-		if cur, ok := g.items[k]; ok && cur == e {
-			// Rollback of this Put's own entry, not an eviction: no event.
-			g.removeLocked(cur, "")
-		}
-		g.mu.Unlock()
-		return
-	}
-	g.stats.Inserted.Add(1)
-	g.stats.BytesInserted.Add(int64(len(body)))
-	if g.ev != nil {
-		g.ev.OnPCacheAdmit(event.PCacheAdmit{File: fileNum, Blocks: 1, Bytes: int64(len(body))})
-	}
+// read reads the block's file. A file evicted, or rewritten for the same
+// key, after find either fails to open or fails the CRC.
+func (g *generic) read(s slot) ([]byte, error) {
+	return os.ReadFile(g.path(blockKey{s.fileNum, s.blockOff}))
 }
 
-// PutBulk implements BlockCache. The generic cache has no batched admission
-// path — each block pays the full per-entry cost, one more contrast with the
-// packed region layout.
-func (g *GenericLRU) PutBulk(fileNum uint64, blocks []Block) {
-	for _, b := range blocks {
-		g.put(fileNum, b.Off, b.Body, false)
+func (g *generic) forget(s slot) bool {
+	e, ok := g.items[blockKey{s.fileNum, s.blockOff}]
+	if !ok || e.gen != s.epoch {
+		return false
 	}
+	g.remove(e)
+	return true
 }
 
-// doorAdmitsLocked is the frequency door: once a block of size bytes no
-// longer fits, it is admitted only if the sketch estimates it above the LRU
-// tail block it would displace first.
-func (g *GenericLRU) doorAdmitsLocked(k blockKey, size int64) bool {
-	if g.sketch == nil || g.used+size <= g.capacity {
-		return true
-	}
+// admits is the door's rule for single blocks: once a block of size bytes
+// no longer fits, it is admitted only if the sketch estimates it above the
+// LRU tail block it would displace first.
+func (g *generic) admits(sk *cache.Sketch, fileNum, blockOff uint64, size int) bool {
 	back := g.order.Back()
-	if back == nil {
+	if g.used+int64(size) <= g.capacity || back == nil {
 		return true
 	}
 	tail := back.Value.(*genericEntry).key
-	return g.sketch.Estimate(cache.Key{FileNum: k.fileNum, Offset: k.blockOff}) >
-		g.sketch.Estimate(cache.Key{FileNum: tail.fileNum, Offset: tail.blockOff})
+	return sk.Estimate(cache.Key{FileNum: fileNum, Offset: blockOff}) >
+		sk.Estimate(cache.Key{FileNum: tail.fileNum, Offset: tail.blockOff})
 }
 
-func (g *GenericLRU) removeLocked(e *genericEntry, reason string) {
-	if g.ev != nil && reason != "" {
-		g.pend = append(g.pend, event.PCacheEvict{
-			File: e.key.fileNum, Blocks: 1, Bytes: e.length, Reason: reason,
-		})
+// insert evicts per block until the new one fits, then writes its file.
+func (g *generic) insert(fileNum, blockOff uint64, body []byte, evs []event.PCacheEvict) (bool, []event.PCacheEvict) {
+	for g.used+int64(len(body)) > g.capacity && g.order.Len() > 0 {
+		evs = g.evict(g.order.Back().Value.(*genericEntry), "lru", evs)
 	}
+	k := blockKey{fileNum, blockOff}
+	if err := os.WriteFile(g.path(k), body, 0o644); err != nil {
+		_ = os.Remove(g.path(k))
+		return false, evs
+	}
+	g.gen++
+	e := &genericEntry{key: k, length: uint32(len(body)), crc: crc32.Checksum(body, castagnoli), gen: g.gen}
+	e.elem = g.order.PushFront(e)
+	g.items[k] = e
+	g.used += int64(len(body))
+	return true, evs
+}
+
+func (g *generic) evict(e *genericEntry, reason string, evs []event.PCacheEvict) []event.PCacheEvict {
+	g.remove(e)
+	return append(evs, event.PCacheEvict{File: e.key.fileNum, Blocks: 1, Bytes: int64(e.length), Reason: reason})
+}
+
+func (g *generic) remove(e *genericEntry) {
 	g.order.Remove(e.elem)
 	delete(g.items, e.key)
-	g.used -= e.length
-	_ = os.Remove(g.blockPath(e.key))
-	g.stats.RegionsEvicted.Add(1) // counted per block for the baseline
+	g.used -= int64(e.length)
+	_ = os.Remove(g.path(e.key))
 }
 
-// DropFile implements BlockCache: the generic cache must scan its whole
-// index — per-block work the LSM-aware layout avoids.
-func (g *GenericLRU) DropFile(fileNum uint64) {
-	g.mu.Lock()
-	var victims []*genericEntry
+// dropFile must scan the whole index — per-block work the LSM-aware layout
+// avoids.
+func (g *generic) dropFile(fileNum uint64, evs []event.PCacheEvict) []event.PCacheEvict {
 	for k, e := range g.items {
 		if k.fileNum == fileNum {
-			victims = append(victims, e)
+			evs = g.evict(e, "drop-file", evs)
 		}
 	}
-	for _, e := range victims {
-		g.removeLocked(e, "drop-file")
-	}
-	g.dropped.add(fileNum)
-	evs := g.takePendLocked()
-	g.mu.Unlock()
-	g.heat.drop(fileNum)
-	g.levels.drop(fileNum)
-	g.stats.FilesDropped.Add(1)
-	g.fireEvicts(evs)
+	return evs
 }
 
-// FileHeat implements BlockCache.
-func (g *GenericLRU) FileHeat(fileNum uint64) int64 { return g.heat.get(fileNum) }
-
-// MetadataBytes implements BlockCache.
-func (g *GenericLRU) MetadataBytes() int64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return int64(len(g.items)) * genericEntryOverhead
+func (g *generic) usage() (blocks int, used, meta int64) {
+	return len(g.items), g.used, int64(len(g.items)) * genericEntryOverhead
 }
 
-// UsedBytes implements BlockCache.
-func (g *GenericLRU) UsedBytes() int64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.used
-}
-
-// CachedBlocks returns the number of resident blocks.
-func (g *GenericLRU) CachedBlocks() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.items)
-}
-
-// Stats implements BlockCache.
-func (g *GenericLRU) Stats() *Stats { return &g.stats }
-
-// Close implements BlockCache. The generic cache has nothing to persist.
-func (g *GenericLRU) Close() error { return nil }
+// close has nothing to persist.
+func (g *generic) close() error { return nil }

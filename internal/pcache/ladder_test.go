@@ -31,16 +31,22 @@ const (
 type ladder struct {
 	t       *testing.T
 	bc      *cache.Cache
-	pc      BlockCache
+	pc      *PCache
 	sketch  *cache.Sketch
 	fetches int               // model cloud GETs
 	retired map[uint64]uint64 // table -> the table that replaced it
 }
 
-func newLadder(t *testing.T, pc BlockCache, blockCacheBytes, pcacheBytes int64) *ladder {
-	l := &ladder{t: t, pc: pc, retired: map[uint64]uint64{}}
+func newLadder(t *testing.T, o Options, blockCacheBytes, pcacheBytes int64) *ladder {
+	l := &ladder{t: t, retired: map[uint64]uint64{}}
 	l.sketch = cache.NewSketch(int((blockCacheBytes + pcacheBytes) / ladderBlockBytes))
-	pc.SetSketch(l.sketch)
+	o.Dir, o.Sketch = t.TempDir(), l.sketch
+	pc, err := New(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { pc.Close() })
+	l.pc = pc
 	l.bc = cache.NewWithSink(blockCacheBytes, func(k cache.Key, body []byte) {
 		if k.FileNum >= localTables {
 			t.Errorf("sink called for local-tier block %v", k)
@@ -57,7 +63,7 @@ func newLadder(t *testing.T, pc BlockCache, blockCacheBytes, pcacheBytes int64) 
 // start; cloud tables count up from 1.
 const localTables = 1 << 20
 
-// read is tableCache.fetchFor reduced to its cache calls.
+// read is the store's read walk (tableHandle.walk) reduced to its cache calls.
 func (l *ladder) read(block int) {
 	file := uint64(1 + block/ladderTableBlocks)
 	if next, dead := l.retired[file]; dead {
@@ -174,29 +180,27 @@ func referenceGETs(seed int64, capacity int64) (optimum, compulsory float64) {
 // compulsory-miss floor are logged beside them as references.
 func TestCacheLadder(t *testing.T) {
 	const seed = 22
-	newMashCache := func(t *testing.T) BlockCache {
-		// RegionBytes as the benchmark passes it; New derives 32 KiB.
-		return newMash(t, ladderPCache, 128<<10)
-	}
+	// RegionBytes as the benchmark passes it; New derives 32 KiB.
+	mash := Options{CapacityBytes: ladderPCache, RegionBytes: 128 << 10}
 	optimum, compulsory := referenceGETs(seed, ladderBlockCache+ladderPCache)
 	t.Logf("optimum: %.1f cloud GETs per thousand reads (the measured stream's most-read blocks in %d MiB); compulsory: %.1f (first reads)",
 		optimum, (ladderBlockCache+ladderPCache)>>20, compulsory)
 	var mashGETs float64
 	for _, tc := range []struct {
 		name       string
-		pc         func(*testing.T) BlockCache
+		opts       Options
 		blockCache int64
 		maxGETs    float64 // per thousand reads; 0 = not pinned
 	}{
-		{name: "mash", pc: newMashCache, blockCache: ladderBlockCache, maxGETs: 311},
-		{name: "generic", pc: func(t *testing.T) BlockCache { return newGeneric(t, ladderPCache) }, blockCache: ladderBlockCache},
+		{name: "mash", opts: mash, blockCache: ladderBlockCache, maxGETs: 311},
+		{name: "generic", opts: Options{CapacityBytes: ladderPCache, Generic: true}, blockCache: ladderBlockCache},
 		// Without a block cache every block is declined at its door and
 		// must still reach the persistent cache.
-		{name: "no-block-cache", pc: newMashCache, blockCache: 0},
+		{name: "no-block-cache", opts: mash, blockCache: 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			pc := tc.pc(t)
-			l := newLadder(t, pc, tc.blockCache, ladderPCache)
+			l := newLadder(t, tc.opts, tc.blockCache, ladderPCache)
+			pc := l.pc
 			gets := l.run(seed)
 			occupancy := float64(pc.UsedBytes()) / ladderPCache
 			t.Logf("%.1f cloud GETs per thousand reads, block cache hit %.3f, pcache hit %.3f, occupancy %.3f, %.1f B metadata per block",
@@ -230,14 +234,14 @@ func TestDoorKeepsTheHotSet(t *testing.T) {
 	const hot, flood = 64, 1000
 	for _, tc := range []struct {
 		name string
-		pc   func(*testing.T) BlockCache
+		opts Options
 	}{
-		{"mash", func(t *testing.T) BlockCache { return newMash(t, hot*ladderBlockBytes, 8*ladderBlockBytes) }},
-		{"generic", func(t *testing.T) BlockCache { return newGeneric(t, hot*ladderBlockBytes) }},
+		{"mash", Options{CapacityBytes: hot * ladderBlockBytes, RegionBytes: 8 * ladderBlockBytes}},
+		{"generic", Options{CapacityBytes: hot * ladderBlockBytes, Generic: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			pc := tc.pc(t)
-			l := newLadder(t, pc, 16*ladderBlockBytes, hot*ladderBlockBytes)
+			l := newLadder(t, tc.opts, 16*ladderBlockBytes, hot*ladderBlockBytes)
+			pc := l.pc
 			for pass := 0; pass < 4; pass++ {
 				for b := 0; b < hot; b++ {
 					l.read(b)

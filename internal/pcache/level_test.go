@@ -24,7 +24,7 @@ func sums(s *Stats) (hits, misses int64) {
 }
 
 func TestPerLevelHitMissCounters(t *testing.T) {
-	both(t, func(t *testing.T, c BlockCache) {
+	both(t, func(t *testing.T, c *PCache) {
 		body := []byte("per-level-block")
 
 		// File 1 registered at L2: a hit and a miss land in bucket 2.
@@ -81,7 +81,7 @@ func TestPerLevelHitMissCounters(t *testing.T) {
 }
 
 func TestNullPerLevelConsistency(t *testing.T) {
-	n := NewNull()
+	n, _ := New(Options{})
 	n.SetLevel(1, 3) // no-op, but must not panic
 	for i := 0; i < 5; i++ {
 		if _, ok := n.Get(1, uint64(i)); ok {

@@ -8,27 +8,10 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"sync"
 
 	"rocksmash/internal/cache"
 	"rocksmash/internal/event"
 )
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// Options configures a PCache.
-type Options struct {
-	// Dir is the local directory holding the cache DATA and INDEX files.
-	Dir string
-	// CapacityBytes bounds the cache data file size.
-	CapacityBytes int64
-	// RegionBytes is a ceiling on the allocation unit; one region belongs
-	// to one SSTable. Every table with cached blocks owns one open region
-	// that is on average half empty, so the unit New settles on also keeps
-	// the cache at minRegions regions or more (see New); RegionBytes reports
-	// it. Blocks larger than the unit are never cached.
-	RegionBytes int64
-}
 
 const (
 	// minRegions is how many regions New wants a cache divided into: with
@@ -40,11 +23,6 @@ const (
 	minRegionBytes    = 8 * defaultBlockBytes
 	defaultBlockBytes = 4 << 10
 )
-
-// DefaultOptions returns moderate defaults for tests and examples.
-func DefaultOptions(dir string) Options {
-	return Options{Dir: dir, CapacityBytes: 64 << 20, RegionBytes: 256 << 10}
-}
 
 // packedEntry describes one cached block inside a region: 20 bytes per
 // block, stored in a sorted slice (the paper's space-efficient metadata).
@@ -69,49 +47,17 @@ type region struct {
 	entries []packedEntry
 }
 
-// PCache is the paper's persistent cache. See the package comment.
-type PCache struct {
-	opts   Options
-	f      *os.File
-	stats  Stats
-	heat   *heatMap
-	levels *levelMap
-	ev     event.Listener // set once before concurrent use; nil disables events
-	admit  func() bool    // set once before concurrent use; nil always admits
-	sketch *cache.Sketch  // set once before concurrent use; nil opens the door to every Put
-	// indexCorrupt records that New found an INDEX snapshot that failed its
-	// checksum (as opposed to a clean cold start with no snapshot at all).
-	indexCorrupt bool
-
-	mu       sync.Mutex
-	regions  []region
-	byFile   map[uint64][]int32 // fileNum -> region ids (append order)
-	openReg  map[uint64]int32   // fileNum -> region currently accepting blocks
-	freeList []int32
-	hand     int32 // CLOCK hand
-	dropped  dropRing
-}
-
-// SetListener attaches an event listener. Must be called before the cache
-// is shared between goroutines; a nil listener keeps every path event-free.
-func (c *PCache) SetListener(l event.Listener) { c.ev = l }
-
-// SetAdmit implements BlockCache.
-func (c *PCache) SetAdmit(f func() bool) { c.admit = f }
-
-// SetSketch implements BlockCache.
-func (c *PCache) SetSketch(s *cache.Sketch) { c.sketch = s }
-
-// IndexWasCorrupt reports whether the startup index snapshot existed but
-// failed verification (the cache cold-started as the repair).
-func (c *PCache) IndexWasCorrupt() bool { return c.indexCorrupt }
-
-// fireEvicts fires the eviction events a locked section collected, after
-// its unlock: listeners never run under the cache lock.
-func (c *PCache) fireEvicts(evs []event.PCacheEvict) {
-	for _, e := range evs {
-		c.ev.OnPCacheEvict(e)
-	}
+// packed is the paper's index: the DATA file cut into regions, each owned
+// by one SSTable, evicted a region at a time by CLOCK.
+type packed struct {
+	f           *os.File // nil for a snapshot Inspect decoded
+	dir         string
+	regionBytes int64
+	regions     []region
+	byFile      map[uint64][]int32 // fileNum -> region ids (append order)
+	openReg     map[uint64]int32   // fileNum -> region currently accepting blocks
+	freeList    []int32
+	hand        int32 // CLOCK hand
 }
 
 const (
@@ -119,324 +65,193 @@ const (
 	indexVersion = 1
 )
 
-// New opens (or creates) a persistent cache under opts.Dir, loading — and
-// consuming — a previously snapshotted index when present and intact. A
-// missing or corrupt index yields an empty (cold) cache, never an error.
-func New(opts Options) (*PCache, error) {
-	if opts.RegionBytes <= 0 {
-		opts.RegionBytes = 256 << 10
+// openPacked opens DATA under opts.Dir with the geometry opts settles on,
+// loading and consuming the INDEX snapshot. corrupt reports a snapshot that
+// failed its checksum.
+func openPacked(opts Options) (p *packed, corrupt bool, err error) {
+	rb := opts.RegionBytes
+	if rb <= 0 {
+		rb = 256 << 10
 	}
-	opts.RegionBytes = min(opts.RegionBytes, max(minRegionBytes, opts.CapacityBytes/minRegions))
-	if opts.CapacityBytes < opts.RegionBytes {
-		opts.CapacityBytes = opts.RegionBytes
-	}
-	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
-		return nil, err
-	}
+	rb = min(rb, max(minRegionBytes, opts.CapacityBytes/minRegions))
 	f, err := os.OpenFile(filepath.Join(opts.Dir, "DATA"), os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	n := int32(opts.CapacityBytes / opts.RegionBytes)
-	c := &PCache{
-		opts:    opts,
-		f:       f,
-		heat:    newHeatMap(),
-		levels:  newLevelMap(),
-		regions: make([]region, n),
-		byFile:  map[uint64][]int32{},
-		openReg: map[uint64]int32{},
+	p = &packed{f: f, dir: opts.Dir, regionBytes: rb}
+	n := int(max(opts.CapacityBytes, rb) / rb)
+	rbs, regions, err := readIndex(opts.Dir)
+	switch {
+	case err == nil && (rbs != rb || len(regions) != n):
+		err = errStaleIndex // geometry changed: discard
+	case errors.Is(err, os.ErrNotExist):
+		err = nil // cold start, not an error
 	}
-	for i := n - 1; i >= 0; i-- {
-		c.freeList = append(c.freeList, i)
+	if err != nil || regions == nil {
+		// Cold start on any snapshot problem; cache contents are disposable.
+		regions = make([]region, n)
 	}
-	if err := c.loadIndex(); err != nil {
-		// Cold start on any index problem; cache contents are disposable.
-		c.resetLocked()
-		if errors.Is(err, errBadIndex) {
-			c.indexCorrupt = true
-		}
-	}
+	p.install(regions)
 	// The snapshot describes DATA as the last clean Close left it, and DATA
-	// moves on from here. Consumed once: after a crash the next New finds no
-	// snapshot and starts cold, instead of loading this one over regions that
-	// have been recycled since and counting their entries as corrupt reads.
-	if err := os.Remove(filepath.Join(opts.Dir, "INDEX")); err != nil && !os.IsNotExist(err) {
+	// moves on from here. Consumed once: after a crash the next open finds
+	// no snapshot and starts cold, instead of loading this one over regions
+	// that have been recycled since and counting their entries as corrupt
+	// reads.
+	if rerr := os.Remove(filepath.Join(opts.Dir, "INDEX")); rerr != nil && !os.IsNotExist(rerr) {
 		f.Close()
-		return nil, err
+		return nil, false, rerr
 	}
-	return c, nil
+	return p, errors.Is(err, errBadIndex), nil
 }
 
-func (c *PCache) resetLocked() {
-	n := int32(len(c.regions))
-	c.regions = make([]region, n)
-	c.byFile = map[uint64][]int32{}
-	c.openReg = map[uint64]int32{}
-	c.freeList = c.freeList[:0]
-	for i := n - 1; i >= 0; i-- {
-		c.freeList = append(c.freeList, i)
-	}
-}
-
-// Get implements BlockCache.
-func (c *PCache) Get(fileNum, blockOff uint64) ([]byte, bool) {
-	// Heat counts read traffic against the file regardless of outcome, so
-	// compaction can recognize actively-read ranges even when the cache is
-	// cold for them.
-	c.heat.add(fileNum, 1)
-	buf, ok := c.get(fileNum, blockOff)
-	b := c.levels.bucket(fileNum)
-	if ok {
-		c.stats.hit(b, fileNum)
-	} else {
-		c.stats.miss(b, fileNum)
-	}
-	return buf, ok
-}
-
-// SetLevel implements BlockCache.
-func (c *PCache) SetLevel(fileNum uint64, level int) { c.levels.set(fileNum, level) }
-
-// Probe implements BlockCache: Get without heat or statistics.
-func (c *PCache) Probe(fileNum, blockOff uint64) ([]byte, bool) {
-	return c.get(fileNum, blockOff)
-}
-
-func (c *PCache) get(fileNum, blockOff uint64) ([]byte, bool) {
-	c.mu.Lock()
-	var loc *packedEntry
-	var regID int32 = -1
-	for _, id := range c.byFile[fileNum] {
-		r := &c.regions[id]
-		es := r.entries
-		i := sort.Search(len(es), func(i int) bool { return es[i].blockOff >= blockOff })
-		if i < len(es) && es[i].blockOff == blockOff {
-			loc = &es[i]
-			regID = id
-			break
+// install makes regions the index and derives the per-file maps and the
+// free list from them.
+func (p *packed) install(regions []region) {
+	p.regions = regions
+	p.byFile = map[uint64][]int32{}
+	p.openReg = map[uint64]int32{}
+	for i := range regions {
+		if fn := regions[i].fileNum; fn != 0 {
+			p.byFile[fn] = append(p.byFile[fn], int32(i))
 		}
 	}
-	if loc == nil {
-		c.mu.Unlock()
-		return nil, false
-	}
-	c.regions[regID].ref = true
-	epoch := c.regions[regID].epoch
-	base := int64(regID) * c.opts.RegionBytes
-	off := base + int64(loc.regOff)
-	length := int(loc.length)
-	wantCRC := loc.crc
-	c.mu.Unlock()
-
-	buf := make([]byte, length)
-	if _, err := c.f.ReadAt(buf, off); err != nil {
-		return nil, false
-	}
-	if crc32.Checksum(buf, castagnoli) != wantCRC {
-		// The read ran unlocked. If the region was recycled meanwhile the
-		// bytes belong to another table: a plain miss. Otherwise it is a
-		// torn write or bit rot in the cache file: also a miss — the
-		// authoritative copy lives in cloud storage — and the damaged entry
-		// is dropped so the next read re-fetches and re-admits clean bytes
-		// instead of re-verifying the same rot forever.
-		if !c.dropEntry(blockOff, regID, epoch) {
-			return nil, false
+	for i := len(regions) - 1; i >= 0; i-- { // the lowest free region is taken first
+		if regions[i].fileNum == 0 {
+			p.freeList = append(p.freeList, int32(i))
 		}
-		c.stats.CorruptReads.Add(1)
-		if c.ev != nil {
-			c.ev.OnCorruptionDetected(event.CorruptionDetected{
-				Artifact: "pcache", Object: "DATA", File: fileNum,
-				Err: "pcache: block crc mismatch",
-			})
-		}
-		return nil, false
 	}
-	return buf, true
 }
 
-// dropEntry removes one block's index entry from region id (its bytes stay
-// dead in the region until the region is reused). It reports false, and
-// drops nothing, when the region has been freed since the caller saw it at
-// epoch: whatever holds the key now is not what the caller read.
-func (c *PCache) dropEntry(blockOff uint64, id int32, epoch uint32) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	r := &c.regions[id]
-	if r.epoch != epoch {
+// locate returns the index of blockOff's entry in region id, and whether
+// it is there.
+func (p *packed) locate(id int32, blockOff uint64) (int, bool) {
+	es := p.regions[id].entries
+	i := sort.Search(len(es), func(i int) bool { return es[i].blockOff >= blockOff })
+	return i, i < len(es) && es[i].blockOff == blockOff
+}
+
+func (p *packed) find(fileNum, blockOff uint64, touch bool) (slot, bool) {
+	for _, id := range p.byFile[fileNum] {
+		if i, ok := p.locate(id, blockOff); ok {
+			r := &p.regions[id]
+			if touch {
+				r.ref = true
+			}
+			e := r.entries[i]
+			return slot{
+				fileNum: fileNum, blockOff: blockOff, region: id, epoch: r.epoch,
+				at: int64(id)*p.regionBytes + int64(e.regOff), length: e.length, crc: e.crc,
+			}, true
+		}
+	}
+	return slot{}, false
+}
+
+func (p *packed) read(s slot) ([]byte, error) {
+	buf := make([]byte, s.length)
+	_, err := p.f.ReadAt(buf, s.at)
+	return buf, err
+}
+
+// forget removes the block's entry from its region (its bytes stay dead in
+// the region until the region is reused), unless the region has been freed
+// since find saw it.
+func (p *packed) forget(s slot) bool {
+	r := &p.regions[s.region]
+	if r.epoch != s.epoch {
 		return false
 	}
-	es := r.entries
-	i := sort.Search(len(es), func(i int) bool { return es[i].blockOff >= blockOff })
-	if i < len(es) && es[i].blockOff == blockOff {
-		r.entries = append(es[:i], es[i+1:]...)
+	if i, ok := p.locate(s.region, s.blockOff); ok {
+		r.entries = append(r.entries[:i], r.entries[i+1:]...)
 	}
 	return true
 }
 
-// Put implements BlockCache: append the block into the file's open region,
-// allocating (and if necessary evicting) regions as needed.
-func (c *PCache) Put(fileNum, blockOff uint64, body []byte) {
-	if c.admit != nil && !c.admit() {
-		c.stats.AdmitDeclined.Add(1)
-		return
+// admits is the door's rule for regions: with no free region left, a block
+// is admitted only if the sketch estimates it above the mean of the region
+// CLOCK would recycle next. Space left in the file's open region is
+// capacity too, so the door stands in front of it as well.
+func (p *packed) admits(sk *cache.Sketch, fileNum, blockOff uint64, _ int) bool {
+	if len(p.freeList) > 0 {
+		return true
 	}
-	var buf [1]event.PCacheEvict // one block recycles at most one region
-	c.mu.Lock()
-	n, evs := c.putLocked(fileNum, blockOff, body, true, buf[:0])
-	c.mu.Unlock()
-	c.fireEvicts(evs)
-	if c.ev != nil && n > 0 {
-		c.ev.OnPCacheAdmit(event.PCacheAdmit{File: fileNum, Blocks: 1, Bytes: n})
+	id, ok := p.peekVictim(fileNum)
+	if !ok {
+		return true
 	}
+	r := &p.regions[id]
+	var sum int
+	for _, e := range r.entries {
+		sum += sk.Estimate(cache.Key{FileNum: r.fileNum, Offset: e.blockOff})
+	}
+	return sk.Estimate(cache.Key{FileNum: fileNum, Offset: blockOff})*len(r.entries) > sum
 }
 
-// PutBulk implements BlockCache: one lock acquisition admits the whole run.
-// Adjacent blocks of one file land back to back in the file's open regions,
-// preserving the compaction-aware layout.
-func (c *PCache) PutBulk(fileNum uint64, blocks []Block) {
-	if c.admit != nil && !c.admit() {
-		c.stats.AdmitDeclined.Add(int64(len(blocks)))
-		return
-	}
-	var n int64
-	var cnt int
-	var evs []event.PCacheEvict
-	c.mu.Lock()
-	for _, b := range blocks {
-		var m int64
-		if m, evs = c.putLocked(fileNum, b.Off, b.Body, false, evs); m > 0 {
-			n += m
-			cnt++
-		}
-	}
-	c.mu.Unlock()
-	c.fireEvicts(evs)
-	if c.ev != nil && cnt > 0 {
-		c.ev.OnPCacheAdmit(event.PCacheAdmit{File: fileNum, Blocks: cnt, Bytes: n})
-	}
-}
-
-// putLocked admits one block, returning the bytes cached (0 if declined)
-// and evs with the eviction it caused, if any, appended. door puts the
-// block through the frequency door first.
-func (c *PCache) putLocked(fileNum, blockOff uint64, body []byte, door bool, evs []event.PCacheEvict) (int64, []event.PCacheEvict) {
-	if int64(len(body)) > c.opts.RegionBytes || c.dropped.has(fileNum) {
-		return 0, evs
-	}
-
-	// Already cached? (A block promoted from here and demoted again.)
-	for _, id := range c.byFile[fileNum] {
-		es := c.regions[id].entries
-		i := sort.Search(len(es), func(i int) bool { return es[i].blockOff >= blockOff })
-		if i < len(es) && es[i].blockOff == blockOff {
-			return 0, evs
-		}
-	}
-	if door && !c.doorAdmitsLocked(fileNum, blockOff) {
-		c.stats.DoorDeclined.Add(1)
-		return 0, evs
-	}
-
-	id, ok := c.openReg[fileNum]
-	if ok {
-		r := &c.regions[id]
-		if int64(r.used)+int64(len(body)) > c.opts.RegionBytes {
-			ok = false
-		}
+// insert appends the block to the file's open region, allocating (and if
+// necessary evicting) a region when it does not fit.
+func (p *packed) insert(fileNum, blockOff uint64, body []byte, evs []event.PCacheEvict) (bool, []event.PCacheEvict) {
+	id, ok := p.openReg[fileNum]
+	if ok && int64(p.regions[id].used)+int64(len(body)) > p.regionBytes {
+		ok = false
 	}
 	if !ok {
-		var nid int32
-		var allocated bool
-		if nid, allocated, evs = c.allocRegionLocked(fileNum, evs); !allocated {
-			return 0, evs
+		if id, ok, evs = p.allocRegion(fileNum, evs); !ok {
+			return false, evs
 		}
-		id = nid
-		c.openReg[fileNum] = id
+		p.openReg[fileNum] = id
 	}
-	r := &c.regions[id]
-	base := int64(id) * c.opts.RegionBytes
-	if _, err := c.f.WriteAt(body, base+int64(r.used)); err != nil {
-		return 0, evs
+	r := &p.regions[id]
+	if _, err := p.f.WriteAt(body, int64(id)*p.regionBytes+int64(r.used)); err != nil {
+		return false, evs
 	}
-	e := packedEntry{
-		blockOff: blockOff,
-		regOff:   r.used,
-		length:   uint32(len(body)),
-		crc:      crc32.Checksum(body, castagnoli),
-	}
-	i := sort.Search(len(r.entries), func(i int) bool { return r.entries[i].blockOff >= blockOff })
+	i, _ := p.locate(id, blockOff)
 	r.entries = append(r.entries, packedEntry{})
 	copy(r.entries[i+1:], r.entries[i:])
-	r.entries[i] = e
+	r.entries[i] = packedEntry{
+		blockOff: blockOff, regOff: r.used, length: uint32(len(body)),
+		crc: crc32.Checksum(body, castagnoli),
+	}
 	r.used += uint32(len(body))
 	r.ref = true
-	c.stats.Inserted.Add(1)
-	c.stats.BytesInserted.Add(int64(len(body)))
-	return int64(len(body)), evs
+	return true, evs
 }
 
-// allocRegionLocked returns a free region for fileNum, evicting via CLOCK
-// when none is free (the eviction's event is appended to evs). It never
-// evicts a region of fileNum itself.
-func (c *PCache) allocRegionLocked(fileNum uint64, evs []event.PCacheEvict) (int32, bool, []event.PCacheEvict) {
-	var id int32
-	if n := len(c.freeList); n > 0 {
-		id = c.freeList[n-1]
-		c.freeList = c.freeList[:n-1]
-	} else {
-		vid, ok := c.clockVictimLocked(fileNum)
+// allocRegion returns a free region for fileNum, evicting via CLOCK when
+// none is free. It never evicts a region of fileNum itself.
+func (p *packed) allocRegion(fileNum uint64, evs []event.PCacheEvict) (int32, bool, []event.PCacheEvict) {
+	if len(p.freeList) == 0 {
+		vid, ok := p.clockVictim(fileNum)
 		if !ok {
 			return 0, false, evs
 		}
-		evs = c.evictRegionLocked(vid, "clock", evs)
-		id = c.freeList[len(c.freeList)-1]
-		c.freeList = c.freeList[:len(c.freeList)-1]
+		evs = p.evictRegion(vid, "clock", evs)
 	}
-	r := &c.regions[id]
+	id := p.freeList[len(p.freeList)-1]
+	p.freeList = p.freeList[:len(p.freeList)-1]
+	r := &p.regions[id]
 	r.fileNum = fileNum
 	r.used = 0
 	r.ref = false
 	if r.entries == nil {
 		// Sized for the store's default blocks once, instead of grown to
 		// it by doubling in every one of several hundred regions.
-		r.entries = make([]packedEntry, 0, c.opts.RegionBytes/defaultBlockBytes)
+		r.entries = make([]packedEntry, 0, p.regionBytes/defaultBlockBytes)
 	}
 	r.entries = r.entries[:0]
-	c.byFile[fileNum] = append(c.byFile[fileNum], id)
+	p.byFile[fileNum] = append(p.byFile[fileNum], id)
 	return id, true, evs
 }
 
-// doorAdmitsLocked is the frequency door: with no free region left, a block
-// is admitted only if the sketch estimates it above the mean of the region
-// CLOCK would recycle next. Space left in the file's open region is capacity
-// too, so the door stands in front of it as well.
-func (c *PCache) doorAdmitsLocked(fileNum, blockOff uint64) bool {
-	if c.sketch == nil || len(c.freeList) > 0 {
-		return true
-	}
-	id, ok := c.peekVictimLocked(fileNum)
-	if !ok {
-		return true
-	}
-	r := &c.regions[id]
-	var sum int
-	for _, e := range r.entries {
-		sum += c.sketch.Estimate(cache.Key{FileNum: r.fileNum, Offset: e.blockOff})
-	}
-	return c.sketch.Estimate(cache.Key{FileNum: fileNum, Offset: blockOff})*len(r.entries) > sum
-}
-
-// peekVictimLocked returns the region clockVictimLocked would pick, without
-// moving the hand or clearing a reference bit: the first region from the
-// hand whose bit is clear, else — after the pass that would clear them all —
-// the first region from the hand.
-func (c *PCache) peekVictimLocked(skipFile uint64) (int32, bool) {
-	n := int32(len(c.regions))
+// peekVictim returns the region clockVictim would pick, without moving the
+// hand or clearing a reference bit: the first region from the hand whose
+// bit is clear, else — after the pass that would clear them all — the first
+// region from the hand.
+func (p *packed) peekVictim(skipFile uint64) (int32, bool) {
+	n := int32(len(p.regions))
 	first := int32(-1)
 	for i := int32(0); i < n; i++ {
-		id := (c.hand + i) % n
-		r := &c.regions[id]
+		id := (p.hand + i) % n
+		r := &p.regions[id]
 		if r.fileNum == 0 || r.fileNum == skipFile {
 			continue
 		}
@@ -450,12 +265,12 @@ func (c *PCache) peekVictimLocked(skipFile uint64) (int32, bool) {
 	return first, first >= 0
 }
 
-func (c *PCache) clockVictimLocked(skipFile uint64) (int32, bool) {
-	n := int32(len(c.regions))
+func (p *packed) clockVictim(skipFile uint64) (int32, bool) {
+	n := int32(len(p.regions))
 	for pass := int32(0); pass < 2*n; pass++ {
-		id := c.hand
-		c.hand = (c.hand + 1) % n
-		r := &c.regions[id]
+		id := p.hand
+		p.hand = (p.hand + 1) % n
+		r := &p.regions[id]
 		if r.fileNum == 0 || r.fileNum == skipFile {
 			continue
 		}
@@ -468,114 +283,65 @@ func (c *PCache) clockVictimLocked(skipFile uint64) (int32, bool) {
 	return 0, false
 }
 
-// evictRegionLocked frees one region and unlinks it from its file. With a
-// listener attached the eviction event is appended to evs, for the caller
-// to fire once it has released c.mu.
-func (c *PCache) evictRegionLocked(id int32, reason string, evs []event.PCacheEvict) []event.PCacheEvict {
-	r := &c.regions[id]
+// evictRegion frees one region and unlinks it from its file.
+func (p *packed) evictRegion(id int32, reason string, evs []event.PCacheEvict) []event.PCacheEvict {
+	r := &p.regions[id]
 	fn := r.fileNum
-	if c.ev != nil {
-		evs = append(evs, event.PCacheEvict{
-			File: fn, Blocks: len(r.entries), Bytes: int64(r.used), Reason: reason,
-		})
-	}
-	ids := c.byFile[fn]
+	evs = append(evs, event.PCacheEvict{File: fn, Blocks: len(r.entries), Bytes: int64(r.used), Reason: reason})
+	ids := p.byFile[fn]
 	for i, x := range ids {
 		if x == id {
-			c.byFile[fn] = append(ids[:i], ids[i+1:]...)
+			p.byFile[fn] = append(ids[:i], ids[i+1:]...)
 			break
 		}
 	}
-	if len(c.byFile[fn]) == 0 {
-		delete(c.byFile, fn)
+	if len(p.byFile[fn]) == 0 {
+		delete(p.byFile, fn)
 	}
-	if open, ok := c.openReg[fn]; ok && open == id {
-		delete(c.openReg, fn)
+	if open, ok := p.openReg[fn]; ok && open == id {
+		delete(p.openReg, fn)
 	}
 	r.fileNum = 0
 	r.used = 0
 	r.epoch++
 	r.ref = false
 	r.entries = r.entries[:0]
-	c.freeList = append(c.freeList, id)
-	c.stats.RegionsEvicted.Add(1)
+	p.freeList = append(p.freeList, id)
 	return evs
 }
 
-// DropFile implements BlockCache: constant-time per region, the
+// dropFile frees the file's regions: constant time per region, the
 // compaction-aware win over per-block eviction.
-func (c *PCache) DropFile(fileNum uint64) {
-	c.mu.Lock()
-	ids := append([]int32(nil), c.byFile[fileNum]...)
-	var evs []event.PCacheEvict
-	for _, id := range ids {
-		evs = c.evictRegionLocked(id, "drop-file", evs)
+func (p *packed) dropFile(fileNum uint64, evs []event.PCacheEvict) []event.PCacheEvict {
+	for _, id := range append([]int32(nil), p.byFile[fileNum]...) {
+		evs = p.evictRegion(id, "drop-file", evs)
 	}
-	c.dropped.add(fileNum)
-	c.mu.Unlock()
-	c.heat.drop(fileNum)
-	c.levels.drop(fileNum)
-	c.stats.FilesDropped.Add(1)
-	c.fireEvicts(evs)
+	return evs
 }
 
-// FileHeat implements BlockCache.
-func (c *PCache) FileHeat(fileNum uint64) int64 { return c.heat.get(fileNum) }
-
-// Stats implements BlockCache.
-func (c *PCache) Stats() *Stats { return &c.stats }
-
-// RegionBytes returns the allocation unit in effect (see Options).
-func (c *PCache) RegionBytes() int64 { return c.opts.RegionBytes }
-
-// UsedBytes implements BlockCache.
-func (c *PCache) UsedBytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var n int64
-	for i := range c.regions {
-		n += int64(c.regions[i].used)
-	}
-	return n
-}
-
-// MetadataBytes implements BlockCache: the exact packed-index footprint.
-func (c *PCache) MetadataBytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var n int64
-	for i := range c.regions {
+// usage charges the exact packed-index footprint.
+func (p *packed) usage() (blocks int, used, meta int64) {
+	for i := range p.regions {
+		r := &p.regions[i]
+		blocks += len(r.entries)
+		used += int64(r.used)
 		// Per-region fixed header (fileNum, used, epoch, ref, slice header).
-		n += 8 + 4 + 4 + 1 + 24
-		n += int64(len(c.regions[i].entries)) * packedEntrySize
+		meta += 8 + 4 + 4 + 1 + 24 + int64(len(r.entries))*packedEntrySize
 	}
 	// byFile / openReg maps are per *file*, not per block; charge them too.
-	n += int64(len(c.byFile)) * (8 + 24)
-	n += int64(len(c.openReg)) * (8 + 4)
-	return n
+	meta += int64(len(p.byFile))*(8+24) + int64(len(p.openReg))*(8+4)
+	return blocks, used, meta
 }
 
-// CachedBlocks returns the number of blocks currently indexed.
-func (c *PCache) CachedBlocks() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for i := range c.regions {
-		n += len(c.regions[i].entries)
-	}
-	return n
-}
-
-// SaveIndex snapshots the packed index so a restart can warm-start.
-func (c *PCache) SaveIndex() error {
-	c.mu.Lock()
+// close snapshots the index so a restart can warm-start, and releases DATA.
+func (p *packed) close() error {
 	var buf []byte
 	buf = binary.LittleEndian.AppendUint64(buf, indexMagic)
 	buf = binary.LittleEndian.AppendUint32(buf, indexVersion)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(c.opts.RegionBytes))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(c.regions)))
-	for i := range c.regions {
-		r := &c.regions[i]
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(p.regionBytes))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(p.regions)))
+	for i := range p.regions {
+		r := &p.regions[i]
 		buf = binary.LittleEndian.AppendUint64(buf, r.fileNum)
 		buf = binary.LittleEndian.AppendUint32(buf, r.used)
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.entries)))
@@ -586,14 +352,13 @@ func (c *PCache) SaveIndex() error {
 			buf = binary.LittleEndian.AppendUint32(buf, e.crc)
 		}
 	}
-	c.mu.Unlock()
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
-
-	tmp := filepath.Join(c.opts.Dir, "INDEX.tmp")
-	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
-		return err
+	tmp := filepath.Join(p.dir, "INDEX.tmp")
+	err := os.WriteFile(tmp, buf, 0o644)
+	if err == nil {
+		err = os.Rename(tmp, filepath.Join(p.dir, "INDEX"))
 	}
-	return os.Rename(tmp, filepath.Join(c.opts.Dir, "INDEX"))
+	return errors.Join(err, p.f.Close())
 }
 
 var (
@@ -604,54 +369,39 @@ var (
 	errStaleIndex = errors.New("pcache: stale index snapshot")
 )
 
-func (c *PCache) loadIndex() error {
-	data, err := os.ReadFile(filepath.Join(c.opts.Dir, "INDEX"))
+// readIndex decodes dir's INDEX snapshot: the region size it was written
+// under and its regions. A missing snapshot is an os.ErrNotExist.
+func readIndex(dir string) (regionBytes int64, regions []region, err error) {
+	data, err := os.ReadFile(filepath.Join(dir, "INDEX"))
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil // cold start, not an error
-		}
-		return err
+		return 0, nil, err
 	}
 	if len(data) < 28 {
-		return errBadIndex
+		return 0, nil, errBadIndex
 	}
 	body, tail := data[:len(data)-4], data[len(data)-4:]
-	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(tail) {
-		return errBadIndex
+	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(tail) ||
+		binary.LittleEndian.Uint64(body) != indexMagic {
+		return 0, nil, errBadIndex
 	}
-	p := body
-	if binary.LittleEndian.Uint64(p) != indexMagic {
-		return errBadIndex
+	if binary.LittleEndian.Uint32(body[8:]) != indexVersion {
+		return 0, nil, errStaleIndex
 	}
-	p = p[8:]
-	if binary.LittleEndian.Uint32(p) != indexVersion {
-		return errStaleIndex
-	}
-	p = p[4:]
-	if int64(binary.LittleEndian.Uint64(p)) != c.opts.RegionBytes {
-		return errStaleIndex // geometry changed: discard
-	}
-	p = p[8:]
-	n := binary.LittleEndian.Uint32(p)
-	p = p[4:]
-	if int(n) != len(c.regions) {
-		return errStaleIndex
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.resetLocked()
-	c.freeList = c.freeList[:0]
-	for i := uint32(0); i < n; i++ {
+	regionBytes = int64(binary.LittleEndian.Uint64(body[12:]))
+	n := binary.LittleEndian.Uint32(body[20:])
+	p := body[24:]
+	regions = make([]region, n)
+	for i := range regions {
 		if len(p) < 16 {
-			return errBadIndex
+			return 0, nil, errBadIndex
 		}
-		r := &c.regions[i]
+		r := &regions[i]
 		r.fileNum = binary.LittleEndian.Uint64(p)
 		r.used = binary.LittleEndian.Uint32(p[8:])
 		cnt := binary.LittleEndian.Uint32(p[12:])
 		p = p[16:]
 		if len(p) < int(cnt)*packedEntrySize {
-			return errBadIndex
+			return 0, nil, errBadIndex
 		}
 		for j := uint32(0); j < cnt; j++ {
 			r.entries = append(r.entries, packedEntry{
@@ -662,32 +412,24 @@ func (c *PCache) loadIndex() error {
 			})
 			p = p[packedEntrySize:]
 		}
-		if r.fileNum != 0 {
-			c.byFile[r.fileNum] = append(c.byFile[r.fileNum], int32(i))
-		} else {
-			c.freeList = append(c.freeList, int32(i))
-		}
 	}
-	return nil
+	return regionBytes, regions, nil
 }
 
-// Close snapshots the index and releases the data file.
-func (c *PCache) Close() error {
-	if err := c.SaveIndex(); err != nil {
-		c.f.Close()
-		return err
+// Inspect summarizes the INDEX snapshot under dir — what the next open of
+// the cache will find — in the geometry the snapshot records. It reads the
+// snapshot only: nothing is removed or rewritten, so the cache stays warm.
+// With no snapshot (the store is open, or did not close cleanly) the error
+// is an os.ErrNotExist.
+func Inspect(dir string) (string, error) {
+	rb, regions, err := readIndex(dir)
+	if err != nil {
+		return "", err
 	}
-	return c.f.Close()
-}
-
-// String summarizes the cache state for mashctl.
-func (c *PCache) String() string {
-	c.mu.Lock()
-	free := len(c.freeList)
-	total := len(c.regions)
-	c.mu.Unlock()
-	used := c.UsedBytes()
-	return fmt.Sprintf("pcache{regions=%d x %dB free=%d blocks=%d used=%dB (%.2f of capacity) meta=%dB hit=%.3f}",
-		total, c.opts.RegionBytes, free, c.CachedBlocks(), used,
-		float64(used)/float64(int64(total)*c.opts.RegionBytes), c.MetadataBytes(), c.stats.HitRatio())
+	p := &packed{regionBytes: rb}
+	p.install(regions)
+	blocks, used, meta := p.usage()
+	total := int64(len(regions)) * rb
+	return fmt.Sprintf("pcache{regions=%d x %dB free=%d blocks=%d used=%dB (%.2f of capacity) meta=%dB}",
+		len(regions), rb, len(p.freeList), blocks, used, float64(used)/float64(max(total, 1)), meta), nil
 }

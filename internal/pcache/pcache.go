@@ -1,45 +1,56 @@
 // Package pcache implements the paper's LSM-aware persistent cache: a
 // local-disk cache holding data blocks of cloud-resident SSTables.
 //
-// Two properties distinguish it from a generic persistent block cache:
+// There is one cache type, PCache. It owns everything that is policy: the
+// admission gate, the frequency door's sketch, per-file heat and level
+// attribution, the statistics, what a damaged read costs, the events, and
+// the ring of retired files. Behind it sits one of the two index layouts
+// the paper compares (Tab. 2, fig6):
 //
-//  1. Space-efficient metadata. The index is packed: the cache file is
-//     divided into fixed-size regions, each owned by one SSTable, and each
-//     region's blocks are described by a sorted array of small fixed-width
-//     entries (~20 B/block) instead of a per-block hash-map node
-//     (~150 B/block for a generic cache). See GenericLRU in this package
-//     for the baseline the paper compares against.
+//  1. The packed region index, the paper's design (mash.go). The cache
+//     file is divided into fixed-size regions, each owned by one SSTable,
+//     and each region's blocks are described by a sorted array of 20 B
+//     entries instead of a per-block hash-map node. Blocks of one SSTable
+//     live contiguously in its regions, in file order. Compaction deletes
+//     whole input files, so DropFile is a constant-time region free, and
+//     CLOCK evicts whole regions, so a cold file's space is reclaimed
+//     wholesale. Per-file heat lets compaction warm outputs whose inputs
+//     were hot (admission inheritance).
+//  2. The generic per-block LRU, the baseline (generic.go): a file and a
+//     ~150 B map-and-list node per block, evicted one block at a time.
 //
-//  2. Compaction-aware layout. Blocks of one SSTable live contiguously in
-//     that SSTable's regions, in file order. Compaction deletes whole input
-//     files, so eviction of their blocks is a constant-time region free
-//     (DropFile); the CLOCK eviction policy also operates on regions, so a
-//     cold file's cache space is reclaimed wholesale. The cache exposes
-//     per-file heat so compaction can warm output files whose inputs were
-//     hot (admission inheritance).
+// A store with no persistent cache holds a PCache with no index: every Get
+// is a miss in the unknown-level bucket and nothing is stored.
 //
 // On the read path the cache is the in-memory block cache's victim tier: the
 // DB admits a block here when that cache lets go of it (internal/cache's
 // demote sink), not when the block is fetched, so the two caches' retention
 // windows add up instead of overlapping. That demotion passes a frequency
 // door (TinyLFU's admission rule): once no free space is left, the block is
-// admitted only if the read-frequency sketch the DB attaches (SetSketch)
-// estimates it above what its bytes would displace — the mean of the region
-// CLOCK would recycle next, or GenericLRU's tail block. Blocks read once, and
-// scan readahead nobody read, thus stop displacing blocks read again and
-// again. Freshly built tables are warmed in directly (PutBulk), past the
-// door.
+// admitted only if the read-frequency sketch (Options.Sketch) estimates it
+// above what its bytes would displace, by a rule each index gives: the mean
+// of the region CLOCK would recycle next, or the LRU tail block. Blocks read
+// once, and scan readahead nobody read, thus stop displacing blocks read
+// again and again. Freshly built tables are warmed in directly (PutBulk),
+// past the door.
 //
 // The cache is strictly read-through: losing its state (crash without index
-// snapshot) affects only performance, never correctness.
+// snapshot) or a block's bytes affects only performance, never correctness.
 package pcache
 
 import (
+	"errors"
+	"hash/crc32"
+	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"rocksmash/internal/cache"
+	"rocksmash/internal/event"
 )
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // LevelBuckets sizes the per-LSM-level hit/miss counters. Buckets 0..6
 // map to levels L0..L6; the last bucket collects requests against files
@@ -67,12 +78,13 @@ type Stats struct {
 	Misses         atomic.Int64
 	Inserted       atomic.Int64 // blocks admitted
 	BytesInserted  atomic.Int64
-	RegionsEvicted atomic.Int64
+	RegionsEvicted atomic.Int64 // regions, or blocks for the generic index
 	FilesDropped   atomic.Int64
-	// CorruptReads counts Gets whose cached bytes failed their CRC (torn
-	// write or bit rot in the cache file). Each is served as a miss — the
-	// authoritative copy lives in cloud storage — and the damaged entry is
-	// dropped so the next read re-fetches and re-admits clean bytes.
+	// CorruptReads counts Gets whose cached bytes could not be read back
+	// intact: a CRC mismatch (torn write or bit rot) or a failed read (a
+	// lost block file). Each is served as a miss — the authoritative copy
+	// lives in cloud storage — and the damaged entry is dropped so the next
+	// read re-fetches and re-admits clean bytes.
 	CorruptReads atomic.Int64
 	// AdmitDeclined counts Puts refused by the admission gate (local-degraded
 	// mode: the cache must not write to a failing local device).
@@ -125,72 +137,49 @@ func (s *Stats) HitRatio() float64 {
 	return float64(h) / float64(h+m)
 }
 
-// hit/miss record one Get outcome for fileNum against the level bucket b
-// and the file's keyspace-shard bucket.
-func (s *Stats) hit(b int, fileNum uint64) {
-	s.Hits.Add(1)
-	s.LevelHits[b].Add(1)
-	s.ShardHits[s.ShardBucket(fileNum)].Add(1)
-}
-
-func (s *Stats) miss(b int, fileNum uint64) {
+// record counts one Get outcome for fileNum against the level bucket b and
+// the file's keyspace-shard bucket.
+func (s *Stats) record(hit bool, b int, fileNum uint64) {
+	if hit {
+		s.Hits.Add(1)
+		s.LevelHits[b].Add(1)
+		s.ShardHits[s.ShardBucket(fileNum)].Add(1)
+		return
+	}
 	s.Misses.Add(1)
 	s.LevelMisses[b].Add(1)
 	s.ShardMisses[s.ShardBucket(fileNum)].Add(1)
 }
 
-// BlockCache is the interface the DB read path uses for persistent
-// caching. Implementations: *PCache (the paper's design) and *GenericLRU
-// (the non-LSM-aware baseline).
-type BlockCache interface {
-	// Get returns the cached block body for (fileNum, blockOff). It
-	// counts toward the file's heat whether it hits or misses: heat
-	// measures read traffic against the file, not cache luck.
-	Get(fileNum, blockOff uint64) ([]byte, bool)
-	// Probe is Get without statistics or heat accounting; compaction
-	// reads use it so bulk merges don't masquerade as workload heat.
-	Probe(fileNum, blockOff uint64) ([]byte, bool)
-	// Put admits a block body. Implementations may decline silently; with a
-	// sketch attached, a full cache admits the block only through the
-	// frequency door (see SetSketch).
-	Put(fileNum, blockOff uint64, body []byte)
-	// PutBulk admits a run of blocks from one file in a single call — the
-	// admission path of freshly built tables (flush write-through,
-	// compaction inheritance, relocation re-warm), where many adjacent
-	// blocks arrive at once. It bypasses the frequency door. Implementations
-	// may batch index updates; admission of individual blocks may still be
-	// declined silently.
-	PutBulk(fileNum uint64, blocks []Block)
-	// DropFile evicts every block of fileNum (the file was deleted by
-	// compaction).
-	DropFile(fileNum uint64)
-	// SetLevel registers fileNum's LSM level so Get outcomes can be
-	// attributed per level. The DB calls it when a table is installed
-	// (flush, compaction, open); unknown files land in the last bucket.
-	SetLevel(fileNum uint64, level int)
-	// SetAdmit installs an admission gate consulted before every Put and
-	// PutBulk; returning false declines the admission (counted in
-	// Stats.AdmitDeclined). The DB gates admissions off while the local
-	// tier is degraded — cache writes land on the failing device. Must be
-	// set before the cache is shared between goroutines; nil always admits.
-	SetAdmit(func() bool)
-	// SetSketch attaches the read-frequency sketch that Put's door consults
-	// once the cache has no free space left: a block is admitted only if
-	// its estimate is higher than that of what its bytes displace (counted
-	// in Stats.DoorDeclined otherwise). Must be set before the cache is
-	// shared between goroutines; without one every Put is admitted.
-	SetSketch(*cache.Sketch)
-	// FileHeat returns the number of reads issued against fileNum since
-	// it was first seen; compaction uses it for admission inheritance.
-	FileHeat(fileNum uint64) int64
-	// MetadataBytes reports the in-memory index footprint.
-	MetadataBytes() int64
-	// UsedBytes reports cached data bytes.
-	UsedBytes() int64
-	// Stats exposes activity counters.
-	Stats() *Stats
-	// Close persists index state where applicable.
-	Close() error
+// Options configures a PCache.
+type Options struct {
+	// Dir is the local directory holding the cache's files.
+	Dir string
+	// CapacityBytes bounds the cached data. Zero or less opens a cache with
+	// no index, which stores nothing.
+	CapacityBytes int64
+	// RegionBytes is a ceiling on the packed index's allocation unit; one
+	// region belongs to one SSTable. Every table with cached blocks owns one
+	// open region that is on average half empty, so the unit New settles on
+	// also keeps the cache at minRegions regions or more (see openPacked);
+	// RegionBytes reports it. Blocks larger than the unit are never cached.
+	RegionBytes int64
+	// Generic selects the baseline per-block LRU index instead of packed
+	// regions; RegionBytes is then unused.
+	Generic bool
+
+	// Listener receives admit, evict and corruption events; nil fires none.
+	Listener event.Listener
+	// Admit is the admission gate consulted before every Put and PutBulk;
+	// returning false declines the admission (Stats.AdmitDeclined). The DB
+	// gates admissions off while the local tier is degraded — cache writes
+	// land on the failing device. Nil always admits.
+	Admit func() bool
+	// Sketch is the read-frequency sketch Put's door consults once the
+	// cache has no free space left: a block is admitted only if its estimate
+	// is higher than that of what its bytes displace (Stats.DoorDeclined
+	// otherwise). Without one every Put is admitted.
+	Sketch *cache.Sketch
 }
 
 // Block is one (offset, body) pair for bulk admission.
@@ -199,87 +188,342 @@ type Block struct {
 	Body []byte
 }
 
-// Null is a BlockCache that caches nothing (cloud-only baseline).
-type Null struct{ stats Stats }
+// PCache is the persistent cache. See the package comment.
+type PCache struct {
+	idx    index // nil: no persistent cache
+	stats  Stats
+	ev     event.Listener
+	admit  func() bool
+	sketch *cache.Sketch
+	// maxBlock is the largest block the index stores; object names the
+	// index's data in a corruption event.
+	maxBlock int64
+	object   string
+	// indexCorrupt records that New found an INDEX snapshot that failed its
+	// checksum (as opposed to a clean cold start with no snapshot at all).
+	indexCorrupt bool
 
-// NewNull returns a no-op cache.
-func NewNull() *Null { return &Null{} }
+	// mu guards the index, files, dropped and evs: a Put's ring check and
+	// its insert are atomic with respect to DropFile.
+	mu      sync.Mutex
+	files   map[uint64]*fileState
+	dropped dropRing
+	evs     []event.PCacheEvict // the buffer locked sections collect evictions in
+}
 
-// Get always misses.
-func (n *Null) Get(fileNum, _ uint64) ([]byte, bool) {
-	n.stats.miss(LevelUnknown, fileNum)
+// fileState is what the cache knows of one file besides its blocks.
+type fileState struct {
+	heat  int64 // Gets against the file, hit or miss
+	level int8  // its level bucket
+}
+
+// index is a block layout: where a cached block's bytes live and which
+// bytes a full cache gives up. Every method but read runs under PCache.mu.
+type index interface {
+	// find locates a cached block; touch marks it recently used.
+	find(fileNum, blockOff uint64, touch bool) (slot, bool)
+	// read returns a located block's bytes. It runs unlocked.
+	read(s slot) ([]byte, error)
+	// forget drops the entry of a block whose read failed, and reports
+	// false, dropping nothing, when s no longer names the entry find saw:
+	// the read raced a recycle or an eviction, and nothing is damaged.
+	forget(s slot) bool
+	// admits is the frequency door: with no room left for size more bytes,
+	// whether sk rates the block above what its bytes would displace.
+	admits(sk *cache.Sketch, fileNum, blockOff uint64, size int) bool
+	// insert stores a block known not to be cached, appending the
+	// evictions it causes to evs; false if it could not.
+	insert(fileNum, blockOff uint64, body []byte, evs []event.PCacheEvict) (bool, []event.PCacheEvict)
+	// dropFile evicts every block of fileNum.
+	dropFile(fileNum uint64, evs []event.PCacheEvict) []event.PCacheEvict
+	// usage reports the blocks held, their bytes and the index's own.
+	usage() (blocks int, used, meta int64)
+	// close persists what the layout can recover from and releases it.
+	close() error
+}
+
+// slot is a located block as find saw it: enough to read it unlocked and
+// to tell afterwards whether the entry is still the one that was read.
+type slot struct {
+	fileNum, blockOff uint64
+	at                int64  // packed: the block's offset in DATA
+	region            int32  // packed: the region holding it
+	epoch             uint32 // the region's epoch (packed) or the entry's generation (generic)
+	length, crc       uint32
+}
+
+// New opens (or creates) a persistent cache under opts.Dir. The packed
+// index loads — and consumes — a snapshot the last clean Close left when it
+// is intact and of the same geometry; a missing, stale or corrupt snapshot
+// yields an empty (cold) cache, never an error.
+func New(opts Options) (*PCache, error) {
+	c := &PCache{ev: opts.Listener, admit: opts.Admit, sketch: opts.Sketch, files: map[uint64]*fileState{}}
+	if opts.CapacityBytes <= 0 {
+		return c, nil
+	}
+	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
+		return nil, err
+	}
+	if opts.Generic {
+		g, err := openGeneric(opts.Dir, opts.CapacityBytes)
+		if err != nil {
+			return nil, err
+		}
+		c.idx, c.maxBlock, c.object = g, opts.CapacityBytes, "blocks"
+		return c, nil
+	}
+	p, corrupt, err := openPacked(opts)
+	if err != nil {
+		return nil, err
+	}
+	c.idx, c.maxBlock, c.object, c.indexCorrupt = p, p.regionBytes, "DATA", corrupt
+	return c, nil
+}
+
+// IndexWasCorrupt reports whether the startup index snapshot existed but
+// failed verification (the cache cold-started as the repair).
+func (c *PCache) IndexWasCorrupt() bool { return c.indexCorrupt }
+
+// RegionBytes returns the packed index's allocation unit in effect (see
+// Options), and 0 for any other layout.
+func (c *PCache) RegionBytes() int64 {
+	if p, ok := c.idx.(*packed); ok {
+		return p.regionBytes
+	}
+	return 0
+}
+
+// fileLocked returns fileNum's state, creating it.
+func (c *PCache) fileLocked(fileNum uint64) *fileState {
+	f := c.files[fileNum]
+	if f == nil {
+		f = &fileState{level: LevelUnknown}
+		c.files[fileNum] = f
+	}
+	return f
+}
+
+// Get returns the cached block body for (fileNum, blockOff). It counts
+// toward the file's heat whether it hits or misses: heat measures read
+// traffic against the file, so compaction can recognize actively-read
+// ranges even when the cache is cold for them.
+func (c *PCache) Get(fileNum, blockOff uint64) ([]byte, bool) { return c.get(fileNum, blockOff, true) }
+
+// Probe is Get without statistics or heat: compaction reads use it so bulk
+// merges don't masquerade as workload heat.
+func (c *PCache) Probe(fileNum, blockOff uint64) ([]byte, bool) {
+	return c.get(fileNum, blockOff, false)
+}
+
+func (c *PCache) get(fileNum, blockOff uint64, account bool) ([]byte, bool) {
+	if c.idx == nil {
+		if account {
+			c.stats.record(false, LevelUnknown, fileNum)
+		}
+		return nil, false
+	}
+	level := LevelUnknown
+	c.mu.Lock()
+	if account {
+		f := c.fileLocked(fileNum)
+		f.heat++
+		level = int(f.level)
+	}
+	s, ok := c.idx.find(fileNum, blockOff, true)
+	c.mu.Unlock()
+	var body []byte
+	if ok {
+		body, ok = c.read(s)
+	}
+	if account {
+		c.stats.record(ok, level, fileNum)
+	}
+	return body, ok
+}
+
+var errCRC = errors.New("pcache: block crc mismatch")
+
+// read reads a located block outside the lock and checks its CRC. A block
+// that cannot be read back intact is a miss. Its entry is dropped, and the
+// damage counted and reported, unless the entry changed while the read ran
+// unlocked: then the bytes read were another block's, and that is a plain
+// miss.
+func (c *PCache) read(s slot) ([]byte, bool) {
+	body, err := c.idx.read(s)
+	if err == nil && crc32.Checksum(body, castagnoli) == s.crc {
+		return body, true
+	}
+	if err == nil {
+		err = errCRC
+	}
+	c.mu.Lock()
+	damaged := c.idx.forget(s)
+	c.mu.Unlock()
+	if damaged {
+		c.stats.CorruptReads.Add(1)
+		if c.ev != nil {
+			c.ev.OnCorruptionDetected(event.CorruptionDetected{
+				Artifact: "pcache", Object: c.object, File: s.fileNum, Err: err.Error(),
+			})
+		}
+	}
 	return nil, false
 }
 
-// Probe always misses.
-func (n *Null) Probe(uint64, uint64) ([]byte, bool) { return nil, false }
-
-// Put drops the block.
-func (n *Null) Put(uint64, uint64, []byte) {}
-
-// PutBulk drops the blocks.
-func (n *Null) PutBulk(uint64, []Block) {}
-
-// DropFile is a no-op.
-func (n *Null) DropFile(uint64) {}
-
-// SetLevel is a no-op.
-func (n *Null) SetLevel(uint64, int) {}
-
-// SetAdmit is a no-op (nothing is ever admitted).
-func (n *Null) SetAdmit(func() bool) {}
-
-// SetSketch is a no-op.
-func (n *Null) SetSketch(*cache.Sketch) {}
-
-// FileHeat is always zero.
-func (n *Null) FileHeat(uint64) int64 { return 0 }
-
-// MetadataBytes is zero.
-func (n *Null) MetadataBytes() int64 { return 0 }
-
-// UsedBytes is zero.
-func (n *Null) UsedBytes() int64 { return 0 }
-
-// Stats returns the miss counters.
-func (n *Null) Stats() *Stats { return &n.stats }
-
-// Close is a no-op.
-func (n *Null) Close() error { return nil }
-
-// heatMap tracks per-file hit counts, shared by both implementations.
-type heatMap struct {
-	mu sync.Mutex
-	m  map[uint64]int64
+// Put admits a block body demoted from the block cache; with a sketch, a
+// full cache admits it only through the frequency door. It may decline
+// silently.
+func (c *PCache) Put(fileNum, blockOff uint64, body []byte) {
+	c.put(fileNum, []Block{{Off: blockOff, Body: body}}, true)
 }
 
-func newHeatMap() *heatMap { return &heatMap{m: map[uint64]int64{}} }
+// PutBulk admits a run of blocks from one file under one lock hold — the
+// admission path of freshly built tables (flush write-through, compaction
+// inheritance, relocation re-warm), past the frequency door. Adjacent
+// blocks of one file land back to back in its regions, preserving the
+// compaction-aware layout; the generic index pays per block.
+func (c *PCache) PutBulk(fileNum uint64, blocks []Block) { c.put(fileNum, blocks, false) }
 
-func (h *heatMap) add(fileNum uint64, n int64) {
-	h.mu.Lock()
-	h.m[fileNum] += n
-	h.mu.Unlock()
+func (c *PCache) put(fileNum uint64, blocks []Block, door bool) {
+	if c.idx == nil {
+		return
+	}
+	if c.admit != nil && !c.admit() {
+		c.stats.AdmitDeclined.Add(int64(len(blocks)))
+		return
+	}
+	var n, size int64
+	c.mu.Lock()
+	evs := c.evs
+	// A file DropFile retired is dead for good (file numbers are never
+	// reused): a demotion that lost the race with it, or a block a reader
+	// of an older version fetched afterwards, must not park there.
+	if !c.dropped.has(fileNum) {
+		for _, b := range blocks {
+			if int64(len(b.Body)) > c.maxBlock {
+				continue
+			}
+			if _, ok := c.idx.find(fileNum, b.Off, false); ok {
+				continue // a block promoted from here and demoted again
+			}
+			if door && c.sketch != nil && !c.idx.admits(c.sketch, fileNum, b.Off, len(b.Body)) {
+				c.stats.DoorDeclined.Add(1)
+				continue
+			}
+			var ok bool
+			if ok, evs = c.idx.insert(fileNum, b.Off, b.Body, evs); ok {
+				n++
+				size += int64(len(b.Body))
+			}
+		}
+	}
+	evs = c.evictedLocked(evs)
+	c.mu.Unlock()
+	if n > 0 {
+		c.stats.Inserted.Add(n)
+		c.stats.BytesInserted.Add(size)
+	}
+	c.fire(fileNum, int(n), size, evs)
 }
 
-func (h *heatMap) get(fileNum uint64) int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.m[fileNum]
+// evictedLocked counts the evictions a locked section appended to the evs
+// buffer and keeps the buffer for the next section. It returns the events
+// to fire after the unlock: a copy, and nil without a listener.
+func (c *PCache) evictedLocked(evs []event.PCacheEvict) []event.PCacheEvict {
+	c.stats.RegionsEvicted.Add(int64(len(evs)))
+	c.evs = evs[:0]
+	if c.ev == nil || len(evs) == 0 {
+		return nil
+	}
+	return slices.Clone(evs)
 }
 
-func (h *heatMap) drop(fileNum uint64) {
-	h.mu.Lock()
-	delete(h.m, fileNum)
-	h.mu.Unlock()
+// fire fires a section's events after its unlock: listeners never run
+// under the cache lock.
+func (c *PCache) fire(fileNum uint64, blocks int, bytes int64, evs []event.PCacheEvict) {
+	if c.ev == nil {
+		return
+	}
+	for _, e := range evs {
+		c.ev.OnPCacheEvict(e)
+	}
+	if blocks > 0 {
+		c.ev.OnPCacheAdmit(event.PCacheAdmit{File: fileNum, Blocks: blocks, Bytes: bytes})
+	}
+}
+
+// DropFile evicts every block of fileNum (the file was deleted by
+// compaction) and forgets its heat and level.
+func (c *PCache) DropFile(fileNum uint64) {
+	if c.idx == nil {
+		return
+	}
+	c.mu.Lock()
+	evs := c.evictedLocked(c.idx.dropFile(fileNum, c.evs))
+	c.dropped.add(fileNum)
+	delete(c.files, fileNum)
+	c.mu.Unlock()
+	c.stats.FilesDropped.Add(1)
+	c.fire(fileNum, 0, 0, evs)
+}
+
+// SetLevel registers fileNum's LSM level so Get outcomes can be attributed
+// per level. The DB calls it when a table is installed (flush, compaction,
+// open); unknown files land in the last bucket.
+func (c *PCache) SetLevel(fileNum uint64, level int) {
+	if c.idx == nil {
+		return
+	}
+	c.mu.Lock()
+	c.fileLocked(fileNum).level = int8(LevelBucket(level))
+	c.mu.Unlock()
+}
+
+// FileHeat returns the number of Gets issued against fileNum since it was
+// first seen; compaction uses it for admission inheritance.
+func (c *PCache) FileHeat(fileNum uint64) int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if f := c.files[fileNum]; f != nil {
+		return f.heat
+	}
+	return 0
+}
+
+func (c *PCache) usage() (blocks int, used, meta int64) {
+	if c.idx == nil {
+		return 0, 0, 0
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.idx.usage()
+}
+
+// CachedBlocks returns the number of blocks currently indexed.
+func (c *PCache) CachedBlocks() int { n, _, _ := c.usage(); return n }
+
+// UsedBytes reports cached data bytes.
+func (c *PCache) UsedBytes() int64 { _, n, _ := c.usage(); return n }
+
+// MetadataBytes reports the in-memory index footprint.
+func (c *PCache) MetadataBytes() int64 { _, _, n := c.usage(); return n }
+
+// Stats exposes activity counters.
+func (c *PCache) Stats() *Stats { return &c.stats }
+
+// Close persists index state where the layout can, and releases it.
+func (c *PCache) Close() error {
+	if c.idx == nil {
+		return nil
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.idx.close()
 }
 
 // dropRing remembers the file numbers most recently passed to DropFile, so
-// that a Put which lost the race with it — a block the block cache evicted
-// just before the table was retired, or one a reader of an older version
-// fetched just after — is declined instead of parking a dead table's blocks
-// until eviction finds them. File numbers are never reused, so a number in
-// the ring is dead for good; one that has aged out of it merely costs that
-// wasted space again. Guarded by the owning cache's mutex.
+// that a Put which lost the race with it is declined. A number that has aged
+// out of the ring merely costs that wasted space again. Guarded by mu.
 type dropRing struct {
 	nums [64]uint64
 	next int
@@ -297,36 +541,4 @@ func (d *dropRing) has(fileNum uint64) bool {
 		}
 	}
 	return false
-}
-
-// levelMap tracks each file's registered LSM level, shared by both
-// implementations. Unregistered files map to LevelUnknown.
-type levelMap struct {
-	mu sync.Mutex
-	m  map[uint64]int8
-}
-
-func newLevelMap() *levelMap { return &levelMap{m: map[uint64]int8{}} }
-
-func (l *levelMap) set(fileNum uint64, level int) {
-	b := int8(LevelBucket(level))
-	l.mu.Lock()
-	l.m[fileNum] = b
-	l.mu.Unlock()
-}
-
-func (l *levelMap) bucket(fileNum uint64) int {
-	l.mu.Lock()
-	b, ok := l.m[fileNum]
-	l.mu.Unlock()
-	if !ok {
-		return LevelUnknown
-	}
-	return int(b)
-}
-
-func (l *levelMap) drop(fileNum uint64) {
-	l.mu.Lock()
-	delete(l.m, fileNum)
-	l.mu.Unlock()
 }

@@ -19,9 +19,9 @@ func newMash(t *testing.T, capacity, region int64) *PCache {
 	return c
 }
 
-func newGeneric(t *testing.T, capacity int64) *GenericLRU {
+func newGeneric(t *testing.T, capacity int64) *PCache {
 	t.Helper()
-	g, err := NewGenericLRU(t.TempDir(), capacity)
+	g, err := New(Options{Dir: t.TempDir(), CapacityBytes: capacity, Generic: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,14 +29,14 @@ func newGeneric(t *testing.T, capacity int64) *GenericLRU {
 	return g
 }
 
-// both runs a subtest against each BlockCache implementation.
-func both(t *testing.T, fn func(t *testing.T, c BlockCache)) {
+// both runs a subtest against each index layout.
+func both(t *testing.T, fn func(t *testing.T, c *PCache)) {
 	t.Run("mash", func(t *testing.T) { fn(t, newMash(t, 1<<20, 64<<10)) })
 	t.Run("generic", func(t *testing.T) { fn(t, newGeneric(t, 1<<20)) })
 }
 
 func TestPutGetRoundTrip(t *testing.T) {
-	both(t, func(t *testing.T, c BlockCache) {
+	both(t, func(t *testing.T, c *PCache) {
 		body := bytes.Repeat([]byte("block"), 100)
 		c.Put(7, 4096, body)
 		got, ok := c.Get(7, 4096)
@@ -53,7 +53,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 }
 
 func TestMultipleBlocksPerFile(t *testing.T) {
-	both(t, func(t *testing.T, c BlockCache) {
+	both(t, func(t *testing.T, c *PCache) {
 		for i := 0; i < 50; i++ {
 			c.Put(3, uint64(i*1000), []byte(fmt.Sprintf("block-%02d", i)))
 		}
@@ -67,7 +67,7 @@ func TestMultipleBlocksPerFile(t *testing.T) {
 }
 
 func TestDropFile(t *testing.T) {
-	both(t, func(t *testing.T, c BlockCache) {
+	both(t, func(t *testing.T, c *PCache) {
 		c.Put(1, 0, []byte("a"))
 		c.Put(1, 100, []byte("b"))
 		c.Put(2, 0, []byte("c"))
@@ -85,7 +85,7 @@ func TestDropFile(t *testing.T) {
 }
 
 func TestFileHeatTracking(t *testing.T) {
-	both(t, func(t *testing.T, c BlockCache) {
+	both(t, func(t *testing.T, c *PCache) {
 		c.Put(5, 0, []byte("x"))
 		for i := 0; i < 7; i++ {
 			c.Get(5, 0)
@@ -101,7 +101,7 @@ func TestFileHeatTracking(t *testing.T) {
 }
 
 func TestCapacityBounded(t *testing.T) {
-	both(t, func(t *testing.T, c BlockCache) {
+	both(t, func(t *testing.T, c *PCache) {
 		blk := make([]byte, 8<<10)
 		for i := 0; i < 1000; i++ {
 			c.Put(uint64(i%10+1), uint64(i*10000), blk)
@@ -163,7 +163,7 @@ func TestMashIndexPersistence(t *testing.T) {
 	if _, ok := c2.Get(9, 12345); ok {
 		t.Fatal("churn did not recycle the first block's region")
 	}
-	c2.f.Close()
+	c2.idx.(*packed).f.Close()
 
 	c3, err := New(Options{Dir: dir, CapacityBytes: 1 << 20, RegionBytes: 64 << 10})
 	if err != nil {
@@ -229,40 +229,80 @@ func TestMashGeometryChangeColdStarts(t *testing.T) {
 	}
 }
 
+// damage hurts the cached bytes of (fileNum, blockOff) under c: lost makes
+// them unreadable (the packed DATA file cut short before them, the generic
+// block file deleted), otherwise one byte of them flips.
+func damage(t *testing.T, c *PCache, fileNum, blockOff uint64, lost bool) {
+	t.Helper()
+	c.mu.Lock()
+	s, ok := c.idx.find(fileNum, blockOff, false)
+	c.mu.Unlock()
+	if !ok {
+		t.Fatalf("block (%d, %d) is not cached", fileNum, blockOff)
+	}
+	var name string
+	switch x := c.idx.(type) {
+	case *packed:
+		name = x.f.Name()
+	case *generic:
+		name, s.at = x.path(blockKey{fileNum, blockOff}), 0
+	}
+	var err error
+	switch _, gen := c.idx.(*generic); {
+	case lost && gen:
+		err = os.Remove(name)
+	case lost:
+		err = os.Truncate(name, s.at)
+	default:
+		var f *os.File
+		if f, err = os.OpenFile(name, os.O_WRONLY, 0); err == nil {
+			_, err = f.WriteAt([]byte{0xff}, s.at+10)
+			f.Close()
+		}
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMashCorruptDataDetected damages a cached block under each layout, by
+// a flipped bit and by losing its bytes: the read is a miss counted once as
+// a corrupt read, the entry goes, and re-admitting the block serves hits
+// again.
 func TestMashCorruptDataDetected(t *testing.T) {
-	dir := t.TempDir()
-	c, err := New(Options{Dir: dir, CapacityBytes: 1 << 20, RegionBytes: 64 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	c.Put(4, 0, bytes.Repeat([]byte("z"), 512))
-	// Corrupt the DATA file under the cache.
-	f, err := os.OpenFile(filepath.Join(dir, "DATA"), os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.WriteAt([]byte{0xff}, 10)
-	f.Close()
-	if _, ok := c.Get(4, 0); ok {
-		t.Fatal("corrupt cached block returned as hit")
-	}
-	if n := c.Stats().CorruptReads.Load(); n != 1 {
-		t.Fatalf("CorruptReads = %d, want 1", n)
-	}
-	// The damaged entry was dropped: the next read is a plain miss, not a
-	// second corruption.
-	if _, ok := c.Get(4, 0); ok {
-		t.Fatal("dropped entry still served")
-	}
-	if n := c.Stats().CorruptReads.Load(); n != 1 {
-		t.Fatalf("CorruptReads after drop = %d, want 1", n)
-	}
-	// Self-heal: re-admitting clean bytes serves hits again.
-	c.Put(4, 0, bytes.Repeat([]byte("z"), 512))
-	if _, ok := c.Get(4, 0); !ok {
-		t.Fatal("re-admitted block not served")
-	}
+	both(t, func(t *testing.T, c *PCache) {
+		for i, tc := range []struct {
+			name string
+			lost bool
+		}{{"bit-flip", false}, {"lost-file", true}} {
+			t.Run(tc.name, func(t *testing.T) {
+				file := uint64(4 + i)
+				body := bytes.Repeat([]byte("z"), 512)
+				before := c.Stats().CorruptReads.Load()
+				c.Put(file, 0, body)
+				damage(t, c, file, 0, tc.lost)
+				if _, ok := c.Get(file, 0); ok {
+					t.Fatal("damaged cached block returned as hit")
+				}
+				if n := c.Stats().CorruptReads.Load() - before; n != 1 {
+					t.Fatalf("CorruptReads = %d, want 1", n)
+				}
+				// The damaged entry was dropped: the next read is a plain
+				// miss, not a second corruption.
+				if _, ok := c.Get(file, 0); ok {
+					t.Fatal("dropped entry still served")
+				}
+				if n := c.Stats().CorruptReads.Load() - before; n != 1 {
+					t.Fatalf("CorruptReads after drop = %d, want 1", n)
+				}
+				// Self-heal: re-admitting clean bytes serves hits again.
+				c.Put(file, 0, body)
+				if got, ok := c.Get(file, 0); !ok || !bytes.Equal(got, body) {
+					t.Fatal("re-admitted block not served")
+				}
+			})
+		}
+	})
 }
 
 func TestMashRegionAffinity(t *testing.T) {
@@ -272,8 +312,9 @@ func TestMashRegionAffinity(t *testing.T) {
 	c.Put(2, 0, make([]byte, 1000))
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for i := range c.regions {
-		r := &c.regions[i]
+	p := c.idx.(*packed)
+	for i := range p.regions {
+		r := &p.regions[i]
 		if r.fileNum == 0 {
 			continue
 		}
@@ -281,10 +322,10 @@ func TestMashRegionAffinity(t *testing.T) {
 			_ = e
 		}
 	}
-	if len(c.byFile[1]) == 0 || len(c.byFile[2]) == 0 {
+	if len(p.byFile[1]) == 0 || len(p.byFile[2]) == 0 {
 		t.Fatal("files not indexed")
 	}
-	if c.byFile[1][0] == c.byFile[2][0] {
+	if p.byFile[1][0] == p.byFile[2][0] {
 		t.Fatal("two files share a region")
 	}
 }
@@ -323,7 +364,7 @@ func TestMashEvictionPrefersCold(t *testing.T) {
 }
 
 func TestNullCache(t *testing.T) {
-	n := NewNull()
+	n, _ := New(Options{})
 	n.Put(1, 0, []byte("x"))
 	if _, ok := n.Get(1, 0); ok {
 		t.Fatal("null cache hit")
@@ -384,7 +425,7 @@ func TestStressRandomOps(t *testing.T) {
 }
 
 func TestHitRatioStats(t *testing.T) {
-	both(t, func(t *testing.T, c BlockCache) {
+	both(t, func(t *testing.T, c *PCache) {
 		c.Put(1, 0, []byte("x"))
 		c.Get(1, 0)
 		c.Get(1, 999)

@@ -9,7 +9,7 @@ import (
 // data without perturbing statistics or heat — bulk merges must not look
 // like workload traffic.
 func TestProbeDoesNotAccount(t *testing.T) {
-	both(t, func(t *testing.T, c BlockCache) {
+	both(t, func(t *testing.T, c *PCache) {
 		body := bytes.Repeat([]byte("z"), 256)
 		c.Put(3, 4096, body)
 
@@ -34,7 +34,7 @@ func TestProbeDoesNotAccount(t *testing.T) {
 // cache luck: misses against a file still raise its heat so compaction can
 // recognize actively-read ranges.
 func TestGetHeatCountsMissesToo(t *testing.T) {
-	both(t, func(t *testing.T, c BlockCache) {
+	both(t, func(t *testing.T, c *PCache) {
 		for i := 0; i < 5; i++ {
 			c.Get(9, uint64(i*1000)) // all misses
 		}

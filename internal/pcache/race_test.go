@@ -37,7 +37,7 @@ func TestRecycledRegionIsAMissNotCorruption(t *testing.T) {
 		blockBytes  = 4 << 10
 		files       = 1500
 	)
-	run := func(t *testing.T, c BlockCache, files uint64) {
+	run := func(t *testing.T, c *PCache, files uint64) {
 		var newest atomic.Uint64
 		var wg sync.WaitGroup
 		for g := 0; g < 2; g++ {
@@ -84,7 +84,7 @@ func TestRecycledRegionIsAMissNotCorruption(t *testing.T) {
 		// once, and the entry dropped.
 		c.Put(files+1, 0, stamped(files+1, 0, blockBytes))
 		c.mu.Lock()
-		id := c.byFile[files+1][0]
+		id := c.idx.(*packed).byFile[files+1][0]
 		c.mu.Unlock()
 		f, err := os.OpenFile(filepath.Join(dir, "DATA"), os.O_WRONLY, 0)
 		if err != nil {
@@ -121,7 +121,7 @@ func TestRetiredTableStaysOutOfTheCache(t *testing.T) {
 		blocks     = 64 // per table
 		retired    = 5
 	)
-	both(t, func(t *testing.T, pc BlockCache) {
+	both(t, func(t *testing.T, pc *PCache) {
 		// A block cache of 16 blocks, so that nearly every read demotes.
 		bc := cache.NewWithSink(16*blockBytes, func(k cache.Key, body []byte) {
 			pc.Put(k.FileNum, k.Offset, body)
@@ -168,9 +168,9 @@ func TestRetiredTableStaysOutOfTheCache(t *testing.T) {
 				t.Fatalf("block %d of retired table %d is cached", off, retired)
 			}
 		}
-		if m, ok := pc.(*PCache); ok {
-			m.mu.Lock()
-			defer m.mu.Unlock()
+		if m, ok := pc.idx.(*packed); ok {
+			pc.mu.Lock()
+			defer pc.mu.Unlock()
 			if ids := m.byFile[retired]; len(ids) != 0 {
 				t.Fatalf("retired table %d owns regions %v", retired, ids)
 			}

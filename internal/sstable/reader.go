@@ -124,12 +124,6 @@ func (r *Reader) readDirect(_ uint64, h Handle, _ *readprof.Profile) ([]byte, er
 // SetFetch interposes fn on all data-block reads.
 func (r *Reader) SetFetch(fn FetchFunc) { r.fetch = fn }
 
-// Fetch reads the data block at h through the interposed fetch path,
-// attributing it on prof.
-func (r *Reader) Fetch(h Handle, prof *readprof.Profile) ([]byte, error) {
-	return r.fetch(r.fileNum, h, prof)
-}
-
 // File exposes the underlying object handle so an interposed FetchFunc can
 // perform the raw read on a cache miss.
 func (r *Reader) File() storage.Reader { return r.f }
