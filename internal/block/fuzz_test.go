@@ -4,16 +4,37 @@ import (
 	"bytes"
 	"encoding/binary"
 	"testing"
+
+	"rocksmash/internal/keys"
 )
 
 // FuzzBlockSeek feeds arbitrary bytes to the block decoder: nothing may
 // panic, every walk must end, and the iterator-free point seek must agree
 // with Iter.SeekGE on whether there is an entry, which one, and whether the
-// block is corrupt. The seed corpus in testdata/fuzz/FuzzBlockSeek (builder
-// output at restart intervals 1 and 16, truncated and bit-flipped copies,
-// and the short-key block of TestShortKeyIsCorruptNotPanic) is replayed by a
-// plain `go test`.
+// block is corrupt. A seek table builds exactly when Walk accepts the
+// block, and its point seek — directly, and through a Cell, which builds it
+// or falls back to the raw bytes — agrees with both. The seed corpus in
+// testdata/fuzz/FuzzBlockSeek (builder output at restart intervals 1 and
+// 16, truncated and bit-flipped copies, and the short-key block of
+// TestShortKeyIsCorruptNotPanic) and the seek-table shapes added below
+// (seekShapes: zero-padding prefix ties, a key that runs on into its
+// predecessor's trailer, keys that differ past the 8-byte prefix, one key's
+// versions across restart points, targets outside a common prefix) are
+// replayed by a plain `go test`.
 func FuzzBlockSeek(f *testing.F) {
+	trailer := keys.PackTrailer(keys.MaxSequence, keys.KindSet)
+	for name, shape := range seekShapes {
+		for _, ri := range []int{1, 4, 16} {
+			data := shapeBlock(name, ri)
+			for _, e := range shape {
+				f.Add(data, []byte(e.ukey), trailer)
+				f.Add(data, []byte(e.ukey), keys.PackTrailer(e.seq, keys.KindSet))
+			}
+			for _, outside := range []string{"", "com", "commom", "common/z", "zz"} {
+				f.Add(data, []byte(outside), trailer)
+			}
+		}
+	}
 	f.Fuzz(func(t *testing.T, data, ukey []byte, trailer uint64) {
 		r, err := NewReader(data)
 		if err != nil {
@@ -29,6 +50,26 @@ func FuzzBlockSeek(f *testing.F) {
 		}
 		if ok && (!bytes.Equal(key, it.Key()) || !bytes.Equal(value, it.Value())) {
 			t.Fatalf("point seek %x=%x, iterator %x=%x", key, value, it.Key(), it.Value())
+		}
+
+		agree := func(via string, k, v []byte, o bool, e error) {
+			if o != ok || (e != nil) != (err != nil) || !bytes.Equal(k, key) || !bytes.Equal(v, value) {
+				t.Fatalf("%s %x=%x ok=%v err=%v, point seek %x=%x ok=%v err=%v", via, k, v, o, e, key, value, ok, err)
+			}
+		}
+		st, terr := buildSeekTable(*r)
+		werr := r.Walk(func(int, int, int, int) error { return nil })
+		if (terr != nil) != (werr != nil) {
+			t.Fatalf("seek table build err=%v, Walk err=%v", terr, werr)
+		}
+		if terr == nil {
+			k, v, o, e := st.seekGE(target, nil)
+			agree("seek table", k, v, o, e)
+		}
+		var cell Cell
+		for i := 0; i < 2; i++ { // the first seek builds, the second reads the table
+			k, v, o, e := cell.SeekGE(data, target, nil)
+			agree("cell", k, v, o, e)
 		}
 
 		// An entry is at least three bytes, so no walk is longer than the

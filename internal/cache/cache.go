@@ -1,7 +1,12 @@
-// Package cache implements the sharded in-memory LRU block cache that sits
-// in front of both storage tiers (RocksDB's "block cache" analogue).
-// Entries are charged by byte size against a global capacity split evenly
-// across shards.
+// Package cache implements the sharded in-memory block cache that sits in
+// front of both storage tiers (RocksDB's "block cache" analogue). Entries
+// are charged by byte size against a global capacity split evenly across
+// shards, and each shard evicts by CLOCK: a hit sets the block's reference
+// bit and moves nothing, and the shard's hand clears set bits as it sweeps
+// and evicts the first block it finds with its bit clear. A cached block
+// also carries a block.Cell, where the first point read that searches it
+// builds its seek table; the table is charged to the shard with the block
+// and leaves with it.
 //
 // The cache is the top rung of the read ladder. A block of a cloud-tier
 // table enters with PutCloud, and when the cache lets go of it — evicted, or
@@ -14,9 +19,11 @@
 package cache
 
 import (
-	"container/list"
+	"bytes"
 	"sync"
 	"sync/atomic"
+
+	"rocksmash/internal/block"
 )
 
 const numShards = 16
@@ -28,24 +35,37 @@ type Key struct {
 	Offset  uint64
 }
 
+// entry is one cached block. Its bytes never change: a Put that brings
+// different bytes for the key replaces the entry, so a reader holding the
+// bytes and the cell of an entry always holds a matching pair.
 type entry struct {
 	key  Key
 	data []byte
-	elem *list.Element
 	// cloud marks a block of a cloud-tier table: the only kind the demote
-	// sink is told about.
+	// sink is told about. Guarded by the shard's mu.
 	cloud bool
+	// ref is the entry's CLOCK reference bit: a hit sets it, and the
+	// shard's hand clears it.
+	ref atomic.Bool
+	pos int // the entry's ring slot; guarded by the shard's mu
+	// cell holds the block's seek table once a point read builds it,
+	// charged to the shard's used.
+	cell block.Cell
 }
 
 type shard struct {
 	mu       sync.Mutex
 	capacity int64
-	used     int64
-	items    map[Key]*entry
-	order    *list.List // front = most recent
+	// used is the bytes charged: the blocks, changed under mu, and their
+	// seek tables, which the read that builds one adds without it.
+	used  atomic.Int64
+	items map[Key]*entry
+	ring  []*entry // the clock: every entry, in no order; nil marks a free slot
+	free  []int    // free ring slots, the most recently freed last
+	hand  int      // the ring slot the eviction hand looks at next
 }
 
-// Cache is a fixed-capacity LRU over blocks.
+// Cache is a fixed-capacity block cache evicting by CLOCK.
 type Cache struct {
 	shards [numShards]shard
 	hits   atomic.Int64
@@ -70,7 +90,8 @@ func NewWithSink(capacity int64, demote func(Key, []byte)) *Cache {
 		per = 0
 	}
 	for i := range c.shards {
-		c.shards[i] = shard{capacity: per, items: map[Key]*entry{}, order: list.New()}
+		c.shards[i].capacity = per
+		c.shards[i].items = map[Key]*entry{}
 	}
 	return c
 }
@@ -80,26 +101,23 @@ func (c *Cache) shardFor(k Key) *shard {
 	return &c.shards[h%numShards]
 }
 
-// Get returns the cached block, if present. The returned slice must be
-// treated as read-only.
-func (c *Cache) Get(k Key) ([]byte, bool) {
+// Get returns the cached block, if present, with the cell its seek table
+// lives in (block.Cell.SeekGE). The returned slice must be treated as
+// read-only. A hit sets the block's reference bit; nothing moves.
+func (c *Cache) Get(k Key) ([]byte, *block.Cell, bool) {
 	s := c.shardFor(k)
 	s.mu.Lock()
-	e, ok := s.items[k]
-	var data []byte
-	if ok {
-		s.order.MoveToFront(e.elem)
-		// Read the slice header under the lock: a Put refreshing this key
-		// rewrites e.data.
-		data = e.data
-	}
+	e := s.items[k]
 	s.mu.Unlock()
-	if ok {
-		c.hits.Add(1)
-		return data, true
+	if e == nil {
+		c.misses.Add(1)
+		return nil, nil, false
 	}
-	c.misses.Add(1)
-	return nil, false
+	if !e.ref.Load() {
+		e.ref.Store(true)
+	}
+	c.hits.Add(1)
+	return e.data, &e.cell, true
 }
 
 // Put inserts or refreshes a block of a local-tier table. Blocks larger
@@ -112,8 +130,7 @@ func (c *Cache) PutCloud(k Key, data []byte) { c.put(k, data, true) }
 
 func (c *Cache) put(k Key, data []byte, cloud bool) {
 	s := c.shardFor(k)
-	charge := int64(len(data))
-	if charge > s.capacity || s.capacity <= 0 {
+	if int64(len(data)) > s.capacity || s.capacity <= 0 {
 		if cloud && c.demote != nil {
 			c.demote(k, data)
 		}
@@ -124,25 +141,23 @@ func (c *Cache) put(k Key, data []byte, cloud bool) {
 	var buf [4]*entry
 	victims := buf[:0]
 	s.mu.Lock()
-	if e, ok := s.items[k]; ok {
-		s.used += charge - int64(len(e.data))
-		e.data, e.cloud = data, cloud
-		s.order.MoveToFront(e.elem)
+	if e, ok := s.items[k]; ok && bytes.Equal(e.data, data) {
+		// The same block again (a race of two misses, a span landing over
+		// a cached block): the resident copy and its seek table stay.
+		e.cloud = cloud
+		e.ref.Store(true)
 	} else {
-		e := &entry{key: k, data: data, cloud: cloud}
-		e.elem = s.order.PushFront(e)
-		s.items[k] = e
-		s.used += charge
+		if ok {
+			s.remove(e)
+		}
+		s.insert(&entry{key: k, data: data, cloud: cloud})
 	}
-	for s.used > s.capacity {
-		back := s.order.Back()
-		if back == nil {
+	for s.used.Load() > s.capacity {
+		victim := s.victim()
+		if victim == nil {
 			break
 		}
-		victim := back.Value.(*entry)
-		s.order.Remove(back)
-		delete(s.items, victim.key)
-		s.used -= int64(len(victim.data))
+		s.remove(victim)
 		if victim.cloud && c.demote != nil {
 			victims = append(victims, victim)
 		}
@@ -153,25 +168,88 @@ func (c *Cache) put(k Key, data []byte, cloud bool) {
 	}
 }
 
+// insert adds e to the shard, in the slot freed last when there is one:
+// the slot the hand just emptied, so that the hand reaches e after every
+// other entry. e's reference bit starts clear, so a block no read comes
+// back to is the next victim once the hand gets round to it. mu is held.
+func (s *shard) insert(e *entry) {
+	e.cell.ChargeTo(&s.used)
+	if n := len(s.free); n > 0 {
+		e.pos = s.free[n-1]
+		s.free = s.free[:n-1]
+		s.ring[e.pos] = e
+	} else {
+		e.pos = len(s.ring)
+		s.ring = append(s.ring, e)
+	}
+	s.items[e.key] = e
+	s.used.Add(int64(len(e.data)))
+}
+
+// remove takes e out of the shard and its charge, its seek table's
+// included, off used. mu is held.
+func (s *shard) remove(e *entry) {
+	delete(s.items, e.key)
+	s.ring[e.pos] = nil
+	s.free = append(s.free, e.pos)
+	s.used.Add(-int64(len(e.data)) - e.cell.Drop())
+}
+
+// victim moves the hand to the next entry whose reference bit is clear,
+// clearing the set bits it passes, and returns that entry (nil when the
+// shard is empty). An entry hit since the hand last passed it survives
+// this sweep. mu is held.
+func (s *shard) victim() *entry {
+	if len(s.items) == 0 {
+		return nil
+	}
+	for {
+		if s.hand >= len(s.ring) {
+			s.hand = 0
+		}
+		e := s.ring[s.hand]
+		s.hand++
+		if e == nil {
+			continue
+		}
+		if e.ref.Load() {
+			e.ref.Store(false)
+			continue
+		}
+		return e
+	}
+}
+
 // DemoteAll hands every resident cloud block to the demote sink, coldest
-// first within a shard, and leaves the cache as it was. A clean shutdown
-// calls it so that the tier below, which outlives the process, holds what
-// this one held.
+// first within a shard — those the hand would take first: from the hand
+// round the ring, the blocks with a clear reference bit, then the rest —
+// and leaves the cache as it was. A clean shutdown calls it so that the
+// tier below, which outlives the process, holds what this one held.
 func (c *Cache) DemoteAll() {
 	if c.demote == nil {
 		return
 	}
+	type resident struct {
+		key  Key
+		data []byte
+	}
 	for i := range c.shards {
 		s := &c.shards[i]
-		var resident []entry // copies: a refreshing Put rewrites e.data
+		var cold, hot []resident
 		s.mu.Lock()
-		for el := s.order.Back(); el != nil; el = el.Prev() {
-			if e := el.Value.(*entry); e.cloud {
-				resident = append(resident, entry{key: e.key, data: e.data})
+		for j := range s.ring {
+			e := s.ring[(s.hand+j)%len(s.ring)]
+			if e == nil || !e.cloud {
+				continue
+			}
+			if e.ref.Load() {
+				hot = append(hot, resident{e.key, e.data})
+			} else {
+				cold = append(cold, resident{e.key, e.data})
 			}
 		}
 		s.mu.Unlock()
-		for _, e := range resident {
+		for _, e := range append(cold, hot...) {
 			c.demote(e.key, e.data)
 		}
 	}
@@ -183,25 +261,20 @@ func (c *Cache) InvalidateFile(fileNum uint64) {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		for k, e := range s.items {
-			if k.FileNum == fileNum {
-				s.order.Remove(e.elem)
-				delete(s.items, k)
-				s.used -= int64(len(e.data))
+		for _, e := range s.ring {
+			if e != nil && e.key.FileNum == fileNum {
+				s.remove(e)
 			}
 		}
 		s.mu.Unlock()
 	}
 }
 
-// Used returns the total charged bytes.
+// Used returns the total charged bytes: the blocks and their seek tables.
 func (c *Cache) Used() int64 {
 	var n int64
 	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += s.used
-		s.mu.Unlock()
+		n += c.shards[i].used.Load()
 	}
 	return n
 }

@@ -1,20 +1,25 @@
 package cache
 
 import (
+	"bytes"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
+
+	"rocksmash/internal/block"
+	"rocksmash/internal/keys"
 )
 
 func TestPutGet(t *testing.T) {
 	c := New(1 << 20)
 	k := Key{FileNum: 1, Offset: 0}
 	c.Put(k, []byte("hello"))
-	got, ok := c.Get(k)
+	got, _, ok := c.Get(k)
 	if !ok || string(got) != "hello" {
 		t.Fatalf("get = %q %v", got, ok)
 	}
-	if _, ok := c.Get(Key{FileNum: 2, Offset: 0}); ok {
+	if _, _, ok := c.Get(Key{FileNum: 2, Offset: 0}); ok {
 		t.Fatal("phantom hit")
 	}
 }
@@ -34,22 +39,66 @@ func TestEvictionUnderPressure(t *testing.T) {
 	}
 }
 
-func TestLRUOrderWithinShard(t *testing.T) {
-	// Single shard via identical hash inputs is hard to force; instead use
-	// a cache sized so each shard holds ~2 entries and verify recently
-	// used entries survive.
-	c := New(numShards * 2 * 100)
-	keys := make([]Key, 40)
-	for i := range keys {
-		keys[i] = Key{FileNum: uint64(i), Offset: 0}
-		c.Put(keys[i], make([]byte, 90))
+// shardKeys returns n keys of file 1 that c places in one shard.
+func shardKeys(c *Cache, n int) []Key {
+	var ks []Key
+	for off := uint64(0); len(ks) < n; off++ {
+		if k := (Key{FileNum: 1, Offset: off}); c.shardFor(k) == &c.shards[0] {
+			ks = append(ks, k)
+		}
 	}
-	// Touch first key repeatedly — but it may already be evicted; just
-	// check the global invariant: capacity respected, hits counted.
-	c.Get(keys[len(keys)-1])
-	h, m := c.Counters()
-	if h+m == 0 {
-		t.Fatal("counters not updated")
+	return ks
+}
+
+// TestClockSecondChance: a shard holding four blocks evicts by CLOCK. A
+// block hit since the hand last passed survives the sweep that takes an
+// unhit one, and loses its bit to it; a new block goes in behind the hand,
+// so the hand reaches it after every block that was there before it.
+func TestClockSecondChance(t *testing.T) {
+	c, l := newSinkCache(numShards * 4 * 100)
+	ks := shardKeys(c, 7)
+	put := func(k Key) { c.PutCloud(k, make([]byte, 100)) }
+	resident := func(k Key) bool {
+		s := c.shardFor(k)
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.items[k] != nil
+	}
+	for _, k := range ks[:4] {
+		put(k)
+	}
+	if _, _, ok := c.Get(ks[0]); !ok {
+		t.Fatal("block 0 missing before any eviction")
+	}
+	put(ks[4]) // the hand passes 0 (clearing its bit) and takes 1
+	if !resident(ks[0]) || resident(ks[1]) {
+		t.Fatalf("after block 4: block 0 resident=%v, block 1 resident=%v; want the hit block kept and the unhit one evicted",
+			resident(ks[0]), resident(ks[1]))
+	}
+	if _, ok := l.seen[ks[1]]; !ok || len(l.seen) != 1 {
+		t.Fatalf("demoted %v, want block 1 only", l.seen)
+	}
+	put(ks[5]) // takes 2, the next unhit block
+	put(ks[6]) // takes 3; 4 and 5 sit behind the hand
+	for i, want := range []bool{true, false, false, false, true, true, true} {
+		if resident(ks[i]) != want {
+			t.Errorf("block %d resident=%v, want %v", i, !want, want)
+		}
+	}
+	// Block 4 came in ahead of the hand's wrap, so the hand reaches it
+	// first; then it comes round to block 0, whose bit it cleared on the
+	// first pass: unhit since, it goes, ahead of the blocks behind it.
+	put(ks[1])
+	if resident(ks[4]) || !resident(ks[0]) {
+		t.Errorf("third sweep: block 4 resident=%v, block 0 resident=%v; want 4 evicted", resident(ks[4]), resident(ks[0]))
+	}
+	put(ks[2])
+	if resident(ks[0]) || !resident(ks[5]) || !resident(ks[6]) {
+		t.Errorf("after the wrap: blocks 0, 5, 6 resident=%v %v %v; want 0 evicted",
+			resident(ks[0]), resident(ks[5]), resident(ks[6]))
+	}
+	if used := c.Used(); used > numShards*4*100 {
+		t.Errorf("used %d over capacity", used)
 	}
 }
 
@@ -58,7 +107,7 @@ func TestUpdateExistingKey(t *testing.T) {
 	k := Key{FileNum: 3, Offset: 128}
 	c.Put(k, []byte("v1"))
 	c.Put(k, []byte("v2-longer"))
-	got, ok := c.Get(k)
+	got, _, ok := c.Get(k)
 	if !ok || string(got) != "v2-longer" {
 		t.Fatalf("update lost: %q", got)
 	}
@@ -75,10 +124,10 @@ func TestInvalidateFile(t *testing.T) {
 	}
 	c.InvalidateFile(7)
 	for i := 0; i < 10; i++ {
-		if _, ok := c.Get(Key{FileNum: 7, Offset: uint64(i)}); ok {
+		if _, _, ok := c.Get(Key{FileNum: 7, Offset: uint64(i)}); ok {
 			t.Fatal("file 7 block survived invalidation")
 		}
-		if _, ok := c.Get(Key{FileNum: 8, Offset: uint64(i)}); !ok {
+		if _, _, ok := c.Get(Key{FileNum: 8, Offset: uint64(i)}); !ok {
 			t.Fatal("file 8 block wrongly dropped")
 		}
 	}
@@ -95,7 +144,7 @@ func TestOversizedBlockNotCached(t *testing.T) {
 func TestZeroCapacityDisables(t *testing.T) {
 	c := New(0)
 	c.Put(Key{FileNum: 1, Offset: 0}, []byte("x"))
-	if _, ok := c.Get(Key{FileNum: 1, Offset: 0}); ok {
+	if _, _, ok := c.Get(Key{FileNum: 1, Offset: 0}); ok {
 		t.Fatal("zero-capacity cache stored a block")
 	}
 }
@@ -147,7 +196,7 @@ func TestConcurrentRefreshOneKey(t *testing.T) {
 			for i := 0; i < 2000; i++ {
 				if g%2 == 0 {
 					c.Put(k, []byte{byte(i)})
-				} else if v, ok := c.Get(k); !ok || len(v) != 1 {
+				} else if v, _, ok := c.Get(k); !ok || len(v) != 1 {
 					t.Errorf("Get = %q, %v; the key is always present with a 1-byte value", v, ok)
 					return
 				}
@@ -164,7 +213,7 @@ func TestSmallCapacityRoundsUp(t *testing.T) {
 	c := New(numShards - 1)
 	k := Key{FileNum: 7, Offset: 0}
 	c.Put(k, []byte("v"))
-	if _, ok := c.Get(k); !ok {
+	if _, _, ok := c.Get(k); !ok {
 		t.Fatalf("capacity %d dropped a %d-byte block", numShards-1, 1)
 	}
 	for i := range c.shards {
@@ -175,7 +224,7 @@ func TestSmallCapacityRoundsUp(t *testing.T) {
 	// Capacity <= 0 still disables caching entirely.
 	off := New(0)
 	off.Put(k, []byte("v"))
-	if _, ok := off.Get(k); ok {
+	if _, _, ok := off.Get(k); ok {
 		t.Fatal("zero-capacity cache admitted a block")
 	}
 }
@@ -222,7 +271,7 @@ func TestDemoteOnEviction(t *testing.T) {
 		}
 	}
 	for _, k := range cloud {
-		_, resident := c.Get(k)
+		_, _, resident := c.Get(k)
 		if _, demoted := l.seen[k]; demoted == resident {
 			t.Fatalf("cloud block %v: resident=%v demoted=%v, want exactly one", k, resident, demoted)
 		}
@@ -280,9 +329,9 @@ func TestSinkRunsUnlocked(t *testing.T) {
 }
 
 func TestEvictingPutAllocatesNoMore(t *testing.T) {
-	// Victims travel to the sink in a buffer on Put's frame: an evicting
-	// Put costs what a Put into free space costs (the entry and its list
-	// element).
+	// Victims travel to the sink in a buffer on Put's frame and a victim's
+	// ring slot takes the next block: an admission allocates its entry and
+	// nothing else, evicting or not.
 	blk := make([]byte, 100)
 	discard := func(Key, []byte) {}
 	roomy := NewWithSink(1<<30, discard)
@@ -299,7 +348,76 @@ func TestEvictingPutAllocatesNoMore(t *testing.T) {
 	}
 	free := testing.AllocsPerRun(1000, put(roomy))
 	evicting := testing.AllocsPerRun(1000, put(full))
-	if evicting > free {
-		t.Fatalf("an evicting Put allocates %.2f objects, one into free space %.2f", evicting, free)
+	if free != 1 || evicting != 1 {
+		t.Fatalf("a Put into free space allocates %.2f objects, an evicting one %.2f; want 1 (the entry)", free, evicting)
 	}
 }
+
+// TestSeekTableHammer races point reads that build and publish blocks' seek
+// tables against the admissions, evictions, invalidations and demotions
+// that drop them: every seek must find its key with the block's value, and
+// once every file is invalidated the cache must charge nothing — no table
+// charge survives its block, whichever side of the build the drop fell on.
+func TestSeekTableHammer(t *testing.T) {
+	const files, blocksPerFile, perBlock = 4, 16, 8
+	blockOf := func(f, b int) []byte {
+		bb := block.NewBuilder(16)
+		for i := 0; i < perBlock; i++ {
+			bb.Add(hammerKey(f, b, i), hammerValue(f, b, i))
+		}
+		return bb.Finish()
+	}
+	bodies := map[Key][]byte{}
+	for f := 1; f <= files; f++ {
+		for b := 0; b < blocksPerFile; b++ {
+			bodies[Key{FileNum: uint64(f), Offset: uint64(b)}] = blockOf(f, b)
+		}
+	}
+	// Room for about a third of the blocks, so Puts evict all along.
+	c := NewWithSink(int64(len(bodies)*len(bodies[Key{1, 0}])/3), func(Key, []byte) {})
+	var wg sync.WaitGroup
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for n := 0; n < 3000; n++ {
+				f, b, i := 1+rng.Intn(files), rng.Intn(blocksPerFile), rng.Intn(perBlock)
+				k := Key{FileNum: uint64(f), Offset: uint64(b)}
+				switch op := rng.Intn(100); {
+				case op < 70 || g < 2:
+					data, cell, ok := c.Get(k)
+					if !ok {
+						c.PutCloud(k, bodies[k])
+						continue
+					}
+					var buf [keys.SeekBufLen]byte
+					key, value, found, err := cell.SeekGE(data, hammerKey(f, b, i), buf[:0])
+					if err != nil || !found || !bytes.Equal(key, hammerKey(f, b, i)) || !bytes.Equal(value, hammerValue(f, b, i)) {
+						t.Errorf("seek in %v for entry %d: %q=%q found=%v err=%v", k, i, key, value, found, err)
+						return
+					}
+				case op < 90:
+					c.PutCloud(k, bodies[k])
+				case op < 97:
+					c.InvalidateFile(uint64(f))
+				default:
+					c.DemoteAll()
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for f := 1; f <= files; f++ {
+		c.InvalidateFile(uint64(f))
+	}
+	if used, n := c.Used(), c.Len(); used != 0 || n != 0 {
+		t.Fatalf("after invalidating every file: %d blocks, %d bytes charged; want none", n, used)
+	}
+}
+
+func hammerKey(f, b, i int) []byte {
+	return keys.MakeInternalKey(nil, []byte(fmt.Sprintf("file%d/block%03d/key%02d", f, b, i)), 7, keys.KindSet)
+}
+
+func hammerValue(f, b, i int) []byte { return []byte(fmt.Sprintf("value-%d-%d-%d", f, b, i)) }

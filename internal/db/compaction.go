@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"rocksmash/internal/block"
 	"rocksmash/internal/event"
 	"rocksmash/internal/keys"
 	"rocksmash/internal/manifest"
@@ -244,12 +245,13 @@ func (d *engine) openInputs(files []*manifest.FileMetadata, readNS, spans, block
 // scheduledFetch serves the blocks on sr's single-table schedule from its
 // spans and any other block through fallback.
 func scheduledFetch(sr *spanReader, fallback sstable.FetchFunc) sstable.FetchFunc {
-	return func(fileNum uint64, hd sstable.Handle, prof *readprof.Profile) ([]byte, error) {
+	return func(fileNum uint64, hd sstable.Handle, prof *readprof.Profile) ([]byte, *block.Cell, error) {
 		i := sort.Search(len(sr.sched), func(i int) bool { return sr.sched[i].H.Offset >= hd.Offset })
 		if i == len(sr.sched) || sr.sched[i].H != hd {
 			return fallback(fileNum, hd, prof)
 		}
-		return sr.get(i)
+		body, err := sr.get(i)
+		return body, nil, err
 	}
 }
 

@@ -507,15 +507,26 @@ func (d *engine) getAt(key []byte, seq uint64, prof *readprof.Profile) ([]byte, 
 			// Nothing in this file is visible at the snapshot.
 			return false, nil
 		}
+		if prof != nil {
+			prof.Tables++
+		}
+		// A table open in f's slot is filtered before it is referenced:
+		// its filter is immutable memory, so a table that cannot hold the
+		// key costs no reference. One that is not open is filtered once
+		// it is.
+		pre := d.tables.published(f)
+		if pre != nil && !pre.reader.MayContain(hash, prof) {
+			return false, nil
+		}
 		h, err := d.tables.get(d, f)
 		if err != nil {
 			return false, err
 		}
 		defer h.release()
-		if prof != nil {
-			prof.Tables++
+		if pre == nil && !h.reader.MayContain(hash, prof) {
+			return false, nil
 		}
-		val, found, live, err := h.reader.GetHashed(seek, hash, prof)
+		val, found, live, err := h.reader.Lookup(seek, prof)
 		if err != nil {
 			return false, err
 		}

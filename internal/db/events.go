@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"rocksmash/internal/block"
 	"rocksmash/internal/event"
 	"rocksmash/internal/histogram"
 	"rocksmash/internal/readprof"
@@ -131,10 +132,10 @@ func (d *shared) evViewBuilt(level, members, entries int, dur time.Duration) {
 // CPU in CompactionEnd stage timings; it is only installed when a listener
 // is attached.
 func timedFetch(f sstable.FetchFunc, ns *atomic.Int64) sstable.FetchFunc {
-	return func(fileNum uint64, hd sstable.Handle, prof *readprof.Profile) ([]byte, error) {
+	return func(fileNum uint64, hd sstable.Handle, prof *readprof.Profile) ([]byte, *block.Cell, error) {
 		start := time.Now()
-		body, err := f(fileNum, hd, prof)
+		body, cell, err := f(fileNum, hd, prof)
 		ns.Add(time.Since(start).Nanoseconds())
-		return body, err
+		return body, cell, err
 	}
 }

@@ -12,6 +12,7 @@ import (
 
 	"rocksmash/internal/event"
 	"rocksmash/internal/readprof"
+	"rocksmash/internal/ycsb"
 )
 
 // profKey generates deterministic keys spread across the keyspace.
@@ -462,27 +463,51 @@ func testScanAllocs(t *testing.T, shards int, perSeek float64) {
 
 // BenchmarkGetProfiled is BenchmarkGet with every read timed.
 func BenchmarkGetProfiled(b *testing.B) {
-	benchmarkGetRoute(b, true, false)
+	benchmarkGetRoute(b, true, false, benchGeometry{})
 }
 
 // BenchmarkGetBlockCache is BenchmarkGet's other route: every key is in a
 // flushed table whose blocks all fit the block cache (bloom, index seek,
-// cache hit, data-block seek, value copy).
+// cache hit, data-block seek, value copy). bench-keys is the small
+// geometry (bench-%08d keys, 100 B values, 1 KiB blocks); ycsb-400B is the
+// benchmark's get_hot block shape (ycsb.Key user keys, 400 B values, the
+// default 4 KiB blocks).
 func BenchmarkGetBlockCache(b *testing.B) {
-	benchmarkGetRoute(b, false, true)
+	b.Run("bench-keys", func(b *testing.B) { benchmarkGetRoute(b, false, true, benchGeometry{}) })
+	b.Run("ycsb-400B", func(b *testing.B) {
+		keys := make([][]byte, 1<<12)
+		for i := range keys {
+			keys[i] = ycsb.Key(uint64(i))
+		}
+		benchmarkGetRoute(b, false, true, benchGeometry{keys: keys, valueLen: 400, blockBytes: DefaultOptions().BlockBytes})
+	})
 }
 
-func benchmarkGetRoute(b *testing.B, full, flushed bool) {
+// benchGeometry shapes the store a Get benchmark reads; the zero value is
+// benchKeys(4096), 100 B values and testOptions' blocks.
+type benchGeometry struct {
+	keys       [][]byte // 4096 of them
+	valueLen   int
+	blockBytes int
+}
+
+func benchmarkGetRoute(b *testing.B, full, flushed bool, g benchGeometry) {
 	o := testOptions(PolicyLocalOnly)
 	o.MemtableBytes = 256 << 20
 	o.BlockCacheBytes = 8 << 20
+	if g.blockBytes > 0 {
+		o.BlockBytes = g.blockBytes
+	}
 	d, err := OpenAt(b.TempDir(), o)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { d.Close() })
-	keys := benchKeys(1 << 12)
-	val := make([]byte, 100)
+	keys := g.keys
+	if keys == nil {
+		keys = benchKeys(1 << 12)
+	}
+	val := make([]byte, max(g.valueLen, 100))
 	for _, k := range keys {
 		if err := d.Put(k, val); err != nil {
 			b.Fatal(err)

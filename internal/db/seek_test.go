@@ -294,7 +294,7 @@ func TestIteratorCloseLeavesReadahead(t *testing.T) {
 			}
 			time.Sleep(2 * time.Millisecond)
 		}
-		if _, ok := h.e.blockCache.Get(cache.Key{FileNum: h.num, Offset: uint64(h.off)}); ok {
+		if _, _, ok := h.e.blockCache.Get(cache.Key{FileNum: h.num, Offset: uint64(h.off)}); ok {
 			t.Errorf("block at %d of retired table %s is in the block cache", h.off, h.name)
 		}
 	})

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"rocksmash/internal/block"
 	"rocksmash/internal/cache"
 	"rocksmash/internal/manifest"
 	"rocksmash/internal/readprof"
@@ -110,17 +111,31 @@ func newTableCache(maxOpen int) *tableCache {
 // here. A handle in meta's slot is taken without a lock; only a table that
 // is not open, or open for another FileMetadata, goes through mu.
 func (tc *tableCache) get(d *engine, meta *manifest.FileMetadata) (*tableHandle, error) {
-	if meta.Slot != nil {
-		// The key check covers a copy of a FileMetadata, which shares its
-		// original's slot but may name the table's other tier.
-		if h, _ := meta.Slot.Load().(*tableHandle); h != nil && h.key == keyOf(meta.Num, meta.Tier) && h.acquire() {
-			if !h.used.Load() {
-				h.used.Store(true)
-			}
-			return h, nil
-		}
+	if h := tc.published(meta); h != nil && h.acquire() {
+		return h, nil
 	}
 	return tc.load(d, meta)
+}
+
+// published returns the handle published in meta's slot for meta's copy of
+// the table, and sets its reference bit, but takes no reference: the
+// caller may only read what outlives the handle, its reader's bloom filter
+// (a Get consults it first, so a table that cannot hold the key costs no
+// reference). nil when the table is not open in that slot.
+func (tc *tableCache) published(meta *manifest.FileMetadata) *tableHandle {
+	if meta.Slot == nil {
+		return nil
+	}
+	// The key check covers a copy of a FileMetadata, which shares its
+	// original's slot but may name the table's other tier.
+	h, _ := meta.Slot.Load().(*tableHandle)
+	if h == nil || h.key != keyOf(meta.Num, meta.Tier) {
+		return nil
+	}
+	if !h.used.Load() {
+		h.used.Store(true)
+	}
+	return h
 }
 
 // load is get's locked path: it finds the table in the map or opens it, and
@@ -298,28 +313,30 @@ const (
 )
 
 // read is the table's fetch path for client reads (sstable.FetchFunc).
-func (h *tableHandle) read(_ uint64, hd sstable.Handle, prof *readprof.Profile) ([]byte, error) {
+func (h *tableHandle) read(_ uint64, hd sstable.Handle, prof *readprof.Profile) ([]byte, *block.Cell, error) {
 	return h.walk(hd, readRungs, prof)
 }
 
 // merge is the table's fetch path for compaction inputs.
-func (h *tableHandle) merge(_ uint64, hd sstable.Handle, _ *readprof.Profile) ([]byte, error) {
+func (h *tableHandle) merge(_ uint64, hd sstable.Handle, _ *readprof.Profile) ([]byte, *block.Cell, error) {
 	return h.walk(hd, mergeRungs, nil)
 }
 
 // walk returns block hd from the first rung that holds it; under cacheRungs
-// a block neither cache holds comes back nil. The block is attributed to
-// the tier that served it on prof, with the time on a Timed profile.
-func (h *tableHandle) walk(hd sstable.Handle, r rungs, prof *readprof.Profile) ([]byte, error) {
+// a block neither cache holds comes back nil. A block the block cache
+// serves comes with the cell its seek table lives in; any other with none.
+// The block is attributed to the tier that served it on prof, with the time
+// on a Timed profile.
+func (h *tableHandle) walk(hd sstable.Handle, r rungs, prof *readprof.Profile) ([]byte, *block.Cell, error) {
 	db := h.db
 	cloud := h.tier == storage.TierCloud
 	ck := cache.Key{FileNum: h.reader.FileNum(), Offset: hd.Offset}
 	if cloud && r == readRungs {
 		db.sketch.Add(ck)
 	}
-	if body, ok := db.blockCache.Get(ck); ok {
+	if body, cell, ok := db.blockCache.Get(ck); ok {
 		attribute(prof, readprof.TierBlockCache, body, time.Time{})
-		return body, nil
+		return body, cell, nil
 	}
 	start := stageClock(prof)
 	if cloud {
@@ -332,15 +349,15 @@ func (h *tableHandle) walk(hd sstable.Handle, r rungs, prof *readprof.Profile) (
 			attribute(prof, readprof.TierPCache, body, start)
 		}
 		if ok {
-			return body, nil
+			return body, nil, nil
 		}
 	}
 	if r == cacheRungs {
-		return nil, nil
+		return nil, nil, nil
 	}
 	body, err := h.readRepaired(hd)
 	if err != nil || r == mergeRungs {
-		return body, err
+		return body, nil, err
 	}
 	tier := readprof.TierLocal
 	if cloud {
@@ -350,7 +367,7 @@ func (h *tableHandle) walk(hd sstable.Handle, r rungs, prof *readprof.Profile) (
 		db.blockCache.Put(ck, body)
 	}
 	attribute(prof, tier, body, start)
-	return body, nil
+	return body, nil, nil
 }
 
 // stageClock starts a stage clock when prof is timed (sampled): the zero

@@ -290,6 +290,12 @@ func TestTableCacheHandleLifetime(t *testing.T) {
 	for err := range fail {
 		t.Error(err)
 	}
+	// A closed scan leaves its span GETs in flight, and the last to land
+	// lets go of the member tables its iterator opened: wait for them
+	// before counting references.
+	for _, e := range d.engines {
+		e.scanTails.Wait()
+	}
 
 	// Readers holding handles can keep the cache over its cap until the
 	// next open enforces it: make the reads below reopen one table with

@@ -218,7 +218,7 @@ func (vi *viewIter) prefetch(ikey []byte) {
 		return // load surfaces the error; a local block is no round trip
 	}
 	vi.forward = true
-	body, _ := h.walk(e.H, cacheRungs, vi.prof)
+	body, _, _ := h.walk(e.H, cacheRungs, vi.prof)
 	if body == nil {
 		vi.spans.start(pos, h)
 	}
@@ -252,7 +252,8 @@ func (vi *viewIter) fetchEntry(pos int) ([]byte, error) {
 	// No span serves the block (a local table, a reverse walk, a failed
 	// span): the read walk looks the caches up, repairs local damage from
 	// its CRC, admits and attributes.
-	return h.walk(e.H, readRungs, vi.prof)
+	body, _, err := h.walk(e.H, readRungs, vi.prof)
+	return body, err
 }
 
 // spanned returns the block at ordinal pos when the prefetch, a span or —
@@ -274,7 +275,7 @@ func (vi *viewIter) spanned(pos int, e *sstable.ViewEntry, h *tableHandle) []byt
 		return body
 	}
 	if h.tier == storage.TierCloud && vi.forward {
-		if body, _ := h.walk(e.H, cacheRungs, vi.prof); body != nil {
+		if body, _, _ := h.walk(e.H, cacheRungs, vi.prof); body != nil {
 			return body
 		}
 		if sp := vi.spans.read(pos, h); sp.err == nil {

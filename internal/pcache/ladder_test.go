@@ -71,7 +71,7 @@ func (l *ladder) read(block int) {
 	}
 	k := cache.Key{FileNum: file, Offset: uint64(block % ladderTableBlocks * ladderBlockBytes)}
 	l.sketch.Add(k)
-	if _, ok := l.bc.Get(k); ok {
+	if _, _, ok := l.bc.Get(k); ok {
 		return
 	}
 	body, ok := l.pc.Get(k.FileNum, k.Offset)

@@ -143,7 +143,7 @@ func TestRetiredTableStaysOutOfTheCache(t *testing.T) {
 					file := uint64(1 + rng.Intn(8))
 					off := uint64(rng.Intn(blocks) * blockBytes)
 					k := cache.Key{FileNum: file, Offset: off}
-					if _, ok := bc.Get(k); ok {
+					if _, _, ok := bc.Get(k); ok {
 						continue
 					}
 					body, ok := pc.Get(file, off)

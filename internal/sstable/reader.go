@@ -12,11 +12,15 @@ import (
 )
 
 // FetchFunc retrieves and verifies the body of the data block at h in file
-// fileNum. The DB layers its caches (in-memory block cache, persistent
-// cache) behind this hook; the default implementation reads the table file
-// directly. prof, when non-nil, is the request-scoped read profile the
-// implementation attributes the block read to (source tier, bytes, nanos).
-type FetchFunc func(fileNum uint64, h Handle, prof *readprof.Profile) ([]byte, error)
+// fileNum, and returns it as the block cache holds it: the body and the
+// cell its seek table lives in (block.Cell), or a nil cell when no cache
+// holds the block. The DB layers its caches (in-memory block cache,
+// persistent cache) behind this hook; the default implementation reads the
+// table file directly. prof, when non-nil, is the request-scoped read
+// profile the implementation attributes the block read to (source tier,
+// bytes, nanos). Point reads search the block through its cell; iterators
+// read the body only.
+type FetchFunc func(fileNum uint64, h Handle, prof *readprof.Profile) ([]byte, *block.Cell, error)
 
 // Reader provides lookups and scans over one table. Per the paper's design
 // all table *metadata* — footer, index block, bloom filter, properties — is
@@ -117,8 +121,9 @@ func Open(f storage.Reader, fileNum uint64) (*Reader, error) {
 	return r, nil
 }
 
-func (r *Reader) readDirect(_ uint64, h Handle, _ *readprof.Profile) ([]byte, error) {
-	return ReadRawBlock(r.f, h)
+func (r *Reader) readDirect(_ uint64, h Handle, _ *readprof.Profile) ([]byte, *block.Cell, error) {
+	body, err := ReadRawBlock(r.f, h)
+	return body, nil, err
 }
 
 // SetFetch interposes fn on all data-block reads.
@@ -171,13 +176,25 @@ func (r *Reader) IndexEntries() []IndexEntry {
 	return es
 }
 
-// MayContain consults the bloom filter for ukey. Tables without filters
-// always return true.
-func (r *Reader) MayContain(ukey []byte) bool {
+// MayContain consults the bloom filter for the user key whose bloom.Hash
+// is hash, recording the consultation (and a true-negative rejection) on
+// prof when it is non-nil. Tables without filters always may. The filter
+// is immutable memory the reader pins from open, still readable once the
+// reader is closed: a caller may consult it before it references the table.
+func (r *Reader) MayContain(hash uint32, prof *readprof.Profile) bool {
 	if r.filter == nil {
 		return true
 	}
-	return r.filter.MayContainKey(ukey)
+	if prof != nil {
+		prof.BloomChecked++
+	}
+	if r.filter.MayContain(hash) {
+		return true
+	}
+	if prof != nil {
+		prof.BloomNegative++
+	}
+	return false
 }
 
 // Get finds the newest entry for ukey visible at snapshot seq.
@@ -196,42 +213,31 @@ func (r *Reader) Get(ukey []byte, seq uint64) (value []byte, found, live bool, e
 // consultation (and a true-negative rejection) and threads prof to the
 // data-block fetch so the block's source tier is attributed to this request.
 func (r *Reader) GetSeek(seek []byte, prof *readprof.Profile) (value []byte, found, live bool, err error) {
-	return r.GetHashed(seek, bloom.Hash(keys.UserKey(seek)), prof)
+	if !r.MayContain(bloom.Hash(keys.UserKey(seek)), prof) {
+		return nil, false, false, nil
+	}
+	return r.Lookup(seek, prof)
 }
 
-// GetHashed is GetSeek for a caller that also holds the user key's filter
-// hash (bloom.Hash): a read that probes several tables hashes the key once.
-func (r *Reader) GetHashed(seek []byte, hash uint32, prof *readprof.Profile) (value []byte, found, live bool, err error) {
-	ukey := keys.UserKey(seek)
-	if r.filter != nil {
-		if prof != nil {
-			prof.BloomChecked++
-		}
-		if !r.filter.MayContain(hash) {
-			if prof != nil {
-				prof.BloomNegative++
-			}
-			return nil, false, false, nil
-		}
-	}
+// Lookup is GetSeek past the bloom filter, for a caller that has consulted
+// it (MayContain). The data block is searched through the cell its fetch
+// returns: by its seek table when a cache holds it, in its raw bytes when
+// not.
+func (r *Reader) Lookup(seek []byte, prof *readprof.Profile) (value []byte, found, live bool, err error) {
 	i := r.index.search(seek)
 	if i == len(r.index.ents) {
 		return nil, false, false, nil
 	}
-	body, err := r.fetch(r.fileNum, r.index.ents[i].h, prof)
-	if err != nil {
-		return nil, false, false, err
-	}
-	br, err := block.Parse(body)
+	body, cell, err := r.fetch(r.fileNum, r.index.ents[i].h, prof)
 	if err != nil {
 		return nil, false, false, err
 	}
 	var buf [keys.SeekBufLen]byte
-	key, v, ok, err := br.SeekGE(seek, buf[:0])
+	key, v, ok, err := cell.SeekGE(body, seek, buf[:0])
 	if !ok {
 		return nil, false, false, err
 	}
-	if !bytes.Equal(keys.UserKey(key), ukey) {
+	if !bytes.Equal(keys.UserKey(key), keys.UserKey(seek)) {
 		return nil, false, false, nil
 	}
 	_, kind := keys.DecodeTrailer(key)
@@ -288,7 +294,7 @@ func (it *Iter) loadData(pos int) bool {
 	if pos < 0 || pos >= len(it.r.index.ents) {
 		return false
 	}
-	body, err := it.fetch(it.r.fileNum, it.r.index.ents[pos].h, it.prof)
+	body, _, err := it.fetch(it.r.fileNum, it.r.index.ents[pos].h, it.prof)
 	if err != nil {
 		it.err = err
 		return false

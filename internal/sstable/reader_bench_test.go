@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"rocksmash/internal/block"
 	"rocksmash/internal/keys"
 	"rocksmash/internal/readprof"
 	"rocksmash/internal/ycsb"
@@ -51,7 +52,8 @@ const benchValueLen = 400
 // benchTable builds a table of YCSB keys 0 <= idx < n (sorted, each set at
 // seq idx+1 with a benchValueLen-byte value) in memory under the default
 // builder options, and opens it with every data block pre-verified and
-// served from a map, so a lookup pays only the reader's own work.
+// served from a map as a block cache holds it, with a cell for its seek
+// table, so a lookup pays only the reader's own work.
 func benchTable(tb testing.TB, n int) *Reader {
 	tb.Helper()
 	ks := make([][]byte, n)
@@ -69,23 +71,31 @@ func benchTable(tb testing.TB, n int) *Reader {
 	if err != nil {
 		tb.Fatal(err)
 	}
+	type cached struct {
+		body []byte
+		cell block.Cell
+	}
 	hs := r.DataHandles()
-	blocks := make(map[uint64][]byte, len(hs))
+	blocks := make(map[uint64]*cached, len(hs))
 	for _, h := range hs {
-		if blocks[h.Offset], err = ReadRawBlock(f, h); err != nil {
+		c := &cached{}
+		if c.body, err = ReadRawBlock(f, h); err != nil {
 			tb.Fatal(err)
 		}
+		blocks[h.Offset] = c
 	}
-	r.SetFetch(func(_ uint64, h Handle, _ *readprof.Profile) ([]byte, error) {
-		return blocks[h.Offset], nil
+	r.SetFetch(func(_ uint64, h Handle, _ *readprof.Profile) ([]byte, *block.Cell, error) {
+		c := blocks[h.Offset]
+		return c.body, &c.cell, nil
 	})
 	return r
 }
 
 // BenchmarkReaderGet is one table's point lookup: the bloom probe, the
 // index search and the data-block seek over a 1 MiB table of YCSB keys
-// whose blocks are already in memory. A hit allocates once (the value
-// copy), a miss not at all.
+// whose blocks are already in memory, searched through their seek tables
+// (built by the first lookups). A hit allocates once (the value copy), a
+// miss not at all.
 func BenchmarkReaderGet(b *testing.B) {
 	const n = (1 << 20) / (benchValueLen + 32) // ~1 MiB of entries
 	r := benchTable(b, n)

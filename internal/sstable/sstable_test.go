@@ -8,6 +8,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	"rocksmash/internal/block"
+	"rocksmash/internal/bloom"
 	"rocksmash/internal/keys"
 	"rocksmash/internal/readprof"
 	"rocksmash/internal/storage"
@@ -186,7 +188,7 @@ func TestNoFilterStillWorks(t *testing.T) {
 	opts := DefaultBuilderOptions()
 	opts.BloomBitsPerKey = 0
 	r, _ := buildTable(t, be, "t.sst", opts, es)
-	if !r.MayContain([]byte("anything")) {
+	if !r.MayContain(bloom.Hash([]byte("anything")), nil) {
 		t.Fatal("filterless table must not reject keys")
 	}
 	v, found, live, err := r.Get([]byte("key000007"), keys.MaxSequence)
@@ -216,7 +218,7 @@ func TestFetchHookInterposition(t *testing.T) {
 	es := seqEntries(200, 32)
 	r, _ := buildTable(t, be, "t.sst", BuilderOptions{BlockBytes: 512}, es)
 	calls := 0
-	r.SetFetch(func(fileNum uint64, h Handle, prof *readprof.Profile) ([]byte, error) {
+	r.SetFetch(func(fileNum uint64, h Handle, prof *readprof.Profile) ([]byte, *block.Cell, error) {
 		calls++
 		return r.readDirect(fileNum, h, prof)
 	})
