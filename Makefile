@@ -47,11 +47,14 @@ ab:
 # accepted handle outside the table), the WAL record decoder (no panic, no
 # record whose checksum fails, writer output round-trips), the batch decoder
 # recovery runs over every WAL byte (no panic, no op outside the payload,
-# Set/Delete output round-trips) and the recovered run's sort (arbitrary
-# key, seq and kind tuples come out of Finish in keys.Compare order). The
+# Set/Delete output round-trips), the recovered run's sort (arbitrary
+# key, seq and kind tuples come out of Finish in keys.Compare order) and the
+# live memtable's skiplist (such tuples inserted from two goroutines iterate
+# in keys.Compare order both ways and seek where a sorted copy does). The
 # seed corpora (committed under each package's testdata/fuzz, and the
-# footer target's f.Add seeds) are replayed by plain `go test` already; this
-# looks for new inputs. The index and WAL seeds are whole blocks, so
+# footer and skiplist targets' f.Add seeds) are replayed by plain `go test`
+# already; this looks for new inputs. The index and WAL seeds are whole
+# blocks, and each skiplist input takes a fresh arena chunk, so
 # minimizing a new input is capped to keep the budget on fuzzing.
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz FuzzBlockSeek -fuzztime 10s ./internal/block
@@ -60,5 +63,6 @@ fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz FuzzRecordReader -fuzztime 10s -fuzzminimizetime 1s ./internal/wal
 	$(GO) test -run '^$$' -fuzz FuzzBatchIterate -fuzztime 10s ./internal/batch
 	$(GO) test -run '^$$' -fuzz FuzzRunOrder -fuzztime 10s -fuzzminimizetime 1s ./internal/memtable
+	$(GO) test -run '^$$' -fuzz FuzzSkiplistOrder -fuzztime 10s -fuzzminimizetime 1s ./internal/skiplist
 
 check: build vet test race benchsmoke

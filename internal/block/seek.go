@@ -37,17 +37,6 @@ type seekEntry struct {
 // seekEntryBytes is the memory one entry of a seek table holds.
 const seekEntryBytes = int(unsafe.Sizeof(seekEntry{}))
 
-// prefix packs the first 8 bytes of b big-endian, zero-padded, so that
-// prefix(a) < prefix(b) implies a < b bytewise.
-func prefix(b []byte) uint64 {
-	if len(b) >= 8 {
-		return binary.BigEndian.Uint64(b)
-	}
-	var p [8]byte
-	copy(p[:], b)
-	return binary.BigEndian.Uint64(p[:])
-}
-
 // buildSeekTable decodes r's entries into a seek table. It fails with
 // ErrCorrupt exactly when Walk rejects the block, and allocates the entry
 // array only (keys up to keys.SeekBufLen bytes are assembled on the stack).
@@ -99,7 +88,7 @@ func buildSeekTable(r Reader) (seekTable, error) {
 	for i, off := 0, 0; i < n; i++ {
 		shared, unshared, vlen, p, _ := decodeEntry(data, off)
 		key = append(key[:shared], data[p:p+unshared]...)
-		pfx := prefix(keys.UserKey(key)[l:])
+		pfx := keys.Prefix(keys.UserKey(key)[l:])
 		if i > 0 && pfx != ents[i-1].pfx && !headFromPrefix(key, shared, l, pfx) {
 			return seekTable{r: r}, nil
 		}
@@ -142,7 +131,7 @@ func (t *seekTable) seekGE(target, buf []byte) (key, value []byte, ok bool, err 
 			return nil, nil, false, nil
 		}
 	} else {
-		pfx := prefix(u[len(c):])
+		pfx := keys.Prefix(u[len(c):])
 		hi := len(t.ents)
 		for lo < hi {
 			mid := int(uint(lo+hi) >> 1)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"rocksmash/internal/event"
 )
@@ -199,6 +200,142 @@ func TestWriteStallAccounting(t *testing.T) {
 	// Sanity: everything is still readable.
 	mustGet(t, d, "k000000", val)
 	mustGet(t, d, "k004999", val)
+}
+
+// stallTimeline holds flushes and compactions at gates the test opens, and
+// records the write-stall events in the order they fire.
+type stallTimeline struct {
+	event.NopListener
+	flushGate, compactionGate chan struct{}
+	mu                        sync.Mutex
+	events                    []string
+	ends                      []event.WriteStallEnd
+	began                     map[string]chan struct{}
+}
+
+func (l *stallTimeline) OnFlushBegin(event.FlushBegin)           { <-l.flushGate }
+func (l *stallTimeline) OnCompactionBegin(event.CompactionBegin) { <-l.compactionGate }
+
+func (l *stallTimeline) OnWriteStallBegin(e event.WriteStallBegin) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.events = append(l.events, "begin "+e.Reason)
+	if c, ok := l.began[e.Reason]; ok {
+		delete(l.began, e.Reason)
+		close(c)
+	}
+}
+
+func (l *stallTimeline) OnWriteStallEnd(e event.WriteStallEnd) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.events = append(l.events, "end "+e.Reason)
+	l.ends = append(l.ends, e)
+}
+
+func (l *stallTimeline) ended() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.ends)
+}
+
+// TestWriteStallBookedByCause: a writer that waits on the memtable and then
+// on L0 shows two stalls, each with its own duration, and the two sum to
+// the wait. A flush is held until L0 is one table short of L0StallFiles, so
+// the writer that waited for that flush next waits for the compaction, which
+// is held too.
+func TestWriteStallBookedByCause(t *testing.T) {
+	const hold = 30 * time.Millisecond
+	l := &stallTimeline{
+		flushGate: make(chan struct{}), compactionGate: make(chan struct{}),
+		began: map[string]chan struct{}{"memtable": make(chan struct{}), "l0": make(chan struct{})},
+	}
+	memBegan, l0Began := l.began["memtable"], l.began["l0"]
+	o := testOptions(PolicyLocalOnly)
+	o.L0StallFiles = 3 // L0CompactTrigger is 2
+	o.EventListener = l
+	d, err := OpenAt(t.TempDir(), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	var once sync.Once
+	open := func() { once.Do(func() { close(l.compactionGate) }) }
+	defer open() // never leave Close waiting on a held job
+	// Two L0 tables: the compaction they start is held.
+	close(l.flushGate)
+	for _, k := range []string{"a", "b"} {
+		mustPut(t, d, k, "one table")
+		if err := d.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.flushGate = make(chan struct{})
+	defer func() {
+		select {
+		case <-l.flushGate:
+		default:
+			close(l.flushGate)
+		}
+	}()
+
+	// One writer fills a memtable, whose flush is held, then fills the next
+	// and stalls on it. It stops after the Put that carried both stalls.
+	val := string(bytes.Repeat([]byte("v"), 1000))
+	var longest time.Duration
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; l.ended() < 2; i++ {
+			start := time.Now()
+			if err := d.Put([]byte(fmt.Sprintf("k%06d", i)), []byte(val)); err != nil {
+				done <- err
+				return
+			}
+			longest = max(longest, time.Since(start))
+		}
+		done <- nil
+	}()
+	await := func(c chan struct{}, what string) time.Time {
+		select {
+		case <-c:
+		case err := <-done:
+			t.Fatalf("the writer finished (err %v) before %s: %v", err, what, l.events)
+		case <-time.After(10 * time.Second):
+			t.Fatalf("no %s", what)
+		}
+		return time.Now()
+	}
+	memAt := await(memBegan, "memtable stall")
+	time.Sleep(hold)
+	close(l.flushGate) // the flush lands the third L0 table
+	await(l0Began, "l0 stall")
+	time.Sleep(hold)
+	released := time.Now()
+	open()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+
+	l.mu.Lock()
+	events, ends := l.events, l.ends
+	l.mu.Unlock()
+	if want := "[begin memtable end memtable begin l0 end l0]"; fmt.Sprint(events) != want {
+		t.Fatalf("stall events %v, want %s", events, want)
+	}
+	m := d.Metrics()
+	if m.WriteStalls != 2 || m.WriteStallsL0 != 1 {
+		t.Fatalf("WriteStalls = %d (L0 %d), want 2 (L0 1)", m.WriteStalls, m.WriteStallsL0)
+	}
+	mem, l0 := ends[0].Duration, ends[1].Duration
+	if mem < hold || l0 < hold {
+		t.Fatalf("memtable stall %v, l0 stall %v: each was held at least %v", mem, l0, hold)
+	}
+	// The wait ran from the memtable stall's start (before memAt) to after
+	// the compaction was released, all inside one Put.
+	if sum := mem + l0; sum < released.Sub(memAt) || sum > longest {
+		t.Fatalf("stalls sum to %v: want at least %v (memtable stall seen to compaction release) and at most %v (the longest Put)",
+			sum, released.Sub(memAt), longest)
+	}
 }
 
 func TestKeysArePrefixSafe(t *testing.T) {

@@ -320,6 +320,10 @@ func (d *engine) updateReadStateLocked() {
 // when flushing or L0 falls behind. Stall events fire with d.mu released
 // (the listener contract); the loop re-evaluates its conditions after every
 // re-acquisition, so the temporary unlock is safe.
+//
+// A wait is booked by its cause: a writer that waits on the memtable and
+// then on L0 ends its memtable stall where the L0 stall begins, so the two
+// stalls' durations sum to the wait.
 func (d *engine) makeRoomForWrite(incoming int64) (err error) {
 	var (
 		stallStart  time.Time
@@ -337,17 +341,33 @@ func (d *engine) makeRoomForWrite(incoming int64) (err error) {
 			}
 		}
 	}()
-	// stallBegin marks and counts the stall, whichever its cause, and fires
-	// WriteStallBegin outside d.mu. It returns with d.mu re-held; the caller
-	// must re-check conditions.
-	stallBegin := func(reason string) {
+	// stall begins a stall for reason unless one is already running for it,
+	// ending a running stall of another cause at the same instant. It marks
+	// and counts the new stall and fires the events outside d.mu. It reports
+	// whether it began one; if so it returns with d.mu re-held and the
+	// caller must re-check conditions.
+	stall := func(reason string) bool {
+		if reason == stallReason {
+			return false
+		}
+		prevStart, prevReason := stallStart, stallReason
 		stallStart, stallReason = time.Now(), reason
 		d.stats.WriteStalls.Add(1)
+		if reason == "l0" {
+			d.stats.WriteStallsL0.Add(1)
+		}
 		if l := d.listener; l != nil {
 			d.mu.Unlock()
+			if !prevStart.IsZero() {
+				l.OnWriteStallEnd(event.WriteStallEnd{
+					Reason:   prevReason,
+					Duration: stallStart.Sub(prevStart),
+				})
+			}
 			l.OnWriteStallBegin(event.WriteStallBegin{Reason: reason})
 			d.mu.Lock()
 		}
+		return true
 	}
 	for {
 		if d.bgErr != nil {
@@ -362,16 +382,13 @@ func (d *engine) makeRoomForWrite(incoming int64) (err error) {
 			return nil
 		case d.imm != nil:
 			// A flush is already in flight; wait for it.
-			if stallStart.IsZero() {
-				stallBegin("memtable")
+			if stall("memtable") {
 				continue
 			}
 			d.immWake.Wait()
 		case len(d.vs.Current().Levels[0]) >= d.opts.L0StallFiles:
 			// Too many L0 files; wait for compaction to catch up.
-			if stallStart.IsZero() {
-				d.stats.WriteStallsL0.Add(1)
-				stallBegin("l0")
+			if stall("l0") {
 				continue
 			}
 			d.immWake.Wait()

@@ -96,12 +96,12 @@ func TestFlightOffPath(t *testing.T) {
 	}
 }
 
-// putAllocs is the allocations per Put: the skiplist node, tower included.
-// The batch is pooled, the WAL encodes into a buffer it keeps, and the
-// internal key is built on the stack. The 1.6 % of nodes taller than three
-// levels allocate their tower apart, which AllocsPerRun's integer average
-// rounds away.
-const putAllocs = 1.0
+// putAllocs is the allocations per Put: none. The batch is pooled, the WAL
+// encodes into a buffer it keeps, the internal key is built on the stack,
+// and the skiplist node, its key and its value are carved from the
+// memtable's arena. A new arena chunk every few hundred Puts is the only
+// allocation left, which AllocsPerRun's integer average rounds away.
+const putAllocs = 0.0
 
 // raceEnabled is set by race_test.go when the race detector is on.
 var raceEnabled bool

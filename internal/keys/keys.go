@@ -114,6 +114,18 @@ func Compare(a, b []byte) int {
 	}
 }
 
+// Prefix packs the first 8 bytes of b big-endian, zero-padded, so that
+// Prefix(a) < Prefix(b) implies a < b bytewise. The memtable skiplist, the
+// block seek tables and the table index all search user keys by it.
+func Prefix(b []byte) uint64 {
+	if len(b) >= 8 {
+		return binary.BigEndian.Uint64(b)
+	}
+	var p [8]byte
+	copy(p[:], b)
+	return binary.BigEndian.Uint64(p[:])
+}
+
 // AppendSeparator appends to dst a short key k with a <= k < b in
 // internal-key order and returns the extended buffer. It is used for
 // index-block boundary keys. a and b are internal keys; so is the result.

@@ -167,3 +167,24 @@ func TestCompareTransitivity(t *testing.T) {
 		}
 	}
 }
+
+// TestPrefixOrder: the 8-byte prefix never contradicts bytewise order, so a
+// search may settle any compare whose prefixes differ without the key
+// bytes. Short alphabets make ties, zero bytes and shared heads common.
+func TestPrefixOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	key := func() []byte {
+		b := make([]byte, rng.Intn(12))
+		for i := range b {
+			b[i] = "\x00\x01a"[rng.Intn(3)]
+		}
+		return b
+	}
+	for i := 0; i < 100000; i++ {
+		a, b := key(), key()
+		pa, pb := Prefix(a), Prefix(b)
+		if c := bytes.Compare(a, b); pa < pb && c >= 0 || pa > pb && c <= 0 {
+			t.Fatalf("Prefix(%q) = %#x, Prefix(%q) = %#x, but bytes.Compare = %d", a, pa, b, pb, c)
+		}
+	}
+}

@@ -16,8 +16,7 @@ import (
 // commit pipeline applies group members' batches in parallel), as are Get
 // and iterators.
 type MemTable struct {
-	arena *arena.Arena
-	list  *skiplist.List
+	list *skiplist.List
 
 	// writers counts in-flight commit-pipeline appliers. The DB registers
 	// writers under its rotation lock while the memtable is current, so by
@@ -26,15 +25,16 @@ type MemTable struct {
 	writers sync.WaitGroup
 }
 
-// New returns an empty memtable.
+// New returns an empty memtable. Its arena takes no chunk before the first
+// Add, so a memtable costs its entries, not its flush size.
 func New() *MemTable {
-	a := arena.New()
-	return &MemTable{arena: a, list: skiplist.New(a)}
+	return &MemTable{list: skiplist.New(arena.New())}
 }
 
 // Add inserts an entry. For kind == keys.KindDelete, value is ignored. The
 // internal key is built on the stack (as Get builds its seek key) and
-// copied into the arena by the insert.
+// copied into the arena with the value and the skiplist node, so an Add
+// allocates no Go object.
 func (m *MemTable) Add(seq uint64, kind keys.Kind, ukey, value []byte) {
 	var buf [keys.SeekBufLen]byte
 	ikey := keys.MakeInternalKey(buf[:0], ukey, seq, kind)
@@ -87,9 +87,10 @@ func (m *MemTable) GetSeek(seek []byte) (value []byte, found, live bool) {
 	return it.Value(), true, true
 }
 
-// ApproximateSize returns the bytes consumed by entries (keys + values +
-// trailers), used for flush triggering.
-func (m *MemTable) ApproximateSize() int64 { return m.arena.Size() }
+// ApproximateSize returns the bytes of the entries' keys, trailers and
+// values, used for flush triggering. The skiplist nodes around them are not
+// counted, so a flush cuts where the entries alone reach the budget.
+func (m *MemTable) ApproximateSize() int64 { return m.list.Size() }
 
 // Len returns the number of entries.
 func (m *MemTable) Len() int { return m.list.Len() }

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"rocksmash/internal/arena"
 	"rocksmash/internal/keys"
@@ -227,5 +228,18 @@ func TestHeightDistribution(t *testing.T) {
 		if ratio < 3.2 || ratio > 4.9 {
 			t.Errorf("count[%d]/count[%d] = %.2f, want ~4", h-1, h, ratio)
 		}
+	}
+}
+
+// TestHeadTowerFollowsNode: node.next reaches level i at 4*i bytes past
+// next0, in the arena and in the head alike, so the head's extra levels must
+// start right after its embedded node.
+func TestHeadTowerFollowsNode(t *testing.T) {
+	l := New(arena.New())
+	if got, want := uintptr(unsafe.Pointer(l.head.next(1))), uintptr(unsafe.Pointer(&l.head.tower[0])); got != want {
+		t.Fatalf("head level 1 at %#x, its tower at %#x", got, want)
+	}
+	if got, want := uintptr(unsafe.Pointer(l.head.next(maxHeight-1))), uintptr(unsafe.Pointer(&l.head.tower[maxHeight-2])); got != want {
+		t.Fatalf("head level %d at %#x, its tower's last link at %#x", maxHeight-1, got, want)
 	}
 }

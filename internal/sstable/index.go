@@ -2,7 +2,6 @@ package sstable
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"math"
 	"unsafe"
@@ -96,21 +95,10 @@ func decodeIndex(body []byte) (index, error) {
 		}
 		ix.common = first[:l:l]
 		for i := range ix.ents {
-			ix.ents[i].pfx = prefix(keys.UserKey(ix.sep(i))[l:])
+			ix.ents[i].pfx = keys.Prefix(keys.UserKey(ix.sep(i))[l:])
 		}
 	}
 	return ix, nil
-}
-
-// prefix packs the first 8 bytes of b big-endian, zero-padded, so that
-// prefix(a) < prefix(b) implies a < b bytewise.
-func prefix(b []byte) uint64 {
-	if len(b) >= 8 {
-		return binary.BigEndian.Uint64(b)
-	}
-	var p [8]byte
-	copy(p[:], b)
-	return binary.BigEndian.Uint64(p[:])
 }
 
 // sep returns separator i, an internal key.
@@ -134,7 +122,7 @@ func (ix *index) search(target []byte) int {
 		}
 		return n
 	}
-	pfx := prefix(u[len(c):])
+	pfx := keys.Prefix(u[len(c):])
 	lo, hi := 0, n
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
