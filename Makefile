@@ -42,7 +42,8 @@ ab:
 
 # Ten seconds of native fuzzing on each decoder target: the block decoder
 # (arbitrary bytes in, no panic, point seek == iterator seek), the table
-# index decoder (no panic, prefix search == linear scan == block iterator
+# index build (no panic, every rejection ErrCorrupt, accepts exactly the
+# index Builder writes, ordinal search == linear scan == block iterator
 # seek), the table footer decoder (no panic, every error ErrCorrupt, no
 # accepted handle outside the table), the WAL record decoder (no panic, no
 # record whose checksum fails, writer output round-trips), the batch decoder

@@ -152,6 +152,11 @@ func (r *Reader) restart(i int) int {
 // the value). ok is false when the header is malformed or the entry overruns
 // the block; the caller still has to check shared against the previous key.
 func decodeEntry(data []byte, off int) (shared, unshared, vlen, p int, ok bool) {
+	// Most headers are three one-byte varints.
+	if off+3 <= len(data) && data[off]|data[off+1]|data[off+2] < 0x80 {
+		s, u, v := int(data[off]), int(data[off+1]), int(data[off+2])
+		return s, u, v, off + 3, s <= len(data) && u+v <= len(data)-off-3
+	}
 	s, n1 := binary.Uvarint(data[off:])
 	if n1 <= 0 {
 		return 0, 0, 0, 0, false
@@ -172,10 +177,6 @@ func decodeEntry(data []byte, off int) (shared, unshared, vlen, p int, ok bool) 
 	}
 	return int(s), int(u), int(v), p, true
 }
-
-// Restarts returns the number of restart points: the entry count of a block
-// built at restart interval 1.
-func (r *Reader) Restarts() int { return r.numRestarts() }
 
 // Walk calls fn on every entry in block order with shared, the number of
 // leading key bytes the entry takes from the previous key, and the offsets

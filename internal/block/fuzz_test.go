@@ -13,7 +13,9 @@ import (
 // with Iter.SeekGE on whether there is an entry, which one, and whether the
 // block is corrupt. A seek table builds exactly when Walk accepts the
 // block, and its point seek — directly, and through a Cell, which builds it
-// or falls back to the raw bytes — agrees with both. The seed corpus in
+// or falls back to the raw bytes — agrees with both; a table that keeps its
+// entries returns the ordinal of the entry it lands on, and Value of that
+// ordinal is the entry's value. The seed corpus in
 // testdata/fuzz/FuzzBlockSeek (builder output at restart intervals 1 and
 // 16, truncated and bit-flipped copies, and the short-key block of
 // TestShortKeyIsCorruptNotPanic) and the seek-table shapes added below
@@ -57,14 +59,23 @@ func FuzzBlockSeek(f *testing.F) {
 				t.Fatalf("%s %x=%x ok=%v err=%v, point seek %x=%x ok=%v err=%v", via, k, v, o, e, key, value, ok, err)
 			}
 		}
-		st, terr := buildSeekTable(*r)
+		st, terr := NewSeekTable(data)
 		werr := r.Walk(func(int, int, int, int) error { return nil })
 		if (terr != nil) != (werr != nil) {
 			t.Fatalf("seek table build err=%v, Walk err=%v", terr, werr)
 		}
 		if terr == nil {
-			k, v, o, e := st.seekGE(target, nil)
+			i, k, v, o, e := st.SeekGE(target, nil)
 			agree("seek table", k, v, o, e)
+			// A table with entries holds them sorted: the seek lands on the
+			// ordinal of the first key >= target.
+			below := 0
+			for it.First(); st.Len() > 0 && it.Valid() && keys.Compare(it.Key(), target) < 0; it.Next() {
+				below++
+			}
+			if st.Len() > 0 && (i != below || (o && !bytes.Equal(st.Value(i), v))) {
+				t.Fatalf("seek table landed on entry %d (value %x), %d of %d entries sort below the target", i, v, below, st.Len())
+			}
 		}
 		var cell Cell
 		for i := 0; i < 2; i++ { // the first seek builds, the second reads the table

@@ -10,22 +10,26 @@ import (
 	"rocksmash/internal/keys"
 )
 
-// seekTable is a data block decoded once for point reads: one fixed-size
-// entry per block entry, in block order, holding the entry's offset and the
-// 8 user-key bytes that follow the block's common prefix (the user-key
-// prefix every entry shares), big-endian and zero-padded. A point seek
+// SeekTable is a block decoded once for point seeks: one fixed-size entry
+// per block entry, in block order, holding the entry's offset and the 8
+// user-key bytes that follow the block's common prefix (the user-key prefix
+// every entry shares), big-endian and zero-padded. A point seek
 // binary-searches the prefixes and decodes only the entries that tie with
 // the target's, where a search of the raw bytes decodes and compares every
-// entry of the target's restart run. Only point reads build one (Cell);
-// scans read the raw bytes through Iter.
-type seekTable struct {
+// entry of the target's restart run. A cached data block gets one on its
+// first point read (Cell), and a table's index gets one at open; scans read
+// the raw bytes through Iter.
+type SeekTable struct {
 	r      Reader
 	common []byte // aliases the first entry's key
 	// ents is nil when the fast path cannot stand in for the raw search:
-	// the block is empty, its keys are out of order, or some run of tied
-	// prefixes starts with a key whose shared bytes the prefix cannot
-	// supply (see buildSeekTable). The table then searches the raw bytes.
+	// the block is empty, its keys do not strictly increase, or some run of
+	// tied prefixes starts with a key whose shared bytes the prefix cannot
+	// supply (see NewSeekTable). The table then searches the raw bytes.
 	ents []seekEntry
+	// whole: no entry shares key bytes (restart interval 1), so each key
+	// lies whole at its entry and the binary search breaks prefix ties.
+	whole bool
 }
 
 // seekEntry is one block entry: the entry's header is at data[off:].
@@ -34,12 +38,10 @@ type seekEntry struct {
 	off uint32
 }
 
-// seekEntryBytes is the memory one entry of a seek table holds.
-const seekEntryBytes = int(unsafe.Sizeof(seekEntry{}))
-
-// buildSeekTable decodes r's entries into a seek table. It fails with
-// ErrCorrupt exactly when Walk rejects the block, and allocates the entry
-// array only (keys up to keys.SeekBufLen bytes are assembled on the stack).
+// NewSeekTable parses data and decodes its entries into a seek table. It
+// fails with ErrCorrupt exactly when Parse or Walk rejects the block, and
+// allocates the entry array only (keys up to keys.SeekBufLen bytes are
+// assembled on the stack).
 //
 // A seek starts decoding at the first entry of the run of entries whose
 // prefix ties with the target's, with nothing before it decoded: that
@@ -49,20 +51,25 @@ const seekEntryBytes = int(unsafe.Sizeof(seekEntry{}))
 // bytes are its user key's, which holds unless a user key shorter than
 // len(common)+8 is followed by one that runs on into its trailer bytes.
 // The build checks that for every run and falls back to the raw search if
-// it fails, as it does for keys out of order, where the prefixes are not
-// sorted.
-func buildSeekTable(r Reader) (seekTable, error) {
-	t := seekTable{r: r}
-	data := r.data
+// it fails, as it does for keys not in strictly increasing order, where the
+// prefixes may not be sorted.
+func NewSeekTable(data []byte) (SeekTable, error) {
+	r, err := Parse(data)
+	if err != nil {
+		return SeekTable{}, err
+	}
+	t := SeekTable{r: r}
+	data = r.data
 	var bufA, bufB [keys.SeekBufLen]byte
 	prev, cur := bufA[:0], bufB[:0]
-	n, sorted := 0, true
+	n, sorted, whole := 0, true, true
 	var first []byte
-	err := r.Walk(func(shared, keyOff, valOff, _ int) error {
+	err = r.Walk(func(shared, keyOff, valOff, _ int) error {
+		whole = whole && shared == 0
 		cur = append(append(cur[:0], prev[:shared]...), data[keyOff:valOff]...)
 		if n == 0 {
 			first = data[keyOff:valOff] // the first entry shares nothing
-		} else if keys.Compare(prev, cur) > 0 {
+		} else if keys.Compare(prev, cur) >= 0 {
 			sorted = false
 		}
 		prev, cur = cur, prev
@@ -70,10 +77,10 @@ func buildSeekTable(r Reader) (seekTable, error) {
 		return nil
 	})
 	if err != nil {
-		return seekTable{}, err
+		return SeekTable{}, err
 	}
 	if n == 0 || !sorted || len(data) > math.MaxUint32 {
-		return t, nil
+		return SeekTable{r: r, whole: n == 0}, nil // an empty block holds all of its entries
 	}
 	// Sorted, every user key lies between the first and the last, so
 	// shares their common prefix.
@@ -90,12 +97,12 @@ func buildSeekTable(r Reader) (seekTable, error) {
 		key = append(key[:shared], data[p:p+unshared]...)
 		pfx := keys.Prefix(keys.UserKey(key)[l:])
 		if i > 0 && pfx != ents[i-1].pfx && !headFromPrefix(key, shared, l, pfx) {
-			return seekTable{r: r}, nil
+			return SeekTable{r: r}, nil
 		}
 		ents[i] = seekEntry{pfx: pfx, off: uint32(off)}
 		off = p + unshared + vlen
 	}
-	t.ents = ents
+	t.ents, t.whole = ents, whole
 	return t, nil
 }
 
@@ -113,62 +120,85 @@ func headFromPrefix(key []byte, shared, l int, pfx uint64) bool {
 	return bytes.Equal(key[l:shared], p[:shared-l])
 }
 
-// bytes is the memory the table holds beyond the block: its entry array.
-func (t *seekTable) bytes() int64 { return int64(cap(t.ents) * seekEntryBytes) }
+// Bytes is the memory the table holds beyond the block: its entry array.
+func (t *SeekTable) Bytes() int64 { return int64(cap(t.ents)) * int64(unsafe.Sizeof(seekEntry{})) }
 
-// seekGE is Reader.SeekGE over the table: the same entry, assembled in the
-// same way in buf's backing array, with value aliasing the block.
-func (t *seekTable) seekGE(target, buf []byte) (key, value []byte, ok bool, err error) {
+// Len is the number of entries the table holds; 0 if it searches raw bytes.
+func (t *SeekTable) Len() int { return len(t.ents) }
+
+// Whole reports whether the table holds every entry and no key shares bytes
+// with its predecessor's: strictly increasing keys at restart interval 1.
+func (t *SeekTable) Whole() bool { return t.whole }
+
+// Value returns entry i's value, aliasing the block, for 0 <= i < Len().
+// Values are never prefix-compressed, so only entry i's header is decoded.
+func (t *SeekTable) Value(i int) []byte {
+	_, unshared, vlen, p, _ := decodeEntry(t.r.data, int(t.ents[i].off))
+	return t.r.data[p+unshared : p+unshared+vlen]
+}
+
+// SeekGE is Reader.SeekGE over the table: the same entry, its key assembled
+// in the same way in buf's backing array (in a Whole table, aliasing the
+// block, and buf unused), its value aliasing the block. i is the entry's
+// ordinal, Len() when every key is smaller; a table that searches the raw
+// bytes returns 0.
+func (t *SeekTable) SeekGE(target, buf []byte) (i int, key, value []byte, ok bool, err error) {
 	if t.ents == nil {
-		return t.r.SeekGE(target, buf)
+		key, value, ok, err = t.r.SeekGE(target, buf)
+		return 0, key, value, ok, err
 	}
 	u, c := keys.UserKey(target), t.common
-	lo := 0
+	lo, hi := 0, len(t.ents)
 	// Every entry's user key starts with c, so a target that does not
 	// sorts before or after all of them.
 	if len(u) < len(c) || !bytes.Equal(u[:len(c)], c) {
 		if bytes.Compare(u, c) > 0 {
-			return nil, nil, false, nil
+			lo = hi
 		}
 	} else {
 		pfx := keys.Prefix(u[len(c):])
-		hi := len(t.ents)
 		for lo < hi {
 			mid := int(uint(lo+hi) >> 1)
-			if t.ents[mid].pfx < pfx {
+			e := &t.ents[mid]
+			less := e.pfx < pfx
+			if e.pfx == pfx && t.whole {
+				_, unshared, _, p, _ := decodeEntry(t.r.data, int(e.off))
+				less = keys.Compare(t.r.data[p:p+unshared], target) < 0
+			}
+			if less {
 				lo = mid + 1
 			} else {
 				hi = mid
 			}
 		}
-		if lo == len(t.ents) {
-			return nil, nil, false, nil
-		}
 	}
-	// Entries before lo sort below the target. Decode from lo, the first of
-	// its prefix, whose shared bytes are c and its prefix's; the first key
-	// >= target is in lo's run of tied prefixes or is the entry after it.
+	if lo == len(t.ents) {
+		return lo, nil, nil, false, nil
+	}
+	// Entries before lo sort below the target; in a whole table, lo is the
+	// answer. Elsewhere decode from lo, the first of its prefix, whose
+	// shared bytes are c and its prefix's; the first key >= target is in
+	// lo's run of tied prefixes or is the entry after it.
 	data := t.r.data
 	e := &t.ents[lo]
 	shared, unshared, vlen, p, _ := decodeEntry(data, int(e.off))
+	if t.whole {
+		return lo, data[p : p+unshared], data[p+unshared : p+unshared+vlen], true, nil
+	}
 	key = buf[:0]
 	if shared > 0 {
 		var pb [8]byte
 		binary.BigEndian.PutUint64(pb[:], e.pfx)
-		if shared <= len(c) {
-			key = append(key, c[:shared]...)
-		} else {
-			key = append(append(key, c...), pb[:shared-len(c)]...)
-		}
+		key = append(append(key, c...), pb[:]...)[:shared]
 	}
-	for {
+	for i = lo; ; i++ {
 		key = append(key, data[p:p+unshared]...)
 		off := p + unshared + vlen
 		if keys.Compare(key, target) >= 0 {
-			return key, data[p+unshared : off], true, nil
+			return i, key, data[p+unshared : off], true, nil
 		}
 		if off >= len(data) {
-			return nil, nil, false, nil
+			return len(t.ents), nil, nil, false, nil
 		}
 		shared, unshared, vlen, p, _ = decodeEntry(data, off)
 		key = key[:shared]
@@ -183,7 +213,7 @@ func (t *seekTable) seekGE(target, buf []byte) (key, value []byte, ok bool, err 
 // block no cache holds: its seeks search the raw bytes.
 type Cell struct {
 	state atomic.Uint32
-	table seekTable     // written once, by the build, before state is cellReady
+	table SeekTable     // written once, by the build, before state is cellReady
 	used  *atomic.Int64 // the owner's charged bytes, or nil
 }
 
@@ -209,7 +239,7 @@ func (c *Cell) Drop() int64 {
 		}
 		if c.state.CompareAndSwap(s, cellRaw) {
 			if s == cellReady {
-				return c.table.bytes()
+				return c.table.Bytes()
 			}
 			// A build in flight sees the drop and takes its charge back.
 			return 0
@@ -224,7 +254,8 @@ func (c *Cell) Drop() int64 {
 // or after the owner dropped the block, it searches the raw bytes.
 func (c *Cell) SeekGE(data, target, buf []byte) (key, value []byte, ok bool, err error) {
 	if t := c.seekTable(data); t != nil {
-		return t.seekGE(target, buf)
+		_, key, value, ok, err = t.SeekGE(target, buf)
+		return key, value, ok, err
 	}
 	r, err := Parse(data)
 	if err != nil {
@@ -235,7 +266,7 @@ func (c *Cell) SeekGE(data, target, buf []byte) (key, value []byte, ok bool, err
 
 // seekTable returns the cell's table, building it from data if no read has
 // yet, or nil when there is none to use.
-func (c *Cell) seekTable(data []byte) *seekTable {
+func (c *Cell) seekTable(data []byte) *SeekTable {
 	if c == nil {
 		return nil
 	}
@@ -251,18 +282,14 @@ func (c *Cell) seekTable(data []byte) *seekTable {
 }
 
 // build runs once per cell, by the read that moved it to cellBuilding.
-func (c *Cell) build(data []byte) *seekTable {
-	r, err := Parse(data)
-	var t seekTable
-	if err == nil {
-		t, err = buildSeekTable(r)
-	}
+func (c *Cell) build(data []byte) *SeekTable {
+	t, err := NewSeekTable(data)
 	if err != nil {
 		c.state.Store(cellRaw)
 		return nil
 	}
 	c.table = t
-	n := t.bytes()
+	n := t.Bytes()
 	if c.used != nil {
 		c.used.Add(n)
 	}

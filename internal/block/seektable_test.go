@@ -72,11 +72,11 @@ func seekTargets(r *Reader) [][]byte {
 
 // checkTableSeeks compares the seek table's point seek with Reader.SeekGE
 // at every target.
-func checkTableSeeks(t *testing.T, name string, r *Reader, st *seekTable) {
+func checkTableSeeks(t *testing.T, name string, r *Reader, st *SeekTable) {
 	t.Helper()
 	for _, target := range seekTargets(r) {
 		wk, wv, wok, werr := r.SeekGE(target, nil)
-		gk, gv, gok, gerr := st.seekGE(target, nil)
+		_, gk, gv, gok, gerr := st.SeekGE(target, nil)
 		if gok != wok || (gerr != nil) != (werr != nil) || !bytes.Equal(gk, wk) || !bytes.Equal(gv, wv) {
 			t.Fatalf("%s, target %q: table %q=%q ok=%v err=%v, raw %q=%q ok=%v err=%v",
 				name, target, gk, gv, gok, gerr, wk, wv, wok, werr)
@@ -91,11 +91,12 @@ func checkTableSeeks(t *testing.T, name string, r *Reader, st *seekTable) {
 func TestSeekTableMatchesRawSeek(t *testing.T) {
 	for name := range seekShapes {
 		for _, ri := range []int{1, 3, 16} {
-			r, err := NewReader(shapeBlock(name, ri))
+			data := shapeBlock(name, ri)
+			r, err := NewReader(data)
 			if err != nil {
 				t.Fatal(err)
 			}
-			st, err := buildSeekTable(*r)
+			st, err := NewSeekTable(data)
 			if err != nil {
 				t.Fatalf("%s ri=%d: %v", name, ri, err)
 			}
@@ -110,8 +111,9 @@ func TestSeekTableMatchesRawSeek(t *testing.T) {
 	for _, k := range []string{"b", "a", "c"} {
 		b.Add(ik(k, 1), []byte(k))
 	}
-	r, _ := NewReader(b.Finish())
-	st, err := buildSeekTable(*r)
+	data := b.Finish()
+	r, _ := NewReader(data)
+	st, err := NewSeekTable(data)
 	if err != nil || st.ents != nil {
 		t.Fatalf("unsorted block: err=%v, fast path %v", err, st.ents != nil)
 	}
@@ -159,14 +161,13 @@ func TestSeekTableBenchShape(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, _ := buildSeekTable(r)
-		if st.ents == nil || len(st.ents) != len(entries[i]) || st.bytes() != int64(16*len(entries[i])) {
-			t.Fatalf("block %d: %d entries, %d bytes, fast path %v", i, len(st.ents), st.bytes(), st.ents != nil)
+		st, _ := NewSeekTable(data)
+		if st.ents == nil || len(st.ents) != len(entries[i]) || st.Bytes() != int64(16*len(entries[i])) {
+			t.Fatalf("block %d: %d entries, %d bytes, fast path %v", i, len(st.ents), st.Bytes(), st.ents != nil)
 		}
 		checkTableSeeks(t, fmt.Sprintf("block %d", i), &r, &st)
 	}
-	r, _ := Parse(blocks[0])
-	if n := testing.AllocsPerRun(50, func() { _, _ = buildSeekTable(r) }); n != 1 {
+	if n := testing.AllocsPerRun(50, func() { _, _ = NewSeekTable(blocks[0]) }); n != 1 {
 		t.Errorf("building a seek table allocates %.1f objects, want 1", n)
 	}
 	var cell Cell

@@ -338,6 +338,61 @@ func TestWriteStallBookedByCause(t *testing.T) {
 	}
 }
 
+// TestL0StallAtTrigger: an L0StallFiles equal to L0CompactTrigger is kept,
+// not raised: with the compaction the trigger starts held, a writer stalls
+// on L0 while it holds two tables.
+func TestL0StallAtTrigger(t *testing.T) {
+	l := &stallTimeline{
+		flushGate: make(chan struct{}), compactionGate: make(chan struct{}),
+		began: map[string]chan struct{}{"l0": make(chan struct{})},
+	}
+	l0Began := l.began["l0"]
+	close(l.flushGate)
+	o := testOptions(PolicyLocalOnly)
+	o.L0StallFiles = 2 // L0CompactTrigger is 2
+	o.EventListener = l
+	d, err := OpenAt(t.TempDir(), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	var once sync.Once
+	open := func() { once.Do(func() { close(l.compactionGate) }) }
+	defer open() // never leave Close waiting on a held job
+	for _, k := range []string{"a", "b"} {
+		mustPut(t, d, k, "one table")
+		if err := d.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// 1 MB of writes fills the 64 KiB memtable many times over.
+	val := bytes.Repeat([]byte("v"), 1000)
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < 1000; i++ {
+			if err := d.Put([]byte(fmt.Sprintf("k%06d", i)), val); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	select {
+	case <-l0Began:
+	case err := <-done:
+		t.Fatalf("the writer finished (err %v) without an l0 stall", err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("no l0 stall")
+	}
+	if n := d.Metrics().LevelFiles[0]; n != 2 {
+		t.Fatalf("the writer stalled on L0 with %d tables, want 2", n)
+	}
+	open()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestKeysArePrefixSafe(t *testing.T) {
 	d, _ := openTest(t, PolicyMash)
 	defer d.Close()

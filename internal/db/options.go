@@ -84,6 +84,8 @@ type Options struct {
 	// L0CompactTrigger is the L0 file count that triggers compaction.
 	L0CompactTrigger int
 	// L0StallFiles applies write backpressure when L0 reaches this count.
+	// A count below L0CompactTrigger, which no compaction could relieve,
+	// becomes 3 x L0CompactTrigger.
 	L0StallFiles int
 	// LevelBaseBytes is the target size of L1; each deeper level is
 	// LevelMultiplier times larger.
@@ -248,7 +250,7 @@ func (o Options) sanitize() Options {
 	if o.L0CompactTrigger <= 0 {
 		o.L0CompactTrigger = d.L0CompactTrigger
 	}
-	if o.L0StallFiles <= o.L0CompactTrigger {
+	if o.L0StallFiles < o.L0CompactTrigger {
 		o.L0StallFiles = o.L0CompactTrigger * 3
 	}
 	if o.LevelBaseBytes <= 0 {

@@ -345,12 +345,13 @@ func fig12Skew(cfg Config) error {
 }
 
 // tab2Metadata compares per-block metadata cost of the two persistent
-// caches plus the pinned table metadata kept local.
+// caches plus the pinned table metadata kept local, in total and per MiB
+// of table data.
 func tab2Metadata(cfg Config) error {
 	w := cfg.out()
 	records := cfg.scale(30000)
 	reads := cfg.scale(4000)
-	fmt.Fprintf(w, "%-12s %14s %12s %16s %14s\n", "cache", "cachedBlocks", "metaBytes", "bytes/block", "tableMetaBytes")
+	fmt.Fprintf(w, "%-12s %14s %12s %16s %14s %14s\n", "cache", "cachedBlocks", "metaBytes", "bytes/block", "tableMetaBytes", "tableMeta/MB")
 	for _, p := range []db.Policy{db.PolicyMash, db.PolicyCloudLRU} {
 		opts := expOptions(p)
 		opts.LocalLevels = -1
@@ -369,8 +370,9 @@ func tab2Metadata(cfg Config) error {
 		if p == db.PolicyCloudLRU {
 			name = "generic-lru"
 		}
-		fmt.Fprintf(w, "%-12s %14d %12d %16.1f %14d\n",
-			name, blocks, m.PCacheMeta, float64(m.PCacheMeta)/float64(blocks), m.MetaBytes)
+		fmt.Fprintf(w, "%-12s %14d %12d %16.1f %14d %14.0f\n",
+			name, blocks, m.PCacheMeta, float64(m.PCacheMeta)/float64(blocks), m.MetaBytes,
+			float64(m.MetaBytes)/(float64(m.LocalBytes+m.CloudBytes)/(1<<20)))
 		if err := d.Close(); err != nil {
 			return err
 		}

@@ -62,8 +62,8 @@ func NewBuilder(w storage.Writer, opts BuilderOptions) *Builder {
 		w:    w,
 		opts: opts,
 		data: block.NewBuilder(opts.RestartInterval),
-		// Interval 1: no separator shares bytes with the one before, so
-		// a reader's decoded index aliases the block (decodeIndex).
+		// Interval 1: no separator shares bytes with the one before, the
+		// index format a reader accepts (walkIndex).
 		index: block.NewBuilder(1),
 	}
 }

@@ -99,7 +99,7 @@ func seeksAround(rng *rand.Rand, gen func(*rand.Rand) []byte, seps [][]byte) [][
 	return seeks
 }
 
-// linearSearch is the reference for index.search.
+// linearSearch is the reference for the index search.
 func linearSearch(seps [][]byte, target []byte) int {
 	for i, s := range seps {
 		if keys.Compare(s, target) >= 0 {
@@ -109,28 +109,43 @@ func linearSearch(seps [][]byte, target []byte) int {
 	return len(seps)
 }
 
+// TestIndexSearchMatchesLinearScan: over indexes of every key shape and
+// size, the table Open builds holds one entry per separator with its
+// handle, and its search lands where a linear scan does. An index block
+// written at restart interval 16 whose separators share bytes is not one
+// Builder writes and fails to open.
 func TestIndexSearchMatchesLinearScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, shape := range keyShapes {
 		for _, n := range []int{0, 1, 2, 3, 17, 300} {
 			for _, ri := range []int{1, 16} {
 				seps := sortedInternalKeys(rng, shape.gen, n)
-				ix, err := decodeIndex(indexBody(seps, ri))
+				shared := false
+				for i := 1; i < len(seps); i++ {
+					shared = shared || (i%ri != 0 && seps[i-1][0] == seps[i][0])
+				}
+				r, err := Open(corruptTable(indexBody(seps, ri)), 1)
+				if shared {
+					if !errors.Is(err, ErrCorrupt) {
+						t.Fatalf("%s n=%d ri=%d: prefix-compressed index opened (err %v), want ErrCorrupt", shape.name, n, ri, err)
+					}
+					continue
+				}
 				if err != nil {
 					t.Fatalf("%s n=%d ri=%d: %v", shape.name, n, ri, err)
 				}
-				if len(ix.ents) != len(seps) {
-					t.Fatalf("%s n=%d ri=%d: %d entries, want %d", shape.name, n, ri, len(ix.ents), len(seps))
+				es := r.IndexEntries()
+				if r.index.Len() != len(seps) || len(es) != len(seps) {
+					t.Fatalf("%s n=%d ri=%d: %d entries (%d walked), want %d", shape.name, n, ri, r.index.Len(), len(es), len(seps))
 				}
 				for i, s := range seps {
-					if !bytes.Equal(ix.sep(i), s) || ix.ents[i].h != (Handle{uint64(i) * 100, 90}) {
-						t.Fatalf("%s n=%d ri=%d: entry %d = %x %v, want %x", shape.name, n, ri, i, ix.sep(i), ix.ents[i].h, s)
+					if h := (Handle{uint64(i) * 100, 90}); !bytes.Equal(es[i].Sep, s) || es[i].H != h || r.handle(i) != h {
+						t.Fatalf("%s n=%d ri=%d: entry %d = %x %v (handle(i) %v), want %x", shape.name, n, ri, i, es[i].Sep, es[i].H, r.handle(i), s)
 					}
 				}
 				for _, seek := range seeksAround(rng, shape.gen, seps) {
-					if got, want := ix.search(seek), linearSearch(seps, seek); got != want {
-						t.Fatalf("%s n=%d ri=%d: search(%x) = %d, want %d (common prefix %q)",
-							shape.name, n, ri, seek, got, want, ix.common)
+					if got, _, _, _, _ := r.index.SeekGE(seek, nil); got != linearSearch(seps, seek) {
+						t.Fatalf("%s n=%d ri=%d: search(%x) = %d, want %d", shape.name, n, ri, seek, got, linearSearch(seps, seek))
 					}
 				}
 			}
@@ -154,8 +169,8 @@ func TestReaderAgreesWithModel(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(r.index.ents) < 2 {
-				t.Fatalf("%s: %d data blocks, want several", name, len(r.index.ents))
+			if r.index.Len() < 2 {
+				t.Fatalf("%s: %d data blocks, want several", name, r.index.Len())
 			}
 			var probes [][]byte
 			for _, k := range ks {
@@ -254,7 +269,8 @@ func checkIterWalk(t *testing.T, name string, it *Iter, es []entry, seeks [][]by
 }
 
 // corruptTable is a table image with the given index body and no data or
-// filter blocks: enough for Open, which reads only metadata.
+// filter blocks: enough for Open, which reads only metadata, whether the
+// index is sound or not.
 func corruptTable(idx []byte) *memFile {
 	var img []byte
 	img = sealBlock(img, idx, CompressionNone)
@@ -281,6 +297,7 @@ func TestOpenRejectsCorruptIndex(t *testing.T) {
 	}{
 		{"unsorted", indexBody([][]byte{b, a}, 1)},
 		{"duplicate", indexBody([][]byte{a, a}, 1)},
+		{"prefix-compressed", indexBody([][]byte{a, keys.MakeInternalKey(nil, []byte("ab"), 1, keys.KindSet)}, 16)},
 		{"short separator", raw(func(bb *block.Builder) { bb.Add([]byte("short"), h) })},
 		{"bad handle", raw(func(bb *block.Builder) { bb.Add(a, []byte{0x80}) })},
 		{"bad trailer", []byte{1, 2}},
@@ -294,8 +311,8 @@ func TestOpenRejectsCorruptIndex(t *testing.T) {
 	}
 }
 
-// TestIndexDecodeAllocs bounds what decoding a table's index costs at
-// open: the entry array, sized from the restart count, and nothing per
+// TestIndexDecodeAllocs bounds what reading a table's index costs at open:
+// the seek table's entry array, 16 B per data block, and nothing per
 // separator.
 func TestIndexDecodeAllocs(t *testing.T) {
 	r := benchTable(t, 2400)
@@ -308,56 +325,66 @@ func TestIndexDecodeAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := testing.AllocsPerRun(100, func() { _, _ = decodeIndex(body) }); got > 2 {
-		t.Fatalf("decodeIndex: %v allocations, want at most 2", got)
+	if got := testing.AllocsPerRun(100, func() { _, _ = readIndex(body) }); got > 1 {
+		t.Fatalf("readIndex: %v allocations, want at most 1", got)
 	}
-	if len(r.index.ents) < 100 || cap(r.index.ents) != len(r.index.ents) {
-		t.Fatalf("%d entries in an array of %d", len(r.index.ents), cap(r.index.ents))
+	if n := r.index.Len(); n < 100 || r.index.Bytes() != int64(16*n) {
+		t.Fatalf("%d entries in %d bytes", n, r.index.Bytes())
 	}
 }
 
-// FuzzIndexDecode feeds arbitrary bytes to the index decoder as an index
-// block body: nothing may panic, and when the body decodes, the prefix
-// search must agree with a linear keys.Compare scan and with a block.Iter
-// seek over the same bytes, and every entry with the iterator's. The seed
-// corpus in testdata/fuzz/FuzzIndexDecode (builder output at restart
-// intervals 1 and 16, truncated, bit-flipped, unsorted and short-key
-// bodies) is replayed by a plain `go test`.
+// FuzzIndexDecode feeds arbitrary bytes to readIndex as an index block
+// body: nothing may panic, every rejection is ErrCorrupt, and a body is
+// accepted exactly when Walk reads it as an index Builder could write —
+// separators that share no bytes with their predecessors, strictly
+// increasing, each with a handle. For an accepted body, the search lands
+// on the ordinal a linear keys.Compare scan of Walk's separators gives and
+// a block.Iter seek over the same bytes reaches, and returns that entry's
+// handle. The seed corpus in testdata/fuzz/FuzzIndexDecode (builder output
+// at restart intervals 1 and 16, truncated, bit-flipped, unsorted and
+// short-key bodies) is replayed by a plain `go test`; the restart-interval
+// 16 seeds are prefix-compressed and must be rejected.
 func FuzzIndexDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body, ukey []byte, trailer uint64) {
-		ix, err := decodeIndex(body)
+		ix, err := readIndex(body)
+		var seps [][]byte
+		var hs []Handle
+		sound := false
+		br, perr := block.Parse(body)
+		if perr == nil {
+			sound = br.Walk(func(shared, keyOff, valOff, end int) error {
+				sep := body[keyOff:valOff]
+				h, herr := DecodeHandle(body[valOff:end])
+				if shared != 0 || herr != nil || (len(seps) > 0 && keys.Compare(seps[len(seps)-1], sep) >= 0) {
+					return errors.New("not an index Builder writes")
+				}
+				seps, hs = append(seps, sep), append(hs, h)
+				return nil
+			}) == nil
+		}
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("decodeIndex error %v is not ErrCorrupt", err)
+				t.Fatalf("readIndex error %v is not ErrCorrupt", err)
+			}
+			if sound {
+				t.Fatalf("readIndex rejected a sound index: %v", err)
 			}
 			return
 		}
-		br, err := block.Parse(body)
-		if err != nil {
-			t.Fatalf("decodeIndex accepted a body block.NewReader rejects: %v", err)
-		}
-		var seps [][]byte
-		it := br.NewIter()
-		for it.First(); it.Valid(); it.Next() {
-			i := len(seps)
-			if i >= len(ix.ents) || !bytes.Equal(it.Key(), ix.sep(i)) {
-				t.Fatalf("entry %d: iterator %x, decoded %d entries", i, it.Key(), len(ix.ents))
-			}
-			if h, err := DecodeHandle(it.Value()); err != nil || h != ix.ents[i].h {
-				t.Fatalf("entry %d: iterator handle %v (%v), decoded %v", i, h, err, ix.ents[i].h)
-			}
-			seps = append(seps, bytes.Clone(it.Key()))
-		}
-		if it.Err() != nil || len(seps) != len(ix.ents) {
-			t.Fatalf("iterator walked %d entries (err %v), decoded %d", len(seps), it.Err(), len(ix.ents))
+		if !sound || ix.Len() != len(seps) {
+			t.Fatalf("readIndex accepted %d entries, Walk reads %d (sound %v)", ix.Len(), len(seps), sound)
 		}
 		target := binary.LittleEndian.AppendUint64(bytes.Clone(ukey), trailer)
-		got := ix.search(target)
-		if want := linearSearch(seps, target); got != want {
-			t.Fatalf("search(%x) = %d, linear scan %d", target, got, want)
+		got, _, v, ok, _ := ix.SeekGE(target, nil)
+		if want := linearSearch(seps, target); got != want || ok != (want < len(seps)) {
+			t.Fatalf("search(%x) = %d (ok %v), linear scan %d", target, got, ok, want)
 		}
+		if h, err := DecodeHandle(v); ok && (err != nil || h != hs[got]) {
+			t.Fatalf("search(%x) = %d with handle %v (%v), want %v", target, got, h, err, hs[got])
+		}
+		it := br.NewIter()
 		it.SeekGE(target)
-		if it.Valid() != (got < len(seps)) || (it.Valid() && !bytes.Equal(it.Key(), seps[got])) {
+		if it.Valid() != ok || (ok && !bytes.Equal(it.Key(), seps[got])) {
 			t.Fatalf("search(%x) = %d of %d, block.Iter valid=%v at %x", target, got, len(seps), it.Valid(), it.Key())
 		}
 	})

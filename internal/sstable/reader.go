@@ -2,6 +2,7 @@ package sstable
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 
 	"rocksmash/internal/block"
@@ -25,16 +26,16 @@ type FetchFunc func(fileNum uint64, h Handle, prof *readprof.Profile) ([]byte, *
 // Reader provides lookups and scans over one table. Per the paper's design
 // all table *metadata* — footer, index block, bloom filter, properties — is
 // loaded eagerly at open time and pinned in memory, so only data-block
-// reads ever touch the (possibly cloud-resident) file body. The index is
-// decoded once, at open, into the array every lookup and scan searches.
+// reads ever touch the (possibly cloud-resident) file body. Every lookup and
+// scan searches the index block through the seek table built at open.
 type Reader struct {
 	fileNum   uint64
 	f         storage.Reader
 	props     Properties
-	index     index
+	indexBody []byte
+	index     block.SeekTable // over indexBody, Whole: seeks need no buffer and do not fail
 	filter    bloom.Filter
 	fetch     FetchFunc
-	metaBytes int
 	metaOff   uint64
 }
 
@@ -96,11 +97,10 @@ func Open(f storage.Reader, fileNum uint64) (*Reader, error) {
 	r := &Reader{fileNum: fileNum, f: f, metaOff: ftr.tailOffset()}
 	r.fetch = r.readDirect
 
-	idxBody, err := ReadRawBlock(f, ftr.index)
-	if err != nil {
+	if r.indexBody, err = ReadRawBlock(f, ftr.index); err != nil {
 		return nil, err
 	}
-	if r.index, err = decodeIndex(idxBody); err != nil {
+	if r.index, err = readIndex(r.indexBody); err != nil {
 		return nil, err
 	}
 	if ftr.filter.Length > 0 {
@@ -117,8 +117,30 @@ func Open(f storage.Reader, fileNum uint64) (*Reader, error) {
 	if r.props, err = decodeProperties(pb); err != nil {
 		return nil, err
 	}
-	r.metaBytes = len(r.filter) + r.index.pinned()
 	return r, nil
+}
+
+// readIndex builds the seek table a table's index block is searched
+// through, failing with ErrCorrupt unless the block is an index as Builder
+// writes it: a Whole table (separators strictly increasing, none sharing
+// bytes) with a handle per entry. It allocates the entry array only.
+func readIndex(body []byte) (block.SeekTable, error) {
+	t, err := block.NewSeekTable(body)
+	if err != nil || !t.Whole() {
+		return block.SeekTable{}, fmt.Errorf("%w: index block", ErrCorrupt)
+	}
+	for i := 0; i < t.Len(); i++ {
+		if _, err := DecodeHandle(t.Value(i)); err != nil {
+			return block.SeekTable{}, fmt.Errorf("%w: index block: entry %d: bad block handle", ErrCorrupt, i)
+		}
+	}
+	return t, nil
+}
+
+// handle returns data block i's handle, which Open checked.
+func (r *Reader) handle(i int) Handle {
+	h, _ := DecodeHandle(r.index.Value(i))
+	return h
 }
 
 func (r *Reader) readDirect(_ uint64, h Handle, _ *readprof.Profile) ([]byte, *block.Cell, error) {
@@ -140,9 +162,9 @@ func (r *Reader) FileNum() uint64 { return r.fileNum }
 func (r *Reader) Properties() Properties { return r.props }
 
 // MetadataBytes reports the memory the table's pinned metadata holds (bloom
-// filter, index block and its decoded entries), used for the paper's
+// filter, index block and its seek table), used for the paper's
 // metadata-overhead accounting.
-func (r *Reader) MetadataBytes() int { return r.metaBytes }
+func (r *Reader) MetadataBytes() int { return len(r.filter) + cap(r.indexBody) + int(r.index.Bytes()) }
 
 // MetaOffset returns the file offset where the metadata tail (filter,
 // index, properties, footer) begins.
@@ -151,9 +173,9 @@ func (r *Reader) MetaOffset() uint64 { return r.metaOff }
 // DataHandles returns the handles of all data blocks in file order; the
 // persistent cache uses this for compaction-aware region layout.
 func (r *Reader) DataHandles() []Handle {
-	hs := make([]Handle, len(r.index.ents))
-	for i := range r.index.ents {
-		hs[i] = r.index.ents[i].h
+	hs := make([]Handle, r.index.Len())
+	for i := range hs {
+		hs[i] = r.handle(i)
 	}
 	return hs
 }
@@ -166,12 +188,14 @@ type IndexEntry struct {
 }
 
 // IndexEntries returns every data block's separator and handle in file
-// order, copied from the decoded index — no data I/O. The sorted-view
+// order, copied from the pinned index block — no data I/O. The sorted-view
 // builder concatenates these across a level's members.
 func (r *Reader) IndexEntries() []IndexEntry {
-	es := make([]IndexEntry, len(r.index.ents))
-	for i := range es {
-		es[i] = IndexEntry{Sep: bytes.Clone(r.index.sep(i)), H: r.index.ents[i].h}
+	br, _ := block.Parse(r.indexBody) // Open parsed it
+	es := make([]IndexEntry, 0, r.index.Len())
+	it := br.NewIter()
+	for it.First(); it.Valid(); it.Next() {
+		es = append(es, IndexEntry{Sep: bytes.Clone(it.Key()), H: r.handle(len(es))})
 	}
 	return es
 }
@@ -206,7 +230,7 @@ func (r *Reader) Get(ukey []byte, seq uint64) (value []byte, found, live bool, e
 
 // GetSeek is Get for a caller that already holds the seek key
 // (keys.MakeSeekKey of the user key and snapshot): a read that probes several
-// tables builds it once. The index search reads the decoded index and the
+// tables builds it once. The index search assembles no key and the
 // data-block lookup is a point seek over a stack buffer, so the only
 // allocation is the returned copy of a live value. With
 // read-path attribution: when prof is non-nil it records the bloom-filter
@@ -224,11 +248,12 @@ func (r *Reader) GetSeek(seek []byte, prof *readprof.Profile) (value []byte, fou
 // returns: by its seek table when a cache holds it, in its raw bytes when
 // not.
 func (r *Reader) Lookup(seek []byte, prof *readprof.Profile) (value []byte, found, live bool, err error) {
-	i := r.index.search(seek)
-	if i == len(r.index.ents) {
+	_, _, hv, ok, _ := r.index.SeekGE(seek, nil)
+	if !ok {
 		return nil, false, false, nil
 	}
-	body, cell, err := r.fetch(r.fileNum, r.index.ents[i].h, prof)
+	h, _ := DecodeHandle(hv) // Open checked every handle
+	body, cell, err := r.fetch(r.fileNum, h, prof)
 	if err != nil {
 		return nil, false, false, err
 	}
@@ -259,8 +284,8 @@ func (r *Reader) Close() error {
 	return err
 }
 
-// Iter is a bidirectional iterator over the table's internal keys. It
-// moves an ordinal over the decoded index and holds its data block iterator
+// Iter is a bidirectional iterator over the table's internal keys. It moves
+// an ordinal over the index's seek table and holds its data block iterator
 // by value: moving to the next block re-points the data iterator and reuses
 // its key buffer, so a scan allocates once per iterator, not per block.
 type Iter struct {
@@ -291,10 +316,10 @@ func (r *Reader) NewIterWithFetch(fetch FetchFunc) *Iter {
 // when pos is off either end of the index.
 func (it *Iter) loadData(pos int) bool {
 	it.pos, it.loaded = pos, false
-	if pos < 0 || pos >= len(it.r.index.ents) {
+	if pos < 0 || pos >= it.r.index.Len() {
 		return false
 	}
-	body, _, err := it.fetch(it.r.fileNum, it.r.index.ents[pos].h, it.prof)
+	body, _, err := it.fetch(it.r.fileNum, it.r.handle(pos), it.prof)
 	if err != nil {
 		it.err = err
 		return false
@@ -317,9 +342,11 @@ func (it *Iter) First() {
 	}
 }
 
-// SeekGE positions at the first entry with internal key >= target.
+// SeekGE positions at the first entry with internal key >= target. Only
+// the first block whose separator is >= target can hold it.
 func (it *Iter) SeekGE(target []byte) {
-	if it.loadData(it.r.index.search(target)) {
+	i, _, _, _, _ := it.r.index.SeekGE(target, nil)
+	if it.loadData(i) {
 		it.data.SeekGE(target)
 		it.skipEmptyForward()
 	}
@@ -336,7 +363,7 @@ func (it *Iter) Next() {
 
 // Last positions at the final entry.
 func (it *Iter) Last() {
-	if it.loadData(len(it.r.index.ents) - 1) {
+	if it.loadData(it.r.index.Len() - 1) {
 		it.data.Last()
 		it.skipEmptyBackward()
 	}
@@ -345,21 +372,13 @@ func (it *Iter) Last() {
 // SeekLT positions at the last entry with internal key < target.
 func (it *Iter) SeekLT(target []byte) {
 	// The block whose separator is >= target may still hold entries
-	// < target; start there and walk backward as needed.
-	i := it.r.index.search(target)
-	if i == len(it.r.index.ents) {
-		// target is beyond every separator: start from the last block.
-		it.Last()
-		if it.Valid() && keys.Compare(it.Key(), target) >= 0 {
-			it.prevEntry()
-		}
-		return
+	// < target; start there and walk backward as needed. A target beyond
+	// every separator is beyond every key: start from the last block.
+	i, _, _, _, _ := it.r.index.SeekGE(target, nil)
+	if it.loadData(min(i, it.r.index.Len()-1)) {
+		it.data.SeekLT(target)
+		it.skipEmptyBackward()
 	}
-	if !it.loadData(i) {
-		return
-	}
-	it.data.SeekLT(target)
-	it.skipEmptyBackward()
 }
 
 // Prev moves one entry backward.

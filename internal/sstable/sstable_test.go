@@ -336,16 +336,15 @@ func TestQuickTableRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMetadataBytesPositive checks the figure fixed at open counts what the
-// reader pins: the bloom filter, the index body the separators alias and
-// the decoded index entries.
+// TestMetadataBytesPositive checks the figure counts what the reader pins: the bloom filter, the index body and the index's seek table,
+// 16 B per data block.
 func TestMetadataBytesPositive(t *testing.T) {
 	be := newLocal(t)
 	es := seqEntries(500, 16)
 	r, _ := buildTable(t, be, "t.sst", DefaultBuilderOptions(), es)
-	want := len(r.filter) + cap(r.index.seps) + len(r.index.ents)*indexEntryBytes
-	if got := r.MetadataBytes(); got != want || len(r.filter) == 0 || len(r.index.ents) == 0 {
-		t.Fatalf("MetadataBytes = %d, want %d (filter %d B, %d index entries)", got, want, len(r.filter), len(r.index.ents))
+	want := len(r.filter) + cap(r.indexBody) + 16*r.index.Len()
+	if got := r.MetadataBytes(); got != want || len(r.filter) == 0 || r.index.Len() == 0 {
+		t.Fatalf("MetadataBytes = %d, want %d (filter %d B, %d index entries)", got, want, len(r.filter), r.index.Len())
 	}
 }
 
