@@ -2,6 +2,7 @@ package db
 
 import (
 	"bytes"
+	"fmt"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -12,7 +13,6 @@ import (
 	"rocksmash/internal/manifest"
 	"rocksmash/internal/readprof"
 	"rocksmash/internal/sstable"
-	"rocksmash/internal/storage"
 )
 
 // compactionSlots is how many compaction jobs run at once in the whole store,
@@ -196,15 +196,17 @@ func (c *compaction) isBaseLevel() bool {
 	return true
 }
 
-// openInputs opens the merge's input tables, one iterator each. A
-// local-tier input reads block by block through the scan-resistant ladder.
-// A cloud-tier input reads its data blocks, in file order, through a
-// spanReader with a private buffer and compactionSpanBytes-wide spans (see
-// span.go); the readers of one compaction share a budget of compactionGETs,
-// and a block outside a reader's schedule falls back to the ladder. drain
-// waits out the span GETs in flight. readNS, when non-nil, accumulates the
-// time the merge spends blocked on reads; spans and blocks count the span
-// GETs that landed.
+// openInputs opens the merge's input tables, one iterator each. Every
+// input, on either tier, reads its data blocks in file order through a
+// spanReader of its own with compactionSpanBytes-wide spans (see span.go),
+// read into buffers from the store's free list that go back as the merge
+// moves past them. A cloud input keeps its spans' GETs in flight ahead of
+// the merge, the readers of one compaction sharing a budget of
+// compactionGETs; a local input reads each span when the merge reaches it.
+// Neither looks up or fills a cache. drain waits out the GETs in flight and
+// gives every span buffer back. readNS, when non-nil, accumulates the time
+// the merge spends blocked on reads; spans and blocks count the span GETs
+// that landed.
 func (d *engine) openInputs(files []*manifest.FileMetadata, readNS, spans, blocks *atomic.Int64) (children []internalIterator, drain func(), err error) {
 	gets := make(chan struct{}, compactionGETs)
 	width := compactionSpanBlocks(d.opts.BlockBytes)
@@ -217,19 +219,16 @@ func (d *engine) openInputs(files []*manifest.FileMetadata, readNS, spans, block
 			}
 			return nil, nil, err
 		}
-		fetch := sstable.FetchFunc(h.merge)
-		if f.Tier == storage.TierCloud {
-			hs := h.reader.DataHandles()
-			sr := &spanReader{
-				sched: make([]sstable.ViewEntry, len(hs)), tables: h, width: width,
-				gets: gets, spans: spans, blocks: blocks,
-			}
-			for i, bh := range hs {
-				sr.sched[i].H = bh
-			}
-			readers = append(readers, sr)
-			fetch = scheduledFetch(sr, fetch)
+		hs := h.reader.DataHandles()
+		sr := &spanReader{
+			sched: make([]sstable.ViewEntry, len(hs)), tables: h, width: width,
+			pool: d.bufs, gets: gets, spans: spans, blocks: blocks,
 		}
+		for i, bh := range hs {
+			sr.sched[i].H = bh
+		}
+		readers = append(readers, sr)
+		fetch := scheduledFetch(sr)
 		if readNS != nil {
 			fetch = timedFetch(fetch, readNS)
 		}
@@ -242,13 +241,13 @@ func (d *engine) openInputs(files []*manifest.FileMetadata, readNS, spans, block
 	}, nil
 }
 
-// scheduledFetch serves the blocks on sr's single-table schedule from its
-// spans and any other block through fallback.
-func scheduledFetch(sr *spanReader, fallback sstable.FetchFunc) sstable.FetchFunc {
-	return func(fileNum uint64, hd sstable.Handle, prof *readprof.Profile) ([]byte, *block.Cell, error) {
+// scheduledFetch serves the blocks of sr's single-table schedule, which
+// holds every data block of the table, from its spans.
+func scheduledFetch(sr *spanReader) sstable.FetchFunc {
+	return func(fileNum uint64, hd sstable.Handle, _ *readprof.Profile) ([]byte, *block.Cell, error) {
 		i := sort.Search(len(sr.sched), func(i int) bool { return sr.sched[i].H.Offset >= hd.Offset })
 		if i == len(sr.sched) || sr.sched[i].H != hd {
-			return fallback(fileNum, hd, prof)
+			return nil, nil, fmt.Errorf("%w: table %d has no data block at %d", sstable.ErrCorrupt, fileNum, hd.Offset)
 		}
 		body, err := sr.get(i)
 		return body, nil, err
@@ -308,7 +307,9 @@ func (d *engine) doCompaction(c *compaction) (err error) {
 		return err
 	}
 	installStart := time.Now()
-	if err := d.install(c, outputs); err != nil {
+	err = d.install(c, outputs)
+	sink.release()
+	if err != nil {
 		return err // the edit may be durable: its outputs are not orphans
 	}
 

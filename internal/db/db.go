@@ -89,6 +89,7 @@ func Open(opts Options, local storage.Backend, cloud storage.Backend) (*DB, erro
 			seqs:   newSeqSource(),
 			lat:    newLatencies(),
 			tables: newTableCache(maxOpenTables),
+			bufs:   newBufPool(opts),
 			slots:  make(chan struct{}, compactionSlots),
 		},
 		local:    local,

@@ -38,6 +38,9 @@ type shared struct {
 	pcache     *pcache.PCache
 	sketch     *cache.Sketch
 	tables     *tableCache
+	// bufs is the free list of the table and compaction-span buffers every
+	// engine's flushes and compactions build and read in (bufpool.go).
+	bufs *bufPool
 	// lat holds the always-on per-operation latency histograms.
 	lat *latencies
 	// seqs allocates sequence numbers and publishes the visibility
@@ -420,14 +423,17 @@ func (d *engine) sealLocked() {
 // pooled profile whose counter core is always recorded; only a Timed one
 // reads the clock — 1 in profileSampleRate of them, and every Get that asks
 // for its profile back through out (DB.GetProfiled). The latency histogram
-// therefore holds the timed sample; Metrics counts Gets from stats.Reads.
+// holds the 1-in-profileSampleRate sample only, however each Get was called:
+// a caller that profiles some of its Gets does not weight it toward them.
+// Metrics counts Gets from stats.Reads.
 func (d *engine) get(key []byte, seq uint64, out *readprof.Profile) ([]byte, error) {
 	if d.closed.Load() {
 		return nil, ErrClosed
 	}
 	n := d.stats.Reads.Add(1)
+	sample := sampled(n)
 	prof := getProfile()
-	prof.Timed = out != nil || sampled(n)
+	prof.Timed = out != nil || sample
 	var start time.Time
 	if prof.Timed {
 		start = time.Now()
@@ -435,7 +441,9 @@ func (d *engine) get(key []byte, seq uint64, out *readprof.Profile) ([]byte, err
 	v, err := d.getAt(key, seq, prof)
 	if prof.Timed {
 		elapsed := time.Since(start)
-		d.lat.get.Record(elapsed)
+		if sample {
+			d.lat.get.Record(elapsed)
+		}
 		prof.TotalNanos = elapsed.Nanoseconds()
 		if out != nil {
 			*out = *prof

@@ -76,7 +76,9 @@ func (d *engine) flushMemtable(imm *memtable.MemTable) error {
 		HasLastSeq:    true,
 		LastSeq:       d.lastSeq.Load(),
 	}
-	if err := d.vs.LogAndApply(edit); err != nil {
+	err = d.vs.LogAndApply(edit)
+	sink.release()
+	if err != nil {
 		restoreOnError()
 		return err
 	}

@@ -163,6 +163,98 @@ func TestCorruptLocalTableNoCloudSourceQuarantines(t *testing.T) {
 	mustGet(t, d, fmt.Sprintf("k%05d", n-1), pipelineValue(n-1))
 }
 
+// TestCompactionRepairsCorruptLocalInput damages a data block of a local L0
+// table and compacts it. A compaction reads its local inputs in spans, not
+// block by block: with a cloud mirror the damaged span is repaired from it
+// and the merge goes on, every key reading back right and no span counted
+// as a cloud GET; with no cloud tier the compaction fails with
+// ErrCorruption, its sink leaves no table behind, and the store still
+// serves every key outside the damaged block.
+func TestCompactionRepairsCorruptLocalInput(t *testing.T) {
+	const n = 300
+	key := func(i int) string { return fmt.Sprintf("k%05d", i) }
+	// load writes two L0 tables, keys [0,n) and then [n,2n), which wait
+	// there for CompactAll, and damages the first one's first data block.
+	load := func(t *testing.T, d *DB, mirrored bool) {
+		e := d.engines[0]
+		e.compactionMu.Lock()
+		e.paused++
+		e.compactionMu.Unlock()
+		for i := 0; i < 2*n; i++ {
+			mustPut(t, d, key(i), pipelineValue(i))
+			if i == n-1 || i == 2*n-1 {
+				if err := d.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		l0 := e.vs.Current().Levels[0]
+		if len(l0) != 2 {
+			t.Fatalf("%d L0 tables, want 2", len(l0))
+		}
+		if mirrored {
+			waitFor(t, "lazy mirror", 10*time.Second, func() bool { return d.Metrics().MirroredTables >= 2 })
+		}
+		for _, f := range l0 {
+			if string(f.Smallest[:len(f.Smallest)-8]) == key(0) {
+				corruptObject(t, d.local, manifest.TableName(f.Num), 64)
+				d.tables.evict(f.Num)
+				return
+			}
+		}
+		t.Fatal("no L0 table starts at the first key")
+	}
+
+	t.Run("mirror", func(t *testing.T) {
+		o := testOptions(PolicyMash)
+		o.MirrorLocalLevels = true
+		d, err := OpenAt(t.TempDir(), o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
+		load(t, d, true)
+		before := d.Metrics()
+		if err := d.CompactAll(); err != nil {
+			t.Fatalf("compaction over a repairable input: %v", err)
+		}
+		m := d.Metrics()
+		if m.CorruptionsRepaired == before.CorruptionsRepaired || m.CorruptionsUnrepaired != 0 {
+			t.Fatalf("compaction repaired %d, left %d unrepaired; want the damaged input repaired",
+				m.CorruptionsRepaired-before.CorruptionsRepaired, m.CorruptionsUnrepaired)
+		}
+		if m.PrefetchSpans != before.PrefetchSpans || m.PrefetchBlocks != before.PrefetchBlocks {
+			t.Errorf("local inputs counted as cloud GETs: %d spans, %d blocks",
+				m.PrefetchSpans-before.PrefetchSpans, m.PrefetchBlocks-before.PrefetchBlocks)
+		}
+		if l0 := d.engines[0].vs.Current().Levels[0]; len(l0) != 0 {
+			t.Fatalf("%d L0 tables left after CompactAll", len(l0))
+		}
+		for i := 0; i < 2*n; i++ {
+			mustGet(t, d, key(i), pipelineValue(i))
+		}
+	})
+
+	t.Run("local-only", func(t *testing.T) {
+		d, _ := openTest(t, PolicyLocalOnly)
+		defer d.Close()
+		load(t, d, false)
+		if err := d.CompactAll(); !errors.Is(err, storage.ErrCorruption) {
+			t.Fatalf("compaction over an unrepairable input: err = %v, want ErrCorruption", err)
+		}
+		checkTableObjects(t, d, "after the failed compaction")
+		if l0 := d.engines[0].vs.Current().Levels[0]; len(l0) != 2 {
+			t.Fatalf("%d L0 tables after the failed compaction, want its 2 inputs", len(l0))
+		}
+		for i := n - 1; i < 2*n; i++ {
+			mustGet(t, d, key(i), pipelineValue(i))
+		}
+		if _, err := d.Get([]byte(key(0))); !errors.Is(err, storage.ErrCorruption) {
+			t.Fatalf("Get in the damaged block: err = %v, want ErrCorruption", err)
+		}
+	})
+}
+
 // TestCorruptSidecarRepairedTransparently damages every cloud table's local
 // metadata sidecar and asserts reads still succeed: the open classifies the
 // sidecar corruption, deletes it, and rebuilds it from the cloud object's

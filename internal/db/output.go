@@ -32,22 +32,15 @@ const uploadParallelism = 4
 // uploaded as one object and, when warranted, warmed into the persistent
 // cache without a round trip back to the cloud.
 type memWriter struct {
-	buf bytes.Buffer
+	buf []byte
 }
 
-// newTableWriter returns a memWriter with room for a table of about size
-// bytes. Left to grow by doubling, a 1 MiB table allocates and zeroes some
-// 4 MiB on the way up; at fill's write rate that regrowth was most of the
-// bytes the process allocated and so set how often the collector ran.
-func newTableWriter(size int64) *memWriter {
-	w := &memWriter{}
-	w.buf.Grow(int(size))
-	return w
+func (w *memWriter) Write(p []byte) (int, error) {
+	w.buf = append(w.buf, p...)
+	return len(p), nil
 }
-
-func (w *memWriter) Write(p []byte) (int, error) { return w.buf.Write(p) }
-func (w *memWriter) Sync() error                 { return nil }
-func (w *memWriter) Close() error                { return nil }
+func (w *memWriter) Sync() error  { return nil }
+func (w *memWriter) Close() error { return nil }
 
 // bytesReader adapts a byte slice to storage.Reader.
 type bytesReader struct {
@@ -78,6 +71,13 @@ type builtTable struct {
 // in order and cuts a new table past target bytes, only ever between user
 // keys: every version of a key lands in one table, or a level's tables
 // would overlap. A target of 0 never cuts (a flush's one table).
+//
+// Each table is built into a buffer from the store's free list (bufPool),
+// sized so that building never regrows it, by one Builder the sink
+// re-targets from table to table. The buffers are the tables' data until
+// the writer is done with them: landing and warming read them, and so does
+// the install that splices the outputs into their level's view. The writer
+// gives them back with release once its edit is installed or abort has run.
 type tableSink struct {
 	d      *engine
 	tier   storage.Tier // home tier of every table
@@ -85,8 +85,8 @@ type tableSink struct {
 	size   int64 // each table's buffer
 	warm   bool  // the writer asks for its tables to be warmed
 
-	b       *sstable.Builder
-	w       *memWriter
+	b       *sstable.Builder // made for the first table, Reset for the next
+	w       *memWriter       // the table being built; nil between tables
 	num     uint64
 	outputs []*builtTable // cut so far, in key order
 
@@ -107,7 +107,7 @@ type tableSink struct {
 // newTableSink returns a sink whose tables go to tier. hint is the bytes
 // the writer expects to feed: a table holds at most min(hint, target) of
 // them, plus the tail of its last block and its metadata, so each buffer
-// starts at that plus an eighth and building never regrows it.
+// holds that plus an eighth and building never regrows it.
 func (d *engine) newTableSink(tier storage.Tier, target, hint int64, warm bool) *tableSink {
 	size := hint
 	if target > 0 {
@@ -122,19 +122,23 @@ func (d *engine) newTableSink(tier storage.Tier, target, hint int64, warm bool) 
 // add appends one entry, cutting the table being built first when it has
 // reached the target and ik starts a new user key.
 func (s *tableSink) add(ik, value []byte) error {
-	if s.b != nil && s.target > 0 && int64(s.b.EstimatedSize()) >= s.target &&
+	if s.w != nil && s.target > 0 && int64(s.b.EstimatedSize()) >= s.target &&
 		!bytes.Equal(keys.UserKey(ik), keys.UserKey(s.b.LastKey())) {
 		if err := s.cut(); err != nil {
 			return err
 		}
 	}
-	if s.b == nil {
+	if s.w == nil {
 		s.num = s.d.vs.NewFileNum()
-		s.w = newTableWriter(s.size)
-		o := s.d.opts
-		s.b = sstable.NewBuilder(s.w, sstable.BuilderOptions{
-			BlockBytes: o.BlockBytes, BloomBitsPerKey: o.BloomBitsPerKey, Compression: o.Compression,
-		})
+		s.w = &memWriter{buf: s.d.bufs.get(int(s.size))}
+		if s.b == nil {
+			o := s.d.opts
+			s.b = sstable.NewBuilder(s.w, sstable.BuilderOptions{
+				BlockBytes: o.BlockBytes, BloomBitsPerKey: o.BloomBitsPerKey, Compression: o.Compression,
+			})
+		} else {
+			s.b.Reset(s.w)
+		}
 	}
 	return s.b.Add(ik, value)
 }
@@ -145,7 +149,7 @@ func (s *tableSink) add(ik, value []byte) error {
 // first landing failure so far: past one, the writer could only produce
 // more tables to clean up.
 func (s *tableSink) cut() error {
-	if s.b == nil {
+	if s.w == nil {
 		return nil
 	}
 	props, err := s.b.Finish()
@@ -154,15 +158,15 @@ func (s *tableSink) cut() error {
 	}
 	t := &builtTable{
 		meta: manifest.FileMetadata{
-			Num: s.num, Size: uint64(s.w.buf.Len()),
+			Num: s.num, Size: uint64(len(s.w.buf)),
 			Smallest: props.Smallest, Largest: props.Largest,
 			MinSeq: props.MinSeq, MaxSeq: props.MaxSeq,
 			Tier: s.tier,
 		},
 		metaOff: s.b.MetaOffset(),
-		data:    s.w.buf.Bytes(),
+		data:    s.w.buf,
 	}
-	s.b, s.w = nil, nil
+	s.w = nil
 	s.outputs = append(s.outputs, t)
 	s.outBytes += t.meta.Size
 	s.sem <- struct{}{}
@@ -200,13 +204,31 @@ func (s *tableSink) finish() ([]*builtTable, error) {
 // abort waits out the landings in flight and removes every table that
 // landed, so a writer that failed leaves no orphans behind. A delete that
 // fails (cloud breaker open during an outage) goes on the deferred queue.
-// Never call it once the writer's edit may be durable.
+// Never call it once the writer's edit may be durable. It releases the
+// sink's buffers.
 func (s *tableSink) abort() {
 	s.wg.Wait()
 	for _, t := range s.landed {
 		s.d.removeTable(t.meta.Tier, t.meta.Num)
 	}
 	s.landed = nil
+	s.release()
+}
+
+// release gives the sink's buffers back to the free list: the tables it
+// cut, and the one it was building when a writer failed mid-table. The
+// landings must have finished (finish or abort waited for them) and the
+// writer must be done with every table's data.
+func (s *tableSink) release() {
+	for _, t := range s.outputs {
+		s.d.bufs.put(t.data)
+		t.data = nil
+	}
+	s.outputs = nil
+	if s.w != nil {
+		s.d.bufs.put(s.w.buf)
+		s.w = nil
+	}
 }
 
 // metaSidecarName is the local object holding a cloud table's metadata

@@ -192,11 +192,12 @@ func TestTableSinkAbortRemovesLanded(t *testing.T) {
 	})
 }
 
-// TestTableWriterFitsTable checks the buffers the table sink starts its
-// tables with: a flush's one table, hinted with its memtable's size, and a
-// compaction's outputs, hinted with three targets' worth of input and cut
-// at the target, each fit the buffer they started with, so building them
-// never regrows (and re-zeroes) it.
+// TestTableWriterFitsTable checks the buffers the table sink takes for its
+// tables from the store's free list: a flush's one table, hinted with its
+// memtable's size, and a compaction's outputs, hinted with three targets'
+// worth of input and cut at the target, each end in the buffer they took —
+// one of the size class the sink's size falls in, or of that size when it
+// falls in none — so building them never regrows (and re-zeroes) it.
 func TestTableWriterFitsTable(t *testing.T) {
 	o := DefaultOptions()
 	o.Policy = PolicyLocalOnly
@@ -212,7 +213,10 @@ func TestTableWriterFitsTable(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				start := newTableWriter(s.size).buf.Cap()
+				start := int(s.size)
+				if c := e.bufs.class(start); c != nil {
+					start = c.size
+				}
 				for i, out := range outs {
 					if got := cap(out.data); got != start {
 						t.Errorf("%s table %d of %d bytes regrew its buffer: cap %d -> %d", what, i, len(out.data), start, got)

@@ -10,15 +10,17 @@ import (
 	"rocksmash/internal/storage"
 )
 
-// Cloud span reads. Every level below the local ones lives in the object
-// store, where a request pays a first-byte latency however little it
-// returns. A flow that walks cloud blocks in a known order therefore reads
-// spans — one range GET over physically adjacent blocks of one table — and
-// keeps a few of them in flight ahead of its cursor. spanReader is the one
-// type that does so. Its two users differ only in where the block schedule
-// comes from (a compaction input's block index in file order; a sorted
-// view's cursor run across a level's tables), in where the bytes land (the
-// admit field) and in how wide a span they cut (the width field).
+// Span reads. Every level below the local ones lives in the object store,
+// where a request pays a first-byte latency however little it returns. A
+// flow that walks cloud blocks in a known order therefore reads spans — one
+// range GET over physically adjacent blocks of one table — and keeps a few
+// of them in flight ahead of its cursor. spanReader is the one type that
+// does so. Its two users differ only in where the block schedule comes from
+// (a compaction input's block index in file order; a sorted view's cursor
+// run across a level's tables), in where the bytes land (the admit field)
+// and in how wide a span they cut (the width field). A compaction reads its
+// local inputs through it too, one span per read(2) on the merge's own
+// goroutine: nothing is pipelined behind a local span, and it is no GET.
 
 const (
 	// spanBlocks is the width of a scan's range GET. At the default 4 KiB
@@ -50,10 +52,11 @@ type tableSource interface {
 
 func (h *tableHandle) handle(int32) (*tableHandle, error) { return h, nil }
 
-// span is one range GET over the schedule ordinals [start,end).
+// span is one range read over the schedule ordinals [start,end).
 type span struct {
 	start, end int
 	landed     sync.WaitGroup // done once bodies and err are set; never added for a synchronous read
+	raw        []byte         // the bytes read, from the reader's pool; nil without one
 	bodies     [][]byte
 	err        error
 }
@@ -72,10 +75,15 @@ type spanReader struct {
 	// private to the consumer, and go when its cursor leaves the span — a
 	// bulk merge must not evict the workload's hot set.
 	admit bool
+	// pool, for a compaction input, is the free list its spans are read
+	// into: a span's buffer goes back when the cursor leaves the span, or at
+	// drain. Nil for a scan, whose span bodies the block cache keeps.
+	pool *bufPool
 	// width is the most blocks one span covers: spanBlocks for scans,
 	// compactionSpanBlocks for compaction inputs.
 	width int
-	// spans and blocks are the counters a landed GET bumps.
+	// spans and blocks are the counters a landed GET bumps; a local span
+	// is no GET and bumps neither.
 	spans, blocks *atomic.Int64
 	// gets, when non-nil, is a GET budget shared with sibling readers.
 	gets chan struct{}
@@ -107,17 +115,29 @@ func (s *spanReader) cut(start int) []sstable.Handle {
 	return sstable.PlanSpans(hs, s.width)[0]
 }
 
-// fetch performs sp's GET and hands the blocks to the sink.
+// fetch performs sp's read and hands the blocks to the sink.
 func (s *spanReader) fetch(sp *span, h *tableHandle, hs []sstable.Handle) {
-	if s.gets != nil {
+	cloud := h.tier == storage.TierCloud
+	if s.gets != nil && cloud {
 		s.gets <- struct{}{}
 		defer func() { <-s.gets }()
 	}
-	if sp.bodies, sp.err = sstable.ReadRawSpan(h.reader.File(), hs); sp.err != nil {
+	if s.pool == nil {
+		sp.bodies, sp.err = sstable.ReadRawSpan(h.reader.File(), hs)
+	} else {
+		n := sstable.SpanBytes(hs)
+		sp.raw = s.pool.get(n)[:n]
+		if sp.bodies, sp.err = h.readSpan(hs, sp.raw); sp.err != nil {
+			s.release(sp)
+		}
+	}
+	if sp.err != nil {
 		return
 	}
-	s.spans.Add(1)
-	s.blocks.Add(int64(len(hs)))
+	if cloud {
+		s.spans.Add(1)
+		s.blocks.Add(int64(len(hs)))
+	}
 	if !s.admit {
 		return
 	}
@@ -183,12 +203,13 @@ func (s *spanReader) await(pos int) *span {
 			s.topUp(sp.end)
 			return sp
 		}
+		s.release(sp)
 	}
 	return nil
 }
 
-// read fetches the span that starts at pos, a block of cloud table h, on
-// the caller's goroutine and starts the pipeline behind it.
+// read fetches the span that starts at pos, a block of table h, on the
+// caller's goroutine and, for a cloud table, starts the pipeline behind it.
 func (s *spanReader) read(pos int, h *tableHandle) *span {
 	hs := s.cut(pos)
 	sp := &span{start: pos, end: pos + len(hs)}
@@ -204,6 +225,7 @@ func (s *spanReader) read(pos int, h *tableHandle) *span {
 // block in it: the error surfaces at the block that needed the bytes.
 func (s *spanReader) get(pos int) ([]byte, error) {
 	if c := s.cur; c == nil || pos < c.start || pos >= c.end {
+		s.release(c)
 		if s.cur = s.await(pos); s.cur == nil {
 			h, err := s.tables.handle(s.sched[pos].Member)
 			if err != nil {
@@ -218,11 +240,24 @@ func (s *spanReader) get(pos int) ([]byte, error) {
 	return s.cur.bodies[pos-s.cur.start], nil
 }
 
-// drain waits for every GET in flight and forgets the pipeline; what the
-// spans admitted to the caches stays there.
+// drain waits for every GET in flight and forgets the pipeline, giving the
+// span buffers back; what the spans admitted to the caches stays there.
 func (s *spanReader) drain() {
 	for _, sp := range s.ahead {
 		sp.landed.Wait()
+		s.release(sp)
 	}
 	s.ahead = s.ahead[:0]
+	s.release(s.cur)
+	s.cur = nil
+}
+
+// release gives sp's buffer, if any, back to the reader's pool; the
+// consumer is done with the span's blocks.
+func (s *spanReader) release(sp *span) {
+	if sp == nil || sp.raw == nil {
+		return
+	}
+	s.pool.put(sp.raw)
+	sp.raw, sp.bodies = nil, nil
 }

@@ -93,7 +93,7 @@ func newSpanTable(t *testing.T, e *engine, p *spanProbe, num uint64, prefix stri
 	if err != nil {
 		t.Fatal(err)
 	}
-	rd := &probedReader{bytesReader: bytesReader{w.buf.Bytes()}, p: p}
+	rd := &probedReader{bytesReader: bytesReader{w.buf}, p: p}
 	r, err := sstable.Open(rd, num)
 	if err != nil {
 		t.Fatal(err)

@@ -306,20 +306,11 @@ const (
 	// scan's lookup, whose span reads what no cache holds and which counts
 	// a block in the sketch when it consumes it.
 	cacheRungs
-	// mergeRungs is a compaction input: both caches are looked up without
-	// heat, and nothing is admitted — a bulk merge must not evict the
-	// workload's hot set.
-	mergeRungs
 )
 
 // read is the table's fetch path for client reads (sstable.FetchFunc).
 func (h *tableHandle) read(_ uint64, hd sstable.Handle, prof *readprof.Profile) ([]byte, *block.Cell, error) {
 	return h.walk(hd, readRungs, prof)
-}
-
-// merge is the table's fetch path for compaction inputs.
-func (h *tableHandle) merge(_ uint64, hd sstable.Handle, _ *readprof.Profile) ([]byte, *block.Cell, error) {
-	return h.walk(hd, mergeRungs, nil)
 }
 
 // walk returns block hd from the first rung that holds it; under cacheRungs
@@ -340,15 +331,9 @@ func (h *tableHandle) walk(hd sstable.Handle, r rungs, prof *readprof.Profile) (
 	}
 	start := stageClock(prof)
 	if cloud {
-		var body []byte
-		var ok bool
-		if r == mergeRungs {
-			body, ok = db.pcache.Probe(ck.FileNum, ck.Offset)
-		} else if body, ok = db.pcache.Get(ck.FileNum, ck.Offset); ok {
+		if body, ok := db.pcache.Get(ck.FileNum, ck.Offset); ok {
 			db.blockCache.PutCloud(ck, body)
 			attribute(prof, readprof.TierPCache, body, start)
-		}
-		if ok {
 			return body, nil, nil
 		}
 	}
@@ -356,8 +341,8 @@ func (h *tableHandle) walk(hd sstable.Handle, r rungs, prof *readprof.Profile) (
 		return nil, nil, nil
 	}
 	body, err := h.readRepaired(hd)
-	if err != nil || r == mergeRungs {
-		return body, nil, err
+	if err != nil {
+		return nil, nil, err
 	}
 	tier := readprof.TierLocal
 	if cloud {
@@ -394,8 +379,7 @@ func attribute(prof *readprof.Profile, tier readprof.Tier, body []byte, start ti
 // readRepaired reads one block from the table's backend. A local-tier block
 // that fails its CRC is repaired from the cloud copy and this read served
 // from the freshly verified bytes: never a silently wrong value, never a raw
-// checksum error if a clean source exists. Reads and compaction inputs share
-// it, so one damaged block doesn't wedge the tree either.
+// checksum error if a clean source exists.
 func (h *tableHandle) readRepaired(hd sstable.Handle) ([]byte, error) {
 	body, err := sstable.ReadRawBlock(h.reader.File(), hd)
 	if err != nil && h.tier != storage.TierCloud && errors.Is(err, sstable.ErrCorrupt) {
@@ -406,6 +390,22 @@ func (h *tableHandle) readRepaired(hd sstable.Handle) ([]byte, error) {
 		return sstable.ReadRawBlock(bytesReader{data}, hd)
 	}
 	return body, err
+}
+
+// readSpan reads the adjacent blocks hs from the table's backend into raw
+// (sstable.SpanBytes(hs) long) and returns their bodies, which alias it. A
+// local-tier span that fails its CRC is repaired as readRepaired repairs a
+// block, and served from the verified cloud copy.
+func (h *tableHandle) readSpan(hs []sstable.Handle, raw []byte) ([][]byte, error) {
+	bodies, err := sstable.ReadRawSpanInto(h.reader.File(), hs, raw)
+	if err != nil && h.tier != storage.TierCloud && errors.Is(err, sstable.ErrCorrupt) {
+		data, rerr := h.db.repairLocalTable(h.reader.FileNum(), err, false)
+		if rerr != nil {
+			return nil, rerr
+		}
+		return sstable.ReadRawSpanInto(bytesReader{data}, hs, raw)
+	}
+	return bodies, err
 }
 
 // evict drops the cache's reference on table fileNum, on whichever tier it

@@ -14,16 +14,18 @@ import (
 )
 
 // TestSampledGetLatencyMatchesTimed checks the Get latency a store reports
-// from its timed sample — one Get in 64 reads the clock — against a store
-// that times every Get, each through GetProfiled. The stores hold the same
-// keys, some in a flushed table and some in the memtable, so the
-// distribution has two modes; they take the same random key sequence, so
-// the sample is not aliased with the ticker, and their calls interleave,
-// each store going first half the time, so both run under the same
-// conditions. Each quantile of the sample must lie between the fully timed
-// run's quantiles four binomial standard errors of a sample this size
-// either side, widened by one histogram bucket. The count must be every Get, exactly, and the
-// Prometheus summary must carry the same figures.
+// from its timed sample — the Gets its sampler picks, one in 64 — against
+// the latency of every Get of that same store. The store is read through
+// GetProfiled, which times every Get, so the test knows the whole
+// distribution, while the store's histogram takes only the Gets its sampler
+// picks, timed like all the others. The store holds keys some in a flushed
+// table and some in the memtable, so the distribution has two modes, and
+// it takes a random key sequence, so the sample is not aliased with the
+// sampler. Each quantile of the sample must lie between the store's own
+// quantiles four binomial standard errors of a sample this size either
+// side, widened by one histogram bucket. A second store, read through Get
+// with the same keys, must count every Get, exactly, time one in 64 of
+// them, and carry the same figures in its Prometheus summary.
 func TestSampledGetLatencyMatchesTimed(t *testing.T) {
 	const (
 		keys    = 2000
@@ -52,43 +54,32 @@ func TestSampledGetLatencyMatchesTimed(t *testing.T) {
 		}
 		return d
 	}
-	sampled, timed := open(), open()
+	timed, plain := open(), open()
 
 	rng := rand.New(rand.NewSource(42))
 	full := make([]time.Duration, 0, gets)
 	for n := 0; n < gets; n++ {
 		k := key(rng.Intn(keys))
-		get := func() {
-			if _, err := sampled.Get(k); err != nil {
-				t.Fatal(err)
-			}
-		}
-		// The store read second finds the key's bytes in the CPU caches; a
-		// coin, not n's parity, picks it, since the ticker times every 64th.
-		first := rng.Intn(2) == 0
-		if first {
-			get()
-		}
 		_, p, err := timed.GetProfiled(k)
 		if err != nil {
 			t.Fatal(err)
 		}
 		full = append(full, time.Duration(p.TotalNanos))
-		if !first {
-			get()
+		if _, err := plain.Get(k); err != nil {
+			t.Fatal(err)
 		}
 	}
 	slices.Sort(full)
 
-	m := sampled.Metrics()
-	lat := m.GetLat
-	if lat.Count != gets || m.ReadAmp.TimedGets != gets/64 {
-		t.Fatalf("sampled store: GetLat.Count %d, %d timed; want %d and %d", lat.Count, m.ReadAmp.TimedGets, gets, gets/64)
+	m := plain.Metrics()
+	if m.GetLat.Count != gets || m.ReadAmp.TimedGets != gets/64 {
+		t.Fatalf("store read through Get: GetLat.Count %d, %d timed; want %d and %d", m.GetLat.Count, m.ReadAmp.TimedGets, gets, gets/64)
 	}
-	if tl := timed.Metrics().GetLat; tl.Count != gets {
-		t.Fatalf("timed store: GetLat.Count %d, want %d", tl.Count, gets)
+	lat := timed.Metrics().GetLat
+	if lat.Count != gets {
+		t.Fatalf("timed store: GetLat.Count %d, want %d", lat.Count, gets)
 	}
-	n := float64(m.ReadAmp.TimedGets)
+	n := float64(gets / 64)
 	at := func(q float64) time.Duration {
 		i := int(math.Round(q * float64(len(full)-1)))
 		return full[max(0, min(i, len(full)-1))]
@@ -118,11 +109,11 @@ func TestSampledGetLatencyMatchesTimed(t *testing.T) {
 		}
 	}
 	for name, want := range map[string]float64{
-		`rocksmash_get_latency_seconds{quantile="0.5"}`:  lat.P50.Seconds(),
-		`rocksmash_get_latency_seconds{quantile="0.9"}`:  lat.P90.Seconds(),
-		`rocksmash_get_latency_seconds{quantile="0.99"}`: lat.P99.Seconds(),
+		`rocksmash_get_latency_seconds{quantile="0.5"}`:  m.GetLat.P50.Seconds(),
+		`rocksmash_get_latency_seconds{quantile="0.9"}`:  m.GetLat.P90.Seconds(),
+		`rocksmash_get_latency_seconds{quantile="0.99"}`: m.GetLat.P99.Seconds(),
 		`rocksmash_get_latency_seconds_count`:            gets,
-		`rocksmash_get_latency_seconds_sum`:              lat.Mean.Seconds() * gets,
+		`rocksmash_get_latency_seconds_sum`:              m.GetLat.Mean.Seconds() * gets,
 	} {
 		if got, ok := prom[name]; !ok || math.Abs(got-want) > 1e-9*math.Max(1, want) {
 			t.Errorf("%s = %v (present %v), want %v", name, got, ok, want)

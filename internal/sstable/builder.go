@@ -30,6 +30,8 @@ func DefaultBuilderOptions() BuilderOptions {
 // increasing internal-key order. It allocates per table, not per block: the
 // index entry and the sealed block are built in scratch it owns and reuses
 // (the block builder copies what it is given, the writer what it writes).
+// Reset re-targets it at the next table with that scratch, its data and
+// index blocks and its bloom hashes kept.
 type Builder struct {
 	w    storage.Writer
 	opts BuilderOptions
@@ -66,6 +68,24 @@ func NewBuilder(w storage.Writer, opts BuilderOptions) *Builder {
 		// index format a reader accepts (walkIndex).
 		index: block.NewBuilder(1),
 	}
+}
+
+// Reset starts a new table written to w with the same options, forgetting
+// the one before, finished or not. Properties a finished table returned
+// stay valid: their keys are copies.
+func (b *Builder) Reset(w storage.Writer) {
+	b.w = w
+	b.data.Reset()
+	b.index.Reset()
+	b.offset = 0
+	b.hashes = b.hashes[:0]
+	b.pending = b.pending[:0]
+	b.havePend = false
+	b.lastKey = b.lastKey[:0]
+	b.props = Properties{}
+	b.numBlocks = 0
+	b.metaOff = 0
+	b.err = nil
 }
 
 // Add appends one entry.

@@ -128,8 +128,8 @@ func readFooter(f storage.Reader) (footer, error) {
 		return footer{}, err
 	}
 	end := uint64(size) - footerLen
-	for _, h := range [...]Handle{ftr.index, ftr.props, ftr.filter} {
-		if h == ftr.filter && h.Length == 0 {
+	for i, h := range [...]Handle{ftr.filter, ftr.index, ftr.props} {
+		if i == 0 && h.Length == 0 {
 			continue // no filter
 		}
 		if n := h.Length + blockTrailerLen; n < h.Length || h.Offset > end || n > end-h.Offset {

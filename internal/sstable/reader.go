@@ -188,8 +188,9 @@ type IndexEntry struct {
 }
 
 // IndexEntries returns every data block's separator and handle in file
-// order, copied from the pinned index block — no data I/O. The sorted-view
-// builder concatenates these across a level's members.
+// order, read from the pinned index block — no data I/O. Each separator is
+// a copy the caller may keep: the sorted-view builder concatenates these
+// across a level's members and holds them as they are.
 func (r *Reader) IndexEntries() []IndexEntry {
 	br, _ := block.Parse(r.indexBody) // Open parsed it
 	es := make([]IndexEntry, 0, r.index.Len())

@@ -38,21 +38,40 @@ func PlanSpans(hs []Handle, blocksPerSpan int) [][]Handle {
 	return spans
 }
 
+// SpanBytes is the length of the contiguous range covering hs, handles
+// adjacent in file order: the buffer ReadRawSpanInto reads it into.
+func SpanBytes(hs []Handle) int {
+	if len(hs) == 0 {
+		return 0
+	}
+	return int(hs[len(hs)-1].End() - hs[0].Offset)
+}
+
 // ReadRawSpan fetches the contiguous range covering hs with a single ReadAt
 // — one GET on a cloud backend regardless of the block count — and returns
 // each block's verified body in order. The handles must be adjacent in file
 // order (as produced by PlanSpans).
 func ReadRawSpan(r storage.Reader, hs []Handle) ([][]byte, error) {
+	return ReadRawSpanInto(r, hs, make([]byte, SpanBytes(hs)))
+}
+
+// ReadRawSpanInto is ReadRawSpan into a buffer the caller owns: raw must be
+// SpanBytes(hs) long, and the bodies alias it unless a block is compressed.
+// A caller that reuses raw for the next span must be done with these bodies
+// first.
+func ReadRawSpanInto(r storage.Reader, hs []Handle, raw []byte) ([][]byte, error) {
 	if len(hs) == 0 {
 		return nil, nil
 	}
+	if len(raw) != SpanBytes(hs) {
+		return nil, fmt.Errorf("sstable: span buffer of %d bytes for a %d-byte span", len(raw), SpanBytes(hs))
+	}
 	base := hs[0].Offset
-	raw := make([]byte, hs[len(hs)-1].End()-base)
 	if _, err := r.ReadAt(raw, int64(base)); err != nil {
 		return nil, err
 	}
-	bodies := make([][]byte, len(hs))
-	for i, h := range hs {
+	bodies := make([][]byte, 0, len(hs))
+	for _, h := range hs {
 		if h.Offset < base || h.End()-base > uint64(len(raw)) {
 			return nil, fmt.Errorf("%w: non-contiguous span handle", ErrCorrupt)
 		}
@@ -60,7 +79,7 @@ func ReadRawSpan(r storage.Reader, hs []Handle) ([][]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		bodies[i] = body
+		bodies = append(bodies, body)
 	}
 	return bodies, nil
 }

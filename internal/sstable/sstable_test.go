@@ -389,3 +389,101 @@ func TestBuilderAllocatesPerTableNotPerBlock(t *testing.T) {
 		t.Errorf("Add allocates %.0f objects per block, want 0", allocs)
 	}
 }
+
+// sliceWriter is a storage.Writer that keeps what it is given.
+type sliceWriter struct{ b []byte }
+
+func (w *sliceWriter) Write(p []byte) (int, error) { w.b = append(w.b, p...); return len(p), nil }
+func (w *sliceWriter) Sync() error                 { return nil }
+func (w *sliceWriter) Close() error                { return nil }
+
+// TestBuilderResetMatchesFresh builds tables one after another with one
+// Builder, re-targeted by Reset — after a finished table and after one
+// abandoned mid-build — and requires each to be byte for byte, properties
+// included, the table a fresh Builder writes from the same entries.
+func TestBuilderResetMatchesFresh(t *testing.T) {
+	opts := DefaultBuilderOptions()
+	opts.BlockBytes = 512
+	build := func(b *Builder, es []entry) Properties {
+		for _, e := range es {
+			if err := b.Add(e.ikey, e.value); err != nil {
+				t.Fatal(err)
+			}
+		}
+		props, err := b.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return props
+	}
+	all := seqEntries(900, 40)
+	tables := [][]entry{all[:300], all[300:310], all[310:900]}
+	reused := &sliceWriter{}
+	b := NewBuilder(reused, opts)
+	for i, es := range tables {
+		if i == 2 {
+			// Abandon a table half built: Reset forgets it.
+			b.Reset(&sliceWriter{})
+			for _, e := range all[:50] {
+				if err := b.Add(e.ikey, e.value); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if i > 0 {
+			reused = &sliceWriter{}
+			b.Reset(reused)
+		}
+		got := build(b, es)
+		fresh := &sliceWriter{}
+		want := build(NewBuilder(fresh, opts), es)
+		if !bytes.Equal(reused.b, fresh.b) {
+			t.Fatalf("table %d: %d bytes from a reset Builder differ from %d from a fresh one", i, len(reused.b), len(fresh.b))
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("table %d: properties %+v, want %+v", i, got, want)
+		}
+		if b.MetaOffset() == 0 || b.NumEntries() != uint64(len(es)) {
+			t.Fatalf("table %d: meta offset %d, %d entries", i, b.MetaOffset(), b.NumEntries())
+		}
+	}
+}
+
+// TestReadRawSpanInto reads the spans PlanSpans cuts into one buffer reused
+// from span to span, dirty from the last: the bodies equal ReadRawBlock's
+// and alias the buffer. A buffer of the wrong length is refused.
+func TestReadRawSpanInto(t *testing.T) {
+	opts := DefaultBuilderOptions()
+	opts.BlockBytes = 256
+	r, _ := buildTable(t, newLocal(t), "span.sst", opts, seqEntries(500, 30))
+	var raw []byte
+	for _, hs := range PlanSpans(r.DataHandles(), 7) {
+		n := SpanBytes(hs)
+		if cap(raw) < n {
+			raw = make([]byte, n)
+		}
+		raw = raw[:n]
+		for i := range raw {
+			raw[i] = 0xA5
+		}
+		bodies, err := ReadRawSpanInto(r.File(), hs, raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, h := range hs {
+			want, err := ReadRawBlock(r.File(), h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(bodies[i], want) {
+				t.Fatalf("block at %d: span body differs from ReadRawBlock's", h.Offset)
+			}
+			if &bodies[i][0] != &raw[h.Offset-hs[0].Offset] {
+				t.Fatalf("block at %d: body does not alias the span buffer", h.Offset)
+			}
+		}
+		if _, err := ReadRawSpanInto(r.File(), hs, raw[:n-1]); err == nil {
+			t.Fatal("a span buffer one byte short was accepted")
+		}
+	}
+}

@@ -48,7 +48,10 @@ func (v *View) Seek(target []byte) int {
 }
 
 // BuildView assembles a level's view from its members' index entries, in
-// member (key) order. members[i] owns indexes[i].
+// member (key) order. members[i] owns indexes[i]. The view keeps the
+// entries' separators and the uppers as they are, so neither may alias
+// bytes that change: IndexEntries returns copies, and a table's metadata
+// keys are never rewritten.
 //
 // A table writer's final index separator is a short successor of the
 // table's largest key and may overshoot arbitrarily far past it — past the
@@ -64,11 +67,7 @@ func BuildView(level int, members []uint64, indexes [][]IndexEntry, uppers [][]b
 			if bi == len(idx)-1 && uppers != nil && uppers[mi] != nil {
 				sep = uppers[mi]
 			}
-			v.Entries = append(v.Entries, ViewEntry{
-				Member: int32(mi),
-				H:      e.H,
-				Sep:    append([]byte(nil), sep...),
-			})
+			v.Entries = append(v.Entries, ViewEntry{Member: int32(mi), H: e.H, Sep: sep})
 		}
 	}
 	return v
