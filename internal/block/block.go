@@ -286,6 +286,11 @@ func (r *Reader) NewIter() *Iter { return &Iter{r: *r} }
 // reusing its key buffer.
 func (it *Iter) Reset(r Reader) { *it = Iter{r: r, key: it.key[:0]} }
 
+// SetKeyBuffer makes the iterator assemble keys in buf's backing array, kept
+// across Reset, until a key outgrows it: a caller holding the iterator in a
+// larger object can give it scratch there instead of a first allocation.
+func (it *Iter) SetKeyBuffer(buf []byte) { it.key = buf[:0] }
+
 // decodeAt decodes the entry at offset off, using it.key as the shared
 // prefix source, and advances the iterator state. Every key it exposes is a
 // whole internal key: callers compare them with keys.Compare, which needs

@@ -213,7 +213,10 @@ func (t *SeekTable) SeekGE(target, buf []byte) (i int, key, value []byte, ok boo
 // block no cache holds: its seeks search the raw bytes.
 type Cell struct {
 	state atomic.Uint32
-	table SeekTable     // written once, by the build, before state is cellReady
+	// table is stored once, by the build, before state is cellReady, and
+	// cleared by Drop: a table aliases its block's bytes, so a cell its
+	// owner let go of keeps neither. A read that loaded it keeps it alive.
+	table atomic.Pointer[SeekTable]
 	used  *atomic.Int64 // the owner's charged bytes, or nil
 }
 
@@ -239,7 +242,7 @@ func (c *Cell) Drop() int64 {
 		}
 		if c.state.CompareAndSwap(s, cellRaw) {
 			if s == cellReady {
-				return c.table.Bytes()
+				return c.table.Swap(nil).Bytes()
 			}
 			// A build in flight sees the drop and takes its charge back.
 			return 0
@@ -272,7 +275,7 @@ func (c *Cell) seekTable(data []byte) *SeekTable {
 	}
 	switch c.state.Load() {
 	case cellReady:
-		return &c.table
+		return c.table.Load() // nil if a Drop came in between
 	case cellEmpty:
 		if c.state.CompareAndSwap(cellEmpty, cellBuilding) {
 			return c.build(data)
@@ -283,19 +286,24 @@ func (c *Cell) seekTable(data []byte) *SeekTable {
 
 // build runs once per cell, by the read that moved it to cellBuilding.
 func (c *Cell) build(data []byte) *SeekTable {
-	t, err := NewSeekTable(data)
-	if err != nil {
+	t := new(SeekTable)
+	var err error
+	if *t, err = NewSeekTable(data); err != nil {
 		c.state.Store(cellRaw)
 		return nil
 	}
-	c.table = t
+	c.table.Store(t)
 	n := t.Bytes()
 	if c.used != nil {
 		c.used.Add(n)
 	}
-	if !c.state.CompareAndSwap(cellBuilding, cellReady) && c.used != nil {
-		// Dropped meanwhile: the owner took off no charge for it.
-		c.used.Add(-n)
+	if !c.state.CompareAndSwap(cellBuilding, cellReady) {
+		// Dropped meanwhile: the owner took off no charge for it, and the
+		// cell keeps no table.
+		c.table.Store(nil)
+		if c.used != nil {
+			c.used.Add(-n)
+		}
 	}
-	return &c.table
+	return t
 }

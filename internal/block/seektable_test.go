@@ -183,8 +183,9 @@ func TestSeekTableBenchShape(t *testing.T) {
 }
 
 // TestCellCharge: a cell charges its table once, when a point read builds
-// it, and Drop hands the charge back; a drop during the build leaves
-// nothing charged, and a dropped cell builds nothing.
+// it, and Drop hands the charge back and lets go of the table; a drop during
+// the build leaves nothing charged and no table, and a dropped cell builds
+// nothing.
 func TestCellCharge(t *testing.T) {
 	blocks, entries := benchBlocks(1)
 	data := blocks[0]
@@ -204,6 +205,9 @@ func TestCellCharge(t *testing.T) {
 	if n := c.Drop(); n != want || c.Drop() != 0 {
 		t.Fatalf("Drop returned %d, want %d once", n, want)
 	}
+	if c.table.Load() != nil {
+		t.Fatal("a dropped cell keeps its table, and with it the block's bytes")
+	}
 	used.Store(0)
 
 	var mid Cell
@@ -212,8 +216,8 @@ func TestCellCharge(t *testing.T) {
 	if mid.Drop() != 0 {
 		t.Fatal("a drop during the build handed back a charge")
 	}
-	if mid.build(data) == nil || used.Load() != 0 { // the build ends after the drop
-		t.Fatalf("build after a drop left %d charged", used.Load())
+	if mid.build(data) == nil || used.Load() != 0 || mid.table.Load() != nil { // the build ends after the drop
+		t.Fatalf("build after a drop left %d charged (table kept: %v)", used.Load(), mid.table.Load() != nil)
 	}
 	if _, _, ok, _ := mid.SeekGE(data, target, nil); !ok || used.Load() != 0 || mid.state.Load() != cellRaw {
 		t.Fatalf("a dropped cell built a table (charged %d)", used.Load())

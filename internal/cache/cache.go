@@ -35,11 +35,17 @@ type Key struct {
 	Offset  uint64
 }
 
-// entry is one cached block. Its bytes never change: a Put that brings
-// different bytes for the key replaces the entry, so a reader holding the
-// bytes and the cell of an entry always holds a matching pair.
+// entry is one cached block. Its bytes never change while it is cached: a
+// Put that brings different bytes for the key replaces the entry, so a
+// reader holding the bytes and the cell of an entry always holds a matching
+// pair. Entries are born in slabs (shard.slab) and an entry serves one
+// admission only: its memory is never reused for another block, however
+// long a reader holds its cell.
 type entry struct {
-	key  Key
+	key Key
+	// data is the block; remove clears it, so that the slab an evicted entry
+	// shares with resident ones keeps no evicted block alive (the cell drops
+	// its seek table for the same reason). Guarded by the shard's mu.
 	data []byte
 	// cloud marks a block of a cloud-tier table: the only kind the demote
 	// sink is told about. Guarded by the shard's mu.
@@ -63,7 +69,14 @@ type shard struct {
 	ring  []*entry // the clock: every entry, in no order; nil marks a free slot
 	free  []int    // free ring slots, the most recently freed last
 	hand  int      // the ring slot the eviction hand looks at next
+	// slab holds the entries not yet handed out, each used for one
+	// admission only.
+	slab []entry
 }
+
+// SlabEntries is how many entries a shard allocates at once: one allocation
+// per SlabEntries admissions instead of one each.
+const SlabEntries = 32
 
 // Cache is a fixed-capacity block cache evicting by CLOCK.
 type Cache struct {
@@ -108,6 +121,10 @@ func (c *Cache) Get(k Key) ([]byte, *block.Cell, bool) {
 	s := c.shardFor(k)
 	s.mu.Lock()
 	e := s.items[k]
+	var data []byte
+	if e != nil {
+		data = e.data
+	}
 	s.mu.Unlock()
 	if e == nil {
 		c.misses.Add(1)
@@ -117,7 +134,7 @@ func (c *Cache) Get(k Key) ([]byte, *block.Cell, bool) {
 		e.ref.Store(true)
 	}
 	c.hits.Add(1)
-	return e.data, &e.cell, true
+	return data, &e.cell, true
 }
 
 // Put inserts or refreshes a block of a local-tier table. Blocks larger
@@ -137,8 +154,9 @@ func (c *Cache) put(k Key, data []byte, cloud bool) {
 		return
 	}
 	// Victims leave the shard under its lock and reach the sink after it,
-	// through a buffer on this frame: one Put evicts about one block.
-	var buf [4]*entry
+	// with the bytes taken before remove cleared them, through a buffer on
+	// this frame: one Put evicts about one block.
+	var buf [4]resident
 	victims := buf[:0]
 	s.mu.Lock()
 	if e, ok := s.items[k]; ok && bytes.Equal(e.data, data) {
@@ -150,22 +168,41 @@ func (c *Cache) put(k Key, data []byte, cloud bool) {
 		if ok {
 			s.remove(e)
 		}
-		s.insert(&entry{key: k, data: data, cloud: cloud})
+		s.insert(s.newEntry(k, data, cloud))
 	}
 	for s.used.Load() > s.capacity {
 		victim := s.victim()
 		if victim == nil {
 			break
 		}
-		s.remove(victim)
 		if victim.cloud && c.demote != nil {
-			victims = append(victims, victim)
+			victims = append(victims, resident{victim.key, victim.data})
 		}
+		s.remove(victim)
 	}
 	s.mu.Unlock()
 	for _, v := range victims {
 		c.demote(v.key, v.data)
 	}
+}
+
+// resident is a block on its way to the demote sink: its key and the bytes
+// captured under the shard's lock.
+type resident struct {
+	key  Key
+	data []byte
+}
+
+// newEntry hands out the next entry of the shard's slab, allocating a new
+// slab when it is used up. mu is held.
+func (s *shard) newEntry(k Key, data []byte, cloud bool) *entry {
+	if len(s.slab) == 0 {
+		s.slab = make([]entry, SlabEntries)
+	}
+	e := &s.slab[0]
+	s.slab = s.slab[1:]
+	e.key, e.data, e.cloud = k, data, cloud
+	return e
 }
 
 // insert adds e to the shard, in the slot freed last when there is one:
@@ -187,12 +224,14 @@ func (s *shard) insert(e *entry) {
 }
 
 // remove takes e out of the shard and its charge, its seek table's
-// included, off used. mu is held.
+// included, off used, and lets go of its block and seek table: a reader that
+// took them before keeps its own references. mu is held.
 func (s *shard) remove(e *entry) {
 	delete(s.items, e.key)
 	s.ring[e.pos] = nil
 	s.free = append(s.free, e.pos)
 	s.used.Add(-int64(len(e.data)) - e.cell.Drop())
+	e.data = nil
 }
 
 // victim moves the hand to the next entry whose reference bit is clear,
@@ -228,10 +267,6 @@ func (s *shard) victim() *entry {
 func (c *Cache) DemoteAll() {
 	if c.demote == nil {
 		return
-	}
-	type resident struct {
-		key  Key
-		data []byte
 	}
 	for i := range c.shards {
 		s := &c.shards[i]

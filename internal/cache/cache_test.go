@@ -3,7 +3,9 @@ package cache
 import (
 	"bytes"
 	"fmt"
+	"math/bits"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -329,27 +331,99 @@ func TestSinkRunsUnlocked(t *testing.T) {
 }
 
 func TestEvictingPutAllocatesNoMore(t *testing.T) {
-	// Victims travel to the sink in a buffer on Put's frame and a victim's
-	// ring slot takes the next block: an admission allocates its entry and
-	// nothing else, evicting or not.
+	// Victims travel to the sink in a buffer on Put's frame, a victim's ring
+	// slot takes the next block and entries are born SlabEntries at a time:
+	// n admissions allocate n/SlabEntries slabs, one partly used slab per
+	// shard, and whatever the shard's map, ring and free list need to grow
+	// to the blocks it holds — at most a few per doubling — evicting or not.
+	const n = 64 * SlabEntries
 	blk := make([]byte, 100)
 	discard := func(Key, []byte) {}
 	roomy := NewWithSink(1<<30, discard)
 	full := NewWithSink(numShards*2*100, discard)
-	var i uint64
-	put := func(c *Cache) func() {
-		return func() {
-			i++
-			c.PutCloud(Key{FileNum: 1, Offset: i}, blk)
+	var next uint64
+	puts := func(c *Cache, n int) uint64 {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		for i := 0; i < n; i++ {
+			next++
+			c.PutCloud(Key{FileNum: 1, Offset: next}, blk)
 		}
+		runtime.ReadMemStats(&ms)
+		return ms.Mallocs - before
 	}
-	for n := 0; n < 256; n++ {
-		put(full)()
+	puts(full, 256)
+	growth := uint64(numShards * 3 * bits.Len(n/numShards))
+	limit := n/SlabEntries + numShards + growth
+	free, evicting := puts(roomy, n), puts(full, n)
+	t.Logf("%d Puts allocate %d objects into free space, %d evicting (limit %d)", n, free, evicting, limit)
+	if free > limit || evicting > limit {
+		t.Fatalf("%d Puts into free space allocate %d objects, %d evicting ones %d; want at most %d (%d slabs, %d partly used, %d growth)",
+			n, free, n, evicting, limit, n/SlabEntries, numShards, growth)
 	}
-	free := testing.AllocsPerRun(1000, put(roomy))
-	evicting := testing.AllocsPerRun(1000, put(full))
-	if free != 1 || evicting != 1 {
-		t.Fatalf("a Put into free space allocates %.2f objects, an evicting one %.2f; want 1 (the entry)", free, evicting)
+}
+
+// TestEvictedEntryKeepsNoBlock: an entry the cache lets go of — evicted,
+// invalidated or replaced — keeps neither its block nor its seek table, so
+// the slab it shares with resident entries retains nothing evicted. A
+// reader's (bytes, cell) pair taken before still matches: its seek finds
+// the block's keys.
+func TestEvictedEntryKeepsNoBlock(t *testing.T) {
+	blockOf := func(f, b int) []byte {
+		bb := block.NewBuilder(16)
+		for i := 0; i < 8; i++ {
+			bb.Add(hammerKey(f, b, i), hammerValue(f, b, i))
+		}
+		return bb.Finish()
+	}
+	for _, how := range []string{"evict", "invalidate", "replace"} {
+		t.Run(how, func(t *testing.T) {
+			k := Key{FileNum: 1, Offset: 0}
+			body := blockOf(1, 0)
+			c := New(numShards * int64(len(body)) * 2)
+			c.PutCloud(k, body)
+			data, cell, ok := c.Get(k)
+			if !ok {
+				t.Fatal("block not cached")
+			}
+			target := keys.MakeSeekKey(nil, keys.UserKey(hammerKey(1, 0, 5)), keys.MaxSequence)
+			if _, v, found, err := cell.SeekGE(data, target, nil); !found || err != nil || !bytes.Equal(v, hammerValue(1, 0, 5)) {
+				t.Fatalf("seek before %s: found=%v err=%v", how, found, err)
+			}
+			s := c.shardFor(k)
+			s.mu.Lock()
+			e := s.items[k]
+			s.mu.Unlock()
+			switch how {
+			case "evict":
+				// Put into k's shard until the hand takes k.
+				for b := 1; b < 1000; b++ {
+					s.mu.Lock()
+					gone := s.items[k] != e
+					s.mu.Unlock()
+					if gone {
+						break
+					}
+					if kb := (Key{FileNum: 2, Offset: uint64(b)}); c.shardFor(kb) == s {
+						c.PutCloud(kb, blockOf(2, b))
+					}
+				}
+			case "invalidate":
+				c.InvalidateFile(k.FileNum)
+			case "replace":
+				c.PutCloud(k, blockOf(1, 1))
+			}
+			s.mu.Lock()
+			kept, resident := e.data, s.items[k] == e
+			s.mu.Unlock()
+			if resident || kept != nil {
+				t.Fatalf("after %s: entry resident=%v, keeps %d block bytes", how, resident, len(kept))
+			}
+			if _, v, found, err := cell.SeekGE(data, target, nil); !found || err != nil || !bytes.Equal(v, hammerValue(1, 0, 5)) {
+				t.Fatalf("the pair taken before %s no longer matches: found=%v err=%v", how, found, err)
+			}
+		})
 	}
 }
 

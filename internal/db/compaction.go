@@ -232,7 +232,7 @@ func (d *engine) openInputs(files []*manifest.FileMetadata, readNS, spans, block
 		if readNS != nil {
 			fetch = timedFetch(fetch, readNS)
 		}
-		children = append(children, &tableIter{h: h, it: h.reader.NewIterWithFetch(fetch)})
+		children = append(children, &tableIter{h: h, it: *h.reader.NewIterWithFetch(fetch)})
 	}
 	return children, func() {
 		for _, sr := range readers {

@@ -27,7 +27,9 @@ func (d *engine) flushMemtable(imm *memtable.MemTable) error {
 	var size int64
 	reason := "recovery"
 	if imm != nil && !imm.Empty() {
-		children = append(children, &memIter{imm.NewIterator()})
+		mi := &memIter{}
+		imm.InitIterator(&mi.it)
+		children = append(children, mi)
 		size += imm.ApproximateSize()
 		reason = "memtable"
 	}

@@ -27,9 +27,9 @@ type internalIterator interface {
 	Close() error
 }
 
-// memIter adapts the skiplist iterator.
+// memIter adapts the skiplist iterator, held by value.
 type memIter struct {
-	it *skiplist.Iterator
+	it skiplist.Iterator
 }
 
 func (m *memIter) First()             { m.it.First() }
@@ -50,14 +50,19 @@ type runIter struct{ *memtable.RunIterator }
 func (runIter) Err() error   { return nil }
 func (runIter) Close() error { return nil }
 
-// tableIter adapts one table's iterator, holding its handle reference.
+// tableIter adapts one table's iterator, holding its handle reference. It
+// holds the iterator by value, and the data block keys start in keyBuf.
 type tableIter struct {
-	h  *tableHandle
-	it *sstable.Iter
+	h      *tableHandle
+	it     sstable.Iter
+	keyBuf [iterKeyScratch]byte
 }
 
-func newTableIter(h *tableHandle) *tableIter {
-	return &tableIter{h: h, it: h.reader.NewIter()}
+// init makes t an unpositioned walk of h's table, taking over the caller's
+// reference. t stays where it is from then on: its key buffer is its own.
+func (t *tableIter) init(h *tableHandle) {
+	t.h = h
+	h.reader.InitIter(&t.it, t.keyBuf[:])
 }
 
 func (t *tableIter) First()             { t.it.First() }
@@ -91,15 +96,25 @@ func (t *tableIter) Close() error {
 // findSmallest/findLargest scan.
 type mergingIter struct {
 	children []internalIterator
-	tree     []int // loser tree over child indices; tree[0] is the winner
+	tree     []int // loser tree over child indices; tree[0] is the winner; starts in treeBuf
 	cur      int   // index of child at the merge frontier, -1 if exhausted
 	reverse  bool
 	pivot    []byte // scratch: the current key while a direction switch re-seeks the other children
 	err      error
+
+	treeBuf [iterChildren]int
 }
 
 func newMergingIter(children ...internalIterator) *mergingIter {
-	return &mergingIter{children: children, cur: -1}
+	m := &mergingIter{}
+	m.init(children)
+	return m
+}
+
+// init makes m an unpositioned merge of children. m stays where it is from
+// then on: its loser tree starts in an array of its own.
+func (m *mergingIter) init(children []internalIterator) {
+	m.children, m.cur = children, -1
 }
 
 // beats reports whether child a precedes child b in the current direction.
@@ -149,7 +164,11 @@ func (m *mergingIter) build() {
 		return
 	}
 	if m.tree == nil {
-		m.tree = make([]int, k)
+		if k <= len(m.treeBuf) {
+			m.tree = m.treeBuf[:k]
+		} else {
+			m.tree = make([]int, k)
+		}
 	}
 	if k == 1 {
 		m.tree[0] = 0
@@ -319,14 +338,22 @@ func (m *mergingIter) Close() error {
 // seqSource and engine keyspaces are disjoint, so internal keys are unique
 // across engines. The iterator collapses internal versions: for each user
 // key the newest visible entry wins, and tombstones hide older versions.
+//
+// The iterator is one object holding the merge and its loser tree, the
+// engine's hold and memtable iterators, the child list and the scratch its
+// moves assemble keys and values in. An engine's level walks are one more
+// allocation and its L0 table iterators another; a store of several engines
+// adds one for their parts. It is not recycled: a span GET in flight may
+// still hold a part of it after Close (scanHold), so the collector owns its
+// lifetime.
 type Iterator struct {
-	merged *mergingIter
+	merged mergingIter
 	seq    uint64
-	// holds[i] pins engine i's version, whose view children open their
-	// tables lazily, as the walk reaches them. Sized once, before any view
-	// points into it. A pin and its views' tables outlive Close while a
-	// view's span GETs are in flight.
-	holds []scanHold
+	// parts[i] is engine i's: its hold pins the version, whose view children
+	// open their tables lazily, as the walk reaches them. Sized once, before
+	// any child points into it. A pin and its views' tables outlive Close
+	// while a view's span GETs are in flight.
+	parts []engineIters
 
 	// prof accumulates the iterator's data-block reads by source tier over
 	// its whole lifetime (nil once Close has folded it in); seeks counts
@@ -349,6 +376,34 @@ type Iterator struct {
 	// the user key whose remaining versions the next settle must pass over.
 	seek []byte
 	skip []byte
+
+	// The tree's own storage: the single engine's part, the child list and
+	// the buffers seek, skip, key and value start in.
+	one      [1]engineIters
+	children [iterChildren]internalIterator
+	seekBuf  [iterKeyScratch]byte
+	skipBuf  [iterKeyScratch]byte
+	keyBuf   [iterKeyScratch]byte
+	valueBuf [iterValueScratch]byte
+}
+
+const (
+	// iterChildren is the child list an iterator holds inline: an engine's
+	// six deeper levels, two memtables and a few L0 tables, or four engines'
+	// memtables and a table each. More children grow it.
+	iterChildren = 16
+	// iterKeyScratch is the room for an internal key that a tree's buffers
+	// start with, and iterValueScratch for a value: a longer one grows the
+	// buffer once, as before.
+	iterKeyScratch   = 64
+	iterValueScratch = 512
+)
+
+// engineIters is one engine's part of an iterator tree: the hold on what
+// its children borrow and its memtable iterators, held by value.
+type engineIters struct {
+	hold     scanHold
+	mem, imm memIter
 }
 
 // NewIterator returns an iterator over the DB at the current sequence.
@@ -372,18 +427,21 @@ func (d *DB) NewIteratorAt(seq uint64) (*Iterator, error) {
 	if d.closed.Load() {
 		return nil, ErrClosed
 	}
-	it := &Iterator{seq: seq, holds: make([]scanHold, len(d.engines)), prof: d.engines[0].newProfile()}
-	// Sized for every engine's deeper levels, two memtables and an L0
-	// table; more grow it.
-	children := make([]internalIterator, 0, len(d.engines)*(manifest.NumLevels+2))
+	it := &Iterator{seq: seq, prof: d.engines[0].newProfile()}
+	it.seek, it.skip = it.seekBuf[:0], it.skipBuf[:0]
+	it.key, it.value = it.keyBuf[:0], it.valueBuf[:0]
+	if it.parts = it.one[:]; len(d.engines) > 1 {
+		it.parts = make([]engineIters, len(d.engines))
+	}
+	children := it.children[:0]
 	var err error
 	for i, e := range d.engines {
-		if children, err = e.iterChildren(children, &it.holds[i], it.prof); err != nil {
-			it.holds = it.holds[:i+1]
+		if children, err = e.iterChildren(children, &it.parts[i], it.prof); err != nil {
+			it.parts = it.parts[:i+1]
 			break
 		}
 	}
-	it.merged = newMergingIter(children...)
+	it.merged.init(children)
 	if err != nil {
 		_ = it.Close()
 		return nil, err
@@ -391,13 +449,24 @@ func (d *DB) NewIteratorAt(seq uint64) (*Iterator, error) {
 	return it, nil
 }
 
-// iterChildren pins the engine's current version in hold and appends the
-// engine's iterators at it to children: one view per populated level below
-// L0, then the memtables, then the L0 tables.
-func (d *engine) iterChildren(children []internalIterator, hold *scanHold, prof *readprof.Profile) ([]internalIterator, error) {
+// iterChildren pins the engine's current version in its part's hold and
+// appends the engine's iterators at it to children: one view per populated
+// level below L0, then the memtables, then the L0 tables. The level walks
+// share one allocation, and so do the L0 table iterators.
+func (d *engine) iterChildren(children []internalIterator, part *engineIters, prof *readprof.Profile) ([]internalIterator, error) {
 	rs := d.rs.Load()
 	v := d.vs.Acquire()
+	hold := &part.hold
 	hold.init(d, v)
+	populated := 0
+	for lvl := 1; lvl < manifest.NumLevels; lvl++ {
+		if len(v.Levels[lvl]) > 0 {
+			populated++
+		}
+	}
+	if populated > 0 {
+		hold.views = make([]viewIter, 0, populated)
+	}
 	// Every level below L0 is one cursor run along its sorted view.
 	for lvl := 1; lvl < manifest.NumLevels; lvl++ {
 		vw, err := d.levelView(v, lvl)
@@ -405,24 +474,32 @@ func (d *engine) iterChildren(children []internalIterator, hold *scanHold, prof 
 			return children, err
 		}
 		if len(v.Levels[lvl]) > 0 {
-			vi := newViewIter(d, hold, vw, v.Levels[lvl])
-			vi.prof = prof
+			hold.views = hold.views[:len(hold.views)+1]
+			vi := &hold.views[len(hold.views)-1]
+			vi.init(d, hold, vw, v.Levels[lvl], prof)
 			children = append(children, vi)
 		}
 	}
-	children = append(children, &memIter{rs.mem.NewIterator()})
+	rs.mem.InitIterator(&part.mem.it)
+	children = append(children, &part.mem)
 	if rs.imm != nil {
-		children = append(children, &memIter{rs.imm.NewIterator()})
+		rs.imm.InitIterator(&part.imm.it)
+		children = append(children, &part.imm)
 	}
 	for _, r := range rs.recovered {
 		children = append(children, runIter{r.NewIterator()})
 	}
-	for _, f := range v.Levels[0] {
+	if len(v.Levels[0]) == 0 {
+		return children, nil
+	}
+	tables := make([]tableIter, len(v.Levels[0]))
+	for i, f := range v.Levels[0] {
 		h, err := d.tables.get(d, f)
 		if err != nil {
 			return children, err
 		}
-		ti := newTableIter(h)
+		ti := &tables[i]
+		ti.init(h)
 		ti.it.SetProfile(prof)
 		children = append(children, ti)
 	}
@@ -620,10 +697,10 @@ func (it *Iterator) Close() error {
 	if err := it.merged.Close(); err != nil && it.err == nil {
 		it.err = err
 	}
-	for i := range it.holds {
-		it.holds[i].release()
+	for i := range it.parts {
+		it.parts[i].hold.release()
 	}
-	d := it.holds[0].d
+	d := it.parts[0].hold.d
 	if it.nkeys > 0 {
 		d.stats.IterKeys.Add(it.nkeys)
 	}

@@ -230,7 +230,8 @@ func TestTableWriterFitsTable(t *testing.T) {
 				mem.Add(uint64(i+1), keys.KindSet, key(i), value)
 			}
 			s := e.newTableSink(storage.TierLocal, 0, mem.ApproximateSize(), false)
-			it := &memIter{mem.NewIterator()}
+			it := &memIter{}
+			mem.InitIterator(&it.it)
 			for it.First(); it.Valid(); it.Next() {
 				if err := s.add(it.Key(), it.Value()); err != nil {
 					t.Fatal(err)

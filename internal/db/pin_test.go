@@ -38,7 +38,7 @@ func tableObjects(t *testing.T, d *DB, pinned ...*Iterator) (have, want []string
 
 		versions := []*manifest.Version{e.vs.Current()}
 		for _, it := range pinned {
-			versions = append(versions, it.holds[i].v)
+			versions = append(versions, it.parts[i].hold.v)
 		}
 		for _, v := range versions {
 			v.AllFiles(func(_ int, f *manifest.FileMetadata) {

@@ -5,12 +5,15 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"rocksmash/internal/cache"
 	"rocksmash/internal/event"
+	"rocksmash/internal/keys"
 	"rocksmash/internal/readprof"
 	"rocksmash/internal/ycsb"
 )
@@ -383,23 +386,30 @@ func TestGetAllocsProfilerParity(t *testing.T) {
 // across blocks: the block iterators are re-pointed in place and every key the
 // merge compares or yields is assembled in a buffer the iterator owns. Opening
 // an iterator, seeking it and stepping once costs a constant number of
-// objects. One engine costs 14: 9 for the iterator tree (iterator and its hold
-// array 2, child list 1, memtable iterator and its skiplist iterator 2, table
-// iterator 2, merge and its loser tree 2) and 5 for the first growth of each
-// owned buffer (seek key 1, data block key 1, yielded key and value 2, skip
-// key 1); the table iterator moves an ordinal over the table's decoded index
-// and assembles no index key. Each further engine adds 5 — its memtable
-// iterator 2, its table iterator 2 and that table's data block key 1 — so
-// four engines cost 29.
+// objects. One engine costs 2: the iterator tree, one object that holds the
+// iterator, its merge and loser tree, the engine's hold and memtable
+// iterators, the child list and the scratch the seek key, skip key, yielded
+// key and value start in; and the engine's L0 table iterators, one array
+// whose data block keys start in buffers of their own. The table iterator
+// moves an ordinal over the table's decoded index and assembles no index
+// key. A store of several engines adds one array for their parts (hold and
+// memtable iterators), and each further engine its L0 table iterators, so
+// four engines cost 6.
 const (
-	scanAllocsPerNext = 0.0
-	scanAllocsPerSeek = 14.0
+	scanAllocsPerNext   = 0.0
+	scanAllocsPerSeek   = 2.0
+	scanAllocsPerEngine = 1.0
+	scanAllocsEngines   = 1.0 // the parts array of a store of several engines
 )
 
 func TestScanAllocs(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			testScanAllocs(t, shards, scanAllocsPerSeek+5*float64(shards-1))
+			perSeek := scanAllocsPerSeek
+			if shards > 1 {
+				perSeek += scanAllocsEngines + scanAllocsPerEngine*float64(shards-1)
+			}
+			testScanAllocs(t, shards, perSeek)
 		})
 	}
 }
@@ -551,3 +561,122 @@ func TestPooledProfileComesBackZeroed(t *testing.T) {
 		}
 	}
 }
+
+// TestCloudScanAllocs: a forward scan over a cloud level whose blocks are in
+// no cache reads them in spans, pipelined ahead of the cursor and admitted
+// to the block cache as they land. It allocates a constant number of
+// objects per NewIterator+Seek+Close and a constant number per landed span
+// (the span, its goroutine and its body buffer), however many Nexts it
+// takes. The block cache's own entries are born in slabs: over b admissions
+// its shards allocate b/cache.SlabEntries slabs, give or take a partly used
+// one per shard, and a shard's map may still grow now and then; the check
+// allows 16 fewer to 32 more.
+func TestCloudScanAllocs(t *testing.T) {
+	o := testOptions(PolicyCloudOnly)
+	o.L0CompactTrigger = 1        // CompactAll leaves L0 empty
+	o.LevelBaseBytes = 64 << 20   // and the whole load in L1
+	o.BlockCacheBytes = 256 << 20 // a landed block stays: nothing is evicted or demoted
+	// The drainer ticks at a tenth of the breakers' cooldown: keep its
+	// rounds out of the measured scans.
+	o.CloudBreaker.Cooldown = time.Minute
+	o.LocalBreaker.Cooldown = time.Minute
+	scans, long := 20, 1000
+	if raceEnabled {
+		scans, long = 3, 300
+	}
+	// A span holds about 128 keys and a scan lands about two spans past
+	// where it stops, so each measured scan starts 512 keys past the last
+	// one's end; the warm-up walks as many keys again.
+	measured := scans * (2*256 + long + 256)
+	n := 2 * measured
+	dir := t.TempDir()
+	d, err := OpenAt(dir, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		mustPut(t, d, string(profKey(i)), pipelineValue(i))
+	}
+	if err := d.CompactAll(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if d, err = OpenAt(dir, o); err != nil { // cold caches
+		t.Fatal(err)
+	}
+	defer d.Close()
+	e := d.engines[0]
+	v := e.vs.Current()
+	if len(v.Levels[1]) < 2 || v.NumFiles() != len(v.Levels[1]) {
+		t.Fatalf("want the load in several L1 tables, have %d of %d tables there", len(v.Levels[1]), v.NumFiles())
+	}
+	// walk takes steps Nexts from from, which must end on to, and waits for
+	// the spans it started; its keys are made before the count starts.
+	walk := func(from, to []byte, steps int) {
+		t.Helper()
+		it, err := d.NewIterator()
+		if err != nil {
+			t.Fatal(err)
+		}
+		it.Seek(from)
+		for i := 0; i < steps; i++ {
+			it.Next()
+		}
+		if !it.Valid() || !bytes.Equal(it.Key(), to) {
+			t.Fatalf("scan from %s is not on %s after %d steps", from, to, steps)
+		}
+		if err := it.Close(); err != nil {
+			t.Fatal(err)
+		}
+		e.scanTails.Wait() // every span GET landed and admitted
+	}
+	// Warm up on the upper half: the first scan builds the level's view,
+	// opening every member, and the walk grows the block cache's map and
+	// ring to hold as many blocks as the measured scans land. A point read
+	// in each member opens its cloud object, which the first data read of a
+	// table does. Emptied, the cache admits blocks into the ring slots and
+	// map room the warm-up made.
+	walk(profKey(measured), profKey(n-1), n-measured-1)
+	for _, f := range v.Levels[1] {
+		if _, err := d.Get(keys.UserKey(f.Smallest)); err != nil {
+			t.Fatal(err)
+		}
+		e.blockCache.InvalidateFile(f.Num)
+	}
+	next := 0
+	for _, steps := range []int{1, long} {
+		var allocs, spans, blocks int64
+		for i := 0; i < scans; i++ {
+			spans0, blocks0 := e.stats.ReadaheadSpans.Load(), e.stats.ReadaheadBlocks.Load()
+			from, to := profKey(next), profKey(next+steps)
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			before := ms.Mallocs
+			walk(from, to, steps)
+			runtime.ReadMemStats(&ms)
+			a, s := int64(ms.Mallocs-before), e.stats.ReadaheadSpans.Load()-spans0
+			allocs += a
+			spans += s
+			blocks += e.stats.ReadaheadBlocks.Load() - blocks0
+			next += steps + 2*256 // past the spans this scan landed
+		}
+		if raceEnabled {
+			continue
+		}
+		slabs := blocks / cache.SlabEntries
+		rest := allocs - int64(scans)*cloudScanAllocsPerSeek - spans*cloudScanAllocsPerSpan
+		t.Logf("%d scans of %d Nexts: %d objects, %d spans, %d blocks: %d beyond the scans' and spans', %d slabs", scans, steps, allocs, spans, blocks, rest, slabs)
+		if rest < slabs-numCacheShards || rest > slabs+2*numCacheShards {
+			t.Errorf("%d scans of %d Nexts allocate %d objects and land %d spans of %d blocks: %d beyond %d per scan and %d per span, want %d cache slabs, %d fewer to %d more",
+				scans, steps, allocs, spans, blocks, rest, cloudScanAllocsPerSeek, cloudScanAllocsPerSpan, slabs, numCacheShards, 2*numCacheShards)
+		}
+	}
+}
+
+const (
+	cloudScanAllocsPerSeek = 2
+	cloudScanAllocsPerSpan = 3
+	numCacheShards         = 16
+)

@@ -202,7 +202,7 @@ func holdReadahead(t *testing.T) *heldScan {
 		t.Fatal(err)
 	}
 	pinned := map[string]uint64{}
-	cur, v := e.vs.Current(), it.holds[0].v
+	cur, v := e.vs.Current(), it.parts[0].hold.v
 	if n := v.NumFiles(); n != len(v.Levels[1]) {
 		t.Fatalf("the iterator's version has %d tables, %d of them in L1: want them all there", n, len(v.Levels[1]))
 	}

@@ -52,13 +52,21 @@ type tableSource interface {
 
 func (h *tableHandle) handle(int32) (*tableHandle, error) { return h, nil }
 
-// span is one range read over the schedule ordinals [start,end).
+// span is one range read over the schedule ordinals [start,end): the
+// handles of its blocks, back to back in one table, and once it has landed
+// their bodies. A span no wider than a scan's keeps both lists in arrays of
+// its own, so its bookkeeping is the one object; a compaction input's wider
+// span keeps them on the heap.
 type span struct {
 	start, end int
 	landed     sync.WaitGroup // done once bodies and err are set; never added for a synchronous read
-	raw        []byte         // the bytes read, from the reader's pool; nil without one
+	raw        []byte         // the bytes read: from the reader's pool, or the block cache's to keep
+	hs         []sstable.Handle
 	bodies     [][]byte
 	err        error
+
+	hsBuf     [spanBlocks]sstable.Handle
+	bodiesBuf [spanBlocks][]byte
 }
 
 // spanReader walks one block schedule on behalf of one consumer goroutine.
@@ -93,8 +101,10 @@ type spanReader struct {
 	hold *scanHold
 
 	cur   *span   // the span the cursor is in (get only)
-	ahead []*span // in flight beyond it, in schedule order
+	ahead []*span // in flight beyond it, in schedule order; starts in aheadBuf
 	ramp  int     // spans consumed so far
+
+	aheadBuf [spanDepth]*span
 }
 
 // compactionSpanBlocks is the width, in blocks, of a compaction input's span
@@ -104,45 +114,55 @@ func compactionSpanBlocks(blockBytes int) int {
 	return max(spanBlocks, compactionSpanBytes/blockBytes)
 }
 
-// cut returns the handles of the span that starts at ordinal start: up to
-// width blocks of one table, which PlanSpans clamps at a layout gap.
-func (s *spanReader) cut(start int) []sstable.Handle {
-	m := s.sched[start].Member
-	hs := make([]sstable.Handle, 0, min(s.width, len(s.sched)-start))
-	for i := start; i < len(s.sched) && len(hs) < s.width && s.sched[i].Member == m; i++ {
-		hs = append(hs, s.sched[i].H)
+// cut returns the span that starts at ordinal start, unread: up to width
+// blocks of one table, back to back in the file. A layout gap, which the
+// builder never leaves but is cheap to guard, ends it early: one range read
+// covers exactly the span's blocks.
+func (s *spanReader) cut(start int) *span {
+	sp := &span{start: start}
+	if n := min(s.width, len(s.sched)-start); n <= spanBlocks {
+		sp.hs, sp.bodies = sp.hsBuf[:0], sp.bodiesBuf[:0]
+	} else {
+		sp.hs, sp.bodies = make([]sstable.Handle, 0, n), make([][]byte, 0, n)
 	}
-	return sstable.PlanSpans(hs, s.width)[0]
+	m := s.sched[start].Member
+	for i := start; i < len(s.sched) && len(sp.hs) < s.width && s.sched[i].Member == m; i++ {
+		h := s.sched[i].H
+		if n := len(sp.hs); n > 0 && sp.hs[n-1].End() != h.Offset {
+			break
+		}
+		sp.hs = append(sp.hs, h)
+	}
+	sp.end = start + len(sp.hs)
+	return sp
 }
 
 // fetch performs sp's read and hands the blocks to the sink.
-func (s *spanReader) fetch(sp *span, h *tableHandle, hs []sstable.Handle) {
+func (s *spanReader) fetch(sp *span, h *tableHandle) {
 	cloud := h.tier == storage.TierCloud
 	if s.gets != nil && cloud {
 		s.gets <- struct{}{}
 		defer func() { <-s.gets }()
 	}
+	n := sstable.SpanBytes(sp.hs)
 	if s.pool == nil {
-		sp.bodies, sp.err = sstable.ReadRawSpan(h.reader.File(), hs)
+		sp.raw = make([]byte, n)
 	} else {
-		n := sstable.SpanBytes(hs)
 		sp.raw = s.pool.get(n)[:n]
-		if sp.bodies, sp.err = h.readSpan(hs, sp.raw); sp.err != nil {
-			s.release(sp)
-		}
 	}
-	if sp.err != nil {
+	if sp.bodies, sp.err = h.readSpan(sp.hs, sp.raw, sp.bodies); sp.err != nil {
+		s.release(sp)
 		return
 	}
 	if cloud {
 		s.spans.Add(1)
-		s.blocks.Add(int64(len(hs)))
+		s.blocks.Add(int64(len(sp.hs)))
 	}
 	if !s.admit {
 		return
 	}
 	fileNum := h.reader.FileNum()
-	for i, bh := range hs {
+	for i, bh := range sp.hs {
 		h.db.blockCache.PutCloud(cache.Key{FileNum: fileNum, Offset: bh.Offset}, sp.bodies[i])
 	}
 }
@@ -171,15 +191,17 @@ func (s *spanReader) topUp(from int) {
 // cloud table h, and queues it behind the spans already in flight: the
 // asynchronous twin of read. await collects it.
 func (s *spanReader) start(pos int, h *tableHandle) *span {
-	hs := s.cut(pos)
-	sp := &span{start: pos, end: pos + len(hs)}
+	sp := s.cut(pos)
 	sp.landed.Add(1)
+	if s.ahead == nil {
+		s.ahead = s.aheadBuf[:0]
+	}
 	s.ahead = append(s.ahead, sp)
 	if s.hold != nil {
 		s.hold.lend()
 	}
 	go func() {
-		s.fetch(sp, h, hs)
+		s.fetch(sp, h)
 		sp.landed.Done()
 		if s.hold != nil {
 			s.hold.landed()
@@ -211,9 +233,8 @@ func (s *spanReader) await(pos int) *span {
 // read fetches the span that starts at pos, a block of table h, on the
 // caller's goroutine and, for a cloud table, starts the pipeline behind it.
 func (s *spanReader) read(pos int, h *tableHandle) *span {
-	hs := s.cut(pos)
-	sp := &span{start: pos, end: pos + len(hs)}
-	if s.fetch(sp, h, hs); sp.err == nil {
+	sp := s.cut(pos)
+	if s.fetch(sp, h); sp.err == nil {
 		s.ramp++
 		s.topUp(sp.end)
 	}
@@ -252,10 +273,11 @@ func (s *spanReader) drain() {
 	s.cur = nil
 }
 
-// release gives sp's buffer, if any, back to the reader's pool; the
-// consumer is done with the span's blocks.
+// release gives sp's buffer back to the reader's pool, if it has one; the
+// consumer is done with the span's blocks. A scan's buffer stays with the
+// block cache, which holds its blocks.
 func (s *spanReader) release(sp *span) {
-	if sp == nil || sp.raw == nil {
+	if sp == nil || sp.raw == nil || s.pool == nil {
 		return
 	}
 	s.pool.put(sp.raw)

@@ -323,10 +323,11 @@ func spanViewIter(e *engine, tabs tableList, sched []sstable.ViewEntry) *viewIte
 	}
 	hold := &scanHold{}
 	hold.init(e, nil)
-	vi := newViewIter(e, hold, v, files)
+	vi := &viewIter{}
+	vi.init(e, hold, v, files, nil)
 	for m, tab := range tabs {
 		tab.h.reader.SetFetch(tab.h.read)
-		vi.handles[m] = tab.h
+		vi.opened = append(vi.opened, openMember{int32(m), tab.h})
 	}
 	vi.forward = true
 	return vi
@@ -430,6 +431,53 @@ func TestScanSketchCountsEachReadOnce(t *testing.T) {
 		k := cache.Key{FileNum: tabs[en.Member].meta.Num, Offset: en.H.Offset}
 		if got := e.sketch.Estimate(k); got != 2 {
 			t.Fatalf("ordinal %d: sketch estimates %d reads, want 2", i, got)
+		}
+	}
+}
+
+// TestSpanCut states the cutting rule directly: a span runs from its start
+// ordinal over back-to-back blocks of one table and stops at the width, at a
+// member change and at a layout gap, so one range read covers exactly its
+// blocks. A scan's span keeps its lists in its own arrays, a wider
+// compaction span on the heap.
+func TestSpanCut(t *testing.T) {
+	h := func(off, n uint64) sstable.Handle { return sstable.Handle{Offset: off, Length: n} }
+	var sched []sstable.ViewEntry
+	off := uint64(0)
+	for i := 0; i < 40; i++ {
+		m := int32(0)
+		if i >= 30 {
+			m = 1
+		}
+		if i == 10 || i == 30 {
+			off += 7 // a gap: the builder never leaves one, but a span must not read across it
+		}
+		sched = append(sched, sstable.ViewEntry{Member: m, H: h(off, 100)})
+		off = sched[i].H.End()
+	}
+	for _, c := range []struct {
+		width, start, end int
+	}{
+		{4, 0, 4},   // the width
+		{16, 0, 10}, // the gap
+		{16, 10, 26},
+		{16, 26, 30}, // the member change
+		{16, 30, 40}, // the end of the schedule
+		{64, 10, 30}, // a compaction's width: the gap and the member change
+	} {
+		sr := &spanReader{sched: sched, width: c.width}
+		sp := sr.cut(c.start)
+		if sp.start != c.start || sp.end != c.end || len(sp.hs) != c.end-c.start {
+			t.Errorf("width %d from %d: span [%d,%d) of %d blocks, want [%d,%d)", c.width, c.start, sp.start, sp.end, len(sp.hs), c.start, c.end)
+			continue
+		}
+		for i, bh := range sp.hs {
+			if bh != sched[c.start+i].H {
+				t.Errorf("width %d from %d: block %d is %v, want %v", c.width, c.start, i, bh, sched[c.start+i].H)
+			}
+		}
+		if inline := &sp.hs[:1][0] == &sp.hsBuf[0]; inline != (c.width <= spanBlocks) {
+			t.Errorf("width %d: handles in the span's own array = %v", c.width, inline)
 		}
 	}
 }

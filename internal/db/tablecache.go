@@ -393,19 +393,19 @@ func (h *tableHandle) readRepaired(hd sstable.Handle) ([]byte, error) {
 }
 
 // readSpan reads the adjacent blocks hs from the table's backend into raw
-// (sstable.SpanBytes(hs) long) and returns their bodies, which alias it. A
-// local-tier span that fails its CRC is repaired as readRepaired repairs a
-// block, and served from the verified cloud copy.
-func (h *tableHandle) readSpan(hs []sstable.Handle, raw []byte) ([][]byte, error) {
-	bodies, err := sstable.ReadRawSpanInto(h.reader.File(), hs, raw)
+// (sstable.SpanBytes(hs) long) and appends their bodies, which alias it, to
+// bodies[:0]. A local-tier span that fails its CRC is repaired as
+// readRepaired repairs a block, and served from the verified cloud copy.
+func (h *tableHandle) readSpan(hs []sstable.Handle, raw []byte, bodies [][]byte) ([][]byte, error) {
+	got, err := sstable.ReadRawSpanInto(h.reader.File(), hs, raw, bodies)
 	if err != nil && h.tier != storage.TierCloud && errors.Is(err, sstable.ErrCorrupt) {
 		data, rerr := h.db.repairLocalTable(h.reader.FileNum(), err, false)
 		if rerr != nil {
 			return nil, rerr
 		}
-		return sstable.ReadRawSpanInto(bytesReader{data}, hs, raw)
+		return sstable.ReadRawSpanInto(bytesReader{data}, hs, raw, bodies)
 	}
-	return bodies, err
+	return got, err
 }
 
 // evict drops the cache's reference on table fileNum, on whichever tier it

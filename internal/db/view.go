@@ -100,13 +100,17 @@ func fileNums(files []*manifest.FileMetadata) []uint64 {
 // multi-block spans along the schedule and pipeline the next span while
 // the current one is consumed.
 type viewIter struct {
-	db      *engine
-	v       *sstable.View
-	files   []*manifest.FileMetadata // files[i].Num == v.Members[i]
-	handles []*tableHandle           // lazily opened, held until the scanHold lets go
-	pos     int                      // current entry ordinal
-	data    block.Iter               // held by value; re-pointed (key buffer kept) per block
-	loaded  bool                     // data is on the block at pos
+	db    *engine
+	v     *sstable.View
+	files []*manifest.FileMetadata // files[i].Num == v.Members[i]
+	// opened are the members the walk has opened, in the order it opened
+	// them, held until the scanHold lets go. A scan touches a member or two
+	// of a level, so the list starts in openedBuf and is searched newest
+	// first.
+	opened  []openMember
+	pos     int        // current entry ordinal
+	data    block.Iter // held by value; re-pointed (key buffer kept) per block
+	loaded  bool       // data is on the block at pos
 	forward bool
 	spans   spanReader // cloud span reads along v.Entries
 	prof    *readprof.Profile
@@ -116,26 +120,29 @@ type viewIter struct {
 	// The load that follows takes them instead of looking the block up again.
 	found     int
 	foundBody []byte
-	// nextView links the views of one scanHold.
-	nextView *viewIter
+
+	openedBuf [4]openMember
+	keyBuf    [iterKeyScratch]byte // data's key buffer, until a key outgrows it
 }
 
-func newViewIter(d *engine, hold *scanHold, v *sstable.View, files []*manifest.FileMetadata) *viewIter {
-	vi := &viewIter{
-		db:       d,
-		v:        v,
-		files:    files,
-		handles:  make([]*tableHandle, len(files)),
-		pos:      -1,
-		found:    -1,
-		nextView: hold.views,
-	}
-	hold.views = vi
+// openMember is a member table a view has opened: its ordinal and handle.
+type openMember struct {
+	m int32
+	h *tableHandle
+}
+
+// init makes vi an unpositioned walk of level view v, whose members are
+// files, lending its span GETs hold. vi stays where it is from then on: its
+// lists start in arrays of its own.
+func (vi *viewIter) init(d *engine, hold *scanHold, v *sstable.View, files []*manifest.FileMetadata, prof *readprof.Profile) {
+	vi.db, vi.v, vi.files, vi.prof = d, v, files, prof
+	vi.opened = vi.openedBuf[:0]
+	vi.pos, vi.found = -1, -1
+	vi.data.SetKeyBuffer(vi.keyBuf[:])
 	vi.spans = spanReader{
 		sched: v.Entries, tables: vi, admit: true, width: spanBlocks, hold: hold,
 		spans: &d.stats.ReadaheadSpans, blocks: &d.stats.ReadaheadBlocks,
 	}
-	return vi
 }
 
 // scanHold is an iterator's hold, per engine, on what that engine's views'
@@ -148,7 +155,7 @@ func newViewIter(d *engine, hold *scanHold, v *sstable.View, files []*manifest.F
 type scanHold struct {
 	d       *engine
 	v       *manifest.Version
-	views   *viewIter // linked through nextView
+	views   []viewIter // the engine's level walks, one allocation
 	holders atomic.Int32
 }
 
@@ -175,27 +182,28 @@ func (s *scanHold) release() {
 	if s.holders.Add(-1) > 0 {
 		return
 	}
-	for vi := s.views; vi != nil; vi = vi.nextView {
-		for i, h := range vi.handles {
-			if h != nil {
-				h.release()
-				vi.handles[i] = nil
-			}
+	for i := range s.views {
+		vi := &s.views[i]
+		for _, om := range vi.opened {
+			om.h.release()
 		}
+		vi.opened = vi.opened[:0]
 	}
 	s.d.unpin(s.v)
 }
 
 // handle returns member m's table handle, opening it on first use.
 func (vi *viewIter) handle(m int32) (*tableHandle, error) {
-	if h := vi.handles[m]; h != nil {
-		return h, nil
+	for i := len(vi.opened) - 1; i >= 0; i-- {
+		if vi.opened[i].m == m {
+			return vi.opened[i].h, nil
+		}
 	}
 	h, err := vi.db.tables.get(vi.db, vi.files[m])
 	if err != nil {
 		return nil, err
 	}
-	vi.handles[m] = h
+	vi.opened = append(vi.opened, openMember{m, h})
 	return h, nil
 }
 

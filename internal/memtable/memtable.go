@@ -98,5 +98,6 @@ func (m *MemTable) Len() int { return m.list.Len() }
 // Empty reports whether the memtable has no entries.
 func (m *MemTable) Empty() bool { return m.list.Empty() }
 
-// NewIterator returns an iterator over internal keys in sorted order.
-func (m *MemTable) NewIterator() *skiplist.Iterator { return m.list.NewIterator() }
+// InitIterator makes *it an unpositioned iterator over internal keys in
+// sorted order; the caller holds the iterator by value.
+func (m *MemTable) InitIterator(it *skiplist.Iterator) { m.list.InitIterator(it) }

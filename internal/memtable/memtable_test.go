@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"rocksmash/internal/keys"
+	"rocksmash/internal/skiplist"
 )
 
 func TestPutGet(t *testing.T) {
@@ -197,7 +198,8 @@ func TestEntryLargerThanChunk(t *testing.T) {
 		k string
 		v []byte
 	}{{"a", []byte("small")}, {"big", big}, {"c", []byte("after")}}
-	it := m.NewIterator()
+	var it skiplist.Iterator
+	m.InitIterator(&it)
 	i := 0
 	for it.First(); it.Valid(); it.Next() {
 		if i == len(want) || string(keys.UserKey(it.Key())) != want[i].k || !bytes.Equal(it.Value(), want[i].v) {

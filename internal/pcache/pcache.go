@@ -307,37 +307,22 @@ func (c *PCache) fileLocked(fileNum uint64) *fileState {
 // toward the file's heat whether it hits or misses: heat measures read
 // traffic against the file, so compaction can recognize actively-read
 // ranges even when the cache is cold for them.
-func (c *PCache) Get(fileNum, blockOff uint64) ([]byte, bool) { return c.get(fileNum, blockOff, true) }
-
-// Probe is Get without statistics or heat: compaction reads use it so bulk
-// merges don't masquerade as workload heat.
-func (c *PCache) Probe(fileNum, blockOff uint64) ([]byte, bool) {
-	return c.get(fileNum, blockOff, false)
-}
-
-func (c *PCache) get(fileNum, blockOff uint64, account bool) ([]byte, bool) {
+func (c *PCache) Get(fileNum, blockOff uint64) ([]byte, bool) {
 	if c.idx == nil {
-		if account {
-			c.stats.record(false, LevelUnknown, fileNum)
-		}
+		c.stats.record(false, LevelUnknown, fileNum)
 		return nil, false
 	}
-	level := LevelUnknown
 	c.mu.Lock()
-	if account {
-		f := c.fileLocked(fileNum)
-		f.heat++
-		level = int(f.level)
-	}
+	f := c.fileLocked(fileNum)
+	f.heat++
+	level := int(f.level)
 	s, ok := c.idx.find(fileNum, blockOff, true)
 	c.mu.Unlock()
 	var body []byte
 	if ok {
 		body, ok = c.read(s)
 	}
-	if account {
-		c.stats.record(ok, level, fileNum)
-	}
+	c.stats.record(ok, level, fileNum)
 	return body, ok
 }
 

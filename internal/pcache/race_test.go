@@ -164,7 +164,7 @@ func TestRetiredTableStaysOutOfTheCache(t *testing.T) {
 		bc.DemoteAll()
 
 		for off := uint64(0); off < blocks*blockBytes; off += blockBytes {
-			if _, ok := pc.Probe(retired, off); ok {
+			if _, ok := pc.Get(retired, off); ok {
 				t.Fatalf("block %d of retired table %d is cached", off, retired)
 			}
 		}

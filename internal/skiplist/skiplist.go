@@ -294,6 +294,10 @@ type Iterator struct {
 // NewIterator returns an unpositioned iterator.
 func (l *List) NewIterator() *Iterator { return &Iterator{list: l} }
 
+// InitIterator makes *it an unpositioned iterator over the list, for a
+// caller that holds the iterator by value inside a larger object.
+func (l *List) InitIterator(it *Iterator) { *it = Iterator{list: l} }
+
 // Valid reports whether the iterator is positioned on an entry.
 func (it *Iterator) Valid() bool { return it.nd != 0 }
 

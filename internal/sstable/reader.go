@@ -306,6 +306,14 @@ func (it *Iter) SetProfile(p *readprof.Profile) { it.prof = p }
 // NewIter returns an unpositioned iterator.
 func (r *Reader) NewIter() *Iter { return r.NewIterWithFetch(r.fetch) }
 
+// InitIter makes *it an unpositioned iterator over the table, for a caller
+// that holds the iterator by value inside a larger object. Data block keys
+// are assembled in keyBuf's backing array until one outgrows it.
+func (r *Reader) InitIter(it *Iter, keyBuf []byte) {
+	*it = Iter{r: r, fetch: r.fetch}
+	it.data.SetKeyBuffer(keyBuf)
+}
+
 // NewIterWithFetch returns an iterator whose data-block reads use fetch
 // instead of the reader's default path. Compaction uses this to bypass
 // cache admission (scan resistance).

@@ -449,15 +449,19 @@ func TestBuilderResetMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestReadRawSpanInto reads the spans PlanSpans cuts into one buffer reused
-// from span to span, dirty from the last: the bodies equal ReadRawBlock's
-// and alias the buffer. A buffer of the wrong length is refused.
+// TestReadRawSpanInto reads the table in spans of 7 blocks into one buffer
+// and one bodies slice, both reused from span to span, the buffer dirty from
+// the last: the bodies equal ReadRawBlock's, alias the buffer and fill the
+// slice passed in. A buffer of the wrong length is refused.
 func TestReadRawSpanInto(t *testing.T) {
 	opts := DefaultBuilderOptions()
 	opts.BlockBytes = 256
 	r, _ := buildTable(t, newLocal(t), "span.sst", opts, seqEntries(500, 30))
 	var raw []byte
-	for _, hs := range PlanSpans(r.DataHandles(), 7) {
+	bodies := make([][]byte, 0, 7)
+	for all := r.DataHandles(); len(all) > 0; {
+		hs := all[:min(7, len(all))]
+		all = all[len(hs):]
 		n := SpanBytes(hs)
 		if cap(raw) < n {
 			raw = make([]byte, n)
@@ -466,23 +470,26 @@ func TestReadRawSpanInto(t *testing.T) {
 		for i := range raw {
 			raw[i] = 0xA5
 		}
-		bodies, err := ReadRawSpanInto(r.File(), hs, raw)
+		got, err := ReadRawSpanInto(r.File(), hs, raw, bodies)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if len(got) != len(hs) || &got[:1][0] != &bodies[:1][0] {
+			t.Fatalf("%d bodies for %d blocks, in the slice passed in: %v", len(got), len(hs), &got[:1][0] == &bodies[:1][0])
 		}
 		for i, h := range hs {
 			want, err := ReadRawBlock(r.File(), h)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(bodies[i], want) {
+			if !bytes.Equal(got[i], want) {
 				t.Fatalf("block at %d: span body differs from ReadRawBlock's", h.Offset)
 			}
-			if &bodies[i][0] != &raw[h.Offset-hs[0].Offset] {
+			if &got[i][0] != &raw[h.Offset-hs[0].Offset] {
 				t.Fatalf("block at %d: body does not alias the span buffer", h.Offset)
 			}
 		}
-		if _, err := ReadRawSpanInto(r.File(), hs, raw[:n-1]); err == nil {
+		if _, err := ReadRawSpanInto(r.File(), hs, raw[:n-1], bodies); err == nil {
 			t.Fatal("a span buffer one byte short was accepted")
 		}
 	}
