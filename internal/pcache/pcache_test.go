@@ -100,6 +100,20 @@ func TestFileHeatTracking(t *testing.T) {
 	})
 }
 
+// TestGetHeatCountsMissesToo verifies heat measures read traffic, not
+// cache luck: misses against a file still raise its heat so compaction can
+// recognize actively-read ranges.
+func TestGetHeatCountsMissesToo(t *testing.T) {
+	both(t, func(t *testing.T, c *PCache) {
+		for i := 0; i < 5; i++ {
+			c.Get(9, uint64(i*1000)) // all misses
+		}
+		if h := c.FileHeat(9); h != 5 {
+			t.Fatalf("heat = %d, want 5 (misses count)", h)
+		}
+	})
+}
+
 func TestCapacityBounded(t *testing.T) {
 	both(t, func(t *testing.T, c *PCache) {
 		blk := make([]byte, 8<<10)
