@@ -322,13 +322,27 @@ func (d *engine) putTable(tier storage.Tier, name string, data []byte) (attempts
 	return 1, nil
 }
 
-// writeMetaSidecar persists a table's metadata tail locally:
-// [tailOff uint64 LE][tail bytes].
+// writeMetaSidecar writes a table's metadata tail locally:
+// [tailOff uint64 LE][tail bytes]. It is not fsynced: the sidecar is a cache
+// of bytes the cloud object holds. One that a crash leaves missing, short or
+// torn fails sstable.Open with ErrCorrupt (or is not found), and the open
+// rebuilds it from the object's tail (repairSidecar, overlayMetadata).
 func (d *engine) writeMetaSidecar(num uint64, tailOff uint64, tail []byte) error {
-	buf := make([]byte, 8+len(tail))
-	binary.LittleEndian.PutUint64(buf, tailOff)
-	copy(buf[8:], tail)
-	return storage.WriteObject(d.local, metaSidecarName(num), buf)
+	w, err := d.local.Create(metaSidecarName(num))
+	if err != nil {
+		return err
+	}
+	var hdr [8]byte
+	binary.LittleEndian.PutUint64(hdr[:], tailOff)
+	if _, err := w.Write(hdr[:]); err != nil {
+		w.Close()
+		return err
+	}
+	if _, err := w.Write(tail); err != nil {
+		w.Close()
+		return err
+	}
+	return w.Close()
 }
 
 // readMetaSidecar loads a table's locally cached metadata tail.
