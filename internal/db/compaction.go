@@ -219,13 +219,12 @@ func (d *engine) openInputs(files []*manifest.FileMetadata, readNS, spans, block
 			}
 			return nil, nil, err
 		}
-		hs := h.reader.DataHandles()
 		sr := &spanReader{
-			sched: make([]sstable.ViewEntry, len(hs)), tables: h, width: width,
+			sched: make([]sstable.ViewEntry, h.reader.DataBlocks()), tables: h, width: width,
 			pool: d.bufs, gets: gets, spans: spans, blocks: blocks,
 		}
-		for i, bh := range hs {
-			sr.sched[i].H = bh
+		for i := range sr.sched {
+			sr.sched[i].H = h.reader.DataHandle(i)
 		}
 		readers = append(readers, sr)
 		fetch := scheduledFetch(sr)

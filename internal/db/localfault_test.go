@@ -255,47 +255,74 @@ func TestCompactionRepairsCorruptLocalInput(t *testing.T) {
 	})
 }
 
-// TestCorruptSidecarRepairedTransparently damages every cloud table's local
-// metadata sidecar and asserts reads still succeed: the open classifies the
-// sidecar corruption, deletes it, and rebuilds it from the cloud object's
-// own metadata tail.
+// TestCorruptSidecarRepairedTransparently damages every cloud table's
+// metadata sidecar — a flipped bit, or a write torn at 0 B, 5 B, mid-tail or
+// one byte short of the footer, as a crash may leave the unsynced sidecar —
+// and asserts each table opens from a rebuilt sidecar and every Get answers
+// correctly. A sidecar too short to hold its tail offset reads as missing;
+// any other damage fails the open as corrupt and is repaired.
 func TestCorruptSidecarRepairedTransparently(t *testing.T) {
-	d, _ := openTest(t, PolicyCloudOnly)
-	defer d.Close()
-
-	const n = 300
-	for i := 0; i < n; i++ {
-		mustPut(t, d, fmt.Sprintf("k%05d", i), pipelineValue(i))
-	}
-	if err := d.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	names, err := d.local.List("meta/")
-	if err != nil || len(names) == 0 {
-		t.Fatalf("no sidecars written: %v %v", names, err)
-	}
-	for _, name := range names {
-		corruptObject(t, d.local, name, 12)
-	}
-	d.engines[0].vs.Current().AllFiles(func(level int, f *manifest.FileMetadata) { d.tables.evict(f.Num) })
-
-	for i := 0; i < n; i++ {
-		mustGet(t, d, fmt.Sprintf("k%05d", i), pipelineValue(i))
-	}
-	m := d.Metrics()
-	if m.CorruptionsDetected == 0 || m.CorruptionsRepaired == 0 || m.CorruptionsUnrepaired != 0 {
-		t.Fatalf("sidecar corruption counters: detected=%d repaired=%d unrepaired=%d",
-			m.CorruptionsDetected, m.CorruptionsRepaired, m.CorruptionsUnrepaired)
-	}
-	// The rebuilt sidecars verify clean.
-	d.engines[0].vs.Current().AllFiles(func(level int, f *manifest.FileMetadata) {
-		if f.Tier != storage.TierCloud {
-			return
+	torn := func(size func(n int) int) func(*testing.T, *DB, string) {
+		return func(t *testing.T, d *DB, name string) {
+			data, err := d.local.ReadAll(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := storage.WriteObject(d.local, name, data[:size(len(data))]); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if ok, present := d.engines[0].verifySidecar(f.Num); !present || !ok {
-			t.Errorf("sidecar for table %d not rebuilt clean (present=%v ok=%v)", f.Num, present, ok)
-		}
-	})
+	}
+	for _, tc := range []struct {
+		name    string
+		damage  func(t *testing.T, d *DB, name string)
+		corrupt bool // the open detects and repairs it, rather than finding no sidecar
+	}{
+		{"bit flip", func(t *testing.T, d *DB, name string) { corruptObject(t, d.local, name, 12) }, true},
+		{"torn at 0 B", torn(func(int) int { return 0 }), false},
+		{"torn at 5 B", torn(func(int) int { return 5 }), false},
+		{"torn mid-tail", torn(func(n int) int { return 8 + (n-8)/2 }), true},
+		{"torn short of the footer", torn(func(n int) int { return n - 1 }), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d, _ := openTest(t, PolicyCloudOnly)
+			defer d.Close()
+
+			const n = 300
+			for i := 0; i < n; i++ {
+				mustPut(t, d, fmt.Sprintf("k%05d", i), pipelineValue(i))
+			}
+			if err := d.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			names, err := d.local.List("meta/")
+			if err != nil || len(names) == 0 {
+				t.Fatalf("no sidecars written: %v %v", names, err)
+			}
+			for _, name := range names {
+				tc.damage(t, d, name)
+			}
+			d.engines[0].vs.Current().AllFiles(func(level int, f *manifest.FileMetadata) { d.tables.evict(f.Num) })
+
+			for i := 0; i < n; i++ {
+				mustGet(t, d, fmt.Sprintf("k%05d", i), pipelineValue(i))
+			}
+			m := d.Metrics()
+			if tc.corrupt != (m.CorruptionsDetected > 0) || tc.corrupt != (m.CorruptionsRepaired > 0) || m.CorruptionsUnrepaired != 0 {
+				t.Fatalf("sidecar corruption counters: detected=%d repaired=%d unrepaired=%d",
+					m.CorruptionsDetected, m.CorruptionsRepaired, m.CorruptionsUnrepaired)
+			}
+			// The rebuilt sidecars verify clean.
+			d.engines[0].vs.Current().AllFiles(func(level int, f *manifest.FileMetadata) {
+				if f.Tier != storage.TierCloud {
+					return
+				}
+				if ok, present := d.engines[0].verifySidecar(f.Num); !present || !ok {
+					t.Errorf("sidecar for table %d not rebuilt clean (present=%v ok=%v)", f.Num, present, ok)
+				}
+			})
+		})
+	}
 }
 
 // TestScrubRepairsOfflineDamage damages a mirrored local table while no

@@ -119,9 +119,15 @@ func readFooter(f storage.Reader) (footer, error) {
 	if size < footerLen {
 		return footer{}, fmt.Errorf("%w: file too small (%d bytes)", ErrCorrupt, size)
 	}
-	buf := make([]byte, footerLen)
-	if _, err := f.ReadAt(buf, size-footerLen); err != nil && err != io.EOF {
-		return footer{}, err
+	var buf []byte
+	if t, ok := f.(*TailReader); ok {
+		buf, _ = t.image(size-footerLen, footerLen)
+	}
+	if buf == nil {
+		buf = make([]byte, footerLen)
+		if _, err := f.ReadAt(buf, size-footerLen); err != nil && err != io.EOF {
+			return footer{}, err
+		}
 	}
 	ftr, err := decodeFooter(buf)
 	if err != nil {
@@ -168,28 +174,28 @@ func (p Properties) encode() []byte {
 }
 
 func decodeProperties(p []byte) (Properties, error) {
-	var props Properties
-	fields := []*uint64{
-		&props.NumEntries, &props.NumDeletes, &props.RawKeyBytes,
-		&props.RawValBytes, &props.MinSeq, &props.MaxSeq,
-	}
-	for _, f := range fields {
-		v, n := binary.Uvarint(p)
+	var v [6]uint64
+	for i := range v {
+		x, n := binary.Uvarint(p)
 		if n <= 0 {
-			return props, ErrCorrupt
+			return Properties{}, ErrCorrupt
 		}
-		*f = v
-		p = p[n:]
+		v[i], p = x, p[n:]
 	}
-	for _, dst := range []*[]byte{&props.Smallest, &props.Largest} {
+	// The bounds alias the (verified, never rewritten) properties block.
+	var bounds [2][]byte
+	for i := range bounds {
 		ln, n := binary.Uvarint(p)
 		if n <= 0 || uint64(len(p)-n) < ln {
-			return props, ErrCorrupt
+			return Properties{}, ErrCorrupt
 		}
-		*dst = append([]byte(nil), p[n:n+int(ln)]...)
-		p = p[n+int(ln):]
+		end := n + int(ln)
+		bounds[i], p = p[n:end:end], p[end:]
 	}
-	return props, nil
+	return Properties{
+		NumEntries: v[0], NumDeletes: v[1], RawKeyBytes: v[2], RawValBytes: v[3], MinSeq: v[4], MaxSeq: v[5],
+		Smallest: bounds[0], Largest: bounds[1],
+	}, nil
 }
 
 // sealBlock appends a finished block body and its trailer (compression type

@@ -139,8 +139,8 @@ func TestIndexSearchMatchesLinearScan(t *testing.T) {
 					t.Fatalf("%s n=%d ri=%d: %d entries (%d walked), want %d", shape.name, n, ri, r.index.Len(), len(es), len(seps))
 				}
 				for i, s := range seps {
-					if h := (Handle{uint64(i) * 100, 90}); !bytes.Equal(es[i].Sep, s) || es[i].H != h || r.handle(i) != h {
-						t.Fatalf("%s n=%d ri=%d: entry %d = %x %v (handle(i) %v), want %x", shape.name, n, ri, i, es[i].Sep, es[i].H, r.handle(i), s)
+					if h := (Handle{uint64(i) * 100, 90}); !bytes.Equal(es[i].Sep, s) || es[i].H != h || r.DataHandle(i) != h {
+						t.Fatalf("%s n=%d ri=%d: entry %d = %x %v (DataHandle(i) %v), want %x", shape.name, n, ri, i, es[i].Sep, es[i].H, r.DataHandle(i), s)
 					}
 				}
 				for _, seek := range seeksAround(rng, shape.gen, seps) {

@@ -42,7 +42,9 @@ type Reader struct {
 // TailReader overlays an in-memory copy of a table's metadata tail on top
 // of the (possibly remote) data file: reads at or beyond tailOff are served
 // from memory, so opening the table performs no remote I/O when the tail
-// was cached locally (the store's "metadata stays local" rule).
+// was cached locally (the store's "metadata stays local" rule). Open over a
+// TailReader keeps the footer's blocks as sub-slices of the tail, so the
+// tail must not change once the TailReader is made.
 type TailReader struct {
 	f       storage.Reader
 	tailOff int64
@@ -81,6 +83,29 @@ func (t *TailReader) ReadAt(p []byte, off int64) (int, error) {
 	return t.f.ReadAt(p, off)
 }
 
+// image returns the n bytes at off as a sub-slice of the tail, capped at n,
+// if they lie wholly inside it.
+func (t *TailReader) image(off, n int64) ([]byte, bool) {
+	i := off - t.tailOff
+	if i < 0 || n < 0 || i > int64(len(t.tail))-n {
+		return nil, false
+	}
+	return t.tail[i : i+n : i+n], true
+}
+
+// readMetaBlock reads and verifies the metadata block at h. Over a
+// TailReader whose tail holds the block, the block is checked in place and
+// returned as a sub-slice of the tail, which the Reader keeps; any other
+// reader gets a fresh copy (ReadRawBlock).
+func readMetaBlock(f storage.Reader, h Handle) ([]byte, error) {
+	if t, ok := f.(*TailReader); ok {
+		if raw, ok := t.image(int64(h.Offset), int64(h.Length+blockTrailerLen)); ok {
+			return VerifyBlock(raw)
+		}
+	}
+	return ReadRawBlock(f, h)
+}
+
 // Size implements storage.Reader.
 func (t *TailReader) Size() int64 { return t.tailOff + int64(len(t.tail)) }
 
@@ -97,20 +122,20 @@ func Open(f storage.Reader, fileNum uint64) (*Reader, error) {
 	r := &Reader{fileNum: fileNum, f: f, metaOff: ftr.tailOffset()}
 	r.fetch = r.readDirect
 
-	if r.indexBody, err = ReadRawBlock(f, ftr.index); err != nil {
+	if r.indexBody, err = readMetaBlock(f, ftr.index); err != nil {
 		return nil, err
 	}
 	if r.index, err = readIndex(r.indexBody); err != nil {
 		return nil, err
 	}
 	if ftr.filter.Length > 0 {
-		fb, err := ReadRawBlock(f, ftr.filter)
+		fb, err := readMetaBlock(f, ftr.filter)
 		if err != nil {
 			return nil, err
 		}
 		r.filter = bloom.Filter(fb)
 	}
-	pb, err := ReadRawBlock(f, ftr.props)
+	pb, err := readMetaBlock(f, ftr.props)
 	if err != nil {
 		return nil, err
 	}
@@ -137,8 +162,12 @@ func readIndex(body []byte) (block.SeekTable, error) {
 	return t, nil
 }
 
-// handle returns data block i's handle, which Open checked.
-func (r *Reader) handle(i int) Handle {
+// DataBlocks returns how many data blocks the table holds.
+func (r *Reader) DataBlocks() int { return r.index.Len() }
+
+// DataHandle returns the handle of data block i (0 ≤ i < DataBlocks, in
+// file order), read from the pinned index, which Open checked.
+func (r *Reader) DataHandle(i int) Handle {
 	h, _ := DecodeHandle(r.index.Value(i))
 	return h
 }
@@ -175,7 +204,7 @@ func (r *Reader) MetaOffset() uint64 { return r.metaOff }
 func (r *Reader) DataHandles() []Handle {
 	hs := make([]Handle, r.index.Len())
 	for i := range hs {
-		hs[i] = r.handle(i)
+		hs[i] = r.DataHandle(i)
 	}
 	return hs
 }
@@ -196,7 +225,7 @@ func (r *Reader) IndexEntries() []IndexEntry {
 	es := make([]IndexEntry, 0, r.index.Len())
 	it := br.NewIter()
 	for it.First(); it.Valid(); it.Next() {
-		es = append(es, IndexEntry{Sep: bytes.Clone(it.Key()), H: r.handle(len(es))})
+		es = append(es, IndexEntry{Sep: bytes.Clone(it.Key()), H: r.DataHandle(len(es))})
 	}
 	return es
 }
@@ -328,7 +357,7 @@ func (it *Iter) loadData(pos int) bool {
 	if pos < 0 || pos >= it.r.index.Len() {
 		return false
 	}
-	body, _, err := it.fetch(it.r.fileNum, it.r.handle(pos), it.prof)
+	body, _, err := it.fetch(it.r.fileNum, it.r.DataHandle(pos), it.prof)
 	if err != nil {
 		it.err = err
 		return false

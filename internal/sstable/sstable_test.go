@@ -348,6 +348,59 @@ func TestMetadataBytesPositive(t *testing.T) {
 	}
 }
 
+// bodyless stands in for a table body that must not be read: opened over
+// a tail image, a table reads all its metadata from the image.
+type bodyless struct{ size int64 }
+
+func (b bodyless) ReadAt([]byte, int64) (int, error) { return 0, fmt.Errorf("read below the tail") }
+func (b bodyless) Size() int64                       { return b.size }
+func (b bodyless) Close() error                      { return nil }
+
+// TestOpenOverTailImageCopiesNoBlock: Open over a TailReader verifies the
+// footer's blocks in place and keeps them as sub-slices of the tail image,
+// where any other reader gets a copy of each. The pinned metadata figure is
+// the same either way, and the open copies nothing out of the image.
+func TestOpenOverTailImageCopiesNoBlock(t *testing.T) {
+	img := tableImage(t, seqEntries(500, 16), DefaultBuilderOptions())
+	tailOff, tail, err := MetaTail(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ftr, err := readFooter(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	overTail := func() *Reader {
+		r, err := Open(NewTailReader(bodyless{int64(tailOff) + int64(len(tail))}, int64(tailOff), tail), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	copied, err := Open(img, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := overTail()
+	if &r.indexBody[0] != &tail[ftr.index.Offset-tailOff] || &r.filter[0] != &tail[ftr.filter.Offset-tailOff] {
+		t.Fatal("the index or filter block is a copy, not a sub-slice of the tail image")
+	}
+	if &copied.indexBody[0] == &img.buf[ftr.index.Offset] {
+		t.Fatal("a plain reader's index block aliases the file's bytes")
+	}
+	if got, want := r.MetadataBytes(), copied.MetadataBytes(); got != want {
+		t.Fatalf("MetadataBytes over the tail image = %d, want %d as over the table", got, want)
+	}
+	if r.DataBlocks() != copied.DataBlocks() || r.Properties().NumEntries != copied.Properties().NumEntries {
+		t.Fatal("the two opens disagree on the table")
+	}
+	// The TailReader and its boxed body, the Reader, its default fetch hook
+	// and the index's seek table: no footer, block or bound is copied.
+	if n := testing.AllocsPerRun(100, func() { overTail() }); n > 5 {
+		t.Fatalf("opening over a tail image made %v allocations, want at most 5", n)
+	}
+}
+
 // discardWriter is a storage.Writer that keeps nothing.
 type discardWriter struct{}
 
