@@ -214,9 +214,6 @@ func (d *engine) openInputs(files []*manifest.FileMetadata, readNS, spans, block
 	for _, f := range files {
 		h, err := d.tables.get(d, f)
 		if err != nil {
-			for _, ch := range children {
-				ch.Close()
-			}
 			return nil, nil, err
 		}
 		sr := &spanReader{
@@ -231,7 +228,7 @@ func (d *engine) openInputs(files []*manifest.FileMetadata, readNS, spans, block
 		if readNS != nil {
 			fetch = timedFetch(fetch, readNS)
 		}
-		children = append(children, &tableIter{h: h, it: *h.reader.NewIterWithFetch(fetch)})
+		children = append(children, &tableIter{it: *h.reader.NewIterWithFetch(fetch)})
 	}
 	return children, func() {
 		for _, sr := range readers {
@@ -353,7 +350,7 @@ func (d *engine) merge(c *compaction, all []*manifest.FileMetadata, sink *tableS
 	}
 	merged := newMergingIter(children...)
 	defer func() {
-		drain() // span GETs in flight land before the table references go
+		drain() // span GETs in flight land before the job's pin goes
 		merged.Close()
 		spans = spanGets.Load()
 		d.stats.CompactDroppedKeys.Add(dropped)

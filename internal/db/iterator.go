@@ -50,19 +50,17 @@ type runIter struct{ *memtable.RunIterator }
 func (runIter) Err() error   { return nil }
 func (runIter) Close() error { return nil }
 
-// tableIter adapts one table's iterator, holding its handle reference. It
-// holds the iterator by value, and the data block keys start in keyBuf.
+// tableIter adapts one table's iterator. It holds the iterator by value, and
+// the data block keys start in keyBuf.
 type tableIter struct {
-	h      *tableHandle
 	it     sstable.Iter
 	keyBuf [iterKeyScratch]byte
 }
 
-// init makes t an unpositioned walk of h's table, taking over the caller's
-// reference. t stays where it is from then on: its key buffer is its own.
-func (t *tableIter) init(h *tableHandle) {
-	t.h = h
-	h.reader.InitIter(&t.it, t.keyBuf[:])
+// init makes t an unpositioned walk of r. t stays where it is from then on:
+// its key buffer is its own.
+func (t *tableIter) init(r *sstable.Reader) {
+	r.InitIter(&t.it, t.keyBuf[:])
 }
 
 func (t *tableIter) First()             { t.it.First() }
@@ -75,13 +73,7 @@ func (t *tableIter) Valid() bool        { return t.it.Valid() }
 func (t *tableIter) Key() []byte        { return t.it.Key() }
 func (t *tableIter) Value() []byte      { return t.it.Value() }
 func (t *tableIter) Err() error         { return t.it.Err() }
-func (t *tableIter) Close() error {
-	if t.h != nil {
-		t.h.release()
-		t.h = nil
-	}
-	return nil
-}
+func (t *tableIter) Close() error       { return nil }
 
 // mergingIter N-way merges child iterators in either direction. Ties on
 // identical internal keys cannot occur (sequence numbers are unique); ties
@@ -499,7 +491,7 @@ func (d *engine) iterChildren(children []internalIterator, part *engineIters, pr
 			return children, err
 		}
 		ti := &tables[i]
-		ti.init(h)
+		ti.init(h.reader)
 		ti.it.SetProfile(prof)
 		children = append(children, ti)
 	}
@@ -684,10 +676,10 @@ func (it *Iterator) Value() []byte { return it.value }
 // Err returns the first error encountered.
 func (it *Iterator) Err() error { return it.err }
 
-// Close releases table references, lets go of the iterator's holds and
-// folds its counters into the first engine's aggregates. Iterators must be
-// closed. It does not wait for readahead in flight: a hold's version pin
-// and its views' tables go with the last of its span GETs to land.
+// Close lets go of the iterator's holds and folds its counters into the
+// first engine's aggregates. Iterators must be closed. It does not wait for
+// readahead in flight: a hold's version pin goes with the last of its span
+// GETs to land.
 func (it *Iterator) Close() error {
 	if it.closed {
 		return it.err

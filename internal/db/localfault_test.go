@@ -90,7 +90,7 @@ func TestCorruptLocalTableRepairedFromMirror(t *testing.T) {
 	// read goes back to the damaged file.
 	num := locals[0]
 	corruptObject(t, d.local, manifest.TableName(num), 64)
-	d.tables.evict(num)
+	d.tables.evict(keyOf(num, storage.TierLocal))
 
 	for i := 0; i < n; i++ {
 		mustGet(t, d, fmt.Sprintf("k%05d", i), pipelineValue(i))
@@ -138,7 +138,7 @@ func TestCorruptLocalTableNoCloudSourceQuarantines(t *testing.T) {
 	}
 	num := locals[0]
 	corruptObject(t, d.local, manifest.TableName(num), 64)
-	d.tables.evict(num)
+	d.tables.evict(keyOf(num, storage.TierLocal))
 
 	// The first key lives in the first data block — the damaged one.
 	got, err := d.Get([]byte("k00000"))
@@ -198,7 +198,7 @@ func TestCompactionRepairsCorruptLocalInput(t *testing.T) {
 		for _, f := range l0 {
 			if string(f.Smallest[:len(f.Smallest)-8]) == key(0) {
 				corruptObject(t, d.local, manifest.TableName(f.Num), 64)
-				d.tables.evict(f.Num)
+				d.tables.evict(keyOf(f.Num, f.Tier))
 				return
 			}
 		}
@@ -302,7 +302,7 @@ func TestCorruptSidecarRepairedTransparently(t *testing.T) {
 			for _, name := range names {
 				tc.damage(t, d, name)
 			}
-			d.engines[0].vs.Current().AllFiles(func(level int, f *manifest.FileMetadata) { d.tables.evict(f.Num) })
+			d.engines[0].vs.Current().AllFiles(func(level int, f *manifest.FileMetadata) { d.tables.evict(keyOf(f.Num, f.Tier)) })
 
 			for i := 0; i < n; i++ {
 				mustGet(t, d, fmt.Sprintf("k%05d", i), pipelineValue(i))

@@ -12,16 +12,35 @@ import (
 )
 
 // TestRandomOpsMatchReferenceModel drives the engine with a random mix of
-// puts, deletes, batches, flushes, compactions, crashes and reopens, and
-// checks it always agrees with an in-memory map — the strongest end-to-end
-// invariant the store offers.
+// puts, deletes, batches, point reads, scans, flushes, compactions, crashes
+// and reopens, and checks it always agrees with an in-memory map — the
+// strongest end-to-end invariant the store offers. The open-2 case serves at
+// most two tables, so the reads and the background jobs race CLOCK
+// evictions whose closes wait on their pins.
 func TestRandomOpsMatchReferenceModel(t *testing.T) {
-	for _, p := range []Policy{PolicyMash, PolicyCloudLRU} {
-		t.Run(p.String(), func(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		p       Policy
+		maxOpen int
+	}{
+		{"mash", PolicyMash, maxOpenTables},
+		{"cloud-lru", PolicyCloudLRU, maxOpenTables},
+		{"mash-open-2", PolicyMash, 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
 			dir := t.TempDir()
-			opts := testOptions(p)
+			opts := testOptions(c.p)
 			opts.WALSegmentBytes = 8 << 10
-			d, err := OpenAt(dir, opts)
+			open := func() (*DB, error) {
+				d, err := OpenAt(dir, opts)
+				if err == nil {
+					d.tables.mu.Lock()
+					d.tables.maxOpen = c.maxOpen
+					d.tables.mu.Unlock()
+				}
+				return d, err
+			}
+			d, err := open()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -63,7 +82,7 @@ func TestRandomOpsMatchReferenceModel(t *testing.T) {
 					for i := range ks {
 						ref[string(ks[i])] = vs[i]
 					}
-				case r < 85: // random point check
+				case r < 83: // random point check
 					k := key()
 					v, err := d.Get(k)
 					want, ok := ref[string(k)]
@@ -73,6 +92,30 @@ func TestRandomOpsMatchReferenceModel(t *testing.T) {
 						}
 					} else if !errors.Is(err, ErrNotFound) {
 						t.Fatalf("step %d: Get(%q) = %q, %v; want ErrNotFound", step, k, v, err)
+					}
+				case r < 85: // scan of up to 10 keys
+					k := key()
+					var want []string
+					for rk := range ref {
+						if rk >= string(k) {
+							want = append(want, rk)
+						}
+					}
+					sort.Strings(want)
+					want = want[:min(len(want), 10)]
+					it, err := d.NewIterator()
+					if err != nil {
+						t.Fatal(err)
+					}
+					it.Seek(k)
+					for _, wk := range want {
+						if !it.Valid() || string(it.Key()) != wk || !bytes.Equal(it.Value(), ref[wk]) {
+							t.Fatalf("step %d: scan from %q: at %q (valid %v, err %v), want %q", step, k, it.Key(), it.Valid(), it.Err(), wk)
+						}
+						it.Next()
+					}
+					if err := it.Close(); err != nil {
+						t.Fatal(err)
 					}
 				case r < 90: // flush
 					if err := d.Flush(); err != nil {
@@ -84,14 +127,14 @@ func TestRandomOpsMatchReferenceModel(t *testing.T) {
 					}
 				case r < 97: // crash + recover
 					d.CrashForTest()
-					if d, err = OpenAt(dir, opts); err != nil {
+					if d, err = open(); err != nil {
 						t.Fatalf("step %d: reopen after crash: %v", step, err)
 					}
 				default: // clean close + reopen
 					if err := d.Close(); err != nil {
 						t.Fatal(err)
 					}
-					if d, err = OpenAt(dir, opts); err != nil {
+					if d, err = open(); err != nil {
 						t.Fatalf("step %d: reopen: %v", step, err)
 					}
 				}

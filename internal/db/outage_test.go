@@ -350,6 +350,7 @@ func TestRelocateRetiredMidCopy(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			vNew := e.vs.Acquire()
 			hNew, err := d.tables.get(e, newMeta)
 			if err != nil {
 				t.Fatal(err)
@@ -358,15 +359,42 @@ func TestRelocateRetiredMidCopy(t *testing.T) {
 				t.Errorf("handles read the %s and %s tiers for metadata on %s and %s",
 					hOld.tier, hNew.tier, oldMeta.Tier, newMeta.Tier)
 			}
-			hOld.release()
-			hNew.release()
 			walkBothWays(t, "reader across the move", it, model)
+			// Gets read the new copy while the old one retires, which must
+			// close the old copy's handle and leave the new one's open.
+			stop, done := make(chan struct{}), make(chan error, 1)
+			go func() {
+				for i := 0; ; i = (i + 1) % 60 {
+					select {
+					case <-stop:
+						done <- nil
+						return
+					default:
+					}
+					k := fmt.Sprintf("k00-%04d", i)
+					if v, err := d.Get([]byte(k)); err != nil || string(v) != model[k] {
+						done <- fmt.Errorf("Get(%s) = %.12q, %v during the retirement", k, v, err)
+						return
+					}
+				}
+			}()
 			if err := it.Close(); err != nil {
 				t.Fatal(err)
 			}
 			waitFor(t, "the old-tier copy to go with its last reader", 10*time.Second, func() bool {
 				return !slices.Contains(list(away, "sst/"), table)
 			})
+			close(stop)
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			if hNew.reader.File() == nil {
+				t.Fatal("retiring the old copy closed the live copy's handle")
+			}
+			if _, err := hNew.readRepaired(hNew.reader.DataHandle(0)); err != nil {
+				t.Fatalf("reading the live copy after the old one retired: %v", err)
+			}
+			e.unpin(vNew)
 			var want []string
 			for k, v := range model {
 				want = append(want, k+"="+v)
@@ -485,7 +513,7 @@ func TestRelocateNeverCarriesDamage(t *testing.T) {
 	}
 	// Offset 64 lies in the first data block.
 	corruptObject(t, d.local, manifest.TableName(locals[0]), 64)
-	d.tables.evict(locals[0])
+	d.tables.evict(keyOf(locals[0], storage.TierLocal))
 	faulty.EndOutage()
 
 	waitFor(t, "the drainer to find the damage", 5*time.Second, func() bool {

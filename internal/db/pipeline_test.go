@@ -188,7 +188,6 @@ func TestCompactionReadsWideSpans(t *testing.T) {
 			t.Fatal(err)
 		}
 		hs := h.reader.DataHandles()
-		h.release()
 		if f.Tier != storage.TierCloud || len(hs) <= width {
 			t.Fatalf("input %d: tier %v, %d blocks; want cloud tables wider than one %d-block span", f.Num, f.Tier, len(hs), width)
 		}

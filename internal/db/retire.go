@@ -57,7 +57,7 @@ func (d *engine) retireObsolete() {
 // on the deferred queue for the drainer to retry, never back to the caller.
 func (d *engine) retire(o manifest.Obsolete) {
 	f := o.File
-	d.tables.evict(f.Num)
+	d.tables.evict(keyOf(f.Num, f.Tier))
 	if o.Moved {
 		// A relocation's leftover: the table lives on under the same number
 		// on the other tier, so its cached blocks (content-identical) stay

@@ -152,7 +152,7 @@ func (d *engine) repairLocalTable(num uint64, cause error, force bool) ([]byte, 
 		return data, nil
 	}
 	// Reopen against the rewritten file on next use.
-	d.tables.evict(num)
+	d.tables.evict(keyOf(num, storage.TierLocal))
 	d.stats.CorruptionsRepaired.Add(1)
 	d.evCorruptionRepaired("sstable-block", name, num, "cloud-mirror", time.Since(start))
 	return data, nil

@@ -82,7 +82,7 @@ func TestSidecarRebuiltWhenMissing(t *testing.T) {
 			// Evict open tables so the next read re-opens them.
 			v := d.engines[0].vs.Current()
 			v.AllFiles(func(level int, f *manifest.FileMetadata) {
-				d.tables.evict(f.Num)
+				d.tables.evict(keyOf(f.Num, f.Tier))
 				tc.damage(t, d, faulty, manifest.TableName(f.Num))
 			})
 			detected := d.Metrics().CorruptionsDetected

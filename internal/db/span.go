@@ -72,8 +72,9 @@ type span struct {
 // spanReader walks one block schedule on behalf of one consumer goroutine.
 // The consumer moves the cursor with await, read or get; only the GETs
 // themselves run on other goroutines. They borrow the schedule's table
-// handles: a compaction input's consumer calls drain before it releases
-// them, a scan's GETs hold them through the iterator's scanHold.
+// handles, which the version pin keeps open: a compaction input's consumer
+// calls drain before its job unpins, a scan's GETs hold the pin through the
+// iterator's scanHold.
 type spanReader struct {
 	sched  []sstable.ViewEntry // Member indexes tables; Sep is not read
 	tables tableSource

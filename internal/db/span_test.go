@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -98,12 +99,10 @@ func newSpanTable(t *testing.T, e *engine, p *spanProbe, num uint64, prefix stri
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := &tableHandle{reader: r, tier: storage.TierCloud, db: e}
-	h.refs.Store(1)
-	return &spanTable{
-		h: h, rd: rd, hs: r.DataHandles(),
-		meta: &manifest.FileMetadata{Num: num, Tier: storage.TierCloud, Largest: props.Largest},
-	}
+	h := &tableHandle{reader: r, tier: storage.TierCloud, key: keyOf(num, storage.TierCloud), db: e}
+	meta := &manifest.FileMetadata{Num: num, Tier: storage.TierCloud, Largest: props.Largest, Slot: new(atomic.Value)}
+	meta.Slot.Store(h)
+	return &spanTable{h: h, rd: rd, hs: r.DataHandles(), meta: meta}
 }
 
 // tableList is a multi-table tableSource.
@@ -312,8 +311,8 @@ func TestSpanReaderFailureSurfacesAtBlock(t *testing.T) {
 }
 
 // spanViewIter is a viewIter over the fixture: the schedule is the view's
-// cursor run, the tables are pre-opened members with the table cache's fetch
-// path. The test keeps the hold's first holder, so nothing is released.
+// cursor run, the tables are members published in their metadata's slots,
+// with the table cache's fetch path. The test keeps the hold's first holder, so nothing is released.
 func spanViewIter(e *engine, tabs tableList, sched []sstable.ViewEntry) *viewIter {
 	files := make([]*manifest.FileMetadata, len(tabs))
 	v := &sstable.View{Level: 1, Entries: sched}
@@ -325,9 +324,8 @@ func spanViewIter(e *engine, tabs tableList, sched []sstable.ViewEntry) *viewIte
 	hold.init(e, nil)
 	vi := &viewIter{}
 	vi.init(e, hold, v, files, nil)
-	for m, tab := range tabs {
+	for _, tab := range tabs {
 		tab.h.reader.SetFetch(tab.h.read)
-		vi.opened = append(vi.opened, openMember{int32(m), tab.h})
 	}
 	vi.forward = true
 	return vi

@@ -15,22 +15,19 @@ import (
 	"rocksmash/internal/storage"
 )
 
-// tableHandle is a refcounted open table. Readers (Get, iterators,
-// compactions) acquire a handle and release it when done; the reader closes
-// when the last reference drops.
+// tableHandle is an open table. A reader uses it for as long as it pins a
+// version naming the table (manifest/lifetime.go): whoever stops serving a
+// handle closes it through the owning engine's version set, once every pin
+// that could have been handed it is gone.
 type tableHandle struct {
 	reader *sstable.Reader
 	tier   storage.Tier
 	key    tableKey
-	// db is the engine that owns the file: its backends serve block reads.
-	// The cache itself is engine-agnostic — file numbers are unique across
-	// the store's engines.
+	// db is the engine that owns the file: its backends serve block reads,
+	// and its version pins keep the handle open. The cache itself is
+	// engine-agnostic — file numbers are unique across the store's engines.
 	db *engine
 
-	// refs counts the cache's own reference, held while the handle is
-	// cached, and one per reader. A count that has reached zero never rises
-	// again: whoever took it there closes the reader.
-	refs atomic.Int32
 	// used is the handle's CLOCK reference bit: a probe sets it, and the
 	// cache's eviction hand clears it.
 	used atomic.Bool
@@ -41,39 +38,20 @@ type tableHandle struct {
 	slot *atomic.Value
 }
 
-// acquire takes a reference unless the count has reached zero — the handle
-// is closed or closing — with the idiom of manifest.Set.Acquire.
-func (h *tableHandle) acquire() bool {
-	for {
-		n := h.refs.Load()
-		if n <= 0 {
-			return false
-		}
-		if h.refs.CompareAndSwap(n, n+1) {
-			return true
-		}
-	}
-}
-
-func (h *tableHandle) release() {
-	if h.refs.Add(-1) == 0 {
-		_ = h.reader.Close()
-	}
-}
-
 // tableCache keeps table readers open with their metadata (index, filter)
 // pinned in local memory, and routes data-block reads through the cache
 // hierarchy: in-memory block cache, then (for cloud files) the persistent
-// cache, then the owning backend. The number of open tables is bounded:
-// past maxOpen, an idle table the CLOCK hand finds unused since its last
-// turn is closed (RocksDB's max_open_files analogue) — file descriptors
-// must not scale with the tree size.
+// cache, then the owning backend. The number of tables it serves is bounded:
+// past maxOpen, the CLOCK hand evicts a table it finds unused since its last
+// turn (RocksDB's max_open_files analogue) — file descriptors must not scale
+// with the tree size. An evicted table closes once the readers that pinned
+// before the eviction are gone, so the tables open are at most maxOpen plus
+// those such a reader still holds.
 //
 // A cached handle is published in the slot of the FileMetadata it was
-// opened for, so a probe of a cached table is one atomic load, one CAS on
-// the handle's count and a reference-bit store: no lock, no map. mu, the
-// map and the ring are touched only when a table opens, is evicted or is
-// retired.
+// opened for, so a probe of a cached table is one atomic load and a
+// reference-bit store: no lock, no map, no count. mu, the map and the ring
+// are touched only when a table opens, is evicted or is retired.
 type tableCache struct {
 	maxOpen int
 
@@ -105,37 +83,24 @@ func newTableCache(maxOpen int) *tableCache {
 	}
 }
 
-// get returns a referenced handle on the table meta names. d is the engine
-// that owns the file; every engine shares the one cache, so the open-table
-// budget is global. Gets, iterators and compaction inputs all come through
-// here. A handle in meta's slot is taken without a lock; only a table that
-// is not open, or open for another FileMetadata, goes through mu.
+// get returns the handle on the table meta names, which stays open while the
+// caller's pin on a version naming meta lives. d is the engine that owns the
+// file; every engine shares the one cache, so the open-table budget is
+// global. Gets, iterators and compaction inputs all come through here. A
+// handle in meta's slot is taken without a lock; only a table that is not
+// open, or open for another FileMetadata, goes through mu.
 func (tc *tableCache) get(d *engine, meta *manifest.FileMetadata) (*tableHandle, error) {
-	if h := tc.published(meta); h != nil && h.acquire() {
-		return h, nil
+	if meta.Slot != nil {
+		// The key check covers a copy of a FileMetadata, which shares its
+		// original's slot but may name the table's other tier.
+		if h, _ := meta.Slot.Load().(*tableHandle); h != nil && h.key == keyOf(meta.Num, meta.Tier) {
+			if !h.used.Load() {
+				h.used.Store(true)
+			}
+			return h, nil
+		}
 	}
 	return tc.load(d, meta)
-}
-
-// published returns the handle published in meta's slot for meta's copy of
-// the table, and sets its reference bit, but takes no reference: the
-// caller may only read what outlives the handle, its reader's bloom filter
-// (a Get consults it first, so a table that cannot hold the key costs no
-// reference). nil when the table is not open in that slot.
-func (tc *tableCache) published(meta *manifest.FileMetadata) *tableHandle {
-	if meta.Slot == nil {
-		return nil
-	}
-	// The key check covers a copy of a FileMetadata, which shares its
-	// original's slot but may name the table's other tier.
-	h, _ := meta.Slot.Load().(*tableHandle)
-	if h == nil || h.key != keyOf(meta.Num, meta.Tier) {
-		return nil
-	}
-	if !h.used.Load() {
-		h.used.Store(true)
-	}
-	return h
 }
 
 // load is get's locked path: it finds the table in the map or opens it, and
@@ -144,9 +109,6 @@ func (tc *tableCache) load(d *engine, meta *manifest.FileMetadata) (*tableHandle
 	k := keyOf(meta.Num, meta.Tier)
 	tc.mu.Lock()
 	if h, ok := tc.tables[k]; ok {
-		// A mapped handle holds the cache's reference, which is only dropped
-		// under mu once it is unmapped: its count cannot be zero here.
-		h.refs.Add(1)
 		h.used.Store(true)
 		h.publishLocked(meta)
 		tc.mu.Unlock()
@@ -181,16 +143,14 @@ func (tc *tableCache) load(d *engine, meta *manifest.FileMetadata) (*tableHandle
 		return nil, err
 	}
 	h := &tableHandle{reader: r, tier: meta.Tier, key: k, db: d}
-	h.refs.Store(2) // the caller's and the cache's own
 	h.used.Store(true)
 	r.SetFetch(h.read)
 
 	tc.mu.Lock()
+	defer tc.mu.Unlock()
 	if existing, ok := tc.tables[k]; ok {
 		// Raced with another opener; keep theirs.
-		existing.refs.Add(1)
 		existing.publishLocked(meta)
-		tc.mu.Unlock()
 		_ = r.Close()
 		return existing, nil
 	}
@@ -199,7 +159,6 @@ func (tc *tableCache) load(d *engine, meta *manifest.FileMetadata) (*tableHandle
 	tc.ring = append(tc.ring, h)
 	h.publishLocked(meta)
 	tc.enforceCapLocked()
-	tc.mu.Unlock()
 	return h, nil
 }
 
@@ -218,50 +177,39 @@ func (h *tableHandle) publishLocked(meta *manifest.FileMetadata) {
 	h.slot = meta.Slot
 }
 
-// unlinkLocked takes h out of the cache: out of the map and the ring, and
-// out of its slot, so no new probe finds it. The caller then drops the
-// cache's reference.
-func (tc *tableCache) unlinkLocked(h *tableHandle) {
+// evictLocked stops serving h (the cache's mu is held): it leaves the map,
+// the ring and its slot, so no new probe finds it, and closes once the
+// readers that may have found it have let go of their pins.
+func (tc *tableCache) evictLocked(h *tableHandle) {
 	delete(tc.tables, h.key)
 	last := len(tc.ring) - 1
 	tc.ring[h.pos] = tc.ring[last]
 	tc.ring[h.pos].pos = h.pos
 	tc.ring[last] = nil
 	tc.ring = tc.ring[:last]
-	h.unpublishLocked()
-}
-
-// unpublishLocked empties the slot h is published in, if any (the cache's
-// mu is held).
-func (h *tableHandle) unpublishLocked() {
 	if h.slot != nil {
 		h.slot.Store((*tableHandle)(nil))
 		h.slot = nil
 	}
+	h.db.vs.CloseAfterPins(h.reader)
 }
 
-// enforceCapLocked closes idle tables while over budget, chosen by CLOCK:
-// the hand clears a set reference bit and moves on, and closes an idle
-// handle it finds with the bit clear. Two turns are enough to find every
-// idle handle; one a reader holds is skipped, and re-enters the budget at
-// the next open.
+// enforceCapLocked evicts tables while over budget, chosen by CLOCK: the
+// hand clears a set reference bit and moves on, and evicts the handle it
+// finds with the bit clear, so one turn of the ring finds a victim.
 func (tc *tableCache) enforceCapLocked() {
-	for steps := 2 * len(tc.ring); len(tc.tables) > tc.maxOpen && steps > 0; steps-- {
+	for len(tc.tables) > tc.maxOpen {
 		if tc.hand >= len(tc.ring) {
 			tc.hand = 0
 		}
-		h := tc.ring[tc.hand]
-		if h.used.Load() {
+		if h := tc.ring[tc.hand]; h.used.Load() {
 			h.used.Store(false)
-		} else if h.refs.CompareAndSwap(1, 0) {
-			// Only the cache's reference was left, and no probe can take
-			// one now. The ring's last handle moves to the hand's place, so
-			// the hand stays.
-			tc.unlinkLocked(h)
-			_ = h.reader.Close()
-			continue
+			tc.hand++
+		} else {
+			// The ring's last handle moves to the hand's place, so the hand
+			// stays.
+			tc.evictLocked(h)
 		}
-		tc.hand++
 	}
 }
 
@@ -408,19 +356,13 @@ func (h *tableHandle) readSpan(hs []sstable.Handle, raw []byte, bodies [][]byte)
 	return got, err
 }
 
-// evict drops the cache's reference on table fileNum, on whichever tier it
-// is open; the table closes once readers finish.
-func (tc *tableCache) evict(fileNum uint64) {
-	for _, tier := range [...]storage.Tier{storage.TierLocal, storage.TierCloud} {
-		tc.mu.Lock()
-		h, ok := tc.tables[keyOf(fileNum, tier)]
-		if ok {
-			tc.unlinkLocked(h)
-		}
-		tc.mu.Unlock()
-		if ok {
-			h.release()
-		}
+// evict stops serving the handle on copy k of a table, if one is open: a
+// retired copy, or one a repair rewrote; readers reopen the table.
+func (tc *tableCache) evict(k tableKey) {
+	tc.mu.Lock()
+	defer tc.mu.Unlock()
+	if h, ok := tc.tables[k]; ok {
+		tc.evictLocked(h)
 	}
 }
 
@@ -435,18 +377,12 @@ func (tc *tableCache) metadataBytes() int64 {
 	return n
 }
 
-// close releases every table.
+// close evicts every table; each closes once its readers' pins are gone.
 func (tc *tableCache) close() {
 	tc.mu.Lock()
-	hs := tc.ring
-	for _, h := range hs {
-		h.unpublishLocked()
-	}
-	tc.tables = map[tableKey]*tableHandle{}
-	tc.ring, tc.hand = nil, 0
-	tc.mu.Unlock()
-	for _, h := range hs {
-		h.release()
+	defer tc.mu.Unlock()
+	for len(tc.ring) > 0 {
+		tc.evictLocked(tc.ring[0])
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -162,27 +163,127 @@ func TestCacheLadder(t *testing.T) {
 	}
 }
 
-// TestTableCacheHandleLifetime races the table cache's lock-free probe
-// against everything that takes a handle away. Four readers — two Getting,
-// two scanning — read a fixed model while the cache holds at most two open
-// tables, so nearly every probe evicts or reopens one; meanwhile a writer
-// rewrites the model's keys with the values they already have, so flushes
-// and compactions retire the tables under the readers without changing an
-// answer, and one flush lands off home and is relocated. Every value read
-// must be the model's. Afterwards the cache is within its cap, every cached
-// handle is idle and published only in the slot of a live FileMetadata
-// naming its copy, and the tiers hold exactly the current version's tables.
+// TestTableCacheHandleLifetime checks the one rule that keeps a table
+// handle open: a reader's version pin. A handle the cache evicts stays open
+// while a reader that pinned before the eviction may still read it, closes
+// once those pins are gone (a later pin does not hold it), and the tables
+// open are at most the cap plus those waiting on such a pin. Then it races
+// the rule: four readers — two Getting, two scanning — read a fixed model
+// while the cache serves at most two tables, so nearly every probe evicts or
+// reopens one; meanwhile a writer rewrites the model's keys with the values
+// they already have, so flushes and compactions retire the tables under the
+// readers without changing an answer, and one flush lands off home and is
+// relocated. Every value read must be the model's, and no table reader is
+// read once closed. Afterwards the cache is within its cap, every handle is
+// published only in the slot of a live FileMetadata naming its copy, the
+// tiers hold exactly the current version's tables, and Close leaves no table
+// reader open.
 func TestTableCacheHandleLifetime(t *testing.T) {
+	t.Run("pins", testHandlesClosePastPins)
+	t.Run("race", testHandleLifetimeRace)
+}
+
+func testHandlesClosePastPins(t *testing.T) {
+	o := testOptions(PolicyLocalOnly)
+	o.L0CompactTrigger = 100
+	o.L0StallFiles = 400
+	d, _, open := openCountingTables(t, o)
+	defer d.Close()
+	const tables = 6
+	for tb := 0; tb < tables; tb++ {
+		for i := 0; i < 50; i++ {
+			mustPut(t, d, fmt.Sprintf("t%d-%03d", tb, i), fmt.Sprint(tb))
+		}
+		if err := d.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e, tc := d.engines[0], d.tables
+	tc.mu.Lock()
+	tc.maxOpen = 2
+	tc.enforceCapLocked()
+	tc.mu.Unlock()
+	mapped := func(h *tableHandle) bool {
+		tc.mu.Lock()
+		defer tc.mu.Unlock()
+		return tc.tables[h.key] == h
+	}
+	// waiting returns the open table readers beyond the cached ones.
+	waiting := func() int64 {
+		tc.mu.Lock()
+		defer tc.mu.Unlock()
+		return open.Load() - int64(len(tc.ring))
+	}
+	// churn Gets from every table until hs are all evicted.
+	churn := func(hs ...*tableHandle) {
+		t.Helper()
+		for round := 0; ; round++ {
+			if !slices.ContainsFunc(hs, mapped) {
+				return
+			}
+			if round == 20 {
+				t.Fatal("20 rounds of Gets evicted no handle")
+			}
+			for tb := 0; tb < tables; tb++ {
+				mustGet(t, d, fmt.Sprintf("t%d-%03d", tb, round), fmt.Sprint(tb))
+			}
+		}
+	}
+	if n := waiting(); n != 0 {
+		t.Fatalf("%d table readers open beyond the cached ones with no pin held", n)
+	}
+
+	v1 := e.vs.Acquire()
+	var held []*tableHandle
+	for _, f := range v1.Levels[0][:2] {
+		h, err := tc.get(e, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, h)
+	}
+	churn(held...)
+	if n := waiting(); n < 2 {
+		t.Fatalf("%d evicted table readers open while the pin they were handed under lives, want at least 2", n)
+	}
+	for _, h := range held {
+		if _, err := h.readRepaired(h.reader.DataHandle(0)); err != nil {
+			t.Fatalf("table %d, evicted under a live pin: %v", h.key>>1, err)
+		}
+	}
+	v2 := e.vs.Acquire() // after the evictions: it holds none of them
+	e.unpin(v1)
+	if n := waiting(); n != 0 {
+		t.Fatalf("%d evicted table readers still open once the pins before their eviction are gone", n)
+	}
+
+	h, err := tc.get(e, v2.Levels[0][0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	churn(h)
+	if n := waiting(); n < 1 {
+		t.Fatal("the table evicted under the second pin closed while it lives")
+	}
+	e.unpin(v2)
+	if n := waiting(); n != 0 {
+		t.Fatalf("%d evicted table readers still open with no pin held", n)
+	}
+}
+
+func testHandleLifetimeRace(t *testing.T) {
 	o := testOptions(PolicyCloudOnly)
 	o.CloudBreaker.FailureThreshold = 100 // the failed upload must not trip it
 	// L0 reaches the trigger every third round, where the test compacts, so
 	// the off-home table landed in between is still there for the drainer.
 	o.L0CompactTrigger = 4
-	d, _, cf, err := OpenAtChaosLocal(t.TempDir(), o, storage.FaultConfig{}, storage.FaultConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
+	d, cf, open := openCountingTables(t, o)
+	closed := false
+	defer func() {
+		if !closed {
+			d.Close()
+		}
+	}()
 	d.tables.mu.Lock()
 	d.tables.maxOpen = 2
 	d.tables.mu.Unlock()
@@ -291,20 +392,18 @@ func TestTableCacheHandleLifetime(t *testing.T) {
 		t.Error(err)
 	}
 	// A closed scan leaves its span GETs in flight, and the last to land
-	// lets go of the member tables its iterator opened: wait for them
-	// before counting references.
+	// lets go of its iterator's pin: wait for them before counting.
 	for _, e := range d.engines {
 		e.scanTails.Wait()
 	}
 
-	// Readers holding handles can keep the cache over its cap until the
-	// next open enforces it: make the reads below reopen one table with
-	// every other handle idle.
+	// Evictions that raced a pin left the cache over its cap no more than
+	// until the next open: make the reads below reopen one table.
 	tc := d.tables
 	live := map[*atomic.Value]*manifest.FileMetadata{}
 	d.engines[0].vs.Current().AllFiles(func(_ int, f *manifest.FileMetadata) { live[f.Slot] = f })
 	for _, f := range live {
-		tc.evict(f.Num)
+		tc.evict(keyOf(f.Num, f.Tier))
 		break
 	}
 	for i := 0; i < n; i++ {
@@ -318,9 +417,6 @@ func TestTableCacheHandleLifetime(t *testing.T) {
 		if tc.tables[h.key] != h || h.pos != i {
 			t.Errorf("ring slot %d holds table %d, mapped %v at position %d", i, h.key>>1, tc.tables[h.key] == h, h.pos)
 		}
-		if refs := h.refs.Load(); refs != 1 {
-			t.Errorf("idle cached table %d has %d references, want the cache's one", h.key>>1, refs)
-		}
 		if h.slot == nil {
 			continue
 		}
@@ -331,13 +427,192 @@ func TestTableCacheHandleLifetime(t *testing.T) {
 			t.Errorf("table %d is published in the slot of no live FileMetadata naming it", h.key>>1)
 		}
 	}
-	tc.mu.Unlock()
 	for _, f := range live {
-		if h, _ := f.Slot.Load().(*tableHandle); h != nil && h.refs.Load() == 0 {
-			t.Errorf("%s's slot holds a closed handle", f)
+		if h, _ := f.Slot.Load().(*tableHandle); h != nil && tc.tables[h.key] != h {
+			t.Errorf("%s's slot holds an evicted handle", f)
 		}
 	}
+	tc.mu.Unlock()
 	checkTableObjects(t, d, "after the race")
+	closed = true
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := open.Load(); n != 0 {
+		t.Errorf("%d table readers still open after Close", n)
+	}
+}
+
+// TestEvictionCompletesDuringManifestSync holds a flush's manifest edit in
+// its fsync, which the version set makes under its mutex, and evicts tables
+// meanwhile: each eviction completes and, with no reader pinned, closes its
+// table at once.
+func TestEvictionCompletesDuringManifestSync(t *testing.T) {
+	o := testOptions(PolicyLocalOnly)
+	o.L0CompactTrigger = 100
+	o.L0StallFiles = 400
+	dir := t.TempDir()
+	l, err := storage.NewLocal(filepath.Join(dir, "local"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	open := new(atomic.Int64)
+	gate := &syncGate{Backend: tableReaders{l, open}, entered: make(chan struct{}), release: make(chan struct{})}
+	o.pcacheDir = filepath.Join(dir, "pcache")
+	d, err := Open(o, gate, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	const tables = 4
+	for tb := 0; tb < tables; tb++ {
+		mustPut(t, d, fmt.Sprintf("t%d", tb), "v")
+		if err := d.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d.tables.mu.Lock()
+	d.tables.maxOpen = 1
+	d.tables.mu.Unlock()
+
+	gate.armed.Store(true)
+	mustPut(t, d, "u", "v")
+	flushed := make(chan error, 1)
+	go func() { flushed <- d.Flush() }()
+	released := false
+	defer func() {
+		if !released {
+			close(gate.release)
+		}
+	}()
+	select {
+	case <-gate.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the flush's manifest edit never reached its fsync")
+	}
+	read := make(chan error, 1)
+	go func() {
+		for round := 0; round < 3; round++ {
+			for tb := 0; tb < tables; tb++ {
+				if _, err := d.Get([]byte(fmt.Sprintf("t%d", tb))); err != nil {
+					read <- err
+					return
+				}
+			}
+		}
+		read <- nil
+	}()
+	select {
+	case err := <-read:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Gets that evict tables stalled behind a manifest fsync")
+	}
+	waitFor(t, "the evicted tables to close", 10*time.Second, func() bool { return open.Load() == 1 })
+	released = true
+	close(gate.release)
+	if err := <-flushed; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// syncGate holds the next fsync of a manifest log, once armed, until
+// release is closed.
+type syncGate struct {
+	storage.Backend
+	armed            atomic.Bool
+	entered, release chan struct{}
+}
+
+func (g *syncGate) Unwrap() storage.Backend { return g.Backend }
+
+func (g *syncGate) Create(name string) (storage.Writer, error) {
+	w, err := g.Backend.Create(name)
+	if err != nil || !strings.HasPrefix(name, "MANIFEST") {
+		return w, err
+	}
+	return gatedWriter{w, g}, nil
+}
+
+type gatedWriter struct {
+	storage.Writer
+	g *syncGate
+}
+
+func (w gatedWriter) Sync() error {
+	if w.g.armed.CompareAndSwap(true, false) {
+		close(w.g.entered)
+		<-w.g.release
+	}
+	return w.Writer.Sync()
+}
+
+// openCountingTables opens a store in a fresh directory whose backends count
+// in open the table readers open through them, and fail a read through one
+// already closed. A cloud store's cloud is behind the returned Faulty.
+func openCountingTables(t *testing.T, o Options) (*DB, *storage.Faulty, *atomic.Int64) {
+	t.Helper()
+	dir := t.TempDir()
+	open := new(atomic.Int64)
+	l, err := storage.NewLocal(filepath.Join(dir, "local"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cloud storage.Backend
+	var cf *storage.Faulty
+	if o.Policy != PolicyLocalOnly {
+		c, err := storage.NewCloud(filepath.Join(dir, "cloud"), o.CloudLatency, o.CloudCost)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cf = storage.NewFaulty(c, storage.FaultConfig{})
+		cloud = tableReaders{cf, open}
+	}
+	o.pcacheDir = filepath.Join(dir, "pcache")
+	d, err := Open(o, tableReaders{l, open}, cloud)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d, cf, open
+}
+
+// tableReaders counts the table readers open through a backend.
+type tableReaders struct {
+	storage.Backend
+	open *atomic.Int64
+}
+
+func (b tableReaders) Unwrap() storage.Backend { return b.Backend }
+
+func (b tableReaders) Open(name string) (storage.Reader, error) {
+	r, err := b.Backend.Open(name)
+	if err != nil || !strings.Contains(name, "sst/") {
+		return r, err
+	}
+	b.open.Add(1)
+	return &countedReader{Reader: r, open: b.open}, nil
+}
+
+type countedReader struct {
+	storage.Reader
+	open   *atomic.Int64
+	closed atomic.Bool
+}
+
+func (r *countedReader) ReadAt(p []byte, off int64) (int, error) {
+	if r.closed.Load() {
+		return 0, errors.New("read through a closed table reader")
+	}
+	return r.Reader.ReadAt(p, off)
+}
+
+func (r *countedReader) Close() error {
+	if r.closed.CompareAndSwap(false, true) {
+		r.open.Add(-1)
+	}
+	return r.Reader.Close()
 }
 
 // TestCompactionReadsLeaveCachesAlone pins the merge rung. Reads warm both
@@ -408,7 +683,6 @@ func TestCompactionReadsLeaveCachesAlone(t *testing.T) {
 					for _, bh := range h.reader.DataHandles() {
 						s.sketch = append(s.sketch, int64(d.sketch.Estimate(cache.Key{FileNum: f.Num, Offset: bh.Offset})))
 					}
-					h.release()
 				}
 				return s
 			}

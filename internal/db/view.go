@@ -46,7 +46,6 @@ func (d *engine) levelView(v *manifest.Version, level int) (*sstable.View, error
 			return nil, err
 		}
 		members[i], indexes[i], uppers[i] = f.Num, h.reader.IndexEntries(), f.Largest
-		h.release()
 	}
 	vw := v.SetView(level, sstable.BuildView(level, members, indexes, uppers))
 	if walked {
@@ -100,17 +99,12 @@ func fileNums(files []*manifest.FileMetadata) []uint64 {
 // multi-block spans along the schedule and pipeline the next span while
 // the current one is consumed.
 type viewIter struct {
-	db    *engine
-	v     *sstable.View
-	files []*manifest.FileMetadata // files[i].Num == v.Members[i]
-	// opened are the members the walk has opened, in the order it opened
-	// them, held until the scanHold lets go. A scan touches a member or two
-	// of a level, so the list starts in openedBuf and is searched newest
-	// first.
-	opened  []openMember
-	pos     int        // current entry ordinal
-	data    block.Iter // held by value; re-pointed (key buffer kept) per block
-	loaded  bool       // data is on the block at pos
+	db      *engine
+	v       *sstable.View
+	files   []*manifest.FileMetadata // files[i].Num == v.Members[i]
+	pos     int                      // current entry ordinal
+	data    block.Iter               // held by value; re-pointed (key buffer kept) per block
+	loaded  bool                     // data is on the block at pos
 	forward bool
 	spans   spanReader // cloud span reads along v.Entries
 	prof    *readprof.Profile
@@ -121,22 +115,14 @@ type viewIter struct {
 	found     int
 	foundBody []byte
 
-	openedBuf [4]openMember
-	keyBuf    [iterKeyScratch]byte // data's key buffer, until a key outgrows it
-}
-
-// openMember is a member table a view has opened: its ordinal and handle.
-type openMember struct {
-	m int32
-	h *tableHandle
+	keyBuf [iterKeyScratch]byte // data's key buffer, until a key outgrows it
 }
 
 // init makes vi an unpositioned walk of level view v, whose members are
 // files, lending its span GETs hold. vi stays where it is from then on: its
-// lists start in arrays of its own.
+// key buffer and its spans' list are arrays of its own.
 func (vi *viewIter) init(d *engine, hold *scanHold, v *sstable.View, files []*manifest.FileMetadata, prof *readprof.Profile) {
 	vi.db, vi.v, vi.files, vi.prof = d, v, files, prof
-	vi.opened = vi.openedBuf[:0]
 	vi.pos, vi.found = -1, -1
 	vi.data.SetKeyBuffer(vi.keyBuf[:])
 	vi.spans = spanReader{
@@ -146,12 +132,12 @@ func (vi *viewIter) init(d *engine, hold *scanHold, v *sstable.View, files []*ma
 }
 
 // scanHold is an iterator's hold, per engine, on what that engine's views'
-// span GETs borrow: the version it walks and the member tables its views
-// opened. The iterator is one holder and every span GET in flight is
-// another; whoever lets go last releases the handles and unpins the
-// version. So Iterator.Close returns with readahead still in flight, and no
-// table a GET reads can be retired — its blocks dropped from the caches —
-// before the GET has landed and admitted them.
+// span GETs borrow: the version it walks, whose pin keeps their tables in
+// place and open. The iterator is one holder and every span GET in flight is
+// another; whoever lets go last unpins the version. So Iterator.Close
+// returns with readahead still in flight, and no table a GET reads can be
+// retired — its blocks dropped from the caches — before the GET has landed
+// and admitted them.
 type scanHold struct {
 	d       *engine
 	v       *manifest.Version
@@ -177,34 +163,17 @@ func (s *scanHold) landed() {
 	s.d.scanTails.Done()
 }
 
-// release drops one holder; the last one out releases everything.
+// release drops one holder; the last one out unpins the version.
 func (s *scanHold) release() {
-	if s.holders.Add(-1) > 0 {
-		return
+	if s.holders.Add(-1) == 0 {
+		s.d.unpin(s.v)
 	}
-	for i := range s.views {
-		vi := &s.views[i]
-		for _, om := range vi.opened {
-			om.h.release()
-		}
-		vi.opened = vi.opened[:0]
-	}
-	s.d.unpin(s.v)
 }
 
-// handle returns member m's table handle, opening it on first use.
+// handle returns member m's table handle, opening the table if it is not
+// open; the hold's version pin keeps it open.
 func (vi *viewIter) handle(m int32) (*tableHandle, error) {
-	for i := len(vi.opened) - 1; i >= 0; i-- {
-		if vi.opened[i].m == m {
-			return vi.opened[i].h, nil
-		}
-	}
-	h, err := vi.db.tables.get(vi.db, vi.files[m])
-	if err != nil {
-		return nil, err
-	}
-	vi.opened = append(vi.opened, openMember{m, h})
-	return h, nil
+	return vi.db.tables.get(vi.db, vi.files[m])
 }
 
 // prefetch resolves the block SeekGE(ikey) — First when ikey is nil — will

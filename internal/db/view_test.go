@@ -105,7 +105,6 @@ func checkInstalledViews(t *testing.T, d *DB) {
 					t.Fatal(err)
 				}
 				nums[i], indexes[i], uppers[i] = f.Num, h.reader.IndexEntries(), f.Largest
-				h.release()
 			}
 			ref := sstable.BuildView(l, nums, indexes, uppers)
 			if len(vw.Members) != len(ref.Members) || len(vw.Entries) != len(ref.Entries) {
@@ -304,7 +303,7 @@ func TestViewBuildFailsScan(t *testing.T) {
 	if err := d.local.Delete(metaSidecarName(victim.Num)); err != nil {
 		t.Fatal(err)
 	}
-	v.AllFiles(func(_ int, f *manifest.FileMetadata) { d.tables.evict(f.Num) })
+	v.AllFiles(func(_ int, f *manifest.FileMetadata) { d.tables.evict(keyOf(f.Num, f.Tier)) })
 	faulty.StartOutage(0)
 	if got, err := scanStore(d); !errors.Is(err, ErrCloudUnavailable) {
 		t.Fatalf("scan during the outage yielded %d keys and %v, want ErrCloudUnavailable", len(got), err)

@@ -146,17 +146,3 @@ func AppendSeparator(dst, a, b []byte) []byte {
 	}
 	return append(dst, a...)
 }
-
-// Successor returns a short key >= a (internal-key order), used for the last
-// index entry in a table.
-func Successor(a []byte) []byte {
-	ua := UserKey(a)
-	for i := 0; i < len(ua); i++ {
-		if ua[i] != 0xff {
-			s := append([]byte(nil), ua[:i+1]...)
-			s[i]++
-			return MakeInternalKey(nil, s, MaxSequence, KindMax)
-		}
-	}
-	return append([]byte(nil), a...)
-}

@@ -111,16 +111,6 @@ func TestSeparatorProperties(t *testing.T) {
 	}
 }
 
-func TestSuccessorProperties(t *testing.T) {
-	for _, u := range []string{"abc", "\xff\xff", "a\xffb", ""} {
-		a := MakeInternalKey(nil, []byte(u), 9, KindSet)
-		s := Successor(a)
-		if Compare(a, s) > 0 {
-			t.Errorf("Successor(%q) sorts before input", u)
-		}
-	}
-}
-
 func TestSeparatorQuick(t *testing.T) {
 	f := func(au, bu []byte, aseq, bseq uint64) bool {
 		aseq &= MaxSequence

@@ -1,5 +1,7 @@
 package manifest
 
+import "io"
+
 // Version lifetime: the one rule for "a table a reader may still open must
 // still exist".
 //
@@ -14,6 +16,11 @@ package manifest
 //     when the last version naming the old FileMetadata goes.
 //   - The set reports obsolete files, once each, through the callback
 //     installed with OnObsolete; deleting them is the callback owner's job.
+//   - A reference also keeps open whatever the store handed a reader of the
+//     version, such as an open table: what the store stops handing out, it
+//     closes through CloseAfterPins, which runs the close once every version
+//     live at the call has died. The list of live versions is the epoch of
+//     epoch-based reclamation (Fraser, "Practical lock-freedom", 2004).
 //
 // A reference pins nothing but the version's tables: a snapshot is a sequence
 // number and holds no version, so a long-lived snapshot keeps no garbage.
@@ -53,7 +60,7 @@ func (s *Set) Acquire() *Version {
 // tables obsolete (the callback has them by then), so a caller that must not
 // delete anything itself knows to wake whoever does.
 func (s *Set) Release(v *Version) bool {
-	return s.reportObsolete(s.unref(v))
+	return s.bury(s.unref(v))
 }
 
 // Current returns the live version without a reference: for reading metadata
@@ -62,24 +69,48 @@ func (s *Set) Release(v *Version) bool {
 // and opens its inputs from, a version it acquired.
 func (s *Set) Current() *Version { return s.current.Load() }
 
-// install makes nv the current version, moving the set's own reference to it
-// from its predecessor, and returns the predecessor's death if that was its
-// last. The caller holds mu and reports the death once it has let go of it.
-func (s *Set) install(nv *Version) death {
+// installLocked makes nv the current version, moving the set's own reference
+// to it from its predecessor, and returns the predecessor's death if that was
+// its last. The caller holds refMu, which serializes the replacements of the
+// current version (an edit's, under mu too, and CloseAfterPins'), and buries
+// the death once it has let go of its locks.
+func (s *Set) installLocked(nv *Version) death {
 	old := s.current.Load()
 	nv.refs.Store(1)
-	s.refMu.Lock()
-	nv.prev, old.next = old, nv
-	s.refMu.Unlock()
 	// Linked before it can be acquired, so every referenced version is on the
 	// list; and old has its successor before it can lose the set's reference.
+	nv.prev, old.next = old, nv
 	s.current.Store(nv)
-	return s.unref(old)
+	if old.refs.Add(-1) > 0 {
+		return death{}
+	}
+	return s.leaveLocked(old)
+}
+
+// CloseAfterPins closes c once every reference taken before the call has been
+// released: the table cache hands it a handle it no longer serves, which a
+// reader that pinned before may still be reading. The set's own reference
+// moves to a copy of the current version (the same files and views, nothing
+// logged), so the version that was current dies with its last reader even in
+// a store that no edit changes, and c runs once that version and every older
+// one have died. It takes refMu only, never mu, which an edit holds across its
+// fsync.
+func (s *Set) CloseAfterPins(c io.Closer) {
+	s.refMu.Lock()
+	v := s.current.Load()
+	v.closes = append(v.closes, c)
+	d := s.installLocked(v.share())
+	s.refMu.Unlock()
+	s.bury(d)
 }
 
 // death is a version that lost its last reference, with the neighbours it
-// had in the list of live versions when it left. The zero death is none.
-type death struct{ v, prev, next *Version }
+// had in the list of live versions when it left, and the closes that waited
+// on it and on every older version. The zero death is none.
+type death struct {
+	v, prev, next *Version
+	closes        []io.Closer
+}
 
 // unref drops one reference on v; when it was the last, v leaves the list of
 // live versions. The current version never dies here (the set's own reference
@@ -97,14 +128,33 @@ func (s *Set) unref(v *Version) death {
 		panic("manifest: version released more often than acquired")
 	}
 	s.refMu.Lock()
+	defer s.refMu.Unlock()
+	return s.leaveLocked(v)
+}
+
+// leaveLocked unlinks the dead version v (refMu is held). Its closes wait on
+// the older versions too, which may have handed a reader the same table: they
+// pass to its predecessor, or run when it had none.
+func (s *Set) leaveLocked(v *Version) death {
 	d := death{v: v, prev: v.prev, next: v.next}
 	if d.prev != nil {
 		d.prev.next = d.next
+		d.prev.closes = append(d.prev.closes, v.closes...)
+	} else {
+		d.closes = v.closes
 	}
 	d.next.prev = d.prev
-	v.prev, v.next = nil, nil
-	s.refMu.Unlock()
+	v.prev, v.next, v.closes = nil, nil, nil
 	return d
+}
+
+// bury runs a death's closes and reports its obsolete files, with no lock of
+// the set held, and reports whether there were any.
+func (s *Set) bury(d death) bool {
+	for _, c := range d.closes {
+		_ = c.Close()
+	}
+	return s.reportObsolete(d)
 }
 
 // reportObsolete hands the callback the files of a dead version that no live
@@ -114,7 +164,7 @@ func (s *Set) unref(v *Version) death {
 // neighbours does: only those two need checking. Versions are immutable, so
 // this runs with no lock held.
 func (s *Set) reportObsolete(d death) bool {
-	if d.v == nil || s.onObsolete == nil {
+	if d.v == nil || s.onObsolete == nil || d.v.sameFiles(d.next) {
 		return false
 	}
 	held := map[*FileMetadata]struct{}{}
@@ -134,6 +184,19 @@ func (s *Set) reportObsolete(d death) bool {
 		return false
 	}
 	s.onObsolete(out)
+	return true
+}
+
+// sameFiles reports whether v and o name the very same files, as a version
+// and its share do (CloseAfterPins): the death of either leaves nothing
+// obsolete, and finding that costs no map of the tree.
+func (v *Version) sameFiles(o *Version) bool {
+	for l := range v.Levels {
+		a, b := v.Levels[l], o.Levels[l]
+		if len(a) != len(b) || len(a) > 0 && &a[0] != &b[0] {
+			return false
+		}
+	}
 	return true
 }
 

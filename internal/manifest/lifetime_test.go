@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"rocksmash/internal/storage"
@@ -177,5 +178,119 @@ func TestVersionLifetimeConcurrent(t *testing.T) {
 	}
 	if len(got) != edits-1 || len(seen) != edits-1 {
 		t.Fatalf("%d reports of %d distinct files for %d dropped files", len(got), len(seen), edits-1)
+	}
+}
+
+// closer records its Close.
+type closer struct{ closed atomic.Bool }
+
+func (c *closer) Close() error {
+	c.closed.Store(true)
+	return nil
+}
+
+// TestCloseAfterPins walks the epoch: a close handed to the set runs once
+// every version live at the call has died — the pinned current one and any
+// older one — and not later for a pin taken after the call. Moving the
+// set's reference off a version reports no file obsolete.
+func TestCloseAfterPins(t *testing.T) {
+	var got []string
+	var mu sync.Mutex
+	s := lifetimeSet(t, &got, &mu)
+	mustApply(t, s, &VersionEdit{Added: []AddedFile{{Level: 1, Meta: fm(1, "a", "c", 1, 2, storage.TierLocal)}}})
+	check := func(step string, c *closer, closed bool) {
+		t.Helper()
+		if c.closed.Load() != closed {
+			t.Fatalf("%s: closed = %v, want %v", step, !closed, closed)
+		}
+		if len(got) != 0 {
+			t.Fatalf("%s: %v reported obsolete", step, got)
+		}
+		if n, _ := s.Pinned(); n != 0 {
+			t.Fatalf("%s: Pinned() = %d tables, want 0", step, n)
+		}
+	}
+
+	c0 := &closer{}
+	s.CloseAfterPins(c0)
+	check("no pin", c0, true)
+
+	v1 := s.Acquire()
+	c1 := &closer{}
+	s.CloseAfterPins(c1)
+	v2 := s.Acquire()
+	check("pinned before the call", c1, false)
+	if v2 == v1 || len(v2.Levels[1]) != 1 || v2.Levels[1][0] != v1.Levels[1][0] {
+		t.Fatal("a pin after the call does not get a version naming the same files")
+	}
+	s.Release(v1)
+	check("the earlier pin released, a later one held", c1, true)
+
+	// v2 is older than the version the edit installs, and nobody pins that
+	// one: the close waits for v2.
+	mustApply(t, s, &VersionEdit{Added: []AddedFile{{Level: 1, Meta: fm(2, "d", "f", 3, 4, storage.TierLocal)}}})
+	c2 := &closer{}
+	s.CloseAfterPins(c2)
+	check("an older version pinned", c2, false)
+	s.Release(v2)
+	check("the older version released", c2, true)
+}
+
+// TestCloseAfterPinsConcurrent hands the set the close of a published value
+// over and over, between edits, while readers pin a version, load the value
+// and check it is still open until they release: none is closed under a
+// reader, and every one is closed once the readers are gone.
+func TestCloseAfterPinsConcurrent(t *testing.T) {
+	var got []string
+	var mu sync.Mutex
+	s := lifetimeSet(t, &got, &mu)
+	var published atomic.Pointer[closer]
+	published.Store(&closer{})
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				v := s.Acquire()
+				c := published.Load()
+				for i := 0; i < 10; i++ {
+					if c.closed.Load() {
+						t.Error("a value closed while a reader that loaded it under its pin holds it")
+					}
+				}
+				s.Release(v)
+			}
+		}()
+	}
+	var all []*closer
+	var prev uint64
+	for i := 0; i < 2000; i++ {
+		old := published.Swap(&closer{})
+		all = append(all, old)
+		s.CloseAfterPins(old)
+		if i%20 == 0 {
+			num := s.NewFileNum()
+			e := &VersionEdit{Added: []AddedFile{{Level: 1, Meta: fm(num, "a", "z", 1, 2, storage.TierLocal)}}}
+			if prev != 0 {
+				e.Deleted = []DeletedFile{{Level: 1, Num: prev}}
+			}
+			mustApply(t, s, e)
+			prev = num
+		}
+	}
+	close(stop)
+	wg.Wait()
+	for i, c := range all {
+		if !c.closed.Load() {
+			t.Fatalf("value %d of %d still open with no pin held", i, len(all))
+		}
 	}
 }

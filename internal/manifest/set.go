@@ -39,11 +39,12 @@ type Set struct {
 	stride    uint64
 	strideOff uint64
 
-	// current is replaced under mu and read by anyone; taking a reference on
-	// it (lifetime.go) is a compare-and-swap on the version's count, so a
+	// current is replaced under refMu and read by anyone; taking a reference
+	// on it (lifetime.go) is a compare-and-swap on the version's count, so a
 	// reader waits behind no lock, least of all mu and an edit's fsync. refMu
-	// guards the links of the list of live versions, which only a version's
-	// installation and its death touch; it is never held across I/O.
+	// also guards the links of the list of live versions and the closes
+	// waiting on them, which only a version's installation and its death
+	// touch; it is never held across I/O.
 	current    atomic.Pointer[Version]
 	refMu      sync.Mutex
 	onObsolete func([]Obsolete)
@@ -229,7 +230,9 @@ func (s *Set) applyLocked(e *VersionEdit) (death, error) {
 	if err != nil {
 		return death{}, err
 	}
-	d := s.install(nv)
+	s.refMu.Lock()
+	d := s.installLocked(nv)
+	s.refMu.Unlock()
 	if e.HasNextFileNum && e.NextFileNum > s.nextFileNum {
 		s.nextFileNum = e.NextFileNum
 		s.alignLocked()
@@ -252,7 +255,7 @@ func (s *Set) LogAndApply(e *VersionEdit) error {
 	d, err := s.logAndApplyLocked(e)
 	rotate := err == nil && s.editsInLog >= 1000
 	s.mu.Unlock()
-	s.reportObsolete(d)
+	s.bury(d)
 	if rotate {
 		_ = s.createNewManifest()
 	}

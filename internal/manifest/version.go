@@ -3,6 +3,7 @@ package manifest
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"sort"
 	"sync/atomic"
 
@@ -25,9 +26,10 @@ type Version struct {
 	// Lifetime state of a version a Set installed: how many holders it has
 	// (the set itself holds one on the current version), and, guarded by
 	// Set.refMu, its neighbours in the set's list of live versions, oldest
-	// first.
+	// first, and the closes that wait for it and every older version to die.
 	refs       atomic.Int32
 	prev, next *Version
+	closes     []io.Closer
 }
 
 // NewVersion returns an empty version.
@@ -38,6 +40,15 @@ func (v *Version) Clone() *Version {
 	nv := &Version{}
 	for i := range v.Levels {
 		nv.Levels[i] = append([]*FileMetadata(nil), v.Levels[i]...)
+	}
+	return nv
+}
+
+// share returns a version naming v's very files, with v's views.
+func (v *Version) share() *Version {
+	nv := &Version{Levels: v.Levels}
+	for l := range v.views {
+		nv.views[l].Store(v.views[l].Load())
 	}
 	return nv
 }

@@ -181,7 +181,10 @@ func (b *Builder) Finish() (Properties, error) {
 	}
 	b.flushDataBlock()
 	if b.havePend {
-		b.index.Add(keys.Successor(b.pending), b.pendingH.EncodeVarint(b.handle[:0]))
+		// The last key itself bounds the final block: a shorter successor,
+		// such as "c" after "bench-00004095", would share no prefix with the
+		// other separators and leave the index's common prefix empty.
+		b.index.Add(b.pending, b.pendingH.EncodeVarint(b.handle[:0]))
 		b.havePend = false
 	}
 	b.props.Largest = append([]byte(nil), b.lastKey...)

@@ -35,7 +35,7 @@ type Reader struct {
 	indexBody []byte
 	index     block.SeekTable // over indexBody, Whole: seeks need no buffer and do not fail
 	filter    bloom.Filter
-	fetch     FetchFunc
+	fetch     FetchFunc // nil reads data blocks straight from f
 	metaOff   uint64
 }
 
@@ -120,7 +120,6 @@ func Open(f storage.Reader, fileNum uint64) (*Reader, error) {
 		return nil, err
 	}
 	r := &Reader{fileNum: fileNum, f: f, metaOff: ftr.tailOffset()}
-	r.fetch = r.readDirect
 
 	if r.indexBody, err = readMetaBlock(f, ftr.index); err != nil {
 		return nil, err
@@ -172,9 +171,14 @@ func (r *Reader) DataHandle(i int) Handle {
 	return h
 }
 
-func (r *Reader) readDirect(_ uint64, h Handle, _ *readprof.Profile) ([]byte, *block.Cell, error) {
-	body, err := ReadRawBlock(r.f, h)
-	return body, nil, err
+// read fetches data block h through fetch, or straight from the file when
+// no hook is interposed.
+func (r *Reader) read(fetch FetchFunc, h Handle, prof *readprof.Profile) ([]byte, *block.Cell, error) {
+	if fetch == nil {
+		body, err := ReadRawBlock(r.f, h)
+		return body, nil, err
+	}
+	return fetch(r.fileNum, h, prof)
 }
 
 // SetFetch interposes fn on all data-block reads.
@@ -283,7 +287,7 @@ func (r *Reader) Lookup(seek []byte, prof *readprof.Profile) (value []byte, foun
 		return nil, false, false, nil
 	}
 	h, _ := DecodeHandle(hv) // Open checked every handle
-	body, cell, err := r.fetch(r.fileNum, h, prof)
+	body, cell, err := r.read(r.fetch, h, prof)
 	if err != nil {
 		return nil, false, false, err
 	}
@@ -357,7 +361,7 @@ func (it *Iter) loadData(pos int) bool {
 	if pos < 0 || pos >= it.r.index.Len() {
 		return false
 	}
-	body, _, err := it.fetch(it.r.fileNum, it.r.DataHandle(pos), it.prof)
+	body, _, err := it.r.read(it.fetch, it.r.DataHandle(pos), it.prof)
 	if err != nil {
 		it.err = err
 		return false

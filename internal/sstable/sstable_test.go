@@ -220,7 +220,7 @@ func TestFetchHookInterposition(t *testing.T) {
 	calls := 0
 	r.SetFetch(func(fileNum uint64, h Handle, prof *readprof.Profile) ([]byte, *block.Cell, error) {
 		calls++
-		return r.readDirect(fileNum, h, prof)
+		return r.read(nil, h, prof)
 	})
 	if _, found, _, err := r.Get([]byte("key000050"), keys.MaxSequence); err != nil || !found {
 		t.Fatalf("get via hook failed: %v %v", found, err)
@@ -394,10 +394,10 @@ func TestOpenOverTailImageCopiesNoBlock(t *testing.T) {
 	if r.DataBlocks() != copied.DataBlocks() || r.Properties().NumEntries != copied.Properties().NumEntries {
 		t.Fatal("the two opens disagree on the table")
 	}
-	// The TailReader and its boxed body, the Reader, its default fetch hook
-	// and the index's seek table: no footer, block or bound is copied.
-	if n := testing.AllocsPerRun(100, func() { overTail() }); n > 5 {
-		t.Fatalf("opening over a tail image made %v allocations, want at most 5", n)
+	// The TailReader and its boxed body, the Reader and the index's seek
+	// table: no footer, block or bound is copied, and no fetch hook is made.
+	if n := testing.AllocsPerRun(100, func() { overTail() }); n > 4 {
+		t.Fatalf("opening over a tail image made %v allocations, want at most 4", n)
 	}
 }
 
