@@ -294,6 +294,8 @@ var Signals = resolve([]row{
 	{"rocksmash_write_stalls_l0_total", counter, "Writes stalled on the L0 file limit: compaction is behind.", "WriteStallsL0", "DB Stats/Writes/L0 stalls", nil},
 	{"rocksmash_compactions_running", gauge, "Compaction jobs running, store-wide.", "CompactionsRunning", "Flush & Compaction/Compactions/running", func(d *DB) any { return d.compactionsRunning.Load() }},
 	{"rocksmash_pcache_door_declined_total", counter, "Demoted blocks the persistent cache's frequency door turned away.", "PCacheDoorDeclined", "Caches/PCache/door declined", func(d *DB) any { return d.pcache.Stats().DoorDeclined.Load() }},
+	{"rocksmash_tables_closing", gauge, "Evicted table readers kept open for the readers that pinned before the eviction.", "TablesClosing", "Level Shape/Table readers/closing", func(d *DB) any { return d.tables.closing.Load() }},
+	{"rocksmash_tables_open_peak", gauge, "The most table readers open at once, cached and closing.", "TablesOpenPeak", "Level Shape/Table readers/peak open", func(d *DB) any { return d.tables.openPeak() }},
 })
 
 // compactionDebt estimates the bytes compaction must move to bring the

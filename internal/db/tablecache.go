@@ -46,7 +46,8 @@ type tableHandle struct {
 // turn (RocksDB's max_open_files analogue) — file descriptors must not scale
 // with the tree size. An evicted table closes once the readers that pinned
 // before the eviction are gone, so the tables open are at most maxOpen plus
-// those such a reader still holds.
+// those such a reader still holds. Those wait in closing, counted with their
+// metadata, and peak records the most readers open at once.
 //
 // A cached handle is published in the slot of the FileMetadata it was
 // opened for, so a probe of a cached table is one atomic load and a
@@ -59,6 +60,11 @@ type tableCache struct {
 	tables map[tableKey]*tableHandle
 	ring   []*tableHandle // the clock: every cached handle, in no order
 	hand   int            // the ring position the eviction hand looks at next
+	peak   int64          // the most readers open at once, cached and closing
+
+	// closing counts the handles evicted and not yet closed, and closingMeta
+	// their metadata bytes.
+	closing, closingMeta atomic.Int64
 }
 
 // tableKey names one copy of a table. While a relocated table's old-tier copy
@@ -158,6 +164,9 @@ func (tc *tableCache) load(d *engine, meta *manifest.FileMetadata) (*tableHandle
 	h.pos = len(tc.ring)
 	tc.ring = append(tc.ring, h)
 	h.publishLocked(meta)
+	if n := int64(len(tc.tables)) + tc.closing.Load(); n > tc.peak {
+		tc.peak = n
+	}
 	tc.enforceCapLocked()
 	return h, nil
 }
@@ -191,7 +200,18 @@ func (tc *tableCache) evictLocked(h *tableHandle) {
 		h.slot.Store((*tableHandle)(nil))
 		h.slot = nil
 	}
-	h.db.vs.CloseAfterPins(h.reader)
+	tc.closing.Add(1)
+	tc.closingMeta.Add(int64(h.reader.MetadataBytes()))
+	h.db.vs.CloseAfterPins(h)
+}
+
+// Close closes an evicted handle's reader: the version set runs it once the
+// last pin that could have found the handle is gone.
+func (h *tableHandle) Close() error {
+	tc := h.db.tables
+	tc.closingMeta.Add(-int64(h.reader.MetadataBytes()))
+	tc.closing.Add(-1)
+	return h.reader.Close()
 }
 
 // enforceCapLocked evicts tables while over budget, chosen by CLOCK: the
@@ -366,15 +386,24 @@ func (tc *tableCache) evict(k tableKey) {
 	}
 }
 
-// metadataBytes sums the pinned metadata of every open table.
+// metadataBytes sums the pinned metadata of every open table, cached or
+// closing.
 func (tc *tableCache) metadataBytes() int64 {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
-	var n int64
+	n := tc.closingMeta.Load()
 	for _, h := range tc.ring {
 		n += int64(h.reader.MetadataBytes())
 	}
 	return n
+}
+
+// openPeak returns the most table readers open at once since the store
+// opened, cached and closing.
+func (tc *tableCache) openPeak() int64 {
+	tc.mu.Lock()
+	defer tc.mu.Unlock()
+	return tc.peak
 }
 
 // close evicts every table; each closes once its readers' pins are gone.

@@ -208,11 +208,19 @@ func testHandlesClosePastPins(t *testing.T) {
 		defer tc.mu.Unlock()
 		return tc.tables[h.key] == h
 	}
-	// waiting returns the open table readers beyond the cached ones.
+	// waiting returns the open table readers beyond the cached ones, which
+	// the store's gauges and its metadata bytes must count.
 	waiting := func() int64 {
+		t.Helper()
 		tc.mu.Lock()
-		defer tc.mu.Unlock()
-		return open.Load() - int64(len(tc.ring))
+		n, cached := open.Load()-int64(len(tc.ring)), int64(len(tc.ring))
+		tc.mu.Unlock()
+		m := d.Metrics()
+		if m.TablesClosing != n || m.TablesOpenPeak < cached+n || (tc.closingMeta.Load() > 0) != (n > 0) {
+			t.Fatalf("%d readers open beyond %d cached: gauges read %d closing (%d metadata bytes), peak %d",
+				n, cached, m.TablesClosing, tc.closingMeta.Load(), m.TablesOpenPeak)
+		}
+		return n
 	}
 	// churn Gets from every table until hs are all evicted.
 	churn := func(hs ...*tableHandle) {

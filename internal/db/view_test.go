@@ -157,6 +157,44 @@ func TestViewBuildAndPersist(t *testing.T) {
 	}
 }
 
+// TestViewPersistsUnderEvictions is TestViewBuildAndPersist behind a table
+// cache capped at 2 open tables: building a view opens every member of its
+// level, so the build itself evicts tables, and each eviction moves the
+// current version to a share of it. A view built on the version the scan
+// pinned must still serve the shares, so the second scan builds none.
+func TestViewPersistsUnderEvictions(t *testing.T) {
+	d, err := OpenAt(t.TempDir(), viewTestOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	model := loadAndSettle(t, d, 3000)
+	d.tables.mu.Lock()
+	d.tables.maxOpen = 2
+	d.tables.mu.Unlock()
+	wide := false
+	for _, files := range d.engines[0].vs.Current().Levels[1:] {
+		wide = wide || len(files) > 2
+	}
+	if !wide {
+		t.Fatal("fixture has no level of more than 2 tables")
+	}
+
+	mustScan(t, d, model)
+	built := d.Metrics().ScanViewMisses
+	if built == 0 {
+		t.Fatal("the first scan built no view; expected populated levels >= 1")
+	}
+	mustScan(t, d, model)
+	m := d.Metrics()
+	if m.ScanViewMisses != built {
+		t.Fatalf("the second scan built %d views again", m.ScanViewMisses-built)
+	}
+	if m.ScanViewHits < built {
+		t.Fatalf("the second scan found %d views, want %d", m.ScanViewHits, built)
+	}
+}
+
 // TestViewReloadAcrossReopen reopens a store whose views were built: views
 // live in memory only, so the first scan after the reopen builds them again,
 // once, and writes nothing to view/.

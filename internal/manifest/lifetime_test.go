@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"rocksmash/internal/sstable"
 	"rocksmash/internal/storage"
 )
 
@@ -223,12 +224,20 @@ func TestCloseAfterPins(t *testing.T) {
 	if v2 == v1 || len(v2.Levels[1]) != 1 || v2.Levels[1][0] != v1.Levels[1][0] {
 		t.Fatal("a pin after the call does not get a version naming the same files")
 	}
+	// The share keeps its version's views: one built on either serves both.
+	vw := &sstable.View{Members: []uint64{1}}
+	if v1.SetView(1, vw) != vw || v2.View(1) != vw {
+		t.Fatal("a view set on the pinned version does not serve its share")
+	}
 	s.Release(v1)
 	check("the earlier pin released, a later one held", c1, true)
 
 	// v2 is older than the version the edit installs, and nobody pins that
 	// one: the close waits for v2.
 	mustApply(t, s, &VersionEdit{Added: []AddedFile{{Level: 1, Meta: fm(2, "d", "f", 3, 4, storage.TierLocal)}}})
+	if v2.SetView(2, &sstable.View{}); s.Current().View(2) != nil {
+		t.Fatal("a view set on a version an edit replaced reached the edit's version")
+	}
 	c2 := &closer{}
 	s.CloseAfterPins(c2)
 	check("an older version pinned", c2, false)

@@ -20,8 +20,10 @@ type Version struct {
 	// views[l] is the sorted view of level l ≥ 1: its members are exactly
 	// Levels[l], in order. It is derived data and never logged: Apply carries
 	// it over from the edit or the parent version, and a level without one
-	// gets it from the first scan that needs it (SetView).
-	views [NumLevels]atomic.Pointer[sstable.View]
+	// gets it from the first scan that needs it (SetView). A share names the
+	// same files and so uses the same views: a view built on either serves
+	// both.
+	views *levelViews
 
 	// Lifetime state of a version a Set installed: how many holders it has
 	// (the set itself holds one on the current version), and, guarded by
@@ -32,12 +34,16 @@ type Version struct {
 	closes     []io.Closer
 }
 
-// NewVersion returns an empty version.
-func NewVersion() *Version { return &Version{} }
+// levelViews holds a version's sorted views, one per level.
+type levelViews [NumLevels]atomic.Pointer[sstable.View]
 
-// Clone returns a shallow copy (file metadata is shared, slices are new).
+// NewVersion returns an empty version.
+func NewVersion() *Version { return &Version{views: new(levelViews)} }
+
+// Clone returns a shallow copy (file metadata is shared, slices are new)
+// with no views.
 func (v *Version) Clone() *Version {
-	nv := &Version{}
+	nv := NewVersion()
 	for i := range v.Levels {
 		nv.Levels[i] = append([]*FileMetadata(nil), v.Levels[i]...)
 	}
@@ -46,11 +52,7 @@ func (v *Version) Clone() *Version {
 
 // share returns a version naming v's very files, with v's views.
 func (v *Version) share() *Version {
-	nv := &Version{Levels: v.Levels}
-	for l := range v.views {
-		nv.views[l].Store(v.views[l].Load())
-	}
-	return nv
+	return &Version{Levels: v.Levels, views: v.views}
 }
 
 // Apply produces a new version with the edit's file changes applied.

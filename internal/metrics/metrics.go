@@ -270,6 +270,11 @@ type Metrics struct {
 	// PCacheDoorDeclined counts blocks the block cache demoted that the
 	// persistent cache's frequency door turned away.
 	PCacheDoorDeclined int64
+	// TablesClosing is how many evicted table readers stay open for a
+	// reader's version pin, and TablesOpenPeak the most readers open at once,
+	// cached and closing.
+	TablesClosing  int64
+	TablesOpenPeak int64
 
 	// Robustness state: the cloud circuit breaker's position and history,
 	// and the degraded-mode backlog of tables awaiting upload.
