@@ -18,7 +18,7 @@ import (
 // compactionSlots is how many compaction jobs run at once in the whole store,
 // whichever engines they belong to (lanes.go). It matches compactionGETs and
 // uploadParallelism: past four, the simulated cloud's missing request queue
-// (ROADMAP item 4) is most of what more slots would buy.
+// (ROADMAP item 16) is most of what more slots would buy.
 const compactionSlots = 4
 
 // compaction is one job: it merges inputs from level with the overlapping
@@ -89,33 +89,42 @@ func (d *engine) pickCompaction(v *manifest.Version) *compaction {
 // jobAt returns the job that compacts level in v, or nil when every choice
 // overlaps a running job. An L0 job takes every L0 file — they may overlap
 // each other arbitrarily — and never runs beside another. A deeper level's
-// job takes one file, round-robin from the level's cursor so every key range
-// gets its turn, passing over files whose job a running one blocks.
+// job takes the one file that rewrites the fewest output-level bytes per
+// byte it moves down (RocksDB's kMinOverlappingRatio), ties in key order,
+// passing over files whose job a running one blocks. Scoring builds no job
+// and allocates nothing: only the winner goes through newCompaction.
 func (d *engine) jobAt(v *manifest.Version, level int) *compaction {
 	if level == 0 {
 		c := newCompaction(v, 0, append([]*manifest.FileMetadata(nil), v.Levels[0]...))
-		if d.conflicts(c) {
+		if d.conflicts(0, c.lo, c.hi) {
 			return nil
 		}
 		return c
 	}
-	files := v.Levels[level]
-	start := 0
-	if ptr := d.compactPtr[level]; ptr != nil {
-		for i, f := range files {
-			if bytes.Compare(keys.UserKey(f.Largest), ptr) > 0 {
-				start = i
-				break
-			}
+	out := v.Levels[level+1]
+	best, bestRatio := -1, 0.0
+	for i, f := range v.Levels[level] {
+		lo, hi := keys.UserKey(f.Smallest), keys.UserKey(f.Largest)
+		j, k := v.OverlapRange(level+1, lo, hi)
+		var n uint64
+		for _, o := range out[j:k] {
+			n += o.Size
+		}
+		ratio := float64(n) / float64(max(f.Size, 1))
+		if best >= 0 && ratio >= bestRatio {
+			continue
+		}
+		if j < k { // the job holds the range of its overlap too
+			lo, hi = keyRange([]*manifest.FileMetadata{f, out[j], out[k-1]})
+		}
+		if !d.conflicts(level, lo, hi) {
+			best, bestRatio = i, ratio
 		}
 	}
-	for i := range files {
-		c := newCompaction(v, level, []*manifest.FileMetadata{files[(start+i)%len(files)]})
-		if !d.conflicts(c) {
-			return c
-		}
+	if best < 0 {
+		return nil
 	}
-	return nil
+	return newCompaction(v, level, []*manifest.FileMetadata{v.Levels[level][best]})
 }
 
 // newCompaction builds the job that merges inputs from level of v into the
@@ -133,15 +142,16 @@ func (c *compaction) files() []*manifest.FileMetadata {
 	return append(append([]*manifest.FileMetadata(nil), c.inputs...), c.overlap...)
 }
 
-// conflicts reports whether c would overlap a running job on a level they
-// share, or is a second L0 job. The caller holds compactionMu.
-func (d *engine) conflicts(c *compaction) bool {
+// conflicts reports whether a job from level holding [lo, hi] on it and on
+// the next level would overlap a running job on a level they share, or be a
+// second L0 job. The caller holds compactionMu.
+func (d *engine) conflicts(level int, lo, hi []byte) bool {
 	for _, r := range d.running {
-		if c.level == 0 && r.level == 0 {
+		if level == 0 && r.level == 0 {
 			return true
 		}
-		shared := c.level == r.level || c.level == r.output || c.output == r.level || c.output == r.output
-		if shared && bytes.Compare(c.lo, r.hi) <= 0 && bytes.Compare(r.lo, c.hi) <= 0 {
+		shared := level == r.level || level == r.output || level+1 == r.level || level+1 == r.output
+		if shared && bytes.Compare(lo, r.hi) <= 0 && bytes.Compare(r.lo, hi) <= 0 {
 			return true
 		}
 	}
@@ -189,7 +199,7 @@ func (d *engine) smallestSnapshot() uint64 {
 // inside the range c holds there.
 func (c *compaction) isBaseLevel() bool {
 	for l := c.output + 1; l < manifest.NumLevels; l++ {
-		if len(c.v.Overlapping(l, c.lo, c.hi)) > 0 {
+		if i, j := c.v.OverlapRange(l, c.lo, c.hi); i < j {
 			return false
 		}
 	}
@@ -321,6 +331,10 @@ func (d *engine) doCompaction(c *compaction) (err error) {
 	lc.BytesInSource.Add(int64(sumSizes(c.inputs)))
 	lc.BytesInTarget.Add(int64(sumSizes(c.overlap)))
 	lc.BytesOut.Add(outBytes)
+	if len(c.overlap) == 0 {
+		lc.Disjoint.Add(1)
+		lc.DisjointBytes.Add(inputBytes)
+	}
 	dur := time.Since(compactStart)
 	d.lat.compact.Record(dur)
 	if observed {
@@ -397,11 +411,10 @@ func (d *engine) merge(c *compaction, all []*manifest.FileMetadata, sink *tableS
 }
 
 // install applies c's edit — inputs out, outputs in, both levels' views
-// spliced — and moves the level's cursor past the inputs, under
-// compactionMu: a relocation checks its table is live and installs its own
-// edit under it too, so it never resurrects a table this one drops, and the
-// version the views are spliced from is the one the edit applies to. The
-// outputs' persistent-cache regions then learn their level.
+// spliced — under compactionMu: a relocation checks its table is live and
+// installs its own edit under it too, so it never resurrects a table this one
+// drops, and the version the views are spliced from is the one the edit
+// applies to. The outputs' persistent-cache regions then learn their level.
 func (d *engine) install(c *compaction, outputs []*builtTable) error {
 	edit := &manifest.VersionEdit{}
 	for _, f := range c.inputs {
@@ -416,13 +429,6 @@ func (d *engine) install(c *compaction, outputs []*builtTable) error {
 	d.compactionMu.Lock()
 	edit.Views = spliceViews(d.vs.Current(), c, outputs)
 	err := d.vs.LogAndApply(edit)
-	if err == nil && c.level > 0 {
-		if d.compactPtr == nil {
-			d.compactPtr = map[int][]byte{}
-		}
-		d.compactPtr[c.level] = append([]byte(nil),
-			keys.UserKey(c.inputs[len(c.inputs)-1].Largest)...)
-	}
 	d.compactionMu.Unlock()
 	if err != nil {
 		return err

@@ -72,12 +72,13 @@ func (d *DB) renderStats(m, prev Metrics, prevAt, now time.Time) string {
 			continue
 		}
 		if header {
-			fmt.Fprintf(&b, "%-8s %8s %12s %12s %12s %8s\n", "move", "count", "in-src", "in-tgt", "out", "w-amp")
+			fmt.Fprintf(&b, "%-8s %8s %12s %12s %12s %8s %8s %12s\n", "move", "count", "in-src", "in-tgt", "out", "w-amp", "no-ovl", "no-ovl-in")
 			header = false
 		}
-		fmt.Fprintf(&b, "L%d->L%-3d %8d %12s %12s %12s %7.2fx\n",
+		fmt.Fprintf(&b, "L%d->L%-3d %8d %12s %12s %12s %7.2fx %8d %12s\n",
 			lw.Level, lw.Target, lw.Count, metrics.HumanBytes(lw.BytesInSource),
-			metrics.HumanBytes(lw.BytesInTarget), metrics.HumanBytes(lw.BytesOut), lw.WriteAmp())
+			metrics.HumanBytes(lw.BytesInTarget), metrics.HumanBytes(lw.BytesOut), lw.WriteAmp(),
+			lw.Disjoint, metrics.HumanBytes(lw.DisjointBytes))
 	}
 
 	// A breaker's position is a state, not a scalar; the local breaker

@@ -101,16 +101,14 @@ type engine struct {
 	pipeline commitPipeline
 
 	// compactionMu guards what the compaction lane decides: the running jobs
-	// (each reserves a key range on its two levels), the pause CompactAll
-	// holds, and the per-level round-robin cursors. It is held to pick and
-	// reserve a job and to install one, never across a merge, a read or an
-	// upload (lanes.go). jobDone, on compactionMu, is broadcast when a job
-	// lets go of its reservation.
+	// (each reserves a key range on its two levels) and the pause CompactAll
+	// holds. It is held to pick and reserve a job and to install one, never
+	// across a merge, a read or an upload (lanes.go). jobDone, on
+	// compactionMu, is broadcast when a job lets go of its reservation.
 	compactionMu sync.Mutex
 	running      []*compaction
 	paused       int
 	jobDone      *sync.Cond
-	compactPtr   map[int][]byte
 
 	// mu guards memtable rotation and background state.
 	mu      sync.Mutex

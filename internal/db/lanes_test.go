@@ -14,6 +14,8 @@ import (
 	"time"
 
 	"rocksmash/internal/event"
+	"rocksmash/internal/keys"
+	"rocksmash/internal/manifest"
 	"rocksmash/internal/storage"
 )
 
@@ -567,6 +569,68 @@ func TestCompactAllDeterministic(t *testing.T) {
 	}
 	if strings.Count(a, "\n") < 3 {
 		t.Errorf("the load built only %q; the test wants several levels", a)
+	}
+}
+
+// TestPickMinOverlapRatio: on a hand-built version, a level ≥ 1 job takes the
+// source file that rewrites the fewest output-level bytes per byte it moves
+// down, ties in key order; it passes over a file whose range, on either of its
+// levels, a running job holds; and scoring allocates nothing beyond the job it
+// returns.
+func TestPickMinOverlapRatio(t *testing.T) {
+	meta := func(num uint64, lo, hi string, size uint64) *manifest.FileMetadata {
+		return &manifest.FileMetadata{Num: num, Size: size,
+			Smallest: keys.MakeInternalKey(nil, []byte(lo), 1, keys.KindSet),
+			Largest:  keys.MakeInternalKey(nil, []byte(hi), 1, keys.KindSet)}
+	}
+	v := manifest.NewVersion()
+	v.Levels[1] = []*manifest.FileMetadata{
+		meta(1, "a", "c", 100), // overlaps 10, 11, 12: ratio 3
+		meta(2, "d", "f", 100), // overlaps 13: ratio 0.5
+		meta(3, "g", "i", 100), // overlaps 14: ratio 0.5, after 2 in key order
+		meta(4, "j", "l", 100), // overlaps 15: ratio 2
+	}
+	v.Levels[2] = []*manifest.FileMetadata{
+		meta(10, "a", "a", 100), meta(11, "b", "b", 100), meta(12, "c", "c", 100),
+		meta(13, "e", "e", 50), meta(14, "h", "h", 50), meta(15, "j", "k", 200),
+	}
+	d := &engine{}
+	running := func(level int, lo, hi string) *compaction {
+		return &compaction{level: level, output: level + 1, lo: []byte(lo), hi: []byte(hi)}
+	}
+	for _, tc := range []struct {
+		name    string
+		running *compaction
+		want    uint64 // 0: no job
+	}{
+		{"lowest ratio, ties in key order", nil, 2},
+		{"source range held at L1", running(1, "d", "f"), 3},
+		{"output range held at L2", running(2, "h", "h"), 4},
+		{"both levels held by an L0 job", running(0, "a", "z"), 0},
+	} {
+		if tc.running != nil {
+			d.running = append(d.running, tc.running)
+		}
+		c := d.jobAt(v, 1)
+		var got uint64
+		if c != nil {
+			got = c.inputs[0].Num
+		}
+		if got != tc.want {
+			t.Fatalf("%s: picked L1 file %d, want %d (0: no job)", tc.name, got, tc.want)
+		}
+		if c == nil {
+			continue
+		}
+		want := v.Overlapping(2, keys.UserKey(c.inputs[0].Smallest), keys.UserKey(c.inputs[0].Largest))
+		if !slices.Equal(c.overlap, want) {
+			t.Errorf("%s: overlap %v, want %v", tc.name, c.overlap, want)
+		}
+		job := testing.AllocsPerRun(100, func() { d.jobAt(v, 1) })
+		winner := testing.AllocsPerRun(100, func() { newCompaction(v, 1, []*manifest.FileMetadata{c.inputs[0]}) })
+		if job != winner {
+			t.Errorf("%s: a pick allocates %.0f times, building the chosen job alone %.0f", tc.name, job, winner)
+		}
 	}
 }
 

@@ -181,6 +181,29 @@ func TestOverlapping(t *testing.T) {
 	if n := len(v.Overlapping(2, nil, nil)); n != 3 {
 		t.Fatalf("unbounded overlap = %d", n)
 	}
+	// The binary searches find what a linear scan of the level finds, for
+	// every bound inside, between, on and beyond the files, and for nil.
+	bounds := [][]byte{nil}
+	for c := 'a' - 1; c <= 'j'; c++ {
+		bounds = append(bounds, []byte{byte(c)})
+	}
+	for _, lo := range bounds {
+		for _, hi := range bounds {
+			var want []uint64
+			for _, f := range v.Levels[2] {
+				if f.OverlapsRange(lo, hi) {
+					want = append(want, f.Num)
+				}
+			}
+			var got []uint64
+			for _, f := range v.Overlapping(2, lo, hi) {
+				got = append(got, f.Num)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("Overlapping(%q, %q) = %v, linear scan %v", lo, hi, got, want)
+			}
+		}
+	}
 }
 
 func TestSetPersistAndRecover(t *testing.T) {

@@ -176,6 +176,12 @@ func (v *Version) FilesFor(ukey []byte, fn func(level int, f *FileMetadata) (sto
 // Overlapping returns the files at level whose user-key ranges intersect
 // [lo, hi] (nil = unbounded).
 func (v *Version) Overlapping(level int, lo, hi []byte) []*FileMetadata {
+	if level > 0 {
+		if i, j := v.OverlapRange(level, lo, hi); i < j {
+			return append([]*FileMetadata(nil), v.Levels[level][i:j]...)
+		}
+		return nil
+	}
 	var out []*FileMetadata
 	for _, f := range v.Levels[level] {
 		if f.OverlapsRange(lo, hi) {
@@ -183,6 +189,21 @@ func (v *Version) Overlapping(level int, lo, hi []byte) []*FileMetadata {
 		}
 	}
 	return out
+}
+
+// OverlapRange returns the bounds [i, j) of the files at level ≥ 1 whose
+// user-key ranges intersect [lo, hi] (nil = unbounded): the level is sorted
+// and non-overlapping, so two binary searches find them, allocating nothing.
+func (v *Version) OverlapRange(level int, lo, hi []byte) (i, j int) {
+	fs := v.Levels[level]
+	if lo != nil {
+		i = sort.Search(len(fs), func(k int) bool { return bytes.Compare(keys.UserKey(fs[k].Largest), lo) >= 0 })
+	}
+	j = len(fs)
+	if hi != nil {
+		j = i + sort.Search(len(fs)-i, func(k int) bool { return bytes.Compare(keys.UserKey(fs[i+k].Smallest), hi) > 0 })
+	}
+	return i, j
 }
 
 // LevelSize returns the total byte size of a level.

@@ -190,6 +190,10 @@ type LevelWriteAmp struct {
 	BytesInSource int64 `json:"bytes_in_source"`
 	BytesInTarget int64 `json:"bytes_in_target"`
 	BytesOut      int64 `json:"bytes_out"`
+	// Disjoint counts the jobs whose inputs overlapped nothing at the target
+	// level, and DisjointBytes their input bytes.
+	Disjoint      int64 `json:"disjoint"`
+	DisjointBytes int64 `json:"disjoint_bytes"`
 }
 
 // WriteAmp is the level's write amplification: bytes written per source
@@ -241,6 +245,10 @@ type Metrics struct {
 	CompactBytesIn     int64
 	CompactBytesOut    int64
 	CompactDroppedKeys int64
+	// CompactionsDisjoint and CompactDisjointBytes sum LevelWriteAmp's
+	// Disjoint and DisjointBytes over the levels.
+	CompactionsDisjoint  int64
+	CompactDisjointBytes int64
 
 	PrefetchSpans   int64
 	PrefetchBlocks  int64
