@@ -132,7 +132,8 @@ func (d *engine) jobAt(v *manifest.Version, level int) *compaction {
 func newCompaction(v *manifest.Version, level int, inputs []*manifest.FileMetadata) *compaction {
 	c := &compaction{level: level, output: level + 1, inputs: inputs, v: v}
 	lo, hi := keyRange(inputs)
-	c.overlap = v.Overlapping(c.output, lo, hi)
+	i, j := v.OverlapRange(c.output, lo, hi)
+	c.overlap = v.Levels[c.output][i:j:j] // a version's levels never change
 	c.lo, c.hi = keyRange(c.files())
 	return c
 }
@@ -331,7 +332,7 @@ func (d *engine) doCompaction(c *compaction) (err error) {
 	lc.BytesInSource.Add(int64(sumSizes(c.inputs)))
 	lc.BytesInTarget.Add(int64(sumSizes(c.overlap)))
 	lc.BytesOut.Add(outBytes)
-	if len(c.overlap) == 0 {
+	if len(c.inputs) == 1 && len(c.overlap) == 0 {
 		lc.Disjoint.Add(1)
 		lc.DisjointBytes.Add(inputBytes)
 	}

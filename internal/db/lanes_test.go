@@ -575,8 +575,9 @@ func TestCompactAllDeterministic(t *testing.T) {
 // TestPickMinOverlapRatio: on a hand-built version, a level ≥ 1 job takes the
 // source file that rewrites the fewest output-level bytes per byte it moves
 // down, ties in key order; it passes over a file whose range, on either of its
-// levels, a running job holds; and scoring allocates nothing beyond the job it
-// returns.
+// levels, a running job holds, counting on the output level the whole range
+// of the tables it would rewrite, which may reach past the file's own; and
+// scoring allocates nothing beyond the job it returns.
 func TestPickMinOverlapRatio(t *testing.T) {
 	meta := func(num uint64, lo, hi string, size uint64) *manifest.FileMetadata {
 		return &manifest.FileMetadata{Num: num, Size: size,
@@ -589,10 +590,12 @@ func TestPickMinOverlapRatio(t *testing.T) {
 		meta(2, "d", "f", 100), // overlaps 13: ratio 0.5
 		meta(3, "g", "i", 100), // overlaps 14: ratio 0.5, after 2 in key order
 		meta(4, "j", "l", 100), // overlaps 15: ratio 2
+		meta(5, "n", "p", 100), // overlaps 16, which reaches past it: ratio 0.5
 	}
 	v.Levels[2] = []*manifest.FileMetadata{
 		meta(10, "a", "a", 100), meta(11, "b", "b", 100), meta(12, "c", "c", 100),
 		meta(13, "e", "e", 50), meta(14, "h", "h", 50), meta(15, "j", "k", 200),
+		meta(16, "m", "q", 50),
 	}
 	d := &engine{}
 	running := func(level int, lo, hi string) *compaction {
@@ -605,7 +608,8 @@ func TestPickMinOverlapRatio(t *testing.T) {
 	}{
 		{"lowest ratio, ties in key order", nil, 2},
 		{"source range held at L1", running(1, "d", "f"), 3},
-		{"output range held at L2", running(2, "h", "h"), 4},
+		{"output range held at L2", running(2, "h", "h"), 5},
+		{"overlap past the file held at L2", running(2, "q", "q"), 4},
 		{"both levels held by an L0 job", running(0, "a", "z"), 0},
 	} {
 		if tc.running != nil {
@@ -622,8 +626,8 @@ func TestPickMinOverlapRatio(t *testing.T) {
 		if c == nil {
 			continue
 		}
-		want := v.Overlapping(2, keys.UserKey(c.inputs[0].Smallest), keys.UserKey(c.inputs[0].Largest))
-		if !slices.Equal(c.overlap, want) {
+		i, j := v.OverlapRange(2, keys.UserKey(c.inputs[0].Smallest), keys.UserKey(c.inputs[0].Largest))
+		if want := v.Levels[2][i:j]; !slices.Equal(c.overlap, want) {
 			t.Errorf("%s: overlap %v, want %v", tc.name, c.overlap, want)
 		}
 		job := testing.AllocsPerRun(100, func() { d.jobAt(v, 1) })

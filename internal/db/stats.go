@@ -88,9 +88,10 @@ type LevelCompactCounters struct {
 	BytesInSource atomic.Int64 // bytes read from the source level's inputs
 	BytesInTarget atomic.Int64 // bytes read from overlapping target files
 	BytesOut      atomic.Int64 // bytes written to the target level
-	// Disjoint counts the jobs whose inputs overlapped nothing at the target
-	// level, and DisjointBytes their input bytes: what a trivial move could
-	// have re-parented without a merge.
+	// Disjoint counts the one-input jobs that overlapped nothing at the
+	// target level, and DisjointBytes their input bytes: what a trivial move
+	// could have re-parented without a merge. An L0 job of several files is
+	// not counted: they may overlap each other.
 	Disjoint      atomic.Int64
 	DisjointBytes atomic.Int64
 }
@@ -301,8 +302,8 @@ var Signals = resolve([]row{
 	{"rocksmash_pcache_door_declined_total", counter, "Demoted blocks the persistent cache's frequency door turned away.", "PCacheDoorDeclined", "Caches/PCache/door declined", func(d *DB) any { return d.pcache.Stats().DoorDeclined.Load() }},
 	{"rocksmash_tables_closing", gauge, "Evicted table readers kept open for the readers that pinned before the eviction.", "TablesClosing", "Level Shape/Table readers/closing", func(d *DB) any { return d.tables.closing.Load() }},
 	{"rocksmash_tables_open_peak", gauge, "The most table readers open at once, cached and closing.", "TablesOpenPeak", "Level Shape/Table readers/peak open", func(d *DB) any { return d.tables.openPeak() }},
-	{"rocksmash_compactions_disjoint_total", counter, "Compactions whose inputs overlapped nothing at the output level.", "CompactionsDisjoint", "Flush & Compaction/No output overlap/jobs", nil},
-	{"rocksmash_compact_disjoint_bytes_total", counter, "Input bytes of compactions that overlapped nothing at the output level.", "CompactDisjointBytes", "Flush & Compaction/No output overlap/in", nil},
+	{"rocksmash_compactions_disjoint_total", counter, "One-input compactions that overlapped nothing at the output level.", "CompactionsDisjoint", "Flush & Compaction/No output overlap/jobs", nil},
+	{"rocksmash_compact_disjoint_bytes_total", counter, "Input bytes of one-input compactions that overlapped nothing at the output level.", "CompactDisjointBytes", "Flush & Compaction/No output overlap/in", nil},
 })
 
 // compactionDebt estimates the bytes compaction must move to bring the

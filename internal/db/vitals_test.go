@@ -171,6 +171,43 @@ func TestLevelWriteAmpReconciles(t *testing.T) {
 	}
 }
 
+// TestDisjointCountsOneInputJobs: a compaction that overlaps nothing at its
+// output level is counted as disjoint only when it has one input, as a
+// trivial move would need: two overlapping L0 tables merged into an empty L1
+// are not.
+func TestDisjointCountsOneInputJobs(t *testing.T) {
+	for _, tc := range []struct {
+		flushes int // L0 tables of the same keys, and the L0 trigger
+		want    int64
+	}{{1, 1}, {2, 0}} {
+		o := testOptions(PolicyLocalOnly)
+		o.L0CompactTrigger = tc.flushes
+		d, err := OpenAt(t.TempDir(), o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for f := 0; f < tc.flushes; f++ {
+			for i := 0; i < 100; i++ {
+				mustPut(t, d, fmt.Sprintf("key%06d", i), "v")
+			}
+			if err := d.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := d.CompactAll(); err != nil {
+			t.Fatal(err)
+		}
+		lw := d.Metrics().LevelWriteAmp[0]
+		d.Close()
+		if lw.Count != 1 || lw.BytesInTarget != 0 {
+			t.Fatalf("%d L0 tables: %d L0 jobs reading %d L1 bytes, want 1 job into an empty L1", tc.flushes, lw.Count, lw.BytesInTarget)
+		}
+		if lw.Disjoint != tc.want || lw.DisjointBytes != tc.want*lw.BytesInSource {
+			t.Errorf("%d L0 tables: disjoint %d jobs, %d B of %d B in, want %d jobs", tc.flushes, lw.Disjoint, lw.DisjointBytes, lw.BytesInSource, tc.want)
+		}
+	}
+}
+
 // TestCompactionDebtAndSpaceAmp: a fully-compacted tree owes nothing and
 // has space amplification >= 1 (== total/deepest-level bytes).
 func TestCompactionDebtAndSpaceAmp(t *testing.T) {

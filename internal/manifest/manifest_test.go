@@ -174,12 +174,11 @@ func TestOverlapping(t *testing.T) {
 		{Level: 2, Meta: fm(2, "d", "f", 2, 2, storage.TierLocal)},
 		{Level: 2, Meta: fm(3, "g", "i", 3, 3, storage.TierLocal)},
 	}})
-	got := v.Overlapping(2, []byte("e"), []byte("h"))
-	if len(got) != 2 || got[0].Num != 2 || got[1].Num != 3 {
-		t.Fatalf("overlap = %v", got)
+	if i, j := v.OverlapRange(2, []byte("e"), []byte("h")); i != 1 || j != 3 {
+		t.Fatalf("overlap = [%d, %d), want [1, 3)", i, j)
 	}
-	if n := len(v.Overlapping(2, nil, nil)); n != 3 {
-		t.Fatalf("unbounded overlap = %d", n)
+	if i, j := v.OverlapRange(2, nil, nil); i != 0 || j != 3 {
+		t.Fatalf("unbounded overlap = [%d, %d)", i, j)
 	}
 	// The binary searches find what a linear scan of the level finds, for
 	// every bound inside, between, on and beyond the files, and for nil.
@@ -196,11 +195,12 @@ func TestOverlapping(t *testing.T) {
 				}
 			}
 			var got []uint64
-			for _, f := range v.Overlapping(2, lo, hi) {
+			i, j := v.OverlapRange(2, lo, hi)
+			for _, f := range v.Levels[2][i:j] {
 				got = append(got, f.Num)
 			}
 			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Errorf("Overlapping(%q, %q) = %v, linear scan %v", lo, hi, got, want)
+				t.Errorf("OverlapRange(%q, %q) = %v, linear scan %v", lo, hi, got, want)
 			}
 		}
 	}

@@ -173,27 +173,10 @@ func (v *Version) FilesFor(ukey []byte, fn func(level int, f *FileMetadata) (sto
 	return nil
 }
 
-// Overlapping returns the files at level whose user-key ranges intersect
-// [lo, hi] (nil = unbounded).
-func (v *Version) Overlapping(level int, lo, hi []byte) []*FileMetadata {
-	if level > 0 {
-		if i, j := v.OverlapRange(level, lo, hi); i < j {
-			return append([]*FileMetadata(nil), v.Levels[level][i:j]...)
-		}
-		return nil
-	}
-	var out []*FileMetadata
-	for _, f := range v.Levels[level] {
-		if f.OverlapsRange(lo, hi) {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
 // OverlapRange returns the bounds [i, j) of the files at level ≥ 1 whose
-// user-key ranges intersect [lo, hi] (nil = unbounded): the level is sorted
-// and non-overlapping, so two binary searches find them, allocating nothing.
+// user-key ranges intersect [lo, hi] (nil = unbounded), Levels[level][i:j]:
+// the level is sorted and non-overlapping, so two binary searches find them,
+// allocating nothing.
 func (v *Version) OverlapRange(level int, lo, hi []byte) (i, j int) {
 	fs := v.Levels[level]
 	if lo != nil {

@@ -190,8 +190,8 @@ type LevelWriteAmp struct {
 	BytesInSource int64 `json:"bytes_in_source"`
 	BytesInTarget int64 `json:"bytes_in_target"`
 	BytesOut      int64 `json:"bytes_out"`
-	// Disjoint counts the jobs whose inputs overlapped nothing at the target
-	// level, and DisjointBytes their input bytes.
+	// Disjoint counts the one-input jobs that overlapped nothing at the
+	// target level, and DisjointBytes their input bytes.
 	Disjoint      int64 `json:"disjoint"`
 	DisjointBytes int64 `json:"disjoint_bytes"`
 }
